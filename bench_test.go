@@ -12,7 +12,6 @@ package specglobe
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -25,7 +24,6 @@ import (
 	"specglobe/internal/mesh"
 	"specglobe/internal/meshfem"
 	"specglobe/internal/meshio"
-	"specglobe/internal/mpi"
 	"specglobe/internal/perf"
 	"specglobe/internal/perfmodel"
 	"specglobe/internal/renumber"
@@ -529,139 +527,6 @@ func TestWriteBenchPR3(t *testing.T) {
 	writeBenchJSON(t, "BENCH_PR3.json", snap)
 	t.Logf("uniform %d elems %.2f steps/s; doubled %d elems %.2f steps/s (%.2fx)",
 		ue, us, de, ds, ds/us)
-}
-
-// BenchmarkPipelinedCoupling compares the PR 1 overlap schedule against
-// the pipelined fluid→solid coupling schedule: the solid outer sweep
-// and the fluid inner sweep run while the fluid halo is in flight, so
-// the exposed (non-overlapped) virtual communication time per step must
-// not exceed the plain overlap schedule's.
-func BenchmarkPipelinedCoupling(b *testing.B) {
-	for _, mode := range []struct {
-		name     string
-		pipeline bool
-	}{{"overlap", false}, {"pipeline", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			g := buildBenchGlobe(b, 8, 2)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := runSteps(b, g, solver.Options{
-					Steps: 3, Overlap: solver.OverlapOn, PipelineCoupling: mode.pipeline,
-				})
-				b.ReportMetric(res.MPI.Exposed().Seconds()/3, "exposed-comm-s/step")
-				b.ReportMetric(res.MPI.HiddenCommTime.Seconds()/3, "hidden-comm-s/step")
-				b.ReportMetric(100*res.Perf.CommFraction, "comm-%")
-			}
-		})
-	}
-}
-
-// benchPR4Snapshot is the schema of BENCH_PR4.json: the perf-trajectory
-// data point for the pipelined fluid→solid coupling schedule (overlap
-// vs pipeline exposed communication at 6 and 24 ranks).
-type benchPR4Snapshot struct {
-	PR        int    `json:"pr"`
-	Benchmark string `json:"benchmark"`
-	benchEnv
-	Nex   int `json:"nex"`
-	Steps int `json:"steps"`
-
-	Rows []benchPR4Row `json:"rows"`
-	Note string        `json:"note"`
-}
-
-// benchPR4Row is one (rank count, interconnect) overlap-vs-pipeline
-// measurement.
-type benchPR4Row struct {
-	Ranks               int     `json:"ranks"`
-	Network             string  `json:"network"`
-	OverlapExposedSec   float64 `json:"overlap_exposed_comm_s"`
-	PipelineExposedSec  float64 `json:"pipeline_exposed_comm_s"`
-	OverlapHiddenSec    float64 `json:"overlap_hidden_comm_s"`
-	PipelineHiddenSec   float64 `json:"pipeline_hidden_comm_s"`
-	OverlapExposedFrac  float64 `json:"overlap_exposed_comm_frac"`
-	PipelineExposedFrac float64 `json:"pipeline_exposed_comm_frac"`
-}
-
-// TestWriteBenchPR4 regenerates BENCH_PR4.json. It only runs when
-// BENCH_SNAPSHOT=1 is set (it measures wall time, which is meaningless
-// on a loaded CI runner):
-//
-//	BENCH_SNAPSHOT=1 go test -run TestWriteBenchPR4 .
-func TestWriteBenchPR4(t *testing.T) {
-	if os.Getenv("BENCH_SNAPSHOT") == "" {
-		t.Skip("set BENCH_SNAPSHOT=1 to rewrite BENCH_PR4.json")
-	}
-	const nex, steps, reps = 8, 10, 3
-	snap := benchPR4Snapshot{
-		PR: 4, Benchmark: "BenchmarkPipelinedCoupling",
-		benchEnv: currentBenchEnv(),
-		Nex:      nex, Steps: steps,
-		Note: "pipelined coupling runs the solid outer sweep + fluid inner sweep under " +
-			"the in-flight fluid halo. On the default SeaStar2-class interconnect the " +
-			"fluid halo is already fully hidden at laptop scale (both schedules tie to " +
-			"scheduler noise); the slow-interconnect rows make the window binding, where " +
-			"the pipeline's wider window must hide strictly more and expose strictly " +
-			"less (best-of-" + fmt.Sprint(reps) + " exposed time per mode)",
-	}
-	networks := []struct {
-		name    string
-		opts    mpi.Options
-		binding bool // transfer time exceeds the plain overlap window
-	}{
-		{"seastar2-default", mpi.Options{}, false},
-		{"slow-100us-10MBs", mpi.Options{LatencyUS: 100, LinkBWGBs: 0.01}, true},
-	}
-	for _, nproc := range []int{1, 2} {
-		g := buildBenchGlobe(t, nex, nproc)
-		for _, net := range networks {
-			measure := func(pipelined bool) (exposed, hidden, frac float64) {
-				exposed = math.Inf(1)
-				for r := 0; r < reps; r++ { // best-of to shed scheduler noise
-					res := runSteps(t, g, solver.Options{
-						Steps: steps, Overlap: solver.OverlapOn,
-						PipelineCoupling: pipelined, Network: net.opts,
-					})
-					if e := res.MPI.Exposed().Seconds(); e < exposed {
-						exposed = e
-						hidden = res.MPI.HiddenCommTime.Seconds()
-						frac = res.Perf.CommFraction
-					}
-				}
-				return exposed, hidden, frac
-			}
-			oe, oh, of := measure(false)
-			pe, ph, pf := measure(true)
-			snap.Rows = append(snap.Rows, benchPR4Row{
-				Ranks: len(g.Locals), Network: net.name,
-				OverlapExposedSec: oe, PipelineExposedSec: pe,
-				OverlapHiddenSec: oh, PipelineHiddenSec: ph,
-				OverlapExposedFrac: of, PipelineExposedFrac: pf,
-			})
-			if net.binding {
-				// Where the window binds, the pipeline's advantage is
-				// structural, not noise: strict inequality required.
-				if pe >= oe {
-					t.Errorf("P=%d %s: pipeline exposed %.6fs not below overlap %.6fs",
-						len(g.Locals), net.name, pe, oe)
-				}
-				if pf >= of {
-					t.Errorf("P=%d %s: pipeline frac %.4f not below overlap %.4f",
-						len(g.Locals), net.name, pf, of)
-				}
-			} else if pe > oe*1.10+1e-6 {
-				// Fully hidden on both sides: equality to noise.
-				t.Errorf("P=%d %s: pipeline exposed %.6fs exceeds overlap %.6fs",
-					len(g.Locals), net.name, pe, oe)
-			}
-		}
-	}
-	writeBenchJSON(t, "BENCH_PR4.json", snap)
-	for _, r := range snap.Rows {
-		t.Logf("P=%d %s: overlap exposed %.6fs (frac %.4f), pipeline exposed %.6fs (frac %.4f)",
-			r.Ranks, r.Network, r.OverlapExposedSec, r.OverlapExposedFrac,
-			r.PipelineExposedSec, r.PipelineExposedFrac)
-	}
 }
 
 // BenchmarkCommFraction measures the section 5 headline quantity.

@@ -54,9 +54,9 @@ func main() {
 		grav     = flag.Bool("gravity", false, "enable background gravity")
 		ocean    = flag.Bool("oceans", false, "enable ocean load")
 		snap     = flag.Bool("snap-stations", false, "locate stations at nearest grid point (fast 4.4 mode)")
-		kernel   = flag.String("kernel", "vec4", "force kernel: vec4, scalar, blas")
+		kernel   = flag.String("kernel", "vec4", "force kernel: vec4, scalar, blas, fused")
 		legacyIO = flag.String("legacy-io", "", "write/read the mesh through a legacy file database in this directory")
-		combined = flag.Bool("combined-halo", false, "combine crust/mantle and inner-core halo messages (33% fewer messages)")
+		combined = flag.Bool("combined-halo", true, "combine crust/mantle and inner-core halo messages (33% fewer messages; the daemon always does)")
 		out      = flag.String("out", "", "directory for ASCII seismograms (empty = skip)")
 	)
 	flag.Parse()
@@ -78,16 +78,9 @@ func main() {
 		log.Fatalf("unknown model %q", *modelStr)
 	}
 
-	var kv solver.Kernel
-	switch *kernel {
-	case "vec4":
-		kv = solver.KernelVec4
-	case "scalar":
-		kv = solver.KernelScalar
-	case "blas":
-		kv = solver.KernelBlas
-	default:
-		log.Fatalf("unknown kernel %q", *kernel)
+	kv, err := solver.ParseKernel(*kernel)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	var sts []stations.Station

@@ -188,21 +188,6 @@ func TestOverlapAblation(t *testing.T) {
 		t.Errorf("exposed comm not reduced: on %.6fs vs off %.6fs",
 			row.ExposedOn, row.ExposedOff)
 	}
-	// The pipelined fluid→solid schedule widens the fluid halo's hiding
-	// window, so it must not expose more than the plain overlap
-	// schedule (equality happens when the window already hides the
-	// whole transfer; the small slack absorbs wall-clock jitter in the
-	// hidden-credit accounting).
-	if row.HiddenPipe <= 0 {
-		t.Error("pipelined schedule hid no communication")
-	}
-	if row.ExposedPipe > row.ExposedOn*1.05+1e-6 {
-		t.Errorf("pipeline exposes more than overlap: %.6fs vs %.6fs",
-			row.ExposedPipe, row.ExposedOn)
-	}
-	if row.CouplingFrac <= 0 || row.CouplingFrac >= 1 {
-		t.Errorf("coupling-outer fraction %.3f implausible on a coupled globe", row.CouplingFrac)
-	}
 	// The fractions divide by wall-clock busy time, so a loaded runner
 	// adds noise; allow slack instead of a strict comparison (the strict
 	// invariant is the exposed time above).
@@ -210,7 +195,7 @@ func TestOverlapAblation(t *testing.T) {
 		t.Errorf("comm fraction not reduced: on %.4f vs off %.4f",
 			row.FracOn, row.FracOff)
 	}
-	for _, want := range []string{"OVERLAP", "exposed-on", "exposed-pipe", "section 5"} {
+	for _, want := range []string{"OVERLAP", "exposed-on", "exposed-off", "section 5"} {
 		if !strings.Contains(r.String(), want) {
 			t.Errorf("report missing %q", want)
 		}

@@ -13,32 +13,24 @@ import (
 // technique: hiding halo-exchange latency behind computation by
 // computing outer (boundary) elements first, posting non-blocking
 // sends/receives, and computing inner elements while messages are in
-// flight. It runs the same simulation under three schedules across rank
-// counts — blocking, PR 1 overlap, and the pipelined fluid→solid
-// coupling schedule (the solid outer sweep and fluid inner sweep run
-// under the in-flight fluid halo) — and reports the exposed
-// communication time and comm fraction of each, next to the fraction
-// of elements that are outer (the non-overlappable work) and
-// coupling-outer (the extra elements the pipeline pulls in front of
-// the fluid halo post).
+// flight. It runs the same simulation under the overlap schedule and
+// the blocking baseline across rank counts and reports the exposed
+// communication time and comm fraction of each, next to the fraction of
+// elements that are outer (the non-overlappable work).
 
-// OverlapRow is one configuration measured under the three schedules.
+// OverlapRow is one configuration measured under both schedules.
 type OverlapRow struct {
 	P   int
 	Res int
-	// OuterFrac is the mean fraction of elements classified outer;
-	// CouplingFrac the mean fraction classified *fluid* coupling-outer
-	// (CMB/ICB-adjacent fluid elements not on a rank boundary — the
-	// only elements the pipeline actually pulls in front of the post).
-	OuterFrac    float64
-	CouplingFrac float64
+	// OuterFrac is the mean fraction of elements classified outer.
+	OuterFrac float64
 	// Exposed communication time summed over ranks (seconds): virtual
 	// network time left on the critical path after overlap.
-	ExposedOn, ExposedOff, ExposedPipe float64
-	// Hidden virtual transfer time under the overlapped schedules.
-	HiddenOn, HiddenPipe float64
+	ExposedOn, ExposedOff float64
+	// Hidden virtual transfer time under the overlapped schedule.
+	HiddenOn float64
 	// Comm fractions of the solver main loop under each schedule.
-	FracOn, FracOff, FracPipe float64
+	FracOn, FracOff float64
 }
 
 // OverlapResult reproduces the overlap ablation.
@@ -64,45 +56,35 @@ func Overlap(nexList []int, nprocList []int, steps int) (*OverlapResult, error) 
 			if err != nil {
 				return nil, err
 			}
-			run := func(mode solver.OverlapMode, pipelined bool) (*solver.Result, error) {
+			run := func(mode solver.OverlapMode) (*solver.Result, error) {
 				return solver.Run(&solver.Simulation{
 					Locals: g.Locals, Plans: g.Plans, Model: model,
 					Sources: []solver.Source{src},
-					Opts:    solver.Options{Steps: steps, Overlap: mode, PipelineCoupling: pipelined},
+					Opts:    solver.Options{Steps: steps, Overlap: mode},
 				})
 			}
-			on, err := run(solver.OverlapOn, false)
+			on, err := run(solver.OverlapOn)
 			if err != nil {
 				return nil, err
 			}
-			off, err := run(solver.OverlapOff, false)
+			off, err := run(solver.OverlapOff)
 			if err != nil {
 				return nil, err
 			}
-			pipe, err := run(solver.OverlapOn, true)
-			if err != nil {
-				return nil, err
-			}
-			outerFrac, couplingFrac := 0.0, 0.0
+			outerFrac := 0.0
 			for rank, l := range g.Locals {
 				outerFrac += mesh.BuildOverlap(l, g.Plans[rank]).OuterFraction()
-				couplingFrac += mesh.BuildCouplingSplit(l, g.Plans[rank]).CouplingOuterFraction()
 			}
 			outerFrac /= float64(len(g.Locals))
-			couplingFrac /= float64(len(g.Locals))
 			out.Rows = append(out.Rows, OverlapRow{
-				P:            g.Decomp.NumRanks(),
-				Res:          nex,
-				OuterFrac:    outerFrac,
-				CouplingFrac: couplingFrac,
-				ExposedOn:    on.MPI.Exposed().Seconds(),
-				ExposedOff:   off.MPI.Exposed().Seconds(),
-				ExposedPipe:  pipe.MPI.Exposed().Seconds(),
-				HiddenOn:     on.MPI.HiddenCommTime.Seconds(),
-				HiddenPipe:   pipe.MPI.HiddenCommTime.Seconds(),
-				FracOn:       on.Perf.CommFraction,
-				FracOff:      off.Perf.CommFraction,
-				FracPipe:     pipe.Perf.CommFraction,
+				P:          g.Decomp.NumRanks(),
+				Res:        nex,
+				OuterFrac:  outerFrac,
+				ExposedOn:  on.MPI.Exposed().Seconds(),
+				ExposedOff: off.MPI.Exposed().Seconds(),
+				HiddenOn:   on.MPI.HiddenCommTime.Seconds(),
+				FracOn:     on.Perf.CommFraction,
+				FracOff:    off.Perf.CommFraction,
 			})
 		}
 	}
@@ -179,20 +161,16 @@ func (r *OverlapMachinesResult) String() string {
 // String renders the overlap ablation table.
 func (r *OverlapResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "OVERLAP: exposed communication — blocking vs overlapped vs pipelined fluid→solid schedule\n")
-	fmt.Fprintf(&b, "  %6s %6s %7s %7s %12s %12s %13s %12s %12s %9s %9s %9s\n",
-		"P", "res", "outer%", "coupl%", "exposed-on", "exposed-off", "exposed-pipe",
-		"hidden-on", "hidden-pipe", "frac-on", "frac-off", "frac-pipe")
+	fmt.Fprintf(&b, "OVERLAP: exposed communication — blocking vs overlapped schedule\n")
+	fmt.Fprintf(&b, "  %6s %6s %7s %12s %12s %12s %9s %9s\n",
+		"P", "res", "outer%", "exposed-on", "exposed-off", "hidden-on", "frac-on", "frac-off")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %6d %6d %6.1f%% %6.1f%% %11.6fs %11.6fs %12.6fs %11.6fs %11.6fs %8.2f%% %8.2f%% %8.2f%%\n",
-			row.P, row.Res, 100*row.OuterFrac, 100*row.CouplingFrac,
-			row.ExposedOn, row.ExposedOff, row.ExposedPipe,
-			row.HiddenOn, row.HiddenPipe,
-			100*row.FracOn, 100*row.FracOff, 100*row.FracPipe)
+		fmt.Fprintf(&b, "  %6d %6d %6.1f%% %11.6fs %11.6fs %11.6fs %8.2f%% %8.2f%%\n",
+			row.P, row.Res, 100*row.OuterFrac,
+			row.ExposedOn, row.ExposedOff, row.HiddenOn,
+			100*row.FracOn, 100*row.FracOff)
 	}
 	b.WriteString("  paper: outer-first scheduling with non-blocking exchanges keeps the\n")
-	b.WriteString("  communication fraction at 1.9%-4.2% out to 62K cores (section 5);\n")
-	b.WriteString("  pipeline additionally runs the solid outer sweep under the in-flight\n")
-	b.WriteString("  fluid halo (the CMB/ICB coupling only consumes boundary values)\n")
+	b.WriteString("  communication fraction at 1.9%-4.2% out to 62K cores (section 5)\n")
 	return b.String()
 }

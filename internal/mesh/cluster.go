@@ -1,10 +1,6 @@
 package mesh
 
-import (
-	"sort"
-
-	"specglobe/internal/earthmodel"
-)
+import "sort"
 
 // Clustered local time stepping (LTS): elements are binned into
 // rate-2^k clusters by their per-element stable dt (ElementDts), so a
@@ -23,9 +19,9 @@ import (
 // rate, which divides n), so all force contributions it assembles are
 // fresh.
 
-// Cluster is one rate group of a region's elements, with its own
-// copies of the overlap and coupling-pipeline classifications so the
-// solver can schedule each cluster's halo independently.
+// Cluster is one rate group of a region's elements, with its own copy
+// of the overlap classification so the solver can schedule each
+// cluster's halo independently.
 type Cluster struct {
 	// Rate is the step decimation factor: elements fire when the
 	// global step number is divisible by Rate. Always a power of two.
@@ -43,11 +39,6 @@ type Cluster struct {
 	// (intersection with Overlap.Outer/Inner); nil when no Overlap was
 	// supplied.
 	Outer, Inner []int32
-
-	// Boundary and PipeInner split Elems by the coupling-pipeline
-	// classification (intersection with CouplingSplit.BoundaryUnion and
-	// CouplingSplit.Inner); nil when no CouplingSplit was supplied.
-	Boundary, PipeInner []int32
 }
 
 // Clustering is the per-rank LTS partition of all regions.
@@ -84,10 +75,9 @@ func normalizeRate(r int) int32 {
 // BuildClusters bins the local regions' elements into rate-2^k clusters
 // for global time step dt: an element's rate is the largest power of
 // two r <= maxRate with r*dt within the element's own stable dt
-// (ElementDt with the given courant factor). ov and cs may be nil; when
-// present, each cluster receives its own outer/inner (and, for the
-// fluid, boundary/pipe-inner) split.
-func BuildClusters(l *Local, dt, courant float64, maxRate int, ov *Overlap, cs *CouplingSplit) *Clustering {
+// (ElementDt with the given courant factor). ov may be nil; when
+// present, each cluster receives its own outer/inner split.
+func BuildClusters(l *Local, dt, courant float64, maxRate int, ov *Overlap) *Clustering {
 	c := &Clustering{MaxRate: normalizeRate(maxRate)}
 	for kind := 0; kind < 3; kind++ {
 		reg := l.Regions[kind]
@@ -129,10 +119,6 @@ func BuildClusters(l *Local, dt, courant float64, maxRate int, ov *Overlap, cs *
 			if ov != nil {
 				cl.Outer = intersectSorted(elems, ov.Outer[kind])
 				cl.Inner = intersectSorted(elems, ov.Inner[kind])
-			}
-			if cs != nil && kind == int(earthmodel.RegionOuterCore) {
-				cl.Boundary = intersectSorted(elems, cs.BoundaryUnion(kind))
-				cl.PipeInner = intersectSorted(elems, cs.Inner[kind])
 			}
 			c.Clusters[kind] = append(c.Clusters[kind], cl)
 		}

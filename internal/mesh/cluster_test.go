@@ -35,7 +35,7 @@ func TestBuildClustersUniformBox(t *testing.T) {
 	reg := l.Regions[earthmodel.RegionCrustMantle]
 	stable := reg.StableDt(courant)
 
-	c1 := mesh.BuildClusters(l, stable, courant, 4, nil, nil)
+	c1 := mesh.BuildClusters(l, stable, courant, 4, nil)
 	if got := c1.RateCounts(); len(got) != 1 || got[1] != reg.NSpec {
 		t.Fatalf("at stable dt: rate counts %v, want all %d elements at rate 1", got, reg.NSpec)
 	}
@@ -43,7 +43,7 @@ func TestBuildClustersUniformBox(t *testing.T) {
 		t.Errorf("rate-1 UpdateReduction = %g, want 1", r)
 	}
 
-	c2 := mesh.BuildClusters(l, stable/2.1, courant, 4, nil, nil)
+	c2 := mesh.BuildClusters(l, stable/2.1, courant, 4, nil)
 	got := c2.RateCounts()
 	if got[2] != reg.NSpec {
 		t.Fatalf("at half dt: rate counts %v, want all %d elements at rate 2", got, reg.NSpec)
@@ -59,7 +59,7 @@ func TestBuildClustersUniformBox(t *testing.T) {
 	}
 
 	// The cap clamps: a tiny dt cannot push rates past MaxRate.
-	c3 := mesh.BuildClusters(l, stable/100, courant, 4, nil, nil)
+	c3 := mesh.BuildClusters(l, stable/100, courant, 4, nil)
 	for r := range c3.RateCounts() {
 		if r > 4 {
 			t.Errorf("rate %d exceeds MaxRate 4", r)
@@ -76,7 +76,7 @@ func TestClusterPointRateMaxRule(t *testing.T) {
 	l := b.Locals[0]
 	kind := int(earthmodel.RegionCrustMantle)
 	reg := l.Regions[kind]
-	c := mesh.BuildClusters(l, reg.StableDt(courant)/2.1, courant, 2, nil, nil)
+	c := mesh.BuildClusters(l, reg.StableDt(courant)/2.1, courant, 2, nil)
 	pr := c.PointRate[kind]
 	rates := c.ElemRate[kind]
 	for e := 0; e < reg.NSpec; e++ {
@@ -104,7 +104,7 @@ func TestClustersComposeWithOverlap(t *testing.T) {
 	ov := mesh.BuildOverlap(l, plan)
 	kind := int(earthmodel.RegionCrustMantle)
 	reg := l.Regions[kind]
-	c := mesh.BuildClusters(l, reg.StableDt(courant)/2.1, courant, 2, ov, nil)
+	c := mesh.BuildClusters(l, reg.StableDt(courant)/2.1, courant, 2, ov)
 	for _, cl := range c.Clusters[kind] {
 		if cl.Outer == nil || cl.Inner == nil {
 			t.Fatalf("rate-%d cluster missing overlap split", cl.Rate)
@@ -148,7 +148,7 @@ func TestDoubledGlobeMultiRateClustering(t *testing.T) {
 	iface := 0
 	red := 0.0
 	for _, l := range g.Locals {
-		c := mesh.BuildClusters(l, dt, courant, 4, nil, nil)
+		c := mesh.BuildClusters(l, dt, courant, 4, nil)
 		for r, n := range c.RateCounts() {
 			counts[r] += n
 		}

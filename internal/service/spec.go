@@ -152,9 +152,9 @@ func resolveSpec(spec JobSpec) (*resolvedJob, error) {
 	if _, err := modelFor(spec.Model); err != nil {
 		return nil, err
 	}
-	kern, err := kernelFor(spec.Kernel)
+	kern, err := solver.ParseKernel(spec.Kernel)
 	if err != nil {
-		return nil, err
+		return nil, Errf(CodeBadRequest, "job %q: %v", spec.Name, err)
 	}
 	sts, err := resolveStations(spec.Stations)
 	if err != nil {
@@ -230,21 +230,6 @@ func modelFor(name string) (earthmodel.Model, error) {
 		return h, nil
 	}
 	return nil, Errf(CodeUnknownModel, "unknown model %q (have prem, prem_noocean, earthlike)", name)
-}
-
-// kernelFor parses a force-kernel name.
-func kernelFor(name string) (solver.Kernel, error) {
-	switch name {
-	case "", "vec4":
-		return solver.KernelVec4, nil
-	case "scalar":
-		return solver.KernelScalar, nil
-	case "blas":
-		return solver.KernelBlas, nil
-	case "fused":
-		return solver.KernelFused, nil
-	}
-	return 0, Errf(CodeBadRequest, "unknown kernel %q (have vec4, scalar, blas, fused)", name)
 }
 
 // resolveStations turns StationSpecs into located station definitions:

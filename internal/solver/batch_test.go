@@ -47,8 +47,8 @@ func batchGlobeSources(t testing.TB, g *meshfem.Globe, n int) ([]Source, []Recei
 // each field's arithmetic happens (all fields per element sweep, all
 // fields per halo message), never WHAT it computes. The matrix runs on
 // the coupled multi-rate doubled globe (solid + fluid + CMB/ICB
-// coupling + cross-rank halos) across Workers {1,4} x all three halo
-// schedules x LTS on/off.
+// coupling + cross-rank halos) across Workers {1,4} x both schedules x
+// LTS on/off.
 func TestBatchedBitIdenticalToSingleSource(t *testing.T) {
 	g, model := ltsGlobe(t)
 	const nsrc = 2
@@ -62,8 +62,7 @@ func TestBatchedBitIdenticalToSingleSource(t *testing.T) {
 					map[int]string{1: "/w1", 4: "/w4"}[workers]
 				t.Run(name, func(t *testing.T) {
 					opts := Options{
-						Steps: steps, Workers: workers, Overlap: sc.mode,
-						PipelineCoupling: sc.pipeline, LTS: lts,
+						Steps: steps, Workers: workers, Overlap: sc.mode, LTS: lts,
 					}
 					batched, err := Run(&Simulation{
 						Locals: g.Locals, Plans: g.Plans, Model: model,

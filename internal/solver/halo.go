@@ -1,0 +1,263 @@
+package solver
+
+import (
+	"sort"
+
+	"specglobe/internal/earthmodel"
+	"specglobe/internal/mpi"
+)
+
+// The halo exchange. Every cross-rank assembly — the fluid potential,
+// the solid accelerations (per region or combined), the one-time mass
+// matrices and the LTS point-rate reconciliation — is one call of
+// beginExchange over a route precomputed at setup. The step loop builds
+// no maps, sorts nothing and resolves no masks.
+//
+// Wire layout of one message, outermost to innermost: wavefield, region
+// part, component, shared point. A single region with one component is
+// the scalar exchange, with three the vector exchange, and the two solid
+// regions back to back are the combined exchange of the paper ("handling
+// crust mantle and inner core simultaneously").
+
+// Halo sets: the region combinations that travel in one message. The
+// single-region sets are indexed by region kind.
+const (
+	haloSolid = 3 // crust/mantle + inner core in one message per neighbor
+	nHaloSets = 4
+)
+
+var haloSetKinds = [nHaloSets][]int{
+	earthmodel.RegionCrustMantle: {int(earthmodel.RegionCrustMantle)},
+	earthmodel.RegionOuterCore:   {int(earthmodel.RegionOuterCore)},
+	earthmodel.RegionInnerCore:   {int(earthmodel.RegionInnerCore)},
+	haloSolid:                    {int(earthmodel.RegionCrustMantle), int(earthmodel.RegionInnerCore)},
+}
+
+// routePeer is one neighbor of a route: parts[k] lists the local point
+// indices region k of the set contributes, in the key-sorted order both
+// ends share (empty when the region has no edge to this peer or nothing
+// fires); n is their total.
+type routePeer struct {
+	peer  int
+	parts [][]int32
+	n     int
+}
+
+// haloRoute is the resolved exchange of one halo set at one LTS level:
+// the peers in ascending rank order, peers with nothing to exchange
+// dropped (both ends agree, so neither sends).
+type haloRoute []routePeer
+
+// haloSet is one region combination's exchange state: the arrays the
+// step loop assembles and the route per LTS level (a single unmasked
+// route without LTS).
+type haloSet struct {
+	nc     int           // components per wavefield
+	arr    [][][]float32 // arr[part][field*nc+component]; nil part = region absent
+	levels []haloRoute
+}
+
+// buildRoute resolves one halo set against per-region edge point lists:
+// idx[kind][edge] is the list that edge contributes (HaloEdge.Idx itself
+// when unmasked).
+func (rs *rankState) buildRoute(set int, idx *[3][][]int32) haloRoute {
+	kinds := haloSetKinds[set]
+	var peers []routePeer
+	for k, kind := range kinds {
+		for i := range rs.plan.Edges[kind] {
+			peer := rs.plan.Edges[kind][i].Peer
+			at := 0
+			for at < len(peers) && peers[at].peer != peer {
+				at++
+			}
+			if at == len(peers) {
+				peers = append(peers, routePeer{peer: peer, parts: make([][]int32, len(kinds))})
+			}
+			peers[at].parts[k] = idx[kind][i]
+			peers[at].n += len(idx[kind][i])
+		}
+	}
+	sort.Slice(peers, func(i, j int) bool { return peers[i].peer < peers[j].peer })
+	var rt haloRoute
+	for _, pr := range peers {
+		if pr.n > 0 {
+			rt = append(rt, pr)
+		}
+	}
+	return rt
+}
+
+// buildHaloSets points the four halo sets at the arrays the step loop
+// assembles — the fluid potential accelerations and the solid
+// accelerations, all wavefields in field order — and resolves their
+// unmasked routes.
+func (rs *rankState) buildHaloSets() {
+	var accel [3][][]float32
+	for kind, fs := range rs.solid {
+		for _, f := range fs {
+			accel[kind] = append(accel[kind], f.ax, f.ay, f.az)
+		}
+	}
+	for _, fl := range rs.fluid {
+		oc := earthmodel.RegionOuterCore
+		accel[oc] = append(accel[oc], fl.chiDdot)
+	}
+	for set := range rs.halo {
+		h := &rs.halo[set]
+		h.nc = 3
+		if set == int(earthmodel.RegionOuterCore) {
+			h.nc = 1
+		}
+		for _, kind := range haloSetKinds[set] {
+			h.arr = append(h.arr, accel[kind])
+		}
+	}
+	rs.buildRoutes(1, nil)
+}
+
+// buildRoutes resolves every halo set's route at each of levels LTS
+// levels: level li exchanges the shared points whose rate is at most
+// 2^li (both ends agree once the rates are reconciled). A nil pointRate
+// — no LTS, or rates not reconciled yet — yields the unmasked route.
+func (rs *rankState) buildRoutes(levels int, pointRate *[3][]int32) {
+	for set := range rs.halo {
+		rs.halo[set].levels = make([]haloRoute, levels)
+	}
+	for li := 0; li < levels; li++ {
+		var idx [3][][]int32
+		for kind := range idx {
+			for i := range rs.plan.Edges[kind] {
+				pts := rs.plan.Edges[kind][i].Idx
+				if pointRate != nil {
+					pts = upToRate(pts, pointRate[kind], int32(1)<<uint(li))
+				}
+				idx[kind] = append(idx[kind], pts)
+			}
+		}
+		for set := range rs.halo {
+			rs.halo[set].levels[li] = rs.buildRoute(set, &idx)
+		}
+	}
+}
+
+// route returns the set's route for this step: the current LTS level's,
+// or the single unmasked one.
+func (rs *rankState) route(set int) haloRoute {
+	if rs.lts == nil {
+		return rs.halo[set].levels[0]
+	}
+	return rs.halo[set].levels[rs.lts.level]
+}
+
+// fullRoute returns the set's unmasked route (the top LTS level) — the
+// one-time setup exchanges assemble every shared point.
+func (rs *rankState) fullRoute(set int) haloRoute {
+	lv := rs.halo[set].levels
+	return lv[len(lv)-1]
+}
+
+// nextTag returns a unique message tag for the next halo exchange. All
+// ranks execute the same sequence of exchanges per step, so sequence
+// numbers agree across the world.
+func (rs *rankState) nextTag() int {
+	rs.seq++
+	return rs.seq
+}
+
+// pendingExchange is an in-flight halo assembly. The local contributions
+// for every shared point are already packed and sent; finish waits for
+// the peers' payloads in route order and accumulates them.
+type pendingExchange struct {
+	rs     *rankState
+	rt     haloRoute
+	tag    int
+	nf, nc int
+	arr    [][][]float32
+	// reqs are the posted receives, parallel to rt (nil in the
+	// blocking schedule, which receives inside finish).
+	reqs []*mpi.Request
+}
+
+// beginExchange packs and sends this rank's contributions for nf
+// wavefields of nc components — one aggregated message per neighbor
+// (nf× payload, 1× latency) — and posts the receives. Halo-point entries
+// must be final before the call; only non-halo points may be written
+// between begin and finish. It consumes a tag unconditionally, so
+// sequence numbers stay aligned across ranks even when this rank has no
+// peer (or no region) for the set. With the overlap schedule the
+// receives are posted non-blocking *now*, so the virtual transfer time
+// between here and finish is credited as hidden; the blocking schedule
+// defers to a plain Recv inside finish.
+//
+//specfem:noaccount halo pack adds are O(boundary points); the volume flop model excludes surface assembly by design and charges the phase as comm time
+func (rs *rankState) beginExchange(rt haloRoute, nf, nc int, arr [][][]float32) *pendingExchange {
+	p := &pendingExchange{rs: rs, rt: rt, tag: rs.nextTag(), nf: nf, nc: nc, arr: arr}
+	if rs.overlap {
+		p.reqs = make([]*mpi.Request, 0, len(rt))
+	}
+	for _, pr := range rt {
+		n := nf * nc * pr.n
+		if cap(rs.packBuf) < n {
+			rs.packBuf = make([]float32, n)
+		}
+		buf := rs.packBuf[:n]
+		off := 0
+		for s := 0; s < nf; s++ {
+			for k, idx := range pr.parts {
+				if len(idx) == 0 {
+					continue
+				}
+				for _, a := range arr[k][s*nc : (s+1)*nc] {
+					for j, g := range idx {
+						buf[off+j] = a[g]
+					}
+					off += len(idx)
+				}
+			}
+		}
+		rs.comm.Isend(pr.peer, p.tag, buf) // copies the payload
+		if p.reqs != nil {
+			p.reqs = append(p.reqs, rs.comm.Irecv(pr.peer, p.tag))
+		}
+	}
+	return p
+}
+
+// wait returns the payload of the i-th peer of the route.
+func (p *pendingExchange) wait(i int) []float32 {
+	if p.reqs != nil {
+		return p.reqs[i].Wait()
+	}
+	return p.rs.comm.Recv(p.rt[i].peer, p.tag)
+}
+
+// finish completes the exchange: every peer's payload is added into the
+// local arrays. Safe on a route without peers.
+//
+//specfem:noaccount halo unpack adds are O(boundary points), charged as comm time like the pack
+func (p *pendingExchange) finish() {
+	for i, pr := range p.rt {
+		got := p.wait(i)
+		off := 0
+		for s := 0; s < p.nf; s++ {
+			for k, idx := range pr.parts {
+				if len(idx) == 0 {
+					continue
+				}
+				for _, a := range p.arr[k][s*p.nc : (s+1)*p.nc] {
+					for j, g := range idx {
+						a[g] += got[off+j]
+					}
+					off += len(idx)
+				}
+			}
+		}
+	}
+}
+
+// beginStepExchange begins the per-step assembly of a halo set's own
+// arrays for the whole ensemble at the current LTS level.
+func (rs *rankState) beginStepExchange(set int) *pendingExchange {
+	h := &rs.halo[set]
+	return rs.beginExchange(rs.route(set), rs.ns, h.nc, h.arr)
+}

@@ -33,16 +33,17 @@ import (
 //     value visible while the fluid slot cycles through garbage.
 //
 // Halo exchanges stay tag-aligned across ranks at every step; only the
-// payloads shrink: per level, each halo edge precomputes the positions
-// whose points fire at that level (both endpoints agree because point
-// rates are max-reconciled across ranks at startup, and HaloEdge.Idx is
-// key-sorted identically on both ends). An edge with no firing points
-// is skipped entirely — a real message-count saving on coarse steps.
+// payloads shrink: each halo set has one precomputed route per level
+// listing the shared points that fire at that level (both endpoints
+// agree because point rates are max-reconciled across ranks at startup,
+// and HaloEdge.Idx is key-sorted identically on both ends). A peer with
+// no firing points is dropped from the level's route entirely — a real
+// message-count saving on coarse steps.
 //
 // Single-rate regions keep the existing full-range code paths (the
-// level lists alias the plain sweep classes and the masks stay nil), so
-// a clustering that degenerates to rate 1 everywhere is bit-identical
-// to the single-rate scheduler.
+// level lists alias the plain sweep classes and the routes alias the
+// unmasked edge lists), so a clustering that degenerates to rate 1
+// everywhere is bit-identical to the single-rate scheduler.
 
 // ltsPoints holds one region's per-level point lists.
 type ltsPoints struct {
@@ -80,11 +81,6 @@ type ltsState struct {
 	// lists with rate <= 2^li, one sweepClasses per level (aliases the
 	// plain rankState sweeps when every element qualifies).
 	sweeps [3][]sweepClasses
-	// edgeAct[kind][li][edge] lists the firing positions of each halo
-	// edge at each level; nil per kind (single-rate region) or per
-	// level (everything fires) means unmasked, an empty non-nil list
-	// means skip the edge.
-	edgeAct [3][][][]int32
 	// faceUpTo/restUpTo[li]: fluid coupling-face points and the
 	// remaining fluid points with rate <= 2^li (restUpTo only built
 	// when the deferred fluid corrector needs the split).
@@ -121,15 +117,6 @@ func (rs *rankState) sweepsFor(kind int) *sweepClasses {
 	return &rs.lts.sweeps[kind][rs.lts.level]
 }
 
-// edgeMask returns the per-edge firing-position masks of the current
-// level (nil = exchange everything).
-func (rs *rankState) edgeMask(kind int) [][]int32 {
-	if rs.lts == nil || rs.lts.edgeAct[kind] == nil {
-		return nil
-	}
-	return rs.lts.edgeAct[kind][rs.lts.level]
-}
-
 // reconcilePointRates max-exchanges the halo points' rates so both ends
 // of every edge agree: a point's local rate can miss a coarser element
 // on the remote side. One round suffices — the halo builder creates an
@@ -137,23 +124,18 @@ func (rs *rankState) edgeMask(kind int) [][]int32 {
 // other sharer's value directly. Every rank consumes the same tags.
 func (rs *rankState) reconcilePointRates() {
 	for kind := 0; kind < 3; kind++ {
-		tag := rs.nextTag()
-		edges := rs.plan.Edges[kind]
 		pr := rs.lts.clus.PointRate[kind]
-		for i := range edges {
-			e := &edges[i]
-			buf := make([]float32, len(e.Idx))
-			for j, idx := range e.Idx {
-				buf[j] = float32(pr[idx])
-			}
-			rs.comm.Isend(e.Peer, tag, buf)
+		vals := make([]float32, len(pr))
+		for g, r := range pr {
+			vals[g] = float32(r)
 		}
-		for i := range edges {
-			e := &edges[i]
-			got := rs.comm.Recv(e.Peer, tag)
-			for j, idx := range e.Idx {
-				if r := int32(got[j]); r > pr[idx] {
-					pr[idx] = r
+		rt := rs.fullRoute(kind)
+		p := rs.beginExchange(rt, 1, 1, [][][]float32{{vals}})
+		for i, peer := range rt {
+			got := p.wait(i)
+			for j, g := range peer.parts[0] {
+				if r := int32(got[j]); r > pr[g] {
+					pr[g] = r
 				}
 			}
 		}
@@ -162,9 +144,8 @@ func (rs *rankState) reconcilePointRates() {
 
 // initLTS finishes the cluster-wheel setup after the point rates are
 // reconciled: per-level point lists and holds, merged sweep classes,
-// halo masks, and the fluid traction shadow. Starts at the top level
-// (step 0 fires everything), which also keeps the startup mass assembly
-// unmasked.
+// halo routes, and the fluid traction shadow. Starts at the top level
+// (step 0 fires everything).
 func (rs *rankState) initLTS() {
 	lts := rs.lts
 	clus := lts.clus
@@ -185,17 +166,15 @@ func (rs *rankState) initLTS() {
 		}
 		lts.pts[kind] = buildLTSPoints(clus.PointRate[kind], lts.levels)
 		rs.buildLTSSweeps(kind)
-		if !lts.pts[kind].single {
-			rs.buildEdgeMasks(kind)
-			if !rs.local.Regions[kind].IsFluid() {
-				for _, f := range rs.solid[kind] {
-					f.hx = allocHolds(lts.pts[kind].byRate)
-					f.hy = allocHolds(lts.pts[kind].byRate)
-					f.hz = allocHolds(lts.pts[kind].byRate)
-				}
+		if !lts.pts[kind].single && !reg.IsFluid() {
+			for _, f := range rs.solid[kind] {
+				f.hx = allocHolds(lts.pts[kind].byRate)
+				f.hy = allocHolds(lts.pts[kind].byRate)
+				f.hz = allocHolds(lts.pts[kind].byRate)
 			}
 		}
 	}
+	rs.buildRoutes(lts.levels, &clus.PointRate)
 
 	// Fluid traction shadow: the solid reads the fluid potential's
 	// second derivative at CMB/ICB face points every step, so a
@@ -284,63 +263,31 @@ func (rs *rankState) buildLTSSweeps(kind int) {
 			sc.outer = merge(func(cl *mesh.Cluster) []int32 { return cl.Outer })
 			sc.inner = merge(func(cl *mesh.Cluster) []int32 { return cl.Inner })
 		}
-		if rs.pipeline && kind == int(earthmodel.RegionOuterCore) {
-			sc.boundary = merge(func(cl *mesh.Cluster) []int32 { return cl.Boundary })
-			sc.pipeInner = merge(func(cl *mesh.Cluster) []int32 { return cl.PipeInner })
-		}
 	}
 }
 
-// buildEdgeMasks precomputes, per level, which positions of each halo
-// edge belong to firing points.
-func (rs *rankState) buildEdgeMasks(kind int) {
-	lts := rs.lts
-	pr := lts.clus.PointRate[kind]
-	edges := rs.plan.Edges[kind]
-	if len(edges) == 0 {
-		return
-	}
-	masks := make([][][]int32, lts.levels)
-	for li := 0; li < lts.levels-1; li++ {
-		rate := int32(1) << uint(li)
-		perEdge := make([][]int32, len(edges))
-		any := false
-		for i := range edges {
-			e := &edges[i]
-			act := []int32{}
-			for j, idx := range e.Idx {
-				if pr[idx] <= rate {
-					act = append(act, int32(j))
-				}
-			}
-			if len(act) == len(e.Idx) {
-				perEdge[i] = nil // fully firing edge: unmasked fast path
-			} else {
-				perEdge[i] = act
-				any = true
-			}
-		}
-		if any {
-			masks[li] = perEdge
+// upToRate returns the subset of pts whose rate is at most rate, in
+// order — pts itself when every point qualifies, so fully firing lists
+// cost no memory.
+func upToRate(pts []int32, pr []int32, rate int32) []int32 {
+	sel := []int32{}
+	for _, p := range pts {
+		if pr[p] <= rate {
+			sel = append(sel, p)
 		}
 	}
-	// Top level: everything fires; masks[levels-1] stays nil.
-	lts.edgeAct[kind] = masks
+	if len(sel) == len(pts) {
+		return pts
+	}
+	return sel
 }
 
 // filterByRate returns, per level, the subset of pts whose rate is at
 // most 2^li (ascending, since pts is ascending).
 func filterByRate(pts []int32, pr []int32, levels int) [][]int32 {
 	out := make([][]int32, levels)
-	for li := 0; li < levels; li++ {
-		rate := int32(1) << uint(li)
-		sel := []int32{}
-		for _, p := range pts {
-			if pr[p] <= rate {
-				sel = append(sel, p)
-			}
-		}
-		out[li] = sel
+	for li := range out {
+		out[li] = upToRate(pts, pr, int32(1)<<uint(li))
 	}
 	return out
 }

@@ -33,10 +33,10 @@ func ltsGlobe(t testing.TB) (*meshfem.Globe, earthmodel.Model) {
 // A uniform box at its automatic dt bins every element to rate 1; the
 // degenerate clustering must route through the existing full-range code
 // paths and produce bit-identical seismograms — across worker counts
-// and all three schedules.
+// and both schedules.
 func TestLTSDegenerateRate1Identical(t *testing.T) {
 	const L = 40e3
-	run := func(lts bool, workers int, mode OverlapMode, pipelined bool) (*Seismogram, *LTSInfo) {
+	run := func(lts bool, workers int, mode OverlapMode) (*Seismogram, *LTSInfo) {
 		b := buildBox(t, 4, 2, L)
 		src := boxSource(t, b, L/2+1e3, L/2, L/2, 1e17, 1.0)
 		res, err := Run(&Simulation{
@@ -44,8 +44,7 @@ func TestLTSDegenerateRate1Identical(t *testing.T) {
 			Sources:   []Source{src},
 			Receivers: []Receiver{boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2, false)},
 			Opts: Options{
-				Steps: 40, Workers: workers, Overlap: mode,
-				PipelineCoupling: pipelined, LTS: lts,
+				Steps: 40, Workers: workers, Overlap: mode, LTS: lts,
 			},
 		})
 		if err != nil {
@@ -56,11 +55,11 @@ func TestLTSDegenerateRate1Identical(t *testing.T) {
 	for _, sc := range schedules {
 		for _, workers := range []int{1, 4} {
 			t.Run(sc.name+map[int]string{1: "/w1", 4: "/w4"}[workers], func(t *testing.T) {
-				off, info := run(false, workers, sc.mode, sc.pipeline)
+				off, info := run(false, workers, sc.mode)
 				if info != nil {
 					t.Fatal("Result.LTS set without Options.LTS")
 				}
-				on, info := run(true, workers, sc.mode, sc.pipeline)
+				on, info := run(true, workers, sc.mode)
 				if info == nil {
 					t.Fatal("Result.LTS missing")
 				}
@@ -171,7 +170,7 @@ func multiRateBox(t testing.TB, n, nranks int, L float64) *boxmesh.Box {
 // interface, sit far below this — see the doubled-globe test.
 func TestLTSMultiRateBoxMatchesSingleRate(t *testing.T) {
 	const L = 60e3
-	run := func(lts bool, workers int, mode OverlapMode, pipelined bool) (*Seismogram, *LTSInfo) {
+	run := func(lts bool, workers int, mode OverlapMode) (*Seismogram, *LTSInfo) {
 		b := multiRateBox(t, 6, 2, L)
 		src := boxSource(t, b, 3*L/4, L/2, L/2, 1e17, 0.4)
 		res, err := Run(&Simulation{
@@ -179,8 +178,7 @@ func TestLTSMultiRateBoxMatchesSingleRate(t *testing.T) {
 			Sources:   []Source{src},
 			Receivers: []Receiver{boxReceiver(t, b, "R", L/4, L/2+5e3, L/2, false)},
 			Opts: Options{
-				Steps: 260, Workers: workers, Overlap: mode,
-				PipelineCoupling: pipelined, LTS: lts,
+				Steps: 260, Workers: workers, Overlap: mode, LTS: lts,
 			},
 		})
 		if err != nil {
@@ -190,14 +188,14 @@ func TestLTSMultiRateBoxMatchesSingleRate(t *testing.T) {
 	}
 	for _, sc := range schedules {
 		t.Run(sc.name, func(t *testing.T) {
-			off, _ := run(false, 1, sc.mode, sc.pipeline)
-			on, info := run(true, 1, sc.mode, sc.pipeline)
+			off, _ := run(false, 1, sc.mode)
+			on, info := run(true, 1, sc.mode)
 			if info == nil || len(info.ElemsByRate) < 2 {
 				t.Fatalf("two-material box clustering is not multi-rate: %+v", info)
 			}
 			checkFinite(t, on)
 			agreeSeismo(t, "multirate-box/"+sc.name, off, on, 2e-1)
-			on4, _ := run(true, 4, sc.mode, sc.pipeline)
+			on4, _ := run(true, 4, sc.mode)
 			identical(t, "multirate-box-workers", on, on4)
 		})
 	}
@@ -274,18 +272,16 @@ func agreeSeismo(t *testing.T, tag string, a, b *Seismogram, tol float64) {
 // The multi-rate globe: LTS seismograms must track the single-rate
 // scheduler within the relaxed cross-scheme tolerance, stay
 // bit-identical across worker counts within the LTS scheme, and the
-// run must report the realized clustering. Runs across all three
-// schedules — the per-cluster halo schedules compose with overlap and
-// the coupling pipeline. The receiver sits ~670 km from the epicenter
+// run must report the realized clustering. Runs across both schedules —
+// the per-level halo routes compose with overlap. The receiver sits ~670 km from the epicenter
 // so a real arrival lands within the 120-step window; measured worst
 // deviation is ~4.8e-2 of peak (most of the path never crosses a rate
 // interface, so the error is well below the adversarial box's).
 func TestLTSDoubledGlobeMatchesSingleRate(t *testing.T) {
 	g, model := ltsGlobe(t)
-	run := func(lts bool, workers int, mode OverlapMode, pipelined bool) (*Seismogram, *LTSInfo) {
+	run := func(lts bool, workers int, mode OverlapMode) (*Seismogram, *LTSInfo) {
 		sim := globeSim(t, g, model, Options{
-			Steps: 120, Workers: workers, Overlap: mode,
-			PipelineCoupling: pipelined, LTS: lts,
+			Steps: 120, Workers: workers, Overlap: mode, LTS: lts,
 		})
 		rloc, err := g.LocateLatLonDepth(6, 0, 0)
 		if err != nil {
@@ -302,8 +298,8 @@ func TestLTSDoubledGlobeMatchesSingleRate(t *testing.T) {
 	}
 	for _, sc := range schedules {
 		t.Run(sc.name, func(t *testing.T) {
-			off, _ := run(false, 1, sc.mode, sc.pipeline)
-			on, info := run(true, 1, sc.mode, sc.pipeline)
+			off, _ := run(false, 1, sc.mode)
+			on, info := run(true, 1, sc.mode)
 			if info == nil {
 				t.Fatal("Result.LTS missing")
 			}
@@ -318,7 +314,7 @@ func TestLTSDoubledGlobeMatchesSingleRate(t *testing.T) {
 			// comparison against the single-rate scheduler is a physics
 			// tolerance, not roundoff.
 			agreeSeismo(t, "lts-globe/"+sc.name, off, on, 7.5e-2)
-			on4, _ := run(true, 4, sc.mode, sc.pipeline)
+			on4, _ := run(true, 4, sc.mode)
 			identical(t, "lts-globe-workers", on, on4)
 		})
 	}
@@ -327,8 +323,7 @@ func TestLTSDoubledGlobeMatchesSingleRate(t *testing.T) {
 // Energy conservation on the multi-rate globe: after the source stops
 // radiating, total energy must drift no more than 5% — the end-to-end
 // check that held interface state and rate-scaled substeps neither pump
-// nor leak energy at the cluster boundaries. Workers x schedules, per
-// the per-cluster halo schedule matrix.
+// nor leak energy at the cluster boundaries. Workers x schedules.
 func TestLTSEnergyConservation(t *testing.T) {
 	g, model := ltsGlobe(t)
 	for _, sc := range schedules {
@@ -336,7 +331,7 @@ func TestLTSEnergyConservation(t *testing.T) {
 			t.Run(sc.name+map[int]string{1: "/w1", 4: "/w4"}[workers], func(t *testing.T) {
 				sim := globeSim(t, g, model, Options{
 					Steps: 80, EnergyEvery: 5, Workers: workers,
-					Overlap: sc.mode, PipelineCoupling: sc.pipeline, LTS: true,
+					Overlap: sc.mode, LTS: true,
 				})
 				sim.Sources[0].STF = GaussianSTF(5, 12)
 				res, err := Run(sim)

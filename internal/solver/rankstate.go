@@ -2,7 +2,6 @@ package solver
 
 import (
 	"math"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -95,14 +94,11 @@ type recvLocal struct {
 }
 
 // sweepClasses holds the precomputed color classes of each element
-// sub-list a schedule iterates: the full region, the outer/inner halves
-// of the overlap split (nil when the overlap schedule is off), and the
-// pipelined refinement for the fluid region — boundary is the
-// halo-outer ∪ coupling-outer union swept before the fluid halo post,
-// pipeInner the remaining elements that run under the in-flight halo.
+// sub-list the force stage iterates: the full region, and the
+// outer/inner halves of the overlap split (nil when the overlap schedule
+// is off).
 type sweepClasses struct {
-	full, outer, inner  [][]int32
-	boundary, pipeInner [][]int32
+	full, outer, inner [][]int32
 }
 
 // rankState is all per-rank solver state.
@@ -133,12 +129,8 @@ type rankState struct {
 
 	// overlap is true when the solver runs the outer/inner schedule;
 	// ov then holds the element classification (nil otherwise).
-	// pipeline additionally runs the fluid→solid pipelined coupling
-	// schedule; split then holds the three-way classification.
-	overlap  bool
-	ov       *mesh.Overlap
-	pipeline bool
-	split    *mesh.CouplingSplit
+	overlap bool
+	ov      *mesh.Overlap
 
 	// lts is the cluster-wheel state of local time stepping (nil when
 	// Options.LTS is off).
@@ -160,9 +152,6 @@ type rankState struct {
 	ns    int
 	solid [3][]*solidField // [kind][field]; nil slice for the fluid slot
 	fluid []*fluidField    // [field]; nil if the mesh has no outer core
-	// fluidChiDdot caches the per-field chiDdot arrays in field order
-	// for the aggregated fluid halo exchange.
-	fluidChiDdot [][]float32
 
 	sources []sourceLocal
 	recvs   []recvLocal
@@ -172,7 +161,14 @@ type rankState struct {
 	// mass assembly)
 	oceanFactor []float32
 
-	seq int // halo-exchange sequence number for unique tags
+	// halo holds the exchange state per halo set (see halo.go); solidSets
+	// lists the sets the solid stage exchanges each step — the combined
+	// set, or the two solid regions one after the other. packBuf is the
+	// reused send-side pack buffer (Isend copies the payload).
+	halo      [nHaloSets]haloSet
+	solidSets []int
+	packBuf   []float32
+	seq       int // halo-exchange sequence number for unique tags
 }
 
 //specfem:noaccount one-time rank setup (precomputed Jacobians, gravity tables, coupling weights) before stepping starts
@@ -202,20 +198,13 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 	if opts.Overlap == OverlapOn {
 		rs.overlap = true
 		rs.ov = mesh.BuildOverlap(rs.local, rs.plan)
-		// The pipelined coupling schedule refines the overlap split; it
-		// has no blocking variant (the plain overlap schedule is its
-		// off switch), so it is gated on overlap being on.
-		if opts.PipelineCoupling {
-			rs.pipeline = true
-			rs.split = mesh.BuildCouplingSplit(rs.local, rs.plan)
-		}
 	}
 	if opts.LTS {
 		// Bin elements into rate-2^k clusters before the fields are
 		// built (the attenuation coefficients need per-element rates).
 		// Point rates are reconciled across ranks after construction.
 		rs.lts = &ltsState{
-			clus: mesh.BuildClusters(rs.local, dt, opts.Courant, opts.LTSMaxRate, rs.ov, rs.split),
+			clus: mesh.BuildClusters(rs.local, dt, opts.Courant, opts.LTSMaxRate, rs.ov),
 		}
 	}
 	// Color the elements and precompute the classes each schedule
@@ -231,10 +220,6 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 			rs.sweeps[kind].outer = rs.colors.Classes(kind, rs.ov.Outer[kind])
 			rs.sweeps[kind].inner = rs.colors.Classes(kind, rs.ov.Inner[kind])
 		}
-		if rs.pipeline && reg.IsFluid() {
-			rs.sweeps[kind].boundary = rs.colors.Classes(kind, rs.split.BoundaryUnion(kind))
-			rs.sweeps[kind].pipeInner = rs.colors.Classes(kind, rs.split.Inner[kind])
-		}
 	}
 
 	for kind := 0; kind < 3; kind++ {
@@ -244,7 +229,6 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 		}
 		if reg.IsFluid() {
 			rs.fluid = make([]*fluidField, ns)
-			rs.fluidChiDdot = make([][]float32, ns)
 			for s := 0; s < ns; s++ {
 				fl := &fluidField{
 					reg:     reg,
@@ -253,7 +237,6 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 					chiDdot: make([]float32, reg.NGlob),
 				}
 				rs.fluid[s] = fl
-				rs.fluidChiDdot[s] = fl.chiDdot
 			}
 			continue
 		}
@@ -323,6 +306,11 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 			rs.fluidDeferred = true
 			rs.fluidRest = complementSorted(rs.fluidFace, fls[0].reg.NGlob)
 		}
+	}
+	rs.buildHaloSets()
+	rs.solidSets = []int{int(earthmodel.RegionCrustMantle), int(earthmodel.RegionInnerCore)}
+	if opts.CombinedSolidHalo {
+		rs.solidSets = []int{haloSolid}
 	}
 	if rs.lts != nil {
 		rs.reconcilePointRates()
@@ -433,7 +421,7 @@ func (rs *rankState) assembleMass() {
 			continue
 		}
 		m := append([]float32(nil), reg.Mass...)
-		rs.assembleScalar(kind, m)
+		rs.beginExchange(rs.fullRoute(kind), 1, 1, [][][]float32{{m}}).finish()
 		inv := make([]float32, len(m))
 		for i, v := range m {
 			inv[i] = 1 / v
@@ -459,361 +447,6 @@ func (rs *rankState) assembleMass() {
 			}
 		}
 	}
-}
-
-// nextTag returns a unique message tag for the next halo exchange. All
-// ranks execute the same sequence of exchanges per step, so sequence
-// numbers agree across the world.
-func (rs *rankState) nextTag() int {
-	rs.seq++
-	return rs.seq
-}
-
-// haloRecv is one outstanding receive of a halo assembly: wait yields
-// the peer's payload, apply accumulates it into the local field.
-type haloRecv struct {
-	wait  func() []float32
-	apply func(got []float32)
-}
-
-// pendingExchange is an in-flight halo assembly started by one of the
-// beginAssemble* methods. The local contributions for every shared
-// point are already packed and sent; finish waits for the peers'
-// payloads (in deterministic edge order) and accumulates them.
-type pendingExchange struct {
-	recvs []haloRecv
-}
-
-// finish completes the exchange. Safe on an empty (edge-less) pending.
-func (p *pendingExchange) finish() {
-	for _, r := range p.recvs {
-		r.apply(r.wait())
-	}
-}
-
-// postRecv sets up the receive half of one edge exchange. With the
-// overlap schedule the receive is posted non-blocking *now*, so the
-// virtual transfer time between here and finish is credited as hidden;
-// the blocking schedule defers to a plain Recv inside finish.
-func (rs *rankState) postRecv(peer, tag int) func() []float32 {
-	if rs.overlap {
-		req := rs.comm.Irecv(peer, tag)
-		return req.Wait
-	}
-	return func() []float32 { return rs.comm.Recv(peer, tag) }
-}
-
-// assembleScalar sums the shared-point contributions of a per-point
-// scalar array across ranks (in place), blocking until complete.
-func (rs *rankState) assembleScalar(kind int, vals []float32) {
-	rs.beginAssembleScalarFields(kind, [][]float32{vals}).finish()
-}
-
-// beginAssembleScalarFields packs and sends this rank's contributions
-// for one or more scalar wavefields — one aggregated message per
-// neighbor carrying all fields field-major (S× payload, 1× latency) —
-// and posts the receives. Halo-point entries must be final before the
-// call; only non-halo points may be written between begin and finish.
-// Under LTS, the current level's edge masks shrink the payloads to the
-// firing positions (both endpoints agree after the point-rate
-// reconciliation), and fully dormant edges are skipped. With a single
-// field the wire format is byte-identical to the unbatched exchange.
-//
-//specfem:noaccount halo pack adds are O(boundary points); the volume flop model excludes surface assembly by design and charges the phase as comm time
-func (rs *rankState) beginAssembleScalarFields(kind int, fields [][]float32) *pendingExchange {
-	// Consume a tag unconditionally so sequence numbers stay aligned
-	// across ranks even when this rank has no edges for the region.
-	tag := rs.nextTag()
-	p := &pendingExchange{}
-	edges := rs.plan.Edges[kind]
-	masks := rs.edgeMask(kind)
-	// Send own contributions first (copied before any adds).
-	for i := range edges {
-		e := &edges[i]
-		if masks != nil && masks[i] != nil {
-			m := masks[i]
-			if len(m) == 0 {
-				continue // no firing point on this edge this step
-			}
-			n := len(m)
-			buf := make([]float32, len(fields)*n)
-			for s, vals := range fields {
-				for j, pos := range m {
-					buf[s*n+j] = vals[e.Idx[pos]]
-				}
-			}
-			rs.comm.Isend(e.Peer, tag, buf)
-			p.recvs = append(p.recvs, haloRecv{
-				wait: rs.postRecv(e.Peer, tag),
-				apply: func(got []float32) {
-					for s, vals := range fields {
-						for j, pos := range m {
-							vals[e.Idx[pos]] += got[s*n+j]
-						}
-					}
-				},
-			})
-			continue
-		}
-		n := len(e.Idx)
-		buf := make([]float32, len(fields)*n)
-		for s, vals := range fields {
-			for j, idx := range e.Idx {
-				buf[s*n+j] = vals[idx]
-			}
-		}
-		rs.comm.Isend(e.Peer, tag, buf)
-		p.recvs = append(p.recvs, haloRecv{
-			wait: rs.postRecv(e.Peer, tag),
-			apply: func(got []float32) {
-				for s, vals := range fields {
-					for j, idx := range e.Idx {
-						vals[idx] += got[s*n+j]
-					}
-				}
-			},
-		})
-	}
-	return p
-}
-
-// assembleVector is assembleScalar for a three-component field packed
-// as [x..., y..., z...] per edge.
-func (rs *rankState) assembleVector(kind int, x, y, z []float32) {
-	rs.beginAssembleVectorFields(kind, [][3][]float32{{x, y, z}}).finish()
-}
-
-// beginAssembleVectorFields is beginAssembleScalarFields for
-// three-component wavefields (including its LTS edge masking): each
-// neighbor gets one message with the fields' [x(n), y(n), z(n)] blocks
-// back to back in field order.
-//
-//specfem:noaccount halo pack adds are O(boundary points); the volume flop model excludes surface assembly by design and charges the phase as comm time
-func (rs *rankState) beginAssembleVectorFields(kind int, fields [][3][]float32) *pendingExchange {
-	tag := rs.nextTag()
-	p := &pendingExchange{}
-	edges := rs.plan.Edges[kind]
-	masks := rs.edgeMask(kind)
-	for i := range edges {
-		e := &edges[i]
-		if masks != nil && masks[i] != nil {
-			m := masks[i]
-			if len(m) == 0 {
-				continue
-			}
-			n := len(m)
-			buf := make([]float32, len(fields)*3*n)
-			for s, xyz := range fields {
-				b := s * 3 * n
-				x, y, z := xyz[0], xyz[1], xyz[2]
-				for j, pos := range m {
-					idx := e.Idx[pos]
-					buf[b+j] = x[idx]
-					buf[b+n+j] = y[idx]
-					buf[b+2*n+j] = z[idx]
-				}
-			}
-			rs.comm.Isend(e.Peer, tag, buf)
-			p.recvs = append(p.recvs, haloRecv{
-				wait: rs.postRecv(e.Peer, tag),
-				apply: func(got []float32) {
-					for s, xyz := range fields {
-						b := s * 3 * n
-						x, y, z := xyz[0], xyz[1], xyz[2]
-						for j, pos := range m {
-							idx := e.Idx[pos]
-							x[idx] += got[b+j]
-							y[idx] += got[b+n+j]
-							z[idx] += got[b+2*n+j]
-						}
-					}
-				},
-			})
-			continue
-		}
-		n := len(e.Idx)
-		buf := make([]float32, len(fields)*3*n)
-		for s, xyz := range fields {
-			b := s * 3 * n
-			x, y, z := xyz[0], xyz[1], xyz[2]
-			for j, idx := range e.Idx {
-				buf[b+j] = x[idx]
-				buf[b+n+j] = y[idx]
-				buf[b+2*n+j] = z[idx]
-			}
-		}
-		rs.comm.Isend(e.Peer, tag, buf)
-		p.recvs = append(p.recvs, haloRecv{
-			wait: rs.postRecv(e.Peer, tag),
-			apply: func(got []float32) {
-				for s, xyz := range fields {
-					b := s * 3 * n
-					x, y, z := xyz[0], xyz[1], xyz[2]
-					for j, idx := range e.Idx {
-						x[idx] += got[b+j]
-						y[idx] += got[b+n+j]
-						z[idx] += got[b+2*n+j]
-					}
-				}
-			},
-		})
-	}
-	return p
-}
-
-// beginAssembleAccelFields begins the aggregated acceleration exchange
-// of one solid region's whole ensemble.
-func (rs *rankState) beginAssembleAccelFields(kind int, fs []*solidField) *pendingExchange {
-	fields := make([][3][]float32, len(fs))
-	for s, f := range fs {
-		fields[s] = [3][]float32{f.ax, f.ay, f.az}
-	}
-	return rs.beginAssembleVectorFields(kind, fields)
-}
-
-// assembleSolidCombined exchanges crust/mantle and inner-core boundary
-// accelerations in a single message per neighbor (the 33% message-count
-// reduction of the paper), blocking until complete.
-func (rs *rankState) assembleSolidCombined() {
-	rs.beginAssembleSolidCombined().finish()
-}
-
-// combinedPart is one region's share of a combined-halo message: the
-// edge and, under LTS, the firing-position mask (masked with an empty
-// mask means the region contributes nothing this step).
-type combinedPart struct {
-	e      *mesh.HaloEdge
-	mask   []int32
-	masked bool
-}
-
-// points returns how many shared points the part contributes.
-func (cp *combinedPart) points() int {
-	switch {
-	case cp.e == nil:
-		return 0
-	case cp.masked:
-		return len(cp.mask)
-	default:
-		return len(cp.e.Idx)
-	}
-}
-
-// beginAssembleSolidCombined packs both solid regions' boundary
-// accelerations — of every batched wavefield — into one message per
-// neighbor and posts the receives. Peers of either region receive one
-// combined buffer with the fields' [cm, ic] parts back to back in
-// field order (byte-identical to the unbatched wire format at ns=1).
-// Under LTS the per-region edge masks shrink each part to the firing
-// positions, and a peer with nothing firing in either region is
-// skipped this step.
-//
-//specfem:noaccount halo pack adds are O(boundary points); the volume flop model excludes surface assembly by design and charges the phase as comm time
-func (rs *rankState) beginAssembleSolidCombined() *pendingExchange {
-	cm := rs.solid[earthmodel.RegionCrustMantle]
-	ic := rs.solid[earthmodel.RegionInnerCore]
-	cmEdges := rs.plan.Edges[earthmodel.RegionCrustMantle]
-	icEdges := rs.plan.Edges[earthmodel.RegionInnerCore]
-	cmMasks := rs.edgeMask(int(earthmodel.RegionCrustMantle))
-	icMasks := rs.edgeMask(int(earthmodel.RegionInnerCore))
-	part := func(e *mesh.HaloEdge, masks [][]int32, i int) combinedPart {
-		cp := combinedPart{e: e}
-		if masks != nil && masks[i] != nil {
-			cp.mask, cp.masked = masks[i], true
-		}
-		return cp
-	}
-	peers := map[int][2]combinedPart{}
-	for i := range cmEdges {
-		pe := peers[cmEdges[i].Peer]
-		pe[0] = part(&cmEdges[i], cmMasks, i)
-		peers[cmEdges[i].Peer] = pe
-	}
-	for i := range icEdges {
-		pe := peers[icEdges[i].Peer]
-		pe[1] = part(&icEdges[i], icMasks, i)
-		peers[icEdges[i].Peer] = pe
-	}
-	tag := rs.nextTag()
-	p := &pendingExchange{}
-	if len(peers) == 0 {
-		return p
-	}
-	// Deterministic peer order.
-	order := make([]int, 0, len(peers))
-	for peer := range peers {
-		order = append(order, peer)
-	}
-	sort.Ints(order)
-	pack := func(f *solidField, cp combinedPart, buf []float32) []float32 {
-		n := cp.points()
-		if n == 0 {
-			return buf
-		}
-		base := len(buf)
-		buf = append(buf, make([]float32, 3*n)...)
-		at := func(j int) int32 {
-			if cp.masked {
-				return cp.e.Idx[cp.mask[j]]
-			}
-			return cp.e.Idx[j]
-		}
-		for j := 0; j < n; j++ {
-			idx := at(j)
-			buf[base+j] = f.ax[idx]
-			buf[base+n+j] = f.ay[idx]
-			buf[base+2*n+j] = f.az[idx]
-		}
-		return buf
-	}
-	unpack := func(f *solidField, cp combinedPart, got []float32, off int) int {
-		n := cp.points()
-		if n == 0 {
-			return off
-		}
-		at := func(j int) int32 {
-			if cp.masked {
-				return cp.e.Idx[cp.mask[j]]
-			}
-			return cp.e.Idx[j]
-		}
-		for j := 0; j < n; j++ {
-			idx := at(j)
-			f.ax[idx] += got[off+j]
-			f.ay[idx] += got[off+n+j]
-			f.az[idx] += got[off+2*n+j]
-		}
-		return off + 3*n
-	}
-	fieldAt := func(fs []*solidField, s int) *solidField {
-		if fs == nil {
-			return nil // region absent; its part packs zero points
-		}
-		return fs[s]
-	}
-	for _, peer := range order {
-		pe := peers[peer]
-		if pe[0].points()+pe[1].points() == 0 {
-			continue // nothing firing toward this peer; both sides agree
-		}
-		var buf []float32
-		for s := 0; s < rs.ns; s++ {
-			buf = pack(fieldAt(cm, s), pe[0], buf)
-			buf = pack(fieldAt(ic, s), pe[1], buf)
-		}
-		rs.comm.Isend(peer, tag, buf)
-		p.recvs = append(p.recvs, haloRecv{
-			wait: rs.postRecv(peer, tag),
-			apply: func(got []float32) {
-				off := 0
-				for s := 0; s < rs.ns; s++ {
-					off = unpack(fieldAt(cm, s), pe[0], got, off)
-					off = unpack(fieldAt(ic, s), pe[1], got, off)
-				}
-			},
-		})
-	}
-	return p
 }
 
 // flushPoolTime charges the worker-pool busy time attributed to this

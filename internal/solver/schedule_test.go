@@ -8,25 +8,21 @@ import (
 	"specglobe/internal/earthmodel"
 	"specglobe/internal/mesh"
 	"specglobe/internal/meshfem"
-	"specglobe/internal/mpi"
 	"specglobe/internal/perf"
 )
 
-// schedules is the three-way schedule matrix of the pipelined-coupling
-// work: the blocking baseline, the PR 1 overlap schedule, and the
-// pipelined fluid→solid schedule (which requires overlap).
+// schedules is the schedule matrix: the overlap schedule and the
+// blocking baseline it is measured against.
 var schedules = []struct {
-	name     string
-	mode     OverlapMode
-	pipeline bool
+	name string
+	mode OverlapMode
 }{
-	{"legacy", OverlapOff, false},
-	{"overlap", OverlapOn, false},
-	{"pipeline", OverlapOn, true},
+	{"legacy", OverlapOff},
+	{"overlap", OverlapOn},
 }
 
-// coupledGlobe builds the 6-rank solid-fluid-solid globe the pipeline
-// tests run on.
+// coupledGlobe builds the solid-fluid-solid globe the schedule tests
+// run on (6·nproc² ranks).
 func coupledGlobe(t testing.TB, nex, nproc int) (*meshfem.Globe, earthmodel.Model) {
 	t.Helper()
 	model := earthmodel.NewHomogeneous(6371e3, earthmodel.Material{
@@ -64,95 +60,24 @@ func globeSim(t testing.TB, g *meshfem.Globe, model earthmodel.Model, opts Optio
 	}
 }
 
-// The pipelined schedule's determinism guarantee: bit-identical
-// seismograms across worker counts AND across repeated runs (goroutine
-// scheduling permutes halo arrival orders between runs; the fixed
-// accumulation order — boundary sweep, coupling, inner sweep, halo
-// edges in deterministic order — must make that invisible).
-func TestPipelineBitIdentical(t *testing.T) {
-	g, model := coupledGlobe(t, 4, 1)
-	run := func(workers int) *Seismogram {
-		res, err := Run(globeSim(t, g, model, Options{
-			Steps: 25, Workers: workers, Overlap: OverlapOn, PipelineCoupling: true,
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Seismograms["R"]
-	}
-	ref := run(1)
-	identical(t, "pipeline/workers=1-rerun", ref, run(1))
-	identical(t, "pipeline/workers=4", ref, run(4))
-	identical(t, "pipeline/workers=4-rerun", ref, run(4))
-}
-
-// The pipelined schedule reorders element sweeps relative to the other
-// two schedules but sums the same per-element forces, so cross-mode
-// agreement is float32-roundoff tight — and it must compose with the
-// combined solid halo.
+// The overlap schedule reorders element sweeps relative to the blocking
+// baseline but sums the same per-element forces, so cross-mode agreement
+// is float32-roundoff tight — and it must compose with the combined
+// solid halo.
 func TestPipelineMatchesSerialSchedules(t *testing.T) {
 	g, model := coupledGlobe(t, 4, 1)
-	run := func(mode OverlapMode, pipelined, combined bool) *Seismogram {
+	run := func(mode OverlapMode, combined bool) *Seismogram {
 		res, err := Run(globeSim(t, g, model, Options{
-			Steps: 30, Overlap: mode, PipelineCoupling: pipelined, CombinedSolidHalo: combined,
+			Steps: 30, Overlap: mode, CombinedSolidHalo: combined,
 		}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Seismograms["R"]
 	}
-	agree := func(tag string, a, b *Seismogram) {
-		scale := maxAbs(a.X) + maxAbs(a.Y) + maxAbs(a.Z)
-		if scale == 0 {
-			t.Fatalf("%s: no signal", tag)
-		}
-		for i := range a.X {
-			d := math.Abs(float64(a.X[i]-b.X[i])) +
-				math.Abs(float64(a.Y[i]-b.Y[i])) +
-				math.Abs(float64(a.Z[i]-b.Z[i]))
-			if d > 5e-3*scale {
-				t.Fatalf("%s: sample %d differs by %g (scale %g)", tag, i, d, scale)
-			}
-		}
-	}
-	pipe := run(OverlapOn, true, false)
-	agree("pipeline-vs-overlap", pipe, run(OverlapOn, false, false))
-	agree("pipeline-vs-legacy", pipe, run(OverlapOff, false, false))
-	agree("pipeline-combined-halo", pipe, run(OverlapOn, true, true))
-}
-
-// On a slow virtual interconnect the fluid halo transfer time exceeds
-// what the fluid inner sweep alone can hide; the pipelined schedule
-// widens that window by the whole solid outer sweep, so it must hide
-// strictly more and expose strictly less than the PR 1 overlap
-// schedule.
-func TestPipelineHidesMoreOnSlowNetwork(t *testing.T) {
-	g, model := coupledGlobe(t, 4, 1)
-	slow := mpi.Options{LatencyUS: 2000, LinkBWGBs: 0.0005}
-	run := func(pipelined bool) *Result {
-		res, err := Run(globeSim(t, g, model, Options{
-			Steps: 10, Overlap: OverlapOn, PipelineCoupling: pipelined, Network: slow,
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	on := run(false)
-	pipe := run(true)
-	if pipe.MPI.HiddenCommTime <= on.MPI.HiddenCommTime {
-		t.Errorf("pipeline hid %v, overlap hid %v — no extra overlap window",
-			pipe.MPI.HiddenCommTime, on.MPI.HiddenCommTime)
-	}
-	if pipe.MPI.Exposed() >= on.MPI.Exposed() {
-		t.Errorf("pipeline exposed %v >= overlap exposed %v",
-			pipe.MPI.Exposed(), on.MPI.Exposed())
-	}
-	// Same messages either way: the pipeline changes the schedule, not
-	// the traffic.
-	if pipe.MPI.Messages != on.MPI.Messages {
-		t.Errorf("message count changed: %d vs %d", pipe.MPI.Messages, on.MPI.Messages)
-	}
+	on := run(OverlapOn, false)
+	agreeSeismo(t, "overlap-vs-legacy", on, run(OverlapOff, false), 5e-3)
+	agreeSeismo(t, "overlap-combined-halo", on, run(OverlapOn, true), 5e-3)
 }
 
 // attachDecoupledFluid grafts a standalone fluid region (no coupling
@@ -203,7 +128,7 @@ func boxBuildFluidDonor() (*mesh.Region, error) {
 // happened.
 func TestMixedRegionTagAlignment(t *testing.T) {
 	const L = 40e3
-	run := func(withFluid bool, mode OverlapMode, pipelined, combined bool) *Seismogram {
+	run := func(withFluid bool, mode OverlapMode, combined bool) *Seismogram {
 		b := buildBox(t, 4, 2, L)
 		if withFluid {
 			attachDecoupledFluid(t, b.Locals, 1)
@@ -219,8 +144,7 @@ func TestMixedRegionTagAlignment(t *testing.T) {
 			Sources:   []Source{src},
 			Receivers: []Receiver{boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2, false)},
 			Opts: Options{
-				Steps: 40, Dt: 0.02, Overlap: mode,
-				PipelineCoupling: pipelined, CombinedSolidHalo: combined,
+				Steps: 40, Dt: 0.02, Overlap: mode, CombinedSolidHalo: combined,
 			},
 		})
 		if err != nil {
@@ -235,8 +159,8 @@ func TestMixedRegionTagAlignment(t *testing.T) {
 				name += "/combined"
 			}
 			t.Run(name, func(t *testing.T) {
-				without := run(false, sc.mode, sc.pipeline, combined)
-				with := run(true, sc.mode, sc.pipeline, combined)
+				without := run(false, sc.mode, combined)
+				with := run(true, sc.mode, combined)
 				identical(t, name, without, with)
 			})
 		}
@@ -244,10 +168,11 @@ func TestMixedRegionTagAlignment(t *testing.T) {
 }
 
 // Global energy on a coupled fluid-solid globe must be conserved to
-// bounded drift after the source stops radiating — under all three
-// schedules and both worker counts. This is the end-to-end check that
-// the pipelined coupling applies the traction with the *final* boundary
-// fluid values: a schedule bug that couples a partially assembled
+// bounded drift after the source stops radiating — under both schedules
+// and both worker counts. This is the end-to-end check that the
+// coupling applies the traction with the *final* boundary fluid values
+// (only the face points are mass-divided before it in the overlap
+// schedule): a schedule bug that couples a partially assembled
 // potential pumps or leaks energy at the CMB/ICB every step.
 func TestCoupledEnergyConservation(t *testing.T) {
 	g, model := coupledGlobe(t, 4, 1)
@@ -256,7 +181,7 @@ func TestCoupledEnergyConservation(t *testing.T) {
 			t.Run(sc.name+map[int]string{1: "/w1", 4: "/w4"}[workers], func(t *testing.T) {
 				sim := globeSim(t, g, model, Options{
 					Steps: 80, EnergyEvery: 5, Workers: workers,
-					Overlap: sc.mode, PipelineCoupling: sc.pipeline,
+					Overlap: sc.mode,
 				})
 				// Short source so the run (~58 s at this mesh's dt) has
 				// a long post-source window.
@@ -362,7 +287,7 @@ func TestFlopAccountingExact(t *testing.T) {
 	}
 }
 
-// Flop accounting is schedule-invariant: the three schedules and both
+// Flop accounting is schedule-invariant: both schedules and both
 // worker counts perform identical arithmetic on the coupled globe, so
 // the counted totals must agree exactly.
 func TestFlopAccountingScheduleInvariant(t *testing.T) {
@@ -371,7 +296,7 @@ func TestFlopAccountingScheduleInvariant(t *testing.T) {
 	for i, sc := range schedules {
 		for _, workers := range []int{1, 4} {
 			res, err := Run(globeSim(t, g, model, Options{
-				Steps: 6, Workers: workers, Overlap: sc.mode, PipelineCoupling: sc.pipeline,
+				Steps: 6, Workers: workers, Overlap: sc.mode,
 			}))
 			if err != nil {
 				t.Fatal(err)

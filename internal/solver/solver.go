@@ -51,7 +51,8 @@ const (
 	KernelFused
 )
 
-// String returns the variant name used in ablation tables.
+// String returns the variant name used in ablation tables and accepted
+// by ParseKernel.
 func (k Kernel) String() string {
 	switch k {
 	case KernelVec4:
@@ -64,6 +65,20 @@ func (k Kernel) String() string {
 		return "fused"
 	}
 	return fmt.Sprintf("Kernel(%d)", int(k))
+}
+
+// ParseKernel resolves a kernel variant name as printed by String; the
+// empty name selects the default (vec4).
+func ParseKernel(name string) (Kernel, error) {
+	if name == "" {
+		return KernelVec4, nil
+	}
+	for _, k := range []Kernel{KernelVec4, KernelScalar, KernelBlas, KernelFused} {
+		if k.String() == name {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown kernel %q (want vec4, scalar, blas or fused)", name)
 }
 
 // EarthRotationRate is the sidereal rotation rate in rad/s.
@@ -135,18 +150,6 @@ type Options struct {
 	// communication with inner-element computation). Composes with
 	// CombinedSolidHalo.
 	Overlap OverlapMode
-	// PipelineCoupling pipelines the fluid and solid stages of the time
-	// step: the solid outer force sweep and the fluid inner sweep run
-	// while the fluid halo is in flight, and the fluid traction is
-	// applied to the solid only once the boundary-touching fluid values
-	// are final (the Chaljub & Valette coupling consumes fluid values
-	// on the CMB/ICB surfaces only, so the solid stage never needed the
-	// fully assembled fluid potential). Requires the overlap schedule;
-	// ignored when Overlap resolves to OverlapOff — the plain overlap
-	// schedule of PR 1 is the off switch. Results are bit-identical
-	// across worker counts and halo arrival orders within the mode, and
-	// agree with the other schedules to accumulated float32 roundoff.
-	PipelineCoupling bool
 	// RecordEvery records seismogram samples every N steps (default 1).
 	RecordEvery int
 	// EnergyEvery computes a global energy sample every N steps

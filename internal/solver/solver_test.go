@@ -378,6 +378,24 @@ func checkKernelVariantsAgree(t *testing.T, tol float64, run func(kv Kernel) *Se
 	}
 }
 
+// Every kernel's printed name parses back to it, the empty name is the
+// default, and an unknown name is an error — the one parser the one-shot
+// CLI and the daemon share.
+func TestParseKernel(t *testing.T) {
+	for _, k := range []Kernel{KernelVec4, KernelScalar, KernelBlas, KernelFused} {
+		got, err := ParseKernel(k.String())
+		if err != nil || got != k {
+			t.Errorf("ParseKernel(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	if got, err := ParseKernel(""); err != nil || got != (Options{}).Kernel {
+		t.Errorf(`ParseKernel("") = %v, %v; want the Options default`, got, err)
+	}
+	if _, err := ParseKernel("quantum"); err == nil {
+		t.Error("unknown kernel name accepted")
+	}
+}
+
 // All kernel variants must produce the same seismograms to float32
 // roundoff.
 func TestKernelVariantsAgree(t *testing.T) {

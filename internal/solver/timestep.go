@@ -19,11 +19,6 @@ import (
 // fluid-solid coupling needs no iteration (section 1: "non-iterative
 // coupling between fluid and solid based on the displacement vector").
 //
-// The force stage runs one of two schedules: the stage-serial schedule
-// (forceStageSerial — blocking or PR 1 overlap), or the pipelined
-// coupling schedule (forceStagePipelined) that starts the solid outer
-// sweep while the fluid halo is still in flight.
-//
 // The force kernels sweep their color classes on the shared worker
 // pool (colors serialize, chunks within a color are conflict-free),
 // and the pointwise predictor/mass-division/corrector loops dispatch
@@ -43,11 +38,7 @@ func (rs *rankState) timeStep(step int) {
 		rs.lts.level = ltsLevelOf(step, rs.lts.levels)
 	}
 	rs.predictor()
-	if rs.pipeline {
-		rs.forceStagePipelined(step)
-	} else {
-		rs.forceStageSerial(step)
-	}
+	rs.forceStage(step)
 	rs.solidUpdate()
 	rs.corrector()
 	if (step+1)%rs.opts.RecordEvery == 0 {
@@ -110,11 +101,13 @@ func (rs *rankState) predictor() {
 	}
 }
 
-// forceStageSerial runs the fluid stage to completion (forces,
-// assembly, mass division), then the solid stage — the blocking and
-// PR 1 overlap schedules. Within each stage the overlap schedule still
-// hides that stage's halo behind its own inner elements.
-func (rs *rankState) forceStageSerial(step int) {
+// forceStage runs the fluid stage to completion (forces, assembly, mass
+// division), then the solid stage. Each stage has the same shape: outer
+// elements and boundary terms, post the halo, inner elements (plus, in
+// the solid stage, the deferred fluid update) under the in-flight
+// messages, finish. The blocking baseline (OverlapOff) is the same
+// sequence with nothing between post and finish.
+func (rs *rankState) forceStage(step int) {
 	// --- Fluid stage ------------------------------------------------------
 	//
 	// With the overlap schedule (the paper's central scaling technique),
@@ -132,7 +125,7 @@ func (rs *rankState) forceStageSerial(step int) {
 		}
 		rs.computeFluidForces(first)
 		rs.addFluidCoupling()
-		fluidHalo := rs.beginAssembleScalarFields(oc, rs.fluidChiDdot)
+		fluidHalo := rs.beginStepExchange(oc)
 		rs.computeFluidForces(second)
 		fluidHalo.finish()
 		if rs.fluidDeferred {
@@ -157,61 +150,6 @@ func (rs *rankState) forceStageSerial(step int) {
 			first = sw.outer
 		}
 		rs.computeSolidForces(fs, first)
-	}
-	rs.addTractionAndSources(step)
-	rs.finishSolidStage()
-}
-
-// forceStagePipelined interleaves the two stages: the fluid halo is
-// posted as soon as the boundary-adjacent fluid elements (halo-outer
-// and coupling-outer) are done, and the solid outer sweep plus the
-// fluid inner sweep execute while that halo is in flight. The coupling
-// only consumes fluid values on the CMB/ICB surfaces, and those are
-// final right after the halo completes — the solid stage never needed
-// the fully assembled fluid potential.
-//
-// Determinism: the per-point accumulation order is fixed in every
-// window. Fluid chiDdot receives, in order: boundary-class elements
-// (colors ascend, elements ascend within a color), the coupling term
-// (face order), pipeInner-class elements (which share no point with a
-// coupling face by construction), then the halo contributions in
-// deterministic edge order. Solid accelerations receive outer-class
-// elements, traction (face order), sources, inner-class elements, then
-// halo edges — the same relative order as the serial overlap schedule,
-// so traction-vs-force ordering per point is mode-invariant.
-func (rs *rankState) forceStagePipelined(step int) {
-	var fluidHalo *pendingExchange
-	if rs.fluid != nil {
-		oc := int(earthmodel.RegionOuterCore)
-		// (a) boundary-adjacent fluid forces: every halo point *and*
-		// every coupling point gets its full local element contribution.
-		rs.computeFluidForces(rs.sweepsFor(oc).boundary)
-		rs.addFluidCoupling()
-		// (b) post the fluid halo.
-		fluidHalo = rs.beginAssembleScalarFields(oc, rs.fluidChiDdot)
-	} else {
-		rs.nextTag() // keep the exchange sequence aligned
-	}
-
-	// (c) under the in-flight fluid halo: the solid outer force sweep
-	// (no fluid dependency) and the remaining fluid elements (they
-	// touch neither halo nor coupling points).
-	for kind, fs := range rs.solid {
-		if fs != nil {
-			rs.computeSolidForces(fs, rs.sweepsFor(kind).outer)
-		}
-	}
-	if rs.fluid != nil {
-		oc := int(earthmodel.RegionOuterCore)
-		rs.computeFluidForces(rs.sweepsFor(oc).pipeInner)
-		// (d) wait for the boundary-touching fluid values, finalize the
-		// potential, and only then couple it into the solid.
-		fluidHalo.finish()
-		if rs.fluidDeferred {
-			rs.fluidMassDivisionFace()
-		} else {
-			rs.fluidMassDivision()
-		}
 	}
 	rs.addTractionAndSources(step)
 	rs.finishSolidStage()
@@ -313,21 +251,11 @@ func (rs *rankState) addTractionAndSources(step int) {
 // only touches solid acceleration arrays, so the fluid update is free
 // hiding material.
 func (rs *rankState) finishSolidStage() {
-	var solidHalo []*pendingExchange
-	if rs.opts.CombinedSolidHalo {
-		solidHalo = append(solidHalo, rs.beginAssembleSolidCombined())
-	} else {
-		for kind, fs := range rs.solid {
-			if fs != nil {
-				solidHalo = append(solidHalo, rs.beginAssembleAccelFields(kind, fs))
-			} else if kind != int(earthmodel.RegionOuterCore) {
-				// A solid region slot this rank does not carry (nil or
-				// empty region): consume the tag so ranks that do carry
-				// it stay sequence-aligned. Keyed on the region *kind*,
-				// not the local mesh — Regions[kind] may be nil.
-				rs.nextTag()
-			}
-		}
+	// Every rank posts every set, carried or not: a rank without the
+	// region has an empty route and only consumes the tag.
+	solidHalo := make([]*pendingExchange, len(rs.solidSets))
+	for i, set := range rs.solidSets {
+		solidHalo[i] = rs.beginStepExchange(set)
 	}
 	if rs.overlap {
 		// Inner elements touch no halo point: they compute while the
