@@ -132,6 +132,8 @@ func main() {
 		perfmodel.HumanBytes(float64(rep.IO.Bytes)))
 	fmt.Printf("solver: %d steps, dt=%.3f s, wall %v\n",
 		rep.Result.Steps, rep.Result.Dt, rep.SolverTime.Round(1e6))
+	fmt.Printf("final state: max displacement %.3g m, %d subnormal values\n",
+		rep.Result.MaxDisplacement, rep.Result.Subnormals)
 	fmt.Printf("worst station location error: %.1f m\n", rep.StationErrors)
 	fmt.Print(rep.Result.Perf)
 

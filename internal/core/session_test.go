@@ -18,12 +18,23 @@ var secondEvent = Event{
 	HalfDurationSec: 15,
 }
 
-// sameSeismos requires bit-identical (==) seismograms per station.
+// nearStation is a station a few degrees from ev's epicenter: the body
+// waves reach it within the handful of steps these tests run, so the
+// signal guard of sameSeismos rests on physical motion. Teleseismic
+// stations stay exactly zero over so few steps (the solver flushes the
+// sub-1e-24 numerical precursor that used to satisfy the guard).
+func nearStation(name string, ev Event) stations.Station {
+	return stations.Station{Name: name, Network: "XX", LatDeg: ev.LatDeg + 3, LonDeg: ev.LonDeg + 2}
+}
+
+// sameSeismos requires bit-identical (==) seismograms per station, and
+// signal on at least one of them.
 func sameSeismos(t *testing.T, tag string, want, got map[string]*solver.Seismogram) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("%s: %d vs %d seismograms", tag, len(want), len(got))
 	}
+	signal := false
 	for name, w := range want {
 		g := got[name]
 		if g == nil {
@@ -32,7 +43,6 @@ func sameSeismos(t *testing.T, tag string, want, got map[string]*solver.Seismogr
 		if len(w.X) != len(g.X) {
 			t.Fatalf("%s/%s: %d vs %d samples", tag, name, len(w.X), len(g.X))
 		}
-		signal := false
 		for i := range w.X {
 			if w.X[i] != g.X[i] || w.Y[i] != g.Y[i] || w.Z[i] != g.Z[i] {
 				t.Fatalf("%s/%s: sample %d differs: (%g,%g,%g) vs (%g,%g,%g)",
@@ -42,9 +52,9 @@ func sameSeismos(t *testing.T, tag string, want, got map[string]*solver.Seismogr
 				signal = true
 			}
 		}
-		if !signal {
-			t.Fatalf("%s/%s: no signal — the identity check is vacuous", tag, name)
-		}
+	}
+	if !signal {
+		t.Fatalf("%s: no station carries signal — the identity check is vacuous", tag)
 	}
 }
 
@@ -68,7 +78,8 @@ func TestSessionReuseMatchesFreshRuns(t *testing.T) {
 				Model:     smallModel(),
 				Doublings: c.doublings,
 				Steps:     20,
-				Stations:  stations.ReferenceStations()[:2],
+				Stations: append(stations.ReferenceStations()[:2],
+					nearStation("NEARA", testEvent), nearStation("NEARB", secondEvent)),
 			}
 			if c.doublings != nil {
 				cfg.NexXi = 8
@@ -125,8 +136,8 @@ func TestSessionRunBatchMatchesSingleRuns(t *testing.T) {
 	}
 	all := stations.ReferenceStations()[:3]
 	scs := []Scenario{
-		{Name: "a", Event: testEvent, Stations: all[:2]},
-		{Name: "b", Event: secondEvent, Stations: all[1:]},
+		{Name: "a", Event: testEvent, Stations: append(all[:2:2], nearStation("NEARA", testEvent))},
+		{Name: "b", Event: secondEvent, Stations: append(all[1:], nearStation("NEARB", secondEvent))},
 	}
 	reps, err := s.RunBatch(scs)
 	if err != nil {

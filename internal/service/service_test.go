@@ -13,9 +13,12 @@ import (
 
 // baseSpec is the cheapest runnable job: the homogeneous Earth-like
 // model at NEX 4, a deep double-couple, one catalog station and one
-// explicit-coordinate station.
+// explicit-coordinate station. The explicit one sits a few degrees from
+// every epicenter the tests use (latOffset in [-6, 6]) so that it
+// records physical motion within 10 steps — the teleseismic catalog
+// station stays exactly zero that early.
 func baseSpec(name string, latOffset float64) JobSpec {
-	lat, lon := 10.0, -30.0
+	lat, lon := -24.0, -61.0
 	return JobSpec{
 		Name:  name,
 		Model: "earthlike",
@@ -113,12 +116,14 @@ func directSeismos(t *testing.T, spec JobSpec, workers int) map[string]*solver.S
 	return rep.Result.Seismograms
 }
 
-// sameSeismos asserts bit-identity and a non-vacuous signal.
+// sameSeismos asserts bit-identity on every station and a non-vacuous
+// signal on at least one.
 func sameSeismos(t *testing.T, tag string, want, got map[string]*solver.Seismogram) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d stations streamed, want %d", tag, len(got), len(want))
 	}
+	peak := float32(0)
 	for name, w := range want {
 		g := got[name]
 		if g == nil {
@@ -127,7 +132,6 @@ func sameSeismos(t *testing.T, tag string, want, got map[string]*solver.Seismogr
 		if len(g.X) != len(w.X) {
 			t.Fatalf("%s/%s: %d samples, want %d", tag, name, len(g.X), len(w.X))
 		}
-		peak := float32(0)
 		for i := range w.X {
 			if g.X[i] != w.X[i] || g.Y[i] != w.Y[i] || g.Z[i] != w.Z[i] {
 				t.Fatalf("%s/%s: sample %d differs: streamed (%g,%g,%g) direct (%g,%g,%g)",
@@ -142,9 +146,9 @@ func sameSeismos(t *testing.T, tag string, want, got map[string]*solver.Seismogr
 				}
 			}
 		}
-		if peak == 0 {
-			t.Fatalf("%s/%s: all-zero seismogram, vacuous comparison", tag, name)
-		}
+	}
+	if peak == 0 {
+		t.Fatalf("%s: all-zero seismograms, vacuous comparison", tag)
 	}
 }
 

@@ -329,9 +329,9 @@ func (rs *rankState) solidPredictorLTS(fs []*solidField, pts *ltsPoints) {
 				for _, f := range fs {
 					for q := lo; q < hi; q++ {
 						i := list[q]
-						f.dx[i] += dtr*f.vx[i] + halfSq*f.ax[i]
-						f.dy[i] += dtr*f.vy[i] + halfSq*f.ay[i]
-						f.dz[i] += dtr*f.vz[i] + halfSq*f.az[i]
+						f.dx[i] = ftz(f.dx[i] + (dtr*f.vx[i] + halfSq*f.ax[i]))
+						f.dy[i] = ftz(f.dy[i] + (dtr*f.vy[i] + halfSq*f.ay[i]))
+						f.dz[i] = ftz(f.dz[i] + (dtr*f.vz[i] + halfSq*f.az[i]))
 						f.vx[i] += half * f.ax[i]
 						f.vy[i] += half * f.ay[i]
 						f.vz[i] += half * f.az[i]
@@ -347,9 +347,9 @@ func (rs *rankState) solidPredictorLTS(fs []*solidField, pts *ltsPoints) {
 					for q := lo; q < hi; q++ {
 						i := list[q]
 						ax, ay, az := hx[q], hy[q], hz[q]
-						f.dx[i] += dtr*f.vx[i] + halfSq*ax
-						f.dy[i] += dtr*f.vy[i] + halfSq*ay
-						f.dz[i] += dtr*f.vz[i] + halfSq*az
+						f.dx[i] = ftz(f.dx[i] + (dtr*f.vx[i] + halfSq*ax))
+						f.dy[i] = ftz(f.dy[i] + (dtr*f.vy[i] + halfSq*ay))
+						f.dz[i] = ftz(f.dz[i] + (dtr*f.vz[i] + halfSq*az))
 						f.vx[i] += half * ax
 						f.vy[i] += half * ay
 						f.vz[i] += half * az
@@ -383,7 +383,7 @@ func (rs *rankState) fluidPredictorLTS(pts *ltsPoints) {
 				for _, fl := range fls {
 					for q := lo; q < hi; q++ {
 						i := list[q]
-						fl.chi[i] += dtr*fl.chiDot[i] + halfSq*fl.chiDdot[i]
+						fl.chi[i] = ftz(fl.chi[i] + (dtr*fl.chiDot[i] + halfSq*fl.chiDdot[i]))
 						fl.chiDot[i] += half * fl.chiDdot[i]
 						fl.chiDdot[i] = 0
 					}
@@ -397,7 +397,7 @@ func (rs *rankState) fluidPredictorLTS(pts *ltsPoints) {
 					for q := lo; q < hi; q++ {
 						i := list[q]
 						a := h[q]
-						fl.chi[i] += dtr*fl.chiDot[i] + halfSq*a
+						fl.chi[i] = ftz(fl.chi[i] + (dtr*fl.chiDot[i] + halfSq*a))
 						fl.chiDot[i] += half * a
 						fl.chiDdot[i] = 0
 					}

@@ -163,10 +163,12 @@ type rankState struct {
 
 	// halo holds the exchange state per halo set (see halo.go); solidSets
 	// lists the sets the solid stage exchanges each step — the combined
-	// set, or the two solid regions one after the other. packBuf is the
+	// set, or the two solid regions one after the other — and solidHalo
+	// holds their in-flight exchanges within a step. packBuf is the
 	// reused send-side pack buffer (Isend copies the payload).
 	halo      [nHaloSets]haloSet
 	solidSets []int
+	solidHalo []*pendingExchange
 	packBuf   []float32
 	seq       int // halo-exchange sequence number for unique tags
 }
@@ -312,6 +314,7 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 	if opts.CombinedSolidHalo {
 		rs.solidSets = []int{haloSolid}
 	}
+	rs.solidHalo = make([]*pendingExchange, len(rs.solidSets))
 	if rs.lts != nil {
 		rs.reconcilePointRates()
 		rs.initLTS()
@@ -460,22 +463,43 @@ func (rs *rankState) flushPoolTime() {
 	rs.prof.Add(perf.PhaseUpdate, time.Duration(atomic.LoadInt64(&rs.updateBusy)))
 }
 
-// maxDisplacement returns the largest absolute displacement component
-// on this rank (NaN poisons the maximum, which the stability check
-// relies on).
-func (rs *rankState) maxDisplacement() float64 {
-	m := 0.0
+// stateCensus walks the rank's persistent state once and returns the
+// largest absolute displacement component (NaN poisons the maximum,
+// which the stability check relies on) and the number of subnormal
+// values left in the arrays that survive a step: displacement,
+// velocity, the fluid potential and its rate, the attenuation memory
+// variables and the LTS holds. The integrator flushes every one of
+// them where it writes them (flush.go), so the count is zero unless a
+// write site has been missed.
+func (rs *rankState) stateCensus() (maxDisp float64, subnormals int64) {
+	// count adds the arrays' subnormals to the total and returns their
+	// largest magnitude as float32 bits.
+	count := func(arrs ...[]float32) (maxBits uint32) {
+		for _, a := range arrs {
+			m, n := census(a)
+			maxBits = max(maxBits, m)
+			subnormals += n
+		}
+		return maxBits
+	}
+	var peak uint32
 	for _, fs := range rs.solid {
 		for _, f := range fs {
-			for i := range f.dx {
-				for _, v := range [3]float32{f.dx[i], f.dy[i], f.dz[i]} {
-					a := math.Abs(float64(v))
-					if a > m || math.IsNaN(a) {
-						m = a
-					}
+			peak = max(peak, count(f.dx, f.dy, f.dz))
+			count(f.vx, f.vy, f.vz)
+			for _, h := range [3][][]float32{f.hx, f.hy, f.hz} {
+				count(h...)
+			}
+			if f.att != nil {
+				for m := range f.att.r {
+					count(f.att.r[m][:]...)
 				}
 			}
 		}
 	}
-	return m
+	for _, fl := range rs.fluid {
+		count(fl.chi, fl.chiDot, fl.accHold)
+		count(fl.hChi...)
+	}
+	return float64(math.Float32frombits(peak)), subnormals
 }

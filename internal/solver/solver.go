@@ -322,6 +322,17 @@ type Result struct {
 	Perf              perf.Report
 	MPI               mpi.Stats
 	Energy            []EnergySample
+	// MaxDisplacement is the largest absolute displacement component
+	// (meters) any rank holds when the run ends; NaN if a field blew up.
+	MaxDisplacement float64
+	// Subnormals counts the subnormal float32 values left in the
+	// persistent state of all ranks (displacement, velocity, fluid
+	// potential and rate, attenuation memory variables, LTS holds) when
+	// the run ends. The integrator flushes tiny values to zero where it
+	// writes them — arithmetic on subnormals made late steps 3-8x
+	// slower than early ones — so anything but 0 means a write site
+	// escaped the flush.
+	Subnormals int64
 	// Movie is the gathered surface wavefield (nil unless
 	// SurfaceMovieEvery was set and the mesh has a free surface).
 	Movie *Movie
@@ -454,7 +465,8 @@ func Run(sim *Simulation) (*Result, error) {
 				rs.gatherMovieFrame(movie, step)
 			}
 			if opts.StabilityCheckEvery > 0 && (step+1)%opts.StabilityCheckEvery == 0 {
-				m := c.AllreduceScalar(mpi.OpMax, rs.maxDisplacement())
+				local, _ := rs.stateCensus()
+				m := c.AllreduceScalar(mpi.OpMax, local)
 				if m > opts.MaxDisplacement || math.IsNaN(m) {
 					// Every rank sees the same reduced value, so all
 					// ranks exit together and no exchange is orphaned.
@@ -485,6 +497,13 @@ func Run(sim *Simulation) (*Result, error) {
 			// callback time never pollutes the solver's busy time).
 			rs.flushChunks(true)
 		}
+		maxDisp, subnormals := rs.stateCensus()
+		resMu.Lock()
+		if maxDisp > res.MaxDisplacement || math.IsNaN(maxDisp) {
+			res.MaxDisplacement = maxDisp
+		}
+		res.Subnormals += subnormals
+		resMu.Unlock()
 		st := c.Stats()
 		rs.prof.Add(perf.PhaseComm, st.Exposed())
 		rs.prof.Add(perf.PhaseCommHidden, st.HiddenCommTime)

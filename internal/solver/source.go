@@ -112,7 +112,8 @@ func (rs *rankState) addSources(step int) {
 				te = float64(step+r) * rs.dt
 			}
 		}
-		stf := float32(sl.src.STF(te))
+		// Flushed, so a Gaussian onset never injects subnormal forces.
+		stf := ftz(float32(sl.src.STF(te)))
 		if stf == 0 {
 			continue
 		}

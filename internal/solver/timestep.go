@@ -15,6 +15,10 @@ import (
 //     then the pointwise Coriolis / gravity / ocean-load corrections,
 //  4. corrector: v += dt/2 a.
 //
+// The new u and chi of stage 1 and the final a and chiDdot of stages 2
+// and 3 are flushed to zero below 2^-80 as they are stored (flush.go),
+// which keeps float32 subnormals out of every later stage.
+//
 // Because the fluid acceleration is final before the solid uses it, the
 // fluid-solid coupling needs no iteration (section 1: "non-iterative
 // coupling between fluid and solid based on the displacement vector").
@@ -68,9 +72,9 @@ func (rs *rankState) predictor() {
 		rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
 			for _, f := range fs {
 				for i := lo; i < hi; i++ {
-					f.dx[i] += dt*f.vx[i] + halfSq*f.ax[i]
-					f.dy[i] += dt*f.vy[i] + halfSq*f.ay[i]
-					f.dz[i] += dt*f.vz[i] + halfSq*f.az[i]
+					f.dx[i] = ftz(f.dx[i] + (dt*f.vx[i] + halfSq*f.ax[i]))
+					f.dy[i] = ftz(f.dy[i] + (dt*f.vy[i] + halfSq*f.ay[i]))
+					f.dz[i] = ftz(f.dz[i] + (dt*f.vz[i] + halfSq*f.az[i]))
 					f.vx[i] += half * f.ax[i]
 					f.vy[i] += half * f.ay[i]
 					f.vz[i] += half * f.az[i]
@@ -90,7 +94,7 @@ func (rs *rankState) predictor() {
 		rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
 			for _, fl := range fls {
 				for i := lo; i < hi; i++ {
-					fl.chi[i] += dt*fl.chiDot[i] + halfSq*fl.chiDdot[i]
+					fl.chi[i] = ftz(fl.chi[i] + (dt*fl.chiDot[i] + halfSq*fl.chiDdot[i]))
 					fl.chiDot[i] += half * fl.chiDdot[i]
 					fl.chiDdot[i] = 0
 				}
@@ -179,7 +183,7 @@ func (rs *rankState) fluidMassDivision() {
 		rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
 			for _, fl := range fls {
 				for i := lo; i < hi; i++ {
-					fl.chiDdot[i] *= fl.massInv[i]
+					fl.chiDdot[i] = ftz(fl.chiDdot[i] * fl.massInv[i])
 				}
 			}
 		})
@@ -253,9 +257,8 @@ func (rs *rankState) addTractionAndSources(step int) {
 func (rs *rankState) finishSolidStage() {
 	// Every rank posts every set, carried or not: a rank without the
 	// region has an empty route and only consumes the tag.
-	solidHalo := make([]*pendingExchange, len(rs.solidSets))
 	for i, set := range rs.solidSets {
-		solidHalo[i] = rs.beginStepExchange(set)
+		rs.solidHalo[i] = rs.beginStepExchange(set)
 	}
 	if rs.overlap {
 		// Inner elements touch no halo point: they compute while the
@@ -270,7 +273,7 @@ func (rs *rankState) finishSolidStage() {
 		rs.fluidMassDivisionRest()
 		rs.fluidCorrector()
 	}
-	for _, p := range solidHalo {
+	for _, p := range rs.solidHalo {
 		p.finish()
 	}
 }
@@ -315,6 +318,7 @@ func (rs *rankState) solidUpdate() {
 							f.ay[i] -= gr*(f.dy[i]-ur*f.rhatY[i]) + dg*ur*f.rhatY[i]
 							f.az[i] -= gr*(f.dz[i]-ur*f.rhatZ[i]) + dg*ur*f.rhatZ[i]
 						}
+						f.ax[i], f.ay[i], f.az[i] = ftz(f.ax[i]), ftz(f.ay[i]), ftz(f.az[i])
 					}
 				}
 			})
@@ -348,6 +352,12 @@ func (rs *rankState) solidUpdate() {
 							f.az[i] -= gr*(f.dz[i]-ur*f.rhatZ[i]) + dg*ur*f.rhatZ[i]
 						}
 					}
+					// The acceleration is final here (bar the few ocean-load
+					// points below): flush it, so the corrector and the next
+					// predictor never build a velocity from a tiny value.
+					for i := lo; i < hi; i++ {
+						f.ax[i], f.ay[i], f.az[i] = ftz(f.ax[i]), ftz(f.ay[i]), ftz(f.az[i])
+					}
 				}
 			})
 		}
@@ -373,9 +383,9 @@ func (rs *rankState) solidUpdate() {
 				for i, pt := range sl.Pts {
 					an := cm.ax[pt]*sl.Nx[i] + cm.ay[pt]*sl.Ny[i] + cm.az[pt]*sl.Nz[i]
 					scale := an * (1 - rs.oceanFactor[i])
-					cm.ax[pt] -= scale * sl.Nx[i]
-					cm.ay[pt] -= scale * sl.Ny[i]
-					cm.az[pt] -= scale * sl.Nz[i]
+					cm.ax[pt] = ftz(cm.ax[pt] - scale*sl.Nx[i])
+					cm.ay[pt] = ftz(cm.ay[pt] - scale*sl.Ny[i])
+					cm.az[pt] = ftz(cm.az[pt] - scale*sl.Nz[i])
 				}
 			}
 			rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.OceanPoint*int64(len(sl.Pts)*rs.ns))
