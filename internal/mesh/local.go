@@ -1,8 +1,9 @@
 package mesh
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"specglobe/internal/earthmodel"
 )
@@ -127,6 +128,9 @@ func (h *HaloPlan) BoundaryPoints() int {
 // In the original code the mesher constructs these buffers from the
 // known cubed-sphere topology; building them from the authoritative
 // point keys is equivalent and also covers the central-cube sectoring.
+// Only points on a rank-region's exterior faces are keyed (see
+// exteriorPoints): ranks own disjoint sets of elements, so a point two
+// ranks hold lies on the boundary of both.
 func BuildHalo(locals []*Local) ([]*HaloPlan, error) {
 	plans := make([]*HaloPlan, len(locals))
 	for i, l := range locals {
@@ -135,85 +139,147 @@ func BuildHalo(locals []*Local) ([]*HaloPlan, error) {
 		}
 		plans[i] = &HaloPlan{Rank: i}
 	}
-	type owner struct {
-		rank int
-		idx  int32
-	}
 	for kind := 0; kind < 3; kind++ {
-		byKey := make(map[PointKey][]owner)
-		for _, l := range locals {
-			r := l.Regions[kind]
-			if r == nil || r.NSpec == 0 {
-				continue
-			}
-			// A point is a halo candidate only if it can lie on the
-			// slice boundary; scanning all points keeps this simple
-			// and correct (interior points have a single owner).
-			for idx, p := range r.Pts {
-				k := KeyOf(p[0], p[1], p[2])
-				byKey[k] = append(byKey[k], owner{rank: l.Rank, idx: int32(idx)})
-			}
-		}
-		type pairKey struct{ a, b int }
-		type sharedPt struct {
-			key    PointKey
-			ia, ib int32
-		}
-		pairPts := make(map[pairKey][]sharedPt)
-		//specfem:nodeterminism iteration order never reaches the plan: pairs and shared points are sorted by key below, and the fmt call is a fatal duplicate-point error path
-		for k, owners := range byKey {
-			if len(owners) < 2 {
-				continue
-			}
-			for x := 0; x < len(owners); x++ {
-				for y := x + 1; y < len(owners); y++ {
-					a, b := owners[x], owners[y]
-					if a.rank == b.rank {
-						return nil, fmt.Errorf("mesh: region %d: rank %d indexed point %v twice",
-							kind, a.rank, k)
-					}
-					if a.rank > b.rank {
-						a, b = b, a
-					}
-					pk := pairKey{a.rank, b.rank}
-					pairPts[pk] = append(pairPts[pk], sharedPt{key: k, ia: a.idx, ib: b.idx})
-				}
-			}
-		}
-		// Deterministic edge ordering: sort pairs, and points by key.
-		pairs := make([]pairKey, 0, len(pairPts))
-		for pk := range pairPts {
-			pairs = append(pairs, pk)
-		}
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i].a != pairs[j].a {
-				return pairs[i].a < pairs[j].a
-			}
-			return pairs[i].b < pairs[j].b
-		})
-		for _, pk := range pairs {
-			pts := pairPts[pk]
-			sort.Slice(pts, func(i, j int) bool {
-				ki, kj := pts[i].key, pts[j].key
-				if ki[0] != kj[0] {
-					return ki[0] < kj[0]
-				}
-				if ki[1] != kj[1] {
-					return ki[1] < kj[1]
-				}
-				return ki[2] < kj[2]
-			})
-			ea := HaloEdge{Peer: pk.b, Idx: make([]int32, len(pts))}
-			eb := HaloEdge{Peer: pk.a, Idx: make([]int32, len(pts))}
-			for i, p := range pts {
-				ea.Idx[i] = p.ia
-				eb.Idx[i] = p.ib
-			}
-			plans[pk.a].Edges[kind] = append(plans[pk.a].Edges[kind], ea)
-			plans[pk.b].Edges[kind] = append(plans[pk.b].Edges[kind], eb)
+		if err := buildRegionHalo(locals, kind, plans); err != nil {
+			return nil, err
 		}
 	}
 	return plans, nil
+}
+
+// faceNodes lists, for each of an element's six faces, the element-local
+// offsets of its NGLL2 nodes; entry faceCentre is the face's centre node.
+var faceNodes = func() (fn [6][NGLL2]int) {
+	for f := range fn {
+		axis, fixed := f/2, (f%2)*(NGLL-1)
+		for v := 0; v < NGLL; v++ {
+			for u := 0; u < NGLL; u++ {
+				var ijk [3]int
+				ijk[axis], ijk[(axis+1)%3], ijk[(axis+2)%3] = fixed, u, v
+				fn[f][u+NGLL*v] = Idx(0, ijk[0], ijk[1], ijk[2])
+			}
+		}
+	}
+	return fn
+}()
+
+const faceCentre = NGLL2 / 2
+
+// exteriorPoints returns, in ascending order, the points of r that lie
+// on an exterior face of the region: a face whose centre node is
+// referenced by exactly one element. In a conforming hexahedral mesh a
+// face interior to the region is shared by two of its elements and both
+// reference its centre node, which belongs to no other face; and every
+// point on the region's boundary lies on some exterior face. The scan
+// reads Ibool only, so it holds for any mesher's elements.
+func exteriorPoints(r *Region) []int32 {
+	refs := make([]uint8, r.NGlob)
+	for e := 0; e < r.NSpec; e++ {
+		ib := r.Ibool[e*NGLL3 : (e+1)*NGLL3]
+		for f := range faceNodes {
+			refs[ib[faceNodes[f][faceCentre]]]++
+		}
+	}
+	onFace := make([]bool, r.NGlob)
+	n := 0
+	for e := 0; e < r.NSpec; e++ {
+		ib := r.Ibool[e*NGLL3 : (e+1)*NGLL3]
+		for f := range faceNodes {
+			if refs[ib[faceNodes[f][faceCentre]]] != 1 {
+				continue
+			}
+			for _, q := range faceNodes[f] {
+				if p := ib[q]; !onFace[p] {
+					onFace[p] = true
+					n++
+				}
+			}
+		}
+	}
+	pts := make([]int32, 0, n)
+	for p, on := range onFace {
+		if on {
+			pts = append(pts, int32(p))
+		}
+	}
+	return pts
+}
+
+// buildRegionHalo matches one region kind across ranks and appends the
+// resulting edges to plans.
+func buildRegionHalo(locals []*Local, kind int, plans []*HaloPlan) error {
+	cands := make([][]int32, len(locals))
+	total := 0
+	for i, l := range locals {
+		if r := l.Regions[kind]; r != nil && r.NSpec > 0 {
+			cands[i] = exteriorPoints(r)
+			total += len(cands[i])
+		}
+	}
+	// owners chains the candidates that share a key, newest first;
+	// byKey holds the head of each chain (an index into owners).
+	type owner struct {
+		rank, idx, next int32
+	}
+	owners := make([]owner, 0, total)
+	byKey := make(map[PointKey]int32, total)
+	type sharedPt struct {
+		key    PointKey
+		ia, ib int32
+	}
+	type pair struct {
+		a, b int
+		pts  []sharedPt
+	}
+	var pairs []*pair
+	pairOf := map[[2]int]*pair{}
+	// Ranks arrive in ascending order, so every owner already chained
+	// under a key has a lower rank than the one being added.
+	for rank, c := range cands {
+		pts := locals[rank].Regions[kind].Pts
+		for _, idx := range c {
+			p := pts[idx]
+			k := KeyOf(p[0], p[1], p[2])
+			head, seen := byKey[k]
+			if !seen {
+				head = -1
+			}
+			for o := head; o >= 0; o = owners[o].next {
+				a := owners[o]
+				if int(a.rank) == rank {
+					return fmt.Errorf("mesh: region %d: rank %d indexed point %v twice", kind, rank, k)
+				}
+				pk := [2]int{int(a.rank), rank}
+				pr := pairOf[pk]
+				if pr == nil {
+					pr = &pair{a: pk[0], b: pk[1]}
+					pairOf[pk] = pr
+					pairs = append(pairs, pr)
+				}
+				pr.pts = append(pr.pts, sharedPt{key: k, ia: a.idx, ib: idx})
+			}
+			byKey[k] = int32(len(owners))
+			owners = append(owners, owner{rank: int32(rank), idx: idx, next: head})
+		}
+	}
+	// Deterministic edge ordering: sort pairs, and points by key.
+	slices.SortFunc(pairs, func(x, y *pair) int {
+		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b))
+	})
+	for _, pr := range pairs {
+		slices.SortFunc(pr.pts, func(x, y sharedPt) int {
+			return slices.Compare(x.key[:], y.key[:])
+		})
+		ea := HaloEdge{Peer: pr.b, Idx: make([]int32, len(pr.pts))}
+		eb := HaloEdge{Peer: pr.a, Idx: make([]int32, len(pr.pts))}
+		for i, p := range pr.pts {
+			ea.Idx[i] = p.ia
+			eb.Idx[i] = p.ib
+		}
+		plans[pr.a].Edges[kind] = append(plans[pr.a].Edges[kind], ea)
+		plans[pr.b].Edges[kind] = append(plans[pr.b].Edges[kind], eb)
+	}
+	return nil
 }
 
 // HaloStats summarizes the communication surface of a distributed mesh

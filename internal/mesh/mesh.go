@@ -112,6 +112,15 @@ func NewPointIndexer() *PointIndexer {
 	return &PointIndexer{byKey: make(map[PointKey]int32)}
 }
 
+// Reserve sizes a fresh indexer for points distinct points, of which
+// unkeyed will arrive through Add: the key map never rehashes and the
+// point list never regrows. When points is exact, Points returns a
+// slice with no spare capacity.
+func (pi *PointIndexer) Reserve(points, unkeyed int) {
+	pi.byKey = make(map[PointKey]int32, points-unkeyed)
+	pi.pts = make([][3]float64, 0, points)
+}
+
 // Index returns the stable index for the point, creating one on first
 // sight.
 func (pi *PointIndexer) Index(x, y, z float64) int32 {
@@ -119,14 +128,30 @@ func (pi *PointIndexer) Index(x, y, z float64) int32 {
 	if id, ok := pi.byKey[k]; ok {
 		return id
 	}
-	id := int32(len(pi.pts))
+	id := pi.Add(x, y, z)
 	pi.byKey[k] = id
+	return id
+}
+
+// Add appends a point the caller knows nothing else can reference — a
+// node strictly inside an element — and returns its index. It takes the
+// next first-sight number, exactly as Index would have, without touching
+// the key map.
+func (pi *PointIndexer) Add(x, y, z float64) int32 {
+	id := int32(len(pi.pts))
 	pi.pts = append(pi.pts, [3]float64{x, y, z})
 	return id
 }
 
-// Points returns the accumulated point list.
-func (pi *PointIndexer) Points() [][3]float64 { return pi.pts }
+// Points returns the accumulated point list at its exact length: spare
+// capacity (an over-estimated Reserve, append growth) is copied away, so
+// a region does not keep it alive for as long as the mesh lives.
+func (pi *PointIndexer) Points() [][3]float64 {
+	if cap(pi.pts) > len(pi.pts) {
+		pi.pts = append(make([][3]float64, 0, len(pi.pts)), pi.pts...)
+	}
+	return pi.pts
+}
 
 // Len returns the number of distinct points seen.
 func (pi *PointIndexer) Len() int { return len(pi.pts) }

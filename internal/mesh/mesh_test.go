@@ -43,6 +43,21 @@ func TestPointIndexer(t *testing.T) {
 	if pts[a] != [3]float64{1, 2, 3} || pts[b] != [3]float64{4, 5, 6} {
 		t.Error("points stored wrong")
 	}
+
+	// A reserved indexer numbers unkeyed points in the same first-sight
+	// sequence and hands over no spare capacity, even when the
+	// reservation was an over-estimate.
+	pi = NewPointIndexer()
+	pi.Reserve(8, 1)
+	a = pi.Index(1, 2, 3)
+	d := pi.Add(7, 8, 9)
+	c = pi.Index(1, 2, 3)
+	if a != 0 || d != 1 || c != a || pi.Len() != 2 {
+		t.Errorf("reserved indexer: indices %d %d %d, Len %d", a, d, c, pi.Len())
+	}
+	if pts = pi.Points(); len(pts) != 2 || cap(pts) != 2 || pts[d] != [3]float64{7, 8, 9} {
+		t.Errorf("reserved indexer: points %v with capacity %d", pts, cap(pts))
+	}
 }
 
 // Property: indices are stable and dense regardless of insertion mix.
@@ -237,21 +252,25 @@ func TestBuildHaloErrors(t *testing.T) {
 }
 
 func TestBuildHaloSharedPoints(t *testing.T) {
-	// Two ranks sharing one point.
-	mk := func(rank int, pts [][3]float64) *Local {
-		r := NewRegion(earthmodel.RegionCrustMantle, 0)
-		r.NGlob = len(pts)
-		r.Pts = pts
-		r.NSpec = 1 // mark non-empty so BuildHalo scans it
+	// Two ranks of one unit-cube element each, sharing the face x = 1.
+	mk := func(rank int, x0 float64) *Local {
+		r := NewRegion(earthmodel.RegionCrustMantle, 1)
+		pi := NewPointIndexer()
+		for k := 0; k < NGLL; k++ {
+			for j := 0; j < NGLL; j++ {
+				for i := 0; i < NGLL; i++ {
+					r.Ibool[Idx(0, i, j, k)] = pi.Index(x0+float64(i)/4, float64(j)/4, float64(k)/4)
+				}
+			}
+		}
+		r.NGlob, r.Pts = pi.Len(), pi.Points()
 		l := &Local{Rank: rank}
 		l.Regions[earthmodel.RegionCrustMantle] = r
 		l.Regions[earthmodel.RegionOuterCore] = NewRegion(earthmodel.RegionOuterCore, 0)
 		l.Regions[earthmodel.RegionInnerCore] = NewRegion(earthmodel.RegionInnerCore, 0)
 		return l
 	}
-	shared := [3]float64{5, 5, 5}
-	a := mk(0, [][3]float64{{1, 0, 0}, shared})
-	b := mk(1, [][3]float64{shared, {2, 0, 0}})
+	a, b := mk(0, 0), mk(1, 1)
 	plans, err := BuildHalo([]*Local{a, b})
 	if err != nil {
 		t.Fatal(err)
@@ -264,10 +283,16 @@ func TestBuildHaloSharedPoints(t *testing.T) {
 	if ea[0].Peer != 1 || eb[0].Peer != 0 {
 		t.Error("wrong peers")
 	}
-	if len(ea[0].Idx) != 1 || ea[0].Idx[0] != 1 || eb[0].Idx[0] != 0 {
-		t.Errorf("wrong shared indices: %v %v", ea[0].Idx, eb[0].Idx)
+	if len(ea[0].Idx) != NGLL2 || len(eb[0].Idx) != NGLL2 {
+		t.Fatalf("shared points: %d and %d, want %d", len(ea[0].Idx), len(eb[0].Idx), NGLL2)
 	}
-	if plans[0].NeighborCount() != 1 || plans[0].BoundaryPoints() != 1 {
+	pa, pb := a.Regions[earthmodel.RegionCrustMantle].Pts, b.Regions[earthmodel.RegionCrustMantle].Pts
+	for q := range ea[0].Idx {
+		if p := pa[ea[0].Idx[q]]; p != pb[eb[0].Idx[q]] || p[0] != 1 {
+			t.Errorf("slot %d pairs %v with %v", q, p, pb[eb[0].Idx[q]])
+		}
+	}
+	if plans[0].NeighborCount() != 1 || plans[0].BoundaryPoints() != NGLL2 {
 		t.Error("plan accounting wrong")
 	}
 }

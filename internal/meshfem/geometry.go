@@ -1,6 +1,7 @@
 package meshfem
 
 import (
+	"fmt"
 	"math"
 
 	"specglobe/internal/cubedsphere"
@@ -68,20 +69,11 @@ func symLerp(u, v float64, i int) float64 {
 // factors (sa, sb, sr) inside the shell element spanning tangent ranges
 // [a0,a1]x[b0,b1] and radii [r0,r1] on the given chunk. Used for face
 // quadrature and diagnostics; indexed point generation goes through
-// shellPointIdx so the exact-key numbering sees symLerp arithmetic.
+// elemNodes.shell so the exact-key numbering sees symLerp arithmetic.
 func shellPoint(face cubedsphere.Face, a0, a1, b0, b1, r0, r1, sa, sb, sr float64) cubedsphere.Vec3 {
 	a := lerp(a0, a1, sa)
 	b := lerp(b0, b1, sb)
 	r := lerp(r0, r1, sr)
-	return cubedsphere.DirectionTan(face, a, b).Scale(r)
-}
-
-// shellPointIdx is shellPoint at GLL indices (ia, ib, ir) with the
-// symmetric interpolation that the global numbering requires.
-func shellPointIdx(face cubedsphere.Face, a0, a1, b0, b1, r0, r1 float64, ia, ib, ir int) cubedsphere.Vec3 {
-	a := symLerp(a0, a1, ia)
-	b := symLerp(b0, b1, ib)
-	r := symLerp(r0, r1, ir)
 	return cubedsphere.DirectionTan(face, a, b).Scale(r)
 }
 
@@ -92,46 +84,12 @@ func shellJacobian(face cubedsphere.Face, a0, a1, b0, b1, r0, r1, sa, sb, sr flo
 	a := lerp(a0, a1, sa)
 	b := lerp(b0, b1, sb)
 	r := lerp(r0, r1, sr)
-	n, u, v := face.Triad()
-	d := n.Add(u.Scale(a)).Add(v.Scale(b))
-	L := d.Norm()
-	dir := d.Scale(1 / L)
-	// d(dir)/da = (u - dir (dir.u)) / L, likewise for b.
-	dda := u.Sub(dir.Scale(dir.Dot(u))).Scale(1 / L)
-	ddb := v.Sub(dir.Scale(dir.Dot(v))).Scale(1 / L)
+	dda, ddb, dir := tanDerivs(face, a, b)
 	return [3]cubedsphere.Vec3{
 		dda.Scale(r * (a1 - a0) / 2),
 		ddb.Scale(r * (b1 - b0) / 2),
 		dir.Scale((r1 - r0) / 2),
 	}
-}
-
-// cubePoint returns the physical position of the GLL node with lerp
-// factors (sa, sb, sc) inside the central-cube cell spanning tangent
-// ranges [a0,a1]x[b0,b1]x[c0,c1], for cube radius rcc.
-func cubePoint(a0, a1, b0, b1, c0, c1, rcc, sa, sb, sc float64) cubedsphere.Vec3 {
-	q := cubedsphere.Vec3{lerp(a0, a1, sa), lerp(b0, b1, sb), lerp(c0, c1, sc)}
-	return cubedsphere.CubePoint(q, rcc)
-}
-
-// cubeJacobian computes the Jacobian columns of the cube mapping by
-// central differences in the reference coordinates (the spherified-cube
-// blend is only piecewise smooth, so numerical differentiation is the
-// robust choice).
-func cubeJacobian(a0, a1, b0, b1, c0, c1, rcc, sa, sb, sc float64) [3]cubedsphere.Vec3 {
-	const h = 1e-6
-	var cols [3]cubedsphere.Vec3
-	s := [3]float64{sa, sb, sc}
-	for c := 0; c < 3; c++ {
-		sp, sm := s, s
-		sp[c] += h
-		sm[c] -= h
-		pp := cubePoint(a0, a1, b0, b1, c0, c1, rcc, sp[0], sp[1], sp[2])
-		pm := cubePoint(a0, a1, b0, b1, c0, c1, rcc, sm[0], sm[1], sm[2])
-		// d(lerp factor)/d(reference coord) = 1/2.
-		cols[c] = pp.Sub(pm).Scale(1 / (2 * h * 2))
-	}
-	return cols
 }
 
 // invert3x3 inverts the matrix whose columns are the Jacobian vectors
@@ -154,49 +112,143 @@ func invert3x3(cols [3]cubedsphere.Vec3) (rows [3]cubedsphere.Vec3, det float64)
 	return rows, det
 }
 
-// elemGeom is a callback bundle describing one element's mapping. The
-// point callback takes GLL indices, not lerp factors: coincident points
-// of adjacent elements must flow through identical (or symmetric, see
-// symLerp) arithmetic, and only the index identifies which symmetric
-// weight pair applies.
-type elemGeom struct {
-	point    func(ia, ib, ir int) cubedsphere.Vec3
-	jacobian func(ia, ib, ir int) [3]cubedsphere.Vec3
-	// radiusAt returns the material-evaluation radius for a radial GLL
-	// index, clamped inside the element so discontinuity-adjacent
-	// elements sample their own side. nil samples the point radius.
-	radiusAt func(ir int) float64
+// elemNodes is one element's node table: the position and the Jacobian
+// columns of its NGLL3 nodes, indexed i + NGLL*j + NGLL2*k. Each element
+// family fills it through its own method, which computes whatever
+// depends on fewer than three of the indices once per element instead
+// of once per node; fillElement and assignMaterial then consume it.
+//
+// The hoists keep every operand and every operation order of the
+// per-node formulas they replace: a factor is moved out of a loop only
+// whole, as the value of the same expression on the same inputs, so
+// each float64 — and with it every point key, every float32 the solver
+// reads — is the one the per-node evaluation produced (TestMeshBits).
+type elemNodes struct {
+	pos  [mesh.NGLL3]cubedsphere.Vec3
+	cols [mesh.NGLL3][3]cubedsphere.Vec3
+	// rad[k] is the material-evaluation radius of radial index k,
+	// clamped inside the element so discontinuity-adjacent elements
+	// sample their own side. It is set when radial is: the element's
+	// third reference direction is purely radial (uniform shell
+	// elements), so one model sample serves the NGLL2 nodes of a level.
+	// Otherwise the material is sampled at each node's own radius.
+	rad    [mesh.NGLL]float64
+	radial bool
 }
 
-// fillElement writes geometry (positions, inverse mapping, JacW) for
-// element e of region r, registering points in the indexer.
-func fillElement(r *mesh.Region, pi *mesh.PointIndexer, e int, g elemGeom) {
-	for k := 0; k < mesh.NGLL; k++ {
-		for j := 0; j < mesh.NGLL; j++ {
-			for i := 0; i < mesh.NGLL; i++ {
-				ip := mesh.Idx(e, i, j, k)
-				p := g.point(i, j, k)
-				r.Ibool[ip] = pi.Index(p[0], p[1], p[2])
-				cols := g.jacobian(i, j, k)
-				rows, det := invert3x3(cols)
-				if det <= 0 {
-					// Meshing bug; fail loudly with context.
-					panic("meshfem: non-positive Jacobian determinant")
+// shell fills the table for the shell element spanning tangent ranges
+// [a0,a1]x[b0,b1] and radii [r0,r1] on the given chunk. Positions use
+// the symmetric interpolation the global numbering requires, Jacobians
+// the analytic derivatives of the gnomonic mapping at the plain lerp
+// coordinates; both directions depend on (ia, ib) only and both radial
+// factors on ir only.
+func (t *elemNodes) shell(face cubedsphere.Face, a0, a1, b0, b1, r0, r1 float64) {
+	var posDir, dda, ddb, dir [mesh.NGLL2]cubedsphere.Vec3
+	for ib := 0; ib < mesh.NGLL; ib++ {
+		for ia := 0; ia < mesh.NGLL; ia++ {
+			q := ia + mesh.NGLL*ib
+			posDir[q] = cubedsphere.DirectionTan(face, symLerp(a0, a1, ia), symLerp(b0, b1, ib))
+			dda[q], ddb[q], dir[q] = tanDerivs(face, lerp(a0, a1, gllS[ia]), lerp(b0, b1, gllS[ib]))
+		}
+	}
+	for ir := 0; ir < mesh.NGLL; ir++ {
+		rPos := symLerp(r0, r1, ir)
+		r := lerp(r0, r1, gllS[ir])
+		fa, fb, fr := r*(a1-a0)/2, r*(b1-b0)/2, (r1-r0)/2
+		for q := 0; q < mesh.NGLL2; q++ {
+			n := q + mesh.NGLL2*ir
+			t.pos[n] = posDir[q].Scale(rPos)
+			t.cols[n] = [3]cubedsphere.Vec3{dda[q].Scale(fa), ddb[q].Scale(fb), dir[q].Scale(fr)}
+		}
+		t.rad[ir] = lerp(r0, r1, clamp(gllS[ir], 1e-3, 1-1e-3))
+	}
+	t.radial = true
+}
+
+// cube fills the table for the central-cube cell spanning tangent
+// ranges [a0,a1]x[b0,b1]x[c0,c1], for cube radius rcc. The Jacobian
+// columns are central differences in the reference coordinates (the
+// spherified-cube blend is only piecewise smooth, so numerical
+// differentiation is the robust choice); the displaced and undisplaced
+// cube coordinates depend on one index each.
+func (t *elemNodes) cube(a0, a1, b0, b1, c0, c1, rcc float64) {
+	const h = 1e-6
+	lo, hi := [3]float64{a0, b0, c0}, [3]float64{a1, b1, c1}
+	// at[c][i], plus[c][i], minus[c][i]: axis c's cube coordinate at
+	// GLL index i and at lerp factors gllS[i] +- h.
+	var sym, at, plus, minus [3][mesh.NGLL]float64
+	for c := 0; c < 3; c++ {
+		for i := 0; i < mesh.NGLL; i++ {
+			sym[c][i] = symLerp(lo[c], hi[c], i)
+			at[c][i] = lerp(lo[c], hi[c], gllS[i])
+			plus[c][i] = lerp(lo[c], hi[c], gllS[i]+h)
+			minus[c][i] = lerp(lo[c], hi[c], gllS[i]-h)
+		}
+	}
+	for ic := 0; ic < mesh.NGLL; ic++ {
+		for ib := 0; ib < mesh.NGLL; ib++ {
+			for ia := 0; ia < mesh.NGLL; ia++ {
+				n := ia + mesh.NGLL*ib + mesh.NGLL2*ic
+				idx := [3]int{ia, ib, ic}
+				t.pos[n] = cubedsphere.CubePoint(cubedsphere.Vec3{sym[0][ia], sym[1][ib], sym[2][ic]}, rcc)
+				q := cubedsphere.Vec3{at[0][ia], at[1][ib], at[2][ic]}
+				for c := 0; c < 3; c++ {
+					qp, qm := q, q
+					qp[c], qm[c] = plus[c][idx[c]], minus[c][idx[c]]
+					pp := cubedsphere.CubePoint(qp, rcc)
+					pm := cubedsphere.CubePoint(qm, rcc)
+					// d(lerp factor)/d(reference coord) = 1/2.
+					t.cols[n][c] = pp.Sub(pm).Scale(1 / (2 * h * 2))
 				}
-				r.Xix[ip] = float32(rows[0][0])
-				r.Xiy[ip] = float32(rows[0][1])
-				r.Xiz[ip] = float32(rows[0][2])
-				r.Etax[ip] = float32(rows[1][0])
-				r.Etay[ip] = float32(rows[1][1])
-				r.Etaz[ip] = float32(rows[1][2])
-				r.Gamx[ip] = float32(rows[2][0])
-				r.Gamy[ip] = float32(rows[2][1])
-				r.Gamz[ip] = float32(rows[2][2])
-				r.Jac[ip] = float32(det)
-				r.JacW[ip] = float32(det * gllW[i] * gllW[j] * gllW[k])
 			}
 		}
 	}
+	t.radial = false
+}
+
+// interiorNodes is the number of nodes strictly inside an element, and
+// interiorNode marks them: no other element can reference them, so they
+// bypass the point-key map.
+const interiorNodes = (mesh.NGLL - 2) * (mesh.NGLL - 2) * (mesh.NGLL - 2)
+
+var interiorNode = func() (in [mesh.NGLL3]bool) {
+	for n := range in {
+		i, j, k := n%mesh.NGLL, n/mesh.NGLL%mesh.NGLL, n/mesh.NGLL2
+		in[n] = i > 0 && i < mesh.NGLL-1 && j > 0 && j < mesh.NGLL-1 && k > 0 && k < mesh.NGLL-1
+	}
+	return in
+}()
+
+// fillElement writes geometry (positions, inverse mapping, JacW) for
+// element e of region r from its node table, registering points in the
+// indexer in node order (first-sight numbering).
+func fillElement(r *mesh.Region, pi *mesh.PointIndexer, e int, t *elemNodes) error {
+	for n := 0; n < mesh.NGLL3; n++ {
+		ip := e*mesh.NGLL3 + n
+		p := t.pos[n]
+		if interiorNode[n] {
+			r.Ibool[ip] = pi.Add(p[0], p[1], p[2])
+		} else {
+			r.Ibool[ip] = pi.Index(p[0], p[1], p[2])
+		}
+		rows, det := invert3x3(t.cols[n])
+		if det <= 0 {
+			return fmt.Errorf("meshfem: region %v element %d node %d: non-positive Jacobian determinant %g", r.Kind, e, n, det)
+		}
+		r.Xix[ip] = float32(rows[0][0])
+		r.Xiy[ip] = float32(rows[0][1])
+		r.Xiz[ip] = float32(rows[0][2])
+		r.Etax[ip] = float32(rows[1][0])
+		r.Etay[ip] = float32(rows[1][1])
+		r.Etaz[ip] = float32(rows[1][2])
+		r.Gamx[ip] = float32(rows[2][0])
+		r.Gamy[ip] = float32(rows[2][1])
+		r.Gamz[ip] = float32(rows[2][2])
+		r.Jac[ip] = float32(det)
+		i, j, k := n%mesh.NGLL, n/mesh.NGLL%mesh.NGLL, n/mesh.NGLL2
+		r.JacW[ip] = float32(det * gllW[i] * gllW[j] * gllW[k])
+	}
+	return nil
 }
 
 // faceQuad evaluates the outward-radial surface quadrature of the
@@ -321,54 +373,60 @@ func dblTemplate(fine [5]float64, r0, r1 float64) [6]quad2 {
 	}
 }
 
-// dblGeomXi is the element geometry of one xi-doubling hex: the quad
-// drives (a, r) from the (first, third) reference directions and the
-// element extrudes over the eta interval [b0, b1].
-func dblGeomXi(face cubedsphere.Face, q quad2, b0, b1 float64) elemGeom {
-	return elemGeom{
-		point: func(ia, ib, ir int) cubedsphere.Vec3 {
-			a, r := q.at(ia, ir)
-			b := symLerp(b0, b1, ib)
-			return cubedsphere.DirectionTan(face, a, b).Scale(r)
-		},
-		jacobian: func(ia, ib, ir int) [3]cubedsphere.Vec3 {
-			s, t := gllS[ia], gllS[ir]
-			a, r := q.at(ia, ir)
-			b := symLerp(b0, b1, ib)
-			as, at, rs, rt := q.deriv(s, t)
-			dda, ddb, dir := tanDerivs(face, a, b)
-			return [3]cubedsphere.Vec3{
-				dda.Scale(as * r).Add(dir.Scale(rs)).Scale(0.5),
-				ddb.Scale((b1 - b0) * r / 2),
-				dda.Scale(at * r).Add(dir.Scale(rt)).Scale(0.5),
-			}
-		},
+// doubleXi fills the table for one xi-doubling hex: the quad drives
+// (a, r) from the (first, third) reference directions and the element
+// extrudes over the eta interval [b0, b1]. The quad's map and its
+// derivatives depend on (ia, ir) only; position and Jacobian share one
+// gnomonic evaluation (DirectionTan is tanDerivs' direction).
+func (t *elemNodes) doubleXi(face cubedsphere.Face, q *quad2, b0, b1 float64) {
+	var b [mesh.NGLL]float64
+	for ib := range b {
+		b[ib] = symLerp(b0, b1, ib)
 	}
+	for ir := 0; ir < mesh.NGLL; ir++ {
+		for ia := 0; ia < mesh.NGLL; ia++ {
+			a, r := q.at(ia, ir)
+			as, at, rs, rt := q.deriv(gllS[ia], gllS[ir])
+			for ib := 0; ib < mesh.NGLL; ib++ {
+				n := ia + mesh.NGLL*ib + mesh.NGLL2*ir
+				dda, ddb, dir := tanDerivs(face, a, b[ib])
+				t.pos[n] = dir.Scale(r)
+				t.cols[n] = [3]cubedsphere.Vec3{
+					dda.Scale(as * r).Add(dir.Scale(rs)).Scale(0.5),
+					ddb.Scale((b1 - b0) * r / 2),
+					dda.Scale(at * r).Add(dir.Scale(rt)).Scale(0.5),
+				}
+			}
+		}
+	}
+	t.radial = false
 }
 
-// dblGeomEta is the element geometry of one eta-doubling hex: the quad
-// drives (b, r) from the (second, third) reference directions and the
-// element extrudes over the xi interval [a0, a1].
-func dblGeomEta(face cubedsphere.Face, q quad2, a0, a1 float64) elemGeom {
-	return elemGeom{
-		point: func(ia, ib, ir int) cubedsphere.Vec3 {
-			b, r := q.at(ib, ir)
-			a := symLerp(a0, a1, ia)
-			return cubedsphere.DirectionTan(face, a, b).Scale(r)
-		},
-		jacobian: func(ia, ib, ir int) [3]cubedsphere.Vec3 {
-			s, t := gllS[ib], gllS[ir]
-			b, r := q.at(ib, ir)
-			a := symLerp(a0, a1, ia)
-			bs, bt, rs, rt := q.deriv(s, t)
-			dda, ddb, dir := tanDerivs(face, a, b)
-			return [3]cubedsphere.Vec3{
-				dda.Scale((a1 - a0) * r / 2),
-				ddb.Scale(bs * r).Add(dir.Scale(rs)).Scale(0.5),
-				ddb.Scale(bt * r).Add(dir.Scale(rt)).Scale(0.5),
-			}
-		},
+// doubleEta fills the table for one eta-doubling hex: the quad drives
+// (b, r) from the (second, third) reference directions and the element
+// extrudes over the xi interval [a0, a1].
+func (t *elemNodes) doubleEta(face cubedsphere.Face, q *quad2, a0, a1 float64) {
+	var a [mesh.NGLL]float64
+	for ia := range a {
+		a[ia] = symLerp(a0, a1, ia)
 	}
+	for ir := 0; ir < mesh.NGLL; ir++ {
+		for ib := 0; ib < mesh.NGLL; ib++ {
+			b, r := q.at(ib, ir)
+			bs, bt, rs, rt := q.deriv(gllS[ib], gllS[ir])
+			for ia := 0; ia < mesh.NGLL; ia++ {
+				n := ia + mesh.NGLL*ib + mesh.NGLL2*ir
+				dda, ddb, dir := tanDerivs(face, a[ia], b)
+				t.pos[n] = dir.Scale(r)
+				t.cols[n] = [3]cubedsphere.Vec3{
+					dda.Scale((a1 - a0) * r / 2),
+					ddb.Scale(bs * r).Add(dir.Scale(rs)).Scale(0.5),
+					ddb.Scale(bt * r).Add(dir.Scale(rt)).Scale(0.5),
+				}
+			}
+		}
+	}
+	t.radial = false
 }
 
 // tanDerivs returns the gnomonic-direction partials d(dir)/da, d(dir)/db

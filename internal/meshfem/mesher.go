@@ -13,7 +13,10 @@ package meshfem
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"specglobe/internal/cubedsphere"
 	"specglobe/internal/earthmodel"
@@ -28,7 +31,9 @@ type Config struct {
 	// NProcXi is NPROC_XI: slices per chunk side; total ranks are
 	// 6*NProcXi^2.
 	NProcXi int
-	// Model supplies the radial material model.
+	// Model supplies the radial material model. Ranks are built on
+	// several goroutines, so its methods must tolerate concurrent calls
+	// (the shipped models are immutable).
 	Model earthmodel.Model
 	// CubeFrac sets the central-cube radius as a fraction of the
 	// innermost region's top radius. Zero selects the default 0.5.
@@ -77,8 +82,15 @@ type Globe struct {
 	// shell layer structure); layerCount[si][l] the per-rank element
 	// count of that layer.
 	layerBase, layerCount [][]int
-	// grids caches the tangent-space node grid per lateral resolution
-	// level (chunks and central cube share them).
+	// shellElems[si] and shellPoints[si] are the exact numbers of
+	// elements and of distinct GLL points the shell layers of spec si
+	// put on one rank; they size the region arrays and the point
+	// indexer, so Pts is allocated once, at its final length.
+	shellElems, shellPoints []int
+	// grids holds the tangent-space node grid of every lateral
+	// resolution level the layer specs use (chunks and central cube share
+	// them). Build fills it before any rank is built and nothing writes
+	// it afterwards: a finished Globe is read from several goroutines.
 	grids   map[int][]float64
 	rcc     float64 // central cube radius (0 if no cube region)
 	cubeNex int     // cube cells per side (lateral count at the cube surface)
@@ -89,13 +101,12 @@ type Globe struct {
 	cubeBase  []int // element index of the first cube cell per rank
 }
 
-// grid returns (and caches) the tangent grid for a lateral level.
+// grid returns the tangent grid for a lateral level of the layer specs.
 func (g *Globe) grid(nex int) []float64 {
-	if t, ok := g.grids[nex]; ok {
-		return t
+	t, ok := g.grids[nex]
+	if !ok {
+		panic(fmt.Sprintf("meshfem: no tangent grid for lateral level %d", nex))
 	}
-	t := cubedsphere.TanGrid(nex)
-	g.grids[nex] = t
 	return t
 }
 
@@ -143,6 +154,13 @@ func Build(cfg Config) (*Globe, error) {
 			g.cubeReg = sp.kind
 			g.cubeNex = sp.nexBot()
 		}
+		for _, l := range sp.layers {
+			for _, nex := range [...]int{l.nexXi, l.nexEta, l.botXi(), l.botEta()} {
+				if g.grids[nex] == nil {
+					g.grids[nex] = cubedsphere.TanGrid(nex)
+				}
+			}
+		}
 	}
 	if err := g.indexLayers(); err != nil {
 		return nil, err
@@ -150,11 +168,15 @@ func Build(cfg Config) (*Globe, error) {
 	g.ShortestPeriod = estimatedShortestPeriod(cfg.Model, g.specs)
 
 	// Pre-assign central cube cells to ranks at the cube's (possibly
-	// doubled-down) resolution.
+	// doubled-down) resolution; they follow the shell elements of the
+	// innermost region.
 	nR := dec.NumRanks()
 	g.cubeCells = make([][][3]int, nR)
 	g.cubeBase = make([]int, nR)
 	if g.rcc > 0 {
+		for r := range g.cubeBase {
+			g.cubeBase[r] = g.shellElems[g.specOf(g.cubeReg)]
+		}
 		for ci := 0; ci < g.cubeNex; ci++ {
 			for cj := 0; cj < g.cubeNex; cj++ {
 				for ck := 0; ck < g.cubeNex; ck++ {
@@ -173,20 +195,13 @@ func Build(cfg Config) (*Globe, error) {
 		// geometry with material properties". Reproduce the cost by
 		// running the full generation once and discarding it; the
 		// second (real) pass below produces the identical mesh.
-		for rank := 0; rank < nR; rank++ {
-			if _, err := g.buildRank(rank); err != nil {
-				return nil, err
-			}
+		if _, err := g.buildRanks(); err != nil {
+			return nil, err
 		}
 		g.BuildPasses = 2
 	}
-	g.Locals = make([]*mesh.Local, nR)
-	for rank := 0; rank < nR; rank++ {
-		l, err := g.buildRank(rank)
-		if err != nil {
-			return nil, err
-		}
-		g.Locals[rank] = l
+	if g.Locals, err = g.buildRanks(); err != nil {
+		return nil, err
 	}
 
 	g.Plans, err = mesh.BuildHalo(g.Locals)
@@ -252,23 +267,41 @@ func (g *Globe) indexLayers() error {
 	np := g.Cfg.NProcXi
 	g.layerBase = make([][]int, len(g.specs))
 	g.layerCount = make([][]int, len(g.specs))
+	g.shellElems = make([]int, len(g.specs))
+	g.shellPoints = make([]int, len(g.specs))
+	// Nodes of an nx x ny element sheet, of a stack one element thick,
+	// and of m side-by-side doubling-template copies in their plane
+	// (9m+2 vertices, 15m+1 edges, 6m quads: see dblTemplate).
+	const d = mesh.NGLL - 1
+	sheet := func(nx, ny int) int { return (d*nx + 1) * (d*ny + 1) }
+	template := func(m int) int { return 9*m + 2 + (15*m+1)*(d-1) + 6*m*(d-1)*(d-1) }
 	for si := range g.specs {
 		sp := &g.specs[si]
 		base := 0
-		for _, l := range sp.layers {
-			count := 0
+		for li, l := range sp.layers {
+			nx, ny := l.nexXi/np, l.nexEta/np
+			count, points := 0, 0
 			switch l.kind {
 			case layerUniform:
-				count = (l.nexXi / np) * (l.nexEta / np)
+				count = nx * ny
+				points = sheet(nx, ny) * mesh.NGLL
 			case layerDoubleXi:
-				count = (l.nexXi / np / 4) * 6 * (l.nexEta / np)
+				count = (nx / 4) * 6 * ny
+				points = template(nx/4) * (d*ny + 1)
 			case layerDoubleEta:
-				count = (l.nexXi / np) * (l.nexEta / np / 4) * 6
+				count = nx * (ny / 4) * 6
+				points = template(ny/4) * (d*nx + 1)
+			}
+			if li > 0 {
+				// The bottom sheet is the top sheet of the layer below.
+				points -= sheet(l.botXi()/np, l.botEta()/np)
 			}
 			g.layerBase[si] = append(g.layerBase[si], base)
 			g.layerCount[si] = append(g.layerCount[si], count)
+			g.shellPoints[si] += points
 			base += count
 		}
+		g.shellElems[si] = base
 		// Adjacent layers must agree on the grid at their interface.
 		for li := 0; li+1 < len(sp.layers); li++ {
 			lo, hi := sp.layers[li], sp.layers[li+1]
@@ -320,181 +353,214 @@ func (g *Globe) specOf(kind earthmodel.Region) int {
 	return -1
 }
 
+// buildRanks builds every rank's local mesh, min(GOMAXPROCS, ranks) at
+// a time: a slice's mesh depends on no other slice's (the paper's
+// per-slice mesher), buildRank only reads g, and each result lands in
+// its rank's slot, so the outcome does not depend on the schedule.
+func (g *Globe) buildRanks() ([]*mesh.Local, error) {
+	nR := g.Decomp.NumRanks()
+	locals := make([]*mesh.Local, nR)
+	errs := make([]error, nR)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), nR); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rank := int(next.Add(1)) - 1; rank < nR; rank = int(next.Add(1)) - 1 {
+				locals[rank], errs[rank] = g.buildRank(rank)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return locals, nil
+}
+
 // buildRank constructs the full local mesh for one rank.
 func (g *Globe) buildRank(rank int) (*mesh.Local, error) {
 	local := &mesh.Local{Rank: rank}
 	for kind := 0; kind < 3; kind++ {
 		local.Regions[kind] = mesh.NewRegion(earthmodel.Region(kind), 0)
 	}
-
+	f := &elemFiller{g: g, rank: rank}
 	for si := range g.specs {
-		sp := &g.specs[si]
-		nShell := 0
-		for _, c := range g.layerCount[si] {
-			nShell += c
-		}
-		nCube := 0
-		if sp.withCube {
-			nCube = len(g.cubeCells[rank])
-			g.cubeBase[rank] = nShell
-		}
-		reg := mesh.NewRegion(sp.kind, nShell+nCube)
-		pi := mesh.NewPointIndexer()
-		e := 0
-		for li, l := range sp.layers {
-			if e != g.layerBase[si][li] {
-				return nil, fmt.Errorf("meshfem: rank %d region %v layer %d: element base drift %d != %d",
-					rank, sp.kind, li, e, g.layerBase[si][li])
-			}
-			switch l.kind {
-			case layerUniform:
-				e = g.fillUniformLayer(reg, pi, e, rank, l)
-			case layerDoubleXi:
-				e = g.fillDoubleXiLayer(reg, pi, e, rank, l)
-			case layerDoubleEta:
-				e = g.fillDoubleEtaLayer(reg, pi, e, rank, l)
-			}
-		}
-		if sp.withCube {
-			for _, cell := range g.cubeCells[rank] {
-				g.fillCubeElement(reg, pi, e, cell)
-				e++
-			}
-		}
-		reg.NGlob = pi.Len()
-		reg.Pts = pi.Points()
-		reg.AssembleMassLocal()
-		if err := reg.Validate(); err != nil {
+		reg, err := f.region(si)
+		if err != nil {
 			return nil, fmt.Errorf("meshfem: rank %d: %w", rank, err)
 		}
-		local.Regions[sp.kind] = reg
+		local.Regions[reg.Kind] = reg
 	}
-
 	g.buildCoupling(local, rank)
 	g.buildSurface(local, rank)
 	return local, nil
 }
 
-// fillUniformLayer appends one uniform layer's elements (eta-major, then
-// xi) and returns the next element index.
-func (g *Globe) fillUniformLayer(reg *mesh.Region, pi *mesh.PointIndexer, e, rank int, l layerSpec) int {
-	s, ilo, ihi, jlo, jhi := g.sliceRangeAt(rank, l.nexXi, l.nexEta)
-	gx, gy := g.grid(l.nexXi), g.grid(l.nexEta)
+// elemFiller appends elements to one region of one rank at a time: each
+// element family fills the node table, emit turns it into the region's
+// arrays.
+type elemFiller struct {
+	g     *Globe
+	rank  int
+	reg   *mesh.Region
+	pi    *mesh.PointIndexer
+	e     int // next element index
+	nodes elemNodes
+}
+
+// region builds the rank's region for spec si: its shell layers bottom
+// to top, then the central-cube cells the rank owns.
+func (f *elemFiller) region(si int) (*mesh.Region, error) {
+	g, sp := f.g, &f.g.specs[si]
+	nSpec, nPoints := g.shellElems[si], g.shellPoints[si]
+	if sp.withCube {
+		// A cube cell adds at most its own nodes; the indexer trims the
+		// estimate when it hands the points over.
+		nSpec += len(g.cubeCells[f.rank])
+		nPoints += len(g.cubeCells[f.rank]) * mesh.NGLL3
+	}
+	f.reg = mesh.NewRegion(sp.kind, nSpec)
+	f.pi = mesh.NewPointIndexer()
+	f.pi.Reserve(nPoints, nSpec*interiorNodes)
+	f.e = 0
+	for li, l := range sp.layers {
+		if f.e != g.layerBase[si][li] {
+			return nil, fmt.Errorf("region %v layer %d: element base drift %d != %d",
+				sp.kind, li, f.e, g.layerBase[si][li])
+		}
+		var err error
+		switch l.kind {
+		case layerUniform:
+			err = f.uniformLayer(l)
+		case layerDoubleXi:
+			err = f.doubleXiLayer(l)
+		case layerDoubleEta:
+			err = f.doubleEtaLayer(l)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if sp.withCube {
+		ct := g.grid(g.cubeNex)
+		for _, cell := range g.cubeCells[f.rank] {
+			f.nodes.cube(ct[cell[0]], ct[cell[0]+1], ct[cell[1]], ct[cell[1]+1], ct[cell[2]], ct[cell[2]+1], g.rcc)
+			if err := f.emit(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	reg := f.reg
+	reg.NGlob = f.pi.Len()
+	reg.Pts = f.pi.Points()
+	reg.AssembleMassLocal()
+	return reg, reg.Validate()
+}
+
+// emit writes the geometry and material of the element in the node
+// table as element e and advances e. Properties are assigned right
+// after the element is created: the merged single-pass strategy of
+// section 4.4.
+func (f *elemFiller) emit() error {
+	if err := fillElement(f.reg, f.pi, f.e, &f.nodes); err != nil {
+		return err
+	}
+	assignMaterial(f.g.Cfg.Model, f.reg, f.e, &f.nodes)
+	f.e++
+	return nil
+}
+
+// uniformLayer appends one uniform layer's elements (eta-major, then
+// xi).
+func (f *elemFiller) uniformLayer(l layerSpec) error {
+	s, ilo, ihi, jlo, jhi := f.g.sliceRangeAt(f.rank, l.nexXi, l.nexEta)
+	gx, gy := f.g.grid(l.nexXi), f.g.grid(l.nexEta)
 	for j := jlo; j < jhi; j++ {
 		for i := ilo; i < ihi; i++ {
-			g.fillShellElement(reg, pi, e, s.Chunk, gx[i], gx[i+1], gy[j], gy[j+1], l.r0, l.r1)
-			e++
+			f.nodes.shell(s.Chunk, gx[i], gx[i+1], gy[j], gy[j+1], l.r0, l.r1)
+			if err := f.emit(); err != nil {
+				return err
+			}
 		}
 	}
-	return e
+	return nil
 }
 
-// fillDoubleXiLayer appends one xi-doubling layer: per fine eta row, one
+// doubleXiLayer appends one xi-doubling layer: per fine eta row, one
 // 6-element template copy per 4 fine xi columns (eta-major, then copy,
 // then template quad).
-func (g *Globe) fillDoubleXiLayer(reg *mesh.Region, pi *mesh.PointIndexer, e, rank int, l layerSpec) int {
-	s, ilo, ihi, jlo, jhi := g.sliceRangeAt(rank, l.nexXi, l.nexEta)
-	gx, gy := g.grid(l.nexXi), g.grid(l.nexEta)
+func (f *elemFiller) doubleXiLayer(l layerSpec) error {
+	s, ilo, ihi, jlo, jhi := f.g.sliceRangeAt(f.rank, l.nexXi, l.nexEta)
+	gx, gy := f.g.grid(l.nexXi), f.g.grid(l.nexEta)
 	for j := jlo; j < jhi; j++ {
 		for f0 := ilo; f0 < ihi; f0 += 4 {
-			var fine [5]float64
-			copy(fine[:], gx[f0:f0+5])
-			for _, q := range dblTemplate(fine, l.r0, l.r1) {
-				geom := dblGeomXi(s.Chunk, q, gy[j], gy[j+1])
-				fillElement(reg, pi, e, geom)
-				g.assignMaterial(reg, e, geom)
-				e++
+			quads := dblTemplate([5]float64(gx[f0:f0+5]), l.r0, l.r1)
+			for q := range quads {
+				f.nodes.doubleXi(s.Chunk, &quads[q], gy[j], gy[j+1])
+				if err := f.emit(); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	return e
+	return nil
 }
 
-// fillDoubleEtaLayer appends one eta-doubling layer: one 6-element
-// template copy per 4 fine eta rows, extruded across the (already
-// coarse) xi columns (copy-major, then template quad, then xi).
-func (g *Globe) fillDoubleEtaLayer(reg *mesh.Region, pi *mesh.PointIndexer, e, rank int, l layerSpec) int {
-	s, ilo, ihi, jlo, jhi := g.sliceRangeAt(rank, l.nexXi, l.nexEta)
-	gx, gy := g.grid(l.nexXi), g.grid(l.nexEta)
+// doubleEtaLayer appends one eta-doubling layer: one 6-element template
+// copy per 4 fine eta rows, extruded across the (already coarse) xi
+// columns (copy-major, then template quad, then xi).
+func (f *elemFiller) doubleEtaLayer(l layerSpec) error {
+	s, ilo, ihi, jlo, jhi := f.g.sliceRangeAt(f.rank, l.nexXi, l.nexEta)
+	gx, gy := f.g.grid(l.nexXi), f.g.grid(l.nexEta)
 	for f0 := jlo; f0 < jhi; f0 += 4 {
-		var fine [5]float64
-		copy(fine[:], gy[f0:f0+5])
-		for _, q := range dblTemplate(fine, l.r0, l.r1) {
+		quads := dblTemplate([5]float64(gy[f0:f0+5]), l.r0, l.r1)
+		for q := range quads {
 			for i := ilo; i < ihi; i++ {
-				geom := dblGeomEta(s.Chunk, q, gx[i], gx[i+1])
-				fillElement(reg, pi, e, geom)
-				g.assignMaterial(reg, e, geom)
-				e++
+				f.nodes.doubleEta(s.Chunk, &quads[q], gx[i], gx[i+1])
+				if err := f.emit(); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	return e
+	return nil
 }
 
-// fillShellElement fills geometry and material of one shell element.
-func (g *Globe) fillShellElement(reg *mesh.Region, pi *mesh.PointIndexer, e int, face cubedsphere.Face, a0, a1, b0, b1, r0, r1 float64) {
-	geom := elemGeom{
-		point: func(ia, ib, ir int) cubedsphere.Vec3 {
-			return shellPointIdx(face, a0, a1, b0, b1, r0, r1, ia, ib, ir)
-		},
-		jacobian: func(ia, ib, ir int) [3]cubedsphere.Vec3 {
-			return shellJacobian(face, a0, a1, b0, b1, r0, r1, gllS[ia], gllS[ib], gllS[ir])
-		},
-		radiusAt: func(ir int) float64 {
-			return lerp(r0, r1, clamp(gllS[ir], 1e-3, 1-1e-3))
-		},
+// assignMaterial populates the material arrays of element e from the
+// radial model: one sample per radial level where the element's levels
+// are spherical, one per node otherwise.
+func assignMaterial(model earthmodel.Model, reg *mesh.Region, e int, t *elemNodes) {
+	fluid := reg.IsFluid()
+	set := func(ip int, m earthmodel.Material) {
+		reg.Rho[ip] = float32(m.Rho)
+		reg.Kappa[ip] = float32(m.Kappa())
+		if fluid {
+			reg.Mu[ip] = 0
+		} else {
+			reg.Mu[ip] = float32(m.Mu())
+		}
 	}
-	fillElement(reg, pi, e, geom)
-	g.assignMaterial(reg, e, geom)
-}
-
-// fillCubeElement fills geometry and material of one central-cube cell.
-func (g *Globe) fillCubeElement(reg *mesh.Region, pi *mesh.PointIndexer, e int, cell [3]int) {
-	ct := g.grid(g.cubeNex)
-	a0, a1 := ct[cell[0]], ct[cell[0]+1]
-	b0, b1 := ct[cell[1]], ct[cell[1]+1]
-	c0, c1 := ct[cell[2]], ct[cell[2]+1]
-	rcc := g.rcc
-	geom := elemGeom{
-		point: func(ia, ib, ic int) cubedsphere.Vec3 {
-			q := cubedsphere.Vec3{symLerp(a0, a1, ia), symLerp(b0, b1, ib), symLerp(c0, c1, ic)}
-			return cubedsphere.CubePoint(q, rcc)
-		},
-		jacobian: func(ia, ib, ic int) [3]cubedsphere.Vec3 {
-			return cubeJacobian(a0, a1, b0, b1, c0, c1, rcc, gllS[ia], gllS[ib], gllS[ic])
-		},
-		radiusAt: nil, // cube material sampled at the point radius
-	}
-	fillElement(reg, pi, e, geom)
-	g.assignMaterial(reg, e, geom)
-}
-
-// assignMaterial populates the material arrays of element e using the
-// merged single-pass strategy of section 4.4 (properties assigned right
-// after the element is created).
-func (g *Globe) assignMaterial(reg *mesh.Region, e int, geom elemGeom) {
-	model := g.Cfg.Model
+	// rSum accumulates node by node, as the mean radius always has.
 	var rSum float64
 	for k := 0; k < mesh.NGLL; k++ {
-		for j := 0; j < mesh.NGLL; j++ {
-			for i := 0; i < mesh.NGLL; i++ {
-				ip := mesh.Idx(e, i, j, k)
-				var r float64
-				if geom.radiusAt != nil {
-					r = geom.radiusAt(k)
-				} else {
-					r = geom.point(i, j, k).Norm()
-				}
-				m := model.At(r)
-				reg.Rho[ip] = float32(m.Rho)
-				reg.Kappa[ip] = float32(m.Kappa())
-				if reg.IsFluid() {
-					reg.Mu[ip] = 0
-				} else {
-					reg.Mu[ip] = float32(m.Mu())
-				}
-				rSum += r
+		level := e*mesh.NGLL3 + k*mesh.NGLL2
+		if t.radial {
+			set(level, model.At(t.rad[k]))
+			rSum += t.rad[k]
+			for q := 1; q < mesh.NGLL2; q++ {
+				reg.Rho[level+q], reg.Kappa[level+q], reg.Mu[level+q] = reg.Rho[level], reg.Kappa[level], reg.Mu[level]
+				rSum += t.rad[k]
 			}
+			continue
+		}
+		for q := 0; q < mesh.NGLL2; q++ {
+			r := t.pos[k*mesh.NGLL2+q].Norm()
+			set(level+q, model.At(r))
+			rSum += r
 		}
 	}
 	mc := model.At(rSum / float64(mesh.NGLL3))
@@ -599,8 +665,13 @@ func (g *Globe) buildSurface(local *mesh.Local, rank int) {
 	t := g.grid(lt.nexXi)
 	topK := mesh.NGLL - 1
 
-	areaByPt := make(map[int32]float64)
-	nrmByPt := make(map[int32]cubedsphere.Vec3)
+	// slot[pt] is 1 + the position of surface point pt in area/nrm; the
+	// top sheet's point count is known, and walking slot in point order
+	// at the end emits the points ascending.
+	slot := make([]int32, cm.NGlob)
+	nSurf := ((ihi-ilo)*(mesh.NGLL-1) + 1) * ((jhi-jlo)*(mesh.NGLL-1) + 1)
+	area := make([]float64, 0, nSurf)
+	nrms := make([]cubedsphere.Vec3, 0, nSurf)
 	for j := jlo; j < jhi; j++ {
 		for i := ilo; i < ihi; i++ {
 			e := g.uniformElemIndex(cmSI, topL, rank, i, j)
@@ -610,26 +681,32 @@ func (g *Globe) buildSurface(local *mesh.Local, rank int) {
 			for q := 0; q < mesh.NGLL2; q++ {
 				qi, qj := q%mesh.NGLL, q/mesh.NGLL
 				pt := cm.Ibool[mesh.Idx(e, qi, qj, topK)]
-				areaByPt[pt] += wgt[q]
-				nrmByPt[pt] = nrm[q]
+				if slot[pt] == 0 {
+					area = append(area, 0)
+					nrms = append(nrms, cubedsphere.Vec3{})
+					slot[pt] = int32(len(area))
+				}
+				area[slot[pt]-1] += wgt[q]
+				nrms[slot[pt]-1] = nrm[q]
 			}
 		}
 	}
-	pts := make([]int32, 0, len(areaByPt))
-	for pt := range areaByPt {
-		pts = append(pts, pt)
-	}
-	sort.Slice(pts, func(a, b int) bool { return pts[a] < pts[b] })
 	sl := &local.Surface
 	sl.WaterRho = 1020
 	sl.WaterDepth = g.Cfg.Model.OceanDepth()
-	for _, pt := range pts {
-		sl.Pts = append(sl.Pts, pt)
-		n := nrmByPt[pt]
-		sl.Nx = append(sl.Nx, float32(n[0]))
-		sl.Ny = append(sl.Ny, float32(n[1]))
-		sl.Nz = append(sl.Nz, float32(n[2]))
-		sl.AreaW = append(sl.AreaW, float32(areaByPt[pt]))
+	n := len(area)
+	sl.Pts = make([]int32, 0, n)
+	sl.Nx, sl.Ny, sl.Nz = make([]float32, 0, n), make([]float32, 0, n), make([]float32, 0, n)
+	sl.AreaW = make([]float32, 0, n)
+	for pt, at := range slot {
+		if at == 0 {
+			continue
+		}
+		sl.Pts = append(sl.Pts, int32(pt))
+		sl.Nx = append(sl.Nx, float32(nrms[at-1][0]))
+		sl.Ny = append(sl.Ny, float32(nrms[at-1][1]))
+		sl.Nz = append(sl.Nz, float32(nrms[at-1][2]))
+		sl.AreaW = append(sl.AreaW, float32(area[at-1]))
 	}
 }
 

@@ -2,6 +2,7 @@ package meshfem
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"specglobe/internal/cubedsphere"
@@ -477,4 +478,91 @@ func BenchmarkMesherTwoPass(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkBuild prices a cold mesh build on the three shapes of
+// specbench's mesh_setup workload (earthlike NEX 4 on 6 and on 24
+// ranks, doubled PREM NEX 8): one iteration builds all three, and
+// us/element is the mix's cost per spectral element — specbench's
+// meshfem.us_per_element without the session around it.
+func BenchmarkBuild(b *testing.B) {
+	shapes := []Config{
+		{NexXi: 4, NProcXi: 1, Model: testModel()},
+		{NexXi: 8, NProcXi: 1, Model: earthmodel.NewPREM(), Doublings: []float64{5200e3, 3000e3}},
+		{NexXi: 4, NProcXi: 2, Model: testModel()},
+	}
+	b.ReportAllocs()
+	elements := 0
+	for i := 0; i < b.N; i++ {
+		elements = 0
+		for _, cfg := range shapes {
+			g, err := Build(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			elements += g.TotalElements()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*elements), "us/element")
+}
+
+// The indexer is sized from the layer specs: the shell count must be
+// the region's exact point count wherever no cube cells join it (so Pts
+// is allocated once), and no region may keep spare capacity alive.
+func TestRegionPointCountsExact(t *testing.T) {
+	for _, c := range meshBitsConfigs() {
+		g, err := Build(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, l := range g.Locals {
+			for si, sp := range g.specs {
+				reg := l.Regions[sp.kind]
+				if !sp.withCube && reg.NGlob != g.shellPoints[si] {
+					t.Errorf("%s rank %d %v: %d points, layer specs predict %d",
+						c.name, l.Rank, sp.kind, reg.NGlob, g.shellPoints[si])
+				}
+				if sp.withCube && reg.NGlob <= g.shellPoints[si] {
+					t.Errorf("%s rank %d %v: %d points with cube cells, shell alone predicts %d",
+						c.name, l.Rank, sp.kind, reg.NGlob, g.shellPoints[si])
+				}
+				if cap(reg.Pts) != len(reg.Pts) {
+					t.Errorf("%s rank %d %v: Pts keeps %d spare slots", c.name, l.Rank, sp.kind, cap(reg.Pts)-len(reg.Pts))
+				}
+			}
+		}
+	}
+}
+
+// A finished Globe is shared between batches by the daemon: location
+// queries from several goroutines must agree with sequential ones and
+// (under -race) write nothing — grid levels are all filled in Build.
+func TestLocateConcurrent(t *testing.T) {
+	g := buildDoubled(t, 8, 1, []float64{5200e3, 3000e3})
+	type query struct{ lat, lon, depth float64 }
+	var qs []query
+	for i := 0; i < 64; i++ {
+		qs = append(qs, query{-80 + 2.5*float64(i), -170 + 5.3*float64(i), 90e3 * float64(i)})
+	}
+	want := make([]Location, len(qs))
+	for i, q := range qs {
+		var err error
+		if want[i], err = g.LocateLatLonDepth(q.lat, q.lon, q.depth); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, q := range qs {
+				got, err := g.LocateLatLonDepth(q.lat, q.lon, q.depth)
+				if err != nil || got != want[i] {
+					t.Errorf("query %d: concurrent %+v (%v), sequential %+v", i, got, err, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
