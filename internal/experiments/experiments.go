@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"syscall"
 	"time"
 
 	"specglobe/internal/earthmodel"
@@ -460,10 +461,24 @@ func (r *MemoryResult) String() string {
 // --- ATT1.8: attenuation cost factor --------------------------------------
 
 // AttenuationResult reproduces the section 6 attenuation experiment.
+// The elapsed times are process CPU time: the paper's factor is wall
+// time on dedicated cores, and on a shared host CPU time is what stays
+// comparable — wall time of a run of tens of milliseconds is stretched
+// at will by whatever else is scheduled.
 type AttenuationResult struct {
 	ElapsedOff, ElapsedOn time.Duration
 	Factor                float64
 	TflopsDropPct         float64
+}
+
+// processCPU returns the user plus system CPU time this process has
+// consumed.
+func processCPU() (time.Duration, error) {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0, fmt.Errorf("getrusage: %w", err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano()), nil
 }
 
 // Attenuation times identical runs with attenuation off and on.
@@ -478,7 +493,10 @@ func Attenuation(nex, steps int) (*AttenuationResult, error) {
 		return nil, err
 	}
 	run := func(att bool) (time.Duration, float64, error) {
-		t0 := time.Now()
+		c0, err := processCPU()
+		if err != nil {
+			return 0, 0, err
+		}
 		res, err := solver.Run(&solver.Simulation{
 			Locals: g.Locals, Plans: g.Plans, Model: model,
 			Sources: []solver.Source{src},
@@ -488,15 +506,31 @@ func Attenuation(nex, steps int) (*AttenuationResult, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		return time.Since(t0), res.Perf.SustainedFlops, nil
+		c1, err := processCPU()
+		if err != nil {
+			return 0, 0, err
+		}
+		return c1 - c0, res.Perf.SustainedFlops, nil
 	}
+	// Each side keeps the cheapest of three alternating runs (the
+	// collector's work for one run's garbage can land in the next).
 	out := &AttenuationResult{}
 	var offFlops, onFlops float64
-	if out.ElapsedOff, offFlops, err = run(false); err != nil {
-		return nil, err
-	}
-	if out.ElapsedOn, onFlops, err = run(true); err != nil {
-		return nil, err
+	for rep := 0; rep < 3; rep++ {
+		off, fOff, err := run(false)
+		if err != nil {
+			return nil, err
+		}
+		on, fOn, err := run(true)
+		if err != nil {
+			return nil, err
+		}
+		if rep == 0 || off < out.ElapsedOff {
+			out.ElapsedOff, offFlops = off, fOff
+		}
+		if rep == 0 || on < out.ElapsedOn {
+			out.ElapsedOn, onFlops = on, fOn
+		}
 	}
 	out.Factor = out.ElapsedOn.Seconds() / out.ElapsedOff.Seconds()
 	if offFlops > 0 {

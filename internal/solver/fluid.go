@@ -52,8 +52,8 @@ func (rs *rankState) fluidForcesChunk(ks *kernelScratch, elems []int32) {
 	fls := rs.fluid
 	reg := fls[0].reg
 	k := ks.k
-	chi, t1, t2, t3 := &ks.ux, &ks.t1x, &ks.t2x, &ks.t3x
-	s1, s2, s3 := &ks.s1x, &ks.s2x, &ks.s3x
+	chi, t1, t2, t3 := xBlock(&ks.u), xBlock(&ks.t1), xBlock(&ks.t2), xBlock(&ks.t3)
+	s1, s2, s3 := xBlock(&ks.s1), xBlock(&ks.s2), xBlock(&ks.s3)
 
 	for _, e32 := range elems {
 		e := int(e32)
@@ -110,7 +110,7 @@ func (rs *rankState) fluidForcesChunkFused(ks *kernelScratch, elems []int32) {
 		return
 	}
 	fl := fls[0]
-	acc := &ks.t1x
+	acc := xBlock(&ks.t1)
 
 	for off := 0; off < len(elems); off += fusedPanel {
 		n := len(elems) - off
@@ -137,7 +137,7 @@ func (rs *rankState) fluidForcesChunkFused(ks *kernelScratch, elems []int32) {
 			t1 := ks.pt1[bo : bo+simd.PadLen]
 			t2 := ks.pt2[bo : bo+simd.PadLen]
 			t3 := ks.pt3[bo : bo+simd.PadLen]
-			s1, s2, s3 := &ks.s1x, &ks.s2x, &ks.s3x
+			s1, s2, s3 := xBlock(&ks.s1), xBlock(&ks.s2), xBlock(&ks.s3)
 
 			for p := 0; p < mesh.NGLL3; p++ {
 				ip := base + p
@@ -190,9 +190,9 @@ func (rs *rankState) fluidForcesChunkFusedBatch(ks *kernelScratch, elems []int32
 			t1 := ks.pt1[bo : bo+simd.PadLen]
 			t2 := ks.pt2[bo : bo+simd.PadLen]
 			t3 := ks.pt3[bo : bo+simd.PadLen]
-			s1 := ks.ps1x[bo : bo+simd.PadLen]
-			s2 := ks.ps2x[bo : bo+simd.PadLen]
-			s3 := ks.ps3x[bo : bo+simd.PadLen]
+			s1 := ks.ps1[bo : bo+simd.PadLen]
+			s2 := ks.ps2[bo : bo+simd.PadLen]
+			s3 := ks.ps3[bo : bo+simd.PadLen]
 
 			for p := 0; p < mesh.NGLL3; p++ {
 				ip := base + p
@@ -211,10 +211,10 @@ func (rs *rankState) fluidForcesChunkFusedBatch(ks *kernelScratch, elems []int32
 			}
 		}
 
-		simd.GradTWeightedFusedBatch(k.hpwT, ks.ps1x, ks.ps2x, ks.ps3x, k.fac1[:], k.fac2[:], k.fac3[:], ks.pox, ns)
+		simd.GradTWeightedFusedBatch(k.hpwT, ks.ps1, ks.ps2, ks.ps3, k.fac1[:], k.fac2[:], k.fac3[:], ks.po, ns)
 
 		for s, fl := range fls {
-			acc := ks.pox[s*simd.PadLen:]
+			acc := ks.po[s*simd.PadLen:]
 			for p, g := range ib {
 				fl.chiDdot[g] -= acc[p]
 			}

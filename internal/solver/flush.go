@@ -19,9 +19,10 @@ import "math"
 // values. The sampled source-time function is flushed too. The
 // attenuation memory variables need no flush of their own (they are
 // driven by the strain of a flushed displacement); the end-of-run
-// census (rankState.stateCensus) counts them with the rest. Every path
-// applies ftz at the same point of the same arithmetic, so the
-// bit-identity contracts between paths hold.
+// census (rankState.stateCensus) counts them with the rest, and counts
+// final accelerations below the threshold. Every path applies ftz at
+// the same point of the same arithmetic, so the bit-identity contracts
+// between paths hold.
 
 // flushExp is the biased-exponent field of 2^-80 (8.3e-25, the
 // magnitude of SPECFEM's VERYSMALLVAL). The threshold sits far above
@@ -53,4 +54,26 @@ func census(a []float32) (maxAbsBits uint32, subnormals int64) {
 		}
 	}
 	return maxAbsBits, subnormals
+}
+
+// unflushed counts the values of the arrays — at the points of list,
+// or everywhere when list is nil — that ftz would have zeroed. A final
+// acceleration holds one only if its write site skipped the flush.
+func unflushed(list []int32, arrs ...[]float32) (n int64) {
+	for _, a := range arrs {
+		if list == nil {
+			for _, v := range a {
+				if v != 0 && ftz(v) == 0 {
+					n++
+				}
+			}
+			continue
+		}
+		for _, i := range list {
+			if v := a[i]; v != 0 && ftz(v) == 0 {
+				n++
+			}
+		}
+	}
+	return n
 }

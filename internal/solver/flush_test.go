@@ -62,13 +62,10 @@ func TestFlushToZero(t *testing.T) {
 	}
 }
 
-// The wavefront's leading edge decays through the whole float32 range,
-// so without the flush a doubled-globe run holds tens of thousands of
-// subnormal field values from step ~7 on (and runs 3-8x slower per
-// step while it does). Every integrator path — worker counts, the LTS
-// wheel with its holds, batched ensembles — must leave none, and must
-// not have flushed the physical signal away with them.
-func TestNoSubnormalState(t *testing.T) {
+// premDoubledGlobe builds the production shape at test size: PREM,
+// NEX 8, 6 ranks, doubling layers below the 670 and above the CMB.
+func premDoubledGlobe(t testing.TB) (*meshfem.Globe, earthmodel.Model) {
+	t.Helper()
 	model := earthmodel.NewPREM()
 	g, err := meshfem.Build(meshfem.Config{
 		NexXi: 8, NProcXi: 1, Model: model,
@@ -77,6 +74,17 @@ func TestNoSubnormalState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g, model
+}
+
+// The wavefront's leading edge decays through the whole float32 range,
+// so without the flush a doubled-globe run holds tens of thousands of
+// subnormal field values from step ~7 on (and runs 3-8x slower per
+// step while it does). Every integrator path — worker counts, the LTS
+// wheel with its holds, batched ensembles — must leave none, and must
+// not have flushed the physical signal away with them.
+func TestNoSubnormalState(t *testing.T) {
+	g, model := premDoubledGlobe(t)
 	for _, workers := range []int{1, 2} {
 		for _, lts := range []bool{false, true} {
 			for _, fields := range []int{1, 3} {

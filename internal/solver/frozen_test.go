@@ -40,27 +40,40 @@ type frozenCase struct {
 
 // frozenConfigs is the replayed matrix: each axis value appears at
 // least twice, not the full product. The 24-rank mesh is the one where
-// crust/mantle and inner-core peer sets differ.
+// crust/mantle and inner-core peer sets differ. The physics cases
+// (name suffix fullPhysicsSuffix, CI counts them) turn on attenuation,
+// rotation, gravity and the ocean load on the doubled PREM mesh for 40
+// steps — long enough for the near station to carry signal — under
+// every kernel, with LTS on (rate-scaled SLS coefficients) and off.
 var frozenConfigs = []struct {
-	mesh     string // "globe", "doubled" or "sliced"
+	mesh     string // "globe", "doubled", "sliced" or "prem"
 	mode     OverlapMode
 	combined bool
 	lts      bool
 	fields   int
 	workers  int
+	physics  bool
+	kernel   Kernel
 }{
-	{"globe", OverlapOn, true, false, 1, 1},
-	{"globe", OverlapOn, false, false, 3, 4},
-	{"globe", OverlapOff, true, false, 3, 1},
-	{"globe", OverlapOff, false, false, 1, 4},
-	{"doubled", OverlapOn, true, true, 1, 4},
-	{"doubled", OverlapOn, false, true, 1, 1},
-	{"doubled", OverlapOff, true, true, 3, 4},
-	{"doubled", OverlapOff, false, true, 1, 1},
-	{"doubled", OverlapOn, true, true, 3, 1},
-	{"sliced", OverlapOn, true, true, 1, 1},
-	{"sliced", OverlapOn, false, false, 3, 4},
+	{"globe", OverlapOn, true, false, 1, 1, false, KernelVec4},
+	{"globe", OverlapOn, false, false, 3, 4, false, KernelVec4},
+	{"globe", OverlapOff, true, false, 3, 1, false, KernelVec4},
+	{"globe", OverlapOff, false, false, 1, 4, false, KernelVec4},
+	{"doubled", OverlapOn, true, true, 1, 4, false, KernelVec4},
+	{"doubled", OverlapOn, false, true, 1, 1, false, KernelVec4},
+	{"doubled", OverlapOff, true, true, 3, 4, false, KernelVec4},
+	{"doubled", OverlapOff, false, true, 1, 1, false, KernelVec4},
+	{"doubled", OverlapOn, true, true, 3, 1, false, KernelVec4},
+	{"sliced", OverlapOn, true, true, 1, 1, false, KernelVec4},
+	{"sliced", OverlapOn, false, false, 3, 4, false, KernelVec4},
+	{"prem", OverlapOn, true, false, 1, 4, true, KernelVec4},
+	{"prem", OverlapOn, true, false, 3, 1, true, KernelFused},
+	{"prem", OverlapOff, false, false, 1, 2, true, KernelScalar},
+	{"prem", OverlapOn, true, true, 3, 4, true, KernelFused},
+	{"prem", OverlapOff, true, true, 1, 1, true, KernelBlas},
 }
+
+const fullPhysicsSuffix = "/fullphys"
 
 func hashSeries(sg *Seismogram) string {
 	h := fnv.New64a()
@@ -108,6 +121,8 @@ func TestFrozenSeismogramBits(t *testing.T) {
 			b.g, b.model = coupledGlobe(t, 4, 1)
 		case "sliced":
 			b.g, b.model = coupledGlobe(t, 4, 2)
+		case "prem":
+			b.g, b.model = premDoubledGlobe(t)
 		default:
 			b.g, b.model = ltsGlobe(t)
 		}
@@ -120,20 +135,26 @@ func TestFrozenSeismogramBits(t *testing.T) {
 		name := fmt.Sprintf("%s/%s/combined=%v/lts=%v/s%d/w%d",
 			c.mesh, map[OverlapMode]string{OverlapOn: "overlap", OverlapOff: "blocking"}[c.mode],
 			c.combined, c.lts, c.fields, c.workers)
+		steps := 12
+		if c.physics {
+			name += "/" + c.kernel.String() + fullPhysicsSuffix
+			steps = 40
+		}
 		m := meshFor(c.mesh)
 		srcs, recvs := batchGlobeSources(t, m.g, c.fields)
 		res, err := Run(&Simulation{
 			Locals: m.g.Locals, Plans: m.g.Plans, Model: m.model,
 			Sources: srcs, Receivers: recvs,
 			Opts: Options{
-				Steps: 12, Workers: c.workers, Overlap: c.mode,
-				CombinedSolidHalo: c.combined, LTS: c.lts,
+				Steps: steps, Workers: c.workers, Overlap: c.mode,
+				CombinedSolidHalo: c.combined, LTS: c.lts, Kernel: c.kernel,
+				Attenuation: c.physics, Rotation: c.physics, Gravity: c.physics, OceanLoad: c.physics,
 			},
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if c.lts && c.mesh == "doubled" && len(res.LTS.ElemsByRate) < 2 {
+		if c.lts && (c.mesh == "doubled" || c.mesh == "prem") && len(res.LTS.ElemsByRate) < 2 {
 			t.Fatalf("%s: clustering is single-rate: %v", name, res.LTS.ElemsByRate)
 		}
 		fc := frozenCase{

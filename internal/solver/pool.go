@@ -17,35 +17,29 @@ import (
 // inline sweeps; reusing them keeps the blocks cache-resident across
 // elements instead of re-zeroing fresh stack frames per call.
 //
-// The fluid kernel reuses the x-component blocks (ux as chi, t1x..t3x,
-// s1x..s3x); the simd kernels read and write only the 125 live lanes
-// of each block, so stale pad values never feed a computed lane and
+// The fluid kernel reuses the x-component blocks (u as chi, t1..t3,
+// s1..s3); the simd kernels read and write only the 125 live lanes of
+// each block, so stale pad values never feed a computed lane and
 // scratch reuse is bit-exact regardless of which worker ran before.
 type kernelScratch struct {
 	k *kernels
 
-	ux, uy, uz    [simd.PadLen]float32
-	t1x, t2x, t3x [simd.PadLen]float32
-	t1y, t2y, t3y [simd.PadLen]float32
-	t1z, t2z, t3z [simd.PadLen]float32
-	s1x, s2x, s3x [simd.PadLen]float32
-	s1y, s2y, s3y [simd.PadLen]float32
-	s1z, s2z, s3z [simd.PadLen]float32
+	// The gathered field u, its reference gradients t<dir> and the
+	// fluxes s<dir>, each the x, y and z component blocks back to back
+	// (the fluid uses the x blocks).
+	u          compBlocks
+	t1, t2, t3 compBlocks
+	s1, s2, s3 compBlocks
 
 	// Panel scratch for the fused kernel: padded blocks back-to-back so
-	// simd.ApplyDGradBatch can keep the 5x5 matrix loaded across a
-	// whole panel. Sized max(fusedPanel, 3*ns) blocks: the 3
-	// displacement components of every batched wavefield of one solid
-	// element (or, at ns=1, 3 consecutive fluid elements).
+	// the batched simd contractions keep their 5x5 matrix loaded across
+	// a whole panel. Sized max(fusedPanel, 3*ns) blocks: the 3
+	// components of every batched wavefield of one solid element, laid
+	// out [field][comp] (or, at ns=1, 3 consecutive fluid elements).
+	// pu gathers the field values, pt<dir> takes the gradients,
+	// ps<dir> the fluxes and po the fused accumulation.
 	pu, pt1, pt2, pt3 []float32
-	// Per-wavefield flux and accumulator panels (ns padded blocks each)
-	// for the batched weighted transpose of the ensemble solid kernel:
-	// ps<dir><comp> collects every wavefield's flux block of one
-	// direction/component, po<comp> the fused accumulation per field.
-	ps1x, ps2x, ps3x []float32
-	ps1y, ps2y, ps3y []float32
-	ps1z, ps2z, ps3z []float32
-	pox, poy, poz    []float32
+	ps1, ps2, ps3, po []float32
 }
 
 // fusedPanel is the panel width of the fused kernel's batched gradient.
@@ -67,15 +61,9 @@ func (ks *kernelScratch) allocPanels(ns int) {
 	if 3*ns > nb {
 		nb = 3 * ns
 	}
-	ks.pu = make([]float32, nb*simd.PadLen)
-	ks.pt1 = make([]float32, nb*simd.PadLen)
-	ks.pt2 = make([]float32, nb*simd.PadLen)
-	ks.pt3 = make([]float32, nb*simd.PadLen)
-	fp := func() []float32 { return make([]float32, ns*simd.PadLen) }
-	ks.ps1x, ks.ps2x, ks.ps3x = fp(), fp(), fp()
-	ks.ps1y, ks.ps2y, ks.ps3y = fp(), fp(), fp()
-	ks.ps1z, ks.ps2z, ks.ps3z = fp(), fp(), fp()
-	ks.pox, ks.poy, ks.poz = fp(), fp(), fp()
+	fp := func() []float32 { return make([]float32, nb*simd.PadLen) }
+	ks.pu, ks.pt1, ks.pt2, ks.pt3 = fp(), fp(), fp(), fp()
+	ks.ps1, ks.ps2, ks.ps3, ks.po = fp(), fp(), fp(), fp()
 }
 
 // pool is the process-wide worker pool of one solver run. All rank

@@ -111,7 +111,7 @@ func TestPoolBusyAccounting(t *testing.T) {
 		for i := 0; i < 10000; i++ {
 			s += float32(i)
 		}
-		ks.ux[0] = s
+		ks.u[0] = s
 	})
 	p.close()
 	workers := p.Busy()

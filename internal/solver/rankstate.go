@@ -48,28 +48,23 @@ type fluidField struct {
 }
 
 // attState holds the standard-linear-solid memory variables of a solid
-// region: R[mech][comp] is a per-element-point array; comp indexes the
-// 6 deviatoric strain components (xx, yy, zz, xy, xz, yz).
+// region. r is one flat array laid out [elem][point][mech][comp], comp
+// indexing the 6 deviatoric strain components (xx, yy, zz, xy, xz, yz):
+// the nsls*6 values a point's recursion touches are adjacent, and an
+// element's slab is one contiguous stream (stressStage).
 type attState struct {
 	nsls  int
-	alpha [][]float32 // [mech][elem]
-	beta  [][]float32 // [mech][elem] (includes 1/Qmu)
-	muFac []float32   // per element unrelaxed modulus factor
-	r     [][6][]float32
+	alpha []float32 // [elem][mech]
+	beta  []float32 // [elem][mech] (includes 1/Qmu)
+	muFac []float32 // per element unrelaxed modulus factor
+	r     []float32
 }
 
 // clone returns an attState sharing the per-element coefficient tables
 // (alpha, beta, muFac are mesh-static) with fresh zeroed memory
 // variables — one clone per additional batched wavefield.
 func (a *attState) clone() *attState {
-	c := &attState{nsls: a.nsls, alpha: a.alpha, beta: a.beta, muFac: a.muFac}
-	c.r = make([][6][]float32, a.nsls)
-	for k := 0; k < a.nsls; k++ {
-		for comp := 0; comp < 6; comp++ {
-			c.r[k][comp] = make([]float32, len(a.r[k][comp]))
-		}
-	}
-	return c
+	return &attState{nsls: a.nsls, alpha: a.alpha, beta: a.beta, muFac: a.muFac, r: make([]float32, len(a.r))}
 }
 
 // sourceLocal is a source with its precomputed nodal force array.
@@ -381,18 +376,13 @@ func complementSorted(pts []int32, n int) []int32 {
 //
 //specfem:noaccount one-time setup of SLS attenuation coefficients, not stepped work
 func newAttState(reg *mesh.Region, fit *earthmodel.SLSFit, dt float64, rates []int32) *attState {
-	a := &attState{nsls: fit.NSLS}
-	a.alpha = make([][]float32, fit.NSLS)
-	a.beta = make([][]float32, fit.NSLS)
-	a.r = make([][6][]float32, fit.NSLS)
-	for k := 0; k < fit.NSLS; k++ {
-		a.alpha[k] = make([]float32, reg.NSpec)
-		a.beta[k] = make([]float32, reg.NSpec)
-		for c := 0; c < 6; c++ {
-			a.r[k][c] = make([]float32, reg.NSpec*mesh.NGLL3)
-		}
+	a := &attState{
+		nsls:  fit.NSLS,
+		alpha: make([]float32, reg.NSpec*fit.NSLS),
+		beta:  make([]float32, reg.NSpec*fit.NSLS),
+		muFac: make([]float32, reg.NSpec),
+		r:     make([]float32, reg.NSpec*mesh.NGLL3*fit.NSLS*6),
 	}
-	a.muFac = make([]float32, reg.NSpec)
 	for e := 0; e < reg.NSpec; e++ {
 		q := float64(reg.Qmu[e])
 		if q <= 0 {
@@ -404,8 +394,8 @@ func newAttState(reg *mesh.Region, fit *earthmodel.SLSFit, dt float64, rates []i
 		}
 		alpha, beta := fit.MechanismCoefficients(q, dte)
 		for k := 0; k < fit.NSLS; k++ {
-			a.alpha[k][e] = float32(alpha[k])
-			a.beta[k][e] = float32(beta[k])
+			a.alpha[e*fit.NSLS+k] = float32(alpha[k])
+			a.beta[e*fit.NSLS+k] = float32(beta[k])
 		}
 		a.muFac[e] = float32(fit.UnrelaxedFactor(q))
 	}
@@ -465,12 +455,15 @@ func (rs *rankState) flushPoolTime() {
 
 // stateCensus walks the rank's persistent state once and returns the
 // largest absolute displacement component (NaN poisons the maximum,
-// which the stability check relies on) and the number of subnormal
-// values left in the arrays that survive a step: displacement,
-// velocity, the fluid potential and its rate, the attenuation memory
-// variables and the LTS holds. The integrator flushes every one of
-// them where it writes them (flush.go), so the count is zero unless a
-// write site has been missed.
+// which the stability check relies on) and the number of values the
+// flush should have removed: subnormals in the arrays that survive a
+// step — displacement, velocity, the fluid potential and its rate, the
+// attenuation memory variables and the LTS holds — and non-zero values
+// below the flush threshold in the final accelerations (under LTS, at
+// the points that fired in the last step; the rest hold garbage by
+// design). The integrator flushes every one of them where it writes
+// them (flush.go), so the count is zero unless a write site has been
+// missed.
 func (rs *rankState) stateCensus() (maxDisp float64, subnormals int64) {
 	// count adds the arrays' subnormals to the total and returns their
 	// largest magnitude as float32 bits.
@@ -482,8 +475,16 @@ func (rs *rankState) stateCensus() (maxDisp float64, subnormals int64) {
 		}
 		return maxBits
 	}
+	// fired lists the region's points whose acceleration is final (nil:
+	// all of them).
+	fired := func(kind int) []int32 {
+		if pts := rs.ltsPts(kind); pts != nil && !pts.single {
+			return pts.upTo[rs.lts.level]
+		}
+		return nil
+	}
 	var peak uint32
-	for _, fs := range rs.solid {
+	for kind, fs := range rs.solid {
 		for _, f := range fs {
 			peak = max(peak, count(f.dx, f.dy, f.dz))
 			count(f.vx, f.vy, f.vz)
@@ -491,15 +492,15 @@ func (rs *rankState) stateCensus() (maxDisp float64, subnormals int64) {
 				count(h...)
 			}
 			if f.att != nil {
-				for m := range f.att.r {
-					count(f.att.r[m][:]...)
-				}
+				count(f.att.r)
 			}
+			subnormals += unflushed(fired(kind), f.ax, f.ay, f.az)
 		}
 	}
 	for _, fl := range rs.fluid {
 		count(fl.chi, fl.chiDot, fl.accHold)
 		count(fl.hChi...)
+		subnormals += unflushed(fired(int(earthmodel.RegionOuterCore)), fl.chiDdot)
 	}
 	return float64(math.Float32frombits(peak)), subnormals
 }

@@ -55,6 +55,131 @@ func (rs *rankState) computeSolidForces(fs []*solidField, classes [][]int32) {
 	rs.prof.AddBytes(perf.PhaseForceSolid, bytes)
 }
 
+// pad abbreviates the padded block length in the component-block
+// offsets below.
+const pad = simd.PadLen
+
+// compBlocks holds the x, y and z component blocks of one direction of
+// an element's reference gradients or fluxes back to back: component c
+// occupies [c*pad, c*pad+125).
+type compBlocks = [3 * pad]float32
+
+// xBlock views the x-component block of b, where the scalar fluid
+// kernel works.
+func xBlock(b *compBlocks) *[pad]float32 {
+	return (*[pad]float32)(b[:])
+}
+
+// fieldBlocks views wavefield s's component blocks in a fused-kernel
+// panel laid out [field][comp].
+func fieldBlocks(panel []float32, s int) *compBlocks {
+	return (*compBlocks)(panel[3*s*pad:])
+}
+
+// elemBlock views element e's 125 values of a per-element-point array
+// (base = e*NGLL3) as a fixed-size block: one bounds check per element
+// instead of one per point.
+func elemBlock(a []float32, base int) *[mesh.NGLL3]float32 {
+	return (*[mesh.NGLL3]float32)(a[base:])
+}
+
+// stressStage is the pointwise stage of one element visit of one
+// wavefield, shared by every kernel variant: physical gradients from
+// the reference gradients t1/t2/t3, strain, stress, and the
+// Jacobian-weighted flux blocks s1/s2/s3 for the transpose stage. With
+// attenuation (att non-nil) the deviatoric stress is corrected by the
+// memory variables, which then advance one step of their recursion in
+// place — the element's [point][mech][comp] slab of att.r is read and
+// written as one contiguous stream. The multiply-add sequence is fixed:
+// every variant, worker count and ensemble width produces the same
+// bits.
+func stressStage(reg *mesh.Region, e int, att *attState, t1, t2, t3, s1, s2, s3 *compBlocks) {
+	base := e * mesh.NGLL3
+	xixB, xiyB, xizB := elemBlock(reg.Xix, base), elemBlock(reg.Xiy, base), elemBlock(reg.Xiz, base)
+	etxB, etyB, etzB := elemBlock(reg.Etax, base), elemBlock(reg.Etay, base), elemBlock(reg.Etaz, base)
+	gmxB, gmyB, gmzB := elemBlock(reg.Gamx, base), elemBlock(reg.Gamy, base), elemBlock(reg.Gamz, base)
+	jacB, muB, kapB := elemBlock(reg.Jac, base), elemBlock(reg.Mu, base), elemBlock(reg.Kappa, base)
+
+	var muFac float32 = 1
+	var alpha, beta, slab []float32
+	if att != nil {
+		muFac = att.muFac[e]
+		alpha = att.alpha[e*att.nsls : (e+1)*att.nsls]
+		beta = att.beta[e*att.nsls : (e+1)*att.nsls]
+		slab = att.r[base*att.nsls*6 : (base+mesh.NGLL3)*att.nsls*6]
+	}
+	ir := 0 // offset of the next [mech] record in slab
+
+	for p := 0; p < mesh.NGLL3; p++ {
+		xix, xiy, xiz := xixB[p], xiyB[p], xizB[p]
+		etx, ety, etz := etxB[p], etyB[p], etzB[p]
+		gmx, gmy, gmz := gmxB[p], gmyB[p], gmzB[p]
+
+		duxdx := xix*t1[p] + etx*t2[p] + gmx*t3[p]
+		duxdy := xiy*t1[p] + ety*t2[p] + gmy*t3[p]
+		duxdz := xiz*t1[p] + etz*t2[p] + gmz*t3[p]
+		duydx := xix*t1[pad+p] + etx*t2[pad+p] + gmx*t3[pad+p]
+		duydy := xiy*t1[pad+p] + ety*t2[pad+p] + gmy*t3[pad+p]
+		duydz := xiz*t1[pad+p] + etz*t2[pad+p] + gmz*t3[pad+p]
+		duzdx := xix*t1[2*pad+p] + etx*t2[2*pad+p] + gmx*t3[2*pad+p]
+		duzdy := xiy*t1[2*pad+p] + ety*t2[2*pad+p] + gmy*t3[2*pad+p]
+		duzdz := xiz*t1[2*pad+p] + etz*t2[2*pad+p] + gmz*t3[2*pad+p]
+
+		exy := 0.5 * (duxdy + duydx)
+		exz := 0.5 * (duxdz + duzdx)
+		eyz := 0.5 * (duydz + duzdy)
+		tr := duxdx + duydy + duzdz
+
+		mu := muB[p] * muFac
+		kap := kapB[p]
+		lam := kap - (2.0/3.0)*mu
+
+		sxx := lam*tr + 2*mu*duxdx
+		syy := lam*tr + 2*mu*duydy
+		szz := lam*tr + 2*mu*duzdz
+		sxy := 2 * mu * exy
+		sxz := 2 * mu * exz
+		syz := 2 * mu * eyz
+
+		if att != nil {
+			// Subtract the memory-variable stresses, then advance
+			// the recursions toward the current deviatoric strain.
+			third := tr * (1.0 / 3.0)
+			dxx := duxdx - third
+			dyy := duydy - third
+			dzz := duzdz - third
+			for m, al := range alpha {
+				be := beta[m] * mu
+				rm := (*[6]float32)(slab[ir:])
+				ir += 6
+				sxx -= rm[0]
+				syy -= rm[1]
+				szz -= rm[2]
+				sxy -= rm[3]
+				sxz -= rm[4]
+				syz -= rm[5]
+				rm[0] = al*rm[0] + be*2*dxx
+				rm[1] = al*rm[1] + be*2*dyy
+				rm[2] = al*rm[2] + be*2*dzz
+				rm[3] = al*rm[3] + be*2*exy
+				rm[4] = al*rm[4] + be*2*exz
+				rm[5] = al*rm[5] + be*2*eyz
+			}
+		}
+
+		jac := jacB[p]
+		s1[p] = jac * (sxx*xix + sxy*xiy + sxz*xiz)
+		s1[pad+p] = jac * (sxy*xix + syy*xiy + syz*xiz)
+		s1[2*pad+p] = jac * (sxz*xix + syz*xiy + szz*xiz)
+		s2[p] = jac * (sxx*etx + sxy*ety + sxz*etz)
+		s2[pad+p] = jac * (sxy*etx + syy*ety + syz*etz)
+		s2[2*pad+p] = jac * (sxz*etx + syz*ety + szz*etz)
+		s3[p] = jac * (sxx*gmx + sxy*gmy + sxz*gmz)
+		s3[pad+p] = jac * (sxy*gmx + syy*gmy + syz*gmz)
+		s3[2*pad+p] = jac * (sxz*gmx + syz*gmy + szz*gmz)
+	}
+}
+
 // solidForcesChunk processes one conflict-free chunk of elements on a
 // worker (or inline) scratch. The wavefield loop nests *inside* the
 // element loop so each element's static data stays cache-hot across the
@@ -78,110 +203,29 @@ func (rs *rankState) solidForcesChunk(fs []*solidField, ks *kernelScratch, elems
 
 			// Gather element displacement.
 			for p, g := range ib {
-				ks.ux[p] = f.dx[g]
-				ks.uy[p] = f.dy[g]
-				ks.uz[p] = f.dz[g]
+				ks.u[p] = f.dx[g]
+				ks.u[pad+p] = f.dy[g]
+				ks.u[2*pad+p] = f.dz[g]
 			}
 
 			// Reference-space gradients of each displacement component.
-			k.grad(ks.ux[:], ks.t1x[:], ks.t2x[:], ks.t3x[:])
-			k.grad(ks.uy[:], ks.t1y[:], ks.t2y[:], ks.t3y[:])
-			k.grad(ks.uz[:], ks.t1z[:], ks.t2z[:], ks.t3z[:])
-
-			var att *attState
-			var muFac float32 = 1
-			if f.att != nil {
-				att = f.att
-				muFac = att.muFac[e]
+			for lo := 0; lo < 3*pad; lo += pad {
+				k.grad(ks.u[lo:lo+pad], ks.t1[lo:lo+pad], ks.t2[lo:lo+pad], ks.t3[lo:lo+pad])
 			}
 
-			// Pointwise: physical gradients, strain, stress, and the
-			// Jacobian-weighted flux blocks for the transpose stage.
-			for p := 0; p < mesh.NGLL3; p++ {
-				ip := base + p
-				xix, xiy, xiz := reg.Xix[ip], reg.Xiy[ip], reg.Xiz[ip]
-				etx, ety, etz := reg.Etax[ip], reg.Etay[ip], reg.Etaz[ip]
-				gmx, gmy, gmz := reg.Gamx[ip], reg.Gamy[ip], reg.Gamz[ip]
-
-				duxdx := xix*ks.t1x[p] + etx*ks.t2x[p] + gmx*ks.t3x[p]
-				duxdy := xiy*ks.t1x[p] + ety*ks.t2x[p] + gmy*ks.t3x[p]
-				duxdz := xiz*ks.t1x[p] + etz*ks.t2x[p] + gmz*ks.t3x[p]
-				duydx := xix*ks.t1y[p] + etx*ks.t2y[p] + gmx*ks.t3y[p]
-				duydy := xiy*ks.t1y[p] + ety*ks.t2y[p] + gmy*ks.t3y[p]
-				duydz := xiz*ks.t1y[p] + etz*ks.t2y[p] + gmz*ks.t3y[p]
-				duzdx := xix*ks.t1z[p] + etx*ks.t2z[p] + gmx*ks.t3z[p]
-				duzdy := xiy*ks.t1z[p] + ety*ks.t2z[p] + gmy*ks.t3z[p]
-				duzdz := xiz*ks.t1z[p] + etz*ks.t2z[p] + gmz*ks.t3z[p]
-
-				exy := 0.5 * (duxdy + duydx)
-				exz := 0.5 * (duxdz + duzdx)
-				eyz := 0.5 * (duydz + duzdy)
-				tr := duxdx + duydy + duzdz
-
-				mu := reg.Mu[ip] * muFac
-				kap := reg.Kappa[ip]
-				lam := kap - (2.0/3.0)*mu
-
-				sxx := lam*tr + 2*mu*duxdx
-				syy := lam*tr + 2*mu*duydy
-				szz := lam*tr + 2*mu*duzdz
-				sxy := 2 * mu * exy
-				sxz := 2 * mu * exz
-				syz := 2 * mu * eyz
-
-				if att != nil {
-					// Subtract the memory-variable stresses, then advance
-					// the recursions toward the current deviatoric strain.
-					third := tr * (1.0 / 3.0)
-					dxx := duxdx - third
-					dyy := duydy - third
-					dzz := duzdz - third
-					for m := 0; m < att.nsls; m++ {
-						al := att.alpha[m][e]
-						be := att.beta[m][e] * mu
-						r := &att.r[m]
-						sxx -= r[0][ip]
-						syy -= r[1][ip]
-						szz -= r[2][ip]
-						sxy -= r[3][ip]
-						sxz -= r[4][ip]
-						syz -= r[5][ip]
-						r[0][ip] = al*r[0][ip] + be*2*dxx
-						r[1][ip] = al*r[1][ip] + be*2*dyy
-						r[2][ip] = al*r[2][ip] + be*2*dzz
-						r[3][ip] = al*r[3][ip] + be*2*exy
-						r[4][ip] = al*r[4][ip] + be*2*exz
-						r[5][ip] = al*r[5][ip] + be*2*eyz
-					}
-				}
-
-				jac := reg.Jac[ip]
-				ks.s1x[p] = jac * (sxx*xix + sxy*xiy + sxz*xiz)
-				ks.s1y[p] = jac * (sxy*xix + syy*xiy + syz*xiz)
-				ks.s1z[p] = jac * (sxz*xix + syz*xiy + szz*xiz)
-				ks.s2x[p] = jac * (sxx*etx + sxy*ety + sxz*etz)
-				ks.s2y[p] = jac * (sxy*etx + syy*ety + syz*etz)
-				ks.s2z[p] = jac * (sxz*etx + syz*ety + szz*etz)
-				ks.s3x[p] = jac * (sxx*gmx + sxy*gmy + sxz*gmz)
-				ks.s3y[p] = jac * (sxy*gmx + syy*gmy + syz*gmz)
-				ks.s3z[p] = jac * (sxz*gmx + syz*gmy + szz*gmz)
-			}
+			stressStage(reg, e, f.att, &ks.t1, &ks.t2, &ks.t3, &ks.s1, &ks.s2, &ks.s3)
 
 			// Weighted-transpose accumulation, reusing the t blocks.
-			k.gradT1(ks.s1x[:], ks.t1x[:])
-			k.gradT2(ks.s2x[:], ks.t2x[:])
-			k.gradT3(ks.s3x[:], ks.t3x[:])
-			k.gradT1(ks.s1y[:], ks.t1y[:])
-			k.gradT2(ks.s2y[:], ks.t2y[:])
-			k.gradT3(ks.s3y[:], ks.t3y[:])
-			k.gradT1(ks.s1z[:], ks.t1z[:])
-			k.gradT2(ks.s2z[:], ks.t2z[:])
-			k.gradT3(ks.s3z[:], ks.t3z[:])
+			for lo := 0; lo < 3*pad; lo += pad {
+				k.gradT1(ks.s1[lo:lo+pad], ks.t1[lo:lo+pad])
+				k.gradT2(ks.s2[lo:lo+pad], ks.t2[lo:lo+pad])
+				k.gradT3(ks.s3[lo:lo+pad], ks.t3[lo:lo+pad])
+			}
 
 			for p, g := range ib {
-				f.ax[g] -= k.fac1[p]*ks.t1x[p] + k.fac2[p]*ks.t2x[p] + k.fac3[p]*ks.t3x[p]
-				f.ay[g] -= k.fac1[p]*ks.t1y[p] + k.fac2[p]*ks.t2y[p] + k.fac3[p]*ks.t3y[p]
-				f.az[g] -= k.fac1[p]*ks.t1z[p] + k.fac2[p]*ks.t2z[p] + k.fac3[p]*ks.t3z[p]
+				f.ax[g] -= k.fac1[p]*ks.t1[p] + k.fac2[p]*ks.t2[p] + k.fac3[p]*ks.t3[p]
+				f.ay[g] -= k.fac1[p]*ks.t1[pad+p] + k.fac2[p]*ks.t2[pad+p] + k.fac3[p]*ks.t3[pad+p]
+				f.az[g] -= k.fac1[p]*ks.t1[2*pad+p] + k.fac2[p]*ks.t2[2*pad+p] + k.fac3[p]*ks.t3[2*pad+p]
 			}
 
 		}
@@ -191,15 +235,13 @@ func (rs *rankState) solidForcesChunk(fs []*solidField, ks *kernelScratch, elems
 // solidForcesChunkFused is the KernelFused sweep: per element, one
 // gather of the whole ensemble, ONE batched gradient over the 3*ns
 // component panel (the 5x5 matrix stays loaded for every component of
-// every wavefield), the unchanged pointwise stress stage per field,
-// then a batched fused weighted-transpose per component sweeping all ns
-// flux panels — the element-static Jacobian/material/Ibool loads and
-// both register-resident matrices are paid once per element regardless
-// of the ensemble width. The per-field arithmetic is textually the same
-// multiply-add sequence as the single-field path, and the batched simd
-// contractions process each padded block independently, so every
-// batched field stays bit-identical to its own solo run at every worker
-// count.
+// every wavefield), the shared pointwise stress stage per field, then
+// ONE batched fused weighted-transpose over the 3*ns flux blocks — the
+// element-static Jacobian/material/Ibool loads and both
+// register-resident matrices are paid once per element regardless of
+// the ensemble width. The batched simd contractions process each padded
+// block independently, so every batched field stays bit-identical to
+// its own solo run at every worker count.
 func (rs *rankState) solidForcesChunkFused(fs []*solidField, ks *kernelScratch, elems []int32) {
 	reg := fs[0].reg
 	k := ks.k
@@ -211,133 +253,31 @@ func (rs *rankState) solidForcesChunkFused(fs []*solidField, ks *kernelScratch, 
 		ib := reg.Ibool[base : base+mesh.NGLL3]
 
 		for s, f := range fs {
-			b := 3 * s * simd.PadLen
-			ux := ks.pu[b : b+simd.PadLen]
-			uy := ks.pu[b+simd.PadLen : b+2*simd.PadLen]
-			uz := ks.pu[b+2*simd.PadLen : b+3*simd.PadLen]
+			u := fieldBlocks(ks.pu, s)
 			for p, g := range ib {
-				ux[p] = f.dx[g]
-				uy[p] = f.dy[g]
-				uz[p] = f.dz[g]
+				u[p] = f.dx[g]
+				u[pad+p] = f.dy[g]
+				u[2*pad+p] = f.dz[g]
 			}
 		}
 
 		simd.ApplyDGradBatch(k.hprime, ks.pu, ks.pt1, ks.pt2, ks.pt3, 3*ns)
 
 		for s, f := range fs {
-			b := 3 * s * simd.PadLen
-			t1x := ks.pt1[b : b+simd.PadLen]
-			t1y := ks.pt1[b+simd.PadLen : b+2*simd.PadLen]
-			t1z := ks.pt1[b+2*simd.PadLen : b+3*simd.PadLen]
-			t2x := ks.pt2[b : b+simd.PadLen]
-			t2y := ks.pt2[b+simd.PadLen : b+2*simd.PadLen]
-			t2z := ks.pt2[b+2*simd.PadLen : b+3*simd.PadLen]
-			t3x := ks.pt3[b : b+simd.PadLen]
-			t3y := ks.pt3[b+simd.PadLen : b+2*simd.PadLen]
-			t3z := ks.pt3[b+2*simd.PadLen : b+3*simd.PadLen]
-			sb := s * simd.PadLen
-			s1x := ks.ps1x[sb : sb+simd.PadLen]
-			s1y := ks.ps1y[sb : sb+simd.PadLen]
-			s1z := ks.ps1z[sb : sb+simd.PadLen]
-			s2x := ks.ps2x[sb : sb+simd.PadLen]
-			s2y := ks.ps2y[sb : sb+simd.PadLen]
-			s2z := ks.ps2z[sb : sb+simd.PadLen]
-			s3x := ks.ps3x[sb : sb+simd.PadLen]
-			s3y := ks.ps3y[sb : sb+simd.PadLen]
-			s3z := ks.ps3z[sb : sb+simd.PadLen]
-
-			var att *attState
-			var muFac float32 = 1
-			if f.att != nil {
-				att = f.att
-				muFac = att.muFac[e]
-			}
-
-			for p := 0; p < mesh.NGLL3; p++ {
-				ip := base + p
-				xix, xiy, xiz := reg.Xix[ip], reg.Xiy[ip], reg.Xiz[ip]
-				etx, ety, etz := reg.Etax[ip], reg.Etay[ip], reg.Etaz[ip]
-				gmx, gmy, gmz := reg.Gamx[ip], reg.Gamy[ip], reg.Gamz[ip]
-
-				duxdx := xix*t1x[p] + etx*t2x[p] + gmx*t3x[p]
-				duxdy := xiy*t1x[p] + ety*t2x[p] + gmy*t3x[p]
-				duxdz := xiz*t1x[p] + etz*t2x[p] + gmz*t3x[p]
-				duydx := xix*t1y[p] + etx*t2y[p] + gmx*t3y[p]
-				duydy := xiy*t1y[p] + ety*t2y[p] + gmy*t3y[p]
-				duydz := xiz*t1y[p] + etz*t2y[p] + gmz*t3y[p]
-				duzdx := xix*t1z[p] + etx*t2z[p] + gmx*t3z[p]
-				duzdy := xiy*t1z[p] + ety*t2z[p] + gmy*t3z[p]
-				duzdz := xiz*t1z[p] + etz*t2z[p] + gmz*t3z[p]
-
-				exy := 0.5 * (duxdy + duydx)
-				exz := 0.5 * (duxdz + duzdx)
-				eyz := 0.5 * (duydz + duzdy)
-				tr := duxdx + duydy + duzdz
-
-				mu := reg.Mu[ip] * muFac
-				kap := reg.Kappa[ip]
-				lam := kap - (2.0/3.0)*mu
-
-				sxx := lam*tr + 2*mu*duxdx
-				syy := lam*tr + 2*mu*duydy
-				szz := lam*tr + 2*mu*duzdz
-				sxy := 2 * mu * exy
-				sxz := 2 * mu * exz
-				syz := 2 * mu * eyz
-
-				if att != nil {
-					third := tr * (1.0 / 3.0)
-					dxx := duxdx - third
-					dyy := duydy - third
-					dzz := duzdz - third
-					for m := 0; m < att.nsls; m++ {
-						al := att.alpha[m][e]
-						be := att.beta[m][e] * mu
-						r := &att.r[m]
-						sxx -= r[0][ip]
-						syy -= r[1][ip]
-						szz -= r[2][ip]
-						sxy -= r[3][ip]
-						sxz -= r[4][ip]
-						syz -= r[5][ip]
-						r[0][ip] = al*r[0][ip] + be*2*dxx
-						r[1][ip] = al*r[1][ip] + be*2*dyy
-						r[2][ip] = al*r[2][ip] + be*2*dzz
-						r[3][ip] = al*r[3][ip] + be*2*exy
-						r[4][ip] = al*r[4][ip] + be*2*exz
-						r[5][ip] = al*r[5][ip] + be*2*eyz
-					}
-				}
-
-				jac := reg.Jac[ip]
-				s1x[p] = jac * (sxx*xix + sxy*xiy + sxz*xiz)
-				s1y[p] = jac * (sxy*xix + syy*xiy + syz*xiz)
-				s1z[p] = jac * (sxz*xix + syz*xiy + szz*xiz)
-				s2x[p] = jac * (sxx*etx + sxy*ety + sxz*etz)
-				s2y[p] = jac * (sxy*etx + syy*ety + syz*etz)
-				s2z[p] = jac * (sxz*etx + syz*ety + szz*etz)
-				s3x[p] = jac * (sxx*gmx + sxy*gmy + sxz*gmz)
-				s3y[p] = jac * (sxy*gmx + syy*gmy + syz*gmz)
-				s3z[p] = jac * (sxz*gmx + syz*gmy + szz*gmz)
-			}
+			stressStage(reg, e, f.att,
+				fieldBlocks(ks.pt1, s), fieldBlocks(ks.pt2, s), fieldBlocks(ks.pt3, s),
+				fieldBlocks(ks.ps1, s), fieldBlocks(ks.ps2, s), fieldBlocks(ks.ps3, s))
 		}
 
-		// Batched fused weighted transpose: one accumulator panel per
-		// component, every wavefield's flux blocks swept under one load
-		// of the transpose matrix (the weight blocks are shared).
-		simd.GradTWeightedFusedBatch(k.hpwT, ks.ps1x, ks.ps2x, ks.ps3x, k.fac1[:], k.fac2[:], k.fac3[:], ks.pox, ns)
-		simd.GradTWeightedFusedBatch(k.hpwT, ks.ps1y, ks.ps2y, ks.ps3y, k.fac1[:], k.fac2[:], k.fac3[:], ks.poy, ns)
-		simd.GradTWeightedFusedBatch(k.hpwT, ks.ps1z, ks.ps2z, ks.ps3z, k.fac1[:], k.fac2[:], k.fac3[:], ks.poz, ns)
+		// The weight blocks are shared by every component and wavefield.
+		simd.GradTWeightedFusedBatch(k.hpwT, ks.ps1, ks.ps2, ks.ps3, k.fac1[:], k.fac2[:], k.fac3[:], ks.po, 3*ns)
 
 		for s, f := range fs {
-			sb := s * simd.PadLen
-			ox := ks.pox[sb : sb+simd.PadLen]
-			oy := ks.poy[sb : sb+simd.PadLen]
-			oz := ks.poz[sb : sb+simd.PadLen]
+			o := fieldBlocks(ks.po, s)
 			for p, g := range ib {
-				f.ax[g] -= ox[p]
-				f.ay[g] -= oy[p]
-				f.az[g] -= oz[p]
+				f.ax[g] -= o[p]
+				f.ay[g] -= o[pad+p]
+				f.az[g] -= o[2*pad+p]
 			}
 		}
 	}

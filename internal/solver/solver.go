@@ -328,10 +328,11 @@ type Result struct {
 	// Subnormals counts the subnormal float32 values left in the
 	// persistent state of all ranks (displacement, velocity, fluid
 	// potential and rate, attenuation memory variables, LTS holds) when
-	// the run ends. The integrator flushes tiny values to zero where it
-	// writes them — arithmetic on subnormals made late steps 3-8x
-	// slower than early ones — so anything but 0 means a write site
-	// escaped the flush.
+	// the run ends, plus the final accelerations that are non-zero
+	// below the flush threshold. The integrator flushes tiny values to
+	// zero where it writes them — arithmetic on subnormals made late
+	// steps 3-8x slower than early ones — so anything but 0 means a
+	// write site escaped the flush.
 	Subnormals int64
 	// Movie is the gathered surface wavefield (nil unless
 	// SurfaceMovieEvery was set and the mesh has a free surface).

@@ -228,7 +228,7 @@ func (rs *rankState) divideFluidList(list []int32) {
 		for _, fl := range fls {
 			for q := lo; q < hi; q++ {
 				i := list[q]
-				fl.chiDdot[i] *= fl.massInv[i]
+				fl.chiDdot[i] = ftz(fl.chiDdot[i] * fl.massInv[i])
 			}
 		}
 	})
@@ -278,11 +278,11 @@ func (rs *rankState) finishSolidStage() {
 	}
 }
 
-// solidUpdate is the mass division plus the pointwise Coriolis and
-// gravity corrections, fused into one range sweep per field, followed
-// by the ocean load. Under LTS only the points firing at this step's
-// level are updated; dormant accelerations keep their garbage until
-// their own predictor wipes it.
+// solidUpdate is the mass division, the pointwise Coriolis and gravity
+// corrections and the flush in one pass over each field's
+// acceleration, followed by the ocean load. Under LTS only the points
+// firing at this step's level are updated; dormant accelerations keep
+// their garbage until their own predictor wipes it.
 func (rs *rankState) solidUpdate() {
 	twoOmega := float32(0)
 	if rs.opts.Rotation {
@@ -299,68 +299,43 @@ func (rs *rankState) solidUpdate() {
 		n := len(fs[0].ax)
 		if list != nil {
 			n = len(list)
-			rs.pool.sweepRange(rs.scr, len(list), &rs.updateBusy, func(lo, hi int) {
-				for _, f := range fs {
-					for q := lo; q < hi; q++ {
-						i := list[q]
-						f.ax[i] *= f.massInv[i]
-						f.ay[i] *= f.massInv[i]
-						f.az[i] *= f.massInv[i]
-						if twoOmega != 0 {
-							f.ax[i] += twoOmega * f.vy[i]
-							f.ay[i] -= twoOmega * f.vx[i]
-						}
-						if f.gOverR != nil {
-							ur := f.dx[i]*f.rhatX[i] + f.dy[i]*f.rhatY[i] + f.dz[i]*f.rhatZ[i]
-							gr := f.gOverR[i]
-							dg := f.dgdr[i]
-							f.ax[i] -= gr*(f.dx[i]-ur*f.rhatX[i]) + dg*ur*f.rhatX[i]
-							f.ay[i] -= gr*(f.dy[i]-ur*f.rhatY[i]) + dg*ur*f.rhatY[i]
-							f.az[i] -= gr*(f.dz[i]-ur*f.rhatZ[i]) + dg*ur*f.rhatZ[i]
-						}
-						f.ax[i], f.ay[i], f.az[i] = ftz(f.ax[i]), ftz(f.ay[i]), ftz(f.az[i])
+		}
+		rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
+			for _, f := range fs {
+				for q := lo; q < hi; q++ {
+					i := q
+					if list != nil {
+						i = int(list[q])
 					}
-				}
-			})
-		} else {
-			rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
-				for _, f := range fs {
-					for i := lo; i < hi; i++ {
-						f.ax[i] *= f.massInv[i]
-						f.ay[i] *= f.massInv[i]
-						f.az[i] *= f.massInv[i]
-					}
+					m := f.massInv[i]
+					ax, ay, az := f.ax[i]*m, f.ay[i]*m, f.az[i]*m
 					// Coriolis: a -= 2 Omega x v with Omega = (0, 0, omega).
 					// The lumped-mass form is exact pointwise because both the
 					// force and the mass carry the same rho*JacW weights.
 					if twoOmega != 0 {
-						for i := lo; i < hi; i++ {
-							f.ax[i] += twoOmega * f.vy[i]
-							f.ay[i] -= twoOmega * f.vx[i]
-						}
+						ax += twoOmega * f.vy[i]
+						ay -= twoOmega * f.vx[i]
 					}
 					// Background gravity (Cowling-style local term): the
 					// linearized restoring tensor H = (g/r)(I - rhat rhat)
 					// + (dg/dr) rhat rhat applied to the displacement.
 					if f.gOverR != nil {
-						for i := lo; i < hi; i++ {
-							ur := f.dx[i]*f.rhatX[i] + f.dy[i]*f.rhatY[i] + f.dz[i]*f.rhatZ[i]
-							gr := f.gOverR[i]
-							dg := f.dgdr[i]
-							f.ax[i] -= gr*(f.dx[i]-ur*f.rhatX[i]) + dg*ur*f.rhatX[i]
-							f.ay[i] -= gr*(f.dy[i]-ur*f.rhatY[i]) + dg*ur*f.rhatY[i]
-							f.az[i] -= gr*(f.dz[i]-ur*f.rhatZ[i]) + dg*ur*f.rhatZ[i]
-						}
+						dx, dy, dz := f.dx[i], f.dy[i], f.dz[i]
+						rx, ry, rz := f.rhatX[i], f.rhatY[i], f.rhatZ[i]
+						ur := dx*rx + dy*ry + dz*rz
+						gr := f.gOverR[i]
+						dg := f.dgdr[i]
+						ax -= gr*(dx-ur*rx) + dg*ur*rx
+						ay -= gr*(dy-ur*ry) + dg*ur*ry
+						az -= gr*(dz-ur*rz) + dg*ur*rz
 					}
 					// The acceleration is final here (bar the few ocean-load
 					// points below): flush it, so the corrector and the next
 					// predictor never build a velocity from a tiny value.
-					for i := lo; i < hi; i++ {
-						f.ax[i], f.ay[i], f.az[i] = ftz(f.ax[i]), ftz(f.ay[i]), ftz(f.az[i])
-					}
+					f.ax[i], f.ay[i], f.az[i] = ftz(ax), ftz(ay), ftz(az)
 				}
-			})
-		}
+			}
+		})
 		flops := rs.fc.SolidMassDiv
 		bytes := rs.bc.SolidMassDiv
 		if twoOmega != 0 {
