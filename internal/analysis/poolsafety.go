@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -16,6 +17,12 @@ import (
 //     sub-list (one coloring class) or its [lo,hi) point range — so two
 //     concurrent chunks can never touch the same entry;
 //   - plain captured variables may not be written from a chunk at all;
+//   - a pointer &x[i] into shared state handed to a bodiless (assembly)
+//     function is a write the analyzer cannot follow and the runtime
+//     cannot bounds-check: it must be taken through chunk-derived
+//     indices too — in the solver, from a sub-slice capped at the
+//     element's own block (a[lo:hi:hi]) — so the bound is checked in Go
+//     before the call and two chunks never hand out the same memory;
 //   - the per-worker kernelScratch handed to the chunk must not escape
 //     into captured state — scratch contents are worker-private and
 //     stale between sweeps.
@@ -43,9 +50,19 @@ func runPoolSafety(pass *Pass) error {
 		return nil
 	}
 	ps := &poolState{
-		pass:  pass,
-		decls: declIndex(pass),
-		memo:  map[string]bool{},
+		pass:     pass,
+		decls:    declIndex(pass),
+		bodiless: map[*types.Func]bool{},
+		memo:     map[string]bool{},
+	}
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body == nil {
+				if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+					ps.bodiless[obj] = true
+				}
+			}
+		}
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -72,9 +89,10 @@ func runPoolSafety(pass *Pass) error {
 }
 
 type poolState struct {
-	pass  *Pass
-	decls map[*types.Func]*ast.FuncDecl
-	memo  map[string]bool // decl ptr + param-kind signature already analyzed
+	pass     *Pass
+	decls    map[*types.Func]*ast.FuncDecl
+	bodiless map[*types.Func]bool // declared without a body: implemented in assembly
+	memo     map[string]bool      // decl ptr + param-kind signature already analyzed
 }
 
 // kind classifies how a value relates to the chunk.
@@ -502,6 +520,38 @@ func (c *ctx) indicesSafe(e ast.Expr) bool {
 	}
 }
 
+// checkAsmArgs validates a call to a bodiless function from chunk
+// context. Every &x[i] among its arguments (composite-literal fields
+// included) is memory the assembly may write with no bounds check, so
+// it falls under the shared-write rule: worker scratch and fresh
+// allocations are free, anything else must be reached through
+// chunk-derived indices.
+func (c *ctx) checkAsmArgs(call *ast.CallExpr) {
+	for _, arg := range call.Args {
+		ast.Inspect(arg, func(n ast.Node) bool {
+			u, ok := n.(*ast.UnaryExpr)
+			if !ok || u.Op != token.AND {
+				return true
+			}
+			target := unparen(u.X)
+			if _, ok := target.(*ast.IndexExpr); !ok {
+				return true // &T{...} argument blocks, &local
+			}
+			if root := rootIdent(target); root != nil {
+				switch c.kinds[c.obj(root)] {
+				case kindScratch, kindFresh:
+					return true
+				}
+			}
+			if !c.indicesSafe(target) || !c.chunkVarying(target) {
+				c.ps.pass.Reportf(u.Pos(),
+					"pointer into shared state handed to an assembly function is not taken through the chunk's own range or coloring class: its bounds go unchecked and concurrent chunks may collide")
+			}
+			return true
+		})
+	}
+}
+
 // propagateCalls follows the chunk's arguments into same-package
 // helpers: a call f(ks, elems) makes f's parameters scratch/safe for
 // one more analysis layer, so the *ForcesChunk helpers are checked
@@ -518,6 +568,10 @@ func (c *ctx) propagateCalls() {
 		}
 		callee := calleeOf(info, call)
 		if callee == nil {
+			return true
+		}
+		if c.ps.bodiless[callee] {
+			c.checkAsmArgs(call)
 			return true
 		}
 		decl, ok := c.ps.decls[callee]

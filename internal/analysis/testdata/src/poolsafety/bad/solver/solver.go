@@ -77,3 +77,28 @@ func helperDriver(p *pool, s *state, scr []*kernelScratch, elems []int32) {
 func (s *state) badChunk(ks *kernelScratch, elems []int32) {
 	s.accel[s.next] = 0 // want "write to shared state is not indexed through the chunk's own range"
 }
+
+// asmStage stands for a kernel implemented in assembly: no body the
+// analyzer could follow, no bounds check the runtime could make.
+func asmStage(a *asmArgs, out *float32)
+
+type asmArgs struct {
+	in *float32
+}
+
+func asmDriver(p *pool, s *state, scr []*kernelScratch, elems []int32) {
+	var busy int64
+	p.sweepElems(scr, elems, &busy, func(ks *kernelScratch, elems []int32) {
+		s.asmChunk(ks, elems)
+	})
+}
+
+// asmChunk hands the assembly pointers into shared state that do not
+// go through the chunk's own elements: a fixed slot, and a slot indexed
+// by shared state.
+func (s *state) asmChunk(ks *kernelScratch, elems []int32) {
+	for range elems {
+		asmStage(&asmArgs{in: &s.accel[0]}, // want "pointer into shared state handed to an assembly function"
+			&s.accel[s.next]) // want "pointer into shared state handed to an assembly function"
+	}
+}

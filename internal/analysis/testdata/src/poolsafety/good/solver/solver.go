@@ -78,3 +78,28 @@ func reduction(p *pool, s *state, scr []*kernelScratch, elems []int32) {
 		s.accel[0] = 0
 	})
 }
+
+// asmStage stands for a kernel implemented in assembly.
+func asmStage(a *asmArgs, out *float32)
+
+type asmArgs struct {
+	in *float32
+}
+
+func asmDriver(p *pool, s *state, scr []*kernelScratch, elems []int32) {
+	var busy int64
+	p.sweepElems(scr, elems, &busy, func(ks *kernelScratch, elems []int32) {
+		s.asmChunk(ks, elems)
+	})
+}
+
+// asmChunk hands the assembly the element's own block of shared state,
+// from a sub-slice capped at the block so Go checks the bound, and a
+// pointer into the worker's scratch.
+func (s *state) asmChunk(ks *kernelScratch, elems []int32) {
+	for _, e32 := range elems {
+		lo, hi := int(e32)*ngll3, (int(e32)+1)*ngll3
+		asmStage(&asmArgs{in: &s.mass[lo:hi:hi][0]}, &s.accel[lo:hi:hi][0])
+		asmStage(&asmArgs{in: &ks.t1[0]}, &ks.t1[0])
+	}
+}

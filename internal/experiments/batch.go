@@ -132,8 +132,8 @@ func batchRow(name string, kv solver.Kernel, s, steps int, res *solver.Result, m
 // String renders the ensemble-batching table.
 func (r *BatchResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "BATCH: multi-source ensemble batching, S x kernel (%d steps, workers=%d) on %s (%.1f Gflop/s, %.1f GB/s per core)\n",
-		r.Steps, r.Workers, r.Machine.Name, r.Machine.PeakGflopsPerCore, r.Machine.MemBWPerCoreGBs)
+	fmt.Fprintf(&b, "BATCH: multi-source ensemble batching, S x kernel (%d steps, workers=%d) on %s (%s)\n",
+		r.Steps, r.Workers, r.Machine.Name, r.Machine.Ceilings())
 	fmt.Fprintf(&b, "  %-9s %-6s %3s %9s %11s %8s %8s %8s %7s %7s\n",
 		"mesh", "kernel", "S", "steps/s", "src-st/s", "speedup", "solidAI", "fluidAI", "%peak", "bound")
 	for _, row := range r.Rows {

@@ -186,8 +186,8 @@ func (r *KernRoofResult) FusedSpeedups() map[string]float64 {
 // String renders the roofline table.
 func (r *KernRoofResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "KERNROOF: kernel x workers roofline sweep (%d steps) on %s (%.1f Gflop/s, %.1f GB/s per core)\n",
-		r.Steps, r.Machine.Name, r.Machine.PeakGflopsPerCore, r.Machine.MemBWPerCoreGBs)
+	fmt.Fprintf(&b, "KERNROOF: kernel x workers roofline sweep (%d steps) on %s (%s)\n",
+		r.Steps, r.Machine.Name, r.Machine.Ceilings())
 	fmt.Fprintf(&b, "  %-9s %-6s %3s %9s %8s %8s %8s %8s %7s %7s %7s\n",
 		"mesh", "kernel", "W", "steps/s", "Gflop/s", "solidAI", "fluidAI", "force", "%peak", "%roof", "bound")
 	for _, row := range r.Rows {

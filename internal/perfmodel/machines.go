@@ -29,6 +29,11 @@ type Machine struct {
 	// PeakGflopsPerCore is the theoretical peak per core implied by the
 	// paper's quoted system peaks.
 	PeakGflopsPerCore float64
+	// ScalarPeakGflopsPerCore is what scalar code attains on one core,
+	// measured for the local host only (0 for the catalog machines):
+	// the ceiling of the solver's Go kernels, next to the 8-lane
+	// PeakGflopsPerCore its assembly bodies run against.
+	ScalarPeakGflopsPerCore float64
 	// MemBWPerCoreGBs is the sustainable memory bandwidth per core
 	// (node bandwidth divided by cores per node).
 	MemBWPerCoreGBs float64

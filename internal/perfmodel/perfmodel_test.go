@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"specglobe/internal/simd"
 )
 
 func TestResolutionPeriodInverse(t *testing.T) {
@@ -277,6 +279,19 @@ func TestMeasureLocalMachine(t *testing.T) {
 	}
 	if m.MemBWPerCoreGBs < 0.1 || m.MemBWPerCoreGBs > 1e4 {
 		t.Errorf("implausible bandwidth %v GB/s", m.MemBWPerCoreGBs)
+	}
+	// The scalar ceiling is always measured; where the vec4 kernel runs
+	// its 8-lane bodies the machine peak is the vector one, several
+	// times the scalar rate (8 lanes against at most 4 scalar issue
+	// ports' worth) — a ceiling the assembly cannot exceed.
+	if m.ScalarPeakGflopsPerCore < 0.1 || m.ScalarPeakGflopsPerCore > m.PeakGflopsPerCore*1.01 {
+		t.Errorf("scalar peak %v Gflop/s against machine peak %v", m.ScalarPeakGflopsPerCore, m.PeakGflopsPerCore)
+	}
+	if simd.Vector() && m.PeakGflopsPerCore < 2*m.ScalarPeakGflopsPerCore {
+		t.Errorf("8-lane peak %v Gflop/s is under twice the scalar peak %v", m.PeakGflopsPerCore, m.ScalarPeakGflopsPerCore)
+	}
+	if !simd.Vector() && m.PeakGflopsPerCore != m.ScalarPeakGflopsPerCore {
+		t.Errorf("no vector bodies, yet peak %v != scalar peak %v", m.PeakGflopsPerCore, m.ScalarPeakGflopsPerCore)
 	}
 	// Cached: the second call must return the identical measurement.
 	if m2 := MeasureLocalMachine(); m2 != m {

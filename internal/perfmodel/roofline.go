@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"specglobe/internal/simd"
 )
 
 // Roofline analysis (Williams, Waterman & Patterson 2009) for measured
@@ -69,6 +71,17 @@ func RooflineFor(m Machine, cores int, flops, bytes int64, seconds float64) Roof
 	return p
 }
 
+// Ceilings renders the machine's per-core ceilings for a table header:
+// the compute peak — with the scalar ceiling of the Go kernels next to
+// it where the two were measured apart — and the memory bandwidth.
+func (m Machine) Ceilings() string {
+	if m.ScalarPeakGflopsPerCore > 0 && m.ScalarPeakGflopsPerCore != m.PeakGflopsPerCore {
+		return fmt.Sprintf("%.1f Gflop/s 8-lane vec4, %.1f Gflop/s scalar Go, %.1f GB/s per core",
+			m.PeakGflopsPerCore, m.ScalarPeakGflopsPerCore, m.MemBWPerCoreGBs)
+	}
+	return fmt.Sprintf("%.1f Gflop/s, %.1f GB/s per core", m.PeakGflopsPerCore, m.MemBWPerCoreGBs)
+}
+
 // String renders the point as a compact roofline annotation.
 func (p RooflinePoint) String() string {
 	return fmt.Sprintf("%.2f flop/B, %.2f Gflop/s = %.1f%% of peak, %.1f%% of %s roofline",
@@ -84,14 +97,27 @@ var (
 // runs on, with the compute peak and memory bandwidth measured by short
 // microbenchmarks (one core each; scale by cores in RooflineFor). The
 // measurement runs once and is cached for the process lifetime.
+//
+// PeakGflopsPerCore is the ceiling of the production (vec4) kernel:
+// the 8-lane multiply+add issue rate where simd.Vector reports the
+// assembly bodies, the scalar rate elsewhere. ScalarPeakGflopsPerCore
+// is always the scalar rate — the ceiling of the Go kernels (scalar,
+// blas, fused, and vec4's fallback), which the compiler does not
+// vectorize.
 func MeasureLocalMachine() Machine {
 	localOnce.Do(func() {
+		scalar := measureScalarPeakGflops()
+		peak := scalar
+		if simd.Vector() {
+			peak = measureVectorPeakGflops()
+		}
 		localMachine = Machine{
 			Name: "local-measured", Site: "this host",
-			TotalCores:        runtime.NumCPU(),
-			PeakGflopsPerCore: measurePeakGflops(),
-			MemBWPerCoreGBs:   measureTriadGBs(),
-			MemPerCoreGB:      1, // not measured; unused by the roofline
+			TotalCores:              runtime.NumCPU(),
+			PeakGflopsPerCore:       peak,
+			ScalarPeakGflopsPerCore: scalar,
+			MemBWPerCoreGBs:         measureTriadGBs(),
+			MemPerCoreGB:            1, // not measured; unused by the roofline
 		}
 	})
 	return localMachine
@@ -106,22 +132,37 @@ func CatalogWithLocal() []Machine {
 // measureSink defeats dead-code elimination in the microbenchmarks.
 var measureSink float32
 
-// measurePeakGflops estimates the single-core float32 compute peak
-// proxy: a mul-add chain over eight independent accumulators, so the
-// loop is bound by arithmetic throughput rather than the latency of
-// any one dependency chain. This measures what straight-line scalar
-// code can attain — the relevant ceiling for the Go kernels, which the
-// compiler does not auto-vectorize.
-func measurePeakGflops() float64 {
-	peakChain(1 << 16) // warm up
-	const iters = 1 << 23
+// measureScalarPeakGflops estimates what straight-line scalar float32
+// code can attain on one core: a mul-add chain over sixteen independent
+// accumulators, so the loop is bound by arithmetic throughput rather
+// than the latency of any one dependency chain. This is the ceiling of
+// the Go kernels, which the compiler does not auto-vectorize; it is NOT
+// the ceiling of the vec4 kernel where its assembly bodies run.
+func measureScalarPeakGflops() float64 {
+	return chainGflops(1<<23, 16*2, peakChain)
+}
+
+// measureVectorPeakGflops is the same measurement through the 8-lane
+// unit: separate VMULPS and VADDPS (the vector kernels never fuse, so a
+// fused multiply-add peak would be a ceiling they cannot reach by
+// construction).
+func measureVectorPeakGflops() float64 {
+	return chainGflops(1<<22, 12*2*8, func(iters int) float32 {
+		return peakChainAVX2(iters, 1.0000001, 1e-9)
+	})
+}
+
+// chainGflops times iters rounds of a mul-add chain that performs
+// flopsPerRound flops a round, after a short warm-up.
+func chainGflops(iters int, flopsPerRound float64, chain func(iters int) float32) float64 {
+	chain(iters >> 7) // warm up
 	t0 := time.Now()
-	measureSink = peakChain(iters)
+	measureSink = chain(iters)
 	sec := time.Since(t0).Seconds()
 	if sec <= 0 {
 		return 1
 	}
-	return float64(iters) * 16 * 2 / sec / 1e9
+	return float64(iters) * flopsPerRound / sec / 1e9
 }
 
 // peakChain runs iters rounds of sixteen independent mul-add chains.

@@ -38,7 +38,8 @@ type JobSpec struct {
 	Rotation    bool `json:"rotation,omitempty"`
 	Gravity     bool `json:"gravity,omitempty"`
 	OceanLoad   bool `json:"ocean_load,omitempty"`
-	// Kernel selects the force kernel: "vec4" (default), "scalar",
+	// Kernel selects the force kernel: "vec4" (default: AVX2 assembly
+	// where the host has it, the same bits from Go elsewhere), "scalar",
 	// "blas" or "fused".
 	Kernel string `json:"kernel,omitempty"`
 	// LTS enables clustered local time stepping.

@@ -9,16 +9,46 @@
 //     scratch, which the paper found to be slower than plain loops.
 //
 // Go exposes no stdlib intrinsics, so Vec4 is an explicit 4-lane value
-// type; the kernels are written exactly like the paper's load / multiply-
-// add / store sequences so the compiler sees the same instruction-level
-// parallelism a hand-written SSE kernel exposes.
+// type and the Vec4 kernels are written in Go exactly like the paper's
+// load / multiply-add / store sequences. On amd64 hosts with AVX2
+// (detected once at start-up by CPUID/XGETBV, no flag or build tag) the
+// three Vec4 contractions run hand-written 8-lane assembly bodies
+// instead (vec_amd64.s); the Go bodies stay as the fallback for every
+// other host and as the oracle the assembly is tested against bit for
+// bit — same IEEE multiplies and adds in the same association, no fused
+// multiply-add. Vector reports which body runs.
 //
 // All kernels operate on one spectral element: a (NGLL,NGLL,NGLL) block of
 // float32 with i fastest (index i + NGLL*j + NGLL*NGLL*k). Blocks are
 // padded from 125 to 128 floats ("we align our 3D blocks of 5x5x5 = 125
-// floats on 128 in memory using padding with three dummy values set to
-// zero", a 2.4% waste) so consecutive elements stay cache-line aligned.
+// floats on 128 in memory using padding with three dummy values", a
+// 2.4% waste) so consecutive elements stay cache-line aligned — and so
+// an 8-lane store of the last 5-value row has somewhere to spill. The
+// three pad lanes are scratch: no kernel lets a pad lane of an input
+// reach lanes 0..124 of an output, and any kernel may overwrite the pad
+// lanes of its output with values that mean nothing (they are NOT kept
+// at zero).
 package simd
+
+// useAVX2 selects the 8-lane assembly bodies of the Vec4 contractions
+// (and, through Vector, of the solver's pointwise stages). Set once from
+// the CPU at start-up; only tests change it afterwards (ForceGo).
+var useAVX2 = detectAVX2()
+
+// Vector reports whether the Vec4 kernels run their 8-lane AVX2 bodies
+// on this host (amd64 with AVX2 and OS support for the YMM state) or
+// the portable Go bodies.
+func Vector() bool { return useAVX2 }
+
+// ForceGo is a test helper: it switches the Vec4 kernels (and everything
+// that follows Vector) to the Go bodies until the test and its subtests
+// finish. It takes the test so that nothing but a test can call it; the
+// tests that use it must not run in parallel with others.
+func ForceGo(t interface{ Cleanup(func()) }) {
+	was := useAVX2
+	useAVX2 = false
+	t.Cleanup(func() { useAVX2 = was })
+}
 
 // Element block geometry, matching gll.NGLL = 5.
 const (
@@ -172,15 +202,48 @@ func GradScalar(m *Matrix, u, d1, d2, d3 []float32) {
 }
 
 // --- Vec4 (manual SSE-style) kernels ------------------------------------
+//
+// ApplyD1Vec4 / ApplyD2Vec4 / ApplyD3Vec4 run the 8-lane assembly body
+// when the host has AVX2 and both blocks are exactly PadLen long (the
+// vector bodies use the pad lanes as spill space), else the Go body.
+// Both produce the same bits in lanes 0..124.
 
-// ApplyD1Vec4 is the vectorized xi-direction kernel. For each of the 25
+// ApplyD1Vec4 is the vectorized xi-direction kernel; cols must be
+// Columns4(m).
+func ApplyD1Vec4(m *Matrix, cols *[NGLL]Vec4, u, out []float32) {
+	if useAVX2 && len(u) == PadLen && len(out) == PadLen {
+		applyD1AVX2(m, cols, (*[PadLen]float32)(u), (*[PadLen]float32)(out))
+		return
+	}
+	applyD1Vec4Go(m, cols, u, out)
+}
+
+// ApplyD2Vec4 is the vectorized eta-direction kernel.
+func ApplyD2Vec4(m *Matrix, u, out []float32) {
+	if useAVX2 && len(u) == PadLen && len(out) == PadLen {
+		applyD2AVX2(m, (*[PadLen]float32)(u), (*[PadLen]float32)(out))
+		return
+	}
+	applyD2Vec4Go(m, u, out)
+}
+
+// ApplyD3Vec4 is the vectorized zeta-direction kernel.
+func ApplyD3Vec4(m *Matrix, u, out []float32) {
+	if useAVX2 && len(u) == PadLen && len(out) == PadLen {
+		applyD3AVX2(m, (*[PadLen]float32)(u), (*[PadLen]float32)(out))
+		return
+	}
+	applyD3Vec4Go(m, u, out)
+}
+
+// applyD1Vec4Go is the Go body of the xi-direction kernel. For each of the 25
 // contiguous 5-value segments it computes the first four outputs in
 // explicit vector lanes (accumulating columns of m against broadcast
 // inputs with load / multiply-add / store sequences) and the fifth
 // serially, exactly the 4-plus-1 split of the paper. The four lanes are
 // kept in distinct local accumulators so they stay register-resident,
 // which is what the hand-written SSE code achieves with xmm registers.
-func ApplyD1Vec4(m *Matrix, cols *[NGLL]Vec4, u, out []float32) {
+func applyD1Vec4Go(m *Matrix, cols *[NGLL]Vec4, u, out []float32) {
 	c0, c1, c2, c3, c4 := cols[0], cols[1], cols[2], cols[3], cols[4]
 	m40, m41, m42, m43, m44 := m[4][0], m[4][1], m[4][2], m[4][3], m[4][4]
 	for seg := 0; seg < NGLL*NGLL; seg++ {
@@ -197,9 +260,9 @@ func ApplyD1Vec4(m *Matrix, cols *[NGLL]Vec4, u, out []float32) {
 	}
 }
 
-// ApplyD2Vec4 is the vectorized eta-direction kernel: inputs at fixed l
-// are contiguous in i, so lanes run over i (4 vector + 1 scalar).
-func ApplyD2Vec4(m *Matrix, u, out []float32) {
+// applyD2Vec4Go is the Go body of the eta-direction kernel: inputs at
+// fixed l are contiguous in i, so lanes run over i (4 vector + 1 scalar).
+func applyD2Vec4Go(m *Matrix, u, out []float32) {
 	for k := 0; k < NGLL; k++ {
 		slab := NGLL * NGLL * k
 		o0, o1, o2, o3, o4 := slab, slab+NGLL, slab+2*NGLL, slab+3*NGLL, slab+4*NGLL
@@ -216,9 +279,9 @@ func ApplyD2Vec4(m *Matrix, u, out []float32) {
 	}
 }
 
-// ApplyD3Vec4 is the vectorized zeta-direction kernel, same lane layout
-// as ApplyD2Vec4 but striding whole k-slabs.
-func ApplyD3Vec4(m *Matrix, u, out []float32) {
+// applyD3Vec4Go is the Go body of the zeta-direction kernel, same lane
+// layout as applyD2Vec4Go but striding whole k-slabs.
+func applyD3Vec4Go(m *Matrix, u, out []float32) {
 	const slab = NGLL * NGLL
 	for j := 0; j < NGLL; j++ {
 		base := NGLL * j

@@ -114,25 +114,27 @@ func TestScalarKernelsMatchReference(t *testing.T) {
 }
 
 func TestVec4KernelsMatchScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	m := testMatrix()
-	cols := Columns4(m)
-	for trial := 0; trial < 50; trial++ {
-		u := randBlock(rng)
-		s1 := make([]float32, PadLen)
-		s2 := make([]float32, PadLen)
-		s3 := make([]float32, PadLen)
-		v1 := make([]float32, PadLen)
-		v2 := make([]float32, PadLen)
-		v3 := make([]float32, PadLen)
-		GradScalar(m, u, s1, s2, s3)
-		GradVec4(m, &cols, u, v1, v2, v3)
-		for dir, pair := range map[int][2][]float32{1: {s1, v1}, 2: {s2, v2}, 3: {s3, v3}} {
-			if d := maxDiff(pair[0], pair[1]); d > 1e-6 {
-				t.Fatalf("vec4 dir %d: max diff %g vs scalar", dir, d)
+	bothBodies(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2))
+		m := testMatrix()
+		cols := Columns4(m)
+		for trial := 0; trial < 50; trial++ {
+			u := randBlock(rng)
+			s1 := make([]float32, PadLen)
+			s2 := make([]float32, PadLen)
+			s3 := make([]float32, PadLen)
+			v1 := make([]float32, PadLen)
+			v2 := make([]float32, PadLen)
+			v3 := make([]float32, PadLen)
+			GradScalar(m, u, s1, s2, s3)
+			GradVec4(m, &cols, u, v1, v2, v3)
+			for dir, pair := range map[int][2][]float32{1: {s1, v1}, 2: {s2, v2}, 3: {s3, v3}} {
+				if d := maxDiff(pair[0], pair[1]); d > 1e-6 {
+					t.Fatalf("vec4 dir %d: max diff %g vs scalar", dir, d)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestBlasPathMatchesScalar(t *testing.T) {
@@ -159,49 +161,53 @@ func TestBlasPathMatchesScalar(t *testing.T) {
 // Property: all kernel variants agree on random blocks and random
 // matrices (not just the GLL derivative matrix).
 func TestKernelAgreementProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var m Matrix
-		for i := range m {
-			for j := range m[i] {
-				m[i][j] = rng.Float32()*2 - 1
+	bothBodies(t, func(t *testing.T) {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			var m Matrix
+			for i := range m {
+				for j := range m[i] {
+					m[i][j] = rng.Float32()*2 - 1
+				}
 			}
+			cols := Columns4(&m)
+			u := randBlock(rng)
+			s1 := make([]float32, PadLen)
+			s2 := make([]float32, PadLen)
+			s3 := make([]float32, PadLen)
+			v1 := make([]float32, PadLen)
+			v2 := make([]float32, PadLen)
+			v3 := make([]float32, PadLen)
+			GradScalar(&m, u, s1, s2, s3)
+			GradVec4(&m, &cols, u, v1, v2, v3)
+			return maxDiff(s1, v1) < 1e-5 && maxDiff(s2, v2) < 1e-5 && maxDiff(s3, v3) < 1e-5
 		}
-		cols := Columns4(&m)
-		u := randBlock(rng)
-		s1 := make([]float32, PadLen)
-		s2 := make([]float32, PadLen)
-		s3 := make([]float32, PadLen)
-		v1 := make([]float32, PadLen)
-		v2 := make([]float32, PadLen)
-		v3 := make([]float32, PadLen)
-		GradScalar(&m, u, s1, s2, s3)
-		GradVec4(&m, &cols, u, v1, v2, v3)
-		return maxDiff(s1, v1) < 1e-5 && maxDiff(s2, v2) < 1e-5 && maxDiff(s3, v3) < 1e-5
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // Derivative of a constant block must vanish in every direction with the
 // GLL derivative matrix (rows sum to zero).
 func TestConstantBlockHasZeroGradient(t *testing.T) {
-	m := testMatrix()
-	cols := Columns4(m)
-	u := make([]float32, PadLen)
-	for i := 0; i < BlockLen; i++ {
-		u[i] = 7.5
-	}
-	d1 := make([]float32, PadLen)
-	d2 := make([]float32, PadLen)
-	d3 := make([]float32, PadLen)
-	GradVec4(m, &cols, u, d1, d2, d3)
-	for i := 0; i < BlockLen; i++ {
-		if math.Abs(float64(d1[i])) > 1e-4 || math.Abs(float64(d2[i])) > 1e-4 || math.Abs(float64(d3[i])) > 1e-4 {
-			t.Fatalf("gradient of constant not zero at %d: %g %g %g", i, d1[i], d2[i], d3[i])
+	bothBodies(t, func(t *testing.T) {
+		m := testMatrix()
+		cols := Columns4(m)
+		u := make([]float32, PadLen)
+		for i := 0; i < BlockLen; i++ {
+			u[i] = 7.5
 		}
-	}
+		d1 := make([]float32, PadLen)
+		d2 := make([]float32, PadLen)
+		d3 := make([]float32, PadLen)
+		GradVec4(m, &cols, u, d1, d2, d3)
+		for i := 0; i < BlockLen; i++ {
+			if math.Abs(float64(d1[i])) > 1e-4 || math.Abs(float64(d2[i])) > 1e-4 || math.Abs(float64(d3[i])) > 1e-4 {
+				t.Fatalf("gradient of constant not zero at %d: %g %g %g", i, d1[i], d2[i], d3[i])
+			}
+		}
+	})
 }
 
 // The padding constants must match the paper's description: 125 floats
@@ -237,10 +243,23 @@ func BenchmarkGradScalar(b *testing.B) {
 	benchGrad(b, func(u, d1, d2, d3 []float32) { GradScalar(m, u, d1, d2, d3) })
 }
 
+// BenchmarkGradVec4 prices one gradient (three contractions) of both
+// bodies: what the production kernel pays on this host and what a host
+// without AVX2 pays.
 func BenchmarkGradVec4(b *testing.B) {
 	m := testMatrix()
 	cols := Columns4(m)
-	benchGrad(b, func(u, d1, d2, d3 []float32) { GradVec4(m, &cols, u, d1, d2, d3) })
+	grad := func(u, d1, d2, d3 []float32) { GradVec4(m, &cols, u, d1, d2, d3) }
+	b.Run("avx2", func(b *testing.B) {
+		if !Vector() {
+			b.Skip("no AVX2 on this host")
+		}
+		benchGrad(b, grad)
+	})
+	b.Run("go", func(b *testing.B) {
+		ForceGo(b)
+		benchGrad(b, grad)
+	})
 }
 
 func BenchmarkGradBlasWithCopies(b *testing.B) {

@@ -41,6 +41,47 @@ func (rs *rankState) computeFluidForces(classes [][]int32) {
 		(rs.bc.FluidElementStatic+ns*rs.bc.FluidElementDynamic)*int64(numE))
 }
 
+// padBlock views block b of a panel of padded blocks laid out back to
+// back.
+func padBlock(panel []float32, b int) *[pad]float32 {
+	return (*[pad]float32)(panel[b*pad:])
+}
+
+// fluidStage is the pointwise stage of one fluid element visit of one
+// wavefield, shared by every kernel variant: the physical gradient of
+// the potential from its reference gradients t1/t2/t3, scaled by
+// Jacobian over density and rotated back into the flux blocks s1/s2/s3
+// for the transpose stage. Like stressStage it has an 8-lane assembly
+// body on hosts with AVX2 and a Go body that produces the same bits;
+// lanes 125..127 of the s blocks are scratch.
+func fluidStage(reg *mesh.Region, e int, t1, t2, t3, s1, s2, s3 *[pad]float32) {
+	if simd.Vector() {
+		fluidStageVec(reg, e, t1, t2, t3, s1, s2, s3)
+		return
+	}
+	fluidStageGo(reg, e, t1, t2, t3, s1, s2, s3)
+}
+
+// fluidStageGo is the Go body of fluidStage.
+func fluidStageGo(reg *mesh.Region, e int, t1, t2, t3, s1, s2, s3 *[pad]float32) {
+	base := e * mesh.NGLL3
+	for p := 0; p < mesh.NGLL3; p++ {
+		ip := base + p
+		xix, xiy, xiz := reg.Xix[ip], reg.Xiy[ip], reg.Xiz[ip]
+		etx, ety, etz := reg.Etax[ip], reg.Etay[ip], reg.Etaz[ip]
+		gmx, gmy, gmz := reg.Gamx[ip], reg.Gamy[ip], reg.Gamz[ip]
+
+		gx := xix*t1[p] + etx*t2[p] + gmx*t3[p]
+		gy := xiy*t1[p] + ety*t2[p] + gmy*t3[p]
+		gz := xiz*t1[p] + etz*t2[p] + gmz*t3[p]
+
+		fac := reg.Jac[ip] / reg.Rho[ip]
+		s1[p] = fac * (gx*xix + gy*xiy + gz*xiz)
+		s2[p] = fac * (gx*etx + gy*ety + gz*etz)
+		s3[p] = fac * (gx*gmx + gy*gmy + gz*gmz)
+	}
+}
+
 // fluidForcesChunk processes one conflict-free chunk of fluid elements,
 // reusing the x-component scratch blocks for the scalar potential. The
 // wavefield loop nests inside the element loop (see solidForcesChunk).
@@ -64,21 +105,7 @@ func (rs *rankState) fluidForcesChunk(ks *kernelScratch, elems []int32) {
 				chi[p] = fl.chi[g]
 			}
 			k.grad(chi[:], t1[:], t2[:], t3[:])
-			for p := 0; p < mesh.NGLL3; p++ {
-				ip := base + p
-				xix, xiy, xiz := reg.Xix[ip], reg.Xiy[ip], reg.Xiz[ip]
-				etx, ety, etz := reg.Etax[ip], reg.Etay[ip], reg.Etaz[ip]
-				gmx, gmy, gmz := reg.Gamx[ip], reg.Gamy[ip], reg.Gamz[ip]
-
-				gx := xix*t1[p] + etx*t2[p] + gmx*t3[p]
-				gy := xiy*t1[p] + ety*t2[p] + gmy*t3[p]
-				gz := xiz*t1[p] + etz*t2[p] + gmz*t3[p]
-
-				fac := reg.Jac[ip] / reg.Rho[ip]
-				s1[p] = fac * (gx*xix + gy*xiy + gz*xiz)
-				s2[p] = fac * (gx*etx + gy*ety + gz*etz)
-				s3[p] = fac * (gx*gmx + gy*gmy + gz*gmz)
-			}
+			fluidStage(reg, e, t1, t2, t3, s1, s2, s3)
 			k.gradT1(s1[:], t1[:])
 			k.gradT2(s2[:], t2[:])
 			k.gradT3(s3[:], t3[:])
@@ -131,29 +158,11 @@ func (rs *rankState) fluidForcesChunkFused(ks *kernelScratch, elems []int32) {
 		simd.ApplyDGradBatch(k.hprime, ks.pu, ks.pt1, ks.pt2, ks.pt3, n)
 
 		for bi, e32 := range batch {
-			base := int(e32) * mesh.NGLL3
+			e := int(e32)
+			base := e * mesh.NGLL3
 			ib := reg.Ibool[base : base+mesh.NGLL3]
-			bo := bi * simd.PadLen
-			t1 := ks.pt1[bo : bo+simd.PadLen]
-			t2 := ks.pt2[bo : bo+simd.PadLen]
-			t3 := ks.pt3[bo : bo+simd.PadLen]
 			s1, s2, s3 := xBlock(&ks.s1), xBlock(&ks.s2), xBlock(&ks.s3)
-
-			for p := 0; p < mesh.NGLL3; p++ {
-				ip := base + p
-				xix, xiy, xiz := reg.Xix[ip], reg.Xiy[ip], reg.Xiz[ip]
-				etx, ety, etz := reg.Etax[ip], reg.Etay[ip], reg.Etaz[ip]
-				gmx, gmy, gmz := reg.Gamx[ip], reg.Gamy[ip], reg.Gamz[ip]
-
-				gx := xix*t1[p] + etx*t2[p] + gmx*t3[p]
-				gy := xiy*t1[p] + ety*t2[p] + gmy*t3[p]
-				gz := xiz*t1[p] + etz*t2[p] + gmz*t3[p]
-
-				fac := reg.Jac[ip] / reg.Rho[ip]
-				s1[p] = fac * (gx*xix + gy*xiy + gz*xiz)
-				s2[p] = fac * (gx*etx + gy*ety + gz*etz)
-				s3[p] = fac * (gx*gmx + gy*gmy + gz*gmz)
-			}
+			fluidStage(reg, e, padBlock(ks.pt1, bi), padBlock(ks.pt2, bi), padBlock(ks.pt3, bi), s1, s2, s3)
 
 			simd.GradTWeightedFused(k.hpwT, s1[:], s2[:], s3[:], k.fac1[:], k.fac2[:], k.fac3[:], acc[:])
 			for p, g := range ib {
@@ -173,7 +182,8 @@ func (rs *rankState) fluidForcesChunkFusedBatch(ks *kernelScratch, elems []int32
 	ns := len(fls)
 
 	for _, e32 := range elems {
-		base := int(e32) * mesh.NGLL3
+		e := int(e32)
+		base := e * mesh.NGLL3
 		ib := reg.Ibool[base : base+mesh.NGLL3]
 
 		for s, fl := range fls {
@@ -186,29 +196,8 @@ func (rs *rankState) fluidForcesChunkFusedBatch(ks *kernelScratch, elems []int32
 		simd.ApplyDGradBatch(k.hprime, ks.pu, ks.pt1, ks.pt2, ks.pt3, ns)
 
 		for s := range fls {
-			bo := s * simd.PadLen
-			t1 := ks.pt1[bo : bo+simd.PadLen]
-			t2 := ks.pt2[bo : bo+simd.PadLen]
-			t3 := ks.pt3[bo : bo+simd.PadLen]
-			s1 := ks.ps1[bo : bo+simd.PadLen]
-			s2 := ks.ps2[bo : bo+simd.PadLen]
-			s3 := ks.ps3[bo : bo+simd.PadLen]
-
-			for p := 0; p < mesh.NGLL3; p++ {
-				ip := base + p
-				xix, xiy, xiz := reg.Xix[ip], reg.Xiy[ip], reg.Xiz[ip]
-				etx, ety, etz := reg.Etax[ip], reg.Etay[ip], reg.Etaz[ip]
-				gmx, gmy, gmz := reg.Gamx[ip], reg.Gamy[ip], reg.Gamz[ip]
-
-				gx := xix*t1[p] + etx*t2[p] + gmx*t3[p]
-				gy := xiy*t1[p] + ety*t2[p] + gmy*t3[p]
-				gz := xiz*t1[p] + etz*t2[p] + gmz*t3[p]
-
-				fac := reg.Jac[ip] / reg.Rho[ip]
-				s1[p] = fac * (gx*xix + gy*xiy + gz*xiz)
-				s2[p] = fac * (gx*etx + gy*ety + gz*etz)
-				s3[p] = fac * (gx*gmx + gy*gmy + gz*gmz)
-			}
+			fluidStage(reg, e, padBlock(ks.pt1, s), padBlock(ks.pt2, s), padBlock(ks.pt3, s),
+				padBlock(ks.ps1, s), padBlock(ks.ps2, s), padBlock(ks.ps3, s))
 		}
 
 		simd.GradTWeightedFusedBatch(k.hpwT, ks.ps1, ks.ps2, ks.ps3, k.fac1[:], k.fac2[:], k.fac3[:], ks.po, ns)

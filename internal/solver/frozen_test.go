@@ -12,6 +12,7 @@ import (
 
 	"specglobe/internal/earthmodel"
 	"specglobe/internal/meshfem"
+	"specglobe/internal/simd"
 )
 
 // updateFrozen rewrites testdata/frozen_bits.json from the current
@@ -130,67 +131,80 @@ func TestFrozenSeismogramBits(t *testing.T) {
 		return b
 	}
 
-	got := frozenFixture{GOARCH: runtime.GOARCH}
-	for i, c := range frozenConfigs {
-		name := fmt.Sprintf("%s/%s/combined=%v/lts=%v/s%d/w%d",
-			c.mesh, map[OverlapMode]string{OverlapOn: "overlap", OverlapOff: "blocking"}[c.mode],
-			c.combined, c.lts, c.fields, c.workers)
-		steps := 12
-		if c.physics {
-			name += "/" + c.kernel.String() + fullPhysicsSuffix
-			steps = 40
-		}
-		m := meshFor(c.mesh)
-		srcs, recvs := batchGlobeSources(t, m.g, c.fields)
-		res, err := Run(&Simulation{
-			Locals: m.g.Locals, Plans: m.g.Plans, Model: m.model,
-			Sources: srcs, Receivers: recvs,
-			Opts: Options{
-				Steps: steps, Workers: c.workers, Overlap: c.mode,
-				CombinedSolidHalo: c.combined, LTS: c.lts, Kernel: c.kernel,
-				Attenuation: c.physics, Rotation: c.physics, Gravity: c.physics, OceanLoad: c.physics,
-			},
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if c.lts && (c.mesh == "doubled" || c.mesh == "prem") && len(res.LTS.ElemsByRate) < 2 {
-			t.Fatalf("%s: clustering is single-rate: %v", name, res.LTS.ElemsByRate)
-		}
-		fc := frozenCase{
-			Name: name, Messages: res.MPI.Messages, BytesSent: res.MPI.BytesSent,
-			Stations: map[string]string{},
-		}
-		signal := false
-		for f, by := range res.BySource {
-			for st, sg := range by {
-				fc.Stations[fmt.Sprintf("%s/%d", st, f)] = hashSeries(sg)
-				signal = signal || maxAbs(sg.X)+maxAbs(sg.Y)+maxAbs(sg.Z) > 0
+	// Both bodies of the vec4 contractions and the pointwise stages must
+	// replay the fixture: the assembly on hosts that have it, and the Go
+	// fallback every other host runs. A re-record takes the Go body's
+	// bits, which the assembly then has to match.
+	var got frozenFixture
+	replay := func(t *testing.T) {
+		got = frozenFixture{GOARCH: runtime.GOARCH}
+		for i, c := range frozenConfigs {
+			name := fmt.Sprintf("%s/%s/combined=%v/lts=%v/s%d/w%d",
+				c.mesh, map[OverlapMode]string{OverlapOn: "overlap", OverlapOff: "blocking"}[c.mode],
+				c.combined, c.lts, c.fields, c.workers)
+			steps := 12
+			if c.physics {
+				name += "/" + c.kernel.String() + fullPhysicsSuffix
+				steps = 40
+			}
+			m := meshFor(c.mesh)
+			srcs, recvs := batchGlobeSources(t, m.g, c.fields)
+			res, err := Run(&Simulation{
+				Locals: m.g.Locals, Plans: m.g.Plans, Model: m.model,
+				Sources: srcs, Receivers: recvs,
+				Opts: Options{
+					Steps: steps, Workers: c.workers, Overlap: c.mode,
+					CombinedSolidHalo: c.combined, LTS: c.lts, Kernel: c.kernel,
+					Attenuation: c.physics, Rotation: c.physics, Gravity: c.physics, OceanLoad: c.physics,
+				},
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if c.lts && (c.mesh == "doubled" || c.mesh == "prem") && len(res.LTS.ElemsByRate) < 2 {
+				t.Fatalf("%s: clustering is single-rate: %v", name, res.LTS.ElemsByRate)
+			}
+			fc := frozenCase{
+				Name: name, Messages: res.MPI.Messages, BytesSent: res.MPI.BytesSent,
+				Stations: map[string]string{},
+			}
+			signal := false
+			for f, by := range res.BySource {
+				for st, sg := range by {
+					fc.Stations[fmt.Sprintf("%s/%d", st, f)] = hashSeries(sg)
+					signal = signal || maxAbs(sg.X)+maxAbs(sg.Y)+maxAbs(sg.Z) > 0
+				}
+			}
+			if !signal {
+				t.Fatalf("%s: no signal — the frozen hash is vacuous", name)
+			}
+			got.Cases = append(got.Cases, fc)
+			if *updateFrozen {
+				continue
+			}
+			w := want.Cases[i]
+			if w.Name != name {
+				t.Fatalf("case %d: fixture is %q, matrix is %q", i, w.Name, name)
+			}
+			if fc.Messages != w.Messages || fc.BytesSent != w.BytesSent {
+				t.Errorf("%s: traffic %d msgs / %d B, frozen %d msgs / %d B",
+					name, fc.Messages, fc.BytesSent, w.Messages, w.BytesSent)
+			}
+			if len(fc.Stations) != len(w.Stations) {
+				t.Errorf("%s: %d series, frozen %d", name, len(fc.Stations), len(w.Stations))
+			}
+			for key, h := range w.Stations {
+				if fc.Stations[key] != h {
+					t.Errorf("%s: series %s hashes to %s, frozen %s", name, key, fc.Stations[key], h)
+				}
 			}
 		}
-		if !signal {
-			t.Fatalf("%s: no signal — the frozen hash is vacuous", name)
-		}
-		got.Cases = append(got.Cases, fc)
-		if *updateFrozen {
-			continue
-		}
-		w := want.Cases[i]
-		if w.Name != name {
-			t.Fatalf("case %d: fixture is %q, matrix is %q", i, w.Name, name)
-		}
-		if fc.Messages != w.Messages || fc.BytesSent != w.BytesSent {
-			t.Errorf("%s: traffic %d msgs / %d B, frozen %d msgs / %d B",
-				name, fc.Messages, fc.BytesSent, w.Messages, w.BytesSent)
-		}
-		if len(fc.Stations) != len(w.Stations) {
-			t.Errorf("%s: %d series, frozen %d", name, len(fc.Stations), len(w.Stations))
-		}
-		for key, h := range w.Stations {
-			if fc.Stations[key] != h {
-				t.Errorf("%s: series %s hashes to %s, frozen %s", name, key, fc.Stations[key], h)
-			}
-		}
+	}
+	if *updateFrozen {
+		simd.ForceGo(t)
+		replay(t)
+	} else {
+		bothBodies(t, replay)
 	}
 
 	if *updateFrozen {

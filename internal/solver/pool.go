@@ -18,9 +18,11 @@ import (
 // elements instead of re-zeroing fresh stack frames per call.
 //
 // The fluid kernel reuses the x-component blocks (u as chi, t1..t3,
-// s1..s3); the simd kernels read and write only the 125 live lanes of
-// each block, so stale pad values never feed a computed lane and
-// scratch reuse is bit-exact regardless of which worker ran before.
+// s1..s3). A block's three pad lanes are scratch (package simd): the
+// vector bodies read and overwrite them, but no kernel lets a pad lane
+// feed one of the 125 live lanes, so stale pad values never reach a
+// result and scratch reuse is bit-exact regardless of which worker ran
+// before.
 type kernelScratch struct {
 	k *kernels
 

@@ -48,10 +48,12 @@ type fluidField struct {
 }
 
 // attState holds the standard-linear-solid memory variables of a solid
-// region. r is one flat array laid out [elem][point][mech][comp], comp
+// region. r is one flat array laid out [elem][mech][comp][point], comp
 // indexing the 6 deviatoric strain components (xx, yy, zz, xy, xz, yz):
-// the nsls*6 values a point's recursion touches are adjacent, and an
-// element's slab is one contiguous stream (stressStage).
+// an element's slab is one contiguous stream of nsls*6 rows, each the
+// 125 values of one component of one mechanism — lane-contiguous, so
+// the vector body of stressStage loads and stores 8 points of a row at
+// a time. Only stressStage knows the order inside a slab.
 type attState struct {
 	nsls  int
 	alpha []float32 // [elem][mech]

@@ -89,11 +89,23 @@ func elemBlock(a []float32, base int) *[mesh.NGLL3]float32 {
 // Jacobian-weighted flux blocks s1/s2/s3 for the transpose stage. With
 // attenuation (att non-nil) the deviatoric stress is corrected by the
 // memory variables, which then advance one step of their recursion in
-// place — the element's [point][mech][comp] slab of att.r is read and
-// written as one contiguous stream. The multiply-add sequence is fixed:
-// every variant, worker count and ensemble width produces the same
-// bits.
+// place. The multiply-add sequence is fixed: every variant, worker
+// count and ensemble width produces the same bits — and so do the two
+// bodies, the 8-lane assembly on hosts with AVX2 and stressStageGo
+// everywhere else. Lanes 125..127 of the s blocks are scratch.
 func stressStage(reg *mesh.Region, e int, att *attState, t1, t2, t3, s1, s2, s3 *compBlocks) {
+	if simd.Vector() {
+		stressStageVec(reg, e, att, t1, t2, t3, s1, s2, s3)
+		return
+	}
+	stressStageGo(reg, e, att, t1, t2, t3, s1, s2, s3)
+}
+
+// stressStageGo is the Go body of stressStage. The element's
+// [mech][comp][point] slab of att.r is 18 rows of 125 floats; walking
+// the points in ascending order consumes a cache line of each row whole
+// before moving to the next.
+func stressStageGo(reg *mesh.Region, e int, att *attState, t1, t2, t3, s1, s2, s3 *compBlocks) {
 	base := e * mesh.NGLL3
 	xixB, xiyB, xizB := elemBlock(reg.Xix, base), elemBlock(reg.Xiy, base), elemBlock(reg.Xiz, base)
 	etxB, etyB, etzB := elemBlock(reg.Etax, base), elemBlock(reg.Etay, base), elemBlock(reg.Etaz, base)
@@ -108,7 +120,6 @@ func stressStage(reg *mesh.Region, e int, att *attState, t1, t2, t3, s1, s2, s3 
 		beta = att.beta[e*att.nsls : (e+1)*att.nsls]
 		slab = att.r[base*att.nsls*6 : (base+mesh.NGLL3)*att.nsls*6]
 	}
-	ir := 0 // offset of the next [mech] record in slab
 
 	for p := 0; p < mesh.NGLL3; p++ {
 		xix, xiy, xiz := xixB[p], xiyB[p], xizB[p]
@@ -148,22 +159,24 @@ func stressStage(reg *mesh.Region, e int, att *attState, t1, t2, t3, s1, s2, s3 
 			dxx := duxdx - third
 			dyy := duydy - third
 			dzz := duzdz - third
+			ir := p // point p of the next mechanism's first row
 			for m, al := range alpha {
 				be := beta[m] * mu
-				rm := (*[6]float32)(slab[ir:])
-				ir += 6
+				// Point p of the mechanism's six rows, 125 floats apart.
+				rm := slab[ir : ir+5*mesh.NGLL3+1]
+				ir += 6 * mesh.NGLL3
 				sxx -= rm[0]
-				syy -= rm[1]
-				szz -= rm[2]
-				sxy -= rm[3]
-				sxz -= rm[4]
-				syz -= rm[5]
+				syy -= rm[mesh.NGLL3]
+				szz -= rm[2*mesh.NGLL3]
+				sxy -= rm[3*mesh.NGLL3]
+				sxz -= rm[4*mesh.NGLL3]
+				syz -= rm[5*mesh.NGLL3]
 				rm[0] = al*rm[0] + be*2*dxx
-				rm[1] = al*rm[1] + be*2*dyy
-				rm[2] = al*rm[2] + be*2*dzz
-				rm[3] = al*rm[3] + be*2*exy
-				rm[4] = al*rm[4] + be*2*exz
-				rm[5] = al*rm[5] + be*2*eyz
+				rm[mesh.NGLL3] = al*rm[mesh.NGLL3] + be*2*dyy
+				rm[2*mesh.NGLL3] = al*rm[2*mesh.NGLL3] + be*2*dzz
+				rm[3*mesh.NGLL3] = al*rm[3*mesh.NGLL3] + be*2*exy
+				rm[4*mesh.NGLL3] = al*rm[4*mesh.NGLL3] + be*2*exz
+				rm[5*mesh.NGLL3] = al*rm[5*mesh.NGLL3] + be*2*eyz
 			}
 		}
 

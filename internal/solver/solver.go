@@ -36,9 +36,14 @@ import (
 type Kernel int
 
 const (
-	// KernelVec4 is the manually vectorized 4-wide kernel (default).
+	// KernelVec4 is the manually vectorized kernel, the default and the
+	// production path. On amd64 hosts with AVX2 its contractions and
+	// the pointwise stages run 8-lane assembly bodies; everywhere else
+	// the 4-lane Go bodies they are tested against bit for bit (same
+	// seismograms either way; DESIGN.md "Vector kernels").
 	KernelVec4 Kernel = iota
-	// KernelScalar is the plain-loop baseline.
+	// KernelScalar is the plain-loop baseline and the oracle of the
+	// cross-variant tests.
 	KernelScalar
 	// KernelBlas is the BLAS-style path with cutplane copies.
 	KernelBlas

@@ -8,6 +8,7 @@ import (
 
 	"specglobe/internal/earthmodel"
 	"specglobe/internal/mesh"
+	"specglobe/internal/simd"
 )
 
 // stressFixture is a synthetic solid region with random metric and
@@ -75,6 +76,14 @@ func (fx *stressFixture) randomGradients(rng *rand.Rand) {
 			t[p] = float32(rng.NormFloat64()) * 1e-3
 		}
 	}
+}
+
+// rIndex is the slot of att.r holding component c of mechanism m at
+// point ip = elem*125+point: the [elem][mech][comp][point] order only
+// stressStage and these tests know.
+func rIndex(nsls, ip, m, c int) int {
+	e, p := ip/mesh.NGLL3, ip%mesh.NGLL3
+	return ((e*nsls+m)*6+c)*mesh.NGLL3 + p
 }
 
 func (fx *stressFixture) stage(e int) {
@@ -153,61 +162,81 @@ func stressReference(reg *mesh.Region, e int, att *attState, r [][6][]float32, t
 	}
 }
 
-// The shared stage against the reference loop, bit for bit: with and
-// without attenuation, two consecutive steps (the second reads the
-// memory variables the first wrote), on the first and the last element
-// of the region — and every memory variable of the region is compared,
-// so a write outside the visited element's slab shows up too.
+// bothBodies runs f once per body of the pointwise stages and the Vec4
+// contractions: the 8-lane assembly (skipped on hosts without it) and
+// the Go fallback.
+func bothBodies(t *testing.T, f func(t *testing.T)) {
+	t.Run("avx2", func(t *testing.T) {
+		if !simd.Vector() {
+			t.Skip("no AVX2 on this host")
+		}
+		f(t)
+	})
+	t.Run("go", func(t *testing.T) {
+		simd.ForceGo(t)
+		f(t)
+	})
+}
+
+// The shared stage against the reference loop, bit for bit, for both of
+// its bodies: with and without attenuation, two consecutive steps (the
+// second reads the memory variables the first wrote), on the first and
+// the last element of the region — and every memory variable of the
+// region is compared, so a write outside the visited element's slab
+// shows up too.
 func TestStressStageMatchesReference(t *testing.T) {
 	const nspec = 4
 	for _, nsls := range []int{0, 3} {
 		t.Run(fmt.Sprintf("nsls=%d", nsls), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(7 + nsls)))
-			fx := newStressFixture(rng, nspec, nsls)
-			// The reference's memory variables: the same start values
-			// in [mech][comp][elem*125+point] arrays.
-			ref := make([][6][]float32, nsls)
-			for m := range ref {
-				for c := range ref[m] {
-					ref[m][c] = make([]float32, nspec*mesh.NGLL3)
-					for ip := range ref[m][c] {
-						ref[m][c][ip] = fx.att.r[(ip*nsls+m)*6+c]
-					}
-				}
-			}
-			for step := 0; step < 2; step++ {
-				for _, e := range []int{0, nspec - 1} {
-					fx.randomGradients(rng)
-					var want [9][mesh.NGLL3]float32
-					stressReference(fx.reg, e, fx.att, ref, blocks(&fx.t1, &fx.t2, &fx.t3), &want)
-					fx.stage(e)
-					for bi, s := range blocks(&fx.s1, &fx.s2, &fx.s3) {
-						for p := 0; p < mesh.NGLL3; p++ {
-							if math.Float32bits(s[p]) != math.Float32bits(want[bi][p]) {
-								t.Fatalf("step %d elem %d: flux block %d point %d = %g, reference %g",
-									step, e, bi, p, s[p], want[bi][p])
-							}
-						}
-					}
-				}
+			bothBodies(t, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(7 + nsls)))
+				fx := newStressFixture(rng, nspec, nsls)
+				// The reference's memory variables: the same start values
+				// in [mech][comp][elem*125+point] arrays.
+				ref := make([][6][]float32, nsls)
 				for m := range ref {
 					for c := range ref[m] {
-						for ip, w := range ref[m][c] {
-							if got := fx.att.r[(ip*nsls+m)*6+c]; math.Float32bits(got) != math.Float32bits(w) {
-								t.Fatalf("step %d: r[elem %d][point %d][mech %d][comp %d] = %g, reference %g",
-									step, ip/mesh.NGLL3, ip%mesh.NGLL3, m, c, got, w)
+						ref[m][c] = make([]float32, nspec*mesh.NGLL3)
+						for ip := range ref[m][c] {
+							ref[m][c][ip] = fx.att.r[rIndex(nsls, ip, m, c)]
+						}
+					}
+				}
+				for step := 0; step < 2; step++ {
+					for _, e := range []int{0, nspec - 1} {
+						fx.randomGradients(rng)
+						var want [9][mesh.NGLL3]float32
+						stressReference(fx.reg, e, fx.att, ref, blocks(&fx.t1, &fx.t2, &fx.t3), &want)
+						fx.stage(e)
+						for bi, s := range blocks(&fx.s1, &fx.s2, &fx.s3) {
+							for p := 0; p < mesh.NGLL3; p++ {
+								if math.Float32bits(s[p]) != math.Float32bits(want[bi][p]) {
+									t.Fatalf("step %d elem %d: flux block %d point %d = %g, reference %g",
+										step, e, bi, p, s[p], want[bi][p])
+								}
+							}
+						}
+					}
+					for m := range ref {
+						for c := range ref[m] {
+							for ip, w := range ref[m][c] {
+								if got := fx.att.r[rIndex(nsls, ip, m, c)]; math.Float32bits(got) != math.Float32bits(w) {
+									t.Fatalf("step %d: r[elem %d][mech %d][comp %d][point %d] = %g, reference %g",
+										step, ip/mesh.NGLL3, m, c, ip%mesh.NGLL3, got, w)
+								}
 							}
 						}
 					}
 				}
-			}
+			})
 		})
 	}
 }
 
 // clone shares the mesh-static coefficient tables and owns zeroed
 // memory variables of the same length; r is one flat
-// [elem][point][mech][comp] array the state census walks to its last
+// [elem][mech][comp][point] array — an element's slab is nsls*6
+// lane-contiguous rows of 125 — that the state census walks to its last
 // slot.
 func TestAttStateLayout(t *testing.T) {
 	const nspec = 3
@@ -245,8 +274,12 @@ func TestAttStateLayout(t *testing.T) {
 	if _, n := rs.stateCensus(); n != 0 {
 		t.Fatalf("census of a zeroed state counts %d", n)
 	}
-	// The last [elem][point][mech][comp] slot.
-	c.r[(((nspec-1)*mesh.NGLL3+mesh.NGLL3-1)*fit.NSLS+fit.NSLS-1)*6+5] = math.Float32frombits(1)
+	// The last [elem][mech][comp][point] slot.
+	last := rIndex(fit.NSLS, nspec*mesh.NGLL3-1, fit.NSLS-1, 5)
+	if last != len(c.r)-1 {
+		t.Fatalf("last slot of r is %d, want %d", last, len(c.r)-1)
+	}
+	c.r[last] = math.Float32frombits(1)
 	if _, n := rs.stateCensus(); n != 1 {
 		t.Errorf("census counts %d subnormals, want the 1 planted in the last slot of r", n)
 	}
@@ -256,7 +289,9 @@ func TestAttStateLayout(t *testing.T) {
 // (ns/op is per element): attenuation off/on, one element cache-hot or
 // 3 000 elements (45 MB of metric, material and memory-variable
 // streams, far past the last-level cache share) visited in sequence or
-// in a shuffled order like the colour classes'. No allocation.
+// in a shuffled order like the colour classes'. Both bodies: the cases
+// without a suffix run what this host runs in production, the /go cases
+// force the fallback (what a host without AVX2 pays). No allocation.
 func BenchmarkStressStage(b *testing.B) {
 	for _, nsls := range []int{0, earthmodel.DefaultNSLS} {
 		for _, c := range []struct {
@@ -268,7 +303,7 @@ func BenchmarkStressStage(b *testing.B) {
 			{"cold3000/seq", 3000, false},
 			{"cold3000/shuffled", 3000, true},
 		} {
-			b.Run(fmt.Sprintf("nsls=%d/%s", nsls, c.name), func(b *testing.B) {
+			run := func(b *testing.B) {
 				rng := rand.New(rand.NewSource(1))
 				fx := newStressFixture(rng, c.nspec, nsls)
 				order := rng.Perm(c.nspec)
@@ -282,7 +317,15 @@ func BenchmarkStressStage(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					fx.stage(order[i%c.nspec])
 				}
-			})
+			}
+			name := fmt.Sprintf("nsls=%d/%s", nsls, c.name)
+			b.Run(name, run)
+			if simd.Vector() {
+				b.Run(name+"/go", func(b *testing.B) {
+					simd.ForceGo(b)
+					run(b)
+				})
+			}
 		}
 	}
 }
