@@ -68,10 +68,10 @@ var frozenConfigs = []struct {
 	{"sliced", OverlapOn, true, true, 1, 1, false, KernelVec4},
 	{"sliced", OverlapOn, false, false, 3, 4, false, KernelVec4},
 	{"prem", OverlapOn, true, false, 1, 4, true, KernelVec4},
-	{"prem", OverlapOn, true, false, 3, 1, true, KernelFused},
+	{"prem", OverlapOn, true, false, 3, 1, true, KernelVec4},
 	{"prem", OverlapOff, false, false, 1, 2, true, KernelScalar},
-	{"prem", OverlapOn, true, true, 3, 4, true, KernelFused},
-	{"prem", OverlapOff, true, true, 1, 1, true, KernelBlas},
+	{"prem", OverlapOn, true, true, 3, 4, true, KernelVec4},
+	{"prem", OverlapOff, true, true, 1, 1, true, KernelScalar},
 }
 
 const fullPhysicsSuffix = "/fullphys"
