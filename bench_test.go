@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -181,13 +180,13 @@ func BenchmarkCuthillMcKee(b *testing.B) {
 }
 
 // BenchmarkForceKernel reproduces the section 4.3 comparison at solver
-// level: manual vec4 kernels vs plain loops vs the BLAS-with-copies
-// path (paper: SSE gains 15-20%; BLAS is slower than plain loops).
+// level: manual vec4 kernels vs plain loops (paper: SSE gains 15-20%).
+// The BLAS-with-copies leg is a per-block time in internal/simd.
 func BenchmarkForceKernel(b *testing.B) {
 	for _, kv := range []struct {
 		name string
 		k    solver.Kernel
-	}{{"vec4", solver.KernelVec4}, {"scalar", solver.KernelScalar}, {"blas", solver.KernelBlas}} {
+	}{{"vec4", solver.KernelVec4}, {"scalar", solver.KernelScalar}} {
 		b.Run(kv.name, func(b *testing.B) {
 			g := buildBenchGlobe(b, 8, 1)
 			b.ResetTimer()
@@ -706,113 +705,6 @@ func TestWriteBenchPR5(t *testing.T) {
 	}
 }
 
-// benchPR6Snapshot is the schema of BENCH_PR6.json: the perf-trajectory
-// data point for the fused element kernel with roofline accounting (the
-// KERNROOF ablation: kernel variant x worker count on a box and a
-// doubled globe, each run positioned against the measured local
-// roofline).
-type benchPR6Snapshot struct {
-	PR        int    `json:"pr"`
-	Benchmark string `json:"benchmark"`
-	benchEnv
-	Steps int `json:"steps"`
-	// The measured local machine the %-of-peak columns refer to.
-	MachineName       string  `json:"machine"`
-	PeakGflopsPerCore float64 `json:"peak_gflops_per_core"`
-	MemBWPerCoreGBs   float64 `json:"mem_bw_per_core_gbs"`
-
-	Rows []benchPR6Row `json:"rows"`
-	// FusedVsVec4 maps "mesh workers=N" to the fused/vec4 steps-per-sec
-	// ratio.
-	FusedVsVec4 map[string]float64 `json:"fused_vs_vec4_speedup"`
-	Note        string             `json:"note"`
-}
-
-// benchPR6Row is one (mesh, kernel, workers) roofline measurement.
-type benchPR6Row struct {
-	Mesh          string  `json:"mesh"`
-	Kernel        string  `json:"kernel"`
-	Workers       int     `json:"workers"`
-	StepsPerSec   float64 `json:"steps_per_sec"`
-	Gflops        float64 `json:"achieved_gflops"`
-	SolidAI       float64 `json:"solid_flop_per_byte"`
-	FluidAI       float64 `json:"fluid_flop_per_byte"`
-	ForceGflops   float64 `json:"force_gflops_per_core"`
-	PctOfPeak     float64 `json:"force_pct_of_peak"`
-	PctOfRoofline float64 `json:"force_pct_of_roofline"`
-	BoundBy       string  `json:"force_bound_by"`
-}
-
-// TestWriteBenchPR6 regenerates BENCH_PR6.json. It only runs when
-// BENCH_SNAPSHOT=1 is set (it measures wall time, which is meaningless
-// on a loaded CI runner):
-//
-//	BENCH_SNAPSHOT=1 go test -run TestWriteBenchPR6 .
-func TestWriteBenchPR6(t *testing.T) {
-	if os.Getenv("BENCH_SNAPSHOT") == "" {
-		t.Skip("set BENCH_SNAPSHOT=1 to rewrite BENCH_PR6.json")
-	}
-	const boxN, globeNex, steps = 6, 8, 20
-	workers := []int{1, 4}
-	// The sweep already keeps the best of two runs per cell; retry the
-	// whole sweep a couple of times if host noise still leaves the
-	// fused kernel behind vec4 everywhere at Workers=1 — the snapshot
-	// exists to record the structural speedup, not one bad quantum.
-	var r *experiments.KernRoofResult
-	var err error
-	for attempt := 0; attempt < 3; attempt++ {
-		r, err = experiments.KernRoof(boxN, globeNex, steps, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ok := false
-		for k, v := range r.FusedSpeedups() {
-			if v > 1 && strings.Contains(k, "workers=1") {
-				ok = true
-			}
-		}
-		if ok {
-			break
-		}
-		t.Logf("attempt %d: fused did not beat vec4 at workers=1, retrying", attempt)
-	}
-	snap := benchPR6Snapshot{
-		PR: 6, Benchmark: "KERNROOF (BenchmarkKernelVariants configuration)",
-		benchEnv:          currentBenchEnv(),
-		Steps:             steps,
-		MachineName:       r.Machine.Name,
-		PeakGflopsPerCore: r.Machine.PeakGflopsPerCore,
-		MemBWPerCoreGBs:   r.Machine.MemBWPerCoreGBs,
-		FusedVsVec4:       r.FusedSpeedups(),
-		Note: "fused kernel: one streaming pass per element (batched panel gradient, " +
-			"register-blocked slabs, fused weighted-transpose accumulation); the AI " +
-			"columns are the analytic streamed-byte model, so fused can exceed 100% of " +
-			"that roofline by keeping blocks cache-resident between stages",
-	}
-	for _, row := range r.Rows {
-		snap.Rows = append(snap.Rows, benchPR6Row{
-			Mesh: row.Mesh, Kernel: row.Kernel.String(), Workers: row.Workers,
-			StepsPerSec: row.StepsPerSec, Gflops: row.Gflops,
-			SolidAI: row.SolidAI, FluidAI: row.FluidAI,
-			ForceGflops:   row.Force.AchievedGflops,
-			PctOfPeak:     row.Force.PctOfPeak,
-			PctOfRoofline: row.Force.PctOfRoofline,
-			BoundBy:       row.Force.BoundBy,
-		})
-	}
-	best := 0.0
-	for k, v := range snap.FusedVsVec4 {
-		if strings.Contains(k, "workers=1") && v > best {
-			best = v
-		}
-	}
-	if best <= 1 {
-		t.Errorf("fused kernel never beat vec4 at workers=1: %v", snap.FusedVsVec4)
-	}
-	writeBenchJSON(t, "BENCH_PR6.json", snap)
-	t.Log("\n" + r.String())
-}
-
 // BenchmarkLTS compares the doubled globe under the single-rate
 // integrator against clustered local time stepping at the same finest
 // dt. The metric is steps-of-finest-level/sec — both variants advance
@@ -973,7 +865,7 @@ func BenchmarkBatchedSources(b *testing.B) {
 		{"globe-dbl", g.Locals, g.Plans, earthLike(), benchSource(b, g)},
 	}
 	for _, m := range meshes {
-		for _, kv := range []solver.Kernel{solver.KernelScalar, solver.KernelFused} {
+		for _, kv := range []solver.Kernel{solver.KernelScalar, solver.KernelVec4} {
 			for _, s := range []int{1, 2, 4, 8} {
 				b.Run(fmt.Sprintf("%s/%s/S%d", m.name, kv, s), func(b *testing.B) {
 					srcs := ensembleOf(m.src, s)
@@ -995,127 +887,6 @@ func BenchmarkBatchedSources(b *testing.B) {
 			}
 		}
 	}
-}
-
-// benchPR8Row is one batched measurement of BENCH_PR8.json.
-type benchPR8Row struct {
-	Kernel             string  `json:"kernel"`
-	Sources            int     `json:"sources"`
-	StepsSec           float64 `json:"steps_per_sec"`
-	SourceStepsSec     float64 `json:"source_steps_per_sec"`
-	SpeedupSameKernel  float64 `json:"speedup_vs_s1_same_kernel"`
-	SpeedupVsSeqScalar float64 `json:"speedup_vs_sequential_scalar"`
-	SolidAI            float64 `json:"solid_ai"`
-}
-
-// benchPR8Snapshot is the schema of BENCH_PR8.json: the perf-trajectory
-// data point for multi-source ensemble batching on the box mesh at
-// Workers=1, beside the sequential single-source baselines of every
-// kernel generation.
-type benchPR8Snapshot struct {
-	PR        int    `json:"pr"`
-	Benchmark string `json:"benchmark"`
-	benchEnv
-	BoxN    int `json:"box_n"`
-	Steps   int `json:"steps"`
-	Workers int `json:"workers"`
-
-	SeqScalarStepsSec float64       `json:"sequential_scalar_steps_per_sec"`
-	SeqVec4StepsSec   float64       `json:"sequential_vec4_steps_per_sec"`
-	SeqFusedStepsSec  float64       `json:"sequential_fused_steps_per_sec"`
-	Batched           []benchPR8Row `json:"batched"`
-	Note              string        `json:"note"`
-}
-
-// TestWriteBenchPR8 regenerates BENCH_PR8.json. It only runs when
-// BENCH_SNAPSHOT=1 is set (it measures wall time, which is meaningless
-// on a loaded CI runner):
-//
-//	BENCH_SNAPSHOT=1 go test -run TestWriteBenchPR8 .
-func TestWriteBenchPR8(t *testing.T) {
-	if os.Getenv("BENCH_SNAPSHOT") == "" {
-		t.Skip("set BENCH_SNAPSHOT=1 to rewrite BENCH_PR8.json")
-	}
-	const boxN, steps, reps = 10, 16, 3
-	box, src := buildBenchBox(t, boxN)
-	run := func(kv solver.Kernel, s int) *solver.Result {
-		var best *solver.Result
-		for r := 0; r < reps; r++ { // best-of to shed scheduler noise
-			res, err := solver.Run(&solver.Simulation{
-				Locals: box.Locals, Plans: box.Plans,
-				Sources: ensembleOf(src, s),
-				Opts:    solver.Options{Steps: steps, Kernel: kv, Workers: 1},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if best == nil || res.Perf.WallTime < best.Perf.WallTime {
-				best = res
-			}
-		}
-		return best
-	}
-	stepsSec := func(res *solver.Result) float64 { return steps / res.Perf.WallTime.Seconds() }
-
-	seqScalar := stepsSec(run(solver.KernelScalar, 1))
-	seqVec4 := stepsSec(run(solver.KernelVec4, 1))
-	seqFused := stepsSec(run(solver.KernelFused, 1))
-
-	snap := benchPR8Snapshot{
-		PR: 8, Benchmark: "BenchmarkBatchedSources",
-		benchEnv: currentBenchEnv(),
-		BoxN:     boxN, Steps: steps, Workers: 1,
-		SeqScalarStepsSec: seqScalar, SeqVec4StepsSec: seqVec4, SeqFusedStepsSec: seqFused,
-		Note: "src-steps/sec = steps*S/wall. speedup_vs_sequential_scalar compares the " +
-			"batched ensemble against S sequential single-source scalar runs, whose " +
-			"aggregate src-steps/sec equals the single-run steps/sec (S x the work in " +
-			"S x the time); the batched fused ensemble sweep is " +
-			"this PR's engine and did not exist before it. speedup_vs_s1_same_kernel " +
-			"isolates the batching margin alone, which is small in wall time here: the " +
-			"static-byte amortization that lifts solid_ai with S is analytic, these " +
-			"laptop-scale meshes are cache-resident, and scalar Go arithmetic keeps the " +
-			"kernels FP-bound, so the memory-side saving barely moves the clock",
-	}
-	ai := map[int]float64{}
-	for _, kv := range []solver.Kernel{solver.KernelScalar, solver.KernelFused} {
-		var base float64
-		for _, s := range []int{1, 2, 4, 8} {
-			res := run(kv, s)
-			row := benchPR8Row{
-				Kernel: kv.String(), Sources: s,
-				StepsSec:       stepsSec(res),
-				SourceStepsSec: res.SourceStepsPerSec,
-				SolidAI:        res.Perf.ArithmeticIntensity(perf.PhaseForceSolid.String()),
-				// S sequential single-source runs do S x the work in S x
-				// the time, so their aggregate src-steps/sec IS the
-				// single-run steps/sec.
-				SpeedupVsSeqScalar: res.SourceStepsPerSec / seqScalar,
-			}
-			if s == 1 {
-				base = row.SourceStepsSec
-			}
-			row.SpeedupSameKernel = row.SourceStepsSec / base
-			if kv == solver.KernelFused {
-				ai[s] = row.SolidAI
-			}
-			snap.Batched = append(snap.Batched, row)
-			if kv == solver.KernelFused && s == 4 {
-				// The acceptance bar: the S=4 batched fused ensemble must
-				// deliver >= 1.3x the aggregate throughput of 4 sequential
-				// single-source runs of the pre-batching scalar kernel.
-				if row.SourceStepsSec < 1.3*seqScalar {
-					t.Errorf("batched fused S=4: %.2f src-steps/s < 1.3x sequential scalar %.2f steps/s",
-						row.SourceStepsSec, seqScalar)
-				}
-			}
-		}
-	}
-	if !(ai[4] > ai[1]) {
-		t.Errorf("solid AI did not rise with batching: AI(4)=%.3f vs AI(1)=%.3f", ai[4], ai[1])
-	}
-	writeBenchJSON(t, "BENCH_PR8.json", snap)
-	t.Logf("sequential scalar/vec4/fused %.2f/%.2f/%.2f steps/s; batched rows: %+v",
-		seqScalar, seqVec4, seqFused, snap.Batched)
 }
 
 // benchPR10Row is one SERVICE mode of BENCH_PR10.json.

@@ -230,7 +230,7 @@ func experimentList() []experiment {
 			},
 		},
 		{
-			id: "SSE20", desc: "force-kernel variants: vec4 vs scalar vs BLAS",
+			id: "SSE20", desc: "force kernels vec4 vs scalar (solver runs), BLAS vs scalar per block",
 			run: func(quick bool) (fmt.Stringer, error) {
 				nex, steps := 8, 10
 				if quick {

@@ -32,7 +32,7 @@ func runCtl(args []string) {
 		depth   = fs.Float64("depth", 150e3, "event depth (m)")
 		m0      = fs.Float64("m0", 1e20, "scalar moment (N*m)")
 		halfDur = fs.Float64("halfduration", 20, "source half duration (s)")
-		kernel  = fs.String("kernel", "", "force kernel: vec4 (default; AVX2 assembly where the daemon's host has it), scalar, blas, fused")
+		kernel  = fs.String("kernel", "", "force kernel: vec4 (default; AVX2 assembly where the daemon's host has it) or scalar")
 		lts     = fs.Bool("lts", false, "clustered local time stepping")
 		stats   = fs.String("stations", "ANMO,HRV,KIP", "comma-separated reference station names")
 		out     = fs.String("out", "seismograms", "directory for streamed ASCII seismograms")

@@ -54,7 +54,7 @@ func main() {
 		grav     = flag.Bool("gravity", false, "enable background gravity")
 		ocean    = flag.Bool("oceans", false, "enable ocean load")
 		snap     = flag.Bool("snap-stations", false, "locate stations at nearest grid point (fast 4.4 mode)")
-		kernel   = flag.String("kernel", "vec4", "force kernel: vec4 (AVX2 assembly where the host has it, the same bits from Go elsewhere), scalar, blas, fused")
+		kernel   = flag.String("kernel", "vec4", "force kernel: vec4 (AVX2 assembly where the host has it, the same bits from Go elsewhere) or scalar")
 		legacyIO = flag.String("legacy-io", "", "write/read the mesh through a legacy file database in this directory")
 		combined = flag.Bool("combined-halo", true, "combine crust/mantle and inner-core halo messages (33% fewer messages; the daemon always does)")
 		out      = flag.String("out", "", "directory for ASCII seismograms (empty = skip)")

@@ -18,7 +18,7 @@ func TestKernelsComparison(t *testing.T) {
 		if r, err = Kernels(4, 6); err != nil {
 			t.Fatal(err)
 		}
-		if r.Vec4 <= 0 || r.Scalar <= 0 || r.Blas <= 0 {
+		if r.Vec4 <= 0 || r.Scalar <= 0 || r.ScalarBlock <= 0 || r.BlasBlock <= 0 {
 			t.Fatal("missing timings")
 		}
 		vec4, scalar = min(vec4, r.Vec4), min(scalar, r.Scalar)

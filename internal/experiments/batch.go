@@ -71,7 +71,7 @@ func BatchAblation(boxN, globeNex, steps int, sizes []int, workers int) (*BatchR
 		workers = 1
 	}
 	out := &BatchResult{Steps: steps, Workers: workers, Machine: perfmodel.MeasureLocalMachine()}
-	kernels := []solver.Kernel{solver.KernelScalar, solver.KernelFused}
+	kernels := []solver.Kernel{solver.KernelScalar, solver.KernelVec4}
 	// Keep the faster of two runs per cell (warm-up + noise, as in
 	// KERNROOF).
 	const reps = 2

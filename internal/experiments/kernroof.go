@@ -13,7 +13,7 @@ import (
 	"specglobe/internal/solver"
 )
 
-// The KERNROOF ablation crosses the four force-kernel variants with
+// The KERNROOF ablation crosses the two force-kernel variants with
 // worker counts on two meshes (a homogeneous box and a doubled globe)
 // and positions each run on the roofline of the host machine, measured
 // live by perfmodel.MeasureLocalMachine. The per-phase arithmetic
@@ -67,7 +67,7 @@ func KernRoof(boxN, globeNex, steps int, workers []int) (*KernRoofResult, error)
 		return nil, err
 	}
 	out := &KernRoofResult{Steps: steps, Machine: perfmodel.MeasureLocalMachine()}
-	kernels := []solver.Kernel{solver.KernelScalar, solver.KernelVec4, solver.KernelBlas, solver.KernelFused}
+	kernels := []solver.Kernel{solver.KernelScalar, solver.KernelVec4}
 	// Each cell runs twice and keeps the faster run: the first pass
 	// faults pages and warms caches, and single short runs on a shared
 	// host are too noisy to rank kernels by.
@@ -162,27 +162,6 @@ func kernRoofRow(name string, kv solver.Kernel, w, steps int, res *solver.Result
 	}
 }
 
-// FusedSpeedups returns, per (mesh, workers) pair, the steps/sec ratio
-// of the fused kernel over vec4 (the previous default).
-func (r *KernRoofResult) FusedSpeedups() map[string]float64 {
-	base := map[string]float64{}
-	out := map[string]float64{}
-	key := func(row KernRoofRow) string {
-		return fmt.Sprintf("%s workers=%d", row.Mesh, row.Workers)
-	}
-	for _, row := range r.Rows {
-		if row.Kernel == solver.KernelVec4 {
-			base[key(row)] = row.StepsPerSec
-		}
-	}
-	for _, row := range r.Rows {
-		if row.Kernel == solver.KernelFused && base[key(row)] > 0 {
-			out[key(row)] = row.StepsPerSec / base[key(row)]
-		}
-	}
-	return out
-}
-
 // String renders the roofline table.
 func (r *KernRoofResult) String() string {
 	var b strings.Builder
@@ -196,20 +175,8 @@ func (r *KernRoofResult) String() string {
 			row.SolidAI, row.FluidAI, row.Force.AchievedGflops,
 			row.Force.PctOfPeak, row.Force.PctOfRoofline, row.Force.BoundBy)
 	}
-	keys := make([]string, 0)
-	sp := r.FusedSpeedups()
-	for _, row := range r.Rows {
-		if row.Kernel == solver.KernelFused {
-			keys = append(keys, fmt.Sprintf("%s workers=%d", row.Mesh, row.Workers))
-		}
-	}
-	for _, k := range keys {
-		if v, ok := sp[k]; ok {
-			fmt.Fprintf(&b, "  fused vs vec4 on %s: %.2fx steps/sec\n", k, v)
-		}
-	}
 	b.WriteString("  (force column: solid+fluid kernel flops over pool busy time, per core;\n")
 	b.WriteString("  the AI uses the analytic streamed-byte model, so %roof is the fraction of\n")
-	b.WriteString("  the ceiling that structure allows — fused raises it by not re-streaming blocks)\n")
+	b.WriteString("  the ceiling that structure allows)\n")
 	return b.String()
 }

@@ -412,8 +412,7 @@ func DefaultFlopCounts() FlopCounts {
 // roofline positions against a machine's peak and bandwidth. It is a
 // per-stage streaming model, not a cache-miss prediction: blocks that
 // stay L1-resident between stages make the effective DRAM traffic
-// lower, which is exactly the headroom the fused kernel converts into
-// speed. (Distinct from perfmodel.ArithmeticIntensity = 0.36 flop/byte,
+// lower. (Distinct from perfmodel.ArithmeticIntensity = 0.36 flop/byte,
 // the paper-calibrated whole-application constant.)
 //
 // All counts are derived from the canonical (unfused) kernel pipeline

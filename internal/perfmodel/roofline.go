@@ -101,9 +101,8 @@ var (
 // PeakGflopsPerCore is the ceiling of the production (vec4) kernel:
 // the 8-lane multiply+add issue rate where simd.Vector reports the
 // assembly bodies, the scalar rate elsewhere. ScalarPeakGflopsPerCore
-// is always the scalar rate — the ceiling of the Go kernels (scalar,
-// blas, fused, and vec4's fallback), which the compiler does not
-// vectorize.
+// is always the scalar rate — the ceiling of the Go kernels (scalar
+// and vec4's fallback), which the compiler does not vectorize.
 func MeasureLocalMachine() Machine {
 	localOnce.Do(func() {
 		scalar := measureScalarPeakGflops()

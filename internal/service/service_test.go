@@ -295,10 +295,12 @@ func TestSubmitTypedErrors(t *testing.T) {
 	if _, err := d.Submit(bad, sink); CodeOf(err) != CodeBadRequest {
 		t.Errorf("zero steps: got %v, want code %s", err, CodeBadRequest)
 	}
-	bad = baseSpec("bad-kernel", 0)
-	bad.Kernel = "quantum"
-	if _, err := d.Submit(bad, sink); CodeOf(err) != CodeBadRequest {
-		t.Errorf("unknown kernel: got %v, want code %s", err, CodeBadRequest)
+	for _, name := range []string{"quantum", "fused", "blas"} {
+		bad = baseSpec("bad-kernel", 0)
+		bad.Kernel = name
+		if _, err := d.Submit(bad, sink); CodeOf(err) != CodeBadRequest {
+			t.Errorf("kernel %q: got %v, want code %s", name, err, CodeBadRequest)
+		}
 	}
 	bad = baseSpec("no-event", 0)
 	bad.Event = nil

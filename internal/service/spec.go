@@ -39,8 +39,8 @@ type JobSpec struct {
 	Gravity     bool `json:"gravity,omitempty"`
 	OceanLoad   bool `json:"ocean_load,omitempty"`
 	// Kernel selects the force kernel: "vec4" (default: AVX2 assembly
-	// where the host has it, the same bits from Go elsewhere), "scalar",
-	// "blas" or "fused".
+	// where the host has it, the same bits from Go elsewhere) or
+	// "scalar"; any other name is a bad request.
 	Kernel string `json:"kernel,omitempty"`
 	// LTS enables clustered local time stepping.
 	LTS bool `json:"lts,omitempty"`

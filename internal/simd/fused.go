@@ -1,9 +1,11 @@
 package simd
 
-// Fused element kernels: the fourth force-kernel variant of the solver
-// (KernelFused). The three per-direction derivative applications of the
-// other variants each stream the whole 128-float block — the element is
-// traversed three times for the gradient and three more times for the
+// Fused element kernels: a single-sweep formulation of the cutplane
+// contractions, kept as a micro-benchmark — internal/bench times it per
+// block beside scalar, vec4 and BLAS; the solver does not call it. The
+// three per-direction derivative applications of the other variants
+// each stream the whole 128-float block — the element is traversed
+// three times for the gradient and three more times for the
 // weighted-transpose accumulation, and the 5x5 matrix is reloaded per
 // apply. The fused kernels restructure the contraction for locality and
 // instruction-level parallelism, the register-blocked small-tensor
@@ -25,14 +27,13 @@ package simd
 //     materializing three t blocks and combining them pointwise at
 //     scatter time (fac1*t1 + fac2*t2 + fac3*t3), it streams each
 //     flux block once and accumulates the weighted sum directly into a
-//     single output block. The solver's scatter then reads one block
-//     per component instead of three.
+//     single output block. A scatter then reads one block per
+//     component instead of three.
 //
 // The pointwise arithmetic is the same multiply-add sequence as the
 // other variants; only where intermediate values round through memory
 // differs, so the fused variant agrees with scalar/vec4/BLAS to
-// accumulated float32 roundoff (the solver's cross-variant tolerance)
-// and is bit-identical to itself at every worker count.
+// accumulated float32 roundoff.
 
 // GradFused computes all three cutplane derivatives of one padded
 // element block in a single traversal (see the package comment above).

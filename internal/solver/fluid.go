@@ -41,12 +41,6 @@ func (rs *rankState) computeFluidForces(classes [][]int32) {
 		(rs.bc.FluidElementStatic+ns*rs.bc.FluidElementDynamic)*int64(numE))
 }
 
-// padBlock views block b of a panel of padded blocks laid out back to
-// back.
-func padBlock(panel []float32, b int) *[pad]float32 {
-	return (*[pad]float32)(panel[b*pad:])
-}
-
 // fluidStage is the pointwise stage of one fluid element visit of one
 // wavefield, shared by every kernel variant: the physical gradient of
 // the potential from its reference gradients t1/t2/t3, scaled by
@@ -86,13 +80,9 @@ func fluidStageGo(reg *mesh.Region, e int, t1, t2, t3, s1, s2, s3 *[pad]float32)
 // reusing the x-component scratch blocks for the scalar potential. The
 // wavefield loop nests inside the element loop (see solidForcesChunk).
 func (rs *rankState) fluidForcesChunk(ks *kernelScratch, elems []int32) {
-	if ks.k.variant == KernelFused {
-		rs.fluidForcesChunkFused(ks, elems)
-		return
-	}
 	fls := rs.fluid
 	reg := fls[0].reg
-	k := ks.k
+	k := rs.kern
 	chi, t1, t2, t3 := xBlock(&ks.u), xBlock(&ks.t1), xBlock(&ks.t2), xBlock(&ks.t3)
 	s1, s2, s3 := xBlock(&ks.s1), xBlock(&ks.s2), xBlock(&ks.s3)
 
@@ -111,101 +101,6 @@ func (rs *rankState) fluidForcesChunk(ks *kernelScratch, elems []int32) {
 			k.gradT3(s3[:], t3[:])
 			for p, g := range ib {
 				fl.chiDdot[g] -= k.fac1[p]*t1[p] + k.fac2[p]*t2[p] + k.fac3[p]*t3[p]
-			}
-		}
-	}
-}
-
-// fluidForcesChunkFused is the KernelFused sweep for the scalar
-// potential. Single-field runs gather consecutive elements into a panel
-// of up to fusedPanel padded blocks and run ONE batched gradient (the
-// 5x5 matrix loads once per panel instead of once per apply), then each
-// element's pointwise stage and fused weighted-transpose accumulation
-// proceed as in the solid kernel. Batched runs instead panel the ns
-// wavefields of each element (one gradient per element over all
-// fields), so the element-static metric/material loads are paid once
-// per element. Panel membership never mixes data across blocks, so
-// chunk and panel boundaries do not affect any element's result and
-// worker-count bit-identity is preserved either way.
-func (rs *rankState) fluidForcesChunkFused(ks *kernelScratch, elems []int32) {
-	fls := rs.fluid
-	reg := fls[0].reg
-	k := ks.k
-
-	if len(fls) > 1 {
-		rs.fluidForcesChunkFusedBatch(ks, elems)
-		return
-	}
-	fl := fls[0]
-	acc := xBlock(&ks.t1)
-
-	for off := 0; off < len(elems); off += fusedPanel {
-		n := len(elems) - off
-		if n > fusedPanel {
-			n = fusedPanel
-		}
-		batch := elems[off : off+n]
-
-		for bi, e32 := range batch {
-			base := int(e32) * mesh.NGLL3
-			ib := reg.Ibool[base : base+mesh.NGLL3]
-			chi := ks.pu[bi*simd.PadLen:]
-			for p, g := range ib {
-				chi[p] = fl.chi[g]
-			}
-		}
-
-		simd.ApplyDGradBatch(k.hprime, ks.pu, ks.pt1, ks.pt2, ks.pt3, n)
-
-		for bi, e32 := range batch {
-			e := int(e32)
-			base := e * mesh.NGLL3
-			ib := reg.Ibool[base : base+mesh.NGLL3]
-			s1, s2, s3 := xBlock(&ks.s1), xBlock(&ks.s2), xBlock(&ks.s3)
-			fluidStage(reg, e, padBlock(ks.pt1, bi), padBlock(ks.pt2, bi), padBlock(ks.pt3, bi), s1, s2, s3)
-
-			simd.GradTWeightedFused(k.hpwT, s1[:], s2[:], s3[:], k.fac1[:], k.fac2[:], k.fac3[:], acc[:])
-			for p, g := range ib {
-				fl.chiDdot[g] -= acc[p]
-			}
-		}
-	}
-}
-
-// fluidForcesChunkFusedBatch is the ensemble variant: per element, all
-// ns potentials are gathered into one panel, run through one batched
-// gradient, and accumulated with one batched weighted transpose.
-func (rs *rankState) fluidForcesChunkFusedBatch(ks *kernelScratch, elems []int32) {
-	fls := rs.fluid
-	reg := fls[0].reg
-	k := ks.k
-	ns := len(fls)
-
-	for _, e32 := range elems {
-		e := int(e32)
-		base := e * mesh.NGLL3
-		ib := reg.Ibool[base : base+mesh.NGLL3]
-
-		for s, fl := range fls {
-			chi := ks.pu[s*simd.PadLen:]
-			for p, g := range ib {
-				chi[p] = fl.chi[g]
-			}
-		}
-
-		simd.ApplyDGradBatch(k.hprime, ks.pu, ks.pt1, ks.pt2, ks.pt3, ns)
-
-		for s := range fls {
-			fluidStage(reg, e, padBlock(ks.pt1, s), padBlock(ks.pt2, s), padBlock(ks.pt3, s),
-				padBlock(ks.ps1, s), padBlock(ks.ps2, s), padBlock(ks.ps3, s))
-		}
-
-		simd.GradTWeightedFusedBatch(k.hpwT, ks.ps1, ks.ps2, ks.ps3, k.fac1[:], k.fac2[:], k.fac3[:], ks.po, ns)
-
-		for s, fl := range fls {
-			acc := ks.po[s*simd.PadLen:]
-			for p, g := range ib {
-				fl.chiDdot[g] -= acc[p]
 			}
 		}
 	}

@@ -16,11 +16,11 @@ func TestHaloRoutes(t *testing.T) {
 	opts := Options{Steps: 1, LTS: true, CombinedSolidHalo: true}.withDefaults()
 	sim := globeSim(t, g, model, opts)
 	dt := stableDt(sim.Locals, opts.Courant)
-	p := newPool(1, opts.Kernel, 1)
+	p := newPool(1)
 	defer p.close()
 	states := make([]*rankState, len(sim.Locals))
 	mpi.NewWorldWith(len(sim.Locals), opts.Network).Run(func(c *mpi.Comm) {
-		states[c.Rank()] = newRankState(c, sim, &opts, dt, nil, nil, p, 1)
+		states[c.Rank()] = newRankState(c, sim, &opts, dt, nil, nil, p, newKernels(opts.Kernel), 1)
 	})
 	if len(states) != 24 {
 		t.Fatalf("%d ranks, want 24", len(states))

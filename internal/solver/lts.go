@@ -5,7 +5,6 @@ import (
 
 	"specglobe/internal/earthmodel"
 	"specglobe/internal/mesh"
-	"specglobe/internal/perf"
 )
 
 // Clustered local time stepping (the cluster wheel). The mesh layer
@@ -105,6 +104,28 @@ func (rs *rankState) ltsPts(kind int) *ltsPoints {
 		return nil
 	}
 	return &rs.lts.pts[kind]
+}
+
+// firingPasses calls pass once per point set whose Newmark update runs
+// this step and returns the number of points covered: the full range
+// [0, nglob) (list nil) at the global dt for a single-rate region; under
+// LTS each non-empty exact-rate list up to the firing level, with its
+// rate-scaled dt. li > 0 names the hold arrays parallel to list.
+func (rs *rankState) firingPasses(kind, nglob int, pass func(list []int32, n, li int, dt float32)) int {
+	dt := float32(rs.dt)
+	pts := rs.ltsPts(kind)
+	if pts == nil || pts.single {
+		pass(nil, nglob, 0, dt)
+		return nglob
+	}
+	n := 0
+	for li := 0; li <= rs.lts.level; li++ {
+		if list := pts.byRate[li]; len(list) > 0 {
+			pass(list, len(list), li, dt*float32(int32(1)<<uint(li)))
+			n += len(list)
+		}
+	}
+	return n
 }
 
 // sweepsFor returns the element classes the force stage sweeps this
@@ -306,191 +327,4 @@ func (rs *rankState) refreshTractionShadow() {
 			fl.accHold[p] = src[p]
 		}
 	}
-}
-
-// solidPredictorLTS advances the firing solid points of every batched
-// wavefield, each point with its own rate-scaled time step. Coarse
-// lists read the held acceleration of the previous firing (the live
-// slot has been polluted by firing neighbors during the dormant
-// window). The ensemble loop runs inside the dispatched chunk, so one
-// pool pass covers all wavefields.
-func (rs *rankState) solidPredictorLTS(fs []*solidField, pts *ltsPoints) {
-	n := 0
-	for li := 0; li <= rs.lts.level; li++ {
-		list := pts.byRate[li]
-		if len(list) == 0 {
-			continue
-		}
-		dtr := float32(rs.dt) * float32(int32(1)<<uint(li))
-		half := dtr / 2
-		halfSq := dtr * dtr / 2
-		if li == 0 {
-			rs.pool.sweepRange(rs.scr, len(list), &rs.updateBusy, func(lo, hi int) {
-				for _, f := range fs {
-					for q := lo; q < hi; q++ {
-						i := list[q]
-						f.dx[i] = ftz(f.dx[i] + (dtr*f.vx[i] + halfSq*f.ax[i]))
-						f.dy[i] = ftz(f.dy[i] + (dtr*f.vy[i] + halfSq*f.ay[i]))
-						f.dz[i] = ftz(f.dz[i] + (dtr*f.vz[i] + halfSq*f.az[i]))
-						f.vx[i] += half * f.ax[i]
-						f.vy[i] += half * f.ay[i]
-						f.vz[i] += half * f.az[i]
-						f.ax[i], f.ay[i], f.az[i] = 0, 0, 0
-					}
-				}
-			})
-		} else {
-			li := li
-			rs.pool.sweepRange(rs.scr, len(list), &rs.updateBusy, func(lo, hi int) {
-				for _, f := range fs {
-					hx, hy, hz := f.hx[li], f.hy[li], f.hz[li]
-					for q := lo; q < hi; q++ {
-						i := list[q]
-						ax, ay, az := hx[q], hy[q], hz[q]
-						f.dx[i] = ftz(f.dx[i] + (dtr*f.vx[i] + halfSq*ax))
-						f.dy[i] = ftz(f.dy[i] + (dtr*f.vy[i] + halfSq*ay))
-						f.dz[i] = ftz(f.dz[i] + (dtr*f.vz[i] + halfSq*az))
-						f.vx[i] += half * ax
-						f.vy[i] += half * ay
-						f.vz[i] += half * az
-						f.ax[i], f.ay[i], f.az[i] = 0, 0, 0
-					}
-				}
-			})
-		}
-		n += len(list)
-	}
-	n *= len(fs)
-	rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.SolidPredictor*int64(n))
-	rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.SolidPredictor*int64(n))
-}
-
-// fluidPredictorLTS is solidPredictorLTS for the potential fields; the
-// chiDdot hold lives in hChi.
-func (rs *rankState) fluidPredictorLTS(pts *ltsPoints) {
-	fls := rs.fluid
-	n := 0
-	for li := 0; li <= rs.lts.level; li++ {
-		list := pts.byRate[li]
-		if len(list) == 0 {
-			continue
-		}
-		dtr := float32(rs.dt) * float32(int32(1)<<uint(li))
-		half := dtr / 2
-		halfSq := dtr * dtr / 2
-		if li == 0 {
-			rs.pool.sweepRange(rs.scr, len(list), &rs.updateBusy, func(lo, hi int) {
-				for _, fl := range fls {
-					for q := lo; q < hi; q++ {
-						i := list[q]
-						fl.chi[i] = ftz(fl.chi[i] + (dtr*fl.chiDot[i] + halfSq*fl.chiDdot[i]))
-						fl.chiDot[i] += half * fl.chiDdot[i]
-						fl.chiDdot[i] = 0
-					}
-				}
-			})
-		} else {
-			li := li
-			rs.pool.sweepRange(rs.scr, len(list), &rs.updateBusy, func(lo, hi int) {
-				for _, fl := range fls {
-					h := fl.hChi[li]
-					for q := lo; q < hi; q++ {
-						i := list[q]
-						a := h[q]
-						fl.chi[i] = ftz(fl.chi[i] + (dtr*fl.chiDot[i] + halfSq*a))
-						fl.chiDot[i] += half * a
-						fl.chiDdot[i] = 0
-					}
-				}
-			})
-		}
-		n += len(list)
-	}
-	n *= len(fls)
-	rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.FluidPredictor*int64(n))
-	rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.FluidPredictor*int64(n))
-}
-
-// solidCorrectorLTS finishes the firing solid points' velocity update
-// for every batched wavefield and captures the final (mass-divided)
-// acceleration of coarse points into the field's hold arrays for its
-// next predictor.
-func (rs *rankState) solidCorrectorLTS(fs []*solidField, pts *ltsPoints) {
-	n := 0
-	for li := 0; li <= rs.lts.level; li++ {
-		list := pts.byRate[li]
-		if len(list) == 0 {
-			continue
-		}
-		half := float32(rs.dt) * float32(int32(1)<<uint(li)) / 2
-		if li == 0 {
-			rs.pool.sweepRange(rs.scr, len(list), &rs.updateBusy, func(lo, hi int) {
-				for _, f := range fs {
-					for q := lo; q < hi; q++ {
-						i := list[q]
-						f.vx[i] += half * f.ax[i]
-						f.vy[i] += half * f.ay[i]
-						f.vz[i] += half * f.az[i]
-					}
-				}
-			})
-		} else {
-			li := li
-			rs.pool.sweepRange(rs.scr, len(list), &rs.updateBusy, func(lo, hi int) {
-				for _, f := range fs {
-					hx, hy, hz := f.hx[li], f.hy[li], f.hz[li]
-					for q := lo; q < hi; q++ {
-						i := list[q]
-						f.vx[i] += half * f.ax[i]
-						f.vy[i] += half * f.ay[i]
-						f.vz[i] += half * f.az[i]
-						hx[q], hy[q], hz[q] = f.ax[i], f.ay[i], f.az[i]
-					}
-				}
-			})
-		}
-		n += len(list)
-	}
-	n *= len(fs)
-	rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.SolidCorrector*int64(n))
-	rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.SolidCorrector*int64(n))
-}
-
-// fluidCorrectorLTS is solidCorrectorLTS for the potential fields.
-func (rs *rankState) fluidCorrectorLTS(pts *ltsPoints) {
-	fls := rs.fluid
-	n := 0
-	for li := 0; li <= rs.lts.level; li++ {
-		list := pts.byRate[li]
-		if len(list) == 0 {
-			continue
-		}
-		half := float32(rs.dt) * float32(int32(1)<<uint(li)) / 2
-		if li == 0 {
-			rs.pool.sweepRange(rs.scr, len(list), &rs.updateBusy, func(lo, hi int) {
-				for _, fl := range fls {
-					for q := lo; q < hi; q++ {
-						i := list[q]
-						fl.chiDot[i] += half * fl.chiDdot[i]
-					}
-				}
-			})
-		} else {
-			li := li
-			rs.pool.sweepRange(rs.scr, len(list), &rs.updateBusy, func(lo, hi int) {
-				for _, fl := range fls {
-					h := fl.hChi[li]
-					for q := lo; q < hi; q++ {
-						i := list[q]
-						fl.chiDot[i] += half * fl.chiDdot[i]
-						h[q] = fl.chiDdot[i]
-					}
-				}
-			})
-		}
-		n += len(list)
-	}
-	n *= len(fls)
-	rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.FluidCorrector*int64(n))
-	rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.FluidCorrector*int64(n))
 }

@@ -4,18 +4,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"specglobe/internal/simd"
 )
 
 // kernelScratch is the reusable working set of the force kernels: the
-// ~20 padded 128-float element blocks that previously lived on the
-// stack of every computeSolidForces/computeFluidForces call, plus a
-// private kernels instance (the BLAS variant keeps per-call cutplane
-// scratch inside kernels, so sharing one across workers would race).
-// One scratch belongs to each pool worker and one to each rank for
-// inline sweeps; reusing them keeps the blocks cache-resident across
-// elements instead of re-zeroing fresh stack frames per call.
+// padded 128-float element blocks that previously lived on the stack of
+// every computeSolidForces/computeFluidForces call. One scratch belongs
+// to each pool worker and one to each rank for inline sweeps; reusing
+// them keeps the blocks cache-resident across elements instead of
+// re-zeroing fresh stack frames per call.
 //
 // The fluid kernel reuses the x-component blocks (u as chi, t1..t3,
 // s1..s3). A block's three pad lanes are scratch (package simd): the
@@ -24,48 +20,12 @@ import (
 // result and scratch reuse is bit-exact regardless of which worker ran
 // before.
 type kernelScratch struct {
-	k *kernels
-
 	// The gathered field u, its reference gradients t<dir> and the
 	// fluxes s<dir>, each the x, y and z component blocks back to back
 	// (the fluid uses the x blocks).
 	u          compBlocks
 	t1, t2, t3 compBlocks
 	s1, s2, s3 compBlocks
-
-	// Panel scratch for the fused kernel: padded blocks back-to-back so
-	// the batched simd contractions keep their 5x5 matrix loaded across
-	// a whole panel. Sized max(fusedPanel, 3*ns) blocks: the 3
-	// components of every batched wavefield of one solid element, laid
-	// out [field][comp] (or, at ns=1, 3 consecutive fluid elements).
-	// pu gathers the field values, pt<dir> takes the gradients,
-	// ps<dir> the fluxes and po the fused accumulation.
-	pu, pt1, pt2, pt3 []float32
-	ps1, ps2, ps3, po []float32
-}
-
-// fusedPanel is the panel width of the fused kernel's batched gradient.
-const fusedPanel = 3
-
-func newKernelScratch(variant Kernel, ns int) *kernelScratch {
-	ks := &kernelScratch{k: newKernels(variant)}
-	ks.allocPanels(ns)
-	return ks
-}
-
-// allocPanels sizes the fused-kernel panel scratch for an ensemble of
-// ns wavefields.
-func (ks *kernelScratch) allocPanels(ns int) {
-	if ns < 1 {
-		ns = 1
-	}
-	nb := fusedPanel
-	if 3*ns > nb {
-		nb = 3 * ns
-	}
-	fp := func() []float32 { return make([]float32, nb*simd.PadLen) }
-	ks.pu, ks.pt1, ks.pt2, ks.pt3 = fp(), fp(), fp(), fp()
-	ks.ps1, ks.ps2, ks.ps3, ks.po = fp(), fp(), fp(), fp()
 }
 
 // pool is the process-wide worker pool of one solver run. All rank
@@ -100,7 +60,7 @@ type poolTask struct {
 // poison/recover path instead of killing the process from a worker.
 type poolPanic struct{ val any }
 
-func newPool(workers int, variant Kernel, ns int) *pool {
+func newPool(workers int) *pool {
 	if workers < 1 {
 		workers = 1
 	}
@@ -111,7 +71,7 @@ func newPool(workers int, variant Kernel, ns int) *pool {
 		scratch: make([]*kernelScratch, workers),
 	}
 	for w := 0; w < workers; w++ {
-		p.scratch[w] = newKernelScratch(variant, ns)
+		p.scratch[w] = new(kernelScratch)
 		p.wg.Add(1)
 		go p.worker(w)
 	}

@@ -8,7 +8,7 @@ import (
 // Every element of a sweep must be visited exactly once, regardless of
 // how the chunks land on the workers.
 func TestSweepElemsCoversExactlyOnce(t *testing.T) {
-	p := newPool(4, KernelVec4, 1)
+	p := newPool(4)
 	defer p.close()
 	const n = 1000
 	elems := make([]int32, n)
@@ -17,7 +17,7 @@ func TestSweepElemsCoversExactlyOnce(t *testing.T) {
 	}
 	counts := make([]int32, n)
 	var busy int64
-	scr := newKernelScratch(KernelVec4, 1)
+	scr := new(kernelScratch)
 	p.sweepElems(scr, elems, &busy, func(ks *kernelScratch, chunk []int32) {
 		if ks == nil {
 			t.Error("nil scratch")
@@ -38,12 +38,12 @@ func TestSweepElemsCoversExactlyOnce(t *testing.T) {
 
 // Range sweeps must cover [0,n) exactly once.
 func TestSweepRangeCoversExactlyOnce(t *testing.T) {
-	p := newPool(3, KernelVec4, 1)
+	p := newPool(3)
 	defer p.close()
 	const n = 10000
 	counts := make([]int32, n)
 	var busy int64
-	scr := newKernelScratch(KernelVec4, 1)
+	scr := new(kernelScratch)
 	p.sweepRange(scr, n, &busy, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&counts[i], 1)
@@ -58,9 +58,9 @@ func TestSweepRangeCoversExactlyOnce(t *testing.T) {
 
 // Sweeps too small to dispatch run inline on the caller's scratch.
 func TestSmallSweepRunsInline(t *testing.T) {
-	p := newPool(4, KernelVec4, 1)
+	p := newPool(4)
 	defer p.close()
-	scr := newKernelScratch(KernelVec4, 1)
+	scr := new(kernelScratch)
 	var busy int64
 	var got *kernelScratch
 	p.sweepElems(scr, []int32{0, 1, 2}, &busy, func(ks *kernelScratch, chunk []int32) {
@@ -78,9 +78,9 @@ func TestSmallSweepRunsInline(t *testing.T) {
 // the mpi runtime's recover/poison path can handle it) instead of
 // killing the process from a worker.
 func TestSweepPanicPropagates(t *testing.T) {
-	p := newPool(2, KernelVec4, 1)
+	p := newPool(2)
 	defer p.close()
-	scr := newKernelScratch(KernelVec4, 1)
+	scr := new(kernelScratch)
 	elems := make([]int32, 100)
 	for i := range elems {
 		elems[i] = int32(i)
@@ -99,8 +99,8 @@ func TestSweepPanicPropagates(t *testing.T) {
 
 // After close, per-worker busy time must account the dispatched work.
 func TestPoolBusyAccounting(t *testing.T) {
-	p := newPool(2, KernelVec4, 1)
-	scr := newKernelScratch(KernelVec4, 1)
+	p := newPool(2)
+	scr := new(kernelScratch)
 	elems := make([]int32, 64)
 	for i := range elems {
 		elems[i] = int32(i)

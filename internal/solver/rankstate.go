@@ -107,7 +107,7 @@ type rankState struct {
 	opts  *Options
 	dt    float64
 	prof  *perf.Profiler
-	kern  *kernels
+	kern  *kernels // the run's one table set, read-only, shared by every rank
 	fc    perf.FlopCounts
 	bc    perf.ByteCounts
 
@@ -172,7 +172,7 @@ type rankState struct {
 
 //specfem:noaccount one-time rank setup (precomputed Jacobians, gravity tables, coupling weights) before stepping starts
 func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
-	fit *earthmodel.SLSFit, grav *earthmodel.GravityProfile, p *pool, ns int) *rankState {
+	fit *earthmodel.SLSFit, grav *earthmodel.GravityProfile, p *pool, k *kernels, ns int) *rankState {
 
 	if ns < 1 {
 		ns = 1
@@ -186,14 +186,13 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 		opts:  opts,
 		dt:    dt,
 		prof:  perf.NewProfiler(rank),
-		kern:  newKernels(opts.Kernel),
+		kern:  k,
 		fc:    perf.DefaultFlopCounts(),
 		bc:    perf.DefaultByteCounts(),
 		pool:  p,
+		scr:   new(kernelScratch),
 		ns:    ns,
 	}
-	rs.scr = &kernelScratch{k: rs.kern}
-	rs.scr.allocPanels(ns)
 	if opts.Overlap == OverlapOn {
 		rs.overlap = true
 		rs.ov = mesh.BuildOverlap(rs.local, rs.plan)

@@ -70,12 +70,6 @@ func xBlock(b *compBlocks) *[pad]float32 {
 	return (*[pad]float32)(b[:])
 }
 
-// fieldBlocks views wavefield s's component blocks in a fused-kernel
-// panel laid out [field][comp].
-func fieldBlocks(panel []float32, s int) *compBlocks {
-	return (*compBlocks)(panel[3*s*pad:])
-}
-
 // elemBlock views element e's 125 values of a per-element-point array
 // (base = e*NGLL3) as a fixed-size block: one bounds check per element
 // instead of one per point.
@@ -200,12 +194,8 @@ func stressStageGo(reg *mesh.Region, e int, att *attState, t1, t2, t3, s1, s2, s
 // single-field path, so every batched field is bit-identical to its own
 // solo run.
 func (rs *rankState) solidForcesChunk(fs []*solidField, ks *kernelScratch, elems []int32) {
-	if ks.k.variant == KernelFused {
-		rs.solidForcesChunkFused(fs, ks, elems)
-		return
-	}
 	reg := fs[0].reg
-	k := ks.k
+	k := rs.kern
 
 	for _, e32 := range elems {
 		e := int(e32)
@@ -245,57 +235,6 @@ func (rs *rankState) solidForcesChunk(fs []*solidField, ks *kernelScratch, elems
 	}
 }
 
-// solidForcesChunkFused is the KernelFused sweep: per element, one
-// gather of the whole ensemble, ONE batched gradient over the 3*ns
-// component panel (the 5x5 matrix stays loaded for every component of
-// every wavefield), the shared pointwise stress stage per field, then
-// ONE batched fused weighted-transpose over the 3*ns flux blocks — the
-// element-static Jacobian/material/Ibool loads and both
-// register-resident matrices are paid once per element regardless of
-// the ensemble width. The batched simd contractions process each padded
-// block independently, so every batched field stays bit-identical to
-// its own solo run at every worker count.
-func (rs *rankState) solidForcesChunkFused(fs []*solidField, ks *kernelScratch, elems []int32) {
-	reg := fs[0].reg
-	k := ks.k
-	ns := len(fs)
-
-	for _, e32 := range elems {
-		e := int(e32)
-		base := e * mesh.NGLL3
-		ib := reg.Ibool[base : base+mesh.NGLL3]
-
-		for s, f := range fs {
-			u := fieldBlocks(ks.pu, s)
-			for p, g := range ib {
-				u[p] = f.dx[g]
-				u[pad+p] = f.dy[g]
-				u[2*pad+p] = f.dz[g]
-			}
-		}
-
-		simd.ApplyDGradBatch(k.hprime, ks.pu, ks.pt1, ks.pt2, ks.pt3, 3*ns)
-
-		for s, f := range fs {
-			stressStage(reg, e, f.att,
-				fieldBlocks(ks.pt1, s), fieldBlocks(ks.pt2, s), fieldBlocks(ks.pt3, s),
-				fieldBlocks(ks.ps1, s), fieldBlocks(ks.ps2, s), fieldBlocks(ks.ps3, s))
-		}
-
-		// The weight blocks are shared by every component and wavefield.
-		simd.GradTWeightedFusedBatch(k.hpwT, ks.ps1, ks.ps2, ks.ps3, k.fac1[:], k.fac2[:], k.fac3[:], ks.po, 3*ns)
-
-		for s, f := range fs {
-			o := fieldBlocks(ks.po, s)
-			for p, g := range ib {
-				f.ax[g] -= o[p]
-				f.ay[g] -= o[pad+p]
-				f.az[g] -= o[2*pad+p]
-			}
-		}
-	}
-}
-
 // addFluidTractionToSolid applies the fluid pressure traction on the
 // solid side of the CMB and ICB: F += (w . n_s) chi_ddot dA with
 // n_s = -n_f, i.e. F -= Weight * n_f * chi_ddot (displacement-based
@@ -330,34 +269,25 @@ func (rs *rankState) addFluidTractionToSolid(faces []mesh.CoupleFace) {
 
 // gradT1/2/3 apply the weighted transpose matrix along one direction.
 func (k *kernels) gradT1(u, out []float32) {
-	switch k.variant {
-	case KernelScalar:
+	if k.variant == KernelScalar {
 		simd.ApplyD1Scalar(k.hpwT, u, out)
-	case KernelBlas:
-		simd.ApplyDBlas(1, simd.SgemmRef, k.hpwT, u, out, k.scratchIn, k.scratchOut)
-	default:
-		simd.ApplyD1Vec4(k.hpwT, &k.colsT, u, out)
+		return
 	}
+	simd.ApplyD1Vec4(k.hpwT, &k.colsT, u, out)
 }
 
 func (k *kernels) gradT2(u, out []float32) {
-	switch k.variant {
-	case KernelScalar:
+	if k.variant == KernelScalar {
 		simd.ApplyD2Scalar(k.hpwT, u, out)
-	case KernelBlas:
-		simd.ApplyDBlas(2, simd.SgemmRef, k.hpwT, u, out, k.scratchIn, k.scratchOut)
-	default:
-		simd.ApplyD2Vec4(k.hpwT, u, out)
+		return
 	}
+	simd.ApplyD2Vec4(k.hpwT, u, out)
 }
 
 func (k *kernels) gradT3(u, out []float32) {
-	switch k.variant {
-	case KernelScalar:
+	if k.variant == KernelScalar {
 		simd.ApplyD3Scalar(k.hpwT, u, out)
-	case KernelBlas:
-		simd.ApplyDBlas(3, simd.SgemmRef, k.hpwT, u, out, k.scratchIn, k.scratchOut)
-	default:
-		simd.ApplyD3Vec4(k.hpwT, u, out)
+		return
 	}
+	simd.ApplyD3Vec4(k.hpwT, u, out)
 }

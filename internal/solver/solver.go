@@ -45,15 +45,6 @@ const (
 	// KernelScalar is the plain-loop baseline and the oracle of the
 	// cross-variant tests.
 	KernelScalar
-	// KernelBlas is the BLAS-style path with cutplane copies.
-	KernelBlas
-	// KernelFused is the single-sweep variant: all three cutplane
-	// derivatives in one traversal per element (batched across a panel
-	// so the 5x5 matrix loads once), the pointwise stress work
-	// interleaved between the grad and transpose stages, and the GLL
-	// weights folded into a fused transpose accumulation — one block
-	// per component reaches the scatter instead of three.
-	KernelFused
 )
 
 // String returns the variant name used in ablation tables and accepted
@@ -64,10 +55,6 @@ func (k Kernel) String() string {
 		return "vec4"
 	case KernelScalar:
 		return "scalar"
-	case KernelBlas:
-		return "blas"
-	case KernelFused:
-		return "fused"
 	}
 	return fmt.Sprintf("Kernel(%d)", int(k))
 }
@@ -75,15 +62,15 @@ func (k Kernel) String() string {
 // ParseKernel resolves a kernel variant name as printed by String; the
 // empty name selects the default (vec4).
 func ParseKernel(name string) (Kernel, error) {
-	if name == "" {
+	switch name {
+	case "", "vec4":
 		return KernelVec4, nil
+	case "scalar":
+		return KernelScalar, nil
+	case "blas", "fused":
+		return 0, fmt.Errorf("kernel %q was retired (want vec4 or scalar)", name)
 	}
-	for _, k := range []Kernel{KernelVec4, KernelScalar, KernelBlas, KernelFused} {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown kernel %q (want vec4, scalar, blas or fused)", name)
+	return 0, fmt.Errorf("unknown kernel %q (want vec4 or scalar)", name)
 }
 
 // EarthRotationRate is the sidereal rotation rate in rad/s.
@@ -379,6 +366,9 @@ func Run(sim *Simulation) (*Result, error) {
 	if opts.Steps <= 0 {
 		return nil, fmt.Errorf("solver: Steps must be positive")
 	}
+	if opts.Kernel != KernelVec4 && opts.Kernel != KernelScalar {
+		return nil, fmt.Errorf("solver: unknown kernel %v", opts.Kernel)
+	}
 	dt := opts.Dt
 	if dt == 0 {
 		dt = stableDt(sim.Locals, opts.Courant)
@@ -442,7 +432,9 @@ func Run(sim *Simulation) (*Result, error) {
 
 	world := mpi.NewWorldWith(len(sim.Locals), opts.Network)
 	collector := perf.NewCollector()
-	kernelPool := newPool(opts.Workers, opts.Kernel, ns)
+	kernelPool := newPool(opts.Workers)
+	// One read-only table set for every rank and worker.
+	kern := newKernels(opts.Kernel)
 	res := &Result{
 		Dt:       dt,
 		Steps:    opts.Steps,
@@ -458,7 +450,7 @@ func Run(sim *Simulation) (*Result, error) {
 	var unstableMu sync.Mutex
 	movieOn := opts.SurfaceMovieEvery > 0 && movieSupported(sim)
 	world.Run(func(c *mpi.Comm) {
-		rs := newRankState(c, sim, &opts, dt, slsFit, grav, kernelPool, ns)
+		rs := newRankState(c, sim, &opts, dt, slsFit, grav, kernelPool, kern, ns)
 		rs.assembleMass()
 		var movie *Movie
 		if movieOn {
@@ -585,6 +577,8 @@ func stableDt(locals []*mesh.Local, courant float64) float64 {
 }
 
 // kernels bundles the matrices the force routines apply along cutplanes.
+// It is immutable after newKernels: one instance serves every rank and
+// pool worker of a run.
 type kernels struct {
 	variant Kernel
 	hprime  *simd.Matrix // l'_j(x_i)
@@ -594,8 +588,6 @@ type kernels struct {
 	// fac1[p] = w_j*w_k, fac2[p] = w_i*w_k, fac3[p] = w_i*w_j for the
 	// final weight application.
 	fac1, fac2, fac3 [mesh.NGLL3]float32
-	// scratch for the BLAS path
-	scratchIn, scratchOut []float32
 }
 
 //specfem:noaccount one-time setup of GLL derivative matrices and kernel tables
@@ -623,37 +615,15 @@ func newKernels(variant Kernel) *kernels {
 			}
 		}
 	}
-	k.scratchIn = make([]float32, simd.PadLen)
-	k.scratchOut = make([]float32, simd.PadLen)
 	return k
 }
 
 // grad applies the derivative matrix along all three directions with
 // the selected kernel variant.
 func (k *kernels) grad(u, d1, d2, d3 []float32) {
-	switch k.variant {
-	case KernelScalar:
+	if k.variant == KernelScalar {
 		simd.GradScalar(k.hprime, u, d1, d2, d3)
-	case KernelBlas:
-		simd.GradBlas(simd.SgemmRef, k.hprime, u, d1, d2, d3, k.scratchIn, k.scratchOut)
-	case KernelFused:
-		simd.GradFused(k.hprime, u, d1, d2, d3)
-	default:
-		simd.GradVec4(k.hprime, &k.colsH, u, d1, d2, d3)
+		return
 	}
-}
-
-// gradT applies the weighted transpose matrix along all three
-// directions (the force-accumulation stage).
-func (k *kernels) gradT(u, d1, d2, d3 []float32) {
-	switch k.variant {
-	case KernelScalar:
-		simd.GradScalar(k.hpwT, u, d1, d2, d3)
-	case KernelBlas:
-		simd.GradBlas(simd.SgemmRef, k.hpwT, u, d1, d2, d3, k.scratchIn, k.scratchOut)
-	case KernelFused:
-		simd.GradFused(k.hpwT, u, d1, d2, d3)
-	default:
-		simd.GradVec4(k.hpwT, &k.colsT, u, d1, d2, d3)
-	}
+	simd.GradVec4(k.hprime, &k.colsH, u, d1, d2, d3)
 }

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"specglobe/internal/boxmesh"
@@ -96,6 +97,9 @@ func TestRunValidation(t *testing.T) {
 		Receivers: []Receiver{{Name: "A"}, {Name: "A"}}}
 	if _, err := Run(sim); err == nil {
 		t.Error("duplicate receiver names accepted")
+	}
+	if _, err := Run(&Simulation{Locals: b.Locals, Plans: b.Plans, Opts: Options{Steps: 1, Kernel: Kernel(7)}}); err == nil {
+		t.Error("Kernel(7) accepted")
 	}
 }
 
@@ -347,8 +351,6 @@ var kernelVariants = []struct {
 }{
 	{"vec4", KernelVec4},
 	{"scalar", KernelScalar},
-	{"blas", KernelBlas},
-	{"fused", KernelFused},
 }
 
 // checkKernelVariantsAgree runs the given single-variant simulation for
@@ -380,9 +382,10 @@ func checkKernelVariantsAgree(t *testing.T, tol float64, run func(kv Kernel) *Se
 
 // Every kernel's printed name parses back to it, the empty name is the
 // default, and an unknown name is an error — the one parser the one-shot
-// CLI and the daemon share.
+// CLI and the daemon share. The two retired names say so and list what
+// is accepted.
 func TestParseKernel(t *testing.T) {
-	for _, k := range []Kernel{KernelVec4, KernelScalar, KernelBlas, KernelFused} {
+	for _, k := range []Kernel{KernelVec4, KernelScalar} {
 		got, err := ParseKernel(k.String())
 		if err != nil || got != k {
 			t.Errorf("ParseKernel(%q) = %v, %v; want %v", k.String(), got, err, k)
@@ -393,6 +396,18 @@ func TestParseKernel(t *testing.T) {
 	}
 	if _, err := ParseKernel("quantum"); err == nil {
 		t.Error("unknown kernel name accepted")
+	}
+	for _, name := range []string{"fused", "blas"} {
+		_, err := ParseKernel(name)
+		if err == nil {
+			t.Errorf("retired kernel %q accepted", name)
+			continue
+		}
+		for _, want := range []string{"retired", "vec4", "scalar"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("ParseKernel(%q): %q does not mention %q", name, err, want)
+			}
+		}
 	}
 }
 
@@ -802,14 +817,6 @@ func BenchmarkSolidForceKernelVec4(b *testing.B) {
 
 func BenchmarkSolidForceKernelScalar(b *testing.B) {
 	benchSolidKernel(b, KernelScalar)
-}
-
-func BenchmarkSolidForceKernelBlas(b *testing.B) {
-	benchSolidKernel(b, KernelBlas)
-}
-
-func BenchmarkSolidForceKernelFused(b *testing.B) {
-	benchSolidKernel(b, KernelFused)
 }
 
 // BenchmarkKernelVariants runs every force-kernel variant as a

@@ -53,52 +53,72 @@ func (rs *rankState) timeStep(step int) {
 	}
 }
 
-// predictor runs the Newmark prediction for every field: full-range
-// without LTS (or for a single-rate region), per-rate firing lists with
-// it.
+// predictor runs the Newmark prediction for every field, one pass per
+// firing point set (firingPasses). A coarse LTS level reads the
+// acceleration held at its previous firing — the live slot has been
+// polluted by firing neighbors during the dormant window. The ensemble
+// loop runs inside the dispatched chunk, so one pool pass covers all
+// wavefields.
 func (rs *rankState) predictor() {
-	dt := float32(rs.dt)
-	half := dt / 2
-	halfSq := dt * dt / 2
 	for kind, fs := range rs.solid {
 		if fs == nil {
 			continue
 		}
-		if pts := rs.ltsPts(kind); pts != nil && !pts.single {
-			rs.solidPredictorLTS(fs, pts)
-			continue
-		}
-		n := len(fs[0].dx)
-		rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
-			for _, f := range fs {
-				for i := lo; i < hi; i++ {
-					f.dx[i] = ftz(f.dx[i] + (dt*f.vx[i] + halfSq*f.ax[i]))
-					f.dy[i] = ftz(f.dy[i] + (dt*f.vy[i] + halfSq*f.ay[i]))
-					f.dz[i] = ftz(f.dz[i] + (dt*f.vz[i] + halfSq*f.az[i]))
-					f.vx[i] += half * f.ax[i]
-					f.vy[i] += half * f.ay[i]
-					f.vz[i] += half * f.az[i]
-					f.ax[i], f.ay[i], f.az[i] = 0, 0, 0
+		n := rs.firingPasses(kind, len(fs[0].dx), func(list []int32, n, li int, dt float32) {
+			half, halfSq := dt/2, dt*dt/2
+			rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
+				for _, f := range fs {
+					var hx, hy, hz []float32
+					if li > 0 {
+						hx, hy, hz = f.hx[li], f.hy[li], f.hz[li]
+					}
+					for q := lo; q < hi; q++ {
+						i := q
+						if list != nil {
+							i = int(list[q])
+						}
+						ax, ay, az := f.ax[i], f.ay[i], f.az[i]
+						if hx != nil {
+							ax, ay, az = hx[q], hy[q], hz[q]
+						}
+						f.dx[i] = ftz(f.dx[i] + (dt*f.vx[i] + halfSq*ax))
+						f.dy[i] = ftz(f.dy[i] + (dt*f.vy[i] + halfSq*ay))
+						f.dz[i] = ftz(f.dz[i] + (dt*f.vz[i] + halfSq*az))
+						f.vx[i] += half * ax
+						f.vy[i] += half * ay
+						f.vz[i] += half * az
+						f.ax[i], f.ay[i], f.az[i] = 0, 0, 0
+					}
 				}
-			}
+			})
 		})
 		rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.SolidPredictor*int64(n*len(fs)))
 		rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.SolidPredictor*int64(n*len(fs)))
 	}
 	if fls := rs.fluid; fls != nil {
-		if pts := rs.ltsPts(int(earthmodel.RegionOuterCore)); pts != nil && !pts.single {
-			rs.fluidPredictorLTS(pts)
-			return
-		}
-		n := len(fls[0].chi)
-		rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
-			for _, fl := range fls {
-				for i := lo; i < hi; i++ {
-					fl.chi[i] = ftz(fl.chi[i] + (dt*fl.chiDot[i] + halfSq*fl.chiDdot[i]))
-					fl.chiDot[i] += half * fl.chiDdot[i]
-					fl.chiDdot[i] = 0
+		n := rs.firingPasses(int(earthmodel.RegionOuterCore), len(fls[0].chi), func(list []int32, n, li int, dt float32) {
+			half, halfSq := dt/2, dt*dt/2
+			rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
+				for _, fl := range fls {
+					var h []float32
+					if li > 0 {
+						h = fl.hChi[li]
+					}
+					for q := lo; q < hi; q++ {
+						i := q
+						if list != nil {
+							i = int(list[q])
+						}
+						a := fl.chiDdot[i]
+						if h != nil {
+							a = h[q]
+						}
+						fl.chi[i] = ftz(fl.chi[i] + (dt*fl.chiDot[i] + halfSq*a))
+						fl.chiDot[i] += half * a
+						fl.chiDdot[i] = 0
+					}
 				}
-			}
+			})
 		})
 		rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.FluidPredictor*int64(n*len(fls)))
 		rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.FluidPredictor*int64(n*len(fls)))
@@ -369,28 +389,38 @@ func (rs *rankState) solidUpdate() {
 	}
 }
 
-// corrector runs the Newmark correction for every field. The fluid
-// correction is skipped here when it already ran under the solid halo
-// (fluidDeferred, see finishSolidStage).
+// corrector runs the Newmark correction for every field, and captures
+// the final (mass-divided) acceleration of coarse LTS levels into their
+// hold arrays for the next predictor. The fluid correction is skipped
+// here when it already ran under the solid halo (fluidDeferred, see
+// finishSolidStage).
 func (rs *rankState) corrector() {
-	half := float32(rs.dt) / 2
 	for kind, fs := range rs.solid {
 		if fs == nil {
 			continue
 		}
-		if pts := rs.ltsPts(kind); pts != nil && !pts.single {
-			rs.solidCorrectorLTS(fs, pts)
-			continue
-		}
-		n := len(fs[0].vx)
-		rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
-			for _, f := range fs {
-				for i := lo; i < hi; i++ {
-					f.vx[i] += half * f.ax[i]
-					f.vy[i] += half * f.ay[i]
-					f.vz[i] += half * f.az[i]
+		n := rs.firingPasses(kind, len(fs[0].vx), func(list []int32, n, li int, dt float32) {
+			half := dt / 2
+			rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
+				for _, f := range fs {
+					var hx, hy, hz []float32
+					if li > 0 {
+						hx, hy, hz = f.hx[li], f.hy[li], f.hz[li]
+					}
+					for q := lo; q < hi; q++ {
+						i := q
+						if list != nil {
+							i = int(list[q])
+						}
+						f.vx[i] += half * f.ax[i]
+						f.vy[i] += half * f.ay[i]
+						f.vz[i] += half * f.az[i]
+						if hx != nil {
+							hx[q], hy[q], hz[q] = f.ax[i], f.ay[i], f.az[i]
+						}
+					}
 				}
-			}
+			})
 		})
 		rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.SolidCorrector*int64(n*len(fs)))
 		rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.SolidCorrector*int64(n*len(fs)))
@@ -411,18 +441,26 @@ func (rs *rankState) fluidCorrector() {
 	if fls == nil {
 		return
 	}
-	if pts := rs.ltsPts(int(earthmodel.RegionOuterCore)); pts != nil && !pts.single {
-		rs.fluidCorrectorLTS(pts)
-		return
-	}
-	half := float32(rs.dt) / 2
-	n := len(fls[0].chiDot)
-	rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
-		for _, fl := range fls {
-			for i := lo; i < hi; i++ {
-				fl.chiDot[i] += half * fl.chiDdot[i]
+	n := rs.firingPasses(int(earthmodel.RegionOuterCore), len(fls[0].chiDot), func(list []int32, n, li int, dt float32) {
+		half := dt / 2
+		rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
+			for _, fl := range fls {
+				var h []float32
+				if li > 0 {
+					h = fl.hChi[li]
+				}
+				for q := lo; q < hi; q++ {
+					i := q
+					if list != nil {
+						i = int(list[q])
+					}
+					fl.chiDot[i] += half * fl.chiDdot[i]
+					if h != nil {
+						h[q] = fl.chiDdot[i]
+					}
+				}
 			}
-		}
+		})
 	})
 	rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.FluidCorrector*int64(n*len(fls)))
 	rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.FluidCorrector*int64(n*len(fls)))
