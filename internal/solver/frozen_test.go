@@ -48,7 +48,6 @@ type frozenCase struct {
 // every kernel, with LTS on (rate-scaled SLS coefficients) and off.
 var frozenConfigs = []struct {
 	mesh     string // "globe", "doubled", "sliced" or "prem"
-	mode     OverlapMode
 	combined bool
 	lts      bool
 	fields   int
@@ -56,22 +55,22 @@ var frozenConfigs = []struct {
 	physics  bool
 	kernel   Kernel
 }{
-	{"globe", OverlapOn, true, false, 1, 1, false, KernelVec4},
-	{"globe", OverlapOn, false, false, 3, 4, false, KernelVec4},
-	{"globe", OverlapOff, true, false, 3, 1, false, KernelVec4},
-	{"globe", OverlapOff, false, false, 1, 4, false, KernelVec4},
-	{"doubled", OverlapOn, true, true, 1, 4, false, KernelVec4},
-	{"doubled", OverlapOn, false, true, 1, 1, false, KernelVec4},
-	{"doubled", OverlapOff, true, true, 3, 4, false, KernelVec4},
-	{"doubled", OverlapOff, false, true, 1, 1, false, KernelVec4},
-	{"doubled", OverlapOn, true, true, 3, 1, false, KernelVec4},
-	{"sliced", OverlapOn, true, true, 1, 1, false, KernelVec4},
-	{"sliced", OverlapOn, false, false, 3, 4, false, KernelVec4},
-	{"prem", OverlapOn, true, false, 1, 4, true, KernelVec4},
-	{"prem", OverlapOn, true, false, 3, 1, true, KernelVec4},
-	{"prem", OverlapOff, false, false, 1, 2, true, KernelScalar},
-	{"prem", OverlapOn, true, true, 3, 4, true, KernelVec4},
-	{"prem", OverlapOff, true, true, 1, 1, true, KernelScalar},
+	{"globe", true, false, 1, 1, false, KernelVec4},
+	{"globe", false, false, 3, 4, false, KernelVec4},
+	{"globe", true, false, 3, 1, false, KernelVec4},
+	{"globe", false, false, 1, 4, false, KernelVec4},
+	{"doubled", true, true, 1, 4, false, KernelVec4},
+	{"doubled", false, true, 1, 1, false, KernelVec4},
+	{"doubled", true, true, 3, 4, false, KernelVec4},
+	{"doubled", false, true, 3, 2, false, KernelVec4},
+	{"doubled", true, true, 3, 1, false, KernelVec4},
+	{"sliced", true, true, 1, 1, false, KernelVec4},
+	{"sliced", false, false, 3, 4, false, KernelVec4},
+	{"prem", true, false, 1, 4, true, KernelVec4},
+	{"prem", true, false, 3, 1, true, KernelVec4},
+	{"prem", false, false, 1, 2, true, KernelScalar},
+	{"prem", true, true, 3, 4, true, KernelVec4},
+	{"prem", true, true, 1, 1, true, KernelScalar},
 }
 
 const fullPhysicsSuffix = "/fullphys"
@@ -139,9 +138,8 @@ func TestFrozenSeismogramBits(t *testing.T) {
 	replay := func(t *testing.T) {
 		got = frozenFixture{GOARCH: runtime.GOARCH}
 		for i, c := range frozenConfigs {
-			name := fmt.Sprintf("%s/%s/combined=%v/lts=%v/s%d/w%d",
-				c.mesh, map[OverlapMode]string{OverlapOn: "overlap", OverlapOff: "blocking"}[c.mode],
-				c.combined, c.lts, c.fields, c.workers)
+			name := fmt.Sprintf("%s/combined=%v/lts=%v/s%d/w%d",
+				c.mesh, c.combined, c.lts, c.fields, c.workers)
 			steps := 12
 			if c.physics {
 				name += "/" + c.kernel.String() + fullPhysicsSuffix
@@ -153,7 +151,7 @@ func TestFrozenSeismogramBits(t *testing.T) {
 				Locals: m.g.Locals, Plans: m.g.Plans, Model: m.model,
 				Sources: srcs, Receivers: recvs,
 				Opts: Options{
-					Steps: steps, Workers: c.workers, Overlap: c.mode,
+					Steps: steps, Workers: c.workers,
 					CombinedSolidHalo: c.combined, LTS: c.lts, Kernel: c.kernel,
 					Attenuation: c.physics, Rotation: c.physics, Gravity: c.physics, OceanLoad: c.physics,
 				},
