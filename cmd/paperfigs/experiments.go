@@ -64,7 +64,7 @@ func experimentList() []experiment {
 			},
 		},
 		{
-			id: "OVERLAP", desc: "exposed comm: blocking vs overlapped schedule",
+			id: "OVERLAP", desc: "exposed comm: overlapped schedule vs the blocking baseline read off the same run",
 			run: func(quick bool) (fmt.Stringer, error) {
 				nex := []int{8, 12}
 				nproc := []int{1, 2}

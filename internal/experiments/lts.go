@@ -104,7 +104,7 @@ func LTSAblation(configs [][2]int, doublings []float64, steps int) (*LTSResult, 
 			res, err := solver.Run(&solver.Simulation{
 				Locals: g.Locals, Plans: g.Plans, Model: model,
 				Sources: []solver.Source{src},
-				Opts:    solver.Options{Steps: steps, Overlap: solver.OverlapOn, LTS: v.lts},
+				Opts:    solver.Options{Steps: steps, LTS: v.lts},
 			})
 			if err != nil {
 				return nil, err
@@ -247,10 +247,7 @@ func OverlapJoint(nex, nproc, steps int, workers []int, doublings []float64) (*O
 				res, err := solver.Run(&solver.Simulation{
 					Locals: g.Locals, Plans: g.Plans, Model: model,
 					Sources: []solver.Source{src},
-					Opts: solver.Options{
-						Steps: steps, Overlap: solver.OverlapOn,
-						Workers: w, Network: m.Net(),
-					},
+					Opts:    solver.Options{Steps: steps, Workers: w, Network: m.Net()},
 				})
 				if err != nil {
 					return nil, err

@@ -19,8 +19,8 @@ import (
 //   - halo boundary points and the halo surface-to-volume ratio
 //     (boundary points per element — the quantity that decides how much
 //     communication a rank must hide behind how much computation), and
-//   - the exposed communication time and fraction under both halo
-//     schedules, from live runs.
+//   - the exposed communication time and fraction, overlapped and for
+//     the blocking baseline derived from the same live run (overlap.go).
 //
 // On the 6-rank chunk decomposition the halo is dominated by the chunk
 // seams and the central-cube sectoring — area-like surfaces that shrink
@@ -45,7 +45,8 @@ type MeshDblRow struct {
 	// non-overlappable work).
 	OuterFrac float64
 	// Solver measurements: exposed virtual comm (summed over ranks) and
-	// the comm fraction of the main loop, overlapped and blocking.
+	// the comm fraction of the main loop, overlapped and blocking
+	// (derived, see OverlapRow).
 	ExposedOn, ExposedOff float64
 	FracOn, FracOff       float64
 	StepsPerSec           float64
@@ -82,18 +83,11 @@ func MeshDoubling(configs [][2]int, doublings []float64, steps int) (*MeshDblRes
 			if err != nil {
 				return nil, err
 			}
-			run := func(mode solver.OverlapMode) (*solver.Result, error) {
-				return solver.Run(&solver.Simulation{
-					Locals: g.Locals, Plans: g.Plans, Model: model,
-					Sources: []solver.Source{src},
-					Opts:    solver.Options{Steps: steps, Overlap: mode},
-				})
-			}
-			on, err := run(solver.OverlapOn)
-			if err != nil {
-				return nil, err
-			}
-			off, err := run(solver.OverlapOff)
+			on, err := solver.Run(&solver.Simulation{
+				Locals: g.Locals, Plans: g.Plans, Model: model,
+				Sources: []solver.Source{src},
+				Opts:    solver.Options{Steps: steps},
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -111,9 +105,9 @@ func MeshDoubling(configs [][2]int, doublings []float64, steps int) (*MeshDblRes
 				ShortestPeriod:   g.ShortestPeriod,
 				OuterFrac:        outerFrac,
 				ExposedOn:        on.MPI.Exposed().Seconds(),
-				ExposedOff:       off.MPI.Exposed().Seconds(),
+				ExposedOff:       on.MPI.VirtualCommTime.Seconds(),
 				FracOn:           on.Perf.CommFraction,
-				FracOff:          off.Perf.CommFraction,
+				FracOff:          BlockingCommFraction(on.Perf),
 				StepsPerSec:      float64(steps) / on.Perf.WallTime.Seconds(),
 			})
 		}

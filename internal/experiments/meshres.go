@@ -95,7 +95,7 @@ func MeshResolution(configs [][2]int, manual []float64, steps int) (*MeshResResu
 			res, err := solver.Run(&solver.Simulation{
 				Locals: g.Locals, Plans: g.Plans, Model: model,
 				Sources: []solver.Source{src},
-				Opts:    solver.Options{Steps: steps, Overlap: solver.OverlapOn},
+				Opts:    solver.Options{Steps: steps},
 			})
 			if err != nil {
 				return nil, err

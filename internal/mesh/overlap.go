@@ -12,8 +12,7 @@ import "specglobe/internal/earthmodel"
 //
 // Both lists are in ascending element order, so iterating Outer then
 // Inner visits every element exactly once with a stable, deterministic
-// ordering (the accumulation order differs from the plain 0..NSpec-1
-// sweep only between the two classes, a float32-roundoff-level effect).
+// ordering.
 type Overlap struct {
 	// Outer and Inner hold element indices per region kind
 	// (earthmodel.Region). A region with no halo edges has every

@@ -22,8 +22,9 @@ const (
 	PhaseForceFluid
 	// PhaseComm is the *exposed* communication time: virtual network
 	// time left on the critical path after overlapping with
-	// computation. For the blocking schedule it equals the full
-	// virtual communication time.
+	// computation. Plus PhaseCommHidden it is the full virtual
+	// communication time (TotalCommTime), all of which a blocking
+	// schedule would expose.
 	PhaseComm
 	// PhaseCommHidden is the virtual transfer time hidden behind
 	// computation by the non-blocking overlap schedule. It is reported
@@ -156,8 +157,8 @@ type Report struct {
 	// quantity the paper reports as 1.9%-4.2% in section 5.
 	CommFraction float64
 	// HiddenCommTime is the summed virtual transfer time that the
-	// overlap schedule hid behind computation (zero for the blocking
-	// schedule).
+	// overlap schedule hid behind computation (zero for blocking
+	// receives).
 	HiddenCommTime time.Duration
 	// PhaseFlops and PhaseBytes sum the per-phase operation and
 	// analytic traffic counts over all ranks; their ratio per phase is

@@ -47,57 +47,52 @@ func batchGlobeSources(t testing.TB, g *meshfem.Globe, n int) ([]Source, []Recei
 // each field's arithmetic happens (all fields per element sweep, all
 // fields per halo message), never WHAT it computes. The matrix runs on
 // the coupled multi-rate doubled globe (solid + fluid + CMB/ICB
-// coupling + cross-rank halos) across Workers {1,4} x both schedules x
-// LTS on/off.
+// coupling + cross-rank halos) across Workers {1,4} x LTS on/off.
 func TestBatchedBitIdenticalToSingleSource(t *testing.T) {
 	g, model := ltsGlobe(t)
 	const nsrc = 2
 	const steps = 24
 	srcs, recvs := batchGlobeSources(t, g, nsrc)
 
-	for _, sc := range schedules {
-		for _, lts := range []bool{false, true} {
-			for _, workers := range []int{1, 4} {
-				name := sc.name + map[bool]string{false: "", true: "/lts"}[lts] +
-					map[int]string{1: "/w1", 4: "/w4"}[workers]
-				t.Run(name, func(t *testing.T) {
-					opts := Options{
-						Steps: steps, Workers: workers, Overlap: sc.mode, LTS: lts,
-					}
-					batched, err := Run(&Simulation{
+	for _, lts := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			name := schedule + map[bool]string{false: "", true: "/lts"}[lts] +
+				map[int]string{1: "/w1", 4: "/w4"}[workers]
+			t.Run(name, func(t *testing.T) {
+				opts := Options{Steps: steps, Workers: workers, LTS: lts}
+				batched, err := Run(&Simulation{
+					Locals: g.Locals, Plans: g.Plans, Model: model,
+					Sources: srcs, Receivers: recvs, Opts: opts,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if batched.NumFields != nsrc || len(batched.BySource) != nsrc {
+					t.Fatalf("NumFields=%d BySource=%d, want %d", batched.NumFields, len(batched.BySource), nsrc)
+				}
+				for i := 0; i < nsrc; i++ {
+					single := srcs[i]
+					single.Field = 0
+					res, err := Run(&Simulation{
 						Locals: g.Locals, Plans: g.Plans, Model: model,
-						Sources: srcs, Receivers: recvs, Opts: opts,
+						Sources: []Source{single}, Receivers: recvs, Opts: opts,
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if batched.NumFields != nsrc || len(batched.BySource) != nsrc {
-						t.Fatalf("NumFields=%d BySource=%d, want %d", batched.NumFields, len(batched.BySource), nsrc)
-					}
-					for i := 0; i < nsrc; i++ {
-						single := srcs[i]
-						single.Field = 0
-						res, err := Run(&Simulation{
-							Locals: g.Locals, Plans: g.Plans, Model: model,
-							Sources: []Source{single}, Receivers: recvs, Opts: opts,
-						})
-						if err != nil {
-							t.Fatal(err)
+					for _, r := range recvs {
+						got := batched.BySource[i][r.Name]
+						want := res.Seismograms[r.Name]
+						if got == nil || want == nil {
+							t.Fatalf("source %d station %s missing", i, r.Name)
 						}
-						for _, r := range recvs {
-							got := batched.BySource[i][r.Name]
-							want := res.Seismograms[r.Name]
-							if got == nil || want == nil {
-								t.Fatalf("source %d station %s missing", i, r.Name)
-							}
-							if got.Field != i {
-								t.Errorf("source %d station %s: Field = %d", i, r.Name, got.Field)
-							}
-							identical(t, name+"/src"+string(rune('0'+i))+"/"+r.Name, want, got)
+						if got.Field != i {
+							t.Errorf("source %d station %s: Field = %d", i, r.Name, got.Field)
 						}
+						identical(t, name+"/src"+string(rune('0'+i))+"/"+r.Name, want, got)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

@@ -11,8 +11,7 @@ import (
 // carries per-layer element counts and the 6-element doubling templates,
 // but the force kernels, coloring, overlap split and halo assembly see
 // only Locals/Plans. Seismograms must be bit-identical across worker
-// counts under both halo schedules — the same determinism guarantee the
-// uniform mesh has.
+// counts — the same determinism guarantee the uniform mesh has.
 func TestDoubledGlobeWorkersBitIdentical(t *testing.T) {
 	model := earthmodel.NewHomogeneous(6371e3, earthmodel.Material{
 		Rho: 5000, Vp: 10000, Vs: 5500, Qmu: 300, Qkappa: 57823,
@@ -34,7 +33,7 @@ func TestDoubledGlobeWorkersBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int, mode OverlapMode) *Seismogram {
+	run := func(workers int) *Seismogram {
 		const m0 = 1e20
 		res, err := Run(&Simulation{
 			Locals: g.Locals, Plans: g.Plans, Model: model,
@@ -44,23 +43,20 @@ func TestDoubledGlobeWorkersBitIdentical(t *testing.T) {
 				STF:          GaussianSTF(10, 25),
 			}},
 			Receivers: []Receiver{{Name: "R", Rank: rloc.Rank, Kind: rloc.Kind, Elem: rloc.Elem, Ref: rloc.Ref}},
-			Opts:      Options{Steps: 20, Workers: workers, Overlap: mode},
+			Opts:      Options{Steps: 20, Workers: workers},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Seismograms["R"]
 	}
-	for _, om := range overlapModes {
-		t.Run(om.name, func(t *testing.T) {
-			serial := run(1, om.mode)
-			identical(t, "doubled globe", serial, run(4, om.mode))
-		})
-	}
+	t.Run(schedule, func(t *testing.T) {
+		identical(t, "doubled globe", run(1), run(4))
+	})
 }
 
 // A multi-slice doubled globe must run end to end: the halo exchanges
-// cross doubling-template faces between ranks in both overlap modes.
+// cross doubling-template faces between ranks.
 func TestDoubledGlobeMultiRank(t *testing.T) {
 	model := earthmodel.NewHomogeneous(6371e3, earthmodel.Material{
 		Rho: 5000, Vp: 10000, Vs: 5500, Qmu: 300, Qkappa: 57823,
@@ -82,27 +78,21 @@ func TestDoubledGlobeMultiRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(mode OverlapMode) *Seismogram {
-		const m0 = 1e20
-		res, err := Run(&Simulation{
-			Locals: g.Locals, Plans: g.Plans, Model: model,
-			Sources: []Source{{
-				Rank: srcLoc.Rank, Kind: srcLoc.Kind, Elem: srcLoc.Elem, Ref: srcLoc.Ref,
-				MomentTensor: [3][3]float64{{m0, 0, 0}, {0, m0, 0}, {0, 0, m0}},
-				STF:          GaussianSTF(10, 25),
-			}},
-			Receivers: []Receiver{{Name: "R", Rank: rloc.Rank, Kind: rloc.Kind, Elem: rloc.Elem, Ref: rloc.Ref}},
-			Opts:      Options{Steps: 15, Overlap: mode},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Seismograms["R"]
+	const m0 = 1e20
+	res, err := Run(&Simulation{
+		Locals: g.Locals, Plans: g.Plans, Model: model,
+		Sources: []Source{{
+			Rank: srcLoc.Rank, Kind: srcLoc.Kind, Elem: srcLoc.Elem, Ref: srcLoc.Ref,
+			MomentTensor: [3][3]float64{{m0, 0, 0}, {0, m0, 0}, {0, 0, m0}},
+			STF:          GaussianSTF(10, 25),
+		}},
+		Receivers: []Receiver{{Name: "R", Rank: rloc.Rank, Kind: rloc.Kind, Elem: rloc.Elem, Ref: rloc.Ref}},
+		Opts:      Options{Steps: 15},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, om := range overlapModes {
-		sg := run(om.mode)
-		if maxAbs(sg.X)+maxAbs(sg.Y)+maxAbs(sg.Z) == 0 {
-			t.Fatalf("%s: no signal recorded on the doubled multi-rank globe", om.name)
-		}
+	if sg := res.Seismograms["R"]; maxAbs(sg.X)+maxAbs(sg.Y)+maxAbs(sg.Z) == 0 {
+		t.Fatal("no signal recorded on the doubled multi-rank globe")
 	}
 }

@@ -168,14 +168,10 @@ func (rs *rankState) nextTag() int {
 // for every shared point are already packed and sent; finish waits for
 // the peers' payloads in route order and accumulates them.
 type pendingExchange struct {
-	rs     *rankState
 	rt     haloRoute
-	tag    int
 	nf, nc int
 	arr    [][][]float32
-	// reqs are the posted receives, parallel to rt (nil in the
-	// blocking schedule, which receives inside finish).
-	reqs []*mpi.Request
+	reqs   []*mpi.Request // the posted receives, parallel to rt
 }
 
 // beginExchange packs and sends this rank's contributions for nf
@@ -184,17 +180,14 @@ type pendingExchange struct {
 // must be final before the call; only non-halo points may be written
 // between begin and finish. It consumes a tag unconditionally, so
 // sequence numbers stay aligned across ranks even when this rank has no
-// peer (or no region) for the set. With the overlap schedule the
-// receives are posted non-blocking *now*, so the virtual transfer time
-// between here and finish is credited as hidden; the blocking schedule
-// defers to a plain Recv inside finish.
+// peer (or no region) for the set. The receives are posted non-blocking
+// *now*, so the virtual transfer time between here and finish is
+// credited as hidden.
 //
 //specfem:noaccount halo pack adds are O(boundary points); the volume flop model excludes surface assembly by design and charges the phase as comm time
 func (rs *rankState) beginExchange(rt haloRoute, nf, nc int, arr [][][]float32) *pendingExchange {
-	p := &pendingExchange{rs: rs, rt: rt, tag: rs.nextTag(), nf: nf, nc: nc, arr: arr}
-	if rs.overlap {
-		p.reqs = make([]*mpi.Request, 0, len(rt))
-	}
+	tag := rs.nextTag()
+	p := &pendingExchange{rt: rt, nf: nf, nc: nc, arr: arr, reqs: make([]*mpi.Request, 0, len(rt))}
 	for _, pr := range rt {
 		n := nf * nc * pr.n
 		if cap(rs.packBuf) < n {
@@ -215,20 +208,10 @@ func (rs *rankState) beginExchange(rt haloRoute, nf, nc int, arr [][][]float32) 
 				}
 			}
 		}
-		rs.comm.Isend(pr.peer, p.tag, buf) // copies the payload
-		if p.reqs != nil {
-			p.reqs = append(p.reqs, rs.comm.Irecv(pr.peer, p.tag))
-		}
+		rs.comm.Isend(pr.peer, tag, buf) // copies the payload
+		p.reqs = append(p.reqs, rs.comm.Irecv(pr.peer, tag))
 	}
 	return p
-}
-
-// wait returns the payload of the i-th peer of the route.
-func (p *pendingExchange) wait(i int) []float32 {
-	if p.reqs != nil {
-		return p.reqs[i].Wait()
-	}
-	return p.rs.comm.Recv(p.rt[i].peer, p.tag)
 }
 
 // finish completes the exchange: every peer's payload is added into the
@@ -237,7 +220,7 @@ func (p *pendingExchange) wait(i int) []float32 {
 //specfem:noaccount halo unpack adds are O(boundary points), charged as comm time like the pack
 func (p *pendingExchange) finish() {
 	for i, pr := range p.rt {
-		got := p.wait(i)
+		got := p.reqs[i].Wait()
 		off := 0
 		for s := 0; s < p.nf; s++ {
 			for k, idx := range pr.parts {

@@ -58,7 +58,7 @@ func TestWorkersBitIdenticalBox(t *testing.T) {
 
 // Globe config of examples/scaling (solid-fluid-solid, 6 ranks): the
 // fluid potential sweep and both coupling paths must also be
-// bit-identical across worker counts, under both halo schedules.
+// bit-identical across worker counts.
 func TestWorkersBitIdenticalGlobe(t *testing.T) {
 	model := earthmodel.NewHomogeneous(6371e3, earthmodel.Material{
 		Rho: 5000, Vp: 10000, Vs: 5500, Qmu: 300, Qkappa: 57823,
@@ -77,7 +77,7 @@ func TestWorkersBitIdenticalGlobe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int, mode OverlapMode) *Seismogram {
+	run := func(workers int) *Seismogram {
 		const m0 = 1e20
 		res, err := Run(&Simulation{
 			Locals: g.Locals, Plans: g.Plans, Model: model,
@@ -87,19 +87,16 @@ func TestWorkersBitIdenticalGlobe(t *testing.T) {
 				STF:          GaussianSTF(10, 25),
 			}},
 			Receivers: []Receiver{{Name: "R", Rank: rloc.Rank, Kind: rloc.Kind, Elem: rloc.Elem, Ref: rloc.Ref}},
-			Opts:      Options{Steps: 25, Workers: workers, Overlap: mode},
+			Opts:      Options{Steps: 25, Workers: workers},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Seismograms["R"]
 	}
-	for _, om := range overlapModes {
-		t.Run(om.name, func(t *testing.T) {
-			serial := run(1, om.mode)
-			identical(t, "globe", serial, run(4, om.mode))
-		})
-	}
+	t.Run(schedule, func(t *testing.T) {
+		identical(t, "globe", run(1), run(4))
+	})
 }
 
 // The hybrid run must report its pool: worker count, per-worker busy

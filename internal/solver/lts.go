@@ -81,8 +81,7 @@ type ltsState struct {
 	// plain rankState sweeps when every element qualifies).
 	sweeps [3][]sweepClasses
 	// faceUpTo/restUpTo[li]: fluid coupling-face points and the
-	// remaining fluid points with rate <= 2^li (restUpTo only built
-	// when the deferred fluid corrector needs the split).
+	// remaining fluid points with rate <= 2^li.
 	faceUpTo, restUpTo [][]int32
 	// counts is the local element count per rate (for Result.LTS).
 	counts map[int32]int
@@ -128,9 +127,9 @@ func (rs *rankState) firingPasses(kind, nglob int, pass func(list []int32, n, li
 	return n
 }
 
-// sweepsFor returns the element classes the force stage sweeps this
-// step: the full classification without LTS, the current level's merged
-// classification with it.
+// sweepsFor returns the outer/inner element classes the force stage
+// sweeps this step: the region's own without LTS, the current level's
+// merged classes with it.
 func (rs *rankState) sweepsFor(kind int) *sweepClasses {
 	if rs.lts == nil {
 		return &rs.sweeps[kind]
@@ -153,7 +152,7 @@ func (rs *rankState) reconcilePointRates() {
 		rt := rs.fullRoute(kind)
 		p := rs.beginExchange(rt, 1, 1, [][][]float32{{vals}})
 		for i, peer := range rt {
-			got := p.wait(i)
+			got := p.reqs[i].Wait()
 			for j, g := range peer.parts[0] {
 				if r := int32(got[j]); r > pr[g] {
 					pr[g] = r
@@ -210,9 +209,7 @@ func (rs *rankState) initLTS() {
 			rs.chiSrc[s] = fl.accHold
 		}
 		lts.faceUpTo = filterByRate(rs.fluidFace, pr, lts.levels)
-		if rs.fluidDeferred {
-			lts.restUpTo = filterByRate(rs.fluidRest, pr, lts.levels)
-		}
+		lts.restUpTo = filterByRate(rs.fluidRest, pr, lts.levels)
 	}
 }
 
@@ -254,21 +251,18 @@ func buildLTSPoints(pr []int32, levels int) ltsPoints {
 }
 
 // buildLTSSweeps precomputes the merged color classes per level: the
-// elements of every cluster with rate <= 2^li, split the same way the
-// plain schedules split the full region. Levels where every element
-// fires alias the existing classes (the degenerate fast path).
+// outer and inner elements of every cluster with rate <= 2^li. Levels
+// where every element fires alias the existing classes (the degenerate
+// fast path).
 func (rs *rankState) buildLTSSweeps(kind int) {
 	lts := rs.lts
 	clus := lts.clus
 	for li := 0; li < lts.levels; li++ {
 		rate := int32(1) << uint(li)
-		elems := clus.ElemsUpTo(kind, rate)
-		if elems == nil {
+		if clus.ElemsUpTo(kind, rate) == nil {
 			lts.sweeps[kind][li] = rs.sweeps[kind]
 			continue
 		}
-		sc := &lts.sweeps[kind][li]
-		sc.full = rs.colors.Classes(kind, elems)
 		merge := func(get func(*mesh.Cluster) []int32) [][]int32 {
 			out := []int32{}
 			for ci := range clus.Clusters[kind] {
@@ -280,9 +274,9 @@ func (rs *rankState) buildLTSSweeps(kind int) {
 			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 			return rs.colors.Classes(kind, out)
 		}
-		if rs.overlap {
-			sc.outer = merge(func(cl *mesh.Cluster) []int32 { return cl.Outer })
-			sc.inner = merge(func(cl *mesh.Cluster) []int32 { return cl.Inner })
+		lts.sweeps[kind][li] = sweepClasses{
+			outer: merge(func(cl *mesh.Cluster) []int32 { return cl.Outer }),
+			inner: merge(func(cl *mesh.Cluster) []int32 { return cl.Inner }),
 		}
 	}
 }

@@ -32,46 +32,41 @@ func ltsGlobe(t testing.TB) (*meshfem.Globe, earthmodel.Model) {
 
 // A uniform box at its automatic dt bins every element to rate 1; the
 // degenerate clustering must route through the existing full-range code
-// paths and produce bit-identical seismograms — across worker counts
-// and both schedules.
+// paths and produce bit-identical seismograms — across worker counts.
 func TestLTSDegenerateRate1Identical(t *testing.T) {
 	const L = 40e3
-	run := func(lts bool, workers int, mode OverlapMode) (*Seismogram, *LTSInfo) {
+	run := func(lts bool, workers int) (*Seismogram, *LTSInfo) {
 		b := buildBox(t, 4, 2, L)
 		src := boxSource(t, b, L/2+1e3, L/2, L/2, 1e17, 1.0)
 		res, err := Run(&Simulation{
 			Locals: b.Locals, Plans: b.Plans,
 			Sources:   []Source{src},
 			Receivers: []Receiver{boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2, false)},
-			Opts: Options{
-				Steps: 40, Workers: workers, Overlap: mode, LTS: lts,
-			},
+			Opts:      Options{Steps: 40, Workers: workers, LTS: lts},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Seismograms["R"], res.LTS
 	}
-	for _, sc := range schedules {
-		for _, workers := range []int{1, 4} {
-			t.Run(sc.name+map[int]string{1: "/w1", 4: "/w4"}[workers], func(t *testing.T) {
-				off, info := run(false, workers, sc.mode)
-				if info != nil {
-					t.Fatal("Result.LTS set without Options.LTS")
-				}
-				on, info := run(true, workers, sc.mode)
-				if info == nil {
-					t.Fatal("Result.LTS missing")
-				}
-				if len(info.ElemsByRate) != 1 || info.ElemsByRate[1] == 0 {
-					t.Fatalf("uniform box at auto dt: ElemsByRate = %v, want all rate 1", info.ElemsByRate)
-				}
-				if info.UpdateReduction != 1 {
-					t.Errorf("degenerate UpdateReduction = %g, want 1", info.UpdateReduction)
-				}
-				identical(t, "lts-degenerate", off, on)
-			})
-		}
+	for _, workers := range []int{1, 4} {
+		t.Run(schedule+map[int]string{1: "/w1", 4: "/w4"}[workers], func(t *testing.T) {
+			off, info := run(false, workers)
+			if info != nil {
+				t.Fatal("Result.LTS set without Options.LTS")
+			}
+			on, info := run(true, workers)
+			if info == nil {
+				t.Fatal("Result.LTS missing")
+			}
+			if len(info.ElemsByRate) != 1 || info.ElemsByRate[1] == 0 {
+				t.Fatalf("uniform box at auto dt: ElemsByRate = %v, want all rate 1", info.ElemsByRate)
+			}
+			if info.UpdateReduction != 1 {
+				t.Errorf("degenerate UpdateReduction = %g, want 1", info.UpdateReduction)
+			}
+			identical(t, "lts-degenerate", off, on)
+		})
 	}
 }
 
@@ -86,7 +81,7 @@ func TestLTSDegenerateRate1Identical(t *testing.T) {
 // approximation of it.
 func TestLTSUniformRate2Box(t *testing.T) {
 	const L = 40e3
-	run := func(lts bool, dtScale float64, steps, workers int, mode OverlapMode) (*Seismogram, *LTSInfo) {
+	run := func(lts bool, dtScale float64, steps, workers int) (*Seismogram, *LTSInfo) {
 		b := buildBox(t, 4, 2, L)
 		reg := b.Locals[0].Regions[earthmodel.RegionCrustMantle]
 		dt := reg.StableDt(0.3) / 2.1 * dtScale
@@ -95,37 +90,35 @@ func TestLTSUniformRate2Box(t *testing.T) {
 			Locals: b.Locals, Plans: b.Plans,
 			Sources:   []Source{src},
 			Receivers: []Receiver{boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2, false)},
-			Opts:      Options{Steps: steps, Dt: dt, Workers: workers, Overlap: mode, LTS: lts},
+			Opts:      Options{Steps: steps, Dt: dt, Workers: workers, LTS: lts},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Seismograms["R"], res.LTS
 	}
-	for _, om := range overlapModes {
-		t.Run(om.name, func(t *testing.T) {
-			on, info := run(true, 1, 80, 1, om.mode)
-			if info == nil || info.ElemsByRate[2] == 0 || len(info.ElemsByRate) != 1 {
-				t.Fatalf("ElemsByRate = %+v, want all rate 2", info)
+	t.Run(schedule, func(t *testing.T) {
+		on, info := run(true, 1, 80, 1)
+		if info == nil || info.ElemsByRate[2] == 0 || len(info.ElemsByRate) != 1 {
+			t.Fatalf("ElemsByRate = %+v, want all rate 2", info)
+		}
+		if info.UpdateReduction != 2 {
+			t.Errorf("uniform rate-2 UpdateReduction = %g, want 2", info.UpdateReduction)
+		}
+		checkFinite(t, on)
+		// LTS sample at odd step m sits at the same simulated time as
+		// coarse sample (m-1)/2, and the wheel's even-step arithmetic
+		// matches the 2dt integrator operation for operation.
+		coarse, _ := run(false, 2, 40, 1)
+		for j := range coarse.X {
+			m := 2*j + 1
+			if on.X[m] != coarse.X[j] || on.Y[m] != coarse.Y[j] || on.Z[m] != coarse.Z[j] {
+				t.Fatalf("decimated LTS sample %d differs from 2dt single-rate sample %d", m, j)
 			}
-			if info.UpdateReduction != 2 {
-				t.Errorf("uniform rate-2 UpdateReduction = %g, want 2", info.UpdateReduction)
-			}
-			checkFinite(t, on)
-			// LTS sample at odd step m sits at the same simulated time as
-			// coarse sample (m-1)/2, and the wheel's even-step arithmetic
-			// matches the 2dt integrator operation for operation.
-			coarse, _ := run(false, 2, 40, 1, om.mode)
-			for j := range coarse.X {
-				m := 2*j + 1
-				if on.X[m] != coarse.X[j] || on.Y[m] != coarse.Y[j] || on.Z[m] != coarse.Z[j] {
-					t.Fatalf("decimated LTS sample %d differs from 2dt single-rate sample %d", m, j)
-				}
-			}
-			on4, _ := run(true, 1, 80, 4, om.mode)
-			identical(t, "rate2-box-workers", on, on4)
-		})
-	}
+		}
+		on4, _ := run(true, 1, 80, 4)
+		identical(t, "rate2-box-workers", on, on4)
+	})
 }
 
 // multiRateBox builds the two-material box of the interface tests: the
@@ -170,35 +163,31 @@ func multiRateBox(t testing.TB, n, nranks int, L float64) *boxmesh.Box {
 // interface, sit far below this — see the doubled-globe test.
 func TestLTSMultiRateBoxMatchesSingleRate(t *testing.T) {
 	const L = 60e3
-	run := func(lts bool, workers int, mode OverlapMode) (*Seismogram, *LTSInfo) {
+	run := func(lts bool, workers int) (*Seismogram, *LTSInfo) {
 		b := multiRateBox(t, 6, 2, L)
 		src := boxSource(t, b, 3*L/4, L/2, L/2, 1e17, 0.4)
 		res, err := Run(&Simulation{
 			Locals: b.Locals, Plans: b.Plans,
 			Sources:   []Source{src},
 			Receivers: []Receiver{boxReceiver(t, b, "R", L/4, L/2+5e3, L/2, false)},
-			Opts: Options{
-				Steps: 260, Workers: workers, Overlap: mode, LTS: lts,
-			},
+			Opts:      Options{Steps: 260, Workers: workers, LTS: lts},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Seismograms["R"], res.LTS
 	}
-	for _, sc := range schedules {
-		t.Run(sc.name, func(t *testing.T) {
-			off, _ := run(false, 1, sc.mode)
-			on, info := run(true, 1, sc.mode)
-			if info == nil || len(info.ElemsByRate) < 2 {
-				t.Fatalf("two-material box clustering is not multi-rate: %+v", info)
-			}
-			checkFinite(t, on)
-			agreeSeismo(t, "multirate-box/"+sc.name, off, on, 2e-1)
-			on4, _ := run(true, 4, sc.mode)
-			identical(t, "multirate-box-workers", on, on4)
-		})
-	}
+	t.Run(schedule, func(t *testing.T) {
+		off, _ := run(false, 1)
+		on, info := run(true, 1)
+		if info == nil || len(info.ElemsByRate) < 2 {
+			t.Fatalf("two-material box clustering is not multi-rate: %+v", info)
+		}
+		checkFinite(t, on)
+		agreeSeismo(t, "multirate-box", off, on, 2e-1)
+		on4, _ := run(true, 4)
+		identical(t, "multirate-box-workers", on, on4)
+	})
 }
 
 // Energy on the adversarial multi-rate box: the held-boundary interface
@@ -243,8 +232,7 @@ func TestLTSMultiRateBoxEnergy(t *testing.T) {
 }
 
 // agreeSeismo compares two seismograms sample by sample against a
-// relative tolerance on the summed component scale — the same shape as
-// the cross-schedule comparisons.
+// relative tolerance on the summed component scale.
 func agreeSeismo(t *testing.T, tag string, a, b *Seismogram, tol float64) {
 	t.Helper()
 	if len(a.X) != len(b.X) {
@@ -272,17 +260,15 @@ func agreeSeismo(t *testing.T, tag string, a, b *Seismogram, tol float64) {
 // The multi-rate globe: LTS seismograms must track the single-rate
 // scheduler within the relaxed cross-scheme tolerance, stay
 // bit-identical across worker counts within the LTS scheme, and the
-// run must report the realized clustering. Runs across both schedules —
-// the per-level halo routes compose with overlap. The receiver sits ~670 km from the epicenter
-// so a real arrival lands within the 120-step window; measured worst
-// deviation is ~4.8e-2 of peak (most of the path never crosses a rate
-// interface, so the error is well below the adversarial box's).
+// run must report the realized clustering. The receiver sits ~670 km
+// from the epicenter so a real arrival lands within the 120-step window;
+// measured worst deviation is ~4.8e-2 of peak (most of the path never
+// crosses a rate interface, so the error is well below the adversarial
+// box's).
 func TestLTSDoubledGlobeMatchesSingleRate(t *testing.T) {
 	g, model := ltsGlobe(t)
-	run := func(lts bool, workers int, mode OverlapMode) (*Seismogram, *LTSInfo) {
-		sim := globeSim(t, g, model, Options{
-			Steps: 120, Workers: workers, Overlap: mode, LTS: lts,
-		})
+	run := func(lts bool, workers int) (*Seismogram, *LTSInfo) {
+		sim := globeSim(t, g, model, Options{Steps: 120, Workers: workers, LTS: lts})
 		rloc, err := g.LocateLatLonDepth(6, 0, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -296,68 +282,61 @@ func TestLTSDoubledGlobeMatchesSingleRate(t *testing.T) {
 		}
 		return res.Seismograms["R"], res.LTS
 	}
-	for _, sc := range schedules {
-		t.Run(sc.name, func(t *testing.T) {
-			off, _ := run(false, 1, sc.mode)
-			on, info := run(true, 1, sc.mode)
-			if info == nil {
-				t.Fatal("Result.LTS missing")
-			}
-			if len(info.ElemsByRate) < 2 {
-				t.Fatalf("doubled globe clustering is single-rate: %v", info.ElemsByRate)
-			}
-			if info.UpdateReduction <= 1.3 {
-				t.Errorf("UpdateReduction = %.2f, want > 1.3 on the doubled globe", info.UpdateReduction)
-			}
-			checkFinite(t, on)
-			// The held-interface scheme trades bit-identity for work: the
-			// comparison against the single-rate scheduler is a physics
-			// tolerance, not roundoff.
-			agreeSeismo(t, "lts-globe/"+sc.name, off, on, 7.5e-2)
-			on4, _ := run(true, 4, sc.mode)
-			identical(t, "lts-globe-workers", on, on4)
-		})
-	}
+	t.Run(schedule, func(t *testing.T) {
+		off, _ := run(false, 1)
+		on, info := run(true, 1)
+		if info == nil {
+			t.Fatal("Result.LTS missing")
+		}
+		if len(info.ElemsByRate) < 2 {
+			t.Fatalf("doubled globe clustering is single-rate: %v", info.ElemsByRate)
+		}
+		if info.UpdateReduction <= 1.3 {
+			t.Errorf("UpdateReduction = %.2f, want > 1.3 on the doubled globe", info.UpdateReduction)
+		}
+		checkFinite(t, on)
+		// The held-interface scheme trades bit-identity for work: the
+		// comparison against the single-rate scheduler is a physics
+		// tolerance, not roundoff.
+		agreeSeismo(t, "lts-globe", off, on, 7.5e-2)
+		on4, _ := run(true, 4)
+		identical(t, "lts-globe-workers", on, on4)
+	})
 }
 
 // Energy conservation on the multi-rate globe: after the source stops
 // radiating, total energy must drift no more than 5% — the end-to-end
 // check that held interface state and rate-scaled substeps neither pump
-// nor leak energy at the cluster boundaries. Workers x schedules.
+// nor leak energy at the cluster boundaries. At both worker counts.
 func TestLTSEnergyConservation(t *testing.T) {
 	g, model := ltsGlobe(t)
-	for _, sc := range schedules {
-		for _, workers := range []int{1, 4} {
-			t.Run(sc.name+map[int]string{1: "/w1", 4: "/w4"}[workers], func(t *testing.T) {
-				sim := globeSim(t, g, model, Options{
-					Steps: 80, EnergyEvery: 5, Workers: workers,
-					Overlap: sc.mode, LTS: true,
-				})
-				sim.Sources[0].STF = GaussianSTF(5, 12)
-				res, err := Run(sim)
-				if err != nil {
-					t.Fatal(err)
+	for _, workers := range []int{1, 4} {
+		t.Run(schedule+map[int]string{1: "/w1", 4: "/w4"}[workers], func(t *testing.T) {
+			sim := globeSim(t, g, model, Options{Steps: 80, EnergyEvery: 5, Workers: workers, LTS: true})
+			sim.Sources[0].STF = GaussianSTF(5, 12)
+			res, err := Run(sim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var post []float64
+			for _, e := range res.Energy {
+				if float64(e.Step)*res.Dt > 30 {
+					post = append(post, e.Kinetic+e.Potential)
 				}
-				var post []float64
-				for _, e := range res.Energy {
-					if float64(e.Step)*res.Dt > 30 {
-						post = append(post, e.Kinetic+e.Potential)
-					}
-				}
-				if len(post) < 3 {
-					t.Fatalf("only %d post-source energy samples (dt=%g)", len(post), res.Dt)
-				}
-				first, last := post[0], post[len(post)-1]
-				if first <= 0 {
-					t.Fatal("no energy injected")
-				}
-				drift := math.Abs(last-first) / first
-				t.Logf("post-source energy drift %.4f over %d samples", drift, len(post))
-				if drift > 0.05 {
-					t.Errorf("energy drift %.4f exceeds 5%% (first %g, last %g)", drift, first, last)
-				}
-			})
-		}
+			}
+			if len(post) < 3 {
+				t.Fatalf("only %d post-source energy samples (dt=%g)", len(post), res.Dt)
+			}
+			first, last := post[0], post[len(post)-1]
+			if first <= 0 {
+				t.Fatal("no energy injected")
+			}
+			drift := math.Abs(last-first) / first
+			t.Logf("post-source energy drift %.4f over %d samples", drift, len(post))
+			if drift > 0.05 {
+				t.Errorf("energy drift %.4f exceeds 5%% (first %g, last %g)", drift, first, last)
+			}
+		})
 	}
 }
 

@@ -90,12 +90,11 @@ type recvLocal struct {
 	closed  bool
 }
 
-// sweepClasses holds the precomputed color classes of each element
-// sub-list the force stage iterates: the full region, and the
-// outer/inner halves of the overlap split (nil when the overlap schedule
-// is off).
+// sweepClasses holds the precomputed color classes of the two element
+// sub-lists the force stage iterates: the outer and inner halves of the
+// overlap split.
 type sweepClasses struct {
-	full, outer, inner [][]int32
+	outer, inner [][]int32
 }
 
 // rankState is all per-rank solver state.
@@ -116,7 +115,7 @@ type rankState struct {
 	pool *pool
 	scr  *kernelScratch
 	// colors is the conflict-free element coloring; sweeps holds the
-	// color classes per region for each schedule's sub-lists.
+	// outer/inner color classes per region.
 	colors *mesh.Coloring
 	sweeps [3]sweepClasses
 	// forceBusy/updateBusy accumulate the worker-pool busy nanoseconds
@@ -124,20 +123,13 @@ type rankState struct {
 	// to the kernel_parallel and update phases when the run ends).
 	forceBusy, updateBusy int64
 
-	// overlap is true when the solver runs the outer/inner schedule;
-	// ov then holds the element classification (nil otherwise).
-	overlap bool
-	ov      *mesh.Overlap
-
 	// lts is the cluster-wheel state of local time stepping (nil when
 	// Options.LTS is off).
 	lts *ltsState
 
-	// fluidDeferred slides the fluid corrector and the non-boundary
-	// fluid mass division under the in-flight solid halo (overlap
-	// schedules only); fluidFace lists the sorted CMB/ICB fluid face
-	// points, fluidRest the complement.
-	fluidDeferred        bool
+	// fluidFace lists the sorted CMB/ICB fluid face points, divided
+	// before the solid traction; fluidRest, the complement, divides under
+	// the in-flight solid halo together with the fluid corrector.
 	fluidFace, fluidRest []int32
 	// chiSrc[s] is the array field s's solid traction reads the fluid
 	// potential acceleration from: the field's LTS shadow when the
@@ -193,31 +185,25 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 		scr:   new(kernelScratch),
 		ns:    ns,
 	}
-	if opts.Overlap == OverlapOn {
-		rs.overlap = true
-		rs.ov = mesh.BuildOverlap(rs.local, rs.plan)
-	}
+	ov := mesh.BuildOverlap(rs.local, rs.plan)
 	if opts.LTS {
 		// Bin elements into rate-2^k clusters before the fields are
 		// built (the attenuation coefficients need per-element rates).
 		// Point rates are reconciled across ranks after construction.
 		rs.lts = &ltsState{
-			clus: mesh.BuildClusters(rs.local, dt, opts.Courant, opts.LTSMaxRate, rs.ov),
+			clus: mesh.BuildClusters(rs.local, dt, opts.Courant, opts.LTSMaxRate, ov),
 		}
 	}
-	// Color the elements and precompute the classes each schedule
-	// sweeps, so the hot loop only walks prebuilt lists.
+	// Color the elements and precompute the outer/inner classes, so the
+	// hot loop only walks prebuilt lists.
 	rs.colors = mesh.BuildColoring(rs.local)
 	for kind := 0; kind < 3; kind++ {
 		reg := rs.local.Regions[kind]
 		if reg == nil || reg.NSpec == 0 {
 			continue
 		}
-		rs.sweeps[kind].full = rs.colors.Classes(kind, nil)
-		if rs.overlap {
-			rs.sweeps[kind].outer = rs.colors.Classes(kind, rs.ov.Outer[kind])
-			rs.sweeps[kind].inner = rs.colors.Classes(kind, rs.ov.Inner[kind])
-		}
+		rs.sweeps[kind].outer = rs.colors.Classes(kind, ov.Outer[kind])
+		rs.sweeps[kind].inner = rs.colors.Classes(kind, ov.Inner[kind])
 	}
 
 	for kind := 0; kind < 3; kind++ {
@@ -296,14 +282,7 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 			rs.chiSrc[s] = fl.chiDdot
 		}
 		rs.fluidFace = couplingFacePoints(rs.local, fls[0].reg.NGlob)
-		// The deferred fluid schedule (corrector + non-boundary mass
-		// division under the solid halo) needs the overlap schedule's
-		// non-blocking window; the blocking baseline keeps the original
-		// order.
-		if rs.overlap {
-			rs.fluidDeferred = true
-			rs.fluidRest = complementSorted(rs.fluidFace, fls[0].reg.NGlob)
-		}
+		rs.fluidRest = complementSorted(rs.fluidFace, fls[0].reg.NGlob)
 	}
 	rs.buildHaloSets()
 	rs.solidSets = []int{int(earthmodel.RegionCrustMantle), int(earthmodel.RegionInnerCore)}

@@ -11,15 +11,9 @@ import (
 	"specglobe/internal/perf"
 )
 
-// schedules is the schedule matrix: the overlap schedule and the
-// blocking baseline it is measured against.
-var schedules = []struct {
-	name string
-	mode OverlapMode
-}{
-	{"legacy", OverlapOff},
-	{"overlap", OverlapOn},
-}
+// schedule is the sub-test name of the one step schedule: the tests
+// that once looped over a blocking baseline keep their overlap ids.
+const schedule = "overlap"
 
 // coupledGlobe builds the solid-fluid-solid globe the schedule tests
 // run on (6·nproc² ranks).
@@ -60,31 +54,10 @@ func globeSim(t testing.TB, g *meshfem.Globe, model earthmodel.Model, opts Optio
 	}
 }
 
-// The overlap schedule reorders element sweeps relative to the blocking
-// baseline but sums the same per-element forces, so cross-mode agreement
-// is float32-roundoff tight — and it must compose with the combined
-// solid halo.
-func TestPipelineMatchesSerialSchedules(t *testing.T) {
-	g, model := coupledGlobe(t, 4, 1)
-	run := func(mode OverlapMode, combined bool) *Seismogram {
-		res, err := Run(globeSim(t, g, model, Options{
-			Steps: 30, Overlap: mode, CombinedSolidHalo: combined,
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Seismograms["R"]
-	}
-	on := run(OverlapOn, false)
-	agreeSeismo(t, "overlap-vs-legacy", on, run(OverlapOff, false), 5e-3)
-	agreeSeismo(t, "overlap-combined-halo", on, run(OverlapOn, true), 5e-3)
-}
-
 // attachDecoupledFluid grafts a standalone fluid region (no coupling
 // faces, no halo edges) onto one rank of a box world: the minimal
 // mixed-region configuration — one rank carries a fluid region, the
-// others do not — that exercises the tag-alignment paths of every
-// schedule.
+// others do not — that exercises the tag-alignment paths of the step.
 func attachDecoupledFluid(t *testing.T, locals []*mesh.Local, rank int) {
 	t.Helper()
 	donor, err := boxBuildFluidDonor()
@@ -120,15 +93,15 @@ func boxBuildFluidDonor() (*mesh.Region, error) {
 }
 
 // A rank with no fluid region must consume exactly the same tag
-// sequence as fluid-bearing ranks in every schedule: the solid halo
-// between ranks 0 and 1 only matches if both sides agree on every
-// preceding tag. A misalignment deadlocks (both sides wait on tags the
-// peer never sends) or corrupts the assembly; bit-identical solid
-// physics with and without the extra fluid region proves neither
-// happened.
+// sequence as fluid-bearing ranks, with separate and combined solid
+// halos: the solid halo between ranks 0 and 1 only matches if both sides
+// agree on every preceding tag. A misalignment deadlocks (both sides
+// wait on tags the peer never sends) or corrupts the assembly;
+// bit-identical solid physics with and without the extra fluid region
+// proves neither happened.
 func TestMixedRegionTagAlignment(t *testing.T) {
 	const L = 40e3
-	run := func(withFluid bool, mode OverlapMode, combined bool) *Seismogram {
+	run := func(withFluid bool, combined bool) *Seismogram {
 		b := buildBox(t, 4, 2, L)
 		if withFluid {
 			attachDecoupledFluid(t, b.Locals, 1)
@@ -144,7 +117,7 @@ func TestMixedRegionTagAlignment(t *testing.T) {
 			Sources:   []Source{src},
 			Receivers: []Receiver{boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2, false)},
 			Opts: Options{
-				Steps: 40, Dt: 0.02, Overlap: mode, CombinedSolidHalo: combined,
+				Steps: 40, Dt: 0.02, CombinedSolidHalo: combined,
 			},
 		})
 		if err != nil {
@@ -152,65 +125,55 @@ func TestMixedRegionTagAlignment(t *testing.T) {
 		}
 		return res.Seismograms["R"]
 	}
-	for _, sc := range schedules {
-		for _, combined := range []bool{false, true} {
-			name := sc.name
-			if combined {
-				name += "/combined"
-			}
-			t.Run(name, func(t *testing.T) {
-				without := run(false, sc.mode, combined)
-				with := run(true, sc.mode, combined)
-				identical(t, name, without, with)
-			})
+	for _, combined := range []bool{false, true} {
+		name := schedule
+		if combined {
+			name += "/combined"
 		}
+		t.Run(name, func(t *testing.T) {
+			identical(t, name, run(false, combined), run(true, combined))
+		})
 	}
 }
 
 // Global energy on a coupled fluid-solid globe must be conserved to
-// bounded drift after the source stops radiating — under both schedules
-// and both worker counts. This is the end-to-end check that the
-// coupling applies the traction with the *final* boundary fluid values
-// (only the face points are mass-divided before it in the overlap
-// schedule): a schedule bug that couples a partially assembled
-// potential pumps or leaks energy at the CMB/ICB every step.
+// bounded drift after the source stops radiating — at both worker
+// counts. This is the end-to-end check that the coupling applies the
+// traction with the *final* boundary fluid values (only the face points
+// are mass-divided before it): a schedule bug that couples a partially
+// assembled potential pumps or leaks energy at the CMB/ICB every step.
 func TestCoupledEnergyConservation(t *testing.T) {
 	g, model := coupledGlobe(t, 4, 1)
-	for _, sc := range schedules {
-		for _, workers := range []int{1, 4} {
-			t.Run(sc.name+map[int]string{1: "/w1", 4: "/w4"}[workers], func(t *testing.T) {
-				sim := globeSim(t, g, model, Options{
-					Steps: 80, EnergyEvery: 5, Workers: workers,
-					Overlap: sc.mode,
-				})
-				// Short source so the run (~58 s at this mesh's dt) has
-				// a long post-source window.
-				sim.Sources[0].STF = GaussianSTF(5, 12)
-				res, err := Run(sim)
-				if err != nil {
-					t.Fatal(err)
+	for _, workers := range []int{1, 4} {
+		t.Run(schedule+map[int]string{1: "/w1", 4: "/w4"}[workers], func(t *testing.T) {
+			sim := globeSim(t, g, model, Options{Steps: 80, EnergyEvery: 5, Workers: workers})
+			// Short source so the run (~58 s at this mesh's dt) has a
+			// long post-source window.
+			sim.Sources[0].STF = GaussianSTF(5, 12)
+			res, err := Run(sim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The Gaussian source (half duration 5 s, peak 12 s) has
+			// stopped radiating by ~30 s; compare total energy from the
+			// first post-source sample to the last.
+			var post []float64
+			for _, e := range res.Energy {
+				if float64(e.Step)*res.Dt > 30 {
+					post = append(post, e.Kinetic+e.Potential)
 				}
-				// The Gaussian source (half duration 5 s, peak 12 s)
-				// has stopped radiating by ~30 s; compare total energy
-				// from the first post-source sample to the last.
-				var post []float64
-				for _, e := range res.Energy {
-					if float64(e.Step)*res.Dt > 30 {
-						post = append(post, e.Kinetic+e.Potential)
-					}
-				}
-				if len(post) < 3 {
-					t.Fatalf("only %d post-source energy samples (dt=%g)", len(post), res.Dt)
-				}
-				first, last := post[0], post[len(post)-1]
-				if first <= 0 {
-					t.Fatal("no energy injected")
-				}
-				if drift := math.Abs(last-first) / first; drift > 0.05 {
-					t.Errorf("energy drift %.4f (first %g, last %g)", drift, first, last)
-				}
-			})
-		}
+			}
+			if len(post) < 3 {
+				t.Fatalf("only %d post-source energy samples (dt=%g)", len(post), res.Dt)
+			}
+			first, last := post[0], post[len(post)-1]
+			if first <= 0 {
+				t.Fatal("no energy injected")
+			}
+			if drift := math.Abs(last-first) / first; drift > 0.05 {
+				t.Errorf("energy drift %.4f (first %g, last %g)", drift, first, last)
+			}
+		})
 	}
 }
 
@@ -287,31 +250,27 @@ func TestFlopAccountingExact(t *testing.T) {
 	}
 }
 
-// Flop accounting is schedule-invariant: both schedules and both
-// worker counts perform identical arithmetic on the coupled globe, so
-// the counted totals must agree exactly.
-func TestFlopAccountingScheduleInvariant(t *testing.T) {
+// Flop accounting is worker-invariant: every worker count performs
+// identical arithmetic on the coupled globe, so the counted totals must
+// agree exactly.
+func TestFlopAccountingWorkerInvariant(t *testing.T) {
 	g, model := coupledGlobe(t, 4, 1)
 	var ref int64
-	for i, sc := range schedules {
-		for _, workers := range []int{1, 4} {
-			res, err := Run(globeSim(t, g, model, Options{
-				Steps: 6, Workers: workers, Overlap: sc.mode,
-			}))
-			if err != nil {
-				t.Fatal(err)
+	for _, workers := range []int{1, 4} {
+		res, err := Run(globeSim(t, g, model, Options{Steps: 6, Workers: workers}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if workers == 1 {
+			ref = res.Perf.TotalFlops
+			if ref <= 0 {
+				t.Fatal("no flops counted")
 			}
-			if i == 0 && workers == 1 {
-				ref = res.Perf.TotalFlops
-				if ref <= 0 {
-					t.Fatal("no flops counted")
-				}
-				continue
-			}
-			if res.Perf.TotalFlops != ref {
-				t.Errorf("%s/w%d: TotalFlops = %d, want %d (schedule changed the count)",
-					sc.name, workers, res.Perf.TotalFlops, ref)
-			}
+			continue
+		}
+		if res.Perf.TotalFlops != ref {
+			t.Errorf("w%d: TotalFlops = %d, want %d (worker count changed the count)",
+				workers, res.Perf.TotalFlops, ref)
 		}
 	}
 }

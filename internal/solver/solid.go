@@ -13,8 +13,8 @@ import (
 // the 125-point block (section 4.3), followed by pointwise stress
 // evaluation and the weighted-transpose accumulation.
 //
-// classes is the color-partitioned element sub-list to sweep (the full
-// region, or the outer/inner half of the overlap schedule), as built by
+// classes is the color-partitioned element sub-list to sweep (the outer
+// or inner half of the overlap schedule), as built by
 // mesh.Coloring.Classes. Colors run one after another with a barrier in
 // between; within a color no two elements share a global point, so the
 // chunks dispatched to the worker pool write disjoint acceleration

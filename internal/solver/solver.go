@@ -76,24 +76,10 @@ func ParseKernel(name string) (Kernel, error) {
 // EarthRotationRate is the sidereal rotation rate in rad/s.
 const EarthRotationRate = 7.292115e-5
 
-// OverlapMode selects the halo-exchange schedule of the solver loop.
-type OverlapMode int
-
-const (
-	// OverlapAuto resolves to OverlapOn — overlapping communication
-	// with computation is the paper's default scaling technique.
-	OverlapAuto OverlapMode = iota
-	// OverlapOn computes outer-element forces first, posts non-blocking
-	// sends and receives, computes inner elements while messages are in
-	// flight, and only then waits and accumulates.
-	OverlapOn
-	// OverlapOff is the blocking schedule: all forces, then sends, then
-	// blocking receives — communication fully exposed on the critical
-	// path. Kept as the measured baseline for the overlap ablation.
-	OverlapOff
-)
-
-// Options configure a solver run.
+// Options configure a solver run. Every run uses the paper's overlapped
+// step schedule: outer-element forces first, non-blocking halo sends and
+// receives posted, inner elements computed while the messages are in
+// flight, then wait and accumulate (DESIGN.md "The overlap schedule").
 type Options struct {
 	// Dt is the time step in seconds; 0 derives it from the mesh using
 	// Courant.
@@ -138,10 +124,6 @@ type Options struct {
 	// supplies per-machine values so FIG6/OVERLAP can extrapolate per
 	// machine.
 	Network mpi.Options
-	// Overlap selects the halo-exchange schedule (default: overlap
-	// communication with inner-element computation). Composes with
-	// CombinedSolidHalo.
-	Overlap OverlapMode
 	// RecordEvery records seismogram samples every N steps (default 1).
 	RecordEvery int
 	// EnergyEvery computes a global energy sample every N steps
@@ -197,9 +179,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxDisplacement == 0 {
 		o.MaxDisplacement = 1e10
-	}
-	if o.Overlap == OverlapAuto {
-		o.Overlap = OverlapOn
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -365,6 +344,9 @@ func Run(sim *Simulation) (*Result, error) {
 	}
 	if opts.Steps <= 0 {
 		return nil, fmt.Errorf("solver: Steps must be positive")
+	}
+	if opts.RecordEvery < 0 {
+		return nil, fmt.Errorf("solver: RecordEvery %d must not be negative", opts.RecordEvery)
 	}
 	if opts.Kernel != KernelVec4 && opts.Kernel != KernelScalar {
 		return nil, fmt.Errorf("solver: unknown kernel %v", opts.Kernel)

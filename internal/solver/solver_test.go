@@ -101,37 +101,32 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(&Simulation{Locals: b.Locals, Plans: b.Plans, Opts: Options{Steps: 1, Kernel: Kernel(7)}}); err == nil {
 		t.Error("Kernel(7) accepted")
 	}
-}
-
-// overlapModes drives the table-driven toggle: every schedule-sensitive
-// test runs under both the overlapped and the blocking halo exchange.
-var overlapModes = []struct {
-	name string
-	mode OverlapMode
-}{
-	{"overlap", OverlapOn},
-	{"blocking", OverlapOff},
+	// A negative RecordEvery once reached a negative make() capacity on a
+	// rank goroutine and panicked instead of returning an error.
+	sim = &Simulation{Locals: b.Locals, Plans: b.Plans, Opts: Options{Steps: 4, RecordEvery: -2},
+		Receivers: []Receiver{boxReceiver(t, b, "R", 5e3, 5e3, 5e3, false)}}
+	if _, err := Run(sim); err == nil {
+		t.Error("negative RecordEvery accepted")
+	}
 }
 
 // With no source, everything must remain exactly zero.
 func TestNoSourceStaysZero(t *testing.T) {
-	for _, om := range overlapModes {
-		t.Run(om.name, func(t *testing.T) {
-			b := buildBox(t, 3, 3, 30e3)
-			res, err := Run(&Simulation{
-				Locals: b.Locals, Plans: b.Plans,
-				Receivers: []Receiver{boxReceiver(t, b, "Z", 15e3, 15e3, 15e3, false)},
-				Opts:      Options{Steps: 20, Overlap: om.mode},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sg := res.Seismograms["Z"]
-			if maxAbs(sg.X) != 0 || maxAbs(sg.Y) != 0 || maxAbs(sg.Z) != 0 {
-				t.Error("fields moved without a source")
-			}
+	t.Run(schedule, func(t *testing.T) {
+		b := buildBox(t, 3, 3, 30e3)
+		res, err := Run(&Simulation{
+			Locals: b.Locals, Plans: b.Plans,
+			Receivers: []Receiver{boxReceiver(t, b, "Z", 15e3, 15e3, 15e3, false)},
+			Opts:      Options{Steps: 20},
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		sg := res.Seismograms["Z"]
+		if maxAbs(sg.X) != 0 || maxAbs(sg.Y) != 0 || maxAbs(sg.Z) != 0 {
+			t.Error("fields moved without a source")
+		}
+	})
 }
 
 // A vertical point force at the center produces a symmetric response:
@@ -219,47 +214,43 @@ func TestPWaveArrivalTime(t *testing.T) {
 }
 
 // After the source stops radiating, total energy in the closed box
-// (free-surface boundaries reflect everything) must stay constant —
-// under both halo-exchange schedules.
+// (free-surface boundaries reflect everything) must stay constant.
 func TestEnergyConservation(t *testing.T) {
-	for _, om := range overlapModes {
-		t.Run(om.name, func(t *testing.T) {
-			const L = 40e3
-			b := buildBox(t, 4, 2, L)
-			src := boxSource(t, b, L/2, L/2, L/2, 1e17, 1.0)
-			res, err := Run(&Simulation{
-				Locals: b.Locals, Plans: b.Plans,
-				Sources: []Source{src},
-				Opts:    Options{Steps: 300, EnergyEvery: 20, Overlap: om.mode},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Energy) < 10 {
-				t.Fatalf("only %d energy samples", len(res.Energy))
-			}
-			// Source (Ricker at f0=1, t0=1.2) is done by ~3 s. Compare
-			// total energy between the first post-source sample and the
-			// last.
-			var post []float64
-			for _, e := range res.Energy {
-				tSec := float64(e.Step) * res.Dt
-				if tSec > 3.5 {
-					post = append(post, e.Kinetic+e.Potential)
-				}
-			}
-			if len(post) < 3 {
-				t.Fatalf("not enough post-source samples (dt=%g)", res.Dt)
-			}
-			first, last := post[0], post[len(post)-1]
-			if first <= 0 {
-				t.Fatal("no energy injected")
-			}
-			if drift := math.Abs(last-first) / first; drift > 0.03 {
-				t.Errorf("energy drift %.4f over run (first %g, last %g)", drift, first, last)
-			}
+	t.Run(schedule, func(t *testing.T) {
+		const L = 40e3
+		b := buildBox(t, 4, 2, L)
+		src := boxSource(t, b, L/2, L/2, L/2, 1e17, 1.0)
+		res, err := Run(&Simulation{
+			Locals: b.Locals, Plans: b.Plans,
+			Sources: []Source{src},
+			Opts:    Options{Steps: 300, EnergyEvery: 20},
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Energy) < 10 {
+			t.Fatalf("only %d energy samples", len(res.Energy))
+		}
+		// Source (Ricker at f0=1, t0=1.2) is done by ~3 s. Compare total
+		// energy between the first post-source sample and the last.
+		var post []float64
+		for _, e := range res.Energy {
+			tSec := float64(e.Step) * res.Dt
+			if tSec > 3.5 {
+				post = append(post, e.Kinetic+e.Potential)
+			}
+		}
+		if len(post) < 3 {
+			t.Fatalf("not enough post-source samples (dt=%g)", res.Dt)
+		}
+		first, last := post[0], post[len(post)-1]
+		if first <= 0 {
+			t.Fatal("no energy injected")
+		}
+		if drift := math.Abs(last-first) / first; drift > 0.03 {
+			t.Errorf("energy drift %.4f over run (first %g, last %g)", drift, first, last)
+		}
+	})
 }
 
 // With attenuation on, energy must decay relative to the elastic run and
@@ -298,49 +289,40 @@ func TestAttenuationDissipates(t *testing.T) {
 // Different rank counts must produce the same physics; only float32
 // summation order differs, so seismograms agree to roundoff ("the result
 // is almost invariant by permutation down to the last digits", 4.2).
-// The overlap schedule additionally reorders the element sweep (outer
-// elements before inner), so its tolerance is slightly wider.
+// The overlap split also changes with the rank count (outer elements
+// are swept before inner ones), hence the 5e-4 tolerance.
 func TestParallelInvariance(t *testing.T) {
 	const L = 40e3
-	for _, om := range []struct {
-		name string
-		mode OverlapMode
-		tol  float64
-	}{
-		{"blocking", OverlapOff, 1e-4},
-		{"overlap", OverlapOn, 5e-4},
-	} {
-		t.Run(om.name, func(t *testing.T) {
-			run := func(nranks int) *Seismogram {
-				b := buildBox(t, 4, nranks, L)
-				src := boxSource(t, b, L/2+1e3, L/2, L/2, 1e17, 1.0)
-				res, err := Run(&Simulation{
-					Locals: b.Locals, Plans: b.Plans,
-					Sources:   []Source{src},
-					Receivers: []Receiver{boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2, false)},
-					Opts:      Options{Steps: 120, Dt: 0.02, Overlap: om.mode},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res.Seismograms["R"]
+	t.Run(schedule, func(t *testing.T) {
+		run := func(nranks int) *Seismogram {
+			b := buildBox(t, 4, nranks, L)
+			src := boxSource(t, b, L/2+1e3, L/2, L/2, 1e17, 1.0)
+			res, err := Run(&Simulation{
+				Locals: b.Locals, Plans: b.Plans,
+				Sources:   []Source{src},
+				Receivers: []Receiver{boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2, false)},
+				Opts:      Options{Steps: 120, Dt: 0.02},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			a := run(1)
-			c := run(4)
-			scale := maxAbs(a.X) + maxAbs(a.Y) + maxAbs(a.Z)
-			if scale == 0 {
-				t.Fatal("no signal")
+			return res.Seismograms["R"]
+		}
+		a := run(1)
+		c := run(4)
+		scale := maxAbs(a.X) + maxAbs(a.Y) + maxAbs(a.Z)
+		if scale == 0 {
+			t.Fatal("no signal")
+		}
+		for i := range a.X {
+			dx := math.Abs(float64(a.X[i] - c.X[i]))
+			dy := math.Abs(float64(a.Y[i] - c.Y[i]))
+			dz := math.Abs(float64(a.Z[i] - c.Z[i]))
+			if dx+dy+dz > 5e-4*scale {
+				t.Fatalf("rank-count dependence at sample %d: diff %g (scale %g)", i, dx+dy+dz, scale)
 			}
-			for i := range a.X {
-				dx := math.Abs(float64(a.X[i] - c.X[i]))
-				dy := math.Abs(float64(a.Y[i] - c.Y[i]))
-				dz := math.Abs(float64(a.Z[i] - c.Z[i]))
-				if dx+dy+dz > om.tol*scale {
-					t.Fatalf("rank-count dependence at sample %d: diff %g (scale %g)", i, dx+dy+dz, scale)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // kernelVariants lists every force-kernel implementation with a name
@@ -700,7 +682,7 @@ func TestCombinedSolidHalo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(combined bool, mode OverlapMode) (*Seismogram, int64) {
+	run := func(combined bool) (*Seismogram, int64) {
 		const m0 = 1e20
 		res, err := Run(&Simulation{
 			Locals: g.Locals, Plans: g.Plans, Model: model,
@@ -710,103 +692,56 @@ func TestCombinedSolidHalo(t *testing.T) {
 				STF:          GaussianSTF(25, 60),
 			}},
 			Receivers: []Receiver{{Name: "R", Rank: rloc.Rank, Kind: rloc.Kind, Elem: rloc.Elem, Ref: rloc.Ref}},
-			Opts:      Options{Steps: 30, CombinedSolidHalo: combined, Overlap: mode},
+			Opts:      Options{Steps: 30, CombinedSolidHalo: combined},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Seismograms["R"], res.MPI.Messages
 	}
-	// The combined exchange must compose with both halo schedules.
-	for _, om := range overlapModes {
-		t.Run(om.name, func(t *testing.T) {
-			sep, msgSep := run(false, om.mode)
-			com, msgCom := run(true, om.mode)
-			if msgCom >= msgSep {
-				t.Errorf("combined halo did not reduce messages: %d vs %d", msgCom, msgSep)
+	// The combined exchange must compose with the overlapped schedule.
+	t.Run(schedule, func(t *testing.T) {
+		sep, msgSep := run(false)
+		com, msgCom := run(true)
+		if msgCom >= msgSep {
+			t.Errorf("combined halo did not reduce messages: %d vs %d", msgCom, msgSep)
+		}
+		scale := maxAbs(sep.X) + maxAbs(sep.Y) + maxAbs(sep.Z)
+		for i := range sep.X {
+			d := math.Abs(float64(sep.X[i]-com.X[i])) +
+				math.Abs(float64(sep.Y[i]-com.Y[i])) +
+				math.Abs(float64(sep.Z[i]-com.Z[i]))
+			if scale > 0 && d > 1e-4*scale {
+				t.Fatalf("combined halo changed physics at sample %d", i)
 			}
-			scale := maxAbs(sep.X) + maxAbs(sep.Y) + maxAbs(sep.Z)
-			for i := range sep.X {
-				d := math.Abs(float64(sep.X[i]-com.X[i])) +
-					math.Abs(float64(sep.Y[i]-com.Y[i])) +
-					math.Abs(float64(sep.Z[i]-com.Z[i]))
-				if scale > 0 && d > 1e-4*scale {
-					t.Fatalf("combined halo changed physics at sample %d", i)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
-// The overlap schedule must reproduce the blocking schedule's physics
-// to float32 roundoff (the element sweep order differs between the two,
-// nothing else), hide part of the virtual communication time, and leave
-// strictly less communication exposed than the blocking baseline.
-func TestOverlapMatchesBlocking(t *testing.T) {
+// The overlapped schedule must hide part of the virtual communication
+// time behind the inner-element sweeps, leaving strictly less exposed
+// than the whole virtual comm time a blocking schedule would expose.
+func TestOverlapHidesComm(t *testing.T) {
 	const L = 40e3
 	b := buildBox(t, 4, 4, L)
 	src := boxSource(t, b, L/2+1e3, L/2, L/2, 1e17, 1.0)
-	run := func(mode OverlapMode) *Result {
-		res, err := Run(&Simulation{
-			Locals: b.Locals, Plans: b.Plans,
-			Sources:   []Source{src},
-			Receivers: []Receiver{boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2, false)},
-			Opts:      Options{Steps: 120, Dt: 0.02, Overlap: mode},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	res, err := Run(&Simulation{
+		Locals: b.Locals, Plans: b.Plans,
+		Sources:   []Source{src},
+		Receivers: []Receiver{boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2, false)},
+		Opts:      Options{Steps: 120, Dt: 0.02},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	on := run(OverlapOn)
-	off := run(OverlapOff)
-
-	// Physics: same seismogram to accumulated float32 roundoff. The two
-	// schedules sum identical per-element forces in different orders, so
-	// the trajectories drift apart at roundoff rate over the 120 steps;
-	// a scheduling bug (an element skipped or double-counted) produces
-	// O(1) relative error instead.
-	a, c := on.Seismograms["R"], off.Seismograms["R"]
-	scale := maxAbs(c.X) + maxAbs(c.Y) + maxAbs(c.Z)
-	if scale == 0 {
-		t.Fatal("no signal")
-	}
-	for i := range a.X {
-		d := math.Abs(float64(a.X[i]-c.X[i])) +
-			math.Abs(float64(a.Y[i]-c.Y[i])) +
-			math.Abs(float64(a.Z[i]-c.Z[i]))
-		if d > 5e-3*scale {
-			t.Fatalf("overlap changed physics at sample %d: diff %g (scale %g)", i, d, scale)
-		}
-	}
-
-	// Same traffic either way: overlap changes the schedule, not the
-	// messages.
-	if on.MPI.Messages != off.MPI.Messages || on.MPI.BytesSent != off.MPI.BytesSent {
-		t.Errorf("traffic differs: %d msgs/%d B vs %d msgs/%d B",
-			on.MPI.Messages, on.MPI.BytesSent, off.MPI.Messages, off.MPI.BytesSent)
-	}
-
-	// Accounting: the blocking schedule hides nothing; the overlapped
-	// schedule hides transfer time, leaving strictly less exposed.
-	if off.MPI.HiddenCommTime != 0 {
-		t.Errorf("blocking schedule hid %v", off.MPI.HiddenCommTime)
-	}
-	if on.MPI.HiddenCommTime <= 0 {
+	if res.MPI.HiddenCommTime <= 0 {
 		t.Error("overlap schedule hid no communication time")
 	}
-	if on.MPI.Exposed() >= off.MPI.Exposed() {
-		t.Errorf("overlap did not reduce exposed comm: %v vs %v",
-			on.MPI.Exposed(), off.MPI.Exposed())
+	if res.MPI.Exposed() >= res.MPI.VirtualCommTime {
+		t.Errorf("overlap did not reduce exposed comm: %v vs %v virtual",
+			res.MPI.Exposed(), res.MPI.VirtualCommTime)
 	}
-	// The perf report's comm fraction uses exposed time only. Its
-	// denominator is wall-clock busy time, so compare with slack — the
-	// strict invariant is the exposed time above.
-	if on.Perf.CommFraction > off.Perf.CommFraction+0.05 {
-		t.Errorf("overlap did not reduce comm fraction: %v vs %v",
-			on.Perf.CommFraction, off.Perf.CommFraction)
-	}
-	if on.Perf.HiddenCommTime <= 0 {
+	if res.Perf.HiddenCommTime <= 0 {
 		t.Error("report lost the hidden comm time")
 	}
 }

@@ -13,7 +13,8 @@ import (
 //     solid displacement), assembled across ranks,
 //  3. solid: a = M^-1 (-K u + sources + fluid traction), assembled,
 //     then the pointwise Coriolis / gravity / ocean-load corrections,
-//  4. corrector: v += dt/2 a.
+//  4. corrector: v += dt/2 a (the fluid's already ran in stage 3,
+//     under the in-flight solid halo).
 //
 // The new u and chi of stage 1 and the final a and chiDdot of stages 2
 // and 3 are flushed to zero below 2^-80 as they are stored (flush.go),
@@ -125,55 +126,36 @@ func (rs *rankState) predictor() {
 	}
 }
 
-// forceStage runs the fluid stage to completion (forces, assembly, mass
-// division), then the solid stage. Each stage has the same shape: outer
-// elements and boundary terms, post the halo, inner elements (plus, in
-// the solid stage, the deferred fluid update) under the in-flight
-// messages, finish. The blocking baseline (OverlapOff) is the same
-// sequence with nothing between post and finish.
+// forceStage runs the fluid stage (forces, assembly, face-point mass
+// division), then the solid stage. Each stage has the same shape — the
+// paper's overlap schedule: the *outer* elements (those contributing to
+// halo points) and the boundary terms first, post the halo, the inner
+// elements (plus, in the solid stage, the rest of the fluid update)
+// while the messages are in flight, then accumulate the received
+// contributions. The coupling and source terms touch boundary points
+// and therefore run before the post.
 func (rs *rankState) forceStage(step int) {
 	// --- Fluid stage ------------------------------------------------------
-	//
-	// With the overlap schedule (the paper's central scaling technique),
-	// only the *outer* elements — those contributing to halo points —
-	// are computed before the exchange is posted; the inner elements run
-	// while the messages are in flight, and the received contributions
-	// are accumulated afterwards. The coupling and source terms touch
-	// boundary points and therefore always run before the post.
 	if rs.fluid != nil {
 		oc := int(earthmodel.RegionOuterCore)
 		sw := rs.sweepsFor(oc)
-		first, second := sw.full, [][]int32(nil)
-		if rs.overlap {
-			first, second = sw.outer, sw.inner
-		}
-		rs.computeFluidForces(first)
+		rs.computeFluidForces(sw.outer)
 		rs.addFluidCoupling()
 		fluidHalo := rs.beginStepExchange(oc)
-		rs.computeFluidForces(second)
+		rs.computeFluidForces(sw.inner)
 		fluidHalo.finish()
-		if rs.fluidDeferred {
-			// Only the coupling-face points must be final before the
-			// traction; the rest divides under the solid halo.
-			rs.fluidMassDivisionFace()
-		} else {
-			rs.fluidMassDivision()
-		}
+		// Only the coupling-face points must be final before the
+		// traction; the rest divides under the solid halo.
+		rs.fluidMassDivisionFace()
 	} else {
 		rs.nextTag() // keep the exchange sequence aligned
 	}
 
 	// --- Solid stage ------------------------------------------------------
 	for kind, fs := range rs.solid {
-		if fs == nil {
-			continue
+		if fs != nil {
+			rs.computeSolidForces(fs, rs.sweepsFor(kind).outer)
 		}
-		sw := rs.sweepsFor(kind)
-		first := sw.full
-		if rs.overlap {
-			first = sw.outer
-		}
-		rs.computeSolidForces(fs, first)
 	}
 	rs.addTractionAndSources(step)
 	rs.finishSolidStage()
@@ -188,36 +170,12 @@ func (rs *rankState) addFluidCoupling() {
 	})
 }
 
-// fluidMassDivision finalizes the fluid acceleration potential. All
-// element, coupling and halo contributions must be in. Under LTS only
-// the firing points are divided (the rest hold garbage that the next
-// predictor wipes), and the traction shadow is refreshed.
-func (rs *rankState) fluidMassDivision() {
-	fls := rs.fluid
-	var list []int32
-	if pts := rs.ltsPts(int(earthmodel.RegionOuterCore)); pts != nil && !pts.single {
-		list = pts.upTo[rs.lts.level]
-	}
-	if list == nil {
-		n := len(fls[0].chiDdot)
-		rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
-			for _, fl := range fls {
-				for i := lo; i < hi; i++ {
-					fl.chiDdot[i] = ftz(fl.chiDdot[i] * fl.massInv[i])
-				}
-			}
-		})
-		rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.FluidMassDiv*int64(n*len(fls)))
-		rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.FluidMassDiv*int64(n*len(fls)))
-	} else {
-		rs.divideFluidList(list)
-	}
-	rs.refreshTractionShadow()
-}
-
 // fluidMassDivisionFace divides only the CMB/ICB coupling-face points —
 // the values the solid traction consumes — so the remaining division
-// can slide under the solid halo (fluidMassDivisionRest).
+// can slide under the solid halo (fluidMassDivisionRest). All element,
+// coupling and halo contributions must be in. Under LTS only the firing
+// points are divided (the rest hold garbage that the next predictor
+// wipes), and the traction shadow is refreshed.
 func (rs *rankState) fluidMassDivisionFace() {
 	list := rs.fluidFace
 	if lts := rs.lts; lts != nil && lts.faceUpTo != nil {
@@ -257,8 +215,8 @@ func (rs *rankState) divideFluidList(list []int32) {
 }
 
 // addTractionAndSources applies the boundary terms of the solid stage:
-// the fluid pressure traction at the CMB/ICB (the fluid potential is
-// final here in every schedule) and the source injection.
+// the fluid pressure traction at the CMB/ICB (the face points of the
+// fluid potential are final here) and the source injection.
 func (rs *rankState) addTractionAndSources(step int) {
 	rs.prof.Time(perf.PhaseForceSolid, func() {
 		rs.addFluidTractionToSolid(rs.local.CMB)
@@ -270,7 +228,7 @@ func (rs *rankState) addTractionAndSources(step int) {
 // finishSolidStage posts the solid halo exchange (every halo point's
 // local contribution — outer forces, traction, sources — is fixed by
 // now), runs the solid inner sweeps while it is in flight, and waits.
-// The deferred fluid work — non-face mass division and the fluid
+// The rest of the fluid update — non-face mass division and the fluid
 // corrector — also rides under the in-flight solid halo here: the halo
 // only touches solid acceleration arrays, so the fluid update is free
 // hiding material.
@@ -280,19 +238,15 @@ func (rs *rankState) finishSolidStage() {
 	for i, set := range rs.solidSets {
 		rs.solidHalo[i] = rs.beginStepExchange(set)
 	}
-	if rs.overlap {
-		// Inner elements touch no halo point: they compute while the
-		// boundary messages are in flight.
-		for kind, fs := range rs.solid {
-			if fs != nil {
-				rs.computeSolidForces(fs, rs.sweepsFor(kind).inner)
-			}
+	// Inner elements touch no halo point: they compute while the
+	// boundary messages are in flight.
+	for kind, fs := range rs.solid {
+		if fs != nil {
+			rs.computeSolidForces(fs, rs.sweepsFor(kind).inner)
 		}
 	}
-	if rs.fluidDeferred {
-		rs.fluidMassDivisionRest()
-		rs.fluidCorrector()
-	}
+	rs.fluidMassDivisionRest() // both no-ops on a rank without fluid
+	rs.fluidCorrector()
 	for _, p := range rs.solidHalo {
 		p.finish()
 	}
@@ -389,11 +343,10 @@ func (rs *rankState) solidUpdate() {
 	}
 }
 
-// corrector runs the Newmark correction for every field, and captures
-// the final (mass-divided) acceleration of coarse LTS levels into their
-// hold arrays for the next predictor. The fluid correction is skipped
-// here when it already ran under the solid halo (fluidDeferred, see
-// finishSolidStage).
+// corrector runs the Newmark correction for every solid field, and
+// captures the final (mass-divided) acceleration of coarse LTS levels
+// into their hold arrays for the next predictor. The fluid correction
+// already ran under the solid halo (finishSolidStage).
 func (rs *rankState) corrector() {
 	for kind, fs := range rs.solid {
 		if fs == nil {
@@ -425,17 +378,12 @@ func (rs *rankState) corrector() {
 		rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.SolidCorrector*int64(n*len(fs)))
 		rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.SolidCorrector*int64(n*len(fs)))
 	}
-	if !rs.fluidDeferred {
-		rs.fluidCorrector()
-	}
 }
 
-// fluidCorrector runs the fluid Newmark correction. It is called from
-// corrector in the blocking schedule, and from finishSolidStage —
-// under the in-flight solid halo — when the fluid update is deferred.
-// The fluid arrays are final after the full mass division either way,
-// and the per-point arithmetic is identical, so moving it earlier does
-// not change the values.
+// fluidCorrector runs the fluid Newmark correction from
+// finishSolidStage, under the in-flight solid halo: the fluid arrays are
+// final once the rest of the mass division is done, and nothing later in
+// the step reads them.
 func (rs *rankState) fluidCorrector() {
 	fls := rs.fluid
 	if fls == nil {
