@@ -127,7 +127,7 @@ func LTSAblation(configs [][2]int, doublings []float64, steps int) (*LTSResult, 
 			maxRate := 1
 			if res.LTS != nil {
 				row.RateCounts = res.LTS.ElemsByRate
-				row.TheoreticalReduction = perfmodel.LTSRateWeightedReduction(res.LTS.ElemsByRate)
+				row.TheoreticalReduction = res.LTS.UpdateReduction
 				row.StepsFinestPerSec = res.LTS.StepsOfFinestPerSec
 				maxRate = res.LTS.MaxRate
 			}

@@ -1,6 +1,9 @@
 package mesh
 
-import "sort"
+import (
+	"maps"
+	"slices"
+)
 
 // Clustered local time stepping (LTS): elements are binned into
 // rate-2^k clusters by their per-element stable dt (ElementDts), so a
@@ -30,11 +33,6 @@ type Cluster struct {
 	// Elems lists the cluster's elements in ascending order.
 	Elems []int32
 
-	// Interface lists the subset of Elems touching at least one point
-	// owned by a coarser cluster (the fine-side interface elements that
-	// read held coarse state).
-	Interface []int32
-
 	// Outer and Inner split Elems by the halo-overlap classification
 	// (intersection with Overlap.Outer/Inner); nil when no Overlap was
 	// supplied.
@@ -56,7 +54,7 @@ type Clustering struct {
 	// PointRate is each global point's rate — the maximum rate over
 	// the touching elements — indexed [kind][point]. Cross-rank halo
 	// points must be reconciled (max-exchanged) by the solver before
-	// use; call RefreshInterfaces afterwards.
+	// use.
 	PointRate [3][]int32
 }
 
@@ -84,15 +82,7 @@ func BuildClusters(l *Local, dt, courant float64, maxRate int, ov *Overlap) *Clu
 		if reg == nil || reg.NSpec == 0 {
 			continue
 		}
-		dts := reg.ElementDts(courant)
-		rates := make([]int32, reg.NSpec)
-		for e := range rates {
-			r := int32(1)
-			for r*2 <= c.MaxRate && float64(r*2)*dt <= dts[e] {
-				r *= 2
-			}
-			rates[e] = r
-		}
+		rates := elementRates(reg, dt, courant, c.MaxRate)
 		c.ElemRate[kind] = rates
 
 		pr := make([]int32, reg.NGlob)
@@ -123,38 +113,23 @@ func BuildClusters(l *Local, dt, courant float64, maxRate int, ov *Overlap) *Clu
 			c.Clusters[kind] = append(c.Clusters[kind], cl)
 		}
 	}
-	c.RefreshInterfaces(l)
 	return c
 }
 
-// RefreshInterfaces recomputes each cluster's Interface list from the
-// current PointRate arrays. The solver calls this again after the
-// cross-rank point-rate reconciliation, which can only raise rates.
-func (c *Clustering) RefreshInterfaces(l *Local) {
-	for kind := 0; kind < 3; kind++ {
-		reg := l.Regions[kind]
-		if reg == nil {
-			continue
+// elementRates bins a region's elements to LTS rates for global time
+// step dt: the largest power of two r <= maxRate with r*dt within the
+// element's own stable dt (ElementDt with the given courant factor).
+func elementRates(reg *Region, dt, courant float64, maxRate int32) []int32 {
+	dts := reg.ElementDts(courant)
+	rates := make([]int32, reg.NSpec)
+	for e := range rates {
+		r := int32(1)
+		for r*2 <= maxRate && float64(r*2)*dt <= dts[e] {
+			r *= 2
 		}
-		pr := c.PointRate[kind]
-		for ci := range c.Clusters[kind] {
-			cl := &c.Clusters[kind][ci]
-			var iface []int32
-			for _, e := range cl.Elems {
-				touches := false
-				for p := int(e) * NGLL3; p < (int(e)+1)*NGLL3; p++ {
-					if pr[reg.Ibool[p]] > cl.Rate {
-						touches = true
-						break
-					}
-				}
-				if touches {
-					iface = append(iface, e)
-				}
-			}
-			cl.Interface = iface
-		}
+		rates[e] = r
 	}
+	return rates
 }
 
 // ElemsUpTo returns the ascending merged element list of all kind
@@ -192,22 +167,25 @@ func (c *Clustering) RateCounts() map[int32]int {
 	return counts
 }
 
-// UpdateReduction returns the theoretical rate-weighted element-update
-// reduction of this rank's clustering: (sum N_r) / (sum N_r / r), the
-// factor by which element updates per finest-level step shrink when
-// each cluster fires only every Rate-th step.
+// UpdateReduction returns the rate-weighted element-update reduction of
+// this rank's clustering (RateWeightedReduction of RateCounts).
 func (c *Clustering) UpdateReduction() float64 {
-	counts := c.RateCounts()
-	rates := make([]int32, 0, len(counts))
-	for r := range counts {
-		rates = append(rates, r)
-	}
-	sort.Slice(rates, func(i, j int) bool { return rates[i] < rates[j] })
+	return RateWeightedReduction(c.RateCounts())
+}
+
+// RateWeightedReduction returns the theoretical element-update reduction
+// of an element count per LTS rate, (sum N_r) / (sum N_r / r): the
+// factor by which element updates per finest-level step shrink when a
+// rate-r cluster fires only every r-th step — the bound the realized
+// steps-of-finest-level/sec speedup is measured against (pointwise
+// updates, halos and the unclustered phases dilute it). The sums run in
+// ascending rate order, so the result does not depend on map order; an
+// empty count gives 1.
+func RateWeightedReduction[R ~int | ~int32, N ~int | ~int64](counts map[R]N) float64 {
 	total, weighted := 0.0, 0.0
-	for _, r := range rates {
-		n := counts[r]
-		total += float64(n)
-		weighted += float64(n) / float64(r)
+	for _, r := range slices.Sorted(maps.Keys(counts)) {
+		total += float64(counts[r])
+		weighted += float64(counts[r]) / float64(r)
 	}
 	if weighted == 0 {
 		return 1

@@ -51,12 +51,6 @@ func TestBuildClustersUniformBox(t *testing.T) {
 	if r := c2.UpdateReduction(); r != 2 {
 		t.Errorf("uniform rate-2 UpdateReduction = %g, want 2", r)
 	}
-	// All elements share one rate, so no element touches a coarser point.
-	for _, cl := range c2.Clusters[earthmodel.RegionCrustMantle] {
-		if len(cl.Interface) != 0 {
-			t.Errorf("uniform clustering has %d interface elements", len(cl.Interface))
-		}
-	}
 
 	// The cap clamps: a tiny dt cannot push rates past MaxRate.
 	c3 := mesh.BuildClusters(l, stable/100, courant, 4, nil)
@@ -118,8 +112,7 @@ func TestClustersComposeWithOverlap(t *testing.T) {
 
 // On the depth-doubled globe the per-element dt spectrum spreads across
 // the doubling levels and the clustering becomes genuinely multi-rate:
-// more than one rate, non-empty fine-side interfaces, and a theoretical
-// update reduction strictly above 1.
+// more than one rate and a theoretical update reduction strictly above 1.
 func TestDoubledGlobeMultiRateClustering(t *testing.T) {
 	model := earthmodel.NewHomogeneous(6371e3, earthmodel.Material{
 		Rho: 5000, Vp: 10000, Vs: 5500, Qmu: 300, Qkappa: 57823,
@@ -145,28 +138,19 @@ func TestDoubledGlobeMultiRateClustering(t *testing.T) {
 		}
 	}
 	counts := map[int32]int{}
-	iface := 0
 	red := 0.0
 	for _, l := range g.Locals {
 		c := mesh.BuildClusters(l, dt, courant, 4, nil)
 		for r, n := range c.RateCounts() {
 			counts[r] += n
 		}
-		for kind := range c.Clusters {
-			for _, cl := range c.Clusters[kind] {
-				iface += len(cl.Interface)
-			}
-		}
 		if r := c.UpdateReduction(); r > red {
 			red = r
 		}
 	}
-	t.Logf("doubled globe rate counts: %v, interface elems %d, best per-rank reduction %.2f", counts, iface, red)
+	t.Logf("doubled globe rate counts: %v, best per-rank reduction %.2f", counts, red)
 	if len(counts) < 2 {
 		t.Fatalf("doubled globe clustering is single-rate: %v", counts)
-	}
-	if iface == 0 {
-		t.Fatal("multi-rate clustering has no interface elements")
 	}
 	if red <= 1 {
 		t.Fatalf("UpdateReduction %.3f, want > 1", red)

@@ -370,8 +370,8 @@ func ComputeLoadStats(locals []*Local) LoadStats {
 
 // ComputeLoadStatsRated extends ComputeLoadStats with the rate-weighted
 // cost balance of clustered local time stepping: each element is binned
-// to its LTS rate exactly as BuildClusters does (the largest power of
-// two r <= maxRate with r*dt within the element's stable dt) and a
+// to its LTS rate by BuildClusters' rule (elementRates: the largest power
+// of two r <= maxRate with r*dt within the element's stable dt) and a
 // rank's cost is sum(1/rate) — its element updates per finest-level
 // step. With LTS off (maxRate <= 1) every rate is 1 and the cost
 // imbalance equals the element imbalance.
@@ -390,12 +390,7 @@ func ComputeLoadStatsRated(locals []*Local, dt, courant float64, maxRate int) Lo
 			if reg == nil || reg.NSpec == 0 {
 				continue
 			}
-			dts := reg.ElementDts(courant)
-			for e := 0; e < reg.NSpec; e++ {
-				r := int32(1)
-				for r*2 <= mr && float64(r*2)*dt <= dts[e] {
-					r *= 2
-				}
+			for _, r := range elementRates(reg, dt, courant, mr) {
 				cost += 1 / float64(r)
 			}
 		}

@@ -257,28 +257,6 @@ func (f *FlopsModel) Sustained(p int, res float64) float64 {
 	return f.PerCore * float64(p) * scale
 }
 
-// LTSRateWeightedReduction returns the theoretical element-update
-// reduction of a local-time-stepping clustering: given the element
-// count per rate, (sum N_r) / (sum N_r / r) — the factor by which
-// element updates per finest-level step shrink when a rate-r cluster
-// fires only every r-th step. This is the upper bound the realized
-// steps-of-finest-level/sec speedup is measured against (pointwise
-// updates, halos and the unclustered phases dilute it).
-func LTSRateWeightedReduction(elemsByRate map[int]int64) float64 {
-	var total, weighted float64
-	for r, n := range elemsByRate {
-		if r < 1 {
-			r = 1
-		}
-		total += float64(n)
-		weighted += float64(n) / float64(r)
-	}
-	if weighted == 0 {
-		return 1
-	}
-	return total / weighted
-}
-
 // --- Report formatting ----------------------------------------------------
 
 // HumanBytes formats a byte count with binary-ish units the way the

@@ -43,18 +43,16 @@ type routePeer struct {
 	n     int
 }
 
-// haloRoute is the resolved exchange of one halo set at one LTS level:
-// the peers in ascending rank order, peers with nothing to exchange
-// dropped (both ends agree, so neither sends).
+// haloRoute is the resolved exchange of one halo set at one wheel level
+// (levelPlan.routes): the peers in ascending rank order, peers with
+// nothing to exchange dropped (both ends agree, so neither sends).
 type haloRoute []routePeer
 
 // haloSet is one region combination's exchange state: the arrays the
-// step loop assembles and the route per LTS level (a single unmasked
-// route without LTS).
+// step loop assembles.
 type haloSet struct {
-	nc     int           // components per wavefield
-	arr    [][][]float32 // arr[part][field*nc+component]; nil part = region absent
-	levels []haloRoute
+	nc  int           // components per wavefield
+	arr [][][]float32 // arr[part][field*nc+component]; nil part = region absent
 }
 
 // buildRoute resolves one halo set against per-region edge point lists:
@@ -89,8 +87,7 @@ func (rs *rankState) buildRoute(set int, idx *[3][][]int32) haloRoute {
 
 // buildHaloSets points the four halo sets at the arrays the step loop
 // assembles — the fluid potential accelerations and the solid
-// accelerations, all wavefields in field order — and resolves their
-// unmasked routes.
+// accelerations, all wavefields in field order.
 func (rs *rankState) buildHaloSets() {
 	var accel [3][][]float32
 	for kind, fs := range rs.solid {
@@ -112,48 +109,33 @@ func (rs *rankState) buildHaloSets() {
 			h.arr = append(h.arr, accel[kind])
 		}
 	}
-	rs.buildRoutes(1, nil)
 }
 
-// buildRoutes resolves every halo set's route at each of levels LTS
-// levels: level li exchanges the shared points whose rate is at most
-// 2^li (both ends agree once the rates are reconciled). A nil pointRate
-// — no LTS, or rates not reconciled yet — yields the unmasked route.
-func (rs *rankState) buildRoutes(levels int, pointRate *[3][]int32) {
-	for set := range rs.halo {
-		rs.halo[set].levels = make([]haloRoute, levels)
-	}
-	for li := 0; li < levels; li++ {
-		var idx [3][][]int32
-		for kind := range idx {
-			for i := range rs.plan.Edges[kind] {
-				pts := rs.plan.Edges[kind][i].Idx
-				if pointRate != nil {
-					pts = upToRate(pts, pointRate[kind], int32(1)<<uint(li))
-				}
-				idx[kind] = append(idx[kind], pts)
+// levelRoutes resolves every halo set's route over the shared points
+// whose rate is at most rate (both ends agree once the rates are
+// reconciled). A nil pointRate yields the unmasked routes, whose lists
+// are the plan's HaloEdge.Idx themselves.
+func (rs *rankState) levelRoutes(pointRate *[3][]int32, rate int32) (routes [nHaloSets]haloRoute) {
+	var idx [3][][]int32
+	for kind := range idx {
+		for _, e := range rs.plan.Edges[kind] {
+			pts := e.Idx
+			if pointRate != nil {
+				pts = upToRate(pts, pointRate[kind], rate)
 			}
-		}
-		for set := range rs.halo {
-			rs.halo[set].levels[li] = rs.buildRoute(set, &idx)
+			idx[kind] = append(idx[kind], pts)
 		}
 	}
-}
-
-// route returns the set's route for this step: the current LTS level's,
-// or the single unmasked one.
-func (rs *rankState) route(set int) haloRoute {
-	if rs.lts == nil {
-		return rs.halo[set].levels[0]
+	for set := range routes {
+		routes[set] = rs.buildRoute(set, &idx)
 	}
-	return rs.halo[set].levels[rs.lts.level]
+	return routes
 }
 
-// fullRoute returns the set's unmasked route (the top LTS level) — the
+// fullRoute returns the set's unmasked route, the top level's — the
 // one-time setup exchanges assemble every shared point.
 func (rs *rankState) fullRoute(set int) haloRoute {
-	lv := rs.halo[set].levels
-	return lv[len(lv)-1]
+	return rs.levels[len(rs.levels)-1].routes[set]
 }
 
 // nextTag returns a unique message tag for the next halo exchange. All
@@ -239,8 +221,8 @@ func (p *pendingExchange) finish() {
 }
 
 // beginStepExchange begins the per-step assembly of a halo set's own
-// arrays for the whole ensemble at the current LTS level.
+// arrays for the whole ensemble over the step plan's route.
 func (rs *rankState) beginStepExchange(set int) *pendingExchange {
 	h := &rs.halo[set]
-	return rs.beginExchange(rs.route(set), rs.ns, h.nc, h.arr)
+	return rs.beginExchange(rs.lp.routes[set], rs.ns, h.nc, h.arr)
 }

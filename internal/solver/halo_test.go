@@ -1,107 +1,129 @@
 package solver
 
 import (
+	"reflect"
 	"testing"
 
+	"specglobe/internal/mesh"
 	"specglobe/internal/mpi"
 )
 
-// The halo routes of a 24-rank globe under LTS: at every level of every
-// halo set the peers ascend, both ends of an exchange list the same
-// number of points per region part (so the wire layouts match without
-// negotiation), the top level aliases the plan's edge lists (no copy),
-// and the lower levels really drop points and peers.
+// The level plans of a 24-rank globe, with LTS and without. At every
+// level of every halo set the peers ascend and both ends of an exchange
+// list the same number of points per region part (so the wire layouts
+// match without negotiation). The plan that fires everything — the only
+// one without LTS, the top one with it — sweeps the overlap colour
+// classes, covers every point of a region with its passes (without LTS
+// in one full-range pass), and routes the plan's edge lists themselves
+// (no copy); under LTS the lower levels really drop points and peers.
 func TestHaloRoutes(t *testing.T) {
 	g, model := coupledGlobe(t, 4, 2)
-	opts := Options{Steps: 1, LTS: true, CombinedSolidHalo: true}.withDefaults()
-	sim := globeSim(t, g, model, opts)
-	dt := stableDt(sim.Locals, opts.Courant)
-	p := newPool(1)
-	defer p.close()
-	states := make([]*rankState, len(sim.Locals))
-	mpi.NewWorldWith(len(sim.Locals), opts.Network).Run(func(c *mpi.Comm) {
-		states[c.Rank()] = newRankState(c, sim, &opts, dt, nil, nil, p, newKernels(opts.Kernel), 1)
-	})
-	if len(states) != 24 {
-		t.Fatalf("%d ranks, want 24", len(states))
-	}
-
-	levels := states[0].lts.levels
-	if levels < 2 {
-		t.Fatalf("%d LTS levels: the masked routes are not exercised", levels)
-	}
-	points := func(set, li int) (n, peers int) {
-		for _, rs := range states {
-			for _, pr := range rs.halo[set].levels[li] {
-				n += pr.n
-			}
-			peers += len(rs.halo[set].levels[li])
+	for _, lts := range []bool{true, false} {
+		opts := Options{Steps: 1, LTS: lts, CombinedSolidHalo: true}.withDefaults()
+		sim := globeSim(t, g, model, opts)
+		dt := stableDt(sim.Locals, opts.Courant)
+		p := newPool(1)
+		states := make([]*rankState, len(sim.Locals))
+		mpi.NewWorldWith(len(sim.Locals), opts.Network).Run(func(c *mpi.Comm) {
+			states[c.Rank()] = newRankState(c, sim, &opts, dt, nil, nil, p, newKernels(opts.Kernel), 1)
+		})
+		p.close()
+		if len(states) != 24 {
+			t.Fatalf("%d ranks, want 24", len(states))
 		}
-		return n, peers
-	}
-	for set := 0; set < nHaloSets; set++ {
-		for li := 0; li < levels; li++ {
-			for r, rs := range states {
-				rt := rs.halo[set].levels[li]
-				for i, pr := range rt {
-					if i > 0 && rt[i-1].peer >= pr.peer {
-						t.Fatalf("set %d level %d rank %d: peers not ascending", set, li, r)
-					}
-					if pr.n == 0 {
-						t.Errorf("set %d level %d rank %d: empty peer %d kept", set, li, r, pr.peer)
-					}
-					var back *routePeer
-					other := states[pr.peer].halo[set].levels[li]
-					for j := range other {
-						if other[j].peer == r {
-							back = &other[j]
+		levels := len(states[0].levels)
+		if lts && levels < 2 || !lts && levels != 1 {
+			t.Fatalf("lts=%v: %d levels", lts, levels)
+		}
+		points := func(set, li int) (n, peers int) {
+			for _, rs := range states {
+				for _, pr := range rs.levels[li].routes[set] {
+					n += pr.n
+				}
+				peers += len(rs.levels[li].routes[set])
+			}
+			return n, peers
+		}
+		for set := 0; set < nHaloSets; set++ {
+			for li := 0; li < levels; li++ {
+				for r, rs := range states {
+					rt := rs.levels[li].routes[set]
+					for i, pr := range rt {
+						if i > 0 && rt[i-1].peer >= pr.peer {
+							t.Fatalf("lts=%v set %d level %d rank %d: peers not ascending", lts, set, li, r)
+						}
+						if pr.n == 0 {
+							t.Errorf("lts=%v set %d level %d rank %d: empty peer %d kept", lts, set, li, r, pr.peer)
+						}
+						var back *routePeer
+						other := states[pr.peer].levels[li].routes[set]
+						for j := range other {
+							if other[j].peer == r {
+								back = &other[j]
+							}
+						}
+						if back == nil {
+							t.Fatalf("lts=%v set %d level %d: rank %d sends to %d, which does not send back", lts, set, li, r, pr.peer)
+						}
+						for k := range pr.parts {
+							if len(pr.parts[k]) != len(back.parts[k]) {
+								t.Errorf("lts=%v set %d level %d ranks %d/%d part %d: %d vs %d points",
+									lts, set, li, r, pr.peer, k, len(pr.parts[k]), len(back.parts[k]))
+							}
 						}
 					}
-					if back == nil {
-						t.Fatalf("set %d level %d: rank %d sends to %d, which does not send back", set, li, r, pr.peer)
+				}
+			}
+			top, _ := points(set, levels-1)
+			plan := 0
+			for _, rs := range states {
+				for _, kind := range haloSetKinds[set] {
+					for _, e := range rs.plan.Edges[kind] {
+						plan += len(e.Idx)
 					}
-					for k := range pr.parts {
-						if len(pr.parts[k]) != len(back.parts[k]) {
-							t.Errorf("set %d level %d ranks %d/%d part %d: %d vs %d points",
-								set, li, r, pr.peer, k, len(pr.parts[k]), len(back.parts[k]))
-						}
+				}
+			}
+			if top != plan {
+				t.Errorf("lts=%v set %d: top level routes %d points, the plan has %d", lts, set, top, plan)
+			}
+		}
+
+		for r, rs := range states {
+			top := &rs.levels[levels-1]
+			ov := mesh.BuildOverlap(rs.local, rs.plan)
+			for kind, reg := range rs.local.Regions {
+				if len(top.routes[kind]) != len(rs.plan.Edges[kind]) {
+					t.Fatalf("lts=%v rank %d kind %d: %d peers for %d edges", lts, r, kind, len(top.routes[kind]), len(rs.plan.Edges[kind]))
+				}
+				for i, e := range rs.plan.Edges[kind] {
+					if got := top.routes[kind][i].parts[0]; top.routes[kind][i].peer != e.Peer || &got[0] != &e.Idx[0] {
+						t.Errorf("lts=%v rank %d kind %d edge %d: top route does not alias HaloEdge.Idx", lts, r, kind, i)
 					}
 				}
-			}
-		}
-		top, _ := points(set, levels-1)
-		plan := 0
-		for _, rs := range states {
-			for _, kind := range haloSetKinds[set] {
-				for _, e := range rs.plan.Edges[kind] {
-					plan += len(e.Idx)
+				if reg == nil || reg.NSpec == 0 {
+					continue
+				}
+				want := sweepClasses{rs.colors.Classes(kind, ov.Outer[kind]), rs.colors.Classes(kind, ov.Inner[kind])}
+				if !reflect.DeepEqual(top.sweeps[kind], want) {
+					t.Errorf("lts=%v rank %d kind %d: top classes are not the overlap classes", lts, r, kind)
+				}
+				n := 0
+				for _, ps := range top.passes[kind] {
+					n += ps.n
+				}
+				if n != reg.NGlob || top.final[kind].list != nil || top.final[kind].n != reg.NGlob ||
+					!lts && (len(top.passes[kind]) != 1 || top.passes[kind][0].list != nil) {
+					t.Errorf("lts=%v rank %d kind %d: %d top passes fire %d of %d points", lts, r, kind, len(top.passes[kind]), n, reg.NGlob)
 				}
 			}
 		}
-		if top != plan {
-			t.Errorf("set %d: top level routes %d points, the plan has %d", set, top, plan)
-		}
-	}
-
-	// Top level: the very slices of the plan.
-	for r, rs := range states {
-		for kind := 0; kind < 3; kind++ {
-			rt := rs.fullRoute(kind)
-			if len(rt) != len(rs.plan.Edges[kind]) {
-				t.Fatalf("rank %d kind %d: %d peers for %d edges", r, kind, len(rt), len(rs.plan.Edges[kind]))
-			}
-			for i, e := range rs.plan.Edges[kind] {
-				if got := rt[i].parts[0]; rt[i].peer != e.Peer || &got[0] != &e.Idx[0] {
-					t.Errorf("rank %d kind %d edge %d: top-level route does not alias HaloEdge.Idx", r, kind, i)
-				}
+		if lts {
+			lowN, lowPeers := points(haloSolid, 0)
+			topN, topPeers := points(haloSolid, levels-1)
+			t.Logf("combined solid route: level 0 %d points / %d peers, top %d points / %d peers", lowN, lowPeers, topN, topPeers)
+			if lowN >= topN {
+				t.Errorf("level 0 exchanges %d points, top level %d: nothing is masked", lowN, topN)
 			}
 		}
-	}
-
-	lowN, lowPeers := points(haloSolid, 0)
-	topN, topPeers := points(haloSolid, levels-1)
-	t.Logf("combined solid route: level 0 %d points / %d peers, top %d points / %d peers", lowN, lowPeers, topN, topPeers)
-	if lowN >= topN {
-		t.Errorf("level 0 exchanges %d points, top level %d: nothing is masked", lowN, topN)
 	}
 }

@@ -1,20 +1,31 @@
 package solver
 
 import (
-	"sort"
+	"slices"
 
 	"specglobe/internal/earthmodel"
 	"specglobe/internal/mesh"
 )
 
-// Clustered local time stepping (the cluster wheel). The mesh layer
-// bins elements into rate-2^k clusters (mesh.BuildClusters); the solver
-// turns the binning into a wheel over the global step counter: at step
-// n, exactly the clusters whose rate divides n fire — rate-1 every
-// step, rate-2 every other step, rate-4 every fourth. A global point
-// advances at the maximum rate of its touching elements, so whenever a
-// point fires, every element contributing to it fires too and the
-// assembled force is fully fresh.
+// The time loop walks a wheel of level plans. Under clustered local time
+// stepping the mesh layer bins elements into rate-2^k clusters
+// (mesh.BuildClusters), and at global step n exactly the clusters whose
+// rate divides n fire — rate-1 every step, rate-2 every other step,
+// rate-4 every fourth. Level li of the wheel is the plan of the steps
+// whose largest power-of-two divisor is 2^li (capped at the top level,
+// which fires everything). A global point advances at the maximum rate
+// of its touching elements, so whenever a point fires, every element
+// contributing to it fires too and the assembled force is fully fresh.
+//
+// Each levelPlan is resolved once at setup (buildLevels) and the step
+// reads nothing else: the colour classes that fire, the Newmark passes
+// (point list, hold level, rate-scaled dt), the points whose
+// acceleration is final, the fluid division lists and one halo route per
+// set. A run without local time stepping is the wheel with one level:
+// the overlap classes, one full-range pass per region at dt and the
+// unmasked routes, with no clustering built. A level keeps the base
+// plan's entry wherever everything fires, so a clustering that
+// degenerates to rate 1 everywhere runs the one-level arithmetic exactly.
 //
 // State held across dormant steps ("held-boundary" scheme): the only
 // arrays element sweeps scatter into are the accelerations, so a
@@ -32,59 +43,41 @@ import (
 //     value visible while the fluid slot cycles through garbage.
 //
 // Halo exchanges stay tag-aligned across ranks at every step; only the
-// payloads shrink: each halo set has one precomputed route per level
-// listing the shared points that fire at that level (both endpoints
-// agree because point rates are max-reconciled across ranks at startup,
-// and HaloEdge.Idx is key-sorted identically on both ends). A peer with
-// no firing points is dropped from the level's route entirely — a real
-// message-count saving on coarse steps.
-//
-// Single-rate regions keep the existing full-range code paths (the
-// level lists alias the plain sweep classes and the routes alias the
-// unmasked edge lists), so a clustering that degenerates to rate 1
-// everywhere is bit-identical to the single-rate scheduler.
+// payloads shrink: each level's route of a halo set lists the shared
+// points that fire at that level (both endpoints agree because point
+// rates are max-reconciled across ranks at startup, and HaloEdge.Idx is
+// key-sorted identically on both ends). A peer with no firing points is
+// dropped from the level's route entirely — a real message-count saving
+// on coarse steps.
 
-// ltsPoints holds one region's per-level point lists.
-type ltsPoints struct {
-	// single is true when every point has rate 1; the solver then uses
-	// the existing full-range loops (bit-identical degenerate case).
-	single bool
-	// byRate[li] lists the points with rate exactly 2^li, ascending.
-	byRate [][]int32
-	// upTo[li] lists the points with rate <= 2^li, ascending; a nil
-	// entry means "all points" (use the full-range loop).
-	upTo [][]int32
+// pointSet is n points of a region: those of list, or the full range
+// [0, n) when list is nil.
+type pointSet struct {
+	list []int32
+	n    int
 }
 
-// allocHolds allocates per-level hold arrays parallel to a region's
-// exact-rate point lists: hold[li][q] keeps the last fired acceleration
-// of byRate[li][q], captured by the corrector and read by the next
-// predictor. li = 0 needs no hold (rate-1 accelerations are never
-// polluted between corrector and predictor). One set per wavefield —
-// held state is dynamic, not mesh-static.
-func allocHolds(byRate [][]int32) [][]float32 {
-	out := make([][]float32, len(byRate))
-	for li := 1; li < len(byRate); li++ {
-		out[li] = make([]float32, len(byRate[li]))
-	}
-	return out
+// newmarkPass is one Newmark point pass: its points advance with dt, and
+// hold > 0 names the per-field hold arrays parallel to list (hx[hold],
+// hChi[hold], ...) that carry the acceleration across dormant steps.
+type newmarkPass struct {
+	pointSet
+	hold int
+	dt   float32
 }
 
-// ltsState is the per-rank cluster-wheel state.
-type ltsState struct {
-	clus   *mesh.Clustering
-	levels int // number of rate levels: log2(MaxRate)+1
-	level  int // current step's firing level index
-	pts    [3]ltsPoints
-	// sweeps[kind][li] are the color classes of the merged element
-	// lists with rate <= 2^li, one sweepClasses per level (aliases the
-	// plain rankState sweeps when every element qualifies).
-	sweeps [3][]sweepClasses
-	// faceUpTo/restUpTo[li]: fluid coupling-face points and the
-	// remaining fluid points with rate <= 2^li.
-	faceUpTo, restUpTo [][]int32
-	// counts is the local element count per rate (for Result.LTS).
-	counts map[int32]int
+// levelPlan is everything one spoke of the wheel runs; [3] arrays are
+// indexed by region kind.
+type levelPlan struct {
+	sweeps [3]sweepClasses  // the outer/inner colour classes that fire
+	passes [3][]newmarkPass // the Newmark passes, ascending rate
+	final  [3]pointSet      // the points whose acceleration is final
+	// face and rest are the fluid points mass-divided before the solid
+	// traction and under the solid halo; shadow lists the face points
+	// copied into the traction shadow (nil unless the fluid is
+	// multi-rate).
+	face, rest, shadow []int32
+	routes             [nHaloSets]haloRoute
 }
 
 // ltsLevelOf returns the firing level index of a global step: the
@@ -97,54 +90,49 @@ func ltsLevelOf(step, levels int) int {
 	return li
 }
 
-// ltsPts returns the region's LTS point lists, or nil when LTS is off.
-func (rs *rankState) ltsPts(kind int) *ltsPoints {
-	if rs.lts == nil {
-		return nil
-	}
-	return &rs.lts.pts[kind]
-}
-
-// firingPasses calls pass once per point set whose Newmark update runs
-// this step and returns the number of points covered: the full range
-// [0, nglob) (list nil) at the global dt for a single-rate region; under
-// LTS each non-empty exact-rate list up to the firing level, with its
-// rate-scaled dt. li > 0 names the hold arrays parallel to list.
-func (rs *rankState) firingPasses(kind, nglob int, pass func(list []int32, n, li int, dt float32)) int {
-	dt := float32(rs.dt)
-	pts := rs.ltsPts(kind)
-	if pts == nil || pts.single {
-		pass(nil, nglob, 0, dt)
-		return nglob
-	}
-	n := 0
-	for li := 0; li <= rs.lts.level; li++ {
-		if list := pts.byRate[li]; len(list) > 0 {
-			pass(list, len(list), li, dt*float32(int32(1)<<uint(li)))
-			n += len(list)
+// buildLevels resolves the wheel into rs.levels, and is the one place
+// that asks whether local time stepping is on. The base plan fires
+// everything: the overlap colour classes, one full-range pass per region
+// at dt, the unmasked routes. Without LTS it is the only level. With LTS
+// the elements are clustered, the halo points' rates reconciled across
+// ranks, and each level narrows the base plan (wheelLevels).
+func (rs *rankState) buildLevels(ov *mesh.Overlap) {
+	var base levelPlan
+	for kind, reg := range rs.local.Regions {
+		if reg == nil || reg.NSpec == 0 {
+			continue
+		}
+		base.sweeps[kind] = sweepClasses{
+			outer: rs.colors.Classes(kind, ov.Outer[kind]),
+			inner: rs.colors.Classes(kind, ov.Inner[kind]),
+		}
+		all := pointSet{n: reg.NGlob}
+		base.passes[kind] = []newmarkPass{{pointSet: all, dt: float32(rs.dt)}}
+		base.final[kind] = all
+		if reg.IsFluid() {
+			base.face = couplingFacePoints(rs.local, reg.NGlob)
+			base.rest = complementSorted(base.face, reg.NGlob)
 		}
 	}
-	return n
-}
-
-// sweepsFor returns the outer/inner element classes the force stage
-// sweeps this step: the region's own without LTS, the current level's
-// merged classes with it.
-func (rs *rankState) sweepsFor(kind int) *sweepClasses {
-	if rs.lts == nil {
-		return &rs.sweeps[kind]
+	base.routes = rs.levelRoutes(nil, 0)
+	rs.levels = []levelPlan{base}
+	if rs.opts.LTS {
+		rs.clus = mesh.BuildClusters(rs.local, rs.dt, rs.opts.Courant, rs.opts.LTSMaxRate, ov)
+		rs.reconcilePointRates()
+		rs.levels = rs.wheelLevels(&base)
 	}
-	return &rs.lts.sweeps[kind][rs.lts.level]
+	rs.lp = &rs.levels[len(rs.levels)-1]
 }
 
 // reconcilePointRates max-exchanges the halo points' rates so both ends
 // of every edge agree: a point's local rate can miss a coarser element
-// on the remote side. One round suffices — the halo builder creates an
-// edge for every rank pair sharing a point, so each rank receives every
-// other sharer's value directly. Every rank consumes the same tags.
+// on the remote side. One round over the unmasked routes suffices — the
+// halo builder creates an edge for every rank pair sharing a point, so
+// each rank receives every other sharer's value directly. Every rank
+// consumes the same tags.
 func (rs *rankState) reconcilePointRates() {
 	for kind := 0; kind < 3; kind++ {
-		pr := rs.lts.clus.PointRate[kind]
+		pr := rs.clus.PointRate[kind]
 		vals := make([]float32, len(pr))
 		for g, r := range pr {
 			vals[g] = float32(r)
@@ -162,123 +150,102 @@ func (rs *rankState) reconcilePointRates() {
 	}
 }
 
-// initLTS finishes the cluster-wheel setup after the point rates are
-// reconciled: per-level point lists and holds, merged sweep classes,
-// halo routes, and the fluid traction shadow. Starts at the top level
-// (step 0 fires everything).
-func (rs *rankState) initLTS() {
-	lts := rs.lts
-	clus := lts.clus
-	clus.RefreshInterfaces(rs.local)
-	lts.levels = 1
+// wheelLevels narrows the base plan to each level of the clustering:
+// level li fires the clusters and points of rate at most 2^li. Every
+// multi-rate region gets one pass per non-empty exact-rate point list up
+// to the level, with its rate-scaled dt and hold level. The top level's
+// routes are the base plan's (every point fires there).
+//
+//specfem:noaccount one-time setup: the float math is the rate-scaled dt of each pass
+func (rs *rankState) wheelLevels(base *levelPlan) []levelPlan {
+	clus := rs.clus
+	n := 1
 	for r := int32(1); r < clus.MaxRate; r *= 2 {
-		lts.levels++
+		n++
 	}
-	lts.level = lts.levels - 1
-	lts.counts = clus.RateCounts()
-
-	for kind := 0; kind < 3; kind++ {
-		reg := rs.local.Regions[kind]
-		lts.sweeps[kind] = make([]sweepClasses, lts.levels)
-		if reg == nil || reg.NSpec == 0 {
-			lts.pts[kind].single = true
-			continue
-		}
-		lts.pts[kind] = buildLTSPoints(clus.PointRate[kind], lts.levels)
-		rs.buildLTSSweeps(kind)
-		if !lts.pts[kind].single && !reg.IsFluid() {
-			for _, f := range rs.solid[kind] {
-				f.hx = allocHolds(lts.pts[kind].byRate)
-				f.hy = allocHolds(lts.pts[kind].byRate)
-				f.hz = allocHolds(lts.pts[kind].byRate)
-			}
-		}
+	var exact, upTo [3][][]int32
+	for kind := range exact {
+		exact[kind], upTo[kind] = ratePoints(clus.PointRate[kind], n)
 	}
-	rs.buildRoutes(lts.levels, &clus.PointRate)
-
-	// Fluid traction shadow: the solid reads the fluid potential's
-	// second derivative at CMB/ICB face points every step, so a
-	// multi-rate fluid keeps each wavefield's last fired values visible
-	// in its accHold.
-	if fls := rs.fluid; fls != nil && !lts.pts[earthmodel.RegionOuterCore].single {
-		pr := clus.PointRate[earthmodel.RegionOuterCore]
-		byRate := lts.pts[earthmodel.RegionOuterCore].byRate
-		for s, fl := range fls {
-			fl.hChi = allocHolds(byRate)
-			fl.accHold = make([]float32, fl.reg.NGlob)
-			rs.chiSrc[s] = fl.accHold
-		}
-		lts.faceUpTo = filterByRate(rs.fluidFace, pr, lts.levels)
-		lts.restUpTo = filterByRate(rs.fluidRest, pr, lts.levels)
-	}
-}
-
-// buildLTSPoints bins a region's points by rate into per-level lists.
-func buildLTSPoints(pr []int32, levels int) ltsPoints {
-	p := ltsPoints{
-		byRate: make([][]int32, levels),
-		upTo:   make([][]int32, levels),
-	}
-	single := true
-	for _, r := range pr {
-		if r > 1 {
-			single = false
-			break
-		}
-	}
-	p.single = single
-	if single {
-		return p
-	}
-	for li := 0; li < levels; li++ {
+	oc := earthmodel.RegionOuterCore
+	levels := make([]levelPlan, n)
+	for li := range levels {
 		rate := int32(1) << uint(li)
-		var exact, upto []int32
-		for g, r := range pr {
-			if r == rate || r == 0 && rate == 1 {
-				exact = append(exact, int32(g))
+		lp := *base
+		for kind := range exact {
+			if clus.ElemsUpTo(kind, rate) != nil {
+				lp.sweeps[kind] = rs.levelSweeps(kind, rate)
 			}
-			if r <= rate {
-				upto = append(upto, int32(g))
+			if exact[kind] == nil {
+				continue
 			}
-		}
-		p.byRate[li] = exact
-		if len(upto) == len(pr) {
-			upto = nil // full range
-		}
-		p.upTo[li] = upto
-	}
-	return p
-}
-
-// buildLTSSweeps precomputes the merged color classes per level: the
-// outer and inner elements of every cluster with rate <= 2^li. Levels
-// where every element fires alias the existing classes (the degenerate
-// fast path).
-func (rs *rankState) buildLTSSweeps(kind int) {
-	lts := rs.lts
-	clus := lts.clus
-	for li := 0; li < lts.levels; li++ {
-		rate := int32(1) << uint(li)
-		if clus.ElemsUpTo(kind, rate) == nil {
-			lts.sweeps[kind][li] = rs.sweeps[kind]
-			continue
-		}
-		merge := func(get func(*mesh.Cluster) []int32) [][]int32 {
-			out := []int32{}
-			for ci := range clus.Clusters[kind] {
-				cl := &clus.Clusters[kind][ci]
-				if cl.Rate <= rate {
-					out = append(out, get(cl)...)
+			lp.passes[kind] = nil
+			for hold, list := range exact[kind][:li+1] {
+				if len(list) > 0 {
+					dt := float32(rs.dt) * float32(int32(1)<<uint(hold))
+					lp.passes[kind] = append(lp.passes[kind], newmarkPass{pointSet{list, len(list)}, hold, dt})
 				}
 			}
-			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-			return rs.colors.Classes(kind, out)
+			if up := upTo[kind][li]; up != nil {
+				lp.final[kind] = pointSet{up, len(up)}
+			}
 		}
-		lts.sweeps[kind][li] = sweepClasses{
-			outer: merge(func(cl *mesh.Cluster) []int32 { return cl.Outer }),
-			inner: merge(func(cl *mesh.Cluster) []int32 { return cl.Inner }),
+		if exact[oc] != nil {
+			pr := clus.PointRate[oc]
+			lp.face = upToRate(base.face, pr, rate)
+			lp.rest = upToRate(base.rest, pr, rate)
+			lp.shadow = lp.face
+		}
+		if li < n-1 {
+			lp.routes = rs.levelRoutes(&clus.PointRate, rate)
+		}
+		levels[li] = lp
+	}
+	return levels
+}
+
+// ratePoints bins a region's points by rate: exact[li] lists the points
+// of rate exactly 2^li, upTo[li] those of rate at most 2^li, ascending.
+// upTo[li] is nil when it would hold every point — or none, so a level at
+// which nothing of the region fires still divides the whole region's
+// accelerations. Both are nil when no point has a rate above 1.
+func ratePoints(pr []int32, levels int) (exact, upTo [][]int32) {
+	if !slices.ContainsFunc(pr, func(r int32) bool { return r > 1 }) {
+		return nil, nil
+	}
+	exact, upTo = make([][]int32, levels), make([][]int32, levels)
+	for li := range exact {
+		rate := int32(1) << uint(li)
+		var up []int32
+		for g, r := range pr {
+			if r == rate || r == 0 && rate == 1 {
+				exact[li] = append(exact[li], int32(g))
+			}
+			if r <= rate {
+				up = append(up, int32(g))
+			}
+		}
+		if len(up) < len(pr) {
+			upTo[li] = up
 		}
 	}
+	return exact, upTo
+}
+
+// levelSweeps colours the merged outer and inner elements of every
+// cluster with rate at most rate.
+func (rs *rankState) levelSweeps(kind int, rate int32) sweepClasses {
+	// Non-nil even when empty: Classes reads a nil list as every element.
+	outer, inner := []int32{}, []int32{}
+	for _, cl := range rs.clus.Clusters[kind] {
+		if cl.Rate <= rate {
+			outer = append(outer, cl.Outer...)
+			inner = append(inner, cl.Inner...)
+		}
+	}
+	slices.Sort(outer)
+	slices.Sort(inner)
+	return sweepClasses{outer: rs.colors.Classes(kind, outer), inner: rs.colors.Classes(kind, inner)}
 }
 
 // upToRate returns the subset of pts whose rate is at most rate, in
@@ -297,28 +264,30 @@ func upToRate(pts []int32, pr []int32, rate int32) []int32 {
 	return sel
 }
 
-// filterByRate returns, per level, the subset of pts whose rate is at
-// most 2^li (ascending, since pts is ascending).
-func filterByRate(pts []int32, pr []int32, levels int) [][]int32 {
-	out := make([][]int32, levels)
-	for li := range out {
-		out[li] = upToRate(pts, pr, int32(1)<<uint(li))
+// allocHolds gives every wavefield the hold arrays its passes name, and
+// the fluid the traction shadow when the plan keeps one. The top level
+// runs every pass, so its plan names every hold.
+func (rs *rankState) allocHolds() {
+	top := &rs.levels[len(rs.levels)-1]
+	holds := func(passes []newmarkPass) [][]float32 {
+		h := make([][]float32, len(rs.levels))
+		for _, ps := range passes {
+			if ps.hold > 0 {
+				h[ps.hold] = make([]float32, ps.n)
+			}
+		}
+		return h
 	}
-	return out
-}
-
-// refreshTractionShadow copies each wavefield's freshly mass-divided
-// fluid chiDdot of the firing face points into its traction shadow.
-func (rs *rankState) refreshTractionShadow() {
-	lts := rs.lts
-	if lts == nil || rs.fluid == nil || rs.fluid[0].accHold == nil {
-		return
+	for kind, fs := range rs.solid {
+		for _, f := range fs {
+			f.hx, f.hy, f.hz = holds(top.passes[kind]), holds(top.passes[kind]), holds(top.passes[kind])
+		}
 	}
-	face := lts.faceUpTo[lts.level]
-	for _, fl := range rs.fluid {
-		src := fl.chiDdot
-		for _, p := range face {
-			fl.accHold[p] = src[p]
+	for s, fl := range rs.fluid {
+		fl.hChi = holds(top.passes[earthmodel.RegionOuterCore])
+		if top.shadow != nil {
+			fl.accHold = make([]float32, fl.reg.NGlob)
+			rs.chiSrc[s] = fl.accHold
 		}
 	}
 }

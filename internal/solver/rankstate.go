@@ -28,8 +28,8 @@ type solidField struct {
 	gOverR, dgdr        []float32
 	rhatX, rhatY, rhatZ []float32
 	// LTS held accelerations: hx[li][q] holds the acceleration of
-	// hold-level li, parallel to that level's exact-rate point list
-	// (allocated by initLTS for li > 0 only).
+	// hold-level li, parallel to that pass's point list (allocated by
+	// allocHolds for the passes that name a hold).
 	hx, hy, hz [][]float32
 }
 
@@ -74,6 +74,8 @@ type sourceLocal struct {
 	src *Source
 	// arr[p][c]: force at element point p, component c, per unit STF.
 	arr [mesh.NGLL3][3]float32
+	// rate is the source element's LTS rate (1 without LTS).
+	rate int
 }
 
 // recvLocal is a receiver resolved to recording weights.
@@ -82,6 +84,7 @@ type recvLocal struct {
 	kind earthmodel.Region
 	elem int
 	w    [mesh.NGLL3]float64 // interpolation weights (one-hot if nearest)
+	rate [mesh.NGLL3]int     // LTS rate of each element point (1 without LTS)
 	out  []*Seismogram       // one per batched wavefield, indexed by field
 	// Streaming state (Options.OnChunk): samples [0, flushed) of every
 	// field's series have been emitted; closed marks the Last chunk
@@ -114,23 +117,21 @@ type rankState struct {
 	// this rank's scratch for sweeps too small to dispatch.
 	pool *pool
 	scr  *kernelScratch
-	// colors is the conflict-free element coloring; sweeps holds the
-	// outer/inner color classes per region.
+	// colors is the conflict-free element coloring.
 	colors *mesh.Coloring
-	sweeps [3]sweepClasses
 	// forceBusy/updateBusy accumulate the worker-pool busy nanoseconds
 	// attributed to this rank's kernel and update sweeps (atomic; added
 	// to the kernel_parallel and update phases when the run ends).
 	forceBusy, updateBusy int64
 
-	// lts is the cluster-wheel state of local time stepping (nil when
-	// Options.LTS is off).
-	lts *ltsState
+	// levels is the wheel, one plan per level (lts.go): a single plan
+	// without local time stepping. lp is the current step's plan. clus is
+	// the LTS clustering (nil without LTS), read only at setup and for
+	// Result.LTS.
+	levels []levelPlan
+	lp     *levelPlan
+	clus   *mesh.Clustering
 
-	// fluidFace lists the sorted CMB/ICB fluid face points, divided
-	// before the solid traction; fluidRest, the complement, divides under
-	// the in-flight solid halo together with the fluid corrector.
-	fluidFace, fluidRest []int32
 	// chiSrc[s] is the array field s's solid traction reads the fluid
 	// potential acceleration from: the field's LTS shadow when the
 	// fluid is multi-rate, its chiDdot otherwise.
@@ -185,26 +186,11 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 		scr:   new(kernelScratch),
 		ns:    ns,
 	}
-	ov := mesh.BuildOverlap(rs.local, rs.plan)
-	if opts.LTS {
-		// Bin elements into rate-2^k clusters before the fields are
-		// built (the attenuation coefficients need per-element rates).
-		// Point rates are reconciled across ranks after construction.
-		rs.lts = &ltsState{
-			clus: mesh.BuildClusters(rs.local, dt, opts.Courant, opts.LTSMaxRate, ov),
-		}
-	}
-	// Color the elements and precompute the outer/inner classes, so the
-	// hot loop only walks prebuilt lists.
+	// Color the elements and resolve the wheel before the fields are
+	// built (the attenuation coefficients need per-element LTS rates), so
+	// the hot loop only walks prebuilt lists.
 	rs.colors = mesh.BuildColoring(rs.local)
-	for kind := 0; kind < 3; kind++ {
-		reg := rs.local.Regions[kind]
-		if reg == nil || reg.NSpec == 0 {
-			continue
-		}
-		rs.sweeps[kind].outer = rs.colors.Classes(kind, ov.Outer[kind])
-		rs.sweeps[kind].inner = rs.colors.Classes(kind, ov.Inner[kind])
-	}
+	rs.buildLevels(mesh.BuildOverlap(rs.local, rs.plan))
 
 	for kind := 0; kind < 3; kind++ {
 		reg := rs.local.Regions[kind]
@@ -232,10 +218,10 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 		}
 		if opts.Attenuation && fit != nil {
 			var rates []int32
-			if rs.lts != nil {
+			if rs.clus != nil {
 				// A coarse element advances its SLS recursions only when
 				// it fires, with an accordingly larger step.
-				rates = rs.lts.clus.ElemRate[kind]
+				rates = rs.clus.ElemRate[kind]
 			}
 			f.att = newAttState(reg, fit, dt, rates)
 		}
@@ -281,19 +267,14 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 		for s, fl := range fls {
 			rs.chiSrc[s] = fl.chiDdot
 		}
-		rs.fluidFace = couplingFacePoints(rs.local, fls[0].reg.NGlob)
-		rs.fluidRest = complementSorted(rs.fluidFace, fls[0].reg.NGlob)
 	}
+	rs.allocHolds()
 	rs.buildHaloSets()
 	rs.solidSets = []int{int(earthmodel.RegionCrustMantle), int(earthmodel.RegionInnerCore)}
 	if opts.CombinedSolidHalo {
 		rs.solidSets = []int{haloSolid}
 	}
 	rs.solidHalo = make([]*pendingExchange, len(rs.solidSets))
-	if rs.lts != nil {
-		rs.reconcilePointRates()
-		rs.initLTS()
-	}
 
 	for i := range sim.Sources {
 		src := &sim.Sources[i]
@@ -439,8 +420,8 @@ func (rs *rankState) flushPoolTime() {
 // flush should have removed: subnormals in the arrays that survive a
 // step — displacement, velocity, the fluid potential and its rate, the
 // attenuation memory variables and the LTS holds — and non-zero values
-// below the flush threshold in the final accelerations (under LTS, at
-// the points that fired in the last step; the rest hold garbage by
+// below the flush threshold in the final accelerations (at the points
+// the last step's plan finalised; under LTS the rest hold garbage by
 // design). The integrator flushes every one of them where it writes
 // them (flush.go), so the count is zero unless a write site has been
 // missed.
@@ -455,14 +436,6 @@ func (rs *rankState) stateCensus() (maxDisp float64, subnormals int64) {
 		}
 		return maxBits
 	}
-	// fired lists the region's points whose acceleration is final (nil:
-	// all of them).
-	fired := func(kind int) []int32 {
-		if pts := rs.ltsPts(kind); pts != nil && !pts.single {
-			return pts.upTo[rs.lts.level]
-		}
-		return nil
-	}
 	var peak uint32
 	for kind, fs := range rs.solid {
 		for _, f := range fs {
@@ -474,13 +447,13 @@ func (rs *rankState) stateCensus() (maxDisp float64, subnormals int64) {
 			if f.att != nil {
 				count(f.att.r)
 			}
-			subnormals += unflushed(fired(kind), f.ax, f.ay, f.az)
+			subnormals += unflushed(rs.lp.final[kind].list, f.ax, f.ay, f.az)
 		}
 	}
 	for _, fl := range rs.fluid {
 		count(fl.chi, fl.chiDot, fl.accHold)
 		count(fl.hChi...)
-		subnormals += unflushed(fired(int(earthmodel.RegionOuterCore)), fl.chiDdot)
+		subnormals += unflushed(rs.lp.final[earthmodel.RegionOuterCore].list, fl.chiDdot)
 	}
 	return float64(math.Float32frombits(peak)), subnormals
 }

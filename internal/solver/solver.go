@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"specglobe/internal/earthmodel"
@@ -323,7 +322,7 @@ type LTSInfo struct {
 	// ElemsByRate counts elements per rate across all ranks and regions.
 	ElemsByRate map[int]int64
 	// UpdateReduction is the theoretical rate-weighted element-update
-	// reduction: (sum N_r) / (sum N_r / r).
+	// reduction (sum N_r) / (sum N_r / r) (mesh.RateWeightedReduction).
 	UpdateReduction float64
 	// StepsOfFinestPerSec is the realized throughput: global steps (=
 	// finest-level steps) divided by wall time.
@@ -488,12 +487,12 @@ func Run(sim *Simulation) (*Result, error) {
 		rs.prof.Add(perf.PhaseComm, st.Exposed())
 		rs.prof.Add(perf.PhaseCommHidden, st.HiddenCommTime)
 		collector.Put(rs.prof)
-		if rs.lts != nil {
+		if clus := rs.clus; clus != nil {
 			resMu.Lock()
 			if res.LTS == nil {
-				res.LTS = &LTSInfo{MaxRate: int(rs.lts.clus.MaxRate), ElemsByRate: map[int]int64{}}
+				res.LTS = &LTSInfo{MaxRate: int(clus.MaxRate), ElemsByRate: map[int]int64{}}
 			}
-			for r, n := range rs.lts.counts {
+			for r, n := range clus.RateCounts() {
 				res.LTS.ElemsByRate[int(r)] += int64(n)
 			}
 			resMu.Unlock()
@@ -520,21 +519,7 @@ func Run(sim *Simulation) (*Result, error) {
 	res.SourceStepsPerSec = perf.SourceStepsPerSec(opts.Steps, ns, res.Perf.WallTime)
 	res.MPI = world.Stats()
 	if res.LTS != nil {
-		rates := make([]int, 0, len(res.LTS.ElemsByRate))
-		for r := range res.LTS.ElemsByRate {
-			rates = append(rates, r)
-		}
-		sort.Slice(rates, func(i, j int) bool { return rates[i] < rates[j] })
-		var total, weighted float64
-		for _, r := range rates {
-			n := res.LTS.ElemsByRate[r]
-			total += float64(n)
-			weighted += float64(n) / float64(r)
-		}
-		res.LTS.UpdateReduction = 1
-		if weighted > 0 {
-			res.LTS.UpdateReduction = total / weighted
-		}
+		res.LTS.UpdateReduction = mesh.RateWeightedReduction(res.LTS.ElemsByRate)
 		res.LTS.StepsOfFinestPerSec = perf.StepsOfFinestPerSec(opts.Steps, res.Perf.WallTime)
 	}
 	if unstable != nil {

@@ -12,12 +12,16 @@ import (
 // moment-tensor part distributes M : grad(lagrange) evaluated at the
 // source position over the element's GLL points (the standard SEM
 // representation of the equivalent body force -M . grad(delta)), and
-// the point-force part distributes F * lagrange.
+// the point-force part distributes F * lagrange. It also resolves the
+// source element's LTS rate (1 without LTS).
 //
 //specfem:noaccount one-time source setup: nodal force distribution computed before stepping
 func (rs *rankState) prepareSource(src *Source) sourceLocal {
 	reg := rs.local.Regions[src.Kind]
-	sl := sourceLocal{src: src}
+	sl := sourceLocal{src: src, rate: 1}
+	if rs.clus != nil {
+		sl.rate = int(rs.clus.ElemRate[src.Kind][src.Elem])
+	}
 	pts := gll.Points(gll.Degree)
 	lx := gll.Lagrange(pts, src.Ref[0])
 	ly := gll.Lagrange(pts, src.Ref[1])
@@ -83,37 +87,23 @@ func (rs *rankState) prepareSource(src *Source) sourceLocal {
 	return sl
 }
 
-// addSources injects the source forces for the current step time.
-// Under LTS a rate-r source element fires only at steps divisible by r
-// and advances to (step+r)*dt when it does, so its source-time function
-// is sampled there; injecting on a dormant step would be discarded by
-// the firing points' own schedule anyway. Rate-1 elements keep the
-// single-rate sampling time (step+1)*dt exactly.
+// addSources injects the source forces for the current step time. A
+// rate-r source element fires only at steps divisible by r and advances
+// to (step+r)*dt when it does, so its source-time function is sampled
+// there; injecting on a dormant step would be discarded by the firing
+// points' own schedule anyway. Rate 1 — every source without LTS — is
+// the single-rate sampling time (step+1)*dt.
 func (rs *rankState) addSources(step int) {
-	if len(rs.sources) == 0 {
-		return
-	}
-	t := float64(step+1) * rs.dt
 	for i := range rs.sources {
 		sl := &rs.sources[i]
 		fs := rs.solid[sl.src.Kind]
-		if fs == nil {
+		if fs == nil || step%sl.rate != 0 {
 			continue
 		}
 		// Each source drives its own wavefield of the ensemble.
 		f := fs[sl.src.Field]
-		te := t
-		if rs.lts != nil {
-			if rates := rs.lts.clus.ElemRate[sl.src.Kind]; rates != nil {
-				r := int(rates[sl.src.Elem])
-				if step%r != 0 {
-					continue
-				}
-				te = float64(step+r) * rs.dt
-			}
-		}
 		// Flushed, so a Gaussian onset never injects subnormal forces.
-		stf := ftz(float32(sl.src.STF(te)))
+		stf := ftz(float32(sl.src.STF(float64(step+sl.rate) * rs.dt)))
 		if stf == 0 {
 			continue
 		}
@@ -130,13 +120,23 @@ func (rs *rankState) addSources(step int) {
 }
 
 // prepareReceiver resolves a receiver into interpolation weights (or a
-// one-hot weight at the nearest GLL point in fast mode) and allocates
-// one seismogram per batched wavefield: every station records every
-// source of the ensemble.
+// one-hot weight at the nearest GLL point in fast mode), resolves the
+// LTS rate of each element point (1 without LTS) and allocates one
+// seismogram per batched wavefield: every station records every source
+// of the ensemble.
 //
 //specfem:noaccount one-time receiver setup: interpolation weights computed before stepping
 func (rs *rankState) prepareReceiver(rcv *Receiver, opts *Options, dt float64) recvLocal {
 	rl := recvLocal{rcv: rcv, kind: rcv.Kind, elem: rcv.Elem}
+	for p := range rl.rate {
+		rl.rate[p] = 1
+	}
+	if rs.clus != nil && rs.clus.PointRate[rcv.Kind] != nil {
+		ib := rs.local.Regions[rcv.Kind].Ibool[rcv.Elem*mesh.NGLL3:]
+		for p := range rl.rate {
+			rl.rate[p] = int(rs.clus.PointRate[rcv.Kind][ib[p]])
+		}
+	}
 	nsamp := opts.Steps / opts.RecordEvery
 	rl.out = make([]*Seismogram, rs.ns)
 	for s := range rl.out {
@@ -173,11 +173,11 @@ func (rs *rankState) prepareReceiver(rcv *Receiver, opts *Options, dt float64) r
 }
 
 // record appends one sample to every local seismogram after step has
-// completed. Under LTS a rate-r point last fired at the latest multiple
-// of r <= step, so its state leads the nominal sample time by
+// completed. A rate-r point last fired at the latest multiple of r <=
+// step, so its state leads the nominal sample time by
 // lead = (r-1-(step%r))*dt; the sample is back-interpolated linearly,
-// d - lead*v. Points with lead == 0 (and all points without LTS) read
-// the displacement directly, keeping the rate-1 path bit-identical.
+// d - lead*v. Points with lead == 0 (every rate-1 point, so every point
+// without LTS) read the displacement directly.
 //
 //specfem:noaccount seismogram interpolation is O(receivers), excluded from the per-element flop model
 func (rs *rankState) record(step int) {
@@ -186,10 +186,6 @@ func (rs *rankState) record(step int) {
 		fs := rs.solid[rl.kind]
 		if fs == nil {
 			continue
-		}
-		var pr []int32
-		if pts := rs.ltsPts(int(rl.kind)); pts != nil && !pts.single {
-			pr = rs.lts.clus.PointRate[rl.kind]
 		}
 		base := rl.elem * mesh.NGLL3
 		ib := fs[0].reg.Ibool[base : base+mesh.NGLL3]
@@ -200,15 +196,10 @@ func (rs *rankState) record(step int) {
 				if w == 0 {
 					continue
 				}
-				var lead float64
-				if pr != nil {
-					if r := int(pr[g]); r > 1 {
-						// The point's state is at time (lastFire+r)*dt after
-						// its corrector; step's nominal sample time trails it.
-						lead = float64(r-1-(step%r)) * rs.dt
-					}
-				}
-				if lead == 0 {
+				// The point's state is at time (lastFire+r)*dt after its
+				// corrector; step's nominal sample time trails it.
+				r := rl.rate[p]
+				if lead := float64(r-1-(step%r)) * rs.dt; lead == 0 {
 					x += w * float64(f.dx[g])
 					y += w * float64(f.dy[g])
 					z += w * float64(f.dz[g])

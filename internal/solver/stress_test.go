@@ -269,7 +269,7 @@ func TestAttStateLayout(t *testing.T) {
 		}
 	}
 
-	rs := &rankState{}
+	rs := &rankState{lp: &levelPlan{}}
 	rs.solid[earthmodel.RegionCrustMantle] = []*solidField{{reg: reg, att: c}}
 	if _, n := rs.stateCensus(); n != 0 {
 		t.Fatalf("census of a zeroed state counts %d", n)

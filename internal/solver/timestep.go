@@ -30,18 +30,17 @@ import (
 // as index ranges — every point is written independently, so both are
 // bit-identical at any worker count. Coupling, source and ocean-load
 // terms touch few points and stay inline on the rank goroutine.
-// With local time stepping (Options.LTS) the step becomes one spoke of
-// the cluster wheel: the firing level of the step (the largest power of
-// two dividing the step number, capped at the max rate) selects which
-// clusters run predictor/forces/corrector this step, each firing point
-// advancing with its own rate-scaled dt. Dormant points are skipped by
-// every pointwise loop and masked out of the halo payloads; their
-// acceleration slots accumulate garbage from firing neighbors, which
-// the predictor wipes at their next firing (see lts.go).
+// Every step is one spoke of the wheel (lts.go): the step's level plan
+// (the largest power of two dividing the step number, capped at the top
+// level) lists the colour classes, Newmark passes, division lists and
+// halo routes the step runs, each firing point advancing with its own
+// rate-scaled dt. Without local time stepping the wheel has one level
+// that fires everything. Under LTS dormant points are skipped by every
+// pointwise loop and masked out of the halo payloads; their acceleration
+// slots accumulate garbage from firing neighbors, which the predictor
+// wipes at their next firing.
 func (rs *rankState) timeStep(step int) {
-	if rs.lts != nil {
-		rs.lts.level = ltsLevelOf(step, rs.lts.levels)
-	}
+	rs.lp = &rs.levels[ltsLevelOf(step, len(rs.levels))]
 	rs.predictor()
 	rs.forceStage(step)
 	rs.solidUpdate()
@@ -54,20 +53,21 @@ func (rs *rankState) timeStep(step int) {
 	}
 }
 
-// predictor runs the Newmark prediction for every field, one pass per
-// firing point set (firingPasses). A coarse LTS level reads the
-// acceleration held at its previous firing — the live slot has been
-// polluted by firing neighbors during the dormant window. The ensemble
-// loop runs inside the dispatched chunk, so one pool pass covers all
-// wavefields.
+// predictor runs the Newmark prediction for every field, one pool pass
+// per pass of the plan. A pass with a hold level reads the acceleration
+// held at its previous firing — the live slot has been polluted by
+// firing neighbors during the dormant window. The ensemble loop runs
+// inside the dispatched chunk, so one pool pass covers all wavefields.
 func (rs *rankState) predictor() {
 	for kind, fs := range rs.solid {
 		if fs == nil {
 			continue
 		}
-		n := rs.firingPasses(kind, len(fs[0].dx), func(list []int32, n, li int, dt float32) {
+		n := 0
+		for _, ps := range rs.lp.passes[kind] {
+			list, li, dt := ps.list, ps.hold, ps.dt
 			half, halfSq := dt/2, dt*dt/2
-			rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
+			rs.pool.sweepRange(rs.scr, ps.n, &rs.updateBusy, func(lo, hi int) {
 				for _, f := range fs {
 					var hx, hy, hz []float32
 					if li > 0 {
@@ -92,14 +92,17 @@ func (rs *rankState) predictor() {
 					}
 				}
 			})
-		})
+			n += ps.n
+		}
 		rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.SolidPredictor*int64(n*len(fs)))
 		rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.SolidPredictor*int64(n*len(fs)))
 	}
 	if fls := rs.fluid; fls != nil {
-		n := rs.firingPasses(int(earthmodel.RegionOuterCore), len(fls[0].chi), func(list []int32, n, li int, dt float32) {
+		n := 0
+		for _, ps := range rs.lp.passes[earthmodel.RegionOuterCore] {
+			list, li, dt := ps.list, ps.hold, ps.dt
 			half, halfSq := dt/2, dt*dt/2
-			rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
+			rs.pool.sweepRange(rs.scr, ps.n, &rs.updateBusy, func(lo, hi int) {
 				for _, fl := range fls {
 					var h []float32
 					if li > 0 {
@@ -120,7 +123,8 @@ func (rs *rankState) predictor() {
 					}
 				}
 			})
-		})
+			n += ps.n
+		}
 		rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.FluidPredictor*int64(n*len(fls)))
 		rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.FluidPredictor*int64(n*len(fls)))
 	}
@@ -138,7 +142,7 @@ func (rs *rankState) forceStage(step int) {
 	// --- Fluid stage ------------------------------------------------------
 	if rs.fluid != nil {
 		oc := int(earthmodel.RegionOuterCore)
-		sw := rs.sweepsFor(oc)
+		sw := &rs.lp.sweeps[oc]
 		rs.computeFluidForces(sw.outer)
 		rs.addFluidCoupling()
 		fluidHalo := rs.beginStepExchange(oc)
@@ -154,7 +158,7 @@ func (rs *rankState) forceStage(step int) {
 	// --- Solid stage ------------------------------------------------------
 	for kind, fs := range rs.solid {
 		if fs != nil {
-			rs.computeSolidForces(fs, rs.sweepsFor(kind).outer)
+			rs.computeSolidForces(fs, rs.lp.sweeps[kind].outer)
 		}
 	}
 	rs.addTractionAndSources(step)
@@ -175,24 +179,21 @@ func (rs *rankState) addFluidCoupling() {
 // can slide under the solid halo (fluidMassDivisionRest). All element,
 // coupling and halo contributions must be in. Under LTS only the firing
 // points are divided (the rest hold garbage that the next predictor
-// wipes), and the traction shadow is refreshed.
+// wipes), and the shadow points' fresh values are copied into each
+// field's traction shadow.
 func (rs *rankState) fluidMassDivisionFace() {
-	list := rs.fluidFace
-	if lts := rs.lts; lts != nil && lts.faceUpTo != nil {
-		list = lts.faceUpTo[lts.level]
+	rs.divideFluidList(rs.lp.face)
+	for _, fl := range rs.fluid {
+		for _, p := range rs.lp.shadow {
+			fl.accHold[p] = fl.chiDdot[p]
+		}
 	}
-	rs.divideFluidList(list)
-	rs.refreshTractionShadow()
 }
 
 // fluidMassDivisionRest divides the non-face fluid points; it runs
 // inside finishSolidStage, under the in-flight solid halo.
 func (rs *rankState) fluidMassDivisionRest() {
-	list := rs.fluidRest
-	if lts := rs.lts; lts != nil && lts.restUpTo != nil {
-		list = lts.restUpTo[lts.level]
-	}
-	rs.divideFluidList(list)
+	rs.divideFluidList(rs.lp.rest)
 }
 
 // divideFluidList applies the inverse mass to a point list (all
@@ -242,7 +243,7 @@ func (rs *rankState) finishSolidStage() {
 	// boundary messages are in flight.
 	for kind, fs := range rs.solid {
 		if fs != nil {
-			rs.computeSolidForces(fs, rs.sweepsFor(kind).inner)
+			rs.computeSolidForces(fs, rs.lp.sweeps[kind].inner)
 		}
 	}
 	rs.fluidMassDivisionRest() // both no-ops on a rank without fluid
@@ -254,9 +255,9 @@ func (rs *rankState) finishSolidStage() {
 
 // solidUpdate is the mass division, the pointwise Coriolis and gravity
 // corrections and the flush in one pass over each field's
-// acceleration, followed by the ocean load. Under LTS only the points
-// firing at this step's level are updated; dormant accelerations keep
-// their garbage until their own predictor wipes it.
+// acceleration, followed by the ocean load. Only the plan's final points
+// are updated; under LTS dormant accelerations keep their garbage until
+// their own predictor wipes it.
 func (rs *rankState) solidUpdate() {
 	twoOmega := float32(0)
 	if rs.opts.Rotation {
@@ -266,14 +267,7 @@ func (rs *rankState) solidUpdate() {
 		if fs == nil {
 			continue
 		}
-		var list []int32
-		if pts := rs.ltsPts(kind); pts != nil && !pts.single {
-			list = pts.upTo[rs.lts.level]
-		}
-		n := len(fs[0].ax)
-		if list != nil {
-			n = len(list)
-		}
+		list, n := rs.lp.final[kind].list, rs.lp.final[kind].n
 		rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
 			for _, f := range fs {
 				for q := lo; q < hi; q++ {
@@ -344,17 +338,18 @@ func (rs *rankState) solidUpdate() {
 }
 
 // corrector runs the Newmark correction for every solid field, and
-// captures the final (mass-divided) acceleration of coarse LTS levels
-// into their hold arrays for the next predictor. The fluid correction
-// already ran under the solid halo (finishSolidStage).
+// captures the final (mass-divided) acceleration of the passes with a
+// hold level into their hold arrays for the next predictor. The fluid
+// correction already ran under the solid halo (finishSolidStage).
 func (rs *rankState) corrector() {
 	for kind, fs := range rs.solid {
 		if fs == nil {
 			continue
 		}
-		n := rs.firingPasses(kind, len(fs[0].vx), func(list []int32, n, li int, dt float32) {
-			half := dt / 2
-			rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
+		n := 0
+		for _, ps := range rs.lp.passes[kind] {
+			list, li, half := ps.list, ps.hold, ps.dt/2
+			rs.pool.sweepRange(rs.scr, ps.n, &rs.updateBusy, func(lo, hi int) {
 				for _, f := range fs {
 					var hx, hy, hz []float32
 					if li > 0 {
@@ -374,7 +369,8 @@ func (rs *rankState) corrector() {
 					}
 				}
 			})
-		})
+			n += ps.n
+		}
 		rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.SolidCorrector*int64(n*len(fs)))
 		rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.SolidCorrector*int64(n*len(fs)))
 	}
@@ -389,9 +385,10 @@ func (rs *rankState) fluidCorrector() {
 	if fls == nil {
 		return
 	}
-	n := rs.firingPasses(int(earthmodel.RegionOuterCore), len(fls[0].chiDot), func(list []int32, n, li int, dt float32) {
-		half := dt / 2
-		rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
+	n := 0
+	for _, ps := range rs.lp.passes[earthmodel.RegionOuterCore] {
+		list, li, half := ps.list, ps.hold, ps.dt/2
+		rs.pool.sweepRange(rs.scr, ps.n, &rs.updateBusy, func(lo, hi int) {
 			for _, fl := range fls {
 				var h []float32
 				if li > 0 {
@@ -409,7 +406,8 @@ func (rs *rankState) fluidCorrector() {
 				}
 			}
 		})
-	})
+		n += ps.n
+	}
 	rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.FluidCorrector*int64(n*len(fls)))
 	rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.FluidCorrector*int64(n*len(fls)))
 }
