@@ -84,16 +84,11 @@ func experimentList() []experiment {
 				if err != nil {
 					return nil, err
 				}
-				// Joint sweep: workers x doubling x interconnect together.
-				// nex 8 is the smallest resolution that admits the standard
-				// two doubling levels, so the joint table pins it even when
+				// Joint sweep: doubling x interconnect together. nex 8 is
+				// the smallest resolution that admits the standard two
+				// doubling levels, so the joint table pins it even when
 				// quick shrinks the main sweep.
-				workers := []int{1, 4}
-				if quick {
-					workers = []int{1}
-				}
-				j, err := experiments.OverlapJoint(8, 1, steps, workers,
-					[]float64{5200e3, 3000e3})
+				j, err := experiments.OverlapJoint(8, 1, steps, []float64{5200e3, 3000e3})
 				if err != nil {
 					return nil, err
 				}
@@ -111,18 +106,6 @@ func experimentList() []experiment {
 					steps = 4
 				}
 				return experiments.LTSAblation(configs, doublings, steps)
-			},
-		},
-		{
-			id: "HYBRID", desc: "rank x worker force kernels: speedup vs exposed comm",
-			run: func(quick bool) (fmt.Stringer, error) {
-				nex, nproc, steps := 8, 1, 8
-				workers := []int{1, 2, 4, 8}
-				if quick {
-					nex, steps = 4, 4
-					workers = []int{1, 2, 4}
-				}
-				return experiments.Hybrid(nex, nproc, workers, steps)
 			},
 		},
 		{

@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 	"strings"
 )
 
@@ -35,16 +36,11 @@ func main() {
 		}
 		return
 	}
-	selected := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			selected[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
+	exps, err := selectExperiments(exps, *only)
+	if err != nil {
+		log.Fatal(err)
 	}
 	for _, e := range exps {
-		if len(selected) > 0 && !selected[e.id] {
-			continue
-		}
 		fmt.Printf("==== %s: %s\n", e.id, e.desc)
 		res, err := e.run(*quick)
 		if err != nil {
@@ -52,4 +48,33 @@ func main() {
 		}
 		fmt.Println(res)
 	}
+}
+
+// selectExperiments keeps the experiments named in only (comma-separated
+// ids, case-insensitive; empty keeps all) in list order. An id that names
+// no experiment is an error, so a stale -only list fails instead of
+// silently running less.
+func selectExperiments(exps []experiment, only string) ([]experiment, error) {
+	if only == "" {
+		return exps, nil
+	}
+	known := make([]string, len(exps))
+	for i, e := range exps {
+		known[i] = e.id
+	}
+	selected := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		id = strings.ToUpper(strings.TrimSpace(id))
+		if !slices.Contains(known, id) {
+			return nil, fmt.Errorf("unknown experiment id %q (known: %s)", id, strings.Join(known, ", "))
+		}
+		selected[id] = true
+	}
+	var out []experiment
+	for _, e := range exps {
+		if selected[e.id] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
 }

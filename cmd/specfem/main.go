@@ -68,12 +68,7 @@ func main() {
 	case "prem_noocean":
 		model = earthmodel.NewPREMNoOcean()
 	case "homogeneous":
-		h := earthmodel.NewHomogeneous(6371e3, earthmodel.Material{
-			Rho: 5000, Vp: 10000, Vs: 5500, Qmu: 300, Qkappa: 57823,
-		})
-		h.ICBRadius = 1221.5e3
-		h.CMBRadius = 3480e3
-		model = h
+		model = earthmodel.EarthLike()
 	default:
 		log.Fatalf("unknown model %q", *modelStr)
 	}

@@ -25,8 +25,8 @@
 //     and the regeneration of every figure and table
 //   - internal/core — the public façade used by cmd/ and examples/
 //
-// The top-level bench_test.go regenerates each evaluation artifact as a
-// Go benchmark; see README.md for the quickstart and the BENCH_PR*.json
-// trajectory convention, DESIGN.md for the experiment index, and
+// cmd/paperfigs regenerates each evaluation artifact and cmd/specbench
+// measures end-to-end performance; see README.md for the quickstart and
+// the two instruments, DESIGN.md for the experiment index, and
 // EXPERIMENTS.md for paper-versus-measured results.
 package specglobe

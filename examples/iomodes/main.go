@@ -22,15 +22,9 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	model := earthmodel.NewHomogeneous(6371e3, earthmodel.Material{
-		Rho: 5000, Vp: 10000, Vs: 5500, Qmu: 300, Qkappa: 57823,
-	})
-	model.ICBRadius = 1221.5e3
-	model.CMBRadius = 3480e3
-
 	base := core.Config{
 		NexXi: 8, NProcXi: 1,
-		Model: model,
+		Model: earthmodel.EarthLike(),
 		Steps: 60,
 		Event: core.Event{
 			Name: "io-test", LatDeg: -27, LonDeg: -63, DepthM: 150e3,

@@ -21,11 +21,7 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	model := earthmodel.NewHomogeneous(6371e3, earthmodel.Material{
-		Rho: 5000, Vp: 10000, Vs: 5500, Qmu: 300, Qkappa: 57823,
-	})
-	model.ICBRadius = 1221.5e3
-	model.CMBRadius = 3480e3
+	model := earthmodel.EarthLike()
 
 	const steps = 25
 	fmt.Printf("scaling sweep (%d steps); paper comm fractions: 1.9%%-4.2%%\n", steps)

@@ -169,6 +169,19 @@ func NewHomogeneous(radius float64, mat Material) *Homogeneous {
 		CMBRadius: 0, ICBRadius: 0}
 }
 
+// EarthLike returns the Earth-sized homogeneous model with PREM's core
+// radii (solid mantle, fluid outer core, solid inner core): cheap to
+// mesh, it is the one definition behind `specfem -model homogeneous`,
+// the daemon's "earthlike" model and the timing experiments.
+func EarthLike() *Homogeneous {
+	h := NewHomogeneous(6371e3, Material{
+		Rho: 5000, Vp: 10000, Vs: 5500, Qmu: 300, Qkappa: 57823,
+	})
+	h.ICBRadius = 1221.5e3
+	h.CMBRadius = 3480e3
+	return h
+}
+
 func (h *Homogeneous) Name() string { return h.ModelName }
 
 func (h *Homogeneous) SurfaceRadius() float64 { return h.Radius }

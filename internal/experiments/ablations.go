@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"specglobe/internal/earthmodel"
 	"specglobe/internal/gll"
 	"specglobe/internal/meshfem"
 	"specglobe/internal/renumber"
@@ -26,7 +27,7 @@ func timedRun(g *meshfem.Globe, opts solver.Options) (time.Duration, error) {
 	}
 	t0 := time.Now()
 	_, err = solver.Run(&solver.Simulation{
-		Locals: g.Locals, Plans: g.Plans, Model: testEarth(),
+		Locals: g.Locals, Plans: g.Plans, Model: earthmodel.EarthLike(),
 		Sources: []solver.Source{src},
 		Opts:    opts,
 	})
@@ -53,7 +54,7 @@ type KernelResult struct {
 // Kernels times the two force kernels on identical solver runs, and the
 // BLAS path against the plain loops per block.
 func Kernels(nex, steps int) (*KernelResult, error) {
-	g, err := buildGlobe(nex, 1, testEarth())
+	g, err := buildGlobe(nex, 1, earthmodel.EarthLike())
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +127,7 @@ type RenumberResult struct {
 // same mesh.
 func Renumbering(nex, steps int) (*RenumberResult, error) {
 	build := func(permute string) (*meshfem.Globe, float64, error) {
-		g, err := buildGlobe(nex, 1, testEarth())
+		g, err := buildGlobe(nex, 1, earthmodel.EarthLike())
 		if err != nil {
 			return nil, 0, err
 		}
@@ -218,7 +219,7 @@ type StationResult struct {
 // StationLocation times the legacy nonlinear location of a station set
 // against the fast nearest-grid-point mode and reports the residuals.
 func StationLocation(nex, nStations int) (*StationResult, error) {
-	g, err := buildGlobe(nex, 1, testEarth())
+	g, err := buildGlobe(nex, 1, earthmodel.EarthLike())
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,9 @@
 // experiment runs the live Go mesher/solver at laptop scale, fits the
 // section 5 model forms, and extrapolates to the paper's scales so the
 // shapes can be compared side by side (EXPERIMENTS.md records the
-// outcomes). The same entry points back cmd/paperfigs and the top-level
-// benchmark harness.
+// outcomes). The entry points back cmd/paperfigs; solver-timing
+// experiments run earthmodel.EarthLike, where PREM layering detail would
+// only slow the runs down.
 package experiments
 
 import (
@@ -21,18 +22,6 @@ import (
 	"specglobe/internal/perfmodel"
 	"specglobe/internal/solver"
 )
-
-// testEarth returns the Earth-like homogeneous model (solid mantle,
-// fluid core, solid inner core) used by solver-timing experiments where
-// PREM layering detail would only slow the runs down.
-func testEarth() earthmodel.Model {
-	h := earthmodel.NewHomogeneous(6371e3, earthmodel.Material{
-		Rho: 5000, Vp: 10000, Vs: 5500, Qmu: 300, Qkappa: 57823,
-	})
-	h.ICBRadius = 1221.5e3
-	h.CMBRadius = 3480e3
-	return h
-}
 
 func buildGlobe(nex, nproc int, model earthmodel.Model) (*meshfem.Globe, error) {
 	return meshfem.Build(meshfem.Config{NexXi: nex, NProcXi: nproc, Model: model})
@@ -178,7 +167,7 @@ type Fig6Result struct {
 // the solver main loop (the IPM measurement), and fits the two-term
 // communication model.
 func Fig6(nexList []int, nprocList []int, steps int) (*Fig6Result, error) {
-	model := testEarth()
+	model := earthmodel.EarthLike()
 	out := &Fig6Result{}
 	var samples []perfmodel.CommSample
 	for _, nex := range nexList {
@@ -276,7 +265,7 @@ type Fig7Result struct {
 // Fig7 runs a fixed number of solver steps at several resolutions and
 // fits total core-seconds against resolution.
 func Fig7(nexList []int, steps int) (*Fig7Result, error) {
-	model := testEarth()
+	model := earthmodel.EarthLike()
 	out := &Fig7Result{}
 	var samples []perfmodel.Sample
 	for _, nex := range nexList {
@@ -350,7 +339,7 @@ type CommFracRow struct {
 
 // CommFraction measures the IPM-style fraction on live runs.
 func CommFraction(nexList []int, nprocList []int, steps int) (*CommFracResult, error) {
-	model := testEarth()
+	model := earthmodel.EarthLike()
 	out := &CommFracResult{}
 	for _, nex := range nexList {
 		for _, nproc := range nprocList {
@@ -483,7 +472,7 @@ func processCPU() (time.Duration, error) {
 
 // Attenuation times identical runs with attenuation off and on.
 func Attenuation(nex, steps int) (*AttenuationResult, error) {
-	model := testEarth()
+	model := earthmodel.EarthLike()
 	g, err := buildGlobe(nex, 1, model)
 	if err != nil {
 		return nil, err
@@ -595,7 +584,7 @@ type IOResult struct {
 // IOModes writes/reads the legacy database and compares against the
 // merged handoff; extrapolates the file count to 62K cores.
 func IOModes(nex int) (*IOResult, error) {
-	model := testEarth()
+	model := earthmodel.EarthLike()
 	g, err := buildGlobe(nex, 1, model)
 	if err != nil {
 		return nil, err
@@ -639,7 +628,7 @@ func (r *IOResult) String() string {
 // LoadBalance reports the element-count balance of a decomposition (the
 // "excellent load balancing" of the improved mesh design).
 func LoadBalance(nex, nproc int) (mesh.LoadStats, error) {
-	g, err := buildGlobe(nex, nproc, testEarth())
+	g, err := buildGlobe(nex, nproc, earthmodel.EarthLike())
 	if err != nil {
 		return mesh.LoadStats{}, err
 	}

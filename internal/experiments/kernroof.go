@@ -124,7 +124,7 @@ func kernRoofMeshes(boxN, globeNex int) ([]kernRoofMesh, error) {
 		},
 	})
 
-	model := testEarth()
+	model := earthmodel.EarthLike()
 	g, err := meshfem.Build(meshfem.Config{
 		NexXi: globeNex, NProcXi: 1, Model: model, Doublings: []float64{5200e3},
 	})

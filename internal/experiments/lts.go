@@ -192,15 +192,14 @@ func (r *LTSResult) String() string {
 	return b.String()
 }
 
-// --- OVERLAP/joint: workers x doubling x interconnect --------------------
+// --- OVERLAP/joint: doubling x interconnect ------------------------------
 
-// OverlapJointRow is one (machine, workers, doubling) cell of the joint
+// OverlapJointRow is one (machine, doubling) cell of the joint
 // extrapolation.
 type OverlapJointRow struct {
 	Machine   string
 	LatencyUS float64
 	LinkBWGBs float64
-	Workers   int
 	Doubled   bool
 	// Exposed/Hidden virtual comm (summed over ranks, seconds) and the
 	// comm fraction under the overlapped schedule.
@@ -209,11 +208,11 @@ type OverlapJointRow struct {
 	StepsPerSec     float64
 }
 
-// OverlapJointResult is the joint worker-count x doubling x
-// interconnect sweep: the three axes the FIG6/OVERLAP extrapolations
-// previously varied one at a time, measured together so their
-// interaction is visible in one table (doubling shrinks the halo that
-// workers must hide; a slower link stretches it).
+// OverlapJointResult is the joint doubling x interconnect sweep: two
+// axes the FIG6/OVERLAP extrapolations otherwise vary one at a time,
+// measured together so their interaction is visible in one table
+// (doubling shrinks the halo the inner elements must hide; a slower link
+// stretches it).
 type OverlapJointResult struct {
 	P, Res, Steps int
 	Doublings     []float64
@@ -221,10 +220,10 @@ type OverlapJointResult struct {
 }
 
 // OverlapJoint runs the overlapped schedule at one (nex, nproc)
-// configuration for every combination of worker count, doubling on/off,
-// and catalog interconnect.
-func OverlapJoint(nex, nproc, steps int, workers []int, doublings []float64) (*OverlapJointResult, error) {
-	model := testEarth()
+// configuration for every combination of doubling on/off and catalog
+// interconnect.
+func OverlapJoint(nex, nproc, steps int, doublings []float64) (*OverlapJointResult, error) {
+	model := earthmodel.EarthLike()
 	out := &OverlapJointResult{Res: nex, Steps: steps, Doublings: doublings}
 	for _, doubled := range []bool{false, true} {
 		var dbl []float64
@@ -243,24 +242,22 @@ func OverlapJoint(nex, nproc, steps int, workers []int, doublings []float64) (*O
 			return nil, err
 		}
 		for _, m := range perfmodel.Catalog() {
-			for _, w := range workers {
-				res, err := solver.Run(&solver.Simulation{
-					Locals: g.Locals, Plans: g.Plans, Model: model,
-					Sources: []solver.Source{src},
-					Opts:    solver.Options{Steps: steps, Workers: w, Network: m.Net()},
-				})
-				if err != nil {
-					return nil, err
-				}
-				out.Rows = append(out.Rows, OverlapJointRow{
-					Machine: m.Name, LatencyUS: m.LatencyUS, LinkBWGBs: m.LinkBWGBs,
-					Workers: w, Doubled: doubled,
-					Exposed:     res.MPI.Exposed().Seconds(),
-					Hidden:      res.MPI.HiddenCommTime.Seconds(),
-					Frac:        res.Perf.CommFraction,
-					StepsPerSec: float64(steps) / res.Perf.WallTime.Seconds(),
-				})
+			res, err := solver.Run(&solver.Simulation{
+				Locals: g.Locals, Plans: g.Plans, Model: model,
+				Sources: []solver.Source{src},
+				Opts:    solver.Options{Steps: steps, Network: m.Net()},
+			})
+			if err != nil {
+				return nil, err
 			}
+			out.Rows = append(out.Rows, OverlapJointRow{
+				Machine: m.Name, LatencyUS: m.LatencyUS, LinkBWGBs: m.LinkBWGBs,
+				Doubled:     doubled,
+				Exposed:     res.MPI.Exposed().Seconds(),
+				Hidden:      res.MPI.HiddenCommTime.Seconds(),
+				Frac:        res.Perf.CommFraction,
+				StepsPerSec: float64(steps) / res.Perf.WallTime.Seconds(),
+			})
 		}
 	}
 	return out, nil
@@ -269,16 +266,16 @@ func OverlapJoint(nex, nproc, steps int, workers []int, doublings []float64) (*O
 // String renders the joint table.
 func (r *OverlapJointResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "OVERLAP/joint: workers x doubling x interconnect, overlapped schedule (P=%d, res=%d, %d steps)\n",
+	fmt.Fprintf(&b, "OVERLAP/joint: doubling x interconnect, overlapped schedule (P=%d, res=%d, %d steps)\n",
 		r.P, r.Res, r.Steps)
-	fmt.Fprintf(&b, "  %-9s %7s %8s %7s %8s %12s %12s %9s %9s\n",
-		"machine", "lat", "bw", "workers", "doubled", "exposed(s)", "hidden(s)", "frac", "steps/s")
+	fmt.Fprintf(&b, "  %-9s %7s %8s %8s %12s %12s %9s %9s\n",
+		"machine", "lat", "bw", "doubled", "exposed(s)", "hidden(s)", "frac", "steps/s")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-9s %5.1fus %5.2fGB/s %7d %8v %11.6fs %11.6fs %8.2f%% %9.3f\n",
-			row.Machine, row.LatencyUS, row.LinkBWGBs, row.Workers, row.Doubled,
+		fmt.Fprintf(&b, "  %-9s %5.1fus %5.2fGB/s %8v %11.6fs %11.6fs %8.2f%% %9.3f\n",
+			row.Machine, row.LatencyUS, row.LinkBWGBs, row.Doubled,
 			row.Exposed, row.Hidden, 100*row.Frac, row.StepsPerSec)
 	}
-	b.WriteString("  doubling shrinks the halo the workers must hide, a slower link stretches\n")
-	b.WriteString("  it: the interaction decides how many workers a rank can keep busy\n")
+	b.WriteString("  doubling shrinks the halo the inner elements must hide, a slower link\n")
+	b.WriteString("  stretches it\n")
 	return b.String()
 }

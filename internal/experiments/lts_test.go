@@ -48,28 +48,26 @@ func TestLTSAblation(t *testing.T) {
 	}
 }
 
-// The joint sweep must cover machines x workers x doubling and account
-// virtual comm in every cell.
+// The joint sweep must cover machines x doubling and account virtual
+// comm in every cell.
 func TestOverlapJoint(t *testing.T) {
 	// nex 8 is the smallest resolution that admits the standard two
 	// doubling levels.
-	r, err := OverlapJoint(8, 1, 3, []int{1, 2}, []float64{5200e3, 3000e3})
+	r, err := OverlapJoint(8, 1, 3, []float64{5200e3, 3000e3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(perfmodel.Catalog()) * 2 * 2
+	want := len(perfmodel.Catalog()) * 2
 	if len(r.Rows) != want {
 		t.Fatalf("rows %d, want %d", len(r.Rows), want)
 	}
 	seen := map[string]bool{}
 	for _, row := range r.Rows {
 		if row.Exposed <= 0 && row.Hidden <= 0 {
-			t.Errorf("%s w%d doubled=%v: no virtual comm accounted",
-				row.Machine, row.Workers, row.Doubled)
+			t.Errorf("%s doubled=%v: no virtual comm accounted", row.Machine, row.Doubled)
 		}
 		if row.StepsPerSec <= 0 {
-			t.Errorf("%s w%d doubled=%v: no throughput measured",
-				row.Machine, row.Workers, row.Doubled)
+			t.Errorf("%s doubled=%v: no throughput measured", row.Machine, row.Doubled)
 		}
 		seen[row.Machine] = true
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"specglobe/internal/earthmodel"
 	"specglobe/internal/mesh"
 	"specglobe/internal/meshfem"
 	"specglobe/internal/solver"
@@ -64,7 +65,7 @@ type MeshDblResult struct {
 // communication. doublings lists the radii passed to the mesher when
 // doubling is on.
 func MeshDoubling(configs [][2]int, doublings []float64, steps int) (*MeshDblResult, error) {
-	model := testEarth()
+	model := earthmodel.EarthLike()
 	out := &MeshDblResult{Doublings: doublings, Steps: steps}
 	for _, pc := range configs {
 		nex, nproc := pc[0], pc[1]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"specglobe/internal/earthmodel"
 	"specglobe/internal/mesh"
 	"specglobe/internal/perf"
 	"specglobe/internal/perfmodel"
@@ -61,7 +62,7 @@ func BlockingCommFraction(r perf.Report) float64 {
 // Overlap sweeps rank counts at fixed resolutions, running each
 // simulation once and deriving the blocking baseline from it.
 func Overlap(nexList []int, nprocList []int, steps int) (*OverlapResult, error) {
-	model := testEarth()
+	model := earthmodel.EarthLike()
 	out := &OverlapResult{}
 	for _, nex := range nexList {
 		for _, nproc := range nprocList {
@@ -126,7 +127,7 @@ type OverlapMachinesResult struct {
 // extrapolation hook: a slower link leaves more transfer time to hide,
 // a faster one shrinks both exposed and hidden comm.
 func OverlapMachines(nex, nproc, steps int) (*OverlapMachinesResult, error) {
-	model := testEarth()
+	model := earthmodel.EarthLike()
 	g, err := buildGlobe(nex, nproc, model)
 	if err != nil {
 		return nil, err

@@ -223,12 +223,7 @@ func modelFor(name string) (earthmodel.Model, error) {
 	case "prem_noocean":
 		return earthmodel.NewPREMNoOcean(), nil
 	case "earthlike":
-		h := earthmodel.NewHomogeneous(6371e3, earthmodel.Material{
-			Rho: 5000, Vp: 10000, Vs: 5500, Qmu: 300, Qkappa: 57823,
-		})
-		h.ICBRadius = 1221.5e3
-		h.CMBRadius = 3480e3
-		return h, nil
+		return earthmodel.EarthLike(), nil
 	}
 	return nil, Errf(CodeUnknownModel, "unknown model %q (have prem, prem_noocean, earthlike)", name)
 }

@@ -110,7 +110,7 @@ type Options struct {
 	// MPI+threads model — so 24 ranks on 8 cores do not oversubscribe
 	// the host. Results are bit-identical at every worker count (the
 	// mesh coloring fixes the accumulation order). 0 means GOMAXPROCS;
-	// 1 is the serial baseline of the HYBRID ablation.
+	// 1 runs the kernels serially on one pool worker.
 	Workers int
 	// CombinedSolidHalo merges the crust/mantle and inner-core halo
 	// exchanges into one message per neighbor — the paper's "reduction
