@@ -18,22 +18,6 @@ import (
 // Ablation experiments for the section 4 engineering work: kernel
 // variants (4.3), element renumbering (4.2) and station location (4.4).
 
-// timedRun executes steps solver steps on a fresh mesh and returns the
-// wall time of the solve.
-func timedRun(g *meshfem.Globe, opts solver.Options) (time.Duration, error) {
-	src, err := centralSource(g)
-	if err != nil {
-		return 0, err
-	}
-	t0 := time.Now()
-	_, err = solver.Run(&solver.Simulation{
-		Locals: g.Locals, Plans: g.Plans, Model: earthmodel.EarthLike(),
-		Sources: []solver.Source{src},
-		Opts:    opts,
-	})
-	return time.Since(t0), err
-}
-
 // KernelResult reproduces the section 4.3 comparison.
 type KernelResult struct {
 	// Vec4 and Scalar are solver runs under the two force kernels.
@@ -54,16 +38,20 @@ type KernelResult struct {
 // Kernels times the two force kernels on identical solver runs, and the
 // BLAS path against the plain loops per block.
 func Kernels(nex, steps int) (*KernelResult, error) {
-	g, err := buildGlobe(nex, 1, earthmodel.EarthLike())
+	g, err := buildGlobe(earthmodel.EarthLike(), nex, 1, nil)
 	if err != nil {
 		return nil, err
 	}
 	out := &KernelResult{}
-	if out.Vec4, err = timedRun(g, solver.Options{Steps: steps, Kernel: solver.KernelVec4}); err != nil {
-		return nil, err
-	}
-	if out.Scalar, err = timedRun(g, solver.Options{Steps: steps, Kernel: solver.KernelScalar}); err != nil {
-		return nil, err
+	for _, k := range []struct {
+		kernel solver.Kernel
+		dst    *time.Duration
+	}{{solver.KernelVec4, &out.Vec4}, {solver.KernelScalar, &out.Scalar}} {
+		t0 := time.Now()
+		if _, err := solveCentral(g, solver.Options{Steps: steps, Kernel: k.kernel}); err != nil {
+			return nil, err
+		}
+		*k.dst = time.Since(t0)
 	}
 	out.ScalarBlock, out.BlasBlock = gradBlockTimes()
 	out.Vec4GainPct = 100 * (out.Scalar.Seconds() - out.Vec4.Seconds()) / out.Scalar.Seconds()
@@ -127,7 +115,7 @@ type RenumberResult struct {
 // same mesh.
 func Renumbering(nex, steps int) (*RenumberResult, error) {
 	build := func(permute string) (*meshfem.Globe, float64, error) {
-		g, err := buildGlobe(nex, 1, earthmodel.EarthLike())
+		g, err := buildGlobe(earthmodel.EarthLike(), nex, 1, nil)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -183,11 +171,11 @@ func Renumbering(nex, steps int) (*RenumberResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		t, err := timedRun(g, solver.Options{Steps: steps})
-		if err != nil {
+		t0 := time.Now()
+		if _, err := solveCentral(g, solver.Options{Steps: steps}); err != nil {
 			return nil, err
 		}
-		*c.tDst = t
+		*c.tDst = time.Since(t0)
 		if c.sDst != nil {
 			*c.sDst = stride
 		}
@@ -219,7 +207,7 @@ type StationResult struct {
 // StationLocation times the legacy nonlinear location of a station set
 // against the fast nearest-grid-point mode and reports the residuals.
 func StationLocation(nex, nStations int) (*StationResult, error) {
-	g, err := buildGlobe(nex, 1, earthmodel.EarthLike())
+	g, err := buildGlobe(earthmodel.EarthLike(), nex, 1, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"specglobe/internal/perf"
 	"specglobe/internal/perfmodel"
 	"specglobe/internal/solver"
 )
@@ -27,10 +26,9 @@ import (
 // bit-identical to its single-source counterpart; S = 1 degenerates to
 // the unbatched solver exactly.
 
-// BatchRow is one (mesh, kernel, S) measurement.
+// BatchRow is one (mesh, S) measurement on the vec4 kernel.
 type BatchRow struct {
-	Mesh   string
-	Kernel solver.Kernel
+	Mesh string
 	// Sources is the ensemble size S.
 	Sources int
 	// StepsPerSec is raw time steps over wall time (falls with S).
@@ -38,14 +36,12 @@ type BatchRow struct {
 	// SourceStepsPerSec is steps * S over wall time, the aggregate
 	// ensemble throughput.
 	SourceStepsPerSec float64
-	// Speedup is SourceStepsPerSec over the S=1 row of the same (mesh,
-	// kernel) — the advantage over S sequential single-source runs.
+	// Speedup is SourceStepsPerSec over the S=1 row of the same mesh —
+	// the advantage over S sequential single-source runs.
 	Speedup float64
-	// SolidAI and FluidAI are the counted force-phase arithmetic
-	// intensities; batching raises them by amortizing static bytes.
-	SolidAI, FluidAI float64
-	// Force positions the force kernels on the local-machine roofline.
-	Force perfmodel.RooflinePoint
+	// ForceStats: batching raises the intensities by amortizing static
+	// bytes.
+	ForceStats
 }
 
 // BatchResult is the ensemble-batching ablation.
@@ -56,12 +52,14 @@ type BatchResult struct {
 	Rows    []BatchRow
 }
 
-// BatchAblation sweeps ensemble size x kernel on the box and doubled
-// globe meshes at a fixed worker count, one batched solver run per
-// cell. All S sources of a cell share the reference source's position
-// and mechanism (fields are independent either way; identical sources
-// make any cross-field leak visible as identical-output violations in
-// the tests).
+// BatchAblation sweeps ensemble size on the box and doubled globe
+// meshes under the production vec4 kernel at a fixed worker count,
+// keeping the faster of two batched solver runs per cell (how vec4
+// compares with scalar is SSE20's and KERNROOF's question). All S
+// sources of a cell share the reference source's position and mechanism
+// (fields are independent either way; identical sources make any
+// cross-field leak visible as identical-output violations in the
+// tests).
 func BatchAblation(boxN, globeNex, steps int, sizes []int, workers int) (*BatchResult, error) {
 	meshes, err := kernRoofMeshes(boxN, globeNex)
 	if err != nil {
@@ -71,78 +69,50 @@ func BatchAblation(boxN, globeNex, steps int, sizes []int, workers int) (*BatchR
 		workers = 1
 	}
 	out := &BatchResult{Steps: steps, Workers: workers, Machine: perfmodel.MeasureLocalMachine()}
-	kernels := []solver.Kernel{solver.KernelScalar, solver.KernelVec4}
-	// Keep the faster of two runs per cell (warm-up + noise, as in
-	// KERNROOF).
-	const reps = 2
 	for _, m := range meshes {
-		for _, kv := range kernels {
-			var base float64
-			for _, s := range sizes {
-				srcs := make([]solver.Source, s)
-				for i := range srcs {
-					srcs[i] = m.src
-					srcs[i].Field = i
-				}
-				var best *solver.Result
-				for rep := 0; rep < reps; rep++ {
-					res, err := solver.Run(&solver.Simulation{
-						Locals: m.locals, Plans: m.plans, Model: m.model,
-						Sources: srcs,
-						Opts:    solver.Options{Steps: steps, Kernel: kv, Workers: workers},
-					})
-					if err != nil {
-						return nil, fmt.Errorf("batch %s %v S=%d: %w", m.name, kv, s, err)
-					}
-					if best == nil || res.Perf.WallTime < best.Perf.WallTime {
-						best = res
-					}
-				}
-				row := batchRow(m.name, kv, s, steps, best, out.Machine)
-				if s == 1 {
-					base = row.SourceStepsPerSec
-				}
-				if base > 0 {
-					row.Speedup = row.SourceStepsPerSec / base
-				}
-				out.Rows = append(out.Rows, row)
+		var base float64
+		for _, s := range sizes {
+			srcs := make([]solver.Source, s)
+			for i := range srcs {
+				srcs[i] = m.src
+				srcs[i].Field = i
 			}
+			res, err := fastestRun(m, srcs, solver.Options{Steps: steps, Kernel: solver.KernelVec4, Workers: workers})
+			if err != nil {
+				return nil, fmt.Errorf("batch %s S=%d: %w", m.name, s, err)
+			}
+			row := BatchRow{
+				Mesh: m.name, Sources: s,
+				StepsPerSec:       float64(steps) / res.Perf.WallTime.Seconds(),
+				SourceStepsPerSec: res.SourceStepsPerSec,
+				ForceStats:        forceStats(res.Perf, out.Machine),
+			}
+			if s == 1 {
+				base = row.SourceStepsPerSec
+			}
+			if base > 0 {
+				row.Speedup = row.SourceStepsPerSec / base
+			}
+			out.Rows = append(out.Rows, row)
 		}
 	}
 	return out, nil
 }
 
-// batchRow derives one table row from a batched run's perf report.
-func batchRow(name string, kv solver.Kernel, s, steps int, res *solver.Result, m perfmodel.Machine) BatchRow {
-	rep := res.Perf
-	solid, fluid := perf.PhaseForceSolid.String(), perf.PhaseForceFluid.String()
-	forceFlops := rep.PhaseFlops[solid] + rep.PhaseFlops[fluid]
-	forceBytes := rep.PhaseBytes[solid] + rep.PhaseBytes[fluid]
-	busy := rep.PhaseTotals[perf.PhaseKernelParallel.String()].Seconds()
-	return BatchRow{
-		Mesh: name, Kernel: kv, Sources: s,
-		StepsPerSec:       float64(steps) / rep.WallTime.Seconds(),
-		SourceStepsPerSec: res.SourceStepsPerSec,
-		SolidAI:           rep.ArithmeticIntensity(solid),
-		FluidAI:           rep.ArithmeticIntensity(fluid),
-		Force:             perfmodel.RooflineFor(m, 1, forceFlops, forceBytes, busy),
-	}
-}
-
 // String renders the ensemble-batching table.
 func (r *BatchResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "BATCH: multi-source ensemble batching, S x kernel (%d steps, workers=%d) on %s (%s)\n",
+	fmt.Fprintf(&b, "BATCH: multi-source ensemble batching on the vec4 kernel (%d steps, workers=%d) on %s (%s)\n",
 		r.Steps, r.Workers, r.Machine.Name, r.Machine.Ceilings())
-	fmt.Fprintf(&b, "  %-9s %-6s %3s %9s %11s %8s %8s %8s %7s %7s\n",
-		"mesh", "kernel", "S", "steps/s", "src-st/s", "speedup", "solidAI", "fluidAI", "%peak", "bound")
+	fmt.Fprintf(&b, "  %-9s %3s %9s %11s %8s %8s %8s %7s %7s\n",
+		"mesh", "S", "steps/s", "src-st/s", "speedup", "solidAI", "fluidAI", "%peak", "bound")
 	for _, row := range r.Rows {
 		sp := "-"
 		if row.Speedup > 0 {
 			sp = fmt.Sprintf("%.2fx", row.Speedup)
 		}
-		fmt.Fprintf(&b, "  %-9s %-6s %3d %9.2f %11.2f %8s %8.2f %8.2f %6.1f%% %7s\n",
-			row.Mesh, row.Kernel, row.Sources, row.StepsPerSec, row.SourceStepsPerSec,
+		fmt.Fprintf(&b, "  %-9s %3d %9.2f %11.2f %8s %8.2f %8.2f %6.1f%% %7s\n",
+			row.Mesh, row.Sources, row.StepsPerSec, row.SourceStepsPerSec,
 			sp, row.SolidAI, row.FluidAI, row.Force.PctOfPeak, row.Force.BoundBy)
 	}
 	b.WriteString("  src-st/s = steps x S / wall: the aggregate ensemble throughput. speedup is\n")

@@ -3,9 +3,15 @@
 // experiment runs the live Go mesher/solver at laptop scale, fits the
 // section 5 model forms, and extrapolates to the paper's scales so the
 // shapes can be compared side by side (EXPERIMENTS.md records the
-// outcomes). The entry points back cmd/paperfigs; solver-timing
-// experiments run earthmodel.EarthLike, where PREM layering detail would
-// only slow the runs down.
+// outcomes). The entry points back cmd/paperfigs.
+//
+// Every globe run goes through one path: buildGlobe meshes it,
+// solveCentral places the equatorial source and runs the solver on the
+// globe's own model, and fastestRun keeps the best of two runs where a
+// sweep ranks wall-clock rates. Readings of the same runs share one
+// sweep: FIG6, COMM% and OVERLAP render the rows of CommSweep.
+// Solver-timing experiments run earthmodel.EarthLike, where PREM
+// layering detail would only slow the runs down.
 package experiments
 
 import (
@@ -23,8 +29,11 @@ import (
 	"specglobe/internal/solver"
 )
 
-func buildGlobe(nex, nproc int, model earthmodel.Model) (*meshfem.Globe, error) {
-	return meshfem.Build(meshfem.Config{NexXi: nex, NProcXi: nproc, Model: model})
+// buildGlobe meshes a globe of nex elements per chunk side on nproc
+// slices per side, with doubling layers at the given radii (nil for a
+// uniform mesh).
+func buildGlobe(model earthmodel.Model, nex, nproc int, doublings []float64) (*meshfem.Globe, error) {
+	return meshfem.Build(meshfem.Config{NexXi: nex, NProcXi: nproc, Model: model, Doublings: doublings})
 }
 
 // centralSource returns a moment-tensor source near the equator.
@@ -39,6 +48,29 @@ func centralSource(g *meshfem.Globe) (solver.Source, error) {
 		MomentTensor: [3][3]float64{{m0, 0, 0}, {0, m0, 0}, {0, 0, m0}},
 		STF:          solver.GaussianSTF(10, 25),
 	}, nil
+}
+
+// solveCentral runs the globe on its own model with the central source.
+func solveCentral(g *meshfem.Globe, opts solver.Options) (*solver.Result, error) {
+	src, err := centralSource(g)
+	if err != nil {
+		return nil, err
+	}
+	return solver.Run(&solver.Simulation{
+		Locals: g.Locals, Plans: g.Plans, Model: g.Cfg.Model,
+		Sources: []solver.Source{src},
+		Opts:    opts,
+	})
+}
+
+// meanOuterFraction is the fraction of elements classified outer (the
+// work that cannot hide communication), averaged over ranks.
+func meanOuterFraction(g *meshfem.Globe) float64 {
+	f := 0.0
+	for rank, l := range g.Locals {
+		f += mesh.BuildOverlap(l, g.Plans[rank]).OuterFraction()
+	}
+	return f / float64(len(g.Locals))
 }
 
 // --- FIG5: disk space vs resolution --------------------------------------
@@ -68,7 +100,7 @@ func Fig5(nexList []int) (*Fig5Result, error) {
 	var samples []perfmodel.Sample
 	res := &Fig5Result{}
 	for _, nex := range nexList {
-		g, err := buildGlobe(nex, 1, model)
+		g, err := buildGlobe(model, nex, 1, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -129,13 +161,64 @@ func (r *Fig5Result) String() string {
 	return b.String()
 }
 
-// --- FIG6: communication time vs core count ------------------------------
+// --- FIG6, COMM%, OVERLAP: one communication sweep ------------------------
 
-// Fig6Row is one measured run of the communication model sweep.
+// CommRow is one run of the communication sweep. FIG6 reads the total
+// virtual comm time, COMM% the comm fraction and OVERLAP the exposed,
+// hidden and blocking columns: in the paper too they are readings of
+// the same IPM-profiled runs.
+type CommRow struct {
+	P   int
+	Res int
+	// TotalComm is the full virtual network time summed over ranks
+	// (seconds), exposed plus hidden: what the two-term model describes,
+	// and all of it exposed under a blocking schedule.
+	TotalComm float64
+	// Exposed and Hidden split TotalComm under the overlapped schedule.
+	Exposed, Hidden float64
+	// Fraction is the comm fraction of the solver main loop;
+	// BlockingFrac the one a blocking schedule reports for the same run
+	// (BlockingCommFraction).
+	Fraction, BlockingFrac float64
+	// OuterFrac is the mean fraction of elements classified outer.
+	OuterFrac float64
+}
+
+// CommSweep runs the undoubled EarthLike globe at every (nex, nproc)
+// with nproc dividing nex, once each, and returns one row per run.
+func CommSweep(nexList, nprocList []int, steps int) ([]CommRow, error) {
+	model := earthmodel.EarthLike()
+	var rows []CommRow
+	for _, nex := range nexList {
+		for _, nproc := range nprocList {
+			if nex%nproc != 0 {
+				continue
+			}
+			g, err := buildGlobe(model, nex, nproc, nil)
+			if err != nil {
+				return nil, err
+			}
+			res, err := solveCentral(g, solver.Options{Steps: steps})
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, CommRow{
+				P: g.Decomp.NumRanks(), Res: nex,
+				TotalComm:    res.Perf.TotalCommTime().Seconds(),
+				Exposed:      res.MPI.Exposed().Seconds(),
+				Hidden:       res.MPI.HiddenCommTime.Seconds(),
+				Fraction:     res.Perf.CommFraction,
+				BlockingFrac: BlockingCommFraction(res.Perf),
+				OuterFrac:    meanOuterFraction(g),
+			})
+		}
+	}
+	return rows, nil
+}
+
+// Fig6Row is one sweep run next to the fitted model's value.
 type Fig6Row struct {
-	P         int
-	Res       int
-	TotalComm float64 // seconds summed over ranks
+	CommRow
 	ModelComm float64
 }
 
@@ -163,50 +246,23 @@ type Fig6Result struct {
 	PerMachine []Fig6Machine
 }
 
-// Fig6 sweeps NPROC_XI at fixed resolutions, measures total MPI time in
-// the solver main loop (the IPM measurement), and fits the two-term
-// communication model.
-func Fig6(nexList []int, nprocList []int, steps int) (*Fig6Result, error) {
-	model := earthmodel.EarthLike()
+// Fig6 fits the two-term communication model to the total MPI time of
+// the sweep's runs (the IPM measurement). It fits the total virtual
+// network time: the model describes the traffic, which the overlap
+// schedule hides but does not remove.
+func Fig6(rows []CommRow) (*Fig6Result, error) {
 	out := &Fig6Result{}
-	var samples []perfmodel.CommSample
-	for _, nex := range nexList {
-		for _, nproc := range nprocList {
-			if nex%nproc != 0 {
-				continue
-			}
-			g, err := buildGlobe(nex, nproc, model)
-			if err != nil {
-				return nil, err
-			}
-			src, err := centralSource(g)
-			if err != nil {
-				return nil, err
-			}
-			res, err := solver.Run(&solver.Simulation{
-				Locals: g.Locals, Plans: g.Plans, Model: model,
-				Sources: []solver.Source{src},
-				Opts:    solver.Options{Steps: steps},
-			})
-			if err != nil {
-				return nil, err
-			}
-			// Fit the two-term model against the total virtual network
-			// time: the model describes the traffic, which the overlap
-			// schedule hides but does not remove.
-			comm := res.Perf.TotalCommTime().Seconds()
-			p := g.Decomp.NumRanks()
-			samples = append(samples, perfmodel.CommSample{P: p, Res: float64(nex), TotalComm: comm})
-			out.Rows = append(out.Rows, Fig6Row{P: p, Res: nex, TotalComm: comm})
-		}
+	samples := make([]perfmodel.CommSample, len(rows))
+	for i, row := range rows {
+		samples[i] = perfmodel.CommSample{P: row.P, Res: float64(row.Res), TotalComm: row.TotalComm}
 	}
 	fit, err := perfmodel.FitCommModel(samples)
 	if err != nil {
 		return nil, err
 	}
 	out.Fit = fit
-	for i := range out.Rows {
-		out.Rows[i].ModelComm = fit.TotalComm(out.Rows[i].P, float64(out.Rows[i].Res))
+	for _, row := range rows {
+		out.Rows = append(out.Rows, Fig6Row{CommRow: row, ModelComm: fit.TotalComm(row.P, float64(row.Res))})
 	}
 	out.Pred12K = fit.PerCoreComm(12150, 1440)
 	out.Pred62K = fit.PerCoreComm(62000, 4848)
@@ -269,19 +325,11 @@ func Fig7(nexList []int, steps int) (*Fig7Result, error) {
 	out := &Fig7Result{}
 	var samples []perfmodel.Sample
 	for _, nex := range nexList {
-		g, err := buildGlobe(nex, 1, model)
+		g, err := buildGlobe(model, nex, 1, nil)
 		if err != nil {
 			return nil, err
 		}
-		src, err := centralSource(g)
-		if err != nil {
-			return nil, err
-		}
-		res, err := solver.Run(&solver.Simulation{
-			Locals: g.Locals, Plans: g.Plans, Model: model,
-			Sources: []solver.Source{src},
-			Opts:    solver.Options{Steps: steps},
-		})
+		res, err := solveCentral(g, solver.Options{Steps: steps})
 		if err != nil {
 			return nil, err
 		}
@@ -324,64 +372,23 @@ func (r *Fig7Result) String() string {
 
 // --- COMM%: communication fraction ---------------------------------------
 
-// CommFracResult reproduces the section 5 measurement: communication
-// time in the solver main loop as a fraction of total execution time.
-type CommFracResult struct {
-	Rows []CommFracRow
-}
-
-// CommFracRow is one configuration's measured fraction.
-type CommFracRow struct {
-	P        int
-	Res      int
-	Fraction float64
-}
-
-// CommFraction measures the IPM-style fraction on live runs.
-func CommFraction(nexList []int, nprocList []int, steps int) (*CommFracResult, error) {
-	model := earthmodel.EarthLike()
-	out := &CommFracResult{}
-	for _, nex := range nexList {
-		for _, nproc := range nprocList {
-			if nex%nproc != 0 {
-				continue
-			}
-			g, err := buildGlobe(nex, nproc, model)
-			if err != nil {
-				return nil, err
-			}
-			src, err := centralSource(g)
-			if err != nil {
-				return nil, err
-			}
-			res, err := solver.Run(&solver.Simulation{
-				Locals: g.Locals, Plans: g.Plans, Model: model,
-				Sources: []solver.Source{src},
-				Opts:    solver.Options{Steps: steps},
-			})
-			if err != nil {
-				return nil, err
-			}
-			out.Rows = append(out.Rows, CommFracRow{
-				P: g.Decomp.NumRanks(), Res: nex, Fraction: res.Perf.CommFraction,
-			})
-		}
-	}
-	return out, nil
-}
+// CommFractionTable renders the section 5 measurement over a CommSweep:
+// communication time in the solver main loop as a fraction of total
+// execution time.
+type CommFractionTable []CommRow
 
 // String renders the comm-fraction table.
-func (r *CommFracResult) String() string {
+func (t CommFractionTable) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "COMM%%: communication fraction of solver main loop (paper: 1.9%%-4.2%%, avg 3.2%%)\n")
 	fmt.Fprintf(&b, "  %6s %6s %10s\n", "P", "res", "comm frac")
 	sum := 0.0
-	for _, row := range r.Rows {
+	for _, row := range t {
 		fmt.Fprintf(&b, "  %6d %6d %9.2f%%\n", row.P, row.Res, 100*row.Fraction)
 		sum += row.Fraction
 	}
-	if len(r.Rows) > 0 {
-		fmt.Fprintf(&b, "  average: %.2f%%\n", 100*sum/float64(len(r.Rows)))
+	if len(t) > 0 {
+		fmt.Fprintf(&b, "  average: %.2f%%\n", 100*sum/float64(len(t)))
 	}
 	return b.String()
 }
@@ -410,7 +417,7 @@ func Memory(nexList []int) (*MemoryResult, error) {
 	model := earthmodel.NewPREM()
 	var samples []perfmodel.Sample
 	for _, nex := range nexList {
-		g, err := buildGlobe(nex, 1, model)
+		g, err := buildGlobe(model, nex, 1, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -472,12 +479,7 @@ func processCPU() (time.Duration, error) {
 
 // Attenuation times identical runs with attenuation off and on.
 func Attenuation(nex, steps int) (*AttenuationResult, error) {
-	model := earthmodel.EarthLike()
-	g, err := buildGlobe(nex, 1, model)
-	if err != nil {
-		return nil, err
-	}
-	src, err := centralSource(g)
+	g, err := buildGlobe(earthmodel.EarthLike(), nex, 1, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -486,12 +488,8 @@ func Attenuation(nex, steps int) (*AttenuationResult, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		res, err := solver.Run(&solver.Simulation{
-			Locals: g.Locals, Plans: g.Plans, Model: model,
-			Sources: []solver.Source{src},
-			Opts: solver.Options{Steps: steps, Attenuation: att,
-				AttenuationBand: [2]float64{0.001, 0.05}},
-		})
+		res, err := solveCentral(g, solver.Options{Steps: steps, Attenuation: att,
+			AttenuationBand: [2]float64{0.001, 0.05}})
 		if err != nil {
 			return 0, 0, err
 		}
@@ -584,8 +582,7 @@ type IOResult struct {
 // IOModes writes/reads the legacy database and compares against the
 // merged handoff; extrapolates the file count to 62K cores.
 func IOModes(nex int) (*IOResult, error) {
-	model := earthmodel.EarthLike()
-	g, err := buildGlobe(nex, 1, model)
+	g, err := buildGlobe(earthmodel.EarthLike(), nex, 1, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -628,7 +625,7 @@ func (r *IOResult) String() string {
 // LoadBalance reports the element-count balance of a decomposition (the
 // "excellent load balancing" of the improved mesh design).
 func LoadBalance(nex, nproc int) (mesh.LoadStats, error) {
-	g, err := buildGlobe(nex, nproc, earthmodel.EarthLike())
+	g, err := buildGlobe(earthmodel.EarthLike(), nex, nproc, nil)
 	if err != nil {
 		return mesh.LoadStats{}, err
 	}

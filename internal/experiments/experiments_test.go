@@ -64,18 +64,18 @@ func TestFig7ScalesSuperlinearly(t *testing.T) {
 }
 
 func TestCommFractionSmall(t *testing.T) {
-	r, err := CommFraction([]int{4}, []int{1}, 4)
+	rows, err := CommSweep([]int{4}, []int{1}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 1 {
-		t.Fatalf("%d rows", len(r.Rows))
+	if len(rows) != 1 {
+		t.Fatalf("%d rows", len(rows))
 	}
-	f := r.Rows[0].Fraction
+	f := rows[0].Fraction
 	if f < 0 || f > 0.9 {
 		t.Errorf("comm fraction %.3f implausible", f)
 	}
-	if !strings.Contains(r.String(), "COMM%") {
+	if !strings.Contains(CommFractionTable(rows).String(), "COMM%") {
 		t.Error("missing header")
 	}
 }
@@ -91,7 +91,7 @@ func TestMemoryModelMatchesPaperShape(t *testing.T) {
 	// The measured 2 s mesh lands within ~30x of the paper's 37 TB
 	// (our storage layout is deliberately heavier; see MEM37 notes).
 	if r.At2s < 5e12 || r.At2s > 30*37e12 {
-		t.Errorf("2 s memory %s not within 30x of the paper's 37 TB", formatBytes(r.At2s))
+		t.Errorf("2 s memory %s not within 30x of the paper's 37 TB", perfmodel.HumanBytes(r.At2s))
 	}
 	// The calibrated model reproduces the paper's arithmetic exactly:
 	// 37 TB / 1.85 GB = 20000 cores per application.
@@ -164,42 +164,79 @@ func TestIOModes(t *testing.T) {
 }
 
 // The overlap ablation must show the overlapped schedule exposing
-// strictly less communication than the blocking baseline (here at 6
-// ranks — one per cubed-sphere chunk).
+// strictly less communication than the blocking baseline (at 6 ranks —
+// one per cubed-sphere chunk — and at 24), and FIG6, COMM% and OVERLAP
+// must be three readings of the same sweep rows.
 func TestOverlapAblation(t *testing.T) {
-	r, err := Overlap([]int{4}, []int{1}, 4)
+	rows, err := CommSweep([]int{4}, []int{1, 2}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 1 {
-		t.Fatalf("%d rows", len(r.Rows))
+	if len(rows) != 2 {
+		t.Fatalf("%d rows", len(rows))
 	}
-	row := r.Rows[0]
-	if row.P < 4 {
-		t.Fatalf("only %d ranks; the ablation needs a real decomposition", row.P)
+	for _, row := range rows {
+		if row.P < 4 {
+			t.Fatalf("only %d ranks; the ablation needs a real decomposition", row.P)
+		}
+		if row.OuterFrac <= 0 || row.OuterFrac > 1 {
+			t.Errorf("P=%d: outer fraction %.3f implausible", row.P, row.OuterFrac)
+		}
+		if row.Hidden <= 0 {
+			t.Errorf("P=%d: overlap schedule hid no communication", row.P)
+		}
+		if row.Exposed >= row.TotalComm {
+			t.Errorf("P=%d: exposed comm not reduced: on %.6fs vs off %.6fs",
+				row.P, row.Exposed, row.TotalComm)
+		}
+		// The fractions divide by wall-clock busy time, so a loaded
+		// runner adds noise; allow slack instead of a strict comparison
+		// (the strict invariant is the exposed time above).
+		if row.Fraction > row.BlockingFrac+0.05 {
+			t.Errorf("P=%d: comm fraction not reduced: on %.4f vs off %.4f",
+				row.P, row.Fraction, row.BlockingFrac)
+		}
 	}
-	if row.OuterFrac <= 0 || row.OuterFrac > 1 {
-		t.Errorf("outer fraction %.3f implausible", row.OuterFrac)
-	}
-	if row.HiddenOn <= 0 {
-		t.Error("overlap schedule hid no communication")
-	}
-	if row.ExposedOn >= row.ExposedOff {
-		t.Errorf("exposed comm not reduced: on %.6fs vs off %.6fs",
-			row.ExposedOn, row.ExposedOff)
-	}
-	// The fractions divide by wall-clock busy time, so a loaded runner
-	// adds noise; allow slack instead of a strict comparison (the strict
-	// invariant is the exposed time above).
-	if row.FracOn > row.FracOff+0.05 {
-		t.Errorf("comm fraction not reduced: on %.4f vs off %.4f",
-			row.FracOn, row.FracOff)
-	}
+	overlap := OverlapTable(rows).String()
 	for _, want := range []string{"OVERLAP", "exposed-on", "exposed-off", "section 5"} {
-		if !strings.Contains(r.String(), want) {
+		if !strings.Contains(overlap, want) {
 			t.Errorf("report missing %q", want)
 		}
 	}
+
+	// One sweep, three tables: COMM% prints OVERLAP's frac-on column,
+	// and FIG6 lists the same (P, res) runs.
+	fig6, err := Fig6(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overlapRows := tableRows(overlap)
+	commRows := tableRows(CommFractionTable(rows).String())
+	fig6Rows := tableRows(fig6.String())
+	if len(overlapRows) != len(rows) || len(commRows) != len(rows) || len(fig6Rows) != len(rows) {
+		t.Fatalf("table rows: OVERLAP %d, COMM%% %d, FIG6 %d; want %d each",
+			len(overlapRows), len(commRows), len(fig6Rows), len(rows))
+	}
+	for key, fields := range overlapRows {
+		if c, ok := commRows[key]; !ok || c[2] != fields[6] {
+			t.Errorf("(P, res) = (%s): COMM%% fraction %v, OVERLAP frac-on %s", key, c, fields[6])
+		}
+		if _, ok := fig6Rows[key]; !ok {
+			t.Errorf("(P, res) = (%s) in OVERLAP but not in FIG6", key)
+		}
+	}
+}
+
+// tableRows indexes a rendered table's data lines (those starting with
+// the P column) by "P res".
+func tableRows(table string) map[string][]string {
+	rows := map[string][]string{}
+	for _, line := range strings.Split(table, "\n") {
+		if f := strings.Fields(line); len(f) > 2 && f[0][0] >= '0' && f[0][0] <= '9' {
+			rows[f[0]+" "+f[1]] = f
+		}
+	}
+	return rows
 }
 
 // The counts behind the SERVICE ablation's "margin dominated by session
@@ -243,8 +280,6 @@ func TestLoadBalance(t *testing.T) {
 	}
 }
 
-func formatBytes(b float64) string { return perfmodel.HumanBytes(b) }
-
 // The MESHDBL ablation's acceptance claim: at equal surface resolution,
 // doubling reduces the total element count and the halo surface-to-
 // volume ratio on the chunk decomposition, with exposed comm reported
@@ -287,28 +322,14 @@ func TestMeshDoubling(t *testing.T) {
 	}
 }
 
-// The per-machine overlap sweep must produce one row per catalog
-// machine, with slower links hiding and exposing more virtual time.
-func TestOverlapMachines(t *testing.T) {
-	r, err := OverlapMachines(4, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat := perfmodel.Catalog()
-	if len(r.Rows) != len(cat) {
-		t.Fatalf("rows %d, want %d", len(r.Rows), len(cat))
-	}
-	for _, row := range r.Rows {
-		if row.Exposed <= 0 && row.Hidden <= 0 {
-			t.Errorf("%s: no virtual comm accounted", row.Machine)
-		}
-	}
-}
-
 // Fig6 must extrapolate per machine: the slower-link Ranger fabric costs
 // more than the SeaStar2 baseline at the same scale.
 func TestFig6PerMachine(t *testing.T) {
-	r, err := Fig6([]int{4, 8}, []int{1}, 2)
+	rows, err := CommSweep([]int{4, 8}, []int{1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Fig6(rows)
 	if err != nil {
 		t.Fatal(err)
 	}

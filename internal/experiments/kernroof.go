@@ -7,7 +7,6 @@ import (
 	"specglobe/internal/boxmesh"
 	"specglobe/internal/earthmodel"
 	"specglobe/internal/mesh"
-	"specglobe/internal/meshfem"
 	"specglobe/internal/perf"
 	"specglobe/internal/perfmodel"
 	"specglobe/internal/solver"
@@ -34,12 +33,17 @@ type KernRoofRow struct {
 	// Gflops is the whole-loop achieved rate (all counted flops over
 	// wall time).
 	Gflops float64
+	ForceStats
+}
+
+// ForceStats places a run's force kernels on one core of the measured
+// local machine's roofline.
+type ForceStats struct {
 	// SolidAI and FluidAI are the counted per-phase arithmetic
 	// intensities (flop/byte) of the force phases.
 	SolidAI, FluidAI float64
 	// Force is the force-kernel roofline point: solid+fluid flops and
-	// bytes against the pool's kernel busy time, on one core of the
-	// measured local machine.
+	// bytes against the pool's kernel busy time.
 	Force perfmodel.RooflinePoint
 }
 
@@ -60,40 +64,51 @@ type kernRoofMesh struct {
 }
 
 // KernRoof runs the sweep: every kernel variant at every worker count
-// on each mesh, one solver run per cell.
+// on each mesh, the faster of two solver runs per cell.
 func KernRoof(boxN, globeNex, steps int, workers []int) (*KernRoofResult, error) {
 	meshes, err := kernRoofMeshes(boxN, globeNex)
 	if err != nil {
 		return nil, err
 	}
 	out := &KernRoofResult{Steps: steps, Machine: perfmodel.MeasureLocalMachine()}
-	kernels := []solver.Kernel{solver.KernelScalar, solver.KernelVec4}
-	// Each cell runs twice and keeps the faster run: the first pass
-	// faults pages and warms caches, and single short runs on a shared
-	// host are too noisy to rank kernels by.
-	const reps = 2
 	for _, m := range meshes {
 		for _, w := range workers {
-			for _, kv := range kernels {
-				var best *solver.Result
-				for rep := 0; rep < reps; rep++ {
-					res, err := solver.Run(&solver.Simulation{
-						Locals: m.locals, Plans: m.plans, Model: m.model,
-						Sources: []solver.Source{m.src},
-						Opts:    solver.Options{Steps: steps, Kernel: kv, Workers: w},
-					})
-					if err != nil {
-						return nil, fmt.Errorf("kernroof %s %v workers=%d: %w", m.name, kv, w, err)
-					}
-					if best == nil || res.Perf.WallTime < best.Perf.WallTime {
-						best = res
-					}
+			for _, kv := range []solver.Kernel{solver.KernelScalar, solver.KernelVec4} {
+				res, err := fastestRun(m, []solver.Source{m.src}, solver.Options{Steps: steps, Kernel: kv, Workers: w})
+				if err != nil {
+					return nil, fmt.Errorf("kernroof %s %v workers=%d: %w", m.name, kv, w, err)
 				}
-				out.Rows = append(out.Rows, kernRoofRow(m.name, kv, w, steps, best, out.Machine))
+				out.Rows = append(out.Rows, KernRoofRow{
+					Mesh: m.name, Kernel: kv, Workers: w,
+					StepsPerSec: float64(steps) / res.Perf.WallTime.Seconds(),
+					Gflops:      res.Perf.SustainedFlops / 1e9,
+					ForceStats:  forceStats(res.Perf, out.Machine),
+				})
 			}
 		}
 	}
 	return out, nil
+}
+
+// fastestRun runs the mesh twice with srcs under opts and keeps the
+// faster run: the first pass faults pages and warms caches, and single
+// short runs on a shared host are too noisy to rank rates by.
+func fastestRun(m kernRoofMesh, srcs []solver.Source, opts solver.Options) (*solver.Result, error) {
+	var best *solver.Result
+	for rep := 0; rep < 2; rep++ {
+		res, err := solver.Run(&solver.Simulation{
+			Locals: m.locals, Plans: m.plans, Model: m.model,
+			Sources: srcs,
+			Opts:    opts,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if best == nil || res.Perf.WallTime < best.Perf.WallTime {
+			best = res
+		}
+	}
+	return best, nil
 }
 
 // kernRoofMeshes builds the two sweep meshes: a homogeneous box and a
@@ -124,10 +139,7 @@ func kernRoofMeshes(boxN, globeNex int) ([]kernRoofMesh, error) {
 		},
 	})
 
-	model := earthmodel.EarthLike()
-	g, err := meshfem.Build(meshfem.Config{
-		NexXi: globeNex, NProcXi: 1, Model: model, Doublings: []float64{5200e3},
-	})
+	g, err := buildGlobe(earthmodel.EarthLike(), globeNex, 1, []float64{5200e3})
 	if err != nil {
 		return nil, err
 	}
@@ -136,29 +148,23 @@ func kernRoofMeshes(boxN, globeNex int) ([]kernRoofMesh, error) {
 		return nil, err
 	}
 	meshes = append(meshes, kernRoofMesh{
-		name: "globe-dbl", locals: g.Locals, plans: g.Plans, model: model, src: src,
+		name: "globe-dbl", locals: g.Locals, plans: g.Plans, model: g.Cfg.Model, src: src,
 	})
 	return meshes, nil
 }
 
-// kernRoofRow derives one table row from a run's perf report.
-func kernRoofRow(name string, kv solver.Kernel, w, steps int, res *solver.Result, m perfmodel.Machine) KernRoofRow {
-	rep := res.Perf
+// forceStats reads a run's force-phase intensities and roofline point.
+// The pool charges force-kernel busy time to kernel_parallel (CPU time
+// summed over workers), so flops over that time is a per-core rate
+// whatever the worker count; it is compared against one core of m.
+func forceStats(rep perf.Report, m perfmodel.Machine) ForceStats {
 	solid, fluid := perf.PhaseForceSolid.String(), perf.PhaseForceFluid.String()
-	forceFlops := rep.PhaseFlops[solid] + rep.PhaseFlops[fluid]
-	forceBytes := rep.PhaseBytes[solid] + rep.PhaseBytes[fluid]
-	// The pool charges force-kernel busy time to kernel_parallel (CPU
-	// time summed over workers), so flops over that time is a per-core
-	// rate whatever the worker count; compare it against one core of
-	// the roofline.
 	busy := rep.PhaseTotals[perf.PhaseKernelParallel.String()].Seconds()
-	return KernRoofRow{
-		Mesh: name, Kernel: kv, Workers: w,
-		StepsPerSec: float64(steps) / rep.WallTime.Seconds(),
-		Gflops:      rep.SustainedFlops / 1e9,
-		SolidAI:     rep.ArithmeticIntensity(solid),
-		FluidAI:     rep.ArithmeticIntensity(fluid),
-		Force:       perfmodel.RooflineFor(m, 1, forceFlops, forceBytes, busy),
+	return ForceStats{
+		SolidAI: rep.ArithmeticIntensity(solid),
+		FluidAI: rep.ArithmeticIntensity(fluid),
+		Force: perfmodel.RooflineFor(m, 1,
+			rep.PhaseFlops[solid]+rep.PhaseFlops[fluid], rep.PhaseBytes[solid]+rep.PhaseBytes[fluid], busy),
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"specglobe/internal/earthmodel"
 	"specglobe/internal/mesh"
-	"specglobe/internal/meshfem"
 	"specglobe/internal/perfmodel"
 	"specglobe/internal/solver"
 )
@@ -91,35 +90,17 @@ func LTSAblation(configs [][2]int, doublings []float64, steps int) (*LTSResult, 
 			if v.doubled {
 				dbl = doublings
 			}
-			g, err := meshfem.Build(meshfem.Config{
-				NexXi: nex, NProcXi: nproc, Model: model, Doublings: dbl,
-			})
+			g, err := buildGlobe(model, nex, nproc, dbl)
 			if err != nil {
 				return nil, fmt.Errorf("lts (nex %d, nproc %d, %s): %w", nex, nproc, v.name, err)
 			}
-			src, err := centralSource(g)
+			res, err := solveCentral(g, solver.Options{Steps: steps, LTS: v.lts})
 			if err != nil {
 				return nil, err
-			}
-			res, err := solver.Run(&solver.Simulation{
-				Locals: g.Locals, Plans: g.Plans, Model: model,
-				Sources: []solver.Source{src},
-				Opts:    solver.Options{Steps: steps, LTS: v.lts},
-			})
-			if err != nil {
-				return nil, err
-			}
-			elems := 0
-			for _, l := range g.Locals {
-				for _, reg := range l.Regions {
-					if reg != nil {
-						elems += reg.NSpec
-					}
-				}
 			}
 			row := LTSRow{
 				P: g.Decomp.NumRanks(), Res: nex, Variant: v.name,
-				Elements:             elems,
+				Elements:             g.TotalElements(),
 				Dt:                   res.Dt,
 				TheoreticalReduction: 1,
 				StepsFinestPerSec:    float64(steps) / res.Perf.WallTime.Seconds(),
@@ -212,7 +193,9 @@ type OverlapJointRow struct {
 // axes the FIG6/OVERLAP extrapolations otherwise vary one at a time,
 // measured together so their interaction is visible in one table
 // (doubling shrinks the halo the inner elements must hide; a slower link
-// stretches it).
+// stretches it). Its undoubled rows are the per-machine overlap runs: a
+// slower link leaves more transfer time to hide, a faster one shrinks
+// both exposed and hidden comm.
 type OverlapJointResult struct {
 	P, Res, Steps int
 	Doublings     []float64
@@ -230,23 +213,13 @@ func OverlapJoint(nex, nproc, steps int, doublings []float64) (*OverlapJointResu
 		if doubled {
 			dbl = doublings
 		}
-		g, err := meshfem.Build(meshfem.Config{
-			NexXi: nex, NProcXi: nproc, Model: model, Doublings: dbl,
-		})
+		g, err := buildGlobe(model, nex, nproc, dbl)
 		if err != nil {
 			return nil, err
 		}
 		out.P = g.Decomp.NumRanks()
-		src, err := centralSource(g)
-		if err != nil {
-			return nil, err
-		}
 		for _, m := range perfmodel.Catalog() {
-			res, err := solver.Run(&solver.Simulation{
-				Locals: g.Locals, Plans: g.Plans, Model: model,
-				Sources: []solver.Source{src},
-				Opts:    solver.Options{Steps: steps, Network: m.Net()},
-			})
+			res, err := solveCentral(g, solver.Options{Steps: steps, Network: m.Net()})
 			if err != nil {
 				return nil, err
 			}

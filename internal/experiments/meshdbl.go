@@ -6,7 +6,6 @@ import (
 
 	"specglobe/internal/earthmodel"
 	"specglobe/internal/mesh"
-	"specglobe/internal/meshfem"
 	"specglobe/internal/solver"
 )
 
@@ -47,7 +46,7 @@ type MeshDblRow struct {
 	OuterFrac float64
 	// Solver measurements: exposed virtual comm (summed over ranks) and
 	// the comm fraction of the main loop, overlapped and blocking
-	// (derived, see OverlapRow).
+	// (derived, see CommRow).
 	ExposedOn, ExposedOff float64
 	FracOn, FracOff       float64
 	StepsPerSec           float64
@@ -74,37 +73,22 @@ func MeshDoubling(configs [][2]int, doublings []float64, steps int) (*MeshDblRes
 			if doubled {
 				dbl = doublings
 			}
-			g, err := meshfem.Build(meshfem.Config{
-				NexXi: nex, NProcXi: nproc, Model: model, Doublings: dbl,
-			})
+			g, err := buildGlobe(model, nex, nproc, dbl)
 			if err != nil {
 				return nil, fmt.Errorf("meshdbl (nex %d, nproc %d, doubled %v): %w", nex, nproc, doubled, err)
 			}
-			src, err := centralSource(g)
-			if err != nil {
-				return nil, err
-			}
-			on, err := solver.Run(&solver.Simulation{
-				Locals: g.Locals, Plans: g.Plans, Model: model,
-				Sources: []solver.Source{src},
-				Opts:    solver.Options{Steps: steps},
-			})
+			on, err := solveCentral(g, solver.Options{Steps: steps})
 			if err != nil {
 				return nil, err
 			}
 			hs := mesh.ComputeHaloStats(g.Locals, g.Plans)
-			outerFrac := 0.0
-			for rank, l := range g.Locals {
-				outerFrac += mesh.BuildOverlap(l, g.Plans[rank]).OuterFraction()
-			}
-			outerFrac /= float64(len(g.Locals))
 			out.Rows = append(out.Rows, MeshDblRow{
 				P: g.Decomp.NumRanks(), Res: nex, Doubled: doubled,
 				Elements:         hs.Elements,
 				HaloPoints:       hs.HaloPoints,
 				SurfacePerVolume: hs.SurfacePerVolume,
 				ShortestPeriod:   g.ShortestPeriod,
-				OuterFrac:        outerFrac,
+				OuterFrac:        meanOuterFraction(g),
 				ExposedOn:        on.MPI.Exposed().Seconds(),
 				ExposedOff:       on.MPI.VirtualCommTime.Seconds(),
 				FracOn:           on.Perf.CommFraction,

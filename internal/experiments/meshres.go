@@ -77,26 +77,21 @@ func MeshResolution(configs [][2]int, manual []float64, steps int) (*MeshResResu
 		out.TargetPeriodS = period
 		out.Budget = resolved.PointsPerWavelength
 		for _, schedule := range []string{"uniform", "manual", "derived"} {
-			cfg := meshfem.Config{NexXi: nex, NProcXi: nproc, Model: model}
+			var g *meshfem.Globe
+			var err error
 			switch schedule {
+			case "uniform":
+				g, err = buildGlobe(model, nex, nproc, nil)
 			case "manual":
-				cfg.Doublings = manual
+				g, err = buildGlobe(model, nex, nproc, manual)
 			case "derived":
-				cfg.AutoDoubling = &meshfem.AutoDoubling{TargetPeriodS: period}
+				g, err = meshfem.Build(meshfem.Config{NexXi: nex, NProcXi: nproc, Model: model,
+					AutoDoubling: &meshfem.AutoDoubling{TargetPeriodS: period}})
 			}
-			g, err := meshfem.Build(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("meshres (nex %d, nproc %d, %s): %w", nex, nproc, schedule, err)
 			}
-			src, err := centralSource(g)
-			if err != nil {
-				return nil, err
-			}
-			res, err := solver.Run(&solver.Simulation{
-				Locals: g.Locals, Plans: g.Plans, Model: model,
-				Sources: []solver.Source{src},
-				Opts:    solver.Options{Steps: steps},
-			})
+			res, err := solveCentral(g, solver.Options{Steps: steps})
 			if err != nil {
 				return nil, err
 			}

@@ -5,7 +5,9 @@
 # 2. every internal/* package carries a real `// Package ...` comment,
 # 3. every markdown file referenced from doc.go or README.md exists,
 # 4. every specfemvet analyzer's Doc names a DESIGN.md anchor that
-#    resolves to a real DESIGN.md heading.
+#    resolves to a real DESIGN.md heading,
+# 5. every experiment id `go run ./cmd/paperfigs -list` prints has a row
+#    in the "Experiment index" table of DESIGN.md and of EXPERIMENTS.md.
 set -u
 fail=0
 
@@ -61,6 +63,23 @@ for f in internal/analysis/*.go; do
         a=${ref#DESIGN.md#}
         if ! printf '%s\n' "$anchors" | grep -qx "$a"; then
             echo "docscheck: $f cites $ref but DESIGN.md has no heading '$a'" >&2
+            fail=1
+        fi
+    done
+done
+
+# Experiment ids: the first cell of each table row under the
+# "## Experiment index" heading, up to the next "## " heading.
+if ! list=$(go run ./cmd/paperfigs -list) || [ -z "$list" ]; then
+    echo "docscheck: go run ./cmd/paperfigs -list failed" >&2
+    fail=1
+fi
+for doc in DESIGN.md EXPERIMENTS.md; do
+    rows=$(awk '/^## / { on = ($0 == "## Experiment index") }
+        on && /^\|/ { split($0, c, "|"); gsub(/ /, "", c[2]); print c[2] }' "$doc")
+    for id in $(printf '%s\n' "$list" | awk '{ print $1 }'); do
+        if ! printf '%s\n' "$rows" | grep -qxF "$id"; then
+            echo "docscheck: paperfigs id $id has no row in $doc's experiment index" >&2
             fail=1
         fi
     done
