@@ -17,11 +17,27 @@ func (p *pool) sweepRange(scr []*kernelScratch, n int, busy *int64, fn func(ks *
 	fn(scr[0], 0, n)
 }
 
+type span struct{ i, at, n int32 }
+
+func (p *pool) sweepSpans(scr []*kernelScratch, spans []span, n int, busy *int64, fn func(spans []span)) {
+	fn(spans)
+}
+
 type state struct {
 	accel []float32
 	ibool []int32
 	seen  map[int32]bool
 	next  int
+}
+
+func spanOutside(p *pool, s *state, spans []span, n int) {
+	var busy int64
+	p.sweepSpans(nil, spans, n, &busy, func(spans []span) {
+		for _, sp := range spans {
+			s.accel[sp.i] = 0
+			s.accel[s.next] = 0 // want "write to shared state is not indexed through the chunk's own range"
+		}
+	})
 }
 
 func capturedVar(p *pool, scr []*kernelScratch, elems []int32) int {

@@ -21,10 +21,36 @@ func (p *pool) sweepRange(scr []*kernelScratch, n int, busy *int64, fn func(ks *
 	fn(scr[0], 0, n)
 }
 
+type span struct{ i, at, n int32 }
+
+func (p *pool) sweepSpans(scr []*kernelScratch, spans []span, n int, busy *int64, fn func(spans []span)) {
+	fn(spans)
+}
+
 type state struct {
 	accel []float32
 	ibool []int32
 	mass  []float32
+	hold  []float32
+}
+
+// tail writes each span's own points, through a helper that receives
+// them as sub-slices, and copies them into the span's hold slots.
+func tail(p *pool, s *state, spans []span, n int) {
+	var busy int64
+	p.sweepSpans(nil, spans, n, &busy, func(spans []span) {
+		for _, sp := range spans {
+			divide(s.accel[sp.i:sp.i+sp.n], s.mass[sp.i:sp.i+sp.n])
+			copy(s.hold[sp.at:sp.at+sp.n], s.accel[sp.i:sp.i+sp.n])
+		}
+	})
+}
+
+func divide(a, m []float32) {
+	m = m[:len(a)]
+	for k := range a {
+		a[k] *= m[k]
+	}
 }
 
 func forces(p *pool, s *state, scr []*kernelScratch, elems []int32) {

@@ -543,21 +543,24 @@ type MesherResult struct {
 }
 
 // Mesher times the merged single-pass build against the legacy two-pass
-// behavior.
+// behavior: the best of three builds per mode, the modes alternating, so
+// one build slowed by a busy host does not decide the factor.
 func Mesher(nex int) (*MesherResult, error) {
 	model := earthmodel.NewPREM()
-	t0 := time.Now()
-	if _, err := meshfem.Build(meshfem.Config{NexXi: nex, NProcXi: 1, Model: model}); err != nil {
-		return nil, err
+	var best [2]time.Duration // single pass, two pass
+	for range 3 {
+		for mode, twoPass := range []bool{false, true} {
+			t0 := time.Now()
+			if _, err := meshfem.Build(meshfem.Config{NexXi: nex, NProcXi: 1, Model: model, TwoPassMaterials: twoPass}); err != nil {
+				return nil, err
+			}
+			if d := time.Since(t0); best[mode] == 0 || d < best[mode] {
+				best[mode] = d
+			}
+		}
 	}
-	single := time.Since(t0)
-	t1 := time.Now()
-	if _, err := meshfem.Build(meshfem.Config{NexXi: nex, NProcXi: 1, Model: model, TwoPassMaterials: true}); err != nil {
-		return nil, err
-	}
-	double := time.Since(t1)
-	return &MesherResult{SinglePass: single, TwoPass: double,
-		Factor: double.Seconds() / single.Seconds()}, nil
+	return &MesherResult{SinglePass: best[0], TwoPass: best[1],
+		Factor: best[1].Seconds() / best[0].Seconds()}, nil
 }
 
 // String renders the mesher comparison.

@@ -444,12 +444,13 @@ type ByteCounts struct {
 
 	SolidPredictor int64 // per solid grid point per step
 	FluidPredictor int64 // per fluid grid point per step
-	SolidMassDiv   int64 // per solid grid point per step
-	FluidMassDiv   int64 // per fluid grid point per step
-	SolidCorrector int64 // per solid grid point per step
-	FluidCorrector int64 // per fluid grid point per step
-	Coriolis       int64 // per solid point per step, when rotation is on
+	// SolidTail is the solid step's one pass after the forces: mass
+	// division, Coriolis and corrector share its streams, so rotation
+	// adds none; Gravity is the extra traffic when gravity is on.
+	SolidTail      int64 // per solid grid point per step
 	Gravity        int64 // per solid point per step, when gravity is on
+	FluidMassDiv   int64 // per fluid grid point per step
+	FluidCorrector int64 // per fluid grid point per step
 
 	CouplePoint   int64 // per boundary-face GLL point per step
 	TractionPoint int64 // per boundary-face GLL point per step
@@ -496,16 +497,17 @@ func DefaultByteCounts() ByteCounts {
 		// component — 6 streams/component; one component for the fluid.
 		SolidPredictor: 3 * 6 * f32,
 		FluidPredictor: 6 * f32,
-		// a rmw per component + one shared inverse-mass read.
-		SolidMassDiv: (3*2 + 1) * f32,
-		FluidMassDiv: (2 + 1) * f32,
-		// v rmw + a read per component.
-		SolidCorrector: 3 * 3 * f32,
+		// Solid tail: a rmw (3 components) + one shared inverse-mass
+		// read + v rmw (3 components), each streamed once — the
+		// corrector takes a from registers, Coriolis reads the v the
+		// corrector streams. Gravity adds d r (3) + g-table r (2) +
+		// rhat r (3).
+		SolidTail: (3*2 + 1 + 3*2) * f32,
+		Gravity:   (3 + 2 + 3) * f32,
+		// Fluid division: chiDdot rmw + inverse-mass read; corrector:
+		// chiDot rmw + chiDdot read — two passes.
+		FluidMassDiv:   (2 + 1) * f32,
 		FluidCorrector: 3 * f32,
-		// Coriolis: v r (2) + a rmw (4). Gravity: d r (3) + g-table
-		// r (2) + a rmw (6).
-		Coriolis: 6 * f32,
-		Gravity:  11 * f32,
 
 		// Coupling: 3 displacement r + 3 normal r + weight r + point
 		// indices (2 int32) + chiDdot rmw.

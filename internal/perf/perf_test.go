@@ -194,11 +194,9 @@ func TestDefaultByteCounts(t *testing.T) {
 		"AttenuationMech": bc.AttenuationMech,
 		"SolidPredictor":  bc.SolidPredictor,
 		"FluidPredictor":  bc.FluidPredictor,
-		"SolidMassDiv":    bc.SolidMassDiv,
+		"SolidTail":       bc.SolidTail,
 		"FluidMassDiv":    bc.FluidMassDiv,
-		"SolidCorrector":  bc.SolidCorrector,
 		"FluidCorrector":  bc.FluidCorrector,
-		"Coriolis":        bc.Coriolis,
 		"Gravity":         bc.Gravity,
 		"CouplePoint":     bc.CouplePoint,
 		"TractionPoint":   bc.TractionPoint,

@@ -38,13 +38,12 @@ func (rs *rankState) localEnergy() (kinetic, potential float64) {
 			for p, g := range ib {
 				jw := float64(reg.JacW[base+p])
 				rho := float64(reg.Rho[base+p])
-				v2 := float64(f.vx[g])*float64(f.vx[g]) +
-					float64(f.vy[g])*float64(f.vy[g]) +
-					float64(f.vz[g])*float64(f.vz[g])
+				v := &f.v[g]
+				v2 := float64(v[0])*float64(v[0]) +
+					float64(v[1])*float64(v[1]) +
+					float64(v[2])*float64(v[2])
 				kinetic += 0.5 * rho * jw * v2
-				ux[p] = f.dx[g]
-				uy[p] = f.dy[g]
-				uz[p] = f.dz[g]
+				ux[p], uy[p], uz[p] = f.d[g][0], f.d[g][1], f.d[g][2]
 			}
 			// Strain energy.
 			k.grad(ux[:], t1x[:], t2x[:], t3x[:])

@@ -119,8 +119,8 @@ func (rs *rankState) addSolidDisplacementToFluid(faces []mesh.CoupleFace) {
 		for s, fl := range rs.fluid {
 			f := fs[s]
 			for q := 0; q < mesh.NGLL2; q++ {
-				sp := cf.SolidPt[q]
-				un := f.dx[sp]*cf.Nx[q] + f.dy[sp]*cf.Ny[q] + f.dz[sp]*cf.Nz[q]
+				u := &f.d[cf.SolidPt[q]]
+				un := u[0]*cf.Nx[q] + u[1]*cf.Ny[q] + u[2]*cf.Nz[q]
 				fl.chiDdot[cf.FluidPt[q]] += cf.Weight[q] * un
 			}
 		}

@@ -12,17 +12,18 @@ import "math"
 // flush-to-zero compiler flags; Go has neither, so the integrator
 // flushes by hand: the loop that last writes a state array in a step
 // passes the value through ftz. That is the displacement and the
-// potential in every predictor variant, and the acceleration in the
-// mass-division loops and the ocean load — so the corrector adds zero
-// or a value of at least dt/2 * 2^-80 to the velocity, which therefore
-// stays on a grid of normal numbers, and the LTS holds copy flushed
-// values. The sampled source-time function is flushed too. The
-// attenuation memory variables need no flush of their own (they are
-// driven by the strain of a flushed displacement); the end-of-run
-// census (rankState.stateCensus) counts them with the rest, and counts
-// final accelerations below the threshold. Every path applies ftz at
-// the same point of the same arithmetic, so the bit-identity contracts
-// between paths hold.
+// potential in the predictor, and the acceleration in the solid tail
+// pass, the fluid mass division and the ocean load — so every
+// corrector (the tail's, the ocean loop's for the surface points, the
+// fluid's) adds zero or a value of at least dt/2 * 2^-80 to the
+// velocity, which therefore stays on a grid of normal numbers, and the
+// LTS holds copy flushed values. The sampled source-time function is
+// flushed too. The attenuation memory variables need no flush of their
+// own (they are driven by the strain of a flushed displacement); the
+// end-of-run census (rankState.stateCensus) counts them with the rest,
+// and counts final accelerations below the threshold. Every path
+// applies ftz at the same point of the same arithmetic, so the
+// bit-identity contracts between paths hold.
 
 // flushExp is the biased-exponent field of 2^-80 (8.3e-25, the
 // magnitude of SPECFEM's VERYSMALLVAL). The threshold sits far above
@@ -56,23 +57,12 @@ func census(a []float32) (maxAbsBits uint32, subnormals int64) {
 	return maxAbsBits, subnormals
 }
 
-// unflushed counts the values of the arrays — at the points of list,
-// or everywhere when list is nil — that ftz would have zeroed. A final
+// unflushed counts the values of a that ftz would have zeroed. A final
 // acceleration holds one only if its write site skipped the flush.
-func unflushed(list []int32, arrs ...[]float32) (n int64) {
-	for _, a := range arrs {
-		if list == nil {
-			for _, v := range a {
-				if v != 0 && ftz(v) == 0 {
-					n++
-				}
-			}
-			continue
-		}
-		for _, i := range list {
-			if v := a[i]; v != 0 && ftz(v) == 0 {
-				n++
-			}
+func unflushed(a []float32) (n int64) {
+	for _, v := range a {
+		if v != 0 && ftz(v) == 0 {
+			n++
 		}
 	}
 	return n

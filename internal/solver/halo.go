@@ -1,7 +1,9 @@
 package solver
 
 import (
+	"fmt"
 	"sort"
+	"unsafe"
 
 	"specglobe/internal/earthmodel"
 	"specglobe/internal/mpi"
@@ -14,10 +16,11 @@ import (
 // no maps, sorts nothing and resolves no masks.
 //
 // Wire layout of one message, outermost to innermost: wavefield, region
-// part, component, shared point. A single region with one component is
-// the scalar exchange, with three the vector exchange, and the two solid
-// regions back to back are the combined exchange of the paper ("handling
-// crust mantle and inner core simultaneously").
+// part, shared point, component — each point's components as adjacent in
+// the message as in the state arrays. A single region with one
+// component is the scalar exchange, with three the vector exchange, and
+// the two solid regions back to back are the combined exchange of the
+// paper ("handling crust mantle and inner core simultaneously").
 
 // Halo sets: the region combinations that travel in one message. The
 // single-region sets are indexed by region kind.
@@ -51,8 +54,8 @@ type haloRoute []routePeer
 // haloSet is one region combination's exchange state: the arrays the
 // step loop assembles.
 type haloSet struct {
-	nc  int           // components per wavefield
-	arr [][][]float32 // arr[part][field*nc+component]; nil part = region absent
+	nc  int           // components per point
+	arr [][][]float32 // arr[part][field], nc values per point; nil part = region absent
 }
 
 // buildRoute resolves one halo set against per-region edge point lists:
@@ -85,6 +88,15 @@ func (rs *rankState) buildRoute(set int, idx *[3][][]int32) haloRoute {
 	return rt
 }
 
+// flat views xyz triples as the float32 array they are in memory, three
+// values per point — the form the exchange assembles.
+func flat(a [][3]float32) []float32 {
+	if len(a) == 0 {
+		return nil
+	}
+	return unsafe.Slice(&a[0][0], 3*len(a))
+}
+
 // buildHaloSets points the four halo sets at the arrays the step loop
 // assembles — the fluid potential accelerations and the solid
 // accelerations, all wavefields in field order.
@@ -92,7 +104,7 @@ func (rs *rankState) buildHaloSets() {
 	var accel [3][][]float32
 	for kind, fs := range rs.solid {
 		for _, f := range fs {
-			accel[kind] = append(accel[kind], f.ax, f.ay, f.az)
+			accel[kind] = append(accel[kind], flat(f.a))
 		}
 	}
 	for _, fl := range rs.fluid {
@@ -157,16 +169,14 @@ type pendingExchange struct {
 }
 
 // beginExchange packs and sends this rank's contributions for nf
-// wavefields of nc components — one aggregated message per neighbor
-// (nf× payload, 1× latency) — and posts the receives. Halo-point entries
-// must be final before the call; only non-halo points may be written
-// between begin and finish. It consumes a tag unconditionally, so
-// sequence numbers stay aligned across ranks even when this rank has no
-// peer (or no region) for the set. The receives are posted non-blocking
-// *now*, so the virtual transfer time between here and finish is
-// credited as hidden.
-//
-//specfem:noaccount halo pack adds are O(boundary points); the volume flop model excludes surface assembly by design and charges the phase as comm time
+// wavefields of nc components per point (arr[part][field]) — one
+// aggregated message per neighbor (nf× payload, 1× latency) — and posts
+// the receives. Halo-point entries must be final before the call; only
+// non-halo points may be written between begin and finish. It consumes
+// a tag unconditionally, so sequence numbers stay aligned across ranks
+// even when this rank has no peer (or no region) for the set. The
+// receives are posted non-blocking *now*, so the virtual transfer time
+// between here and finish is credited as hidden.
 func (rs *rankState) beginExchange(rt haloRoute, nf, nc int, arr [][][]float32) *pendingExchange {
 	tag := rs.nextTag()
 	p := &pendingExchange{rt: rt, nf: nf, nc: nc, arr: arr, reqs: make([]*mpi.Request, 0, len(rt))}
@@ -182,12 +192,9 @@ func (rs *rankState) beginExchange(rt haloRoute, nf, nc int, arr [][][]float32) 
 				if len(idx) == 0 {
 					continue
 				}
-				for _, a := range arr[k][s*nc : (s+1)*nc] {
-					for j, g := range idx {
-						buf[off+j] = a[g]
-					}
-					off += len(idx)
-				}
+				m := nc * len(idx)
+				packPoints(buf[off:off+m], arr[k][s], idx, nc)
+				off += m
 			}
 		}
 		rs.comm.Isend(pr.peer, tag, buf) // copies the payload
@@ -198,8 +205,6 @@ func (rs *rankState) beginExchange(rt haloRoute, nf, nc int, arr [][][]float32) 
 
 // finish completes the exchange: every peer's payload is added into the
 // local arrays. Safe on a route without peers.
-//
-//specfem:noaccount halo unpack adds are O(boundary points), charged as comm time like the pack
 func (p *pendingExchange) finish() {
 	for i, pr := range p.rt {
 		got := p.reqs[i].Wait()
@@ -209,14 +214,52 @@ func (p *pendingExchange) finish() {
 				if len(idx) == 0 {
 					continue
 				}
-				for _, a := range p.arr[k][s*p.nc : (s+1)*p.nc] {
-					for j, g := range idx {
-						a[g] += got[off+j]
-					}
-					off += len(idx)
-				}
+				n := p.nc * len(idx)
+				addPoints(p.arr[k][s], got[off:off+n], idx, p.nc)
+				off += n
 			}
 		}
+	}
+}
+
+// packPoints copies the values of the points idx of a into buf, point
+// by point. A point carries nc = 1 (scalar) or 3 (xyz triple) values; a
+// triple moves as one unit.
+func packPoints(buf, a []float32, idx []int32, nc int) {
+	switch nc {
+	case 1:
+		for j, g := range idx {
+			buf[j] = a[g]
+		}
+	case 3:
+		for j, g := range idx {
+			i := 3 * int(g)
+			s, d := a[i:i+3:i+3], buf[3*j:3*j+3:3*j+3]
+			d[0], d[1], d[2] = s[0], s[1], s[2]
+		}
+	default:
+		panic(fmt.Sprintf("solver: halo point of %d values", nc))
+	}
+}
+
+// addPoints adds a peer's payload got into the points idx of a, the
+// inverse of packPoints.
+//
+//specfem:noaccount halo unpack adds are O(boundary points), charged as comm time like the pack
+func addPoints(a, got []float32, idx []int32, nc int) {
+	switch nc {
+	case 1:
+		for j, g := range idx {
+			a[g] += got[j]
+		}
+	case 3:
+		for j, g := range idx {
+			i := 3 * int(g)
+			d, s := a[i:i+3:i+3], got[3*j:3*j+3:3*j+3]
+			d[0], d[1], d[2] = d[0]+s[0], d[1]+s[1], d[2]+s[2]
+		}
+	default:
+		panic(fmt.Sprintf("solver: halo point of %d values", nc))
 	}
 }
 

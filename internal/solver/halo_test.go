@@ -15,7 +15,8 @@ import (
 // one without LTS, the top one with it — sweeps the overlap colour
 // classes, covers every point of a region with its passes (without LTS
 // in one full-range pass), and routes the plan's edge lists themselves
-// (no copy); under LTS the lower levels really drop points and peers.
+// (no copy); under LTS the lower levels really drop points and peers,
+// and every level's passes fire exactly its points.
 func TestHaloRoutes(t *testing.T) {
 	g, model := coupledGlobe(t, 4, 2)
 	for _, lts := range []bool{true, false} {
@@ -111,9 +112,36 @@ func TestHaloRoutes(t *testing.T) {
 				for _, ps := range top.passes[kind] {
 					n += ps.n
 				}
-				if n != reg.NGlob || top.final[kind].list != nil || top.final[kind].n != reg.NGlob ||
-					!lts && (len(top.passes[kind]) != 1 || top.passes[kind][0].list != nil) {
+				if n != reg.NGlob || !lts && (len(top.passes[kind]) != 1 || !wholeRange(top.passes[kind][0], reg.NGlob)) {
 					t.Errorf("lts=%v rank %d kind %d: %d top passes fire %d of %d points", lts, r, kind, len(top.passes[kind]), n, reg.NGlob)
+				}
+				if !lts {
+					continue
+				}
+				// Every level's passes fire exactly the points of rate at
+				// most the level's: the step's tail finalises them and
+				// nothing else.
+				for li := range rs.levels {
+					rate := int32(1) << li
+					want, fired := 0, 0
+					for _, pr := range rs.clus.PointRate[kind] {
+						if max(pr, 1) <= rate {
+							want++
+						}
+					}
+					for _, ps := range rs.levels[li].passes[kind] {
+						for _, s := range ps.spans {
+							for i := s.i; i < s.i+s.n; i++ {
+								if max(rs.clus.PointRate[kind][i], 1) > rate {
+									t.Errorf("rank %d kind %d level %d: point %d of rate %d fires", r, kind, li, i, rs.clus.PointRate[kind][i])
+								}
+							}
+							fired += int(s.n)
+						}
+					}
+					if fired != want {
+						t.Errorf("rank %d kind %d level %d: passes fire %d of the %d points of rate <= %d", r, kind, li, fired, want, rate)
+					}
 				}
 			}
 		}
@@ -126,4 +154,17 @@ func TestHaloRoutes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// wholeRange reports whether a pass's spans tile [0, n) in order, each
+// span's hold slots at its points.
+func wholeRange(ps newmarkPass, n int) bool {
+	next := int32(0)
+	for _, s := range ps.spans {
+		if s.i != next || s.at != next || s.n < 1 || s.n > minPointChunk {
+			return false
+		}
+		next += s.n
+	}
+	return ps.n == n && next == int32(n)
 }

@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"cmp"
+	"math/bits"
 	"slices"
 
 	"specglobe/internal/earthmodel"
@@ -19,8 +21,8 @@ import (
 //
 // Each levelPlan is resolved once at setup (buildLevels) and the step
 // reads nothing else: the colour classes that fire, the Newmark passes
-// (point list, hold level, rate-scaled dt), the points whose
-// acceleration is final, the fluid division lists and one halo route per
+// (point spans, hold level, rate-scaled dt, ocean points; together the
+// points that fire), the fluid division lists and one halo route per
 // set. A run without local time stepping is the wheel with one level:
 // the overlap classes, one full-range pass per region at dt and the
 // unmasked routes, with no clustering built. A level keeps the base
@@ -35,8 +37,8 @@ import (
 // dormant window get held copies instead:
 //
 //   - the predictor of a coarse point needs the final acceleration of
-//     the previous firing: captured into hold arrays by the corrector
-//     (the last reader of the clean value);
+//     the previous firing: captured into hold arrays by the tail (by the
+//     ocean loop at the surface points);
 //   - the solid traction reads the fluid potential's second derivative
 //     at CMB/ICB face points every step: a shadow array (accHold)
 //     refreshed after the fluid mass division keeps the last fired
@@ -50,28 +52,31 @@ import (
 // dropped from the level's route entirely — a real message-count saving
 // on coarse steps.
 
-// pointSet is n points of a region: those of list, or the full range
-// [0, n) when list is nil.
-type pointSet struct {
-	list []int32
-	n    int
+// span is a run of consecutive points [i, i+n) of a Newmark pass whose
+// hold slots start at pass position at. Spans are at most minPointChunk
+// long, so a pass over one long run still splits into pool chunks.
+type span struct{ i, at, n int32 }
+
+// newmarkPass is one Newmark point pass: n points, as ascending spans,
+// advancing with dt; hold > 0 names the per-field hold arrays (h[hold],
+// hChi[hold]) that carry the acceleration across dormant steps. ocean
+// lists the pass's ocean-load surface points.
+type newmarkPass struct {
+	spans   []span
+	n, hold int
+	dt      float32
+	ocean   []oceanPoint
 }
 
-// newmarkPass is one Newmark point pass: its points advance with dt, and
-// hold > 0 names the per-field hold arrays parallel to list (hx[hold],
-// hChi[hold], ...) that carry the acceleration across dormant steps.
-type newmarkPass struct {
-	pointSet
-	hold int
-	dt   float32
-}
+// oceanPoint is a surface point of a pass: j indexes the mesh's
+// SurfaceLoad, q is the point's pass position.
+type oceanPoint struct{ j, q int32 }
 
 // levelPlan is everything one spoke of the wheel runs; [3] arrays are
 // indexed by region kind.
 type levelPlan struct {
 	sweeps [3]sweepClasses  // the outer/inner colour classes that fire
 	passes [3][]newmarkPass // the Newmark passes, ascending rate
-	final  [3]pointSet      // the points whose acceleration is final
 	// face and rest are the fluid points mass-divided before the solid
 	// traction and under the solid halo; shadow lists the face points
 	// copied into the traction shadow (nil unless the fluid is
@@ -106,12 +111,9 @@ func (rs *rankState) buildLevels(ov *mesh.Overlap) {
 			outer: rs.colors.Classes(kind, ov.Outer[kind]),
 			inner: rs.colors.Classes(kind, ov.Inner[kind]),
 		}
-		all := pointSet{n: reg.NGlob}
-		base.passes[kind] = []newmarkPass{{pointSet: all, dt: float32(rs.dt)}}
-		base.final[kind] = all
+		base.passes[kind] = []newmarkPass{rs.newPass(kind, nil, reg.NGlob, 0, float32(rs.dt))}
 		if reg.IsFluid() {
-			base.face = couplingFacePoints(rs.local, reg.NGlob)
-			base.rest = complementSorted(base.face, reg.NGlob)
+			base.face, base.rest = couplingFacePoints(rs.local, reg.NGlob)
 		}
 	}
 	base.routes = rs.levelRoutes(nil, 0)
@@ -151,46 +153,36 @@ func (rs *rankState) reconcilePointRates() {
 }
 
 // wheelLevels narrows the base plan to each level of the clustering:
-// level li fires the clusters and points of rate at most 2^li. Every
-// multi-rate region gets one pass per non-empty exact-rate point list up
-// to the level, with its rate-scaled dt and hold level. The top level's
-// routes are the base plan's (every point fires there).
+// level li fires the clusters and points of rate at most 2^li. A
+// multi-rate region's passes are byRate[kind][:li+1], one per rate (its
+// points may be none), with the rate-scaled dt and hold level li. The
+// top level's routes are the base plan's (every point fires there).
 //
 //specfem:noaccount one-time setup: the float math is the rate-scaled dt of each pass
 func (rs *rankState) wheelLevels(base *levelPlan) []levelPlan {
 	clus := rs.clus
-	n := 1
-	for r := int32(1); r < clus.MaxRate; r *= 2 {
-		n++
-	}
-	var exact, upTo [3][][]int32
-	for kind := range exact {
-		exact[kind], upTo[kind] = ratePoints(clus.PointRate[kind], n)
+	n := bits.Len32(uint32(clus.MaxRate)) // rates 1, 2, ..., MaxRate (a power of two)
+	var byRate [3][]newmarkPass
+	for kind := range byRate {
+		for hold, list := range ratePoints(clus.PointRate[kind], n) {
+			dt := float32(rs.dt) * float32(int32(1)<<uint(hold))
+			byRate[kind] = append(byRate[kind], rs.newPass(kind, list, len(list), hold, dt))
+		}
 	}
 	oc := earthmodel.RegionOuterCore
 	levels := make([]levelPlan, n)
 	for li := range levels {
 		rate := int32(1) << uint(li)
 		lp := *base
-		for kind := range exact {
+		for kind, passes := range byRate {
 			if clus.ElemsUpTo(kind, rate) != nil {
 				lp.sweeps[kind] = rs.levelSweeps(kind, rate)
 			}
-			if exact[kind] == nil {
-				continue
-			}
-			lp.passes[kind] = nil
-			for hold, list := range exact[kind][:li+1] {
-				if len(list) > 0 {
-					dt := float32(rs.dt) * float32(int32(1)<<uint(hold))
-					lp.passes[kind] = append(lp.passes[kind], newmarkPass{pointSet{list, len(list)}, hold, dt})
-				}
-			}
-			if up := upTo[kind][li]; up != nil {
-				lp.final[kind] = pointSet{up, len(up)}
+			if passes != nil {
+				lp.passes[kind] = passes[:li+1]
 			}
 		}
-		if exact[oc] != nil {
+		if byRate[oc] != nil {
 			pr := clus.PointRate[oc]
 			lp.face = upToRate(base.face, pr, rate)
 			lp.rest = upToRate(base.rest, pr, rate)
@@ -205,31 +197,45 @@ func (rs *rankState) wheelLevels(base *levelPlan) []levelPlan {
 }
 
 // ratePoints bins a region's points by rate: exact[li] lists the points
-// of rate exactly 2^li, upTo[li] those of rate at most 2^li, ascending.
-// upTo[li] is nil when it would hold every point — or none, so a level at
-// which nothing of the region fires still divides the whole region's
-// accelerations. Both are nil when no point has a rate above 1.
-func ratePoints(pr []int32, levels int) (exact, upTo [][]int32) {
+// of rate exactly 2^li (rate 0, a point no element touches, counts as
+// 1), ascending. It is nil when no point has a rate above 1.
+func ratePoints(pr []int32, levels int) (exact [][]int32) {
 	if !slices.ContainsFunc(pr, func(r int32) bool { return r > 1 }) {
-		return nil, nil
+		return nil
 	}
-	exact, upTo = make([][]int32, levels), make([][]int32, levels)
-	for li := range exact {
-		rate := int32(1) << uint(li)
-		var up []int32
-		for g, r := range pr {
-			if r == rate || r == 0 && rate == 1 {
-				exact[li] = append(exact[li], int32(g))
-			}
-			if r <= rate {
-				up = append(up, int32(g))
+	exact = make([][]int32, levels)
+	for g, r := range pr {
+		li := bits.TrailingZeros32(uint32(max(r, 1)))
+		exact[li] = append(exact[li], int32(g))
+	}
+	return exact
+}
+
+// newPass builds the Newmark pass over the n points of the ascending
+// list ([0, n) when nil) and, in the crust/mantle, its ocean points.
+func (rs *rankState) newPass(kind int, list []int32, n, hold int, dt float32) newmarkPass {
+	ps := newmarkPass{n: n, hold: hold, dt: dt}
+	for q := 0; q < n; q++ {
+		i := int32(q)
+		if list != nil {
+			i = list[q]
+		}
+		if k := len(ps.spans) - 1; k >= 0 && ps.spans[k].i+ps.spans[k].n == i && ps.spans[k].n < minPointChunk {
+			ps.spans[k].n++
+		} else {
+			ps.spans = append(ps.spans, span{i: i, at: int32(q), n: 1})
+		}
+	}
+	if kind == int(earthmodel.RegionCrustMantle) && rs.oceanOn() {
+		for j, pt := range rs.local.Surface.Pts {
+			// The first span ending past pt holds it if it starts at or before it.
+			k, _ := slices.BinarySearchFunc(ps.spans, pt, func(s span, pt int32) int { return cmp.Compare(s.i+s.n, pt+1) })
+			if k < len(ps.spans) && ps.spans[k].i <= pt {
+				ps.ocean = append(ps.ocean, oceanPoint{j: int32(j), q: ps.spans[k].at + pt - ps.spans[k].i})
 			}
 		}
-		if len(up) < len(pr) {
-			upTo[li] = up
-		}
 	}
-	return exact, upTo
+	return ps
 }
 
 // levelSweeps colours the merged outer and inner elements of every
@@ -269,25 +275,28 @@ func upToRate(pts []int32, pr []int32, rate int32) []int32 {
 // runs every pass, so its plan names every hold.
 func (rs *rankState) allocHolds() {
 	top := &rs.levels[len(rs.levels)-1]
-	holds := func(passes []newmarkPass) [][]float32 {
-		h := make([][]float32, len(rs.levels))
-		for _, ps := range passes {
-			if ps.hold > 0 {
-				h[ps.hold] = make([]float32, ps.n)
-			}
-		}
-		return h
-	}
 	for kind, fs := range rs.solid {
 		for _, f := range fs {
-			f.hx, f.hy, f.hz = holds(top.passes[kind]), holds(top.passes[kind]), holds(top.passes[kind])
+			f.h = holds[[3]float32](top.passes[kind], len(rs.levels))
 		}
 	}
 	for s, fl := range rs.fluid {
-		fl.hChi = holds(top.passes[earthmodel.RegionOuterCore])
+		fl.hChi = holds[float32](top.passes[earthmodel.RegionOuterCore], len(rs.levels))
 		if top.shadow != nil {
 			fl.accHold = make([]float32, fl.reg.NGlob)
 			rs.chiSrc[s] = fl.accHold
 		}
 	}
+}
+
+// holds allocates, per hold level, a slot per pass position for each
+// pass that names the level.
+func holds[T any](passes []newmarkPass, levels int) [][]T {
+	h := make([][]T, levels)
+	for _, ps := range passes {
+		if ps.hold > 0 {
+			h[ps.hold] = make([]T, ps.n)
+		}
+	}
+	return h
 }

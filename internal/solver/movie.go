@@ -89,9 +89,8 @@ func (rs *rankState) gatherMovieFrame(m *Movie, step int) {
 	buf := make([]float64, 0, len(sl.Pts))
 	if cm != nil {
 		for _, pt := range sl.Pts {
-			vx := float64(cm.vx[pt])
-			vy := float64(cm.vy[pt])
-			vz := float64(cm.vz[pt])
+			v := &cm.v[pt]
+			vx, vy, vz := float64(v[0]), float64(v[1]), float64(v[2])
 			buf = append(buf, math.Sqrt(vx*vx+vy*vy+vz*vz))
 		}
 	}

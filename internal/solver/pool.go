@@ -192,9 +192,27 @@ func (p *pool) sweepElems(rankKS *kernelScratch, elems []int32, busyNanos *int64
 	})
 }
 
-// sweepRange runs fn over [lo,hi) chunks of [0,n) — for the pointwise
-// Newmark/mass-division loops, where every index is written
+// sweepSpans runs fn over chunks of the spans of a Newmark pass of n
+// points. A chunk holds at least minPointChunk points on average, so a
+// pass of one long run chunks like sweepRange over [0,n) (its spans are
+// at most minPointChunk long) and a small pass of many short runs under
+// LTS runs inline. Spans are disjoint, and every point is written
 // independently, so any chunking is bit-exact.
+func (p *pool) sweepSpans(rankKS *kernelScratch, spans []span, n int, busyNanos *int64,
+	fn func(spans []span)) {
+
+	minChunk := 1
+	if n > 0 {
+		minChunk = max(1, minPointChunk*len(spans)/n)
+	}
+	p.sweep(rankKS, len(spans), minChunk, busyNanos, func(_ *kernelScratch, lo, hi int) {
+		fn(spans[lo:hi])
+	})
+}
+
+// sweepRange runs fn over [lo,hi) chunks of [0,n) — for the fluid
+// mass-division lists, where every index is written independently, so
+// any chunking is bit-exact.
 func (p *pool) sweepRange(rankKS *kernelScratch, n int, busyNanos *int64,
 	fn func(lo, hi int)) {
 

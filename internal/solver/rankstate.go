@@ -12,25 +12,25 @@ import (
 )
 
 // solidField is the dynamic state of one wavefield of one solid region
-// on one rank. Batched runs hold one solidField per ensemble source;
-// the mesh-static members (reg, massInv, gravity tables, attenuation
-// coefficients) are shared across the batch by pointer, only the
-// dynamic arrays are per-field.
+// on one rank, vectors as xyz triples (a point's components adjacent,
+// SPECFEM3D_GLOBE's (NDIM, NGLOB) layout). Batched runs hold one
+// solidField per ensemble source; the mesh-static members (reg,
+// massInv, ocean, gravity tables, attenuation coefficients) are shared
+// across the batch by pointer, only the dynamic arrays are per-field.
 type solidField struct {
-	reg        *mesh.Region
-	dx, dy, dz []float32 // displacement
-	vx, vy, vz []float32 // velocity
-	ax, ay, az []float32 // acceleration
-	massInv    []float32 // assembled inverse mass (shared across fields)
-	att        *attState // nil when attenuation is off
-	// gravity tables per global point (nil when gravity is off; shared
-	// across fields)
-	gOverR, dgdr        []float32
-	rhatX, rhatY, rhatZ []float32
-	// LTS held accelerations: hx[li][q] holds the acceleration of
-	// hold-level li, parallel to that pass's point list (allocated by
-	// allocHolds for the passes that name a hold).
-	hx, hy, hz [][]float32
+	reg     *mesh.Region
+	d, v, a [][3]float32 // displacement, velocity, acceleration
+	massInv []float32    // assembled inverse mass
+	// ocean marks the ocean-load surface points, whose corrector runs
+	// after the load (all false elsewhere).
+	ocean []bool
+	att   *attState // nil when attenuation is off
+	// gravity tables per global point (nil when gravity is off)
+	gOverR, dgdr []float32
+	rhat         [][3]float32
+	// LTS held accelerations: h[li][q] holds the acceleration of the
+	// pass with hold level li at its position q (allocHolds).
+	h [][][3]float32
 }
 
 // fluidField is the dynamic state of one wavefield of the outer core on
@@ -212,9 +212,8 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 		}
 		f := &solidField{
 			reg: reg,
-			dx:  make([]float32, reg.NGlob), dy: make([]float32, reg.NGlob), dz: make([]float32, reg.NGlob),
-			vx: make([]float32, reg.NGlob), vy: make([]float32, reg.NGlob), vz: make([]float32, reg.NGlob),
-			ax: make([]float32, reg.NGlob), ay: make([]float32, reg.NGlob), az: make([]float32, reg.NGlob),
+			d:   make([][3]float32, reg.NGlob), v: make([][3]float32, reg.NGlob), a: make([][3]float32, reg.NGlob),
+			ocean: make([]bool, reg.NGlob),
 		}
 		if opts.Attenuation && fit != nil {
 			var rates []int32
@@ -228,9 +227,7 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 		if opts.Gravity && grav != nil {
 			f.gOverR = make([]float32, reg.NGlob)
 			f.dgdr = make([]float32, reg.NGlob)
-			f.rhatX = make([]float32, reg.NGlob)
-			f.rhatY = make([]float32, reg.NGlob)
-			f.rhatZ = make([]float32, reg.NGlob)
+			f.rhat = make([][3]float32, reg.NGlob)
 			const h = 100.0 // meters, for dg/dr
 			for i, p := range reg.Pts {
 				r := math.Sqrt(p[0]*p[0] + p[1]*p[1] + p[2]*p[2])
@@ -240,9 +237,7 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 				g := grav.At(r)
 				f.gOverR[i] = float32(g / r)
 				f.dgdr[i] = float32((grav.At(r+h) - grav.At(r-h)) / (2 * h))
-				f.rhatX[i] = float32(p[0] / r)
-				f.rhatY[i] = float32(p[1] / r)
-				f.rhatZ[i] = float32(p[2] / r)
+				f.rhat[i] = [3]float32{float32(p[0] / r), float32(p[1] / r), float32(p[2] / r)}
 			}
 		}
 		fs := make([]*solidField, ns)
@@ -251,9 +246,7 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 			// Additional wavefields share all mesh-static members and
 			// get fresh dynamic arrays.
 			g := *f
-			g.dx, g.dy, g.dz = make([]float32, reg.NGlob), make([]float32, reg.NGlob), make([]float32, reg.NGlob)
-			g.vx, g.vy, g.vz = make([]float32, reg.NGlob), make([]float32, reg.NGlob), make([]float32, reg.NGlob)
-			g.ax, g.ay, g.az = make([]float32, reg.NGlob), make([]float32, reg.NGlob), make([]float32, reg.NGlob)
+			g.d, g.v, g.a = make([][3]float32, reg.NGlob), make([][3]float32, reg.NGlob), make([][3]float32, reg.NGlob)
 			if f.att != nil {
 				g.att = f.att.clone()
 			}
@@ -295,9 +288,9 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 	return rs
 }
 
-// couplingFacePoints returns the sorted distinct fluid-side points of
-// the CMB and ICB coupling faces.
-func couplingFacePoints(l *mesh.Local, nglob int) []int32 {
+// couplingFacePoints splits the nglob fluid points into the fluid-side
+// points of the CMB and ICB coupling faces and the rest, both ascending.
+func couplingFacePoints(l *mesh.Local, nglob int) (face, rest []int32) {
 	mark := make([]bool, nglob)
 	for _, faces := range [][]mesh.CoupleFace{l.CMB, l.ICB} {
 		for fi := range faces {
@@ -306,28 +299,15 @@ func couplingFacePoints(l *mesh.Local, nglob int) []int32 {
 			}
 		}
 	}
-	var out []int32
+	rest = make([]int32, 0, nglob)
 	for p, m := range mark {
 		if m {
-			out = append(out, int32(p))
+			face = append(face, int32(p))
+		} else {
+			rest = append(rest, int32(p))
 		}
 	}
-	return out
-}
-
-// complementSorted returns the ascending points of [0, n) not in the
-// ascending list pts.
-func complementSorted(pts []int32, n int) []int32 {
-	out := make([]int32, 0, n-len(pts))
-	j := 0
-	for p := 0; p < n; p++ {
-		if j < len(pts) && pts[j] == int32(p) {
-			j++
-			continue
-		}
-		out = append(out, int32(p))
-	}
-	return out
+	return face, rest
 }
 
 // newAttState builds memory-variable storage and per-element update
@@ -364,7 +344,8 @@ func newAttState(reg *mesh.Region, fit *earthmodel.SLSFit, dt float64, rates []i
 }
 
 // assembleMass performs the one-time cross-rank assembly of the diagonal
-// mass matrices and derives inverse masses and ocean load factors.
+// mass matrices and derives inverse masses, ocean load factors and the
+// ocean points' mask.
 //
 //specfem:noaccount one-time mass-matrix assembly before stepping starts
 func (rs *rankState) assembleMass() {
@@ -390,17 +371,23 @@ func (rs *rankState) assembleMass() {
 				f.massInv = inv
 			}
 		}
-		if kind == int(earthmodel.RegionCrustMantle) && rs.opts.OceanLoad {
+		if kind == int(earthmodel.RegionCrustMantle) && rs.oceanOn() {
 			sl := &rs.local.Surface
-			if sl.WaterDepth > 0 {
-				rs.oceanFactor = make([]float32, len(sl.Pts))
-				for i, pt := range sl.Pts {
-					mw := float32(sl.WaterRho*sl.WaterDepth) * sl.AreaW[i]
-					rs.oceanFactor[i] = m[pt] / (m[pt] + mw)
-				}
+			rs.oceanFactor = make([]float32, len(sl.Pts))
+			for i, pt := range sl.Pts {
+				mw := float32(sl.WaterRho*sl.WaterDepth) * sl.AreaW[i]
+				rs.oceanFactor[i] = m[pt] / (m[pt] + mw)
+				rs.solid[kind][0].ocean[pt] = true // one mask for the ensemble
 			}
 		}
 	}
+}
+
+// oceanOn reports whether the ocean load applies: it is requested and
+// the mesh carries a water column over free-surface points.
+func (rs *rankState) oceanOn() bool {
+	sl := &rs.local.Surface
+	return rs.opts.OceanLoad && sl.WaterDepth > 0 && len(sl.Pts) > 0
 }
 
 // flushPoolTime charges the worker-pool busy time attributed to this
@@ -421,7 +408,7 @@ func (rs *rankState) flushPoolTime() {
 // step — displacement, velocity, the fluid potential and its rate, the
 // attenuation memory variables and the LTS holds — and non-zero values
 // below the flush threshold in the final accelerations (at the points
-// the last step's plan finalised; under LTS the rest hold garbage by
+// the last step's passes fired; under LTS the rest hold garbage by
 // design). The integrator flushes every one of them where it writes
 // them (flush.go), so the count is zero unless a write site has been
 // missed.
@@ -439,21 +426,29 @@ func (rs *rankState) stateCensus() (maxDisp float64, subnormals int64) {
 	var peak uint32
 	for kind, fs := range rs.solid {
 		for _, f := range fs {
-			peak = max(peak, count(f.dx, f.dy, f.dz))
-			count(f.vx, f.vy, f.vz)
-			for _, h := range [3][][]float32{f.hx, f.hy, f.hz} {
-				count(h...)
+			peak = max(peak, count(flat(f.d)))
+			count(flat(f.v))
+			for _, h := range f.h {
+				count(flat(h))
 			}
 			if f.att != nil {
 				count(f.att.r)
 			}
-			subnormals += unflushed(rs.lp.final[kind].list, f.ax, f.ay, f.az)
+			for _, ps := range rs.lp.passes[kind] {
+				for _, s := range ps.spans {
+					subnormals += unflushed(flat(f.a[s.i : s.i+s.n]))
+				}
+			}
 		}
 	}
 	for _, fl := range rs.fluid {
 		count(fl.chi, fl.chiDot, fl.accHold)
 		count(fl.hChi...)
-		subnormals += unflushed(rs.lp.final[earthmodel.RegionOuterCore].list, fl.chiDdot)
+		for _, ps := range rs.lp.passes[earthmodel.RegionOuterCore] {
+			for _, s := range ps.spans {
+				subnormals += unflushed(fl.chiDdot[s.i : s.i+s.n])
+			}
+		}
 	}
 	return float64(math.Float32frombits(peak)), subnormals
 }

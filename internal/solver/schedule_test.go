@@ -250,6 +250,36 @@ func TestFlopAccountingExact(t *testing.T) {
 	}
 }
 
+// The byte model of the same source-free box, with rotation and gravity
+// on: every step streams exactly the element kernel's traffic plus, per
+// point, the predictor (d rmw, v rmw, a read and zeroed: 18 floats),
+// the one tail pass (a rmw, inverse mass, v rmw: 13 — Coriolis reads
+// the v the corrector streams) and the gravity term's reads (d, g/r and
+// dg/dr, rhat: 8). The streams are spelled out here, not read back from
+// the model, so a term dropped from perf.DefaultByteCounts fails.
+func TestByteAccountingExact(t *testing.T) {
+	const L = 40e3
+	b := buildBox(t, 3, 1, L)
+	const steps = 4
+	res, err := Run(&Simulation{
+		Locals: b.Locals, Plans: b.Plans, Model: earthmodel.NewHomogeneous(6371e3, boxMat),
+		Opts: Options{Steps: steps, Dt: 0.02, Rotation: true, RotationRate: 0.01, Gravity: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := b.Locals[0].Regions[earthmodel.RegionCrustMantle]
+	bc := perf.DefaultByteCounts()
+	const perPoint = 4 * (18 + 13 + 8)
+	if got := bc.SolidPredictor + bc.SolidTail + bc.Gravity; got != perPoint {
+		t.Errorf("model charges %d B per point per step, the streams are %d B", got, perPoint)
+	}
+	want := int64(steps) * ((bc.SolidElementStatic+bc.SolidElementDynamic)*int64(reg.NSpec) + perPoint*int64(reg.NGlob))
+	if res.Perf.TotalBytes != want {
+		t.Errorf("TotalBytes = %d, want %d", res.Perf.TotalBytes, want)
+	}
+}
+
 // Flop accounting is worker-invariant: every worker count performs
 // identical arithmetic on the coupled globe, so the counted totals must
 // agree exactly.

@@ -206,9 +206,8 @@ func (rs *rankState) solidForcesChunk(fs []*solidField, ks *kernelScratch, elems
 
 			// Gather element displacement.
 			for p, g := range ib {
-				ks.u[p] = f.dx[g]
-				ks.u[pad+p] = f.dy[g]
-				ks.u[2*pad+p] = f.dz[g]
+				u := &f.d[g]
+				ks.u[p], ks.u[pad+p], ks.u[2*pad+p] = u[0], u[1], u[2]
 			}
 
 			// Reference-space gradients of each displacement component.
@@ -226,9 +225,10 @@ func (rs *rankState) solidForcesChunk(fs []*solidField, ks *kernelScratch, elems
 			}
 
 			for p, g := range ib {
-				f.ax[g] -= k.fac1[p]*ks.t1[p] + k.fac2[p]*ks.t2[p] + k.fac3[p]*ks.t3[p]
-				f.ay[g] -= k.fac1[p]*ks.t1[pad+p] + k.fac2[p]*ks.t2[pad+p] + k.fac3[p]*ks.t3[pad+p]
-				f.az[g] -= k.fac1[p]*ks.t1[2*pad+p] + k.fac2[p]*ks.t2[2*pad+p] + k.fac3[p]*ks.t3[2*pad+p]
+				a := &f.a[g]
+				a[0] -= k.fac1[p]*ks.t1[p] + k.fac2[p]*ks.t2[p] + k.fac3[p]*ks.t3[p]
+				a[1] -= k.fac1[p]*ks.t1[pad+p] + k.fac2[p]*ks.t2[pad+p] + k.fac3[p]*ks.t3[pad+p]
+				a[2] -= k.fac1[p]*ks.t1[2*pad+p] + k.fac2[p]*ks.t2[2*pad+p] + k.fac3[p]*ks.t3[2*pad+p]
 			}
 
 		}
@@ -255,10 +255,10 @@ func (rs *rankState) addFluidTractionToSolid(faces []mesh.CoupleFace) {
 			for q := 0; q < mesh.NGLL2; q++ {
 				chidd := chiSrc[cf.FluidPt[q]]
 				w := cf.Weight[q]
-				sp := cf.SolidPt[q]
-				f.ax[sp] -= w * cf.Nx[q] * chidd
-				f.ay[sp] -= w * cf.Ny[q] * chidd
-				f.az[sp] -= w * cf.Nz[q] * chidd
+				a := &f.a[cf.SolidPt[q]]
+				a[0] -= w * cf.Nx[q] * chidd
+				a[1] -= w * cf.Ny[q] * chidd
+				a[2] -= w * cf.Nz[q] * chidd
 			}
 		}
 	}

@@ -110,9 +110,10 @@ func (rs *rankState) addSources(step int) {
 		base := sl.src.Elem * mesh.NGLL3
 		ib := f.reg.Ibool[base : base+mesh.NGLL3]
 		for p, g := range ib {
-			f.ax[g] += stf * sl.arr[p][0]
-			f.ay[g] += stf * sl.arr[p][1]
-			f.az[g] += stf * sl.arr[p][2]
+			a := &f.a[g]
+			a[0] += stf * sl.arr[p][0]
+			a[1] += stf * sl.arr[p][1]
+			a[2] += stf * sl.arr[p][2]
 		}
 		rs.prof.AddFlops(perf.PhaseForceSolid, rs.fc.SourcePoint*int64(mesh.NGLL3))
 		rs.prof.AddBytes(perf.PhaseForceSolid, rs.bc.SourcePoint*int64(mesh.NGLL3))
@@ -199,14 +200,16 @@ func (rs *rankState) record(step int) {
 				// The point's state is at time (lastFire+r)*dt after its
 				// corrector; step's nominal sample time trails it.
 				r := rl.rate[p]
+				u := &f.d[g]
 				if lead := float64(r-1-(step%r)) * rs.dt; lead == 0 {
-					x += w * float64(f.dx[g])
-					y += w * float64(f.dy[g])
-					z += w * float64(f.dz[g])
+					x += w * float64(u[0])
+					y += w * float64(u[1])
+					z += w * float64(u[2])
 				} else {
-					x += w * (float64(f.dx[g]) - lead*float64(f.vx[g]))
-					y += w * (float64(f.dy[g]) - lead*float64(f.vy[g]))
-					z += w * (float64(f.dz[g]) - lead*float64(f.vz[g]))
+					v := &f.v[g]
+					x += w * (float64(u[0]) - lead*float64(v[0]))
+					y += w * (float64(u[1]) - lead*float64(v[1]))
+					z += w * (float64(u[2]) - lead*float64(v[2]))
 				}
 			}
 			rl.out[s].X = append(rl.out[s].X, float32(x))

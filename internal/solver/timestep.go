@@ -7,44 +7,38 @@ import (
 
 // timeStep advances the coupled system by one explicit Newmark step:
 //
-//  1. predictor: u += dt v + dt^2/2 a;  v += dt/2 a;  a = 0 (both the
-//     solid displacement and the fluid potential),
-//  2. fluid: chiDdot = Mf^-1 (-K chi + coupling from the predicted
-//     solid displacement), assembled across ranks,
-//  3. solid: a = M^-1 (-K u + sources + fluid traction), assembled,
-//     then the pointwise Coriolis / gravity / ocean-load corrections,
-//  4. corrector: v += dt/2 a (the fluid's already ran in stage 3,
-//     under the in-flight solid halo).
+//  1. predictor: u += dt v + dt^2/2 a;  v += dt/2 a;  a = 0 (the solid
+//     displacement and the fluid potential),
+//  2. fluid: chiDdot = Mf^-1 (-K chi + coupling from the predicted solid
+//     displacement), assembled across ranks; its corrector runs under
+//     the solid halo of stage 3,
+//  3. solid: a = -K u + sources + fluid traction, assembled,
+//  4. tail: one pass over the solid points — mass division, Coriolis,
+//     gravity, flush, corrector v += dt/2 a — then the ocean load, which
+//     runs the free-surface points' corrector after it.
 //
 // The new u and chi of stage 1 and the final a and chiDdot of stages 2
-// and 3 are flushed to zero below 2^-80 as they are stored (flush.go),
-// which keeps float32 subnormals out of every later stage.
-//
+// and 4 are flushed to zero below 2^-80 as they are stored (flush.go).
 // Because the fluid acceleration is final before the solid uses it, the
 // fluid-solid coupling needs no iteration (section 1: "non-iterative
 // coupling between fluid and solid based on the displacement vector").
 //
-// The force kernels sweep their color classes on the shared worker
-// pool (colors serialize, chunks within a color are conflict-free),
-// and the pointwise predictor/mass-division/corrector loops dispatch
-// as index ranges — every point is written independently, so both are
-// bit-identical at any worker count. Coupling, source and ocean-load
-// terms touch few points and stay inline on the rank goroutine.
-// Every step is one spoke of the wheel (lts.go): the step's level plan
-// (the largest power of two dividing the step number, capped at the top
-// level) lists the colour classes, Newmark passes, division lists and
-// halo routes the step runs, each firing point advancing with its own
-// rate-scaled dt. Without local time stepping the wheel has one level
-// that fires everything. Under LTS dormant points are skipped by every
-// pointwise loop and masked out of the halo payloads; their acceleration
-// slots accumulate garbage from firing neighbors, which the predictor
-// wipes at their next firing.
+// The force kernels sweep their colour classes on the shared worker pool
+// (colours serialize, chunks within a colour are conflict-free) and the
+// point passes dispatch as point spans or ranges, so every sweep is
+// bit-identical at any worker count; coupling, source and ocean terms
+// touch few points and stay inline. Every step is one spoke of the wheel
+// (lts.go): its level plan lists the colour classes, Newmark passes,
+// division lists and halo routes it runs, each firing point advancing
+// with its own rate-scaled dt. Under LTS dormant points are skipped by
+// every point pass and masked out of the halo payloads; their
+// acceleration slots accumulate garbage from firing neighbors, which the
+// predictor wipes at their next firing.
 func (rs *rankState) timeStep(step int) {
 	rs.lp = &rs.levels[ltsLevelOf(step, len(rs.levels))]
 	rs.predictor()
 	rs.forceStage(step)
-	rs.solidUpdate()
-	rs.corrector()
+	rs.tail()
 	if (step+1)%rs.opts.RecordEvery == 0 {
 		rs.record(step)
 		if rs.opts.OnChunk != nil {
@@ -65,30 +59,10 @@ func (rs *rankState) predictor() {
 		}
 		n := 0
 		for _, ps := range rs.lp.passes[kind] {
-			list, li, dt := ps.list, ps.hold, ps.dt
-			half, halfSq := dt/2, dt*dt/2
-			rs.pool.sweepRange(rs.scr, ps.n, &rs.updateBusy, func(lo, hi int) {
+			rs.pool.sweepSpans(rs.scr, ps.spans, ps.n, &rs.updateBusy, func(spans []span) {
 				for _, f := range fs {
-					var hx, hy, hz []float32
-					if li > 0 {
-						hx, hy, hz = f.hx[li], f.hy[li], f.hz[li]
-					}
-					for q := lo; q < hi; q++ {
-						i := q
-						if list != nil {
-							i = int(list[q])
-						}
-						ax, ay, az := f.ax[i], f.ay[i], f.az[i]
-						if hx != nil {
-							ax, ay, az = hx[q], hy[q], hz[q]
-						}
-						f.dx[i] = ftz(f.dx[i] + (dt*f.vx[i] + halfSq*ax))
-						f.dy[i] = ftz(f.dy[i] + (dt*f.vy[i] + halfSq*ay))
-						f.dz[i] = ftz(f.dz[i] + (dt*f.vz[i] + halfSq*az))
-						f.vx[i] += half * ax
-						f.vy[i] += half * ay
-						f.vz[i] += half * az
-						f.ax[i], f.ay[i], f.az[i] = 0, 0, 0
+					for _, s := range spans {
+						f.predict(s, ps.hold, ps.dt)
 					}
 				}
 			})
@@ -100,26 +74,10 @@ func (rs *rankState) predictor() {
 	if fls := rs.fluid; fls != nil {
 		n := 0
 		for _, ps := range rs.lp.passes[earthmodel.RegionOuterCore] {
-			list, li, dt := ps.list, ps.hold, ps.dt
-			half, halfSq := dt/2, dt*dt/2
-			rs.pool.sweepRange(rs.scr, ps.n, &rs.updateBusy, func(lo, hi int) {
+			rs.pool.sweepSpans(rs.scr, ps.spans, ps.n, &rs.updateBusy, func(spans []span) {
 				for _, fl := range fls {
-					var h []float32
-					if li > 0 {
-						h = fl.hChi[li]
-					}
-					for q := lo; q < hi; q++ {
-						i := q
-						if list != nil {
-							i = int(list[q])
-						}
-						a := fl.chiDdot[i]
-						if h != nil {
-							a = h[q]
-						}
-						fl.chi[i] = ftz(fl.chi[i] + (dt*fl.chiDot[i] + halfSq*a))
-						fl.chiDot[i] += half * a
-						fl.chiDdot[i] = 0
+					for _, s := range spans {
+						fl.predict(s, ps.hold, ps.dt)
 					}
 				}
 			})
@@ -127,6 +85,47 @@ func (rs *rankState) predictor() {
 		}
 		rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.FluidPredictor*int64(n*len(fls)))
 		rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.FluidPredictor*int64(n*len(fls)))
+	}
+}
+
+// predict is the predictor at the points of one span: d += dt v +
+// dt²/2 a, v += dt/2 a, a = 0, reading a from the hold when the pass
+// has a hold level.
+func (f *solidField) predict(s span, hold int, dt float32) {
+	half, halfSq := dt/2, dt*dt/2
+	d, v, a := f.d[s.i:s.i+s.n], f.v[s.i:s.i+s.n], f.a[s.i:s.i+s.n]
+	acc := a
+	if hold > 0 {
+		acc = f.h[hold][s.at : s.at+s.n]
+	}
+	v, a, acc = v[:len(d)], a[:len(d)], acc[:len(d)]
+	for k := range d {
+		x, u, w := &acc[k], &d[k], &v[k]
+		ax, ay, az := x[0], x[1], x[2]
+		u[0] = ftz(u[0] + (dt*w[0] + halfSq*ax))
+		u[1] = ftz(u[1] + (dt*w[1] + halfSq*ay))
+		u[2] = ftz(u[2] + (dt*w[2] + halfSq*az))
+		w[0] += half * ax
+		w[1] += half * ay
+		w[2] += half * az
+		a[k] = [3]float32{}
+	}
+}
+
+// predict is solidField.predict for the fluid potential.
+func (fl *fluidField) predict(s span, hold int, dt float32) {
+	half, halfSq := dt/2, dt*dt/2
+	chi, dot, dd := fl.chi[s.i:s.i+s.n], fl.chiDot[s.i:s.i+s.n], fl.chiDdot[s.i:s.i+s.n]
+	acc := dd
+	if hold > 0 {
+		acc = fl.hChi[hold][s.at : s.at+s.n]
+	}
+	dot, dd, acc = dot[:len(chi)], dd[:len(chi)], acc[:len(chi)]
+	for k := range chi {
+		x := acc[k]
+		chi[k] = ftz(chi[k] + (dt*dot[k] + halfSq*x))
+		dot[k] += half * x
+		dd[k] = 0
 	}
 }
 
@@ -176,7 +175,7 @@ func (rs *rankState) addFluidCoupling() {
 
 // fluidMassDivisionFace divides only the CMB/ICB coupling-face points —
 // the values the solid traction consumes — so the remaining division
-// can slide under the solid halo (fluidMassDivisionRest). All element,
+// can slide under the solid halo (finishSolidStage). All element,
 // coupling and halo contributions must be in. Under LTS only the firing
 // points are divided (the rest hold garbage that the next predictor
 // wipes), and the shadow points' fresh values are copied into each
@@ -188,12 +187,6 @@ func (rs *rankState) fluidMassDivisionFace() {
 			fl.accHold[p] = fl.chiDdot[p]
 		}
 	}
-}
-
-// fluidMassDivisionRest divides the non-face fluid points; it runs
-// inside finishSolidStage, under the in-flight solid halo.
-func (rs *rankState) fluidMassDivisionRest() {
-	rs.divideFluidList(rs.lp.rest)
 }
 
 // divideFluidList applies the inverse mass to a point list (all
@@ -246,19 +239,18 @@ func (rs *rankState) finishSolidStage() {
 			rs.computeSolidForces(fs, rs.lp.sweeps[kind].inner)
 		}
 	}
-	rs.fluidMassDivisionRest() // both no-ops on a rank without fluid
+	rs.divideFluidList(rs.lp.rest) // both no-ops on a rank without fluid
 	rs.fluidCorrector()
 	for _, p := range rs.solidHalo {
 		p.finish()
 	}
 }
 
-// solidUpdate is the mass division, the pointwise Coriolis and gravity
-// corrections and the flush in one pass over each field's
-// acceleration, followed by the ocean load. Only the plan's final points
-// are updated; under LTS dormant accelerations keep their garbage until
-// their own predictor wipes it.
-func (rs *rankState) solidUpdate() {
+// tail finishes the step for every solid field, one pool pass per pass
+// of the plan, then applies the ocean load. Under LTS the points the
+// passes skip are dormant: their accelerations keep garbage until their
+// own predictor wipes it.
+func (rs *rankState) tail() {
 	twoOmega := float32(0)
 	if rs.opts.Rotation {
 		twoOmega = float32(2 * rs.opts.RotationRate)
@@ -267,48 +259,21 @@ func (rs *rankState) solidUpdate() {
 		if fs == nil {
 			continue
 		}
-		list, n := rs.lp.final[kind].list, rs.lp.final[kind].n
-		rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
-			for _, f := range fs {
-				for q := lo; q < hi; q++ {
-					i := q
-					if list != nil {
-						i = int(list[q])
+		n := 0
+		for _, ps := range rs.lp.passes[kind] {
+			rs.pool.sweepSpans(rs.scr, ps.spans, ps.n, &rs.updateBusy, func(spans []span) {
+				for _, f := range fs {
+					for _, s := range spans {
+						f.tail(s, ps.hold, ps.dt/2, twoOmega)
 					}
-					m := f.massInv[i]
-					ax, ay, az := f.ax[i]*m, f.ay[i]*m, f.az[i]*m
-					// Coriolis: a -= 2 Omega x v with Omega = (0, 0, omega).
-					// The lumped-mass form is exact pointwise because both the
-					// force and the mass carry the same rho*JacW weights.
-					if twoOmega != 0 {
-						ax += twoOmega * f.vy[i]
-						ay -= twoOmega * f.vx[i]
-					}
-					// Background gravity (Cowling-style local term): the
-					// linearized restoring tensor H = (g/r)(I - rhat rhat)
-					// + (dg/dr) rhat rhat applied to the displacement.
-					if f.gOverR != nil {
-						dx, dy, dz := f.dx[i], f.dy[i], f.dz[i]
-						rx, ry, rz := f.rhatX[i], f.rhatY[i], f.rhatZ[i]
-						ur := dx*rx + dy*ry + dz*rz
-						gr := f.gOverR[i]
-						dg := f.dgdr[i]
-						ax -= gr*(dx-ur*rx) + dg*ur*rx
-						ay -= gr*(dy-ur*ry) + dg*ur*ry
-						az -= gr*(dz-ur*rz) + dg*ur*rz
-					}
-					// The acceleration is final here (bar the few ocean-load
-					// points below): flush it, so the corrector and the next
-					// predictor never build a velocity from a tiny value.
-					f.ax[i], f.ay[i], f.az[i] = ftz(ax), ftz(ay), ftz(az)
 				}
-			}
-		})
-		flops := rs.fc.SolidMassDiv
-		bytes := rs.bc.SolidMassDiv
+			})
+			n += ps.n
+		}
+		flops := rs.fc.SolidMassDiv + rs.fc.SolidCorrector
+		bytes := rs.bc.SolidTail
 		if twoOmega != 0 {
 			flops += rs.fc.Coriolis
-			bytes += rs.bc.Coriolis
 		}
 		if fs[0].gOverR != nil {
 			flops += rs.fc.Gravity
@@ -317,69 +282,103 @@ func (rs *rankState) solidUpdate() {
 		rs.prof.AddFlops(perf.PhaseUpdate, flops*int64(n*len(fs)))
 		rs.prof.AddBytes(perf.PhaseUpdate, bytes*int64(n*len(fs)))
 	}
-	// Ocean load: rescale the normal component of the free-surface
-	// acceleration by M/(M+Mw). Few points; inline.
-	if rs.oceanFactor != nil {
-		rs.prof.Time(perf.PhaseUpdate, func() {
-			sl := &rs.local.Surface
-			for _, cm := range rs.solid[earthmodel.RegionCrustMantle] {
-				for i, pt := range sl.Pts {
-					an := cm.ax[pt]*sl.Nx[i] + cm.ay[pt]*sl.Ny[i] + cm.az[pt]*sl.Nz[i]
-					scale := an * (1 - rs.oceanFactor[i])
-					cm.ax[pt] = ftz(cm.ax[pt] - scale*sl.Nx[i])
-					cm.ay[pt] = ftz(cm.ay[pt] - scale*sl.Ny[i])
-					cm.az[pt] = ftz(cm.az[pt] - scale*sl.Nz[i])
-				}
-			}
-			rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.OceanPoint*int64(len(sl.Pts)*rs.ns))
-			rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.OceanPoint*int64(len(sl.Pts)*rs.ns))
-		})
+	rs.oceanLoad()
+}
+
+// tail is the step's tail at the points of one span, in the order the
+// step defines for each point: mass division, Coriolis (from the
+// predicted velocity), gravity, the flush and store of the final
+// acceleration, and the corrector v += dt/2 a — which the ocean points
+// leave to oceanLoad, after their load. A pass with a hold level then
+// copies the final accelerations into its hold for the next predictor.
+func (f *solidField) tail(s span, hold int, half, twoOmega float32) {
+	lo, hi := s.i, s.i+s.n
+	a := f.a[lo:hi]
+	v, m, ocean := f.v[lo:hi], f.massInv[lo:hi], f.ocean[lo:hi]
+	v, m, ocean = v[:len(a)], m[:len(a)], ocean[:len(a)]
+	var d, rhat [][3]float32
+	var gOverR, dgdr []float32
+	if f.gOverR != nil {
+		d, rhat = f.d[lo:hi], f.rhat[lo:hi]
+		gOverR, dgdr = f.gOverR[lo:hi], f.dgdr[lo:hi]
+	}
+	for k := range a {
+		p, w, mk := &a[k], &v[k], m[k]
+		ax, ay, az := p[0]*mk, p[1]*mk, p[2]*mk
+		// Coriolis: a -= 2 Omega x v with Omega = (0, 0, omega). The
+		// lumped-mass form is exact pointwise because both the force and
+		// the mass carry the same rho*JacW weights.
+		if twoOmega != 0 {
+			ax += twoOmega * w[1]
+			ay -= twoOmega * w[0]
+		}
+		// Background gravity (Cowling-style local term): the linearized
+		// restoring tensor H = (g/r)(I - rhat rhat) + (dg/dr) rhat rhat
+		// applied to the displacement.
+		if gOverR != nil {
+			u, r := &d[k], &rhat[k]
+			ur := u[0]*r[0] + u[1]*r[1] + u[2]*r[2]
+			gr, dg := gOverR[k], dgdr[k]
+			ax -= gr*(u[0]-ur*r[0]) + dg*ur*r[0]
+			ay -= gr*(u[1]-ur*r[1]) + dg*ur*r[1]
+			az -= gr*(u[2]-ur*r[2]) + dg*ur*r[2]
+		}
+		// The acceleration is final here (bar the ocean points): flush
+		// it, so the corrector and the next predictor never build a
+		// velocity from a tiny value.
+		ax, ay, az = ftz(ax), ftz(ay), ftz(az)
+		p[0], p[1], p[2] = ax, ay, az
+		if ocean[k] {
+			continue
+		}
+		w[0] += half * ax
+		w[1] += half * ay
+		w[2] += half * az
+	}
+	if hold > 0 {
+		copy(f.h[hold][s.at:s.at+s.n], a)
 	}
 }
 
-// corrector runs the Newmark correction for every solid field, and
-// captures the final (mass-divided) acceleration of the passes with a
-// hold level into their hold arrays for the next predictor. The fluid
-// correction already ran under the solid halo (finishSolidStage).
-func (rs *rankState) corrector() {
-	for kind, fs := range rs.solid {
-		if fs == nil {
-			continue
-		}
+// oceanLoad rescales the normal component of the free-surface
+// acceleration by M/(M+Mw) at the surface points the step's passes fire,
+// then runs the corrector and the hold capture the tail left to it
+// there. Few points; inline.
+func (rs *rankState) oceanLoad() {
+	if rs.oceanFactor == nil {
+		return
+	}
+	rs.prof.Time(perf.PhaseUpdate, func() {
+		sl := &rs.local.Surface
 		n := 0
-		for _, ps := range rs.lp.passes[kind] {
-			list, li, half := ps.list, ps.hold, ps.dt/2
-			rs.pool.sweepRange(rs.scr, ps.n, &rs.updateBusy, func(lo, hi int) {
-				for _, f := range fs {
-					var hx, hy, hz []float32
-					if li > 0 {
-						hx, hy, hz = f.hx[li], f.hy[li], f.hz[li]
-					}
-					for q := lo; q < hi; q++ {
-						i := q
-						if list != nil {
-							i = int(list[q])
-						}
-						f.vx[i] += half * f.ax[i]
-						f.vy[i] += half * f.ay[i]
-						f.vz[i] += half * f.az[i]
-						if hx != nil {
-							hx[q], hy[q], hz[q] = f.ax[i], f.ay[i], f.az[i]
-						}
+		for _, ps := range rs.lp.passes[earthmodel.RegionCrustMantle] {
+			half := ps.dt / 2
+			for _, f := range rs.solid[earthmodel.RegionCrustMantle] {
+				h := f.h[ps.hold] // nil without a hold level
+				for _, op := range ps.ocean {
+					j, pt := op.j, sl.Pts[op.j]
+					a, v := &f.a[pt], &f.v[pt]
+					an := a[0]*sl.Nx[j] + a[1]*sl.Ny[j] + a[2]*sl.Nz[j]
+					scale := an * (1 - rs.oceanFactor[j])
+					a[0], a[1], a[2] = ftz(a[0]-scale*sl.Nx[j]), ftz(a[1]-scale*sl.Ny[j]), ftz(a[2]-scale*sl.Nz[j])
+					v[0], v[1], v[2] = v[0]+half*a[0], v[1]+half*a[1], v[2]+half*a[2]
+					if h != nil {
+						h[op.q] = *a
 					}
 				}
-			})
-			n += ps.n
+			}
+			n += len(ps.ocean)
 		}
-		rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.SolidCorrector*int64(n*len(fs)))
-		rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.SolidCorrector*int64(n*len(fs)))
-	}
+		rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.OceanPoint*int64(n*rs.ns))
+		rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.OceanPoint*int64(n*rs.ns))
+	})
 }
 
 // fluidCorrector runs the fluid Newmark correction from
-// finishSolidStage, under the in-flight solid halo: the fluid arrays are
-// final once the rest of the mass division is done, and nothing later in
-// the step reads them.
+// finishSolidStage, under the in-flight solid halo, and captures the
+// potential accelerations of a pass with a hold level: the fluid arrays
+// are final once the rest of the mass division is done, and nothing
+// later in the step reads them.
 func (rs *rankState) fluidCorrector() {
 	fls := rs.fluid
 	if fls == nil {
@@ -387,21 +386,16 @@ func (rs *rankState) fluidCorrector() {
 	}
 	n := 0
 	for _, ps := range rs.lp.passes[earthmodel.RegionOuterCore] {
-		list, li, half := ps.list, ps.hold, ps.dt/2
-		rs.pool.sweepRange(rs.scr, ps.n, &rs.updateBusy, func(lo, hi int) {
+		half := ps.dt / 2
+		rs.pool.sweepSpans(rs.scr, ps.spans, ps.n, &rs.updateBusy, func(spans []span) {
 			for _, fl := range fls {
-				var h []float32
-				if li > 0 {
-					h = fl.hChi[li]
-				}
-				for q := lo; q < hi; q++ {
-					i := q
-					if list != nil {
-						i = int(list[q])
+				for _, s := range spans {
+					dot, dd := fl.chiDot[s.i:s.i+s.n], fl.chiDdot[s.i:s.i+s.n]
+					for k := range dot {
+						dot[k] += half * dd[k]
 					}
-					fl.chiDot[i] += half * fl.chiDdot[i]
-					if h != nil {
-						h[q] = fl.chiDdot[i]
+					if ps.hold > 0 {
+						copy(fl.hChi[ps.hold][s.at:s.at+s.n], dd)
 					}
 				}
 			}
