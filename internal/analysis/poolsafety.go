@@ -11,12 +11,11 @@ import (
 // bit-identity and race-freedom guarantees of the parallel force
 // kernels:
 //
-//   - inside a chunk closure handed to pool.sweep/sweepElems/sweepRange/
-//     sweepSpans, writes that reach shared (captured) slices must be
-//     indexed through values derived from the chunk's own arguments — its
-//     element sub-list (one coloring class), its [lo,hi) point range or
-//     its point spans — so two concurrent chunks can never touch the
-//     same entry;
+//   - inside a chunk closure handed to pool.sweep/sweepElems/sweepSpans,
+//     writes that reach shared (captured) slices must be indexed through
+//     values derived from the chunk's own arguments — its element
+//     sub-list (one coloring class), its [lo,hi) bounds or its point
+//     spans — so two concurrent chunks can never touch the same entry;
 //   - plain captured variables may not be written from a chunk at all;
 //   - a pointer &x[i] into shared state handed to a bodiless (assembly)
 //     function is a write the analyzer cannot follow and the runtime
@@ -44,7 +43,7 @@ var PoolSafety = &Analyzer{
 	Run: runPoolSafety,
 }
 
-var poolSweepNames = map[string]bool{"sweep": true, "sweepElems": true, "sweepRange": true, "sweepSpans": true}
+var poolSweepNames = map[string]bool{"sweep": true, "sweepElems": true, "sweepSpans": true}
 
 func runPoolSafety(pass *Pass) error {
 	if !pass.scopedTo("solver") {

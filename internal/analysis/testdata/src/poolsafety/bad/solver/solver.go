@@ -13,10 +13,6 @@ func (p *pool) sweepElems(scr []*kernelScratch, elems []int32, busy *int64, fn f
 	fn(scr[0], elems)
 }
 
-func (p *pool) sweepRange(scr []*kernelScratch, n int, busy *int64, fn func(ks *kernelScratch, lo, hi int)) {
-	fn(scr[0], 0, n)
-}
-
 type span struct{ i, at, n int32 }
 
 func (p *pool) sweepSpans(scr []*kernelScratch, spans []span, n int, busy *int64, fn func(spans []span)) {
@@ -36,6 +32,19 @@ func spanOutside(p *pool, s *state, spans []span, n int) {
 		for _, sp := range spans {
 			s.accel[sp.i] = 0
 			s.accel[s.next] = 0 // want "write to shared state is not indexed through the chunk's own range"
+		}
+	})
+}
+
+// spanShifted walks its spans' points one by one but writes them
+// shifted by captured state, into points another chunk may own.
+func spanShifted(p *pool, s *state, spans []span, n int) {
+	var busy int64
+	p.sweepSpans(nil, spans, n, &busy, func(spans []span) {
+		for _, sp := range spans {
+			for i := sp.i; i < sp.i+sp.n; i++ {
+				s.accel[int(i)+s.next] = 0 // want "write to shared state is not indexed through the chunk's own range"
+			}
 		}
 	})
 }

@@ -17,10 +17,6 @@ func (p *pool) sweepElems(scr []*kernelScratch, elems []int32, busy *int64, fn f
 	fn(scr[0], elems)
 }
 
-func (p *pool) sweepRange(scr []*kernelScratch, n int, busy *int64, fn func(ks *kernelScratch, lo, hi int)) {
-	fn(scr[0], 0, n)
-}
-
 type span struct{ i, at, n int32 }
 
 func (p *pool) sweepSpans(scr []*kernelScratch, spans []span, n int, busy *int64, fn func(spans []span)) {
@@ -73,11 +69,14 @@ func forces(p *pool, s *state, scr []*kernelScratch, elems []int32) {
 	})
 }
 
-func update(p *pool, s *state, scr []*kernelScratch, n int) {
+// update writes each span's own points, indexed one by one.
+func update(p *pool, s *state, scr []*kernelScratch, spans []span, n int) {
 	var busy int64
-	p.sweepRange(scr, n, &busy, func(ks *kernelScratch, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s.accel[i] *= s.mass[i]
+	p.sweepSpans(scr, spans, n, &busy, func(spans []span) {
+		for _, sp := range spans {
+			for i := sp.i; i < sp.i+sp.n; i++ {
+				s.accel[i] *= s.mass[i]
+			}
 		}
 	})
 }

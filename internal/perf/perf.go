@@ -447,10 +447,11 @@ type ByteCounts struct {
 	// SolidTail is the solid step's one pass after the forces: mass
 	// division, Coriolis and corrector share its streams, so rotation
 	// adds none; Gravity is the extra traffic when gravity is on.
-	SolidTail      int64 // per solid grid point per step
-	Gravity        int64 // per solid point per step, when gravity is on
-	FluidMassDiv   int64 // per fluid grid point per step
-	FluidCorrector int64 // per fluid grid point per step
+	SolidTail int64 // per solid grid point per step
+	Gravity   int64 // per solid point per step, when gravity is on
+	// FluidTail is the fluid step's one pass after the forces: mass
+	// division and corrector share its streams.
+	FluidTail int64 // per fluid grid point per step
 
 	CouplePoint   int64 // per boundary-face GLL point per step
 	TractionPoint int64 // per boundary-face GLL point per step
@@ -504,10 +505,9 @@ func DefaultByteCounts() ByteCounts {
 		// rhat r (3).
 		SolidTail: (3*2 + 1 + 3*2) * f32,
 		Gravity:   (3 + 2 + 3) * f32,
-		// Fluid division: chiDdot rmw + inverse-mass read; corrector:
-		// chiDot rmw + chiDdot read — two passes.
-		FluidMassDiv:   (2 + 1) * f32,
-		FluidCorrector: 3 * f32,
+		// Fluid tail: chiDdot rmw + inverse-mass read + chiDot rmw, each
+		// streamed once — the corrector takes chiDdot from a register.
+		FluidTail: (2 + 1 + 2) * f32,
 
 		// Coupling: 3 displacement r + 3 normal r + weight r + point
 		// indices (2 int32) + chiDdot rmw.

@@ -195,8 +195,7 @@ func TestDefaultByteCounts(t *testing.T) {
 		"SolidPredictor":  bc.SolidPredictor,
 		"FluidPredictor":  bc.FluidPredictor,
 		"SolidTail":       bc.SolidTail,
-		"FluidMassDiv":    bc.FluidMassDiv,
-		"FluidCorrector":  bc.FluidCorrector,
+		"FluidTail":       bc.FluidTail,
 		"Gravity":         bc.Gravity,
 		"CouplePoint":     bc.CouplePoint,
 		"TractionPoint":   bc.TractionPoint,

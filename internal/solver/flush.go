@@ -12,10 +12,10 @@ import "math"
 // flush-to-zero compiler flags; Go has neither, so the integrator
 // flushes by hand: the loop that last writes a state array in a step
 // passes the value through ftz. That is the displacement and the
-// potential in the predictor, and the acceleration in the solid tail
-// pass, the fluid mass division and the ocean load — so every
-// corrector (the tail's, the ocean loop's for the surface points, the
-// fluid's) adds zero or a value of at least dt/2 * 2^-80 to the
+// potential in the predictor, and the acceleration in the solid and
+// fluid tail passes and the ocean load — so every corrector (the
+// tails', the ocean loop's for the surface points) adds zero or a value
+// of at least dt/2 * 2^-80 to the
 // velocity, which therefore stays on a grid of normal numbers, and the
 // LTS holds copy flushed values. The sampled source-time function is
 // flushed too. The attenuation memory variables need no flush of their

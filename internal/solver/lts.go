@@ -22,7 +22,7 @@ import (
 // Each levelPlan is resolved once at setup (buildLevels) and the step
 // reads nothing else: the colour classes that fire, the Newmark passes
 // (point spans, hold level, rate-scaled dt, ocean points; together the
-// points that fire), the fluid division lists and one halo route per
+// points that fire), the traction-shadow points and one halo route per
 // set. A run without local time stepping is the wheel with one level:
 // the overlap classes, one full-range pass per region at dt and the
 // unmasked routes, with no clustering built. A level keeps the base
@@ -41,8 +41,8 @@ import (
 //     ocean loop at the surface points);
 //   - the solid traction reads the fluid potential's second derivative
 //     at CMB/ICB face points every step: a shadow array (accHold)
-//     refreshed after the fluid mass division keeps the last fired
-//     value visible while the fluid slot cycles through garbage.
+//     refreshed after the fluid tail keeps the last fired value visible
+//     while the fluid slot cycles through garbage.
 //
 // Halo exchanges stay tag-aligned across ranks at every step; only the
 // payloads shrink: each level's route of a halo set lists the shared
@@ -77,12 +77,10 @@ type oceanPoint struct{ j, q int32 }
 type levelPlan struct {
 	sweeps [3]sweepClasses  // the outer/inner colour classes that fire
 	passes [3][]newmarkPass // the Newmark passes, ascending rate
-	// face and rest are the fluid points mass-divided before the solid
-	// traction and under the solid halo; shadow lists the face points
-	// copied into the traction shadow (nil unless the fluid is
-	// multi-rate).
-	face, rest, shadow []int32
-	routes             [nHaloSets]haloRoute
+	// shadow lists the firing coupling-face points of the fluid, copied
+	// into the traction shadow (nil unless the fluid is multi-rate).
+	shadow []int32
+	routes [nHaloSets]haloRoute
 }
 
 // ltsLevelOf returns the firing level index of a global step: the
@@ -112,9 +110,6 @@ func (rs *rankState) buildLevels(ov *mesh.Overlap) {
 			inner: rs.colors.Classes(kind, ov.Inner[kind]),
 		}
 		base.passes[kind] = []newmarkPass{rs.newPass(kind, nil, reg.NGlob, 0, float32(rs.dt))}
-		if reg.IsFluid() {
-			base.face, base.rest = couplingFacePoints(rs.local, reg.NGlob)
-		}
 	}
 	base.routes = rs.levelRoutes(nil, 0)
 	rs.levels = []levelPlan{base}
@@ -170,6 +165,10 @@ func (rs *rankState) wheelLevels(base *levelPlan) []levelPlan {
 		}
 	}
 	oc := earthmodel.RegionOuterCore
+	var face []int32
+	if byRate[oc] != nil {
+		face = couplingFacePoints(rs.local, len(clus.PointRate[oc]))
+	}
 	levels := make([]levelPlan, n)
 	for li := range levels {
 		rate := int32(1) << uint(li)
@@ -182,11 +181,8 @@ func (rs *rankState) wheelLevels(base *levelPlan) []levelPlan {
 				lp.passes[kind] = passes[:li+1]
 			}
 		}
-		if byRate[oc] != nil {
-			pr := clus.PointRate[oc]
-			lp.face = upToRate(base.face, pr, rate)
-			lp.rest = upToRate(base.rest, pr, rate)
-			lp.shadow = lp.face
+		if face != nil {
+			lp.shadow = upToRate(face, clus.PointRate[oc], rate)
 		}
 		if li < n-1 {
 			lp.routes = rs.levelRoutes(&clus.PointRate, rate)
@@ -280,11 +276,10 @@ func (rs *rankState) allocHolds() {
 			f.h = holds[[3]float32](top.passes[kind], len(rs.levels))
 		}
 	}
-	for s, fl := range rs.fluid {
+	for _, fl := range rs.fluid {
 		fl.hChi = holds[float32](top.passes[earthmodel.RegionOuterCore], len(rs.levels))
 		if top.shadow != nil {
 			fl.accHold = make([]float32, fl.reg.NGlob)
-			rs.chiSrc[s] = fl.accHold
 		}
 	}
 }

@@ -124,7 +124,7 @@ func (p *pool) Busy() []time.Duration {
 // never fall below the minimum worth a channel round-trip; sweeps that
 // fit in a single minimum chunk run inline on the rank goroutine. The
 // choice never affects results — sweeps are conflict-free by
-// construction (one color class, or disjoint point ranges).
+// construction (one color class, or disjoint point spans).
 const (
 	minElemChunk  = 8
 	minPointChunk = 2048
@@ -194,10 +194,10 @@ func (p *pool) sweepElems(rankKS *kernelScratch, elems []int32, busyNanos *int64
 
 // sweepSpans runs fn over chunks of the spans of a Newmark pass of n
 // points. A chunk holds at least minPointChunk points on average, so a
-// pass of one long run chunks like sweepRange over [0,n) (its spans are
-// at most minPointChunk long) and a small pass of many short runs under
-// LTS runs inline. Spans are disjoint, and every point is written
-// independently, so any chunking is bit-exact.
+// pass of one long run chunks [0,n) into minPointChunk-sized pieces or
+// more (its spans are at most minPointChunk long) and a small pass of
+// many short runs under LTS runs inline. Spans are disjoint, and every
+// point is written independently, so any chunking is bit-exact.
 func (p *pool) sweepSpans(rankKS *kernelScratch, spans []span, n int, busyNanos *int64,
 	fn func(spans []span)) {
 
@@ -207,16 +207,5 @@ func (p *pool) sweepSpans(rankKS *kernelScratch, spans []span, n int, busyNanos 
 	}
 	p.sweep(rankKS, len(spans), minChunk, busyNanos, func(_ *kernelScratch, lo, hi int) {
 		fn(spans[lo:hi])
-	})
-}
-
-// sweepRange runs fn over [lo,hi) chunks of [0,n) — for the fluid
-// mass-division lists, where every index is written independently, so
-// any chunking is bit-exact.
-func (p *pool) sweepRange(rankKS *kernelScratch, n int, busyNanos *int64,
-	fn func(lo, hi int)) {
-
-	p.sweep(rankKS, n, minPointChunk, busyNanos, func(_ *kernelScratch, lo, hi int) {
-		fn(lo, hi)
 	})
 }

@@ -3,6 +3,8 @@ package solver
 import (
 	"sync/atomic"
 	"testing"
+
+	"specglobe/internal/earthmodel"
 )
 
 // Every element of a sweep must be visited exactly once, regardless of
@@ -36,22 +38,49 @@ func TestSweepElemsCoversExactlyOnce(t *testing.T) {
 	}
 }
 
-// Range sweeps must cover [0,n) exactly once.
-func TestSweepRangeCoversExactlyOnce(t *testing.T) {
+// A pass of many short spans — the shape of an LTS exact-rate list —
+// must cover every point of the pass exactly once, at its own pass
+// position, and leave every other point alone.
+func TestSweepSpansCoversExactlyOnce(t *testing.T) {
 	p := newPool(3)
 	defer p.close()
-	const n = 10000
-	counts := make([]int32, n)
+	const nglob = 30000
+	var list []int32
+	for i := int32(0); i < nglob; i++ {
+		if i%6 < 3 {
+			list = append(list, i)
+		}
+	}
+	ps := new(rankState).newPass(int(earthmodel.RegionOuterCore), list, len(list), 1, 1)
+	if len(ps.spans) != len(list)/3 {
+		t.Fatalf("%d spans for %d runs of 3", len(ps.spans), len(list)/3)
+	}
+	counts := make([]int32, nglob)
+	slots := make([]int32, len(list))
 	var busy int64
-	scr := new(kernelScratch)
-	p.sweepRange(scr, n, &busy, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&counts[i], 1)
+	p.sweepSpans(new(kernelScratch), ps.spans, ps.n, &busy, func(spans []span) {
+		for _, s := range spans {
+			for k := int32(0); k < s.n; k++ {
+				atomic.AddInt32(&counts[s.i+k], 1)
+				atomic.AddInt32(&slots[s.at+k], 1)
+				if list[s.at+k] != s.i+k {
+					t.Errorf("pass position %d holds point %d, want %d", s.at+k, s.i+k, list[s.at+k])
+				}
+			}
 		}
 	})
 	for i, c := range counts {
+		want := int32(0)
+		if i%6 < 3 {
+			want = 1
+		}
+		if c != want {
+			t.Fatalf("point %d visited %d times, want %d", i, c, want)
+		}
+	}
+	for q, c := range slots {
 		if c != 1 {
-			t.Fatalf("index %d visited %d times", i, c)
+			t.Fatalf("pass position %d visited %d times", q, c)
 		}
 	}
 }

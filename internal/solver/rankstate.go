@@ -43,7 +43,7 @@ type fluidField struct {
 	hChi [][]float32
 	// accHold is the traction shadow of chiDdot when the fluid is
 	// multi-rate under LTS: the solid traction reads the value frozen
-	// after the fluid's own mass division (nil otherwise).
+	// by the fluid's own tail (nil otherwise).
 	accHold []float32
 }
 
@@ -131,11 +131,6 @@ type rankState struct {
 	levels []levelPlan
 	lp     *levelPlan
 	clus   *mesh.Clustering
-
-	// chiSrc[s] is the array field s's solid traction reads the fluid
-	// potential acceleration from: the field's LTS shadow when the
-	// fluid is multi-rate, its chiDdot otherwise.
-	chiSrc [][]float32
 
 	// ns is the ensemble width: the number of independent wavefields
 	// batched through the shared mesh (1 for a plain run).
@@ -255,12 +250,6 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 		rs.solid[kind] = fs
 	}
 
-	if fls := rs.fluid; fls != nil {
-		rs.chiSrc = make([][]float32, ns)
-		for s, fl := range fls {
-			rs.chiSrc[s] = fl.chiDdot
-		}
-	}
 	rs.allocHolds()
 	rs.buildHaloSets()
 	rs.solidSets = []int{int(earthmodel.RegionCrustMantle), int(earthmodel.RegionInnerCore)}
@@ -288,9 +277,9 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 	return rs
 }
 
-// couplingFacePoints splits the nglob fluid points into the fluid-side
-// points of the CMB and ICB coupling faces and the rest, both ascending.
-func couplingFacePoints(l *mesh.Local, nglob int) (face, rest []int32) {
+// couplingFacePoints returns the fluid-side points of the CMB and ICB
+// coupling faces among nglob fluid points, ascending.
+func couplingFacePoints(l *mesh.Local, nglob int) (face []int32) {
 	mark := make([]bool, nglob)
 	for _, faces := range [][]mesh.CoupleFace{l.CMB, l.ICB} {
 		for fi := range faces {
@@ -299,15 +288,12 @@ func couplingFacePoints(l *mesh.Local, nglob int) (face, rest []int32) {
 			}
 		}
 	}
-	rest = make([]int32, 0, nglob)
 	for p, m := range mark {
 		if m {
 			face = append(face, int32(p))
-		} else {
-			rest = append(rest, int32(p))
 		}
 	}
-	return face, rest
+	return face
 }
 
 // newAttState builds memory-variable storage and per-element update

@@ -139,9 +139,9 @@ func TestMixedRegionTagAlignment(t *testing.T) {
 // Global energy on a coupled fluid-solid globe must be conserved to
 // bounded drift after the source stops radiating — at both worker
 // counts. This is the end-to-end check that the coupling applies the
-// traction with the *final* boundary fluid values (only the face points
-// are mass-divided before it): a schedule bug that couples a partially
-// assembled potential pumps or leaks energy at the CMB/ICB every step.
+// traction with the *final* boundary fluid values (the fluid tail runs
+// before it): a schedule bug that couples a partially assembled
+// potential pumps or leaks energy at the CMB/ICB every step.
 func TestCoupledEnergyConservation(t *testing.T) {
 	g, model := coupledGlobe(t, 4, 1)
 	for _, workers := range []int{1, 4} {
@@ -250,34 +250,70 @@ func TestFlopAccountingExact(t *testing.T) {
 	}
 }
 
-// The byte model of the same source-free box, with rotation and gravity
-// on: every step streams exactly the element kernel's traffic plus, per
-// point, the predictor (d rmw, v rmw, a read and zeroed: 18 floats),
-// the one tail pass (a rmw, inverse mass, v rmw: 13 — Coriolis reads
-// the v the corrector streams) and the gravity term's reads (d, g/r and
-// dg/dr, rhat: 8). The streams are spelled out here, not read back from
-// the model, so a term dropped from perf.DefaultByteCounts fails.
+// The byte model of source-free runs: every step streams exactly the
+// element kernels' traffic plus, per solid point, the predictor (d rmw,
+// v rmw, a read and zeroed: 18 floats), the one tail pass (a rmw,
+// inverse mass, v rmw: 13 — Coriolis reads the v the corrector streams)
+// and, with gravity, the term's reads (d, g/r and dg/dr, rhat: 8); per
+// fluid point, the predictor (chi rmw, chiDot rmw, chiDdot read and
+// zeroed: 6) and the one tail pass (chiDdot rmw, inverse mass, chiDot
+// rmw: 5); and per coupling-face point the coupling and traction terms.
+// The point streams are spelled out here, not read back from the model,
+// so a term dropped from perf.DefaultByteCounts fails.
 func TestByteAccountingExact(t *testing.T) {
-	const L = 40e3
-	b := buildBox(t, 3, 1, L)
-	const steps = 4
-	res, err := Run(&Simulation{
-		Locals: b.Locals, Plans: b.Plans, Model: earthmodel.NewHomogeneous(6371e3, boxMat),
-		Opts: Options{Steps: steps, Dt: 0.02, Rotation: true, RotationRate: 0.01, Gravity: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := b.Locals[0].Regions[earthmodel.RegionCrustMantle]
+	const solidPoint, gravityPoint, fluidPoint = 4 * (18 + 13), 4 * 8, 4 * (6 + 5)
 	bc := perf.DefaultByteCounts()
-	const perPoint = 4 * (18 + 13 + 8)
-	if got := bc.SolidPredictor + bc.SolidTail + bc.Gravity; got != perPoint {
-		t.Errorf("model charges %d B per point per step, the streams are %d B", got, perPoint)
+	if got := bc.SolidPredictor + bc.SolidTail; got != solidPoint {
+		t.Errorf("model charges %d B per solid point per step, the streams are %d B", got, solidPoint)
 	}
-	want := int64(steps) * ((bc.SolidElementStatic+bc.SolidElementDynamic)*int64(reg.NSpec) + perPoint*int64(reg.NGlob))
-	if res.Perf.TotalBytes != want {
-		t.Errorf("TotalBytes = %d, want %d", res.Perf.TotalBytes, want)
+	if bc.Gravity != gravityPoint {
+		t.Errorf("model charges %d B of gravity per point per step, the streams are %d B", bc.Gravity, gravityPoint)
 	}
+	if got := bc.FluidPredictor + bc.FluidTail; got != fluidPoint {
+		t.Errorf("model charges %d B per fluid point per step, the streams are %d B", got, fluidPoint)
+	}
+	const steps = 4
+	// want is the bytes the runs over locals must count, gravity per
+	// solid point included or not.
+	want := func(locals []*mesh.Local, gravity int64) int64 {
+		var n int64
+		for _, l := range locals {
+			for _, reg := range l.Regions {
+				switch {
+				case reg == nil || reg.NSpec == 0:
+				case reg.IsFluid():
+					n += (bc.FluidElementStatic+bc.FluidElementDynamic)*int64(reg.NSpec) + fluidPoint*int64(reg.NGlob)
+				default:
+					n += (bc.SolidElementStatic+bc.SolidElementDynamic)*int64(reg.NSpec) + (solidPoint+gravity)*int64(reg.NGlob)
+				}
+			}
+			n += (bc.CouplePoint + bc.TractionPoint) * int64((len(l.CMB)+len(l.ICB))*mesh.NGLL2)
+		}
+		return steps * n
+	}
+	t.Run("box", func(t *testing.T) {
+		b := buildBox(t, 3, 1, 40e3)
+		res, err := Run(&Simulation{
+			Locals: b.Locals, Plans: b.Plans, Model: earthmodel.NewHomogeneous(6371e3, boxMat),
+			Opts: Options{Steps: steps, Dt: 0.02, Rotation: true, RotationRate: 0.01, Gravity: true},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := want(b.Locals, gravityPoint); res.Perf.TotalBytes != w {
+			t.Errorf("TotalBytes = %d, want %d", res.Perf.TotalBytes, w)
+		}
+	})
+	t.Run("coupled-globe", func(t *testing.T) {
+		g, model := coupledGlobe(t, 4, 1)
+		res, err := Run(&Simulation{Locals: g.Locals, Plans: g.Plans, Model: model, Opts: Options{Steps: steps}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := want(g.Locals, 0); res.Perf.TotalBytes != w {
+			t.Errorf("TotalBytes = %d, want %d", res.Perf.TotalBytes, w)
+		}
+	})
 }
 
 // Flop accounting is worker-invariant: every worker count performs

@@ -244,16 +244,18 @@ func (rs *rankState) addFluidTractionToSolid(faces []mesh.CoupleFace) {
 	if rs.fluid == nil {
 		return
 	}
-	// chiSrc[s] is field s's chiDdot, or its held LTS shadow when the
-	// fluid is multi-rate (the face values a dormant fluid last
-	// produced).
 	for fi := range faces {
 		cf := &faces[fi]
 		fs := rs.solid[cf.SolidKind]
 		for s, f := range fs {
-			chiSrc := rs.chiSrc[s]
+			// The held LTS shadow when the fluid is multi-rate: the face
+			// values a dormant fluid last produced.
+			chi := rs.fluid[s].chiDdot
+			if h := rs.fluid[s].accHold; h != nil {
+				chi = h
+			}
 			for q := 0; q < mesh.NGLL2; q++ {
-				chidd := chiSrc[cf.FluidPt[q]]
+				chidd := chi[cf.FluidPt[q]]
 				w := cf.Weight[q]
 				a := &f.a[cf.SolidPt[q]]
 				a[0] -= w * cf.Nx[q] * chidd

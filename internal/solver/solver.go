@@ -366,8 +366,8 @@ func Run(sim *Simulation) (*Result, error) {
 		if s.STF == nil {
 			return nil, fmt.Errorf("solver: source %d has no source-time function", i)
 		}
-		if s.Rank < 0 || s.Rank >= len(sim.Locals) {
-			return nil, fmt.Errorf("solver: source %d on invalid rank %d", i, s.Rank)
+		if err := placed(sim.Locals, s.Rank, s.Kind, s.Elem); err != nil {
+			return nil, fmt.Errorf("solver: source %d %w", i, err)
 		}
 		if s.Field < 0 {
 			return nil, fmt.Errorf("solver: source %d has negative Field %d", i, s.Field)
@@ -381,6 +381,9 @@ func Run(sim *Simulation) (*Result, error) {
 		r := &sim.Receivers[i]
 		if r.Kind == earthmodel.RegionOuterCore {
 			return nil, fmt.Errorf("solver: receiver %q in the fluid outer core is not supported", r.Name)
+		}
+		if err := placed(sim.Locals, r.Rank, r.Kind, r.Elem); err != nil {
+			return nil, fmt.Errorf("solver: receiver %q %w", r.Name, err)
 		}
 		if names[r.Name] {
 			return nil, fmt.Errorf("solver: duplicate receiver name %q", r.Name)
@@ -526,6 +529,25 @@ func Run(sim *Simulation) (*Result, error) {
 		return res, unstable
 	}
 	return res, nil
+}
+
+// placed checks that a source or receiver sits in an element of a
+// region its rank carries.
+func placed(locals []*mesh.Local, rank int, kind earthmodel.Region, elem int) error {
+	if rank < 0 || rank >= len(locals) {
+		return fmt.Errorf("on invalid rank %d", rank)
+	}
+	if kind < 0 || int(kind) >= len(locals[rank].Regions) {
+		return fmt.Errorf("in invalid region %d", int(kind))
+	}
+	reg := locals[rank].Regions[kind]
+	if reg == nil || reg.NSpec == 0 {
+		return fmt.Errorf("in region %v, which rank %d does not carry", kind, rank)
+	}
+	if elem < 0 || elem >= reg.NSpec {
+		return fmt.Errorf("in element %d, outside [0, %d)", elem, reg.NSpec)
+	}
+	return nil
 }
 
 // stableDt returns the automatic global time step.

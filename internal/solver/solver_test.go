@@ -108,6 +108,26 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(sim); err == nil {
 		t.Error("negative RecordEvery accepted")
 	}
+	// A source or receiver must sit in an element of a region its rank
+	// carries. These once panicked on a rank goroutine, or (the
+	// receiver's rank) ran and recorded nothing.
+	stf := func(float64) float64 { return 0 }
+	for _, c := range []struct {
+		name string
+		sim  Simulation
+	}{
+		{"source element", Simulation{Sources: []Source{{Elem: 1 << 20, STF: stf}}}},
+		{"source kind", Simulation{Sources: []Source{{Kind: 5, STF: stf}}}},
+		{"source region", Simulation{Sources: []Source{{Kind: earthmodel.RegionInnerCore, STF: stf}}}},
+		{"receiver element", Simulation{Receivers: []Receiver{{Name: "R", Elem: 1 << 20}}}},
+		{"receiver rank", Simulation{Receivers: []Receiver{{Name: "R", Rank: 9}}}},
+		{"receiver kind", Simulation{Receivers: []Receiver{{Name: "R", Kind: -1}}}},
+	} {
+		c.sim.Locals, c.sim.Plans, c.sim.Opts = b.Locals, b.Plans, Options{Steps: 1}
+		if _, err := Run(&c.sim); err == nil {
+			t.Errorf("%s out of place accepted", c.name)
+		}
+	}
 }
 
 // With no source, everything must remain exactly zero.

@@ -9,36 +9,35 @@ import (
 //
 //  1. predictor: u += dt v + dt^2/2 a;  v += dt/2 a;  a = 0 (the solid
 //     displacement and the fluid potential),
-//  2. fluid: chiDdot = Mf^-1 (-K chi + coupling from the predicted solid
-//     displacement), assembled across ranks; its corrector runs under
-//     the solid halo of stage 3,
-//  3. solid: a = -K u + sources + fluid traction, assembled,
-//  4. tail: one pass over the solid points — mass division, Coriolis,
-//     gravity, flush, corrector v += dt/2 a — then the ocean load, which
-//     runs the free-surface points' corrector after it.
+//  2. fluid stage: chiDdot = -K chi + coupling from the predicted solid
+//     displacement, assembled across ranks, then the fluid tail — mass
+//     division, flush, corrector chiDot += dt/2 chiDdot,
+//  3. solid stage: a = -K u + sources + fluid traction, assembled, then
+//     the solid tail — mass division, Coriolis, gravity, flush, corrector
+//     v += dt/2 a — and the ocean load, which runs the free-surface
+//     points' corrector after it.
 //
-// The new u and chi of stage 1 and the final a and chiDdot of stages 2
-// and 4 are flushed to zero below 2^-80 as they are stored (flush.go).
+// The new u and chi of stage 1 and the final chiDdot and a of stages 2
+// and 3 are flushed to zero below 2^-80 as they are stored (flush.go).
 // Because the fluid acceleration is final before the solid uses it, the
 // fluid-solid coupling needs no iteration (section 1: "non-iterative
 // coupling between fluid and solid based on the displacement vector").
 //
 // The force kernels sweep their colour classes on the shared worker pool
 // (colours serialize, chunks within a colour are conflict-free) and the
-// point passes dispatch as point spans or ranges, so every sweep is
-// bit-identical at any worker count; coupling, source and ocean terms
-// touch few points and stay inline. Every step is one spoke of the wheel
-// (lts.go): its level plan lists the colour classes, Newmark passes,
-// division lists and halo routes it runs, each firing point advancing
-// with its own rate-scaled dt. Under LTS dormant points are skipped by
-// every point pass and masked out of the halo payloads; their
-// acceleration slots accumulate garbage from firing neighbors, which the
-// predictor wipes at their next firing.
+// point passes dispatch as point spans, so every sweep is bit-identical
+// at any worker count; coupling, source and ocean terms touch few points
+// and stay inline. Every step is one spoke of the wheel (lts.go): its
+// level plan lists the colour classes, Newmark passes and halo routes it
+// runs, each firing point advancing with its own rate-scaled dt. Under
+// LTS dormant points are skipped by every point pass and masked out of
+// the halo payloads; their acceleration slots accumulate garbage from
+// firing neighbors, which the predictor wipes at their next firing.
 func (rs *rankState) timeStep(step int) {
 	rs.lp = &rs.levels[ltsLevelOf(step, len(rs.levels))]
 	rs.predictor()
-	rs.forceStage(step)
-	rs.tail()
+	rs.fluidStage()
+	rs.solidStage(step)
 	if (step+1)%rs.opts.RecordEvery == 0 {
 		rs.record(step)
 		if rs.opts.OnChunk != nil {
@@ -129,128 +128,111 @@ func (fl *fluidField) predict(s span, hold int, dt float32) {
 	}
 }
 
-// forceStage runs the fluid stage (forces, assembly, face-point mass
-// division), then the solid stage. Each stage has the same shape — the
-// paper's overlap schedule: the *outer* elements (those contributing to
-// halo points) and the boundary terms first, post the halo, the inner
-// elements (plus, in the solid stage, the rest of the fluid update)
-// while the messages are in flight, then accumulate the received
-// contributions. The coupling and source terms touch boundary points
-// and therefore run before the post.
-func (rs *rankState) forceStage(step int) {
-	// --- Fluid stage ------------------------------------------------------
-	if rs.fluid != nil {
-		oc := int(earthmodel.RegionOuterCore)
-		sw := &rs.lp.sweeps[oc]
-		rs.computeFluidForces(sw.outer)
-		rs.addFluidCoupling()
-		fluidHalo := rs.beginStepExchange(oc)
-		rs.computeFluidForces(sw.inner)
-		fluidHalo.finish()
-		// Only the coupling-face points must be final before the
-		// traction; the rest divides under the solid halo.
-		rs.fluidMassDivisionFace()
-	} else {
+// fluidStage runs the fluid half of the step (the element visit's
+// pointwise stage is the function fluidStage, fluid.go). Both stages
+// have one shape, the paper's overlap schedule followed by the field's
+// tail: the
+// forces of the *outer* elements (those contributing to halo points)
+// and the boundary terms, which touch boundary points; post the halo;
+// the inner elements while the messages are in flight; finish; tail.
+// The fluid tail leaves the potential acceleration final before the
+// solid stage's traction reads it. A rank without fluid only consumes
+// the fluid halo's tag.
+func (rs *rankState) fluidStage() {
+	if rs.fluid == nil {
 		rs.nextTag() // keep the exchange sequence aligned
+		return
 	}
+	oc := int(earthmodel.RegionOuterCore)
+	sw := &rs.lp.sweeps[oc]
+	rs.computeFluidForces(sw.outer)
+	rs.prof.Time(perf.PhaseForceFluid, func() {
+		rs.addSolidDisplacementToFluid(rs.local.CMB)
+		rs.addSolidDisplacementToFluid(rs.local.ICB)
+	})
+	halo := rs.beginStepExchange(oc)
+	rs.computeFluidForces(sw.inner)
+	halo.finish()
+	rs.fluidTail()
+}
 
-	// --- Solid stage ------------------------------------------------------
+// solidStage runs the solid half of the step and finishes it. The halo
+// is posted once every halo point's local contribution — outer forces,
+// traction, sources — is fixed; every rank posts every set, carried or
+// not (a rank without the region has an empty route and only consumes
+// the tag).
+func (rs *rankState) solidStage(step int) {
 	for kind, fs := range rs.solid {
 		if fs != nil {
 			rs.computeSolidForces(fs, rs.lp.sweeps[kind].outer)
 		}
 	}
-	rs.addTractionAndSources(step)
-	rs.finishSolidStage()
-}
-
-// addFluidCoupling applies the fluid-side CMB/ICB coupling term from
-// the predicted solid displacement.
-func (rs *rankState) addFluidCoupling() {
-	rs.prof.Time(perf.PhaseForceFluid, func() {
-		rs.addSolidDisplacementToFluid(rs.local.CMB)
-		rs.addSolidDisplacementToFluid(rs.local.ICB)
-	})
-}
-
-// fluidMassDivisionFace divides only the CMB/ICB coupling-face points —
-// the values the solid traction consumes — so the remaining division
-// can slide under the solid halo (finishSolidStage). All element,
-// coupling and halo contributions must be in. Under LTS only the firing
-// points are divided (the rest hold garbage that the next predictor
-// wipes), and the shadow points' fresh values are copied into each
-// field's traction shadow.
-func (rs *rankState) fluidMassDivisionFace() {
-	rs.divideFluidList(rs.lp.face)
-	for _, fl := range rs.fluid {
-		for _, p := range rs.lp.shadow {
-			fl.accHold[p] = fl.chiDdot[p]
-		}
-	}
-}
-
-// divideFluidList applies the inverse mass to a point list (all
-// batched wavefields).
-func (rs *rankState) divideFluidList(list []int32) {
-	fls := rs.fluid
-	if len(list) == 0 {
-		return
-	}
-	rs.pool.sweepRange(rs.scr, len(list), &rs.updateBusy, func(lo, hi int) {
-		for _, fl := range fls {
-			for q := lo; q < hi; q++ {
-				i := list[q]
-				fl.chiDdot[i] = ftz(fl.chiDdot[i] * fl.massInv[i])
-			}
-		}
-	})
-	rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.FluidMassDiv*int64(len(list)*len(fls)))
-	rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.FluidMassDiv*int64(len(list)*len(fls)))
-}
-
-// addTractionAndSources applies the boundary terms of the solid stage:
-// the fluid pressure traction at the CMB/ICB (the face points of the
-// fluid potential are final here) and the source injection.
-func (rs *rankState) addTractionAndSources(step int) {
 	rs.prof.Time(perf.PhaseForceSolid, func() {
 		rs.addFluidTractionToSolid(rs.local.CMB)
 		rs.addFluidTractionToSolid(rs.local.ICB)
 		rs.addSources(step)
 	})
-}
-
-// finishSolidStage posts the solid halo exchange (every halo point's
-// local contribution — outer forces, traction, sources — is fixed by
-// now), runs the solid inner sweeps while it is in flight, and waits.
-// The rest of the fluid update — non-face mass division and the fluid
-// corrector — also rides under the in-flight solid halo here: the halo
-// only touches solid acceleration arrays, so the fluid update is free
-// hiding material.
-func (rs *rankState) finishSolidStage() {
-	// Every rank posts every set, carried or not: a rank without the
-	// region has an empty route and only consumes the tag.
 	for i, set := range rs.solidSets {
 		rs.solidHalo[i] = rs.beginStepExchange(set)
 	}
-	// Inner elements touch no halo point: they compute while the
-	// boundary messages are in flight.
 	for kind, fs := range rs.solid {
 		if fs != nil {
 			rs.computeSolidForces(fs, rs.lp.sweeps[kind].inner)
 		}
 	}
-	rs.divideFluidList(rs.lp.rest) // both no-ops on a rank without fluid
-	rs.fluidCorrector()
 	for _, p := range rs.solidHalo {
 		p.finish()
 	}
+	rs.solidTail()
 }
 
-// tail finishes the step for every solid field, one pool pass per pass
-// of the plan, then applies the ocean load. Under LTS the points the
+// fluidTail finishes the step for every fluid field, one pool pass per
+// pass of the plan, then copies the fresh face values into the traction
+// shadow (the plan lists them only when the fluid is multi-rate).
+func (rs *rankState) fluidTail() {
+	fls := rs.fluid
+	n := 0
+	for _, ps := range rs.lp.passes[earthmodel.RegionOuterCore] {
+		rs.pool.sweepSpans(rs.scr, ps.spans, ps.n, &rs.updateBusy, func(spans []span) {
+			for _, fl := range fls {
+				for _, s := range spans {
+					fl.tail(s, ps.hold, ps.dt/2)
+				}
+			}
+		})
+		n += ps.n
+	}
+	for _, fl := range fls {
+		for _, p := range rs.lp.shadow {
+			fl.accHold[p] = fl.chiDdot[p]
+		}
+	}
+	rs.prof.AddFlops(perf.PhaseUpdate, (rs.fc.FluidMassDiv+rs.fc.FluidCorrector)*int64(n*len(fls)))
+	rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.FluidTail*int64(n*len(fls)))
+}
+
+// tail is the fluid's step tail at the points of one span: mass
+// division and flush of the final potential acceleration, the corrector
+// chiDot += dt/2 chiDdot, and the copy into the pass's hold.
+func (fl *fluidField) tail(s span, hold int, half float32) {
+	dd := fl.chiDdot[s.i : s.i+s.n]
+	dot, m := fl.chiDot[s.i:s.i+s.n], fl.massInv[s.i:s.i+s.n]
+	dot, m = dot[:len(dd)], m[:len(dd)]
+	for k := range dd {
+		x := ftz(dd[k] * m[k])
+		dd[k] = x
+		dot[k] += half * x
+	}
+	if hold > 0 {
+		copy(fl.hChi[hold][s.at:s.at+s.n], dd)
+	}
+}
+
+// solidTail finishes the step for every solid field, one pool pass per
+// pass of the plan, then applies the ocean load. Under LTS the points the
 // passes skip are dormant: their accelerations keep garbage until their
 // own predictor wipes it.
-func (rs *rankState) tail() {
+func (rs *rankState) solidTail() {
 	twoOmega := float32(0)
 	if rs.opts.Rotation {
 		twoOmega = float32(2 * rs.opts.RotationRate)
@@ -372,36 +354,4 @@ func (rs *rankState) oceanLoad() {
 		rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.OceanPoint*int64(n*rs.ns))
 		rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.OceanPoint*int64(n*rs.ns))
 	})
-}
-
-// fluidCorrector runs the fluid Newmark correction from
-// finishSolidStage, under the in-flight solid halo, and captures the
-// potential accelerations of a pass with a hold level: the fluid arrays
-// are final once the rest of the mass division is done, and nothing
-// later in the step reads them.
-func (rs *rankState) fluidCorrector() {
-	fls := rs.fluid
-	if fls == nil {
-		return
-	}
-	n := 0
-	for _, ps := range rs.lp.passes[earthmodel.RegionOuterCore] {
-		half := ps.dt / 2
-		rs.pool.sweepSpans(rs.scr, ps.spans, ps.n, &rs.updateBusy, func(spans []span) {
-			for _, fl := range fls {
-				for _, s := range spans {
-					dot, dd := fl.chiDot[s.i:s.i+s.n], fl.chiDdot[s.i:s.i+s.n]
-					for k := range dot {
-						dot[k] += half * dd[k]
-					}
-					if ps.hold > 0 {
-						copy(fl.hChi[ps.hold][s.at:s.at+s.n], dd)
-					}
-				}
-			}
-		})
-		n += ps.n
-	}
-	rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.FluidCorrector*int64(n*len(fls)))
-	rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.FluidCorrector*int64(n*len(fls)))
 }

@@ -11,8 +11,9 @@ import (
 // BenchmarkPointPasses prices the point passes of one rank of the
 // prem_full_solve shape (PREM, doubled NEX 8, rank 0 of 6, rotation,
 // gravity and the ocean load) per point they fire: the predictor (solid
-// and fluid) and the solid tail with its ocean loop, under the one-level
-// plan and under LTS, where one op is a revolution of the wheel. Before
+// and fluid), the solid tail with its ocean loop and the fluid tail,
+// under the one-level plan and under LTS, where one op is a revolution
+// of the wheel. Before
 // each pass a 32 MB stream evicts the rank's arrays from the private
 // caches, as the force stage does in a real step; one pool worker. It
 // is the Go baseline a vector body of the passes is measured against.
@@ -40,8 +41,8 @@ func BenchmarkPointPasses(b *testing.B) {
 			})
 			rs := states[0]
 			steps := 1 << (len(rs.levels) - 1)
-			var predNs, tailNs time.Duration
-			var predPts, tailPts int
+			var predNs, tailNs, fluidNs time.Duration
+			var predPts, tailPts, fluidPts int
 			run := func(pass func()) time.Duration {
 				for i := range evict {
 					evict[i]++
@@ -58,15 +59,19 @@ func BenchmarkPointPasses(b *testing.B) {
 							predPts += ps.n
 							if rs.solid[kind] != nil {
 								tailPts += ps.n
+							} else {
+								fluidPts += ps.n
 							}
 						}
 					}
 					predNs += run(rs.predictor)
-					tailNs += run(rs.tail)
+					tailNs += run(rs.solidTail)
+					fluidNs += run(rs.fluidTail)
 				}
 			}
 			b.ReportMetric(float64(predNs)/float64(predPts), "predictor-ns/point")
 			b.ReportMetric(float64(tailNs)/float64(tailPts), "tail-ns/point")
+			b.ReportMetric(float64(fluidNs)/float64(fluidPts), "fluid-tail-ns/point")
 		})
 	}
 }
