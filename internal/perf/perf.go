@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -71,6 +72,7 @@ type Profiler struct {
 	phases  [numPhases]time.Duration
 	flops   [numPhases]int64
 	bytes   [numPhases]int64
+	skipped [numPhases]int64
 	started time.Time
 	total   time.Duration
 }
@@ -103,6 +105,10 @@ func (p *Profiler) AddFlops(ph Phase, n int64) { p.flops[ph] += n }
 // AddBytes counts memory traffic (the analytic streamed-byte model of
 // ByteCounts), attributed to a phase.
 func (p *Profiler) AddBytes(ph Phase, n int64) { p.bytes[ph] += n }
+
+// AddSkippedVisits counts force-kernel element visits a phase skipped
+// because they could only add zeros (see Report.SkippedVisits).
+func (p *Profiler) AddSkippedVisits(ph Phase, n int64) { p.skipped[ph] += n }
 
 // Flops returns the accumulated operation count over all phases.
 func (p *Profiler) Flops() int64 {
@@ -169,6 +175,12 @@ type Report struct {
 	TotalFlops int64
 	// TotalBytes sums the analytic byte traffic over ranks.
 	TotalBytes int64
+	// SkippedVisits counts, per force phase and summed over ranks and
+	// ensemble fields, the element visits that gathered an all-zero field
+	// (and, with attenuation, had never driven the element's memory
+	// variables) and so were not run: their result is exactly zero. Such
+	// a visit is charged its gather reads and no flops.
+	SkippedVisits map[string]int64
 	// SustainedFlops is TotalFlops / WallTime in flop/s.
 	SustainedFlops float64
 	// Workers and WorkerBusy describe the shared kernel worker pool of
@@ -236,10 +248,11 @@ func (r Report) ArithmeticIntensity(phase string) float64 {
 // Aggregate builds a report from per-rank profilers.
 func Aggregate(profs []*Profiler) Report {
 	r := Report{
-		Ranks:       len(profs),
-		PhaseTotals: map[string]time.Duration{},
-		PhaseFlops:  map[string]int64{},
-		PhaseBytes:  map[string]int64{},
+		Ranks:         len(profs),
+		PhaseTotals:   map[string]time.Duration{},
+		PhaseFlops:    map[string]int64{},
+		PhaseBytes:    map[string]int64{},
+		SkippedVisits: map[string]int64{},
 	}
 	for _, p := range profs {
 		if p.total > r.WallTime {
@@ -250,6 +263,7 @@ func Aggregate(profs []*Profiler) Report {
 			r.PhaseTotals[ph.String()] += p.phases[ph]
 			r.PhaseFlops[ph.String()] += p.flops[ph]
 			r.PhaseBytes[ph.String()] += p.bytes[ph]
+			r.SkippedVisits[ph.String()] += p.skipped[ph]
 		}
 		r.TotalFlops += p.Flops()
 		r.TotalBytes += p.Bytes()
@@ -287,6 +301,11 @@ func (r Report) String() string {
 	fmt.Fprintf(&b, "#   comm frac  : %.2f%%\n", 100*r.CommFraction)
 	fmt.Fprintf(&b, "#   flops      : %d (%.3f Gflop/s sustained)\n",
 		r.TotalFlops, r.SustainedFlops/1e9)
+	for _, ph := range []Phase{PhaseForceSolid, PhaseForceFluid} {
+		if n := r.SkippedVisits[ph.String()]; n > 0 {
+			fmt.Fprintf(&b, "#   %-12s %d element visits skipped (zero field)\n", ph, n)
+		}
+	}
 	return b.String()
 }
 
@@ -315,6 +334,27 @@ func (c *Collector) Report() Report {
 		list = append(list, p)
 	}
 	return Aggregate(list)
+}
+
+// SkipTally counts, across the concurrent chunks of one force sweep,
+// the element visits skipped because they could only add zeros and the
+// elements whose every field was skipped.
+type SkipTally struct{ visits, elems atomic.Int64 }
+
+// Add records one chunk's skipped visits and all-skipped elements.
+func (t *SkipTally) Add(visits, elems int) {
+	t.visits.Add(int64(visits))
+	t.elems.Add(int64(elems))
+}
+
+// Charge returns the skipped visits of a sweep of elems elements ×
+// fields wavefields and its flops and bytes: a performed visit costs
+// flops and dynamic bytes, a skipped one its gather bytes, and an
+// element its static bytes once if any field ran, IboolGather if none did.
+func (t *SkipTally) Charge(c ByteCounts, elems, fields int, flops, static, dynamic, gather int64) (skipped, f, b int64) {
+	skipped, idle := t.visits.Load(), t.elems.Load()
+	ran := int64(elems*fields) - skipped
+	return skipped, flops * ran, static*(int64(elems)-idle) + c.IboolGather*idle + dynamic*ran + gather*skipped
 }
 
 // FlopCounts provides the analytic per-element and per-point flop model
@@ -437,6 +477,15 @@ type ByteCounts struct {
 	FluidElementStatic  int64
 	FluidElementDynamic int64
 
+	// IboolGather, SolidGather and FluidGather are the gather's reads
+	// alone: the element's connectivity (static, once per element) and,
+	// per field, the displacement or potential. A visit that finds its
+	// gathered field zero stops there (solid.go), so it costs its field's
+	// gather; an element whose every field stops costs IboolGather.
+	IboolGather int64
+	SolidGather int64
+	FluidGather int64
+
 	// AttenuationMech is the extra solid-element traffic per SLS
 	// mechanism: six memory-variable arrays read-modify-written. The
 	// memory variables are per-wavefield state, so it is all dynamic.
@@ -491,6 +540,9 @@ func DefaultByteCounts() ByteCounts {
 		// property reads, 3 weight reads — 16 of the 39.
 		FluidElementStatic:  int64(ngll3 * f32 * 16),
 		FluidElementDynamic: int64(ngll3 * f32 * (3 + 4 + 17 + 6 + 9 - 16)),
+		IboolGather:         int64(ngll3 * f32),
+		SolidGather:         int64(ngll3 * f32 * 3),
+		FluidGather:         int64(ngll3 * f32),
 		// Per SLS mechanism: six r arrays read-modify-written.
 		AttenuationMech: int64(ngll3 * f32 * (6 * 2)),
 

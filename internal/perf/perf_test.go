@@ -286,3 +286,35 @@ func TestDefaultFlopCounts(t *testing.T) {
 		t.Errorf("FluidPredictor = %d, want 6", fc.FluidPredictor)
 	}
 }
+
+// The charge of a sweep of 10 elements × 3 fields whose chunks skipped 7
+// visits, every field of 2 elements among them: each performed visit
+// costs the visit's flops and dynamic bytes, each skipped one its
+// gather, and each element its static bytes once — except an element
+// whose every field was skipped, which costs its Ibool read alone. The
+// skipped visits reach the report per phase, summed over ranks.
+func TestSkipTallyCharge(t *testing.T) {
+	c := DefaultByteCounts()
+	var tl SkipTally
+	tl.Add(4, 1)
+	tl.Add(3, 1)
+	const flops, static, dynamic, gather = 100, 1000, 10, 1
+	skipped, f, b := tl.Charge(c, 10, 3, flops, static, dynamic, gather)
+	if skipped != 7 || f != 23*flops {
+		t.Errorf("skipped %d, flops %d; want 7, %d", skipped, f, 23*flops)
+	}
+	if want := 8*static + 2*c.IboolGather + 23*dynamic + 7*gather; b != want {
+		t.Errorf("bytes %d, want %d", b, want)
+	}
+	p, q := NewProfiler(0), NewProfiler(1)
+	p.AddSkippedVisits(PhaseForceSolid, skipped)
+	q.AddSkippedVisits(PhaseForceSolid, 2)
+	q.AddSkippedVisits(PhaseForceFluid, 5)
+	r := Aggregate([]*Profiler{p, q})
+	if r.SkippedVisits["force_solid"] != 9 || r.SkippedVisits["force_fluid"] != 5 {
+		t.Errorf("SkippedVisits = %v, want force_solid 9, force_fluid 5", r.SkippedVisits)
+	}
+	if !strings.Contains(r.String(), "9 element visits skipped") {
+		t.Errorf("summary does not report the skipped visits:\n%s", r)
+	}
+}

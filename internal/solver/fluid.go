@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"math"
+
 	"specglobe/internal/mesh"
 	"specglobe/internal/perf"
 	"specglobe/internal/simd"
@@ -28,17 +30,19 @@ func (rs *rankState) computeFluidForces(classes [][]int32) {
 	if rs.fluid == nil {
 		return
 	}
+	var sk perf.SkipTally
 	numE := 0
 	for _, class := range classes {
 		numE += len(class)
 		rs.pool.sweepElems(rs.scr, class, &rs.forceBusy, func(ks *kernelScratch, elems []int32) {
-			rs.fluidForcesChunk(ks, elems)
+			sk.Add(rs.fluidForcesChunk(ks, elems))
 		})
 	}
-	ns := int64(rs.ns)
-	rs.prof.AddFlops(perf.PhaseForceFluid, rs.fc.FluidElement*int64(numE)*ns)
-	rs.prof.AddBytes(perf.PhaseForceFluid,
-		(rs.bc.FluidElementStatic+ns*rs.bc.FluidElementDynamic)*int64(numE))
+	skipped, f, b := sk.Charge(rs.bc, numE, rs.ns, rs.fc.FluidElement,
+		rs.bc.FluidElementStatic, rs.bc.FluidElementDynamic, rs.bc.FluidGather)
+	rs.prof.AddFlops(perf.PhaseForceFluid, f)
+	rs.prof.AddBytes(perf.PhaseForceFluid, b)
+	rs.prof.AddSkippedVisits(perf.PhaseForceFluid, skipped)
 }
 
 // fluidStage is the pointwise stage of one fluid element visit of one
@@ -78,31 +82,50 @@ func fluidStageGo(reg *mesh.Region, e int, t1, t2, t3, s1, s2, s3 *[pad]float32)
 
 // fluidForcesChunk processes one conflict-free chunk of fluid elements,
 // reusing the x-component scratch blocks for the scalar potential. The
-// wavefield loop nests inside the element loop (see solidForcesChunk).
-func (rs *rankState) fluidForcesChunk(ks *kernelScratch, elems []int32) {
+// wavefield loop nests inside the element loop, and a visit whose
+// gathered potential is all ±0 stops there (see solidForcesChunk).
+func (rs *rankState) fluidForcesChunk(ks *kernelScratch, elems []int32) (skipped, idle int) {
 	fls := rs.fluid
 	reg := fls[0].reg
-	k := rs.kern
-	chi, t1, t2, t3 := xBlock(&ks.u), xBlock(&ks.t1), xBlock(&ks.t2), xBlock(&ks.t3)
-	s1, s2, s3 := xBlock(&ks.s1), xBlock(&ks.s2), xBlock(&ks.s3)
+	chi := xBlock(&ks.u)
 
 	for _, e32 := range elems {
 		e := int(e32)
 		base := e * mesh.NGLL3
 		ib := reg.Ibool[base : base+mesh.NGLL3]
+		ran := false
 		for _, fl := range fls {
+			var or uint32
 			for p, g := range ib {
 				chi[p] = fl.chi[g]
+				or |= math.Float32bits(chi[p])
 			}
-			k.grad(chi[:], t1[:], t2[:], t3[:])
-			fluidStage(reg, e, t1, t2, t3, s1, s2, s3)
-			k.gradT1(s1[:], t1[:])
-			k.gradT2(s2[:], t2[:])
-			k.gradT3(s3[:], t3[:])
-			for p, g := range ib {
-				fl.chiDdot[g] -= k.fac1[p]*t1[p] + k.fac2[p]*t2[p] + k.fac3[p]*t3[p]
+			if or<<1 == 0 { // all ±0
+				skipped++
+				continue
 			}
+			ran = true
+			rs.kern.fluidVisit(reg, e, ib, fl, ks)
 		}
+		if !ran {
+			idle++
+		}
+	}
+	return skipped, idle
+}
+
+// fluidVisit finishes field fl's visit of element e (points ib) from the
+// potential gathered into ks.u's x block (see solidVisit).
+func (k *kernels) fluidVisit(reg *mesh.Region, e int, ib []int32, fl *fluidField, ks *kernelScratch) {
+	chi, t1, t2, t3 := xBlock(&ks.u), xBlock(&ks.t1), xBlock(&ks.t2), xBlock(&ks.t3)
+	s1, s2, s3 := xBlock(&ks.s1), xBlock(&ks.s2), xBlock(&ks.s3)
+	k.grad(chi[:], t1[:], t2[:], t3[:])
+	fluidStage(reg, e, t1, t2, t3, s1, s2, s3)
+	k.gradT1(s1[:], t1[:])
+	k.gradT2(s2[:], t2[:])
+	k.gradT3(s3[:], t3[:])
+	for p, g := range ib {
+		fl.chiDdot[g] -= k.fac1[p]*t1[p] + k.fac2[p]*t2[p] + k.fac3[p]*t3[p]
 	}
 }
 

@@ -23,7 +23,9 @@ import "math"
 // end-of-run census (rankState.stateCensus) counts them with the rest,
 // and counts final accelerations below the threshold. Every path
 // applies ftz at the same point of the same arithmetic, so the
-// bit-identity contracts between paths hold.
+// bit-identity contracts between paths hold. The force sweeps' skip of
+// all-zero element visits (computeSolidForces) relies on ftz returning
+// +0, never a signed zero.
 
 // flushExp is the biased-exponent field of 2^-80 (8.3e-25, the
 // magnitude of SPECFEM's VERYSMALLVAL). The threshold sits far above

@@ -60,13 +60,17 @@ type attState struct {
 	beta  []float32 // [elem][mech] (includes 1/Qmu)
 	muFac []float32 // per element unrelaxed modulus factor
 	r     []float32
+	// woke marks the elements a visit has driven: until then r is all +0
+	// there, and a zero displacement's visit may be skipped.
+	woke []bool
 }
 
 // clone returns an attState sharing the per-element coefficient tables
 // (alpha, beta, muFac are mesh-static) with fresh zeroed memory
-// variables — one clone per additional batched wavefield.
+// variables and wake marks — one clone per additional batched wavefield.
 func (a *attState) clone() *attState {
-	return &attState{nsls: a.nsls, alpha: a.alpha, beta: a.beta, muFac: a.muFac, r: make([]float32, len(a.r))}
+	return &attState{nsls: a.nsls, alpha: a.alpha, beta: a.beta, muFac: a.muFac,
+		r: make([]float32, len(a.r)), woke: make([]bool, len(a.woke))}
 }
 
 // sourceLocal is a source with its precomputed nodal force array.
@@ -309,6 +313,7 @@ func newAttState(reg *mesh.Region, fit *earthmodel.SLSFit, dt float64, rates []i
 		beta:  make([]float32, reg.NSpec*fit.NSLS),
 		muFac: make([]float32, reg.NSpec),
 		r:     make([]float32, reg.NSpec*mesh.NGLL3*fit.NSLS*6),
+		woke:  make([]bool, reg.NSpec),
 	}
 	for e := 0; e < reg.NSpec; e++ {
 		q := float64(reg.Qmu[e])

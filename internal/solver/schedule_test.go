@@ -221,9 +221,10 @@ func TestSeismogramDtRecordEvery(t *testing.T) {
 }
 
 // The analytic flop count of a source-free box run is exactly
-// steps × (kernel + predictor + mass-division + corrector) work — the
-// pointwise sweeps all route through perf.FlopCounts now, so the total
-// is reproducible arithmetic, not a drifting estimate.
+// steps × (predictor + mass-division + corrector) work — the pointwise
+// sweeps all route through perf.FlopCounts, so the total is reproducible
+// arithmetic, not a drifting estimate. The field stays zero, so every
+// element visit is skipped and charged no flops.
 func TestFlopAccountingExact(t *testing.T) {
 	const L = 40e3
 	for _, rotation := range []bool{false, true} {
@@ -243,26 +244,34 @@ func TestFlopAccountingExact(t *testing.T) {
 		if rotation {
 			perPoint += c.Coriolis
 		}
-		want := int64(steps) * (c.SolidElement*int64(reg.NSpec) + perPoint*int64(reg.NGlob))
-		if fc.TotalFlops != want {
+		if want := int64(steps) * perPoint * int64(reg.NGlob); fc.TotalFlops != want {
 			t.Errorf("rotation=%v: TotalFlops = %d, want %d", rotation, fc.TotalFlops, want)
+		}
+		if got, want := fc.SkippedVisits["force_solid"], int64(steps*reg.NSpec); got != want {
+			t.Errorf("rotation=%v: %d visits skipped, want all %d", rotation, got, want)
 		}
 	}
 }
 
-// The byte model of source-free runs: every step streams exactly the
-// element kernels' traffic plus, per solid point, the predictor (d rmw,
-// v rmw, a read and zeroed: 18 floats), the one tail pass (a rmw,
-// inverse mass, v rmw: 13 — Coriolis reads the v the corrector streams)
-// and, with gravity, the term's reads (d, g/r and dg/dr, rhat: 8); per
-// fluid point, the predictor (chi rmw, chiDot rmw, chiDdot read and
-// zeroed: 6) and the one tail pass (chiDdot rmw, inverse mass, chiDot
-// rmw: 5); and per coupling-face point the coupling and traction terms.
-// The point streams are spelled out here, not read back from the model,
-// so a term dropped from perf.DefaultByteCounts fails.
+// The byte and flop model, traced. Every step streams the element
+// kernels' traffic plus, per solid point, the predictor (d rmw, v rmw, a
+// read and zeroed: 18 floats), the one tail pass (a rmw, inverse mass, v
+// rmw: 13 — Coriolis reads the v the corrector streams) and, with
+// gravity, the term's reads (d, g/r and dg/dr, rhat: 8); per fluid
+// point, the predictor (chi rmw, chiDot rmw, chiDdot read and zeroed: 6)
+// and the one tail pass (chiDdot rmw, inverse mass, chiDot rmw: 5); per
+// coupling-face point the coupling and traction terms; and per element
+// point of a source step its injection. An element visit that gathers a
+// zero field is skipped and streams its gather alone: Ibool and the
+// displacement (4 streams), or Ibool and the potential (2); the field is
+// zero before the first source injection, so a source-free run or a
+// one-step run skips every visit. The point and gather streams are
+// spelled out here, not read back from the model, so a term dropped from
+// perf.DefaultByteCounts fails.
 func TestByteAccountingExact(t *testing.T) {
 	const solidPoint, gravityPoint, fluidPoint = 4 * (18 + 13), 4 * 8, 4 * (6 + 5)
-	bc := perf.DefaultByteCounts()
+	const solidGather, fluidGather = 4 * 125 * 4, 4 * 125 * 2
+	bc, fc := perf.DefaultByteCounts(), perf.DefaultFlopCounts()
 	if got := bc.SolidPredictor + bc.SolidTail; got != solidPoint {
 		t.Errorf("model charges %d B per solid point per step, the streams are %d B", got, solidPoint)
 	}
@@ -272,47 +281,106 @@ func TestByteAccountingExact(t *testing.T) {
 	if got := bc.FluidPredictor + bc.FluidTail; got != fluidPoint {
 		t.Errorf("model charges %d B per fluid point per step, the streams are %d B", got, fluidPoint)
 	}
-	const steps = 4
-	// want is the bytes the runs over locals must count, gravity per
-	// solid point included or not.
-	want := func(locals []*mesh.Local, gravity int64) int64 {
-		var n int64
+	if bc.IboolGather+bc.SolidGather != solidGather || bc.IboolGather+bc.FluidGather != fluidGather {
+		t.Errorf("model charges %d / %d B per skipped solid / fluid visit, the streams are %d / %d B",
+			bc.IboolGather+bc.SolidGather, bc.IboolGather+bc.FluidGather, solidGather, fluidGather)
+	}
+	// check compares a run's traced totals with the model: gravity is
+	// the per-solid-point gravity bytes (0 when off), nsls the attenuation
+	// mechanisms (0 when off), sources the run's source-injection steps.
+	// The run's rotation and gravity flops are not modelled: callers
+	// leave them off or check bytes alone.
+	check := func(t *testing.T, locals []*mesh.Local, res *Result, gravity, nsls, sources int64, flops bool) {
+		t.Helper()
+		steps := int64(res.Steps)
+		var solidE, fluidE, wantB, wantF int64
 		for _, l := range locals {
 			for _, reg := range l.Regions {
 				switch {
 				case reg == nil || reg.NSpec == 0:
 				case reg.IsFluid():
-					n += (bc.FluidElementStatic+bc.FluidElementDynamic)*int64(reg.NSpec) + fluidPoint*int64(reg.NGlob)
+					fluidE += int64(reg.NSpec)
+					wantB += steps * fluidPoint * int64(reg.NGlob)
+					wantF += steps * (fc.FluidPredictor + fc.FluidMassDiv + fc.FluidCorrector) * int64(reg.NGlob)
 				default:
-					n += (bc.SolidElementStatic+bc.SolidElementDynamic)*int64(reg.NSpec) + (solidPoint+gravity)*int64(reg.NGlob)
+					solidE += int64(reg.NSpec)
+					wantB += steps * (solidPoint + gravity) * int64(reg.NGlob)
+					wantF += steps * (fc.SolidPredictor + fc.SolidMassDiv + fc.SolidCorrector) * int64(reg.NGlob)
 				}
 			}
-			n += (bc.CouplePoint + bc.TractionPoint) * int64((len(l.CMB)+len(l.ICB))*mesh.NGLL2)
+			faces := steps * int64((len(l.CMB)+len(l.ICB))*mesh.NGLL2)
+			wantB += (bc.CouplePoint + bc.TractionPoint) * faces
+			wantF += (fc.CouplePoint + fc.TractionPoint) * faces
 		}
-		return steps * n
+		wantB += sources * bc.SourcePoint * mesh.NGLL3
+		wantF += sources * fc.SourcePoint * mesh.NGLL3
+		ss, sf := res.Perf.SkippedVisits["force_solid"], res.Perf.SkippedVisits["force_fluid"]
+		ranS, ranF := steps*solidE-ss, steps*fluidE-sf
+		wantB += (bc.SolidElementStatic+bc.SolidElementDynamic+nsls*bc.AttenuationMech)*ranS + solidGather*ss
+		wantB += (bc.FluidElementStatic+bc.FluidElementDynamic)*ranF + fluidGather*sf
+		wantF += (fc.SolidElement+nsls*mesh.NGLL3*18+mesh.NGLL3*8*min(nsls, 1))*ranS + fc.FluidElement*ranF
+		if res.Perf.TotalBytes != wantB {
+			t.Errorf("TotalBytes = %d, want %d (%d + %d visits skipped)", res.Perf.TotalBytes, wantB, ss, sf)
+		}
+		if flops && res.Perf.TotalFlops != wantF {
+			t.Errorf("TotalFlops = %d, want %d (%d + %d visits skipped)", res.Perf.TotalFlops, wantF, ss, sf)
+		}
 	}
 	t.Run("box", func(t *testing.T) {
 		b := buildBox(t, 3, 1, 40e3)
 		res, err := Run(&Simulation{
 			Locals: b.Locals, Plans: b.Plans, Model: earthmodel.NewHomogeneous(6371e3, boxMat),
-			Opts: Options{Steps: steps, Dt: 0.02, Rotation: true, RotationRate: 0.01, Gravity: true},
+			Opts: Options{Steps: 4, Dt: 0.02, Rotation: true, RotationRate: 0.01, Gravity: true},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w := want(b.Locals, gravityPoint); res.Perf.TotalBytes != w {
-			t.Errorf("TotalBytes = %d, want %d", res.Perf.TotalBytes, w)
-		}
+		check(t, b.Locals, res, gravityPoint, 0, 0, false)
 	})
 	t.Run("coupled-globe", func(t *testing.T) {
 		g, model := coupledGlobe(t, 4, 1)
-		res, err := Run(&Simulation{Locals: g.Locals, Plans: g.Plans, Model: model, Opts: Options{Steps: steps}})
+		res, err := Run(&Simulation{Locals: g.Locals, Plans: g.Plans, Model: model, Opts: Options{Steps: 4}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w := want(g.Locals, 0); res.Perf.TotalBytes != w {
-			t.Errorf("TotalBytes = %d, want %d", res.Perf.TotalBytes, w)
+		check(t, g.Locals, res, 0, 0, 0, true)
+	})
+	// sourceRun runs globeSim's source on the coupled globe with
+	// attenuation and returns the run and its source-injection steps.
+	sourceRun := func(t *testing.T, steps int) (*meshfem.Globe, *Result, int64) {
+		g, model := coupledGlobe(t, 4, 1)
+		sim := globeSim(t, g, model, Options{Steps: steps, Attenuation: true})
+		res, err := Run(sim)
+		if err != nil {
+			t.Fatal(err)
 		}
+		var injections int64
+		for s := 0; s < steps; s++ {
+			if ftz(float32(sim.Sources[0].STF(float64(s+1)*res.Dt))) != 0 {
+				injections++
+			}
+		}
+		return g, res, injections
+	}
+	t.Run("one-step", func(t *testing.T) {
+		g, res, injections := sourceRun(t, 1)
+		var faces int64
+		for _, l := range g.Locals {
+			faces += int64((len(l.CMB) + len(l.ICB)) * mesh.NGLL2)
+		}
+		ph := res.Perf.PhaseFlops
+		if ph["force_fluid"] != fc.CouplePoint*faces || ph["force_solid"] != fc.TractionPoint*faces+injections*fc.SourcePoint*mesh.NGLL3 {
+			t.Errorf("force flops %d / %d, want the coupling terms' and the source injection's alone", ph["force_solid"], ph["force_fluid"])
+		}
+		check(t, g.Locals, res, 0, earthmodel.DefaultNSLS, injections, true)
+	})
+	t.Run("multi-step", func(t *testing.T) {
+		const steps = 12
+		g, res, injections := sourceRun(t, steps)
+		if ss := res.Perf.SkippedVisits["force_solid"]; ss == 0 || ss >= steps*int64(g.TotalElements()) {
+			t.Errorf("%d solid visits skipped: want some, not all", ss)
+		}
+		check(t, g.Locals, res, 0, earthmodel.DefaultNSLS, injections, true)
 	})
 }
 

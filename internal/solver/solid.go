@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"math"
+
 	"specglobe/internal/mesh"
 	"specglobe/internal/perf"
 	"specglobe/internal/simd"
@@ -32,27 +34,34 @@ import (
 // analytic byte model charges the static share once per element and
 // only the dynamic share per field — raising arithmetic intensity ~ns×
 // on the element-static traffic.
+//
+// A visit that gathers an all-±0 displacement (and has never driven
+// its element's memory variables) ends there and is charged its gather:
+// its contributions are ±0, and an accumulator is never −0 — the
+// predictor stores +0, ftz returns +0, and under round-to-nearest a sum
+// is −0 only if an operand is — so they would leave every bit as it is.
 func (rs *rankState) computeSolidForces(fs []*solidField, classes [][]int32) {
+	var sk perf.SkipTally
 	numE := 0
 	for _, class := range classes {
 		numE += len(class)
 		rs.pool.sweepElems(rs.scr, class, &rs.forceBusy, func(ks *kernelScratch, elems []int32) {
-			rs.solidForcesChunk(fs, ks, elems)
+			sk.Add(rs.solidForcesChunk(fs, ks, elems))
 		})
 	}
-	ns := int64(len(fs))
-	flops := rs.fc.SolidElement * int64(numE) * ns
-	bytes := (rs.bc.SolidElementStatic + ns*rs.bc.SolidElementDynamic) * int64(numE)
-	if fs[0].att != nil {
+	flops, dynamic := rs.fc.SolidElement, rs.bc.SolidElementDynamic
+	if att := fs[0].att; att != nil {
 		// Memory-variable work: per point, per mechanism, 6 components
 		// of subtract + 2-op recursion update, plus the deviator setup.
 		// Memory variables are per field, so both flops and bytes scale
 		// with the ensemble.
-		flops += ns * int64(numE) * int64(mesh.NGLL3) * int64(fs[0].att.nsls*6*3+8)
-		bytes += rs.bc.AttenuationMech * int64(fs[0].att.nsls) * int64(numE) * ns
+		flops += int64(mesh.NGLL3) * int64(att.nsls*6*3+8)
+		dynamic += rs.bc.AttenuationMech * int64(att.nsls)
 	}
-	rs.prof.AddFlops(perf.PhaseForceSolid, flops)
-	rs.prof.AddBytes(perf.PhaseForceSolid, bytes)
+	skipped, f, b := sk.Charge(rs.bc, numE, len(fs), flops, rs.bc.SolidElementStatic, dynamic, rs.bc.SolidGather)
+	rs.prof.AddFlops(perf.PhaseForceSolid, f)
+	rs.prof.AddBytes(perf.PhaseForceSolid, b)
+	rs.prof.AddSkippedVisits(perf.PhaseForceSolid, skipped)
 }
 
 // pad abbreviates the padded block length in the component-block
@@ -192,46 +201,63 @@ func stressStageGo(reg *mesh.Region, e int, att *attState, t1, t2, t3, s1, s2, s
 // element loop so each element's static data stays cache-hot across the
 // whole ensemble; per-field arithmetic is the exact sequence of the
 // single-field path, so every batched field is bit-identical to its own
-// solo run.
-func (rs *rankState) solidForcesChunk(fs []*solidField, ks *kernelScratch, elems []int32) {
+// solo run. It returns the visits it skipped (see computeSolidForces)
+// and the elements where it skipped every field.
+func (rs *rankState) solidForcesChunk(fs []*solidField, ks *kernelScratch, elems []int32) (skipped, idle int) {
 	reg := fs[0].reg
-	k := rs.kern
-
 	for _, e32 := range elems {
 		e := int(e32)
 		base := e * mesh.NGLL3
 		ib := reg.Ibool[base : base+mesh.NGLL3]
-
+		ran := false
 		for _, f := range fs {
-
-			// Gather element displacement.
+			// Gather element displacement; an all-±0 one (or<<1 == 0)
+			// may end the visit.
+			var or uint32
 			for p, g := range ib {
 				u := &f.d[g]
 				ks.u[p], ks.u[pad+p], ks.u[2*pad+p] = u[0], u[1], u[2]
+				or |= math.Float32bits(u[0]) | math.Float32bits(u[1]) | math.Float32bits(u[2])
 			}
-
-			// Reference-space gradients of each displacement component.
-			for lo := 0; lo < 3*pad; lo += pad {
-				k.grad(ks.u[lo:lo+pad], ks.t1[lo:lo+pad], ks.t2[lo:lo+pad], ks.t3[lo:lo+pad])
+			if or<<1 == 0 && (f.att == nil || !f.att.woke[e]) {
+				skipped++
+				continue
 			}
-
-			stressStage(reg, e, f.att, &ks.t1, &ks.t2, &ks.t3, &ks.s1, &ks.s2, &ks.s3)
-
-			// Weighted-transpose accumulation, reusing the t blocks.
-			for lo := 0; lo < 3*pad; lo += pad {
-				k.gradT1(ks.s1[lo:lo+pad], ks.t1[lo:lo+pad])
-				k.gradT2(ks.s2[lo:lo+pad], ks.t2[lo:lo+pad])
-				k.gradT3(ks.s3[lo:lo+pad], ks.t3[lo:lo+pad])
+			if f.att != nil {
+				f.att.woke[e] = true
 			}
-
-			for p, g := range ib {
-				a := &f.a[g]
-				a[0] -= k.fac1[p]*ks.t1[p] + k.fac2[p]*ks.t2[p] + k.fac3[p]*ks.t3[p]
-				a[1] -= k.fac1[p]*ks.t1[pad+p] + k.fac2[p]*ks.t2[pad+p] + k.fac3[p]*ks.t3[pad+p]
-				a[2] -= k.fac1[p]*ks.t1[2*pad+p] + k.fac2[p]*ks.t2[2*pad+p] + k.fac3[p]*ks.t3[2*pad+p]
-			}
-
+			ran = true
+			rs.kern.solidVisit(reg, e, ib, f, ks)
 		}
+		if !ran {
+			idle++
+		}
+	}
+	return skipped, idle
+}
+
+// solidVisit finishes field f's visit of element e (points ib) from the
+// displacement gathered into ks.u: gradients, stage, transpose, scatter.
+func (k *kernels) solidVisit(reg *mesh.Region, e int, ib []int32, f *solidField, ks *kernelScratch) {
+	// Reference-space gradients of each displacement component.
+	for lo := 0; lo < 3*pad; lo += pad {
+		k.grad(ks.u[lo:lo+pad], ks.t1[lo:lo+pad], ks.t2[lo:lo+pad], ks.t3[lo:lo+pad])
+	}
+
+	stressStage(reg, e, f.att, &ks.t1, &ks.t2, &ks.t3, &ks.s1, &ks.s2, &ks.s3)
+
+	// Weighted-transpose accumulation, reusing the t blocks.
+	for lo := 0; lo < 3*pad; lo += pad {
+		k.gradT1(ks.s1[lo:lo+pad], ks.t1[lo:lo+pad])
+		k.gradT2(ks.s2[lo:lo+pad], ks.t2[lo:lo+pad])
+		k.gradT3(ks.s3[lo:lo+pad], ks.t3[lo:lo+pad])
+	}
+
+	for p, g := range ib {
+		a := &f.a[g]
+		a[0] -= k.fac1[p]*ks.t1[p] + k.fac2[p]*ks.t2[p] + k.fac3[p]*ks.t3[p]
+		a[1] -= k.fac1[p]*ks.t1[pad+p] + k.fac2[p]*ks.t2[pad+p] + k.fac3[p]*ks.t3[pad+p]
+		a[2] -= k.fac1[p]*ks.t1[2*pad+p] + k.fac2[p]*ks.t2[2*pad+p] + k.fac3[p]*ks.t3[2*pad+p]
 	}
 }
 
