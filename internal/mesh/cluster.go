@@ -132,29 +132,6 @@ func elementRates(reg *Region, dt, courant float64, maxRate int32) []int32 {
 	return rates
 }
 
-// ElemsUpTo returns the ascending merged element list of all kind
-// clusters with rate <= maxRate, or nil when every element qualifies
-// (the degenerate full-sweep signal the force kernels understand).
-func (c *Clustering) ElemsUpTo(kind int, maxRate int32) []int32 {
-	total, sel := 0, 0
-	for _, cl := range c.Clusters[kind] {
-		total += len(cl.Elems)
-		if cl.Rate <= maxRate {
-			sel += len(cl.Elems)
-		}
-	}
-	if sel == total {
-		return nil
-	}
-	out := make([]int32, 0, sel)
-	for _, cl := range c.Clusters[kind] {
-		if cl.Rate <= maxRate {
-			out = unionSorted(out, cl.Elems)
-		}
-	}
-	return out
-}
-
 // RateCounts returns the total element count per rate across all
 // regions of this rank.
 func (c *Clustering) RateCounts() map[int32]int {
@@ -214,29 +191,5 @@ func intersectSorted(a, b []int32) []int32 {
 			j++
 		}
 	}
-	return out
-}
-
-// unionSorted merges two ascending lists into an ascending list without
-// duplicates.
-func unionSorted(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
 	return out
 }

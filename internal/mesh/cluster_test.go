@@ -62,8 +62,8 @@ func TestBuildClustersUniformBox(t *testing.T) {
 }
 
 // Point rates follow the max rule: every point's rate is the maximum
-// over the rates of the elements touching it, and ElemsUpTo returns nil
-// exactly when every element qualifies.
+// over the rates of the elements touching it; at half the stable dt
+// with cap 2 the region is one rate-2 cluster of every element.
 func TestClusterPointRateMaxRule(t *testing.T) {
 	const courant = 0.3
 	b := clusterBox(t, 3, 1)
@@ -80,11 +80,8 @@ func TestClusterPointRateMaxRule(t *testing.T) {
 			}
 		}
 	}
-	if up := c.ElemsUpTo(kind, 2); up != nil {
-		t.Errorf("ElemsUpTo(2) = %d elements, want nil (all qualify)", len(up))
-	}
-	if up := c.ElemsUpTo(kind, 1); len(up) != 0 {
-		t.Errorf("ElemsUpTo(1) = %d elements, want none at rate 1", len(up))
+	if cls := c.Clusters[kind]; len(cls) != 1 || cls[0].Rate != 2 || len(cls[0].Elems) != reg.NSpec {
+		t.Errorf("clusters %v, want one rate-2 cluster of all %d elements", c.RateCounts(), reg.NSpec)
 	}
 }
 

@@ -295,6 +295,11 @@ func TestSubmitTypedErrors(t *testing.T) {
 	if _, err := d.Submit(bad, sink); CodeOf(err) != CodeBadRequest {
 		t.Errorf("zero steps: got %v, want code %s", err, CodeBadRequest)
 	}
+	bad = baseSpec("bad-dt", 0)
+	bad.Dt = -1
+	if _, err := d.Submit(bad, sink); CodeOf(err) != CodeBadRequest {
+		t.Errorf("negative dt: got %v, want code %s", err, CodeBadRequest)
+	}
 	for _, name := range []string{"quantum", "fused", "blas"} {
 		bad = baseSpec("bad-kernel", 0)
 		bad.Kernel = name

@@ -135,6 +135,9 @@ func resolveSpec(spec JobSpec) (*resolvedJob, error) {
 	if spec.Steps <= 0 {
 		return nil, Errf(CodeBadRequest, "job %q: steps must be positive (got %d)", spec.Name, spec.Steps)
 	}
+	if spec.Dt < 0 {
+		return nil, Errf(CodeBadRequest, "job %q: dt must not be negative (got %g)", spec.Name, spec.Dt)
+	}
 	if spec.NexXi <= 0 {
 		return nil, Errf(CodeBadRequest, "job %q: nex must be positive", spec.Name)
 	}

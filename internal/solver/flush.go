@@ -17,9 +17,10 @@ import "math"
 // tails', the ocean loop's for the surface points) adds zero or a value
 // of at least dt/2 * 2^-80 to the
 // velocity, which therefore stays on a grid of normal numbers, and the
-// LTS holds copy flushed values. The sampled source-time function is
-// flushed too. The attenuation memory variables need no flush of their
-// own (they are driven by the strain of a flushed displacement); the
+// LTS held accelerations copy flushed values. The sampled source-time
+// function is flushed too. The attenuation memory variables need no
+// flush of their own (they are driven by the strain of a flushed
+// displacement); the
 // end-of-run census (rankState.stateCensus) counts them with the rest,
 // and counts final accelerations below the threshold. Every path
 // applies ftz at the same point of the same arithmetic, so the

@@ -1,7 +1,9 @@
 package solver
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"specglobe/internal/mesh"
@@ -13,10 +15,11 @@ import (
 // list the same number of points per region part (so the wire layouts
 // match without negotiation). The plan that fires everything — the only
 // one without LTS, the top one with it — sweeps the overlap colour
-// classes, covers every point of a region with its passes (without LTS
-// in one full-range pass), and routes the plan's edge lists themselves
-// (no copy); under LTS the lower levels really drop points and peers,
-// and every level's passes fire exactly its points.
+// classes, covers every point of a region with its spans, and routes
+// the plan's edge lists themselves (no copy); under LTS the lower levels
+// really drop points and peers. Every level's spans fire exactly its
+// points, each with its rate times dt, and exactly the multi-rate
+// regions keep held accelerations (none without LTS).
 func TestHaloRoutes(t *testing.T) {
 	g, model := coupledGlobe(t, 4, 2)
 	for _, lts := range []bool{true, false} {
@@ -108,40 +111,22 @@ func TestHaloRoutes(t *testing.T) {
 				if !reflect.DeepEqual(top.sweeps[kind], want) {
 					t.Errorf("lts=%v rank %d kind %d: top classes are not the overlap classes", lts, r, kind)
 				}
-				n := 0
-				for _, ps := range top.passes[kind] {
-					n += ps.n
+				var pr []int32
+				if lts {
+					pr = rs.clus.PointRate[kind]
 				}
-				if n != reg.NGlob || !lts && (len(top.passes[kind]) != 1 || !wholeRange(top.passes[kind][0], reg.NGlob)) {
-					t.Errorf("lts=%v rank %d kind %d: %d top passes fire %d of %d points", lts, r, kind, len(top.passes[kind]), n, reg.NGlob)
+				for li, lp := range rs.levels {
+					if err := checkSpans(lp.spans[kind], lp.fired[kind], pr, reg.NGlob, int32(1)<<li, float32(dt)); err != nil {
+						t.Errorf("lts=%v rank %d kind %d level %d: %v", lts, r, kind, li, err)
+					}
 				}
-				if !lts {
-					continue
+				multi := lts && slices.ContainsFunc(pr, func(r int32) bool { return r > 1 })
+				held := rs.fluid != nil && rs.fluid[0].held != nil
+				if fs := rs.solid[kind]; fs != nil {
+					held = fs[0].held != nil
 				}
-				// Every level's passes fire exactly the points of rate at
-				// most the level's: the step's tail finalises them and
-				// nothing else.
-				for li := range rs.levels {
-					rate := int32(1) << li
-					want, fired := 0, 0
-					for _, pr := range rs.clus.PointRate[kind] {
-						if max(pr, 1) <= rate {
-							want++
-						}
-					}
-					for _, ps := range rs.levels[li].passes[kind] {
-						for _, s := range ps.spans {
-							for i := s.i; i < s.i+s.n; i++ {
-								if max(rs.clus.PointRate[kind][i], 1) > rate {
-									t.Errorf("rank %d kind %d level %d: point %d of rate %d fires", r, kind, li, i, rs.clus.PointRate[kind][i])
-								}
-							}
-							fired += int(s.n)
-						}
-					}
-					if fired != want {
-						t.Errorf("rank %d kind %d level %d: passes fire %d of the %d points of rate <= %d", r, kind, li, fired, want, rate)
-					}
+				if held != multi {
+					t.Errorf("lts=%v rank %d kind %d: held kept %v, multi-rate %v", lts, r, kind, held, multi)
 				}
 			}
 		}
@@ -156,15 +141,61 @@ func TestHaloRoutes(t *testing.T) {
 	}
 }
 
-// wholeRange reports whether a pass's spans tile [0, n) in order, each
-// span's hold slots at its points.
-func wholeRange(ps newmarkPass, n int) bool {
-	next := int32(0)
-	for _, s := range ps.spans {
-		if s.i != next || s.at != next || s.n < 1 || s.n > minPointChunk {
-			return false
+// Held accelerations are the price of a dormant point only: a uniform
+// box at its own stable dt clusters to rate 1 everywhere, and with LTS
+// on its fields keep none.
+func TestNoHeldWithoutDormantPoints(t *testing.T) {
+	b := buildBox(t, 4, 2, 40e3)
+	opts := Options{Steps: 1, LTS: true}.withDefaults()
+	sim := &Simulation{Locals: b.Locals, Plans: b.Plans, Opts: opts}
+	p := newPool(1)
+	defer p.close()
+	mpi.NewWorldWith(len(sim.Locals), opts.Network).Run(func(c *mpi.Comm) {
+		rs := newRankState(c, sim, &opts, stableDt(sim.Locals, opts.Courant), nil, nil, p, newKernels(opts.Kernel), 1)
+		for kind, fs := range rs.solid {
+			for _, f := range fs {
+				if f.held != nil {
+					t.Errorf("rank %d kind %d: rate-1 clustering keeps held accelerations", c.Rank(), kind)
+				}
+			}
 		}
-		next += s.n
+	})
+}
+
+// checkSpans reports how spans fail to list the points of rate at most
+// rate (pr nil: every point, at rate 1; rate 0 counts as 1) among nglob:
+// each in exactly one span, ascending, at most minPointChunk long, fired
+// points in all, and the span's dt that point's rate times dt — so no
+// span mixes two rates.
+func checkSpans(spans []span, fired int, pr []int32, nglob int, rate int32, dt float32) error {
+	rateOf := func(g int32) int32 {
+		if pr == nil {
+			return 1
+		}
+		return max(pr[g], 1)
 	}
-	return ps.n == n && next == int32(n)
+	next, n := int32(0), 0
+	for _, s := range append(spans, span{i: int32(nglob), n: 1}) {
+		if s.i < next || s.n < 1 || s.n > minPointChunk {
+			return fmt.Errorf("span [%d, %d) after point %d", s.i, s.i+s.n, next)
+		}
+		for g := next; g < s.i; g++ {
+			if r := rateOf(g); r <= rate {
+				return fmt.Errorf("point %d of rate %d does not fire", g, r)
+			}
+		}
+		if s.i == int32(nglob) {
+			break
+		}
+		for g := s.i; g < s.i+s.n; g++ {
+			if r := rateOf(g); r > rate || s.dt != dt*float32(r) {
+				return fmt.Errorf("point %d of rate %d fires with dt %g", g, r, s.dt)
+			}
+		}
+		next, n = s.i+s.n, n+int(s.n)
+	}
+	if n != fired {
+		return fmt.Errorf("spans cover %d points, the plan counts %d", n, fired)
+	}
+	return nil
 }

@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"cmp"
 	"math/bits"
 	"slices"
 
@@ -20,29 +19,28 @@ import (
 // contributing to it fires too and the assembled force is fully fresh.
 //
 // Each levelPlan is resolved once at setup (buildLevels) and the step
-// reads nothing else: the colour classes that fire, the Newmark passes
-// (point spans, hold level, rate-scaled dt, ocean points; together the
-// points that fire), the traction-shadow points and one halo route per
-// set. A run without local time stepping is the wheel with one level:
-// the overlap classes, one full-range pass per region at dt and the
-// unmasked routes, with no clustering built. A level keeps the base
-// plan's entry wherever everything fires, so a clustering that
-// degenerates to rate 1 everywhere runs the one-level arithmetic exactly.
+// reads nothing else: the colour classes that fire, the points that
+// fire and with what dt (one span list per region, the ocean-load
+// surface points) and one halo route per set. A run without local time
+// stepping is the wheel with one level: the overlap classes, one span
+// list over every point at dt per region and the unmasked routes, with
+// no clustering built. A level keeps the base plan's entry wherever
+// everything fires, so a clustering that degenerates to rate 1
+// everywhere runs the one-level arithmetic exactly.
 //
 // State held across dormant steps ("held-boundary" scheme): the only
 // arrays element sweeps scatter into are the accelerations, so a
 // dormant point's acceleration slot accumulates garbage from firing
 // neighbors — harmless, because the predictor zeroes it at the point's
-// next firing. The two places that *read* acceleration across a
-// dormant window get held copies instead:
-//
-//   - the predictor of a coarse point needs the final acceleration of
-//     the previous firing: captured into hold arrays by the tail (by the
-//     ocean loop at the surface points);
-//   - the solid traction reads the fluid potential's second derivative
-//     at CMB/ICB face points every step: a shadow array (accHold)
-//     refreshed after the fluid tail keeps the last fired value visible
-//     while the fluid slot cycles through garbage.
+// next firing. Each field of a region with a point of rate above 1
+// therefore keeps held, one final acceleration per point: the tail
+// copies every fired point's into it (the ocean loop its surface
+// points', after the load), the predictor reads it in place of the live
+// slot, and the solid traction reads the fluid's held value at the
+// CMB/ICB face points, which stays the last fired one while the fluid
+// slot cycles through garbage. A point that fires every step reads what
+// the live slot holds: nothing writes it between its tail and the next
+// predictor.
 //
 // Halo exchanges stay tag-aligned across ranks at every step; only the
 // payloads shrink: each level's route of a halo set lists the shared
@@ -52,34 +50,28 @@ import (
 // dropped from the level's route entirely — a real message-count saving
 // on coarse steps.
 
-// span is a run of consecutive points [i, i+n) of a Newmark pass whose
-// hold slots start at pass position at. Spans are at most minPointChunk
-// long, so a pass over one long run still splits into pool chunks.
-type span struct{ i, at, n int32 }
-
-// newmarkPass is one Newmark point pass: n points, as ascending spans,
-// advancing with dt; hold > 0 names the per-field hold arrays (h[hold],
-// hChi[hold]) that carry the acceleration across dormant steps. ocean
-// lists the pass's ocean-load surface points.
-type newmarkPass struct {
-	spans   []span
-	n, hold int
-	dt      float32
-	ocean   []oceanPoint
+// span is a run of consecutive points [i, i+n) of one rate that fire
+// with time step dt. Spans are at most minPointChunk long, so a list of
+// one long run still splits into pool chunks.
+type span struct {
+	i, n int32
+	dt   float32
 }
 
-// oceanPoint is a surface point of a pass: j indexes the mesh's
-// SurfaceLoad, q is the point's pass position.
-type oceanPoint struct{ j, q int32 }
+// oceanPoint is a firing surface point: j indexes the mesh's
+// SurfaceLoad, dt is the point's time step.
+type oceanPoint struct {
+	j  int32
+	dt float32
+}
 
 // levelPlan is everything one spoke of the wheel runs; [3] arrays are
 // indexed by region kind.
 type levelPlan struct {
-	sweeps [3]sweepClasses  // the outer/inner colour classes that fire
-	passes [3][]newmarkPass // the Newmark passes, ascending rate
-	// shadow lists the firing coupling-face points of the fluid, copied
-	// into the traction shadow (nil unless the fluid is multi-rate).
-	shadow []int32
+	sweeps [3]sweepClasses // the outer/inner colour classes that fire
+	spans  [3][]span       // the points that fire, ascending
+	fired  [3]int          // the number of points the spans cover
+	ocean  []oceanPoint    // the ocean-load surface points that fire
 	routes [nHaloSets]haloRoute
 }
 
@@ -95,9 +87,9 @@ func ltsLevelOf(step, levels int) int {
 
 // buildLevels resolves the wheel into rs.levels, and is the one place
 // that asks whether local time stepping is on. The base plan fires
-// everything: the overlap colour classes, one full-range pass per region
-// at dt, the unmasked routes. Without LTS it is the only level. With LTS
-// the elements are clustered, the halo points' rates reconciled across
+// everything: the overlap colour classes, every point at dt, the
+// unmasked routes. Without LTS it is the only level. With LTS the
+// elements are clustered, the halo points' rates reconciled across
 // ranks, and each level narrows the base plan (wheelLevels).
 func (rs *rankState) buildLevels(ov *mesh.Overlap) {
 	var base levelPlan
@@ -109,7 +101,7 @@ func (rs *rankState) buildLevels(ov *mesh.Overlap) {
 			outer: rs.colors.Classes(kind, ov.Outer[kind]),
 			inner: rs.colors.Classes(kind, ov.Inner[kind]),
 		}
-		base.passes[kind] = []newmarkPass{rs.newPass(kind, nil, reg.NGlob, 0, float32(rs.dt))}
+		rs.firePoints(&base, kind, 1)
 	}
 	base.routes = rs.levelRoutes(nil, 0)
 	rs.levels = []levelPlan{base}
@@ -148,43 +140,25 @@ func (rs *rankState) reconcilePointRates() {
 }
 
 // wheelLevels narrows the base plan to each level of the clustering:
-// level li fires the clusters and points of rate at most 2^li. A
-// multi-rate region's passes are byRate[kind][:li+1], one per rate (its
-// points may be none), with the rate-scaled dt and hold level li. The
-// top level's routes are the base plan's (every point fires there).
-//
-//specfem:noaccount one-time setup: the float math is the rate-scaled dt of each pass
+// level li fires the clusters and points of rate at most 2^li. A region
+// whose last cluster is coarser gets the level's colour classes, and a
+// multi-rate region the level's points. The top level's routes are the
+// base plan's (every point fires there).
 func (rs *rankState) wheelLevels(base *levelPlan) []levelPlan {
 	clus := rs.clus
-	n := bits.Len32(uint32(clus.MaxRate)) // rates 1, 2, ..., MaxRate (a power of two)
-	var byRate [3][]newmarkPass
-	for kind := range byRate {
-		for hold, list := range ratePoints(clus.PointRate[kind], n) {
-			dt := float32(rs.dt) * float32(int32(1)<<uint(hold))
-			byRate[kind] = append(byRate[kind], rs.newPass(kind, list, len(list), hold, dt))
-		}
-	}
-	oc := earthmodel.RegionOuterCore
-	var face []int32
-	if byRate[oc] != nil {
-		face = couplingFacePoints(rs.local, len(clus.PointRate[oc]))
-	}
-	levels := make([]levelPlan, n)
+	levels := make([]levelPlan, bits.Len32(uint32(clus.MaxRate))) // rates 1, 2, ..., MaxRate (a power of two)
 	for li := range levels {
 		rate := int32(1) << uint(li)
 		lp := *base
-		for kind, passes := range byRate {
-			if clus.ElemsUpTo(kind, rate) != nil {
+		for kind, cls := range clus.Clusters {
+			if len(cls) > 0 && cls[len(cls)-1].Rate > rate {
 				lp.sweeps[kind] = rs.levelSweeps(kind, rate)
 			}
-			if passes != nil {
-				lp.passes[kind] = passes[:li+1]
+			if rs.multiRate(kind) {
+				rs.firePoints(&lp, kind, rate)
 			}
 		}
-		if face != nil {
-			lp.shadow = upToRate(face, clus.PointRate[oc], rate)
-		}
-		if li < n-1 {
+		if li < len(levels)-1 {
 			lp.routes = rs.levelRoutes(&clus.PointRate, rate)
 		}
 		levels[li] = lp
@@ -192,46 +166,52 @@ func (rs *rankState) wheelLevels(base *levelPlan) []levelPlan {
 	return levels
 }
 
-// ratePoints bins a region's points by rate: exact[li] lists the points
-// of rate exactly 2^li (rate 0, a point no element touches, counts as
-// 1), ascending. It is nil when no point has a rate above 1.
-func ratePoints(pr []int32, levels int) (exact [][]int32) {
-	if !slices.ContainsFunc(pr, func(r int32) bool { return r > 1 }) {
-		return nil
-	}
-	exact = make([][]int32, levels)
-	for g, r := range pr {
-		li := bits.TrailingZeros32(uint32(max(r, 1)))
-		exact[li] = append(exact[li], int32(g))
-	}
-	return exact
+// multiRate reports whether local time stepping holds some point of a
+// region dormant: the region has a point of rate above 1. Its fields
+// keep held accelerations.
+func (rs *rankState) multiRate(kind int) bool {
+	return rs.clus != nil && slices.ContainsFunc(rs.clus.PointRate[kind], func(r int32) bool { return r > 1 })
 }
 
-// newPass builds the Newmark pass over the n points of the ascending
-// list ([0, n) when nil) and, in the crust/mantle, its ocean points.
-func (rs *rankState) newPass(kind int, list []int32, n, hold int, dt float32) newmarkPass {
-	ps := newmarkPass{n: n, hold: hold, dt: dt}
-	for q := 0; q < n; q++ {
-		i := int32(q)
-		if list != nil {
-			i = list[q]
+// firePoints sets a region's firing points in lp: the points of rate at
+// most rate (every point before clustering) as ascending spans, each of
+// one rate and carrying that rate times dt, and in the crust/mantle the
+// ocean-load surface points among them. Rate 0, a point no element
+// touches, counts as 1.
+//
+//specfem:noaccount one-time setup: the float math is the rate-scaled dt of each span
+func (rs *rankState) firePoints(lp *levelPlan, kind int, rate int32) {
+	rateOf := func(g int32) int32 {
+		if rs.clus == nil {
+			return 1
 		}
-		if k := len(ps.spans) - 1; k >= 0 && ps.spans[k].i+ps.spans[k].n == i && ps.spans[k].n < minPointChunk {
-			ps.spans[k].n++
-		} else {
-			ps.spans = append(ps.spans, span{i: i, at: int32(q), n: 1})
-		}
+		return max(rs.clus.PointRate[kind][g], 1)
 	}
+	dt := float32(rs.dt)
+	var spans []span
+	n := 0
+	for g := int32(0); g < int32(rs.local.Regions[kind].NGlob); g++ {
+		r := rateOf(g)
+		if r > rate {
+			continue
+		}
+		d := dt * float32(r)
+		if k := len(spans) - 1; k >= 0 && spans[k].i+spans[k].n == g && spans[k].dt == d && spans[k].n < minPointChunk {
+			spans[k].n++
+		} else {
+			spans = append(spans, span{i: g, n: 1, dt: d})
+		}
+		n++
+	}
+	lp.spans[kind], lp.fired[kind] = spans, n
 	if kind == int(earthmodel.RegionCrustMantle) && rs.oceanOn() {
+		lp.ocean = nil
 		for j, pt := range rs.local.Surface.Pts {
-			// The first span ending past pt holds it if it starts at or before it.
-			k, _ := slices.BinarySearchFunc(ps.spans, pt, func(s span, pt int32) int { return cmp.Compare(s.i+s.n, pt+1) })
-			if k < len(ps.spans) && ps.spans[k].i <= pt {
-				ps.ocean = append(ps.ocean, oceanPoint{j: int32(j), q: ps.spans[k].at + pt - ps.spans[k].i})
+			if r := rateOf(pt); r <= rate {
+				lp.ocean = append(lp.ocean, oceanPoint{j: int32(j), dt: dt * float32(r)})
 			}
 		}
 	}
-	return ps
 }
 
 // levelSweeps colours the merged outer and inner elements of every
@@ -264,34 +244,4 @@ func upToRate(pts []int32, pr []int32, rate int32) []int32 {
 		return pts
 	}
 	return sel
-}
-
-// allocHolds gives every wavefield the hold arrays its passes name, and
-// the fluid the traction shadow when the plan keeps one. The top level
-// runs every pass, so its plan names every hold.
-func (rs *rankState) allocHolds() {
-	top := &rs.levels[len(rs.levels)-1]
-	for kind, fs := range rs.solid {
-		for _, f := range fs {
-			f.h = holds[[3]float32](top.passes[kind], len(rs.levels))
-		}
-	}
-	for _, fl := range rs.fluid {
-		fl.hChi = holds[float32](top.passes[earthmodel.RegionOuterCore], len(rs.levels))
-		if top.shadow != nil {
-			fl.accHold = make([]float32, fl.reg.NGlob)
-		}
-	}
-}
-
-// holds allocates, per hold level, a slot per pass position for each
-// pass that names the level.
-func holds[T any](passes []newmarkPass, levels int) [][]T {
-	h := make([][]T, levels)
-	for _, ps := range passes {
-		if ps.hold > 0 {
-			h[ps.hold] = make([]T, ps.n)
-		}
-	}
-	return h
 }

@@ -192,11 +192,11 @@ func (p *pool) sweepElems(rankKS *kernelScratch, elems []int32, busyNanos *int64
 	})
 }
 
-// sweepSpans runs fn over chunks of the spans of a Newmark pass of n
-// points. A chunk holds at least minPointChunk points on average, so a
-// pass of one long run chunks [0,n) into minPointChunk-sized pieces or
-// more (its spans are at most minPointChunk long) and a small pass of
-// many short runs under LTS runs inline. Spans are disjoint, and every
+// sweepSpans runs fn over chunks of a span list of n points. A chunk
+// holds at least minPointChunk points on average, so a list of one long
+// run chunks [0,n) into minPointChunk-sized pieces or more (its spans
+// are at most minPointChunk long) and a small list of many short runs
+// under LTS runs inline. Spans are disjoint, and every
 // point is written independently, so any chunking is bit-exact.
 func (p *pool) sweepSpans(rankKS *kernelScratch, spans []span, n int, busyNanos *int64,
 	fn func(spans []span)) {

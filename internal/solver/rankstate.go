@@ -28,9 +28,10 @@ type solidField struct {
 	// gravity tables per global point (nil when gravity is off)
 	gOverR, dgdr []float32
 	rhat         [][3]float32
-	// LTS held accelerations: h[li][q] holds the acceleration of the
-	// pass with hold level li at its position q (allocHolds).
-	h [][][3]float32
+	// held is each point's acceleration at its last firing, kept when
+	// local time stepping holds some point of the region dormant (nil
+	// otherwise; lts.go).
+	held [][3]float32
 }
 
 // fluidField is the dynamic state of one wavefield of the outer core on
@@ -39,12 +40,7 @@ type fluidField struct {
 	reg                  *mesh.Region
 	chi, chiDot, chiDdot []float32
 	massInv              []float32 // shared across fields
-	// LTS held potential accelerations per hold level (see solidField).
-	hChi [][]float32
-	// accHold is the traction shadow of chiDdot when the fluid is
-	// multi-rate under LTS: the solid traction reads the value frozen
-	// by the fluid's own tail (nil otherwise).
-	accHold []float32
+	held                 []float32 // as solidField.held, for chiDdot
 }
 
 // attState holds the standard-linear-solid memory variables of a solid
@@ -205,6 +201,9 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 					chiDot:  make([]float32, reg.NGlob),
 					chiDdot: make([]float32, reg.NGlob),
 				}
+				if rs.multiRate(kind) {
+					fl.held = make([]float32, reg.NGlob)
+				}
 				rs.fluid[s] = fl
 			}
 			continue
@@ -213,6 +212,9 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 			reg: reg,
 			d:   make([][3]float32, reg.NGlob), v: make([][3]float32, reg.NGlob), a: make([][3]float32, reg.NGlob),
 			ocean: make([]bool, reg.NGlob),
+		}
+		if rs.multiRate(kind) {
+			f.held = make([][3]float32, reg.NGlob)
 		}
 		if opts.Attenuation && fit != nil {
 			var rates []int32
@@ -246,6 +248,9 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 			// get fresh dynamic arrays.
 			g := *f
 			g.d, g.v, g.a = make([][3]float32, reg.NGlob), make([][3]float32, reg.NGlob), make([][3]float32, reg.NGlob)
+			if f.held != nil {
+				g.held = make([][3]float32, reg.NGlob)
+			}
 			if f.att != nil {
 				g.att = f.att.clone()
 			}
@@ -254,7 +259,6 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 		rs.solid[kind] = fs
 	}
 
-	rs.allocHolds()
 	rs.buildHaloSets()
 	rs.solidSets = []int{int(earthmodel.RegionCrustMantle), int(earthmodel.RegionInnerCore)}
 	if opts.CombinedSolidHalo {
@@ -279,25 +283,6 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 		rs.seismos = append(rs.seismos, rl.out...)
 	}
 	return rs
-}
-
-// couplingFacePoints returns the fluid-side points of the CMB and ICB
-// coupling faces among nglob fluid points, ascending.
-func couplingFacePoints(l *mesh.Local, nglob int) (face []int32) {
-	mark := make([]bool, nglob)
-	for _, faces := range [][]mesh.CoupleFace{l.CMB, l.ICB} {
-		for fi := range faces {
-			for _, p := range faces[fi].FluidPt {
-				mark[p] = true
-			}
-		}
-	}
-	for p, m := range mark {
-		if m {
-			face = append(face, int32(p))
-		}
-	}
-	return face
 }
 
 // newAttState builds memory-variable storage and per-element update
@@ -397,10 +382,10 @@ func (rs *rankState) flushPoolTime() {
 // which the stability check relies on) and the number of values the
 // flush should have removed: subnormals in the arrays that survive a
 // step — displacement, velocity, the fluid potential and its rate, the
-// attenuation memory variables and the LTS holds — and non-zero values
-// below the flush threshold in the final accelerations (at the points
-// the last step's passes fired; under LTS the rest hold garbage by
-// design). The integrator flushes every one of them where it writes
+// attenuation memory variables and the LTS held accelerations — and
+// non-zero values below the flush threshold in the final accelerations
+// (at the points the last step fired; under LTS the rest hold garbage
+// by design). The integrator flushes every one of them where it writes
 // them (flush.go), so the count is zero unless a write site has been
 // missed.
 func (rs *rankState) stateCensus() (maxDisp float64, subnormals int64) {
@@ -418,27 +403,19 @@ func (rs *rankState) stateCensus() (maxDisp float64, subnormals int64) {
 	for kind, fs := range rs.solid {
 		for _, f := range fs {
 			peak = max(peak, count(flat(f.d)))
-			count(flat(f.v))
-			for _, h := range f.h {
-				count(flat(h))
-			}
+			count(flat(f.v), flat(f.held))
 			if f.att != nil {
 				count(f.att.r)
 			}
-			for _, ps := range rs.lp.passes[kind] {
-				for _, s := range ps.spans {
-					subnormals += unflushed(flat(f.a[s.i : s.i+s.n]))
-				}
+			for _, s := range rs.lp.spans[kind] {
+				subnormals += unflushed(flat(f.a[s.i : s.i+s.n]))
 			}
 		}
 	}
 	for _, fl := range rs.fluid {
-		count(fl.chi, fl.chiDot, fl.accHold)
-		count(fl.hChi...)
-		for _, ps := range rs.lp.passes[earthmodel.RegionOuterCore] {
-			for _, s := range ps.spans {
-				subnormals += unflushed(fl.chiDdot[s.i : s.i+s.n])
-			}
+		count(fl.chi, fl.chiDot, fl.held)
+		for _, s := range rs.lp.spans[earthmodel.RegionOuterCore] {
+			subnormals += unflushed(fl.chiDdot[s.i : s.i+s.n])
 		}
 	}
 	return float64(math.Float32frombits(peak)), subnormals

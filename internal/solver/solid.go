@@ -274,10 +274,10 @@ func (rs *rankState) addFluidTractionToSolid(faces []mesh.CoupleFace) {
 		cf := &faces[fi]
 		fs := rs.solid[cf.SolidKind]
 		for s, f := range fs {
-			// The held LTS shadow when the fluid is multi-rate: the face
-			// values a dormant fluid last produced.
+			// The held values when the fluid keeps them: the face values
+			// a dormant fluid last produced.
 			chi := rs.fluid[s].chiDdot
-			if h := rs.fluid[s].accHold; h != nil {
+			if h := rs.fluid[s].held; h != nil {
 				chi = h
 			}
 			for q := 0; q < mesh.NGLL2; q++ {

@@ -297,7 +297,7 @@ type Result struct {
 	MaxDisplacement float64
 	// Subnormals counts the subnormal float32 values left in the
 	// persistent state of all ranks (displacement, velocity, fluid
-	// potential and rate, attenuation memory variables, LTS holds) when
+	// potential and rate, attenuation memory variables, LTS held state) when
 	// the run ends, plus the final accelerations that are non-zero
 	// below the flush threshold. The integrator flushes tiny values to
 	// zero where it writes them — arithmetic on subnormals made late

@@ -28,7 +28,7 @@ import (
 // point passes dispatch as point spans, so every sweep is bit-identical
 // at any worker count; coupling, source and ocean terms touch few points
 // and stay inline. Every step is one spoke of the wheel (lts.go): its
-// level plan lists the colour classes, Newmark passes and halo routes it
+// level plan lists the colour classes, point spans and halo routes it
 // runs, each firing point advancing with its own rate-scaled dt. Under
 // LTS dormant points are skipped by every point pass and masked out of
 // the halo payloads; their acceleration slots accumulate garbage from
@@ -47,55 +47,51 @@ func (rs *rankState) timeStep(step int) {
 }
 
 // predictor runs the Newmark prediction for every field, one pool pass
-// per pass of the plan. A pass with a hold level reads the acceleration
-// held at its previous firing — the live slot has been polluted by
-// firing neighbors during the dormant window. The ensemble loop runs
-// inside the dispatched chunk, so one pool pass covers all wavefields.
+// per region over the plan's spans. A field with held accelerations
+// reads them — a dormant point's live slot has been polluted by firing
+// neighbors. The ensemble loop runs inside the dispatched chunk, so one
+// pool pass covers all wavefields.
 func (rs *rankState) predictor() {
 	for kind, fs := range rs.solid {
 		if fs == nil {
 			continue
 		}
-		n := 0
-		for _, ps := range rs.lp.passes[kind] {
-			rs.pool.sweepSpans(rs.scr, ps.spans, ps.n, &rs.updateBusy, func(spans []span) {
-				for _, f := range fs {
-					for _, s := range spans {
-						f.predict(s, ps.hold, ps.dt)
-					}
+		n := rs.lp.fired[kind]
+		rs.pool.sweepSpans(rs.scr, rs.lp.spans[kind], n, &rs.updateBusy, func(spans []span) {
+			for _, f := range fs {
+				for _, s := range spans {
+					f.predict(s)
 				}
-			})
-			n += ps.n
-		}
+			}
+		})
 		rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.SolidPredictor*int64(n*len(fs)))
 		rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.SolidPredictor*int64(n*len(fs)))
 	}
 	if fls := rs.fluid; fls != nil {
-		n := 0
-		for _, ps := range rs.lp.passes[earthmodel.RegionOuterCore] {
-			rs.pool.sweepSpans(rs.scr, ps.spans, ps.n, &rs.updateBusy, func(spans []span) {
-				for _, fl := range fls {
-					for _, s := range spans {
-						fl.predict(s, ps.hold, ps.dt)
-					}
+		oc := earthmodel.RegionOuterCore
+		n := rs.lp.fired[oc]
+		rs.pool.sweepSpans(rs.scr, rs.lp.spans[oc], n, &rs.updateBusy, func(spans []span) {
+			for _, fl := range fls {
+				for _, s := range spans {
+					fl.predict(s)
 				}
-			})
-			n += ps.n
-		}
+			}
+		})
 		rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.FluidPredictor*int64(n*len(fls)))
 		rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.FluidPredictor*int64(n*len(fls)))
 	}
 }
 
 // predict is the predictor at the points of one span: d += dt v +
-// dt²/2 a, v += dt/2 a, a = 0, reading a from the hold when the pass
-// has a hold level.
-func (f *solidField) predict(s span, hold int, dt float32) {
+// dt²/2 a, v += dt/2 a, a = 0, reading a from held when the field keeps
+// it.
+func (f *solidField) predict(s span) {
+	dt := s.dt
 	half, halfSq := dt/2, dt*dt/2
 	d, v, a := f.d[s.i:s.i+s.n], f.v[s.i:s.i+s.n], f.a[s.i:s.i+s.n]
 	acc := a
-	if hold > 0 {
-		acc = f.h[hold][s.at : s.at+s.n]
+	if f.held != nil {
+		acc = f.held[s.i : s.i+s.n]
 	}
 	v, a, acc = v[:len(d)], a[:len(d)], acc[:len(d)]
 	for k := range d {
@@ -112,12 +108,13 @@ func (f *solidField) predict(s span, hold int, dt float32) {
 }
 
 // predict is solidField.predict for the fluid potential.
-func (fl *fluidField) predict(s span, hold int, dt float32) {
+func (fl *fluidField) predict(s span) {
+	dt := s.dt
 	half, halfSq := dt/2, dt*dt/2
 	chi, dot, dd := fl.chi[s.i:s.i+s.n], fl.chiDot[s.i:s.i+s.n], fl.chiDdot[s.i:s.i+s.n]
 	acc := dd
-	if hold > 0 {
-		acc = fl.hChi[hold][s.at : s.at+s.n]
+	if fl.held != nil {
+		acc = fl.held[s.i : s.i+s.n]
 	}
 	dot, dd, acc = dot[:len(chi)], dd[:len(chi)], acc[:len(chi)]
 	for k := range chi {
@@ -136,13 +133,9 @@ func (fl *fluidField) predict(s span, hold int, dt float32) {
 // and the boundary terms, which touch boundary points; post the halo;
 // the inner elements while the messages are in flight; finish; tail.
 // The fluid tail leaves the potential acceleration final before the
-// solid stage's traction reads it. A rank without fluid only consumes
-// the fluid halo's tag.
+// solid stage's traction reads it. A rank without fluid runs the same
+// stage over nothing: its route is empty and only consumes the tag.
 func (rs *rankState) fluidStage() {
-	if rs.fluid == nil {
-		rs.nextTag() // keep the exchange sequence aligned
-		return
-	}
 	oc := int(earthmodel.RegionOuterCore)
 	sw := &rs.lp.sweeps[oc]
 	rs.computeFluidForces(sw.outer)
@@ -186,35 +179,28 @@ func (rs *rankState) solidStage(step int) {
 	rs.solidTail()
 }
 
-// fluidTail finishes the step for every fluid field, one pool pass per
-// pass of the plan, then copies the fresh face values into the traction
-// shadow (the plan lists them only when the fluid is multi-rate).
+// fluidTail finishes the step for every fluid field, one pool pass over
+// the plan's fluid spans.
 func (rs *rankState) fluidTail() {
 	fls := rs.fluid
-	n := 0
-	for _, ps := range rs.lp.passes[earthmodel.RegionOuterCore] {
-		rs.pool.sweepSpans(rs.scr, ps.spans, ps.n, &rs.updateBusy, func(spans []span) {
-			for _, fl := range fls {
-				for _, s := range spans {
-					fl.tail(s, ps.hold, ps.dt/2)
-				}
+	oc := earthmodel.RegionOuterCore
+	n := rs.lp.fired[oc]
+	rs.pool.sweepSpans(rs.scr, rs.lp.spans[oc], n, &rs.updateBusy, func(spans []span) {
+		for _, fl := range fls {
+			for _, s := range spans {
+				fl.tail(s)
 			}
-		})
-		n += ps.n
-	}
-	for _, fl := range fls {
-		for _, p := range rs.lp.shadow {
-			fl.accHold[p] = fl.chiDdot[p]
 		}
-	}
+	})
 	rs.prof.AddFlops(perf.PhaseUpdate, (rs.fc.FluidMassDiv+rs.fc.FluidCorrector)*int64(n*len(fls)))
 	rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.FluidTail*int64(n*len(fls)))
 }
 
 // tail is the fluid's step tail at the points of one span: mass
 // division and flush of the final potential acceleration, the corrector
-// chiDot += dt/2 chiDdot, and the copy into the pass's hold.
-func (fl *fluidField) tail(s span, hold int, half float32) {
+// chiDot += dt/2 chiDdot, and the copy into held.
+func (fl *fluidField) tail(s span) {
+	half := s.dt / 2
 	dd := fl.chiDdot[s.i : s.i+s.n]
 	dot, m := fl.chiDot[s.i:s.i+s.n], fl.massInv[s.i:s.i+s.n]
 	dot, m = dot[:len(dd)], m[:len(dd)]
@@ -223,15 +209,15 @@ func (fl *fluidField) tail(s span, hold int, half float32) {
 		dd[k] = x
 		dot[k] += half * x
 	}
-	if hold > 0 {
-		copy(fl.hChi[hold][s.at:s.at+s.n], dd)
+	if fl.held != nil {
+		copy(fl.held[s.i:s.i+s.n], dd)
 	}
 }
 
 // solidTail finishes the step for every solid field, one pool pass per
-// pass of the plan, then applies the ocean load. Under LTS the points the
-// passes skip are dormant: their accelerations keep garbage until their
-// own predictor wipes it.
+// region over the plan's spans, then applies the ocean load. Under LTS
+// the points the spans skip are dormant: their accelerations keep
+// garbage until their own predictor wipes it.
 func (rs *rankState) solidTail() {
 	twoOmega := float32(0)
 	if rs.opts.Rotation {
@@ -241,17 +227,14 @@ func (rs *rankState) solidTail() {
 		if fs == nil {
 			continue
 		}
-		n := 0
-		for _, ps := range rs.lp.passes[kind] {
-			rs.pool.sweepSpans(rs.scr, ps.spans, ps.n, &rs.updateBusy, func(spans []span) {
-				for _, f := range fs {
-					for _, s := range spans {
-						f.tail(s, ps.hold, ps.dt/2, twoOmega)
-					}
+		n := rs.lp.fired[kind]
+		rs.pool.sweepSpans(rs.scr, rs.lp.spans[kind], n, &rs.updateBusy, func(spans []span) {
+			for _, f := range fs {
+				for _, s := range spans {
+					f.tail(s, twoOmega)
 				}
-			})
-			n += ps.n
-		}
+			}
+		})
 		flops := rs.fc.SolidMassDiv + rs.fc.SolidCorrector
 		bytes := rs.bc.SolidTail
 		if twoOmega != 0 {
@@ -271,9 +254,11 @@ func (rs *rankState) solidTail() {
 // step defines for each point: mass division, Coriolis (from the
 // predicted velocity), gravity, the flush and store of the final
 // acceleration, and the corrector v += dt/2 a — which the ocean points
-// leave to oceanLoad, after their load. A pass with a hold level then
-// copies the final accelerations into its hold for the next predictor.
-func (f *solidField) tail(s span, hold int, half, twoOmega float32) {
+// leave to oceanLoad, after their load. A field that keeps held
+// accelerations then copies the final ones into it for the next
+// predictor.
+func (f *solidField) tail(s span, twoOmega float32) {
+	half := s.dt / 2
 	lo, hi := s.i, s.i+s.n
 	a := f.a[lo:hi]
 	v, m, ocean := f.v[lo:hi], f.massInv[lo:hi], f.ocean[lo:hi]
@@ -317,40 +302,35 @@ func (f *solidField) tail(s span, hold int, half, twoOmega float32) {
 		w[1] += half * ay
 		w[2] += half * az
 	}
-	if hold > 0 {
-		copy(f.h[hold][s.at:s.at+s.n], a)
+	if f.held != nil {
+		copy(f.held[lo:hi], a)
 	}
 }
 
 // oceanLoad rescales the normal component of the free-surface
-// acceleration by M/(M+Mw) at the surface points the step's passes fire,
-// then runs the corrector and the hold capture the tail left to it
-// there. Few points; inline.
+// acceleration by M/(M+Mw) at the surface points the step fires, then
+// runs the corrector and the held copy the tail left to it there. Few
+// points; inline.
 func (rs *rankState) oceanLoad() {
 	if rs.oceanFactor == nil {
 		return
 	}
 	rs.prof.Time(perf.PhaseUpdate, func() {
 		sl := &rs.local.Surface
-		n := 0
-		for _, ps := range rs.lp.passes[earthmodel.RegionCrustMantle] {
-			half := ps.dt / 2
-			for _, f := range rs.solid[earthmodel.RegionCrustMantle] {
-				h := f.h[ps.hold] // nil without a hold level
-				for _, op := range ps.ocean {
-					j, pt := op.j, sl.Pts[op.j]
-					a, v := &f.a[pt], &f.v[pt]
-					an := a[0]*sl.Nx[j] + a[1]*sl.Ny[j] + a[2]*sl.Nz[j]
-					scale := an * (1 - rs.oceanFactor[j])
-					a[0], a[1], a[2] = ftz(a[0]-scale*sl.Nx[j]), ftz(a[1]-scale*sl.Ny[j]), ftz(a[2]-scale*sl.Nz[j])
-					v[0], v[1], v[2] = v[0]+half*a[0], v[1]+half*a[1], v[2]+half*a[2]
-					if h != nil {
-						h[op.q] = *a
-					}
+		for _, f := range rs.solid[earthmodel.RegionCrustMantle] {
+			for _, op := range rs.lp.ocean {
+				j, pt, half := op.j, sl.Pts[op.j], op.dt/2
+				a, v := &f.a[pt], &f.v[pt]
+				an := a[0]*sl.Nx[j] + a[1]*sl.Ny[j] + a[2]*sl.Nz[j]
+				scale := an * (1 - rs.oceanFactor[j])
+				a[0], a[1], a[2] = ftz(a[0]-scale*sl.Nx[j]), ftz(a[1]-scale*sl.Ny[j]), ftz(a[2]-scale*sl.Nz[j])
+				v[0], v[1], v[2] = v[0]+half*a[0], v[1]+half*a[1], v[2]+half*a[2]
+				if f.held != nil {
+					f.held[pt] = *a
 				}
 			}
-			n += len(ps.ocean)
 		}
+		n := len(rs.lp.ocean)
 		rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.OceanPoint*int64(n*rs.ns))
 		rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.OceanPoint*int64(n*rs.ns))
 	})

@@ -54,14 +54,12 @@ func BenchmarkPointPasses(b *testing.B) {
 			for b.Loop() {
 				for step := 1; step <= steps; step++ {
 					rs.lp = &rs.levels[ltsLevelOf(step, len(rs.levels))]
-					for kind, passes := range rs.lp.passes {
-						for _, ps := range passes {
-							predPts += ps.n
-							if rs.solid[kind] != nil {
-								tailPts += ps.n
-							} else {
-								fluidPts += ps.n
-							}
+					for kind, n := range rs.lp.fired {
+						predPts += n
+						if rs.solid[kind] != nil {
+							tailPts += n
+						} else {
+							fluidPts += n
 						}
 					}
 					predNs += run(rs.predictor)

@@ -1,0 +1,44 @@
+#!/bin/sh
+# Stay-deleted guards, run by the CI test job and locally via
+#   ./scripts/guards.sh
+# 1. no Go file names anything on the retired list below,
+# 2. the root benchmark file and root-level BENCH_PR*.json snapshots
+#    stay gone (the eight snapshots are history in docs/history/),
+# 3. every experiment run goes through the two solver.Run calls of
+#    internal/experiments (solveCentral and fastestRun).
+set -u
+fail=0
+
+# One extended regex per line, grouped by what was retired.
+retired=$(paste -sd '|' <<'EOF'
+KernelFused|KernelBlas|PredictorLTS|CorrectorLTS
+rs\.lts (==|!=) nil|ltsPts|sweepsFor|firingPasses|pts\.single|RefreshInterfaces|LTSRateWeightedReduction
+OverlapMode|OverlapOff|OverlapOn|fluidDeferred|rs\.overlap
+\b(dx|dy|dz|vx|vy|vz|ax|ay|az|rhatX|rhatY|rhatZ) +\[\]float32
+func \(rs \*rankState\) (solidUpdate|corrector)\(|lp\.final
+divideFluidList|fluidMassDivisionFace|fluidCorrector|finishSolidStage|sweepRange|chiSrc|lp\.face|lp\.rest
+TestWriteBench|BENCH_SNAPSHOT|writeBenchJSON|experiments\.Hybrid|HybridResult
+OverlapMachines|CommFracResult|timedRun
+newmarkPass|accHold|hChi|couplingFacePoints|lp\.shadow|ElemsUpTo|unionSorted
+EOF
+)
+if grep -rnE "$retired" --include='*.go' .; then
+    echo "guards: a retired name is back (above)" >&2
+    fail=1
+fi
+
+if [ -e bench_test.go ] || [ -n "$(ls BENCH_PR*.json 2>/dev/null)" ]; then
+    echo "guards: bench_test.go or a root BENCH_PR*.json snapshot is back" >&2
+    fail=1
+fi
+
+runs=$(grep -h 'solver\.Run(' $(ls internal/experiments/*.go | grep -v '_test\.go$') | wc -l)
+if [ "$runs" -ne 2 ]; then
+    echo "guards: internal/experiments calls solver.Run $runs times, want 2" >&2
+    fail=1
+fi
+
+if [ "$fail" -ne 0 ]; then
+    exit 1
+fi
+echo "guards: ok"
