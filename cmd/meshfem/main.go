@@ -76,7 +76,7 @@ func main() {
 		g.TotalElements(), g.TotalPoints())
 	fmt.Printf("shortest resolvable period: ~%.1f s (paper rule 256*17/NEX = %.1f s)\n",
 		g.ShortestPeriod, perfmodel.ResolutionToPeriod(float64(*nex)))
-	fmt.Printf("stable time step (courant 0.3): %.4f s\n", g.StableDt(0.3))
+	fmt.Printf("stable time step (courant 0.3): %.4f s\n", mesh.StableDt(g.Locals, 0.3))
 
 	stats := mesh.ComputeLoadStats(g.Locals)
 	fmt.Printf("load balance: min %d, max %d, mean %.1f elements/rank (imbalance %.3f)\n",
@@ -94,7 +94,7 @@ func main() {
 	// 2^k-th step).
 	const courant = 0.3
 	dts := g.LayerStableDts(courant)
-	globalDt := g.StableDt(courant)
+	globalDt := mesh.StableDt(g.Locals, courant)
 	fmt.Printf("  %-12s %9s %9s %5s %9s %9s %7s\n",
 		"region", "r0 km", "r1 km", "nex", "min pts", "min dt", "dt/min")
 	for i, lr := range g.LayerResolutions(g.ShortestPeriod) {

@@ -103,8 +103,7 @@ func Build(cfg Config) (*Box, error) {
 		}
 		reg.NGlob = pi.Len()
 		reg.Pts = pi.Points()
-		reg.AssembleMassLocal()
-		if err := reg.Validate(); err != nil {
+		if err := reg.Finish(); err != nil {
 			return nil, fmt.Errorf("boxmesh: rank %d: %w", rank, err)
 		}
 		local.Regions[earthmodel.RegionCrustMantle] = reg

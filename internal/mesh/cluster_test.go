@@ -124,16 +124,7 @@ func TestDoubledGlobeMultiRateClustering(t *testing.T) {
 		t.Fatal(err)
 	}
 	const courant = 0.3
-	dt := 1e300
-	for _, l := range g.Locals {
-		for _, r := range l.Regions {
-			if r != nil && r.NSpec > 0 {
-				if d := r.StableDt(courant); d < dt {
-					dt = d
-				}
-			}
-		}
-	}
+	dt := mesh.StableDt(g.Locals, courant)
 	counts := map[int32]int{}
 	red := 0.0
 	for _, l := range g.Locals {

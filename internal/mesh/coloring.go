@@ -35,21 +35,38 @@ func BuildColoring(l *Local) *Coloring {
 	return c
 }
 
-// colorRegion greedily colors one region's elements.
+// cornerNodes lists the element-local offsets of an element's 8 corner
+// nodes.
+var cornerNodes = func() (cn [8]int) {
+	for c := range cn {
+		cn[c] = Idx(0, (c&1)*(NGLL-1), (c>>1&1)*(NGLL-1), (c>>2)*(NGLL-1))
+	}
+	return cn
+}()
+
+// colorRegion greedily colors one region's elements. The conflict graph
+// is built from the corner nodes only: in a conforming hexahedral mesh
+// (shells, doubling templates, the central cube) two elements that share
+// any GLL point share a face, an edge or a vertex of both, and with it a
+// corner node. The conflict sets are therefore those of the all-points
+// graph, and so are the greedy colors.
 func colorRegion(reg *Region) ([]int32, int) {
-	// CSR point -> incident elements (a point belongs to at most 8
-	// elements in a conforming hex mesh, but the layout is generic).
+	// CSR corner point -> incident elements (at most 8 in a conforming
+	// hex mesh, but the layout is generic).
 	start := make([]int32, reg.NGlob+1)
-	for _, g := range reg.Ibool {
-		start[g+1]++
+	for e := 0; e < reg.NSpec; e++ {
+		for _, q := range cornerNodes {
+			start[reg.Ibool[e*NGLL3+q]+1]++
+		}
 	}
 	for i := 0; i < reg.NGlob; i++ {
 		start[i+1] += start[i]
 	}
 	pos := append([]int32(nil), start[:reg.NGlob]...)
-	inc := make([]int32, len(reg.Ibool))
+	inc := make([]int32, len(cornerNodes)*reg.NSpec)
 	for e := 0; e < reg.NSpec; e++ {
-		for _, g := range reg.Ibool[e*NGLL3 : (e+1)*NGLL3] {
+		for _, q := range cornerNodes {
+			g := reg.Ibool[e*NGLL3+q]
 			inc[pos[g]] = int32(e)
 			pos[g]++
 		}
@@ -65,7 +82,8 @@ func colorRegion(reg *Region) ([]int32, int) {
 		for i := 0; i < numColors; i++ {
 			used[i] = false
 		}
-		for _, g := range reg.Ibool[e*NGLL3 : (e+1)*NGLL3] {
+		for _, q := range cornerNodes {
+			g := reg.Ibool[e*NGLL3+q]
 			for _, nb := range inc[start[g]:start[g+1]] {
 				if cn := colorOf[nb]; cn >= 0 {
 					used[cn] = true

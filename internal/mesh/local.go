@@ -3,7 +3,11 @@ package mesh
 import (
 	"cmp"
 	"fmt"
+	"maps"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"specglobe/internal/earthmodel"
 )
@@ -205,79 +209,176 @@ func exteriorPoints(r *Region) []int32 {
 	return pts
 }
 
+// haloCand is one exterior point a rank offers to the match.
+type haloCand struct {
+	key PointKey
+	idx int32
+}
+
+// sharedPt is one point two ranks hold, with its index on each.
+type sharedPt struct {
+	key    PointKey
+	ia, ib int32
+}
+
+// shardOf assigns a key to one of n match shards.
+func shardOf(k PointKey, n int) int {
+	h := (k[0] ^ k[1]*0x9e3779b97f4a7c15 ^ k[2]*0xc2b2ae3d27d4eb4f) * 0x9e3779b97f4a7c15
+	return int((h >> 32) * uint64(n) >> 32)
+}
+
+// ForEach calls f(i) for every i in [0, n) on min(GOMAXPROCS, n)
+// goroutines and returns when every call has: the one parallel loop of
+// the per-rank mesh builds and the halo match. f must only write state
+// its own i owns.
+func ForEach(n int, f func(i int)) {
+	w := min(runtime.GOMAXPROCS(0), n)
+	if w <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for ; w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // buildRegionHalo matches one region kind across ranks and appends the
-// resulting edges to plans.
+// resulting edges to plans. Each rank's exterior points and keys are
+// gathered in parallel, bucketed by key hash into shards; each shard
+// then chains its keys over the ranks in ascending order, so it finds
+// exactly the shared points the one serial match found for its keys.
+// The per-pair point lists are merged and sorted by key, which makes the
+// plans independent of the shard count.
 func buildRegionHalo(locals []*Local, kind int, plans []*HaloPlan) error {
-	cands := make([][]int32, len(locals))
-	total := 0
-	for i, l := range locals {
-		if r := l.Regions[kind]; r != nil && r.NSpec > 0 {
-			cands[i] = exteriorPoints(r)
-			total += len(cands[i])
+	nShards := min(runtime.GOMAXPROCS(0), len(locals))
+	cands := make([][][]haloCand, len(locals)) // [rank][shard]
+	ForEach(len(locals), func(rank int) {
+		r := locals[rank].Regions[kind]
+		if r == nil || r.NSpec == 0 {
+			return
 		}
-	}
-	// owners chains the candidates that share a key, newest first;
-	// byKey holds the head of each chain (an index into owners).
-	type owner struct {
-		rank, idx, next int32
-	}
-	owners := make([]owner, 0, total)
-	byKey := make(map[PointKey]int32, total)
-	type sharedPt struct {
-		key    PointKey
-		ia, ib int32
-	}
-	type pair struct {
-		a, b int
-		pts  []sharedPt
-	}
-	var pairs []*pair
-	pairOf := map[[2]int]*pair{}
-	// Ranks arrive in ascending order, so every owner already chained
-	// under a key has a lower rank than the one being added.
-	for rank, c := range cands {
-		pts := locals[rank].Regions[kind].Pts
-		for _, idx := range c {
-			p := pts[idx]
-			k := KeyOf(p[0], p[1], p[2])
-			head, seen := byKey[k]
-			if !seen {
-				head = -1
-			}
-			for o := head; o >= 0; o = owners[o].next {
-				a := owners[o]
-				if int(a.rank) == rank {
-					return fmt.Errorf("mesh: region %d: rank %d indexed point %v twice", kind, rank, k)
-				}
-				pk := [2]int{int(a.rank), rank}
-				pr := pairOf[pk]
-				if pr == nil {
-					pr = &pair{a: pk[0], b: pk[1]}
-					pairOf[pk] = pr
-					pairs = append(pairs, pr)
-				}
-				pr.pts = append(pr.pts, sharedPt{key: k, ia: a.idx, ib: idx})
-			}
-			byKey[k] = int32(len(owners))
-			owners = append(owners, owner{rank: int32(rank), idx: idx, next: head})
+		ext := exteriorPoints(r)
+		key := func(idx int32) PointKey {
+			p := r.Pts[idx]
+			return KeyOf(p[0], p[1], p[2])
 		}
-	}
-	// Deterministic edge ordering: sort pairs, and points by key.
-	slices.SortFunc(pairs, func(x, y *pair) int {
-		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b))
+		counts := make([]int, nShards)
+		for _, idx := range ext {
+			counts[shardOf(key(idx), nShards)]++
+		}
+		buckets := make([][]haloCand, nShards)
+		for s, n := range counts {
+			buckets[s] = make([]haloCand, 0, n)
+		}
+		for _, idx := range ext {
+			k := key(idx)
+			s := shardOf(k, nShards)
+			buckets[s] = append(buckets[s], haloCand{key: k, idx: idx})
+		}
+		cands[rank] = buckets
 	})
-	for _, pr := range pairs {
-		slices.SortFunc(pr.pts, func(x, y sharedPt) int {
+
+	type shardResult struct {
+		pairs map[[2]int32][]sharedPt
+		// err is the shard's first duplicate point, at (errRank, errIdx).
+		err             error
+		errRank, errIdx int32
+	}
+	shards := make([]shardResult, nShards)
+	ForEach(nShards, func(s int) {
+		total := 0
+		for _, c := range cands {
+			if c != nil {
+				total += len(c[s])
+			}
+		}
+		// owners chains the candidates that share a key, newest first;
+		// byKey holds the head of each chain (an index into owners).
+		type owner struct {
+			rank, idx, next int32
+		}
+		owners := make([]owner, 0, total)
+		byKey := make(map[PointKey]int32, total)
+		res := &shards[s]
+		res.pairs = map[[2]int32][]sharedPt{}
+		// Ranks arrive in ascending order, so every owner already chained
+		// under a key has a lower rank than the one being added.
+		for rank, c := range cands {
+			if c == nil {
+				continue
+			}
+			for _, cd := range c[s] {
+				head, seen := byKey[cd.key]
+				if !seen {
+					head = -1
+				}
+				for o := head; o >= 0; o = owners[o].next {
+					a := owners[o]
+					if int(a.rank) == rank {
+						res.err = fmt.Errorf("mesh: region %d: rank %d indexed point %v twice", kind, rank, cd.key)
+						res.errRank, res.errIdx = int32(rank), cd.idx
+						return
+					}
+					pk := [2]int32{a.rank, int32(rank)}
+					res.pairs[pk] = append(res.pairs[pk], sharedPt{key: cd.key, ia: a.idx, ib: cd.idx})
+				}
+				byKey[cd.key] = int32(len(owners))
+				owners = append(owners, owner{rank: int32(rank), idx: cd.idx, next: head})
+			}
+		}
+	})
+	// The serial match would have stopped at the lowest (rank, point)
+	// duplicate; every shard reports its lowest.
+	var first *shardResult
+	for s := range shards {
+		if r := &shards[s]; r.err != nil && (first == nil ||
+			cmp.Or(cmp.Compare(r.errRank, first.errRank), cmp.Compare(r.errIdx, first.errIdx)) < 0) {
+			first = r
+		}
+	}
+	if first != nil {
+		return first.err
+	}
+
+	// Deterministic edge ordering: sort pairs, and points by key.
+	byPair := map[[2]int32][][]sharedPt{}
+	for _, sh := range shards {
+		for pk, pts := range sh.pairs {
+			byPair[pk] = append(byPair[pk], pts)
+		}
+	}
+	pairs := slices.SortedFunc(maps.Keys(byPair), func(x, y [2]int32) int {
+		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
+	})
+	edges := make([][2]HaloEdge, len(pairs))
+	ForEach(len(pairs), func(i int) {
+		pk := pairs[i]
+		pts := slices.Concat(byPair[pk]...)
+		slices.SortFunc(pts, func(x, y sharedPt) int {
 			return slices.Compare(x.key[:], y.key[:])
 		})
-		ea := HaloEdge{Peer: pr.b, Idx: make([]int32, len(pr.pts))}
-		eb := HaloEdge{Peer: pr.a, Idx: make([]int32, len(pr.pts))}
-		for i, p := range pr.pts {
-			ea.Idx[i] = p.ia
-			eb.Idx[i] = p.ib
+		ea := HaloEdge{Peer: int(pk[1]), Idx: make([]int32, len(pts))}
+		eb := HaloEdge{Peer: int(pk[0]), Idx: make([]int32, len(pts))}
+		for j, p := range pts {
+			ea.Idx[j] = p.ia
+			eb.Idx[j] = p.ib
 		}
-		plans[pr.a].Edges[kind] = append(plans[pr.a].Edges[kind], ea)
-		plans[pr.b].Edges[kind] = append(plans[pr.b].Edges[kind], eb)
+		edges[i] = [2]HaloEdge{ea, eb}
+	})
+	for i, pk := range pairs {
+		plans[pk[0]].Edges[kind] = append(plans[pk[0]].Edges[kind], edges[i][0])
+		plans[pk[1]].Edges[kind] = append(plans[pk[1]].Edges[kind], edges[i][1])
 	}
 	return nil
 }

@@ -74,6 +74,12 @@ type Region struct {
 	// of JacW/kappa. Cross-rank assembly happens in the solver via one
 	// halo exchange at startup.
 	Mass []float32 // len NGlob
+
+	// Audit holds one ElemAudit per element (len NSpec), filled by
+	// Finish/AuditElements; minSpacing and maxVp are its region-wide
+	// extremes, the inputs of StableDt.
+	Audit             []ElemAudit
+	minSpacing, maxVp float64
 }
 
 // NewRegion allocates a region with capacity for nspec elements; point
@@ -219,97 +225,4 @@ func (r *Region) Volume() float64 {
 		v += float64(j)
 	}
 	return v
-}
-
-// elemMinSpacing returns the smallest distance between adjacent GLL
-// points along the grid lines of element e.
-func (r *Region) elemMinSpacing(e int) float64 {
-	minD := math.Inf(1)
-	dist := func(a, b int32) float64 {
-		pa, pb := r.Pts[a], r.Pts[b]
-		dx, dy, dz := pa[0]-pb[0], pa[1]-pb[1], pa[2]-pb[2]
-		return math.Sqrt(dx*dx + dy*dy + dz*dz)
-	}
-	for k := 0; k < NGLL; k++ {
-		for j := 0; j < NGLL; j++ {
-			for i := 0; i+1 < NGLL; i++ {
-				if d := dist(r.Ibool[Idx(e, i, j, k)], r.Ibool[Idx(e, i+1, j, k)]); d < minD {
-					minD = d
-				}
-				if d := dist(r.Ibool[Idx(e, j, i, k)], r.Ibool[Idx(e, j, i+1, k)]); d < minD {
-					minD = d
-				}
-				if d := dist(r.Ibool[Idx(e, j, k, i)], r.Ibool[Idx(e, j, k, i+1)]); d < minD {
-					minD = d
-				}
-			}
-		}
-	}
-	return minD
-}
-
-// elemMaxVelocity returns the largest wave speed (P velocity) at the
-// material points of element e.
-func (r *Region) elemMaxVelocity(e int) float64 {
-	maxV := 0.0
-	for p := e * NGLL3; p < (e+1)*NGLL3; p++ {
-		vp := math.Sqrt(float64((r.Kappa[p] + 4.0/3.0*r.Mu[p]) / r.Rho[p]))
-		if vp > maxV {
-			maxV = vp
-		}
-	}
-	return maxV
-}
-
-// MinGLLSpacing returns the smallest distance between adjacent GLL
-// points along element edges, the length scale controlling the stable
-// time step.
-func (r *Region) MinGLLSpacing() float64 {
-	minD := math.Inf(1)
-	for e := 0; e < r.NSpec; e++ {
-		if d := r.elemMinSpacing(e); d < minD {
-			minD = d
-		}
-	}
-	return minD
-}
-
-// MaxVelocity returns the largest wave speed in the region (P velocity).
-func (r *Region) MaxVelocity() float64 {
-	maxV := 0.0
-	for e := 0; e < r.NSpec; e++ {
-		if v := r.elemMaxVelocity(e); v > maxV {
-			maxV = v
-		}
-	}
-	return maxV
-}
-
-// StableDt returns a conservative explicit-Newmark time step for the
-// region: courant * min(dx_gll / vp) over element edges, using the
-// region-wide extremes (cheap and safe rather than per-element exact).
-func (r *Region) StableDt(courant float64) float64 {
-	if r.NSpec == 0 {
-		return math.Inf(1)
-	}
-	return courant * r.MinGLLSpacing() / r.MaxVelocity()
-}
-
-// ElementDt returns the per-element stable time step of element e:
-// courant * (smallest GLL spacing of e) / (largest wave speed of e).
-// The region-wide StableDt is the minimum of these; the spread between
-// an element's own dt and the global minimum is the headroom local time
-// stepping exploits.
-func (r *Region) ElementDt(e int, courant float64) float64 {
-	return courant * r.elemMinSpacing(e) / r.elemMaxVelocity(e)
-}
-
-// ElementDts returns the per-element stable-dt audit of the region —
-// ElementDt for every element, the input of the LTS cluster binning.
-func (r *Region) ElementDts(courant float64) []float64 {
-	dts := make([]float64, r.NSpec)
-	for e := range dts {
-		dts[e] = r.ElementDt(e, courant)
-	}
-	return dts
 }

@@ -329,6 +329,7 @@ func TestComputeLoadStatsRated(t *testing.T) {
 			r.Kappa[p] = float32(float64(r.Kappa[p]) / soften)
 			r.Mu[p] = float32(float64(r.Mu[p]) / soften)
 		}
+		r.AuditElements()
 		l.Regions[0] = r
 		return l
 	}
@@ -356,24 +357,46 @@ func TestComputeLoadStatsRated(t *testing.T) {
 	}
 }
 
-func TestMinGLLSpacingAndStableDt(t *testing.T) {
+// The unit region's audit has a closed form: nodes sit at the integers
+// 0..4, so every GLL interval and the mean spacing of every grid line
+// are 1, and the uniform material fixes both wave speeds.
+func TestElementAuditAndStableDt(t *testing.T) {
 	r := makeUnitRegion()
-	// Unit region nodes at integer coordinates 0..4 (spacing 1 along
-	// edges because points are placed at i,j,k integers).
-	if d := r.MinGLLSpacing(); math.Abs(d-1) > 1e-12 {
-		t.Errorf("min spacing %v", d)
+	if err := r.Finish(); err != nil {
+		t.Fatal(err)
 	}
-	vmax := r.MaxVelocity()
+	if len(r.Audit) != 1 {
+		t.Fatalf("%d element audits for 1 element", len(r.Audit))
+	}
+	a := r.Audit[0]
+	if a.MinSpacing != 1 || a.HMax != 1 {
+		t.Errorf("min spacing %v, coarsest mean spacing %v; want 1, 1", a.MinSpacing, a.HMax)
+	}
 	wantV := math.Sqrt((1e9 + 4.0/3.0*1e9) / 1000)
-	if math.Abs(vmax-wantV) > 1 {
-		t.Errorf("max velocity %v want %v", vmax, wantV)
+	if math.Abs(a.MaxVp-wantV) > 1 {
+		t.Errorf("max velocity %v want %v", a.MaxVp, wantV)
+	}
+	if a.VMin != 1000 {
+		t.Errorf("slowest wave %v, want Vs = sqrt(mu/rho) = 1000", a.VMin)
 	}
 	dt := r.StableDt(0.5)
 	if math.Abs(dt-0.5/wantV) > 1e-9 {
 		t.Errorf("dt %v", dt)
 	}
+	if e := r.ElementDt(0, 0.5); e != dt {
+		t.Errorf("one-element region: element dt %v != region dt %v", e, dt)
+	}
+	if got := StableDt([]*Local{{Regions: [3]*Region{r}}}, 0.5); got != dt {
+		t.Errorf("mesh-wide dt %v != region dt %v", got, dt)
+	}
 	empty := NewRegion(earthmodel.RegionInnerCore, 0)
 	if !math.IsInf(empty.StableDt(0.5), 1) {
 		t.Error("empty region dt should be +inf")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("an unaudited region answered ElementDt")
+		}
+	}()
+	makeUnitRegion().ElementDt(0, 0.5)
 }

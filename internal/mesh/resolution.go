@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"specglobe/internal/earthmodel"
-	"specglobe/internal/gll"
 )
 
 // Resolution accounting: how many GLL points the built mesh actually
@@ -20,47 +19,11 @@ import (
 // element e at period periodS: the slowest wave the element's material
 // supports (S where shear exists, P at fluid points) times the period,
 // divided by the coarsest mean GLL spacing over the element's grid
-// lines (each line's arc length spans gll.Degree intervals).
+// lines (each line's arc length spans gll.Degree intervals) — both read
+// from the element audit.
 func (r *Region) PtsPerWavelength(e int, periodS float64) float64 {
-	dist := func(a, b int32) float64 {
-		pa, pb := r.Pts[a], r.Pts[b]
-		dx, dy, dz := pa[0]-pb[0], pa[1]-pb[1], pa[2]-pb[2]
-		return math.Sqrt(dx*dx + dy*dy + dz*dz)
-	}
-	// Coarsest direction: the longest grid line through the element,
-	// averaged over its Degree GLL intervals.
-	hMax := 0.0
-	for a := 0; a < NGLL; a++ {
-		for b := 0; b < NGLL; b++ {
-			var li, lj, lk float64
-			for s := 0; s+1 < NGLL; s++ {
-				li += dist(r.Ibool[Idx(e, s, a, b)], r.Ibool[Idx(e, s+1, a, b)])
-				lj += dist(r.Ibool[Idx(e, a, s, b)], r.Ibool[Idx(e, a, s+1, b)])
-				lk += dist(r.Ibool[Idx(e, a, b, s)], r.Ibool[Idx(e, a, b, s+1)])
-			}
-			for _, l := range [3]float64{li, lj, lk} {
-				if l > hMax {
-					hMax = l
-				}
-			}
-		}
-	}
-	hMax /= float64(gll.Degree)
-	// Slowest wave in the element: Vs where the point supports shear,
-	// Vp at fluid points (Mu == 0).
-	vMin := math.Inf(1)
-	for p := e * NGLL3; p < (e+1)*NGLL3; p++ {
-		var v float64
-		if r.Mu[p] > 0 {
-			v = math.Sqrt(float64(r.Mu[p] / r.Rho[p]))
-		} else {
-			v = math.Sqrt(float64(r.Kappa[p] / r.Rho[p]))
-		}
-		if v < vMin {
-			vMin = v
-		}
-	}
-	return vMin * periodS / hMax
+	a := &r.audited()[e]
+	return a.VMin * periodS / a.HMax
 }
 
 // WorstElement identifies the element with the fewest points per
@@ -91,10 +54,11 @@ type ResolutionStats struct {
 }
 
 // ComputeResolutionStats audits every element of a distributed mesh at
-// the given period.
+// the given period: a reduction over the element audits.
 func ComputeResolutionStats(locals []*Local, periodS float64) ResolutionStats {
 	s := ResolutionStats{PeriodS: periodS, MinPts: math.Inf(1)}
 	sum := 0.0
+	var worst *Region
 	for _, l := range locals {
 		for _, reg := range l.Regions {
 			if reg == nil || reg.NSpec == 0 {
@@ -106,13 +70,14 @@ func ComputeResolutionStats(locals []*Local, periodS float64) ResolutionStats {
 				s.Elements++
 				if pts < s.MinPts {
 					s.MinPts = pts
-					s.Worst = WorstElement{
-						Rank: l.Rank, Kind: reg.Kind, Elem: e,
-						RadiusM: elementCenterRadius(reg, e), Pts: pts,
-					}
+					s.Worst = WorstElement{Rank: l.Rank, Kind: reg.Kind, Elem: e, Pts: pts}
+					worst = reg
 				}
 			}
 		}
+	}
+	if worst != nil {
+		s.Worst.RadiusM = elementCenterRadius(worst, s.Worst.Elem)
 	}
 	if s.Elements > 0 {
 		s.MeanPts = sum / float64(s.Elements)

@@ -87,6 +87,7 @@ func TestResolutionStatsFluidUsesP(t *testing.T) {
 	for p := 0; p < mesh.NGLL3; p++ {
 		reg.Mu[p] = 0
 	}
+	reg.AuditElements()
 	fluid := reg.PtsPerWavelength(0, T)
 	// With the stored bulk modulus unchanged, the acoustic speed is
 	// sqrt(kappa/rho) (= Vp only when the material truly carries no

@@ -12,11 +12,7 @@ package meshfem
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"specglobe/internal/cubedsphere"
 	"specglobe/internal/earthmodel"
@@ -361,18 +357,9 @@ func (g *Globe) buildRanks() ([]*mesh.Local, error) {
 	nR := g.Decomp.NumRanks()
 	locals := make([]*mesh.Local, nR)
 	errs := make([]error, nR)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), nR); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rank := int(next.Add(1)) - 1; rank < nR; rank = int(next.Add(1)) - 1 {
-				locals[rank], errs[rank] = g.buildRank(rank)
-			}
-		}()
-	}
-	wg.Wait()
+	mesh.ForEach(nR, func(rank int) {
+		locals[rank], errs[rank] = g.buildRank(rank)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -457,8 +444,7 @@ func (f *elemFiller) region(si int) (*mesh.Region, error) {
 	reg := f.reg
 	reg.NGlob = f.pi.Len()
 	reg.Pts = f.pi.Points()
-	reg.AssembleMassLocal()
-	return reg, reg.Validate()
+	return reg, reg.Finish()
 }
 
 // emit writes the geometry and material of the element in the node
@@ -727,21 +713,6 @@ func (g *Globe) TotalPoints() int {
 		n += l.TotalPoints()
 	}
 	return n
-}
-
-// StableDt returns a conservative global time step for the mesh.
-func (g *Globe) StableDt(courant float64) float64 {
-	dt := math.Inf(1)
-	for _, l := range g.Locals {
-		for _, r := range l.Regions {
-			if r != nil && r.NSpec > 0 {
-				if d := r.StableDt(courant); d < dt {
-					dt = d
-				}
-			}
-		}
-	}
-	return dt
 }
 
 func clamp(v, lo, hi float64) float64 {

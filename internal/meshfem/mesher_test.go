@@ -356,13 +356,13 @@ func TestBuildPREM(t *testing.T) {
 
 func TestStableDtPositive(t *testing.T) {
 	g := buildSmall(t, 4, 1, testModel())
-	dt := g.StableDt(0.4)
+	dt := mesh.StableDt(g.Locals, 0.4)
 	if dt <= 0 || math.IsInf(dt, 0) || math.IsNaN(dt) {
 		t.Fatalf("bad dt %v", dt)
 	}
 	// Must scale like 1/NEX (refinement halves the step).
 	g2 := buildSmall(t, 8, 1, testModel())
-	r := dt / g2.StableDt(0.4)
+	r := dt / mesh.StableDt(g2.Locals, 0.4)
 	if r < 1.4 || r > 3.0 {
 		t.Errorf("dt ratio NEX4/NEX8 = %.2f, want ~2", r)
 	}
@@ -565,4 +565,33 @@ func TestLocateConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// Every region Build hands over — shells, doubling templates, central
+// cube, the empty regions of a solid ball — carries its element audit,
+// filled on the rank workers, so no consumer has to rescan the mesh.
+func TestBuildAuditsEveryRegion(t *testing.T) {
+	for _, c := range meshBitsConfigs() {
+		g, err := Build(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, l := range g.Locals {
+			for _, reg := range l.Regions {
+				if len(reg.Audit) != reg.NSpec {
+					t.Fatalf("%s rank %d %v: %d audits for %d elements", c.name, l.Rank, reg.Kind, len(reg.Audit), reg.NSpec)
+				}
+				for e, a := range reg.Audit {
+					for _, v := range [...]float64{a.MinSpacing, a.MaxVp, a.HMax, a.VMin} {
+						if !(v > 0) || math.IsInf(v, 0) {
+							t.Fatalf("%s rank %d %v element %d: audit %+v", c.name, l.Rank, reg.Kind, e, a)
+						}
+					}
+				}
+			}
+		}
+		if dt := mesh.StableDt(g.Locals, 0.3); !(dt > 0) || math.IsInf(dt, 0) {
+			t.Errorf("%s: stable dt %v", c.name, dt)
+		}
+	}
 }

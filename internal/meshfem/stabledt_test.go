@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"specglobe/internal/earthmodel"
+	"specglobe/internal/mesh"
 )
 
 // The per-layer stable-dt profile must align row for row with the
@@ -63,7 +64,7 @@ func TestLayerStableDts(t *testing.T) {
 	if math.Abs(minDt-elemMin) > 1e-12*elemMin {
 		t.Errorf("layer minimum %.9f != per-element audit minimum %.9f", minDt, elemMin)
 	}
-	if global := g.StableDt(courant); minDt < global-1e-12*global {
+	if global := mesh.StableDt(g.Locals, courant); minDt < global-1e-12*global {
 		t.Errorf("layer minimum %.9f below the conservative mesh-wide StableDt %.9f", minDt, global)
 	}
 	if maxDt < 2*minDt {

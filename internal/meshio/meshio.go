@@ -13,8 +13,10 @@ package meshio
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -83,9 +85,7 @@ func WriteRankDatabase(dir string, local *mesh.Local, plan *mesh.HaloPlan) (Stat
 		for kind := 0; kind < 3; kind++ {
 			r := local.Regions[kind]
 			if r == nil {
-				putU32(w, 0)
-				putU32(w, 0)
-				continue
+				r = mesh.NewRegion(earthmodel.Region(kind), 0)
 			}
 			putU32(w, uint32(r.NSpec))
 			putU32(w, uint32(r.NGlob))
@@ -190,60 +190,63 @@ func WriteRankDatabase(dir string, local *mesh.Local, plan *mesh.HaloPlan) (Stat
 
 // ReadRankDatabase reads back a rank's database written by
 // WriteRankDatabase. The returned mesh is bit-identical to the written
-// one.
+// one. A short, oversized or inconsistent file, or a mesh that fails the
+// regions' structural checks, is an error; every read region is
+// finished (validated, mass assembled, elements audited) like a freshly
+// meshed one.
 func ReadRankDatabase(dir string, rank int) (*mesh.Local, *mesh.HaloPlan, error) {
-	open := func(name string) (*bufio.Reader, *os.File, error) {
-		path := filepath.Join(dir, fmt.Sprintf("proc%06d_%s.bin", rank, name))
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return bufio.NewReader(f), f, nil
+	read := func(name string, decode func(r *reader)) error {
+		return readFile(filepath.Join(dir, fmt.Sprintf("proc%06d_%s.bin", rank, name)), decode)
 	}
 
 	local := &mesh.Local{Rank: rank}
 	plan := &mesh.HaloPlan{Rank: rank}
 
-	r, f, err := open("header")
+	err := read("header", func(r *reader) {
+		if got := r.u32(); r.err == nil && got != magic {
+			r.fail("bad magic %x", got)
+		}
+		if got := r.u32(); r.err == nil && int(got) != rank {
+			r.fail("header is for rank %d, want %d", got, rank)
+		}
+		for kind := 0; kind < 3 && r.err == nil; kind++ {
+			nspec, nglob := int(r.u32()), int(r.u32())
+			// The two per-element Q arrays follow: a count the rest of
+			// the file cannot hold is corrupt, not an allocation; so is a
+			// point count above the element slots that reference points.
+			if r.err == nil && int64(nspec)*8 > r.left {
+				r.fail("region %d: %d elements, but %d bytes left", kind, nspec, r.left)
+			}
+			if r.err == nil && nglob > nspec*mesh.NGLL3 {
+				r.fail("region %d: %d points for %d elements", kind, nglob, nspec)
+			}
+			if r.err != nil {
+				return
+			}
+			reg := mesh.NewRegion(earthmodel.Region(kind), nspec)
+			reg.NGlob = nglob
+			r.f32s(reg.Qmu)
+			r.f32s(reg.Qkappa)
+			local.Regions[kind] = reg
+		}
+		for kind := 0; kind < 3; kind++ {
+			nEdges := r.count(8)
+			for e := 0; e < nEdges && r.err == nil; e++ {
+				edge := mesh.HaloEdge{Peer: int(r.u32())}
+				edge.Idx = r.i32sAlloc()
+				plan.Edges[kind] = append(plan.Edges[kind], edge)
+			}
+		}
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	if got := getU32(r); got != magic {
-		f.Close()
-		return nil, nil, fmt.Errorf("meshio: bad magic %x", got)
-	}
-	if got := getU32(r); int(got) != rank {
-		f.Close()
-		return nil, nil, fmt.Errorf("meshio: header is for rank %d, want %d", got, rank)
-	}
-	var nspecs, nglobs [3]int
-	for kind := 0; kind < 3; kind++ {
-		nspecs[kind] = int(getU32(r))
-		nglobs[kind] = int(getU32(r))
-		reg := mesh.NewRegion(earthmodel.Region(kind), nspecs[kind])
-		reg.NGlob = nglobs[kind]
-		if nspecs[kind] > 0 || nglobs[kind] > 0 {
-			getF32s(r, reg.Qmu)
-			getF32s(r, reg.Qkappa)
-		}
-		local.Regions[kind] = reg
-	}
-	for kind := 0; kind < 3; kind++ {
-		nEdges := int(getU32(r))
-		for e := 0; e < nEdges; e++ {
-			edge := mesh.HaloEdge{Peer: int(getU32(r))}
-			edge.Idx = getI32sAlloc(r)
-			plan.Edges[kind] = append(plan.Edges[kind], edge)
-		}
-	}
-	f.Close()
 
 	for kind := 0; kind < 3; kind++ {
 		reg := local.Regions[kind]
 		if reg.NSpec == 0 {
 			continue
 		}
-		reg.Pts = make([][3]float64, reg.NGlob)
 		arrays := map[string][]float32{
 			"xix": reg.Xix, "xiy": reg.Xiy, "xiz": reg.Xiz,
 			"etax": reg.Etax, "etay": reg.Etay, "etaz": reg.Etaz,
@@ -252,68 +255,114 @@ func ReadRankDatabase(dir string, rank int) (*mesh.Local, *mesh.HaloPlan, error)
 			"rho": reg.Rho, "kappa": reg.Kappa, "mu": reg.Mu,
 		}
 		for _, name := range regionArrayNames {
-			rr, ff, err := open(fmt.Sprintf("reg%d_%s", kind, name))
+			err := read(fmt.Sprintf("reg%d_%s", kind, name), func(r *reader) {
+				switch name {
+				case "ibool":
+					r.i32s(reg.Ibool)
+				case "pts":
+					if int64(reg.NGlob)*24 != r.left {
+						r.fail("%d points in %d bytes", reg.NGlob, r.left)
+						return
+					}
+					reg.Pts = make([][3]float64, reg.NGlob)
+					for i := range reg.Pts {
+						reg.Pts[i][0] = math.Float64frombits(r.u64())
+						reg.Pts[i][1] = math.Float64frombits(r.u64())
+						reg.Pts[i][2] = math.Float64frombits(r.u64())
+					}
+				default:
+					r.f32s(arrays[name])
+				}
+			})
 			if err != nil {
 				return nil, nil, err
 			}
-			switch name {
-			case "ibool":
-				getI32s(rr, reg.Ibool)
-			case "pts":
-				for i := range reg.Pts {
-					reg.Pts[i][0] = math.Float64frombits(getU64(rr))
-					reg.Pts[i][1] = math.Float64frombits(getU64(rr))
-					reg.Pts[i][2] = math.Float64frombits(getU64(rr))
-				}
-			default:
-				getF32s(rr, arrays[name])
+		}
+		if err := reg.Finish(); err != nil {
+			return nil, nil, fmt.Errorf("meshio: rank %d: %w", rank, err)
+		}
+	}
+
+	err = read("boundary", func(r *reader) {
+		for _, target := range []*[]mesh.CoupleFace{&local.CMB, &local.ICB} {
+			n := r.count(4 + 6*4*mesh.NGLL2)
+			for i := 0; i < n && r.err == nil; i++ {
+				var cf mesh.CoupleFace
+				cf.SolidKind = earthmodel.Region(r.u32())
+				r.i32s(cf.SolidPt[:])
+				r.i32s(cf.FluidPt[:])
+				r.f32s(cf.Nx[:])
+				r.f32s(cf.Ny[:])
+				r.f32s(cf.Nz[:])
+				r.f32s(cf.Weight[:])
+				*target = append(*target, cf)
 			}
-			ff.Close()
 		}
-		reg.AssembleMassLocal()
-	}
-
-	r, f, err = open("boundary")
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, target := range []*[]mesh.CoupleFace{&local.CMB, &local.ICB} {
-		n := int(getU32(r))
-		for i := 0; i < n; i++ {
-			var cf mesh.CoupleFace
-			cf.SolidKind = earthmodel.Region(getU32(r))
-			getI32s(r, cf.SolidPt[:])
-			getI32s(r, cf.FluidPt[:])
-			getF32s(r, cf.Nx[:])
-			getF32s(r, cf.Ny[:])
-			getF32s(r, cf.Nz[:])
-			getF32s(r, cf.Weight[:])
-			*target = append(*target, cf)
-		}
-	}
-	f.Close()
 
-	r, f, err = open("surface")
+	err = read("surface", func(r *reader) {
+		sl := &local.Surface
+		n := r.count(5 * 4)
+		sl.Pts = make([]int32, n)
+		sl.Nx = make([]float32, n)
+		sl.Ny = make([]float32, n)
+		sl.Nz = make([]float32, n)
+		sl.AreaW = make([]float32, n)
+		r.i32s(sl.Pts)
+		r.f32s(sl.Nx)
+		r.f32s(sl.Ny)
+		r.f32s(sl.Nz)
+		r.f32s(sl.AreaW)
+		sl.WaterRho = math.Float64frombits(r.u64())
+		sl.WaterDepth = math.Float64frombits(r.u64())
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	sl := &local.Surface
-	n := int(getU32(r))
-	sl.Pts = make([]int32, n)
-	sl.Nx = make([]float32, n)
-	sl.Ny = make([]float32, n)
-	sl.Nz = make([]float32, n)
-	sl.AreaW = make([]float32, n)
-	getI32s(r, sl.Pts)
-	getF32s(r, sl.Nx)
-	getF32s(r, sl.Ny)
-	getF32s(r, sl.Nz)
-	getF32s(r, sl.AreaW)
-	sl.WaterRho = math.Float64frombits(getU64(r))
-	sl.WaterDepth = math.Float64frombits(getU64(r))
-	f.Close()
-
+	if err := checkIndices(local, plan); err != nil {
+		return nil, nil, fmt.Errorf("meshio: rank %d: %w", rank, err)
+	}
 	return local, plan, nil
+}
+
+// checkIndices verifies that every point index the coupling faces, the
+// surface load and the halo plan hold falls inside its region.
+func checkIndices(l *mesh.Local, p *mesh.HaloPlan) error {
+	inRange := func(kind earthmodel.Region, idx []int32, what string) error {
+		n := 0
+		if kind >= 0 && int(kind) < len(l.Regions) {
+			n = l.Regions[kind].NGlob
+		}
+		for _, g := range idx {
+			if g < 0 || int(g) >= n {
+				return fmt.Errorf("%s: point %d outside region %v's [0, %d)", what, g, kind, n)
+			}
+		}
+		return nil
+	}
+	for _, faces := range [][]mesh.CoupleFace{l.CMB, l.ICB} {
+		for i := range faces {
+			cf := &faces[i]
+			if err := cmp.Or(inRange(cf.SolidKind, cf.SolidPt[:], "coupling face"),
+				inRange(earthmodel.RegionOuterCore, cf.FluidPt[:], "coupling face")); err != nil {
+				return err
+			}
+		}
+	}
+	if err := inRange(earthmodel.RegionCrustMantle, l.Surface.Pts, "surface load"); err != nil {
+		return err
+	}
+	for kind, edges := range p.Edges {
+		for _, e := range edges {
+			if err := inRange(earthmodel.Region(kind), e.Idx, "halo edge"); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // WriteAllRanks writes the whole distributed mesh and returns aggregate
@@ -410,59 +459,117 @@ func putI32s(w *bufio.Writer, a []int32) {
 	}
 }
 
-func getU32(r *bufio.Reader) uint32 {
+// reader decodes one database file. The first short or inconsistent
+// read records err and every later read returns zeros, so a decoder
+// checks err once, at the end of the file.
+type reader struct {
+	br   *bufio.Reader
+	left int64 // bytes not yet consumed
+	err  error
+}
+
+// readFile opens path, runs decode over it and returns the first error
+// decode met; a file with bytes left over is inconsistent too.
+func readFile(path string, decode func(r *reader)) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	r := &reader{br: bufio.NewReader(f), left: info.Size()}
+	decode(r)
+	if r.err == nil && r.left != 0 {
+		r.fail("%d trailing bytes", r.left)
+	}
+	if r.err != nil {
+		return fmt.Errorf("meshio: %s: %w", filepath.Base(path), r.err)
+	}
+	return nil
+}
+
+func (r *reader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (r *reader) read(b []byte) bool {
+	if r.err != nil {
+		return false
+	}
+	if int64(len(b)) > r.left {
+		r.fail("short read: %d bytes wanted, %d left", len(b), r.left)
+		return false
+	}
+	if _, err := io.ReadFull(r.br, b); err != nil {
+		r.fail("short read: %v", err)
+		return false
+	}
+	r.left -= int64(len(b))
+	return true
+}
+
+func (r *reader) u32() uint32 {
 	var b [4]byte
-	if _, err := readFull(r, b[:]); err != nil {
-		panic(fmt.Sprintf("meshio: short read: %v", err))
+	if !r.read(b[:]) {
+		return 0
 	}
 	return binary.LittleEndian.Uint32(b[:])
 }
 
-func getU64(r *bufio.Reader) uint64 {
+func (r *reader) u64() uint64 {
 	var b [8]byte
-	if _, err := readFull(r, b[:]); err != nil {
-		panic(fmt.Sprintf("meshio: short read: %v", err))
+	if !r.read(b[:]) {
+		return 0
 	}
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-func getF32s(r *bufio.Reader, a []float32) {
-	n := int(getU32(r))
-	if n != len(a) {
-		panic(fmt.Sprintf("meshio: array length %d, want %d", n, len(a)))
+// count reads a length prefix and checks that the rest of the file can
+// hold that many items of at least itemBytes bytes each.
+func (r *reader) count(itemBytes int) int {
+	n := int64(r.u32())
+	if r.err == nil && n*int64(itemBytes) > r.left {
+		r.fail("%d items of %d bytes, but %d bytes left", n, itemBytes, r.left)
 	}
-	for i := range a {
-		a[i] = math.Float32frombits(getU32(r))
+	if r.err != nil {
+		return 0
 	}
+	return int(n)
 }
 
-func getI32s(r *bufio.Reader, a []int32) {
-	n := int(getU32(r))
-	if n != len(a) {
-		panic(fmt.Sprintf("meshio: array length %d, want %d", n, len(a)))
+// length reads a length prefix that must equal want.
+func (r *reader) length(want int) bool {
+	if n := r.u32(); r.err == nil && int(n) != want {
+		r.fail("array length %d, want %d", n, want)
 	}
-	for i := range a {
-		a[i] = int32(getU32(r))
-	}
+	return r.err == nil
 }
 
-func getI32sAlloc(r *bufio.Reader) []int32 {
-	n := int(getU32(r))
-	a := make([]int32, n)
-	for i := range a {
-		a[i] = int32(getU32(r))
-	}
-	return a
-}
-
-func readFull(r *bufio.Reader, b []byte) (int, error) {
-	total := 0
-	for total < len(b) {
-		n, err := r.Read(b[total:])
-		total += n
-		if err != nil {
-			return total, err
+func (r *reader) f32s(a []float32) {
+	if r.length(len(a)) {
+		for i := range a {
+			a[i] = math.Float32frombits(r.u32())
 		}
 	}
-	return total, nil
+}
+
+func (r *reader) i32s(a []int32) {
+	if r.length(len(a)) {
+		for i := range a {
+			a[i] = int32(r.u32())
+		}
+	}
+}
+
+func (r *reader) i32sAlloc() []int32 {
+	a := make([]int32, r.count(4))
+	for i := range a {
+		a[i] = int32(r.u32())
+	}
+	return a
 }

@@ -1,10 +1,14 @@
 package meshio
 
 import (
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"specglobe/internal/boxmesh"
 	"specglobe/internal/earthmodel"
 	"specglobe/internal/meshfem"
 )
@@ -245,5 +249,96 @@ func BenchmarkMergedHandoff(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = MergedHandoff(g.Locals)
+	}
+}
+
+// readAll runs ReadAllRanks, turning a panic into a test failure.
+func readAll(t *testing.T, dir string, nRanks int) (err error) {
+	t.Helper()
+	defer func() {
+		if p := recover(); p != nil {
+			t.Errorf("ReadAllRanks panicked: %v", p)
+			err = nil
+		}
+	}()
+	_, _, err = ReadAllRanks(dir, nRanks)
+	return err
+}
+
+// A corrupt database is an error, never a panic or a mesh that reaches
+// the solver: every file of a rank truncated to 10 bytes and by its last
+// 4, a point count the header cannot hold, a trailing byte, and one
+// Ibool entry outside the region's points.
+func TestCorruptDatabaseIsAnError(t *testing.T) {
+	g := buildGlobe(t, 4)
+	dir := t.TempDir()
+	if _, err := WriteRankDatabase(dir, g.Locals[0], g.Plans[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := readAll(t, dir, 1); err != nil {
+		t.Fatalf("intact database: %v", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// corrupt rewrites one file, reads the database back and restores it.
+	corrupt := func(name, what string, edit func([]byte) []byte) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		orig, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, edit(append([]byte(nil), orig...)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := readAll(t, dir, 1); err == nil {
+			t.Errorf("%s %s: read succeeded", name, what)
+		}
+		if err := os.WriteFile(path, orig, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range entries {
+		corrupt(e.Name(), "cut to 10 bytes", func(b []byte) []byte { return b[:10] })
+		corrupt(e.Name(), "without its last 4 bytes", func(b []byte) []byte { return b[:len(b)-4] })
+		corrupt(e.Name(), "with a trailing byte", func(b []byte) []byte { return append(b, 0) })
+	}
+	corrupt("proc000000_header.bin", "claiming 2^32-1 elements", func(b []byte) []byte {
+		binary.LittleEndian.PutUint32(b[8:], math.MaxUint32)
+		return b
+	})
+	nglob := g.Locals[0].Regions[0].NGlob
+	corrupt("proc000000_reg0_ibool.bin", "with ibool[7] = NGlob", func(b []byte) []byte {
+		binary.LittleEndian.PutUint32(b[4+4*7:], uint32(nglob))
+		return b
+	})
+	if err := readAll(t, dir, 1); err != nil {
+		t.Fatalf("restored database: %v", err)
+	}
+}
+
+// A rank whose fluid and inner-core regions are empty (a box mesh) reads
+// back its whole halo plan: the header records every region the same
+// way, present or empty, so the plan that follows stays aligned.
+func TestRoundTripEmptyRegions(t *testing.T) {
+	b, err := boxmesh.Build(boxmesh.Config{
+		Nx: 4, Ny: 2, Nz: 2, Lx: 4e3, Ly: 2e3, Lz: 2e3, NRanks: 2,
+		Mat: earthmodel.Material{Rho: 2700, Vp: 8000, Vs: 4500, Qmu: 60, Qkappa: 57823},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := WriteAllRanks(dir, b.Locals, b.Plans); err != nil {
+		t.Fatal(err)
+	}
+	_, plans, err := ReadAllRanks(dir, len(b.Locals))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plans, b.Plans) {
+		t.Errorf("halo plans read back differ from the written ones")
 	}
 }

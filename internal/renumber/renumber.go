@@ -257,6 +257,13 @@ func PermuteElements(r *mesh.Region, perm []int32) error {
 	}
 	permF32Blocks(r.Qmu, 1)
 	permF32Blocks(r.Qkappa, 1)
+	if len(r.Audit) == r.NSpec {
+		audit := make([]mesh.ElemAudit, r.NSpec)
+		for newE, oldE := range perm {
+			audit[newE] = r.Audit[oldE]
+		}
+		r.Audit = audit
+	}
 	return nil
 }
 

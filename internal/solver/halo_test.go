@@ -25,7 +25,7 @@ func TestHaloRoutes(t *testing.T) {
 	for _, lts := range []bool{true, false} {
 		opts := Options{Steps: 1, LTS: lts, CombinedSolidHalo: true}.withDefaults()
 		sim := globeSim(t, g, model, opts)
-		dt := stableDt(sim.Locals, opts.Courant)
+		dt := mesh.StableDt(sim.Locals, opts.Courant)
 		p := newPool(1)
 		states := make([]*rankState, len(sim.Locals))
 		mpi.NewWorldWith(len(sim.Locals), opts.Network).Run(func(c *mpi.Comm) {
@@ -151,7 +151,7 @@ func TestNoHeldWithoutDormantPoints(t *testing.T) {
 	p := newPool(1)
 	defer p.close()
 	mpi.NewWorldWith(len(sim.Locals), opts.Network).Run(func(c *mpi.Comm) {
-		rs := newRankState(c, sim, &opts, stableDt(sim.Locals, opts.Courant), nil, nil, p, newKernels(opts.Kernel), 1)
+		rs := newRankState(c, sim, &opts, mesh.StableDt(sim.Locals, opts.Courant), nil, nil, p, newKernels(opts.Kernel), 1)
 		for kind, fs := range rs.solid {
 			for _, f := range fs {
 				if f.held != nil {

@@ -148,6 +148,7 @@ func multiRateBox(t testing.TB, n, nranks int, L float64) *boxmesh.Box {
 				reg.Mu[p] *= 4
 			}
 		}
+		reg.AuditElements()
 	}
 	return b
 }

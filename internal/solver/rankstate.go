@@ -382,8 +382,9 @@ func (rs *rankState) flushPoolTime() {
 // which the stability check relies on) and the number of values the
 // flush should have removed: subnormals in the arrays that survive a
 // step — displacement, velocity, the fluid potential and its rate, the
-// attenuation memory variables and the LTS held accelerations — and
-// non-zero values below the flush threshold in the final accelerations
+// attenuation memory variables of the elements a visit has woken (the
+// rest were never written and are +0) and the LTS held accelerations —
+// and non-zero values below the flush threshold in the final accelerations
 // (at the points the last step fired; under LTS the rest hold garbage
 // by design). The integrator flushes every one of them where it writes
 // them (flush.go), so the count is zero unless a write site has been
@@ -405,7 +406,18 @@ func (rs *rankState) stateCensus() (maxDisp float64, subnormals int64) {
 			peak = max(peak, count(flat(f.d)))
 			count(flat(f.v), flat(f.held))
 			if f.att != nil {
-				count(f.att.r)
+				slab := f.att.nsls * 6 * mesh.NGLL3
+				for e := 0; e < len(f.att.woke); {
+					if !f.att.woke[e] {
+						e++
+						continue
+					}
+					run := e
+					for e < len(f.att.woke) && f.att.woke[e] {
+						e++
+					}
+					count(f.att.r[run*slab : e*slab])
+				}
 			}
 			for _, s := range rs.lp.spans[kind] {
 				subnormals += unflushed(flat(f.a[s.i : s.i+s.n]))

@@ -69,7 +69,7 @@ func attachDecoupledFluid(t *testing.T, locals []*mesh.Local, rank int) {
 
 // boxBuildFluidDonor builds a tiny single-rank box region and converts
 // it to a fluid (outer-core) region: zero shear modulus, fluid mass
-// matrix JacW/kappa.
+// matrix JacW/kappa, P-wave element audit.
 func boxBuildFluidDonor() (*mesh.Region, error) {
 	b, err := boxmesh.Build(boxmesh.Config{
 		Nx: 2, Ny: 2, Nz: 2,
@@ -85,8 +85,7 @@ func boxBuildFluidDonor() (*mesh.Region, error) {
 	for i := range reg.Mu {
 		reg.Mu[i] = 0
 	}
-	reg.AssembleMassLocal()
-	if err := reg.Validate(); err != nil {
+	if err := reg.Finish(); err != nil {
 		return nil, err
 	}
 	return reg, nil

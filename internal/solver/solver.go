@@ -332,7 +332,7 @@ type LTSInfo struct {
 // Run executes the simulation: one goroutine per rank over the simulated
 // MPI world.
 //
-//specfem:noaccount driver-level work (stable-dt scan, seismogram collection, report assembly) around the stepped loop; kernels account themselves
+//specfem:noaccount driver-level work (stable-dt reduction, seismogram collection, report assembly) around the stepped loop; kernels account themselves
 func Run(sim *Simulation) (*Result, error) {
 	opts := sim.Opts.withDefaults()
 	if len(sim.Locals) == 0 {
@@ -352,7 +352,7 @@ func Run(sim *Simulation) (*Result, error) {
 	}
 	dt := opts.Dt
 	if dt == 0 {
-		dt = stableDt(sim.Locals, opts.Courant)
+		dt = mesh.StableDt(sim.Locals, opts.Courant)
 	}
 	if dt <= 0 || math.IsInf(dt, 0) || math.IsNaN(dt) {
 		return nil, fmt.Errorf("solver: bad time step %g", dt)
@@ -548,21 +548,6 @@ func placed(locals []*mesh.Local, rank int, kind earthmodel.Region, elem int) er
 		return fmt.Errorf("in element %d, outside [0, %d)", elem, reg.NSpec)
 	}
 	return nil
-}
-
-// stableDt returns the automatic global time step.
-func stableDt(locals []*mesh.Local, courant float64) float64 {
-	dt := math.Inf(1)
-	for _, l := range locals {
-		for _, r := range l.Regions {
-			if r != nil && r.NSpec > 0 {
-				if d := r.StableDt(courant); d < dt {
-					dt = d
-				}
-			}
-		}
-	}
-	return dt
 }
 
 // kernels bundles the matrices the force routines apply along cutplanes.

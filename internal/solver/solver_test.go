@@ -7,6 +7,7 @@ import (
 
 	"specglobe/internal/boxmesh"
 	"specglobe/internal/earthmodel"
+	"specglobe/internal/mesh"
 	"specglobe/internal/meshfem"
 )
 
@@ -833,7 +834,7 @@ func TestStabilityMonitorAborts(t *testing.T) {
 	const L = 40e3
 	b := buildBox(t, 4, 1, L)
 	src := boxSource(t, b, L/2, L/2, L/2, 1e17, 1.0)
-	auto := stableDt(b.Locals, 0.3)
+	auto := mesh.StableDt(b.Locals, 0.3)
 	_, err := Run(&Simulation{
 		Locals:  b.Locals,
 		Plans:   b.Plans,

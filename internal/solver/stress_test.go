@@ -280,6 +280,10 @@ func TestAttStateLayout(t *testing.T) {
 		t.Fatalf("last slot of r is %d, want %d", last, len(c.r)-1)
 	}
 	c.r[last] = math.Float32frombits(1)
+	if _, n := rs.stateCensus(); n != 0 {
+		t.Fatalf("census reads the slab of an element no visit has woken (%d)", n)
+	}
+	c.woke[nspec-1] = true
 	if _, n := rs.stateCensus(); n != 1 {
 		t.Errorf("census counts %d subnormals, want the 1 planted in the last slot of r", n)
 	}

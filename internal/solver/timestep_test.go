@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"specglobe/internal/earthmodel"
+	"specglobe/internal/mesh"
 	"specglobe/internal/mpi"
 )
 
@@ -30,7 +31,7 @@ func BenchmarkPointPasses(b *testing.B) {
 			opts := Options{Steps: 1, LTS: lts, CombinedSolidHalo: true,
 				Rotation: true, Gravity: true, OceanLoad: true}.withDefaults()
 			sim := &Simulation{Locals: g.Locals, Plans: g.Plans, Model: model, Opts: opts}
-			dt := stableDt(sim.Locals, opts.Courant)
+			dt := mesh.StableDt(sim.Locals, opts.Courant)
 			p := newPool(1)
 			defer p.close()
 			states := make([]*rankState, len(sim.Locals))

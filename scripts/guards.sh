@@ -20,6 +20,7 @@ divideFluidList|fluidMassDivisionFace|fluidCorrector|finishSolidStage|sweepRange
 TestWriteBench|BENCH_SNAPSHOT|writeBenchJSON|experiments\.Hybrid|HybridResult
 OverlapMachines|CommFracResult|timedRun
 newmarkPass|accHold|hChi|couplingFacePoints|lp\.shadow|ElemsUpTo|unionSorted
+elemMinSpacing|elemMaxVelocity|MinGLLSpacing|func stableDt
 EOF
 )
 if grep -rnE "$retired" --include='*.go' .; then
