@@ -44,6 +44,45 @@ type Event struct {
 	HalfDurationSec float64
 }
 
+// Validate refuses an event the solver cannot run: a NaN or infinite
+// latitude, longitude, depth, moment-tensor component or half duration,
+// or a latitude outside [-90°, 90°]. The error names the field.
+func (e Event) Validate() error {
+	return validate("event", e.Name, e.LatDeg, []namedValue{
+		{"latitude", e.LatDeg}, {"longitude", e.LonDeg}, {"depth", e.DepthM},
+		{"Mrr", e.Mrr}, {"Mtt", e.Mtt}, {"Mpp", e.Mpp}, {"Mrt", e.Mrt}, {"Mrp", e.Mrp}, {"Mtp", e.Mtp},
+		{"half duration", e.HalfDurationSec},
+	})
+}
+
+// ValidateStation refuses a station with a NaN or infinite latitude,
+// longitude or depth, or a latitude outside [-90°, 90°], naming the
+// field.
+func ValidateStation(st stations.Station) error {
+	return validate("station", st.Name, st.LatDeg, []namedValue{
+		{"latitude", st.LatDeg}, {"longitude", st.LonDeg}, {"depth", st.DepthM},
+	})
+}
+
+type namedValue struct {
+	name string
+	v    float64
+}
+
+// validate refuses the first non-finite value of a source or station
+// and a latitude outside [-90°, 90°].
+func validate(what, name string, lat float64, vals []namedValue) error {
+	for _, f := range vals {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: %s %q: %s is %g", what, name, f.name, f.v)
+		}
+	}
+	if math.Abs(lat) > 90 {
+		return fmt.Errorf("core: %s %q: latitude %g° is outside [-90°, 90°]", what, name, lat)
+	}
+	return nil
+}
+
 // ScalarMoment returns the scalar seismic moment M0 of the event.
 func (e Event) ScalarMoment() float64 {
 	sum := e.Mrr*e.Mrr + e.Mtt*e.Mtt + e.Mpp*e.Mpp +

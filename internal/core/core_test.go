@@ -310,3 +310,55 @@ func TestRunWithDoublingSchedules(t *testing.T) {
 			arep.Globe.TotalElements(), uni.Globe.TotalElements())
 	}
 }
+
+// An event or a station the solver cannot run is refused with an error
+// naming the field, before anything runs: a non-finite latitude,
+// longitude, depth, moment-tensor component or half duration, and a
+// latitude beyond ±90° (which used to be wrapped silently). Non-finite
+// values used to run to NaN seismograms with a nil error.
+func TestNonFiniteInputsAreRefused(t *testing.T) {
+	s, err := NewSession(Config{NexXi: 4, NProcXi: 1, Model: smallModel(), Steps: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	good := stations.ReferenceStations()[:1]
+	for _, c := range []struct {
+		name, want string
+		ev         func(*Event)
+		st         func(*stations.Station)
+	}{
+		{name: "event lat NaN", want: "latitude", ev: func(e *Event) { e.LatDeg = nan }},
+		{name: "event lon Inf", want: "longitude", ev: func(e *Event) { e.LonDeg = inf }},
+		{name: "event depth NaN", want: "depth", ev: func(e *Event) { e.DepthM = nan }},
+		{name: "event Mrr NaN", want: "Mrr", ev: func(e *Event) { e.Mrr = nan }},
+		{name: "event Mtp -Inf", want: "Mtp", ev: func(e *Event) { e.Mtp = -inf }},
+		{name: "event half duration NaN", want: "half duration", ev: func(e *Event) { e.HalfDurationSec = nan }},
+		{name: "event lat 200", want: "outside [-90°, 90°]", ev: func(e *Event) { e.LatDeg = 200 }},
+		{name: "station lat NaN", want: "latitude", st: func(st *stations.Station) { st.LatDeg = nan }},
+		{name: "station lon -Inf", want: "longitude", st: func(st *stations.Station) { st.LonDeg = -inf }},
+		{name: "station depth NaN", want: "depth", st: func(st *stations.Station) { st.DepthM = nan }},
+		{name: "station lat -91", want: "outside [-90°, 90°]", st: func(st *stations.Station) { st.LatDeg = -91 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ev, sts := testEvent, append([]stations.Station(nil), good...)
+			if c.ev != nil {
+				c.ev(&ev)
+			} else {
+				c.st(&sts[0])
+			}
+			_, err := s.Run(Scenario{Name: c.name, Event: ev, Stations: sts})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("got %v, want an error naming %q", err, c.want)
+			}
+			if c.ev != nil {
+				if err := s.CheckEvent(ev); err == nil {
+					t.Error("CheckEvent accepted the event")
+				}
+			}
+		})
+	}
+	if _, err := s.Run(Scenario{Name: "good", Event: testEvent, Stations: good}); err != nil {
+		t.Errorf("the valid event and station: %v", err)
+	}
+}

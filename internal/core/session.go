@@ -100,9 +100,12 @@ func (s *Session) Globe() *meshfem.Globe { return s.globe }
 // Load exposes the element-count load statistics of the partition.
 func (s *Session) Load() mesh.LoadStats { return s.load }
 
-// locateSource turns an event into a solver source driving the given
-// ensemble field.
+// locateSource turns a valid event into a solver source driving the
+// given ensemble field.
 func (s *Session) locateSource(ev Event, field int) (solver.Source, error) {
+	if err := ev.Validate(); err != nil {
+		return solver.Source{}, err
+	}
 	srcLoc, err := s.globe.LocateLatLonDepth(ev.LatDeg, ev.LonDeg, ev.DepthM)
 	if err != nil {
 		return solver.Source{}, fmt.Errorf("core: locating event: %w", err)
@@ -122,8 +125,9 @@ func (s *Session) locateSource(ev Event, field int) (solver.Source, error) {
 	}, nil
 }
 
-// CheckEvent verifies that an event locates inside a solid region of
-// the session's mesh without running anything — the per-job validation
+// CheckEvent verifies that an event is valid (Event.Validate) and
+// locates inside a solid region of the session's mesh without running
+// anything — the per-job validation
 // a batching service needs so one bad event fails its own job instead
 // of the whole ensemble.
 func (s *Session) CheckEvent(ev Event) error {
@@ -177,6 +181,9 @@ func (s *Session) solve(scs []Scenario, chunkSamples int, onChunk func(solver.Ch
 				continue
 			}
 			seen[st.Name] = st
+			if err := ValidateStation(st); err != nil {
+				return nil, nil, 0, 0, err
+			}
 			l, err := stations.LocateFast(s.globe, st, cfg.SnapStations)
 			if err != nil {
 				return nil, nil, 0, 0, err

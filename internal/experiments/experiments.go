@@ -16,6 +16,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"syscall"
@@ -318,8 +319,16 @@ type Fig7Result struct {
 	PaperSeries []float64
 }
 
+// fig7Budget is the wall time over which Fig7 repeats each
+// resolution's run (at least twice) to keep the fastest: the first run
+// faults pages and warms caches, and a short solve — which passes the
+// points the wave has not reached by — takes a few milliseconds, so one
+// burst of load on a shared host can swamp a single run.
+const fig7Budget = 200 * time.Millisecond
+
 // Fig7 runs a fixed number of solver steps at several resolutions and
-// fits total core-seconds against resolution.
+// fits total core-seconds against resolution, each resolution's the
+// fastest of its repeated runs (fig7Budget).
 func Fig7(nexList []int, steps int) (*Fig7Result, error) {
 	model := earthmodel.EarthLike()
 	out := &Fig7Result{}
@@ -329,11 +338,15 @@ func Fig7(nexList []int, steps int) (*Fig7Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := solveCentral(g, solver.Options{Steps: steps})
-		if err != nil {
-			return nil, err
+		total, spent := math.Inf(1), time.Duration(0)
+		for rep := 0; rep < 2 || spent < fig7Budget; rep++ {
+			res, err := solveCentral(g, solver.Options{Steps: steps})
+			if err != nil {
+				return nil, err
+			}
+			total = min(total, res.Perf.TotalTime.Seconds())
+			spent += res.Perf.WallTime
 		}
-		total := res.Perf.TotalTime.Seconds()
 		samples = append(samples, perfmodel.Sample{X: float64(nex), Y: total})
 		out.Rows = append(out.Rows, Fig7Row{Res: nex, CoreSec: total})
 	}

@@ -73,6 +73,8 @@ type Profiler struct {
 	flops   [numPhases]int64
 	bytes   [numPhases]int64
 	skipped [numPhases]int64
+	paged   [numPhases]int64
+	points  [numPhases]int64
 	started time.Time
 	total   time.Duration
 }
@@ -109,6 +111,15 @@ func (p *Profiler) AddBytes(ph Phase, n int64) { p.bytes[ph] += n }
 // AddSkippedVisits counts force-kernel element visits a phase skipped
 // because they could only add zeros (see Report.SkippedVisits).
 func (p *Profiler) AddSkippedVisits(ph Phase, n int64) { p.skipped[ph] += n }
+
+// AddPageSkippedVisits counts the skipped visits of a phase that were
+// decided before the gather (see Report.PageSkippedVisits); they are
+// also counted by AddSkippedVisits.
+func (p *Profiler) AddPageSkippedVisits(ph Phase, n int64) { p.paged[ph] += n }
+
+// AddSkippedPoints counts point-pass point visits a phase skipped on
+// quiescent pages (see Report.SkippedPoints).
+func (p *Profiler) AddSkippedPoints(ph Phase, n int64) { p.points[ph] += n }
 
 // Flops returns the accumulated operation count over all phases.
 func (p *Profiler) Flops() int64 {
@@ -181,6 +192,17 @@ type Report struct {
 	// variables) and so were not run: their result is exactly zero. Such
 	// a visit is charged its gather reads and no flops.
 	SkippedVisits map[string]int64
+	// PageSkippedVisits counts, per force phase, the skipped visits that
+	// were decided before the gather: every page of the field the element
+	// touches has never held a non-zero value (or the whole region has
+	// none). They are charged nothing.
+	PageSkippedVisits map[string]int64
+	// SkippedPoints counts, per phase and summed over ranks and fields,
+	// the point visits of the predictor and the tails that found their
+	// page quiescent: a dead predictor piece is charged nothing (or its
+	// acceleration clear, under local time stepping), a dead tail piece
+	// its acceleration read, and neither any flops.
+	SkippedPoints map[string]int64
 	// SustainedFlops is TotalFlops / WallTime in flop/s.
 	SustainedFlops float64
 	// Workers and WorkerBusy describe the shared kernel worker pool of
@@ -248,11 +270,13 @@ func (r Report) ArithmeticIntensity(phase string) float64 {
 // Aggregate builds a report from per-rank profilers.
 func Aggregate(profs []*Profiler) Report {
 	r := Report{
-		Ranks:         len(profs),
-		PhaseTotals:   map[string]time.Duration{},
-		PhaseFlops:    map[string]int64{},
-		PhaseBytes:    map[string]int64{},
-		SkippedVisits: map[string]int64{},
+		Ranks:             len(profs),
+		PhaseTotals:       map[string]time.Duration{},
+		PhaseFlops:        map[string]int64{},
+		PhaseBytes:        map[string]int64{},
+		SkippedVisits:     map[string]int64{},
+		PageSkippedVisits: map[string]int64{},
+		SkippedPoints:     map[string]int64{},
 	}
 	for _, p := range profs {
 		if p.total > r.WallTime {
@@ -264,6 +288,8 @@ func Aggregate(profs []*Profiler) Report {
 			r.PhaseFlops[ph.String()] += p.flops[ph]
 			r.PhaseBytes[ph.String()] += p.bytes[ph]
 			r.SkippedVisits[ph.String()] += p.skipped[ph]
+			r.PageSkippedVisits[ph.String()] += p.paged[ph]
+			r.SkippedPoints[ph.String()] += p.points[ph]
 		}
 		r.TotalFlops += p.Flops()
 		r.TotalBytes += p.Bytes()
@@ -303,8 +329,12 @@ func (r Report) String() string {
 		r.TotalFlops, r.SustainedFlops/1e9)
 	for _, ph := range []Phase{PhaseForceSolid, PhaseForceFluid} {
 		if n := r.SkippedVisits[ph.String()]; n > 0 {
-			fmt.Fprintf(&b, "#   %-12s %d element visits skipped (zero field)\n", ph, n)
+			fmt.Fprintf(&b, "#   %-12s %d element visits skipped (zero field), %d without a gather\n",
+				ph, n, r.PageSkippedVisits[ph.String()])
 		}
+	}
+	if n := r.SkippedPoints[PhaseUpdate.String()]; n > 0 {
+		fmt.Fprintf(&b, "#   %-12s %d point visits skipped (quiescent pages)\n", PhaseUpdate, n)
 	}
 	return b.String()
 }
@@ -336,25 +366,42 @@ func (c *Collector) Report() Report {
 	return Aggregate(list)
 }
 
-// SkipTally counts, across the concurrent chunks of one force sweep,
-// the element visits skipped because they could only add zeros and the
-// elements whose every field was skipped.
-type SkipTally struct{ visits, elems atomic.Int64 }
-
-// Add records one chunk's skipped visits and all-skipped elements.
-func (t *SkipTally) Add(visits, elems int) {
-	t.visits.Add(int64(visits))
-	t.elems.Add(int64(elems))
+// Skips is one chunk's count of the element visits it skipped because
+// they could only add zeros.
+type Skips struct {
+	// Visits counts the skipped visits and Elems the elements whose
+	// every field was skipped.
+	Visits, Elems int
+	// Pages counts the skipped visits decided before the gather, from
+	// the field's page marks, and PageElems the elements none of whose
+	// fields gathered (a subset of Visits and Elems).
+	Pages, PageElems int
 }
 
-// Charge returns the skipped visits of a sweep of elems elements ×
-// fields wavefields and its flops and bytes: a performed visit costs
-// flops and dynamic bytes, a skipped one its gather bytes, and an
-// element its static bytes once if any field ran, IboolGather if none did.
-func (t *SkipTally) Charge(c ByteCounts, elems, fields int, flops, static, dynamic, gather int64) (skipped, f, b int64) {
+// SkipTally counts the Skips of the concurrent chunks of one force
+// sweep.
+type SkipTally struct{ visits, elems, pages, pageElems atomic.Int64 }
+
+// Add records one chunk's skips.
+func (t *SkipTally) Add(s Skips) {
+	t.visits.Add(int64(s.Visits))
+	t.elems.Add(int64(s.Elems))
+	t.pages.Add(int64(s.Pages))
+	t.pageElems.Add(int64(s.PageElems))
+}
+
+// Charge returns the skipped and page-skipped visits of a sweep of elems
+// elements × fields wavefields and its flops and bytes: a performed
+// visit costs flops and dynamic bytes, a gather-skipped one its gather
+// bytes and a page-skipped one nothing, and an element its static bytes
+// once if any field ran, IboolGather if none ran but one gathered, and
+// nothing if none gathered.
+func (t *SkipTally) Charge(c ByteCounts, elems, fields int, flops, static, dynamic, gather int64) (skipped, pages, f, b int64) {
 	skipped, idle := t.visits.Load(), t.elems.Load()
+	pages, pageIdle := t.pages.Load(), t.pageElems.Load()
 	ran := int64(elems*fields) - skipped
-	return skipped, flops * ran, static*(int64(elems)-idle) + c.IboolGather*idle + dynamic*ran + gather*skipped
+	b = static*(int64(elems)-idle) + c.IboolGather*(idle-pageIdle) + dynamic*ran + gather*(skipped-pages)
+	return skipped, pages, flops * ran, b
 }
 
 // FlopCounts provides the analytic per-element and per-point flop model
@@ -486,6 +533,13 @@ type ByteCounts struct {
 	SolidGather int64
 	FluidGather int64
 
+	// SolidDeadPoint and FluidDeadPoint are a point pass's traffic at a
+	// point of a quiescent page: the acceleration's one stream — the
+	// tail's read of the final value it tests, or, under local time
+	// stepping, the predictor's clear of the slot.
+	SolidDeadPoint int64
+	FluidDeadPoint int64
+
 	// AttenuationMech is the extra solid-element traffic per SLS
 	// mechanism: six memory-variable arrays read-modify-written. The
 	// memory variables are per-wavefield state, so it is all dynamic.
@@ -543,6 +597,8 @@ func DefaultByteCounts() ByteCounts {
 		IboolGather:         int64(ngll3 * f32),
 		SolidGather:         int64(ngll3 * f32 * 3),
 		FluidGather:         int64(ngll3 * f32),
+		SolidDeadPoint:      3 * f32,
+		FluidDeadPoint:      f32,
 		// Per SLS mechanism: six r arrays read-modify-written.
 		AttenuationMech: int64(ngll3 * f32 * (6 * 2)),
 

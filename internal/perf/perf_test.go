@@ -192,6 +192,8 @@ func TestDefaultByteCounts(t *testing.T) {
 		"SolidElement":    bc.SolidElement,
 		"FluidElement":    bc.FluidElement,
 		"AttenuationMech": bc.AttenuationMech,
+		"SolidDeadPoint":  bc.SolidDeadPoint,
+		"FluidDeadPoint":  bc.FluidDeadPoint,
 		"SolidPredictor":  bc.SolidPredictor,
 		"FluidPredictor":  bc.FluidPredictor,
 		"SolidTail":       bc.SolidTail,
@@ -288,33 +290,47 @@ func TestDefaultFlopCounts(t *testing.T) {
 }
 
 // The charge of a sweep of 10 elements × 3 fields whose chunks skipped 7
-// visits, every field of 2 elements among them: each performed visit
-// costs the visit's flops and dynamic bytes, each skipped one its
-// gather, and each element its static bytes once — except an element
-// whose every field was skipped, which costs its Ibool read alone. The
-// skipped visits reach the report per phase, summed over ranks.
+// visits, every field of 2 elements among them, and 5 of the 7 before
+// the gather, every field of 1 of those 2 elements: each performed
+// visit costs the visit's flops and dynamic bytes, each gather-skipped
+// one its gather and each page-skipped one nothing, and each element its
+// static bytes once — except an element whose every field was skipped,
+// which costs its Ibool read alone, or nothing if no field gathered.
+// The skipped visits and point visits reach the report per phase,
+// summed over ranks.
 func TestSkipTallyCharge(t *testing.T) {
 	c := DefaultByteCounts()
 	var tl SkipTally
-	tl.Add(4, 1)
-	tl.Add(3, 1)
+	tl.Add(Skips{Visits: 4, Elems: 1, Pages: 2})
+	tl.Add(Skips{Visits: 3, Elems: 1, Pages: 3, PageElems: 1})
 	const flops, static, dynamic, gather = 100, 1000, 10, 1
-	skipped, f, b := tl.Charge(c, 10, 3, flops, static, dynamic, gather)
-	if skipped != 7 || f != 23*flops {
-		t.Errorf("skipped %d, flops %d; want 7, %d", skipped, f, 23*flops)
+	skipped, pages, f, b := tl.Charge(c, 10, 3, flops, static, dynamic, gather)
+	if skipped != 7 || pages != 5 || f != 23*flops {
+		t.Errorf("skipped %d, pages %d, flops %d; want 7, 5, %d", skipped, pages, f, 23*flops)
 	}
-	if want := 8*static + 2*c.IboolGather + 23*dynamic + 7*gather; b != want {
+	if want := 8*static + 1*c.IboolGather + 23*dynamic + 2*gather; b != want {
 		t.Errorf("bytes %d, want %d", b, want)
 	}
 	p, q := NewProfiler(0), NewProfiler(1)
 	p.AddSkippedVisits(PhaseForceSolid, skipped)
+	p.AddPageSkippedVisits(PhaseForceSolid, pages)
 	q.AddSkippedVisits(PhaseForceSolid, 2)
 	q.AddSkippedVisits(PhaseForceFluid, 5)
+	p.AddSkippedPoints(PhaseUpdate, 300)
+	q.AddSkippedPoints(PhaseUpdate, 12)
 	r := Aggregate([]*Profiler{p, q})
 	if r.SkippedVisits["force_solid"] != 9 || r.SkippedVisits["force_fluid"] != 5 {
 		t.Errorf("SkippedVisits = %v, want force_solid 9, force_fluid 5", r.SkippedVisits)
 	}
-	if !strings.Contains(r.String(), "9 element visits skipped") {
-		t.Errorf("summary does not report the skipped visits:\n%s", r)
+	if r.PageSkippedVisits["force_solid"] != 5 || r.PageSkippedVisits["force_fluid"] != 0 {
+		t.Errorf("PageSkippedVisits = %v, want force_solid 5, force_fluid 0", r.PageSkippedVisits)
+	}
+	if r.SkippedPoints["update"] != 312 {
+		t.Errorf("SkippedPoints = %v, want update 312", r.SkippedPoints)
+	}
+	for _, want := range []string{"9 element visits skipped (zero field), 5 without a gather", "312 point visits skipped"} {
+		if !strings.Contains(r.String(), want) {
+			t.Errorf("summary does not report %q:\n%s", want, r)
+		}
 	}
 }

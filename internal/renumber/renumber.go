@@ -289,7 +289,8 @@ func FirstTouchPointOrder(r *mesh.Region) []int32 {
 
 // RenumberPoints relabels the region's global points: new index of old
 // point i is newIdx[i]. Used both to restore first-touch order and (in
-// ablation benchmarks) to scramble point locality.
+// ablation benchmarks) to scramble point locality. The element audit's
+// point ranges follow the new labels.
 func RenumberPoints(r *mesh.Region, newIdx []int32) error {
 	if !IsPermutation(newIdx, r.NGlob) {
 		return fmt.Errorf("renumber: not a permutation of %d points", r.NGlob)
@@ -309,5 +310,6 @@ func RenumberPoints(r *mesh.Region, newIdx []int32) error {
 		}
 		r.Mass = m
 	}
+	r.UpdatePointRanges()
 	return nil
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -320,6 +321,36 @@ func TestSubmitTypedErrors(t *testing.T) {
 	}
 	if st, _ := d.Wait(id); st.State != StateDone {
 		t.Fatalf("good job state %s: %s", st.State, st.ErrMsg)
+	}
+}
+
+// A non-finite event field, a non-finite explicit station coordinate
+// and a latitude beyond ±90° are refused at submit with CodeBadRequest:
+// no job is created for them.
+func TestSubmitRefusesNonFiniteInputs(t *testing.T) {
+	sink := newMemSink()
+	d := New(Config{MaxBatch: 2, Window: time.Millisecond, Workers: 1})
+	defer d.Close()
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, edit := range map[string]func(*JobSpec){
+		"event lat NaN":      func(s *JobSpec) { s.Event.LatDeg = nan },
+		"event lon Inf":      func(s *JobSpec) { s.Event.LonDeg = inf },
+		"event depth NaN":    func(s *JobSpec) { s.Event.DepthM = nan },
+		"event Mrr NaN":      func(s *JobSpec) { s.Event.Mrr = nan },
+		"event half dur Inf": func(s *JobSpec) { s.Event.HalfDurationSec = inf },
+		"event lat 200":      func(s *JobSpec) { s.Event.LatDeg = 200 },
+		"station lat NaN":    func(s *JobSpec) { s.Stations[1].LatDeg = &nan },
+		"station depth NaN":  func(s *JobSpec) { s.Stations[1].DepthM = nan },
+		"station lat 95": func(s *JobSpec) {
+			lat := 95.0
+			s.Stations[1].LatDeg = &lat
+		},
+	} {
+		spec := baseSpec(name, 0)
+		edit(&spec)
+		if _, err := d.Submit(spec, sink); CodeOf(err) != CodeBadRequest {
+			t.Errorf("%s: got %v, want code %s", name, err, CodeBadRequest)
+		}
 	}
 }
 

@@ -170,6 +170,16 @@ func resolveSpec(spec JobSpec) (*resolvedJob, error) {
 		dbl[i] = fmt.Sprintf("%g", r)
 	}
 	ev := spec.Event
+	event := core.Event{
+		Name:   spec.Name,
+		LatDeg: ev.LatDeg, LonDeg: ev.LonDeg, DepthM: ev.DepthM,
+		Mrr: ev.Mrr, Mtt: ev.Mtt, Mpp: ev.Mpp,
+		Mrt: ev.Mrt, Mrp: ev.Mrp, Mtp: ev.Mtp,
+		HalfDurationSec: ev.HalfDurationSec,
+	}
+	if err := event.Validate(); err != nil {
+		return nil, Errf(CodeBadRequest, "job %q: %v", spec.Name, err)
+	}
 	return &resolvedJob{
 		spec: spec,
 		key: CompatKey{
@@ -187,13 +197,7 @@ func resolveSpec(spec JobSpec) (*resolvedJob, error) {
 			Kernel:      kern,
 			LTS:         spec.LTS,
 		},
-		event: core.Event{
-			Name:   spec.Name,
-			LatDeg: ev.LatDeg, LonDeg: ev.LonDeg, DepthM: ev.DepthM,
-			Mrr: ev.Mrr, Mtt: ev.Mtt, Mpp: ev.Mpp,
-			Mrt: ev.Mrt, Mrp: ev.Mrp, Mtp: ev.Mtp,
-			HalfDurationSec: ev.HalfDurationSec,
-		},
+		event:    event,
 		stations: sts,
 	}, nil
 }
@@ -245,10 +249,14 @@ func resolveStations(specs []StationSpec) ([]stations.Station, error) {
 			return nil, Errf(CodeBadRequest, "station with empty name")
 		}
 		if sp.LatDeg != nil && sp.LonDeg != nil {
-			out = append(out, stations.Station{
+			st := stations.Station{
 				Name: sp.Name, Network: "XX",
 				LatDeg: *sp.LatDeg, LonDeg: *sp.LonDeg, DepthM: sp.DepthM,
-			})
+			}
+			if err := core.ValidateStation(st); err != nil {
+				return nil, Errf(CodeBadRequest, "%v", err)
+			}
+			out = append(out, st)
 			continue
 		}
 		ref, ok := catalog[sp.Name]

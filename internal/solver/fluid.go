@@ -3,6 +3,7 @@ package solver
 import (
 	"math"
 
+	"specglobe/internal/earthmodel"
 	"specglobe/internal/mesh"
 	"specglobe/internal/perf"
 	"specglobe/internal/simd"
@@ -25,7 +26,9 @@ import (
 //
 // classes is the color-partitioned element sub-list (see
 // computeSolidForces): colors run serially, chunks within a color run
-// on the worker pool and write disjoint chiDdot entries.
+// on the worker pool and write disjoint chiDdot entries. Visits are
+// skipped on dead pages and zero gathers, and a quiet region is not
+// dispatched, as in computeSolidForces.
 func (rs *rankState) computeFluidForces(classes [][]int32) {
 	if rs.fluid == nil {
 		return
@@ -34,15 +37,22 @@ func (rs *rankState) computeFluidForces(classes [][]int32) {
 	numE := 0
 	for _, class := range classes {
 		numE += len(class)
-		rs.pool.sweepElems(rs.scr, class, &rs.forceBusy, func(ks *kernelScratch, elems []int32) {
-			sk.Add(rs.fluidForcesChunk(ks, elems))
-		})
 	}
-	skipped, f, b := sk.Charge(rs.bc, numE, rs.ns, rs.fc.FluidElement,
+	if rs.quiet(int(earthmodel.RegionOuterCore)) {
+		sk.Add(perf.Skips{Visits: numE * rs.ns, Elems: numE, Pages: numE * rs.ns, PageElems: numE})
+	} else {
+		for _, class := range classes {
+			rs.pool.sweepElems(rs.scr, class, &rs.forceBusy, func(ks *kernelScratch, elems []int32) {
+				sk.Add(rs.fluidForcesChunk(ks, elems))
+			})
+		}
+	}
+	skipped, pages, f, b := sk.Charge(rs.bc, numE, rs.ns, rs.fc.FluidElement,
 		rs.bc.FluidElementStatic, rs.bc.FluidElementDynamic, rs.bc.FluidGather)
 	rs.prof.AddFlops(perf.PhaseForceFluid, f)
 	rs.prof.AddBytes(perf.PhaseForceFluid, b)
 	rs.prof.AddSkippedVisits(perf.PhaseForceFluid, skipped)
+	rs.prof.AddPageSkippedVisits(perf.PhaseForceFluid, pages)
 }
 
 // fluidStage is the pointwise stage of one fluid element visit of one
@@ -82,10 +92,12 @@ func fluidStageGo(reg *mesh.Region, e int, t1, t2, t3, s1, s2, s3 *[pad]float32)
 
 // fluidForcesChunk processes one conflict-free chunk of fluid elements,
 // reusing the x-component scratch blocks for the scalar potential. The
-// wavefield loop nests inside the element loop, and a visit whose
-// gathered potential is all ±0 stops there (see solidForcesChunk).
-func (rs *rankState) fluidForcesChunk(ks *kernelScratch, elems []int32) (skipped, idle int) {
+// wavefield loop nests inside the element loop; a visit on dead pages
+// stops before the gather, and one whose gathered potential is all ±0
+// stops there (see solidForcesChunk).
+func (rs *rankState) fluidForcesChunk(ks *kernelScratch, elems []int32) perf.Skips {
 	fls := rs.fluid
+	sk := perf.Skips{}
 	reg := fls[0].reg
 	chi := xBlock(&ks.u)
 
@@ -93,25 +105,34 @@ func (rs *rankState) fluidForcesChunk(ks *kernelScratch, elems []int32) (skipped
 		e := int(e32)
 		base := e * mesh.NGLL3
 		ib := reg.Ibool[base : base+mesh.NGLL3]
-		ran := false
+		ran, gathered := false, false
 		for _, fl := range fls {
+			if fl.pages.deadElem(reg, e) {
+				sk.Visits++
+				sk.Pages++
+				continue
+			}
+			gathered = true
 			var or uint32
 			for p, g := range ib {
 				chi[p] = fl.chi[g]
 				or |= math.Float32bits(chi[p])
 			}
 			if or<<1 == 0 { // all ±0
-				skipped++
+				sk.Visits++
 				continue
 			}
 			ran = true
 			rs.kern.fluidVisit(reg, e, ib, fl, ks)
 		}
 		if !ran {
-			idle++
+			sk.Elems++
+			if !gathered {
+				sk.PageElems++
+			}
 		}
 	}
-	return skipped, idle
+	return sk
 }
 
 // fluidVisit finishes field fl's visit of element e (points ib) from the

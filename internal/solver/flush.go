@@ -22,11 +22,13 @@ import "math"
 // flush of their own (they are driven by the strain of a flushed
 // displacement); the
 // end-of-run census (rankState.stateCensus) counts them with the rest,
-// and counts final accelerations below the threshold. Every path
-// applies ftz at the same point of the same arithmetic, so the
-// bit-identity contracts between paths hold. The force sweeps' skip of
-// all-zero element visits (computeSolidForces) relies on ftz returning
-// +0, never a signed zero.
+// and counts final accelerations below the threshold, on the pages a
+// tail has marked live. Every path applies ftz at the same point of the
+// same arithmetic, so the bit-identity contracts between paths hold.
+// The force sweeps' skip of all-zero element visits (computeSolidForces)
+// and the point passes' skip of dead pages (pageMarks) rely on ftz
+// returning +0, never a signed zero: a value the flush zeroes leaves no
+// bit for a tail's page test to find.
 
 // flushExp is the biased-exponent field of 2^-80 (8.3e-25, the
 // magnitude of SPECFEM's VERYSMALLVAL). The threshold sits far above

@@ -7,12 +7,15 @@ import (
 
 	"specglobe/internal/earthmodel"
 	"specglobe/internal/mesh"
+	"specglobe/internal/perf"
 )
 
 // quiescentElement is a one-element region with random metrics and
-// materials, the identity Ibool, a displacement and potential of mixed
-// +0/−0, and accumulators holding +0, positive and negative values —
-// every value an accumulator can hold, since it is never −0.
+// materials, the identity Ibool (its audit's point range [0, 124]), a
+// displacement and potential of mixed +0/−0, and accumulators holding
+// +0, positive and negative values — every value an accumulator can
+// hold, since it is never −0. Its fields are built without page marks,
+// so they count as all-live.
 type quiescentElement struct {
 	fx  *stressFixture
 	sf  *solidField
@@ -33,6 +36,7 @@ func newQuiescentElement(rng *rand.Rand) *quiescentElement {
 		fx.att.r[i] = 0
 	}
 	fx.att.woke = make([]bool, 1)
+	reg.Audit = []mesh.ElemAudit{{PtLo: 0, PtHi: mesh.NGLL3 - 1}}
 	negZero := float32(math.Copysign(0, -1))
 	signed := func() float32 {
 		if rng.Intn(2) == 0 {
@@ -79,13 +83,22 @@ func (q *quiescentElement) solidSame() bool {
 	return true
 }
 
+// gatherSkip and pageSkip are a one-element chunk's count when its one
+// field is skipped after and before the gather.
+var (
+	gatherSkip = perf.Skips{Visits: 1, Elems: 1}
+	pageSkip   = perf.Skips{Visits: 1, Elems: 1, Pages: 1, PageElems: 1}
+)
+
 // The skip rule's exactness on both kernels and both bodies: a full
 // visit of an element whose gathered field is all ±0 — solid with and
 // without never-driven memory variables, and fluid — leaves every
 // accumulator bit as it was and the memory variables at +0, so the
-// chunks may skip it, and do. The counter-case is an element whose
-// displacement is zero but whose memory variables were driven: its
-// visit is not skipped and it changes the acceleration.
+// chunks may skip it, and do: after the gather without page marks or on
+// a live page, before it when the element's pages are dead. The
+// counter-case is an element whose displacement is zero but whose
+// memory variables were driven: its visit is not skipped, on dead pages
+// too, and it changes the acceleration.
 func TestQuiescentVisitIsNoOp(t *testing.T) {
 	bothBodies(t, func(t *testing.T) {
 		for _, kv := range []Kernel{KernelVec4, KernelScalar} {
@@ -109,8 +122,17 @@ func TestQuiescentVisitIsNoOp(t *testing.T) {
 							t.Fatalf("memory variable %d is %g after a zero visit, want +0", i, r)
 						}
 					}
-					if sk, idle := rs.solidForcesChunk([]*solidField{q.sf}, ks, []int32{0}); sk != 1 || idle != 1 {
-						t.Errorf("att=%v: chunk skipped %d visits / %d elements, want 1 / 1", att, sk, idle)
+					if sk := rs.solidForcesChunk([]*solidField{q.sf}, ks, []int32{0}); sk != gatherSkip {
+						t.Errorf("att=%v: chunk skipped %+v, want %+v", att, sk, gatherSkip)
+					}
+					q.sf.pages = newPageMarks(mesh.NGLL3)
+					ks.u[0] = 42
+					if sk := rs.solidForcesChunk([]*solidField{q.sf}, ks, []int32{0}); sk != pageSkip || ks.u[0] != 42 {
+						t.Errorf("att=%v: on dead pages the chunk skipped %+v (gathered: %v), want %+v before the gather", att, sk, ks.u[0] != 42, pageSkip)
+					}
+					q.sf.pages.wake(0)
+					if sk := rs.solidForcesChunk([]*solidField{q.sf}, ks, []int32{0}); sk != gatherSkip {
+						t.Errorf("att=%v: on a live page the chunk skipped %+v, want %+v", att, sk, gatherSkip)
 					}
 					if att && q.fx.att.woke[0] {
 						t.Error("a skipped visit woke its element")
@@ -129,25 +151,32 @@ func TestQuiescentVisitIsNoOp(t *testing.T) {
 					}
 				}
 				rs.fluid = []*fluidField{q.fl}
-				if sk, idle := rs.fluidForcesChunk(ks, []int32{0}); sk != 1 || idle != 1 {
-					t.Errorf("fluid chunk skipped %d visits / %d elements, want 1 / 1", sk, idle)
+				if sk := rs.fluidForcesChunk(ks, []int32{0}); sk != gatherSkip {
+					t.Errorf("fluid chunk skipped %+v, want %+v", sk, gatherSkip)
+				}
+				q.fl.pages = newPageMarks(mesh.NGLL3)
+				chi[0] = 42
+				if sk := rs.fluidForcesChunk(ks, []int32{0}); sk != pageSkip || chi[0] != 42 {
+					t.Errorf("on dead pages the fluid chunk skipped %+v (gathered: %v), want %+v before the gather", sk, chi[0] != 42, pageSkip)
 				}
 
 				// A visit that runs wakes its element.
 				q = newQuiescentElement(rng)
 				q.sf.d[0][0] = 1e-3
-				if sk, _ := rs.solidForcesChunk([]*solidField{q.sf}, ks, []int32{0}); sk != 0 || !q.fx.att.woke[0] {
-					t.Errorf("a non-zero displacement's visit: skipped %d, woke %v; want 0, true", sk, q.fx.att.woke[0])
+				if sk := rs.solidForcesChunk([]*solidField{q.sf}, ks, []int32{0}); sk != (perf.Skips{}) || !q.fx.att.woke[0] {
+					t.Errorf("a non-zero displacement's visit: skipped %+v, woke %v; want none, true", sk, q.fx.att.woke[0])
 				}
 
-				// Counter-case: u = 0 but r ≠ 0 on a woken element.
+				// Counter-case: u = 0 but r ≠ 0 on a woken element, whose
+				// pages are dead.
 				q = newQuiescentElement(rng)
 				for i := range q.fx.att.r {
 					q.fx.att.r[i] = float32(rng.NormFloat64()) * 1e3
 				}
 				q.fx.att.woke[0] = true
-				if sk, _ := rs.solidForcesChunk([]*solidField{q.sf}, ks, []int32{0}); sk != 0 {
-					t.Errorf("a woken element was skipped (%d)", sk)
+				q.sf.pages = newPageMarks(mesh.NGLL3)
+				if sk := rs.solidForcesChunk([]*solidField{q.sf}, ks, []int32{0}); sk != (perf.Skips{}) {
+					t.Errorf("a woken element was skipped (%+v)", sk)
 				}
 				if q.solidSame() {
 					t.Error("the visit of a woken element left a unchanged")

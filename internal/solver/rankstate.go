@@ -32,6 +32,9 @@ type solidField struct {
 	// local time stepping holds some point of the region dormant (nil
 	// otherwise; lts.go).
 	held [][3]float32
+	// pages are the field's liveness marks (nil: every page counts as
+	// live).
+	pages *pageMarks
 }
 
 // fluidField is the dynamic state of one wavefield of the outer core on
@@ -39,8 +42,87 @@ type solidField struct {
 type fluidField struct {
 	reg                  *mesh.Region
 	chi, chiDot, chiDdot []float32
-	massInv              []float32 // shared across fields
-	held                 []float32 // as solidField.held, for chiDdot
+	massInv              []float32  // shared across fields
+	held                 []float32  // as solidField.held, for chiDdot
+	pages                *pageMarks // as solidField.pages
+}
+
+// livePage is the number of consecutive points of a region that share
+// one liveness mark.
+const livePage = 256
+
+// pageMarks are one wavefield's liveness marks over its region, one per
+// livePage points. The tails set a page's mark the first time a final
+// acceleration there has a non-zero bit, and nothing clears it: fields
+// are built per run, so every run starts dead. At the start of a step
+// every point of a dead page has d, v and held +0, and, outside local
+// time stepping, its acceleration too — so the predictor, the tails,
+// the element gathers and the force sweep of a region with no live page
+// may pass it by (DESIGN.md "Quiescent pages"). A nil *pageMarks is a
+// field built without marks, which counts as all-live.
+type pageMarks struct {
+	live    []atomic.Bool
+	anyLive atomic.Bool
+}
+
+func newPageMarks(nglob int) *pageMarks {
+	return &pageMarks{live: make([]atomic.Bool, (nglob+livePage-1)/livePage)}
+}
+
+// isLive reports whether page pg is live (always, without marks).
+func (m *pageMarks) isLive(pg int) bool { return m == nil || m.live[pg].Load() }
+
+// wake marks page pg live.
+func (m *pageMarks) wake(pg int) {
+	m.live[pg].Store(true)
+	m.anyLive.Store(true)
+}
+
+// quiet reports whether no page is live (never, without marks).
+func (m *pageMarks) quiet() bool { return m != nil && !m.anyLive.Load() }
+
+// deadElem reports whether every page of element e's point range
+// [PtLo, PtHi] is dead (never, without marks): its gather would load
+// only +0.
+func (m *pageMarks) deadElem(reg *mesh.Region, e int) bool {
+	if m == nil {
+		return false
+	}
+	au := &reg.Audit[e]
+	for pg := au.PtLo / livePage; pg <= au.PtHi/livePage; pg++ {
+		if m.live[pg].Load() {
+			return false
+		}
+	}
+	return true
+}
+
+// eachLive calls fn on the maximal runs of [lo, hi) that lie on live
+// pages (on all of it, without marks).
+func (m *pageMarks) eachLive(lo, hi int, fn func(lo, hi int)) {
+	run := -1
+	for pg := lo / livePage; pg*livePage < hi; pg++ {
+		switch live := m.isLive(pg); {
+		case live && run < 0:
+			run = max(lo, pg*livePage)
+		case !live && run >= 0:
+			fn(run, pg*livePage)
+			run = -1
+		}
+	}
+	if run >= 0 {
+		fn(run, hi)
+	}
+}
+
+// zeroBits reports whether every value of a is +0: a −0 or a NaN has a
+// set bit.
+func zeroBits(a []float32) bool {
+	var or uint32
+	for _, v := range a {
+		or |= math.Float32bits(v)
+	}
+	return or == 0
 }
 
 // attState holds the standard-linear-solid memory variables of a solid
@@ -200,6 +282,7 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 					chi:     make([]float32, reg.NGlob),
 					chiDot:  make([]float32, reg.NGlob),
 					chiDdot: make([]float32, reg.NGlob),
+					pages:   newPageMarks(reg.NGlob),
 				}
 				if rs.multiRate(kind) {
 					fl.held = make([]float32, reg.NGlob)
@@ -212,6 +295,7 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 			reg: reg,
 			d:   make([][3]float32, reg.NGlob), v: make([][3]float32, reg.NGlob), a: make([][3]float32, reg.NGlob),
 			ocean: make([]bool, reg.NGlob),
+			pages: newPageMarks(reg.NGlob),
 		}
 		if rs.multiRate(kind) {
 			f.held = make([][3]float32, reg.NGlob)
@@ -248,6 +332,7 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 			// get fresh dynamic arrays.
 			g := *f
 			g.d, g.v, g.a = make([][3]float32, reg.NGlob), make([][3]float32, reg.NGlob), make([][3]float32, reg.NGlob)
+			g.pages = newPageMarks(reg.NGlob)
 			if f.held != nil {
 				g.held = make([][3]float32, reg.NGlob)
 			}
@@ -388,7 +473,10 @@ func (rs *rankState) flushPoolTime() {
 // (at the points the last step fired; under LTS the rest hold garbage
 // by design). The integrator flushes every one of them where it writes
 // them (flush.go), so the count is zero unless a write site has been
-// missed.
+// missed. The point arrays are walked on live pages only: on a dead
+// page they are +0 by the pages' invariant, and a NaN or any other
+// non-zero value has a set bit, so the tail that stored it marked its
+// page live.
 func (rs *rankState) stateCensus() (maxDisp float64, subnormals int64) {
 	// count adds the arrays' subnormals to the total and returns their
 	// largest magnitude as float32 bits.
@@ -403,8 +491,13 @@ func (rs *rankState) stateCensus() (maxDisp float64, subnormals int64) {
 	var peak uint32
 	for kind, fs := range rs.solid {
 		for _, f := range fs {
-			peak = max(peak, count(flat(f.d)))
-			count(flat(f.v), flat(f.held))
+			f.pages.eachLive(0, len(f.d), func(lo, hi int) {
+				peak = max(peak, count(flat(f.d[lo:hi])))
+				count(flat(f.v[lo:hi]))
+				if f.held != nil {
+					count(flat(f.held[lo:hi]))
+				}
+			})
 			if f.att != nil {
 				slab := f.att.nsls * 6 * mesh.NGLL3
 				for e := 0; e < len(f.att.woke); {
@@ -420,14 +513,23 @@ func (rs *rankState) stateCensus() (maxDisp float64, subnormals int64) {
 				}
 			}
 			for _, s := range rs.lp.spans[kind] {
-				subnormals += unflushed(flat(f.a[s.i : s.i+s.n]))
+				f.pages.eachLive(int(s.i), int(s.i+s.n), func(lo, hi int) {
+					subnormals += unflushed(flat(f.a[lo:hi]))
+				})
 			}
 		}
 	}
 	for _, fl := range rs.fluid {
-		count(fl.chi, fl.chiDot, fl.held)
+		fl.pages.eachLive(0, len(fl.chi), func(lo, hi int) {
+			count(fl.chi[lo:hi], fl.chiDot[lo:hi])
+			if fl.held != nil {
+				count(fl.held[lo:hi])
+			}
+		})
 		for _, s := range rs.lp.spans[earthmodel.RegionOuterCore] {
-			subnormals += unflushed(fl.chiDdot[s.i : s.i+s.n])
+			fl.pages.eachLive(int(s.i), int(s.i+s.n), func(lo, hi int) {
+				subnormals += unflushed(fl.chiDdot[lo:hi])
+			})
 		}
 	}
 	return float64(math.Float32frombits(peak)), subnormals

@@ -219,11 +219,12 @@ func TestSeismogramDtRecordEvery(t *testing.T) {
 	}
 }
 
-// The analytic flop count of a source-free box run is exactly
-// steps × (predictor + mass-division + corrector) work — the pointwise
-// sweeps all route through perf.FlopCounts, so the total is reproducible
-// arithmetic, not a drifting estimate. The field stays zero, so every
-// element visit is skipped and charged no flops.
+// A source-free box run's field stays +0, so every page stays dead and
+// the run performs no arithmetic at all: every point visit of the
+// predictor and the tail and every element visit is skipped — the
+// visits before the gather — and the analytic flop count is exactly
+// zero, with rotation on or off. Its traffic is the tails' reads of
+// the accelerations they test, 12 B per point per step.
 func TestFlopAccountingExact(t *testing.T) {
 	const L = 40e3
 	for _, rotation := range []bool{false, true} {
@@ -238,131 +239,161 @@ func TestFlopAccountingExact(t *testing.T) {
 		}
 		reg := b.Locals[0].Regions[earthmodel.RegionCrustMantle]
 		fc := res.Perf
-		c := perf.DefaultFlopCounts()
-		perPoint := c.SolidPredictor + c.SolidMassDiv + c.SolidCorrector
-		if rotation {
-			perPoint += c.Coriolis
+		if fc.TotalFlops != 0 {
+			t.Errorf("rotation=%v: TotalFlops = %d, want 0", rotation, fc.TotalFlops)
 		}
-		if want := int64(steps) * perPoint * int64(reg.NGlob); fc.TotalFlops != want {
-			t.Errorf("rotation=%v: TotalFlops = %d, want %d", rotation, fc.TotalFlops, want)
+		if want := int64(steps) * 3 * 4 * int64(reg.NGlob); fc.TotalBytes != want {
+			t.Errorf("rotation=%v: TotalBytes = %d, want %d", rotation, fc.TotalBytes, want)
 		}
-		if got, want := fc.SkippedVisits["force_solid"], int64(steps*reg.NSpec); got != want {
-			t.Errorf("rotation=%v: %d visits skipped, want all %d", rotation, got, want)
+		if got, want := fc.SkippedPoints["update"], int64(2*steps*reg.NGlob); got != want {
+			t.Errorf("rotation=%v: %d point visits skipped, want all %d", rotation, got, want)
+		}
+		if got, want := fc.SkippedVisits["force_solid"], int64(steps*reg.NSpec); got != want || fc.PageSkippedVisits["force_solid"] != want {
+			t.Errorf("rotation=%v: %d visits skipped, %d before the gather, want all %d", rotation, got, fc.PageSkippedVisits["force_solid"], want)
 		}
 	}
 }
 
 // The byte and flop model, traced. Every step streams the element
-// kernels' traffic plus, per solid point, the predictor (d rmw, v rmw, a
-// read and zeroed: 18 floats), the one tail pass (a rmw, inverse mass, v
-// rmw: 13 — Coriolis reads the v the corrector streams) and, with
-// gravity, the term's reads (d, g/r and dg/dr, rhat: 8); per fluid
-// point, the predictor (chi rmw, chiDot rmw, chiDdot read and zeroed: 6)
-// and the one tail pass (chiDdot rmw, inverse mass, chiDot rmw: 5); per
-// coupling-face point the coupling and traction terms; and per element
-// point of a source step its injection. An element visit that gathers a
-// zero field is skipped and streams its gather alone: Ibool and the
-// displacement (4 streams), or Ibool and the potential (2); the field is
-// zero before the first source injection, so a source-free run or a
-// one-step run skips every visit. The point and gather streams are
-// spelled out here, not read back from the model, so a term dropped from
-// perf.DefaultByteCounts fails.
+// kernels' traffic plus, per solid point on a live page, the predictor
+// (d rmw, v rmw, a read and zeroed: 18 floats), the one tail pass (a
+// rmw, inverse mass, v rmw: 13 — Coriolis reads the v the corrector
+// streams) and, with gravity, the term's reads (d, g/r and dg/dr, rhat:
+// 8); per fluid point on a live page, the predictor (chi rmw, chiDot
+// rmw, chiDdot read and zeroed: 6) and the one tail pass (chiDdot rmw,
+// inverse mass, chiDot rmw: 5); per coupling-face point the coupling and
+// traction terms; and per element point of a source step its injection.
+// A point on a dead page costs its predictor nothing and its tail the
+// read of the final acceleration it tests — 3 floats, or 1 for the
+// fluid — and no flops; deadTrace counts those visits step by step. An
+// element visit that gathers a zero field is skipped and streams its
+// gather alone: Ibool and the displacement (4 streams), or Ibool and the
+// potential (2); one whose pages are all dead is skipped before the
+// gather and streams nothing. The field is zero before the first source
+// injection, so a source-free run or a one-step run skips every visit.
+// The point and gather streams are spelled out here, not read back from
+// the model, so a term dropped from perf.DefaultByteCounts fails.
 func TestByteAccountingExact(t *testing.T) {
-	const solidPoint, gravityPoint, fluidPoint = 4 * (18 + 13), 4 * 8, 4 * (6 + 5)
+	const solidPredict, solidTail, gravityPoint, solidDead = 4 * 18, 4 * 13, 4 * 8, 4 * 3
+	const fluidPredict, fluidTail, fluidDead = 4 * 6, 4 * 5, 4 * 1
 	const solidGather, fluidGather = 4 * 125 * 4, 4 * 125 * 2
 	bc, fc := perf.DefaultByteCounts(), perf.DefaultFlopCounts()
-	if got := bc.SolidPredictor + bc.SolidTail; got != solidPoint {
-		t.Errorf("model charges %d B per solid point per step, the streams are %d B", got, solidPoint)
+	for _, c := range []struct {
+		name        string
+		model, want int64
+	}{
+		{"solid predictor", bc.SolidPredictor, solidPredict},
+		{"solid tail", bc.SolidTail, solidTail},
+		{"gravity", bc.Gravity, gravityPoint},
+		{"solid dead point", bc.SolidDeadPoint, solidDead},
+		{"fluid predictor", bc.FluidPredictor, fluidPredict},
+		{"fluid tail", bc.FluidTail, fluidTail},
+		{"fluid dead point", bc.FluidDeadPoint, fluidDead},
+		{"skipped solid visit", bc.IboolGather + bc.SolidGather, solidGather},
+		{"skipped fluid visit", bc.IboolGather + bc.FluidGather, fluidGather},
+	} {
+		if c.model != c.want {
+			t.Errorf("model charges %d B per %s per step, the streams are %d B", c.model, c.name, c.want)
+		}
 	}
-	if bc.Gravity != gravityPoint {
-		t.Errorf("model charges %d B of gravity per point per step, the streams are %d B", bc.Gravity, gravityPoint)
-	}
-	if got := bc.FluidPredictor + bc.FluidTail; got != fluidPoint {
-		t.Errorf("model charges %d B per fluid point per step, the streams are %d B", got, fluidPoint)
-	}
-	if bc.IboolGather+bc.SolidGather != solidGather || bc.IboolGather+bc.FluidGather != fluidGather {
-		t.Errorf("model charges %d / %d B per skipped solid / fluid visit, the streams are %d / %d B",
-			bc.IboolGather+bc.SolidGather, bc.IboolGather+bc.FluidGather, solidGather, fluidGather)
-	}
-	// check compares a run's traced totals with the model: gravity is
-	// the per-solid-point gravity bytes (0 when off), nsls the attenuation
-	// mechanisms (0 when off), sources the run's source-injection steps.
-	// The run's rotation and gravity flops are not modelled: callers
-	// leave them off or check bytes alone.
-	check := func(t *testing.T, locals []*mesh.Local, res *Result, gravity, nsls, sources int64, flops bool) {
+	// check compares a run's traced totals with the model: tr traced the
+	// run's dead point visits, gravity is the per-solid-point gravity
+	// bytes (0 when off), tailFlops the solid tail's rotation and gravity
+	// flops per point (0 when off), nsls the attenuation mechanisms (0
+	// when off), sources the run's source-injection steps.
+	check := func(t *testing.T, locals []*mesh.Local, res *Result, tr *deadTrace, gravity, tailFlops, nsls, sources int64) {
 		t.Helper()
 		steps := int64(res.Steps)
-		var solidE, fluidE, wantB, wantF int64
+		var solidE, fluidE, solidN, fluidN, wantB, wantF int64
 		for _, l := range locals {
 			for _, reg := range l.Regions {
 				switch {
 				case reg == nil || reg.NSpec == 0:
 				case reg.IsFluid():
 					fluidE += int64(reg.NSpec)
-					wantB += steps * fluidPoint * int64(reg.NGlob)
-					wantF += steps * (fc.FluidPredictor + fc.FluidMassDiv + fc.FluidCorrector) * int64(reg.NGlob)
+					fluidN += int64(reg.NGlob)
 				default:
 					solidE += int64(reg.NSpec)
-					wantB += steps * (solidPoint + gravity) * int64(reg.NGlob)
-					wantF += steps * (fc.SolidPredictor + fc.SolidMassDiv + fc.SolidCorrector) * int64(reg.NGlob)
+					solidN += int64(reg.NGlob)
 				}
 			}
 			faces := steps * int64((len(l.CMB)+len(l.ICB))*mesh.NGLL2)
 			wantB += (bc.CouplePoint + bc.TractionPoint) * faces
 			wantF += (fc.CouplePoint + fc.TractionPoint) * faces
 		}
+		livePS, liveTS := steps*solidN-tr.pred[0], steps*solidN-tr.tail[0]
+		livePF, liveTF := steps*fluidN-tr.pred[1], steps*fluidN-tr.tail[1]
+		wantB += solidPredict*livePS + (solidTail+gravity)*liveTS + solidDead*tr.tail[0]
+		wantB += fluidPredict*livePF + fluidTail*liveTF + fluidDead*tr.tail[1]
+		wantF += fc.SolidPredictor*livePS + (fc.SolidMassDiv+fc.SolidCorrector+tailFlops)*liveTS
+		wantF += fc.FluidPredictor*livePF + (fc.FluidMassDiv+fc.FluidCorrector)*liveTF
+		if got, want := res.Perf.SkippedPoints["update"], tr.pred[0]+tr.tail[0]+tr.pred[1]+tr.tail[1]; got != want {
+			t.Errorf("SkippedPoints = %d, want the traced dead point visits %d", got, want)
+		}
 		wantB += sources * bc.SourcePoint * mesh.NGLL3
 		wantF += sources * fc.SourcePoint * mesh.NGLL3
 		ss, sf := res.Perf.SkippedVisits["force_solid"], res.Perf.SkippedVisits["force_fluid"]
+		ps, pf := res.Perf.PageSkippedVisits["force_solid"], res.Perf.PageSkippedVisits["force_fluid"]
 		ranS, ranF := steps*solidE-ss, steps*fluidE-sf
-		wantB += (bc.SolidElementStatic+bc.SolidElementDynamic+nsls*bc.AttenuationMech)*ranS + solidGather*ss
-		wantB += (bc.FluidElementStatic+bc.FluidElementDynamic)*ranF + fluidGather*sf
+		wantB += (bc.SolidElementStatic+bc.SolidElementDynamic+nsls*bc.AttenuationMech)*ranS + solidGather*(ss-ps)
+		wantB += (bc.FluidElementStatic+bc.FluidElementDynamic)*ranF + fluidGather*(sf-pf)
 		wantF += (fc.SolidElement+nsls*mesh.NGLL3*18+mesh.NGLL3*8*min(nsls, 1))*ranS + fc.FluidElement*ranF
 		if res.Perf.TotalBytes != wantB {
-			t.Errorf("TotalBytes = %d, want %d (%d + %d visits skipped)", res.Perf.TotalBytes, wantB, ss, sf)
+			t.Errorf("TotalBytes = %d, want %d (%d + %d visits skipped, %d + %d before the gather)", res.Perf.TotalBytes, wantB, ss, sf, ps, pf)
 		}
-		if flops && res.Perf.TotalFlops != wantF {
-			t.Errorf("TotalFlops = %d, want %d (%d + %d visits skipped)", res.Perf.TotalFlops, wantF, ss, sf)
+		if res.Perf.TotalFlops != wantF {
+			t.Errorf("TotalFlops = %d, want %d (%d + %d visits skipped, %d + %d before the gather)", res.Perf.TotalFlops, wantF, ss, sf, ps, pf)
 		}
 	}
+	// injections counts the steps whose source-time sample survives the
+	// flush.
+	injections := func(src Source, dt float64, steps int) (n int64) {
+		for s := 0; s < steps; s++ {
+			if ftz(float32(src.STF(float64(s+1)*dt))) != 0 {
+				n++
+			}
+		}
+		return n
+	}
 	t.Run("box", func(t *testing.T) {
-		b := buildBox(t, 3, 1, 40e3)
+		const L, steps, dt = 40e3, 6, 0.02
+		tr := traceDead(t)
+		b := buildBox(t, 3, 1, L)
+		src := boxSource(t, b, L/2+1e3, L/2, L/2, 1e17, 1.0)
 		res, err := Run(&Simulation{
 			Locals: b.Locals, Plans: b.Plans, Model: earthmodel.NewHomogeneous(6371e3, boxMat),
-			Opts: Options{Steps: 4, Dt: 0.02, Rotation: true, RotationRate: 0.01, Gravity: true},
+			Sources: []Source{src},
+			Opts:    Options{Steps: steps, Dt: dt, Rotation: true, RotationRate: 0.01, Gravity: true},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, b.Locals, res, gravityPoint, 0, 0, false)
+		check(t, b.Locals, res, tr, gravityPoint, fc.Coriolis+fc.Gravity, 0, injections(src, dt, steps))
 	})
 	t.Run("coupled-globe", func(t *testing.T) {
+		tr := traceDead(t)
 		g, model := coupledGlobe(t, 4, 1)
 		res, err := Run(&Simulation{Locals: g.Locals, Plans: g.Plans, Model: model, Opts: Options{Steps: 4}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, g.Locals, res, 0, 0, 0, true)
+		check(t, g.Locals, res, tr, 0, 0, 0, 0)
 	})
 	// sourceRun runs globeSim's source on the coupled globe with
-	// attenuation and returns the run and its source-injection steps.
-	sourceRun := func(t *testing.T, steps int) (*meshfem.Globe, *Result, int64) {
+	// attenuation and returns the run, its dead point visits and its
+	// source-injection steps.
+	sourceRun := func(t *testing.T, steps int) (*meshfem.Globe, *Result, *deadTrace, int64) {
+		tr := traceDead(t)
 		g, model := coupledGlobe(t, 4, 1)
 		sim := globeSim(t, g, model, Options{Steps: steps, Attenuation: true})
 		res, err := Run(sim)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var injections int64
-		for s := 0; s < steps; s++ {
-			if ftz(float32(sim.Sources[0].STF(float64(s+1)*res.Dt))) != 0 {
-				injections++
-			}
-		}
-		return g, res, injections
+		return g, res, tr, injections(sim.Sources[0], res.Dt, steps)
 	}
 	t.Run("one-step", func(t *testing.T) {
-		g, res, injections := sourceRun(t, 1)
+		g, res, tr, injections := sourceRun(t, 1)
 		var faces int64
 		for _, l := range g.Locals {
 			faces += int64((len(l.CMB) + len(l.ICB)) * mesh.NGLL2)
@@ -371,15 +402,27 @@ func TestByteAccountingExact(t *testing.T) {
 		if ph["force_fluid"] != fc.CouplePoint*faces || ph["force_solid"] != fc.TractionPoint*faces+injections*fc.SourcePoint*mesh.NGLL3 {
 			t.Errorf("force flops %d / %d, want the coupling terms' and the source injection's alone", ph["force_solid"], ph["force_fluid"])
 		}
-		check(t, g.Locals, res, 0, earthmodel.DefaultNSLS, injections, true)
+		check(t, g.Locals, res, tr, 0, 0, earthmodel.DefaultNSLS, injections)
 	})
 	t.Run("multi-step", func(t *testing.T) {
 		const steps = 12
-		g, res, injections := sourceRun(t, steps)
-		if ss := res.Perf.SkippedVisits["force_solid"]; ss == 0 || ss >= steps*int64(g.TotalElements()) {
-			t.Errorf("%d solid visits skipped: want some, not all", ss)
+		g, res, tr, injections := sourceRun(t, steps)
+		nominal := steps * int64(g.TotalElements())
+		if ss, ps := res.Perf.SkippedVisits["force_solid"], res.Perf.PageSkippedVisits["force_solid"]; ss == 0 || ss >= nominal || ps == 0 || ps >= ss {
+			t.Errorf("%d solid visits skipped, %d before the gather: want some of each, not all", ss, ps)
 		}
-		check(t, g.Locals, res, 0, earthmodel.DefaultNSLS, injections, true)
+		var solidN int64
+		for _, l := range g.Locals {
+			for _, reg := range l.Regions {
+				if reg != nil && !reg.IsFluid() {
+					solidN += int64(reg.NGlob)
+				}
+			}
+		}
+		if tr.tail[0] == 0 || tr.tail[0] >= steps*solidN {
+			t.Errorf("%d of %d solid tail visits on dead pages: want some, not all", tr.tail[0], steps*solidN)
+		}
+		check(t, g.Locals, res, tr, 0, 0, earthmodel.DefaultNSLS, injections)
 	})
 }
 

@@ -40,14 +40,25 @@ import (
 // its contributions are ±0, and an accumulator is never −0 — the
 // predictor stores +0, ftz returns +0, and under round-to-nearest a sum
 // is −0 only if an operand is — so they would leave every bit as it is.
+// A visit whose field has no live page in the element's point range
+// would gather +0 alone: it ends before the gather and costs nothing,
+// and a region none of whose fields has a live page is not dispatched
+// at all (no element can have woken there: a non-zero displacement
+// lies on a live page).
 func (rs *rankState) computeSolidForces(fs []*solidField, classes [][]int32) {
 	var sk perf.SkipTally
 	numE := 0
 	for _, class := range classes {
 		numE += len(class)
-		rs.pool.sweepElems(rs.scr, class, &rs.forceBusy, func(ks *kernelScratch, elems []int32) {
-			sk.Add(rs.solidForcesChunk(fs, ks, elems))
-		})
+	}
+	if rs.quiet(int(fs[0].reg.Kind)) {
+		sk.Add(perf.Skips{Visits: numE * len(fs), Elems: numE, Pages: numE * len(fs), PageElems: numE})
+	} else {
+		for _, class := range classes {
+			rs.pool.sweepElems(rs.scr, class, &rs.forceBusy, func(ks *kernelScratch, elems []int32) {
+				sk.Add(rs.solidForcesChunk(fs, ks, elems))
+			})
+		}
 	}
 	flops, dynamic := rs.fc.SolidElement, rs.bc.SolidElementDynamic
 	if att := fs[0].att; att != nil {
@@ -58,10 +69,11 @@ func (rs *rankState) computeSolidForces(fs []*solidField, classes [][]int32) {
 		flops += int64(mesh.NGLL3) * int64(att.nsls*6*3+8)
 		dynamic += rs.bc.AttenuationMech * int64(att.nsls)
 	}
-	skipped, f, b := sk.Charge(rs.bc, numE, len(fs), flops, rs.bc.SolidElementStatic, dynamic, rs.bc.SolidGather)
+	skipped, pages, f, b := sk.Charge(rs.bc, numE, len(fs), flops, rs.bc.SolidElementStatic, dynamic, rs.bc.SolidGather)
 	rs.prof.AddFlops(perf.PhaseForceSolid, f)
 	rs.prof.AddBytes(perf.PhaseForceSolid, b)
 	rs.prof.AddSkippedVisits(perf.PhaseForceSolid, skipped)
+	rs.prof.AddPageSkippedVisits(perf.PhaseForceSolid, pages)
 }
 
 // pad abbreviates the padded block length in the component-block
@@ -201,16 +213,23 @@ func stressStageGo(reg *mesh.Region, e int, att *attState, t1, t2, t3, s1, s2, s
 // element loop so each element's static data stays cache-hot across the
 // whole ensemble; per-field arithmetic is the exact sequence of the
 // single-field path, so every batched field is bit-identical to its own
-// solo run. It returns the visits it skipped (see computeSolidForces)
-// and the elements where it skipped every field.
-func (rs *rankState) solidForcesChunk(fs []*solidField, ks *kernelScratch, elems []int32) (skipped, idle int) {
+// solo run. It returns the visits it skipped (see computeSolidForces).
+func (rs *rankState) solidForcesChunk(fs []*solidField, ks *kernelScratch, elems []int32) perf.Skips {
 	reg := fs[0].reg
+	sk := perf.Skips{}
 	for _, e32 := range elems {
 		e := int(e32)
 		base := e * mesh.NGLL3
 		ib := reg.Ibool[base : base+mesh.NGLL3]
-		ran := false
+		ran, gathered := false, false
 		for _, f := range fs {
+			woke := f.att != nil && f.att.woke[e]
+			if !woke && f.pages.deadElem(reg, e) {
+				sk.Visits++
+				sk.Pages++
+				continue
+			}
+			gathered = true
 			// Gather element displacement; an all-±0 one (or<<1 == 0)
 			// may end the visit.
 			var or uint32
@@ -219,8 +238,8 @@ func (rs *rankState) solidForcesChunk(fs []*solidField, ks *kernelScratch, elems
 				ks.u[p], ks.u[pad+p], ks.u[2*pad+p] = u[0], u[1], u[2]
 				or |= math.Float32bits(u[0]) | math.Float32bits(u[1]) | math.Float32bits(u[2])
 			}
-			if or<<1 == 0 && (f.att == nil || !f.att.woke[e]) {
-				skipped++
+			if or<<1 == 0 && !woke {
+				sk.Visits++
 				continue
 			}
 			if f.att != nil {
@@ -230,10 +249,13 @@ func (rs *rankState) solidForcesChunk(fs []*solidField, ks *kernelScratch, elems
 			rs.kern.solidVisit(reg, e, ib, f, ks)
 		}
 		if !ran {
-			idle++
+			sk.Elems++
+			if !gathered {
+				sk.PageElems++
+			}
 		}
 	}
-	return skipped, idle
+	return sk
 }
 
 // solidVisit finishes field f's visit of element e (points ib) from the

@@ -329,8 +329,14 @@ type LTSInfo struct {
 	StepsOfFinestPerSec float64
 }
 
+// stepHook, when non-nil, runs on every rank's goroutine after each
+// step: the tests' window on the per-step state.
+var stepHook func(rs *rankState, step int)
+
 // Run executes the simulation: one goroutine per rank over the simulated
-// MPI world.
+// MPI world. A run whose end-of-run census finds a NaN displacement
+// returns an error with its result, whether or not the stability check
+// was on.
 //
 //specfem:noaccount driver-level work (stable-dt reduction, seismogram collection, report assembly) around the stepped loop; kernels account themselves
 func Run(sim *Simulation) (*Result, error) {
@@ -443,6 +449,9 @@ func Run(sim *Simulation) (*Result, error) {
 		rs.prof.Start()
 		for step := 0; step < opts.Steps; step++ {
 			rs.timeStep(step)
+			if stepHook != nil {
+				stepHook(rs, step)
+			}
 			if movieOn && (step+1)%opts.SurfaceMovieEvery == 0 {
 				rs.gatherMovieFrame(movie, step)
 			}
@@ -527,6 +536,9 @@ func Run(sim *Simulation) (*Result, error) {
 	}
 	if unstable != nil {
 		return res, unstable
+	}
+	if math.IsNaN(res.MaxDisplacement) {
+		return res, fmt.Errorf("solver: the displacement holds a NaN after %d steps (a non-finite source or material value?)", opts.Steps)
 	}
 	return res, nil
 }

@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"sync/atomic"
+
 	"specglobe/internal/earthmodel"
 	"specglobe/internal/perf"
 )
@@ -33,6 +35,8 @@ import (
 // LTS dormant points are skipped by every point pass and masked out of
 // the halo payloads; their acceleration slots accumulate garbage from
 // firing neighbors, which the predictor wipes at their next firing.
+// Every pass reads the fields' page marks first and passes by the
+// points that have never moved (pageMarks).
 func (rs *rankState) timeStep(step int) {
 	rs.lp = &rs.levels[ltsLevelOf(step, len(rs.levels))]
 	rs.predictor()
@@ -46,52 +50,122 @@ func (rs *rankState) timeStep(step int) {
 	}
 }
 
+// quiet reports whether no field of region kind has a live page.
+func (rs *rankState) quiet(kind int) bool {
+	if kind == int(earthmodel.RegionOuterCore) {
+		for _, fl := range rs.fluid {
+			if !fl.pages.quiet() {
+				return false
+			}
+		}
+		return true
+	}
+	for _, f := range rs.solid[kind] {
+		if !f.pages.quiet() {
+			return false
+		}
+	}
+	return true
+}
+
+// The point passes count the point visits they find on dead pages, and
+// charge the update phase per live visit and, per dead one, only the
+// acceleration stream a dead piece touches (perf.ByteCounts.
+// SolidDeadPoint): none in the predictor unless it clears held slots,
+// the tested read in the tails.
+
 // predictor runs the Newmark prediction for every field, one pool pass
 // per region over the plan's spans. A field with held accelerations
 // reads them — a dormant point's live slot has been polluted by firing
 // neighbors. The ensemble loop runs inside the dispatched chunk, so one
-// pool pass covers all wavefields.
+// pool pass covers all wavefields. A region whose fields have no live
+// page and no held is not dispatched at all.
 func (rs *rankState) predictor() {
 	for kind, fs := range rs.solid {
 		if fs == nil {
 			continue
 		}
-		n := rs.lp.fired[kind]
-		rs.pool.sweepSpans(rs.scr, rs.lp.spans[kind], n, &rs.updateBusy, func(spans []span) {
-			for _, f := range fs {
-				for _, s := range spans {
-					f.predict(s)
+		n := int64(rs.lp.fired[kind] * len(fs))
+		var dead atomic.Int64
+		var clear int64
+		if fs[0].held != nil {
+			clear = rs.bc.SolidDeadPoint
+		}
+		if clear == 0 && rs.quiet(kind) {
+			dead.Store(n)
+		} else {
+			rs.pool.sweepSpans(rs.scr, rs.lp.spans[kind], rs.lp.fired[kind], &rs.updateBusy, func(spans []span) {
+				d := 0
+				for _, f := range fs {
+					for _, s := range spans {
+						d += f.predict(s)
+					}
 				}
-			}
-		})
-		rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.SolidPredictor*int64(n*len(fs)))
-		rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.SolidPredictor*int64(n*len(fs)))
+				dead.Add(int64(d))
+			})
+		}
+		live := n - dead.Load()
+		rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.SolidPredictor*live)
+		rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.SolidPredictor*live+clear*dead.Load())
+		rs.prof.AddSkippedPoints(perf.PhaseUpdate, dead.Load())
 	}
 	if fls := rs.fluid; fls != nil {
-		oc := earthmodel.RegionOuterCore
-		n := rs.lp.fired[oc]
-		rs.pool.sweepSpans(rs.scr, rs.lp.spans[oc], n, &rs.updateBusy, func(spans []span) {
-			for _, fl := range fls {
-				for _, s := range spans {
-					fl.predict(s)
+		oc := int(earthmodel.RegionOuterCore)
+		n := int64(rs.lp.fired[oc] * len(fls))
+		var dead atomic.Int64
+		var clear int64
+		if fls[0].held != nil {
+			clear = rs.bc.FluidDeadPoint
+		}
+		if clear == 0 && rs.quiet(oc) {
+			dead.Store(n)
+		} else {
+			rs.pool.sweepSpans(rs.scr, rs.lp.spans[oc], rs.lp.fired[oc], &rs.updateBusy, func(spans []span) {
+				d := 0
+				for _, fl := range fls {
+					for _, s := range spans {
+						d += fl.predict(s)
+					}
 				}
-			}
-		})
-		rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.FluidPredictor*int64(n*len(fls)))
-		rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.FluidPredictor*int64(n*len(fls)))
+				dead.Add(int64(d))
+			})
+		}
+		live := n - dead.Load()
+		rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.FluidPredictor*live)
+		rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.FluidPredictor*live+clear*dead.Load())
+		rs.prof.AddSkippedPoints(perf.PhaseUpdate, dead.Load())
 	}
 }
 
-// predict is the predictor at the points of one span: d += dt v +
+// predict is the predictor at the points of one span, page by page,
+// and returns the points it found on dead pages. Those are +0 and stay
+// so; only a field with held clears their acceleration slots, which
+// firing neighbors may have filled while the points were dormant.
+func (f *solidField) predict(s span) (dead int) {
+	first, end := int(s.i), int(s.i+s.n)
+	for pg := first / livePage; pg*livePage < end; pg++ {
+		lo, hi := max(first, pg*livePage), min(end, (pg+1)*livePage)
+		if f.pages.isLive(pg) {
+			f.predictPoints(lo, hi, s.dt)
+		} else {
+			dead += hi - lo
+			if f.held != nil {
+				clear(f.a[lo:hi])
+			}
+		}
+	}
+	return dead
+}
+
+// predictPoints is the predictor at the points [lo, hi): d += dt v +
 // dt²/2 a, v += dt/2 a, a = 0, reading a from held when the field keeps
 // it.
-func (f *solidField) predict(s span) {
-	dt := s.dt
+func (f *solidField) predictPoints(lo, hi int, dt float32) {
 	half, halfSq := dt/2, dt*dt/2
-	d, v, a := f.d[s.i:s.i+s.n], f.v[s.i:s.i+s.n], f.a[s.i:s.i+s.n]
+	d, v, a := f.d[lo:hi], f.v[lo:hi], f.a[lo:hi]
 	acc := a
 	if f.held != nil {
-		acc = f.held[s.i : s.i+s.n]
+		acc = f.held[lo:hi]
 	}
 	v, a, acc = v[:len(d)], a[:len(d)], acc[:len(d)]
 	for k := range d {
@@ -108,13 +182,29 @@ func (f *solidField) predict(s span) {
 }
 
 // predict is solidField.predict for the fluid potential.
-func (fl *fluidField) predict(s span) {
-	dt := s.dt
+func (fl *fluidField) predict(s span) (dead int) {
+	first, end := int(s.i), int(s.i+s.n)
+	for pg := first / livePage; pg*livePage < end; pg++ {
+		lo, hi := max(first, pg*livePage), min(end, (pg+1)*livePage)
+		if fl.pages.isLive(pg) {
+			fl.predictPoints(lo, hi, s.dt)
+		} else {
+			dead += hi - lo
+			if fl.held != nil {
+				clear(fl.chiDdot[lo:hi])
+			}
+		}
+	}
+	return dead
+}
+
+// predictPoints is solidField.predictPoints for the fluid potential.
+func (fl *fluidField) predictPoints(lo, hi int, dt float32) {
 	half, halfSq := dt/2, dt*dt/2
-	chi, dot, dd := fl.chi[s.i:s.i+s.n], fl.chiDot[s.i:s.i+s.n], fl.chiDdot[s.i:s.i+s.n]
+	chi, dot, dd := fl.chi[lo:hi], fl.chiDot[lo:hi], fl.chiDdot[lo:hi]
 	acc := dd
 	if fl.held != nil {
-		acc = fl.held[s.i : s.i+s.n]
+		acc = fl.held[lo:hi]
 	}
 	dot, dd, acc = dot[:len(chi)], dd[:len(chi)], acc[:len(chi)]
 	for k := range chi {
@@ -180,29 +270,53 @@ func (rs *rankState) solidStage(step int) {
 }
 
 // fluidTail finishes the step for every fluid field, one pool pass over
-// the plan's fluid spans.
+// the plan's fluid spans. It runs on a quiet region too: a coupling
+// term or a halo add can land there.
 func (rs *rankState) fluidTail() {
 	fls := rs.fluid
 	oc := earthmodel.RegionOuterCore
-	n := rs.lp.fired[oc]
-	rs.pool.sweepSpans(rs.scr, rs.lp.spans[oc], n, &rs.updateBusy, func(spans []span) {
+	var dead atomic.Int64
+	rs.pool.sweepSpans(rs.scr, rs.lp.spans[oc], rs.lp.fired[oc], &rs.updateBusy, func(spans []span) {
+		d := 0
 		for _, fl := range fls {
 			for _, s := range spans {
-				fl.tail(s)
+				d += fl.tail(s)
 			}
 		}
+		dead.Add(int64(d))
 	})
-	rs.prof.AddFlops(perf.PhaseUpdate, (rs.fc.FluidMassDiv+rs.fc.FluidCorrector)*int64(n*len(fls)))
-	rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.FluidTail*int64(n*len(fls)))
+	live := int64(rs.lp.fired[oc]*len(fls)) - dead.Load()
+	rs.prof.AddFlops(perf.PhaseUpdate, (rs.fc.FluidMassDiv+rs.fc.FluidCorrector)*live)
+	rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.FluidTail*live+rs.bc.FluidDeadPoint*dead.Load())
+	rs.prof.AddSkippedPoints(perf.PhaseUpdate, dead.Load())
 }
 
-// tail is the fluid's step tail at the points of one span: mass
+// tail is the fluid's step tail at the points of one span, page by
+// page, and returns the points it found on dead pages (see
+// solidField.tail).
+func (fl *fluidField) tail(s span) (dead int) {
+	first, end := int(s.i), int(s.i+s.n)
+	for pg := first / livePage; pg*livePage < end; pg++ {
+		lo, hi := max(first, pg*livePage), min(end, (pg+1)*livePage)
+		if !fl.pages.isLive(pg) {
+			if zeroBits(fl.chiDdot[lo:hi]) {
+				dead += hi - lo
+				continue
+			}
+			fl.pages.wake(pg)
+		}
+		fl.tailPoints(lo, hi, s.dt)
+	}
+	return dead
+}
+
+// tailPoints is the fluid's step tail at the points [lo, hi): mass
 // division and flush of the final potential acceleration, the corrector
 // chiDot += dt/2 chiDdot, and the copy into held.
-func (fl *fluidField) tail(s span) {
-	half := s.dt / 2
-	dd := fl.chiDdot[s.i : s.i+s.n]
-	dot, m := fl.chiDot[s.i:s.i+s.n], fl.massInv[s.i:s.i+s.n]
+func (fl *fluidField) tailPoints(lo, hi int, dt float32) {
+	half := dt / 2
+	dd := fl.chiDdot[lo:hi]
+	dot, m := fl.chiDot[lo:hi], fl.massInv[lo:hi]
 	dot, m = dot[:len(dd)], m[:len(dd)]
 	for k := range dd {
 		x := ftz(dd[k] * m[k])
@@ -210,14 +324,15 @@ func (fl *fluidField) tail(s span) {
 		dot[k] += half * x
 	}
 	if fl.held != nil {
-		copy(fl.held[s.i:s.i+s.n], dd)
+		copy(fl.held[lo:hi], dd)
 	}
 }
 
 // solidTail finishes the step for every solid field, one pool pass per
 // region over the plan's spans, then applies the ocean load. Under LTS
 // the points the spans skip are dormant: their accelerations keep
-// garbage until their own predictor wipes it.
+// garbage until their own predictor wipes it. A quiet region runs its
+// tail too: a source, a halo add or a coupling term can land there.
 func (rs *rankState) solidTail() {
 	twoOmega := float32(0)
 	if rs.opts.Rotation {
@@ -227,14 +342,6 @@ func (rs *rankState) solidTail() {
 		if fs == nil {
 			continue
 		}
-		n := rs.lp.fired[kind]
-		rs.pool.sweepSpans(rs.scr, rs.lp.spans[kind], n, &rs.updateBusy, func(spans []span) {
-			for _, f := range fs {
-				for _, s := range spans {
-					f.tail(s, twoOmega)
-				}
-			}
-		})
 		flops := rs.fc.SolidMassDiv + rs.fc.SolidCorrector
 		bytes := rs.bc.SolidTail
 		if twoOmega != 0 {
@@ -244,22 +351,56 @@ func (rs *rankState) solidTail() {
 			flops += rs.fc.Gravity
 			bytes += rs.bc.Gravity
 		}
-		rs.prof.AddFlops(perf.PhaseUpdate, flops*int64(n*len(fs)))
-		rs.prof.AddBytes(perf.PhaseUpdate, bytes*int64(n*len(fs)))
+		var dead atomic.Int64
+		rs.pool.sweepSpans(rs.scr, rs.lp.spans[kind], rs.lp.fired[kind], &rs.updateBusy, func(spans []span) {
+			d := 0
+			for _, f := range fs {
+				for _, s := range spans {
+					d += f.tail(s, twoOmega)
+				}
+			}
+			dead.Add(int64(d))
+		})
+		live := int64(rs.lp.fired[kind]*len(fs)) - dead.Load()
+		rs.prof.AddFlops(perf.PhaseUpdate, flops*live)
+		rs.prof.AddBytes(perf.PhaseUpdate, bytes*live+rs.bc.SolidDeadPoint*dead.Load())
+		rs.prof.AddSkippedPoints(perf.PhaseUpdate, dead.Load())
 	}
 	rs.oceanLoad()
 }
 
-// tail is the step's tail at the points of one span, in the order the
-// step defines for each point: mass division, Coriolis (from the
+// tail is the step's tail at the points of one span, page by page, and
+// returns the points it found on dead pages. A dead page's piece is
+// tested first: when every bit of its final acceleration is zero the
+// tail would leave every value as it is — +0 — and the piece is passed
+// by; otherwise the page is marked live and the piece runs in full.
+// Every contribution to the acceleration has landed by now, so the mark
+// is exact.
+func (f *solidField) tail(s span, twoOmega float32) (dead int) {
+	first, end := int(s.i), int(s.i+s.n)
+	for pg := first / livePage; pg*livePage < end; pg++ {
+		lo, hi := max(first, pg*livePage), min(end, (pg+1)*livePage)
+		if !f.pages.isLive(pg) {
+			if zeroBits(flat(f.a[lo:hi])) {
+				dead += hi - lo
+				continue
+			}
+			f.pages.wake(pg)
+		}
+		f.tailPoints(lo, hi, s.dt, twoOmega)
+	}
+	return dead
+}
+
+// tailPoints is the step's tail at the points [lo, hi), in the order
+// the step defines for each point: mass division, Coriolis (from the
 // predicted velocity), gravity, the flush and store of the final
 // acceleration, and the corrector v += dt/2 a — which the ocean points
 // leave to oceanLoad, after their load. A field that keeps held
 // accelerations then copies the final ones into it for the next
 // predictor.
-func (f *solidField) tail(s span, twoOmega float32) {
-	half := s.dt / 2
-	lo, hi := s.i, s.i+s.n
+func (f *solidField) tailPoints(lo, hi int, dt, twoOmega float32) {
+	half := dt / 2
 	a := f.a[lo:hi]
 	v, m, ocean := f.v[lo:hi], f.massInv[lo:hi], f.ocean[lo:hi]
 	v, m, ocean = v[:len(a)], m[:len(a)], ocean[:len(a)]
