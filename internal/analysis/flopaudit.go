@@ -7,10 +7,11 @@ import (
 
 // FlopAudit makes the PR 4 flop/byte accounting audit permanent. In the
 // solver package, a function containing floating-point loops must be
-// accounted: either it charges the analytic model itself (AddFlops/
-// AddBytes with the perf.FlopCounts/ByteCounts constants) or it is
-// called — directly or transitively — by a function that does, the way
-// the force-kernel chunk helpers are covered by their sweep's caller.
+// accounted: either it charges the analytic model itself (Profiler.
+// Charge with a perf.Work built from the FlopCounts/ByteCounts
+// constants) or it is called — directly or transitively — by a function
+// that does, the way the step's beat switch covers every kernel it
+// runs.
 // In the simd package the exported kernels are the accounting contract
 // surface (their call sites in the solver charge the per-element
 // constants), so exported functions and everything they reach are
@@ -22,7 +23,7 @@ var FlopAudit = &Analyzer{
 	Name:   "flopaudit",
 	Pragma: "noaccount",
 	Doc: "check that floating-point loops in solver/simd are reached by " +
-		"perf flop/byte accounting (FlopCounts/AddFlops/AddBytes, PR 4); " +
+		"perf flop/byte accounting (FlopCounts/Profiler.Charge); " +
 		"see DESIGN.md#invariants-as-analyzers",
 	Run: runFlopAudit,
 }
@@ -70,7 +71,7 @@ func runFlopAudit(pass *Pass) error {
 			continue
 		}
 		pass.Reportf(fd.Name.Pos(),
-			"%s has floating-point loops but is not reached by perf flop/byte accounting (AddFlops/AddBytes via FlopCounts/ByteCounts); annotate //specfem:noaccount <reason> if the work is intentionally uncounted", fd.Name.Name)
+			"%s has floating-point loops but is not reached by perf flop/byte accounting (Profiler.Charge via FlopCounts/ByteCounts); annotate //specfem:noaccount <reason> if the work is intentionally uncounted", fd.Name.Name)
 	}
 	return nil
 }
@@ -86,7 +87,7 @@ func callsAccounting(info *types.Info, body ast.Node) bool {
 		if !ok {
 			return true
 		}
-		if isPerfAdd(info, call) {
+		if isPerfCharge(info, call) {
 			found = true
 			return false
 		}
@@ -95,29 +96,8 @@ func callsAccounting(info *types.Info, body ast.Node) bool {
 	return found
 }
 
-// isPerfAdd matches AddFlops/AddBytes calls on the perf profiler.
-func isPerfAdd(info *types.Info, call *ast.CallExpr) bool {
+// isPerfCharge matches Charge calls on the perf profiler.
+func isPerfCharge(info *types.Info, call *ast.CallExpr) bool {
 	callee := calleeOf(info, call)
-	if callee == nil || !funcFromPkg(callee, "perf") {
-		return false
-	}
-	return callee.Name() == "AddFlops" || callee.Name() == "AddBytes"
-}
-
-// perfPhaseConst returns the constant value of a perf.Phase expression
-// and the source identifier naming it, or ok=false for non-constant
-// phases. Shared with the phasepair analyzer.
-func perfPhaseConst(info *types.Info, e ast.Expr) (val string, name string, ok bool) {
-	tv, found := info.Types[unparen(e)]
-	if !found || tv.Value == nil {
-		return "", "", false
-	}
-	name = "phase"
-	switch x := unparen(e).(type) {
-	case *ast.SelectorExpr:
-		name = x.Sel.Name
-	case *ast.Ident:
-		name = x.Name
-	}
-	return tv.Value.ExactString(), name, true
+	return funcFromPkg(callee, "perf") && recvTypeName(callee) == "Profiler" && callee.Name() == "Charge"
 }

@@ -6,29 +6,26 @@ import (
 	"go/types"
 )
 
-// PhasePair keeps the perf profiler's phase attribution honest — the
-// accounting the paper-style CommFraction and per-phase roofline
-// numbers are built from:
+// PhasePair keeps the perf profiler's attribution honest — the
+// accounting the paper-style CommFraction, per-phase roofline and
+// per-beat numbers are built from:
 //
 //   - a Profiler.Start must be paired with a Stop in the same function
 //     (deferred or direct), or the whole run's busy-time denominator is
-//     garbage;
-//   - a Time(phase, f) section must not reach flop/byte accounting for
-//     a *different* constant phase — neither lexically inside the
-//     closure nor through the same-package functions it calls — or the
-//     per-phase arithmetic intensity silently mixes phases;
-//   - AddFlops/AddBytes must sit next to accounted work: the enclosing
-//     function must contain a Time section, a pool sweep dispatch
-//     (whose busy time the rank charges to a phase), or the
-//     floating-point loop being counted. A flop add with none of those
-//     is accounting for work that happens somewhere else — the drift
-//     PR 4 hunted by hand.
+//     garbage; a Profiler.Mark, which opens a step's first beat, must be
+//     paired with a Charge, which closes each beat, or the step's time
+//     is never attributed;
+//   - a Charge must sit next to accounted work: the enclosing function
+//     must dispatch a pool sweep (whose busy time the rank charges to a
+//     phase) or run the floating-point loop being counted, itself or
+//     through the same-package functions it calls. A Charge that reaches
+//     neither is accounting for work that happens somewhere else — the
+//     drift the flop/byte audit hunted by hand.
 var PhasePair = &Analyzer{
 	Name:   "phasepair",
 	Pragma: "nophasepair",
-	Doc: "check perf phase hygiene: Start/Stop pairing, Time(phase) " +
-		"sections only reach matching-phase AddFlops/AddBytes, and " +
-		"flop/byte adds accompany accounted work (PR 4); see " +
+	Doc: "check perf attribution hygiene: Start/Stop and Mark/Charge " +
+		"pairing, and Charge calls reach accounted work; see " +
 		"DESIGN.md#invariants-as-analyzers",
 	Run: runPhasePair,
 }
@@ -37,80 +34,36 @@ func runPhasePair(pass *Pass) error {
 	decls := declIndex(pass)
 	graph := callGraph(pass, decls)
 
-	// Per-declaration constant phases charged by lexical AddFlops/
-	// AddBytes calls, then closed transitively over the call graph.
-	lexical := map[*types.Func]map[string]phaseSite{}
+	// work[obj]: the declaration dispatches a pool sweep or runs a float
+	// loop, closed transitively over the call graph.
+	work := map[*types.Func]bool{}
 	for obj, fd := range decls {
-		lexical[obj] = addPhases(pass, fd.Body)
+		work[obj] = dispatchesOrLoops(pass.TypesInfo, fd.Body)
 	}
-	closure := map[*types.Func]map[string]phaseSite{}
-	var close func(obj *types.Func, seen map[*types.Func]bool) map[string]phaseSite
-	close = func(obj *types.Func, seen map[*types.Func]bool) map[string]phaseSite {
-		if got, ok := closure[obj]; ok {
-			return got
-		}
-		if seen[obj] {
-			return lexical[obj]
-		}
-		seen[obj] = true
-		out := map[string]phaseSite{}
-		for v, t := range lexical[obj] {
-			out[v] = t
-		}
-		for _, callee := range graph[obj] {
-			for v, t := range close(callee, seen) {
-				if _, ok := out[v]; !ok {
-					out[v] = t
+	for changed := true; changed; {
+		changed = false
+		for obj := range decls {
+			if work[obj] {
+				continue
+			}
+			for _, callee := range graph[obj] {
+				if work[callee] {
+					work[obj], changed = true, true
+					break
 				}
 			}
 		}
-		closure[obj] = out
-		return out
 	}
 
 	for obj, fd := range decls {
-		checkStartStop(pass, fd)
-		checkAddContext(pass, fd)
-		// Time-section phase agreement.
+		checkPairs(pass, fd)
+		if work[obj] {
+			continue
+		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := calleeOf(pass.TypesInfo, call)
-			if callee == nil || callee.Name() != "Time" || !funcFromPkg(callee, "perf") || len(call.Args) != 2 {
-				return true
-			}
-			phase, phaseName, ok := perfPhaseConst(pass.TypesInfo, call.Args[0])
-			if !ok {
-				return true
-			}
-			lit, ok := unparen(call.Args[1]).(*ast.FuncLit)
-			if !ok {
-				return true
-			}
-			reached := addPhases(pass, lit.Body)
-			ast.Inspect(lit.Body, func(m ast.Node) bool {
-				inner, ok := m.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if c2 := calleeOf(pass.TypesInfo, inner); c2 != nil {
-					if _, local := decls[c2]; local {
-						for v, t := range close(c2, map[*types.Func]bool{obj: true}) {
-							if _, have := reached[v]; !have {
-								reached[v] = t
-							}
-						}
-					}
-				}
-				return true
-			})
-			for v, t := range reached {
-				if v != phase {
-					pass.Reportf(call.Pos(),
-						"Time(%s) section reaches AddFlops/AddBytes for phase %s (at %s): per-phase time and flop attribution diverge", phaseName, t.name, pass.Fset.Position(t.pos))
-				}
+			if call, ok := n.(*ast.CallExpr); ok && isPerfCharge(pass.TypesInfo, call) {
+				pass.Reportf(call.Pos(),
+					"Charge with no accounted work reached from this function (no pool sweep or floating-point loop): charge the beat where the work is run")
 			}
 			return true
 		})
@@ -118,40 +71,24 @@ func runPhasePair(pass *Pass) error {
 	return nil
 }
 
-// phaseSite records where a phase constant was charged and under what
-// name.
-type phaseSite struct {
-	name string
-	pos  token.Pos
-}
-
-// addPhases collects the constant phases of lexical AddFlops/AddBytes
-// calls under n.
-func addPhases(pass *Pass, n ast.Node) map[string]phaseSite {
-	out := map[string]phaseSite{}
-	ast.Inspect(n, func(m ast.Node) bool {
-		call, ok := m.(*ast.CallExpr)
-		if !ok {
-			return true
+// dispatchesOrLoops reports whether body dispatches a pool sweep or
+// contains a floating-point loop.
+func dispatchesOrLoops(info *types.Info, body ast.Node) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && !found {
+			callee := calleeOf(info, call)
+			found = callee != nil && poolSweepNames[callee.Name()] && recvTypeName(callee) == "pool"
 		}
-		if !isPerfAdd(pass.TypesInfo, call) || len(call.Args) != 2 {
-			return true
-		}
-		if v, name, ok := perfPhaseConst(pass.TypesInfo, call.Args[0]); ok {
-			if _, have := out[v]; !have {
-				out[v] = phaseSite{name: name, pos: call.Pos()}
-			}
-		}
-		return true
+		return !found
 	})
-	return out
+	return found || hasFloatLoop(info, body)
 }
 
-// checkStartStop flags a Profiler.Start with no Stop in the same
-// declaration.
-func checkStartStop(pass *Pass, fd *ast.FuncDecl) {
-	var startPos token.Pos
-	hasStart, hasStop := false, false
+// checkPairs flags a Profiler.Start with no Stop, and a Mark with no
+// Charge, in the same declaration.
+func checkPairs(pass *Pass, fd *ast.FuncDecl) {
+	seen := map[string]token.Pos{}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -161,54 +98,16 @@ func checkStartStop(pass *Pass, fd *ast.FuncDecl) {
 		if callee == nil || !funcFromPkg(callee, "perf") || recvTypeName(callee) != "Profiler" {
 			return true
 		}
-		switch callee.Name() {
-		case "Start":
-			if !hasStart {
-				hasStart, startPos = true, call.Pos()
-			}
-		case "Stop":
-			hasStop = true
+		if _, ok := seen[callee.Name()]; !ok {
+			seen[callee.Name()] = call.Pos()
 		}
 		return true
 	})
-	if hasStart && !hasStop {
-		pass.Reportf(startPos,
-			"Profiler.Start without a matching Stop in this function: the accounted section never closes and busy-time fractions are meaningless")
-	}
-}
-
-// checkAddContext flags AddFlops/AddBytes in functions with no
-// accounted work in scope.
-func checkAddContext(pass *Pass, fd *ast.FuncDecl) {
-	var adds []*ast.CallExpr
-	hasWork := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+	for _, p := range [][2]string{{"Start", "Stop"}, {"Mark", "Charge"}} {
+		pos, open := seen[p[0]]
+		if _, closed := seen[p[1]]; open && !closed {
+			pass.Reportf(pos,
+				"Profiler.%s without a matching %s in this function: the accounted section never closes and its time is never attributed", p[0], p[1])
 		}
-		if isPerfAdd(pass.TypesInfo, call) {
-			adds = append(adds, call)
-			return true
-		}
-		if callee := calleeOf(pass.TypesInfo, call); callee != nil {
-			if callee.Name() == "Time" && funcFromPkg(callee, "perf") {
-				hasWork = true
-			}
-			if poolSweepNames[callee.Name()] && recvTypeName(callee) == "pool" {
-				hasWork = true
-			}
-		}
-		return true
-	})
-	if len(adds) == 0 || hasWork {
-		return
-	}
-	if hasFloatLoop(pass.TypesInfo, fd.Body) {
-		return
-	}
-	for _, call := range adds {
-		pass.Reportf(call.Pos(),
-			"flop/byte accounting with no accounted work in this function (no Time section, pool sweep, or floating-point loop): charge the phase where the work is dispatched")
 	}
 }

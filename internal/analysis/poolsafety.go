@@ -29,7 +29,7 @@ import (
 //
 // The derivation rules are a local taint analysis, propagated one call
 // layer at a time into same-package helpers that receive the chunk's
-// arguments (the *ForcesChunk methods). Reads are unrestricted: the
+// arguments (forcesChunk and the fields' visit methods). Reads are unrestricted: the
 // coloring invariant (mesh.BuildColoring) guarantees same-color
 // elements share no Ibool point, which is exactly why a write indexed
 // through the chunk's own elements is safe.
@@ -554,7 +554,7 @@ func (c *ctx) checkAsmArgs(call *ast.CallExpr) {
 
 // propagateCalls follows the chunk's arguments into same-package
 // helpers: a call f(ks, elems) makes f's parameters scratch/safe for
-// one more analysis layer, so the *ForcesChunk helpers are checked
+// one more analysis layer, so the force chunk and visit helpers are checked
 // under the same rules as the literal.
 func (c *ctx) propagateCalls() {
 	if c.depth >= 6 {

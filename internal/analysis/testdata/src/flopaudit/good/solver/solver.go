@@ -1,6 +1,6 @@
 // Package solver is the flopaudit negative fixture: the accounted
-// caller covers its chunk helpers, and a reasoned pragma covers
-// intentional setup work.
+// caller covers the beat bodies its switch runs, and a reasoned pragma
+// covers intentional setup work.
 package solver
 
 import "perf"
@@ -11,10 +11,23 @@ type rank struct {
 	prof *perf.Profiler
 }
 
-func (r *rank) step(y, x []float32, a float32) {
-	axpyChunk(y, x, a)
-	r.prof.AddFlops(perf.PhaseForces, int64(len(x))*flopsPerPoint)
-	r.prof.AddBytes(perf.PhaseForces, int64(len(x))*12)
+type beat struct {
+	perf.Beat
+	kind int
+}
+
+func (r *rank) step(beats []beat, y, x []float32, a float32) {
+	r.prof.Mark()
+	for i := range beats {
+		b := &beats[i]
+		var w perf.Work
+		switch b.kind {
+		case 0:
+			axpyChunk(y, x, a)
+			w = perf.Work{Flops: int64(len(x)) * flopsPerPoint, Bytes: int64(len(x)) * 12}
+		}
+		r.prof.Charge(&b.Beat, w)
+	}
 }
 
 // axpyChunk is covered through its accounted caller.

@@ -12,6 +12,15 @@ const (
 	PhaseComm
 )
 
+// Work is what one beat did: flops and bytes.
+type Work struct{ Flops, Bytes int64 }
+
+// Beat names one beat of a step and its phase.
+type Beat struct {
+	Name  string
+	Phase Phase
+}
+
 // Profiler accumulates per-phase time, flops and bytes.
 type Profiler struct{}
 
@@ -21,14 +30,11 @@ func (p *Profiler) Start() {}
 // Stop closes the run's wall-time window.
 func (p *Profiler) Stop() {}
 
-// Time runs f and charges its duration to ph.
-func (p *Profiler) Time(ph Phase, f func()) { f() }
+// Mark opens a step's first beat.
+func (p *Profiler) Mark() {}
+
+// Charge closes beat b and charges w to its phase.
+func (p *Profiler) Charge(b *Beat, w Work) {}
 
 // Add charges an externally measured duration to ph.
 func (p *Profiler) Add(ph Phase, d int64) {}
-
-// AddFlops charges n floating-point operations to ph.
-func (p *Profiler) AddFlops(ph Phase, n int64) {}
-
-// AddBytes charges n bytes of memory traffic to ph.
-func (p *Profiler) AddBytes(ph Phase, n int64) {}

@@ -1,5 +1,5 @@
 // Package bad holds the phasepair positive fixtures: broken Start/Stop
-// pairing, phase-mismatched accounting, and orphan flop adds.
+// and Mark/Charge pairing, and charges that reach no accounted work.
 package bad
 
 import "perf"
@@ -11,27 +11,22 @@ func startNoStop(p *perf.Profiler) {
 
 func work() {}
 
-func mismatch(p *perf.Profiler, n int64) {
-	p.Time(perf.PhaseForces, func() { // want "reaches AddFlops/AddBytes for phase PhaseUpdate"
-		p.AddFlops(perf.PhaseUpdate, n)
-	})
+func markNoCharge(p *perf.Profiler, xs []float32) {
+	p.Mark() // want "Profiler.Mark without a matching Charge"
+	scale(xs)
 }
 
-func mismatchTransitive(p *perf.Profiler, xs []float32, n int64) {
-	p.Time(perf.PhaseComm, func() { // want "reaches AddFlops/AddBytes for phase PhaseUpdate"
-		charge(p, xs, n)
-	})
-}
-
-func charge(p *perf.Profiler, xs []float32, n int64) {
-	sum := float32(0)
-	for _, x := range xs {
-		sum += x
+func scale(xs []float32) {
+	for i := range xs {
+		xs[i] *= 2
 	}
-	_ = sum
-	p.AddBytes(perf.PhaseUpdate, n)
 }
 
-func orphanAdd(p *perf.Profiler, n int64) {
-	p.AddFlops(perf.PhaseForces, n) // want "flop/byte accounting with no accounted work"
+func orphanCharge(p *perf.Profiler, b *perf.Beat, n int64) {
+	p.Charge(b, perf.Work{Flops: n}) // want "Charge with no accounted work"
+}
+
+func orphanTransitive(p *perf.Profiler, b *perf.Beat, n int64) {
+	work()
+	p.Charge(b, perf.Work{Flops: n}) // want "Charge with no accounted work"
 }

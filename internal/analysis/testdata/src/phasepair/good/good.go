@@ -1,6 +1,7 @@
 // Package good holds the phasepair negative fixtures: paired Start/
-// Stop, phase-consistent Time sections, adds next to the counted loop,
-// and a reasoned pragma.
+// Stop, a step that marks and charges its beats, charges next to the
+// counted loop directly or through the beat they run, and a reasoned
+// pragma.
 package good
 
 import "perf"
@@ -10,42 +11,38 @@ func paired(p *perf.Profiler) {
 	defer p.Stop()
 }
 
-func matched(p *perf.Profiler, xs []float32) {
-	p.Time(perf.PhaseForces, func() {
-		sum := float32(0)
-		for _, x := range xs {
-			sum += x
-		}
-		_ = sum
-		p.AddFlops(perf.PhaseForces, int64(len(xs)))
-	})
+type beat struct {
+	perf.Beat
+	xs []float32
 }
 
-func matchedTransitive(p *perf.Profiler, xs []float32) {
-	p.Time(perf.PhaseUpdate, func() {
-		chargeUpdate(p, xs)
-	})
+func step(p *perf.Profiler, beats []beat) {
+	p.Mark()
+	for i := range beats {
+		b := &beats[i]
+		p.Charge(&b.Beat, run(b))
+	}
 }
 
-func chargeUpdate(p *perf.Profiler, xs []float32) {
+func run(b *beat) perf.Work {
 	sum := float32(0)
-	for _, x := range xs {
+	for _, x := range b.xs {
 		sum += x
 	}
 	_ = sum
-	p.AddFlops(perf.PhaseUpdate, int64(len(xs)))
+	return perf.Work{Flops: int64(len(b.xs))}
 }
 
-func countedLoop(p *perf.Profiler, y, x []float32, a float32) {
+func countedLoop(p *perf.Profiler, b *perf.Beat, y, x []float32, a float32) {
 	for i := range x {
 		y[i] += a * x[i]
 	}
-	p.AddFlops(perf.PhaseForces, int64(2*len(x)))
+	p.Charge(b, perf.Work{Flops: int64(2 * len(x))})
 }
 
-// dispatched charges a phase for work handed to another goroutine.
+// dispatched charges a beat whose work is handed to another goroutine.
 //
-//specfem:nophasepair the counted work is dispatched elsewhere in this fixture; the add is deliberate
-func dispatched(p *perf.Profiler, n int64) {
-	p.AddFlops(perf.PhaseUpdate, n)
+//specfem:nophasepair the counted work is dispatched elsewhere in this fixture; the charge is deliberate
+func dispatched(p *perf.Profiler, b *perf.Beat, n int64) {
+	p.Charge(b, perf.Work{Flops: n})
 }

@@ -8,6 +8,7 @@ package perf
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -65,22 +66,49 @@ func (p Phase) String() string {
 	return fmt.Sprintf("Phase(%d)", int(p))
 }
 
-// Profiler accumulates per-rank timings and flop/byte counts. It is not
-// concurrency-safe: each rank owns one Profiler.
+// Work is what one beat of a time step did in the analytic model: its
+// flops and streamed bytes and the visits it skipped (see Report).
+type Work struct {
+	Flops, Bytes                     int64
+	SkippedVisits, PageSkippedVisits int64
+	SkippedPoints                    int64
+}
+
+func (w *Work) add(v Work) {
+	w.Flops += v.Flops
+	w.Bytes += v.Bytes
+	w.SkippedVisits += v.SkippedVisits
+	w.PageSkippedVisits += v.PageSkippedVisits
+	w.SkippedPoints += v.SkippedPoints
+}
+
+// Beat names one beat of a time step and the phase its Work counts
+// toward. Inline charges that phase the beat's wall time too, for a beat
+// run inline on the rank; a pool-dispatched beat's phase gets the pool's
+// busy time (Add), a halo or record beat's none. A Beat keeps its own
+// time, so one profiler alone may charge it.
+type Beat struct {
+	Name    string
+	Phase   Phase
+	Inline  bool
+	time    time.Duration
+	charged bool
+}
+
+// Profiler accumulates per-rank timings and analytic work counts. It is
+// not concurrency-safe: each rank owns one Profiler.
 type Profiler struct {
 	Rank    int
 	phases  [numPhases]time.Duration
-	flops   [numPhases]int64
-	bytes   [numPhases]int64
-	skipped [numPhases]int64
-	paged   [numPhases]int64
-	points  [numPhases]int64
+	work    [numPhases]Work
+	beats   []*Beat // every beat charged, in first-charge order
 	started time.Time
+	mark    time.Duration // the end of the last beat, since started
 	total   time.Duration
 }
 
 // NewProfiler returns a profiler for one rank.
-func NewProfiler(rank int) *Profiler { return &Profiler{Rank: rank} }
+func NewProfiler(rank int) *Profiler { return &Profiler{Rank: rank, beats: make([]*Beat, 0, 32)} }
 
 // Start marks the beginning of the accounted section (the solver main
 // loop, in IPM terms).
@@ -89,43 +117,36 @@ func (p *Profiler) Start() { p.started = time.Now() }
 // Stop closes the accounted section.
 func (p *Profiler) Stop() { p.total = time.Since(p.started) }
 
-// Time runs f and charges its duration to the phase.
-func (p *Profiler) Time(ph Phase, f func()) {
-	t0 := time.Now()
-	f()
-	p.phases[ph] += time.Since(t0)
+// Mark opens a step: its first beat begins now.
+func (p *Profiler) Mark() { p.mark = time.Since(p.started) }
+
+// Charge closes beat b, which began where the previous beat or the
+// step's Mark ended: it adds the wall time since then to the beat, that
+// time to b.Phase when b.Inline is set, and w to b.Phase.
+func (p *Profiler) Charge(b *Beat, w Work) {
+	now := time.Since(p.started) // the monotonic clock alone, cheaper than time.Now
+	d := now - p.mark
+	p.mark = now
+	if !b.charged {
+		b.charged = true
+		p.beats = append(p.beats, b)
+	}
+	b.time += d
+	if b.Inline {
+		p.phases[b.Phase] += d
+	}
+	p.work[b.Phase].add(w)
 }
 
-// Add charges a duration measured externally (e.g. by the mpi runtime).
+// Add charges a duration measured outside the profiler: the pool's busy
+// time, the virtual communication time.
 func (p *Profiler) Add(ph Phase, d time.Duration) { p.phases[ph] += d }
-
-// AddFlops counts floating-point operations performed, attributed to a
-// phase so per-phase arithmetic intensity can be formed against the
-// matching AddBytes traffic.
-func (p *Profiler) AddFlops(ph Phase, n int64) { p.flops[ph] += n }
-
-// AddBytes counts memory traffic (the analytic streamed-byte model of
-// ByteCounts), attributed to a phase.
-func (p *Profiler) AddBytes(ph Phase, n int64) { p.bytes[ph] += n }
-
-// AddSkippedVisits counts force-kernel element visits a phase skipped
-// because they could only add zeros (see Report.SkippedVisits).
-func (p *Profiler) AddSkippedVisits(ph Phase, n int64) { p.skipped[ph] += n }
-
-// AddPageSkippedVisits counts the skipped visits of a phase that were
-// decided before the gather (see Report.PageSkippedVisits); they are
-// also counted by AddSkippedVisits.
-func (p *Profiler) AddPageSkippedVisits(ph Phase, n int64) { p.paged[ph] += n }
-
-// AddSkippedPoints counts point-pass point visits a phase skipped on
-// quiescent pages (see Report.SkippedPoints).
-func (p *Profiler) AddSkippedPoints(ph Phase, n int64) { p.points[ph] += n }
 
 // Flops returns the accumulated operation count over all phases.
 func (p *Profiler) Flops() int64 {
 	var t int64
-	for _, n := range p.flops {
-		t += n
+	for _, w := range p.work {
+		t += w.Flops
 	}
 	return t
 }
@@ -133,23 +154,11 @@ func (p *Profiler) Flops() int64 {
 // Bytes returns the accumulated traffic count over all phases.
 func (p *Profiler) Bytes() int64 {
 	var t int64
-	for _, n := range p.bytes {
-		t += n
+	for _, w := range p.work {
+		t += w.Bytes
 	}
 	return t
 }
-
-// PhaseFlops returns the operation count attributed to one phase.
-func (p *Profiler) PhaseFlops(ph Phase) int64 { return p.flops[ph] }
-
-// PhaseBytes returns the traffic attributed to one phase.
-func (p *Profiler) PhaseBytes(ph Phase) int64 { return p.bytes[ph] }
-
-// PhaseTime returns the accumulated time in a phase.
-func (p *Profiler) PhaseTime(ph Phase) time.Duration { return p.phases[ph] }
-
-// Total returns the wall time between Start and Stop.
-func (p *Profiler) Total() time.Duration { return p.total }
 
 // Report aggregates profilers across ranks, the way IPM summarizes a
 // parallel run.
@@ -205,6 +214,16 @@ type Report struct {
 	SkippedPoints map[string]int64
 	// SustainedFlops is TotalFlops / WallTime in flop/s.
 	SustainedFlops float64
+	// RankFlops and RankBytes are the per-rank counts in rank order, and
+	// MaxRankFlops and MaxRankBytes the busiest rank's — what a step costs
+	// with one rank per core. Imbalance is MaxRankFlops over the mean.
+	RankFlops, RankBytes       []int64
+	MaxRankFlops, MaxRankBytes int64
+	Imbalance                  float64
+	// Beats sums each beat's wall time over ranks, by name; Unattributed
+	// is TotalTime less all of it (the checks and hooks between steps).
+	Beats        map[string]time.Duration
+	Unattributed time.Duration
 	// Workers and WorkerBusy describe the shared kernel worker pool of
 	// a hybrid run: pool size and per-worker busy time (len equals
 	// Workers). Filled by the pool's owner after Aggregate — the
@@ -277,23 +296,36 @@ func Aggregate(profs []*Profiler) Report {
 		SkippedVisits:     map[string]int64{},
 		PageSkippedVisits: map[string]int64{},
 		SkippedPoints:     map[string]int64{},
+		Beats:             map[string]time.Duration{},
 	}
+	profs = slices.Clone(profs)
+	slices.SortStableFunc(profs, func(a, b *Profiler) int { return a.Rank - b.Rank })
+	var beats time.Duration
 	for _, p := range profs {
 		if p.total > r.WallTime {
 			r.WallTime = p.total
 		}
 		r.TotalTime += p.total
 		for ph := Phase(0); ph < numPhases; ph++ {
+			w := &p.work[ph]
 			r.PhaseTotals[ph.String()] += p.phases[ph]
-			r.PhaseFlops[ph.String()] += p.flops[ph]
-			r.PhaseBytes[ph.String()] += p.bytes[ph]
-			r.SkippedVisits[ph.String()] += p.skipped[ph]
-			r.PageSkippedVisits[ph.String()] += p.paged[ph]
-			r.SkippedPoints[ph.String()] += p.points[ph]
+			r.PhaseFlops[ph.String()] += w.Flops
+			r.PhaseBytes[ph.String()] += w.Bytes
+			r.SkippedVisits[ph.String()] += w.SkippedVisits
+			r.PageSkippedVisits[ph.String()] += w.PageSkippedVisits
+			r.SkippedPoints[ph.String()] += w.SkippedPoints
 		}
-		r.TotalFlops += p.Flops()
-		r.TotalBytes += p.Bytes()
+		for _, b := range p.beats {
+			r.Beats[b.Name] += b.time
+			beats += b.time
+		}
+		f, b := p.Flops(), p.Bytes()
+		r.RankFlops, r.RankBytes = append(r.RankFlops, f), append(r.RankBytes, b)
+		r.TotalFlops += f
+		r.TotalBytes += b
+		r.MaxRankFlops, r.MaxRankBytes = max(r.MaxRankFlops, f), max(r.MaxRankBytes, b)
 	}
+	r.Unattributed = r.TotalTime - beats
 	r.HiddenCommTime = r.PhaseTotals[PhaseCommHidden.String()]
 	for name, d := range r.PhaseTotals {
 		if name == PhaseCommHidden.String() {
@@ -306,6 +338,9 @@ func Aggregate(profs []*Profiler) Report {
 	}
 	if r.WallTime > 0 {
 		r.SustainedFlops = float64(r.TotalFlops) / r.WallTime.Seconds()
+	}
+	if r.TotalFlops > 0 {
+		r.Imbalance = float64(r.MaxRankFlops) * float64(r.Ranks) / float64(r.TotalFlops)
 	}
 	return r
 }
@@ -327,6 +362,8 @@ func (r Report) String() string {
 	fmt.Fprintf(&b, "#   comm frac  : %.2f%%\n", 100*r.CommFraction)
 	fmt.Fprintf(&b, "#   flops      : %d (%.3f Gflop/s sustained)\n",
 		r.TotalFlops, r.SustainedFlops/1e9)
+	fmt.Fprintf(&b, "#   busiest rank: %d flops, %d bytes (imbalance %.2f)\n",
+		r.MaxRankFlops, r.MaxRankBytes, r.Imbalance)
 	for _, ph := range []Phase{PhaseForceSolid, PhaseForceFluid} {
 		if n := r.SkippedVisits[ph.String()]; n > 0 {
 			fmt.Fprintf(&b, "#   %-12s %d element visits skipped (zero field), %d without a gather\n",
@@ -390,18 +427,21 @@ func (t *SkipTally) Add(s Skips) {
 	t.pageElems.Add(int64(s.PageElems))
 }
 
-// Charge returns the skipped and page-skipped visits of a sweep of elems
-// elements × fields wavefields and its flops and bytes: a performed
-// visit costs flops and dynamic bytes, a gather-skipped one its gather
-// bytes and a page-skipped one nothing, and an element its static bytes
-// once if any field ran, IboolGather if none ran but one gathered, and
-// nothing if none gathered.
-func (t *SkipTally) Charge(c ByteCounts, elems, fields int, flops, static, dynamic, gather int64) (skipped, pages, f, b int64) {
+// Charge returns the work of a sweep of elems elements × fields
+// wavefields: a performed visit costs flops and dynamic bytes, a
+// gather-skipped one its gather bytes and a page-skipped one nothing,
+// and an element its static bytes once if any field ran, IboolGather if
+// none ran but one gathered, and nothing if none gathered.
+func (t *SkipTally) Charge(c ByteCounts, elems, fields int, flops, static, dynamic, gather int64) Work {
 	skipped, idle := t.visits.Load(), t.elems.Load()
 	pages, pageIdle := t.pages.Load(), t.pageElems.Load()
 	ran := int64(elems*fields) - skipped
-	b = static*(int64(elems)-idle) + c.IboolGather*(idle-pageIdle) + dynamic*ran + gather*(skipped-pages)
-	return skipped, pages, flops * ran, b
+	return Work{
+		Flops:             flops * ran,
+		Bytes:             static*(int64(elems)-idle) + c.IboolGather*(idle-pageIdle) + dynamic*ran + gather*(skipped-pages),
+		SkippedVisits:     skipped,
+		PageSkippedVisits: pages,
+	}
 }
 
 // FlopCounts provides the analytic per-element and per-point flop model

@@ -7,35 +7,43 @@ import (
 	"time"
 )
 
+// A beat is charged the wall time since the previous beat or the
+// step's Mark, which its phase gets too only when the beat is Inline;
+// its Work counts toward its phase either way.
 func TestProfilerPhases(t *testing.T) {
 	p := NewProfiler(3)
 	p.Start()
-	p.Time(PhaseForceSolid, func() { time.Sleep(2 * time.Millisecond) })
-	p.Time(PhaseComm, func() { time.Sleep(1 * time.Millisecond) })
+	p.Mark()
+	forces, halo := &Beat{Name: "forces", Phase: PhaseForceSolid, Inline: true}, &Beat{Name: "halo", Phase: PhaseComm}
+	time.Sleep(2 * time.Millisecond)
+	p.Charge(forces, Work{Flops: 1000, Bytes: 4000})
+	time.Sleep(1 * time.Millisecond)
+	p.Charge(halo, Work{})
 	p.Add(PhaseUpdate, 5*time.Millisecond)
-	p.AddFlops(PhaseForceSolid, 1000)
-	p.AddBytes(PhaseForceSolid, 4000)
 	p.Stop()
 	if p.Rank != 3 {
 		t.Error("rank lost")
 	}
-	if p.PhaseTime(PhaseForceSolid) < 2*time.Millisecond {
+	if p.phases[PhaseForceSolid] < 2*time.Millisecond || p.phases[PhaseForceSolid] != forces.time {
 		t.Error("force phase undercounted")
 	}
-	if p.PhaseTime(PhaseUpdate) != 5*time.Millisecond {
+	if p.phases[PhaseComm] != 0 || halo.time < time.Millisecond {
+		t.Errorf("a beat not Inline charged its phase %v, beat %v", p.phases[PhaseComm], halo.time)
+	}
+	if p.phases[PhaseUpdate] != 5*time.Millisecond {
 		t.Error("Add not accounted")
 	}
 	if p.Flops() != 1000 {
 		t.Error("flops lost")
 	}
-	if p.PhaseFlops(PhaseForceSolid) != 1000 || p.PhaseFlops(PhaseUpdate) != 0 {
+	if p.work[PhaseForceSolid].Flops != 1000 || p.work[PhaseUpdate].Flops != 0 {
 		t.Error("per-phase flops misattributed")
 	}
-	if p.Bytes() != 4000 || p.PhaseBytes(PhaseForceSolid) != 4000 {
+	if p.Bytes() != 4000 || p.work[PhaseForceSolid].Bytes != 4000 {
 		t.Error("bytes lost")
 	}
-	if p.Total() < 3*time.Millisecond {
-		t.Errorf("total %v too small", p.Total())
+	if p.total < 3*time.Millisecond {
+		t.Errorf("total %v too small", p.total)
 	}
 }
 
@@ -45,7 +53,7 @@ func TestAggregate(t *testing.T) {
 		p.total = wall
 		p.phases[PhaseComm] = comm
 		p.phases[PhaseForceSolid] = wall - comm
-		p.flops[PhaseForceSolid] = flops
+		p.work[PhaseForceSolid].Flops = flops
 		return p
 	}
 	r := Aggregate([]*Profiler{
@@ -77,7 +85,8 @@ func TestAggregate(t *testing.T) {
 func TestReportString(t *testing.T) {
 	p := NewProfiler(0)
 	p.Start()
-	p.AddFlops(PhaseForceSolid, 12345)
+	p.Mark()
+	p.Charge(&Beat{Phase: PhaseForceSolid}, Work{Flops: 12345})
 	p.Stop()
 	s := Aggregate([]*Profiler{p}).String()
 	for _, want := range []string{"1 ranks", "comm frac", "12345"} {
@@ -96,7 +105,8 @@ func TestCollectorConcurrent(t *testing.T) {
 			defer wg.Done()
 			p := NewProfiler(rank)
 			p.Start()
-			p.AddFlops(PhaseForceSolid, int64(rank))
+			p.Mark()
+			p.Charge(&Beat{Phase: PhaseForceSolid}, Work{Flops: int64(rank)})
 			p.Stop()
 			c.Put(p)
 		}(r)
@@ -227,9 +237,9 @@ func TestDefaultByteCounts(t *testing.T) {
 func TestReportArithmeticIntensity(t *testing.T) {
 	p := NewProfiler(0)
 	p.Start()
-	p.AddFlops(PhaseForceSolid, 9000)
-	p.AddBytes(PhaseForceSolid, 3000)
-	p.AddFlops(PhaseUpdate, 10)
+	p.Mark()
+	p.Charge(&Beat{Phase: PhaseForceSolid}, Work{Flops: 9000, Bytes: 3000})
+	p.Charge(&Beat{Phase: PhaseUpdate}, Work{Flops: 10})
 	p.Stop()
 	r := Aggregate([]*Profiler{p})
 	if ai := r.ArithmeticIntensity(PhaseForceSolid.String()); ai < 2.999 || ai > 3.001 {
@@ -304,20 +314,21 @@ func TestSkipTallyCharge(t *testing.T) {
 	tl.Add(Skips{Visits: 4, Elems: 1, Pages: 2})
 	tl.Add(Skips{Visits: 3, Elems: 1, Pages: 3, PageElems: 1})
 	const flops, static, dynamic, gather = 100, 1000, 10, 1
-	skipped, pages, f, b := tl.Charge(c, 10, 3, flops, static, dynamic, gather)
-	if skipped != 7 || pages != 5 || f != 23*flops {
-		t.Errorf("skipped %d, pages %d, flops %d; want 7, 5, %d", skipped, pages, f, 23*flops)
+	w := tl.Charge(c, 10, 3, flops, static, dynamic, gather)
+	if w.SkippedVisits != 7 || w.PageSkippedVisits != 5 || w.Flops != 23*flops {
+		t.Errorf("skipped %d, pages %d, flops %d; want 7, 5, %d", w.SkippedVisits, w.PageSkippedVisits, w.Flops, 23*flops)
 	}
-	if want := 8*static + 1*c.IboolGather + 23*dynamic + 2*gather; b != want {
-		t.Errorf("bytes %d, want %d", b, want)
+	if want := 8*static + 1*c.IboolGather + 23*dynamic + 2*gather; w.Bytes != want {
+		t.Errorf("bytes %d, want %d", w.Bytes, want)
 	}
 	p, q := NewProfiler(0), NewProfiler(1)
-	p.AddSkippedVisits(PhaseForceSolid, skipped)
-	p.AddPageSkippedVisits(PhaseForceSolid, pages)
-	q.AddSkippedVisits(PhaseForceSolid, 2)
-	q.AddSkippedVisits(PhaseForceFluid, 5)
-	p.AddSkippedPoints(PhaseUpdate, 300)
-	q.AddSkippedPoints(PhaseUpdate, 12)
+	p.Mark()
+	q.Mark()
+	p.Charge(&Beat{Phase: PhaseForceSolid}, Work{SkippedVisits: w.SkippedVisits, PageSkippedVisits: w.PageSkippedVisits})
+	q.Charge(&Beat{Phase: PhaseForceSolid}, Work{SkippedVisits: 2})
+	q.Charge(&Beat{Phase: PhaseForceFluid}, Work{SkippedVisits: 5})
+	p.Charge(&Beat{Phase: PhaseUpdate}, Work{SkippedPoints: 300})
+	q.Charge(&Beat{Phase: PhaseUpdate}, Work{SkippedPoints: 12})
 	r := Aggregate([]*Profiler{p, q})
 	if r.SkippedVisits["force_solid"] != 9 || r.SkippedVisits["force_fluid"] != 5 {
 		t.Errorf("SkippedVisits = %v, want force_solid 9, force_fluid 5", r.SkippedVisits)
@@ -332,5 +343,47 @@ func TestSkipTallyCharge(t *testing.T) {
 		if !strings.Contains(r.String(), want) {
 			t.Errorf("summary does not report %q:\n%s", want, r)
 		}
+	}
+}
+
+// The per-rank counts: in rank order whatever order the profilers come
+// in, summing to the totals exactly, the busiest rank's flops and bytes
+// the largest per-rank Flops and Bytes, the imbalance max over mean,
+// and all three in the summary.
+func TestRankCounts(t *testing.T) {
+	var profs []*Profiler
+	for _, c := range []struct {
+		rank         int
+		flops, bytes int64
+	}{{2, 300, 10}, {0, 100, 40}, {1, 200, 20}} {
+		p := NewProfiler(c.rank)
+		p.Mark()
+		p.Charge(&Beat{Phase: PhaseForceSolid}, Work{Flops: c.flops / 2, Bytes: c.bytes})
+		p.Charge(&Beat{Phase: PhaseUpdate}, Work{Flops: c.flops / 2})
+		profs = append(profs, p)
+	}
+	r := Aggregate(profs)
+	var f, b int64
+	for i := range r.RankFlops {
+		f += r.RankFlops[i]
+		b += r.RankBytes[i]
+	}
+	if f != r.TotalFlops || b != r.TotalBytes {
+		t.Errorf("per-rank sums %d flops, %d bytes; totals %d, %d", f, b, r.TotalFlops, r.TotalBytes)
+	}
+	if r.RankFlops[0] != 100 || r.RankFlops[2] != 300 {
+		t.Errorf("RankFlops %v not in rank order", r.RankFlops)
+	}
+	if r.MaxRankFlops != profs[0].Flops() || r.MaxRankBytes != profs[1].Bytes() {
+		t.Errorf("busiest rank %d flops, %d bytes; want %d, %d", r.MaxRankFlops, r.MaxRankBytes, profs[0].Flops(), profs[1].Bytes())
+	}
+	if r.Imbalance != 1.5 {
+		t.Errorf("imbalance %v, want 300 / 200", r.Imbalance)
+	}
+	if want := "busiest rank: 300 flops, 40 bytes (imbalance 1.50)"; !strings.Contains(r.String(), want) {
+		t.Errorf("summary does not report %q:\n%s", want, r)
+	}
+	if Aggregate([]*Profiler{NewProfiler(0)}).Imbalance != 0 {
+		t.Error("imbalance without flops")
 	}
 }

@@ -341,6 +341,9 @@ func TestSubmitRefusesNonFiniteInputs(t *testing.T) {
 		"event lat 200":      func(s *JobSpec) { s.Event.LatDeg = 200 },
 		"station lat NaN":    func(s *JobSpec) { s.Stations[1].LatDeg = &nan },
 		"station depth NaN":  func(s *JobSpec) { s.Stations[1].DepthM = nan },
+		"dt NaN":             func(s *JobSpec) { s.Dt = nan },
+		"dt +Inf":            func(s *JobSpec) { s.Dt = inf },
+		"doubling NaN":       func(s *JobSpec) { s.Doublings = []float64{nan} },
 		"station lat 95": func(s *JobSpec) {
 			lat := 95.0
 			s.Stations[1].LatDeg = &lat

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"specglobe/internal/core"
@@ -135,8 +136,10 @@ func resolveSpec(spec JobSpec) (*resolvedJob, error) {
 	if spec.Steps <= 0 {
 		return nil, Errf(CodeBadRequest, "job %q: steps must be positive (got %d)", spec.Name, spec.Steps)
 	}
-	if spec.Dt < 0 {
-		return nil, Errf(CodeBadRequest, "job %q: dt must not be negative (got %g)", spec.Name, spec.Dt)
+	// A NaN passes every comparison, and its CompatKey never equals
+	// itself: the job would queue and never be batched.
+	if spec.Dt < 0 || math.IsNaN(spec.Dt) || math.IsInf(spec.Dt, 0) {
+		return nil, Errf(CodeBadRequest, "job %q: dt must be finite and not negative (got %g)", spec.Name, spec.Dt)
 	}
 	if spec.NexXi <= 0 {
 		return nil, Errf(CodeBadRequest, "job %q: nex must be positive", spec.Name)
@@ -167,6 +170,9 @@ func resolveSpec(spec JobSpec) (*resolvedJob, error) {
 
 	dbl := make([]string, len(spec.Doublings))
 	for i, r := range spec.Doublings {
+		if math.IsNaN(r) || math.IsInf(r, 0) {
+			return nil, Errf(CodeBadRequest, "job %q: doubling radius %d is not finite (got %g)", spec.Name, i, r)
+		}
 		dbl[i] = fmt.Sprintf("%g", r)
 	}
 	ev := spec.Event

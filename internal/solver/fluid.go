@@ -3,9 +3,7 @@ package solver
 import (
 	"math"
 
-	"specglobe/internal/earthmodel"
 	"specglobe/internal/mesh"
-	"specglobe/internal/perf"
 	"specglobe/internal/simd"
 )
 
@@ -18,42 +16,6 @@ import (
 // with the boundary term at the CMB/ICB supplying the normal component
 // of the *solid displacement* — the displacement-based non-iterative
 // coupling of Chaljub & Valette (2004) adopted in the paper.
-
-// computeFluidForces accumulates -K chi (the discrete weighted Laplacian
-// with 1/rho coefficient) into chiDdot. This is the second of the two
-// dominant routines of section 4.3: same cutplane structure, one scalar
-// field instead of three components.
-//
-// classes is the color-partitioned element sub-list (see
-// computeSolidForces): colors run serially, chunks within a color run
-// on the worker pool and write disjoint chiDdot entries. Visits are
-// skipped on dead pages and zero gathers, and a quiet region is not
-// dispatched, as in computeSolidForces.
-func (rs *rankState) computeFluidForces(classes [][]int32) {
-	if rs.fluid == nil {
-		return
-	}
-	var sk perf.SkipTally
-	numE := 0
-	for _, class := range classes {
-		numE += len(class)
-	}
-	if rs.quiet(int(earthmodel.RegionOuterCore)) {
-		sk.Add(perf.Skips{Visits: numE * rs.ns, Elems: numE, Pages: numE * rs.ns, PageElems: numE})
-	} else {
-		for _, class := range classes {
-			rs.pool.sweepElems(rs.scr, class, &rs.forceBusy, func(ks *kernelScratch, elems []int32) {
-				sk.Add(rs.fluidForcesChunk(ks, elems))
-			})
-		}
-	}
-	skipped, pages, f, b := sk.Charge(rs.bc, numE, rs.ns, rs.fc.FluidElement,
-		rs.bc.FluidElementStatic, rs.bc.FluidElementDynamic, rs.bc.FluidGather)
-	rs.prof.AddFlops(perf.PhaseForceFluid, f)
-	rs.prof.AddBytes(perf.PhaseForceFluid, b)
-	rs.prof.AddSkippedVisits(perf.PhaseForceFluid, skipped)
-	rs.prof.AddPageSkippedVisits(perf.PhaseForceFluid, pages)
-}
 
 // fluidStage is the pointwise stage of one fluid element visit of one
 // wavefield, shared by every kernel variant: the physical gradient of
@@ -90,49 +52,25 @@ func fluidStageGo(reg *mesh.Region, e int, t1, t2, t3, s1, s2, s3 *[pad]float32)
 	}
 }
 
-// fluidForcesChunk processes one conflict-free chunk of fluid elements,
-// reusing the x-component scratch blocks for the scalar potential. The
-// wavefield loop nests inside the element loop; a visit on dead pages
-// stops before the gather, and one whose gathered potential is all ±0
-// stops there (see solidForcesChunk).
-func (rs *rankState) fluidForcesChunk(ks *kernelScratch, elems []int32) perf.Skips {
-	fls := rs.fluid
-	sk := perf.Skips{}
-	reg := fls[0].reg
-	chi := xBlock(&ks.u)
-
-	for _, e32 := range elems {
-		e := int(e32)
-		base := e * mesh.NGLL3
-		ib := reg.Ibool[base : base+mesh.NGLL3]
-		ran, gathered := false, false
-		for _, fl := range fls {
-			if fl.pages.deadElem(reg, e) {
-				sk.Visits++
-				sk.Pages++
-				continue
-			}
-			gathered = true
-			var or uint32
-			for p, g := range ib {
-				chi[p] = fl.chi[g]
-				or |= math.Float32bits(chi[p])
-			}
-			if or<<1 == 0 { // all ±0
-				sk.Visits++
-				continue
-			}
-			ran = true
-			rs.kern.fluidVisit(reg, e, ib, fl, ks)
-		}
-		if !ran {
-			sk.Elems++
-			if !gathered {
-				sk.PageElems++
-			}
-		}
+// visit is field fl's visit of element e, reusing the x-component
+// scratch block for the scalar potential: it ends before the gather on
+// dead pages and after it on an all-±0 potential (see solidField.visit).
+func (fl *fluidField) visit(k *kernels, e int, ks *kernelScratch) (gathered, ran bool) {
+	if fl.pages.deadElem(fl.reg, e) {
+		return false, false
 	}
-	return sk
+	ib := fl.reg.Ibool[e*mesh.NGLL3 : (e+1)*mesh.NGLL3]
+	chi := xBlock(&ks.u)
+	var or uint32
+	for p, g := range ib {
+		chi[p] = fl.chi[g]
+		or |= math.Float32bits(chi[p])
+	}
+	if or<<1 == 0 {
+		return true, false
+	}
+	k.fluidVisit(fl.reg, e, ib, fl, ks)
+	return true, true
 }
 
 // fluidVisit finishes field fl's visit of element e (points ib) from the
@@ -150,26 +88,28 @@ func (k *kernels) fluidVisit(reg *mesh.Region, e int, ib []int32, fl *fluidField
 	}
 }
 
-// addSolidDisplacementToFluid applies the fluid-side coupling term:
-// chiDdot accumulates + Weight * (u_solid . n_f) at the boundary points,
-// using the freshly predicted solid displacement.
-func (rs *rankState) addSolidDisplacementToFluid(faces []mesh.CoupleFace) {
+// addSolidDisplacementToFluid applies the fluid-side coupling term at
+// the CMB and ICB: chiDdot accumulates + Weight * (u_solid . n_f) at the
+// boundary points, using the freshly predicted solid displacement. It
+// returns the face points it touched, summed over the fields.
+func (rs *rankState) addSolidDisplacementToFluid() (n int64) {
 	if rs.fluid == nil {
-		return
+		return 0
 	}
-	for fi := range faces {
-		cf := &faces[fi]
-		fs := rs.solid[cf.SolidKind]
-		for s, fl := range rs.fluid {
-			f := fs[s]
-			for q := 0; q < mesh.NGLL2; q++ {
-				u := &f.d[cf.SolidPt[q]]
-				un := u[0]*cf.Nx[q] + u[1]*cf.Ny[q] + u[2]*cf.Nz[q]
-				fl.chiDdot[cf.FluidPt[q]] += cf.Weight[q] * un
+	for _, faces := range [][]mesh.CoupleFace{rs.local.CMB, rs.local.ICB} {
+		for fi := range faces {
+			cf := &faces[fi]
+			fs := rs.solid[cf.SolidKind]
+			for s, fl := range rs.fluid {
+				f := fs[s]
+				for q := 0; q < mesh.NGLL2; q++ {
+					u := &f.d[cf.SolidPt[q]]
+					un := u[0]*cf.Nx[q] + u[1]*cf.Ny[q] + u[2]*cf.Nz[q]
+					fl.chiDdot[cf.FluidPt[q]] += cf.Weight[q] * un
+				}
 			}
 		}
+		n += int64(len(faces)*mesh.NGLL2) * int64(rs.ns)
 	}
-	n := int64(len(faces)*mesh.NGLL2) * int64(rs.ns)
-	rs.prof.AddFlops(perf.PhaseForceFluid, rs.fc.CouplePoint*n)
-	rs.prof.AddBytes(perf.PhaseForceFluid, rs.bc.CouplePoint*n)
+	return n
 }

@@ -25,7 +25,7 @@ import "math"
 // and counts final accelerations below the threshold, on the pages a
 // tail has marked live. Every path applies ftz at the same point of the
 // same arithmetic, so the bit-identity contracts between paths hold.
-// The force sweeps' skip of all-zero element visits (computeSolidForces)
+// The force sweeps' skip of all-zero element visits (forceSweep)
 // and the point passes' skip of dead pages (pageMarks) rely on ftz
 // returning +0, never a signed zero: a value the flush zeroes leaves no
 // bit for a tail's page test to find.

@@ -262,10 +262,3 @@ func addPoints(a, got []float32, idx []int32, nc int) {
 		panic(fmt.Sprintf("solver: halo point of %d values", nc))
 	}
 }
-
-// beginStepExchange begins the per-step assembly of a halo set's own
-// arrays for the whole ensemble over the step plan's route.
-func (rs *rankState) beginStepExchange(set int) *pendingExchange {
-	h := &rs.halo[set]
-	return rs.beginExchange(rs.lp.routes[set], rs.ns, h.nc, h.arr)
-}

@@ -8,10 +8,10 @@ import (
 
 // kernelScratch is the reusable working set of the force kernels: the
 // padded 128-float element blocks that previously lived on the stack of
-// every computeSolidForces/computeFluidForces call. One scratch belongs
-// to each pool worker and one to each rank for inline sweeps; reusing
-// them keeps the blocks cache-resident across elements instead of
-// re-zeroing fresh stack frames per call.
+// every force-sweep call. One scratch belongs to each pool worker and
+// one to each rank for inline sweeps; reusing them keeps the blocks
+// cache-resident across elements instead of re-zeroing fresh stack
+// frames per call.
 //
 // The fluid kernel reuses the x-component blocks (u as chi, t1..t3,
 // s1..s3). A block's three pad lanes are scratch (package simd): the

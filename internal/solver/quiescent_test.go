@@ -103,8 +103,14 @@ func TestQuiescentVisitIsNoOp(t *testing.T) {
 	bothBodies(t, func(t *testing.T) {
 		for _, kv := range []Kernel{KernelVec4, KernelScalar} {
 			t.Run(kv.String(), func(t *testing.T) {
-				rs := &rankState{kern: newKernels(kv)}
+				rs := &rankState{kern: newKernels(kv), ns: 1}
 				ks := new(kernelScratch)
+				cm, oc := int(earthmodel.RegionCrustMantle), int(earthmodel.RegionOuterCore)
+				// chunk runs a one-element chunk of field sf's region.
+				chunk := func(sf *solidField) perf.Skips {
+					rs.solid[cm] = []*solidField{sf}
+					return rs.forcesChunk(cm, ks, []int32{0})
+				}
 				rng := rand.New(rand.NewSource(31))
 
 				for _, att := range []bool{false, true} {
@@ -122,16 +128,16 @@ func TestQuiescentVisitIsNoOp(t *testing.T) {
 							t.Fatalf("memory variable %d is %g after a zero visit, want +0", i, r)
 						}
 					}
-					if sk := rs.solidForcesChunk([]*solidField{q.sf}, ks, []int32{0}); sk != gatherSkip {
+					if sk := chunk(q.sf); sk != gatherSkip {
 						t.Errorf("att=%v: chunk skipped %+v, want %+v", att, sk, gatherSkip)
 					}
 					q.sf.pages = newPageMarks(mesh.NGLL3)
 					ks.u[0] = 42
-					if sk := rs.solidForcesChunk([]*solidField{q.sf}, ks, []int32{0}); sk != pageSkip || ks.u[0] != 42 {
+					if sk := chunk(q.sf); sk != pageSkip || ks.u[0] != 42 {
 						t.Errorf("att=%v: on dead pages the chunk skipped %+v (gathered: %v), want %+v before the gather", att, sk, ks.u[0] != 42, pageSkip)
 					}
 					q.sf.pages.wake(0)
-					if sk := rs.solidForcesChunk([]*solidField{q.sf}, ks, []int32{0}); sk != gatherSkip {
+					if sk := chunk(q.sf); sk != gatherSkip {
 						t.Errorf("att=%v: on a live page the chunk skipped %+v, want %+v", att, sk, gatherSkip)
 					}
 					if att && q.fx.att.woke[0] {
@@ -151,19 +157,19 @@ func TestQuiescentVisitIsNoOp(t *testing.T) {
 					}
 				}
 				rs.fluid = []*fluidField{q.fl}
-				if sk := rs.fluidForcesChunk(ks, []int32{0}); sk != gatherSkip {
+				if sk := rs.forcesChunk(oc, ks, []int32{0}); sk != gatherSkip {
 					t.Errorf("fluid chunk skipped %+v, want %+v", sk, gatherSkip)
 				}
 				q.fl.pages = newPageMarks(mesh.NGLL3)
 				chi[0] = 42
-				if sk := rs.fluidForcesChunk(ks, []int32{0}); sk != pageSkip || chi[0] != 42 {
+				if sk := rs.forcesChunk(oc, ks, []int32{0}); sk != pageSkip || chi[0] != 42 {
 					t.Errorf("on dead pages the fluid chunk skipped %+v (gathered: %v), want %+v before the gather", sk, chi[0] != 42, pageSkip)
 				}
 
 				// A visit that runs wakes its element.
 				q = newQuiescentElement(rng)
 				q.sf.d[0][0] = 1e-3
-				if sk := rs.solidForcesChunk([]*solidField{q.sf}, ks, []int32{0}); sk != (perf.Skips{}) || !q.fx.att.woke[0] {
+				if sk := chunk(q.sf); sk != (perf.Skips{}) || !q.fx.att.woke[0] {
 					t.Errorf("a non-zero displacement's visit: skipped %+v, woke %v; want none, true", sk, q.fx.att.woke[0])
 				}
 
@@ -175,7 +181,7 @@ func TestQuiescentVisitIsNoOp(t *testing.T) {
 				}
 				q.fx.att.woke[0] = true
 				q.sf.pages = newPageMarks(mesh.NGLL3)
-				if sk := rs.solidForcesChunk([]*solidField{q.sf}, ks, []int32{0}); sk != (perf.Skips{}) {
+				if sk := chunk(q.sf); sk != (perf.Skips{}) {
 					t.Errorf("a woken element was skipped (%+v)", sk)
 				}
 				if q.solidSame() {

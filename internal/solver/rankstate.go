@@ -3,7 +3,6 @@ package solver
 import (
 	"math"
 	"sync/atomic"
-	"time"
 
 	"specglobe/internal/earthmodel"
 	"specglobe/internal/mesh"
@@ -203,7 +202,8 @@ type rankState struct {
 	colors *mesh.Coloring
 	// forceBusy/updateBusy accumulate the worker-pool busy nanoseconds
 	// attributed to this rank's kernel and update sweeps (atomic; added
-	// to the kernel_parallel and update phases when the run ends).
+	// to the kernel_parallel and update phases when the run ends, not
+	// the rank's wait, which would inflate the communication fraction).
 	forceBusy, updateBusy int64
 
 	// levels is the wheel, one plan per level (lts.go): a single plan
@@ -228,16 +228,17 @@ type rankState struct {
 	// mass assembly)
 	oceanFactor []float32
 
-	// halo holds the exchange state per halo set (see halo.go); solidSets
-	// lists the sets the solid stage exchanges each step — the combined
-	// set, or the two solid regions one after the other — and solidHalo
-	// holds their in-flight exchanges within a step. packBuf is the
-	// reused send-side pack buffer (Isend copies the payload).
-	halo      [nHaloSets]haloSet
-	solidSets []int
-	solidHalo []*pendingExchange
-	packBuf   []float32
-	seq       int // halo-exchange sequence number for unique tags
+	// beats is the rank's step (timeStep).
+	beats []beat
+
+	// halo holds the exchange state per halo set (see halo.go) and
+	// inflight each set's exchange between its post and finish beats.
+	// packBuf is the reused send-side pack buffer (Isend copies the
+	// payload).
+	halo     [nHaloSets]haloSet
+	inflight [nHaloSets]*pendingExchange
+	packBuf  []float32
+	seq      int // halo-exchange sequence number for unique tags
 }
 
 //specfem:noaccount one-time rank setup (precomputed Jacobians, gravity tables, coupling weights) before stepping starts
@@ -345,11 +346,6 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 	}
 
 	rs.buildHaloSets()
-	rs.solidSets = []int{int(earthmodel.RegionCrustMantle), int(earthmodel.RegionInnerCore)}
-	if opts.CombinedSolidHalo {
-		rs.solidSets = []int{haloSolid}
-	}
-	rs.solidHalo = make([]*pendingExchange, len(rs.solidSets))
 
 	for i := range sim.Sources {
 		src := &sim.Sources[i]
@@ -367,6 +363,7 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 		rs.recvs = append(rs.recvs, rl)
 		rs.seismos = append(rs.seismos, rl.out...)
 	}
+	rs.buildBeats()
 	return rs
 }
 
@@ -449,17 +446,6 @@ func (rs *rankState) assembleMass() {
 func (rs *rankState) oceanOn() bool {
 	sl := &rs.local.Surface
 	return rs.opts.OceanLoad && sl.WaterDepth > 0 && len(sl.Pts) > 0
-}
-
-// flushPoolTime charges the worker-pool busy time attributed to this
-// rank's sweeps to the perf phases: kernel CPU time to kernel_parallel,
-// pointwise-update CPU time to update. The rank-side *wall* time of a
-// dispatched sweep is deliberately not recorded — with W workers the
-// same work occupies ~1/W the wall clock, and charging the wait would
-// shrink busy time and inflate the communication fraction.
-func (rs *rankState) flushPoolTime() {
-	rs.prof.Add(perf.PhaseKernelParallel, time.Duration(atomic.LoadInt64(&rs.forceBusy)))
-	rs.prof.Add(perf.PhaseUpdate, time.Duration(atomic.LoadInt64(&rs.updateBusy)))
 }
 
 // stateCensus walks the rank's persistent state once and returns the

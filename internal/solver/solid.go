@@ -3,30 +3,29 @@ package solver
 import (
 	"math"
 
+	"specglobe/internal/earthmodel"
 	"specglobe/internal/mesh"
 	"specglobe/internal/perf"
 	"specglobe/internal/simd"
 )
 
-// computeSolidForces accumulates the internal elastic forces -K u of one
-// solid region into the acceleration arrays. This is one of the two
-// computational routines the paper identifies as consuming >70% of the
-// runtime: per element, small 5x5 matrix products along the cutplanes of
-// the 125-point block (section 4.3), followed by pointwise stress
-// evaluation and the weighted-transpose accumulation.
+// forceSweep runs force beat b: it accumulates the internal forces of
+// one half of its region — -K u of a solid region into the
+// accelerations, -K chi of the outer core into chiDdot. These are the
+// two computational routines the paper identifies as consuming >70% of
+// the runtime: per element, small 5x5 matrix products along the
+// cutplanes of the 125-point block (section 4.3), followed by a
+// pointwise stage (stress, or the weighted potential gradient) and the
+// weighted-transpose accumulation.
 //
-// classes is the color-partitioned element sub-list to sweep (the outer
-// or inner half of the overlap schedule), as built by
+// The sweep walks the plan's colour classes of the half (the outer or
+// inner elements of the overlap schedule), as built by
 // mesh.Coloring.Classes. Colors run one after another with a barrier in
 // between; within a color no two elements share a global point, so the
 // chunks dispatched to the worker pool write disjoint acceleration
 // entries and the sweep is bit-identical at every worker count. Each
 // element is visited exactly once per step — the attenuation memory
 // variables advance when their element is processed.
-//
-// With attenuation enabled, the deviatoric stress is corrected by the
-// standard-linear-solid memory variables, which are then advanced one
-// step with their exponential recursion.
 //
 // Batched runs sweep all ns wavefields per element visit: the
 // element-static loads (Jacobians, materials, Ibool, the derivative
@@ -35,45 +34,36 @@ import (
 // only the dynamic share per field — raising arithmetic intensity ~ns×
 // on the element-static traffic.
 //
-// A visit that gathers an all-±0 displacement (and has never driven
-// its element's memory variables) ends there and is charged its gather:
+// A visit that gathers an all-±0 field (and has never driven its
+// element's memory variables) ends there and is charged its gather:
 // its contributions are ±0, and an accumulator is never −0 — the
 // predictor stores +0, ftz returns +0, and under round-to-nearest a sum
 // is −0 only if an operand is — so they would leave every bit as it is.
 // A visit whose field has no live page in the element's point range
 // would gather +0 alone: it ends before the gather and costs nothing,
 // and a region none of whose fields has a live page is not dispatched
-// at all (no element can have woken there: a non-zero displacement
-// lies on a live page).
-func (rs *rankState) computeSolidForces(fs []*solidField, classes [][]int32) {
-	var sk perf.SkipTally
+// at all (no element can have woken there: a non-zero field value lies
+// on a live page).
+func (rs *rankState) forceSweep(b *beat) perf.Work {
+	classes := rs.lp.sweeps[b.region].outer
+	if b.kind == beatInner {
+		classes = rs.lp.sweeps[b.region].inner
+	}
 	numE := 0
 	for _, class := range classes {
 		numE += len(class)
 	}
-	if rs.quiet(int(fs[0].reg.Kind)) {
-		sk.Add(perf.Skips{Visits: numE * len(fs), Elems: numE, Pages: numE * len(fs), PageElems: numE})
+	var sk perf.SkipTally
+	if rs.quiet(b.region) {
+		sk.Add(perf.Skips{Visits: numE * rs.ns, Elems: numE, Pages: numE * rs.ns, PageElems: numE})
 	} else {
 		for _, class := range classes {
 			rs.pool.sweepElems(rs.scr, class, &rs.forceBusy, func(ks *kernelScratch, elems []int32) {
-				sk.Add(rs.solidForcesChunk(fs, ks, elems))
+				sk.Add(rs.forcesChunk(b.region, ks, elems))
 			})
 		}
 	}
-	flops, dynamic := rs.fc.SolidElement, rs.bc.SolidElementDynamic
-	if att := fs[0].att; att != nil {
-		// Memory-variable work: per point, per mechanism, 6 components
-		// of subtract + 2-op recursion update, plus the deviator setup.
-		// Memory variables are per field, so both flops and bytes scale
-		// with the ensemble.
-		flops += int64(mesh.NGLL3) * int64(att.nsls*6*3+8)
-		dynamic += rs.bc.AttenuationMech * int64(att.nsls)
-	}
-	skipped, pages, f, b := sk.Charge(rs.bc, numE, len(fs), flops, rs.bc.SolidElementStatic, dynamic, rs.bc.SolidGather)
-	rs.prof.AddFlops(perf.PhaseForceSolid, f)
-	rs.prof.AddBytes(perf.PhaseForceSolid, b)
-	rs.prof.AddSkippedVisits(perf.PhaseForceSolid, skipped)
-	rs.prof.AddPageSkippedVisits(perf.PhaseForceSolid, pages)
+	return sk.Charge(rs.bc, numE, rs.ns, b.flops, b.static, b.bytes, b.dead)
 }
 
 // pad abbreviates the padded block length in the component-block
@@ -208,45 +198,32 @@ func stressStageGo(reg *mesh.Region, e int, att *attState, t1, t2, t3, s1, s2, s
 	}
 }
 
-// solidForcesChunk processes one conflict-free chunk of elements on a
-// worker (or inline) scratch. The wavefield loop nests *inside* the
-// element loop so each element's static data stays cache-hot across the
-// whole ensemble; per-field arithmetic is the exact sequence of the
-// single-field path, so every batched field is bit-identical to its own
-// solo run. It returns the visits it skipped (see computeSolidForces).
-func (rs *rankState) solidForcesChunk(fs []*solidField, ks *kernelScratch, elems []int32) perf.Skips {
-	reg := fs[0].reg
+// forcesChunk processes one conflict-free chunk of a force sweep of
+// region kind on a worker (or inline) scratch. The wavefield loop nests
+// *inside* the element loop so each element's static data stays
+// cache-hot across the whole ensemble; per-field arithmetic is the exact
+// sequence of the single-field path, so every batched field is
+// bit-identical to its own solo run. It returns the visits it skipped
+// (see forceSweep).
+func (rs *rankState) forcesChunk(kind int, ks *kernelScratch, elems []int32) perf.Skips {
 	sk := perf.Skips{}
 	for _, e32 := range elems {
 		e := int(e32)
-		base := e * mesh.NGLL3
-		ib := reg.Ibool[base : base+mesh.NGLL3]
 		ran, gathered := false, false
-		for _, f := range fs {
-			woke := f.att != nil && f.att.woke[e]
-			if !woke && f.pages.deadElem(reg, e) {
-				sk.Visits++
+		for i := 0; i < rs.ns; i++ {
+			var g, r bool
+			if kind == int(earthmodel.RegionOuterCore) {
+				g, r = rs.fluid[i].visit(rs.kern, e, ks)
+			} else {
+				g, r = rs.solid[kind][i].visit(rs.kern, e, ks)
+			}
+			if !g {
 				sk.Pages++
-				continue
 			}
-			gathered = true
-			// Gather element displacement; an all-±0 one (or<<1 == 0)
-			// may end the visit.
-			var or uint32
-			for p, g := range ib {
-				u := &f.d[g]
-				ks.u[p], ks.u[pad+p], ks.u[2*pad+p] = u[0], u[1], u[2]
-				or |= math.Float32bits(u[0]) | math.Float32bits(u[1]) | math.Float32bits(u[2])
-			}
-			if or<<1 == 0 && !woke {
+			if !r {
 				sk.Visits++
-				continue
 			}
-			if f.att != nil {
-				f.att.woke[e] = true
-			}
-			ran = true
-			rs.kern.solidVisit(reg, e, ib, f, ks)
+			gathered, ran = gathered || g, ran || r
 		}
 		if !ran {
 			sk.Elems++
@@ -256,6 +233,33 @@ func (rs *rankState) solidForcesChunk(fs []*solidField, ks *kernelScratch, elems
 		}
 	}
 	return sk
+}
+
+// visit is field f's visit of element e. It ends before the gather when
+// the element's pages are all dead and after it when the gathered
+// displacement is all ±0 (or<<1 == 0), unless the element's memory
+// variables have been driven; otherwise it wakes the element and runs
+// the kernel. It reports whether it gathered and whether it ran.
+func (f *solidField) visit(k *kernels, e int, ks *kernelScratch) (gathered, ran bool) {
+	woke := f.att != nil && f.att.woke[e]
+	if !woke && f.pages.deadElem(f.reg, e) {
+		return false, false
+	}
+	ib := f.reg.Ibool[e*mesh.NGLL3 : (e+1)*mesh.NGLL3]
+	var or uint32
+	for p, g := range ib {
+		u := &f.d[g]
+		ks.u[p], ks.u[pad+p], ks.u[2*pad+p] = u[0], u[1], u[2]
+		or |= math.Float32bits(u[0]) | math.Float32bits(u[1]) | math.Float32bits(u[2])
+	}
+	if or<<1 == 0 && !woke {
+		return true, false
+	}
+	if f.att != nil {
+		f.att.woke[e] = true
+	}
+	k.solidVisit(f.reg, e, ib, f, ks)
+	return true, true
 }
 
 // solidVisit finishes field f's visit of element e (points ib) from the
@@ -287,34 +291,36 @@ func (k *kernels) solidVisit(reg *mesh.Region, e int, ib []int32, f *solidField,
 // solid side of the CMB and ICB: F += (w . n_s) chi_ddot dA with
 // n_s = -n_f, i.e. F -= Weight * n_f * chi_ddot (displacement-based
 // non-iterative coupling: the fluid acceleration potential is final
-// when this runs).
-func (rs *rankState) addFluidTractionToSolid(faces []mesh.CoupleFace) {
+// when this runs). It returns the face points it touched, summed over
+// the fields.
+func (rs *rankState) addFluidTractionToSolid() (n int64) {
 	if rs.fluid == nil {
-		return
+		return 0
 	}
-	for fi := range faces {
-		cf := &faces[fi]
-		fs := rs.solid[cf.SolidKind]
-		for s, f := range fs {
-			// The held values when the fluid keeps them: the face values
-			// a dormant fluid last produced.
-			chi := rs.fluid[s].chiDdot
-			if h := rs.fluid[s].held; h != nil {
-				chi = h
-			}
-			for q := 0; q < mesh.NGLL2; q++ {
-				chidd := chi[cf.FluidPt[q]]
-				w := cf.Weight[q]
-				a := &f.a[cf.SolidPt[q]]
-				a[0] -= w * cf.Nx[q] * chidd
-				a[1] -= w * cf.Ny[q] * chidd
-				a[2] -= w * cf.Nz[q] * chidd
+	for _, faces := range [][]mesh.CoupleFace{rs.local.CMB, rs.local.ICB} {
+		for fi := range faces {
+			cf := &faces[fi]
+			fs := rs.solid[cf.SolidKind]
+			for s, f := range fs {
+				// The held values when the fluid keeps them: the face
+				// values a dormant fluid last produced.
+				chi := rs.fluid[s].chiDdot
+				if h := rs.fluid[s].held; h != nil {
+					chi = h
+				}
+				for q := 0; q < mesh.NGLL2; q++ {
+					chidd := chi[cf.FluidPt[q]]
+					w := cf.Weight[q]
+					a := &f.a[cf.SolidPt[q]]
+					a[0] -= w * cf.Nx[q] * chidd
+					a[1] -= w * cf.Ny[q] * chidd
+					a[2] -= w * cf.Nz[q] * chidd
+				}
 			}
 		}
+		n += int64(len(faces)*mesh.NGLL2) * int64(rs.ns)
 	}
-	n := int64(len(faces)*mesh.NGLL2) * int64(rs.ns)
-	rs.prof.AddFlops(perf.PhaseForceSolid, rs.fc.TractionPoint*n)
-	rs.prof.AddBytes(perf.PhaseForceSolid, rs.bc.TractionPoint*n)
+	return n
 }
 
 // gradT1/2/3 apply the weighted transpose matrix along one direction.

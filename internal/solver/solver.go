@@ -21,6 +21,8 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"specglobe/internal/earthmodel"
 	"specglobe/internal/gll"
@@ -482,7 +484,6 @@ func Run(sim *Simulation) (*Result, error) {
 			}
 		}
 		rs.prof.Stop()
-		rs.flushPoolTime()
 		if opts.OnChunk != nil {
 			// Terminate every stream (outside the profiled section so
 			// callback time never pollutes the solver's busy time).
@@ -495,9 +496,16 @@ func Run(sim *Simulation) (*Result, error) {
 		}
 		res.Subnormals += subnormals
 		resMu.Unlock()
+		// The pool's busy time of the dispatched beats and the comm time.
 		st := c.Stats()
-		rs.prof.Add(perf.PhaseComm, st.Exposed())
-		rs.prof.Add(perf.PhaseCommHidden, st.HiddenCommTime)
+		for ph, d := range map[perf.Phase]time.Duration{
+			perf.PhaseKernelParallel: time.Duration(atomic.LoadInt64(&rs.forceBusy)),
+			perf.PhaseUpdate:         time.Duration(atomic.LoadInt64(&rs.updateBusy)),
+			perf.PhaseComm:           st.Exposed(),
+			perf.PhaseCommHidden:     st.HiddenCommTime,
+		} {
+			rs.prof.Add(ph, d)
+		}
 		collector.Put(rs.prof)
 		if clus := rs.clus; clus != nil {
 			resMu.Lock()

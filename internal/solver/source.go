@@ -5,7 +5,6 @@ import (
 
 	"specglobe/internal/gll"
 	"specglobe/internal/mesh"
-	"specglobe/internal/perf"
 )
 
 // prepareSource precomputes the nodal force array of a source: the
@@ -92,8 +91,9 @@ func (rs *rankState) prepareSource(src *Source) sourceLocal {
 // to (step+r)*dt when it does, so its source-time function is sampled
 // there; injecting on a dormant step would be discarded by the firing
 // points' own schedule anyway. Rate 1 — every source without LTS — is
-// the single-rate sampling time (step+1)*dt.
-func (rs *rankState) addSources(step int) {
+// the single-rate sampling time (step+1)*dt. It returns the element
+// points it injected at.
+func (rs *rankState) addSources(step int) (n int64) {
 	for i := range rs.sources {
 		sl := &rs.sources[i]
 		fs := rs.solid[sl.src.Kind]
@@ -115,9 +115,9 @@ func (rs *rankState) addSources(step int) {
 			a[1] += stf * sl.arr[p][1]
 			a[2] += stf * sl.arr[p][2]
 		}
-		rs.prof.AddFlops(perf.PhaseForceSolid, rs.fc.SourcePoint*int64(mesh.NGLL3))
-		rs.prof.AddBytes(perf.PhaseForceSolid, rs.bc.SourcePoint*int64(mesh.NGLL3))
+		n += mesh.NGLL3
 	}
+	return n
 }
 
 // prepareReceiver resolves a receiver into interpolation weights (or a

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"specglobe/internal/earthmodel"
+	"specglobe/internal/mesh"
 	"specglobe/internal/perf"
 )
 
@@ -25,116 +26,261 @@ import (
 // fluid-solid coupling needs no iteration (section 1: "non-iterative
 // coupling between fluid and solid based on the displacement vector").
 //
-// The force kernels sweep their colour classes on the shared worker pool
-// (colours serialize, chunks within a colour are conflict-free) and the
-// point passes dispatch as point spans, so every sweep is bit-identical
-// at any worker count; coupling, source and ocean terms touch few points
-// and stay inline. Every step is one spoke of the wheel (lts.go): its
-// level plan lists the colour classes, point spans and halo routes it
-// runs, each firing point advancing with its own rate-scaled dt. Under
-// LTS dormant points are skipped by every point pass and masked out of
-// the halo payloads; their acceleration slots accumulate garbage from
-// firing neighbors, which the predictor wipes at their next firing.
-// Every pass reads the fields' page marks first and passes by the
-// points that have never moved (pageMarks).
+// The step is data: the rank's beat list (buildBeats), run in order
+// and each charged to the profiler with the work it did. Both stages
+// follow the paper's overlap schedule: the forces of the *outer*
+// elements (those contributing to halo points) and the boundary terms;
+// post the halo; the inner elements while the messages are in flight;
+// finish; tail. Force sweeps and point passes dispatch on the shared
+// worker pool, bit-identical at any worker count; the coupling, source
+// and ocean terms touch few points and stay inline. Every step is one
+// spoke of the wheel (lts.go): its level plan lists the colour classes,
+// point spans and halo routes the same beats run, each firing point
+// advancing with its own rate-scaled dt. Every pass reads the fields'
+// page marks first and passes by the points that have never moved
+// (pageMarks).
 func (rs *rankState) timeStep(step int) {
 	rs.lp = &rs.levels[ltsLevelOf(step, len(rs.levels))]
-	rs.predictor()
-	rs.fluidStage()
-	rs.solidStage(step)
-	if (step+1)%rs.opts.RecordEvery == 0 {
-		rs.record(step)
-		if rs.opts.OnChunk != nil {
-			rs.flushChunks(false)
+	rs.prof.Mark()
+	for i := range rs.beats {
+		b := &rs.beats[i]
+		rs.prof.Charge(&b.Beat, rs.run(b, step))
+	}
+}
+
+// beatKind is what a beat runs.
+type beatKind uint8
+
+const (
+	beatPredict  beatKind = iota // the predictor of a region's fields
+	beatOuter                    // a region's outer-element forces
+	beatCouple                   // the fluid side of the CMB/ICB coupling
+	beatPost                     // post a halo set's exchange
+	beatInner                    // a region's inner-element forces
+	beatFinish                   // finish a halo set's exchange
+	beatTail                     // the tail of a region's fields
+	beatTraction                 // the CMB/ICB traction and the sources
+	beatOcean                    // the ocean load and its points' corrector
+	beatRecord                   // record and stream the seismograms
+)
+
+// beat is one entry of a rank's step: what it runs, on which region (or
+// halo set) and, resolved at build, the model's cost of a point visit
+// on a live page (flops, bytes) and a dead one (dead), or of a performed
+// element visit (flops, bytes), an element (static) and a gather (dead),
+// and a solid tail's Coriolis factor 2Ω (omega, 0 without rotation).
+type beat struct {
+	perf.Beat
+	kind                       beatKind
+	region                     int
+	flops, bytes, static, dead int64
+	omega                      float32
+}
+
+// buildBeats lays out the rank's step (timeStep). Every rank posts and
+// finishes every halo set its step exchanges, carried or not (a rank
+// without the region has an empty route and only consumes the tag); the
+// other beats exist where the rank has something for them to do.
+func (rs *rankState) buildBeats() {
+	cm, oc, ic := int(earthmodel.RegionCrustMantle), int(earthmodel.RegionOuterCore), int(earthmodel.RegionInnerCore)
+	sets := []int{cm, ic}
+	if rs.opts.CombinedSolidHalo {
+		sets = []int{haloSolid}
+	}
+	rs.beats = make([]beat, 0, 24)
+	add := func(k beatKind, regions ...int) {
+		for _, r := range regions {
+			if b, ok := rs.newBeat(k, r); ok {
+				rs.beats = append(rs.beats, b)
+			}
 		}
 	}
+	add(beatPredict, cm, oc, ic)
+	add(beatOuter, oc)
+	add(beatCouple, oc)
+	add(beatPost, oc)
+	add(beatInner, oc)
+	add(beatFinish, oc)
+	add(beatTail, oc)
+	add(beatOuter, cm, ic)
+	add(beatTraction, cm)
+	add(beatPost, sets...)
+	add(beatInner, cm, ic)
+	add(beatFinish, sets...)
+	add(beatTail, cm, ic)
+	add(beatOcean, cm)
+	add(beatRecord, cm)
+}
+
+// beatNames and beatPhases name each kind of beat and give the phase
+// its work counts toward (a fluid force sweep's is force_fluid).
+var (
+	beatNames = [...]string{beatPredict: "predict", beatOuter: "outer_forces", beatCouple: "coupling",
+		beatPost: "post", beatInner: "inner_forces", beatFinish: "finish", beatTail: "tail",
+		beatTraction: "traction+sources", beatOcean: "ocean", beatRecord: "record"}
+	beatPhases = [...]perf.Phase{beatPredict: perf.PhaseUpdate, beatOuter: perf.PhaseForceSolid,
+		beatCouple: perf.PhaseForceFluid, beatPost: perf.PhaseComm, beatInner: perf.PhaseForceSolid,
+		beatFinish: perf.PhaseComm, beatTail: perf.PhaseUpdate, beatTraction: perf.PhaseForceSolid,
+		beatOcean: perf.PhaseUpdate, beatRecord: perf.PhaseOther}
+)
+
+// newBeat returns beat k of region (or halo set) r, and whether the
+// rank runs it. The beats that run inline on the rank charge their
+// phase their wall time (perf.Beat).
+func (rs *rankState) newBeat(k beatKind, r int) (beat, bool) {
+	fc, bc := &rs.fc, &rs.bc
+	b := beat{Beat: perf.Beat{Name: beatNames[k], Phase: beatPhases[k]}, kind: k, region: r}
+	b.Inline = k == beatCouple || k == beatTraction || k == beatOcean
+	switch k {
+	case beatPost, beatFinish:
+		set := "solid" // the combined set
+		if r != haloSolid {
+			set = earthmodel.Region(r).String()
+		}
+		b.Name += "/" + set
+		return b, true
+	case beatCouple:
+		return b, rs.fluid != nil
+	case beatTraction:
+		return b, rs.fluid != nil || len(rs.sources) > 0
+	case beatOcean:
+		return b, rs.solid[r] != nil && rs.oceanOn()
+	case beatRecord:
+		return b, len(rs.recvs) > 0
+	}
+	b.Name += "/" + earthmodel.Region(r).String()
+	fluid, fs := r == int(earthmodel.RegionOuterCore), rs.solid[r]
+	switch {
+	case fluid && rs.fluid == nil || !fluid && fs == nil:
+		return b, false
+	case fluid && k == beatPredict:
+		b.flops, b.bytes = fc.FluidPredictor, bc.FluidPredictor
+		if rs.fluid[0].held != nil {
+			b.dead = bc.FluidDeadPoint
+		}
+	case fluid && k == beatTail:
+		b.flops, b.bytes, b.dead = fc.FluidMassDiv+fc.FluidCorrector, bc.FluidTail, bc.FluidDeadPoint
+	case fluid:
+		b.Phase = perf.PhaseForceFluid
+		b.flops, b.bytes, b.static, b.dead = fc.FluidElement, bc.FluidElementDynamic, bc.FluidElementStatic, bc.FluidGather
+	case k == beatPredict:
+		b.flops, b.bytes = fc.SolidPredictor, bc.SolidPredictor
+		if fs[0].held != nil {
+			b.dead = bc.SolidDeadPoint
+		}
+	case k == beatTail:
+		b.flops, b.bytes, b.dead = fc.SolidMassDiv+fc.SolidCorrector, bc.SolidTail, bc.SolidDeadPoint
+		if rs.opts.Rotation {
+			b.omega = float32(2 * rs.opts.RotationRate)
+		}
+		if b.omega != 0 {
+			b.flops += fc.Coriolis
+		}
+		if fs[0].gOverR != nil {
+			b.flops += fc.Gravity
+			b.bytes += bc.Gravity
+		}
+	default:
+		b.flops, b.bytes, b.static, b.dead = fc.SolidElement, bc.SolidElementDynamic, bc.SolidElementStatic, bc.SolidGather
+		if att := fs[0].att; att != nil {
+			// Memory-variable work: per point, per mechanism, 6
+			// components of subtract + 2-op recursion update, plus the
+			// deviator setup. Memory variables are per field, so both
+			// flops and bytes scale with the ensemble.
+			b.flops += int64(mesh.NGLL3) * int64(att.nsls*6*3+8)
+			b.bytes += bc.AttenuationMech * int64(att.nsls)
+		}
+	}
+	return b, true
+}
+
+// run runs one beat of step and returns the work it did.
+func (rs *rankState) run(b *beat, step int) perf.Work {
+	switch b.kind {
+	case beatPredict, beatTail:
+		return rs.pointPass(b)
+	case beatOuter, beatInner:
+		return rs.forceSweep(b)
+	case beatCouple:
+		n := rs.addSolidDisplacementToFluid()
+		return perf.Work{Flops: rs.fc.CouplePoint * n, Bytes: rs.bc.CouplePoint * n}
+	case beatPost:
+		h := &rs.halo[b.region]
+		rs.inflight[b.region] = rs.beginExchange(rs.lp.routes[b.region], rs.ns, h.nc, h.arr)
+	case beatFinish:
+		rs.inflight[b.region].finish()
+		rs.inflight[b.region] = nil
+	case beatTraction:
+		n, m := rs.addFluidTractionToSolid(), rs.addSources(step)
+		return perf.Work{
+			Flops: rs.fc.TractionPoint*n + rs.fc.SourcePoint*m,
+			Bytes: rs.bc.TractionPoint*n + rs.bc.SourcePoint*m,
+		}
+	case beatOcean:
+		return rs.oceanLoad()
+	case beatRecord:
+		if (step+1)%rs.opts.RecordEvery == 0 {
+			rs.record(step)
+			if rs.opts.OnChunk != nil {
+				rs.flushChunks(false)
+			}
+		}
+	}
+	return perf.Work{}
 }
 
 // quiet reports whether no field of region kind has a live page.
 func (rs *rankState) quiet(kind int) bool {
-	if kind == int(earthmodel.RegionOuterCore) {
-		for _, fl := range rs.fluid {
-			if !fl.pages.quiet() {
-				return false
-			}
-		}
-		return true
-	}
-	for _, f := range rs.solid[kind] {
-		if !f.pages.quiet() {
+	for i := 0; i < rs.ns; i++ {
+		if kind == int(earthmodel.RegionOuterCore) && !rs.fluid[i].pages.quiet() ||
+			kind != int(earthmodel.RegionOuterCore) && !rs.solid[kind][i].pages.quiet() {
 			return false
 		}
 	}
 	return true
 }
 
-// The point passes count the point visits they find on dead pages, and
-// charge the update phase per live visit and, per dead one, only the
-// acceleration stream a dead piece touches (perf.ByteCounts.
-// SolidDeadPoint): none in the predictor unless it clears held slots,
-// the tested read in the tails.
+// pointPass runs predictor or tail beat b, one pool pass over its
+// region's spans. A dead page's visit costs the acceleration stream it
+// touches (b.dead: the tails' tested read, the predictor's clear of held
+// slots, or nothing); a pass that does nothing there is not dispatched
+// on a quiet region, while a tail is (a source, halo add or coupling
+// term can land there).
+func (rs *rankState) pointPass(b *beat) perf.Work {
+	kind := b.region
+	n := int64(rs.lp.fired[kind] * rs.ns)
+	dead := n
+	if b.dead != 0 || !rs.quiet(kind) {
+		var d atomic.Int64
+		rs.pool.sweepSpans(rs.scr, rs.lp.spans[kind], rs.lp.fired[kind], &rs.updateBusy, func(spans []span) {
+			k := 0
+			for _, s := range spans {
+				k += rs.passSpan(b, s)
+			}
+			d.Add(int64(k))
+		})
+		dead = d.Load()
+	}
+	live := n - dead
+	return perf.Work{Flops: b.flops * live, Bytes: b.bytes*live + b.dead*dead, SkippedPoints: dead}
+}
 
-// predictor runs the Newmark prediction for every field, one pool pass
-// per region over the plan's spans. A field with held accelerations
-// reads them — a dormant point's live slot has been polluted by firing
-// neighbors. The ensemble loop runs inside the dispatched chunk, so one
-// pool pass covers all wavefields. A region whose fields have no live
-// page and no held is not dispatched at all.
-func (rs *rankState) predictor() {
-	for kind, fs := range rs.solid {
-		if fs == nil {
-			continue
+// passSpan runs point pass b at span s of every field and returns the
+// point visits it found on dead pages.
+func (rs *rankState) passSpan(b *beat, s span) (dead int) {
+	for i := 0; i < rs.ns; i++ {
+		switch {
+		case b.region == int(earthmodel.RegionOuterCore) && b.kind == beatPredict:
+			dead += rs.fluid[i].predict(s)
+		case b.region == int(earthmodel.RegionOuterCore):
+			dead += rs.fluid[i].tail(s)
+		case b.kind == beatPredict:
+			dead += rs.solid[b.region][i].predict(s)
+		default:
+			dead += rs.solid[b.region][i].tail(s, b.omega)
 		}
-		n := int64(rs.lp.fired[kind] * len(fs))
-		var dead atomic.Int64
-		var clear int64
-		if fs[0].held != nil {
-			clear = rs.bc.SolidDeadPoint
-		}
-		if clear == 0 && rs.quiet(kind) {
-			dead.Store(n)
-		} else {
-			rs.pool.sweepSpans(rs.scr, rs.lp.spans[kind], rs.lp.fired[kind], &rs.updateBusy, func(spans []span) {
-				d := 0
-				for _, f := range fs {
-					for _, s := range spans {
-						d += f.predict(s)
-					}
-				}
-				dead.Add(int64(d))
-			})
-		}
-		live := n - dead.Load()
-		rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.SolidPredictor*live)
-		rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.SolidPredictor*live+clear*dead.Load())
-		rs.prof.AddSkippedPoints(perf.PhaseUpdate, dead.Load())
 	}
-	if fls := rs.fluid; fls != nil {
-		oc := int(earthmodel.RegionOuterCore)
-		n := int64(rs.lp.fired[oc] * len(fls))
-		var dead atomic.Int64
-		var clear int64
-		if fls[0].held != nil {
-			clear = rs.bc.FluidDeadPoint
-		}
-		if clear == 0 && rs.quiet(oc) {
-			dead.Store(n)
-		} else {
-			rs.pool.sweepSpans(rs.scr, rs.lp.spans[oc], rs.lp.fired[oc], &rs.updateBusy, func(spans []span) {
-				d := 0
-				for _, fl := range fls {
-					for _, s := range spans {
-						d += fl.predict(s)
-					}
-				}
-				dead.Add(int64(d))
-			})
-		}
-		live := n - dead.Load()
-		rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.FluidPredictor*live)
-		rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.FluidPredictor*live+clear*dead.Load())
-		rs.prof.AddSkippedPoints(perf.PhaseUpdate, dead.Load())
-	}
+	return dead
 }
 
 // predict is the predictor at the points of one span, page by page,
@@ -215,82 +361,6 @@ func (fl *fluidField) predictPoints(lo, hi int, dt float32) {
 	}
 }
 
-// fluidStage runs the fluid half of the step (the element visit's
-// pointwise stage is the function fluidStage, fluid.go). Both stages
-// have one shape, the paper's overlap schedule followed by the field's
-// tail: the
-// forces of the *outer* elements (those contributing to halo points)
-// and the boundary terms, which touch boundary points; post the halo;
-// the inner elements while the messages are in flight; finish; tail.
-// The fluid tail leaves the potential acceleration final before the
-// solid stage's traction reads it. A rank without fluid runs the same
-// stage over nothing: its route is empty and only consumes the tag.
-func (rs *rankState) fluidStage() {
-	oc := int(earthmodel.RegionOuterCore)
-	sw := &rs.lp.sweeps[oc]
-	rs.computeFluidForces(sw.outer)
-	rs.prof.Time(perf.PhaseForceFluid, func() {
-		rs.addSolidDisplacementToFluid(rs.local.CMB)
-		rs.addSolidDisplacementToFluid(rs.local.ICB)
-	})
-	halo := rs.beginStepExchange(oc)
-	rs.computeFluidForces(sw.inner)
-	halo.finish()
-	rs.fluidTail()
-}
-
-// solidStage runs the solid half of the step and finishes it. The halo
-// is posted once every halo point's local contribution — outer forces,
-// traction, sources — is fixed; every rank posts every set, carried or
-// not (a rank without the region has an empty route and only consumes
-// the tag).
-func (rs *rankState) solidStage(step int) {
-	for kind, fs := range rs.solid {
-		if fs != nil {
-			rs.computeSolidForces(fs, rs.lp.sweeps[kind].outer)
-		}
-	}
-	rs.prof.Time(perf.PhaseForceSolid, func() {
-		rs.addFluidTractionToSolid(rs.local.CMB)
-		rs.addFluidTractionToSolid(rs.local.ICB)
-		rs.addSources(step)
-	})
-	for i, set := range rs.solidSets {
-		rs.solidHalo[i] = rs.beginStepExchange(set)
-	}
-	for kind, fs := range rs.solid {
-		if fs != nil {
-			rs.computeSolidForces(fs, rs.lp.sweeps[kind].inner)
-		}
-	}
-	for _, p := range rs.solidHalo {
-		p.finish()
-	}
-	rs.solidTail()
-}
-
-// fluidTail finishes the step for every fluid field, one pool pass over
-// the plan's fluid spans. It runs on a quiet region too: a coupling
-// term or a halo add can land there.
-func (rs *rankState) fluidTail() {
-	fls := rs.fluid
-	oc := earthmodel.RegionOuterCore
-	var dead atomic.Int64
-	rs.pool.sweepSpans(rs.scr, rs.lp.spans[oc], rs.lp.fired[oc], &rs.updateBusy, func(spans []span) {
-		d := 0
-		for _, fl := range fls {
-			for _, s := range spans {
-				d += fl.tail(s)
-			}
-		}
-		dead.Add(int64(d))
-	})
-	live := int64(rs.lp.fired[oc]*len(fls)) - dead.Load()
-	rs.prof.AddFlops(perf.PhaseUpdate, (rs.fc.FluidMassDiv+rs.fc.FluidCorrector)*live)
-	rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.FluidTail*live+rs.bc.FluidDeadPoint*dead.Load())
-	rs.prof.AddSkippedPoints(perf.PhaseUpdate, dead.Load())
-}
-
 // tail is the fluid's step tail at the points of one span, page by
 // page, and returns the points it found on dead pages (see
 // solidField.tail).
@@ -326,47 +396,6 @@ func (fl *fluidField) tailPoints(lo, hi int, dt float32) {
 	if fl.held != nil {
 		copy(fl.held[lo:hi], dd)
 	}
-}
-
-// solidTail finishes the step for every solid field, one pool pass per
-// region over the plan's spans, then applies the ocean load. Under LTS
-// the points the spans skip are dormant: their accelerations keep
-// garbage until their own predictor wipes it. A quiet region runs its
-// tail too: a source, a halo add or a coupling term can land there.
-func (rs *rankState) solidTail() {
-	twoOmega := float32(0)
-	if rs.opts.Rotation {
-		twoOmega = float32(2 * rs.opts.RotationRate)
-	}
-	for kind, fs := range rs.solid {
-		if fs == nil {
-			continue
-		}
-		flops := rs.fc.SolidMassDiv + rs.fc.SolidCorrector
-		bytes := rs.bc.SolidTail
-		if twoOmega != 0 {
-			flops += rs.fc.Coriolis
-		}
-		if fs[0].gOverR != nil {
-			flops += rs.fc.Gravity
-			bytes += rs.bc.Gravity
-		}
-		var dead atomic.Int64
-		rs.pool.sweepSpans(rs.scr, rs.lp.spans[kind], rs.lp.fired[kind], &rs.updateBusy, func(spans []span) {
-			d := 0
-			for _, f := range fs {
-				for _, s := range spans {
-					d += f.tail(s, twoOmega)
-				}
-			}
-			dead.Add(int64(d))
-		})
-		live := int64(rs.lp.fired[kind]*len(fs)) - dead.Load()
-		rs.prof.AddFlops(perf.PhaseUpdate, flops*live)
-		rs.prof.AddBytes(perf.PhaseUpdate, bytes*live+rs.bc.SolidDeadPoint*dead.Load())
-		rs.prof.AddSkippedPoints(perf.PhaseUpdate, dead.Load())
-	}
-	rs.oceanLoad()
 }
 
 // tail is the step's tail at the points of one span, page by page, and
@@ -452,27 +481,21 @@ func (f *solidField) tailPoints(lo, hi int, dt, twoOmega float32) {
 // acceleration by M/(M+Mw) at the surface points the step fires, then
 // runs the corrector and the held copy the tail left to it there. Few
 // points; inline.
-func (rs *rankState) oceanLoad() {
-	if rs.oceanFactor == nil {
-		return
-	}
-	rs.prof.Time(perf.PhaseUpdate, func() {
-		sl := &rs.local.Surface
-		for _, f := range rs.solid[earthmodel.RegionCrustMantle] {
-			for _, op := range rs.lp.ocean {
-				j, pt, half := op.j, sl.Pts[op.j], op.dt/2
-				a, v := &f.a[pt], &f.v[pt]
-				an := a[0]*sl.Nx[j] + a[1]*sl.Ny[j] + a[2]*sl.Nz[j]
-				scale := an * (1 - rs.oceanFactor[j])
-				a[0], a[1], a[2] = ftz(a[0]-scale*sl.Nx[j]), ftz(a[1]-scale*sl.Ny[j]), ftz(a[2]-scale*sl.Nz[j])
-				v[0], v[1], v[2] = v[0]+half*a[0], v[1]+half*a[1], v[2]+half*a[2]
-				if f.held != nil {
-					f.held[pt] = *a
-				}
+func (rs *rankState) oceanLoad() perf.Work {
+	sl := &rs.local.Surface
+	for _, f := range rs.solid[earthmodel.RegionCrustMantle] {
+		for _, op := range rs.lp.ocean {
+			j, pt, half := op.j, sl.Pts[op.j], op.dt/2
+			a, v := &f.a[pt], &f.v[pt]
+			an := a[0]*sl.Nx[j] + a[1]*sl.Ny[j] + a[2]*sl.Nz[j]
+			scale := an * (1 - rs.oceanFactor[j])
+			a[0], a[1], a[2] = ftz(a[0]-scale*sl.Nx[j]), ftz(a[1]-scale*sl.Ny[j]), ftz(a[2]-scale*sl.Nz[j])
+			v[0], v[1], v[2] = v[0]+half*a[0], v[1]+half*a[1], v[2]+half*a[2]
+			if f.held != nil {
+				f.held[pt] = *a
 			}
 		}
-		n := len(rs.lp.ocean)
-		rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.OceanPoint*int64(n*rs.ns))
-		rs.prof.AddBytes(perf.PhaseUpdate, rs.bc.OceanPoint*int64(n*rs.ns))
-	})
+	}
+	n := int64(len(rs.lp.ocean) * rs.ns)
+	return perf.Work{Flops: rs.fc.OceanPoint * n, Bytes: rs.bc.OceanPoint * n}
 }

@@ -5,7 +5,8 @@
 # 2. the root benchmark file and root-level BENCH_PR*.json snapshots
 #    stay gone (the eight snapshots are history in docs/history/),
 # 3. every experiment run goes through the two solver.Run calls of
-#    internal/experiments (solveCentral and fastestRun).
+#    internal/experiments (solveCentral and fastestRun),
+# 4. the solver charges its profiler from at most five call sites.
 set -u
 fail=0
 
@@ -21,6 +22,8 @@ TestWriteBench|BENCH_SNAPSHOT|writeBenchJSON|experiments\.Hybrid|HybridResult
 OverlapMachines|CommFracResult|timedRun
 newmarkPass|accHold|hChi|couplingFacePoints|lp\.shadow|ElemsUpTo|unionSorted
 elemMinSpacing|elemMaxVelocity|MinGLLSpacing|func stableDt
+AddFlops|AddBytes|AddSkippedVisits|AddPageSkippedVisits|AddSkippedPoints|prof\.Time\(|rs\.solidHalo|rs\.solidSets
+func \(rs \*rankState\) (predictor|fluidStage|solidStage|fluidTail|solidTail)\(
 EOF
 )
 if grep -rnE "$retired" --include='*.go' .; then
@@ -30,6 +33,14 @@ fi
 
 if [ -e bench_test.go ] || [ -n "$(ls BENCH_PR*.json 2>/dev/null)" ]; then
     echo "guards: bench_test.go or a root BENCH_PR*.json snapshot is back" >&2
+    fail=1
+fi
+
+# The step charges the profiler at its mark and per beat alone: at most
+# five profiler call sites in the solver outside its tests.
+profs=$(cat $(ls internal/solver/*.go | grep -v '_test\.go$') | grep -o 'rs\.prof\.' | wc -l)
+if [ "$profs" -gt 5 ]; then
+    echo "guards: internal/solver has $profs rs.prof. call sites, want at most 5" >&2
     fail=1
 fi
 
