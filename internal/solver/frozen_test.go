@@ -45,32 +45,31 @@ type frozenCase struct {
 // (name suffix fullPhysicsSuffix, CI counts them) turn on attenuation,
 // rotation, gravity and the ocean load on the doubled PREM mesh for 40
 // steps — long enough for the near station to carry signal — under
-// every kernel, with LTS on (rate-scaled SLS coefficients) and off.
+// every kernel.
 var frozenConfigs = []struct {
 	mesh     string // "globe", "doubled", "sliced" or "prem"
 	combined bool
-	lts      bool
 	fields   int
 	workers  int
 	physics  bool
 	kernel   Kernel
 }{
-	{"globe", true, false, 1, 1, false, KernelVec4},
-	{"globe", false, false, 3, 4, false, KernelVec4},
-	{"globe", true, false, 3, 1, false, KernelVec4},
-	{"globe", false, false, 1, 4, false, KernelVec4},
-	{"doubled", true, true, 1, 4, false, KernelVec4},
-	{"doubled", false, true, 1, 1, false, KernelVec4},
-	{"doubled", true, true, 3, 4, false, KernelVec4},
-	{"doubled", false, true, 3, 2, false, KernelVec4},
-	{"doubled", true, true, 3, 1, false, KernelVec4},
-	{"sliced", true, true, 1, 1, false, KernelVec4},
-	{"sliced", false, false, 3, 4, false, KernelVec4},
-	{"prem", true, false, 1, 4, true, KernelVec4},
-	{"prem", true, false, 3, 1, true, KernelVec4},
-	{"prem", false, false, 1, 2, true, KernelScalar},
-	{"prem", true, true, 3, 4, true, KernelVec4},
-	{"prem", true, true, 1, 1, true, KernelScalar},
+	{"globe", true, 1, 1, false, KernelVec4},
+	{"globe", false, 3, 4, false, KernelVec4},
+	{"globe", true, 3, 1, false, KernelVec4},
+	{"globe", false, 1, 4, false, KernelVec4},
+	{"doubled", true, 1, 4, false, KernelVec4},
+	{"doubled", false, 1, 1, false, KernelVec4},
+	{"doubled", true, 3, 4, false, KernelVec4},
+	{"doubled", false, 3, 2, false, KernelVec4},
+	{"doubled", true, 3, 1, false, KernelVec4},
+	{"sliced", true, 1, 1, false, KernelVec4},
+	{"sliced", false, 3, 4, false, KernelVec4},
+	{"prem", true, 1, 4, true, KernelVec4},
+	{"prem", true, 3, 1, true, KernelVec4},
+	{"prem", false, 1, 2, true, KernelScalar},
+	{"prem", true, 3, 4, true, KernelVec4},
+	{"prem", true, 1, 1, true, KernelScalar},
 }
 
 const fullPhysicsSuffix = "/fullphys"
@@ -138,8 +137,8 @@ func TestFrozenSeismogramBits(t *testing.T) {
 	replay := func(t *testing.T) {
 		got = frozenFixture{GOARCH: runtime.GOARCH}
 		for i, c := range frozenConfigs {
-			name := fmt.Sprintf("%s/combined=%v/lts=%v/s%d/w%d",
-				c.mesh, c.combined, c.lts, c.fields, c.workers)
+			name := fmt.Sprintf("%s/combined=%v/s%d/w%d",
+				c.mesh, c.combined, c.fields, c.workers)
 			steps := 12
 			if c.physics {
 				name += "/" + c.kernel.String() + fullPhysicsSuffix
@@ -152,15 +151,12 @@ func TestFrozenSeismogramBits(t *testing.T) {
 				Sources: srcs, Receivers: recvs,
 				Opts: Options{
 					Steps: steps, Workers: c.workers,
-					CombinedSolidHalo: c.combined, LTS: c.lts, Kernel: c.kernel,
+					CombinedSolidHalo: c.combined, Kernel: c.kernel,
 					Attenuation: c.physics, Rotation: c.physics, Gravity: c.physics, OceanLoad: c.physics,
 				},
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
-			}
-			if c.lts && (c.mesh == "doubled" || c.mesh == "prem") && len(res.LTS.ElemsByRate) < 2 {
-				t.Fatalf("%s: clustering is single-rate: %v", name, res.LTS.ElemsByRate)
 			}
 			fc := frozenCase{
 				Name: name, Messages: res.MPI.Messages, BytesSent: res.MPI.BytesSent,
