@@ -89,9 +89,8 @@ func main() {
 	fmt.Printf("resolution at %.0f s: min %.2f pts/wavelength (worst element in %v at r=%.0f km), mean %.1f\n",
 		g.ShortestPeriod, rs.MinPts, rs.Worst.Kind, rs.Worst.RadiusM/1e3, rs.MeanPts)
 	// Per-layer stable-dt profile beside the resolution audit: dt/min is
-	// the headroom clustered local time stepping converts into skipped
-	// updates (a layer at 2^k times the governing dt can fire every
-	// 2^k-th step).
+	// how far a layer's own stable dt sits above the governing one, which
+	// every element steps at.
 	const courant = 0.3
 	dts := g.LayerStableDts(courant)
 	globalDt := mesh.StableDt(g.Locals, courant)

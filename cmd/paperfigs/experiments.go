@@ -84,12 +84,6 @@ func experimentList() []experiment {
 			},
 		},
 		{
-			id: "LTS", desc: "clustered local time stepping: uniform vs doubled vs doubled+LTS on PREM",
-			run: func(quick bool) (fmt.Stringer, error) {
-				return experiments.LTSAblation(doubledConfigs(quick), doublings, pick(quick, 8, 4))
-			},
-		},
-		{
 			id: "MESHDBL", desc: "mesh doubling layers: element count, halo S/V, exposed comm",
 			run: func(quick bool) (fmt.Stringer, error) {
 				return experiments.MeshDoubling(doubledConfigs(quick), doublings, pick(quick, 8, 4))

@@ -7,12 +7,12 @@ import (
 
 func TestSelectExperiments(t *testing.T) {
 	exps := experimentList()
-	got, err := selectExperiments(exps, " lts,FIG5")
+	got, err := selectExperiments(exps, " meshdbl,FIG5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].id != "FIG5" || got[1].id != "LTS" {
-		t.Errorf("selected %v, want FIG5 then LTS (list order)", got)
+	if len(got) != 2 || got[0].id != "FIG5" || got[1].id != "MESHDBL" {
+		t.Errorf("selected %v, want FIG5 then MESHDBL (list order)", got)
 	}
 	if all, err := selectExperiments(exps, ""); err != nil || len(all) != len(exps) {
 		t.Errorf("empty -only selected %d of %d (err %v)", len(all), len(exps), err)

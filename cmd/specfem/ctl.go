@@ -33,7 +33,6 @@ func runCtl(args []string) {
 		m0      = fs.Float64("m0", 1e20, "scalar moment (N*m)")
 		halfDur = fs.Float64("halfduration", 20, "source half duration (s)")
 		kernel  = fs.String("kernel", "", "force kernel: vec4 (default; AVX2 assembly where the daemon's host has it) or scalar")
-		lts     = fs.Bool("lts", false, "clustered local time stepping")
 		stats   = fs.String("stations", "ANMO,HRV,KIP", "comma-separated reference station names")
 		out     = fs.String("out", "seismograms", "directory for streamed ASCII seismograms")
 		name    = fs.String("name", "ctl-job", "job name")
@@ -48,7 +47,7 @@ func runCtl(args []string) {
 	}
 	spec := service.JobSpec{
 		Name: *name, Model: *model, NexXi: *nex, NProcXi: *nproc,
-		Steps: *steps, Kernel: *kernel, LTS: *lts,
+		Steps: *steps, Kernel: *kernel,
 		Event: &service.EventSpec{
 			LatDeg: *lat, LonDeg: *lon, DepthM: *depth,
 			Mrr: *m0, Mtt: -*m0 / 2, Mpp: -*m0 / 2,

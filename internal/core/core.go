@@ -40,19 +40,27 @@ type Event struct {
 	DepthM float64
 	// Moment tensor components (N*m), CMT convention.
 	Mrr, Mtt, Mpp, Mrt, Mrp, Mtp float64
-	// HalfDurationSec controls the Gaussian source time function.
+	// HalfDurationSec controls the Gaussian source time function; 0
+	// selects 10 s.
 	HalfDurationSec float64
 }
 
 // Validate refuses an event the solver cannot run: a NaN or infinite
 // latitude, longitude, depth, moment-tensor component or half duration,
-// or a latitude outside [-90°, 90°]. The error names the field.
+// a latitude outside [-90°, 90°] or a negative half duration. The error
+// names the field.
 func (e Event) Validate() error {
-	return validate("event", e.Name, e.LatDeg, []namedValue{
+	if err := validate("event", e.Name, e.LatDeg, []namedValue{
 		{"latitude", e.LatDeg}, {"longitude", e.LonDeg}, {"depth", e.DepthM},
 		{"Mrr", e.Mrr}, {"Mtt", e.Mtt}, {"Mpp", e.Mpp}, {"Mrt", e.Mrt}, {"Mrp", e.Mrp}, {"Mtp", e.Mtp},
 		{"half duration", e.HalfDurationSec},
-	})
+	}); err != nil {
+		return err
+	}
+	if e.HalfDurationSec < 0 {
+		return fmt.Errorf("core: event %q: half duration %g s is negative (0 selects the default)", e.Name, e.HalfDurationSec)
+	}
+	return nil
 }
 
 // ValidateStation refuses a station with a NaN or infinite latitude,
@@ -166,8 +174,8 @@ type Config struct {
 	// Workers sizes the solver's shared worker pool (0 = GOMAXPROCS,
 	// 1 = serial). Results are bit-identical at every worker count.
 	Workers int
-	// LTS enables clustered local time stepping (solver.Options.LTS);
-	// LTSMaxRate caps the cluster rate (power of two, default 4).
+	// LTS and LTSMaxRate are retired (solver.Options.LTS): Run refuses
+	// a true LTS or a non-zero LTSMaxRate.
 	LTS        bool
 	LTSMaxRate int
 	// LegacyIO routes the mesh through the per-core file database in

@@ -9,6 +9,7 @@ import (
 
 	"specglobe/internal/earthmodel"
 	"specglobe/internal/meshfem"
+	"specglobe/internal/solver"
 	"specglobe/internal/stations"
 )
 
@@ -197,6 +198,38 @@ func TestRunValidatesConfig(t *testing.T) {
 	}
 }
 
+// Local time stepping was retired: solver.Run refuses Options.LTS and a
+// non-zero LTSMaxRate with an error that says so, and core.Run surfaces
+// it for the Config fields of the same names.
+func TestRetiredLTSIsRefused(t *testing.T) {
+	s, err := NewSession(Config{NexXi: 4, NProcXi: 1, Model: smallModel(), Steps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := s.locateSource(testEvent, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		lts     bool
+		maxRate int
+	}{{"lts", true, 0}, {"max-rate", false, 4}} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := solver.Run(&solver.Simulation{Locals: s.locals, Plans: s.plans, Sources: []solver.Source{src},
+				Opts: solver.Options{Steps: 2, LTS: c.lts, LTSMaxRate: c.maxRate}})
+			if err == nil || !strings.Contains(err.Error(), "local time stepping") || !strings.Contains(err.Error(), "retired") {
+				t.Errorf("solver.Run: %v, want the retirement error", err)
+			}
+			_, err = Run(Config{NexXi: 4, NProcXi: 1, Model: smallModel(), Steps: 2, Event: testEvent,
+				LTS: c.lts, LTSMaxRate: c.maxRate})
+			if err == nil || !strings.Contains(err.Error(), "retired") {
+				t.Errorf("core.Run: %v, want the retirement error", err)
+			}
+		})
+	}
+}
+
 func TestRecordSecondsDerivesSteps(t *testing.T) {
 	rep, err := Run(Config{
 		NexXi: 4, NProcXi: 1,
@@ -315,7 +348,8 @@ func TestRunWithDoublingSchedules(t *testing.T) {
 // naming the field, before anything runs: a non-finite latitude,
 // longitude, depth, moment-tensor component or half duration, and a
 // latitude beyond ±90° (which used to be wrapped silently). Non-finite
-// values used to run to NaN seismograms with a nil error.
+// values used to run to NaN seismograms with a nil error, and a negative
+// half duration ran as the 10 s default.
 func TestNonFiniteInputsAreRefused(t *testing.T) {
 	s, err := NewSession(Config{NexXi: 4, NProcXi: 1, Model: smallModel(), Steps: 5})
 	if err != nil {
@@ -334,6 +368,7 @@ func TestNonFiniteInputsAreRefused(t *testing.T) {
 		{name: "event Mrr NaN", want: "Mrr", ev: func(e *Event) { e.Mrr = nan }},
 		{name: "event Mtp -Inf", want: "Mtp", ev: func(e *Event) { e.Mtp = -inf }},
 		{name: "event half duration NaN", want: "half duration", ev: func(e *Event) { e.HalfDurationSec = nan }},
+		{name: "event half duration -5", want: "half duration", ev: func(e *Event) { e.HalfDurationSec = -5 }},
 		{name: "event lat 200", want: "outside [-90°, 90°]", ev: func(e *Event) { e.LatDeg = 200 }},
 		{name: "station lat NaN", want: "latitude", st: func(st *stations.Station) { st.LatDeg = nan }},
 		{name: "station lon -Inf", want: "longitude", st: func(st *stations.Station) { st.LonDeg = -inf }},

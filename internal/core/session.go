@@ -114,7 +114,7 @@ func (s *Session) locateSource(ev Event, field int) (solver.Source, error) {
 		return solver.Source{}, fmt.Errorf("core: event at depth %g m falls in the fluid outer core", ev.DepthM)
 	}
 	hd := ev.HalfDurationSec
-	if hd <= 0 {
+	if hd == 0 {
 		hd = 10
 	}
 	return solver.Source{

@@ -9,8 +9,7 @@ import (
 
 // The element audit: one pass over each finished element records the
 // four numbers every later question about the element's scale is a
-// reduction of — the stable time step (StableDt, ElementDt and the LTS
-// binning) and the points-per-wavelength resolution (PtsPerWavelength,
+// reduction of — the stable time step (StableDt and ElementDt) and the points-per-wavelength resolution (PtsPerWavelength,
 // ComputeResolutionStats and the mesher's per-layer tables). The meshers
 // run it on the rank that builds the region, in parallel with the other
 // ranks, so no consumer rescans the mesh.
@@ -183,18 +182,8 @@ func StableDt(locals []*Local, courant float64) float64 {
 // courant * (smallest GLL spacing of e) / (largest wave speed of e).
 // The region-wide StableDt is at or below the minimum of these; the
 // spread between an element's own dt and the global minimum is the
-// headroom local time stepping exploits.
+// headroom a coarse element leaves unused.
 func (r *Region) ElementDt(e int, courant float64) float64 {
 	a := &r.audited()[e]
 	return courant * a.MinSpacing / a.MaxVp
-}
-
-// ElementDts returns the per-element stable-dt audit of the region —
-// ElementDt for every element, the input of the LTS cluster binning.
-func (r *Region) ElementDts(courant float64) []float64 {
-	dts := make([]float64, r.NSpec)
-	for e, a := range r.audited() {
-		dts[e] = courant * a.MinSpacing / a.MaxVp
-	}
-	return dts
 }

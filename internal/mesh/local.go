@@ -427,22 +427,12 @@ func ComputeHaloStats(locals []*Local, plans []*HaloPlan) HaloStats {
 }
 
 // LoadStats summarizes element counts across ranks, the load-balance
-// measure the paper's mesh design work optimizes. The Cost fields are
-// the rate-weighted refinement (ComputeLoadStatsRated): under clustered
-// local time stepping a rank's work per finest-level step is
-// sum(1/rate) over its elements, not its element count, so an
-// element-balanced partition can still be cost-imbalanced when the
-// rate-1 elements concentrate on few ranks.
+// measure the paper's mesh design work optimizes.
 type LoadStats struct {
 	MinElems, MaxElems int
 	MeanElems          float64
 	// Imbalance is MaxElems / MeanElems; 1.0 is perfect balance.
 	Imbalance float64
-	// MinCost/MaxCost/MeanCost are per-rank sum(1/rate) statistics;
-	// zero unless computed by ComputeLoadStatsRated.
-	MinCost, MaxCost, MeanCost float64
-	// CostImbalance is MaxCost / MeanCost; 1.0 is perfect LTS balance.
-	CostImbalance float64
 }
 
 // ComputeLoadStats returns the element-count balance across ranks.
@@ -465,48 +455,6 @@ func ComputeLoadStats(locals []*Local) LoadStats {
 	s.MeanElems = float64(total) / float64(len(locals))
 	if s.MeanElems > 0 {
 		s.Imbalance = float64(s.MaxElems) / s.MeanElems
-	}
-	return s
-}
-
-// ComputeLoadStatsRated extends ComputeLoadStats with the rate-weighted
-// cost balance of clustered local time stepping: each element is binned
-// to its LTS rate by BuildClusters' rule (elementRates: the largest power
-// of two r <= maxRate with r*dt within the element's stable dt) and a
-// rank's cost is sum(1/rate) — its element updates per finest-level
-// step. With LTS off (maxRate <= 1) every rate is 1 and the cost
-// imbalance equals the element imbalance.
-func ComputeLoadStatsRated(locals []*Local, dt, courant float64, maxRate int) LoadStats {
-	s := ComputeLoadStats(locals)
-	if len(locals) == 0 {
-		return s
-	}
-	mr := normalizeRate(maxRate)
-	first := true
-	totalCost := 0.0
-	for _, l := range locals {
-		cost := 0.0
-		for kind := 0; kind < 3; kind++ {
-			reg := l.Regions[kind]
-			if reg == nil || reg.NSpec == 0 {
-				continue
-			}
-			for _, r := range elementRates(reg, dt, courant, mr) {
-				cost += 1 / float64(r)
-			}
-		}
-		totalCost += cost
-		if first || cost < s.MinCost {
-			s.MinCost = cost
-		}
-		if cost > s.MaxCost {
-			s.MaxCost = cost
-		}
-		first = false
-	}
-	s.MeanCost = totalCost / float64(len(locals))
-	if s.MeanCost > 0 {
-		s.CostImbalance = s.MaxCost / s.MeanCost
 	}
 	return s
 }

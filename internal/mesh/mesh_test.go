@@ -318,45 +318,6 @@ func TestComputeLoadStats(t *testing.T) {
 	}
 }
 
-// Rate-weighted cost balance: a rank whose single element bins to rate
-// 4 costs 1/4 of a rate-1 rank per finest step, so an element-balanced
-// two-rank partition shows CostImbalance max/mean = 1/0.625 = 1.6.
-func TestComputeLoadStatsRated(t *testing.T) {
-	mk := func(rank int, soften float64) *Local {
-		l := &Local{Rank: rank}
-		r := makeUnitRegion()
-		for p := range r.Kappa {
-			r.Kappa[p] = float32(float64(r.Kappa[p]) / soften)
-			r.Mu[p] = float32(float64(r.Mu[p]) / soften)
-		}
-		r.AuditElements()
-		l.Regions[0] = r
-		return l
-	}
-	fast := mk(0, 1)  // stiff: element dt = d0
-	slow := mk(1, 16) // velocity / 4: element dt = 4*d0 -> rate 4
-	d0 := fast.Regions[0].ElementDt(0, 0.5)
-	s := ComputeLoadStatsRated([]*Local{fast, slow}, d0, 0.5, 4)
-	if s.Imbalance != 1 {
-		t.Errorf("element imbalance %v, want 1 (one element per rank)", s.Imbalance)
-	}
-	if math.Abs(s.MinCost-0.25) > 1e-12 || math.Abs(s.MaxCost-1) > 1e-12 {
-		t.Errorf("cost min/max %v/%v, want 0.25/1", s.MinCost, s.MaxCost)
-	}
-	if math.Abs(s.CostImbalance-1.6) > 1e-12 {
-		t.Errorf("cost imbalance %v, want 1.6", s.CostImbalance)
-	}
-	// With LTS off (maxRate 1) every element costs 1: cost imbalance
-	// collapses to the element imbalance.
-	u := ComputeLoadStatsRated([]*Local{fast, slow}, d0, 0.5, 1)
-	if u.CostImbalance != u.Imbalance {
-		t.Errorf("maxRate 1: cost imbalance %v != element imbalance %v", u.CostImbalance, u.Imbalance)
-	}
-	if z := ComputeLoadStatsRated(nil, d0, 0.5, 4); z.MaxCost != 0 {
-		t.Error("empty rated stats")
-	}
-}
-
 // The unit region's audit has a closed form: nodes sit at the integers
 // 0..4, so every GLL interval and the mean spacing of every grid line
 // are 1, and the uniform material fixes both wave speeds.

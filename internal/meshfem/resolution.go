@@ -74,10 +74,9 @@ func (g *Globe) LayerResolutions(periodS float64) []LayerResolution {
 
 // LayerStableDt is the stability accounting of one radial layer: the
 // smallest per-element stable time step over the layer's elements on
-// every rank. The per-layer dt profile is what clustered local time
-// stepping converts into skipped updates — a layer whose MinDt is 2^k
-// times the governing (global minimum) dt can legally fire every
-// 2^k-th step.
+// every rank. The per-layer dt profile shows how far each layer's own
+// stable dt sits above the governing (global minimum) dt that every
+// element steps at.
 type LayerStableDt struct {
 	Region earthmodel.Region
 	// R0, R1 bound the layer radially in meters.

@@ -12,8 +12,7 @@ import (
 // resolution audit, its global minimum must equal the exhaustive
 // per-element audit (and sit at or above the conservative mesh-wide
 // StableDt), and on a doubled mesh the coarsened deep layers must show
-// real dt headroom over the governing layer — the spread clustered
-// local time stepping feeds on.
+// real dt headroom over the governing layer.
 func TestLayerStableDts(t *testing.T) {
 	const courant = 0.3
 	g, err := Build(Config{
@@ -68,6 +67,6 @@ func TestLayerStableDts(t *testing.T) {
 		t.Errorf("layer minimum %.9f below the conservative mesh-wide StableDt %.9f", minDt, global)
 	}
 	if maxDt < 2*minDt {
-		t.Errorf("doubled mesh shows no rate-2 dt headroom: spread %.3f..%.3f", minDt, maxDt)
+		t.Errorf("doubled mesh shows no 2x dt headroom: spread %.3f..%.3f", minDt, maxDt)
 	}
 }

@@ -208,9 +208,8 @@ type Report struct {
 	PageSkippedVisits map[string]int64
 	// SkippedPoints counts, per phase and summed over ranks and fields,
 	// the point visits of the predictor and the tails that found their
-	// page quiescent: a dead predictor piece is charged nothing (or its
-	// acceleration clear, under local time stepping), a dead tail piece
-	// its acceleration read, and neither any flops.
+	// page quiescent: a dead predictor piece is charged nothing, a dead
+	// tail piece its acceleration read, and neither any flops.
 	SkippedPoints map[string]int64
 	// SustainedFlops is TotalFlops / WallTime in flop/s.
 	SustainedFlops float64
@@ -245,17 +244,6 @@ func (r Report) WorkerUtilization() float64 {
 		busy += b
 	}
 	return float64(busy) / (float64(r.Workers) * float64(r.WallTime))
-}
-
-// StepsOfFinestPerSec returns the throughput metric that makes local-
-// time-stepping and single-rate runs comparable: global time steps
-// (each one step of the finest LTS level, since the global dt is the
-// finest cluster's dt) divided by wall time.
-func StepsOfFinestPerSec(steps int, wall time.Duration) float64 {
-	if wall <= 0 {
-		return 0
-	}
-	return float64(steps) / wall.Seconds()
 }
 
 // SourceStepsPerSec is the throughput metric of ensemble (multi-source)
@@ -573,10 +561,9 @@ type ByteCounts struct {
 	SolidGather int64
 	FluidGather int64
 
-	// SolidDeadPoint and FluidDeadPoint are a point pass's traffic at a
-	// point of a quiescent page: the acceleration's one stream — the
-	// tail's read of the final value it tests, or, under local time
-	// stepping, the predictor's clear of the slot.
+	// SolidDeadPoint and FluidDeadPoint are a tail's traffic at a point
+	// of a quiescent page: the one read of the final acceleration it
+	// tests. A predictor costs nothing there.
 	SolidDeadPoint int64
 	FluidDeadPoint int64
 

@@ -11,9 +11,10 @@
 //   - Submit validates a JobSpec and enqueues it under its CompatKey —
 //     the tuple of everything two jobs must share to ride one ensemble
 //     (model, mesh resolution, doubling schedule, step count, dt,
-//     record cadence, physics switches, kernel, LTS). Anything else
+//     record cadence, physics switches, kernel). Anything else
 //     (event mechanism/position, station list, name) is per-wavefield
-//     state and may differ freely within a batch.
+//     state and may differ freely within a batch. The wire decoder
+//     ignores a key it does not know, the retired "lts" among them.
 //   - The batcher dispatches a key's queue when MaxBatch jobs are
 //     waiting or the oldest has waited Window (measured on the injected
 //     Clock, never the wall clock directly, so replay under a fake

@@ -156,18 +156,14 @@ func sameSeismos(t *testing.T, tag string, want, got map[string]*solver.Seismogr
 // TestServiceDeterminism is the tentpole harness: a shuffled mix of
 // compatible and incompatible jobs through an in-process daemon, every
 // streamed seismogram bit-identical to its direct single-source
-// core.Run, across batch grouping boundaries, LTS on/off and Workers
-// in {1, 4}.
+// core.Run, across batch grouping boundaries and Workers in {1, 4}.
 func TestServiceDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		lts     bool
 		workers int
 	}{
-		{"w1", false, 1},
-		{"w4", false, 4},
-		{"lts-w1", true, 1},
-		{"lts-w4", true, 4},
+		{"w1", 1},
+		{"w4", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Five jobs, shuffled: three share a key (two fill a batch,
@@ -178,9 +174,6 @@ func TestServiceDeterminism(t *testing.T) {
 			b.Steps = 14
 			c := baseSpec("c", -3)
 			c.Kernel = "scalar"
-			for _, sp := range []*JobSpec{&a1, &a2, &a3, &b, &c} {
-				sp.LTS = tc.lts
-			}
 			shuffled := []JobSpec{a2, b, a1, c, a3}
 
 			sink := newMemSink()
@@ -324,9 +317,10 @@ func TestSubmitTypedErrors(t *testing.T) {
 	}
 }
 
-// A non-finite event field, a non-finite explicit station coordinate
-// and a latitude beyond ±90° are refused at submit with CodeBadRequest:
-// no job is created for them.
+// A non-finite event field, a non-finite explicit station coordinate,
+// a latitude beyond ±90° and a negative nproc, record_every or half
+// duration (each used to run as its default) are refused at submit with
+// CodeBadRequest: no job is created for them.
 func TestSubmitRefusesNonFiniteInputs(t *testing.T) {
 	sink := newMemSink()
 	d := New(Config{MaxBatch: 2, Window: time.Millisecond, Workers: 1})
@@ -344,6 +338,9 @@ func TestSubmitRefusesNonFiniteInputs(t *testing.T) {
 		"dt NaN":             func(s *JobSpec) { s.Dt = nan },
 		"dt +Inf":            func(s *JobSpec) { s.Dt = inf },
 		"doubling NaN":       func(s *JobSpec) { s.Doublings = []float64{nan} },
+		"nproc -1":           func(s *JobSpec) { s.NProcXi = -1 },
+		"record_every -2":    func(s *JobSpec) { s.RecordEvery = -2 },
+		"event half dur -5":  func(s *JobSpec) { s.Event.HalfDurationSec = -5 },
 		"station lat 95": func(s *JobSpec) {
 			lat := 95.0
 			s.Stations[1].LatDeg = &lat

@@ -43,8 +43,6 @@ type JobSpec struct {
 	// where the host has it, the same bits from Go elsewhere) or
 	// "scalar"; any other name is a bad request.
 	Kernel string `json:"kernel,omitempty"`
-	// LTS enables clustered local time stepping.
-	LTS bool `json:"lts,omitempty"`
 	// Event is the source (required).
 	Event *EventSpec `json:"event"`
 	// Stations to record (required, at least one).
@@ -92,7 +90,6 @@ type CompatKey struct {
 	Gravity     bool
 	OceanLoad   bool
 	Kernel      solver.Kernel
-	LTS         bool
 }
 
 // String renders the key compactly for logs and wire status.
@@ -111,7 +108,7 @@ func (k CompatKey) String() string {
 	for _, sw := range []struct {
 		on   bool
 		name string
-	}{{k.Attenuation, "att"}, {k.Rotation, "rot"}, {k.Gravity, "grav"}, {k.OceanLoad, "ocean"}, {k.LTS, "lts"}} {
+	}{{k.Attenuation, "att"}, {k.Rotation, "rot"}, {k.Gravity, "grav"}, {k.OceanLoad, "ocean"}} {
 		if sw.on {
 			b.WriteString("/" + sw.name)
 		}
@@ -144,12 +141,12 @@ func resolveSpec(spec JobSpec) (*resolvedJob, error) {
 	if spec.NexXi <= 0 {
 		return nil, Errf(CodeBadRequest, "job %q: nex must be positive", spec.Name)
 	}
-	if spec.NProcXi <= 0 {
-		spec.NProcXi = 1
+	if spec.NProcXi < 0 || spec.RecordEvery < 0 {
+		return nil, Errf(CodeBadRequest, "job %q: nproc and record_every must not be negative (got %d, %d; 0 selects 1)",
+			spec.Name, spec.NProcXi, spec.RecordEvery)
 	}
-	if spec.RecordEvery <= 0 {
-		spec.RecordEvery = 1
-	}
+	spec.NProcXi = max(spec.NProcXi, 1)
+	spec.RecordEvery = max(spec.RecordEvery, 1)
 	if spec.Event == nil {
 		return nil, Errf(CodeBadRequest, "job %q: event is required", spec.Name)
 	}
@@ -201,7 +198,6 @@ func resolveSpec(spec JobSpec) (*resolvedJob, error) {
 			Gravity:     spec.Gravity,
 			OceanLoad:   spec.OceanLoad,
 			Kernel:      kern,
-			LTS:         spec.LTS,
 		},
 		event:    event,
 		stations: sts,
@@ -294,7 +290,6 @@ func configFor(key CompatKey, spec JobSpec, workers int) (core.Config, error) {
 		OceanLoad:         key.OceanLoad,
 		Kernel:            key.Kernel,
 		Workers:           workers,
-		LTS:               key.LTS,
 		RecordEvery:       key.RecordEvery,
 		CombinedSolidHalo: true,
 	}, nil

@@ -46,54 +46,51 @@ func batchGlobeSources(t testing.TB, g *meshfem.Globe, n int) ([]Source, []Recei
 // bit-identical to its own single-source run — batching changes WHEN
 // each field's arithmetic happens (all fields per element sweep, all
 // fields per halo message), never WHAT it computes. The matrix runs on
-// the coupled multi-rate doubled globe (solid + fluid + CMB/ICB
-// coupling + cross-rank halos) across Workers {1,4} x LTS on/off.
+// the coupled doubled globe (solid + fluid + CMB/ICB coupling +
+// cross-rank halos) at Workers 1 and 4.
 func TestBatchedBitIdenticalToSingleSource(t *testing.T) {
-	g, model := ltsGlobe(t)
+	g, model := doubledGlobe(t)
 	const nsrc = 2
 	const steps = 24
 	srcs, recvs := batchGlobeSources(t, g, nsrc)
 
-	for _, lts := range []bool{false, true} {
-		for _, workers := range []int{1, 4} {
-			name := schedule + map[bool]string{false: "", true: "/lts"}[lts] +
-				map[int]string{1: "/w1", 4: "/w4"}[workers]
-			t.Run(name, func(t *testing.T) {
-				opts := Options{Steps: steps, Workers: workers, LTS: lts}
-				batched, err := Run(&Simulation{
+	for _, workers := range []int{1, 4} {
+		name := schedule + map[int]string{1: "/w1", 4: "/w4"}[workers]
+		t.Run(name, func(t *testing.T) {
+			opts := Options{Steps: steps, Workers: workers}
+			batched, err := Run(&Simulation{
+				Locals: g.Locals, Plans: g.Plans, Model: model,
+				Sources: srcs, Receivers: recvs, Opts: opts,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batched.NumFields != nsrc || len(batched.BySource) != nsrc {
+				t.Fatalf("NumFields=%d BySource=%d, want %d", batched.NumFields, len(batched.BySource), nsrc)
+			}
+			for i := 0; i < nsrc; i++ {
+				single := srcs[i]
+				single.Field = 0
+				res, err := Run(&Simulation{
 					Locals: g.Locals, Plans: g.Plans, Model: model,
-					Sources: srcs, Receivers: recvs, Opts: opts,
+					Sources: []Source{single}, Receivers: recvs, Opts: opts,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if batched.NumFields != nsrc || len(batched.BySource) != nsrc {
-					t.Fatalf("NumFields=%d BySource=%d, want %d", batched.NumFields, len(batched.BySource), nsrc)
-				}
-				for i := 0; i < nsrc; i++ {
-					single := srcs[i]
-					single.Field = 0
-					res, err := Run(&Simulation{
-						Locals: g.Locals, Plans: g.Plans, Model: model,
-						Sources: []Source{single}, Receivers: recvs, Opts: opts,
-					})
-					if err != nil {
-						t.Fatal(err)
+				for _, r := range recvs {
+					got := batched.BySource[i][r.Name]
+					want := res.Seismograms[r.Name]
+					if got == nil || want == nil {
+						t.Fatalf("source %d station %s missing", i, r.Name)
 					}
-					for _, r := range recvs {
-						got := batched.BySource[i][r.Name]
-						want := res.Seismograms[r.Name]
-						if got == nil || want == nil {
-							t.Fatalf("source %d station %s missing", i, r.Name)
-						}
-						if got.Field != i {
-							t.Errorf("source %d station %s: Field = %d", i, r.Name, got.Field)
-						}
-						identical(t, name+"/src"+string(rune('0'+i))+"/"+r.Name, want, got)
+					if got.Field != i {
+						t.Errorf("source %d station %s: Field = %d", i, r.Name, got.Field)
 					}
+					identical(t, name+"/src"+string(rune('0'+i))+"/"+r.Name, want, got)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

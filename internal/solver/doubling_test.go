@@ -7,12 +7,10 @@ import (
 	"specglobe/internal/meshfem"
 )
 
-// The solver runs unchanged physics on a depth-doubled globe: the mesh
-// carries per-layer element counts and the 6-element doubling templates,
-// but the force kernels, coloring, overlap split and halo assembly see
-// only Locals/Plans. Seismograms must be bit-identical across worker
-// counts — the same determinism guarantee the uniform mesh has.
-func TestDoubledGlobeWorkersBitIdentical(t *testing.T) {
+// doubledGlobe builds the depth-doubled homogeneous globe: NEX 8 with
+// doubling layers at 5200 and 3000 km, one rank.
+func doubledGlobe(t testing.TB) (*meshfem.Globe, earthmodel.Model) {
+	t.Helper()
 	model := earthmodel.NewHomogeneous(6371e3, earthmodel.Material{
 		Rho: 5000, Vp: 10000, Vs: 5500, Qmu: 300, Qkappa: 57823,
 	})
@@ -25,6 +23,16 @@ func TestDoubledGlobeWorkersBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g, model
+}
+
+// The solver runs unchanged physics on a depth-doubled globe: the mesh
+// carries per-layer element counts and the 6-element doubling templates,
+// but the force kernels, coloring, overlap split and halo assembly see
+// only Locals/Plans. Seismograms must be bit-identical across worker
+// counts — the same determinism guarantee the uniform mesh has.
+func TestDoubledGlobeWorkersBitIdentical(t *testing.T) {
+	g, model := doubledGlobe(t)
 	srcLoc, err := g.LocateLatLonDepth(0, 0, 100e3)
 	if err != nil {
 		t.Fatal(err)

@@ -16,9 +16,8 @@ import "math"
 // fluid tail passes and the ocean load — so every corrector (the
 // tails', the ocean loop's for the surface points) adds zero or a value
 // of at least dt/2 * 2^-80 to the
-// velocity, which therefore stays on a grid of normal numbers, and the
-// LTS held accelerations copy flushed values. The sampled source-time
-// function is flushed too. The attenuation memory variables need no
+// velocity, which therefore stays on a grid of normal numbers. The
+// sampled source-time function is flushed too. The attenuation memory variables need no
 // flush of their own (they are driven by the strain of a flushed
 // displacement); the
 // end-of-run census (rankState.stateCensus) counts them with the rest,

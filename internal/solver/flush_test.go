@@ -80,47 +80,41 @@ func premDoubledGlobe(t testing.TB) (*meshfem.Globe, earthmodel.Model) {
 // The wavefront's leading edge decays through the whole float32 range,
 // so without the flush a doubled-globe run holds tens of thousands of
 // subnormal field values from step ~7 on (and runs 3-8x slower per
-// step while it does). Every integrator path — worker counts, the LTS
-// wheel with its holds, batched ensembles — must leave none, and must
-// not have flushed the physical signal away with them.
+// step while it does). Every integrator path — worker counts, batched
+// ensembles — must leave none, and must not have flushed the physical
+// signal away with them.
 func TestNoSubnormalState(t *testing.T) {
 	g, model := premDoubledGlobe(t)
 	for _, workers := range []int{1, 2} {
-		for _, lts := range []bool{false, true} {
-			for _, fields := range []int{1, 3} {
-				name := fmt.Sprintf("w%d/lts=%v/s%d", workers, lts, fields)
-				t.Run(name, func(t *testing.T) {
-					// Station B sits 6 degrees from source 0.
-					srcs, recvs := batchGlobeSources(t, g, fields)
-					res, err := Run(&Simulation{
-						Locals: g.Locals, Plans: g.Plans, Model: model,
-						Sources: srcs, Receivers: recvs,
-						Opts: Options{
-							Steps: 40, Workers: workers, LTS: lts, CombinedSolidHalo: true,
-							Attenuation: true, Rotation: true, Gravity: true, OceanLoad: true,
-						},
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if lts && len(res.LTS.ElemsByRate) < 2 {
-						t.Fatalf("clustering is single-rate (%v): the holds are not exercised", res.LTS.ElemsByRate)
-					}
-					if res.Subnormals != 0 {
-						t.Errorf("%d subnormal values left in the persistent state", res.Subnormals)
-					}
-					near := res.BySource[0]["B"]
-					peak := maxAbs(near.X) + maxAbs(near.Y) + maxAbs(near.Z)
-					if !(peak > 1e-12) {
-						t.Errorf("near-source station peaks at %g m: the flush ate the signal", peak)
-					}
-					// peak sums three components; the field maximum
-					// bounds each of them.
-					if !(res.MaxDisplacement > peak/3) {
-						t.Errorf("MaxDisplacement %g below the station peak %g", res.MaxDisplacement, peak)
-					}
+		for _, fields := range []int{1, 3} {
+			t.Run(fmt.Sprintf("w%d/s%d", workers, fields), func(t *testing.T) {
+				// Station B sits 6 degrees from source 0.
+				srcs, recvs := batchGlobeSources(t, g, fields)
+				res, err := Run(&Simulation{
+					Locals: g.Locals, Plans: g.Plans, Model: model,
+					Sources: srcs, Receivers: recvs,
+					Opts: Options{
+						Steps: 40, Workers: workers, CombinedSolidHalo: true,
+						Attenuation: true, Rotation: true, Gravity: true, OceanLoad: true,
+					},
 				})
-			}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Subnormals != 0 {
+					t.Errorf("%d subnormal values left in the persistent state", res.Subnormals)
+				}
+				near := res.BySource[0]["B"]
+				peak := maxAbs(near.X) + maxAbs(near.Y) + maxAbs(near.Z)
+				if !(peak > 1e-12) {
+					t.Errorf("near-source station peaks at %g m: the flush ate the signal", peak)
+				}
+				// peak sums three components; the field maximum bounds
+				// each of them.
+				if !(res.MaxDisplacement > peak/3) {
+					t.Errorf("MaxDisplacement %g below the station peak %g", res.MaxDisplacement, peak)
+				}
+			})
 		}
 	}
 }

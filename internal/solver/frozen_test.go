@@ -123,7 +123,7 @@ func TestFrozenSeismogramBits(t *testing.T) {
 		case "prem":
 			b.g, b.model = premDoubledGlobe(t)
 		default:
-			b.g, b.model = ltsGlobe(t)
+			b.g, b.model = doubledGlobe(t)
 		}
 		meshes[name] = b
 		return b

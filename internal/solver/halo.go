@@ -10,10 +10,9 @@ import (
 )
 
 // The halo exchange. Every cross-rank assembly — the fluid potential,
-// the solid accelerations (per region or combined), the one-time mass
-// matrices and the LTS point-rate reconciliation — is one call of
-// beginExchange over a route precomputed at setup. The step loop builds
-// no maps, sorts nothing and resolves no masks.
+// the solid accelerations (per region or combined) and the one-time mass
+// matrices — is one call of beginExchange over a route precomputed at
+// setup. The step loop builds no maps and sorts nothing.
 //
 // Wire layout of one message, outermost to innermost: wavefield, region
 // part, shared point, component — each point's components as adjacent in
@@ -38,17 +37,17 @@ var haloSetKinds = [nHaloSets][]int{
 
 // routePeer is one neighbor of a route: parts[k] lists the local point
 // indices region k of the set contributes, in the key-sorted order both
-// ends share (empty when the region has no edge to this peer or nothing
-// fires); n is their total.
+// ends share (HaloEdge.Idx itself; empty when the region has no edge to
+// this peer); n is their total.
 type routePeer struct {
 	peer  int
 	parts [][]int32
 	n     int
 }
 
-// haloRoute is the resolved exchange of one halo set at one wheel level
-// (levelPlan.routes): the peers in ascending rank order, peers with
-// nothing to exchange dropped (both ends agree, so neither sends).
+// haloRoute is the resolved exchange of one halo set (rankState.routes):
+// the peers in ascending rank order, peers with nothing to exchange
+// dropped (both ends agree, so neither sends).
 type haloRoute []routePeer
 
 // haloSet is one region combination's exchange state: the arrays the
@@ -58,15 +57,14 @@ type haloSet struct {
 	arr [][][]float32 // arr[part][field], nc values per point; nil part = region absent
 }
 
-// buildRoute resolves one halo set against per-region edge point lists:
-// idx[kind][edge] is the list that edge contributes (HaloEdge.Idx itself
-// when unmasked).
-func (rs *rankState) buildRoute(set int, idx *[3][][]int32) haloRoute {
+// buildRoute resolves one halo set's route over every shared point of
+// the rank's halo plan.
+func (rs *rankState) buildRoute(set int) haloRoute {
 	kinds := haloSetKinds[set]
 	var peers []routePeer
 	for k, kind := range kinds {
-		for i := range rs.plan.Edges[kind] {
-			peer := rs.plan.Edges[kind][i].Peer
+		for _, e := range rs.plan.Edges[kind] {
+			peer := e.Peer
 			at := 0
 			for at < len(peers) && peers[at].peer != peer {
 				at++
@@ -74,8 +72,8 @@ func (rs *rankState) buildRoute(set int, idx *[3][][]int32) haloRoute {
 			if at == len(peers) {
 				peers = append(peers, routePeer{peer: peer, parts: make([][]int32, len(kinds))})
 			}
-			peers[at].parts[k] = idx[kind][i]
-			peers[at].n += len(idx[kind][i])
+			peers[at].parts[k] = e.Idx
+			peers[at].n += len(e.Idx)
 		}
 	}
 	sort.Slice(peers, func(i, j int) bool { return peers[i].peer < peers[j].peer })
@@ -121,33 +119,6 @@ func (rs *rankState) buildHaloSets() {
 			h.arr = append(h.arr, accel[kind])
 		}
 	}
-}
-
-// levelRoutes resolves every halo set's route over the shared points
-// whose rate is at most rate (both ends agree once the rates are
-// reconciled). A nil pointRate yields the unmasked routes, whose lists
-// are the plan's HaloEdge.Idx themselves.
-func (rs *rankState) levelRoutes(pointRate *[3][]int32, rate int32) (routes [nHaloSets]haloRoute) {
-	var idx [3][][]int32
-	for kind := range idx {
-		for _, e := range rs.plan.Edges[kind] {
-			pts := e.Idx
-			if pointRate != nil {
-				pts = upToRate(pts, pointRate[kind], rate)
-			}
-			idx[kind] = append(idx[kind], pts)
-		}
-	}
-	for set := range routes {
-		routes[set] = rs.buildRoute(set, &idx)
-	}
-	return routes
-}
-
-// fullRoute returns the set's unmasked route, the top level's — the
-// one-time setup exchanges assemble every shared point.
-func (rs *rankState) fullRoute(set int) haloRoute {
-	return rs.levels[len(rs.levels)-1].routes[set]
 }
 
 // nextTag returns a unique message tag for the next halo exchange. All

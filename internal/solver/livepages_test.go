@@ -25,9 +25,8 @@ func onEveryStep(t *testing.T, fn func(rs *rankState, step int)) {
 type pageStats struct{ deadPts, livePages, deadPages int }
 
 // checkPages asserts the page invariant on one field after a step and
-// returns its counts: every point of a dead page has +0 d, v and held —
-// and, in a field without held, +0 acceleration — so every non-zero
-// value sits on a live page; anyLive is set exactly when a page is live;
+// returns its counts: every point of a dead page has +0 d, v and
+// acceleration, so every non-zero value sits on a live page; anyLive is set exactly when a page is live;
 // and every woken element has a live page in its point range.
 func checkPages(pm *pageMarks, reg *mesh.Region, woke []bool, arrs map[string][]float32, width int) (pageStats, error) {
 	var st pageStats
@@ -72,12 +71,7 @@ func rankPages(rs *rankState) (solid, fluid pageStats, byField []pageStats, err 
 	}
 	for kind, fs := range rs.solid {
 		for s, f := range fs {
-			arrs := map[string][]float32{"d": flat(f.d), "v": flat(f.v)}
-			if f.held != nil {
-				arrs["held"] = flat(f.held)
-			} else {
-				arrs["a"] = flat(f.a)
-			}
+			arrs := map[string][]float32{"d": flat(f.d), "v": flat(f.v), "a": flat(f.a)}
 			var woke []bool
 			if f.att != nil {
 				woke = f.att.woke
@@ -90,12 +84,7 @@ func rankPages(rs *rankState) (solid, fluid pageStats, byField []pageStats, err 
 		}
 	}
 	for s, fl := range rs.fluid {
-		arrs := map[string][]float32{"chi": fl.chi, "chiDot": fl.chiDot}
-		if fl.held != nil {
-			arrs["held"] = fl.held
-		} else {
-			arrs["chiDdot"] = fl.chiDdot
-		}
+		arrs := map[string][]float32{"chi": fl.chi, "chiDot": fl.chiDot, "chiDdot": fl.chiDdot}
 		st, e := checkPages(fl.pages, fl.reg, nil, arrs, 1)
 		if e != nil {
 			return solid, fluid, nil, fmt.Errorf("rank %d fluid field %d: %w", rs.rank, s, e)
@@ -106,14 +95,12 @@ func rankPages(rs *rankState) (solid, fluid pageStats, byField []pageStats, err 
 }
 
 // The page marks' invariant, after every step of every rank: a dead
-// page holds +0 alone (d, v, held, and the acceleration outside LTS),
-// so the passes that skip it skip nothing but +0 arithmetic; and the
-// marks move no bit — every seismogram equals, bit for bit, that of the
-// same run with the marks dropped after the first step (every page
-// live, every pass run). Checked on the full-physics doubled PREM globe
-// (fluid core, attenuation, rotation, gravity, ocean load) with and
-// without LTS, on the uniform rate-2 box of TestLTSUniformRate2Box, and
-// on a 3-field ensemble whose field 1 has a zero moment: that field
+// page holds +0 alone (d, v and the acceleration), so the passes that
+// skip it skip nothing but +0 arithmetic; and the marks move no bit —
+// every seismogram equals, bit for bit, that of the same run with the
+// marks dropped after the first step (every page live, every pass run).
+// Checked on the full-physics doubled PREM globe (fluid core,
+// attenuation, rotation, gravity, ocean load) and on a 3-field ensemble whose field 1 has a zero moment: that field
 // keeps every page dead on every step and does no point work at all —
 // the ensemble's skipped point visits are the solo runs' of fields 0
 // and 2 plus every one of field 1's.
@@ -165,28 +152,12 @@ func TestLivePagesInvariant(t *testing.T) {
 		return res
 	}
 	g, model := premDoubledGlobe(t)
-	for _, lts := range []bool{false, true} {
-		t.Run(fmt.Sprintf("prem-doubled/lts=%v", lts), func(t *testing.T) {
-			srcs, recvs := batchGlobeSources(t, g, 1)
-			res := check(t, &Simulation{
-				Locals: g.Locals, Plans: g.Plans, Model: model, Sources: srcs, Receivers: recvs,
-				Opts: Options{Steps: 16, Workers: 2, LTS: lts,
-					Attenuation: true, Rotation: true, Gravity: true, OceanLoad: true},
-			})
-			if lts && len(res.LTS.ElemsByRate) < 2 {
-				t.Fatalf("clustering is single-rate (%v): the holds are not exercised", res.LTS.ElemsByRate)
-			}
-		})
-	}
-	t.Run("lts-rate2-box", func(t *testing.T) {
-		const L = 40e3
-		b := buildBox(t, 4, 2, L)
-		dt := b.Locals[0].Regions[earthmodel.RegionCrustMantle].StableDt(0.3) / 2.1
+	t.Run("prem-doubled", func(t *testing.T) {
+		srcs, recvs := batchGlobeSources(t, g, 1)
 		check(t, &Simulation{
-			Locals: b.Locals, Plans: b.Plans,
-			Sources:   []Source{boxSource(t, b, L/2+1e3, L/2, L/2, 1e17, 1.0)},
-			Receivers: []Receiver{boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2, false)},
-			Opts:      Options{Steps: 4, Dt: dt, Workers: 2, LTS: true},
+			Locals: g.Locals, Plans: g.Plans, Model: model, Sources: srcs, Receivers: recvs,
+			Opts: Options{Steps: 16, Workers: 2,
+				Attenuation: true, Rotation: true, Gravity: true, OceanLoad: true},
 		})
 	})
 	t.Run("ensemble-zero-field", func(t *testing.T) {
@@ -240,7 +211,7 @@ func TestLivePagesInvariant(t *testing.T) {
 // point passes find on dead pages, solid [0] and fluid [1]: the
 // predictor of step k finds the pages dead that were dead after step
 // k−1 (every page before step 0), the tails those still dead after step
-// k. Exact without LTS, where every point fires every step.
+// k.
 type deadTrace struct {
 	mu         sync.Mutex
 	prev       map[int][2]int64
@@ -297,70 +268,60 @@ func TestNaNStateIsAnError(t *testing.T) {
 	}
 }
 
-// The passes on one span of three pages — dead, dead, live — with and
-// without held: the predictor leaves the dead pages' d and v at +0 and,
-// under held, clears their acceleration slots, where a dormant point
-// collects its firing neighbours' scatter; without held it leaves them
-// as they are. The tail passes a dead page whose final acceleration is
-// all +0 by, and marks live, and runs, a dead page that holds a −0 or a
-// NaN.
+// The passes on three pages — dead, dead, live: the predictor leaves
+// the dead pages as they are, even an acceleration slot it would clear
+// on a live page. The tail passes a dead page whose final acceleration
+// is all +0 by, and marks live, and runs, a dead page that holds a −0 or
+// a NaN.
 func TestDeadPiecePasses(t *testing.T) {
-	const n, live = 3 * livePage, 2 * livePage
-	all := span{i: 0, n: n, dt: 0.25}
-	newField := func(held bool) *solidField {
+	const n, live, dt = 3 * livePage, 2 * livePage, 0.25
+	newField := func() *solidField {
 		f := &solidField{reg: &mesh.Region{NGlob: n}, pages: newPageMarks(n),
 			d: make([][3]float32, n), v: make([][3]float32, n), a: make([][3]float32, n),
 			massInv: make([]float32, n), ocean: make([]bool, n)}
-		if held {
-			f.held = make([][3]float32, n)
-		}
 		for i := range f.massInv {
 			f.massInv[i] = 0.5
 		}
 		f.pages.wake(2)
 		for i := live; i < n; i++ {
 			f.v[i], f.a[i] = [3]float32{1, 2, 3}, [3]float32{4, 5, 6}
-			if held {
-				f.held[i] = f.a[i]
-			}
 		}
 		return f
 	}
 	zero := func(v [3]float32) bool { return zeroBits(v[:]) }
 	garbage := [3]float32{7, 8, 9}
-	for _, held := range []bool{false, true} {
-		f := newField(held)
-		f.a[3] = garbage
-		if dead := f.predict(all); dead != live {
-			t.Errorf("held=%v: predictor found %d dead points, want %d", held, dead, live)
-		}
-		for i := 0; i < live; i++ {
-			if !zero(f.d[i]) || !zero(f.v[i]) {
-				t.Fatalf("held=%v: the predictor moved dead point %d: d %v, v %v", held, i, f.d[i], f.v[i])
-			}
-		}
-		if want := map[bool][3]float32{false: garbage, true: {}}[held]; f.a[3] != want {
-			t.Errorf("held=%v: dead slot a[3] = %v after the predictor, want %v", held, f.a[3], want)
-		}
-		if zero(f.d[live]) || !zero(f.a[live]) {
-			t.Errorf("held=%v: the live page did not run: d %v, a %v", held, f.d[live], f.a[live])
-		}
-
-		f.a[3] = [3]float32{}
-		f.a[livePage+5][1] = float32(math.Copysign(0, -1))
-		if dead := f.tail(all, 0); dead != livePage {
-			t.Errorf("held=%v: tail found %d dead points, want %d", held, dead, livePage)
-		}
-		if f.pages.isLive(0) || !f.pages.isLive(1) || !f.pages.anyLive.Load() {
-			t.Errorf("held=%v: after the tail pages 0, 1 live = %v, %v; want false, true", held, f.pages.isLive(0), f.pages.isLive(1))
-		}
-		if !zero(f.a[livePage+5]) {
-			t.Errorf("held=%v: the woken page's −0 was not flushed to +0: %v", held, f.a[livePage+5])
+	f := newField()
+	f.a[3] = garbage
+	if dead := f.predict(0, n, dt); dead != live {
+		t.Errorf("predictor found %d dead points, want %d", dead, live)
+	}
+	for i := 0; i < live; i++ {
+		if !zero(f.d[i]) || !zero(f.v[i]) {
+			t.Fatalf("the predictor moved dead point %d: d %v, v %v", i, f.d[i], f.v[i])
 		}
 	}
-	f := newField(false)
+	if f.a[3] != garbage {
+		t.Errorf("dead slot a[3] = %v after the predictor, want %v", f.a[3], garbage)
+	}
+	if zero(f.d[live]) || !zero(f.a[live]) {
+		t.Errorf("the live page did not run: d %v, a %v", f.d[live], f.a[live])
+	}
+
+	f.a[3] = [3]float32{}
+	f.a[livePage+5][1] = float32(math.Copysign(0, -1))
+	if dead := f.tail(0, n, dt, 0); dead != livePage {
+		t.Errorf("tail found %d dead points, want %d", dead, livePage)
+	}
+	if f.pages.isLive(0) || !f.pages.isLive(1) || !f.pages.anyLive.Load() {
+		t.Errorf("after the tail pages 0, 1 live = %v, %v; want false, true", f.pages.isLive(0), f.pages.isLive(1))
+	}
+	if !zero(f.a[livePage+5]) {
+		t.Errorf("the woken page's −0 was not flushed to +0: %v", f.a[livePage+5])
+	}
+
+	f = newField()
 	f.a[7][2] = float32(math.NaN())
-	f.tail(all, 0)
+	f.tail(0, n, dt, 0)
 	if !f.pages.isLive(0) || !math.IsNaN(float64(f.a[7][2])) {
 		t.Errorf("a NaN acceleration left its page dead (%v) or was changed (%g)", !f.pages.isLive(0), f.a[7][2])
 	}

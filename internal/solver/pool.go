@@ -192,20 +192,13 @@ func (p *pool) sweepElems(rankKS *kernelScratch, elems []int32, busyNanos *int64
 	})
 }
 
-// sweepSpans runs fn over chunks of a span list of n points. A chunk
-// holds at least minPointChunk points on average, so a list of one long
-// run chunks [0,n) into minPointChunk-sized pieces or more (its spans
-// are at most minPointChunk long) and a small list of many short runs
-// under LTS runs inline. Spans are disjoint, and every
-// point is written independently, so any chunking is bit-exact.
-func (p *pool) sweepSpans(rankKS *kernelScratch, spans []span, n int, busyNanos *int64,
-	fn func(spans []span)) {
-
-	minChunk := 1
-	if n > 0 {
-		minChunk = max(1, minPointChunk*len(spans)/n)
-	}
-	p.sweep(rankKS, len(spans), minChunk, busyNanos, func(_ *kernelScratch, lo, hi int) {
-		fn(spans[lo:hi])
+// sweepSpans runs fn over the points [0, n) in chunks of whole spans of
+// minPointChunk points (the last span shorter), so every chunk starts
+// on a page boundary. Every point is written independently, so any
+// chunking is bit-exact.
+func (p *pool) sweepSpans(rankKS *kernelScratch, n int, busyNanos *int64, fn func(lo, hi int)) {
+	spans := (n + minPointChunk - 1) / minPointChunk
+	p.sweep(rankKS, spans, 1, busyNanos, func(_ *kernelScratch, lo, hi int) {
+		fn(lo*minPointChunk, min(hi*minPointChunk, n))
 	})
 }

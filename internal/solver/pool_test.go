@@ -36,33 +36,27 @@ func TestSweepElemsCoversExactlyOnce(t *testing.T) {
 	}
 }
 
-// A list of many short spans — the shape of a level's spans under LTS —
-// must cover every point of the list exactly once and leave every other
-// point alone.
+// A point sweep must cover every point of [0, n) exactly once, in
+// chunks that start on a page boundary (so the passes' page walks see
+// whole pages), at any length.
 func TestSweepSpansCoversExactlyOnce(t *testing.T) {
 	p := newPool(3)
 	defer p.close()
-	const nglob = 30000
-	var spans []span
-	for i := int32(0); i < nglob; i += 6 {
-		spans = append(spans, span{i: i, n: 3, dt: 1})
-	}
-	counts := make([]int32, nglob)
-	var busy int64
-	p.sweepSpans(new(kernelScratch), spans, 3*len(spans), &busy, func(spans []span) {
-		for _, s := range spans {
-			for k := int32(0); k < s.n; k++ {
-				atomic.AddInt32(&counts[s.i+k], 1)
+	for _, n := range []int{0, 100, minPointChunk, 30000, 30001} {
+		counts := make([]int32, n)
+		var busy int64
+		p.sweepSpans(new(kernelScratch), n, &busy, func(lo, hi int) {
+			if lo%livePage != 0 {
+				t.Errorf("n %d: chunk [%d, %d) starts inside a page", n, lo, hi)
 			}
-		}
-	})
-	for i, c := range counts {
-		want := int32(0)
-		if i%6 < 3 {
-			want = 1
-		}
-		if c != want {
-			t.Fatalf("point %d visited %d times, want %d", i, c, want)
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&counts[i], 1)
+			}
+		})
+		for i, c := range counts {
+			if c != 1 {
+				t.Fatalf("n %d: point %d visited %d times, want 1", n, i, c)
+			}
 		}
 	}
 }

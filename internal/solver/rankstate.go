@@ -27,10 +27,6 @@ type solidField struct {
 	// gravity tables per global point (nil when gravity is off)
 	gOverR, dgdr []float32
 	rhat         [][3]float32
-	// held is each point's acceleration at its last firing, kept when
-	// local time stepping holds some point of the region dormant (nil
-	// otherwise; lts.go).
-	held [][3]float32
 	// pages are the field's liveness marks (nil: every page counts as
 	// live).
 	pages *pageMarks
@@ -42,7 +38,6 @@ type fluidField struct {
 	reg                  *mesh.Region
 	chi, chiDot, chiDdot []float32
 	massInv              []float32  // shared across fields
-	held                 []float32  // as solidField.held, for chiDdot
 	pages                *pageMarks // as solidField.pages
 }
 
@@ -54,10 +49,9 @@ const livePage = 256
 // livePage points. The tails set a page's mark the first time a final
 // acceleration there has a non-zero bit, and nothing clears it: fields
 // are built per run, so every run starts dead. At the start of a step
-// every point of a dead page has d, v and held +0, and, outside local
-// time stepping, its acceleration too — so the predictor, the tails,
-// the element gathers and the force sweep of a region with no live page
-// may pass it by (DESIGN.md "Quiescent pages"). A nil *pageMarks is a
+// every point of a dead page has d, v and a +0 — so the predictor, the
+// tails, the element gathers and the force sweep of a region with no
+// live page may pass it by (DESIGN.md "Quiescent pages"). A nil *pageMarks is a
 // field built without marks, which counts as all-live.
 type pageMarks struct {
 	live    []atomic.Bool
@@ -155,8 +149,6 @@ type sourceLocal struct {
 	src *Source
 	// arr[p][c]: force at element point p, component c, per unit STF.
 	arr [mesh.NGLL3][3]float32
-	// rate is the source element's LTS rate (1 without LTS).
-	rate int
 }
 
 // recvLocal is a receiver resolved to recording weights.
@@ -165,7 +157,6 @@ type recvLocal struct {
 	kind earthmodel.Region
 	elem int
 	w    [mesh.NGLL3]float64 // interpolation weights (one-hot if nearest)
-	rate [mesh.NGLL3]int     // LTS rate of each element point (1 without LTS)
 	out  []*Seismogram       // one per batched wavefield, indexed by field
 	// Streaming state (Options.OnChunk): samples [0, flushed) of every
 	// field's series have been emitted; closed marks the Last chunk
@@ -198,21 +189,18 @@ type rankState struct {
 	// this rank's scratch for sweeps too small to dispatch.
 	pool *pool
 	scr  *kernelScratch
-	// colors is the conflict-free element coloring.
-	colors *mesh.Coloring
 	// forceBusy/updateBusy accumulate the worker-pool busy nanoseconds
 	// attributed to this rank's kernel and update sweeps (atomic; added
 	// to the kernel_parallel and update phases when the run ends, not
 	// the rank's wait, which would inflate the communication fraction).
 	forceBusy, updateBusy int64
 
-	// levels is the wheel, one plan per level (lts.go): a single plan
-	// without local time stepping. lp is the current step's plan. clus is
-	// the LTS clustering (nil without LTS), read only at setup and for
-	// Result.LTS.
-	levels []levelPlan
-	lp     *levelPlan
-	clus   *mesh.Clustering
+	// sweeps and routes are the step's plan, built once at setup: each
+	// region's outer and inner colour classes, and each halo set's route
+	// over every shared point. The point passes run over every point of
+	// a region at dt.
+	sweeps [3]sweepClasses
+	routes [nHaloSets]haloRoute
 
 	// ns is the ensemble width: the number of independent wavefields
 	// batched through the shared mesh (1 for a plain run).
@@ -264,11 +252,19 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 		scr:   new(kernelScratch),
 		ns:    ns,
 	}
-	// Color the elements and resolve the wheel before the fields are
-	// built (the attenuation coefficients need per-element LTS rates), so
-	// the hot loop only walks prebuilt lists.
-	rs.colors = mesh.BuildColoring(rs.local)
-	rs.buildLevels(mesh.BuildOverlap(rs.local, rs.plan))
+	// The step plan: the hot loop only walks prebuilt lists.
+	colors, ov := mesh.BuildColoring(rs.local), mesh.BuildOverlap(rs.local, rs.plan)
+	for kind, reg := range rs.local.Regions {
+		if reg != nil && reg.NSpec > 0 {
+			rs.sweeps[kind] = sweepClasses{
+				outer: colors.Classes(kind, ov.Outer[kind]),
+				inner: colors.Classes(kind, ov.Inner[kind]),
+			}
+		}
+	}
+	for set := range rs.routes {
+		rs.routes[set] = rs.buildRoute(set)
+	}
 
 	for kind := 0; kind < 3; kind++ {
 		reg := rs.local.Regions[kind]
@@ -285,9 +281,6 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 					chiDdot: make([]float32, reg.NGlob),
 					pages:   newPageMarks(reg.NGlob),
 				}
-				if rs.multiRate(kind) {
-					fl.held = make([]float32, reg.NGlob)
-				}
 				rs.fluid[s] = fl
 			}
 			continue
@@ -298,17 +291,8 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 			ocean: make([]bool, reg.NGlob),
 			pages: newPageMarks(reg.NGlob),
 		}
-		if rs.multiRate(kind) {
-			f.held = make([][3]float32, reg.NGlob)
-		}
 		if opts.Attenuation && fit != nil {
-			var rates []int32
-			if rs.clus != nil {
-				// A coarse element advances its SLS recursions only when
-				// it fires, with an accordingly larger step.
-				rates = rs.clus.ElemRate[kind]
-			}
-			f.att = newAttState(reg, fit, dt, rates)
+			f.att = newAttState(reg, fit, dt)
 		}
 		if opts.Gravity && grav != nil {
 			f.gOverR = make([]float32, reg.NGlob)
@@ -334,9 +318,6 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 			g := *f
 			g.d, g.v, g.a = make([][3]float32, reg.NGlob), make([][3]float32, reg.NGlob), make([][3]float32, reg.NGlob)
 			g.pages = newPageMarks(reg.NGlob)
-			if f.held != nil {
-				g.held = make([][3]float32, reg.NGlob)
-			}
 			if f.att != nil {
 				g.att = f.att.clone()
 			}
@@ -368,12 +349,10 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 }
 
 // newAttState builds memory-variable storage and per-element update
-// coefficients for a solid region. rates, when non-nil, holds each
-// element's LTS firing rate: a rate-r element advances its recursions
-// only every r-th step, so its coefficients use r*dt.
+// coefficients for a solid region.
 //
 //specfem:noaccount one-time setup of SLS attenuation coefficients, not stepped work
-func newAttState(reg *mesh.Region, fit *earthmodel.SLSFit, dt float64, rates []int32) *attState {
+func newAttState(reg *mesh.Region, fit *earthmodel.SLSFit, dt float64) *attState {
 	a := &attState{
 		nsls:  fit.NSLS,
 		alpha: make([]float32, reg.NSpec*fit.NSLS),
@@ -387,11 +366,7 @@ func newAttState(reg *mesh.Region, fit *earthmodel.SLSFit, dt float64, rates []i
 		if q <= 0 {
 			q = math.Inf(1)
 		}
-		dte := dt
-		if rates != nil {
-			dte = dt * float64(rates[e])
-		}
-		alpha, beta := fit.MechanismCoefficients(q, dte)
+		alpha, beta := fit.MechanismCoefficients(q, dt)
 		for k := 0; k < fit.NSLS; k++ {
 			a.alpha[e*fit.NSLS+k] = float32(alpha[k])
 			a.beta[e*fit.NSLS+k] = float32(beta[k])
@@ -414,7 +389,7 @@ func (rs *rankState) assembleMass() {
 			continue
 		}
 		m := append([]float32(nil), reg.Mass...)
-		rs.beginExchange(rs.fullRoute(kind), 1, 1, [][][]float32{{m}}).finish()
+		rs.beginExchange(rs.routes[kind], 1, 1, [][][]float32{{m}}).finish()
 		inv := make([]float32, len(m))
 		for i, v := range m {
 			inv[i] = 1 / v
@@ -452,14 +427,12 @@ func (rs *rankState) oceanOn() bool {
 // largest absolute displacement component (NaN poisons the maximum,
 // which the stability check relies on) and the number of values the
 // flush should have removed: subnormals in the arrays that survive a
-// step — displacement, velocity, the fluid potential and its rate, the
-// attenuation memory variables of the elements a visit has woken (the
-// rest were never written and are +0) and the LTS held accelerations —
-// and non-zero values below the flush threshold in the final accelerations
-// (at the points the last step fired; under LTS the rest hold garbage
-// by design). The integrator flushes every one of them where it writes
-// them (flush.go), so the count is zero unless a write site has been
-// missed. The point arrays are walked on live pages only: on a dead
+// step — displacement, velocity, the fluid potential and its rate and
+// the attenuation memory variables of the elements a visit has woken
+// (the rest were never written and are +0) — and non-zero values below
+// the flush threshold in the final accelerations. The integrator
+// flushes every one of them where it writes them (flush.go), so the
+// count is zero unless a write site has been missed. The point arrays are walked on live pages only: on a dead
 // page they are +0 by the pages' invariant, and a NaN or any other
 // non-zero value has a set bit, so the tail that stored it marked its
 // page live.
@@ -475,14 +448,12 @@ func (rs *rankState) stateCensus() (maxDisp float64, subnormals int64) {
 		return maxBits
 	}
 	var peak uint32
-	for kind, fs := range rs.solid {
+	for _, fs := range rs.solid {
 		for _, f := range fs {
 			f.pages.eachLive(0, len(f.d), func(lo, hi int) {
 				peak = max(peak, count(flat(f.d[lo:hi])))
 				count(flat(f.v[lo:hi]))
-				if f.held != nil {
-					count(flat(f.held[lo:hi]))
-				}
+				subnormals += unflushed(flat(f.a[lo:hi]))
 			})
 			if f.att != nil {
 				slab := f.att.nsls * 6 * mesh.NGLL3
@@ -498,25 +469,13 @@ func (rs *rankState) stateCensus() (maxDisp float64, subnormals int64) {
 					count(f.att.r[run*slab : e*slab])
 				}
 			}
-			for _, s := range rs.lp.spans[kind] {
-				f.pages.eachLive(int(s.i), int(s.i+s.n), func(lo, hi int) {
-					subnormals += unflushed(flat(f.a[lo:hi]))
-				})
-			}
 		}
 	}
 	for _, fl := range rs.fluid {
 		fl.pages.eachLive(0, len(fl.chi), func(lo, hi int) {
 			count(fl.chi[lo:hi], fl.chiDot[lo:hi])
-			if fl.held != nil {
-				count(fl.held[lo:hi])
-			}
+			subnormals += unflushed(fl.chiDdot[lo:hi])
 		})
-		for _, s := range rs.lp.spans[earthmodel.RegionOuterCore] {
-			fl.pages.eachLive(int(s.i), int(s.i+s.n), func(lo, hi int) {
-				subnormals += unflushed(fl.chiDdot[lo:hi])
-			})
-		}
 	}
 	return float64(math.Float32frombits(peak)), subnormals
 }

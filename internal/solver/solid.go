@@ -18,7 +18,7 @@ import (
 // pointwise stage (stress, or the weighted potential gradient) and the
 // weighted-transpose accumulation.
 //
-// The sweep walks the plan's colour classes of the half (the outer or
+// The sweep walks the step plan's colour classes of the half (the outer or
 // inner elements of the overlap schedule), as built by
 // mesh.Coloring.Classes. Colors run one after another with a barrier in
 // between; within a color no two elements share a global point, so the
@@ -45,9 +45,9 @@ import (
 // at all (no element can have woken there: a non-zero field value lies
 // on a live page).
 func (rs *rankState) forceSweep(b *beat) perf.Work {
-	classes := rs.lp.sweeps[b.region].outer
+	classes := rs.sweeps[b.region].outer
 	if b.kind == beatInner {
-		classes = rs.lp.sweeps[b.region].inner
+		classes = rs.sweeps[b.region].inner
 	}
 	numE := 0
 	for _, class := range classes {
@@ -302,12 +302,7 @@ func (rs *rankState) addFluidTractionToSolid() (n int64) {
 			cf := &faces[fi]
 			fs := rs.solid[cf.SolidKind]
 			for s, f := range fs {
-				// The held values when the fluid keeps them: the face
-				// values a dormant fluid last produced.
 				chi := rs.fluid[s].chiDdot
-				if h := rs.fluid[s].held; h != nil {
-					chi = h
-				}
 				for q := 0; q < mesh.NGLL2; q++ {
 					chidd := chi[cf.FluidPt[q]]
 					w := cf.Weight[q]

@@ -140,17 +140,10 @@ type Options struct {
 	SurfaceMovieEvery int
 	// MaxDisplacement is the abort threshold in meters (default 1e10).
 	MaxDisplacement float64
-	// LTS enables clustered local time stepping: elements are binned
-	// into rate-2^k clusters by their per-element stable dt (snapping to
-	// the mesh doubling levels), and at global step n only clusters with
-	// n % rate == 0 run their predictor/forces/corrector. The global dt
-	// stays the finest cluster's dt; coarse clusters take rate-scaled
-	// steps and interface state is held between coarse firings. Results
-	// agree with the single-rate scheduler to energy and seismogram
-	// tolerances (not bit-identity); a mesh whose elements all bin to
-	// rate 1 is bit-identical to LTS off.
-	LTS bool
-	// LTSMaxRate caps the cluster rate (power of two, default 4).
+	// LTS and LTSMaxRate are retired: clustered local time stepping
+	// was deleted and every element steps at the one global Dt. Run
+	// refuses a true LTS or a non-zero LTSMaxRate.
+	LTS        bool
 	LTSMaxRate int
 	// OnChunk, when non-nil, streams seismogram samples incrementally
 	// as the integrator advances: every receiver emits a Chunk per
@@ -183,9 +176,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.LTSMaxRate == 0 {
-		o.LTSMaxRate = 4
 	}
 	if o.OnChunk != nil && o.StreamChunkSamples <= 0 {
 		o.StreamChunkSamples = 32
@@ -299,8 +289,8 @@ type Result struct {
 	MaxDisplacement float64
 	// Subnormals counts the subnormal float32 values left in the
 	// persistent state of all ranks (displacement, velocity, fluid
-	// potential and rate, attenuation memory variables, LTS held state) when
-	// the run ends, plus the final accelerations that are non-zero
+	// potential and rate, attenuation memory variables) when the run
+	// ends, plus the final accelerations that are non-zero
 	// below the flush threshold. The integrator flushes tiny values to
 	// zero where it writes them — arithmetic on subnormals made late
 	// steps 3-8x slower than early ones — so anything but 0 means a
@@ -309,26 +299,6 @@ type Result struct {
 	// Movie is the gathered surface wavefield (nil unless
 	// SurfaceMovieEvery was set and the mesh has a free surface).
 	Movie *Movie
-	// LTS summarizes the local-time-stepping clustering (nil unless
-	// Options.LTS).
-	LTS *LTSInfo
-}
-
-// LTSInfo is the run-level local-time-stepping summary. Because the
-// global dt is the finest cluster's dt, one time step IS one step of
-// the finest level, and the throughput metric that makes LTS and
-// single-rate runs comparable is steps-of-finest-level per second.
-type LTSInfo struct {
-	// MaxRate is the configured rate cap (power of two).
-	MaxRate int
-	// ElemsByRate counts elements per rate across all ranks and regions.
-	ElemsByRate map[int]int64
-	// UpdateReduction is the theoretical rate-weighted element-update
-	// reduction (sum N_r) / (sum N_r / r) (mesh.RateWeightedReduction).
-	UpdateReduction float64
-	// StepsOfFinestPerSec is the realized throughput: global steps (=
-	// finest-level steps) divided by wall time.
-	StepsOfFinestPerSec float64
 }
 
 // stepHook, when non-nil, runs on every rank's goroutine after each
@@ -357,6 +327,9 @@ func Run(sim *Simulation) (*Result, error) {
 	}
 	if opts.Kernel != KernelVec4 && opts.Kernel != KernelScalar {
 		return nil, fmt.Errorf("solver: unknown kernel %v", opts.Kernel)
+	}
+	if opts.LTS || opts.LTSMaxRate != 0 {
+		return nil, fmt.Errorf("solver: local time stepping (Options.LTS, LTSMaxRate) was retired: every element steps at the global dt")
 	}
 	dt := opts.Dt
 	if dt == 0 {
@@ -507,16 +480,6 @@ func Run(sim *Simulation) (*Result, error) {
 			rs.prof.Add(ph, d)
 		}
 		collector.Put(rs.prof)
-		if clus := rs.clus; clus != nil {
-			resMu.Lock()
-			if res.LTS == nil {
-				res.LTS = &LTSInfo{MaxRate: int(clus.MaxRate), ElemsByRate: map[int]int64{}}
-			}
-			for r, n := range clus.RateCounts() {
-				res.LTS.ElemsByRate[int(r)] += int64(n)
-			}
-			resMu.Unlock()
-		}
 		if movie != nil {
 			resMu.Lock()
 			res.Movie = movie
@@ -538,10 +501,6 @@ func Run(sim *Simulation) (*Result, error) {
 	res.NumFields = ns
 	res.SourceStepsPerSec = perf.SourceStepsPerSec(opts.Steps, ns, res.Perf.WallTime)
 	res.MPI = world.Stats()
-	if res.LTS != nil {
-		res.LTS.UpdateReduction = mesh.RateWeightedReduction(res.LTS.ElemsByRate)
-		res.LTS.StepsOfFinestPerSec = perf.StepsOfFinestPerSec(opts.Steps, res.Perf.WallTime)
-	}
 	if unstable != nil {
 		return res, unstable
 	}

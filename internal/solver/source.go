@@ -11,16 +11,12 @@ import (
 // moment-tensor part distributes M : grad(lagrange) evaluated at the
 // source position over the element's GLL points (the standard SEM
 // representation of the equivalent body force -M . grad(delta)), and
-// the point-force part distributes F * lagrange. It also resolves the
-// source element's LTS rate (1 without LTS).
+// the point-force part distributes F * lagrange.
 //
 //specfem:noaccount one-time source setup: nodal force distribution computed before stepping
 func (rs *rankState) prepareSource(src *Source) sourceLocal {
 	reg := rs.local.Regions[src.Kind]
-	sl := sourceLocal{src: src, rate: 1}
-	if rs.clus != nil {
-		sl.rate = int(rs.clus.ElemRate[src.Kind][src.Elem])
-	}
+	sl := sourceLocal{src: src}
 	pts := gll.Points(gll.Degree)
 	lx := gll.Lagrange(pts, src.Ref[0])
 	ly := gll.Lagrange(pts, src.Ref[1])
@@ -86,24 +82,20 @@ func (rs *rankState) prepareSource(src *Source) sourceLocal {
 	return sl
 }
 
-// addSources injects the source forces for the current step time. A
-// rate-r source element fires only at steps divisible by r and advances
-// to (step+r)*dt when it does, so its source-time function is sampled
-// there; injecting on a dormant step would be discarded by the firing
-// points' own schedule anyway. Rate 1 — every source without LTS — is
-// the single-rate sampling time (step+1)*dt. It returns the element
-// points it injected at.
+// addSources injects the source forces of step, which advances the
+// state to (step+1)*dt: the source-time function is sampled there. It
+// returns the element points it injected at.
 func (rs *rankState) addSources(step int) (n int64) {
 	for i := range rs.sources {
 		sl := &rs.sources[i]
 		fs := rs.solid[sl.src.Kind]
-		if fs == nil || step%sl.rate != 0 {
+		if fs == nil {
 			continue
 		}
 		// Each source drives its own wavefield of the ensemble.
 		f := fs[sl.src.Field]
 		// Flushed, so a Gaussian onset never injects subnormal forces.
-		stf := ftz(float32(sl.src.STF(float64(step+sl.rate) * rs.dt)))
+		stf := ftz(float32(sl.src.STF(float64(step+1) * rs.dt)))
 		if stf == 0 {
 			continue
 		}
@@ -121,23 +113,13 @@ func (rs *rankState) addSources(step int) (n int64) {
 }
 
 // prepareReceiver resolves a receiver into interpolation weights (or a
-// one-hot weight at the nearest GLL point in fast mode), resolves the
-// LTS rate of each element point (1 without LTS) and allocates one
-// seismogram per batched wavefield: every station records every source
+// one-hot weight at the nearest GLL point in fast mode) and allocates
+// one seismogram per batched wavefield: every station records every source
 // of the ensemble.
 //
 //specfem:noaccount one-time receiver setup: interpolation weights computed before stepping
 func (rs *rankState) prepareReceiver(rcv *Receiver, opts *Options, dt float64) recvLocal {
 	rl := recvLocal{rcv: rcv, kind: rcv.Kind, elem: rcv.Elem}
-	for p := range rl.rate {
-		rl.rate[p] = 1
-	}
-	if rs.clus != nil && rs.clus.PointRate[rcv.Kind] != nil {
-		ib := rs.local.Regions[rcv.Kind].Ibool[rcv.Elem*mesh.NGLL3:]
-		for p := range rl.rate {
-			rl.rate[p] = int(rs.clus.PointRate[rcv.Kind][ib[p]])
-		}
-	}
 	nsamp := opts.Steps / opts.RecordEvery
 	rl.out = make([]*Seismogram, rs.ns)
 	for s := range rl.out {
@@ -174,14 +156,10 @@ func (rs *rankState) prepareReceiver(rcv *Receiver, opts *Options, dt float64) r
 }
 
 // record appends one sample to every local seismogram after step has
-// completed. A rate-r point last fired at the latest multiple of r <=
-// step, so its state leads the nominal sample time by
-// lead = (r-1-(step%r))*dt; the sample is back-interpolated linearly,
-// d - lead*v. Points with lead == 0 (every rate-1 point, so every point
-// without LTS) read the displacement directly.
+// completed: the displacement interpolated at the receiver.
 //
 //specfem:noaccount seismogram interpolation is O(receivers), excluded from the per-element flop model
-func (rs *rankState) record(step int) {
+func (rs *rankState) record() {
 	for i := range rs.recvs {
 		rl := &rs.recvs[i]
 		fs := rs.solid[rl.kind]
@@ -197,20 +175,10 @@ func (rs *rankState) record(step int) {
 				if w == 0 {
 					continue
 				}
-				// The point's state is at time (lastFire+r)*dt after its
-				// corrector; step's nominal sample time trails it.
-				r := rl.rate[p]
 				u := &f.d[g]
-				if lead := float64(r-1-(step%r)) * rs.dt; lead == 0 {
-					x += w * float64(u[0])
-					y += w * float64(u[1])
-					z += w * float64(u[2])
-				} else {
-					v := &f.v[g]
-					x += w * (float64(u[0]) - lead*float64(v[0]))
-					y += w * (float64(u[1]) - lead*float64(v[1]))
-					z += w * (float64(u[2]) - lead*float64(v[2]))
-				}
+				x += w * float64(u[0])
+				y += w * float64(u[1])
+				z += w * float64(u[2])
 			}
 			rl.out[s].X = append(rl.out[s].X, float32(x))
 			rl.out[s].Y = append(rl.out[s].Y, float32(y))

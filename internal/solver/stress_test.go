@@ -248,7 +248,7 @@ func TestAttStateLayout(t *testing.T) {
 	for e := range reg.Qmu {
 		reg.Qmu[e] = 300
 	}
-	a := newAttState(reg, fit, 0.1, nil)
+	a := newAttState(reg, fit, 0.1)
 	if want := nspec * mesh.NGLL3 * fit.NSLS * 6; len(a.r) != want {
 		t.Fatalf("len(r) = %d, want %d", len(a.r), want)
 	}
@@ -269,7 +269,7 @@ func TestAttStateLayout(t *testing.T) {
 		}
 	}
 
-	rs := &rankState{lp: &levelPlan{}}
+	rs := &rankState{}
 	rs.solid[earthmodel.RegionCrustMantle] = []*solidField{{reg: reg, att: c}}
 	if _, n := rs.stateCensus(); n != 0 {
 		t.Fatalf("census of a zeroed state counts %d", n)

@@ -33,14 +33,12 @@ import (
 // post the halo; the inner elements while the messages are in flight;
 // finish; tail. Force sweeps and point passes dispatch on the shared
 // worker pool, bit-identical at any worker count; the coupling, source
-// and ocean terms touch few points and stay inline. Every step is one
-// spoke of the wheel (lts.go): its level plan lists the colour classes,
-// point spans and halo routes the same beats run, each firing point
-// advancing with its own rate-scaled dt. Every pass reads the fields'
-// page marks first and passes by the points that have never moved
+// and ocean terms touch few points and stay inline. Every element and
+// every point advances with the one global dt, over the rank's step
+// plan (rankState.sweeps and routes). Every pass reads the fields' page
+// marks first and passes by the points that have never moved
 // (pageMarks).
 func (rs *rankState) timeStep(step int) {
-	rs.lp = &rs.levels[ltsLevelOf(step, len(rs.levels))]
 	rs.prof.Mark()
 	for i := range rs.beats {
 		b := &rs.beats[i]
@@ -155,9 +153,6 @@ func (rs *rankState) newBeat(k beatKind, r int) (beat, bool) {
 		return b, false
 	case fluid && k == beatPredict:
 		b.flops, b.bytes = fc.FluidPredictor, bc.FluidPredictor
-		if rs.fluid[0].held != nil {
-			b.dead = bc.FluidDeadPoint
-		}
 	case fluid && k == beatTail:
 		b.flops, b.bytes, b.dead = fc.FluidMassDiv+fc.FluidCorrector, bc.FluidTail, bc.FluidDeadPoint
 	case fluid:
@@ -165,9 +160,6 @@ func (rs *rankState) newBeat(k beatKind, r int) (beat, bool) {
 		b.flops, b.bytes, b.static, b.dead = fc.FluidElement, bc.FluidElementDynamic, bc.FluidElementStatic, bc.FluidGather
 	case k == beatPredict:
 		b.flops, b.bytes = fc.SolidPredictor, bc.SolidPredictor
-		if fs[0].held != nil {
-			b.dead = bc.SolidDeadPoint
-		}
 	case k == beatTail:
 		b.flops, b.bytes, b.dead = fc.SolidMassDiv+fc.SolidCorrector, bc.SolidTail, bc.SolidDeadPoint
 		if rs.opts.Rotation {
@@ -206,7 +198,7 @@ func (rs *rankState) run(b *beat, step int) perf.Work {
 		return perf.Work{Flops: rs.fc.CouplePoint * n, Bytes: rs.bc.CouplePoint * n}
 	case beatPost:
 		h := &rs.halo[b.region]
-		rs.inflight[b.region] = rs.beginExchange(rs.lp.routes[b.region], rs.ns, h.nc, h.arr)
+		rs.inflight[b.region] = rs.beginExchange(rs.routes[b.region], rs.ns, h.nc, h.arr)
 	case beatFinish:
 		rs.inflight[b.region].finish()
 		rs.inflight[b.region] = nil
@@ -220,7 +212,7 @@ func (rs *rankState) run(b *beat, step int) perf.Work {
 		return rs.oceanLoad()
 	case beatRecord:
 		if (step+1)%rs.opts.RecordEvery == 0 {
-			rs.record(step)
+			rs.record()
 			if rs.opts.OnChunk != nil {
 				rs.flushChunks(false)
 			}
@@ -241,23 +233,18 @@ func (rs *rankState) quiet(kind int) bool {
 }
 
 // pointPass runs predictor or tail beat b, one pool pass over its
-// region's spans. A dead page's visit costs the acceleration stream it
-// touches (b.dead: the tails' tested read, the predictor's clear of held
-// slots, or nothing); a pass that does nothing there is not dispatched
-// on a quiet region, while a tail is (a source, halo add or coupling
-// term can land there).
+// region's points. A dead page's visit costs the acceleration stream a
+// tail tests there (b.dead); a predictor does nothing there and is not
+// dispatched on a quiet region, while a tail is (a source, halo add or
+// coupling term can land there).
 func (rs *rankState) pointPass(b *beat) perf.Work {
-	kind := b.region
-	n := int64(rs.lp.fired[kind] * rs.ns)
+	nglob := rs.local.Regions[b.region].NGlob
+	n := int64(nglob * rs.ns)
 	dead := n
-	if b.dead != 0 || !rs.quiet(kind) {
+	if b.kind == beatTail || !rs.quiet(b.region) {
 		var d atomic.Int64
-		rs.pool.sweepSpans(rs.scr, rs.lp.spans[kind], rs.lp.fired[kind], &rs.updateBusy, func(spans []span) {
-			k := 0
-			for _, s := range spans {
-				k += rs.passSpan(b, s)
-			}
-			d.Add(int64(k))
+		rs.pool.sweepSpans(rs.scr, nglob, &rs.updateBusy, func(lo, hi int) {
+			d.Add(int64(rs.passPoints(b, lo, hi)))
 		})
 		dead = d.Load()
 	}
@@ -265,57 +252,45 @@ func (rs *rankState) pointPass(b *beat) perf.Work {
 	return perf.Work{Flops: b.flops * live, Bytes: b.bytes*live + b.dead*dead, SkippedPoints: dead}
 }
 
-// passSpan runs point pass b at span s of every field and returns the
-// point visits it found on dead pages.
-func (rs *rankState) passSpan(b *beat, s span) (dead int) {
+// passPoints runs point pass b at the points [lo, hi) of every field
+// and returns the point visits it found on dead pages.
+func (rs *rankState) passPoints(b *beat, lo, hi int) (dead int) {
+	dt := float32(rs.dt)
 	for i := 0; i < rs.ns; i++ {
 		switch {
 		case b.region == int(earthmodel.RegionOuterCore) && b.kind == beatPredict:
-			dead += rs.fluid[i].predict(s)
+			dead += rs.fluid[i].predict(lo, hi, dt)
 		case b.region == int(earthmodel.RegionOuterCore):
-			dead += rs.fluid[i].tail(s)
+			dead += rs.fluid[i].tail(lo, hi, dt)
 		case b.kind == beatPredict:
-			dead += rs.solid[b.region][i].predict(s)
+			dead += rs.solid[b.region][i].predict(lo, hi, dt)
 		default:
-			dead += rs.solid[b.region][i].tail(s, b.omega)
+			dead += rs.solid[b.region][i].tail(lo, hi, dt, b.omega)
 		}
 	}
 	return dead
 }
 
-// predict is the predictor at the points of one span, page by page,
+// predict is the predictor at the points [first, end), page by page,
 // and returns the points it found on dead pages. Those are +0 and stay
-// so; only a field with held clears their acceleration slots, which
-// firing neighbors may have filled while the points were dormant.
-func (f *solidField) predict(s span) (dead int) {
-	first, end := int(s.i), int(s.i+s.n)
-	for pg := first / livePage; pg*livePage < end; pg++ {
-		lo, hi := max(first, pg*livePage), min(end, (pg+1)*livePage)
-		if f.pages.isLive(pg) {
-			f.predictPoints(lo, hi, s.dt)
-		} else {
-			dead += hi - lo
-			if f.held != nil {
-				clear(f.a[lo:hi])
-			}
-		}
-	}
+// so.
+func (f *solidField) predict(first, end int, dt float32) (dead int) {
+	dead = end - first
+	f.pages.eachLive(first, end, func(lo, hi int) {
+		f.predictPoints(lo, hi, dt)
+		dead -= hi - lo
+	})
 	return dead
 }
 
 // predictPoints is the predictor at the points [lo, hi): d += dt v +
-// dt²/2 a, v += dt/2 a, a = 0, reading a from held when the field keeps
-// it.
+// dt²/2 a, v += dt/2 a, a = 0.
 func (f *solidField) predictPoints(lo, hi int, dt float32) {
 	half, halfSq := dt/2, dt*dt/2
 	d, v, a := f.d[lo:hi], f.v[lo:hi], f.a[lo:hi]
-	acc := a
-	if f.held != nil {
-		acc = f.held[lo:hi]
-	}
-	v, a, acc = v[:len(d)], a[:len(d)], acc[:len(d)]
+	v, a = v[:len(d)], a[:len(d)]
 	for k := range d {
-		x, u, w := &acc[k], &d[k], &v[k]
+		x, u, w := &a[k], &d[k], &v[k]
 		ax, ay, az := x[0], x[1], x[2]
 		u[0] = ftz(u[0] + (dt*w[0] + halfSq*ax))
 		u[1] = ftz(u[1] + (dt*w[1] + halfSq*ay))
@@ -328,19 +303,12 @@ func (f *solidField) predictPoints(lo, hi int, dt float32) {
 }
 
 // predict is solidField.predict for the fluid potential.
-func (fl *fluidField) predict(s span) (dead int) {
-	first, end := int(s.i), int(s.i+s.n)
-	for pg := first / livePage; pg*livePage < end; pg++ {
-		lo, hi := max(first, pg*livePage), min(end, (pg+1)*livePage)
-		if fl.pages.isLive(pg) {
-			fl.predictPoints(lo, hi, s.dt)
-		} else {
-			dead += hi - lo
-			if fl.held != nil {
-				clear(fl.chiDdot[lo:hi])
-			}
-		}
-	}
+func (fl *fluidField) predict(first, end int, dt float32) (dead int) {
+	dead = end - first
+	fl.pages.eachLive(first, end, func(lo, hi int) {
+		fl.predictPoints(lo, hi, dt)
+		dead -= hi - lo
+	})
 	return dead
 }
 
@@ -348,24 +316,19 @@ func (fl *fluidField) predict(s span) (dead int) {
 func (fl *fluidField) predictPoints(lo, hi int, dt float32) {
 	half, halfSq := dt/2, dt*dt/2
 	chi, dot, dd := fl.chi[lo:hi], fl.chiDot[lo:hi], fl.chiDdot[lo:hi]
-	acc := dd
-	if fl.held != nil {
-		acc = fl.held[lo:hi]
-	}
-	dot, dd, acc = dot[:len(chi)], dd[:len(chi)], acc[:len(chi)]
+	dot, dd = dot[:len(chi)], dd[:len(chi)]
 	for k := range chi {
-		x := acc[k]
+		x := dd[k]
 		chi[k] = ftz(chi[k] + (dt*dot[k] + halfSq*x))
 		dot[k] += half * x
 		dd[k] = 0
 	}
 }
 
-// tail is the fluid's step tail at the points of one span, page by
+// tail is the fluid's step tail at the points [first, end), page by
 // page, and returns the points it found on dead pages (see
 // solidField.tail).
-func (fl *fluidField) tail(s span) (dead int) {
-	first, end := int(s.i), int(s.i+s.n)
+func (fl *fluidField) tail(first, end int, dt float32) (dead int) {
 	for pg := first / livePage; pg*livePage < end; pg++ {
 		lo, hi := max(first, pg*livePage), min(end, (pg+1)*livePage)
 		if !fl.pages.isLive(pg) {
@@ -375,14 +338,14 @@ func (fl *fluidField) tail(s span) (dead int) {
 			}
 			fl.pages.wake(pg)
 		}
-		fl.tailPoints(lo, hi, s.dt)
+		fl.tailPoints(lo, hi, dt)
 	}
 	return dead
 }
 
 // tailPoints is the fluid's step tail at the points [lo, hi): mass
-// division and flush of the final potential acceleration, the corrector
-// chiDot += dt/2 chiDdot, and the copy into held.
+// division and flush of the final potential acceleration and the
+// corrector chiDot += dt/2 chiDdot.
 func (fl *fluidField) tailPoints(lo, hi int, dt float32) {
 	half := dt / 2
 	dd := fl.chiDdot[lo:hi]
@@ -393,20 +356,16 @@ func (fl *fluidField) tailPoints(lo, hi int, dt float32) {
 		dd[k] = x
 		dot[k] += half * x
 	}
-	if fl.held != nil {
-		copy(fl.held[lo:hi], dd)
-	}
 }
 
-// tail is the step's tail at the points of one span, page by page, and
+// tail is the step's tail at the points [first, end), page by page, and
 // returns the points it found on dead pages. A dead page's piece is
 // tested first: when every bit of its final acceleration is zero the
 // tail would leave every value as it is — +0 — and the piece is passed
 // by; otherwise the page is marked live and the piece runs in full.
 // Every contribution to the acceleration has landed by now, so the mark
 // is exact.
-func (f *solidField) tail(s span, twoOmega float32) (dead int) {
-	first, end := int(s.i), int(s.i+s.n)
+func (f *solidField) tail(first, end int, dt, twoOmega float32) (dead int) {
 	for pg := first / livePage; pg*livePage < end; pg++ {
 		lo, hi := max(first, pg*livePage), min(end, (pg+1)*livePage)
 		if !f.pages.isLive(pg) {
@@ -416,7 +375,7 @@ func (f *solidField) tail(s span, twoOmega float32) (dead int) {
 			}
 			f.pages.wake(pg)
 		}
-		f.tailPoints(lo, hi, s.dt, twoOmega)
+		f.tailPoints(lo, hi, dt, twoOmega)
 	}
 	return dead
 }
@@ -425,9 +384,7 @@ func (f *solidField) tail(s span, twoOmega float32) (dead int) {
 // the step defines for each point: mass division, Coriolis (from the
 // predicted velocity), gravity, the flush and store of the final
 // acceleration, and the corrector v += dt/2 a — which the ocean points
-// leave to oceanLoad, after their load. A field that keeps held
-// accelerations then copies the final ones into it for the next
-// predictor.
+// leave to oceanLoad, after their load.
 func (f *solidField) tailPoints(lo, hi int, dt, twoOmega float32) {
 	half := dt / 2
 	a := f.a[lo:hi]
@@ -472,30 +429,23 @@ func (f *solidField) tailPoints(lo, hi int, dt, twoOmega float32) {
 		w[1] += half * ay
 		w[2] += half * az
 	}
-	if f.held != nil {
-		copy(f.held[lo:hi], a)
-	}
 }
 
 // oceanLoad rescales the normal component of the free-surface
-// acceleration by M/(M+Mw) at the surface points the step fires, then
-// runs the corrector and the held copy the tail left to it there. Few
-// points; inline.
+// acceleration by M/(M+Mw) at every ocean-load surface point, then runs
+// the corrector the tail left to it there. Few points; inline.
 func (rs *rankState) oceanLoad() perf.Work {
 	sl := &rs.local.Surface
+	half := float32(rs.dt) / 2
 	for _, f := range rs.solid[earthmodel.RegionCrustMantle] {
-		for _, op := range rs.lp.ocean {
-			j, pt, half := op.j, sl.Pts[op.j], op.dt/2
+		for j, pt := range sl.Pts {
 			a, v := &f.a[pt], &f.v[pt]
 			an := a[0]*sl.Nx[j] + a[1]*sl.Ny[j] + a[2]*sl.Nz[j]
 			scale := an * (1 - rs.oceanFactor[j])
 			a[0], a[1], a[2] = ftz(a[0]-scale*sl.Nx[j]), ftz(a[1]-scale*sl.Ny[j]), ftz(a[2]-scale*sl.Nz[j])
 			v[0], v[1], v[2] = v[0]+half*a[0], v[1]+half*a[1], v[2]+half*a[2]
-			if f.held != nil {
-				f.held[pt] = *a
-			}
 		}
 	}
-	n := int64(len(rs.lp.ocean) * rs.ns)
+	n := int64(len(sl.Pts) * rs.ns)
 	return perf.Work{Flops: rs.fc.OceanPoint * n, Bytes: rs.bc.OceanPoint * n}
 }

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Stay-deleted guards, run by the CI test job and locally via
 #   ./scripts/guards.sh
-# 1. no Go file names anything on the retired list below,
+# 1. no Go file names anything on the retired list below (the last two
+#    lines: clustered local time stepping and its level wheel),
 # 2. the root benchmark file and root-level BENCH_PR*.json snapshots
 #    stay gone (the eight snapshots are history in docs/history/),
 # 3. every experiment run goes through the two solver.Run calls of
@@ -24,6 +25,8 @@ newmarkPass|accHold|hChi|couplingFacePoints|lp\.shadow|ElemsUpTo|unionSorted
 elemMinSpacing|elemMaxVelocity|MinGLLSpacing|func stableDt
 AddFlops|AddBytes|AddSkippedVisits|AddPageSkippedVisits|AddSkippedPoints|prof\.Time\(|rs\.solidHalo|rs\.solidSets
 func \(rs \*rankState\) (predictor|fluidStage|solidStage|fluidTail|solidTail)\(
+BuildClusters|Clustering|ltsLevelOf|wheelLevels|levelSweeps|reconcilePointRates|multiRate|upToRate|\.held\b|LTSInfo|StepsOfFinestPerSec|RateWeightedReduction|ComputeLoadStatsRated|LTSAblation|JobSpec\.LTS
+levelPlan|buildLevels|firePoints|oceanPoint|levelRoutes|fullRoute|rs\.lp\b|ElementDts|elementRates|normalizeRate|intersectSorted
 EOF
 )
 if grep -rnE "$retired" --include='*.go' .; then
