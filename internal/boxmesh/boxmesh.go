@@ -91,18 +91,18 @@ func Build(cfg Config) (*Box, error) {
 		}
 		nspec := perRank * cfg.Ny * cfg.Nz
 		reg := mesh.NewRegion(earthmodel.RegionCrustMantle, nspec)
-		pi := mesh.NewPointIndexer()
+		nodes := newNodeGrid(perRank, cfg.Ny, cfg.Nz)
+		reg.NGlob = len(nodes.id)
+		reg.Pts = make([][3]float64, reg.NGlob)
 		e := 0
 		for k := 0; k < cfg.Nz; k++ {
 			for j := 0; j < cfg.Ny; j++ {
 				for i := rank * perRank; i < (rank+1)*perRank; i++ {
-					b.fillElement(reg, pi, e, i, j, k)
+					b.fillElement(reg, nodes, e, i, j, k, i-rank*perRank)
 					e++
 				}
 			}
 		}
-		reg.NGlob = pi.Len()
-		reg.Pts = pi.Points()
 		if err := reg.Finish(); err != nil {
 			return nil, fmt.Errorf("boxmesh: rank %d: %w", rank, err)
 		}
@@ -117,14 +117,48 @@ func Build(cfg Config) (*Box, error) {
 	return b, nil
 }
 
-// fillElement fills one affine box element: the Jacobian is constant.
-func (b *Box) fillElement(reg *mesh.Region, pi *mesh.PointIndexer, e, i, j, k int) {
+// nodeGrid numbers a slab's GLL nodes, a (4nx+1) x (4ny+1) x (4nz+1)
+// grid for nx x ny x nz elements, in first-sight order: id[I + w[0]*(J +
+// w[1]*K)] is node (I, J, K)'s point number, negative until first seen.
+type nodeGrid struct {
+	id []int32
+	w  [2]int
+	n  int32
+}
+
+// newNodeGrid returns the grid of nx x ny x nz elements, every node unseen.
+func newNodeGrid(nx, ny, nz int) *nodeGrid {
+	const d = mesh.NGLL - 1
+	g := &nodeGrid{w: [2]int{d*nx + 1, d*ny + 1}}
+	g.id = make([]int32, g.w[0]*g.w[1]*(d*nz+1))
+	for i := range g.id {
+		g.id[i] = -1
+	}
+	return g
+}
+
+// point returns the number of node (I, J, K), recording its position in
+// pts on first sight.
+func (g *nodeGrid) point(I, J, K int, pts [][3]float64, p [3]float64) int32 {
+	slot := I + g.w[0]*(J+g.w[1]*K)
+	if g.id[slot] < 0 {
+		g.id[slot] = g.n
+		pts[g.n] = p
+		g.n++
+	}
+	return g.id[slot]
+}
+
+// fillElement fills one affine box element, cell (i, j, k) of the box and
+// column il of the rank's slab: the Jacobian is constant.
+func (b *Box) fillElement(reg *mesh.Region, nodes *nodeGrid, e, i, j, k, il int) {
 	x0, x1 := b.gx[i], b.gx[i+1]
 	y0, y1 := b.gy[j], b.gy[j+1]
 	z0, z1 := b.gz[k], b.gz[k+1]
 	hx, hy, hz := (x1-x0)/2, (y1-y0)/2, (z1-z0)/2
 	det := hx * hy * hz
 	mat := b.Cfg.Mat
+	const d = mesh.NGLL - 1
 	for kk := 0; kk < mesh.NGLL; kk++ {
 		for jj := 0; jj < mesh.NGLL; jj++ {
 			for ii := 0; ii < mesh.NGLL; ii++ {
@@ -132,7 +166,7 @@ func (b *Box) fillElement(reg *mesh.Region, pi *mesh.PointIndexer, e, i, j, k in
 				x := lerp(x0, x1, gllS[ii])
 				y := lerp(y0, y1, gllS[jj])
 				z := lerp(z0, z1, gllS[kk])
-				reg.Ibool[ip] = pi.Index(x, y, z)
+				reg.Ibool[ip] = nodes.point(d*il+ii, d*j+jj, d*k+kk, reg.Pts, [3]float64{x, y, z})
 				reg.Xix[ip] = float32(1 / hx)
 				reg.Etay[ip] = float32(1 / hy)
 				reg.Gamz[ip] = float32(1 / hz)

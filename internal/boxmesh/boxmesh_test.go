@@ -151,3 +151,51 @@ func BenchmarkBoxBuild(b *testing.B) {
 		}
 	}
 }
+
+// The grid numbering is the coordinate-key numbering it replaced: number
+// every element node by the exact bits of its position, in first-sight
+// order, and compare Ibool and the Pts bits on every rank.
+func TestGridNumberingMatchesKeys(t *testing.T) {
+	b, err := Build(Config{Nx: 4, Ny: 3, Nz: 2, Lx: 40, Ly: 30, Lz: 20, NRanks: 2, Mat: mat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := func(p [3]float64) [3]uint64 {
+		return [3]uint64{math.Float64bits(p[0]), math.Float64bits(p[1]), math.Float64bits(p[2])}
+	}
+	perRank := b.Cfg.Nx / b.Cfg.NRanks
+	for rank, l := range b.Locals {
+		r := l.Regions[earthmodel.RegionCrustMantle]
+		byKey := map[[3]uint64]int32{}
+		var pts [][3]float64
+		e := 0
+		for k := 0; k < b.Cfg.Nz; k++ {
+			for j := 0; j < b.Cfg.Ny; j++ {
+				for i := rank * perRank; i < (rank+1)*perRank; i++ {
+					for n := 0; n < mesh.NGLL3; n++ {
+						ii, jj, kk := n%mesh.NGLL, n/mesh.NGLL%mesh.NGLL, n/mesh.NGLL2
+						p := [3]float64{lerp(b.gx[i], b.gx[i+1], gllS[ii]), lerp(b.gy[j], b.gy[j+1], gllS[jj]), lerp(b.gz[k], b.gz[k+1], gllS[kk])}
+						id, ok := byKey[bits(p)]
+						if !ok {
+							id = int32(len(pts))
+							byKey[bits(p)] = id
+							pts = append(pts, p)
+						}
+						if got := r.Ibool[mesh.Idx(e, ii, jj, kk)]; got != id {
+							t.Fatalf("rank %d element %d node %d: point %d, key numbering %d", rank, e, n, got, id)
+						}
+					}
+					e++
+				}
+			}
+		}
+		if len(pts) != r.NGlob || len(r.Pts) != r.NGlob {
+			t.Fatalf("rank %d: %d points (%d stored), key numbering %d", rank, r.NGlob, len(r.Pts), len(pts))
+		}
+		for id := range pts {
+			if bits(pts[id]) != bits(r.Pts[id]) {
+				t.Fatalf("rank %d point %d at %v, key numbering %v", rank, id, r.Pts[id], pts[id])
+			}
+		}
+	}
+}

@@ -9,11 +9,12 @@
 // exist separately in both adjacent regions and are coupled only through
 // surface integrals, exactly as in the original code.
 //
-// Global point matching across elements, regions and ranks uses the raw
-// IEEE-754 bit patterns of the coordinates: the meshers are written so
-// that coincident points are computed through bit-identical arithmetic
-// (shared grids, endpoint-exact interpolation), which removes the need
-// for tolerance-based point merging.
+// Within a rank, the meshers number a region's points by their position
+// in the mesh's integer lattice. Across ranks, the halo match pairs
+// points by the raw IEEE-754 bit patterns of their coordinates
+// (PointKey): the meshers compute coincident points through
+// bit-identical arithmetic (shared grids, endpoint-exact interpolation),
+// which removes the need for tolerance-based point merging.
 package mesh
 
 import (
@@ -82,8 +83,8 @@ type Region struct {
 	minSpacing, maxVp float64
 }
 
-// NewRegion allocates a region with capacity for nspec elements; point
-// arrays are built incrementally through AddPoint.
+// NewRegion allocates a region's element arrays for nspec elements; the
+// mesher sets NGlob and Pts.
 func NewRegion(kind earthmodel.Region, nspec int) *Region {
 	n := nspec * NGLL3
 	return &Region{
@@ -106,61 +107,6 @@ func (r *Region) IsFluid() bool { return r.Kind == earthmodel.RegionOuterCore }
 // Idx returns the flat element-point index for element e and local
 // coordinates (i, j, k).
 func Idx(e, i, j, k int) int { return e*NGLL3 + i + NGLL*j + NGLL2*k }
-
-// PointIndexer deduplicates points by key while a mesher emits elements.
-type PointIndexer struct {
-	byKey map[PointKey]int32
-	pts   [][3]float64
-}
-
-// NewPointIndexer returns an empty indexer.
-func NewPointIndexer() *PointIndexer {
-	return &PointIndexer{byKey: make(map[PointKey]int32)}
-}
-
-// Reserve sizes a fresh indexer for points distinct points, of which
-// unkeyed will arrive through Add: the key map never rehashes and the
-// point list never regrows. When points is exact, Points returns a
-// slice with no spare capacity.
-func (pi *PointIndexer) Reserve(points, unkeyed int) {
-	pi.byKey = make(map[PointKey]int32, points-unkeyed)
-	pi.pts = make([][3]float64, 0, points)
-}
-
-// Index returns the stable index for the point, creating one on first
-// sight.
-func (pi *PointIndexer) Index(x, y, z float64) int32 {
-	k := KeyOf(x, y, z)
-	if id, ok := pi.byKey[k]; ok {
-		return id
-	}
-	id := pi.Add(x, y, z)
-	pi.byKey[k] = id
-	return id
-}
-
-// Add appends a point the caller knows nothing else can reference — a
-// node strictly inside an element — and returns its index. It takes the
-// next first-sight number, exactly as Index would have, without touching
-// the key map.
-func (pi *PointIndexer) Add(x, y, z float64) int32 {
-	id := int32(len(pi.pts))
-	pi.pts = append(pi.pts, [3]float64{x, y, z})
-	return id
-}
-
-// Points returns the accumulated point list at its exact length: spare
-// capacity (an over-estimated Reserve, append growth) is copied away, so
-// a region does not keep it alive for as long as the mesh lives.
-func (pi *PointIndexer) Points() [][3]float64 {
-	if cap(pi.pts) > len(pi.pts) {
-		pi.pts = append(make([][3]float64, 0, len(pi.pts)), pi.pts...)
-	}
-	return pi.pts
-}
-
-// Len returns the number of distinct points seen.
-func (pi *PointIndexer) Len() int { return len(pi.pts) }
 
 // AssembleMassLocal computes the region's locally assembled diagonal
 // mass matrix from the material and Jacobian-weight arrays.

@@ -2,7 +2,6 @@ package mesh
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -25,69 +24,6 @@ func TestKeyOfDistinguishesBits(t *testing.T) {
 	}
 }
 
-func TestPointIndexer(t *testing.T) {
-	pi := NewPointIndexer()
-	a := pi.Index(1, 2, 3)
-	b := pi.Index(4, 5, 6)
-	c := pi.Index(1, 2, 3) // duplicate
-	if a == b {
-		t.Error("distinct points shared an index")
-	}
-	if a != c {
-		t.Error("duplicate point got a fresh index")
-	}
-	if pi.Len() != 2 {
-		t.Errorf("Len = %d want 2", pi.Len())
-	}
-	pts := pi.Points()
-	if pts[a] != [3]float64{1, 2, 3} || pts[b] != [3]float64{4, 5, 6} {
-		t.Error("points stored wrong")
-	}
-
-	// A reserved indexer numbers unkeyed points in the same first-sight
-	// sequence and hands over no spare capacity, even when the
-	// reservation was an over-estimate.
-	pi = NewPointIndexer()
-	pi.Reserve(8, 1)
-	a = pi.Index(1, 2, 3)
-	d := pi.Add(7, 8, 9)
-	c = pi.Index(1, 2, 3)
-	if a != 0 || d != 1 || c != a || pi.Len() != 2 {
-		t.Errorf("reserved indexer: indices %d %d %d, Len %d", a, d, c, pi.Len())
-	}
-	if pts = pi.Points(); len(pts) != 2 || cap(pts) != 2 || pts[d] != [3]float64{7, 8, 9} {
-		t.Errorf("reserved indexer: points %v with capacity %d", pts, cap(pts))
-	}
-}
-
-// Property: indices are stable and dense regardless of insertion mix.
-func TestPointIndexerProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		pi := NewPointIndexer()
-		coords := make([][3]float64, 20)
-		for i := range coords {
-			coords[i] = [3]float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		}
-		first := make(map[[3]float64]int32)
-		for trial := 0; trial < 100; trial++ {
-			c := coords[rng.Intn(len(coords))]
-			id := pi.Index(c[0], c[1], c[2])
-			if prev, ok := first[c]; ok {
-				if prev != id {
-					return false
-				}
-			} else {
-				first[c] = id
-			}
-		}
-		return pi.Len() == len(first)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestIdx(t *testing.T) {
 	if Idx(0, 0, 0, 0) != 0 {
 		t.Error("origin index")
@@ -107,12 +43,13 @@ func TestIdx(t *testing.T) {
 // Jacobian and uniform material, used by validation tests.
 func makeUnitRegion() *Region {
 	r := NewRegion(earthmodel.RegionCrustMantle, 1)
-	pi := NewPointIndexer()
+	r.NGlob, r.Pts = NGLL3, make([][3]float64, NGLL3)
 	for k := 0; k < NGLL; k++ {
 		for j := 0; j < NGLL; j++ {
 			for i := 0; i < NGLL; i++ {
 				ip := Idx(0, i, j, k)
-				r.Ibool[ip] = pi.Index(float64(i), float64(j), float64(k))
+				r.Ibool[ip] = int32(ip)
+				r.Pts[ip] = [3]float64{float64(i), float64(j), float64(k)}
 				r.Xix[ip], r.Etay[ip], r.Gamz[ip] = 1, 1, 1
 				r.Jac[ip] = 1
 				r.JacW[ip] = 1
@@ -122,8 +59,6 @@ func makeUnitRegion() *Region {
 			}
 		}
 	}
-	r.NGlob = pi.Len()
-	r.Pts = pi.Points()
 	r.Qmu[0] = 600
 	r.Qkappa[0] = 57823
 	return r
@@ -255,15 +190,16 @@ func TestBuildHaloSharedPoints(t *testing.T) {
 	// Two ranks of one unit-cube element each, sharing the face x = 1.
 	mk := func(rank int, x0 float64) *Local {
 		r := NewRegion(earthmodel.RegionCrustMantle, 1)
-		pi := NewPointIndexer()
+		r.NGlob, r.Pts = NGLL3, make([][3]float64, NGLL3)
 		for k := 0; k < NGLL; k++ {
 			for j := 0; j < NGLL; j++ {
 				for i := 0; i < NGLL; i++ {
-					r.Ibool[Idx(0, i, j, k)] = pi.Index(x0+float64(i)/4, float64(j)/4, float64(k)/4)
+					ip := Idx(0, i, j, k)
+					r.Ibool[ip] = int32(ip)
+					r.Pts[ip] = [3]float64{x0 + float64(i)/4, float64(j) / 4, float64(k) / 4}
 				}
 			}
 		}
-		r.NGlob, r.Pts = pi.Len(), pi.Points()
 		l := &Local{Rank: rank}
 		l.Regions[earthmodel.RegionCrustMantle] = r
 		l.Regions[earthmodel.RegionOuterCore] = NewRegion(earthmodel.RegionOuterCore, 0)

@@ -14,7 +14,9 @@ import (
 // numerical Jacobians. All point positions flow through the same
 // endpoint-exact interpolation so that coincident points of adjacent
 // elements (also across chunks and across the cube surface) are
-// bit-identical — the property the exact-key global numbering needs.
+// bit-identical. Within a rank the numbering does not rely on it — a
+// point is numbered by its lattice slot (lattice.go) — but the
+// cross-rank halo match pairs points by their exact coordinate bits.
 
 // gllS holds the GLL reference positions mapped to [0, 1] lerp factors.
 var gllS = func() [gll.NGLL]float64 {
@@ -39,10 +41,10 @@ var gllW = func() [gll.NGLL]float64 {
 // bit-for-bit, which makes symLerp direction-agnostic: an element that
 // traverses a shared edge from U to V and a neighbor that traverses it
 // from V to U produce bit-identical GLL points (the two products are the
-// same and float addition commutes). This is the property that lets the
-// doubling-template elements — whose shared edges are walked in opposite
-// directions by adjacent quads — participate in the exact-key global
-// numbering.
+// same and float addition commutes). The lattice names an edge node by
+// its unordered vertex pair for the same reason (dblNodes), and a
+// doubling-template point on a rank boundary carries the exact bits the
+// cross-rank halo match pairs it by.
 var symW0, symW1 = func() (w0, w1 [gll.NGLL]float64) {
 	for i := 0; i < gll.NGLL; i++ {
 		w1[i] = gllS[i]
@@ -57,39 +59,14 @@ var symW0, symW1 = func() (w0, w1 [gll.NGLL]float64) {
 // e.g. the top of a doubling layer at fixed radius — stay bit-exact
 // against the uniform layer above. symLerp(u, v, i) ==
 // symLerp(v, u, NGLL-1-i) bit-for-bit, and the endpoints are exact:
-// symLerp(u, v, 0) == u, symLerp(u, v, NGLL-1) == v.
+// symLerp(u, v, 0) == u, symLerp(u, v, NGLL-1) == v. Within a rank the
+// lattice numbers such a shared point once, whichever element computes
+// it first; across ranks, the halo match still needs the bits to agree.
 func symLerp(u, v float64, i int) float64 {
 	if u == v {
 		return u
 	}
 	return u*symW0[i] + v*symW1[i]
-}
-
-// shellPoint returns the physical position of the GLL node with lerp
-// factors (sa, sb, sr) inside the shell element spanning tangent ranges
-// [a0,a1]x[b0,b1] and radii [r0,r1] on the given chunk. Used for face
-// quadrature and diagnostics; indexed point generation goes through
-// elemNodes.shell so the exact-key numbering sees symLerp arithmetic.
-func shellPoint(face cubedsphere.Face, a0, a1, b0, b1, r0, r1, sa, sb, sr float64) cubedsphere.Vec3 {
-	a := lerp(a0, a1, sa)
-	b := lerp(b0, b1, sb)
-	r := lerp(r0, r1, sr)
-	return cubedsphere.DirectionTan(face, a, b).Scale(r)
-}
-
-// shellJacobian returns the Jacobian matrix columns dP/dxi^, dP/deta^,
-// dP/dzeta^ at the same node, from the analytic derivatives of the
-// gnomonic mapping.
-func shellJacobian(face cubedsphere.Face, a0, a1, b0, b1, r0, r1, sa, sb, sr float64) [3]cubedsphere.Vec3 {
-	a := lerp(a0, a1, sa)
-	b := lerp(b0, b1, sb)
-	r := lerp(r0, r1, sr)
-	dda, ddb, dir := tanDerivs(face, a, b)
-	return [3]cubedsphere.Vec3{
-		dda.Scale(r * (a1 - a0) / 2),
-		ddb.Scale(r * (b1 - b0) / 2),
-		dir.Scale((r1 - r0) / 2),
-	}
 }
 
 // invert3x3 inverts the matrix whose columns are the Jacobian vectors
@@ -121,11 +98,14 @@ func invert3x3(cols [3]cubedsphere.Vec3) (rows [3]cubedsphere.Vec3, det float64)
 // The hoists keep every operand and every operation order of the
 // per-node formulas they replace: a factor is moved out of a loop only
 // whole, as the value of the same expression on the same inputs, so
-// each float64 — and with it every point key, every float32 the solver
-// reads — is the one the per-node evaluation produced (TestMeshBits).
+// each float64 — and with it every point position, every float32 the
+// solver reads — is the one the per-node evaluation produced
+// (TestMeshBits).
 type elemNodes struct {
 	pos  [mesh.NGLL3]cubedsphere.Vec3
 	cols [mesh.NGLL3][3]cubedsphere.Vec3
+	// slot[n] is node n's lattice slot, filled by the element loop.
+	slot [mesh.NGLL3]int
 	// rad[k] is the material-evaluation radius of radial index k,
 	// clamped inside the element so discontinuity-adjacent elements
 	// sample their own side. It is set when radial is: the element's
@@ -136,29 +116,19 @@ type elemNodes struct {
 	radial bool
 }
 
-// shell fills the table for the shell element spanning tangent ranges
-// [a0,a1]x[b0,b1] and radii [r0,r1] on the given chunk. Positions use
-// the symmetric interpolation the global numbering requires, Jacobians
-// the analytic derivatives of the gnomonic mapping at the plain lerp
-// coordinates; both directions depend on (ia, ib) only and both radial
-// factors on ir only.
-func (t *elemNodes) shell(face cubedsphere.Face, a0, a1, b0, b1, r0, r1 float64) {
-	var posDir, dda, ddb, dir [mesh.NGLL2]cubedsphere.Vec3
-	for ib := 0; ib < mesh.NGLL; ib++ {
-		for ia := 0; ia < mesh.NGLL; ia++ {
-			q := ia + mesh.NGLL*ib
-			posDir[q] = cubedsphere.DirectionTan(face, symLerp(a0, a1, ia), symLerp(b0, b1, ib))
-			dda[q], ddb[q], dir[q] = tanDerivs(face, lerp(a0, a1, gllS[ia]), lerp(b0, b1, gllS[ib]))
-		}
-	}
+// shell fills the table for the shell element of column c between
+// radii r0 and r1. Positions use the column's symmetric-interpolation
+// directions, Jacobians its tangent derivatives at the plain lerp
+// coordinates; the radial factors depend on ir only.
+func (t *elemNodes) shell(c *column, r0, r1 float64) {
 	for ir := 0; ir < mesh.NGLL; ir++ {
 		rPos := symLerp(r0, r1, ir)
 		r := lerp(r0, r1, gllS[ir])
-		fa, fb, fr := r*(a1-a0)/2, r*(b1-b0)/2, (r1-r0)/2
+		fa, fb, fr := r*c.da/2, r*c.db/2, (r1-r0)/2
 		for q := 0; q < mesh.NGLL2; q++ {
 			n := q + mesh.NGLL2*ir
-			t.pos[n] = posDir[q].Scale(rPos)
-			t.cols[n] = [3]cubedsphere.Vec3{dda[q].Scale(fa), ddb[q].Scale(fb), dir[q].Scale(fr)}
+			t.pos[n] = c.posDir[q].Scale(rPos)
+			t.cols[n] = [3]cubedsphere.Vec3{c.dda[q].Scale(fa), c.ddb[q].Scale(fb), c.d[q].Scale(fr)}
 		}
 		t.rad[ir] = lerp(r0, r1, clamp(gllS[ir], 1e-3, 1-1e-3))
 	}
@@ -206,31 +176,13 @@ func (t *elemNodes) cube(a0, a1, b0, b1, c0, c1, rcc float64) {
 	t.radial = false
 }
 
-// interiorNodes is the number of nodes strictly inside an element, and
-// interiorNode marks them: no other element can reference them, so they
-// bypass the point-key map.
-const interiorNodes = (mesh.NGLL - 2) * (mesh.NGLL - 2) * (mesh.NGLL - 2)
-
-var interiorNode = func() (in [mesh.NGLL3]bool) {
-	for n := range in {
-		i, j, k := n%mesh.NGLL, n/mesh.NGLL%mesh.NGLL, n/mesh.NGLL2
-		in[n] = i > 0 && i < mesh.NGLL-1 && j > 0 && j < mesh.NGLL-1 && k > 0 && k < mesh.NGLL-1
-	}
-	return in
-}()
-
 // fillElement writes geometry (positions, inverse mapping, JacW) for
-// element e of region r from its node table, registering points in the
-// indexer in node order (first-sight numbering).
-func fillElement(r *mesh.Region, pi *mesh.PointIndexer, e int, t *elemNodes) error {
+// element e of region r from its node table, numbering its nodes'
+// lattice slots in node order (first-sight numbering).
+func fillElement(r *mesh.Region, lat *lattice, e int, t *elemNodes) error {
 	for n := 0; n < mesh.NGLL3; n++ {
 		ip := e*mesh.NGLL3 + n
-		p := t.pos[n]
-		if interiorNode[n] {
-			r.Ibool[ip] = pi.Add(p[0], p[1], p[2])
-		} else {
-			r.Ibool[ip] = pi.Index(p[0], p[1], p[2])
-		}
+		r.Ibool[ip] = lat.point(t.slot[n], t.pos[n])
 		rows, det := invert3x3(t.cols[n])
 		if det <= 0 {
 			return fmt.Errorf("meshfem: region %v element %d node %d: non-positive Jacobian determinant %g", r.Kind, e, n, det)
@@ -251,26 +203,22 @@ func fillElement(r *mesh.Region, pi *mesh.PointIndexer, e int, t *elemNodes) err
 	return nil
 }
 
-// faceQuad evaluates the outward-radial surface quadrature of the
-// (sr = const) face of a shell element: unit normals (the radial
+// faceQuad evaluates the outward-radial surface quadrature of the face
+// at radius r of a shell element of column c: unit normals (the radial
 // direction) and area weights |dP/dxi^ x dP/deta^| * w_i w_j at the
 // NGLL2 face points.
-func faceQuad(face cubedsphere.Face, a0, a1, b0, b1, r0, r1, sr float64) (normal [mesh.NGLL2]cubedsphere.Vec3, weight [mesh.NGLL2]float64) {
-	for j := 0; j < mesh.NGLL; j++ {
-		for i := 0; i < mesh.NGLL; i++ {
-			cols := shellJacobian(face, a0, a1, b0, b1, r0, r1, gllS[i], gllS[j], sr)
-			cr := cols[0].Cross(cols[1])
-			area := cr.Norm()
-			n := cr.Normalize()
-			// Orient outward (away from the center).
-			p := shellPoint(face, a0, a1, b0, b1, r0, r1, gllS[i], gllS[j], sr)
-			if n.Dot(p) < 0 {
-				n = n.Scale(-1)
-			}
-			q := i + mesh.NGLL*j
-			normal[q] = n
-			weight[q] = area * gllW[i] * gllW[j]
+func faceQuad(c *column, r float64) (normal [mesh.NGLL2]cubedsphere.Vec3, weight [mesh.NGLL2]float64) {
+	fa, fb := r*c.da/2, r*c.db/2
+	for q := 0; q < mesh.NGLL2; q++ {
+		cr := c.dda[q].Scale(fa).Cross(c.ddb[q].Scale(fb))
+		area := cr.Norm()
+		n := cr.Normalize()
+		// Orient outward (away from the center).
+		if n.Dot(c.d[q].Scale(r)) < 0 {
+			n = n.Scale(-1)
 		}
+		normal[q] = n
+		weight[q] = area * gllW[q%mesh.NGLL] * gllW[q/mesh.NGLL]
 	}
 	return normal, weight
 }
@@ -304,7 +252,7 @@ func sphericalShellVolume(r0, r1 float64) float64 {
 // fillElement at build time), every interior edge is shared by exactly
 // two quads, the four top edges are the fine grid edges and the two
 // bottom edges the coarse ones — the mesh is conforming by construction,
-// and symLerp arithmetic makes the shared points exact-key identical.
+// and symLerp arithmetic makes the shared points bit-identical.
 // Doubling both angular directions stacks two such layers: the upper
 // halves xi (template extruded along eta), the lower halves eta.
 

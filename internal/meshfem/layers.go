@@ -113,8 +113,8 @@ func buildRadialNodes(rBot, rTop float64, discs []float64, nex int) []float64 {
 }
 
 // lerp interpolates endpoint-exactly: lerp(lo, hi, 0) == lo and
-// lerp(lo, hi, 1) == hi bit-for-bit, which the exact-key global
-// numbering relies on.
+// lerp(lo, hi, 1) == hi bit-for-bit, which the cross-rank halo match,
+// keyed on exact coordinates, relies on.
 func lerp(lo, hi, s float64) float64 { return lo*(1-s) + hi*s }
 
 // regionSpec describes one region the mesher must build.

@@ -78,11 +78,12 @@ type Globe struct {
 	// shell layer structure); layerCount[si][l] the per-rank element
 	// count of that layer.
 	layerBase, layerCount [][]int
-	// shellElems[si] and shellPoints[si] are the exact numbers of
-	// elements and of distinct GLL points the shell layers of spec si
-	// put on one rank; they size the region arrays and the point
-	// indexer, so Pts is allocated once, at its final length.
-	shellElems, shellPoints []int
+	// shellElems[si] is the number of elements the shell layers of spec
+	// si put on one rank, and shell[si] lays out their point lattice,
+	// whose size is their exact point count: the region arrays and Pts
+	// are allocated once, at their final lengths.
+	shellElems []int
+	shell      []shellLattice
 	// grids holds the tangent-space node grid of every lateral
 	// resolution level the layer specs use (chunks and central cube share
 	// them). Build fills it before any rank is built and nothing writes
@@ -118,7 +119,7 @@ func Build(cfg Config) (*Globe, error) {
 	if cfg.CubeFrac == 0 {
 		cfg.CubeFrac = 0.5
 	}
-	if cfg.CubeFrac < 0.1 || cfg.CubeFrac > 0.9 {
+	if !(cfg.CubeFrac >= 0.1 && cfg.CubeFrac <= 0.9) { // negated, so NaN is refused too
 		return nil, fmt.Errorf("meshfem: CubeFrac %g outside [0.1, 0.9]", cfg.CubeFrac)
 	}
 	if len(cfg.Doublings) == 0 && cfg.AutoDoubling != nil {
@@ -257,44 +258,50 @@ func validateDoublings(cfg Config) ([]float64, error) {
 	return doublings, nil
 }
 
-// indexLayers precomputes per-layer element bases and counts (identical
-// across ranks) and validates region-boundary resolutions.
+// indexLayers precomputes per-layer element bases and counts and the
+// shell point lattice of every region (identical across ranks), and
+// validates region-boundary resolutions.
 func (g *Globe) indexLayers() error {
 	np := g.Cfg.NProcXi
 	g.layerBase = make([][]int, len(g.specs))
 	g.layerCount = make([][]int, len(g.specs))
 	g.shellElems = make([]int, len(g.specs))
-	g.shellPoints = make([]int, len(g.specs))
-	// Nodes of an nx x ny element sheet, of a stack one element thick,
-	// and of m side-by-side doubling-template copies in their plane
-	// (9m+2 vertices, 15m+1 edges, 6m quads: see dblTemplate).
-	const d = mesh.NGLL - 1
-	sheet := func(nx, ny int) int { return (d*nx + 1) * (d*ny + 1) }
-	template := func(m int) int { return 9*m + 2 + (15*m+1)*(d-1) + 6*m*(d-1)*(d-1) }
+	g.shell = make([]shellLattice, len(g.specs))
 	for si := range g.specs {
 		sp := &g.specs[si]
+		lat := &g.shell[si]
+		// sheet appends the node sheet of nx x ny elements per slice.
+		sheet := func(nx, ny int) {
+			lat.sheet = append(lat.sheet, lat.points)
+			lat.sheetW = append(lat.sheetW, dGLL*nx+1)
+			lat.points += (dGLL*nx + 1) * (dGLL*ny + 1)
+		}
 		base := 0
 		for li, l := range sp.layers {
 			nx, ny := l.nexXi/np, l.nexEta/np
-			count, points := 0, 0
+			if li == 0 {
+				sheet(l.botXi()/np, l.botEta()/np)
+			}
+			// The middle block: dGLL-1 inner sheets of a uniform layer,
+			// or the template copies' middle plane times the extrusion.
+			count, w, planes := 0, 0, 0
 			switch l.kind {
 			case layerUniform:
 				count = nx * ny
-				points = sheet(nx, ny) * mesh.NGLL
+				w, planes = dGLL*nx+1, (dGLL-1)*(dGLL*ny+1)
 			case layerDoubleXi:
 				count = (nx / 4) * 6 * ny
-				points = template(nx/4) * (d*ny + 1)
+				w, planes = dblMidWidth(nx/4), dGLL*ny+1
 			case layerDoubleEta:
 				count = nx * (ny / 4) * 6
-				points = template(ny/4) * (d*nx + 1)
+				w, planes = dGLL*nx+1, dblMidWidth(ny/4)
 			}
-			if li > 0 {
-				// The bottom sheet is the top sheet of the layer below.
-				points -= sheet(l.botXi()/np, l.botEta()/np)
-			}
+			lat.mid = append(lat.mid, lat.points)
+			lat.midW = append(lat.midW, w)
+			lat.points += w * planes
+			sheet(nx, ny)
 			g.layerBase[si] = append(g.layerBase[si], base)
 			g.layerCount[si] = append(g.layerCount[si], count)
-			g.shellPoints[si] += points
 			base += count
 		}
 		g.shellElems[si] = base
@@ -382,37 +389,56 @@ func (g *Globe) buildRank(rank int) (*mesh.Local, error) {
 		}
 		local.Regions[reg.Kind] = reg
 	}
-	g.buildCoupling(local, rank)
-	g.buildSurface(local, rank)
+	f.coupling(local)
+	f.surface(local)
 	return local, nil
 }
 
 // elemFiller appends elements to one region of one rank at a time: each
-// element family fills the node table, emit turns it into the region's
-// arrays.
+// element family fills the node table and its lattice slots, emit turns
+// it into the region's arrays. The lattice's slot array and the column
+// tables live as long as the rank's build.
 type elemFiller struct {
-	g     *Globe
-	rank  int
-	reg   *mesh.Region
-	pi    *mesh.PointIndexer
-	e     int // next element index
-	nodes elemNodes
+	g       *Globe
+	rank    int
+	reg     *mesh.Region
+	lat     lattice
+	colSets []columnSet
+	e       int // next element index
+	nodes   elemNodes
+	// trace, when set, sees every element's node table as it is
+	// emitted (the numbering oracle of the tests).
+	trace func(e int, t *elemNodes)
 }
 
 // region builds the rank's region for spec si: its shell layers bottom
 // to top, then the central-cube cells the rank owns.
 func (f *elemFiller) region(si int) (*mesh.Region, error) {
 	g, sp := f.g, &f.g.specs[si]
-	nSpec, nPoints := g.shellElems[si], g.shellPoints[si]
+	nSpec, slots, points := g.shellElems[si], g.shell[si].points, g.shell[si].points
+	var cube cubeLattice
 	if sp.withCube {
-		// A cube cell adds at most its own nodes; the indexer trims the
-		// estimate when it hands the points over.
+		cube = g.newCubeLattice(f.rank, si, slots)
 		nSpec += len(g.cubeCells[f.rank])
-		nPoints += len(g.cubeCells[f.rank]) * mesh.NGLL3
+		slots += cube.slots()
 	}
 	f.reg = mesh.NewRegion(sp.kind, nSpec)
-	f.pi = mesh.NewPointIndexer()
-	f.pi.Reserve(nPoints, nSpec*interiorNodes)
+	f.lat.reset(slots)
+	if sp.withCube {
+		// Count the cube block's nodes (the shell holds the rest),
+		// marking each slot seen (-2 stays "unnumbered"), so Pts is
+		// allocated once.
+		for _, cell := range g.cubeCells[f.rank] {
+			cube.cellSlots(cell, &f.nodes.slot)
+			for _, s := range f.nodes.slot {
+				if s >= cube.base && f.lat.id[s] == -1 {
+					f.lat.id[s] = -2
+					points++
+				}
+			}
+		}
+	}
+	f.lat.pts, f.lat.n = make([][3]float64, points), 0
 	f.e = 0
 	for li, l := range sp.layers {
 		if f.e != g.layerBase[si][li] {
@@ -422,11 +448,11 @@ func (f *elemFiller) region(si int) (*mesh.Region, error) {
 		var err error
 		switch l.kind {
 		case layerUniform:
-			err = f.uniformLayer(l)
+			err = f.uniformLayer(si, li)
 		case layerDoubleXi:
-			err = f.doubleXiLayer(l)
+			err = f.doubleXiLayer(si, li)
 		case layerDoubleEta:
-			err = f.doubleEtaLayer(l)
+			err = f.doubleEtaLayer(si, li)
 		}
 		if err != nil {
 			return nil, err
@@ -436,14 +462,18 @@ func (f *elemFiller) region(si int) (*mesh.Region, error) {
 		ct := g.grid(g.cubeNex)
 		for _, cell := range g.cubeCells[f.rank] {
 			f.nodes.cube(ct[cell[0]], ct[cell[0]+1], ct[cell[1]], ct[cell[1]+1], ct[cell[2]], ct[cell[2]+1], g.rcc)
+			cube.cellSlots(cell, &f.nodes.slot)
 			if err := f.emit(); err != nil {
 				return nil, err
 			}
 		}
 	}
+	if int(f.lat.n) != points {
+		return nil, fmt.Errorf("region %v: numbered %d points, lattice holds %d", sp.kind, f.lat.n, points)
+	}
 	reg := f.reg
-	reg.NGlob = f.pi.Len()
-	reg.Pts = f.pi.Points()
+	reg.NGlob, reg.Pts = points, f.lat.pts
+	f.lat.pts = nil
 	return reg, reg.Finish()
 }
 
@@ -452,7 +482,10 @@ func (f *elemFiller) region(si int) (*mesh.Region, error) {
 // after the element is created: the merged single-pass strategy of
 // section 4.4.
 func (f *elemFiller) emit() error {
-	if err := fillElement(f.reg, f.pi, f.e, &f.nodes); err != nil {
+	if f.trace != nil {
+		f.trace(f.e, &f.nodes)
+	}
+	if err := fillElement(f.reg, &f.lat, f.e, &f.nodes); err != nil {
 		return err
 	}
 	assignMaterial(f.g.Cfg.Model, f.reg, f.e, &f.nodes)
@@ -460,14 +493,36 @@ func (f *elemFiller) emit() error {
 	return nil
 }
 
-// uniformLayer appends one uniform layer's elements (eta-major, then
-// xi).
-func (f *elemFiller) uniformLayer(l layerSpec) error {
-	s, ilo, ihi, jlo, jhi := f.g.sliceRangeAt(f.rank, l.nexXi, l.nexEta)
-	gx, gy := f.g.grid(l.nexXi), f.g.grid(l.nexEta)
+// uniformLayer appends layer li of spec si, a uniform layer, eta-major,
+// then xi. Node (ia, ib, k) of element (i, j) sits at slice-local
+// lateral index (4i+ia, 4j+ib) of the bottom sheet (k = 0), of the top
+// sheet (k = 4) or of inner sheet k-1 of the middle block.
+func (f *elemFiller) uniformLayer(si, li int) error {
+	l, lat := f.g.specs[si].layers[li], &f.g.shell[si]
+	_, ilo, ihi, jlo, jhi := f.g.sliceRangeAt(f.rank, l.nexXi, l.nexEta)
+	cols := f.columns(l.nexXi, l.nexEta)
+	w, inner := lat.sheetW[li], lat.sheetW[li]*(dGLL*(jhi-jlo)+1)
+	// off[n] is node n's slot in the slice's first element.
+	var off [mesh.NGLL3]int
+	for n := range off {
+		ia, ib, k := n%mesh.NGLL, n/mesh.NGLL%mesh.NGLL, n/mesh.NGLL2
+		switch k {
+		case 0:
+			off[n] = lat.sheet[li]
+		case dGLL:
+			off[n] = lat.sheet[li+1]
+		default:
+			off[n] = lat.mid[li] + (k-1)*inner
+		}
+		off[n] += ia + w*ib
+	}
 	for j := jlo; j < jhi; j++ {
 		for i := ilo; i < ihi; i++ {
-			f.nodes.shell(s.Chunk, gx[i], gx[i+1], gy[j], gy[j+1], l.r0, l.r1)
+			at := dGLL * ((i - ilo) + w*(j-jlo))
+			for n := range off {
+				f.nodes.slot[n] = at + off[n]
+			}
+			f.nodes.shell(&cols[(j-jlo)*(ihi-ilo)+(i-ilo)], l.r0, l.r1)
 			if err := f.emit(); err != nil {
 				return err
 			}
@@ -476,16 +531,36 @@ func (f *elemFiller) uniformLayer(l layerSpec) error {
 	return nil
 }
 
-// doubleXiLayer appends one xi-doubling layer: per fine eta row, one
-// 6-element template copy per 4 fine xi columns (eta-major, then copy,
-// then template quad).
-func (f *elemFiller) doubleXiLayer(l layerSpec) error {
+// dblPlanes returns layer li's three lattice plane families, indexed by
+// tmplNode.plane: top sheet, bottom sheet, middle block.
+func (lat *shellLattice) dblPlanes(li int) [3]plane {
+	return [3]plane{
+		tmplTop: {lat.sheet[li+1], lat.sheetW[li+1], 4 * dGLL},
+		tmplBot: {lat.sheet[li], lat.sheetW[li], 2 * dGLL},
+		tmplMid: {lat.mid[li], lat.midW[li], dblMidPerCopy},
+	}
+}
+
+// doubleXiLayer appends layer li of spec si, an xi-doubling layer: per
+// fine eta row, one 6-element template copy per 4 fine xi columns
+// (eta-major, then copy, then template quad). A node's plane coordinates
+// are its template position along xi and its extrusion line along eta.
+func (f *elemFiller) doubleXiLayer(si, li int) error {
+	l := f.g.specs[si].layers[li]
 	s, ilo, ihi, jlo, jhi := f.g.sliceRangeAt(f.rank, l.nexXi, l.nexEta)
 	gx, gy := f.g.grid(l.nexXi), f.g.grid(l.nexEta)
+	planes := f.g.shell[si].dblPlanes(li)
 	for j := jlo; j < jhi; j++ {
 		for f0 := ilo; f0 < ihi; f0 += 4 {
+			c := (f0 - ilo) / 4
 			quads := dblTemplate([5]float64(gx[f0:f0+5]), l.r0, l.r1)
 			for q := range quads {
+				for n := range f.nodes.slot {
+					ia, ib, ir := n%mesh.NGLL, n/mesh.NGLL%mesh.NGLL, n/mesh.NGLL2
+					tn := dblNodes[q][ia][ir]
+					p := planes[tn.plane]
+					f.nodes.slot[n] = p.base + c*p.stride + tn.off + p.w*(dGLL*(j-jlo)+ib)
+				}
 				f.nodes.doubleXi(s.Chunk, &quads[q], gy[j], gy[j+1])
 				if err := f.emit(); err != nil {
 					return err
@@ -496,16 +571,27 @@ func (f *elemFiller) doubleXiLayer(l layerSpec) error {
 	return nil
 }
 
-// doubleEtaLayer appends one eta-doubling layer: one 6-element template
-// copy per 4 fine eta rows, extruded across the (already coarse) xi
-// columns (copy-major, then template quad, then xi).
-func (f *elemFiller) doubleEtaLayer(l layerSpec) error {
+// doubleEtaLayer appends layer li of spec si, an eta-doubling layer: one
+// 6-element template copy per 4 fine eta rows, extruded across the
+// (already coarse) xi columns (copy-major, then template quad, then xi).
+// A node's plane coordinates are its extrusion line along xi and its
+// template position along eta.
+func (f *elemFiller) doubleEtaLayer(si, li int) error {
+	l := f.g.specs[si].layers[li]
 	s, ilo, ihi, jlo, jhi := f.g.sliceRangeAt(f.rank, l.nexXi, l.nexEta)
 	gx, gy := f.g.grid(l.nexXi), f.g.grid(l.nexEta)
+	planes := f.g.shell[si].dblPlanes(li)
 	for f0 := jlo; f0 < jhi; f0 += 4 {
+		c := (f0 - jlo) / 4
 		quads := dblTemplate([5]float64(gy[f0:f0+5]), l.r0, l.r1)
 		for q := range quads {
 			for i := ilo; i < ihi; i++ {
+				for n := range f.nodes.slot {
+					ia, ib, ir := n%mesh.NGLL, n/mesh.NGLL%mesh.NGLL, n/mesh.NGLL2
+					tn := dblNodes[q][ib][ir]
+					p := planes[tn.plane]
+					f.nodes.slot[n] = p.base + dGLL*(i-ilo) + ia + p.w*(c*p.stride+tn.off)
+				}
 				f.nodes.doubleEta(s.Chunk, &quads[q], gx[i], gx[i+1])
 				if err := f.emit(); err != nil {
 					return err
@@ -554,12 +640,13 @@ func assignMaterial(model earthmodel.Model, reg *mesh.Region, e int, t *elemNode
 	reg.Qkappa[e] = float32(mc.Qkappa)
 }
 
-// buildCoupling derives the fluid-solid coupling faces (CMB and ICB) for
-// a rank. Both sides of each boundary live on the same rank because
-// slices own full radial columns; region boundaries always sit in
-// uniform bands, at the lateral resolution the doubling schedule
-// dictates there.
-func (g *Globe) buildCoupling(local *mesh.Local, rank int) {
+// coupling derives the rank's fluid-solid coupling faces (CMB and ICB).
+// Both sides of each boundary live on the same rank because slices own
+// full radial columns; region boundaries always sit in uniform bands, at
+// the lateral resolution the doubling schedule dictates there, so the
+// faces read the column tables the layers were built from.
+func (f *elemFiller) coupling(local *mesh.Local) {
+	g, rank := f.g, f.rank
 	oc := local.Regions[earthmodel.RegionOuterCore]
 	if oc == nil || oc.NSpec == 0 {
 		return
@@ -575,18 +662,16 @@ func (g *Globe) buildCoupling(local *mesh.Local, rank int) {
 	// CMB: fluid top face against crust/mantle bottom face.
 	ocTop := len(ocSpec.layers) - 1
 	nexCMB := ocSpec.nexTop()
-	s, ilo, ihi, jlo, jhi := g.sliceRangeAt(rank, nexCMB, nexCMB)
-	t := g.grid(nexCMB)
+	_, ilo, ihi, jlo, jhi := g.sliceRangeAt(rank, nexCMB, nexCMB)
+	cols := f.columns(nexCMB, nexCMB)
+	lt := ocSpec.layers[ocTop]
 	for j := jlo; j < jhi; j++ {
 		for i := ilo; i < ihi; i++ {
-			a0, a1 := t[i], t[i+1]
-			b0, b1 := t[j], t[j+1]
 			fe := g.uniformElemIndex(ocSI, ocTop, rank, i, j)
 			se := g.uniformElemIndex(cmSI, 0, rank, i, j)
 			var cf mesh.CoupleFace
 			cf.SolidKind = earthmodel.RegionCrustMantle
-			lt := ocSpec.layers[ocTop]
-			nrm, wgt := faceQuad(s.Chunk, a0, a1, b0, b1, lt.r0, lt.r1, 1)
+			nrm, wgt := faceQuad(&cols[(j-jlo)*(ihi-ilo)+(i-ilo)], lerp(lt.r0, lt.r1, 1))
 			for q := 0; q < mesh.NGLL2; q++ {
 				qi, qj := q%mesh.NGLL, q/mesh.NGLL
 				cf.FluidPt[q] = oc.Ibool[mesh.Idx(fe, qi, qj, topK)]
@@ -607,18 +692,16 @@ func (g *Globe) buildCoupling(local *mesh.Local, rank int) {
 	icSpec := &g.specs[icSI]
 	icTop := len(icSpec.layers) - 1
 	nexICB := ocSpec.nexBot()
-	s, ilo, ihi, jlo, jhi = g.sliceRangeAt(rank, nexICB, nexICB)
-	t = g.grid(nexICB)
+	_, ilo, ihi, jlo, jhi = g.sliceRangeAt(rank, nexICB, nexICB)
+	cols = f.columns(nexICB, nexICB)
+	lb := ocSpec.layers[0]
 	for j := jlo; j < jhi; j++ {
 		for i := ilo; i < ihi; i++ {
-			a0, a1 := t[i], t[i+1]
-			b0, b1 := t[j], t[j+1]
 			fe := g.uniformElemIndex(ocSI, 0, rank, i, j)
 			se := g.uniformElemIndex(icSI, icTop, rank, i, j)
 			var icf mesh.CoupleFace
 			icf.SolidKind = earthmodel.RegionInnerCore
-			lb := ocSpec.layers[0]
-			nrm, wgt := faceQuad(s.Chunk, a0, a1, b0, b1, lb.r0, lb.r1, 0)
+			nrm, wgt := faceQuad(&cols[(j-jlo)*(ihi-ilo)+(i-ilo)], lerp(lb.r0, lb.r1, 0))
 			for q := 0; q < mesh.NGLL2; q++ {
 				qi, qj := q%mesh.NGLL, q/mesh.NGLL
 				icf.FluidPt[q] = oc.Ibool[mesh.Idx(fe, qi, qj, 0)]
@@ -635,10 +718,11 @@ func (g *Globe) buildCoupling(local *mesh.Local, rank int) {
 	}
 }
 
-// buildSurface collects the free-surface points of the crust/mantle
+// surface collects the free-surface points of the rank's crust/mantle
 // region with assembled area weights and outward normals, for the ocean
 // load approximation.
-func (g *Globe) buildSurface(local *mesh.Local, rank int) {
+func (f *elemFiller) surface(local *mesh.Local) {
+	g, rank := f.g, f.rank
 	cmSI := g.specOf(earthmodel.RegionCrustMantle)
 	if cmSI < 0 {
 		return
@@ -647,8 +731,8 @@ func (g *Globe) buildSurface(local *mesh.Local, rank int) {
 	cm := local.Regions[earthmodel.RegionCrustMantle]
 	topL := len(cmSpec.layers) - 1
 	lt := cmSpec.layers[topL]
-	s, ilo, ihi, jlo, jhi := g.sliceRangeAt(rank, lt.nexXi, lt.nexEta)
-	t := g.grid(lt.nexXi)
+	_, ilo, ihi, jlo, jhi := g.sliceRangeAt(rank, lt.nexXi, lt.nexEta)
+	cols := f.columns(lt.nexXi, lt.nexEta)
 	topK := mesh.NGLL - 1
 
 	// slot[pt] is 1 + the position of surface point pt in area/nrm; the
@@ -661,9 +745,7 @@ func (g *Globe) buildSurface(local *mesh.Local, rank int) {
 	for j := jlo; j < jhi; j++ {
 		for i := ilo; i < ihi; i++ {
 			e := g.uniformElemIndex(cmSI, topL, rank, i, j)
-			a0, a1 := t[i], t[i+1]
-			b0, b1 := t[j], t[j+1]
-			nrm, wgt := faceQuad(s.Chunk, a0, a1, b0, b1, lt.r0, lt.r1, 1)
+			nrm, wgt := faceQuad(&cols[(j-jlo)*(ihi-ilo)+(i-ilo)], lerp(lt.r0, lt.r1, 1))
 			for q := 0; q < mesh.NGLL2; q++ {
 				qi, qj := q%mesh.NGLL, q/mesh.NGLL
 				pt := cm.Ibool[mesh.Idx(e, qi, qj, topK)]

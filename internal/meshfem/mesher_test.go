@@ -1,7 +1,9 @@
 package meshfem
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -39,6 +41,11 @@ func TestBuildValidations(t *testing.T) {
 	}
 	if _, err := Build(Config{NexXi: 4, NProcXi: 1, Model: testModel(), CubeFrac: 0.95}); err == nil {
 		t.Error("CubeFrac 0.95 accepted")
+	}
+	// NaN passes a pair of "outside the range" comparisons; it must be
+	// refused up front, not by a NaN Jacobian after every rank is meshed.
+	if _, err := Build(Config{NexXi: 4, NProcXi: 1, Model: testModel(), CubeFrac: math.NaN()}); err == nil || !strings.Contains(err.Error(), "CubeFrac") {
+		t.Errorf("CubeFrac NaN: error %v, want the CubeFrac range error", err)
 	}
 }
 
@@ -506,9 +513,31 @@ func BenchmarkBuild(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*elements), "us/element")
 }
 
-// The indexer is sized from the layer specs: the shell count must be
-// the region's exact point count wherever no cube cells join it (so Pts
-// is allocated once), and no region may keep spare capacity alive.
+// BenchmarkBuildNex prices a cold build of one earthlike globe per
+// resolution (6 ranks, no doubling): us/element from NEX 4 to NEX 16
+// says whether the mesher's cost per element stays flat as the mesh
+// grows 16-fold.
+func BenchmarkBuildNex(b *testing.B) {
+	for _, nex := range []int{4, 8, 16} {
+		b.Run(fmt.Sprintf("nex%d", nex), func(b *testing.B) {
+			b.ReportAllocs()
+			elements := 0
+			for i := 0; i < b.N; i++ {
+				g, err := Build(Config{NexXi: nex, NProcXi: 1, Model: testModel()})
+				if err != nil {
+					b.Fatal(err)
+				}
+				elements = g.TotalElements()
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*elements), "us/element")
+		})
+	}
+}
+
+// Every region's point count is known before its first element: the
+// shell lattice's size for the shell layers, plus the central-cube nodes
+// the shell does not hold. Pts is allocated once, at that length, and no
+// region keeps spare capacity alive.
 func TestRegionPointCountsExact(t *testing.T) {
 	for _, c := range meshBitsConfigs() {
 		g, err := Build(c.cfg)
@@ -518,13 +547,13 @@ func TestRegionPointCountsExact(t *testing.T) {
 		for _, l := range g.Locals {
 			for si, sp := range g.specs {
 				reg := l.Regions[sp.kind]
-				if !sp.withCube && reg.NGlob != g.shellPoints[si] {
-					t.Errorf("%s rank %d %v: %d points, layer specs predict %d",
-						c.name, l.Rank, sp.kind, reg.NGlob, g.shellPoints[si])
+				want := g.shell[si].points
+				if sp.withCube {
+					want += cubeOnlyPoints(g, l.Rank)
 				}
-				if sp.withCube && reg.NGlob <= g.shellPoints[si] {
-					t.Errorf("%s rank %d %v: %d points with cube cells, shell alone predicts %d",
-						c.name, l.Rank, sp.kind, reg.NGlob, g.shellPoints[si])
+				if reg.NGlob != want {
+					t.Errorf("%s rank %d %v: %d points, layer specs and cube cells predict %d",
+						c.name, l.Rank, sp.kind, reg.NGlob, want)
 				}
 				if cap(reg.Pts) != len(reg.Pts) {
 					t.Errorf("%s rank %d %v: Pts keeps %d spare slots", c.name, l.Rank, sp.kind, cap(reg.Pts)-len(reg.Pts))
@@ -532,6 +561,35 @@ func TestRegionPointCountsExact(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cubeOnlyPoints counts the distinct GLL nodes of rank's central-cube
+// cells that its shell does not hold: every node but those on the face
+// of the rank's chunk (q·n = D in the cube's centred node coordinates q)
+// inside the rank's slice.
+func cubeOnlyPoints(g *Globe, rank int) int {
+	D := dGLL * g.cubeNex
+	s, ilo, ihi, jlo, jhi := g.sliceRangeAt(rank, g.cubeNex, g.cubeNex)
+	n, u, v := s.Chunk.Triad()
+	dot := func(q [3]int, e cubedsphere.Vec3) int {
+		return q[0]*int(e[0]) + q[1]*int(e[1]) + q[2]*int(e[2])
+	}
+	seen := map[[3]int]bool{}
+	for _, cell := range g.cubeCells[rank] {
+		for node := 0; node < mesh.NGLL3; node++ {
+			ijk := [3]int{node % mesh.NGLL, node / mesh.NGLL % mesh.NGLL, node / mesh.NGLL2}
+			var q [3]int
+			for a := range q {
+				q[a] = 2*(dGLL*cell[a]+ijk[a]) - D
+			}
+			xi, eta := (dot(q, u)+D)/2, (dot(q, v)+D)/2
+			if dot(q, n) == D && xi >= dGLL*ilo && xi <= dGLL*ihi && eta >= dGLL*jlo && eta <= dGLL*jhi {
+				continue
+			}
+			seen[q] = true
+		}
+	}
+	return len(seen)
 }
 
 // A finished Globe is shared between batches by the daemon: location

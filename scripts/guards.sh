@@ -1,13 +1,17 @@
 #!/bin/sh
 # Stay-deleted guards, run by the CI test job and locally via
 #   ./scripts/guards.sh
-# 1. no Go file names anything on the retired list below (the last two
-#    lines: clustered local time stepping and its level wheel),
+# 1. no Go file names anything on the retired list below (the last
+#    three lines: clustered local time stepping and its level wheel, and
+#    the coordinate-key point indexer),
 # 2. the root benchmark file and root-level BENCH_PR*.json snapshots
 #    stay gone (the eight snapshots are history in docs/history/),
 # 3. every experiment run goes through the two solver.Run calls of
 #    internal/experiments (solveCentral and fastestRun),
-# 4. the solver charges its profiler from at most five call sites.
+# 4. the solver charges its profiler from at most five call sites,
+# 5. coordinate keys (mesh.KeyOf, mesh.PointKey) stay inside
+#    internal/mesh, where only the cross-rank halo match and its tests
+#    use them: the meshers number points by their lattice.
 set -u
 fail=0
 
@@ -27,6 +31,7 @@ AddFlops|AddBytes|AddSkippedVisits|AddPageSkippedVisits|AddSkippedPoints|prof\.T
 func \(rs \*rankState\) (predictor|fluidStage|solidStage|fluidTail|solidTail)\(
 BuildClusters|Clustering|ltsLevelOf|wheelLevels|levelSweeps|reconcilePointRates|multiRate|upToRate|\.held\b|LTSInfo|StepsOfFinestPerSec|RateWeightedReduction|ComputeLoadStatsRated|LTSAblation|JobSpec\.LTS
 levelPlan|buildLevels|firePoints|oceanPoint|levelRoutes|fullRoute|rs\.lp\b|ElementDts|elementRates|normalizeRate|intersectSorted
+PointIndexer|NewPointIndexer
 EOF
 )
 if grep -rnE "$retired" --include='*.go' .; then
@@ -44,6 +49,11 @@ fi
 profs=$(cat $(ls internal/solver/*.go | grep -v '_test\.go$') | grep -o 'rs\.prof\.' | wc -l)
 if [ "$profs" -gt 5 ]; then
     echo "guards: internal/solver has $profs rs.prof. call sites, want at most 5" >&2
+    fail=1
+fi
+
+if grep -rnE '\b(KeyOf|PointKey)\b' --include='*.go' . | grep -v '^\./internal/mesh/'; then
+    echo "guards: a coordinate key is used outside internal/mesh (above)" >&2
     fail=1
 fi
 
