@@ -76,7 +76,7 @@ func main() {
 		g.TotalElements(), g.TotalPoints())
 	fmt.Printf("shortest resolvable period: ~%.1f s (paper rule 256*17/NEX = %.1f s)\n",
 		g.ShortestPeriod, perfmodel.ResolutionToPeriod(float64(*nex)))
-	fmt.Printf("stable time step (courant 0.3): %.4f s\n", mesh.StableDt(g.Locals, 0.3))
+	fmt.Printf("stable time step (courant %g): %.4f s\n", mesh.Courant, mesh.StableDt(g.Locals, mesh.Courant))
 
 	stats := mesh.ComputeLoadStats(g.Locals)
 	fmt.Printf("load balance: min %d, max %d, mean %.1f elements/rank (imbalance %.3f)\n",
@@ -91,9 +91,8 @@ func main() {
 	// Per-layer stable-dt profile beside the resolution audit: dt/min is
 	// how far a layer's own stable dt sits above the governing one, which
 	// every element steps at.
-	const courant = 0.3
-	dts := g.LayerStableDts(courant)
-	globalDt := mesh.StableDt(g.Locals, courant)
+	dts := g.LayerStableDts(mesh.Courant)
+	globalDt := mesh.StableDt(g.Locals, mesh.Courant)
 	fmt.Printf("  %-12s %9s %9s %5s %9s %9s %7s\n",
 		"region", "r0 km", "r1 km", "nex", "min pts", "min dt", "dt/min")
 	for i, lr := range g.LayerResolutions(g.ShortestPeriod) {

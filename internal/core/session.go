@@ -144,7 +144,7 @@ func (s *Session) steps() (int, error) {
 	}
 	dt := cfg.Dt
 	if dt <= 0 {
-		dt = mesh.StableDt(s.globe.Locals, 0.3)
+		dt = mesh.StableDt(s.globe.Locals, mesh.Courant)
 	}
 	if cfg.RecordSeconds <= 0 {
 		return 0, fmt.Errorf("core: need Steps or RecordSeconds")

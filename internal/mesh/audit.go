@@ -28,10 +28,6 @@ type ElemAudit struct {
 	// VMin is the slowest wave the element's material supports: S where
 	// a point carries shear, P at fluid points (Mu == 0).
 	VMin float64
-	// PtLo and PtHi are the smallest and largest global point index of
-	// the element: every point it gathers or scatters lies in
-	// [PtLo, PtHi].
-	PtLo, PtHi int32
 }
 
 // Finish completes a region whose element arrays are filled: it checks
@@ -64,32 +60,8 @@ func (r *Region) AuditElements() {
 	}
 }
 
-// UpdatePointRanges recomputes every element's PtLo and PtHi from Ibool:
-// a relabelling of the global points (renumber.RenumberPoints) moves
-// them and nothing else of the audit. A region without an audit is left
-// as it is.
-func (r *Region) UpdatePointRanges() {
-	if len(r.Audit) != r.NSpec {
-		return
-	}
-	for e := range r.Audit {
-		r.Audit[e].PtLo, r.Audit[e].PtHi = r.pointRange(e)
-	}
-}
-
-// pointRange returns the smallest and largest point index of element e.
-func (r *Region) pointRange(e int) (lo, hi int32) {
-	ib := r.Ibool[e*NGLL3 : (e+1)*NGLL3]
-	lo, hi = ib[0], ib[0]
-	for _, g := range ib[1:] {
-		lo, hi = min(lo, g), max(hi, g)
-	}
-	return lo, hi
-}
-
 // auditElement walks element e once: the 3*NGLL^2 grid lines, summing
-// each line's GLL intervals in order, the NGLL3 material points and the
-// element's point indices.
+// each line's GLL intervals in order, and the NGLL3 material points.
 func (r *Region) auditElement(e int) ElemAudit {
 	ib := r.Ibool[e*NGLL3 : (e+1)*NGLL3]
 	dist := func(a, b int32) float64 {
@@ -123,7 +95,6 @@ func (r *Region) auditElement(e int) ElemAudit {
 		}
 	}
 	au.HMax = hMax / float64(gll.Degree)
-	au.PtLo, au.PtHi = r.pointRange(e)
 	for p := e * NGLL3; p < (e+1)*NGLL3; p++ {
 		if vp := math.Sqrt(float64((r.Kappa[p] + 4.0/3.0*r.Mu[p]) / r.Rho[p])); vp > au.MaxVp {
 			au.MaxVp = vp
@@ -161,6 +132,10 @@ func (r *Region) StableDt(courant float64) float64 {
 	r.audited()
 	return courant * r.minSpacing / r.maxVp
 }
+
+// Courant is the stability number of the automatic time step: every
+// solve whose dt is not given steps at StableDt(locals, Courant).
+const Courant = 0.3
 
 // StableDt returns the automatic global time step of a distributed mesh:
 // the smallest Region.StableDt over every rank's regions.

@@ -9,8 +9,7 @@ import (
 // RescanElement is the oracle the element audit is tested against: the
 // per-element scans the audit replaced (the minimum GLL spacing and the
 // maximum P velocity of the stable time step, the coarsest grid line and
-// the slowest wave of the resolution accounting, the point range of the
-// page marks), each its own pass.
+// the slowest wave of the resolution accounting), each its own pass.
 func RescanElement(r *Region, e int) ElemAudit {
 	dist := func(a, b int32) float64 {
 		pa, pb := r.Pts[a], r.Pts[b]
@@ -69,14 +68,5 @@ func RescanElement(r *Region, e int) ElemAudit {
 			vMin = v
 		}
 	}
-	lo, hi := int32(math.MaxInt32), int32(-1)
-	for _, g := range r.Ibool[e*NGLL3 : (e+1)*NGLL3] {
-		if g < lo {
-			lo = g
-		}
-		if g > hi {
-			hi = g
-		}
-	}
-	return ElemAudit{MinSpacing: minD, MaxVp: maxV, HMax: hMax, VMin: vMin, PtLo: lo, PtHi: hi}
+	return ElemAudit{MinSpacing: minD, MaxVp: maxV, HMax: hMax, VMin: vMin}
 }

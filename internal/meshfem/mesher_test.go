@@ -648,7 +648,7 @@ func TestBuildAuditsEveryRegion(t *testing.T) {
 				}
 			}
 		}
-		if dt := mesh.StableDt(g.Locals, 0.3); !(dt > 0) || math.IsInf(dt, 0) {
+		if dt := mesh.StableDt(g.Locals, mesh.Courant); !(dt > 0) || math.IsInf(dt, 0) {
 			t.Errorf("%s: stable dt %v", c.name, dt)
 		}
 	}

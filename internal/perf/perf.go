@@ -69,16 +69,14 @@ func (p Phase) String() string {
 // Work is what one beat of a time step did in the analytic model: its
 // flops and streamed bytes and the visits it skipped (see Report).
 type Work struct {
-	Flops, Bytes                     int64
-	SkippedVisits, PageSkippedVisits int64
-	SkippedPoints                    int64
+	Flops, Bytes                 int64
+	SkippedVisits, SkippedPoints int64
 }
 
 func (w *Work) add(v Work) {
 	w.Flops += v.Flops
 	w.Bytes += v.Bytes
 	w.SkippedVisits += v.SkippedVisits
-	w.PageSkippedVisits += v.PageSkippedVisits
 	w.SkippedPoints += v.SkippedPoints
 }
 
@@ -196,16 +194,12 @@ type Report struct {
 	// TotalBytes sums the analytic byte traffic over ranks.
 	TotalBytes int64
 	// SkippedVisits counts, per force phase and summed over ranks and
-	// ensemble fields, the element visits that gathered an all-zero field
-	// (and, with attenuation, had never driven the element's memory
-	// variables) and so were not run: their result is exactly zero. Such
-	// a visit is charged its gather reads and no flops.
+	// ensemble fields, the element visits that were not run because
+	// their result is exactly zero: they gathered an all-zero field (and,
+	// with attenuation, had never driven the element's memory variables)
+	// and are charged their gather reads, or their region had no live
+	// page and was not swept, and are charged nothing. None costs flops.
 	SkippedVisits map[string]int64
-	// PageSkippedVisits counts, per force phase, the skipped visits that
-	// were decided before the gather: every page of the field the element
-	// touches has never held a non-zero value (or the whole region has
-	// none). They are charged nothing.
-	PageSkippedVisits map[string]int64
 	// SkippedPoints counts, per phase and summed over ranks and fields,
 	// the point visits of the predictor and the tails that found their
 	// page quiescent: a dead predictor piece is charged nothing, a dead
@@ -277,14 +271,13 @@ func (r Report) ArithmeticIntensity(phase string) float64 {
 // Aggregate builds a report from per-rank profilers.
 func Aggregate(profs []*Profiler) Report {
 	r := Report{
-		Ranks:             len(profs),
-		PhaseTotals:       map[string]time.Duration{},
-		PhaseFlops:        map[string]int64{},
-		PhaseBytes:        map[string]int64{},
-		SkippedVisits:     map[string]int64{},
-		PageSkippedVisits: map[string]int64{},
-		SkippedPoints:     map[string]int64{},
-		Beats:             map[string]time.Duration{},
+		Ranks:         len(profs),
+		PhaseTotals:   map[string]time.Duration{},
+		PhaseFlops:    map[string]int64{},
+		PhaseBytes:    map[string]int64{},
+		SkippedVisits: map[string]int64{},
+		SkippedPoints: map[string]int64{},
+		Beats:         map[string]time.Duration{},
 	}
 	profs = slices.Clone(profs)
 	slices.SortStableFunc(profs, func(a, b *Profiler) int { return a.Rank - b.Rank })
@@ -300,7 +293,6 @@ func Aggregate(profs []*Profiler) Report {
 			r.PhaseFlops[ph.String()] += w.Flops
 			r.PhaseBytes[ph.String()] += w.Bytes
 			r.SkippedVisits[ph.String()] += w.SkippedVisits
-			r.PageSkippedVisits[ph.String()] += w.PageSkippedVisits
 			r.SkippedPoints[ph.String()] += w.SkippedPoints
 		}
 		for _, b := range p.beats {
@@ -354,8 +346,7 @@ func (r Report) String() string {
 		r.MaxRankFlops, r.MaxRankBytes, r.Imbalance)
 	for _, ph := range []Phase{PhaseForceSolid, PhaseForceFluid} {
 		if n := r.SkippedVisits[ph.String()]; n > 0 {
-			fmt.Fprintf(&b, "#   %-12s %d element visits skipped (zero field), %d without a gather\n",
-				ph, n, r.PageSkippedVisits[ph.String()])
+			fmt.Fprintf(&b, "#   %-12s %d element visits skipped (zero field)\n", ph, n)
 		}
 	}
 	if n := r.SkippedPoints[PhaseUpdate.String()]; n > 0 {
@@ -397,38 +388,29 @@ type Skips struct {
 	// Visits counts the skipped visits and Elems the elements whose
 	// every field was skipped.
 	Visits, Elems int
-	// Pages counts the skipped visits decided before the gather, from
-	// the field's page marks, and PageElems the elements none of whose
-	// fields gathered (a subset of Visits and Elems).
-	Pages, PageElems int
 }
 
 // SkipTally counts the Skips of the concurrent chunks of one force
 // sweep.
-type SkipTally struct{ visits, elems, pages, pageElems atomic.Int64 }
+type SkipTally struct{ visits, elems atomic.Int64 }
 
 // Add records one chunk's skips.
 func (t *SkipTally) Add(s Skips) {
 	t.visits.Add(int64(s.Visits))
 	t.elems.Add(int64(s.Elems))
-	t.pages.Add(int64(s.Pages))
-	t.pageElems.Add(int64(s.PageElems))
 }
 
 // Charge returns the work of a sweep of elems elements × fields
 // wavefields: a performed visit costs flops and dynamic bytes, a
-// gather-skipped one its gather bytes and a page-skipped one nothing,
-// and an element its static bytes once if any field ran, IboolGather if
-// none ran but one gathered, and nothing if none gathered.
+// skipped one its gather bytes, and an element its static bytes once if
+// any field ran and IboolGather if none did.
 func (t *SkipTally) Charge(c ByteCounts, elems, fields int, flops, static, dynamic, gather int64) Work {
 	skipped, idle := t.visits.Load(), t.elems.Load()
-	pages, pageIdle := t.pages.Load(), t.pageElems.Load()
 	ran := int64(elems*fields) - skipped
 	return Work{
-		Flops:             flops * ran,
-		Bytes:             static*(int64(elems)-idle) + c.IboolGather*(idle-pageIdle) + dynamic*ran + gather*(skipped-pages),
-		SkippedVisits:     skipped,
-		PageSkippedVisits: pages,
+		Flops:         flops * ran,
+		Bytes:         static*(int64(elems)-idle) + c.IboolGather*idle + dynamic*ran + gather*skipped,
+		SkippedVisits: skipped,
 	}
 }
 

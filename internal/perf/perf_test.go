@@ -300,31 +300,29 @@ func TestDefaultFlopCounts(t *testing.T) {
 }
 
 // The charge of a sweep of 10 elements × 3 fields whose chunks skipped 7
-// visits, every field of 2 elements among them, and 5 of the 7 before
-// the gather, every field of 1 of those 2 elements: each performed
-// visit costs the visit's flops and dynamic bytes, each gather-skipped
-// one its gather and each page-skipped one nothing, and each element its
-// static bytes once — except an element whose every field was skipped,
-// which costs its Ibool read alone, or nothing if no field gathered.
-// The skipped visits and point visits reach the report per phase,
-// summed over ranks.
+// visits, every field of 2 elements among them: each performed visit
+// costs the visit's flops and dynamic bytes, each skipped one its
+// gather, and each element its static bytes once — except an element
+// whose every field was skipped, which costs its Ibool read alone. The
+// skipped visits and point visits reach the report per phase, summed
+// over ranks.
 func TestSkipTallyCharge(t *testing.T) {
 	c := DefaultByteCounts()
 	var tl SkipTally
-	tl.Add(Skips{Visits: 4, Elems: 1, Pages: 2})
-	tl.Add(Skips{Visits: 3, Elems: 1, Pages: 3, PageElems: 1})
+	tl.Add(Skips{Visits: 4, Elems: 1})
+	tl.Add(Skips{Visits: 3, Elems: 1})
 	const flops, static, dynamic, gather = 100, 1000, 10, 1
 	w := tl.Charge(c, 10, 3, flops, static, dynamic, gather)
-	if w.SkippedVisits != 7 || w.PageSkippedVisits != 5 || w.Flops != 23*flops {
-		t.Errorf("skipped %d, pages %d, flops %d; want 7, 5, %d", w.SkippedVisits, w.PageSkippedVisits, w.Flops, 23*flops)
+	if w.SkippedVisits != 7 || w.Flops != 23*flops {
+		t.Errorf("skipped %d, flops %d; want 7, %d", w.SkippedVisits, w.Flops, 23*flops)
 	}
-	if want := 8*static + 1*c.IboolGather + 23*dynamic + 2*gather; w.Bytes != want {
+	if want := 8*static + 2*c.IboolGather + 23*dynamic + 7*gather; w.Bytes != want {
 		t.Errorf("bytes %d, want %d", w.Bytes, want)
 	}
 	p, q := NewProfiler(0), NewProfiler(1)
 	p.Mark()
 	q.Mark()
-	p.Charge(&Beat{Phase: PhaseForceSolid}, Work{SkippedVisits: w.SkippedVisits, PageSkippedVisits: w.PageSkippedVisits})
+	p.Charge(&Beat{Phase: PhaseForceSolid}, Work{SkippedVisits: w.SkippedVisits})
 	q.Charge(&Beat{Phase: PhaseForceSolid}, Work{SkippedVisits: 2})
 	q.Charge(&Beat{Phase: PhaseForceFluid}, Work{SkippedVisits: 5})
 	p.Charge(&Beat{Phase: PhaseUpdate}, Work{SkippedPoints: 300})
@@ -333,13 +331,10 @@ func TestSkipTallyCharge(t *testing.T) {
 	if r.SkippedVisits["force_solid"] != 9 || r.SkippedVisits["force_fluid"] != 5 {
 		t.Errorf("SkippedVisits = %v, want force_solid 9, force_fluid 5", r.SkippedVisits)
 	}
-	if r.PageSkippedVisits["force_solid"] != 5 || r.PageSkippedVisits["force_fluid"] != 0 {
-		t.Errorf("PageSkippedVisits = %v, want force_solid 5, force_fluid 0", r.PageSkippedVisits)
-	}
 	if r.SkippedPoints["update"] != 312 {
 		t.Errorf("SkippedPoints = %v, want update 312", r.SkippedPoints)
 	}
-	for _, want := range []string{"9 element visits skipped (zero field), 5 without a gather", "312 point visits skipped"} {
+	for _, want := range []string{"9 element visits skipped (zero field)\n", "312 point visits skipped"} {
 		if !strings.Contains(r.String(), want) {
 			t.Errorf("summary does not report %q:\n%s", want, r)
 		}

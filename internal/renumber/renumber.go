@@ -289,8 +289,7 @@ func FirstTouchPointOrder(r *mesh.Region) []int32 {
 
 // RenumberPoints relabels the region's global points: new index of old
 // point i is newIdx[i]. Used both to restore first-touch order and (in
-// ablation benchmarks) to scramble point locality. The element audit's
-// point ranges follow the new labels.
+// ablation benchmarks) to scramble point locality.
 func RenumberPoints(r *mesh.Region, newIdx []int32) error {
 	if !IsPermutation(newIdx, r.NGlob) {
 		return fmt.Errorf("renumber: not a permutation of %d points", r.NGlob)
@@ -310,6 +309,5 @@ func RenumberPoints(r *mesh.Region, newIdx []int32) error {
 		}
 		r.Mass = m
 	}
-	r.UpdatePointRanges()
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"specglobe/internal/core"
+	"specglobe/internal/stations"
 )
 
 // Config parameterizes a Daemon.
@@ -419,17 +420,16 @@ func (d *Daemon) runBatch(batch []*job) {
 }
 
 // dropStationConflicts fails any job whose station set redefines a
-// name an earlier job of the batch already uses with different
-// coordinates — the one per-batch constraint the receiver union
-// imposes — and returns the survivors.
+// name an earlier job of the batch already uses with a different
+// definition (coordinates or network: the rule core.Session applies to
+// the receiver union) and returns the survivors.
 func (d *Daemon) dropStationConflicts(live []*job) []*job {
-	type def struct{ lat, lon, depth float64 }
-	byName := map[string]def{}
+	byName := map[string]stations.Station{}
 	keep := live[:0:0]
 	for _, j := range live {
 		conflict := ""
 		for _, st := range j.res.stations {
-			if prev, have := byName[st.Name]; have && prev != (def{st.LatDeg, st.LonDeg, st.DepthM}) {
+			if prev, have := byName[st.Name]; have && prev != st {
 				conflict = st.Name
 				break
 			}
@@ -440,7 +440,7 @@ func (d *Daemon) dropStationConflicts(live []*job) []*job {
 			continue
 		}
 		for _, st := range j.res.stations {
-			byName[st.Name] = def{st.LatDeg, st.LonDeg, st.DepthM}
+			byName[st.Name] = st
 		}
 		keep = append(keep, j)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"specglobe/internal/core"
 	"specglobe/internal/solver"
+	"specglobe/internal/stations"
 )
 
 // baseSpec is the cheapest runnable job: the homogeneous Earth-like
@@ -390,6 +391,44 @@ func TestBadEventFailsAlone(t *testing.T) {
 	}
 	sameSeismos(t, "good1", directSeismos(t, good1, 1), assemble(t, sink.chunks[ids[0]]))
 	sameSeismos(t, "good2", directSeismos(t, good2, 1), assemble(t, sink.chunks[ids[2]]))
+}
+
+// TestStationNetworkConflictFailsAlone batches a job naming catalog
+// station ANMO (network IU) with one that gives ANMO explicitly at the
+// catalog coordinates, which makes it network XX: the same name with a
+// different definition, which the receiver union refuses. The latecomer
+// fails CodeBadRequest alone; the first job runs and streams
+// bit-identically.
+func TestStationNetworkConflictFailsAlone(t *testing.T) {
+	var anmo stations.Station
+	for _, st := range stations.ReferenceStations() {
+		if st.Name == "ANMO" {
+			anmo = st
+		}
+	}
+	first, late := baseSpec("catalog", 0), baseSpec("renetworked", 5)
+	late.Stations[0] = StationSpec{Name: "ANMO", LatDeg: &anmo.LatDeg, LonDeg: &anmo.LonDeg}
+
+	sink := newMemSink()
+	clock := NewFakeClock(time.Unix(1_000_000, 0))
+	d := New(Config{MaxBatch: 2, Window: time.Second, Workers: 1, ChunkSamples: 4, Clock: clock})
+	defer d.Close()
+
+	var ids []string
+	for _, sp := range []JobSpec{first, late} {
+		id, err := d.Submit(sp, sink)
+		if err != nil {
+			t.Fatalf("submit %s: %v", sp.Name, err)
+		}
+		ids = append(ids, id)
+	}
+	if st, _ := d.Wait(ids[1]); st.State != StateFailed || st.ErrCode != CodeBadRequest {
+		t.Fatalf("redefined station: state %s code %s, want failed/%s", st.State, st.ErrCode, CodeBadRequest)
+	}
+	if st, _ := d.Wait(ids[0]); st.State != StateDone {
+		t.Fatalf("first job state %s: %s", st.State, st.ErrMsg)
+	}
+	sameSeismos(t, "catalog", directSeismos(t, first, 1), assemble(t, sink.chunks[ids[0]]))
 }
 
 // TestClientGoneMidStream disconnects one job's sink mid-stream: that

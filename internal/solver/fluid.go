@@ -53,12 +53,9 @@ func fluidStageGo(reg *mesh.Region, e int, t1, t2, t3, s1, s2, s3 *[pad]float32)
 }
 
 // visit is field fl's visit of element e, reusing the x-component
-// scratch block for the scalar potential: it ends before the gather on
-// dead pages and after it on an all-±0 potential (see solidField.visit).
-func (fl *fluidField) visit(k *kernels, e int, ks *kernelScratch) (gathered, ran bool) {
-	if fl.pages.deadElem(fl.reg, e) {
-		return false, false
-	}
+// scratch block for the scalar potential: it ends after the gather on an
+// all-±0 potential (see solidField.visit).
+func (fl *fluidField) visit(k *kernels, e int, ks *kernelScratch) bool {
 	ib := fl.reg.Ibool[e*mesh.NGLL3 : (e+1)*mesh.NGLL3]
 	chi := xBlock(&ks.u)
 	var or uint32
@@ -67,10 +64,10 @@ func (fl *fluidField) visit(k *kernels, e int, ks *kernelScratch) (gathered, ran
 		or |= math.Float32bits(chi[p])
 	}
 	if or<<1 == 0 {
-		return true, false
+		return false
 	}
 	k.fluidVisit(fl.reg, e, ib, fl, ks)
-	return true, true
+	return true
 }
 
 // fluidVisit finishes field fl's visit of element e (points ib) from the

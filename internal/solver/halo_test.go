@@ -17,7 +17,7 @@ func TestHaloRoutes(t *testing.T) {
 	g, model := coupledGlobe(t, 4, 2)
 	opts := Options{Steps: 1, CombinedSolidHalo: true}.withDefaults()
 	sim := globeSim(t, g, model, opts)
-	dt := mesh.StableDt(sim.Locals, opts.Courant)
+	dt := mesh.StableDt(sim.Locals, mesh.Courant)
 	p := newPool(1)
 	states := make([]*rankState, len(sim.Locals))
 	mpi.NewWorldWith(len(sim.Locals), opts.Network).Run(func(c *mpi.Comm) {

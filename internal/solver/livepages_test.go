@@ -3,6 +3,7 @@ package solver
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,7 +28,7 @@ type pageStats struct{ deadPts, livePages, deadPages int }
 // checkPages asserts the page invariant on one field after a step and
 // returns its counts: every point of a dead page has +0 d, v and
 // acceleration, so every non-zero value sits on a live page; anyLive is set exactly when a page is live;
-// and every woken element has a live page in its point range.
+// and every woken element has a point on a live page.
 func checkPages(pm *pageMarks, reg *mesh.Region, woke []bool, arrs map[string][]float32, width int) (pageStats, error) {
 	var st pageStats
 	for pg := range pm.live {
@@ -49,9 +50,10 @@ func checkPages(pm *pageMarks, reg *mesh.Region, woke []bool, arrs map[string][]
 	if pm.anyLive.Load() != (st.livePages > 0) {
 		return st, fmt.Errorf("anyLive %v with %d live pages", pm.anyLive.Load(), st.livePages)
 	}
+	live := func(g int32) bool { return pm.isLive(int(g) / livePage) }
 	for e, w := range woke {
-		if w && pm.deadElem(reg, e) {
-			return st, fmt.Errorf("element %d woke with every page of [%d, %d] dead", e, reg.Audit[e].PtLo, reg.Audit[e].PtHi)
+		if w && !slices.ContainsFunc(reg.Ibool[e*mesh.NGLL3:(e+1)*mesh.NGLL3], live) {
+			return st, fmt.Errorf("element %d woke with every page of its points dead", e)
 		}
 	}
 	return st, nil
@@ -211,40 +213,53 @@ func TestLivePagesInvariant(t *testing.T) {
 // point passes find on dead pages, solid [0] and fluid [1]: the
 // predictor of step k finds the pages dead that were dead after step
 // k−1 (every page before step 0), the tails those still dead after step
-// k.
+// k. quiet counts the element visits of the force sweeps that were not
+// dispatched: those of step k found their region as quiet as it was
+// after step k−1 (every region before step 0).
 type deadTrace struct {
-	mu         sync.Mutex
-	prev       map[int][2]int64
-	pred, tail [2]int64
+	mu                sync.Mutex
+	prev              map[int]deadCounts
+	pred, tail, quiet [2]int64
 }
 
+// deadCounts are one rank's dead points and the element visits of its
+// quiet regions, solid [0] and fluid [1].
+type deadCounts struct{ pts, visits [2]int64 }
+
 func traceDead(t *testing.T) *deadTrace {
-	tr := &deadTrace{prev: map[int][2]int64{}}
+	tr := &deadTrace{prev: map[int]deadCounts{}}
 	onEveryStep(t, func(rs *rankState, step int) {
 		solid, fluid, _, err := rankPages(rs)
 		if err != nil {
 			t.Errorf("step %d: %v", step, err)
 			return
 		}
-		now := [2]int64{int64(solid.deadPts), int64(fluid.deadPts)}
+		now := deadCounts{pts: [2]int64{int64(solid.deadPts), int64(fluid.deadPts)}}
+		var start deadCounts
+		for kind, reg := range rs.local.Regions {
+			if reg == nil || reg.NSpec == 0 {
+				continue
+			}
+			i := 0
+			if kind == int(earthmodel.RegionOuterCore) {
+				i = 1
+			}
+			start.pts[i] += int64(reg.NGlob * rs.ns)
+			start.visits[i] += int64(reg.NSpec * rs.ns)
+			if rs.quiet(kind) {
+				now.visits[i] += int64(reg.NSpec * rs.ns)
+			}
+		}
 		tr.mu.Lock()
 		defer tr.mu.Unlock()
 		prev, ok := tr.prev[rs.rank]
 		if !ok {
-			for kind, reg := range rs.local.Regions {
-				if reg == nil || reg.NSpec == 0 {
-					continue
-				}
-				if kind == int(earthmodel.RegionOuterCore) {
-					prev[1] += int64(reg.NGlob * rs.ns)
-				} else {
-					prev[0] += int64(reg.NGlob * rs.ns)
-				}
-			}
+			prev = start
 		}
-		for i := range now {
-			tr.pred[i] += prev[i]
-			tr.tail[i] += now[i]
+		for i := range now.pts {
+			tr.pred[i] += prev.pts[i]
+			tr.tail[i] += now.pts[i]
+			tr.quiet[i] += prev.visits[i]
 		}
 		tr.prev[rs.rank] = now
 	})

@@ -50,9 +50,9 @@ const livePage = 256
 // acceleration there has a non-zero bit, and nothing clears it: fields
 // are built per run, so every run starts dead. At the start of a step
 // every point of a dead page has d, v and a +0 — so the predictor, the
-// tails, the element gathers and the force sweep of a region with no
-// live page may pass it by (DESIGN.md "Quiescent pages"). A nil *pageMarks is a
-// field built without marks, which counts as all-live.
+// tails and the force sweep of a region with no live page may pass it
+// by (DESIGN.md "Quiescent pages"). A nil *pageMarks is a field built
+// without marks, which counts as all-live.
 type pageMarks struct {
 	live    []atomic.Bool
 	anyLive atomic.Bool
@@ -73,22 +73,6 @@ func (m *pageMarks) wake(pg int) {
 
 // quiet reports whether no page is live (never, without marks).
 func (m *pageMarks) quiet() bool { return m != nil && !m.anyLive.Load() }
-
-// deadElem reports whether every page of element e's point range
-// [PtLo, PtHi] is dead (never, without marks): its gather would load
-// only +0.
-func (m *pageMarks) deadElem(reg *mesh.Region, e int) bool {
-	if m == nil {
-		return false
-	}
-	au := &reg.Audit[e]
-	for pg := au.PtLo / livePage; pg <= au.PtHi/livePage; pg++ {
-		if m.live[pg].Load() {
-			return false
-		}
-	}
-	return true
-}
 
 // eachLive calls fn on the maximal runs of [lo, hi) that lie on live
 // pages (on all of it, without marks).

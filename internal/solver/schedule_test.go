@@ -221,9 +221,9 @@ func TestSeismogramDtRecordEvery(t *testing.T) {
 
 // A source-free box run's field stays +0, so every page stays dead and
 // the run performs no arithmetic at all: every point visit of the
-// predictor and the tail and every element visit is skipped — the
-// visits before the gather — and the analytic flop count is exactly
-// zero, with rotation on or off. Its traffic is the tails' reads of
+// predictor and the tail and every element visit is skipped — no force
+// sweep is dispatched — and the analytic flop count is exactly zero,
+// with rotation on or off. Its traffic is the tails' reads of
 // the accelerations they test, 12 B per point per step.
 func TestFlopAccountingExact(t *testing.T) {
 	const L = 40e3
@@ -248,8 +248,8 @@ func TestFlopAccountingExact(t *testing.T) {
 		if got, want := fc.SkippedPoints["update"], int64(2*steps*reg.NGlob); got != want {
 			t.Errorf("rotation=%v: %d point visits skipped, want all %d", rotation, got, want)
 		}
-		if got, want := fc.SkippedVisits["force_solid"], int64(steps*reg.NSpec); got != want || fc.PageSkippedVisits["force_solid"] != want {
-			t.Errorf("rotation=%v: %d visits skipped, %d before the gather, want all %d", rotation, got, fc.PageSkippedVisits["force_solid"], want)
+		if got, want := fc.SkippedVisits["force_solid"], int64(steps*reg.NSpec); got != want {
+			t.Errorf("rotation=%v: %d visits skipped, want all %d", rotation, got, want)
 		}
 	}
 }
@@ -268,9 +268,10 @@ func TestFlopAccountingExact(t *testing.T) {
 // fluid — and no flops; deadTrace counts those visits step by step. An
 // element visit that gathers a zero field is skipped and streams its
 // gather alone: Ibool and the displacement (4 streams), or Ibool and the
-// potential (2); one whose pages are all dead is skipped before the
-// gather and streams nothing. The field is zero before the first source
-// injection, so a source-free run or a one-step run skips every visit.
+// potential (2); the visits of a force sweep not dispatched on a quiet
+// region stream nothing, and deadTrace counts those too. The field is
+// zero before the first source injection, so a source-free run or a
+// one-step run skips every visit.
 // The point and gather streams are spelled out here, not read back from
 // the model, so a term dropped from perf.DefaultByteCounts fails.
 func TestByteAccountingExact(t *testing.T) {
@@ -333,16 +334,16 @@ func TestByteAccountingExact(t *testing.T) {
 		wantB += sources * bc.SourcePoint * mesh.NGLL3
 		wantF += sources * fc.SourcePoint * mesh.NGLL3
 		ss, sf := res.Perf.SkippedVisits["force_solid"], res.Perf.SkippedVisits["force_fluid"]
-		ps, pf := res.Perf.PageSkippedVisits["force_solid"], res.Perf.PageSkippedVisits["force_fluid"]
+		qs, qf := tr.quiet[0], tr.quiet[1]
 		ranS, ranF := steps*solidE-ss, steps*fluidE-sf
-		wantB += (bc.SolidElementStatic+bc.SolidElementDynamic+nsls*bc.AttenuationMech)*ranS + solidGather*(ss-ps)
-		wantB += (bc.FluidElementStatic+bc.FluidElementDynamic)*ranF + fluidGather*(sf-pf)
+		wantB += (bc.SolidElementStatic+bc.SolidElementDynamic+nsls*bc.AttenuationMech)*ranS + solidGather*(ss-qs)
+		wantB += (bc.FluidElementStatic+bc.FluidElementDynamic)*ranF + fluidGather*(sf-qf)
 		wantF += (fc.SolidElement+nsls*mesh.NGLL3*18+mesh.NGLL3*8*min(nsls, 1))*ranS + fc.FluidElement*ranF
 		if res.Perf.TotalBytes != wantB {
-			t.Errorf("TotalBytes = %d, want %d (%d + %d visits skipped, %d + %d before the gather)", res.Perf.TotalBytes, wantB, ss, sf, ps, pf)
+			t.Errorf("TotalBytes = %d, want %d (%d + %d visits skipped, %d + %d on quiet regions)", res.Perf.TotalBytes, wantB, ss, sf, qs, qf)
 		}
 		if res.Perf.TotalFlops != wantF {
-			t.Errorf("TotalFlops = %d, want %d (%d + %d visits skipped, %d + %d before the gather)", res.Perf.TotalFlops, wantF, ss, sf, ps, pf)
+			t.Errorf("TotalFlops = %d, want %d (%d + %d visits skipped, %d + %d on quiet regions)", res.Perf.TotalFlops, wantF, ss, sf, qs, qf)
 		}
 	}
 	// injections counts the steps whose source-time sample survives the
@@ -408,8 +409,8 @@ func TestByteAccountingExact(t *testing.T) {
 		const steps = 12
 		g, res, tr, injections := sourceRun(t, steps)
 		nominal := steps * int64(g.TotalElements())
-		if ss, ps := res.Perf.SkippedVisits["force_solid"], res.Perf.PageSkippedVisits["force_solid"]; ss == 0 || ss >= nominal || ps == 0 || ps >= ss {
-			t.Errorf("%d solid visits skipped, %d before the gather: want some of each, not all", ss, ps)
+		if ss, qs := res.Perf.SkippedVisits["force_solid"], tr.quiet[0]; ss == 0 || ss >= nominal || qs == 0 || qs >= ss {
+			t.Errorf("%d solid visits skipped, %d on quiet regions: want some of each, not all", ss, qs)
 		}
 		var solidN int64
 		for _, l := range g.Locals {

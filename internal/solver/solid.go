@@ -39,11 +39,9 @@ import (
 // its contributions are ±0, and an accumulator is never −0 — the
 // predictor stores +0, ftz returns +0, and under round-to-nearest a sum
 // is −0 only if an operand is — so they would leave every bit as it is.
-// A visit whose field has no live page in the element's point range
-// would gather +0 alone: it ends before the gather and costs nothing,
-// and a region none of whose fields has a live page is not dispatched
-// at all (no element can have woken there: a non-zero field value lies
-// on a live page).
+// A region none of whose fields has a live page is not dispatched at
+// all and costs nothing: every visit would gather +0, and no element can
+// have woken there (a non-zero field value lies on a live page).
 func (rs *rankState) forceSweep(b *beat) perf.Work {
 	classes := rs.sweeps[b.region].outer
 	if b.kind == beatInner {
@@ -53,15 +51,14 @@ func (rs *rankState) forceSweep(b *beat) perf.Work {
 	for _, class := range classes {
 		numE += len(class)
 	}
-	var sk perf.SkipTally
 	if rs.quiet(b.region) {
-		sk.Add(perf.Skips{Visits: numE * rs.ns, Elems: numE, Pages: numE * rs.ns, PageElems: numE})
-	} else {
-		for _, class := range classes {
-			rs.pool.sweepElems(rs.scr, class, &rs.forceBusy, func(ks *kernelScratch, elems []int32) {
-				sk.Add(rs.forcesChunk(b.region, ks, elems))
-			})
-		}
+		return perf.Work{SkippedVisits: int64(numE * rs.ns)}
+	}
+	var sk perf.SkipTally
+	for _, class := range classes {
+		rs.pool.sweepElems(rs.scr, class, &rs.forceBusy, func(ks *kernelScratch, elems []int32) {
+			sk.Add(rs.forcesChunk(b.region, ks, elems))
+		})
 	}
 	return sk.Charge(rs.bc, numE, rs.ns, b.flops, b.static, b.bytes, b.dead)
 }
@@ -209,42 +206,32 @@ func (rs *rankState) forcesChunk(kind int, ks *kernelScratch, elems []int32) per
 	sk := perf.Skips{}
 	for _, e32 := range elems {
 		e := int(e32)
-		ran, gathered := false, false
+		ran := false
 		for i := 0; i < rs.ns; i++ {
-			var g, r bool
+			var r bool
 			if kind == int(earthmodel.RegionOuterCore) {
-				g, r = rs.fluid[i].visit(rs.kern, e, ks)
+				r = rs.fluid[i].visit(rs.kern, e, ks)
 			} else {
-				g, r = rs.solid[kind][i].visit(rs.kern, e, ks)
-			}
-			if !g {
-				sk.Pages++
+				r = rs.solid[kind][i].visit(rs.kern, e, ks)
 			}
 			if !r {
 				sk.Visits++
 			}
-			gathered, ran = gathered || g, ran || r
+			ran = ran || r
 		}
 		if !ran {
 			sk.Elems++
-			if !gathered {
-				sk.PageElems++
-			}
 		}
 	}
 	return sk
 }
 
-// visit is field f's visit of element e. It ends before the gather when
-// the element's pages are all dead and after it when the gathered
-// displacement is all ±0 (or<<1 == 0), unless the element's memory
-// variables have been driven; otherwise it wakes the element and runs
-// the kernel. It reports whether it gathered and whether it ran.
-func (f *solidField) visit(k *kernels, e int, ks *kernelScratch) (gathered, ran bool) {
+// visit is field f's visit of element e. It ends after the gather when
+// the gathered displacement is all ±0 (or<<1 == 0), unless the
+// element's memory variables have been driven; otherwise it wakes the
+// element and runs the kernel. It reports whether it ran.
+func (f *solidField) visit(k *kernels, e int, ks *kernelScratch) bool {
 	woke := f.att != nil && f.att.woke[e]
-	if !woke && f.pages.deadElem(f.reg, e) {
-		return false, false
-	}
 	ib := f.reg.Ibool[e*mesh.NGLL3 : (e+1)*mesh.NGLL3]
 	var or uint32
 	for p, g := range ib {
@@ -253,13 +240,13 @@ func (f *solidField) visit(k *kernels, e int, ks *kernelScratch) (gathered, ran 
 		or |= math.Float32bits(u[0]) | math.Float32bits(u[1]) | math.Float32bits(u[2])
 	}
 	if or<<1 == 0 && !woke {
-		return true, false
+		return false
 	}
 	if f.att != nil {
 		f.att.woke[e] = true
 	}
 	k.solidVisit(f.reg, e, ib, f, ks)
-	return true, true
+	return true
 }
 
 // solidVisit finishes field f's visit of element e (points ib) from the

@@ -82,14 +82,11 @@ const EarthRotationRate = 7.292115e-5
 // receives posted, inner elements computed while the messages are in
 // flight, then wait and accumulate (DESIGN.md "The overlap schedule").
 type Options struct {
-	// Dt is the time step in seconds; 0 derives it from the mesh using
-	// Courant.
+	// Dt is the time step in seconds; 0 derives it from the mesh at
+	// mesh.Courant.
 	Dt float64
 	// Steps is the number of time steps to march.
 	Steps int
-	// Courant is the stability number for the automatic time step
-	// (default 0.3).
-	Courant float64
 	// Attenuation enables shear attenuation with memory variables.
 	Attenuation bool
 	// AttenuationBand is the [fmin, fmax] band (Hz) for the SLS fit;
@@ -162,9 +159,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Courant == 0 {
-		o.Courant = 0.3
-	}
 	if o.RecordEvery == 0 {
 		o.RecordEvery = 1
 	}
@@ -333,7 +327,7 @@ func Run(sim *Simulation) (*Result, error) {
 	}
 	dt := opts.Dt
 	if dt == 0 {
-		dt = mesh.StableDt(sim.Locals, opts.Courant)
+		dt = mesh.StableDt(sim.Locals, mesh.Courant)
 	}
 	if dt <= 0 || math.IsInf(dt, 0) || math.IsNaN(dt) {
 		return nil, fmt.Errorf("solver: bad time step %g", dt)

@@ -17,7 +17,7 @@ import (
 func stepBeats(t *testing.T, sim *Simulation, rank int) []string {
 	t.Helper()
 	opts := sim.Opts.withDefaults()
-	dt := mesh.StableDt(sim.Locals, opts.Courant)
+	dt := mesh.StableDt(sim.Locals, mesh.Courant)
 	p := newPool(1)
 	defer p.close()
 	var names []string
@@ -189,7 +189,7 @@ func BenchmarkPointPasses(b *testing.B) {
 		opts := Options{Steps: 1, CombinedSolidHalo: true,
 			Rotation: true, Gravity: true, OceanLoad: true}.withDefaults()
 		sim := &Simulation{Locals: g.Locals, Plans: g.Plans, Model: model, Opts: opts}
-		dt := mesh.StableDt(sim.Locals, opts.Courant)
+		dt := mesh.StableDt(sim.Locals, mesh.Courant)
 		p := newPool(1)
 		defer p.close()
 		states := make([]*rankState, len(sim.Locals))

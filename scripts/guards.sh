@@ -2,8 +2,9 @@
 # Stay-deleted guards, run by the CI test job and locally via
 #   ./scripts/guards.sh
 # 1. no Go file names anything on the retired list below (the last
-#    three lines: clustered local time stepping and its level wheel, and
-#    the coordinate-key point indexer),
+#    four lines: clustered local time stepping and its level wheel, the
+#    coordinate-key point indexer, and the pre-gather page-range skip
+#    with the element point ranges it read),
 # 2. the root benchmark file and root-level BENCH_PR*.json snapshots
 #    stay gone (the eight snapshots are history in docs/history/),
 # 3. every experiment run goes through the two solver.Run calls of
@@ -32,6 +33,7 @@ func \(rs \*rankState\) (predictor|fluidStage|solidStage|fluidTail|solidTail)\(
 BuildClusters|Clustering|ltsLevelOf|wheelLevels|levelSweeps|reconcilePointRates|multiRate|upToRate|\.held\b|LTSInfo|StepsOfFinestPerSec|RateWeightedReduction|ComputeLoadStatsRated|LTSAblation|JobSpec\.LTS
 levelPlan|buildLevels|firePoints|oceanPoint|levelRoutes|fullRoute|rs\.lp\b|ElementDts|elementRates|normalizeRate|intersectSorted
 PointIndexer|NewPointIndexer
+deadElem|PageSkippedVisits|PageElems|\bPtLo\b|\bPtHi\b|UpdatePointRanges
 EOF
 )
 if grep -rnE "$retired" --include='*.go' .; then
