@@ -15,7 +15,9 @@
 package core
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -171,8 +173,9 @@ type Config struct {
 	Kernel            solver.Kernel
 	CombinedSolidHalo bool
 	TwoPassMesher     bool
-	// Workers sizes the solver's shared worker pool (0 = GOMAXPROCS,
-	// 1 = serial). Results are bit-identical at every worker count.
+	// Workers caps the solver's concurrent compute (0 = GOMAXPROCS,
+	// 1 = serial; solver.Options.Workers). Results are bit-identical at
+	// every worker count.
 	Workers int
 	// LTS and LTSMaxRate are retired (solver.Options.LTS): Run refuses
 	// a true LTS or a non-zero LTSMaxRate.
@@ -247,15 +250,28 @@ func writeSeismogramDir(dir string, seismos map[string]*solver.Seismogram) error
 		if err != nil {
 			return err
 		}
-		for i := range sg.X {
-			fmt.Fprintf(f, "%12.4f %14.6e %14.6e %14.6e\n",
-				float64(i+1)*sg.Dt, sg.X[i], sg.Y[i], sg.Z[i])
+		err = writeSem(f, sg)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		if err := f.Close(); err != nil {
-			return err
+		if err != nil {
+			return fmt.Errorf("writing %s.sem: %w", name, err)
 		}
 	}
 	return nil
+}
+
+// writeSem writes one seismogram as .sem text (time, x, y, z per line)
+// through a buffer and returns the first write or flush error.
+func writeSem(w io.Writer, sg *solver.Seismogram) error {
+	bw := bufio.NewWriter(w)
+	for i := range sg.X {
+		if _, err := fmt.Fprintf(bw, "%12.4f %14.6e %14.6e %14.6e\n",
+			float64(i+1)*sg.Dt, sg.X[i], sg.Y[i], sg.Z[i]); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
 }
 
 // EpicentralDistanceDeg returns the great-circle distance in degrees

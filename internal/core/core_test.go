@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -395,5 +398,67 @@ func TestNonFiniteInputsAreRefused(t *testing.T) {
 	}
 	if _, err := s.Run(Scenario{Name: "good", Event: testEvent, Stations: good}); err != nil {
 		t.Errorf("the valid event and station: %v", err)
+	}
+}
+
+// The .sem text of a seismogram: fixed bytes for special values, and
+// byte for byte what one formatted line per sample gives on a record
+// long enough to pass through the buffer many times.
+func TestWriteSemBytes(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	sg := &solver.Seismogram{Dt: 0.25,
+		X: []float32{0, 1.5, -2.5e-7, 3e12},
+		Y: []float32{negZero, 1e-30, 123456.79, -1},
+		Z: []float32{7, -0.125, 6.02e23, 1e-45},
+	}
+	want := "      0.2500   0.000000e+00  -0.000000e+00   7.000000e+00\n" +
+		"      0.5000   1.500000e+00   1.000000e-30  -1.250000e-01\n" +
+		"      0.7500  -2.500000e-07   1.234568e+05   6.020000e+23\n" +
+		"      1.0000   3.000000e+12  -1.000000e+00   1.401298e-45\n"
+	var b bytes.Buffer
+	if err := writeSem(&b, sg); err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != want {
+		t.Errorf("got\n%s\nwant\n%s", b.String(), want)
+	}
+
+	long := &solver.Seismogram{Dt: 0.01}
+	var line strings.Builder
+	for i := 0; i < 500; i++ {
+		x, y, z := float32(i)*1.1e-9, -float32(i)*3.3, float32(math.Sin(float64(i)))
+		long.X, long.Y, long.Z = append(long.X, x), append(long.Y, y), append(long.Z, z)
+		fmt.Fprintf(&line, "%12.4f %14.6e %14.6e %14.6e\n", float64(i+1)*long.Dt, x, y, z)
+	}
+	b.Reset()
+	if err := writeSem(&b, long); err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != line.String() {
+		t.Error("a long record's bytes differ from one formatted line per sample")
+	}
+}
+
+// failAfter accepts n bytes, then fails every write.
+type failAfter struct{ n int }
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, errors.New("disk full")
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// A write error part-way through a record is returned, not dropped:
+// the caller never mistakes a truncated file for a written one.
+func TestWriteSemReportsWriteErrors(t *testing.T) {
+	sg := &solver.Seismogram{Dt: 0.01, X: make([]float32, 500), Y: make([]float32, 500), Z: make([]float32, 500)}
+	for _, n := range []int{0, 100, 5000, 28999} {
+		if err := writeSem(&failAfter{n: n}, sg); err == nil || !strings.Contains(err.Error(), "disk full") {
+			t.Errorf("failing after %d bytes: error %v, want disk full", n, err)
+		}
 	}
 }

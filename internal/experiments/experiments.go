@@ -303,11 +303,14 @@ func (r *Fig6Result) String() string {
 
 // --- FIG7: total runtime vs resolution -----------------------------------
 
-// Fig7Row is one runtime measurement.
+// Fig7Row is one runtime measurement. Flops and Bytes are the solve's
+// analytic work (perf.Report), the same on every repeat: the counts
+// the timing can be checked against without wall-clock noise.
 type Fig7Row struct {
-	Res        int
-	CoreSec    float64
-	Normalized float64
+	Res          int
+	CoreSec      float64
+	Normalized   float64
+	Flops, Bytes int64
 }
 
 // Fig7Result reproduces figure 7.
@@ -338,17 +341,18 @@ func Fig7(nexList []int, steps int) (*Fig7Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		total, spent := math.Inf(1), time.Duration(0)
-		for rep := 0; rep < 2 || spent < fig7Budget; rep++ {
+		row := Fig7Row{Res: nex, CoreSec: math.Inf(1)}
+		for rep, spent := 0, time.Duration(0); rep < 2 || spent < fig7Budget; rep++ {
 			res, err := solveCentral(g, solver.Options{Steps: steps})
 			if err != nil {
 				return nil, err
 			}
-			total = min(total, res.Perf.TotalTime.Seconds())
+			row.CoreSec = min(row.CoreSec, res.Perf.TotalTime.Seconds())
+			row.Flops, row.Bytes = res.Perf.TotalFlops, res.Perf.TotalBytes
 			spent += res.Perf.WallTime
 		}
-		samples = append(samples, perfmodel.Sample{X: float64(nex), Y: total})
-		out.Rows = append(out.Rows, Fig7Row{Res: nex, CoreSec: total})
+		samples = append(samples, perfmodel.Sample{X: float64(nex), Y: row.CoreSec})
+		out.Rows = append(out.Rows, row)
 	}
 	fit, err := perfmodel.FitRuntimeModel(samples)
 	if err != nil {

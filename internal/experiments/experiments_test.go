@@ -44,18 +44,32 @@ func TestFig7ScalesSuperlinearly(t *testing.T) {
 		t.Fatalf("%d rows", len(r.Rows))
 	}
 	// Doubling the resolution must increase total work superlinearly
-	// (ideally ~8x; wall-clock noise on shared machines justifies a
-	// loose band).
-	if r.Rows[1].Normalized < 2 {
-		t.Errorf("runtime grew only %.1fx from NEX4 to NEX8", r.Rows[1].Normalized)
+	// (8x the element visits; a 4-step solve performs only the visits
+	// the wave has reached, 2.5x the flops and 3.4x the bytes). The
+	// analytic counts repeat exactly; the millisecond wall-clock ratio
+	// is only checked to be a growth.
+	a, b := r.Rows[0], r.Rows[1]
+	if f := float64(b.Flops) / float64(a.Flops); f < 2 {
+		t.Errorf("flops grew only %.2fx from NEX4 to NEX8", f)
+	}
+	if by := float64(b.Bytes) / float64(a.Bytes); by < 2 {
+		t.Errorf("bytes grew only %.2fx from NEX4 to NEX8", by)
+	}
+	if b.Normalized <= 1 {
+		t.Errorf("runtime grew only %.2fx from NEX4 to NEX8", b.Normalized)
 	}
 	if len(r.PaperSeries) != 6 || r.PaperSeries[0] != 1 {
 		t.Errorf("paper series malformed: %v", r.PaperSeries)
 	}
-	// The extrapolated span must be far beyond linear (paper: ~300x
-	// over a 6.7x resolution span).
-	last := r.PaperSeries[len(r.PaperSeries)-1]
-	if last < 20 {
+	// The span extrapolated from the byte counts must be far beyond
+	// linear (paper: ~300x over a 6.7x resolution span).
+	fit, err := perfmodel.FitRuntimeModel([]perfmodel.Sample{
+		{X: float64(a.Res), Y: float64(a.Bytes)}, {X: float64(b.Res), Y: float64(b.Bytes)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := fit.NormalizedSeries([]float64{96, 144, 288, 320, 512, 640})
+	if last := series[len(series)-1]; last < 20 {
 		t.Errorf("normalized span %.0f too small for a superlinear law", last)
 	}
 	if !strings.Contains(r.String(), "FIG7") {

@@ -75,22 +75,48 @@ func TestSendRecvExchange(t *testing.T) {
 	}
 }
 
-func TestIsendCopiesPayload(t *testing.T) {
+// Isend hands the payload over without a copy, and a released payload
+// goes back to its sender, whose next Buffer of that size reuses it: each
+// round's values must arrive intact although every round after the
+// first travels in the first round's array.
+func TestIsendHandsOverPayload(t *testing.T) {
+	const rounds, n = 50, 300
 	w := NewWorld(2)
-	var got []float32
+	var first *float32
+	recycled := 0
 	w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			buf := []float32{1, 2, 3}
-			c.Isend(1, 0, buf)
-			buf[0] = 99 // must not affect the in-flight message
-			c.Barrier()
-		} else {
-			c.Barrier()
-			got = c.Recv(0, 0)
+		for r := 0; r < rounds; r++ {
+			if c.Rank() == 0 {
+				buf := c.Buffer(n)
+				if r == 0 {
+					first = &buf[0]
+				} else if &buf[0] == first {
+					recycled++
+				}
+				for i := range buf {
+					buf[i] = float32(r*n + i)
+				}
+				c.Isend(1, r, buf)
+				c.Recv(1, r) // the receiver has released round r
+				continue
+			}
+			req := c.Irecv(0, r)
+			got := req.Wait()
+			if len(got) != n {
+				t.Errorf("round %d: %d values, want %d", r, len(got), n)
+			}
+			for i, v := range got {
+				if v != float32(r*n+i) {
+					t.Errorf("round %d: value %d is %g, want %d", r, i, v, r*n+i)
+					break
+				}
+			}
+			req.Release()
+			c.Isend(0, r, nil)
 		}
 	})
-	if got[0] != 1 {
-		t.Errorf("payload aliased: got %v", got)
+	if recycled != rounds-1 {
+		t.Errorf("%d of %d rounds reused the released payload", recycled, rounds-1)
 	}
 }
 

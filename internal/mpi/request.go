@@ -31,6 +31,7 @@ type Request struct {
 	commAtPost   time.Duration
 	hiddenAtPost time.Duration
 	data         []float32
+	from         int // the matched message's source
 	done         bool
 }
 
@@ -40,17 +41,42 @@ type Request struct {
 // queued until then.
 func (c *Comm) Irecv(src, tag int) *Request {
 	c.statMu.Lock()
-	commAtPost := c.commWallMono
-	hiddenAtPost := c.hiddenMono
+	var r *Request
+	if n := len(c.spare); n > 0 {
+		r, c.spare[n-1] = c.spare[n-1], nil
+		c.spare = c.spare[:n-1]
+	} else {
+		r = new(Request)
+	}
+	*r = Request{c: c, src: src, tag: tag, commAtPost: c.commWallMono, hiddenAtPost: c.hiddenMono}
 	c.statMu.Unlock()
-	return &Request{c: c, src: src, tag: tag, posted: time.Now(),
-		commAtPost: commAtPost, hiddenAtPost: hiddenAtPost}
+	r.posted = time.Now()
+	return r
+}
+
+// Release ends a completed request: its payload goes back to the free
+// list of the rank that sent it (Comm.Buffer) and the request to this
+// rank for Irecv to reuse. Neither may be used afterwards. A receiver
+// that keeps a payload simply does not release its request.
+func (r *Request) Release() {
+	if !r.done {
+		panic("mpi: Release of an incomplete request")
+	}
+	c, s := r.c, r.c.world.comms[r.from]
+	s.freeMu.Lock()
+	s.free = append(s.free, r.data)
+	s.freeMu.Unlock()
+	*r = Request{}
+	c.statMu.Lock()
+	c.spare = append(c.spare, r)
+	c.statMu.Unlock()
 }
 
 // complete finalizes accounting once a payload has been matched.
 // blocked is the wall time spent waiting inside Wait (zero for Test).
-func (r *Request) complete(data []float32, blocked time.Duration) []float32 {
-	r.data = data
+func (r *Request) complete(m message, blocked time.Duration) []float32 {
+	data := m.data
+	r.data, r.from = data, m.src
 	r.done = true
 	c := r.c
 	c.addComm(0, 0, blocked)
@@ -93,8 +119,8 @@ func (r *Request) Wait() []float32 {
 		return r.data
 	}
 	start := time.Now()
-	data := r.c.recvBlocking(r.src, r.tag)
-	return r.complete(data, time.Since(start))
+	m := r.c.recvBlocking(r.src, r.tag)
+	return r.complete(m, time.Since(start))
 }
 
 // Test polls for completion without blocking. It returns the payload
@@ -110,12 +136,12 @@ func (r *Request) Test() ([]float32, bool) {
 		c.mu.Unlock()
 		panic("mpi: world poisoned by peer rank failure")
 	}
-	data, ok := c.matchLocked(r.src, r.tag)
+	m, ok := c.matchLocked(r.src, r.tag)
 	c.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
-	return r.complete(data, 0), true
+	return r.complete(m, 0), true
 }
 
 // Waitall completes every request and returns the payloads in request

@@ -21,8 +21,8 @@ type Config struct {
 	// MemoryBudget bounds the session cache in bytes of handed-over
 	// mesh (meshio.MeshBytes); <= 0 means unlimited.
 	MemoryBudget int64
-	// Workers sizes the solver's shared worker pool per run
-	// (0 = GOMAXPROCS).
+	// Workers caps the solver's concurrent compute per run
+	// (0 = GOMAXPROCS; solver.Options.Workers).
 	Workers int
 	// ChunkSamples is the streaming granularity in recorded samples
 	// per chunk (default 32).

@@ -271,7 +271,8 @@ func resolveStations(specs []StationSpec) ([]stations.Station, error) {
 }
 
 // configFor builds the session (mesh) configuration of a key. Workers
-// is daemon-level: it sizes the shared solver pool, not the ensemble.
+// is daemon-level: it caps the solver's concurrent compute, not the
+// ensemble.
 func configFor(key CompatKey, spec JobSpec, workers int) (core.Config, error) {
 	model, err := modelFor(key.Model)
 	if err != nil {

@@ -139,24 +139,25 @@ type pendingExchange struct {
 	reqs   []*mpi.Request // the posted receives, parallel to rt
 }
 
-// beginExchange packs and sends this rank's contributions for nf
-// wavefields of nc components per point (arr[part][field]) — one
-// aggregated message per neighbor (nf× payload, 1× latency) — and posts
-// the receives. Halo-point entries must be final before the call; only
-// non-halo points may be written between begin and finish. It consumes
-// a tag unconditionally, so sequence numbers stay aligned across ranks
-// even when this rank has no peer (or no region) for the set. The
-// receives are posted non-blocking *now*, so the virtual transfer time
-// between here and finish is credited as hidden.
-func (rs *rankState) beginExchange(rt haloRoute, nf, nc int, arr [][][]float32) *pendingExchange {
+// beginExchange packs and sends this rank's contributions to halo set
+// set for nf wavefields of nc components per point (arr[part][field]) —
+// one aggregated message per neighbor (nf× payload, 1× latency) — and
+// posts the receives, into the set's rs.inflight slot. Each message is
+// packed into a buffer from the rank's free list and handed to the
+// receiver, which returns it after use (finish), so a steady-state
+// exchange allocates nothing. Halo-point entries must be final before
+// the call; only non-halo points may be written between begin and
+// finish. It consumes a tag unconditionally, so sequence numbers stay
+// aligned across ranks even when this rank has no peer (or no region)
+// for the set. The receives are posted non-blocking *now*, so the
+// virtual transfer time between here and finish is credited as hidden.
+func (rs *rankState) beginExchange(set, nf, nc int, arr [][][]float32) *pendingExchange {
 	tag := rs.nextTag()
-	p := &pendingExchange{rt: rt, nf: nf, nc: nc, arr: arr, reqs: make([]*mpi.Request, 0, len(rt))}
+	rt := rs.routes[set]
+	p := &rs.inflight[set]
+	*p = pendingExchange{rt: rt, nf: nf, nc: nc, arr: arr, reqs: p.reqs[:0]}
 	for _, pr := range rt {
-		n := nf * nc * pr.n
-		if cap(rs.packBuf) < n {
-			rs.packBuf = make([]float32, n)
-		}
-		buf := rs.packBuf[:n]
+		buf := rs.comm.Buffer(nf * nc * pr.n)
 		off := 0
 		for s := 0; s < nf; s++ {
 			for k, idx := range pr.parts {
@@ -168,17 +169,23 @@ func (rs *rankState) beginExchange(rt haloRoute, nf, nc int, arr [][][]float32) 
 				off += m
 			}
 		}
-		rs.comm.Isend(pr.peer, tag, buf) // copies the payload
+		rs.comm.Isend(pr.peer, tag, buf) // hands buf over
 		p.reqs = append(p.reqs, rs.comm.Irecv(pr.peer, tag))
 	}
 	return p
 }
 
-// finish completes the exchange: every peer's payload is added into the
-// local arrays. Safe on a route without peers.
-func (p *pendingExchange) finish() {
+// finish completes exchange p: every peer's payload is added into the
+// local arrays and handed back to its sender. A payload that has not
+// arrived is waited for without the rank's compute token (idle). Safe
+// on a route without peers.
+func (rs *rankState) finish(p *pendingExchange) {
 	for i, pr := range p.rt {
-		got := p.reqs[i].Wait()
+		req := p.reqs[i]
+		got, ok := req.Test()
+		if !ok {
+			rs.idle(func() { got = req.Wait() })
+		}
 		off := 0
 		for s := 0; s < p.nf; s++ {
 			for k, idx := range pr.parts {
@@ -190,6 +197,7 @@ func (p *pendingExchange) finish() {
 				off += n
 			}
 		}
+		req.Release()
 	}
 }
 

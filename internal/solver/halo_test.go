@@ -18,7 +18,7 @@ func TestHaloRoutes(t *testing.T) {
 	opts := Options{Steps: 1, CombinedSolidHalo: true}.withDefaults()
 	sim := globeSim(t, g, model, opts)
 	dt := mesh.StableDt(sim.Locals, mesh.Courant)
-	p := newPool(1)
+	p := newPool(1, 1)
 	states := make([]*rankState, len(sim.Locals))
 	mpi.NewWorldWith(len(sim.Locals), opts.Network).Run(func(c *mpi.Comm) {
 		states[c.Rank()] = newRankState(c, sim, &opts, dt, nil, nil, p, newKernels(opts.Kernel), 1)
@@ -87,4 +87,52 @@ func TestHaloRoutes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A steady-state halo exchange allocates nothing: every rank of the
+// 6-rank globe posts and finishes each of its four halo sets, and once
+// the first rounds have filled the free lists with their payloads, the
+// packing buffers, the messages and the requests are all recycled.
+func TestSteadyHaloExchangeAllocatesNothing(t *testing.T) {
+	g, model := coupledGlobe(t, 4, 1)
+	opts := Options{Steps: 1}.withDefaults()
+	sim := globeSim(t, g, model, opts)
+	dt := mesh.StableDt(sim.Locals, mesh.Courant)
+	n := len(sim.Locals)
+	p := newPool(1, n)
+	start, done := make([]chan struct{}, n), make(chan struct{}, n)
+	for r := range start {
+		start[r] = make(chan struct{})
+	}
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		mpi.NewWorldWith(n, opts.Network).Run(func(c *mpi.Comm) {
+			rs := newRankState(c, sim, &opts, dt, nil, nil, p, newKernels(opts.Kernel), 1)
+			for range start[c.Rank()] {
+				for set := range rs.halo {
+					h := &rs.halo[set]
+					rs.finish(rs.beginExchange(set, rs.ns, h.nc, h.arr))
+				}
+				done <- struct{}{}
+			}
+		})
+	}()
+	round := func() {
+		for _, s := range start {
+			s <- struct{}{}
+		}
+		for range start {
+			<-done
+		}
+	}
+	round()
+	round()
+	if a := testing.AllocsPerRun(20, round); a != 0 {
+		t.Errorf("a steady exchange round of %d ranks allocates %v times", n, a)
+	}
+	for _, s := range start {
+		close(s)
+	}
+	<-finished
 }

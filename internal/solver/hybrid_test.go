@@ -1,7 +1,12 @@
 package solver
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"specglobe/internal/earthmodel"
 	"specglobe/internal/meshfem"
@@ -58,7 +63,8 @@ func TestWorkersBitIdenticalBox(t *testing.T) {
 
 // Globe config of examples/scaling (solid-fluid-solid, 6 ranks): the
 // fluid potential sweep and both coupling paths must also be
-// bit-identical across worker counts.
+// bit-identical across worker counts — Workers 1, 2 and 6 on compute
+// tokens (the ranks sweep themselves), 12 on worker goroutines.
 func TestWorkersBitIdenticalGlobe(t *testing.T) {
 	model := earthmodel.NewHomogeneous(6371e3, earthmodel.Material{
 		Rho: 5000, Vp: 10000, Vs: 5500, Qmu: 300, Qkappa: 57823,
@@ -95,43 +101,123 @@ func TestWorkersBitIdenticalGlobe(t *testing.T) {
 		return res.Seismograms["R"]
 	}
 	t.Run(schedule, func(t *testing.T) {
-		identical(t, "globe", run(1), run(4))
+		serial := run(1)
+		for _, w := range []int{2, 6, 12} {
+			identical(t, fmt.Sprintf("globe/w%d", w), serial, run(w))
+		}
 	})
 }
 
-// The hybrid run must report its pool: worker count, per-worker busy
-// time, and the kernel_parallel phase carrying the kernel CPU time.
+// With fewer workers than ranks the ranks sweep themselves, at most
+// Workers at once: on the 6-rank globe at Workers 1 no two sweeps ever
+// overlap. Each sweep yields the processor as it starts, so a rank that
+// swept without a compute token would be caught on one core too.
+func TestWorkersCapConcurrentCompute(t *testing.T) {
+	g, model := coupledGlobe(t, 4, 1)
+	for _, workers := range []int{1, 2} {
+		var now, peak, sweeps atomic.Int64
+		inlineHook = func(delta int) {
+			if delta > 0 {
+				sweeps.Add(1)
+				n := now.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				runtime.Gosched()
+				return
+			}
+			now.Add(-1)
+		}
+		_, err := Run(globeSim(t, g, model, Options{Steps: 4, Workers: workers}))
+		inlineHook = nil
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sweeps.Load() == 0 {
+			t.Fatalf("Workers %d: no inline sweep observed", workers)
+		}
+		if p := peak.Load(); p > int64(workers) {
+			t.Errorf("Workers %d: %d ranks swept at once", workers, p)
+		}
+	}
+}
+
+// The hybrid run must report its compute in both shapes: worker count,
+// per-worker (or per-token) busy time, and the kernel_parallel phase
+// carrying the kernel CPU time. On the 2-rank box Workers 2 runs the
+// sweeps on the ranks, whose busy time is then exactly the tokens',
+// and Workers 4 on worker goroutines.
 func TestHybridPerfAccounting(t *testing.T) {
 	const L = 40e3
 	b := buildBox(t, 4, 2, L)
 	src := boxSource(t, b, L/2, L/2, L/2, 1e17, 1.0)
-	res, err := Run(&Simulation{
-		Locals: b.Locals, Plans: b.Plans,
-		Sources: []Source{src},
-		Opts:    Options{Steps: 20, Workers: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Perf.Workers != 2 {
-		t.Errorf("Workers = %d, want 2", res.Perf.Workers)
-	}
-	if len(res.Perf.WorkerBusy) != 2 {
-		t.Fatalf("WorkerBusy has %d slots, want 2", len(res.Perf.WorkerBusy))
-	}
-	kp := res.Perf.PhaseTotals[perf.PhaseKernelParallel.String()]
-	if kp <= 0 {
-		t.Error("no kernel_parallel time recorded")
-	}
-	if res.Perf.BusyTime < kp {
-		t.Error("kernel_parallel excluded from busy time")
-	}
-	if u := res.Perf.WorkerUtilization(); u < 0 || u > 1.5 {
-		t.Errorf("worker utilization %v out of range", u)
+	for _, workers := range []int{2, 4} {
+		res, err := Run(&Simulation{
+			Locals: b.Locals, Plans: b.Plans,
+			Sources: []Source{src},
+			Opts:    Options{Steps: 20, Workers: workers},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := res.Perf
+		if p.Workers != workers {
+			t.Errorf("Workers = %d, want %d", p.Workers, workers)
+		}
+		if len(p.WorkerBusy) != workers {
+			t.Fatalf("WorkerBusy has %d slots, want %d", len(p.WorkerBusy), workers)
+		}
+		kp := p.PhaseTotals[perf.PhaseKernelParallel.String()]
+		if kp <= 0 {
+			t.Errorf("Workers %d: no kernel_parallel time recorded", workers)
+		}
+		if p.BusyTime < kp {
+			t.Errorf("Workers %d: kernel_parallel excluded from busy time", workers)
+		}
+		if u := p.WorkerUtilization(); u <= 0 || u > 1.5 {
+			t.Errorf("Workers %d: worker utilization %v out of range", workers, u)
+		}
+		var busy time.Duration
+		for _, d := range p.WorkerBusy {
+			busy += d
+		}
+		if sweeps := kp + p.PhaseTotals[perf.PhaseUpdate.String()]; workers == 2 && busy != sweeps {
+			t.Errorf("tokens busy %v, the ranks swept %v", busy, sweeps)
+		}
 	}
 	// The default worker count resolves to GOMAXPROCS.
 	def := Options{}.withDefaults()
 	if def.Workers < 1 {
 		t.Errorf("default Workers = %d", def.Workers)
+	}
+}
+
+// A rank that panics while it holds the only compute token hands it
+// back, so the ranks queued for it reach the poisoned world and the run
+// fails with the panic instead of hanging. On the 6-rank globe the
+// source rank panics in its sources beat, after its fluid halo is
+// posted: every other rank can then finish its fluid exchange, and
+// within the pause before the panic queues for the token.
+func TestRankPanicReleasesComputeToken(t *testing.T) {
+	g, model := coupledGlobe(t, 4, 1)
+	sim := globeSim(t, g, model, Options{Steps: 4, Workers: 1})
+	sim.Sources[0].STF = func(tm float64) float64 {
+		if tm > 0 {
+			time.Sleep(50 * time.Millisecond)
+			panic("boom")
+		}
+		return 0
+	}
+	got := make(chan any, 1)
+	go func() {
+		defer func() { got <- recover() }()
+		Run(sim)
+	}()
+	select {
+	case r := <-got:
+		if r == nil || !strings.Contains(fmt.Sprint(r), "boom") {
+			t.Errorf("run ended with %v, want the rank's panic", r)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the run hangs after a rank panicked holding the compute token")
 	}
 }

@@ -28,17 +28,32 @@ type kernelScratch struct {
 	s1, s2, s3 compBlocks
 }
 
-// pool is the process-wide worker pool of one solver run. All rank
-// goroutines share it, so total kernel concurrency equals Workers no
-// matter how many simulated ranks the world has — the hybrid
-// MPI+threads model (ranks stand in for processes, workers for the
-// threads of one node), and the reason 24 ranks on an 8-core host do
-// not oversubscribe: the ranks orchestrate, the pool computes.
+// pool is the compute of one solver run, sized by Options.Workers — the
+// hybrid MPI+threads model, with ranks standing in for the processes
+// and Workers for the cores of one node. It takes one of two shapes,
+// fixed when the run starts, and neither changes a result (the sweeps
+// are conflict-free, so the accumulation order is the colouring's):
+//
+//   - With fewer ranks than Workers (a 1-rank box on a many-core host)
+//     it is Workers goroutines the ranks hand their sweeps to in chunks:
+//     the ranks orchestrate, the workers compute.
+//   - Otherwise — one rank per core, as in the paper, or more — every
+//     rank runs its own sweeps inline and the pool is Workers compute
+//     tokens. A rank holds one while it steps and hands it back around
+//     every blocking wait (holdCPU, idle), so at most Workers ranks
+//     compute at once and 24 ranks on 8 cores do not oversubscribe the
+//     host. A busy rank cannot borrow an idle rank's share: at ranks ==
+//     Workers the busiest rank sets the pace.
 type pool struct {
 	workers int
-	tasks   chan poolTask
-	// busy[w] is worker w's accumulated busy nanoseconds. Each worker
-	// owns its slot; Busy() may only be called after close.
+	// tasks feeds the worker goroutines; nil when the ranks sweep.
+	tasks chan poolTask
+	// slots holds the free compute tokens, numbered 0..workers-1; nil
+	// with worker goroutines.
+	slots chan int
+	// busy[w] is worker w's accumulated sweep nanoseconds, or the sweep
+	// nanoseconds of the ranks that held token w. Each slot has one
+	// writer at a time; Busy() may only be called after close.
 	busy    []int64
 	scratch []*kernelScratch
 	wg      sync.WaitGroup
@@ -60,16 +75,20 @@ type poolTask struct {
 // poison/recover path instead of killing the process from a worker.
 type poolPanic struct{ val any }
 
-func newPool(workers int) *pool {
-	if workers < 1 {
-		workers = 1
+// newPool returns the compute of a run of ranks ranks: worker
+// goroutines when they are fewer than workers, compute tokens otherwise.
+func newPool(workers, ranks int) *pool {
+	workers = max(workers, 1)
+	p := &pool{workers: workers, busy: make([]int64, workers)}
+	if ranks >= workers {
+		p.slots = make(chan int, workers)
+		for w := 0; w < workers; w++ {
+			p.slots <- w
+		}
+		return p
 	}
-	p := &pool{
-		workers: workers,
-		tasks:   make(chan poolTask, 4*workers),
-		busy:    make([]int64, workers),
-		scratch: make([]*kernelScratch, workers),
-	}
+	p.tasks = make(chan poolTask, 4*workers)
+	p.scratch = make([]*kernelScratch, workers)
 	for w := 0; w < workers; w++ {
 		p.scratch[w] = new(kernelScratch)
 		p.wg.Add(1)
@@ -105,13 +124,16 @@ func (p *pool) worker(w int) {
 
 // close stops the workers. All sweeps must have completed.
 func (p *pool) close() {
-	close(p.tasks)
-	p.wg.Wait()
+	if p.tasks != nil {
+		close(p.tasks)
+		p.wg.Wait()
+	}
 }
 
-// Busy returns each worker's accumulated busy time. Only valid after
-// close (the worker goroutines have exited, establishing the
-// happens-before for the per-worker slots).
+// Busy returns each worker's or token's accumulated busy time. Only
+// valid after close and after every rank has returned (the worker and
+// rank goroutines have exited, establishing the happens-before for the
+// slots).
 func (p *pool) Busy() []time.Duration {
 	out := make([]time.Duration, p.workers)
 	for w, n := range p.busy {
@@ -122,9 +144,10 @@ func (p *pool) Busy() []time.Duration {
 
 // Sweep sizing: chunks target 2 tasks per worker for load balance, but
 // never fall below the minimum worth a channel round-trip; sweeps that
-// fit in a single minimum chunk run inline on the rank goroutine. The
-// choice never affects results — sweeps are conflict-free by
-// construction (one color class, or disjoint point spans).
+// fit in a single minimum chunk, and every sweep of a rank that sweeps
+// itself, run inline on the rank goroutine. The choice never affects
+// results — sweeps are conflict-free by construction (one color class,
+// or disjoint point spans).
 const (
 	minElemChunk  = 8
 	minPointChunk = 2048
@@ -135,25 +158,34 @@ const (
 //
 //specfem:nodeterminism busy-time attribution only: the measured nanos feed perf reporting (busyNanos), never a wavefield or schedule
 func runInline(ks *kernelScratch, busyNanos *int64, fn func(*kernelScratch)) {
+	if inlineHook != nil {
+		inlineHook(1)
+		defer inlineHook(-1)
+	}
 	t0 := time.Now()
 	fn(ks)
 	atomic.AddInt64(busyNanos, int64(time.Since(t0)))
 }
 
-// sweep is the shared dispatch protocol: split [0,n) into chunks of
-// roughly n/(2*workers) but at least minChunk indices, run a sweep
-// that fits a single chunk inline on the caller's scratch, otherwise
-// submit the chunks and wait, re-raising the first chunk panic on the
-// calling goroutine. Worker busy time is attributed to *busyNanos.
+// inlineHook, when non-nil, runs as an inline chunk starts (+1) and
+// ends (-1): the tests' window on how many ranks compute at once.
+var inlineHook func(delta int)
+
+// sweep is the shared dispatch protocol: with worker goroutines, split
+// [0,n) into chunks of roughly n/(2*workers) but at least minChunk
+// indices, run a sweep that fits a single chunk inline on the caller's
+// scratch, otherwise submit the chunks and wait, re-raising the first
+// chunk panic on the calling goroutine. Without them the whole sweep
+// runs inline. Busy time is attributed to *busyNanos.
 func (p *pool) sweep(rankKS *kernelScratch, n, minChunk int, busyNanos *int64,
 	fn func(ks *kernelScratch, lo, hi int)) {
 
 	if n <= 0 {
 		return
 	}
-	chunk := (n + 2*p.workers - 1) / (2 * p.workers)
-	if chunk < minChunk {
-		chunk = minChunk
+	chunk := n
+	if p.tasks != nil {
+		chunk = max((n+2*p.workers-1)/(2*p.workers), minChunk)
 	}
 	if n <= chunk {
 		runInline(rankKS, busyNanos, func(ks *kernelScratch) { fn(ks, 0, n) })
@@ -201,4 +233,43 @@ func (p *pool) sweepSpans(rankKS *kernelScratch, n int, busyNanos *int64, fn fun
 	p.sweep(rankKS, spans, 1, busyNanos, func(_ *kernelScratch, lo, hi int) {
 		fn(lo*minPointChunk, min(hi*minPointChunk, n))
 	})
+}
+
+// holdCPU takes a compute token for the rank when the ranks sweep
+// themselves, waiting for one to come free; it does nothing with worker
+// goroutines. The rank's sweep time until it hands the token back
+// counts toward the token's busy time.
+func (rs *rankState) holdCPU() {
+	if rs.pool.slots == nil {
+		return
+	}
+	rs.slot = <-rs.pool.slots
+	rs.heldFrom = rs.sweepBusy()
+}
+
+// releaseCPU hands the rank's compute token back, if it holds one.
+func (rs *rankState) releaseCPU() {
+	if rs.slot < 0 {
+		return
+	}
+	rs.pool.busy[rs.slot] += rs.sweepBusy() - rs.heldFrom
+	rs.pool.slots <- rs.slot
+	rs.slot = -1
+}
+
+// idle runs wait, which may block on another rank, without the rank's
+// compute token, so a waiting rank never keeps a computing one out.
+func (rs *rankState) idle(wait func()) {
+	if rs.slot < 0 {
+		wait()
+		return
+	}
+	rs.releaseCPU()
+	wait()
+	rs.holdCPU()
+}
+
+// sweepBusy is the rank's sweep time so far, in nanoseconds.
+func (rs *rankState) sweepBusy() int64 {
+	return atomic.LoadInt64(&rs.forceBusy) + atomic.LoadInt64(&rs.updateBusy)
 }

@@ -8,7 +8,7 @@ import (
 // Every element of a sweep must be visited exactly once, regardless of
 // how the chunks land on the workers.
 func TestSweepElemsCoversExactlyOnce(t *testing.T) {
-	p := newPool(4)
+	p := newPool(4, 1)
 	defer p.close()
 	const n = 1000
 	elems := make([]int32, n)
@@ -40,7 +40,7 @@ func TestSweepElemsCoversExactlyOnce(t *testing.T) {
 // chunks that start on a page boundary (so the passes' page walks see
 // whole pages), at any length.
 func TestSweepSpansCoversExactlyOnce(t *testing.T) {
-	p := newPool(3)
+	p := newPool(3, 1)
 	defer p.close()
 	for _, n := range []int{0, 100, minPointChunk, 30000, 30001} {
 		counts := make([]int32, n)
@@ -63,7 +63,7 @@ func TestSweepSpansCoversExactlyOnce(t *testing.T) {
 
 // Sweeps too small to dispatch run inline on the caller's scratch.
 func TestSmallSweepRunsInline(t *testing.T) {
-	p := newPool(4)
+	p := newPool(4, 1)
 	defer p.close()
 	scr := new(kernelScratch)
 	var busy int64
@@ -83,7 +83,7 @@ func TestSmallSweepRunsInline(t *testing.T) {
 // the mpi runtime's recover/poison path can handle it) instead of
 // killing the process from a worker.
 func TestSweepPanicPropagates(t *testing.T) {
-	p := newPool(2)
+	p := newPool(2, 1)
 	defer p.close()
 	scr := new(kernelScratch)
 	elems := make([]int32, 100)
@@ -104,7 +104,7 @@ func TestSweepPanicPropagates(t *testing.T) {
 
 // After close, per-worker busy time must account the dispatched work.
 func TestPoolBusyAccounting(t *testing.T) {
-	p := newPool(2)
+	p := newPool(2, 1)
 	scr := new(kernelScratch)
 	elems := make([]int32, 64)
 	for i := range elems {

@@ -169,15 +169,20 @@ type rankState struct {
 	fc    perf.FlopCounts
 	bc    perf.ByteCounts
 
-	// pool is the process-wide worker pool shared by every rank; scr is
-	// this rank's scratch for sweeps too small to dispatch.
+	// pool is the run's compute, shared by every rank; scr is this
+	// rank's scratch for the sweeps it runs inline.
 	pool *pool
 	scr  *kernelScratch
-	// forceBusy/updateBusy accumulate the worker-pool busy nanoseconds
-	// attributed to this rank's kernel and update sweeps (atomic; added
-	// to the kernel_parallel and update phases when the run ends, not
-	// the rank's wait, which would inflate the communication fraction).
+	// forceBusy/updateBusy accumulate the busy nanoseconds of this
+	// rank's kernel and update sweeps, inline or on the workers (atomic;
+	// added to the kernel_parallel and update phases when the run ends,
+	// not the rank's wait, which would inflate the communication
+	// fraction).
 	forceBusy, updateBusy int64
+	// slot is the compute token the rank holds (-1: none) and heldFrom
+	// its sweep busy time when it took it (holdCPU).
+	slot     int
+	heldFrom int64
 
 	// sweeps and routes are the step's plan, built once at setup: each
 	// region's outer and inner colour classes, and each halo set's route
@@ -205,11 +210,8 @@ type rankState struct {
 
 	// halo holds the exchange state per halo set (see halo.go) and
 	// inflight each set's exchange between its post and finish beats.
-	// packBuf is the reused send-side pack buffer (Isend copies the
-	// payload).
 	halo     [nHaloSets]haloSet
-	inflight [nHaloSets]*pendingExchange
-	packBuf  []float32
+	inflight [nHaloSets]pendingExchange
 	seq      int // halo-exchange sequence number for unique tags
 }
 
@@ -234,6 +236,7 @@ func newRankState(c *mpi.Comm, sim *Simulation, opts *Options, dt float64,
 		bc:    perf.DefaultByteCounts(),
 		pool:  p,
 		scr:   new(kernelScratch),
+		slot:  -1,
 		ns:    ns,
 	}
 	// The step plan: the hot loop only walks prebuilt lists.
@@ -373,7 +376,7 @@ func (rs *rankState) assembleMass() {
 			continue
 		}
 		m := append([]float32(nil), reg.Mass...)
-		rs.beginExchange(rs.routes[kind], 1, 1, [][][]float32{{m}}).finish()
+		rs.finish(rs.beginExchange(kind, 1, 1, [][][]float32{{m}}))
 		inv := make([]float32, len(m))
 		for i, v := range m {
 			inv[i] = 1 / v

@@ -22,7 +22,7 @@ import (
 // inner elements of the overlap schedule), as built by
 // mesh.Coloring.Classes. Colors run one after another with a barrier in
 // between; within a color no two elements share a global point, so the
-// chunks dispatched to the worker pool write disjoint acceleration
+// chunks dispatched to worker goroutines write disjoint acceleration
 // entries and the sweep is bit-identical at every worker count. Each
 // element is visited exactly once per step — the attenuation memory
 // variables advance when their element is processed.

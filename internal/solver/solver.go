@@ -103,13 +103,15 @@ type Options struct {
 	OceanLoad bool
 	// Kernel selects the force-kernel implementation.
 	Kernel Kernel
-	// Workers sizes the process-wide worker pool the force kernels and
-	// pointwise update loops run on. The pool is shared by every rank
-	// goroutine — total kernel concurrency equals Workers, the hybrid
-	// MPI+threads model — so 24 ranks on 8 cores do not oversubscribe
-	// the host. Results are bit-identical at every worker count (the
-	// mesh coloring fixes the accumulation order). 0 means GOMAXPROCS;
-	// 1 runs the kernels serially on one pool worker.
+	// Workers caps the force kernels and pointwise update loops
+	// computing at once — the hybrid MPI+threads model, so 24 ranks on
+	// 8 cores do not oversubscribe the host. With at least Workers
+	// ranks each rank runs its own sweeps and at most Workers ranks
+	// compute at once; with fewer, the ranks hand their sweeps in
+	// chunks to Workers shared worker goroutines (pool.go). Results are
+	// bit-identical at every worker count (the mesh coloring fixes the
+	// accumulation order). 0 means GOMAXPROCS; 1 runs the kernels
+	// serially.
 	Workers int
 	// CombinedSolidHalo merges the crust/mantle and inner-core halo
 	// exchanges into one message per neighbor — the paper's "reduction
@@ -391,7 +393,7 @@ func Run(sim *Simulation) (*Result, error) {
 
 	world := mpi.NewWorldWith(len(sim.Locals), opts.Network)
 	collector := perf.NewCollector()
-	kernelPool := newPool(opts.Workers)
+	kernelPool := newPool(opts.Workers, len(sim.Locals))
 	// One read-only table set for every rank and worker.
 	kern := newKernels(opts.Kernel)
 	res := &Result{

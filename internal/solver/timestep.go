@@ -31,14 +31,18 @@ import (
 // follow the paper's overlap schedule: the forces of the *outer*
 // elements (those contributing to halo points) and the boundary terms;
 // post the halo; the inner elements while the messages are in flight;
-// finish; tail. Force sweeps and point passes dispatch on the shared
-// worker pool, bit-identical at any worker count; the coupling, source
-// and ocean terms touch few points and stay inline. Every element and
-// every point advances with the one global dt, over the rank's step
-// plan (rankState.sweeps and routes). Every pass reads the fields' page
+// finish; tail. Force sweeps and point passes run through the run's
+// pool — inline under a compute token the rank holds for its step, or
+// in chunks on worker goroutines when the ranks are fewer than Workers
+// — bit-identical either way; the coupling, source and ocean terms
+// touch few points and stay inline. Every element and every point
+// advances with the one global dt, over the rank's step plan
+// (rankState.sweeps and routes). Every pass reads the fields' page
 // marks first and passes by the points that have never moved
 // (pageMarks).
 func (rs *rankState) timeStep(step int) {
+	rs.holdCPU()
+	defer rs.releaseCPU() // also on a panic, so the other ranks can fail
 	rs.prof.Mark()
 	for i := range rs.beats {
 		b := &rs.beats[i]
@@ -198,10 +202,9 @@ func (rs *rankState) run(b *beat, step int) perf.Work {
 		return perf.Work{Flops: rs.fc.CouplePoint * n, Bytes: rs.bc.CouplePoint * n}
 	case beatPost:
 		h := &rs.halo[b.region]
-		rs.inflight[b.region] = rs.beginExchange(rs.routes[b.region], rs.ns, h.nc, h.arr)
+		rs.beginExchange(b.region, rs.ns, h.nc, h.arr)
 	case beatFinish:
-		rs.inflight[b.region].finish()
-		rs.inflight[b.region] = nil
+		rs.finish(&rs.inflight[b.region])
 	case beatTraction:
 		n, m := rs.addFluidTractionToSolid(), rs.addSources(step)
 		return perf.Work{
@@ -214,7 +217,7 @@ func (rs *rankState) run(b *beat, step int) perf.Work {
 		if (step+1)%rs.opts.RecordEvery == 0 {
 			rs.record()
 			if rs.opts.OnChunk != nil {
-				rs.flushChunks(false)
+				rs.idle(func() { rs.flushChunks(false) })
 			}
 		}
 	}

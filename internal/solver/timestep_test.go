@@ -18,7 +18,7 @@ func stepBeats(t *testing.T, sim *Simulation, rank int) []string {
 	t.Helper()
 	opts := sim.Opts.withDefaults()
 	dt := mesh.StableDt(sim.Locals, mesh.Courant)
-	p := newPool(1)
+	p := newPool(1, 1)
 	defer p.close()
 	var names []string
 	mpi.NewWorldWith(len(sim.Locals), opts.Network).Run(func(c *mpi.Comm) {
@@ -190,7 +190,7 @@ func BenchmarkPointPasses(b *testing.B) {
 			Rotation: true, Gravity: true, OceanLoad: true}.withDefaults()
 		sim := &Simulation{Locals: g.Locals, Plans: g.Plans, Model: model, Opts: opts}
 		dt := mesh.StableDt(sim.Locals, mesh.Courant)
-		p := newPool(1)
+		p := newPool(1, 1)
 		defer p.close()
 		states := make([]*rankState, len(sim.Locals))
 		mpi.NewWorldWith(len(sim.Locals), opts.Network).Run(func(c *mpi.Comm) {

@@ -2,9 +2,10 @@
 # Stay-deleted guards, run by the CI test job and locally via
 #   ./scripts/guards.sh
 # 1. no Go file names anything on the retired list below (the last
-#    four lines: clustered local time stepping and its level wheel, the
-#    coordinate-key point indexer, and the pre-gather page-range skip
-#    with the element point ranges it read),
+#    five lines: clustered local time stepping and its level wheel, the
+#    coordinate-key point indexer, the pre-gather page-range skip with
+#    the element point ranges it read, and the rank's reused pack
+#    buffer, which Isend's copy needed),
 # 2. the root benchmark file and root-level BENCH_PR*.json snapshots
 #    stay gone (the eight snapshots are history in docs/history/),
 # 3. every experiment run goes through the two solver.Run calls of
@@ -34,6 +35,7 @@ BuildClusters|Clustering|ltsLevelOf|wheelLevels|levelSweeps|reconcilePointRates|
 levelPlan|buildLevels|firePoints|oceanPoint|levelRoutes|fullRoute|rs\.lp\b|ElementDts|elementRates|normalizeRate|intersectSorted
 PointIndexer|NewPointIndexer
 deadElem|PageSkippedVisits|PageElems|\bPtLo\b|\bPtHi\b|UpdatePointRanges
+packBuf
 EOF
 )
 if grep -rnE "$retired" --include='*.go' .; then
