@@ -46,7 +46,7 @@ func main() {
 		maxBatch = flag.Int("max-batch", 4, "max ensemble size S per batch")
 		window   = flag.Duration("window", 50*time.Millisecond, "max wait before dispatching a partial batch")
 		budgetMB = flag.Int64("mem-budget-mb", 0, "session cache budget in MiB of mesh (0 = unlimited)")
-		workers  = flag.Int("workers", 0, "solver ranks or workers computing at once (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "solver sweeps computing at once (0 = GOMAXPROCS)")
 		chunk    = flag.Int("chunk", 32, "streamed samples per chunk")
 	)
 	flag.Parse()

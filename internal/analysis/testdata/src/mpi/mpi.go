@@ -14,6 +14,9 @@ func (c *Comm) Irecv(src, tag int) *Request { return &Request{} }
 // Isend posts a non-blocking send (no completion handle in this model).
 func (c *Comm) Isend(dst, tag int, buf []float32) {}
 
+// SendRecv exchanges payloads with a partner; send is handed over.
+func (c *Comm) SendRecv(partner, tag int, send []float32) []float32 { return nil }
+
 // Send is the blocking send.
 func (c *Comm) Send(dst, tag int, buf []float32) {}
 

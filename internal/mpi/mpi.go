@@ -226,12 +226,6 @@ type Comm struct {
 	queue    []message
 	poisoned bool
 
-	// free is the rank's list of send buffers: payloads its receivers
-	// handed back (Request.Release) for Buffer to take up again. The
-	// receivers append from their goroutines, so freeMu guards it.
-	freeMu sync.Mutex
-	free   [][]float32
-
 	statMu     sync.Mutex
 	bytesSent  int64
 	messages   int64
@@ -295,10 +289,9 @@ func (c *Comm) chargeVirtualRecv(bytes int) {
 
 // Isend posts a non-blocking send of data to rank dst with the given
 // tag. The message takes data over without a copy (MPI_Isend with the
-// buffer handed to the receiver): the caller must not write data after
-// the call. A receiver that is done with a payload may hand it back to
-// this rank's free list (Request.Release), where Buffer takes it up
-// again, so a steady exchange pattern allocates nothing.
+// buffer handed to the receiver): the caller must not touch data after
+// the call, and the receiver owns it from then on. specfemvet's haloreq
+// check flags a write to a slice after it was handed to Isend.
 func (c *Comm) Isend(dst, tag int, data []float32) {
 	start := time.Now()
 	d := c.world.comms[dst]
@@ -309,52 +302,31 @@ func (c *Comm) Isend(dst, tag int, data []float32) {
 	c.addComm(int64(4*len(data)), 1, time.Since(start))
 }
 
-// Buffer returns a send buffer of n values: the smallest buffer on the
-// rank's free list that holds n, or a new one. Its contents are
-// arbitrary.
-func (c *Comm) Buffer(n int) []float32 {
-	c.freeMu.Lock()
-	defer c.freeMu.Unlock()
-	best := -1
-	for i, b := range c.free {
-		if cap(b) >= n && (best < 0 || cap(b) < cap(c.free[best])) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return make([]float32, n)
-	}
-	b, last := c.free[best], len(c.free)-1
-	c.free[best], c.free[last] = c.free[last], nil
-	c.free = c.free[:last]
-	return b[:n]
-}
-
 // matchLocked scans the queue for a message with matching source and
 // tag and removes it. Caller holds c.mu.
-func (c *Comm) matchLocked(src, tag int) (message, bool) {
+func (c *Comm) matchLocked(src, tag int) ([]float32, bool) {
 	for i := range c.queue {
 		m := c.queue[i]
 		if m.tag == tag && (src == AnySource || m.src == src) {
 			c.queue = append(c.queue[:i], c.queue[i+1:]...)
-			return m, true
+			return m.data, true
 		}
 	}
-	return message{}, false
+	return nil, false
 }
 
-// recvBlocking blocks until a matching message arrives and returns it
-// without any statistics accounting (callers account).
-func (c *Comm) recvBlocking(src, tag int) message {
+// recvBlocking blocks until a matching message arrives and returns its
+// payload without any statistics accounting (callers account).
+func (c *Comm) recvBlocking(src, tag int) []float32 {
 	c.mu.Lock()
 	for {
 		if c.poisoned {
 			c.mu.Unlock()
 			panic("mpi: world poisoned by peer rank failure")
 		}
-		if m, ok := c.matchLocked(src, tag); ok {
+		if data, ok := c.matchLocked(src, tag); ok {
 			c.mu.Unlock()
-			return m
+			return data
 		}
 		c.cond.Wait()
 	}
@@ -364,7 +336,7 @@ func (c *Comm) recvBlocking(src, tag int) message {
 // returns its payload. src may be AnySource.
 func (c *Comm) Recv(src, tag int) []float32 {
 	start := time.Now()
-	data := c.recvBlocking(src, tag).data
+	data := c.recvBlocking(src, tag)
 	c.addComm(0, 0, time.Since(start))
 	c.chargeVirtualRecv(4 * len(data))
 	return data

@@ -75,48 +75,44 @@ func TestSendRecvExchange(t *testing.T) {
 	}
 }
 
-// Isend hands the payload over without a copy, and a released payload
-// goes back to its sender, whose next Buffer of that size reuses it: each
-// round's values must arrive intact although every round after the
-// first travels in the first round's array.
+// Isend hands the payload over without a copy, and the receiver owns
+// it: as in the halo exchange, each rank packs its next send into the
+// payload it last received, so after the first round the same two arrays
+// go back and forth, and every round's values must still arrive intact.
 func TestIsendHandsOverPayload(t *testing.T) {
 	const rounds, n = 50, 300
 	w := NewWorld(2)
-	var first *float32
-	recycled := 0
+	var arrays [2]map[*float32]bool
 	w.Run(func(c *Comm) {
+		me, peer := c.Rank(), 1-c.Rank()
+		seen := map[*float32]bool{}
+		var buf []float32
 		for r := 0; r < rounds; r++ {
-			if c.Rank() == 0 {
-				buf := c.Buffer(n)
-				if r == 0 {
-					first = &buf[0]
-				} else if &buf[0] == first {
-					recycled++
-				}
-				for i := range buf {
-					buf[i] = float32(r*n + i)
-				}
-				c.Isend(1, r, buf)
-				c.Recv(1, r) // the receiver has released round r
-				continue
+			if buf == nil {
+				buf = make([]float32, n)
 			}
-			req := c.Irecv(0, r)
+			for i := range buf {
+				buf[i] = float32((2*r+me)*n + i)
+			}
+			req := c.Irecv(peer, r)
+			c.Isend(peer, r, buf) // buf is the peer's now
 			got := req.Wait()
-			if len(got) != n {
-				t.Errorf("round %d: %d values, want %d", r, len(got), n)
-			}
+			req.Release()
+			seen[&got[0]] = true
 			for i, v := range got {
-				if v != float32(r*n+i) {
-					t.Errorf("round %d: value %d is %g, want %d", r, i, v, r*n+i)
+				if want := float32((2*r+peer)*n + i); v != want {
+					t.Errorf("rank %d round %d: value %d is %g, want %g", me, r, i, v, want)
 					break
 				}
 			}
-			req.Release()
-			c.Isend(0, r, nil)
+			buf = got
 		}
+		arrays[me] = seen
 	})
-	if recycled != rounds-1 {
-		t.Errorf("%d of %d rounds reused the released payload", recycled, rounds-1)
+	for r, seen := range arrays {
+		if len(seen) != 2 {
+			t.Errorf("rank %d received %d distinct arrays, want the 2 that circulate", r, len(seen))
+		}
 	}
 }
 

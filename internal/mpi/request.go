@@ -31,7 +31,6 @@ type Request struct {
 	commAtPost   time.Duration
 	hiddenAtPost time.Duration
 	data         []float32
-	from         int // the matched message's source
 	done         bool
 }
 
@@ -54,18 +53,14 @@ func (c *Comm) Irecv(src, tag int) *Request {
 	return r
 }
 
-// Release ends a completed request: its payload goes back to the free
-// list of the rank that sent it (Comm.Buffer) and the request to this
-// rank for Irecv to reuse. Neither may be used afterwards. A receiver
-// that keeps a payload simply does not release its request.
+// Release ends a completed request and hands it back to this rank for
+// Irecv to reuse; it may not be used afterwards. The payload stays with
+// the caller, which owns it (Isend hands payloads over).
 func (r *Request) Release() {
 	if !r.done {
 		panic("mpi: Release of an incomplete request")
 	}
-	c, s := r.c, r.c.world.comms[r.from]
-	s.freeMu.Lock()
-	s.free = append(s.free, r.data)
-	s.freeMu.Unlock()
+	c := r.c
 	*r = Request{}
 	c.statMu.Lock()
 	c.spare = append(c.spare, r)
@@ -74,9 +69,8 @@ func (r *Request) Release() {
 
 // complete finalizes accounting once a payload has been matched.
 // blocked is the wall time spent waiting inside Wait (zero for Test).
-func (r *Request) complete(m message, blocked time.Duration) []float32 {
-	data := m.data
-	r.data, r.from = data, m.src
+func (r *Request) complete(data []float32, blocked time.Duration) []float32 {
+	r.data = data
 	r.done = true
 	c := r.c
 	c.addComm(0, 0, blocked)
@@ -119,8 +113,8 @@ func (r *Request) Wait() []float32 {
 		return r.data
 	}
 	start := time.Now()
-	m := r.c.recvBlocking(r.src, r.tag)
-	return r.complete(m, time.Since(start))
+	data := r.c.recvBlocking(r.src, r.tag)
+	return r.complete(data, time.Since(start))
 }
 
 // Test polls for completion without blocking. It returns the payload
@@ -136,12 +130,12 @@ func (r *Request) Test() ([]float32, bool) {
 		c.mu.Unlock()
 		panic("mpi: world poisoned by peer rank failure")
 	}
-	m, ok := c.matchLocked(r.src, r.tag)
+	data, ok := c.matchLocked(r.src, r.tag)
 	c.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
-	return r.complete(m, 0), true
+	return r.complete(data, 0), true
 }
 
 // Waitall completes every request and returns the payloads in request

@@ -137,27 +137,41 @@ type pendingExchange struct {
 	nf, nc int
 	arr    [][][]float32
 	reqs   []*mpi.Request // the posted receives, parallel to rt
+	// bufs holds, parallel to rt, the payload last received from each
+	// peer: the rank owns it once added (Isend hands payloads over) and
+	// packs its next message to that peer into it. A route is
+	// symmetric — both ends exchange nf*nc*pr.n values — so after the
+	// first exchange of a set the same two arrays travel back and forth.
+	bufs [][]float32
 }
 
 // beginExchange packs and sends this rank's contributions to halo set
 // set for nf wavefields of nc components per point (arr[part][field]) —
 // one aggregated message per neighbor (nf× payload, 1× latency) — and
 // posts the receives, into the set's rs.inflight slot. Each message is
-// packed into a buffer from the rank's free list and handed to the
-// receiver, which returns it after use (finish), so a steady-state
-// exchange allocates nothing. Halo-point entries must be final before
-// the call; only non-halo points may be written between begin and
-// finish. It consumes a tag unconditionally, so sequence numbers stay
-// aligned across ranks even when this rank has no peer (or no region)
-// for the set. The receives are posted non-blocking *now*, so the
-// virtual transfer time between here and finish is credited as hidden.
+// packed into the payload last received from its peer (pendingExchange.bufs),
+// so a steady-state exchange allocates nothing. Halo-point entries must
+// be final before the call; only non-halo points may be written between
+// begin and finish. It consumes a tag unconditionally, so sequence
+// numbers stay aligned across ranks even when this rank has no peer (or
+// no region) for the set. The receives are posted non-blocking *now*,
+// so the virtual transfer time between here and finish is credited as
+// hidden.
 func (rs *rankState) beginExchange(set, nf, nc int, arr [][][]float32) *pendingExchange {
 	tag := rs.nextTag()
 	rt := rs.routes[set]
 	p := &rs.inflight[set]
-	*p = pendingExchange{rt: rt, nf: nf, nc: nc, arr: arr, reqs: p.reqs[:0]}
-	for _, pr := range rt {
-		buf := rs.comm.Buffer(nf * nc * pr.n)
+	*p = pendingExchange{rt: rt, nf: nf, nc: nc, arr: arr, reqs: p.reqs[:0], bufs: p.bufs}
+	if p.bufs == nil {
+		p.bufs = make([][]float32, len(rt))
+	}
+	for i, pr := range rt {
+		n := nf * nc * pr.n
+		buf := p.bufs[i]
+		if cap(buf) < n {
+			buf = make([]float32, n) // the first exchange, or the mass's narrower one before
+		}
+		buf = buf[:n]
 		off := 0
 		for s := 0; s < nf; s++ {
 			for k, idx := range pr.parts {
@@ -169,16 +183,17 @@ func (rs *rankState) beginExchange(set, nf, nc int, arr [][][]float32) *pendingE
 				off += m
 			}
 		}
-		rs.comm.Isend(pr.peer, tag, buf) // hands buf over
+		rs.comm.Isend(pr.peer, tag, buf)
+		p.bufs[i] = nil // buf is the peer's now
 		p.reqs = append(p.reqs, rs.comm.Irecv(pr.peer, tag))
 	}
 	return p
 }
 
 // finish completes exchange p: every peer's payload is added into the
-// local arrays and handed back to its sender. A payload that has not
-// arrived is waited for without the rank's compute token (idle). Safe
-// on a route without peers.
+// local arrays and kept for the next message to that peer. A payload
+// that has not arrived is waited for without the rank's compute token
+// (idle). Safe on a route without peers.
 func (rs *rankState) finish(p *pendingExchange) {
 	for i, pr := range p.rt {
 		req := p.reqs[i]
@@ -186,6 +201,7 @@ func (rs *rankState) finish(p *pendingExchange) {
 		if !ok {
 			rs.idle(func() { got = req.Wait() })
 		}
+		req.Release()
 		off := 0
 		for s := 0; s < p.nf; s++ {
 			for k, idx := range pr.parts {
@@ -197,7 +213,7 @@ func (rs *rankState) finish(p *pendingExchange) {
 				off += n
 			}
 		}
-		req.Release()
+		p.bufs[i] = got
 	}
 }
 

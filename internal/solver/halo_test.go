@@ -91,8 +91,9 @@ func TestHaloRoutes(t *testing.T) {
 
 // A steady-state halo exchange allocates nothing: every rank of the
 // 6-rank globe posts and finishes each of its four halo sets, and once
-// the first rounds have filled the free lists with their payloads, the
-// packing buffers, the messages and the requests are all recycled.
+// the first round has left each rank its peers' payloads, every message
+// is packed into the payload last received from its peer and the
+// requests are recycled.
 func TestSteadyHaloExchangeAllocatesNothing(t *testing.T) {
 	g, model := coupledGlobe(t, 4, 1)
 	opts := Options{Steps: 1}.withDefaults()
@@ -100,6 +101,7 @@ func TestSteadyHaloExchangeAllocatesNothing(t *testing.T) {
 	dt := mesh.StableDt(sim.Locals, mesh.Courant)
 	n := len(sim.Locals)
 	p := newPool(1, n)
+	defer p.close()
 	start, done := make([]chan struct{}, n), make(chan struct{}, n)
 	for r := range start {
 		start[r] = make(chan struct{})

@@ -61,10 +61,22 @@ func TestWorkersBitIdenticalBox(t *testing.T) {
 	}
 }
 
+// mixedShapes makes the ranks change shape every step, half of them
+// inline while the other half dispatch chunks: the transitions and the
+// mixed steps a changing load can cause, on demand.
+func mixedShapes() func(rank int) bool {
+	var steps [64]atomic.Int64
+	return func(rank int) bool {
+		return (int64(rank)+steps[rank].Add(1))%2 == 0
+	}
+}
+
 // Globe config of examples/scaling (solid-fluid-solid, 6 ranks): the
 // fluid potential sweep and both coupling paths must also be
-// bit-identical across worker counts — Workers 1, 2 and 6 on compute
-// tokens (the ranks sweep themselves), 12 on worker goroutines.
+// bit-identical across worker counts — Workers 1 (always inline), 2 and
+// 6 (as the loads decide), 12 (more workers than ranks: chunked), and
+// Workers 2 and 6 with every rank forced inline, forced chunked, and
+// switching shape every step.
 func TestWorkersBitIdenticalGlobe(t *testing.T) {
 	model := earthmodel.NewHomogeneous(6371e3, earthmodel.Material{
 		Rho: 5000, Vp: 10000, Vs: 5500, Qmu: 300, Qkappa: 57823,
@@ -83,8 +95,10 @@ func TestWorkersBitIdenticalGlobe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) *Seismogram {
+	run := func(workers int, shape func(rank int) bool) *Seismogram {
 		const m0 = 1e20
+		shapeHook = shape
+		defer func() { shapeHook = nil }()
 		res, err := Run(&Simulation{
 			Locals: g.Locals, Plans: g.Plans, Model: model,
 			Sources: []Source{{
@@ -101,22 +115,33 @@ func TestWorkersBitIdenticalGlobe(t *testing.T) {
 		return res.Seismograms["R"]
 	}
 	t.Run(schedule, func(t *testing.T) {
-		serial := run(1)
+		serial := run(1, nil)
 		for _, w := range []int{2, 6, 12} {
-			identical(t, fmt.Sprintf("globe/w%d", w), serial, run(w))
+			identical(t, fmt.Sprintf("globe/w%d", w), serial, run(w, nil))
+		}
+		for _, w := range []int{2, 6} {
+			identical(t, fmt.Sprintf("globe/w%d/inline", w), serial, run(w, func(int) bool { return true }))
+			identical(t, fmt.Sprintf("globe/w%d/chunked", w), serial, run(w, func(int) bool { return false }))
+			identical(t, fmt.Sprintf("globe/w%d/mixed", w), serial, run(w, mixedShapes()))
 		}
 	})
 }
 
-// With fewer workers than ranks the ranks sweep themselves, at most
-// Workers at once: on the 6-rank globe at Workers 1 no two sweeps ever
-// overlap. Each sweep yields the processor as it starts, so a rank that
-// swept without a compute token would be caught on one core too.
+// At most Workers sweeps compute at once, whoever runs them: on the
+// 6-rank globe at Workers 1 (the ranks always sweep inline) no two
+// sweeps ever overlap, and at Workers 2 no three do, also with the
+// ranks changing shape every step, so the worker goroutines' chunks and
+// the inline ranks share the tokens. Each sweep yields the processor as
+// it starts, so one that ran without a token would be caught on one
+// core too.
 func TestWorkersCapConcurrentCompute(t *testing.T) {
 	g, model := coupledGlobe(t, 4, 1)
-	for _, workers := range []int{1, 2} {
+	for _, c := range []struct {
+		workers int
+		shape   func(rank int) bool
+	}{{1, nil}, {2, nil}, {2, mixedShapes()}} {
 		var now, peak, sweeps atomic.Int64
-		inlineHook = func(delta int) {
+		sweepHook = func(delta int) {
 			if delta > 0 {
 				sweeps.Add(1)
 				n := now.Add(1)
@@ -127,61 +152,74 @@ func TestWorkersCapConcurrentCompute(t *testing.T) {
 			}
 			now.Add(-1)
 		}
-		_, err := Run(globeSim(t, g, model, Options{Steps: 4, Workers: workers}))
-		inlineHook = nil
+		shapeHook = c.shape
+		_, err := Run(globeSim(t, g, model, Options{Steps: 4, Workers: c.workers}))
+		sweepHook, shapeHook = nil, nil
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sweeps.Load() == 0 {
-			t.Fatalf("Workers %d: no inline sweep observed", workers)
+			t.Fatalf("Workers %d: no sweep observed", c.workers)
 		}
-		if p := peak.Load(); p > int64(workers) {
-			t.Errorf("Workers %d: %d ranks swept at once", workers, p)
+		if p := peak.Load(); p > int64(c.workers) {
+			t.Errorf("Workers %d (mixed %v): %d sweeps ran at once", c.workers, c.shape != nil, p)
 		}
 	}
 }
 
 // The hybrid run must report its compute in both shapes: worker count,
-// per-worker (or per-token) busy time, and the kernel_parallel phase
-// carrying the kernel CPU time. On the 2-rank box Workers 2 runs the
-// sweeps on the ranks, whose busy time is then exactly the tokens',
-// and Workers 4 on worker goroutines.
+// per-token busy time, and the kernel_parallel phase carrying the
+// kernel CPU time. On the 2-rank box at Workers 2, with the ranks
+// forced inline, forced chunked and left to the loads, and at Workers
+// 4 (more workers than ranks: chunked), the tokens' busy time is
+// exactly the ranks' sweep time.
 func TestHybridPerfAccounting(t *testing.T) {
 	const L = 40e3
 	b := buildBox(t, 4, 2, L)
 	src := boxSource(t, b, L/2, L/2, L/2, 1e17, 1.0)
-	for _, workers := range []int{2, 4} {
+	for _, c := range []struct {
+		workers int
+		name    string
+		shape   func(rank int) bool
+	}{
+		{2, "inline", func(int) bool { return true }},
+		{2, "chunked", func(int) bool { return false }},
+		{2, "loads", nil},
+		{4, "loads", nil},
+	} {
+		shapeHook = c.shape
 		res, err := Run(&Simulation{
 			Locals: b.Locals, Plans: b.Plans,
 			Sources: []Source{src},
-			Opts:    Options{Steps: 20, Workers: workers},
+			Opts:    Options{Steps: 20, Workers: c.workers},
 		})
+		shapeHook = nil
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := res.Perf
-		if p.Workers != workers {
-			t.Errorf("Workers = %d, want %d", p.Workers, workers)
+		if p.Workers != c.workers {
+			t.Errorf("Workers = %d, want %d", p.Workers, c.workers)
 		}
-		if len(p.WorkerBusy) != workers {
-			t.Fatalf("WorkerBusy has %d slots, want %d", len(p.WorkerBusy), workers)
+		if len(p.WorkerBusy) != c.workers {
+			t.Fatalf("WorkerBusy has %d slots, want %d", len(p.WorkerBusy), c.workers)
 		}
 		kp := p.PhaseTotals[perf.PhaseKernelParallel.String()]
 		if kp <= 0 {
-			t.Errorf("Workers %d: no kernel_parallel time recorded", workers)
+			t.Errorf("Workers %d %s: no kernel_parallel time recorded", c.workers, c.name)
 		}
 		if p.BusyTime < kp {
-			t.Errorf("Workers %d: kernel_parallel excluded from busy time", workers)
+			t.Errorf("Workers %d %s: kernel_parallel excluded from busy time", c.workers, c.name)
 		}
 		if u := p.WorkerUtilization(); u <= 0 || u > 1.5 {
-			t.Errorf("Workers %d: worker utilization %v out of range", workers, u)
+			t.Errorf("Workers %d %s: worker utilization %v out of range", c.workers, c.name, u)
 		}
 		var busy time.Duration
 		for _, d := range p.WorkerBusy {
 			busy += d
 		}
-		if sweeps := kp + p.PhaseTotals[perf.PhaseUpdate.String()]; workers == 2 && busy != sweeps {
-			t.Errorf("tokens busy %v, the ranks swept %v", busy, sweeps)
+		if sweeps := kp + p.PhaseTotals[perf.PhaseUpdate.String()]; busy != sweeps {
+			t.Errorf("Workers %d %s: tokens busy %v, the ranks swept %v", c.workers, c.name, busy, sweeps)
 		}
 	}
 	// The default worker count resolves to GOMAXPROCS.

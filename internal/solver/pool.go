@@ -30,33 +30,45 @@ type kernelScratch struct {
 
 // pool is the compute of one solver run, sized by Options.Workers — the
 // hybrid MPI+threads model, with ranks standing in for the processes
-// and Workers for the cores of one node. It takes one of two shapes,
-// fixed when the run starts, and neither changes a result (the sweeps
-// are conflict-free, so the accumulation order is the colouring's):
+// and Workers for the cores of one node. Workers compute tokens cap the
+// sweeps that run at once, whoever runs them, so 24 ranks on 8 cores do
+// not oversubscribe the host. A step runs in one of two shapes, and
+// neither changes a result (the sweeps are conflict-free, so the
+// accumulation order is the colouring's):
 //
-//   - With fewer ranks than Workers (a 1-rank box on a many-core host)
-//     it is Workers goroutines the ranks hand their sweeps to in chunks:
-//     the ranks orchestrate, the workers compute.
-//   - Otherwise — one rank per core, as in the paper, or more — every
-//     rank runs its own sweeps inline and the pool is Workers compute
-//     tokens. A rank holds one while it steps and hands it back around
-//     every blocking wait (holdCPU, idle), so at most Workers ranks
-//     compute at once and 24 ranks on 8 cores do not oversubscribe the
-//     host. A busy rank cannot borrow an idle rank's share: at ranks ==
-//     Workers the busiest rank sets the pace.
+//   - Inline: the rank takes a token for its step, runs every sweep
+//     itself and hands the token back around each blocking wait
+//     (holdCPU, idle) — the paper's one process per core. A step costs
+//     no dispatch, but a rank cannot borrow a core another rank leaves
+//     idle, so the busiest rank's serial sweeps bound the step.
+//   - Chunked: the rank hands each sweep in chunks to Workers shared
+//     worker goroutines, each of which takes a token per chunk. A busy
+//     rank then spreads over every core, at a channel round trip per
+//     chunk and a wait per colour class.
+//
+// The ranks sweep inline while the busiest one's sweeps take no longer
+// than the chunked shape's step would: total/Workers, times chunkCost
+// for the dispatch. Without that allowance the rule reads ranks >=
+// Workers × busiest/mean. Rank 0 decides at the start of each of its
+// steps from every rank's smoothed sweep time per step (observe,
+// decide). Until every rank has finished one step the run keeps its
+// starting shape, inline when the ranks are at least Workers.
 type pool struct {
 	workers int
-	// tasks feeds the worker goroutines; nil when the ranks sweep.
+	// tasks feeds the worker goroutines.
 	tasks chan poolTask
-	// slots holds the free compute tokens, numbered 0..workers-1; nil
-	// with worker goroutines.
+	// slots holds the free compute tokens, numbered 0..workers-1.
 	slots chan int
-	// busy[w] is worker w's accumulated sweep nanoseconds, or the sweep
-	// nanoseconds of the ranks that held token w. Each slot has one
-	// writer at a time; Busy() may only be called after close.
+	// busy[t] is the sweep nanoseconds computed under token t. Only
+	// the token's holder writes it; Busy() may only be called after
+	// close.
 	busy    []int64
 	scratch []*kernelScratch
-	wg      sync.WaitGroup
+	// load[r] is rank r's smoothed sweep nanoseconds per step (0 until
+	// its first step ends); inline is the shape rank 0 last chose.
+	load   []atomic.Int64
+	inline atomic.Bool
+	wg     sync.WaitGroup
 }
 
 // poolTask is one dispatched chunk of a sweep.
@@ -75,21 +87,21 @@ type poolTask struct {
 // poison/recover path instead of killing the process from a worker.
 type poolPanic struct{ val any }
 
-// newPool returns the compute of a run of ranks ranks: worker
-// goroutines when they are fewer than workers, compute tokens otherwise.
+// newPool returns the compute of a run of ranks ranks on workers
+// tokens and worker goroutines.
 func newPool(workers, ranks int) *pool {
 	workers = max(workers, 1)
-	p := &pool{workers: workers, busy: make([]int64, workers)}
-	if ranks >= workers {
-		p.slots = make(chan int, workers)
-		for w := 0; w < workers; w++ {
-			p.slots <- w
-		}
-		return p
+	p := &pool{
+		workers: workers,
+		tasks:   make(chan poolTask, 4*workers),
+		slots:   make(chan int, workers),
+		busy:    make([]int64, workers),
+		scratch: make([]*kernelScratch, workers),
+		load:    make([]atomic.Int64, ranks),
 	}
-	p.tasks = make(chan poolTask, 4*workers)
-	p.scratch = make([]*kernelScratch, workers)
+	p.inline.Store(ranks >= workers)
 	for w := 0; w < workers; w++ {
+		p.slots <- w
 		p.scratch[w] = new(kernelScratch)
 		p.wg.Add(1)
 		go p.worker(w)
@@ -98,41 +110,31 @@ func newPool(workers, ranks int) *pool {
 }
 
 // worker drains the task channel on a fixed scratch slot.
-//
-//specfem:nodeterminism busy-time attribution only: the measured nanos feed perf reporting (Busy, busyNanos), never a wavefield or schedule
 func (p *pool) worker(w int) {
 	defer p.wg.Done()
 	ks := p.scratch[w]
 	for t := range p.tasks {
-		t0 := time.Now()
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
 					t.pan.CompareAndSwap(nil, &poolPanic{val: r})
 				}
 			}()
-			t.run(ks)
+			p.compute(ks, t.busyNanos, t.run)
 		}()
-		d := int64(time.Since(t0))
-		p.busy[w] += d
-		if t.busyNanos != nil {
-			atomic.AddInt64(t.busyNanos, d)
-		}
 		t.wg.Done()
 	}
 }
 
 // close stops the workers. All sweeps must have completed.
 func (p *pool) close() {
-	if p.tasks != nil {
-		close(p.tasks)
-		p.wg.Wait()
-	}
+	close(p.tasks)
+	p.wg.Wait()
 }
 
-// Busy returns each worker's or token's accumulated busy time. Only
-// valid after close and after every rank has returned (the worker and
-// rank goroutines have exited, establishing the happens-before for the
+// Busy returns each token's accumulated busy time. Only valid after
+// close and after every rank has returned (the worker and rank
+// goroutines have exited, establishing the happens-before for the
 // slots).
 func (p *pool) Busy() []time.Duration {
 	out := make([]time.Duration, p.workers)
@@ -143,9 +145,9 @@ func (p *pool) Busy() []time.Duration {
 }
 
 // Sweep sizing: chunks target 2 tasks per worker for load balance, but
-// never fall below the minimum worth a channel round-trip; sweeps that
-// fit in a single minimum chunk, and every sweep of a rank that sweeps
-// itself, run inline on the rank goroutine. The choice never affects
+// never fall below the minimum worth a channel round-trip; a sweep that
+// fits in a single minimum chunk runs on the rank goroutine, as does
+// every sweep of a rank that sweeps inline. The choice never affects
 // results — sweeps are conflict-free by construction (one color class,
 // or disjoint point spans).
 const (
@@ -153,42 +155,56 @@ const (
 	minPointChunk = 2048
 )
 
-// runInline executes one chunk on the calling rank's scratch, charging
-// the busy counter the same way a worker would.
+// timed runs fn on ks, adds its duration to *busyNanos and returns it.
 //
-//specfem:nodeterminism busy-time attribution only: the measured nanos feed perf reporting (busyNanos), never a wavefield or schedule
-func runInline(ks *kernelScratch, busyNanos *int64, fn func(*kernelScratch)) {
-	if inlineHook != nil {
-		inlineHook(1)
-		defer inlineHook(-1)
+//specfem:nodeterminism busy-time attribution only: the measured nanos feed perf reporting and the shape choice (busyNanos, pool.load), never a wavefield or schedule
+func timed(ks *kernelScratch, busyNanos *int64, fn func(*kernelScratch)) int64 {
+	if sweepHook != nil {
+		sweepHook(1)
+		defer sweepHook(-1)
 	}
 	t0 := time.Now()
 	fn(ks)
-	atomic.AddInt64(busyNanos, int64(time.Since(t0)))
+	d := int64(time.Since(t0))
+	atomic.AddInt64(busyNanos, d)
+	return d
 }
 
-// inlineHook, when non-nil, runs as an inline chunk starts (+1) and
-// ends (-1): the tests' window on how many ranks compute at once.
-var inlineHook func(delta int)
+// compute runs fn under a compute token of its own — a worker's chunk,
+// or a sweep too small to split on a rank that holds none — and adds
+// its time to the token's busy time and *busyNanos. The token goes
+// back also when fn panics.
+func (p *pool) compute(ks *kernelScratch, busyNanos *int64, fn func(*kernelScratch)) {
+	tok := <-p.slots
+	defer func() { p.slots <- tok }()
+	p.busy[tok] += timed(ks, busyNanos, fn)
+}
 
-// sweep is the shared dispatch protocol: with worker goroutines, split
-// [0,n) into chunks of roughly n/(2*workers) but at least minChunk
-// indices, run a sweep that fits a single chunk inline on the caller's
-// scratch, otherwise submit the chunks and wait, re-raising the first
-// chunk panic on the calling goroutine. Without them the whole sweep
-// runs inline. Busy time is attributed to *busyNanos.
-func (p *pool) sweep(rankKS *kernelScratch, n, minChunk int, busyNanos *int64,
+// sweepHook, when non-nil, runs as a sweep or chunk starts (+1) and
+// ends (-1): the tests' window on how many compute at once.
+var sweepHook func(delta int)
+
+// sweep is the shared dispatch protocol. A rank that holds a compute
+// token (held) runs the whole sweep itself. Otherwise [0,n) is split
+// into chunks of roughly n/(2*workers) but at least minChunk indices:
+// a sweep that fits a single chunk runs on the caller's scratch under a
+// token of its own, a larger one is submitted to the workers and waited
+// for, re-raising the first chunk panic on the calling goroutine. Busy
+// time is attributed to *busyNanos.
+func (p *pool) sweep(rankKS *kernelScratch, held bool, n, minChunk int, busyNanos *int64,
 	fn func(ks *kernelScratch, lo, hi int)) {
 
 	if n <= 0 {
 		return
 	}
-	chunk := n
-	if p.tasks != nil {
-		chunk = max((n+2*p.workers-1)/(2*p.workers), minChunk)
+	whole := func(ks *kernelScratch) { fn(ks, 0, n) }
+	if held {
+		timed(rankKS, busyNanos, whole)
+		return
 	}
+	chunk := max((n+2*p.workers-1)/(2*p.workers), minChunk)
 	if n <= chunk {
-		runInline(rankKS, busyNanos, func(ks *kernelScratch) { fn(ks, 0, n) })
+		p.compute(rankKS, busyNanos, whole)
 		return
 	}
 	var wg sync.WaitGroup
@@ -215,11 +231,11 @@ func (p *pool) sweep(rankKS *kernelScratch, n, minChunk int, busyNanos *int64,
 
 // sweepElems runs fn over chunks of elems (one conflict-free color
 // class) and returns when every chunk has completed. rankKS is the
-// caller's inline scratch.
-func (p *pool) sweepElems(rankKS *kernelScratch, elems []int32, busyNanos *int64,
+// caller's inline scratch and held whether it holds a compute token.
+func (p *pool) sweepElems(rankKS *kernelScratch, held bool, elems []int32, busyNanos *int64,
 	fn func(ks *kernelScratch, elems []int32)) {
 
-	p.sweep(rankKS, len(elems), minElemChunk, busyNanos, func(ks *kernelScratch, lo, hi int) {
+	p.sweep(rankKS, held, len(elems), minElemChunk, busyNanos, func(ks *kernelScratch, lo, hi int) {
 		fn(ks, elems[lo:hi])
 	})
 }
@@ -228,21 +244,72 @@ func (p *pool) sweepElems(rankKS *kernelScratch, elems []int32, busyNanos *int64
 // minPointChunk points (the last span shorter), so every chunk starts
 // on a page boundary. Every point is written independently, so any
 // chunking is bit-exact.
-func (p *pool) sweepSpans(rankKS *kernelScratch, n int, busyNanos *int64, fn func(lo, hi int)) {
+func (p *pool) sweepSpans(rankKS *kernelScratch, held bool, n int, busyNanos *int64, fn func(lo, hi int)) {
 	spans := (n + minPointChunk - 1) / minPointChunk
-	p.sweep(rankKS, spans, 1, busyNanos, func(_ *kernelScratch, lo, hi int) {
+	p.sweep(rankKS, held, spans, 1, busyNanos, func(_ *kernelScratch, lo, hi int) {
 		fn(lo*minPointChunk, min(hi*minPointChunk, n))
 	})
 }
 
-// holdCPU takes a compute token for the rank when the ranks sweep
-// themselves, waiting for one to come free; it does nothing with worker
-// goroutines. The rank's sweep time until it hands the token back
-// counts toward the token's busy time.
-func (rs *rankState) holdCPU() {
-	if rs.pool.slots == nil {
-		return
+// inlineStep reports whether rank sweeps inline in the step it is
+// starting; rank 0 first re-decides the run's shape.
+func (p *pool) inlineStep(rank int) bool {
+	if shapeHook != nil {
+		return shapeHook(rank)
 	}
+	if rank == 0 {
+		p.decide()
+	}
+	return p.inline.Load()
+}
+
+// shapeHook, when non-nil, picks each rank's shape per step in place of
+// the run's choice: the tests' way to run both shapes, and mixed steps.
+var shapeHook func(rank int) (inline bool)
+
+// chunkCost is the chunked shape's step over its ideal total/Workers,
+// as a fraction: what the round trip per chunk and the wait per colour
+// class add. On the 6-rank doubled PREM globe at Workers 2 (2-vCPU
+// Xeon), all-chunked runs made about 10 % fewer steps per second than
+// all-inline ones while the busiest rank carried about half the sweep
+// time, which puts a chunked step near 5/4 of the ideal. It is
+// unmeasured at Workers 4 and more.
+var chunkCost = [2]int64{5, 4}
+
+// decide sets the run's shape from the ranks' loads: inline while the
+// busiest rank's load is at most the chunked step's estimate, total /
+// Workers × chunkCost. Until every rank has a load the shape stays as
+// it is.
+func (p *pool) decide() {
+	var total, busiest int64
+	for i := range p.load {
+		l := p.load[i].Load()
+		if l == 0 {
+			return
+		}
+		total += l
+		busiest = max(busiest, l)
+	}
+	p.inline.Store(chunkCost[0]*total >= chunkCost[1]*int64(p.workers)*busiest)
+}
+
+// observe folds the sweep nanoseconds d of one of rank's steps into its
+// load, an exponential average over about four steps (the first step
+// sets it).
+func (p *pool) observe(rank int, d int64) {
+	l := p.load[rank].Load()
+	if l == 0 {
+		l = d
+	} else {
+		l += (d - l) / 4
+	}
+	p.load[rank].Store(max(l, 1))
+}
+
+// holdCPU takes a compute token for the rank, waiting for one to come
+// free. The rank's sweep time until it hands the token back counts
+// toward the token's busy time.
+func (rs *rankState) holdCPU() {
 	rs.slot = <-rs.pool.slots
 	rs.heldFrom = rs.sweepBusy()
 }

@@ -56,7 +56,7 @@ func (rs *rankState) forceSweep(b *beat) perf.Work {
 	}
 	var sk perf.SkipTally
 	for _, class := range classes {
-		rs.pool.sweepElems(rs.scr, class, &rs.forceBusy, func(ks *kernelScratch, elems []int32) {
+		rs.pool.sweepElems(rs.scr, rs.slot >= 0, class, &rs.forceBusy, func(ks *kernelScratch, elems []int32) {
 			sk.Add(rs.forcesChunk(b.region, ks, elems))
 		})
 	}

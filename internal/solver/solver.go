@@ -105,13 +105,13 @@ type Options struct {
 	Kernel Kernel
 	// Workers caps the force kernels and pointwise update loops
 	// computing at once — the hybrid MPI+threads model, so 24 ranks on
-	// 8 cores do not oversubscribe the host. With at least Workers
-	// ranks each rank runs its own sweeps and at most Workers ranks
-	// compute at once; with fewer, the ranks hand their sweeps in
-	// chunks to Workers shared worker goroutines (pool.go). Results are
-	// bit-identical at every worker count (the mesh coloring fixes the
-	// accumulation order). 0 means GOMAXPROCS; 1 runs the kernels
-	// serially.
+	// 8 cores do not oversubscribe the host. A rank runs its own sweeps
+	// while no rank carries more than 1/Workers of the sweep time, and
+	// otherwise hands them in chunks to Workers shared worker
+	// goroutines, so a busy rank can use every core (pool.go). Results
+	// are bit-identical at every worker count and in either shape (the
+	// mesh coloring fixes the accumulation order). 0 means GOMAXPROCS;
+	// 1 runs the kernels serially.
 	Workers int
 	// CombinedSolidHalo merges the crust/mantle and inner-core halo
 	// exchanges into one message per neighbor — the paper's "reduction

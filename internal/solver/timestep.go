@@ -33,21 +33,25 @@ import (
 // post the halo; the inner elements while the messages are in flight;
 // finish; tail. Force sweeps and point passes run through the run's
 // pool — inline under a compute token the rank holds for its step, or
-// in chunks on worker goroutines when the ranks are fewer than Workers
-// — bit-identical either way; the coupling, source and ocean terms
-// touch few points and stay inline. Every element and every point
+// in chunks on worker goroutines, as the pool chose for the step
+// (pool.inlineStep) — bit-identical either way; the coupling, source
+// and ocean terms touch few points and stay on the rank. Every element and every point
 // advances with the one global dt, over the rank's step plan
 // (rankState.sweeps and routes). Every pass reads the fields' page
 // marks first and passes by the points that have never moved
 // (pageMarks).
 func (rs *rankState) timeStep(step int) {
-	rs.holdCPU()
-	defer rs.releaseCPU() // also on a panic, so the other ranks can fail
+	from := rs.sweepBusy()
+	if rs.pool.inlineStep(rs.rank) {
+		rs.holdCPU()
+		defer rs.releaseCPU() // also on a panic, so the other ranks can fail
+	}
 	rs.prof.Mark()
 	for i := range rs.beats {
 		b := &rs.beats[i]
 		rs.prof.Charge(&b.Beat, rs.run(b, step))
 	}
+	rs.pool.observe(rs.rank, rs.sweepBusy()-from)
 }
 
 // beatKind is what a beat runs.
@@ -246,7 +250,7 @@ func (rs *rankState) pointPass(b *beat) perf.Work {
 	dead := n
 	if b.kind == beatTail || !rs.quiet(b.region) {
 		var d atomic.Int64
-		rs.pool.sweepSpans(rs.scr, nglob, &rs.updateBusy, func(lo, hi int) {
+		rs.pool.sweepSpans(rs.scr, rs.slot >= 0, nglob, &rs.updateBusy, func(lo, hi int) {
 			d.Add(int64(rs.passPoints(b, lo, hi)))
 		})
 		dead = d.Load()
