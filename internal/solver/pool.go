@@ -270,11 +270,11 @@ var shapeHook func(rank int) (inline bool)
 // chunkCost is the chunked shape's step over its ideal total/Workers,
 // as a fraction: what the round trip per chunk and the wait per colour
 // class add. On the 6-rank doubled PREM globe at Workers 2 (2-vCPU
-// Xeon), all-chunked runs made about 10 % fewer steps per second than
+// Xeon), all-chunked runs made 7–10 % fewer steps per second than
 // all-inline ones while the busiest rank carried about half the sweep
-// time, which puts a chunked step near 5/4 of the ideal. It is
-// unmeasured at Workers 4 and more.
-var chunkCost = [2]int64{5, 4}
+// time, which puts a chunked step near 1.2 times the ideal; 5/4 rounds
+// that toward inline. It is unmeasured at Workers 4 and more.
+const chunkCost = 1.25
 
 // decide sets the run's shape from the ranks' loads: inline while the
 // busiest rank's load is at most the chunked step's estimate, total /
@@ -290,7 +290,7 @@ func (p *pool) decide() {
 		total += l
 		busiest = max(busiest, l)
 	}
-	p.inline.Store(chunkCost[0]*total >= chunkCost[1]*int64(p.workers)*busiest)
+	p.inline.Store(chunkCost*float64(total) >= float64(int64(p.workers)*busiest))
 }
 
 // observe folds the sweep nanoseconds d of one of rank's steps into its
