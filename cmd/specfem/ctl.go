@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"specglobe/internal/core"
 	"specglobe/internal/service"
 )
 
@@ -18,7 +20,9 @@ import (
 // running specfemd socket, submits one scenario job, and appends each
 // streamed chunk to its station's .sem file the moment it arrives —
 // the files grow monotonically with the integrator and are complete
-// when the job's done line lands; there is no end-of-run rewrite.
+// when the job's done line lands; there is no end-of-run rewrite. The
+// rows come from core.WriteSemRows, as the one-shot files' do; the first
+// write, flush or close error ends the run with a non-zero status.
 func runCtl(args []string) {
 	fs := flag.NewFlagSet("specfem ctl", flag.ExitOnError)
 	var (
@@ -71,14 +75,13 @@ func runCtl(args []string) {
 		log.Fatal(err)
 	}
 
-	// Streamed chunks append to open per-station files; samples hit
-	// disk as the integrator advances.
-	files := map[string]*os.File{}
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
+	// Streamed chunks append to open per-station files, flushed per
+	// chunk: samples hit disk as the integrator advances.
+	type semFile struct {
+		f *os.File
+		w *bufio.Writer
+	}
+	files := map[string]semFile{}
 	jobID := ""
 	for {
 		var r service.Response
@@ -90,17 +93,21 @@ func runCtl(args []string) {
 			jobID = r.ID
 			fmt.Printf("accepted as %s (key %s)\n", r.ID, r.Key)
 		case "chunk":
-			f := files[r.Station]
-			if f == nil {
-				f, err = os.Create(filepath.Join(*out, r.Station+".sem"))
+			sf, ok := files[r.Station]
+			if !ok {
+				f, err := os.Create(filepath.Join(*out, r.Station+".sem"))
 				if err != nil {
 					log.Fatal(err)
 				}
-				files[r.Station] = f
+				sf = semFile{f, bufio.NewWriter(f)}
+				files[r.Station] = sf
 			}
-			for i := range r.X {
-				fmt.Fprintf(f, "%12.4f %14.6e %14.6e %14.6e\n",
-					float64(r.Start+i+1)*r.Dt, r.X[i], r.Y[i], r.Z[i])
+			err := core.WriteSemRows(sf.w, r.Start, r.Dt, r.X, r.Y, r.Z)
+			if err == nil {
+				err = sf.w.Flush()
+			}
+			if err != nil {
+				log.Fatalf("writing %s.sem: %v", r.Station, err)
 			}
 		case "done":
 			st := r.Status
@@ -109,6 +116,11 @@ func runCtl(args []string) {
 			}
 			fmt.Printf("done: %d samples/station, batch S=%d, %.1f src-steps/s\n",
 				st.Samples, st.BatchSize, st.SourceStepsPerSec)
+			for name, sf := range files {
+				if err := sf.f.Close(); err != nil {
+					log.Fatalf("closing %s.sem: %v", name, err)
+				}
+			}
 			fmt.Printf("wrote %d streamed seismograms to %s\n", len(files), *out)
 			return
 		case "error":

@@ -8,7 +8,9 @@
 //
 // The ctl subcommand is the specfemctl client mode: it submits the
 // scenario to a running specfemd daemon over its unix socket and
-// appends the streamed seismogram chunks to .sem files as they arrive:
+// appends the streamed seismogram chunks to .sem files as they arrive,
+// in the one-shot files' format; a write, flush or close error ends the
+// run with a non-zero status:
 //
 //	specfem ctl -socket /tmp/specfemd.sock -nex 8 -steps 200 -out seismograms/
 package main

@@ -261,17 +261,29 @@ func writeSeismogramDir(dir string, seismos map[string]*solver.Seismogram) error
 	return nil
 }
 
-// writeSem writes one seismogram as .sem text (time, x, y, z per line)
-// through a buffer and returns the first write or flush error.
+// writeSem writes one seismogram as .sem text through a buffer and
+// returns the first write or flush error.
 func writeSem(w io.Writer, sg *solver.Seismogram) error {
 	bw := bufio.NewWriter(w)
-	for i := range sg.X {
-		if _, err := fmt.Fprintf(bw, "%12.4f %14.6e %14.6e %14.6e\n",
-			float64(i+1)*sg.Dt, sg.X[i], sg.Y[i], sg.Z[i]); err != nil {
+	if err := WriteSemRows(bw, 0, sg.Dt, sg.X, sg.Y, sg.Z); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// WriteSemRows is the one .sem row formatter: it writes samples
+// [start, start+len(x)) of a record as "time x y z" lines, sample i at
+// time (i+1)*dt, and returns the first write error. Rows written at
+// their offsets in any number of pieces concatenate to the rows of the
+// whole record. w should be buffered.
+func WriteSemRows(w io.Writer, start int, dt float64, x, y, z []float32) error {
+	for i := range x {
+		if _, err := fmt.Fprintf(w, "%12.4f %14.6e %14.6e %14.6e\n",
+			float64(start+i+1)*dt, x[i], y[i], z[i]); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return nil
 }
 
 // EpicentralDistanceDeg returns the great-circle distance in degrees

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -437,6 +439,40 @@ func TestWriteSemBytes(t *testing.T) {
 	if b.String() != line.String() {
 		t.Error("a long record's bytes differ from one formatted line per sample")
 	}
+
+	// Streamed chunks written at their offsets, cut unevenly, give the
+	// one-shot bytes of a record that starts with the special values.
+	both := &solver.Seismogram{Dt: 0.01,
+		X: append(append([]float32(nil), sg.X...), long.X...),
+		Y: append(append([]float32(nil), sg.Y...), long.Y...),
+		Z: append(append([]float32(nil), sg.Z...), long.Z...),
+	}
+	var whole, parts bytes.Buffer
+	if err := writeSem(&whole, both); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeChunks(&parts, both, 0, 1, 7, len(both.X)); err != nil {
+		t.Fatal(err)
+	}
+	if parts.String() != whole.String() {
+		t.Error("the streamed chunks' bytes differ from the one-shot record's")
+	}
+}
+
+// writeChunks writes rec in pieces cut at the given sample offsets,
+// each at its offset and flushed, as specfem ctl writes streamed chunks.
+func writeChunks(w io.Writer, rec *solver.Seismogram, cuts ...int) error {
+	bw := bufio.NewWriter(w)
+	for k := 1; k < len(cuts); k++ {
+		a, b := cuts[k-1], cuts[k]
+		if err := WriteSemRows(bw, a, rec.Dt, rec.X[a:b], rec.Y[a:b], rec.Z[a:b]); err != nil {
+			return err
+		}
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // failAfter accepts n bytes, then fails every write.
@@ -459,6 +495,9 @@ func TestWriteSemReportsWriteErrors(t *testing.T) {
 	for _, n := range []int{0, 100, 5000, 28999} {
 		if err := writeSem(&failAfter{n: n}, sg); err == nil || !strings.Contains(err.Error(), "disk full") {
 			t.Errorf("failing after %d bytes: error %v, want disk full", n, err)
+		}
+		if err := writeChunks(&failAfter{n: n}, sg, 0, 1, 7, 500); err == nil || !strings.Contains(err.Error(), "disk full") {
+			t.Errorf("chunks failing after %d bytes: error %v, want disk full", n, err)
 		}
 	}
 }

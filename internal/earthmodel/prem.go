@@ -26,7 +26,6 @@ const (
 // premLayer is one radial polynomial layer. Coefficients are in the
 // published units (g/cm^3 and km/s) as polynomials in x = r/R.
 type premLayer struct {
-	name       string
 	rMin, rMax float64    // meters, layer spans [rMin, rMax)
 	rho        [4]float64 // density polynomial
 	vp         [4]float64 // P velocity polynomial
@@ -40,79 +39,78 @@ type premLayer struct {
 // we use the published isotropic average polynomials, as SPECFEM does
 // when anisotropy is switched off.
 var premLayers = []premLayer{
-	{
-		name: "inner core", rMin: 0, rMax: PREMICB,
+	{ // inner core
+		rMin: 0, rMax: PREMICB,
 		rho: [4]float64{13.0885, 0, -8.8381, 0},
 		vp:  [4]float64{11.2622, 0, -6.3640, 0},
 		vs:  [4]float64{3.6678, 0, -4.4475, 0},
 		qmu: 84.6, qkappa: 1327.7,
 	},
-	{
-		name: "outer core", rMin: PREMICB, rMax: PREMCMB,
+	{ // outer core
+		rMin: PREMICB, rMax: PREMCMB,
 		rho: [4]float64{12.5815, -1.2638, -3.6426, -5.5281},
 		vp:  [4]float64{11.0487, -4.0362, 4.8023, -13.5732},
 		vs:  [4]float64{0, 0, 0, 0},
 		qmu: 0, qkappa: 57823,
 	},
-	{
-		name: "D''", rMin: PREMCMB, rMax: PREMDoubleVertex,
+	{ // D''
+		rMin: PREMCMB, rMax: PREMDoubleVertex,
 		rho: [4]float64{7.9565, -6.4761, 5.5283, -3.0807},
 		vp:  [4]float64{15.3891, -5.3181, 5.5242, -2.5514},
 		vs:  [4]float64{6.9254, 1.4672, -2.0834, 0.9783},
 		qmu: 312, qkappa: 57823,
 	},
-	{
-		name: "lower mantle", rMin: PREMDoubleVertex, rMax: PREMR771,
+	{ // lower mantle
+		rMin: PREMDoubleVertex, rMax: PREMR771,
 		rho: [4]float64{7.9565, -6.4761, 5.5283, -3.0807},
 		vp:  [4]float64{24.9520, -40.4673, 51.4832, -26.6419},
 		vs:  [4]float64{11.1671, -13.7818, 17.4575, -9.2777},
 		qmu: 312, qkappa: 57823,
 	},
-	{
-		name: "lower mantle top", rMin: PREMR771, rMax: PREMR670,
+	{ // lower mantle top
+		rMin: PREMR771, rMax: PREMR670,
 		rho: [4]float64{7.9565, -6.4761, 5.5283, -3.0807},
 		vp:  [4]float64{29.2766, -23.6027, 5.5242, -2.5514},
 		vs:  [4]float64{22.3459, -17.2473, -2.0834, 0.9783},
 		qmu: 312, qkappa: 57823,
 	},
-	{
-		name: "transition zone 670-600", rMin: PREMR670, rMax: PREMR600,
+	{ // transition zone 670-600
+		rMin: PREMR670, rMax: PREMR600,
 		rho: [4]float64{5.3197, -1.4836, 0, 0},
 		vp:  [4]float64{19.0957, -9.8672, 0, 0},
 		vs:  [4]float64{9.9839, -4.9324, 0, 0},
 		qmu: 143, qkappa: 57823,
 	},
-	{
-		name: "transition zone 600-400", rMin: PREMR600, rMax: PREMR400,
+	{ // transition zone 600-400
+		rMin: PREMR600, rMax: PREMR400,
 		rho: [4]float64{11.2494, -8.0298, 0, 0},
 		vp:  [4]float64{39.7027, -32.6166, 0, 0},
 		vs:  [4]float64{22.3512, -18.5856, 0, 0},
 		qmu: 143, qkappa: 57823,
 	},
-	{
-		name: "transition zone 400-220", rMin: PREMR400, rMax: PREMR220,
+	{ // transition zone 400-220
+		rMin: PREMR400, rMax: PREMR220,
 		rho: [4]float64{7.1089, -3.8045, 0, 0},
 		vp:  [4]float64{20.3926, -12.2569, 0, 0},
 		vs:  [4]float64{8.9496, -4.4597, 0, 0},
 		qmu: 143, qkappa: 57823,
 	},
-	{
-		// Low-velocity zone + LID, isotropic average of the TI zone.
-		name: "upper mantle 220-Moho", rMin: PREMR220, rMax: PREMMoho,
+	{ // upper mantle 220-Moho: low-velocity zone + LID, isotropic average of the TI zone
+		rMin: PREMR220, rMax: PREMMoho,
 		rho: [4]float64{2.6910, 0.6924, 0, 0},
 		vp:  [4]float64{4.1875, 3.9382, 0, 0},
 		vs:  [4]float64{2.1519, 2.3481, 0, 0},
 		qmu: 80, qkappa: 57823,
 	},
-	{
-		name: "lower crust", rMin: PREMMoho, rMax: PREMMidCrust,
+	{ // lower crust
+		rMin: PREMMoho, rMax: PREMMidCrust,
 		rho: [4]float64{2.900, 0, 0, 0},
 		vp:  [4]float64{6.800, 0, 0, 0},
 		vs:  [4]float64{3.900, 0, 0, 0},
 		qmu: 600, qkappa: 57823,
 	},
-	{
-		name: "upper crust", rMin: PREMMidCrust, rMax: PREMSurfaceRadius,
+	{ // upper crust
+		rMin: PREMMidCrust, rMax: PREMSurfaceRadius,
 		rho: [4]float64{2.600, 0, 0, 0},
 		vp:  [4]float64{5.800, 0, 0, 0},
 		vs:  [4]float64{3.200, 0, 0, 0},
@@ -193,19 +191,6 @@ func (p *PREM) At(r float64) Material {
 	}
 	// Unreachable: the layer table covers [0, surface).
 	panic("earthmodel: PREM layer table gap")
-}
-
-// LayerName returns the PREM layer containing radius r, for reporting.
-func (p *PREM) LayerName(r float64) string {
-	if r >= PREMSurfaceRadius {
-		return "surface"
-	}
-	for i := range premLayers {
-		if r >= premLayers[i].rMin && r < premLayers[i].rMax {
-			return premLayers[i].name
-		}
-	}
-	return "unknown"
 }
 
 func evalPoly(c [4]float64, x float64) float64 {

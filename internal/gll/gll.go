@@ -203,14 +203,3 @@ func (b *Basis) Integrate1D(f func(x float64) float64) float64 {
 	}
 	return s
 }
-
-// Interpolate evaluates the polynomial with nodal values vals (at the GLL
-// points) at an arbitrary position x in [-1, 1].
-func (b *Basis) Interpolate(vals []float64, x float64) float64 {
-	l := Lagrange(b.Points, x)
-	s := 0.0
-	for i := range vals {
-		s += l[i] * vals[i]
-	}
-	return s
-}

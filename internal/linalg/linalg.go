@@ -95,34 +95,6 @@ func LeastSquares(a [][]float64, b []float64) ([]float64, error) {
 	return Solve(ata, atb)
 }
 
-// PolyFit fits a polynomial of the given degree to (x, y) samples and
-// returns coefficients c[0] + c[1] x + ... + c[degree] x^degree.
-func PolyFit(x, y []float64, degree int) ([]float64, error) {
-	if len(x) != len(y) || len(x) <= degree {
-		return nil, fmt.Errorf("linalg: need > degree samples, got %d for degree %d", len(x), degree)
-	}
-	a := make([][]float64, len(x))
-	for r := range a {
-		a[r] = make([]float64, degree+1)
-		v := 1.0
-		for c := 0; c <= degree; c++ {
-			a[r][c] = v
-			v *= x[r]
-		}
-	}
-	return LeastSquares(a, y)
-}
-
-// PolyEval evaluates a polynomial with coefficients c (lowest order
-// first) at x using Horner's rule.
-func PolyEval(c []float64, x float64) float64 {
-	v := 0.0
-	for i := len(c) - 1; i >= 0; i-- {
-		v = v*x + c[i]
-	}
-	return v
-}
-
 // PowerLaw is the model y = A * x^B, the form used to extrapolate disk
 // usage and runtime versus resolution in the paper's figures 5 and 7.
 type PowerLaw struct {

@@ -128,14 +128,18 @@ func TestLeastSquaresMinimizesResidual(t *testing.T) {
 	}
 }
 
-func TestPolyFitRecoversPolynomial(t *testing.T) {
+// An overdetermined Vandermonde system of exact cubic samples gives
+// back the cubic's coefficients.
+func TestLeastSquaresRecoversCubic(t *testing.T) {
 	coef := []float64{1.5, -2, 0.5, 0.25}
 	xs := []float64{-2, -1, -0.5, 0, 0.5, 1, 2, 3}
+	a := make([][]float64, len(xs))
 	ys := make([]float64, len(xs))
 	for i, x := range xs {
-		ys[i] = PolyEval(coef, x)
+		a[i] = []float64{1, x, x * x, x * x * x}
+		ys[i] = coef[0] + x*(coef[1]+x*(coef[2]+x*coef[3]))
 	}
-	got, err := PolyFit(xs, ys, 3)
+	got, err := LeastSquares(a, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,22 +147,6 @@ func TestPolyFitRecoversPolynomial(t *testing.T) {
 		if math.Abs(got[i]-coef[i]) > 1e-9 {
 			t.Errorf("coef[%d] = %v want %v", i, got[i], coef[i])
 		}
-	}
-}
-
-func TestPolyFitInsufficientSamples(t *testing.T) {
-	if _, err := PolyFit([]float64{1, 2}, []float64{1, 2}, 2); err == nil {
-		t.Error("expected error for too few samples")
-	}
-}
-
-func TestPolyEvalHorner(t *testing.T) {
-	// 3 - x + 2x^2 at x=2 -> 3 - 2 + 8 = 9.
-	if got := PolyEval([]float64{3, -1, 2}, 2); got != 9 {
-		t.Errorf("got %v", got)
-	}
-	if got := PolyEval(nil, 5); got != 0 {
-		t.Errorf("empty poly: %v", got)
 	}
 }
 

@@ -40,28 +40,3 @@ func InterpolateGeometry(r *Region, elem int, ref [3]float64) [3]float64 {
 	}
 	return out
 }
-
-// InterpolateField evaluates a per-global-point scalar field at
-// reference coordinates inside an element.
-func InterpolateField(r *Region, field []float32, elem int, ref [3]float64) float64 {
-	w := Weights3D(ref)
-	out := 0.0
-	for p := 0; p < NGLL3; p++ {
-		out += w[p] * float64(field[r.Ibool[elem*NGLL3+p]])
-	}
-	return out
-}
-
-// InterpolateVectorField evaluates a 3-component field stored as
-// [3][]float32 at reference coordinates inside an element.
-func InterpolateVectorField(r *Region, fx, fy, fz []float32, elem int, ref [3]float64) [3]float64 {
-	w := Weights3D(ref)
-	var out [3]float64
-	for p := 0; p < NGLL3; p++ {
-		g := r.Ibool[elem*NGLL3+p]
-		out[0] += w[p] * float64(fx[g])
-		out[1] += w[p] * float64(fy[g])
-		out[2] += w[p] * float64(fz[g])
-	}
-	return out
-}

@@ -149,32 +149,11 @@ func TestInterpolateGeometryAtNodes(t *testing.T) {
 	if got != [3]float64{4, 4, 4} {
 		t.Errorf("far corner: %v", got)
 	}
-}
-
-func TestInterpolateFields(t *testing.T) {
-	r := makeUnitRegion()
-	field := make([]float32, r.NGlob)
-	for i, p := range r.Pts {
-		field[i] = float32(2*p[0] - p[1]) // linear in position
-	}
-	// GLL points of the unit region are at integer positions; pick the
-	// center reference point, which maps to (2,2,2).
-	got := InterpolateField(r, field, 0, [3]float64{0, 0, 0})
-	if math.Abs(got-2) > 1e-5 {
-		t.Errorf("scalar interp %v want 2", got)
-	}
-	vx := make([]float32, r.NGlob)
-	vy := make([]float32, r.NGlob)
-	vz := make([]float32, r.NGlob)
-	for i, p := range r.Pts {
-		vx[i] = float32(p[0])
-		vy[i] = float32(p[1])
-		vz[i] = float32(p[2])
-	}
-	v := InterpolateVectorField(r, vx, vy, vz, 0, [3]float64{0, 0, 0})
+	// The centre is an interior GLL node: (2,2,2) up to rounding.
+	got = InterpolateGeometry(r, 0, [3]float64{0, 0, 0})
 	for c := 0; c < 3; c++ {
-		if math.Abs(v[c]-2) > 1e-5 {
-			t.Errorf("vector comp %d: %v", c, v[c])
+		if math.Abs(got[c]-2) > 1e-12 {
+			t.Errorf("centre comp %d: %v", c, got[c])
 		}
 	}
 }

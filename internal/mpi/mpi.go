@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"specglobe/internal/carrier"
 )
 
 // AnySource matches messages from any sending rank in Recv.
@@ -81,7 +79,7 @@ type World struct {
 	barCount int
 	barGen   int
 
-	// collective (reduce/gather) state
+	// collective (Allreduce) state
 	colMu    sync.Mutex
 	colCond  *sync.Cond
 	colGen   int
@@ -448,30 +446,3 @@ func (c *Comm) Allreduce(op ReduceOp, buf []float64) []float64 {
 func (c *Comm) AllreduceScalar(op ReduceOp, v float64) float64 {
 	return c.Allreduce(op, []float64{v})[0]
 }
-
-// Gather collects each rank's payload at root (rank 0 by convention of
-// the callers); non-root ranks receive nil. Payload lengths may differ
-// across ranks.
-func (c *Comm) Gather(root int, data []float64) [][]float64 {
-	// Transport float64 exactly over the float32 message queue by bit-
-	// splitting each value into two 32-bit carrier halves
-	// (internal/carrier).
-	u := carrier.FromFloat64s(data)
-	if c.rank != root {
-		c.Isend(root, tagGather, u)
-		c.Barrier()
-		return nil
-	}
-	out := make([][]float64, c.world.n)
-	out[root] = append([]float64(nil), data...)
-	for r := 0; r < c.world.n; r++ {
-		if r == root {
-			continue
-		}
-		out[r] = carrier.ToFloat64s(c.Recv(r, tagGather))
-	}
-	c.Barrier()
-	return out
-}
-
-const tagGather = -7001

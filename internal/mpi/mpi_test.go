@@ -186,35 +186,6 @@ func TestBarrierOrdering(t *testing.T) {
 	}
 }
 
-func TestGather(t *testing.T) {
-	const n = 5
-	w := NewWorld(n)
-	var got [][]float64
-	w.Run(func(c *Comm) {
-		data := make([]float64, c.Rank()+1) // ragged payloads
-		for i := range data {
-			data[i] = float64(c.Rank()) + float64(i)/10
-		}
-		res := c.Gather(0, data)
-		if c.Rank() == 0 {
-			got = res
-		} else if res != nil {
-			t.Errorf("non-root rank %d got non-nil gather result", c.Rank())
-		}
-	})
-	for r := 0; r < n; r++ {
-		if len(got[r]) != r+1 {
-			t.Fatalf("rank %d payload len %d want %d", r, len(got[r]), r+1)
-		}
-		for i, v := range got[r] {
-			want := float64(r) + float64(i)/10
-			if v != want {
-				t.Errorf("gather[%d][%d] = %v want %v", r, i, v, want)
-			}
-		}
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	w := NewWorld(2)
 	w.Run(func(c *Comm) {

@@ -3,7 +3,6 @@ package perfmodel
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"specglobe/internal/linalg"
 	"specglobe/internal/mpi"
@@ -234,29 +233,6 @@ func (m *MemoryModel) ShortestPeriodOnPartition(cores int, gbPerCore float64) fl
 	return ResolutionToPeriod(res)
 }
 
-// --- Flops model ---------------------------------------------------------
-
-// FlopsModel captures the section 5 observation that sustained FLOPS
-// grow in direct proportion to the core count, with a mild increase
-// with resolution.
-type FlopsModel struct {
-	// PerCore is sustained flop/s per core at the reference resolution.
-	PerCore float64
-	// ResSlope is the relative increase per doubling of resolution.
-	ResSlope float64
-	// RefRes is the calibration resolution.
-	RefRes float64
-}
-
-// Sustained predicts total sustained flop/s.
-func (f *FlopsModel) Sustained(p int, res float64) float64 {
-	scale := 1 + f.ResSlope*math.Log2(res/f.RefRes)
-	if scale < 0.1 {
-		scale = 0.1
-	}
-	return f.PerCore * float64(p) * scale
-}
-
 // --- Report formatting ----------------------------------------------------
 
 // HumanBytes formats a byte count with binary-ish units the way the
@@ -273,15 +249,4 @@ func HumanBytes(b float64) string {
 		return fmt.Sprintf("%.1f KB", b/1e3)
 	}
 	return fmt.Sprintf("%.0f B", b)
-}
-
-// FormatSeries renders x/y pairs as an aligned two-column table.
-func FormatSeries(header string, xs, ys []float64, yFmt func(float64) string) string {
-	var b strings.Builder
-	b.WriteString(header)
-	b.WriteByte('\n')
-	for i := range xs {
-		fmt.Fprintf(&b, "  %8.0f  %s\n", xs[i], yFmt(ys[i]))
-	}
-	return b.String()
 }

@@ -122,12 +122,6 @@ func MeasureLocalMachine() Machine {
 	return localMachine
 }
 
-// CatalogWithLocal extends the paper's machine catalog with the
-// measured entry for this host.
-func CatalogWithLocal() []Machine {
-	return append(Catalog(), MeasureLocalMachine())
-}
-
 // measureSink defeats dead-code elimination in the microbenchmarks.
 var measureSink float32
 

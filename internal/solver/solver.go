@@ -134,9 +134,6 @@ type Options struct {
 	// becomes NaN — the standard SPECFEM runtime stability check for
 	// runs whose time step turns out too large (0 disables).
 	StabilityCheckEvery int
-	// SurfaceMovieEvery gathers a surface-velocity snapshot (SPECFEM's
-	// MOVIE_SURFACE) every N steps (0 disables).
-	SurfaceMovieEvery int
 	// MaxDisplacement is the abort threshold in meters (default 1e10).
 	MaxDisplacement float64
 	// LTS and LTSMaxRate are retired: clustered local time stepping
@@ -292,9 +289,6 @@ type Result struct {
 	// steps 3-8x slower than early ones — so anything but 0 means a
 	// write site escaped the flush.
 	Subnormals int64
-	// Movie is the gathered surface wavefield (nil unless
-	// SurfaceMovieEvery was set and the mesh has a free surface).
-	Movie *Movie
 }
 
 // stepHook, when non-nil, runs on every rank's goroutine after each
@@ -409,22 +403,14 @@ func Run(sim *Simulation) (*Result, error) {
 
 	var unstable error
 	var unstableMu sync.Mutex
-	movieOn := opts.SurfaceMovieEvery > 0 && movieSupported(sim)
 	world.Run(func(c *mpi.Comm) {
 		rs := newRankState(c, sim, &opts, dt, slsFit, grav, kernelPool, kern, ns)
 		rs.assembleMass()
-		var movie *Movie
-		if movieOn {
-			movie = rs.gatherMoviePositions() // non-nil on rank 0 only
-		}
 		rs.prof.Start()
 		for step := 0; step < opts.Steps; step++ {
 			rs.timeStep(step)
 			if stepHook != nil {
 				stepHook(rs, step)
-			}
-			if movieOn && (step+1)%opts.SurfaceMovieEvery == 0 {
-				rs.gatherMovieFrame(movie, step)
 			}
 			if opts.StabilityCheckEvery > 0 && (step+1)%opts.StabilityCheckEvery == 0 {
 				local, _ := rs.stateCensus()
@@ -476,11 +462,6 @@ func Run(sim *Simulation) (*Result, error) {
 			rs.prof.Add(ph, d)
 		}
 		collector.Put(rs.prof)
-		if movie != nil {
-			resMu.Lock()
-			res.Movie = movie
-			resMu.Unlock()
-		}
 		if len(rs.seismos) > 0 {
 			resMu.Lock()
 			for _, sg := range rs.seismos {

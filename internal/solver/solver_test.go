@@ -903,69 +903,3 @@ func TestReciprocity(t *testing.T) {
 		}
 	}
 }
-
-// The surface movie must gather frames from all ranks with consistent
-// geometry, and the wavefield must reach the surface within the run.
-func TestSurfaceMovie(t *testing.T) {
-	model := earthmodel.NewHomogeneous(6371e3, earthmodel.Material{
-		Rho: 5000, Vp: 10000, Vs: 5500, Qmu: 300, Qkappa: 57823,
-	})
-	model.ICBRadius = 1221.5e3
-	model.CMBRadius = 3480e3
-	g, err := meshfem.Build(meshfem.Config{NexXi: 4, NProcXi: 1, Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loc, err := g.LocateLatLonDepth(0, 0, 100e3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const m0 = 1e20
-	res, err := Run(&Simulation{
-		Locals: g.Locals, Plans: g.Plans, Model: model,
-		Sources: []Source{{
-			Rank: loc.Rank, Kind: loc.Kind, Elem: loc.Elem, Ref: loc.Ref,
-			MomentTensor: [3][3]float64{{m0, 0, 0}, {0, m0, 0}, {0, 0, m0}},
-			STF:          GaussianSTF(10, 25),
-		}},
-		Opts: Options{Steps: 40, SurfaceMovieEvery: 10},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := res.Movie
-	if m == nil {
-		t.Fatal("no movie gathered")
-	}
-	if len(m.Frames) != 4 {
-		t.Fatalf("%d frames, want 4", len(m.Frames))
-	}
-	// Point count: every rank's surface points, once each.
-	want := 0
-	for _, l := range g.Locals {
-		want += len(l.Surface.Pts)
-	}
-	if len(m.Lat) != want || len(m.Lon) != want {
-		t.Fatalf("%d positions, want %d", len(m.Lat), want)
-	}
-	for _, f := range m.Frames {
-		if len(f.VNorm) != want {
-			t.Fatalf("frame %d has %d values, want %d", f.Step, len(f.VNorm), want)
-		}
-		for _, v := range f.VNorm {
-			if v < 0 || math.IsNaN(v) {
-				t.Fatal("bad velocity magnitude")
-			}
-		}
-	}
-	for i := range m.Lat {
-		if m.Lat[i] < -90.01 || m.Lat[i] > 90.01 || m.Lon[i] < -180.01 || m.Lon[i] > 180.01 {
-			t.Fatalf("position %d out of bounds: %v %v", i, m.Lat[i], m.Lon[i])
-		}
-	}
-	// The last frame (t ~ 40 steps * dt) should show surface motion
-	// somewhere (the source is shallow).
-	if pk := m.PeakFrame(); pk < 0 {
-		t.Error("no surface motion recorded")
-	}
-}

@@ -252,12 +252,3 @@ func RickerSTF(f0, t0 float64) func(float64) float64 {
 		return (1 - 2*a) * math.Exp(-a)
 	}
 }
-
-// StepSTF returns a smoothed Heaviside (error-function ramp) with the
-// given rise time centered at t0 — the moment function of a real
-// earthquake reaching its final moment.
-func StepSTF(rise, t0 float64) func(float64) float64 {
-	return func(t float64) float64 {
-		return 0.5 * (1 + math.Erf((t-t0)/rise))
-	}
-}

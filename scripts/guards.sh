@@ -2,10 +2,13 @@
 # Stay-deleted guards, run by the CI test job and locally via
 #   ./scripts/guards.sh
 # 1. no Go file names anything on the retired list below (the last
-#    five lines: clustered local time stepping and its level wheel, the
+#    six lines: clustered local time stepping and its level wheel, the
 #    coordinate-key point indexer, the pre-gather page-range skip with
-#    the element point ranges it read, and the rank's reused pack
-#    buffer, which Isend's copy needed),
+#    the element point ranges it read, the rank's reused pack buffer,
+#    which Isend's copy needed, and the code no caller ran: the 1-D SEM
+#    and seismogram-processing packages, the surface movie with the
+#    Gather and carrier encoding only it used, and helpers only their
+#    own tests called),
 # 2. the root benchmark file and root-level BENCH_PR*.json snapshots
 #    stay gone (the eight snapshots are history in docs/history/),
 # 3. every experiment run goes through the two solver.Run calls of
@@ -14,6 +17,9 @@
 # 5. coordinate keys (mesh.KeyOf, mesh.PointKey) stay inside
 #    internal/mesh, where only the cross-rank halo match and its tests
 #    use them: the meshers number points by their lattice.
+# 6. every package under internal/ is imported by a non-test Go file
+#    outside itself: a package only its own tests use is deleted, not
+#    kept for a future caller.
 set -u
 fail=0
 
@@ -36,6 +42,8 @@ levelPlan|buildLevels|firePoints|oceanPoint|levelRoutes|fullRoute|rs\.lp\b|Eleme
 PointIndexer|NewPointIndexer
 deadElem|PageSkippedVisits|PageElems|\bPtLo\b|\bPtHi\b|UpdatePointRanges
 packBuf
+\binternal/(sem1d|seismo|carrier)\b|\b(SurfaceMovieEvery|Movie|MovieFrame|PeakFrame|movieSupported)\b|\bgatherMovie|\.Gather\(
+\b(InterpolateField|InterpolateVectorField|StepSTF|FormatSeries|LayerName|PolyFit|PolyEval|FlopsModel|CatalogWithLocal)\b
 EOF
 )
 if grep -rnE "$retired" --include='*.go' .; then
@@ -64,6 +72,21 @@ fi
 runs=$(grep -h 'solver\.Run(' $(ls internal/experiments/*.go | grep -v '_test\.go$') | wc -l)
 if [ "$runs" -ne 2 ]; then
     echo "guards: internal/experiments calls solver.Run $runs times, want 2" >&2
+    fail=1
+fi
+
+# .Imports leaves out test imports, so a package that only tests
+# import counts as an orphan.
+if ! list=$(go list -f '{{.ImportPath}} {{join .Imports " "}}' ./...); then
+    echo "guards: go list failed" >&2
+    fail=1
+fi
+orphans=$(printf '%s\n' "$list" | awk '
+    { pkg[$1] = 1; for (i = 2; i <= NF; i++) used[$i] = 1 }
+    END { for (p in pkg) if (p ~ /\/internal\// && !(p in used)) print p }' | sort)
+if [ -n "$orphans" ]; then
+    printf '%s\n' "$orphans" >&2
+    echo "guards: no non-test Go file outside these internal packages imports them (above)" >&2
     fail=1
 fi
 
