@@ -158,6 +158,42 @@ func TestInterpolateGeometryAtNodes(t *testing.T) {
 	}
 }
 
+// TestInterpolateFields checks Weights3D applied through Ibool to
+// per-global-point float32 fields, the way receivers record
+// displacement: a field linear in position is reproduced exactly.
+func TestInterpolateFields(t *testing.T) {
+	r := makeUnitRegion()
+	interp := func(field []float32, ref [3]float64) float64 {
+		w := Weights3D(ref)
+		out := 0.0
+		for p := 0; p < NGLL3; p++ {
+			out += w[p] * float64(field[r.Ibool[p]])
+		}
+		return out
+	}
+	field := make([]float32, r.NGlob)
+	for i, p := range r.Pts {
+		field[i] = float32(2*p[0] - p[1]) // linear in position
+	}
+	// GLL points of the unit region are at integer positions; the
+	// center reference point maps to (2,2,2).
+	if got := interp(field, [3]float64{0, 0, 0}); math.Abs(got-2) > 1e-5 {
+		t.Errorf("scalar interp %v want 2", got)
+	}
+	var v [3][]float32
+	for c := range v {
+		v[c] = make([]float32, r.NGlob)
+		for i, p := range r.Pts {
+			v[c][i] = float32(p[c])
+		}
+	}
+	for c := range v {
+		if got := interp(v[c], [3]float64{0, 0, 0}); math.Abs(got-2) > 1e-5 {
+			t.Errorf("vector comp %d: %v", c, got)
+		}
+	}
+}
+
 func TestBuildHaloErrors(t *testing.T) {
 	l := &Local{Rank: 1} // wrong: index 0 must hold rank 0
 	if _, err := BuildHalo([]*Local{l}); err == nil {
