@@ -13,7 +13,7 @@ import (
 // deadlock at scale (the peer eventually blocks in its own Wait) and
 // silently corrupts the hidden-vs-exposed overlap accounting, because
 // the virtual transfer cost is only charged at completion. And a slice
-// handed to Isend (or SendRecv) belongs to the receiver, which reads it
+// handed to Isend belongs to the receiver, which reads it
 // later and may pack its own messages into it: the sender must not
 // write it again (checkSendBuffers).
 var HaloReq = &Analyzer{
@@ -192,7 +192,7 @@ func scanRequestUses(info *types.Info, fd *ast.FuncDecl, parents map[ast.Node]as
 }
 
 // checkSendBuffers enforces Isend's hand-over contract in one function
-// declaration. For each mpi Isend or SendRecv whose payload is a local
+// declaration. For each mpi Isend whose payload is a local
 // slice variable buf (or a slice of it), it reports a write through
 // buf — buf[i] = …, buf[i] op= …, buf[i]++, copy or append into buf, or
 // buf (sliced or not) passed to any other call, including a second
@@ -216,7 +216,7 @@ func checkSendBuffers(pass *Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		callee := calleeOf(info, call)
-		if callee == nil || !funcFromPkg(callee, "mpi") || (callee.Name() != "Isend" && callee.Name() != "SendRecv") {
+		if callee == nil || !funcFromPkg(callee, "mpi") || callee.Name() != "Isend" {
 			return true
 		}
 		payload := sliceRoot(call.Args[2])

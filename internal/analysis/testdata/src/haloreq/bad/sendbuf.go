@@ -18,10 +18,10 @@ func incrementAfterSend(c *mpi.Comm) {
 	buf[2]++ // want "increment writes buf after it was handed to Isend"
 }
 
-func copyAfterSendRecv(c *mpi.Comm, src []float32) {
+func copyAfterSend(c *mpi.Comm, src []float32) {
 	buf := make([]float32, 4)
-	c.SendRecv(1, 0, buf)
-	copy(buf, src) // want "call copy writes buf after it was handed to SendRecv"
+	c.Isend(1, 0, buf)
+	copy(buf, src) // want "call copy writes buf after it was handed to Isend"
 }
 
 func packAfterSend(c *mpi.Comm) {

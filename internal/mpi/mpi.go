@@ -18,7 +18,7 @@ import (
 	"time"
 )
 
-// AnySource matches messages from any sending rank in Recv.
+// AnySource matches messages from any sending rank in Irecv.
 const AnySource = -1
 
 // Default virtual interconnect parameters, SeaStar2-class (the XT4
@@ -277,14 +277,6 @@ func (c *Comm) addComm(bytes int64, msgs int64, d time.Duration) {
 	c.statMu.Unlock()
 }
 
-// chargeVirtualRecv accounts the receiving endpoint's share of a
-// message: latency plus payload transfer time.
-func (c *Comm) chargeVirtualRecv(bytes int) {
-	c.statMu.Lock()
-	c.vcommTime += c.virtualRecvCost(bytes)
-	c.statMu.Unlock()
-}
-
 // Isend posts a non-blocking send of data to rank dst with the given
 // tag. The message takes data over without a copy (MPI_Isend with the
 // buffer handed to the receiver): the caller must not touch data after
@@ -328,24 +320,6 @@ func (c *Comm) recvBlocking(src, tag int) []float32 {
 		}
 		c.cond.Wait()
 	}
-}
-
-// Recv blocks until a message with matching source and tag arrives and
-// returns its payload. src may be AnySource.
-func (c *Comm) Recv(src, tag int) []float32 {
-	start := time.Now()
-	data := c.recvBlocking(src, tag)
-	c.addComm(0, 0, time.Since(start))
-	c.chargeVirtualRecv(4 * len(data))
-	return data
-}
-
-// SendRecv exchanges payloads with a partner rank using the same tag in
-// both directions — the halo-exchange primitive. send is handed over as
-// in Isend.
-func (c *Comm) SendRecv(partner, tag int, send []float32) []float32 {
-	c.Isend(partner, tag, send)
-	return c.Recv(partner, tag)
 }
 
 // Barrier blocks until all ranks reach it.

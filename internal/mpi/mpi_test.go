@@ -13,8 +13,9 @@ func TestRingPass(t *testing.T) {
 	w.Run(func(c *Comm) {
 		next := (c.Rank() + 1) % n
 		prev := (c.Rank() + n - 1) % n
+		req := c.Irecv(prev, 1)
 		c.Isend(next, 1, []float32{float32(c.Rank())})
-		got := c.Recv(prev, 1)
+		got := req.Wait()
 		results[c.Rank()] = got[0]
 	})
 	for r := 0; r < n; r++ {
@@ -35,8 +36,8 @@ func TestTagMatching(t *testing.T) {
 			c.Isend(1, 2, []float32{22})
 			c.Isend(1, 1, []float32{11})
 		} else {
-			gotA = c.Recv(0, 1)
-			gotB = c.Recv(0, 2)
+			gotA = c.Irecv(0, 1).Wait()
+			gotB = c.Irecv(0, 2).Wait()
 		}
 	})
 	if gotA[0] != 11 || gotB[0] != 22 {
@@ -51,7 +52,7 @@ func TestAnySource(t *testing.T) {
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
 			for i := 1; i < n; i++ {
-				sum += c.Recv(AnySource, 3)[0]
+				sum += c.Irecv(AnySource, 3).Wait()[0]
 			}
 		} else {
 			c.Isend(0, 3, []float32{float32(c.Rank())})
@@ -67,8 +68,9 @@ func TestSendRecvExchange(t *testing.T) {
 	out := make([]float32, 2)
 	w.Run(func(c *Comm) {
 		partner := 1 - c.Rank()
-		got := c.SendRecv(partner, 9, []float32{float32(10 + c.Rank())})
-		out[c.Rank()] = got[0]
+		req := c.Irecv(partner, 9)
+		c.Isend(partner, 9, []float32{float32(10 + c.Rank())})
+		out[c.Rank()] = req.Wait()[0]
 	})
 	if out[0] != 11 || out[1] != 10 {
 		t.Errorf("exchange got %v", out)
@@ -192,7 +194,7 @@ func TestStatsAccounting(t *testing.T) {
 		if c.Rank() == 0 {
 			c.Isend(1, 0, make([]float32, 100))
 		} else {
-			c.Recv(0, 0)
+			c.Irecv(0, 0).Wait()
 		}
 		c.Barrier()
 	})
@@ -214,7 +216,7 @@ func TestResetStats(t *testing.T) {
 		if c.Rank() == 0 {
 			c.Isend(1, 0, make([]float32, 10))
 		} else {
-			c.Recv(0, 0)
+			c.Irecv(0, 0).Wait()
 		}
 		c.ResetStats()
 	})
@@ -236,7 +238,7 @@ func TestRankPanicPropagates(t *testing.T) {
 		}
 		// Other ranks block on a message that never arrives; the
 		// poison must wake them so Run can re-raise the panic.
-		c.Recv(1, 5)
+		c.Irecv(1, 5).Wait()
 	})
 }
 
@@ -272,7 +274,10 @@ func TestManyRanksStress(t *testing.T) {
 			return
 		}
 		for iter := 0; iter < 20; iter++ {
-			got := c.SendRecv(p, iter, []float32{float32(c.Rank()*1000 + iter)})
+			req := c.Irecv(p, iter)
+			c.Isend(p, iter, []float32{float32(c.Rank()*1000 + iter)})
+			got := req.Wait()
+			req.Release()
 			want := float32(p*1000 + iter)
 			if got[0] != want {
 				t.Errorf("rank %d iter %d: got %v want %v", c.Rank(), iter, got[0], want)
@@ -289,7 +294,9 @@ func BenchmarkHaloExchange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w.Run(func(c *Comm) {
 			partner := c.Rank() ^ 1
-			c.SendRecv(partner, 0, payload)
+			req := c.Irecv(partner, 0)
+			c.Isend(partner, 0, payload)
+			req.Wait()
 		})
 	}
 }
@@ -315,7 +322,7 @@ func TestWorldInterconnectOptions(t *testing.T) {
 			if c.Rank() == 0 {
 				c.Isend(1, 7, make([]float32, 1000))
 			} else {
-				c.Recv(0, 7)
+				c.Irecv(0, 7).Wait()
 			}
 		})
 		return w.Stats()

@@ -113,9 +113,10 @@ func TestRequestTest(t *testing.T) {
 }
 
 // Overlapped (hidden) time accounting: a receive that is posted early
-// and completed after computation must hide virtual time; a blocking
-// Recv must hide none; and hidden time never exceeds total virtual
-// time. A completed request charges virtual time exactly once.
+// and completed after computation must hide virtual time; one waited on
+// at once hides only the instants between post and Wait; and hidden time
+// never exceeds total virtual time. A completed request charges virtual
+// time exactly once.
 func TestOverlapAccounting(t *testing.T) {
 	w := NewWorld(2)
 	w.Run(func(c *Comm) {
@@ -150,17 +151,21 @@ func TestOverlapAccounting(t *testing.T) {
 			s0.HiddenCommTime, w.Comm(0).virtualRecvCost(4*250000))
 	}
 
-	// Blocking Recv path: nothing hidden.
+	// Waited on at once, with the message sent 2 ms later: the window
+	// outside the blocked Wait is a few instructions, far below the
+	// ~505 us transfer.
 	w2 := NewWorld(2)
 	w2.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Recv(1, 1)
+			c.Irecv(1, 1).Wait()
 		} else {
-			c.Isend(0, 1, make([]float32, 1000))
+			time.Sleep(2 * time.Millisecond)
+			c.Isend(0, 1, make([]float32, 250000))
 		}
 	})
-	if h := w2.Comm(0).Stats().HiddenCommTime; h != 0 {
-		t.Errorf("blocking receive hid %v", h)
+	s2 := w2.Comm(0).Stats()
+	if v := w2.Comm(0).virtualRecvCost(4 * 250000); s2.HiddenCommTime >= v/2 {
+		t.Errorf("a receive waited on at once hid %v of its %v transfer", s2.HiddenCommTime, v)
 	}
 }
 

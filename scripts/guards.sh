@@ -2,13 +2,13 @@
 # Stay-deleted guards, run by the CI test job and locally via
 #   ./scripts/guards.sh
 # 1. no Go file names anything on the retired list below (the last
-#    six lines: clustered local time stepping and its level wheel, the
+#    seven lines: clustered local time stepping and its level wheel, the
 #    coordinate-key point indexer, the pre-gather page-range skip with
 #    the element point ranges it read, the rank's reused pack buffer,
 #    which Isend's copy needed, and the code no caller ran: the 1-D SEM
 #    and seismogram-processing packages, the surface movie with the
-#    Gather and carrier encoding only it used, and helpers only their
-#    own tests called),
+#    Gather and carrier encoding only it used, helpers only their own
+#    tests called, and mpi's blocking Recv and SendRecv),
 # 2. the root benchmark file and root-level BENCH_PR*.json snapshots
 #    stay gone (the eight snapshots are history in docs/history/),
 # 3. every experiment run goes through the two solver.Run calls of
@@ -20,6 +20,10 @@
 # 6. every package under internal/ is imported by a non-test Go file
 #    outside itself: a package only its own tests use is deleted, not
 #    kept for a future caller.
+# 7. no assembly file loads or stores MXCSR: the flush-to-zero mode does
+#    not survive goroutines migrating between threads, so subnormals are
+#    kept out in the data (the integrator's ftz, the mesher's metric
+#    snap), not by the FP mode.
 set -u
 fail=0
 
@@ -44,6 +48,7 @@ deadElem|PageSkippedVisits|PageElems|\bPtLo\b|\bPtHi\b|UpdatePointRanges
 packBuf
 \binternal/(sem1d|seismo|carrier)\b|\b(SurfaceMovieEvery|Movie|MovieFrame|PeakFrame|movieSupported)\b|\bgatherMovie|\.Gather\(
 \b(InterpolateField|InterpolateVectorField|StepSTF|FormatSeries|LayerName|PolyFit|PolyEval|FlopsModel|CatalogWithLocal)\b
+\b(SendRecv|chargeVirtualRecv)\b|\.Recv\([^)]
 EOF
 )
 if grep -rnE "$retired" --include='*.go' .; then
@@ -87,6 +92,11 @@ orphans=$(printf '%s\n' "$list" | awk '
 if [ -n "$orphans" ]; then
     printf '%s\n' "$orphans" >&2
     echo "guards: no non-test Go file outside these internal packages imports them (above)" >&2
+    fail=1
+fi
+
+if grep -rniE '\b(LD|ST)MXCSR\b' --include='*.s' .; then
+    echo "guards: an assembly file sets or reads MXCSR (above)" >&2
     fail=1
 fi
 
