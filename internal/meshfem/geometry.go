@@ -69,24 +69,59 @@ func symLerp(u, v float64, i int) float64 {
 	return u*symW0[i] + v*symW1[i]
 }
 
-// invert3x3 inverts the matrix whose columns are the Jacobian vectors
-// and returns the rows of the inverse (the reference-coordinate
-// gradients) plus the determinant.
-func invert3x3(cols [3]cubedsphere.Vec3) (rows [3]cubedsphere.Vec3, det float64) {
-	m := [3][3]float64{
-		{cols[0][0], cols[1][0], cols[2][0]},
-		{cols[0][1], cols[1][1], cols[2][1]},
-		{cols[0][2], cols[1][2], cols[2][2]},
-	}
-	c00 := m[1][1]*m[2][2] - m[1][2]*m[2][1]
-	c01 := m[1][2]*m[2][0] - m[1][0]*m[2][2]
-	c02 := m[1][0]*m[2][1] - m[1][1]*m[2][0]
-	det = m[0][0]*c00 + m[0][1]*c01 + m[0][2]*c02
+// storeMetric inverts the matrix whose columns are the Jacobian vectors
+// and writes the rows of the inverse (the reference-coordinate
+// gradients) into r's metric arrays at ip, rounding residue snapped to
+// +0 (snapResidue); it returns the determinant. The matrix is held in
+// scalars, not an array, so the inversion, the snap and the casts stay
+// in registers.
+func storeMetric(r *mesh.Region, ip int, cols *[3]cubedsphere.Vec3) (det float64) {
+	m00, m01, m02 := cols[0][0], cols[1][0], cols[2][0]
+	m10, m11, m12 := cols[0][1], cols[1][1], cols[2][1]
+	m20, m21, m22 := cols[0][2], cols[1][2], cols[2][2]
+	c00 := m11*m22 - m12*m21
+	c01 := m12*m20 - m10*m22
+	c02 := m10*m21 - m11*m20
+	det = m00*c00 + m01*c01 + m02*c02
 	inv := 1 / det
-	rows[0] = cubedsphere.Vec3{c00 * inv, (m[0][2]*m[2][1] - m[0][1]*m[2][2]) * inv, (m[0][1]*m[1][2] - m[0][2]*m[1][1]) * inv}
-	rows[1] = cubedsphere.Vec3{c01 * inv, (m[0][0]*m[2][2] - m[0][2]*m[2][0]) * inv, (m[0][2]*m[1][0] - m[0][0]*m[1][2]) * inv}
-	rows[2] = cubedsphere.Vec3{c02 * inv, (m[0][1]*m[2][0] - m[0][0]*m[2][1]) * inv, (m[0][0]*m[1][1] - m[0][1]*m[1][0]) * inv}
-	return rows, det
+	xix, xiy, xiz := c00*inv, (m02*m21-m01*m22)*inv, (m01*m12-m02*m11)*inv
+	etx, ety, etz := c01*inv, (m00*m22-m02*m20)*inv, (m02*m10-m00*m12)*inv
+	gmx, gmy, gmz := c02*inv, (m01*m20-m00*m21)*inv, (m00*m11-m01*m10)*inv
+	lim := ((xix*xix + xiy*xiy + xiz*xiz) + (etx*etx + ety*ety + etz*etz) + (gmx*gmx + gmy*gmy + gmz*gmz)) * 0x1p-80
+	r.Xix[ip] = float32(snapResidue(xix, lim))
+	r.Xiy[ip] = float32(snapResidue(xiy, lim))
+	r.Xiz[ip] = float32(snapResidue(xiz, lim))
+	r.Etax[ip] = float32(snapResidue(etx, lim))
+	r.Etay[ip] = float32(snapResidue(ety, lim))
+	r.Etaz[ip] = float32(snapResidue(etz, lim))
+	r.Gamx[ip] = float32(snapResidue(gmx, lim))
+	r.Gamy[ip] = float32(snapResidue(gmy, lim))
+	r.Gamz[ip] = float32(snapResidue(gmz, lim))
+	return det
+}
+
+// snapResidue returns +0 when v*v is below lim, 2^-80 times the sum of
+// the squares of its point's nine inverse-Jacobian entries, and v
+// otherwise: it zeroes an entry (and a -0) more than 2^40 below the
+// entries' root sum square, which lies between 1 and 3 times the
+// largest. Such an entry is float64 rounding residue of a term that is
+// zero in exact arithmetic (a reference gradient's component along an
+// axis it is orthogonal to): on every mesh shape the non-zero entries
+// lie either below 2^-52 or above 2^-13 of their point's largest, so
+// the threshold sits in that gap and moves no geometry
+// (TestMetricHasNoResidue). Left in, a residue entry of 1e-25 times a
+// small gradient is a float32 subnormal in the solver's stress and
+// fluid stages, which costs a microcode assist per product.
+//
+// The compare is a branch: the residue pattern repeats along an
+// element's nodes, so it predicts well, while a bit mask would move
+// every entry to an integer register and back, which measured twice the
+// snap's cost in BenchmarkBuild.
+func snapResidue(v, lim float64) float64 {
+	if v*v < lim {
+		return 0
+	}
+	return v
 }
 
 // elemNodes is one element's node table: the position and the Jacobian
@@ -183,19 +218,10 @@ func fillElement(r *mesh.Region, lat *lattice, e int, t *elemNodes) error {
 	for n := 0; n < mesh.NGLL3; n++ {
 		ip := e*mesh.NGLL3 + n
 		r.Ibool[ip] = lat.point(t.slot[n], t.pos[n])
-		rows, det := invert3x3(t.cols[n])
+		det := storeMetric(r, ip, &t.cols[n])
 		if det <= 0 {
 			return fmt.Errorf("meshfem: region %v element %d node %d: non-positive Jacobian determinant %g", r.Kind, e, n, det)
 		}
-		r.Xix[ip] = float32(rows[0][0])
-		r.Xiy[ip] = float32(rows[0][1])
-		r.Xiz[ip] = float32(rows[0][2])
-		r.Etax[ip] = float32(rows[1][0])
-		r.Etay[ip] = float32(rows[1][1])
-		r.Etaz[ip] = float32(rows[1][2])
-		r.Gamx[ip] = float32(rows[2][0])
-		r.Gamy[ip] = float32(rows[2][1])
-		r.Gamz[ip] = float32(rows[2][2])
 		r.Jac[ip] = float32(det)
 		i, j, k := n%mesh.NGLL, n/mesh.NGLL%mesh.NGLL, n/mesh.NGLL2
 		r.JacW[ip] = float32(det * gllW[i] * gllW[j] * gllW[k])

@@ -163,10 +163,11 @@ func hashRank(l *mesh.Local, p *mesh.HaloPlan) string {
 	return fmt.Sprintf("%016x", b.h.Sum64())
 }
 
-// TestMeshBits replays the committed mesh hashes. The fixture was
-// recorded before the mesher's set-up path was optimised (hoisted
-// element tables, exterior-face halo plan, ranks built concurrently),
-// so it certifies that none of that moved a bit; GOMAXPROCS 1 and 4
+// TestMeshBits replays the committed mesh hashes. The set-up path's
+// optimisations (hoisted element tables, exterior-face halo plan, ranks
+// built concurrently) were each replayed against it without moving a
+// bit; it was re-recorded once on purpose, when the metric's rounding
+// residue began to be snapped to +0 (snapResidue). GOMAXPROCS 1 and 4
 // cover both sides of the concurrent rank build.
 func TestMeshBits(t *testing.T) {
 	configs := meshBitsConfigs()
@@ -231,6 +232,67 @@ func TestMeshBits(t *testing.T) {
 						mc.Name, procs, r, mc.Ranks[r], w.Ranks[r])
 				}
 			}
+		}
+	}
+}
+
+// TestMetricHasNoResidue checks that no inverse-Jacobian entry is
+// float64 rounding residue: on every TestMeshBits shape, each entry is
+// +0 or within 2^40 of its point's largest, and nothing sits between
+// 2^-48 and 2^-16 of that largest, so the snap threshold lies inside
+// the gap between residue and geometry. A residue entry times a small
+// gradient is a float32 subnormal in the stress and fluid stages.
+func TestMetricHasNoResidue(t *testing.T) {
+	snap, gapLo, gapHi := math.Ldexp(1, -40), math.Ldexp(1, -48), math.Ldexp(1, -16)
+	for _, c := range meshBitsConfigs() {
+		g, err := Build(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		residue, inGap, entries := 0, 0, 0
+		// lo and hi bracket the gap: the largest ratio at or below
+		// gapLo and the smallest non-zero ratio at or above gapHi.
+		lo, hi := 0.0, 1.0
+		for _, l := range g.Locals {
+			for _, r := range l.Regions {
+				if r == nil {
+					continue
+				}
+				arrays := [9][]float32{r.Xix, r.Xiy, r.Xiz, r.Etax, r.Etay, r.Etaz, r.Gamx, r.Gamy, r.Gamz}
+				for ip := range r.Xix {
+					top := 0.0
+					for _, a := range arrays {
+						top = max(top, math.Abs(float64(a[ip])))
+					}
+					for _, a := range arrays {
+						v := math.Abs(float64(a[ip]))
+						if v == 0 {
+							continue
+						}
+						entries++
+						ratio := v / top
+						if ratio < snap {
+							residue++
+						}
+						if ratio > gapLo && ratio < gapHi {
+							inGap++
+						}
+						if ratio <= gapLo {
+							lo = max(lo, ratio)
+						} else if ratio >= gapHi {
+							hi = min(hi, ratio)
+						}
+					}
+				}
+			}
+		}
+		t.Logf("%s: %d non-zero entries, %d below 2^-40 of their point's largest, %d in the gap; largest small ratio 2^%.1f, smallest other 2^%.1f",
+			c.name, entries, residue, inGap, math.Log2(lo), math.Log2(hi))
+		if residue != 0 {
+			t.Errorf("%s: %d inverse-Jacobian entries below 2^-40 of their point's largest (rounding residue)", c.name, residue)
+		}
+		if inGap != 0 {
+			t.Errorf("%s: %d inverse-Jacobian entries between 2^-48 and 2^-16 of their point's largest", c.name, inGap)
 		}
 	}
 }

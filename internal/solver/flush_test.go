@@ -3,10 +3,13 @@ package solver
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"specglobe/internal/earthmodel"
+	"specglobe/internal/mesh"
 	"specglobe/internal/meshfem"
+	"specglobe/internal/simd"
 )
 
 func TestFlushToZero(t *testing.T) {
@@ -116,5 +119,97 @@ func TestNoSubnormalState(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestNoSubnormalMetricProducts is a census of the stress and fluid
+// stages' first products: after every step it recomputes the reference
+// gradients of each element the step's force sweeps computed (a
+// non-zero gathered field, or woken memory variables) and counts the
+// metric×gradient products that are float32 subnormals. The field is
+// flushed, so such a product needs a metric entry that is float64
+// rounding residue (~1e-25); the mesher snaps those to +0
+// (meshfem.snapResidue), and the count must be 0.
+func TestNoSubnormalMetricProducts(t *testing.T) {
+	simd.ForceGo(t)
+	g, model := premDoubledGlobe(t)
+	srcs, recvs := batchGlobeSources(t, g, 1)
+	var products, visits atomic.Int64
+	onEveryStep(t, func(rs *rankState, step int) {
+		var ks kernelScratch
+		sub, n := int64(0), int64(0)
+		// count tallies the subnormal products of element e's metric
+		// with the reference gradients of the comps component blocks.
+		count := func(reg *mesh.Region, e, comps int) {
+			rs.kern.grad(ks.u[:pad], ks.t1[:pad], ks.t2[:pad], ks.t3[:pad])
+			for c := 1; c < comps; c++ {
+				lo := c * pad
+				rs.kern.grad(ks.u[lo:lo+pad], ks.t1[lo:lo+pad], ks.t2[lo:lo+pad], ks.t3[lo:lo+pad])
+			}
+			metric := [3][3][]float32{
+				{reg.Xix, reg.Xiy, reg.Xiz}, {reg.Etax, reg.Etay, reg.Etaz}, {reg.Gamx, reg.Gamy, reg.Gamz},
+			}
+			for p := 0; p < mesh.NGLL3; p++ {
+				ip := e*mesh.NGLL3 + p
+				for c := 0; c < comps; c++ {
+					grads := [3]float32{ks.t1[c*pad+p], ks.t2[c*pad+p], ks.t3[c*pad+p]}
+					for dir, row := range metric {
+						for _, m := range row {
+							if x := m[ip] * grads[dir]; x != 0 && math.Abs(float64(x)) < 0x1p-126 {
+								sub++
+							}
+						}
+					}
+				}
+			}
+			n++
+		}
+		for _, fs := range rs.solid {
+			for _, f := range fs {
+				for e := 0; e < f.reg.NSpec; e++ {
+					var or uint32
+					for p, gp := range f.reg.Ibool[e*mesh.NGLL3 : (e+1)*mesh.NGLL3] {
+						u := f.d[gp]
+						ks.u[p], ks.u[pad+p], ks.u[2*pad+p] = u[0], u[1], u[2]
+						or |= math.Float32bits(u[0]) | math.Float32bits(u[1]) | math.Float32bits(u[2])
+					}
+					if or<<1 != 0 || (f.att != nil && f.att.woke[e]) {
+						count(f.reg, e, 3)
+					}
+				}
+			}
+		}
+		for _, fl := range rs.fluid {
+			for e := 0; e < fl.reg.NSpec; e++ {
+				var or uint32
+				for p, gp := range fl.reg.Ibool[e*mesh.NGLL3 : (e+1)*mesh.NGLL3] {
+					ks.u[p] = fl.chi[gp]
+					or |= math.Float32bits(fl.chi[gp])
+				}
+				if or<<1 != 0 {
+					count(fl.reg, e, 1)
+				}
+			}
+		}
+		products.Add(sub)
+		visits.Add(n)
+	})
+	res, err := Run(&Simulation{
+		Locals: g.Locals, Plans: g.Plans, Model: model, Sources: srcs, Receivers: recvs,
+		Opts: Options{Steps: 20, Workers: 2,
+			Attenuation: true, Rotation: true, Gravity: true, OceanLoad: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d element visits recomputed, %d subnormal metric×gradient products", visits.Load(), products.Load())
+	if visits.Load() == 0 {
+		t.Fatal("no element visit was recomputed: the census saw nothing")
+	}
+	if res.Subnormals != 0 {
+		t.Errorf("%d subnormal values left in the persistent state", res.Subnormals)
+	}
+	if n := products.Load(); n != 0 {
+		t.Errorf("%d subnormal metric×gradient products over %d element visits", n, visits.Load())
 	}
 }
