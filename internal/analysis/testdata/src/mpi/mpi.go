@@ -14,9 +14,6 @@ func (c *Comm) Irecv(src, tag int) *Request { return &Request{} }
 // Isend posts a non-blocking send (no completion handle in this model).
 func (c *Comm) Isend(dst, tag int, buf []float32) {}
 
-// Send is the blocking send.
-func (c *Comm) Send(dst, tag int, buf []float32) {}
-
 // Wait blocks until the message arrives and returns the payload.
 func (r *Request) Wait() []float32 { return nil }
 
