@@ -95,7 +95,7 @@ if [ -n "$orphans" ]; then
     fail=1
 fi
 
-if grep -rniE '\b(LD|ST)MXCSR\b' --include='*.s' .; then
+if grep -rniE '\bV?(LD|ST)MXCSR\b' --include='*.s' .; then
     echo "guards: an assembly file sets or reads MXCSR (above)" >&2
     fail=1
 fi
