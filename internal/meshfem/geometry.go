@@ -69,13 +69,36 @@ func symLerp(u, v float64, i int) float64 {
 	return u*symW0[i] + v*symW1[i]
 }
 
+// elemViews are one element's NGLL3 values of the region arrays
+// fillElement writes, as fixed-size views taken once per element: a
+// node's stores then share one bounds check on its index (the arrays'
+// length is the constant NGLL3) instead of carrying one per array.
+type elemViews struct {
+	ibool                                       *[mesh.NGLL3]int32
+	xix, xiy, xiz, etx, ety, etz, gmx, gmy, gmz *[mesh.NGLL3]float32
+	jac, jacW                                   *[mesh.NGLL3]float32
+}
+
+// viewElement returns the views of element e of r.
+func viewElement(r *mesh.Region, e int) elemViews {
+	base := e * mesh.NGLL3
+	view := func(a []float32) *[mesh.NGLL3]float32 { return (*[mesh.NGLL3]float32)(a[base:]) }
+	return elemViews{
+		ibool: (*[mesh.NGLL3]int32)(r.Ibool[base:]),
+		xix:   view(r.Xix), xiy: view(r.Xiy), xiz: view(r.Xiz),
+		etx: view(r.Etax), ety: view(r.Etay), etz: view(r.Etaz),
+		gmx: view(r.Gamx), gmy: view(r.Gamy), gmz: view(r.Gamz),
+		jac: view(r.Jac), jacW: view(r.JacW),
+	}
+}
+
 // storeMetric inverts the matrix whose columns are the Jacobian vectors
 // and writes the rows of the inverse (the reference-coordinate
-// gradients) into r's metric arrays at ip, rounding residue snapped to
-// +0 (snapResidue); it returns the determinant. The matrix is held in
-// scalars, not an array, so the inversion, the snap and the casts stay
-// in registers.
-func storeMetric(r *mesh.Region, ip int, cols *[3]cubedsphere.Vec3) (det float64) {
+// gradients) into the element's metric views at node n, rounding
+// residue snapped to +0 (snapResidue); it returns the determinant. The
+// matrix is held in scalars, not an array, so the inversion, the snap
+// and the casts stay in registers.
+func storeMetric(v *elemViews, n int, cols *[3]cubedsphere.Vec3) (det float64) {
 	m00, m01, m02 := cols[0][0], cols[1][0], cols[2][0]
 	m10, m11, m12 := cols[0][1], cols[1][1], cols[2][1]
 	m20, m21, m22 := cols[0][2], cols[1][2], cols[2][2]
@@ -88,15 +111,15 @@ func storeMetric(r *mesh.Region, ip int, cols *[3]cubedsphere.Vec3) (det float64
 	etx, ety, etz := c01*inv, (m00*m22-m02*m20)*inv, (m02*m10-m00*m12)*inv
 	gmx, gmy, gmz := c02*inv, (m01*m20-m00*m21)*inv, (m00*m11-m01*m10)*inv
 	lim := ((xix*xix + xiy*xiy + xiz*xiz) + (etx*etx + ety*ety + etz*etz) + (gmx*gmx + gmy*gmy + gmz*gmz)) * 0x1p-80
-	r.Xix[ip] = float32(snapResidue(xix, lim))
-	r.Xiy[ip] = float32(snapResidue(xiy, lim))
-	r.Xiz[ip] = float32(snapResidue(xiz, lim))
-	r.Etax[ip] = float32(snapResidue(etx, lim))
-	r.Etay[ip] = float32(snapResidue(ety, lim))
-	r.Etaz[ip] = float32(snapResidue(etz, lim))
-	r.Gamx[ip] = float32(snapResidue(gmx, lim))
-	r.Gamy[ip] = float32(snapResidue(gmy, lim))
-	r.Gamz[ip] = float32(snapResidue(gmz, lim))
+	v.xix[n] = float32(snapResidue(xix, lim))
+	v.xiy[n] = float32(snapResidue(xiy, lim))
+	v.xiz[n] = float32(snapResidue(xiz, lim))
+	v.etx[n] = float32(snapResidue(etx, lim))
+	v.ety[n] = float32(snapResidue(ety, lim))
+	v.etz[n] = float32(snapResidue(etz, lim))
+	v.gmx[n] = float32(snapResidue(gmx, lim))
+	v.gmy[n] = float32(snapResidue(gmy, lim))
+	v.gmz[n] = float32(snapResidue(gmz, lim))
 	return det
 }
 
@@ -215,16 +238,16 @@ func (t *elemNodes) cube(a0, a1, b0, b1, c0, c1, rcc float64) {
 // element e of region r from its node table, numbering its nodes'
 // lattice slots in node order (first-sight numbering).
 func fillElement(r *mesh.Region, lat *lattice, e int, t *elemNodes) error {
+	v := viewElement(r, e)
 	for n := 0; n < mesh.NGLL3; n++ {
-		ip := e*mesh.NGLL3 + n
-		r.Ibool[ip] = lat.point(t.slot[n], t.pos[n])
-		det := storeMetric(r, ip, &t.cols[n])
+		v.ibool[n] = lat.point(t.slot[n], t.pos[n])
+		det := storeMetric(&v, n, &t.cols[n])
 		if det <= 0 {
 			return fmt.Errorf("meshfem: region %v element %d node %d: non-positive Jacobian determinant %g", r.Kind, e, n, det)
 		}
-		r.Jac[ip] = float32(det)
+		v.jac[n] = float32(det)
 		i, j, k := n%mesh.NGLL, n/mesh.NGLL%mesh.NGLL, n/mesh.NGLL2
-		r.JacW[ip] = float32(det * gllW[i] * gllW[j] * gllW[k])
+		v.jacW[n] = float32(det * gllW[i] * gllW[j] * gllW[k])
 	}
 	return nil
 }

@@ -1,6 +1,10 @@
 package solver
 
-import "math"
+import (
+	"math"
+
+	"specglobe/internal/simd"
+)
 
 // Subnormal flush. A wavefront's numerical domain of influence grows
 // one element per step and its amplitude decays straight through the
@@ -50,24 +54,38 @@ func ftz(x float32) float32 {
 // and a NaN sorts above +Inf, so it poisons the maximum) and the number
 // of subnormal values — exponent field zero, mantissa not.
 func census(a []float32) (maxAbsBits uint32, subnormals int64) {
+	return scanBelow(a, 0x00800000)
+}
+
+// unflushed counts the values of a that ftz would have zeroed: non-zero
+// magnitudes below 2^-80, whose bits are below flushExp. A final
+// acceleration holds one only if its write site skipped the flush.
+func unflushed(a []float32) int64 {
+	_, n := scanBelow(a, flushExp)
+	return n
+}
+
+// scanBelow returns the largest |a[i]| as float32 bits and the number of
+// non-zero magnitudes whose bits are below lim.
+func scanBelow(a []float32, lim uint32) (maxAbsBits uint32, n int64) {
+	if k := len(a) &^ 7; k > 0 && simd.Vector() {
+		var lanes [16]uint32
+		censusAVX2(&a[:k:k][0], k, lim, &lanes)
+		for _, m := range lanes[:8] {
+			maxAbsBits = max(maxAbsBits, m)
+		}
+		for _, c := range lanes[8:] {
+			n += int64(c)
+		}
+		a = a[k:]
+	}
 	for _, v := range a {
 		b := math.Float32bits(v) &^ (1 << 31)
 		maxAbsBits = max(maxAbsBits, b)
-		// 1..0x007fffff are the subnormals; zero wraps to the top.
-		if b-1 < 0x007fffff {
-			subnormals++
-		}
-	}
-	return maxAbsBits, subnormals
-}
-
-// unflushed counts the values of a that ftz would have zeroed. A final
-// acceleration holds one only if its write site skipped the flush.
-func unflushed(a []float32) (n int64) {
-	for _, v := range a {
-		if v != 0 && ftz(v) == 0 {
+		// 1..lim-1 are counted; zero wraps to the top.
+		if b-1 < lim-1 {
 			n++
 		}
 	}
-	return n
+	return maxAbsBits, n
 }

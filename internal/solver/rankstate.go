@@ -8,6 +8,7 @@ import (
 	"specglobe/internal/mesh"
 	"specglobe/internal/mpi"
 	"specglobe/internal/perf"
+	"specglobe/internal/simd"
 )
 
 // solidField is the dynamic state of one wavefield of one solid region
@@ -95,6 +96,12 @@ func (m *pageMarks) eachLive(lo, hi int, fn func(lo, hi int)) {
 // zeroBits reports whether every value of a is +0: a −0 or a NaN has a
 // set bit.
 func zeroBits(a []float32) bool {
+	if n := len(a) &^ 7; n > 0 && simd.Vector() {
+		if !zeroBitsAVX2(&a[:n:n][0], n) {
+			return false
+		}
+		a = a[n:]
+	}
 	var or uint32
 	for _, v := range a {
 		or |= math.Float32bits(v)

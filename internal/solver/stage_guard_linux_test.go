@@ -12,13 +12,14 @@ import (
 )
 
 // guarded copies a onto pages whose last byte is a's last byte; the page
-// after them is PROT_NONE, so a load or store one float past the slice
+// after them is PROT_NONE, so a load or store one value past the slice
 // faults. The race detector and checkptr do not see into assembly; the
-// MMU does.
-func guarded(t *testing.T, a []float32) []float32 {
+// MMU does. T holds no pointers.
+func guarded[T any](t *testing.T, a []T) []T {
 	t.Helper()
+	size := int(unsafe.Sizeof(a[0]))
 	page := syscall.Getpagesize()
-	span := (4*len(a) + page - 1) / page * page
+	span := (size*len(a) + page - 1) / page * page
 	mem, err := syscall.Mmap(-1, 0, span+page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		t.Fatalf("mmap: %v", err)
@@ -27,7 +28,7 @@ func guarded(t *testing.T, a []float32) []float32 {
 	if err := syscall.Mprotect(mem[span:], syscall.PROT_NONE); err != nil {
 		t.Fatalf("mprotect: %v", err)
 	}
-	g := unsafe.Slice((*float32)(unsafe.Pointer(&mem[span-4*len(a)])), len(a))
+	g := unsafe.Slice((*T)(unsafe.Pointer(&mem[span-size*len(a)])), len(a))
 	copy(g, a)
 	return g
 }
@@ -87,5 +88,55 @@ func TestVectorStagesStayInsideArrays(t *testing.T) {
 		compareLive(t, "fluid s1", g1[:], want[0][:], true)
 		compareLive(t, "fluid s2", g2[:], want[1][:], true)
 		compareLive(t, "fluid s3", g3[:], want[2][:], true)
+	}
+}
+
+// The point passes' assembly bodies with every array they read or write
+// ending flush against an unmapped page — the solid field's state,
+// inverse mass, ocean mask and gravity tables, the fluid field's, and
+// the census's input — on lengths whose last block of 8 is the
+// assembly's and on lengths the Go loop finishes, with every page live
+// and with every page dead (so the dead-page test reads each
+// acceleration to its end): a read or write past an array kills the
+// test binary with SIGSEGV. The results must still be the Go loops'.
+func TestVectorPointPassesStayInsideArrays(t *testing.T) {
+	if !simd.Vector() {
+		t.Skip("no AVX2 on this host")
+	}
+	rng := rand.New(rand.NewSource(73))
+	var vec, ref []*passCase
+	for _, n := range []int{8, 13, livePage, 2*livePage + 7, 2*livePage + 8} {
+		for _, live := range []bool{true, false} {
+			c := newPassCase(rng, n, true, func(k int) bool { return k%3 == 0 })
+			c.first = 0
+			if !live {
+				c.s.pages, c.fl.pages = newPageMarks(n), newPageMarks(n)
+			}
+			ref = append(ref, c.clone())
+			triples := func(a [][3]float32) [][3]float32 { return guarded(t, a) }
+			s, fl := c.s, c.fl
+			s.d, s.v, s.a, s.rhat = triples(s.d), triples(s.v), triples(s.a), triples(s.rhat)
+			s.massInv, s.gOverR, s.dgdr, s.ocean = guarded(t, s.massInv), guarded(t, s.gOverR), guarded(t, s.dgdr), guarded(t, s.ocean)
+			fl.chi, fl.chiDot, fl.chiDdot, fl.massInv = guarded(t, fl.chi), guarded(t, fl.chiDot), guarded(t, fl.chiDdot), guarded(t, fl.massInv)
+			c.run(0.37, 1.5)
+			vec = append(vec, c)
+		}
+	}
+	census := func(c *passCase) [4]int64 {
+		pd, sd := census(flat(c.s.d))
+		pc, sc := census(c.fl.chi)
+		return [4]int64{int64(pd), sd + unflushed(flat(c.s.a)), int64(pc), sc + unflushed(c.fl.chiDdot)}
+	}
+	var got [][4]int64
+	for _, c := range vec {
+		got = append(got, census(c))
+	}
+	simd.ForceGo(t)
+	for i, c := range ref {
+		c.run(0.37, 1.5)
+		vec[i].compare(t, c)
+		if want := census(c); got[i] != want {
+			t.Fatalf("n=%d: census %v, Go %v", c.end, got[i], want)
+		}
 	}
 }

@@ -23,11 +23,12 @@ func sameBits(a, b float32) bool {
 
 // special are the values the integrator can meet at the edges of its
 // range: signed zeros, subnormals, normals below the 2^-80 flush
-// threshold, infinities and NaN.
+// threshold and on both sides of it, infinities and NaN.
 var special = []float32{
 	0, float32(math.Copysign(0, -1)),
 	math.Float32frombits(1), -math.Float32frombits(0x007fffff), 1e-40,
 	0x1p-90, -0x1p-100, 0x1p-126,
+	0x1p-80, -0x1p-80, math.Float32frombits(flushExp - 1), -math.Float32frombits(flushExp - 1),
 	float32(math.Inf(1)), float32(math.Inf(-1)), nan32,
 	math.MaxFloat32, -math.MaxFloat32,
 }

@@ -2,12 +2,25 @@ package solver
 
 import "specglobe/internal/mesh"
 
-// The 8-lane bodies of the two pointwise stages (stage_amd64.s,
-// DESIGN.md "Vector kernels"). They run when simd.Vector reports AVX2
-// — one switch, so the contractions and the stages always change
-// together; stressStageGo and fluidStageGo are the fallback on every
+// The 8-lane bodies of the two pointwise stages (stage_amd64.s) and of
+// the point passes (pass_amd64.s; DESIGN.md "Vector kernels"). They run
+// when simd.Vector reports AVX2 — one switch, so the contractions, the
+// stages and the passes always change together; stressStageGo,
+// fluidStageGo and the Go loops of the passes are the fallback on every
 // other host and the oracle the assembly is tested against, bit for
 // bit.
+
+// solidTailArgs is the argument block of solidTailAVX2: n points (a
+// multiple of 8) of the xyz arrays a, v, d and rhat and of the per-point
+// arrays m, ocean, gOverR and dgdr. d, rhat, gOverR and dgdr are nil
+// without gravity.
+type solidTailArgs struct {
+	a, v, m               *float32
+	ocean                 *bool
+	d, rhat, gOverR, dgdr *float32
+	n                     int
+	half, twoOmega        float32
+}
 
 // stressArgs is the argument block of stressStageAVX2. The twelve
 // element-static pointers address exactly 125 floats each, the six

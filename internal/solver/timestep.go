@@ -6,6 +6,7 @@ import (
 	"specglobe/internal/earthmodel"
 	"specglobe/internal/mesh"
 	"specglobe/internal/perf"
+	"specglobe/internal/simd"
 )
 
 // timeStep advances the coupled system by one explicit Newmark step:
@@ -284,51 +285,37 @@ func (rs *rankState) passPoints(b *beat, lo, hi int) (dead int) {
 func (f *solidField) predict(first, end int, dt float32) (dead int) {
 	dead = end - first
 	f.pages.eachLive(first, end, func(lo, hi int) {
-		f.predictPoints(lo, hi, dt)
+		predictFlat(flat(f.d[lo:hi]), flat(f.v[lo:hi]), flat(f.a[lo:hi]), dt)
 		dead -= hi - lo
 	})
 	return dead
-}
-
-// predictPoints is the predictor at the points [lo, hi): d += dt v +
-// dt²/2 a, v += dt/2 a, a = 0.
-func (f *solidField) predictPoints(lo, hi int, dt float32) {
-	half, halfSq := dt/2, dt*dt/2
-	d, v, a := f.d[lo:hi], f.v[lo:hi], f.a[lo:hi]
-	v, a = v[:len(d)], a[:len(d)]
-	for k := range d {
-		x, u, w := &a[k], &d[k], &v[k]
-		ax, ay, az := x[0], x[1], x[2]
-		u[0] = ftz(u[0] + (dt*w[0] + halfSq*ax))
-		u[1] = ftz(u[1] + (dt*w[1] + halfSq*ay))
-		u[2] = ftz(u[2] + (dt*w[2] + halfSq*az))
-		w[0] += half * ax
-		w[1] += half * ay
-		w[2] += half * az
-		a[k] = [3]float32{}
-	}
 }
 
 // predict is solidField.predict for the fluid potential.
 func (fl *fluidField) predict(first, end int, dt float32) (dead int) {
 	dead = end - first
 	fl.pages.eachLive(first, end, func(lo, hi int) {
-		fl.predictPoints(lo, hi, dt)
+		predictFlat(fl.chi[lo:hi], fl.chiDot[lo:hi], fl.chiDdot[lo:hi], dt)
 		dead -= hi - lo
 	})
 	return dead
 }
 
-// predictPoints is solidField.predictPoints for the fluid potential.
-func (fl *fluidField) predictPoints(lo, hi int, dt float32) {
+// predictFlat is the predictor on the values of a field's state viewed
+// flat (an xyz triple is three values, each advanced alone): d += dt v
+// + dt²/2 a, v += dt/2 a, a = 0.
+func predictFlat(d, v, a []float32, dt float32) {
 	half, halfSq := dt/2, dt*dt/2
-	chi, dot, dd := fl.chi[lo:hi], fl.chiDot[lo:hi], fl.chiDdot[lo:hi]
-	dot, dd = dot[:len(chi)], dd[:len(chi)]
-	for k := range chi {
-		x := dd[k]
-		chi[k] = ftz(chi[k] + (dt*dot[k] + halfSq*x))
-		dot[k] += half * x
-		dd[k] = 0
+	v, a = v[:len(d)], a[:len(d)]
+	if n := len(d) &^ 7; n > 0 && simd.Vector() {
+		predictAVX2(&d[:n:n][0], &v[:n:n][0], &a[:n:n][0], n, dt, half, halfSq)
+		d, v, a = d[n:], v[n:], a[n:]
+	}
+	for k := range d {
+		x := a[k]
+		d[k] = ftz(d[k] + (dt*v[k] + halfSq*x))
+		v[k] += half * x
+		a[k] = 0
 	}
 }
 
@@ -358,6 +345,10 @@ func (fl *fluidField) tailPoints(lo, hi int, dt float32) {
 	dd := fl.chiDdot[lo:hi]
 	dot, m := fl.chiDot[lo:hi], fl.massInv[lo:hi]
 	dot, m = dot[:len(dd)], m[:len(dd)]
+	if n := (hi - lo) &^ 7; n > 0 && simd.Vector() {
+		fluidTailAVX2(&dd[:n:n][0], &dot[:n:n][0], &m[:n:n][0], n, half)
+		dd, dot, m = dd[n:], dot[n:], m[n:]
+	}
 	for k := range dd {
 		x := ftz(dd[k] * m[k])
 		dd[k] = x
@@ -402,6 +393,18 @@ func (f *solidField) tailPoints(lo, hi int, dt, twoOmega float32) {
 	if f.gOverR != nil {
 		d, rhat = f.d[lo:hi], f.rhat[lo:hi]
 		gOverR, dgdr = f.gOverR[lo:hi], f.dgdr[lo:hi]
+	}
+	if n := (hi - lo) &^ 7; n > 0 && simd.Vector() {
+		if gOverR == nil {
+			solidTailAVX2(&solidTailArgs{a: &a[:n:n][0][0], v: &v[:n:n][0][0], m: &m[:n:n][0], ocean: &ocean[:n:n][0],
+				n: n, half: half, twoOmega: twoOmega})
+		} else {
+			solidTailAVX2(&solidTailArgs{a: &a[:n:n][0][0], v: &v[:n:n][0][0], m: &m[:n:n][0], ocean: &ocean[:n:n][0],
+				d: &d[:n:n][0][0], rhat: &rhat[:n:n][0][0], gOverR: &gOverR[:n:n][0], dgdr: &dgdr[:n:n][0],
+				n: n, half: half, twoOmega: twoOmega})
+			d, rhat, gOverR, dgdr = d[n:], rhat[n:], gOverR[n:], dgdr[n:]
+		}
+		a, v, m, ocean = a[n:], v[n:], m[n:], ocean[n:]
 	}
 	for k := range a {
 		p, w, mk := &a[k], &v[k], m[k]

@@ -11,6 +11,7 @@ import (
 	"specglobe/internal/mesh"
 	"specglobe/internal/meshfem"
 	"specglobe/internal/mpi"
+	"specglobe/internal/simd"
 )
 
 // stepBeats builds every rank of sim and returns rank's beat names.
@@ -174,47 +175,81 @@ func TestRankCountsOfASolve(t *testing.T) {
 
 // BenchmarkPointPasses prices the point-pass beats of one rank of the
 // prem_full_solve shape (PREM, doubled NEX 8, rank 0 of 6, rotation,
-// gravity and the ocean load) per point they pass: the predictor beats
-// (solid and fluid), the solid tail beats with the ocean beat and the
-// fluid tail beat; the sub-benchmark is named one-level so its results
-// compare with earlier recorded runs. Before each pass a 32 MB stream
-// evicts the rank's arrays from the private caches, as the force stage
-// does in a real step; one pool worker. It is the Go baseline a vector
-// body of the passes is measured against.
+// gravity and the ocean load) per point they pass, on both bodies
+// (/avx2, /go): the predictor beats (solid and fluid), the solid tail
+// beats with the ocean beat and the fluid tail beat, all on live pages
+// — every field of the rank holds normal non-zero values and every page
+// is live — and the tail beats again on dead pages with a +0
+// acceleration, which is the dead-page test alone. Before each timed
+// pass a 32 MB stream evicts the rank's arrays from the private caches,
+// as the force stage does in a real step; one pool worker.
 func BenchmarkPointPasses(b *testing.B) {
 	g, model := premDoubledGlobe(b)
 	grav := earthmodel.NewGravityProfile(model, 2000)
-	evict := make([]byte, 32<<20)
-	b.Run("one-level", func(b *testing.B) {
-		opts := Options{Steps: 1, CombinedSolidHalo: true,
-			Rotation: true, Gravity: true, OceanLoad: true}.withDefaults()
-		sim := &Simulation{Locals: g.Locals, Plans: g.Plans, Model: model, Opts: opts}
-		dt := mesh.StableDt(sim.Locals, mesh.Courant)
-		p := newPool(1, 1)
-		defer p.close()
-		states := make([]*rankState, len(sim.Locals))
-		mpi.NewWorldWith(len(sim.Locals), opts.Network).Run(func(c *mpi.Comm) {
-			rs := newRankState(c, sim, &opts, dt, nil, grav, p, newKernels(opts.Kernel), 1)
-			rs.assembleMass()
-			states[c.Rank()] = rs
-		})
-		rs := states[0]
-		var predNs, tailNs, fluidNs time.Duration
-		var predPts, tailPts, fluidPts int
-		// run times the rank's beats of one step that match.
-		oc := int(earthmodel.RegionOuterCore)
-		run := func(match func(b *beat) bool) time.Duration {
-			for i := range evict {
-				evict[i]++
+	opts := Options{Steps: 1, CombinedSolidHalo: true,
+		Rotation: true, Gravity: true, OceanLoad: true}.withDefaults()
+	sim := &Simulation{Locals: g.Locals, Plans: g.Plans, Model: model, Opts: opts}
+	dt := mesh.StableDt(sim.Locals, mesh.Courant)
+	p := newPool(1, 1)
+	defer p.close()
+	states := make([]*rankState, len(sim.Locals))
+	mpi.NewWorldWith(len(sim.Locals), opts.Network).Run(func(c *mpi.Comm) {
+		rs := newRankState(c, sim, &opts, dt, nil, grav, p, newKernels(opts.Kernel), 1)
+		rs.assembleMass()
+		states[c.Rank()] = rs
+	})
+	rs := states[0]
+	oc := int(earthmodel.RegionOuterCore)
+	var solid []*solidField
+	for _, fs := range rs.solid {
+		solid = append(solid, fs...)
+	}
+	live := func(m *pageMarks) {
+		for pg := range m.live {
+			m.wake(pg)
+		}
+	}
+	for _, f := range solid {
+		live(f.pages)
+	}
+	live(rs.fluid[0].pages)
+	// fill gives the rank's state values of about 1e-6, none zero.
+	fill := func() {
+		for _, a := range [][]float32{rs.fluid[0].chi, rs.fluid[0].chiDot, rs.fluid[0].chiDdot} {
+			for i := range a {
+				a[i] = 1e-6 * float32(1+i%7) * float32(1-2*(i%2))
 			}
-			t0 := time.Now()
-			for i := range rs.beats {
-				if b := &rs.beats[i]; match(b) {
-					rs.run(b, 1)
+		}
+		for _, f := range solid {
+			for _, a := range [][]float32{flat(f.d), flat(f.v), flat(f.a)} {
+				for i := range a {
+					a[i] = 1e-6 * float32(1+i%7) * float32(1-2*(i%2))
 				}
 			}
-			return time.Since(t0)
 		}
+	}
+	evict := make([]byte, 32<<20)
+	// run times the rank's beats of one step that match.
+	run := func(match func(b *beat) bool) time.Duration {
+		for i := range evict {
+			evict[i]++
+		}
+		t0 := time.Now()
+		for i := range rs.beats {
+			if b := &rs.beats[i]; match(b) {
+				rs.run(b, 1)
+			}
+		}
+		return time.Since(t0)
+	}
+	bench := func(b *testing.B) {
+		var predNs, tailNs, fluidNs, deadNs time.Duration
+		var predPts, tailPts, fluidPts int
+		deadSolid := make([]*pageMarks, len(solid))
+		for i, f := range solid {
+			deadSolid[i] = newPageMarks(len(f.a))
+		}
+		deadFluid := newPageMarks(len(rs.fluid[0].chi))
 		for b.Loop() {
 			for kind, reg := range rs.local.Regions {
 				if reg == nil {
@@ -227,12 +262,39 @@ func BenchmarkPointPasses(b *testing.B) {
 					tailPts += reg.NGlob
 				}
 			}
+			fill()
 			predNs += run(func(b *beat) bool { return b.kind == beatPredict })
 			tailNs += run(func(b *beat) bool { return b.kind == beatTail && b.region != oc || b.kind == beatOcean })
 			fluidNs += run(func(b *beat) bool { return b.kind == beatTail && b.region == oc })
+
+			// The dead pages: +0 accelerations the tails test and pass by.
+			fl := rs.fluid[0]
+			livePages := fl.pages
+			clear(fl.chiDdot)
+			fl.pages = deadFluid
+			for i, f := range solid {
+				clear(f.a)
+				f.pages, deadSolid[i] = deadSolid[i], f.pages
+			}
+			deadNs += run(func(b *beat) bool { return b.kind == beatTail })
+			fl.pages = livePages
+			for i, f := range solid {
+				f.pages, deadSolid[i] = deadSolid[i], f.pages
+			}
 		}
 		b.ReportMetric(float64(predNs)/float64(predPts), "predictor-ns/point")
 		b.ReportMetric(float64(tailNs)/float64(tailPts), "tail-ns/point")
 		b.ReportMetric(float64(fluidNs)/float64(fluidPts), "fluid-tail-ns/point")
+		b.ReportMetric(float64(deadNs)/float64(tailPts+fluidPts), "dead-page-ns/point")
+	}
+	b.Run("avx2", func(b *testing.B) {
+		if !simd.Vector() {
+			b.Skip("no AVX2 on this host")
+		}
+		bench(b)
+	})
+	b.Run("go", func(b *testing.B) {
+		simd.ForceGo(b)
+		bench(b)
 	})
 }

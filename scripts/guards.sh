@@ -24,6 +24,9 @@
 #    not survive goroutines migrating between threads, so subnormals are
 #    kept out in the data (the integrator's ftz, the mesher's metric
 #    snap), not by the FP mode.
+# 8. no assembly file uses a fused multiply-add (VFMADD*, VFMSUB*,
+#    VFNMADD*, VFNMSUB*): the vector bodies must produce the bits of the
+#    Go bodies, which round every product before the add.
 set -u
 fail=0
 
@@ -97,6 +100,11 @@ fi
 
 if grep -rniE '\bV?(LD|ST)MXCSR\b' --include='*.s' .; then
     echo "guards: an assembly file sets or reads MXCSR (above)" >&2
+    fail=1
+fi
+
+if grep -rniE '\bVFN?M(ADD|SUB)' --include='*.s' .; then
+    echo "guards: an assembly file uses a fused multiply-add (above)" >&2
     fail=1
 fi
 
