@@ -4,13 +4,14 @@
 // 8-lane bodies of the point passes (DESIGN.md "Vector kernels"): the
 // flat predictor, the fluid and solid tails, the dead-page test and the
 // state census. The arithmetic is VMULPS, VADDPS and VSUBPS only —
-// never a fused multiply-add — in the association of the Go bodies in
-// timestep.go, so every lane holds the bits the Go body produces. The
-// flush is ftz's own test on the exponent field: a value is kept when
-// its exponent bits are at least those of 2^-80 (Inf and NaN included)
-// and replaced by +0 otherwise. Each body takes a count that is a
-// non-zero multiple of 8 (points for the solid tail, floats for the
-// others); the Go caller checks the bounds and finishes the rest.
+// never a fused multiply-add — in the association of the Go loops they
+// replace (timestep.go, rankstate.go, flush.go), so every lane holds
+// the bits the Go loop produces. The flush is ftz's own test on the
+// exponent field: a value is kept when its exponent bits are at least
+// those of 2^-80 (Inf and NaN included) and replaced by +0 otherwise.
+// Each body takes a count that is a non-zero multiple of 8 (points for
+// the solid tail, floats for the others); the Go caller checks the
+// bounds and finishes the rest.
 
 #define LANES(name, v) \
 	DATA name+0(SB)/4, $v; \

@@ -113,29 +113,28 @@ func TestVectorPointPassesStayInsideArrays(t *testing.T) {
 				c.s.pages, c.fl.pages = newPageMarks(n), newPageMarks(n)
 			}
 			ref = append(ref, c.clone())
-			triples := func(a [][3]float32) [][3]float32 { return guarded(t, a) }
 			s, fl := c.s, c.fl
-			s.d, s.v, s.a, s.rhat = triples(s.d), triples(s.v), triples(s.a), triples(s.rhat)
+			s.d, s.v, s.a, s.rhat = guarded(t, s.d), guarded(t, s.v), guarded(t, s.a), guarded(t, s.rhat)
 			s.massInv, s.gOverR, s.dgdr, s.ocean = guarded(t, s.massInv), guarded(t, s.gOverR), guarded(t, s.dgdr), guarded(t, s.ocean)
 			fl.chi, fl.chiDot, fl.chiDdot, fl.massInv = guarded(t, fl.chi), guarded(t, fl.chiDot), guarded(t, fl.chiDdot), guarded(t, fl.massInv)
 			c.run(0.37, 1.5)
 			vec = append(vec, c)
 		}
 	}
-	census := func(c *passCase) [4]int64 {
+	scan := func(c *passCase) [4]int64 {
 		pd, sd := census(flat(c.s.d))
 		pc, sc := census(c.fl.chi)
 		return [4]int64{int64(pd), sd + unflushed(flat(c.s.a)), int64(pc), sc + unflushed(c.fl.chiDdot)}
 	}
 	var got [][4]int64
 	for _, c := range vec {
-		got = append(got, census(c))
+		got = append(got, scan(c))
 	}
 	simd.ForceGo(t)
 	for i, c := range ref {
 		c.run(0.37, 1.5)
 		vec[i].compare(t, c)
-		if want := census(c); got[i] != want {
+		if want := scan(c); got[i] != want {
 			t.Fatalf("n=%d: census %v, Go %v", c.end, got[i], want)
 		}
 	}

@@ -345,6 +345,9 @@ func (fl *fluidField) tailPoints(lo, hi int, dt float32) {
 	dd := fl.chiDdot[lo:hi]
 	dot, m := fl.chiDot[lo:hi], fl.massInv[lo:hi]
 	dot, m = dot[:len(dd)], m[:len(dd)]
+	// The vector part's length comes from the chunk's range, not from
+	// len(dd): poolsafety accepts a pointer handed to assembly only
+	// through bounds it can trace to the chunk's arguments.
 	if n := (hi - lo) &^ 7; n > 0 && simd.Vector() {
 		fluidTailAVX2(&dd[:n:n][0], &dot[:n:n][0], &m[:n:n][0], n, half)
 		dd, dot, m = dd[n:], dot[n:], m[n:]
@@ -394,7 +397,7 @@ func (f *solidField) tailPoints(lo, hi int, dt, twoOmega float32) {
 		d, rhat = f.d[lo:hi], f.rhat[lo:hi]
 		gOverR, dgdr = f.gOverR[lo:hi], f.dgdr[lo:hi]
 	}
-	if n := (hi - lo) &^ 7; n > 0 && simd.Vector() {
+	if n := (hi - lo) &^ 7; n > 0 && simd.Vector() { // as in fluidField.tailPoints
 		if gOverR == nil {
 			solidTailAVX2(&solidTailArgs{a: &a[:n:n][0][0], v: &v[:n:n][0][0], m: &m[:n:n][0], ocean: &ocean[:n:n][0],
 				n: n, half: half, twoOmega: twoOmega})
