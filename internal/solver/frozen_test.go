@@ -47,29 +47,28 @@ type frozenCase struct {
 // steps — long enough for the near station to carry signal — under
 // every kernel.
 var frozenConfigs = []struct {
-	mesh     string // "globe", "doubled", "sliced" or "prem"
-	combined bool
-	fields   int
-	workers  int
-	physics  bool
-	kernel   Kernel
+	mesh    string // "globe", "doubled", "sliced" or "prem"
+	fields  int
+	workers int
+	physics bool
+	kernel  Kernel
 }{
-	{"globe", true, 1, 1, false, KernelVec4},
-	{"globe", false, 3, 4, false, KernelVec4},
-	{"globe", true, 3, 1, false, KernelVec4},
-	{"globe", false, 1, 4, false, KernelVec4},
-	{"doubled", true, 1, 4, false, KernelVec4},
-	{"doubled", false, 1, 1, false, KernelVec4},
-	{"doubled", true, 3, 4, false, KernelVec4},
-	{"doubled", false, 3, 2, false, KernelVec4},
-	{"doubled", true, 3, 1, false, KernelVec4},
-	{"sliced", true, 1, 1, false, KernelVec4},
-	{"sliced", false, 3, 4, false, KernelVec4},
-	{"prem", true, 1, 4, true, KernelVec4},
-	{"prem", true, 3, 1, true, KernelVec4},
-	{"prem", false, 1, 2, true, KernelScalar},
-	{"prem", true, 3, 4, true, KernelVec4},
-	{"prem", true, 1, 1, true, KernelScalar},
+	{"globe", 1, 1, false, KernelVec4},
+	{"globe", 3, 4, false, KernelVec4},
+	{"globe", 3, 1, false, KernelVec4},
+	{"globe", 1, 4, false, KernelVec4},
+	{"doubled", 1, 4, false, KernelVec4},
+	{"doubled", 1, 1, false, KernelVec4},
+	{"doubled", 3, 4, false, KernelVec4},
+	{"doubled", 3, 2, false, KernelVec4},
+	{"doubled", 3, 1, false, KernelVec4},
+	{"sliced", 1, 1, false, KernelVec4},
+	{"sliced", 3, 4, false, KernelVec4},
+	{"prem", 1, 4, true, KernelVec4},
+	{"prem", 3, 1, true, KernelVec4},
+	{"prem", 1, 2, true, KernelScalar},
+	{"prem", 3, 4, true, KernelVec4},
+	{"prem", 1, 1, true, KernelScalar},
 }
 
 const fullPhysicsSuffix = "/fullphys"
@@ -137,8 +136,7 @@ func TestFrozenSeismogramBits(t *testing.T) {
 	replay := func(t *testing.T) {
 		got = frozenFixture{GOARCH: runtime.GOARCH}
 		for i, c := range frozenConfigs {
-			name := fmt.Sprintf("%s/combined=%v/s%d/w%d",
-				c.mesh, c.combined, c.fields, c.workers)
+			name := fmt.Sprintf("%s/s%d/w%d", c.mesh, c.fields, c.workers)
 			steps := 12
 			if c.physics {
 				name += "/" + c.kernel.String() + fullPhysicsSuffix
@@ -151,7 +149,7 @@ func TestFrozenSeismogramBits(t *testing.T) {
 				Sources: srcs, Receivers: recvs,
 				Opts: Options{
 					Steps: steps, Workers: c.workers,
-					CombinedSolidHalo: c.combined, Kernel: c.kernel,
+					CombinedSolidHalo: true, Kernel: c.kernel,
 					Attenuation: c.physics, Rotation: c.physics, Gravity: c.physics, OceanLoad: c.physics,
 				},
 			})
