@@ -58,7 +58,6 @@ func main() {
 		snap     = flag.Bool("snap-stations", false, "locate stations at nearest grid point (fast 4.4 mode)")
 		kernel   = flag.String("kernel", "vec4", "force kernel: vec4 (AVX2 assembly where the host has it, the same bits from Go elsewhere) or scalar")
 		legacyIO = flag.String("legacy-io", "", "write/read the mesh through a legacy file database in this directory")
-		combined = flag.Bool("combined-halo", true, "combine crust/mantle and inner-core halo messages (33% fewer messages; the daemon always does)")
 		out      = flag.String("out", "", "directory for ASCII seismograms (empty = skip)")
 	)
 	flag.Parse()
@@ -97,14 +96,13 @@ func main() {
 			Mrr: *m0, Mtt: -*m0 / 2, Mpp: -*m0 / 2,
 			HalfDurationSec: *halfDur,
 		},
-		Stations:          sts,
-		SnapStations:      *snap,
-		Attenuation:       *att,
-		Rotation:          *rot,
-		Gravity:           *grav,
-		OceanLoad:         *ocean,
-		Kernel:            kv,
-		CombinedSolidHalo: *combined,
+		Stations:     sts,
+		SnapStations: *snap,
+		Attenuation:  *att,
+		Rotation:     *rot,
+		Gravity:      *grav,
+		OceanLoad:    *ocean,
+		Kernel:       kv,
 	}
 	if *record > 0 {
 		cfg.Steps = 0

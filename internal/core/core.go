@@ -170,9 +170,11 @@ type Config struct {
 	OceanLoad   bool
 
 	// Engineering switches studied in section 4.
-	Kernel            solver.Kernel
+	Kernel        solver.Kernel
+	TwoPassMesher bool
+	// CombinedSolidHalo is retired (solver.Options.CombinedSolidHalo):
+	// every run sends the combined solid halo, and Run ignores it.
 	CombinedSolidHalo bool
-	TwoPassMesher     bool
 	// Workers caps the solver's concurrent compute (0 = GOMAXPROCS,
 	// 1 = serial; solver.Options.Workers). Results are bit-identical at
 	// every worker count.

@@ -206,19 +206,18 @@ func (s *Session) solve(scs []Scenario, chunkSamples int, onChunk func(solver.Ch
 		Sources:   srcs,
 		Receivers: stations.ToReceivers(located),
 		Opts: solver.Options{
-			Dt:                cfg.Dt,
-			Steps:             steps,
-			Attenuation:       cfg.Attenuation,
-			Rotation:          cfg.Rotation,
-			Gravity:           cfg.Gravity,
-			OceanLoad:         cfg.OceanLoad,
-			Kernel:            cfg.Kernel,
-			Workers:           cfg.Workers,
-			CombinedSolidHalo: cfg.CombinedSolidHalo,
-			RecordEvery:       cfg.RecordEvery,
-			EnergyEvery:       cfg.EnergyEvery,
-			LTS:               cfg.LTS,
-			LTSMaxRate:        cfg.LTSMaxRate,
+			Dt:          cfg.Dt,
+			Steps:       steps,
+			Attenuation: cfg.Attenuation,
+			Rotation:    cfg.Rotation,
+			Gravity:     cfg.Gravity,
+			OceanLoad:   cfg.OceanLoad,
+			Kernel:      cfg.Kernel,
+			Workers:     cfg.Workers,
+			RecordEvery: cfg.RecordEvery,
+			EnergyEvery: cfg.EnergyEvery,
+			LTS:         cfg.LTS,
+			LTSMaxRate:  cfg.LTSMaxRate,
 
 			OnChunk:            onChunk,
 			StreamChunkSamples: chunkSamples,

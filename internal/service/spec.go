@@ -279,19 +279,18 @@ func configFor(key CompatKey, spec JobSpec, workers int) (core.Config, error) {
 		return core.Config{}, err
 	}
 	return core.Config{
-		NexXi:             key.NexXi,
-		NProcXi:           key.NProcXi,
-		Model:             model,
-		Steps:             key.Steps,
-		Dt:                key.Dt,
-		Doublings:         spec.Doublings,
-		Attenuation:       key.Attenuation,
-		Rotation:          key.Rotation,
-		Gravity:           key.Gravity,
-		OceanLoad:         key.OceanLoad,
-		Kernel:            key.Kernel,
-		Workers:           workers,
-		RecordEvery:       key.RecordEvery,
-		CombinedSolidHalo: true,
+		NexXi:       key.NexXi,
+		NProcXi:     key.NProcXi,
+		Model:       model,
+		Steps:       key.Steps,
+		Dt:          key.Dt,
+		Doublings:   spec.Doublings,
+		Attenuation: key.Attenuation,
+		Rotation:    key.Rotation,
+		Gravity:     key.Gravity,
+		OceanLoad:   key.OceanLoad,
+		Kernel:      key.Kernel,
+		Workers:     workers,
+		RecordEvery: key.RecordEvery,
 	}, nil
 }

@@ -97,7 +97,7 @@ func TestNoSubnormalState(t *testing.T) {
 					Locals: g.Locals, Plans: g.Plans, Model: model,
 					Sources: srcs, Receivers: recvs,
 					Opts: Options{
-						Steps: 40, Workers: workers, CombinedSolidHalo: true,
+						Steps: 40, Workers: workers,
 						Attenuation: true, Rotation: true, Gravity: true, OceanLoad: true,
 					},
 				})

@@ -10,30 +10,33 @@ import (
 )
 
 // The halo exchange. Every cross-rank assembly — the fluid potential,
-// the solid accelerations (per region or combined) and the one-time mass
-// matrices — is one call of beginExchange over a route precomputed at
-// setup. The step loop builds no maps and sorts nothing.
+// the solid accelerations and the one-time mass matrices — is one call
+// of beginExchange over a route precomputed at setup. The step loop
+// builds no maps and sorts nothing.
 //
 // Wire layout of one message, outermost to innermost: wavefield, region
 // part, shared point, component — each point's components as adjacent in
-// the message as in the state arrays. A single region with one
-// component is the scalar exchange, with three the vector exchange, and
-// the two solid regions back to back are the combined exchange of the
-// paper ("handling crust mantle and inner core simultaneously").
+// the message as in the state arrays. The fluid set is the scalar
+// exchange; the solid set carries the two solid regions back to back,
+// the combined exchange of the paper ("handling crust mantle and inner
+// core simultaneously"), with three components per point in the step
+// and one for the mass.
 
 // Halo sets: the region combinations that travel in one message. The
-// single-region sets are indexed by region kind.
+// step and the mass assembly post and finish exactly these two.
 const (
-	haloSolid = 3 // crust/mantle + inner core in one message per neighbor
-	nHaloSets = 4
+	haloFluid = iota // the outer core
+	haloSolid        // crust/mantle + inner core in one message per neighbor
+	nHaloSets
 )
 
-var haloSetKinds = [nHaloSets][]int{
-	earthmodel.RegionCrustMantle: {int(earthmodel.RegionCrustMantle)},
-	earthmodel.RegionOuterCore:   {int(earthmodel.RegionOuterCore)},
-	earthmodel.RegionInnerCore:   {int(earthmodel.RegionInnerCore)},
-	haloSolid:                    {int(earthmodel.RegionCrustMantle), int(earthmodel.RegionInnerCore)},
-}
+var (
+	haloSetKinds = [nHaloSets][]int{
+		haloFluid: {int(earthmodel.RegionOuterCore)},
+		haloSolid: {int(earthmodel.RegionCrustMantle), int(earthmodel.RegionInnerCore)},
+	}
+	haloSetNames = [nHaloSets]string{haloFluid: "outer_core", haloSolid: "solid"}
+)
 
 // routePeer is one neighbor of a route: parts[k] lists the local point
 // indices region k of the set contributes, in the key-sorted order both
@@ -95,7 +98,7 @@ func flat(a [][3]float32) []float32 {
 	return unsafe.Slice(&a[0][0], 3*len(a))
 }
 
-// buildHaloSets points the four halo sets at the arrays the step loop
+// buildHaloSets points the two halo sets at the arrays the step loop
 // assembles — the fluid potential accelerations and the solid
 // accelerations, all wavefields in field order.
 func (rs *rankState) buildHaloSets() {
@@ -112,7 +115,7 @@ func (rs *rankState) buildHaloSets() {
 	for set := range rs.halo {
 		h := &rs.halo[set]
 		h.nc = 3
-		if set == int(earthmodel.RegionOuterCore) {
+		if set == haloFluid {
 			h.nc = 1
 		}
 		for _, kind := range haloSetKinds[set] {

@@ -376,20 +376,32 @@ func newAttState(reg *mesh.Region, fit *earthmodel.SLSFit, dt float64) *attState
 //
 //specfem:noaccount one-time mass-matrix assembly before stepping starts
 func (rs *rankState) assembleMass() {
-	for kind := 0; kind < 3; kind++ {
-		reg := rs.local.Regions[kind]
-		if reg == nil || reg.NSpec == 0 {
-			rs.nextTag() // keep tag sequence aligned across ranks
+	// The masses travel through the step's two halo sets, one value per
+	// point: the fluid's alone, the two solid regions' in one message
+	// per neighbor. An absent region is an empty part.
+	var mass [3][]float32
+	for kind, reg := range rs.local.Regions {
+		if reg != nil && reg.NSpec > 0 {
+			mass[kind] = append([]float32(nil), reg.Mass...)
+		}
+	}
+	for set, kinds := range haloSetKinds {
+		arr := make([][][]float32, len(kinds))
+		for k, kind := range kinds {
+			arr[k] = [][]float32{mass[kind]}
+		}
+		rs.finish(rs.beginExchange(set, 1, 1, arr))
+	}
+	for kind, m := range mass {
+		if m == nil {
 			continue
 		}
-		m := append([]float32(nil), reg.Mass...)
-		rs.finish(rs.beginExchange(kind, 1, 1, [][][]float32{{m}}))
 		inv := make([]float32, len(m))
 		for i, v := range m {
 			inv[i] = 1 / v
 		}
 		// All batched wavefields share the one assembled inverse mass.
-		if reg.IsFluid() {
+		if kind == int(earthmodel.RegionOuterCore) {
 			for _, fl := range rs.fluid {
 				fl.massInv = inv
 			}

@@ -92,15 +92,15 @@ func boxBuildFluidDonor() (*mesh.Region, error) {
 }
 
 // A rank with no fluid region must consume exactly the same tag
-// sequence as fluid-bearing ranks, with separate and combined solid
-// halos: the solid halo between ranks 0 and 1 only matches if both sides
-// agree on every preceding tag. A misalignment deadlocks (both sides
-// wait on tags the peer never sends) or corrupts the assembly;
-// bit-identical solid physics with and without the extra fluid region
-// proves neither happened.
+// sequence as fluid-bearing ranks — the two mass exchanges of the set-up
+// and the two halo sets of every step: the solid halo between ranks 0
+// and 1 only matches if both sides agree on every preceding tag. A
+// misalignment deadlocks (both sides wait on tags the peer never sends)
+// or corrupts the assembly; bit-identical solid physics with and
+// without the extra fluid region proves neither happened.
 func TestMixedRegionTagAlignment(t *testing.T) {
 	const L = 40e3
-	run := func(withFluid bool, combined bool) *Seismogram {
+	run := func(withFluid bool) *Seismogram {
 		b := buildBox(t, 4, 2, L)
 		if withFluid {
 			attachDecoupledFluid(t, b.Locals, 1)
@@ -115,24 +115,16 @@ func TestMixedRegionTagAlignment(t *testing.T) {
 			Locals: b.Locals, Plans: b.Plans,
 			Sources:   []Source{src},
 			Receivers: []Receiver{boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2, false)},
-			Opts: Options{
-				Steps: 40, Dt: 0.02, CombinedSolidHalo: combined,
-			},
+			Opts:      Options{Steps: 40, Dt: 0.02},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Seismograms["R"]
 	}
-	for _, combined := range []bool{false, true} {
-		name := schedule
-		if combined {
-			name += "/combined"
-		}
-		t.Run(name, func(t *testing.T) {
-			identical(t, name, run(false, combined), run(true, combined))
-		})
-	}
+	t.Run(schedule, func(t *testing.T) {
+		identical(t, schedule, run(false), run(true))
+	})
 }
 
 // Global energy on a coupled fluid-solid globe must be conserved to

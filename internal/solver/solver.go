@@ -113,10 +113,12 @@ type Options struct {
 	// mesh coloring fixes the accumulation order). 0 means GOMAXPROCS;
 	// 1 runs the kernels serially.
 	Workers int
-	// CombinedSolidHalo merges the crust/mantle and inner-core halo
-	// exchanges into one message per neighbor — the paper's "reduction
-	// of MPI messages by 33% inside each chunk by handling crust mantle
-	// and inner core simultaneously".
+	// CombinedSolidHalo is retired: every run sends the crust/mantle and
+	// inner-core halo in one message per neighbor (the paper's
+	// "reduction of MPI messages by 33% inside each chunk by handling
+	// crust mantle and inner core simultaneously"), and Run ignores the
+	// field. It goes with LTS and LTSMaxRate once the benchmark harness
+	// stops naming them.
 	CombinedSolidHalo bool
 	// Network configures the virtual interconnect the simulated MPI
 	// world charges (latency per message endpoint, link bandwidth).

@@ -683,62 +683,6 @@ func TestGlobeEndToEnd(t *testing.T) {
 	}
 }
 
-// The combined solid halo exchange (the 33% message-count optimization)
-// must not change the physics and must reduce message count.
-func TestCombinedSolidHalo(t *testing.T) {
-	model := earthmodel.NewHomogeneous(6371e3, earthmodel.Material{
-		Rho: 5000, Vp: 10000, Vs: 5500, Qmu: 300, Qkappa: 57823,
-	})
-	model.ICBRadius = 1221.5e3
-	model.CMBRadius = 3480e3
-	g, err := meshfem.Build(meshfem.Config{NexXi: 4, NProcXi: 1, Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcLoc, err := g.LocateLatLonDepth(0, 0, 100e3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rloc, err := g.LocateLatLonDepth(20, 30, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(combined bool) (*Seismogram, int64) {
-		const m0 = 1e20
-		res, err := Run(&Simulation{
-			Locals: g.Locals, Plans: g.Plans, Model: model,
-			Sources: []Source{{
-				Rank: srcLoc.Rank, Kind: srcLoc.Kind, Elem: srcLoc.Elem, Ref: srcLoc.Ref,
-				MomentTensor: [3][3]float64{{m0, 0, 0}, {0, m0, 0}, {0, 0, m0}},
-				STF:          GaussianSTF(25, 60),
-			}},
-			Receivers: []Receiver{{Name: "R", Rank: rloc.Rank, Kind: rloc.Kind, Elem: rloc.Elem, Ref: rloc.Ref}},
-			Opts:      Options{Steps: 30, CombinedSolidHalo: combined},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Seismograms["R"], res.MPI.Messages
-	}
-	// The combined exchange must compose with the overlapped schedule.
-	t.Run(schedule, func(t *testing.T) {
-		sep, msgSep := run(false)
-		com, msgCom := run(true)
-		if msgCom >= msgSep {
-			t.Errorf("combined halo did not reduce messages: %d vs %d", msgCom, msgSep)
-		}
-		scale := maxAbs(sep.X) + maxAbs(sep.Y) + maxAbs(sep.Z)
-		for i := range sep.X {
-			d := math.Abs(float64(sep.X[i]-com.X[i])) +
-				math.Abs(float64(sep.Y[i]-com.Y[i])) +
-				math.Abs(float64(sep.Z[i]-com.Z[i]))
-			if scale > 0 && d > 1e-4*scale {
-				t.Fatalf("combined halo changed physics at sample %d", i)
-			}
-		}
-	})
-}
-
 // The overlapped schedule must hide part of the virtual communication
 // time behind the inner-element sweeps, leaving strictly less exposed
 // than the whole virtual comm time a blocking schedule would expose.

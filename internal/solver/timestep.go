@@ -85,15 +85,11 @@ type beat struct {
 }
 
 // buildBeats lays out the rank's step (timeStep). Every rank posts and
-// finishes every halo set its step exchanges, carried or not (a rank
-// without the region has an empty route and only consumes the tag); the
-// other beats exist where the rank has something for them to do.
+// finishes both halo sets, carried or not (a rank without the regions
+// has an empty route and only consumes the tag); the other beats exist
+// where the rank has something for them to do.
 func (rs *rankState) buildBeats() {
 	cm, oc, ic := int(earthmodel.RegionCrustMantle), int(earthmodel.RegionOuterCore), int(earthmodel.RegionInnerCore)
-	sets := []int{cm, ic}
-	if rs.opts.CombinedSolidHalo {
-		sets = []int{haloSolid}
-	}
 	rs.beats = make([]beat, 0, 24)
 	add := func(k beatKind, regions ...int) {
 		for _, r := range regions {
@@ -105,15 +101,15 @@ func (rs *rankState) buildBeats() {
 	add(beatPredict, cm, oc, ic)
 	add(beatOuter, oc)
 	add(beatCouple, oc)
-	add(beatPost, oc)
+	add(beatPost, haloFluid)
 	add(beatInner, oc)
-	add(beatFinish, oc)
+	add(beatFinish, haloFluid)
 	add(beatTail, oc)
 	add(beatOuter, cm, ic)
 	add(beatTraction, cm)
-	add(beatPost, sets...)
+	add(beatPost, haloSolid)
 	add(beatInner, cm, ic)
-	add(beatFinish, sets...)
+	add(beatFinish, haloSolid)
 	add(beatTail, cm, ic)
 	add(beatOcean, cm)
 	add(beatRecord, cm)
@@ -140,11 +136,7 @@ func (rs *rankState) newBeat(k beatKind, r int) (beat, bool) {
 	b.Inline = k == beatCouple || k == beatTraction || k == beatOcean
 	switch k {
 	case beatPost, beatFinish:
-		set := "solid" // the combined set
-		if r != haloSolid {
-			set = earthmodel.Region(r).String()
-		}
-		b.Name += "/" + set
+		b.Name += "/" + haloSetNames[r]
 		return b, true
 	case beatCouple:
 		return b, rs.fluid != nil

@@ -17,19 +17,10 @@ import (
 // stepBeats builds every rank of sim and returns rank's beat names.
 func stepBeats(t *testing.T, sim *Simulation, rank int) []string {
 	t.Helper()
-	opts := sim.Opts.withDefaults()
-	dt := mesh.StableDt(sim.Locals, mesh.Courant)
-	p := newPool(1, 1)
-	defer p.close()
 	var names []string
-	mpi.NewWorldWith(len(sim.Locals), opts.Network).Run(func(c *mpi.Comm) {
-		rs := newRankState(c, sim, &opts, dt, nil, nil, p, newKernels(opts.Kernel), 1)
-		if c.Rank() == rank {
-			for _, b := range rs.beats {
-				names = append(names, b.Name)
-			}
-		}
-	})
+	for _, b := range rankStates(t, sim)[rank].beats {
+		names = append(names, b.Name)
+	}
 	return names
 }
 
@@ -46,49 +37,38 @@ func earthlike24(t testing.TB) (*meshfem.Globe, earthmodel.Model) {
 
 // The step of a rank is its beat list, in the order of the overlap
 // schedule: predictors, the fluid stage, the solid stage, the ocean
-// load, the record. A rank posts and finishes every halo set its step
-// exchanges — the combined solid set, or the two solid regions one
-// after the other — whether it carries the region or not (the tags stay
-// aligned); every other beat is there only where the rank has something
-// for it to do: a region's passes and sweeps where it carries the
-// region, the coupling with a fluid, the traction and sources with a
-// fluid or a source, the ocean load with a water column, the record with
-// a receiver. Every rank of the meshed globes carries all three
-// regions; the box world carries the crust/mantle alone.
+// load, the record. A rank posts and finishes both halo sets — the outer
+// core, and the crust/mantle with the inner core in one — whether it
+// carries the regions or not (the tags stay aligned); every other beat
+// is there only where the rank has something for it to do: a region's
+// passes and sweeps where it carries the region, the coupling with a
+// fluid, the traction and sources with a fluid or a source, the ocean
+// load with a water column, the record with a receiver. Every rank of
+// the meshed globes carries all three regions; the box world carries the
+// crust/mantle alone.
 func TestStepBeats(t *testing.T) {
 	fluid := []string{"outer_forces/outer_core", "coupling", "post/outer_core", "inner_forces/outer_core",
-		"finish/outer_core", "tail/outer_core", "outer_forces/crust_mantle", "outer_forces/inner_core", "traction+sources"}
-	solid := []string{"inner_forces/crust_mantle", "inner_forces/inner_core"}
-	tails := []string{"tail/crust_mantle", "tail/inner_core"}
-	globe := func(post, finish []string, end ...string) []string {
+		"finish/outer_core", "tail/outer_core", "outer_forces/crust_mantle", "outer_forces/inner_core", "traction+sources",
+		"post/solid", "inner_forces/crust_mantle", "inner_forces/inner_core", "finish/solid"}
+	globe := func(end ...string) []string {
 		all := []string{"predict/crust_mantle", "predict/outer_core", "predict/inner_core"}
-		all = append(append(append(all, fluid...), post...), solid...)
-		return append(append(append(all, finish...), tails...), end...)
+		all = append(append(all, fluid...), "tail/crust_mantle", "tail/inner_core")
+		return append(all, end...)
 	}
-	prem := func(t *testing.T, combined bool) []string {
+	t.Run("prem", func(t *testing.T) {
 		g, model := premDoubledGlobe(t)
-		sim := globeSim(t, g, model, Options{CombinedSolidHalo: combined, OceanLoad: true})
+		sim := globeSim(t, g, model, Options{OceanLoad: true})
 		// The receiver in the source's element: one rank has both.
 		sim.Receivers[0].Rank, sim.Receivers[0].Kind, sim.Receivers[0].Elem = sim.Sources[0].Rank, sim.Sources[0].Kind, sim.Sources[0].Elem
-		return stepBeats(t, sim, sim.Sources[0].Rank)
-	}
-	t.Run("prem/combined", func(t *testing.T) {
-		want := globe([]string{"post/solid"}, []string{"finish/solid"}, "ocean", "record")
-		if got := prem(t, true); !slices.Equal(got, want) {
-			t.Errorf("beats\n%s\nwant\n%s", strings.Join(got, " "), strings.Join(want, " "))
-		}
-	})
-	t.Run("prem/separate", func(t *testing.T) {
-		want := globe([]string{"post/crust_mantle", "post/inner_core"},
-			[]string{"finish/crust_mantle", "finish/inner_core"}, "ocean", "record")
-		if got := prem(t, false); !slices.Equal(got, want) {
+		want := globe("ocean", "record")
+		if got := stepBeats(t, sim, sim.Sources[0].Rank); !slices.Equal(got, want) {
 			t.Errorf("beats\n%s\nwant\n%s", strings.Join(got, " "), strings.Join(want, " "))
 		}
 	})
 	t.Run("earthlike24", func(t *testing.T) {
 		g, model := earthlike24(t)
-		sim := &Simulation{Locals: g.Locals, Plans: g.Plans, Model: model, Opts: Options{CombinedSolidHalo: true, OceanLoad: true}}
-		want := globe([]string{"post/solid"}, []string{"finish/solid"})
+		sim := &Simulation{Locals: g.Locals, Plans: g.Plans, Model: model, Opts: Options{OceanLoad: true}}
+		want := globe()
 		if got := stepBeats(t, sim, 13); !slices.Equal(got, want) {
 			t.Errorf("beats\n%s\nwant\n%s", strings.Join(got, " "), strings.Join(want, " "))
 		}
@@ -99,8 +79,7 @@ func TestStepBeats(t *testing.T) {
 		src := boxSource(t, b, L/4, L/2, L/2, 1e17, 1.0)
 		sim := &Simulation{Locals: b.Locals, Plans: b.Plans, Sources: []Source{src}}
 		want := []string{"predict/crust_mantle", "post/outer_core", "finish/outer_core", "outer_forces/crust_mantle",
-			"traction+sources", "post/crust_mantle", "post/inner_core", "inner_forces/crust_mantle",
-			"finish/crust_mantle", "finish/inner_core", "tail/crust_mantle"}
+			"traction+sources", "post/solid", "inner_forces/crust_mantle", "finish/solid", "tail/crust_mantle"}
 		if got := stepBeats(t, sim, src.Rank); !slices.Equal(got, want) {
 			t.Errorf("beats\n%s\nwant\n%s", strings.Join(got, " "), strings.Join(want, " "))
 		}
@@ -186,8 +165,7 @@ func TestRankCountsOfASolve(t *testing.T) {
 func BenchmarkPointPasses(b *testing.B) {
 	g, model := premDoubledGlobe(b)
 	grav := earthmodel.NewGravityProfile(model, 2000)
-	opts := Options{Steps: 1, CombinedSolidHalo: true,
-		Rotation: true, Gravity: true, OceanLoad: true}.withDefaults()
+	opts := Options{Steps: 1, Rotation: true, Gravity: true, OceanLoad: true}.withDefaults()
 	sim := &Simulation{Locals: g.Locals, Plans: g.Plans, Model: model, Opts: opts}
 	dt := mesh.StableDt(sim.Locals, mesh.Courant)
 	p := newPool(1, 1)
