@@ -148,8 +148,7 @@ func TestFrozenSeismogramBits(t *testing.T) {
 				Locals: m.g.Locals, Plans: m.g.Plans, Model: m.model,
 				Sources: srcs, Receivers: recvs,
 				Opts: Options{
-					Steps: steps, Workers: c.workers,
-					CombinedSolidHalo: true, Kernel: c.kernel,
+					Steps: steps, Workers: c.workers, Kernel: c.kernel,
 					Attenuation: c.physics, Rotation: c.physics, Gravity: c.physics, OceanLoad: c.physics,
 				},
 			})

@@ -16,11 +16,9 @@ import (
 //
 // Wire layout of one message, outermost to innermost: wavefield, region
 // part, shared point, component — each point's components as adjacent in
-// the message as in the state arrays. The fluid set is the scalar
-// exchange; the solid set carries the two solid regions back to back,
-// the combined exchange of the paper ("handling crust mantle and inner
-// core simultaneously"), with three components per point in the step
-// and one for the mass.
+// the message as in the state arrays. The solid set carries the two
+// solid regions back to back, the combined exchange of the paper
+// ("handling crust mantle and inner core simultaneously").
 
 // Halo sets: the region combinations that travel in one message. The
 // step and the mass assembly post and finish exactly these two.
@@ -30,13 +28,12 @@ const (
 	nHaloSets
 )
 
-var (
-	haloSetKinds = [nHaloSets][]int{
-		haloFluid: {int(earthmodel.RegionOuterCore)},
-		haloSolid: {int(earthmodel.RegionCrustMantle), int(earthmodel.RegionInnerCore)},
-	}
-	haloSetNames = [nHaloSets]string{haloFluid: "outer_core", haloSolid: "solid"}
-)
+var haloSetKinds = [nHaloSets][]int{
+	haloFluid: {int(earthmodel.RegionOuterCore)},
+	haloSolid: {int(earthmodel.RegionCrustMantle), int(earthmodel.RegionInnerCore)},
+}
+
+var haloSetNames = [nHaloSets]string{haloFluid: "outer_core", haloSolid: "solid"}
 
 // routePeer is one neighbor of a route: parts[k] lists the local point
 // indices region k of the set contributes, in the key-sorted order both
@@ -124,14 +121,6 @@ func (rs *rankState) buildHaloSets() {
 	}
 }
 
-// nextTag returns a unique message tag for the next halo exchange. All
-// ranks execute the same sequence of exchanges per step, so sequence
-// numbers agree across the world.
-func (rs *rankState) nextTag() int {
-	rs.seq++
-	return rs.seq
-}
-
 // pendingExchange is an in-flight halo assembly. The local contributions
 // for every shared point are already packed and sent; finish waits for
 // the peers' payloads in route order and accumulates them.
@@ -155,14 +144,15 @@ type pendingExchange struct {
 // packed into the payload last received from its peer (pendingExchange.bufs),
 // so a steady-state exchange allocates nothing. Halo-point entries must
 // be final before the call; only non-halo points may be written between
-// begin and finish. It consumes a tag unconditionally, so sequence
-// numbers stay aligned across ranks even when this rank has no peer (or
+// begin and finish. Its tag is the next sequence number, consumed
+// unconditionally: every rank makes the same exchanges in the same
+// order, so tags agree across ranks even when this rank has no peer (or
 // no region) for the set. The receives are posted non-blocking *now*,
 // so the virtual transfer time between here and finish is credited as
 // hidden.
 func (rs *rankState) beginExchange(set, nf, nc int, arr [][][]float32) *pendingExchange {
-	tag := rs.nextTag()
-	rt := rs.routes[set]
+	rs.seq++
+	tag, rt := rs.seq, rs.routes[set]
 	p := &rs.inflight[set]
 	*p = pendingExchange{rt: rt, nf: nf, nc: nc, arr: arr, reqs: p.reqs[:0], bufs: p.bufs}
 	if p.bufs == nil {

@@ -377,17 +377,14 @@ func newAttState(reg *mesh.Region, fit *earthmodel.SLSFit, dt float64) *attState
 //specfem:noaccount one-time mass-matrix assembly before stepping starts
 func (rs *rankState) assembleMass() {
 	// The masses travel through the step's two halo sets, one value per
-	// point: the fluid's alone, the two solid regions' in one message
-	// per neighbor. An absent region is an empty part.
+	// point; an absent region is an empty part.
 	var mass [3][]float32
-	for kind, reg := range rs.local.Regions {
-		if reg != nil && reg.NSpec > 0 {
-			mass[kind] = append([]float32(nil), reg.Mass...)
-		}
-	}
 	for set, kinds := range haloSetKinds {
 		arr := make([][][]float32, len(kinds))
 		for k, kind := range kinds {
+			if reg := rs.local.Regions[kind]; reg != nil && reg.NSpec > 0 {
+				mass[kind] = append([]float32(nil), reg.Mass...)
+			}
 			arr[k] = [][]float32{mass[kind]}
 		}
 		rs.finish(rs.beginExchange(set, 1, 1, arr))

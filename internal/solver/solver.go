@@ -114,11 +114,9 @@ type Options struct {
 	// 1 runs the kernels serially.
 	Workers int
 	// CombinedSolidHalo is retired: every run sends the crust/mantle and
-	// inner-core halo in one message per neighbor (the paper's
-	// "reduction of MPI messages by 33% inside each chunk by handling
-	// crust mantle and inner core simultaneously"), and Run ignores the
-	// field. It goes with LTS and LTSMaxRate once the benchmark harness
-	// stops naming them.
+	// inner-core halo in one message per neighbor, and Run ignores it.
+	// It goes with LTS and LTSMaxRate once the benchmark harness stops
+	// naming them.
 	CombinedSolidHalo bool
 	// Network configures the virtual interconnect the simulated MPI
 	// world charges (latency per message endpoint, link bandwidth).
