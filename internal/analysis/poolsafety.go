@@ -29,7 +29,10 @@ import (
 //
 // The derivation rules are a local taint analysis, propagated one call
 // layer at a time into same-package helpers that receive the chunk's
-// arguments (forcesChunk and the fields' visit methods). Reads are unrestricted: the
+// arguments or views of them (forcesChunk, the fields' visit methods,
+// predictFlat on flat(f.d[lo:hi])), and into the parameters of a
+// function literal passed along with chunk-derived bounds (the page
+// walk's callback). Reads are unrestricted: the
 // coloring invariant (mesh.BuildColoring) guarantees same-color
 // elements share no Ibool point, which is exactly why a write indexed
 // through the chunk's own elements is safe.
@@ -233,9 +236,34 @@ func (c *ctx) classifyLocals() {
 		}
 		return true
 	})
+	// Callbacks: a function literal handed to a call together with
+	// chunk-derived bounds (pageMarks.eachLive(first, end, fn)) is
+	// called on pieces of those bounds, so its parameters are
+	// chunk-derived.
+	var callbacks []*ast.CallExpr
+	ast.Inspect(c.body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			for _, a := range call.Args {
+				if _, ok := unparen(a).(*ast.FuncLit); ok {
+					callbacks = append(callbacks, call)
+					break
+				}
+			}
+		}
+		return true
+	})
 	// Fixpoint.
 	for changed := true; changed; {
 		changed = false
+		for _, call := range callbacks {
+			if c.boundsCall(call) {
+				for _, a := range call.Args {
+					if lit, ok := unparen(a).(*ast.FuncLit); ok && c.markParams(lit) {
+						changed = true
+					}
+				}
+			}
+		}
 		for o, s := range srcs {
 			if _, done := c.kinds[o]; done {
 				continue
@@ -277,6 +305,39 @@ func (c *ctx) classifyLocals() {
 			}
 		}
 	}
+}
+
+// boundsCall reports whether every argument of call other than its
+// function literals is chunk-derived, and one varies with the chunk.
+func (c *ctx) boundsCall(call *ast.CallExpr) bool {
+	varying := false
+	for _, a := range call.Args {
+		if _, ok := unparen(a).(*ast.FuncLit); ok {
+			continue
+		}
+		if !c.safeExpr(a) {
+			return false
+		}
+		varying = varying || c.chunkVarying(a)
+	}
+	return varying
+}
+
+// markParams classifies the parameters of a callback literal as
+// chunk-derived and reports whether any was not yet classified.
+func (c *ctx) markParams(lit *ast.FuncLit) bool {
+	marked := false
+	for _, field := range lit.Type.Params.List {
+		for _, name := range field.Names {
+			if o := c.ps.pass.TypesInfo.Defs[name]; o != nil {
+				if _, done := c.kinds[o]; !done {
+					c.kinds[o] = kindSafe
+					marked = true
+				}
+			}
+		}
+	}
+	return marked
 }
 
 // freshExpr matches allocations: make/new, composite literals, and
@@ -552,6 +613,26 @@ func (c *ctx) checkAsmArgs(call *ast.CallExpr) {
 	}
 }
 
+// viewOf reports whether e is a call of a same-package function on
+// chunk-derived arguments only — a view of the chunk's own piece, such
+// as flat(f.a[lo:hi]) — which a helper receiving it is checked with as
+// chunk-derived. It is not a safe index: writes still need safeExpr.
+func (c *ctx) viewOf(e ast.Expr) bool {
+	call, ok := unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	if _, ok := c.ps.decls[calleeOf(c.ps.pass.TypesInfo, call)]; !ok || len(call.Args) == 0 {
+		return false
+	}
+	for _, a := range call.Args {
+		if !c.safeExpr(a) && !c.viewOf(a) {
+			return false
+		}
+	}
+	return true
+}
+
 // propagateCalls follows the chunk's arguments into same-package
 // helpers: a call f(ks, elems) makes f's parameters scratch/safe for
 // one more analysis layer, so the force chunk and visit helpers are checked
@@ -605,7 +686,7 @@ func (c *ctx) propagateCalls() {
 			switch {
 			case c.scratchExpr(arg):
 				k = kindScratch
-			case c.safeExpr(arg):
+			case c.safeExpr(arg) || c.viewOf(arg):
 				k = kindSafe
 			}
 			if o := info.Defs[p]; o != nil && k != kindShared {

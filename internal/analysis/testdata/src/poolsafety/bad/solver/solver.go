@@ -127,3 +127,40 @@ func (s *state) asmChunk(ks *kernelScratch, elems []int32) {
 			&s.accel[s.next]) // want "pointer into shared state handed to an assembly function"
 	}
 }
+
+// pages stands for the point passes' page marks: eachLive calls fn on
+// the live runs of [lo, hi).
+type pages struct{}
+
+func (m *pages) eachLive(lo, hi int, fn func(lo, hi int)) { fn(lo, hi) }
+
+// view stands for the flat view of a piece of a field.
+func view(a []float32) []float32 { return a }
+
+// predictAsm stands for the predictor's assembly body.
+func predictAsm(d *float32, n int)
+
+// stash is package-level state every chunk shares.
+var stash []float32
+
+func pageDriver(p *pool, s *state, pg *pages, spans []span, n int) {
+	var busy int64
+	p.sweepSpans(nil, spans, n, &busy, func(spans []span) {
+		for _, sp := range spans {
+			s.predict(pg, int(sp.i), int(sp.i+sp.n))
+		}
+	})
+}
+
+// predict hands each live run of its chunk's points to a helper through
+// the page walk's callback; the helper is checked under the chunk rules.
+func (s *state) predict(pg *pages, first, end int) {
+	pg.eachLive(first, end, func(lo, hi int) {
+		predictFlat(view(s.accel[lo:hi]), hi-lo)
+	})
+}
+
+func predictFlat(d []float32, n int) {
+	predictAsm(&stash[0], n) // want "pointer into shared state handed to an assembly function"
+	predictAsm(&d[:n:n][0], n)
+}

@@ -128,3 +128,36 @@ func (s *state) asmChunk(ks *kernelScratch, elems []int32) {
 		asmStage(&asmArgs{in: &ks.t1[0]}, &ks.t1[0])
 	}
 }
+
+type pages struct{}
+
+func (m *pages) eachLive(lo, hi int, fn func(lo, hi int)) { fn(lo, hi) }
+
+func view(a []float32) []float32 { return a }
+
+func predictAsm(d *float32, n int)
+
+func pageDriver(p *pool, s *state, pg *pages, spans []span, n int) {
+	var busy int64
+	p.sweepSpans(nil, spans, n, &busy, func(spans []span) {
+		for _, sp := range spans {
+			s.predict(pg, int(sp.i), int(sp.i+sp.n))
+		}
+	})
+}
+
+// predict's callback runs on pieces of the chunk's own points: it may
+// write them, and the helper it hands a view of them to may pass them
+// to assembly through bounds taken from the view.
+func (s *state) predict(pg *pages, first, end int) {
+	pg.eachLive(first, end, func(lo, hi int) {
+		s.hold[lo] = 0
+		predictFlat(view(s.accel[lo:hi]))
+	})
+}
+
+func predictFlat(d []float32) {
+	if n := len(d) &^ 7; n > 0 {
+		predictAsm(&d[:n:n][0], n)
+	}
+}
