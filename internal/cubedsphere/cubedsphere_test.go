@@ -257,8 +257,8 @@ func TestDecompValidation(t *testing.T) {
 	if d.NumRanks() != 24 {
 		t.Errorf("24 ranks expected, got %d", d.NumRanks())
 	}
-	if d.NexPerSlice() != 8 {
-		t.Errorf("8 elements per slice expected, got %d", d.NexPerSlice())
+	if n := d.NexPerSliceAt(d.NexXi); n != 8 {
+		t.Errorf("8 elements per slice expected, got %d", n)
 	}
 }
 
@@ -293,10 +293,10 @@ func TestElemRangePartition(t *testing.T) {
 	d, _ := NewDecomp(24, 3)
 	covered := 0
 	for p := 0; p < d.NProcXi; p++ {
-		lo, hi := d.ElemRange(p)
+		lo, hi := d.ElemRangeAt(d.NexXi, p)
 		covered += hi - lo
 		for e := lo; e < hi; e++ {
-			if d.SliceOfElem(e) != p {
+			if d.SliceOfElemAt(d.NexXi, e) != p {
 				t.Fatalf("element %d not mapped back to slice %d", e, p)
 			}
 		}
@@ -315,7 +315,7 @@ func TestCentralCubeOwnership(t *testing.T) {
 	for ci := 0; ci < d.NexXi; ci++ {
 		for cj := 0; cj < d.NexXi; cj++ {
 			for ck := 0; ck < d.NexXi; ck++ {
-				r := d.CentralCubeOwner(ci, cj, ck)
+				r := d.CentralCubeOwnerAt(d.NexXi, ci, cj, ck)
 				if r < 0 || r >= d.NumRanks() {
 					t.Fatalf("cell (%d,%d,%d): bad owner %d", ci, cj, ck, r)
 				}
@@ -360,7 +360,7 @@ func TestCentralCubeSurfaceLocality(t *testing.T) {
 	for cj := 0; cj < d.NexXi; cj++ {
 		for ck := 0; ck < d.NexXi; ck++ {
 			// Cell touching the +X cube face.
-			r := d.CentralCubeOwner(d.NexXi-1, cj, ck)
+			r := d.CentralCubeOwnerAt(d.NexXi, d.NexXi-1, cj, ck)
 			s := d.SliceOf(r)
 			// Its center direction must be on chunk +X within the
 			// same slice's (xi, eta) rectangle.

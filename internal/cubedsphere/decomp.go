@@ -34,10 +34,6 @@ func NewDecomp(nexXi, nprocXi int) (Decomp, error) {
 // NumRanks returns the total number of ranks: 6 * NPROC_XI^2.
 func (d Decomp) NumRanks() int { return NumFaces * d.NProcXi * d.NProcXi }
 
-// NexPerSlice returns the number of elements per slice side at the
-// surface resolution.
-func (d Decomp) NexPerSlice() int { return d.NexPerSliceAt(d.NexXi) }
-
 // NexPerSliceAt returns the number of elements per slice side at a
 // depth whose chunk-side element count is nex (mesh doubling halves nex
 // with depth; nex must stay divisible by NProcXi, which the mesher
@@ -76,21 +72,6 @@ func (d Decomp) SliceOf(rank int) Slice {
 		PXi:   rank % d.NProcXi,
 		PEta:  (rank % pp) / d.NProcXi,
 	}
-}
-
-// ElemRange returns the global element index range [lo, hi) along one
-// chunk axis covered by processor coordinate p.
-func (d Decomp) ElemRange(p int) (lo, hi int) { return d.ElemRangeAt(d.NexXi, p) }
-
-// SliceOfElem returns the processor coordinate owning global element
-// index e along one chunk axis.
-func (d Decomp) SliceOfElem(e int) int { return d.SliceOfElemAt(d.NexXi, e) }
-
-// CentralCubeOwner maps a central-cube element (cube grid cell with
-// indices ci, cj, ck in [0, NexXi)) to the rank that owns it at the
-// surface resolution. See CentralCubeOwnerAt.
-func (d Decomp) CentralCubeOwner(ci, cj, ck int) int {
-	return d.CentralCubeOwnerAt(d.NexXi, ci, cj, ck)
 }
 
 // CentralCubeOwnerAt maps a central-cube element (cube grid cell with

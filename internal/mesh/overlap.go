@@ -1,7 +1,5 @@
 package mesh
 
-import "specglobe/internal/earthmodel"
-
 // Overlap classifies each region's elements for the communication/
 // computation overlap schedule of the paper's section 5: *outer*
 // elements contribute at least one GLL point to a halo edge (a point
@@ -162,51 +160,4 @@ func markFaces(couple []bool, kind int, reg *Region, faces []CoupleFace) {
 			}
 		}
 	}
-}
-
-// BoundaryUnion returns HaloOuter ∪ CouplingOuter for one region in
-// ascending element order — the first sweep of the pipelined schedule:
-// after it, every halo point *and* every coupling point has its full
-// local element contribution.
-func (cs *CouplingSplit) BoundaryUnion(kind int) []int32 {
-	h, c := cs.HaloOuter[kind], cs.CouplingOuter[kind]
-	if len(h)+len(c) == 0 {
-		if h == nil && c == nil {
-			return nil
-		}
-		return []int32{}
-	}
-	out := make([]int32, 0, len(h)+len(c))
-	i, j := 0, 0
-	for i < len(h) && j < len(c) {
-		if h[i] < c[j] {
-			out = append(out, h[i])
-			i++
-		} else {
-			out = append(out, c[j])
-			j++
-		}
-	}
-	out = append(out, h[i:]...)
-	out = append(out, c[j:]...)
-	return out
-}
-
-// CouplingOuterFraction returns the fraction of this rank's elements
-// that are *fluid* coupling-outer — the extra work the pipelined
-// schedule pulls in front of the fluid halo post relative to the plain
-// overlap schedule. Solid coupling-outer elements are excluded: the
-// schedule never reorders them (only the fluid region runs the
-// boundary/inner refinement), so counting them would overstate the
-// rescheduled work.
-func (cs *CouplingSplit) CouplingOuterFraction() float64 {
-	couple, total := 0, 0
-	for kind := 0; kind < 3; kind++ {
-		total += len(cs.HaloOuter[kind]) + len(cs.CouplingOuter[kind]) + len(cs.Inner[kind])
-	}
-	couple = len(cs.CouplingOuter[earthmodel.RegionOuterCore])
-	if total == 0 {
-		return 0
-	}
-	return float64(couple) / float64(total)
 }

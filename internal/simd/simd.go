@@ -65,37 +65,6 @@ type Matrix [NGLL][NGLL]float32
 // the SSE/Altivec kernels.
 type Vec4 [4]float32
 
-// Load4 loads four consecutive floats starting at s[0].
-func Load4(s []float32) Vec4 {
-	_ = s[3]
-	return Vec4{s[0], s[1], s[2], s[3]}
-}
-
-// Splat4 broadcasts a scalar into all four lanes.
-func Splat4(v float32) Vec4 { return Vec4{v, v, v, v} }
-
-// Add returns a + b lane-wise.
-func (a Vec4) Add(b Vec4) Vec4 {
-	return Vec4{a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]}
-}
-
-// Mul returns a * b lane-wise.
-func (a Vec4) Mul(b Vec4) Vec4 {
-	return Vec4{a[0] * b[0], a[1] * b[1], a[2] * b[2], a[3] * b[3]}
-}
-
-// MulAdd returns a*b + c lane-wise — the MADD composition of "multiply"
-// then "add" the paper uses on SSE (which has no fused MADD).
-func (a Vec4) MulAdd(b, c Vec4) Vec4 {
-	return Vec4{a[0]*b[0] + c[0], a[1]*b[1] + c[1], a[2]*b[2] + c[2], a[3]*b[3] + c[3]}
-}
-
-// Store4 writes the four lanes to consecutive floats starting at s[0].
-func (a Vec4) Store4(s []float32) {
-	_ = s[3]
-	s[0], s[1], s[2], s[3] = a[0], a[1], a[2], a[3]
-}
-
 // Columns4 precomputes, for each column l of m, the vector of its first
 // four row entries: Columns4(m)[l] = {m[0][l], m[1][l], m[2][l], m[3][l]}.
 // Used by the xi-direction kernel, which accumulates over matrix columns.
@@ -105,19 +74,6 @@ func Columns4(m *Matrix) [NGLL]Vec4 {
 		c[l] = Vec4{m[0][l], m[1][l], m[2][l], m[3][l]}
 	}
 	return c
-}
-
-// Transpose returns m^T. The force-accumulation stage applies the
-// weighted derivative matrix transposed; callers pass Transpose(hWgll)
-// to the same Apply kernels.
-func Transpose(m *Matrix) *Matrix {
-	var t Matrix
-	for i := 0; i < NGLL; i++ {
-		for j := 0; j < NGLL; j++ {
-			t[i][j] = m[j][i]
-		}
-	}
-	return &t
 }
 
 // MatrixFromF64 converts a [][]float64 (as produced by package gll) into

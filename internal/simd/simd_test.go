@@ -32,45 +32,6 @@ func maxDiff(a, b []float32) float64 {
 	return d
 }
 
-func TestVec4Ops(t *testing.T) {
-	a := Vec4{1, 2, 3, 4}
-	b := Vec4{5, 6, 7, 8}
-	c := Vec4{0.5, 0.5, 0.5, 0.5}
-	if got := a.Add(b); got != (Vec4{6, 8, 10, 12}) {
-		t.Errorf("Add: %v", got)
-	}
-	if got := a.Mul(b); got != (Vec4{5, 12, 21, 32}) {
-		t.Errorf("Mul: %v", got)
-	}
-	if got := a.MulAdd(b, c); got != (Vec4{5.5, 12.5, 21.5, 32.5}) {
-		t.Errorf("MulAdd: %v", got)
-	}
-	s := make([]float32, 4)
-	a.Store4(s)
-	if Load4(s) != a {
-		t.Errorf("Store/Load roundtrip: %v", s)
-	}
-	if Splat4(3) != (Vec4{3, 3, 3, 3}) {
-		t.Error("Splat4")
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	m := testMatrix()
-	tt := Transpose(Transpose(m))
-	if *tt != *m {
-		t.Error("double transpose is not identity")
-	}
-	tr := Transpose(m)
-	for i := 0; i < NGLL; i++ {
-		for j := 0; j < NGLL; j++ {
-			if tr[i][j] != m[j][i] {
-				t.Fatalf("transpose mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 // Brute-force reference for each direction, written independently of the
 // kernels under test.
 func refD(dir int, m *Matrix, u []float32) []float32 {
