@@ -91,21 +91,20 @@ func main() {
 	// Per-layer stable-dt profile beside the resolution audit: dt/min is
 	// how far a layer's own stable dt sits above the governing one, which
 	// every element steps at.
-	dts := g.LayerStableDts(mesh.Courant)
 	globalDt := mesh.StableDt(g.Locals, mesh.Courant)
 	fmt.Printf("  %-12s %9s %9s %5s %9s %9s %7s\n",
 		"region", "r0 km", "r1 km", "nex", "min pts", "min dt", "dt/min")
-	for i, lr := range g.LayerResolutions(g.ShortestPeriod) {
+	for _, la := range g.LayerAudits(g.ShortestPeriod, mesh.Courant) {
 		tag := ""
-		if lr.Doubling {
+		if la.Doubling {
 			tag = " (doubling)"
 		}
-		if lr.Cube {
+		if la.Cube {
 			tag = " (central cube)"
 		}
 		fmt.Printf("  %-12v %9.0f %9.0f %5d %9.2f %8.3fs %6.2fx%s\n",
-			lr.Region, lr.R0/1e3, lr.R1/1e3, lr.NexXi, lr.MinPts,
-			dts[i].MinDt, dts[i].MinDt/globalDt, tag)
+			la.Region, la.R0/1e3, la.R1/1e3, la.NexXi, la.MinPts,
+			la.MinDt, la.MinDt/globalDt, tag)
 	}
 
 	var memBytes int64

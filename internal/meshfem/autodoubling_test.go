@@ -85,7 +85,10 @@ func TestPlanDoublingsRejectsUnderResolved(t *testing.T) {
 // Build with AutoDoubling (and no explicit radii) must produce a valid
 // doubled mesh whose realized points-per-wavelength meets the budget on
 // every layer, and record the derived schedule in Cfg.Doublings.
-// Explicit Doublings win over AutoDoubling.
+// Explicit Doublings win over AutoDoubling; on that mesh the layer
+// table's dt minimum equals the exhaustive per-element audit, sits at or
+// above the conservative mesh-wide StableDt, and the coarsened deep
+// layers show real dt headroom over the governing layer.
 func TestBuildAutoDoublingMeetsBudget(t *testing.T) {
 	prem := earthmodel.NewPREM()
 	auto := AutoDoubling{} // paper-rule period, 5 pts/wavelength
@@ -104,10 +107,11 @@ func TestBuildAutoDoublingMeetsBudget(t *testing.T) {
 	resolved := auto.Resolved(8)
 	budget := resolved.PointsPerWavelength
 	period := resolved.TargetPeriodS
-	for _, lr := range g.LayerResolutions(period) {
-		if lr.MinPts < budget {
+	layers := g.LayerAudits(period, mesh.Courant)
+	for _, la := range layers {
+		if la.MinPts < budget {
 			t.Errorf("layer %v [%.0f, %.0f] km (nex %d, dbl %v, cube %v): %.2f pts/wavelength below budget %.1f",
-				lr.Region, lr.R0/1e3, lr.R1/1e3, lr.NexXi, lr.Doubling, lr.Cube, lr.MinPts, budget)
+				la.Region, la.R0/1e3, la.R1/1e3, la.NexXi, la.Doubling, la.Cube, la.MinPts, budget)
 		}
 	}
 	// Coarsening must not lower the realized global minimum: the
@@ -119,10 +123,8 @@ func TestBuildAutoDoublingMeetsBudget(t *testing.T) {
 	}
 	// The layer table's global minimum agrees with the element audit.
 	layerMin := math.Inf(1)
-	for _, lr := range g.LayerResolutions(period) {
-		if lr.MinPts < layerMin {
-			layerMin = lr.MinPts
-		}
+	for _, la := range layers {
+		layerMin = min(layerMin, la.MinPts)
 	}
 	if math.Abs(layerMin-rs.MinPts) > 1e-9 {
 		t.Errorf("layer minimum %.6f != element audit minimum %.6f", layerMin, rs.MinPts)
@@ -136,6 +138,31 @@ func TestBuildAutoDoublingMeetsBudget(t *testing.T) {
 	}
 	if len(ge.Cfg.Doublings) != 2 || ge.Cfg.Doublings[0] != explicit[0] || ge.Cfg.Doublings[1] != explicit[1] {
 		t.Errorf("explicit Doublings %v did not win over AutoDoubling: got %v", explicit, ge.Cfg.Doublings)
+	}
+
+	minDt, maxDt := math.Inf(1), 0.0
+	for i, la := range ge.LayerAudits(ge.ShortestPeriod, mesh.Courant) {
+		if la.MinDt <= 0 || math.IsInf(la.MinDt, 0) {
+			t.Fatalf("row %d: bad MinDt %g", i, la.MinDt)
+		}
+		minDt, maxDt = min(minDt, la.MinDt), max(maxDt, la.MinDt)
+	}
+	elemMin := math.Inf(1)
+	for _, l := range ge.Locals {
+		for _, reg := range l.Regions {
+			for e := 0; reg != nil && e < reg.NSpec; e++ {
+				elemMin = min(elemMin, reg.ElementDt(e, mesh.Courant))
+			}
+		}
+	}
+	if math.Abs(minDt-elemMin) > 1e-12*elemMin {
+		t.Errorf("layer dt minimum %.9f != per-element audit minimum %.9f", minDt, elemMin)
+	}
+	if global := mesh.StableDt(ge.Locals, mesh.Courant); minDt < global-1e-12*global {
+		t.Errorf("layer dt minimum %.9f below the conservative mesh-wide StableDt %.9f", minDt, global)
+	}
+	if maxDt < 2*minDt {
+		t.Errorf("doubled mesh shows no 2x dt headroom: spread %.3f..%.3f", minDt, maxDt)
 	}
 }
 

@@ -277,7 +277,7 @@ func estimatedShortestPeriod(model earthmodel.Model, specs []regionSpec) float64
 	// GLL points divide an element edge into NGLL-1 intervals; the
 	// average interval is edge/(NGLL-1) (the standard resolution rule).
 	// Per layer this matches the element-wise audit's conservative view
-	// (Globe.LayerResolutions): the slowest material at any of the
+	// (Globe.LayerAudits): the slowest material at any of the
 	// layer's radial GLL nodes — the mesher samples the model exactly
 	// there, so with a within-layer velocity gradient (the thick crustal
 	// layers most of all) a single midpoint probe is optimistic —
@@ -313,8 +313,3 @@ func estimatedShortestPeriod(model earthmodel.Model, specs []regionSpec) float64
 // seismic period in seconds using the paper's rule of thumb
 // "Resolution = 256*17 / Wave Period" (figure 5 caption).
 func PaperResolutionPeriod(nex int) float64 { return 256.0 * 17.0 / float64(nex) }
-
-// PaperPeriodResolution is the inverse of PaperResolutionPeriod.
-func PaperPeriodResolution(period float64) int {
-	return int(math.Round(256.0 * 17.0 / period))
-}

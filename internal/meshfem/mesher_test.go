@@ -381,11 +381,8 @@ func TestPaperResolutionFormula(t *testing.T) {
 		t.Errorf("NEX 256 -> %.2f s, want 17", p)
 	}
 	// Breaking the 2-second barrier needs NEX ~ 2176.
-	if n := PaperPeriodResolution(2.0); n != 2176 {
-		t.Errorf("2 s -> NEX %d, want 2176", n)
-	}
-	if n := PaperPeriodResolution(1.0); n != 4352 {
-		t.Errorf("1 s -> NEX %d, want 4352", n)
+	if p := PaperResolutionPeriod(2176); math.Abs(p-2) > 1e-12 {
+		t.Errorf("NEX 2176 -> %.2f s, want 2", p)
 	}
 }
 
