@@ -2,13 +2,16 @@
 # Stay-deleted guards, run by the CI test job and locally via
 #   ./scripts/guards.sh
 # 1. no Go file names anything on the retired list below (the last
-#    seven lines: clustered local time stepping and its level wheel, the
+#    nine lines: clustered local time stepping and its level wheel, the
 #    coordinate-key point indexer, the pre-gather page-range skip with
 #    the element point ranges it read, the rank's reused pack buffer,
 #    which Isend's copy needed, and the code no caller ran: the 1-D SEM
 #    and seismogram-processing packages, the surface movie with the
 #    Gather and carrier encoding only it used, helpers only their own
-#    tests called, and mpi's blocking Recv and SendRecv),
+#    tests called, and mpi's blocking Recv and SendRecv; then more
+#    helpers only their own tests called, specfem's -combined-halo flag,
+#    and the per-layer resolution and stable-dt walks that LayerAudits
+#    replaced),
 # 2. the root benchmark file and root-level BENCH_PR*.json snapshots
 #    stay gone (the eight snapshots are history in docs/history/),
 # 3. every experiment run goes through the two solver.Run calls of
@@ -27,6 +30,9 @@
 # 8. no assembly file uses a fused multiply-add (VFMADD*, VFMSUB*,
 #    VFNMADD*, VFNMSUB*): the vector bodies must produce the bits of the
 #    Go bodies, which round every product before the add.
+# 9. the retired CombinedSolidHalo field (every run sends the combined
+#    solid halo) is named only by its two declarations, with their doc
+#    comments, and by internal/bench, which still sets it.
 set -u
 fail=0
 
@@ -52,6 +58,8 @@ packBuf
 \binternal/(sem1d|seismo|carrier)\b|\b(SurfaceMovieEvery|Movie|MovieFrame|PeakFrame|movieSupported)\b|\bgatherMovie|\.Gather\(
 \b(InterpolateField|InterpolateVectorField|StepSTF|FormatSeries|LayerName|PolyFit|PolyEval|FlopsModel|CatalogWithLocal)\b
 \b(SendRecv|chargeVirtualRecv)\b|\.Recv\([^)]
+\b(BoundaryUnion|CouplingOuterFraction|Load4|Splat4|Store4|MulAdd|Transpose|NexPerSlice|ElemRange|SliceOfElem|CentralCubeOwner|PaperPeriodResolution)\b|func \([a-z]+ Vec4\) (Add|Mul)\(
+combined-halo|\b(LayerResolutions|LayerStableDts?|LayerResolution)\b
 EOF
 )
 if grep -rnE "$retired" --include='*.go' .; then
@@ -105,6 +113,12 @@ fi
 
 if grep -rniE '\bVFN?M(ADD|SUB)' --include='*.s' .; then
     echo "guards: an assembly file uses a fused multiply-add (above)" >&2
+    fail=1
+fi
+
+if grep -rn 'CombinedSolidHalo' --include='*.go' . | grep -v '^\./internal/bench/' |
+    grep -vE '^\./internal/(solver/solver|core/core)\.go:[0-9]+:[[:space:]]*(//|CombinedSolidHalo[[:space:]]+bool$)'; then
+    echo "guards: the retired CombinedSolidHalo is named outside its declarations and internal/bench (above)" >&2
     fail=1
 fi
 
