@@ -57,7 +57,6 @@ func main() {
 		ocean    = flag.Bool("oceans", false, "enable ocean load")
 		snap     = flag.Bool("snap-stations", false, "locate stations at nearest grid point (fast 4.4 mode)")
 		kernel   = flag.String("kernel", "vec4", "force kernel: vec4 (AVX2 assembly where the host has it, the same bits from Go elsewhere) or scalar")
-		legacyIO = flag.String("legacy-io", "", "write/read the mesh through a legacy file database in this directory")
 		out      = flag.String("out", "", "directory for ASCII seismograms (empty = skip)")
 	)
 	flag.Parse()
@@ -107,10 +106,6 @@ func main() {
 	if *record > 0 {
 		cfg.Steps = 0
 	}
-	if *legacyIO != "" {
-		cfg.LegacyIO = true
-		cfg.LegacyDir = *legacyIO
-	}
 
 	rep, err := core.Run(cfg)
 	if err != nil {
@@ -122,9 +117,7 @@ func main() {
 		perfmodel.ResolutionToPeriod(float64(*nex)))
 	fmt.Printf("load balance: min %d / max %d elements per rank (imbalance %.3f)\n",
 		rep.Load.MinElems, rep.Load.MaxElems, rep.Load.Imbalance)
-	fmt.Printf("mesher: %v (%d pass(es));  handoff: %d files, %s\n",
-		rep.MesherTime.Round(1e6), rep.Globe.BuildPasses, rep.IO.Files,
-		perfmodel.HumanBytes(float64(rep.IO.Bytes)))
+	fmt.Printf("mesher: %v (%d pass(es))\n", rep.MesherTime.Round(1e6), rep.Globe.BuildPasses)
 	fmt.Printf("solver: %d steps, dt=%.3f s, wall %v\n",
 		rep.Result.Steps, rep.Result.Dt, rep.SolverTime.Round(1e6))
 	fmt.Printf("final state: max displacement %.3g m, %d subnormal values\n",

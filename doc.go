@@ -19,8 +19,9 @@
 //     virtual interconnect model
 //   - internal/simd — the 4-wide vector kernels of section 4.3
 //   - internal/renumber — Cuthill-McKee element sorting of section 4.2
-//   - internal/meshio — the legacy 51-files-per-core database and the
-//     merged in-memory handoff of section 4.1
+//   - internal/meshio — the legacy 51-files-per-core database that the
+//     merge of section 4.1 removed, kept as the instrument of figure 5
+//     and IOMERGE
 //   - internal/perfmodel, internal/experiments — the section 5 models
 //     and the regeneration of every figure and table
 //   - internal/core — the public façade used by cmd/ and examples/

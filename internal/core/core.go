@@ -1,13 +1,10 @@
 // Package core is the public façade of the reproduction: it wires the
-// mesher (internal/meshfem), the optional legacy file handoff
-// (internal/meshio), station location (internal/stations) and the
-// spectral-element solver (internal/solver) into the two execution
-// modes the paper contrasts:
-//
-//   - the merged mode (section 4.1): mesher and solver run as one
-//     program and communicate through memory, and
-//   - the legacy mode of the stable 4.0 code: the mesher writes a
-//     per-core file database that the solver reads back.
+// mesher (internal/meshfem), station location (internal/stations) and
+// the spectral-element solver (internal/solver) into one program, the
+// merged application of section 4.1: the solver runs on the mesh the
+// mesher built, in memory, with no intermediate files. The legacy
+// per-core file database the merge removed is measured by
+// internal/meshio, for figure 5 and IOMERGE only.
 //
 // A Config resembles the DATA/Par_file of SPECFEM3D_GLOBE: NEX_XI,
 // NPROC_XI, the model, the physics switches (attenuation, rotation,
@@ -27,7 +24,6 @@ import (
 	"specglobe/internal/earthmodel"
 	"specglobe/internal/mesh"
 	"specglobe/internal/meshfem"
-	"specglobe/internal/meshio"
 	"specglobe/internal/solver"
 	"specglobe/internal/stations"
 )
@@ -183,10 +179,6 @@ type Config struct {
 	// a true LTS or a non-zero LTSMaxRate.
 	LTS        bool
 	LTSMaxRate int
-	// LegacyIO routes the mesh through the per-core file database in
-	// LegacyDir instead of handing it over in memory.
-	LegacyIO  bool
-	LegacyDir string
 
 	// Event and stations.
 	Event        Event
@@ -203,7 +195,6 @@ type Report struct {
 	Result         *solver.Result
 	MesherTime     time.Duration
 	SolverTime     time.Duration
-	IO             meshio.Stats
 	ShortestPeriod float64
 	Load           mesh.LoadStats
 	// Resolution audits the built mesh's points-per-wavelength at

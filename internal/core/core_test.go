@@ -111,12 +111,6 @@ func TestRunMergedEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.IO.Files != 0 {
-		t.Errorf("merged mode wrote %d files", rep.IO.Files)
-	}
-	if rep.IO.Bytes == 0 {
-		t.Error("no handoff bytes accounted")
-	}
 	if len(rep.Result.Seismograms) != 3 {
 		t.Errorf("%d seismograms, want 3", len(rep.Result.Seismograms))
 	}
@@ -128,67 +122,6 @@ func TestRunMergedEndToEnd(t *testing.T) {
 	}
 	if rep.MesherTime <= 0 || rep.SolverTime <= 0 {
 		t.Error("timers not recorded")
-	}
-}
-
-func TestRunLegacyIOEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	rep, err := Run(Config{
-		NexXi: 4, NProcXi: 1,
-		Model:     smallModel(),
-		Steps:     10,
-		Event:     testEvent,
-		Stations:  stations.ReferenceStations()[:2],
-		LegacyIO:  true,
-		LegacyDir: dir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 6 ranks x 51 files.
-	if rep.IO.Files != 6*51 {
-		t.Errorf("legacy mode wrote %d files, want %d", rep.IO.Files, 6*51)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != rep.IO.Files {
-		t.Errorf("%d files on disk vs %d accounted", len(entries), rep.IO.Files)
-	}
-}
-
-// Legacy and merged modes must produce identical seismograms: the file
-// round trip is bit-exact.
-func TestLegacyMatchesMerged(t *testing.T) {
-	base := Config{
-		NexXi: 4, NProcXi: 1,
-		Model:    smallModel(),
-		Steps:    25,
-		Event:    testEvent,
-		Stations: stations.ReferenceStations()[:2],
-	}
-	merged, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyCfg := base
-	legacyCfg.LegacyIO = true
-	legacyCfg.LegacyDir = t.TempDir()
-	legacy, err := Run(legacyCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, a := range merged.Result.Seismograms {
-		b := legacy.Result.Seismograms[name]
-		if b == nil {
-			t.Fatalf("legacy run lost station %s", name)
-		}
-		for i := range a.X {
-			if a.X[i] != b.X[i] || a.Y[i] != b.Y[i] || a.Z[i] != b.Z[i] {
-				t.Fatalf("station %s sample %d differs between modes", name, i)
-			}
-		}
 	}
 }
 
@@ -221,7 +154,7 @@ func TestRetiredLTSIsRefused(t *testing.T) {
 		maxRate int
 	}{{"lts", true, 0}, {"max-rate", false, 4}} {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := solver.Run(&solver.Simulation{Locals: s.locals, Plans: s.plans, Sources: []solver.Source{src},
+			_, err := solver.Run(&solver.Simulation{Locals: s.globe.Locals, Plans: s.globe.Plans, Sources: []solver.Source{src},
 				Opts: solver.Options{Steps: 2, LTS: c.lts, LTSMaxRate: c.maxRate}})
 			if err == nil || !strings.Contains(err.Error(), "local time stepping") || !strings.Contains(err.Error(), "retired") {
 				t.Errorf("solver.Run: %v, want the retirement error", err)

@@ -3,13 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
-	"os"
 	"time"
 
 	"specglobe/internal/earthmodel"
 	"specglobe/internal/mesh"
 	"specglobe/internal/meshfem"
-	"specglobe/internal/meshio"
 	"specglobe/internal/solver"
 	"specglobe/internal/stations"
 )
@@ -23,9 +21,8 @@ type Scenario struct {
 	Stations []stations.Station
 }
 
-// Session is a built, handed-over mesh ready to run scenarios. Building
-// the mesh (meshfem + the merged or legacy handoff) is the expensive,
-// event-independent half of a simulation; a Session pays it once and
+// Session is a built mesh ready to run scenarios. Building the mesh is
+// the expensive, event-independent half of a simulation; a Session pays it once and
 // amortizes it over any number of Run/RunBatch calls. Sessions are the
 // natural host of ensemble batching: RunBatch propagates S independent
 // wavefields through ONE time loop over the shared mesh, one per
@@ -33,23 +30,19 @@ type Scenario struct {
 type Session struct {
 	cfg        Config
 	globe      *meshfem.Globe
-	locals     []*mesh.Local
-	plans      []*mesh.HaloPlan
 	mesherTime time.Duration
-	io         meshio.Stats
 	load       mesh.LoadStats
 	resolution mesh.ResolutionStats
 }
 
 // NewSession builds the mesh described by cfg (ignoring its Event and
-// Stations, which Run/RunBatch scenarios supply) and performs the
-// configured mesher-to-solver handoff.
+// Stations, which Run/RunBatch scenarios supply). Mesher and solver are
+// one program (section 4.1): the solver runs on the built mesh in
+// memory.
 func NewSession(cfg Config) (*Session, error) {
 	if cfg.Model == nil {
 		cfg.Model = earthmodel.NewPREM()
 	}
-	s := &Session{cfg: cfg}
-
 	t0 := time.Now()
 	globe, err := meshfem.Build(meshfem.Config{
 		NexXi:            cfg.NexXi,
@@ -62,36 +55,13 @@ func NewSession(cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.mesherTime = time.Since(t0)
-	s.globe = globe
-	s.load = mesh.ComputeLoadStats(globe.Locals)
-	s.resolution = mesh.ComputeResolutionStats(globe.Locals, globe.ShortestPeriod)
-
-	locals, plans := globe.Locals, globe.Plans
-	if cfg.LegacyIO {
-		dir := cfg.LegacyDir
-		if dir == "" {
-			var err error
-			dir, err = os.MkdirTemp("", "specglobe-db-")
-			if err != nil {
-				return nil, err
-			}
-			defer os.RemoveAll(dir)
-		}
-		st, err := meshio.WriteAllRanks(dir, locals, plans)
-		if err != nil {
-			return nil, fmt.Errorf("core: legacy write: %w", err)
-		}
-		locals, plans, err = meshio.ReadAllRanks(dir, len(locals))
-		if err != nil {
-			return nil, fmt.Errorf("core: legacy read: %w", err)
-		}
-		s.io = st
-	} else {
-		s.io = meshio.MergedHandoff(locals)
-	}
-	s.locals, s.plans = locals, plans
-	return s, nil
+	return &Session{
+		cfg:        cfg,
+		globe:      globe,
+		mesherTime: time.Since(t0),
+		load:       mesh.ComputeLoadStats(globe.Locals),
+		resolution: mesh.ComputeResolutionStats(globe.Locals, globe.ShortestPeriod),
+	}, nil
 }
 
 // Globe exposes the built mesh (read-only by convention).
@@ -200,8 +170,8 @@ func (s *Session) solve(scs []Scenario, chunkSamples int, onChunk func(solver.Ch
 
 	t1 := time.Now()
 	res, err := solver.Run(&solver.Simulation{
-		Locals:    s.locals,
-		Plans:     s.plans,
+		Locals:    s.globe.Locals,
+		Plans:     s.globe.Plans,
 		Model:     cfg.Model,
 		Sources:   srcs,
 		Receivers: stations.ToReceivers(located),
@@ -240,7 +210,6 @@ func (s *Session) report(sc Scenario, res *solver.Result, stErr float64, solverT
 		Result:         res,
 		MesherTime:     s.mesherTime,
 		SolverTime:     solverTime,
-		IO:             s.io,
 		ShortestPeriod: s.globe.ShortestPeriod,
 		Load:           s.load,
 		Resolution:     s.resolution,

@@ -303,20 +303,23 @@ func (r *Fig6Result) String() string {
 
 // --- FIG7: total runtime vs resolution -----------------------------------
 
-// Fig7Row is one runtime measurement. Flops and Bytes are the solve's
-// analytic work (perf.Report), the same on every repeat: the counts
-// the timing can be checked against without wall-clock noise.
+// Fig7Row is one resolution. Flops and Bytes are the solve's analytic
+// work (perf.Report), the same on every repeat, and Normalized is Flops
+// over the first row's. CoreSec is wall clock: the fastest of Runs runs.
 type Fig7Row struct {
 	Res          int
-	CoreSec      float64
-	Normalized   float64
 	Flops, Bytes int64
+	Normalized   float64
+	CoreSec      float64
+	Runs         int
 }
 
 // Fig7Result reproduces figure 7.
 type Fig7Result struct {
 	Rows []Fig7Row
-	Fit  *perfmodel.RuntimeModel
+	// Fit is the power law of Flops against resolution, so it repeats
+	// exactly from run to run.
+	Fit *perfmodel.RuntimeModel
 	// PaperSeries is the model evaluated at the paper's resolutions
 	// {96,144,288,320,512,640}, normalized to the first.
 	PaperSeries []float64
@@ -330,8 +333,9 @@ type Fig7Result struct {
 const fig7Budget = 200 * time.Millisecond
 
 // Fig7 runs a fixed number of solver steps at several resolutions and
-// fits total core-seconds against resolution, each resolution's the
-// fastest of its repeated runs (fig7Budget).
+// fits their total work against resolution through the flop counts. The
+// core-seconds it reports beside them are each resolution's fastest
+// repeated run (fig7Budget).
 func Fig7(nexList []int, steps int) (*Fig7Result, error) {
 	model := earthmodel.EarthLike()
 	out := &Fig7Result{}
@@ -342,7 +346,7 @@ func Fig7(nexList []int, steps int) (*Fig7Result, error) {
 			return nil, err
 		}
 		row := Fig7Row{Res: nex, CoreSec: math.Inf(1)}
-		for rep, spent := 0, time.Duration(0); rep < 2 || spent < fig7Budget; rep++ {
+		for spent := time.Duration(0); row.Runs < 2 || spent < fig7Budget; row.Runs++ {
 			res, err := solveCentral(g, solver.Options{Steps: steps})
 			if err != nil {
 				return nil, err
@@ -351,7 +355,7 @@ func Fig7(nexList []int, steps int) (*Fig7Result, error) {
 			row.Flops, row.Bytes = res.Perf.TotalFlops, res.Perf.TotalBytes
 			spent += res.Perf.WallTime
 		}
-		samples = append(samples, perfmodel.Sample{X: float64(nex), Y: row.CoreSec})
+		samples = append(samples, perfmodel.Sample{X: float64(nex), Y: float64(row.Flops)})
 		out.Rows = append(out.Rows, row)
 	}
 	fit, err := perfmodel.FitRuntimeModel(samples)
@@ -359,9 +363,8 @@ func Fig7(nexList []int, steps int) (*Fig7Result, error) {
 		return nil, err
 	}
 	out.Fit = fit
-	base := out.Rows[0].CoreSec
 	for i := range out.Rows {
-		out.Rows[i].Normalized = out.Rows[i].CoreSec / base
+		out.Rows[i].Normalized = float64(out.Rows[i].Flops) / float64(out.Rows[0].Flops)
 	}
 	out.PaperSeries = fit.NormalizedSeries([]float64{96, 144, 288, 320, 512, 640})
 	return out, nil
@@ -370,11 +373,12 @@ func Fig7(nexList []int, steps int) (*Fig7Result, error) {
 // String renders the figure 7 table.
 func (r *Fig7Result) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "FIG7: total core-seconds vs resolution (fit exponent %.2f, R2=%.4f)\n",
+	fmt.Fprintf(&b, "FIG7: total work vs resolution (flops fit exponent %.2f, R2=%.4f)\n",
 		r.Fit.Fit.B, r.Fit.R2)
-	fmt.Fprintf(&b, "  %6s %12s %12s\n", "res", "core-sec", "normalized")
+	fmt.Fprintf(&b, "  %6s %14s %12s %12s\n", "res", "flops", "normalized", "core-sec")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %6d %12.4f %12.2f\n", row.Res, row.CoreSec, row.Normalized)
+		fmt.Fprintf(&b, "  %6d %14d %12.2f %12.4f  (wall, best of %d)\n",
+			row.Res, row.Flops, row.Normalized, row.CoreSec, row.Runs)
 	}
 	fmt.Fprintf(&b, "  model at paper resolutions 96..640 (normalized): ")
 	for i, v := range r.PaperSeries {
@@ -553,47 +557,60 @@ func (r *AttenuationResult) String() string {
 
 // --- MESH2X: two-pass vs merged mesher ------------------------------------
 
-// MesherResult reproduces section 4.4 item 1.
+// MesherResult reproduces section 4.4 item 1. Passes holds each mode's
+// geometry passes (Globe.BuildPasses): the count behind the factor.
 type MesherResult struct {
 	SinglePass, TwoPass time.Duration
+	Passes              [2]int
 	Factor              float64
 }
 
+// mesherRuns is how many builds per mode Mesher times.
+const mesherRuns = 3
+
 // Mesher times the merged single-pass build against the legacy two-pass
-// behavior: the best of three builds per mode, the modes alternating, so
-// one build slowed by a busy host does not decide the factor.
+// behavior: the best of mesherRuns builds per mode, the modes
+// alternating, so one build slowed by a busy host does not decide the
+// factor.
 func Mesher(nex int) (*MesherResult, error) {
 	model := earthmodel.NewPREM()
+	out := &MesherResult{}
 	var best [2]time.Duration // single pass, two pass
-	for range 3 {
+	for range mesherRuns {
 		for mode, twoPass := range []bool{false, true} {
 			t0 := time.Now()
-			if _, err := meshfem.Build(meshfem.Config{NexXi: nex, NProcXi: 1, Model: model, TwoPassMaterials: twoPass}); err != nil {
+			g, err := meshfem.Build(meshfem.Config{NexXi: nex, NProcXi: 1, Model: model, TwoPassMaterials: twoPass})
+			if err != nil {
 				return nil, err
 			}
 			if d := time.Since(t0); best[mode] == 0 || d < best[mode] {
 				best[mode] = d
 			}
+			out.Passes[mode] = g.BuildPasses
 		}
 	}
-	return &MesherResult{SinglePass: best[0], TwoPass: best[1],
-		Factor: best[1].Seconds() / best[0].Seconds()}, nil
+	out.SinglePass, out.TwoPass = best[0], best[1]
+	out.Factor = best[1].Seconds() / best[0].Seconds()
+	return out, nil
 }
 
 // String renders the mesher comparison.
 func (r *MesherResult) String() string {
 	return fmt.Sprintf(
-		"MESH2X: merged mesher %v, legacy two-pass %v -> %.2fx (paper: the legacy mesher ran twice, a factor of two)\n",
-		r.SinglePass.Round(time.Millisecond), r.TwoPass.Round(time.Millisecond), r.Factor)
+		"MESH2X: merged mesher %v (%d pass), legacy %v (%d passes) -> %.2fx, wall best of %d each (paper: the legacy mesher ran twice, a factor of two)\n",
+		r.SinglePass.Round(time.Millisecond), r.Passes[0], r.TwoPass.Round(time.Millisecond), r.Passes[1],
+		r.Factor, mesherRuns)
 }
 
 // --- IOMERGE: I/O mode comparison ------------------------------------------
 
-// IOResult reproduces the section 4.1 comparison.
+// IOResult reproduces the section 4.1 comparison. The times are wall
+// clock of one run; the files and bytes are the counts behind them.
 type IOResult struct {
 	LegacyFiles int
 	LegacyBytes int64
 	LegacyTime  time.Duration
+	MergedFiles int
 	MergedTime  time.Duration
 	FilesAt62K  int64
 	Ranks       int
@@ -624,7 +641,7 @@ func IOModes(nex int) (*IOResult, error) {
 	out.LegacyFiles = st.Files
 	out.LegacyBytes = st.Bytes
 	t1 := time.Now()
-	_ = meshio.MergedHandoff(g.Locals)
+	out.MergedFiles = meshio.MergedHandoff(g.Locals).Files
 	out.MergedTime = time.Since(t1)
 	out.FilesAt62K = int64(meshio.LegacyFilesPerCore) * 62976
 	return out, nil
@@ -633,10 +650,10 @@ func IOModes(nex int) (*IOResult, error) {
 // String renders the I/O comparison.
 func (r *IOResult) String() string {
 	return fmt.Sprintf(
-		"IOMERGE: legacy database %d files / %s in %v; merged handoff 0 files in %v\n"+
+		"IOMERGE: legacy database %d files / %s in %v; merged handoff %d files in %v (wall, one run each)\n"+
 			"  at 62,976 cores the legacy mode means %.2fM files (paper: over 3.2 million)\n",
 		r.LegacyFiles, perfmodel.HumanBytes(float64(r.LegacyBytes)),
-		r.LegacyTime.Round(time.Millisecond), r.MergedTime.Round(time.Microsecond),
+		r.LegacyTime.Round(time.Millisecond), r.MergedFiles, r.MergedTime.Round(time.Microsecond),
 		float64(r.FilesAt62K)/1e6)
 }
 

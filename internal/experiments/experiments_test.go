@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"math"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
+	"specglobe/internal/earthmodel"
+	"specglobe/internal/meshio"
 	"specglobe/internal/perfmodel"
 )
 
@@ -43,11 +47,18 @@ func TestFig7ScalesSuperlinearly(t *testing.T) {
 	if len(r.Rows) != 2 {
 		t.Fatalf("%d rows", len(r.Rows))
 	}
+	// The fit runs through the flop counts, so a second call repeats it
+	// exactly.
+	again, err := Fig7([]int{4, 8}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.Fit, r.Fit) || !reflect.DeepEqual(again.PaperSeries, r.PaperSeries) {
+		t.Errorf("two Fig7 calls fit %+v %v and %+v %v", r.Fit, r.PaperSeries, again.Fit, again.PaperSeries)
+	}
 	// Doubling the resolution must increase total work superlinearly
 	// (8x the element visits; a 4-step solve performs only the visits
-	// the wave has reached, 2.5x the flops and 3.4x the bytes). The
-	// analytic counts repeat exactly; the millisecond wall-clock ratio
-	// is only checked to be a growth.
+	// the wave has reached, 2.5x the flops and 3.4x the bytes).
 	a, b := r.Rows[0], r.Rows[1]
 	if f := float64(b.Flops) / float64(a.Flops); f < 2 {
 		t.Errorf("flops grew only %.2fx from NEX4 to NEX8", f)
@@ -55,8 +66,8 @@ func TestFig7ScalesSuperlinearly(t *testing.T) {
 	if by := float64(b.Bytes) / float64(a.Bytes); by < 2 {
 		t.Errorf("bytes grew only %.2fx from NEX4 to NEX8", by)
 	}
-	if b.Normalized <= 1 {
-		t.Errorf("runtime grew only %.2fx from NEX4 to NEX8", b.Normalized)
+	if b.Normalized != float64(b.Flops)/float64(a.Flops) {
+		t.Errorf("normalized %.2f, want the flops ratio", b.Normalized)
 	}
 	if len(r.PaperSeries) != 6 || r.PaperSeries[0] != 1 {
 		t.Errorf("paper series malformed: %v", r.PaperSeries)
@@ -142,22 +153,24 @@ func TestAttenuationFactor(t *testing.T) {
 	}
 }
 
+// The legacy mesher redoes the geometry pass: one pass merged, two
+// legacy. The wall-clock factor is printed, not asserted.
 func TestMesherTwoPassFactor(t *testing.T) {
 	r, err := Mesher(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The legacy mode redoes the material pass: expect a 1.2x-3x cost
-	// (paper: 2x; our geometry pass is heavier than material
-	// assignment so the factor is smaller but must be clearly > 1).
-	if r.Factor < 1.1 || r.Factor > 3.5 {
-		t.Errorf("two-pass factor %.2f out of band (paper 2x)", r.Factor)
+	if r.Passes != [2]int{1, 2} {
+		t.Errorf("geometry passes %v, want [1 2] (merged, legacy)", r.Passes)
 	}
+	t.Logf("two-pass factor %.2f (wall, best of %d; paper 2x)", r.Factor, mesherRuns)
 	if !strings.Contains(r.String(), "MESH2X") {
 		t.Error("missing header")
 	}
 }
 
+// The legacy database is 51 files per rank whose bytes are the files'
+// sizes on disk; the merged handoff writes none.
 func TestIOModes(t *testing.T) {
 	r, err := IOModes(4)
 	if err != nil {
@@ -166,11 +179,36 @@ func TestIOModes(t *testing.T) {
 	if r.LegacyFiles != 6*51 {
 		t.Errorf("%d legacy files, want %d", r.LegacyFiles, 6*51)
 	}
+	if r.MergedFiles != 0 {
+		t.Errorf("merged handoff wrote %d files", r.MergedFiles)
+	}
 	if r.FilesAt62K < 3_200_000 {
 		t.Errorf("62K-core extrapolation %d files, paper says over 3.2M", r.FilesAt62K)
 	}
-	if r.MergedTime >= r.LegacyTime {
-		t.Errorf("merged handoff (%v) not faster than legacy I/O (%v)", r.MergedTime, r.LegacyTime)
+	// The format is deterministic: the same mesh written again occupies
+	// exactly LegacyBytes on disk.
+	g, err := buildGlobe(earthmodel.EarthLike(), 4, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := meshio.WriteAllRanks(dir, g.Locals, g.Plans); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var onDisk int64
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += info.Size()
+	}
+	if len(entries) != r.LegacyFiles || onDisk != r.LegacyBytes {
+		t.Errorf("%d files / %d bytes on disk, IOModes counted %d / %d", len(entries), onDisk, r.LegacyFiles, r.LegacyBytes)
 	}
 	if !strings.Contains(r.String(), "3.2 million") {
 		t.Error("missing paper reference")

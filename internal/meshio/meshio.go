@@ -1,23 +1,19 @@
-// Package meshio implements the two mesher-to-solver handoff modes the
-// paper contrasts in section 4.1:
+// Package meshio writes and reads the legacy mesher-to-solver database
+// of the stable 4.0 code that the paper's section 4.1 retired: MESHFEM3D
+// wrote up to 51 files per core for SPECFEM3D to read back, over 3.2
+// million files at 62K cores. The merged program hands the mesh over in
+// memory instead; MergedHandoff accounts for what stays there.
 //
-//   - the legacy mode of the stable 4.0 code, where MESHFEM3D writes a
-//     per-core database of up to 51 files that SPECFEM3D then reads
-//     back (over 3.2 million files at 62K cores), and
-//   - the merged mode, where mesher and solver are one program and the
-//     mesh is handed over in memory with zero I/O.
-//
-// The legacy serialization is a real, lossless binary format so that
-// the disk-space measurements behind figure 5 come from actual bytes.
+// The product never writes the database. It is a real, lossless binary
+// format so that the disk-space measurements behind figure 5 and the
+// IOMERGE comparison come from actual bytes.
 package meshio
 
 import (
-	"bufio"
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -37,153 +33,104 @@ type Stats struct {
 	Bytes int64
 }
 
-// regionArrayNames lists the 16 per-region array files in a fixed order.
-var regionArrayNames = []string{
-	"ibool", "pts",
-	"xix", "xiy", "xiz", "etax", "etay", "etaz", "gamx", "gamy", "gamz",
-	"jac", "jacw", "rho", "kappa", "mu",
+// array is one of a region's array files: its name and its slice.
+type array struct {
+	name string
+	v    any
+}
+
+// regionArrays lists r's 16 array files in their fixed order; the writer
+// and the reader both walk it. The points are stored without a length
+// prefix (the file size is their count), every other array after its
+// uint32 length.
+func regionArrays(r *mesh.Region) []array {
+	return []array{
+		{"ibool", r.Ibool}, {"pts", r.Pts},
+		{"xix", r.Xix}, {"xiy", r.Xiy}, {"xiz", r.Xiz},
+		{"etax", r.Etax}, {"etay", r.Etay}, {"etaz", r.Etaz},
+		{"gamx", r.Gamx}, {"gamy", r.Gamy}, {"gamz", r.Gamz},
+		{"jac", r.Jac}, {"jacw", r.JacW},
+		{"rho", r.Rho}, {"kappa", r.Kappa}, {"mu", r.Mu},
+	}
 }
 
 const magic = uint32(0x53504543) // "SPEC"
+
+// le is the byte order of every file, like the Fortran unformatted files
+// the original code writes on these machines.
+var le = binary.LittleEndian
 
 // WriteRankDatabase writes a rank's mesh and halo plan to dir in the
 // legacy multi-file format and returns the file/byte accounting.
 func WriteRankDatabase(dir string, local *mesh.Local, plan *mesh.HaloPlan) (Stats, error) {
 	var st Stats
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return st, err
-	}
-	write := func(name string, emit func(w *bufio.Writer) error) error {
+	err := os.MkdirAll(dir, 0o755)
+	// write encodes and writes one file unless an earlier one failed.
+	write := func(name string, emit func(w *writer)) {
+		if err != nil {
+			return
+		}
+		var w writer
+		emit(&w)
 		path := filepath.Join(dir, fmt.Sprintf("proc%06d_%s.bin", local.Rank, name))
-		f, err := os.Create(path)
-		if err != nil {
-			return err
+		if err = cmp.Or(w.err, os.WriteFile(path, w.Bytes(), 0o666)); err == nil {
+			st.Files++
+			st.Bytes += int64(w.Len())
 		}
-		w := bufio.NewWriter(f)
-		if err := emit(w); err != nil {
-			f.Close()
-			return err
-		}
-		if err := w.Flush(); err != nil {
-			f.Close()
-			return err
-		}
-		info, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return err
-		}
-		st.Files++
-		st.Bytes += info.Size()
-		return f.Close()
 	}
 
 	// Header: magic, rank, per-region sizes, Q arrays, halo plan.
-	err := write("header", func(w *bufio.Writer) error {
-		putU32(w, magic)
-		putU32(w, uint32(local.Rank))
-		for kind := 0; kind < 3; kind++ {
-			r := local.Regions[kind]
+	write("header", func(w *writer) {
+		w.put(magic, uint32(local.Rank))
+		for kind, r := range local.Regions {
 			if r == nil {
 				r = mesh.NewRegion(earthmodel.Region(kind), 0)
 			}
-			putU32(w, uint32(r.NSpec))
-			putU32(w, uint32(r.NGlob))
-			putF32s(w, r.Qmu)
-			putF32s(w, r.Qkappa)
+			w.put(uint32(r.NSpec), uint32(r.NGlob))
+			w.slices(r.Qmu, r.Qkappa)
 		}
-		for kind := 0; kind < 3; kind++ {
-			edges := plan.Edges[kind]
-			putU32(w, uint32(len(edges)))
+		for _, edges := range plan.Edges {
+			w.put(uint32(len(edges)))
 			for _, e := range edges {
-				putU32(w, uint32(e.Peer))
-				putI32s(w, e.Idx)
+				w.put(uint32(e.Peer))
+				w.slices(e.Idx)
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		return st, err
-	}
 
-	for kind := 0; kind < 3; kind++ {
-		r := local.Regions[kind]
+	for kind, r := range local.Regions {
 		if r == nil || r.NSpec == 0 {
 			continue
 		}
-		arrays := map[string][]float32{
-			"xix": r.Xix, "xiy": r.Xiy, "xiz": r.Xiz,
-			"etax": r.Etax, "etay": r.Etay, "etaz": r.Etaz,
-			"gamx": r.Gamx, "gamy": r.Gamy, "gamz": r.Gamz,
-			"jac": r.Jac, "jacw": r.JacW,
-			"rho": r.Rho, "kappa": r.Kappa, "mu": r.Mu,
-		}
-		for _, name := range regionArrayNames {
-			fileName := fmt.Sprintf("reg%d_%s", kind, name)
-			switch name {
-			case "ibool":
-				if err := write(fileName, func(w *bufio.Writer) error {
-					putI32s(w, r.Ibool)
-					return nil
-				}); err != nil {
-					return st, err
+		for _, a := range regionArrays(r) {
+			write(fmt.Sprintf("reg%d_%s", kind, a.name), func(w *writer) {
+				if a.name == "pts" {
+					w.put(a.v)
+				} else {
+					w.slices(a.v)
 				}
-			case "pts":
-				if err := write(fileName, func(w *bufio.Writer) error {
-					for _, p := range r.Pts {
-						putU64(w, math.Float64bits(p[0]))
-						putU64(w, math.Float64bits(p[1]))
-						putU64(w, math.Float64bits(p[2]))
-					}
-					return nil
-				}); err != nil {
-					return st, err
-				}
-			default:
-				a := arrays[name]
-				if err := write(fileName, func(w *bufio.Writer) error {
-					putF32s(w, a)
-					return nil
-				}); err != nil {
-					return st, err
-				}
-			}
+			})
 		}
 	}
 
 	// Boundary file: coupling faces.
-	err = write("boundary", func(w *bufio.Writer) error {
+	write("boundary", func(w *writer) {
 		for _, faces := range [][]mesh.CoupleFace{local.CMB, local.ICB} {
-			putU32(w, uint32(len(faces)))
+			w.put(uint32(len(faces)))
 			for i := range faces {
 				cf := &faces[i]
-				putU32(w, uint32(cf.SolidKind))
-				putI32s(w, cf.SolidPt[:])
-				putI32s(w, cf.FluidPt[:])
-				putF32s(w, cf.Nx[:])
-				putF32s(w, cf.Ny[:])
-				putF32s(w, cf.Nz[:])
-				putF32s(w, cf.Weight[:])
+				w.put(uint32(cf.SolidKind))
+				w.slices(cf.SolidPt[:], cf.FluidPt[:], cf.Nx[:], cf.Ny[:], cf.Nz[:], cf.Weight[:])
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		return st, err
-	}
 
 	// Surface file: ocean-load data.
-	err = write("surface", func(w *bufio.Writer) error {
+	write("surface", func(w *writer) {
 		sl := &local.Surface
-		putU32(w, uint32(len(sl.Pts)))
-		putI32s(w, sl.Pts)
-		putF32s(w, sl.Nx)
-		putF32s(w, sl.Ny)
-		putF32s(w, sl.Nz)
-		putF32s(w, sl.AreaW)
-		putU64(w, math.Float64bits(sl.WaterRho))
-		putU64(w, math.Float64bits(sl.WaterDepth))
-		return nil
+		w.put(uint32(len(sl.Pts)))
+		w.slices(sl.Pts, sl.Nx, sl.Ny, sl.Nz, sl.AreaW)
+		w.put(sl.WaterRho, sl.WaterDepth)
 	})
 	return st, err
 }
@@ -214,8 +161,8 @@ func ReadRankDatabase(dir string, rank int) (*mesh.Local, *mesh.HaloPlan, error)
 			// The two per-element Q arrays follow: a count the rest of
 			// the file cannot hold is corrupt, not an allocation; so is a
 			// point count above the element slots that reference points.
-			if r.err == nil && int64(nspec)*8 > r.left {
-				r.fail("region %d: %d elements, but %d bytes left", kind, nspec, r.left)
+			if r.err == nil && int64(nspec)*8 > r.left() {
+				r.fail("region %d: %d elements, but %d bytes left", kind, nspec, r.left())
 			}
 			if r.err == nil && nglob > nspec*mesh.NGLL3 {
 				r.fail("region %d: %d points for %d elements", kind, nglob, nspec)
@@ -225,15 +172,15 @@ func ReadRankDatabase(dir string, rank int) (*mesh.Local, *mesh.HaloPlan, error)
 			}
 			reg := mesh.NewRegion(earthmodel.Region(kind), nspec)
 			reg.NGlob = nglob
-			r.f32s(reg.Qmu)
-			r.f32s(reg.Qkappa)
+			r.slices(reg.Qmu, reg.Qkappa)
 			local.Regions[kind] = reg
 		}
-		for kind := 0; kind < 3; kind++ {
+		for kind := range plan.Edges {
 			nEdges := r.count(8)
 			for e := 0; e < nEdges && r.err == nil; e++ {
 				edge := mesh.HaloEdge{Peer: int(r.u32())}
-				edge.Idx = r.i32sAlloc()
+				edge.Idx = make([]int32, r.count(4))
+				r.get(edge.Idx)
 				plan.Edges[kind] = append(plan.Edges[kind], edge)
 			}
 		}
@@ -242,37 +189,22 @@ func ReadRankDatabase(dir string, rank int) (*mesh.Local, *mesh.HaloPlan, error)
 		return nil, nil, err
 	}
 
-	for kind := 0; kind < 3; kind++ {
-		reg := local.Regions[kind]
+	for kind, reg := range local.Regions {
 		if reg.NSpec == 0 {
 			continue
 		}
-		arrays := map[string][]float32{
-			"xix": reg.Xix, "xiy": reg.Xiy, "xiz": reg.Xiz,
-			"etax": reg.Etax, "etay": reg.Etay, "etaz": reg.Etaz,
-			"gamx": reg.Gamx, "gamy": reg.Gamy, "gamz": reg.Gamz,
-			"jac": reg.Jac, "jacw": reg.JacW,
-			"rho": reg.Rho, "kappa": reg.Kappa, "mu": reg.Mu,
-		}
-		for _, name := range regionArrayNames {
-			err := read(fmt.Sprintf("reg%d_%s", kind, name), func(r *reader) {
-				switch name {
-				case "ibool":
-					r.i32s(reg.Ibool)
-				case "pts":
-					if int64(reg.NGlob)*24 != r.left {
-						r.fail("%d points in %d bytes", reg.NGlob, r.left)
-						return
-					}
-					reg.Pts = make([][3]float64, reg.NGlob)
-					for i := range reg.Pts {
-						reg.Pts[i][0] = math.Float64frombits(r.u64())
-						reg.Pts[i][1] = math.Float64frombits(r.u64())
-						reg.Pts[i][2] = math.Float64frombits(r.u64())
-					}
-				default:
-					r.f32s(arrays[name])
+		for _, a := range regionArrays(reg) {
+			err := read(fmt.Sprintf("reg%d_%s", kind, a.name), func(r *reader) {
+				if a.name != "pts" {
+					r.slices(a.v)
+					return
 				}
+				if int64(reg.NGlob)*24 != r.left() {
+					r.fail("%d points in %d bytes", reg.NGlob, r.left())
+					return
+				}
+				reg.Pts = make([][3]float64, reg.NGlob)
+				r.get(reg.Pts)
 			})
 			if err != nil {
 				return nil, nil, err
@@ -287,14 +219,8 @@ func ReadRankDatabase(dir string, rank int) (*mesh.Local, *mesh.HaloPlan, error)
 		for _, target := range []*[]mesh.CoupleFace{&local.CMB, &local.ICB} {
 			n := r.count(4 + 6*4*mesh.NGLL2)
 			for i := 0; i < n && r.err == nil; i++ {
-				var cf mesh.CoupleFace
-				cf.SolidKind = earthmodel.Region(r.u32())
-				r.i32s(cf.SolidPt[:])
-				r.i32s(cf.FluidPt[:])
-				r.f32s(cf.Nx[:])
-				r.f32s(cf.Ny[:])
-				r.f32s(cf.Nz[:])
-				r.f32s(cf.Weight[:])
+				cf := mesh.CoupleFace{SolidKind: earthmodel.Region(r.u32())}
+				r.slices(cf.SolidPt[:], cf.FluidPt[:], cf.Nx[:], cf.Ny[:], cf.Nz[:], cf.Weight[:])
 				*target = append(*target, cf)
 			}
 		}
@@ -311,13 +237,9 @@ func ReadRankDatabase(dir string, rank int) (*mesh.Local, *mesh.HaloPlan, error)
 		sl.Ny = make([]float32, n)
 		sl.Nz = make([]float32, n)
 		sl.AreaW = make([]float32, n)
-		r.i32s(sl.Pts)
-		r.f32s(sl.Nx)
-		r.f32s(sl.Ny)
-		r.f32s(sl.Nz)
-		r.f32s(sl.AreaW)
-		sl.WaterRho = math.Float64frombits(r.u64())
-		sl.WaterDepth = math.Float64frombits(r.u64())
+		r.slices(sl.Pts, sl.Nx, sl.Ny, sl.Nz, sl.AreaW)
+		r.get(&sl.WaterRho)
+		r.get(&sl.WaterDepth)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -384,13 +306,11 @@ func WriteAllRanks(dir string, locals []*mesh.Local, plans []*mesh.HaloPlan) (St
 func ReadAllRanks(dir string, nRanks int) ([]*mesh.Local, []*mesh.HaloPlan, error) {
 	locals := make([]*mesh.Local, nRanks)
 	plans := make([]*mesh.HaloPlan, nRanks)
-	for rank := 0; rank < nRanks; rank++ {
-		l, p, err := ReadRankDatabase(dir, rank)
-		if err != nil {
+	for rank := range nRanks {
+		var err error
+		if locals[rank], plans[rank], err = ReadRankDatabase(dir, rank); err != nil {
 			return nil, nil, err
 		}
-		locals[rank] = l
-		plans[rank] = p
 	}
 	return locals, plans, nil
 }
@@ -415,75 +335,58 @@ func MeshBytes(l *mesh.Local) int64 {
 		if r == nil {
 			continue
 		}
-		b += int64(4 * len(r.Ibool))
-		b += int64(24 * len(r.Pts))
-		for _, a := range [][]float32{
-			r.Xix, r.Xiy, r.Xiz, r.Etax, r.Etay, r.Etaz,
-			r.Gamx, r.Gamy, r.Gamz, r.Jac, r.JacW,
-			r.Rho, r.Kappa, r.Mu, r.Qmu, r.Qkappa, r.Mass,
-		} {
-			b += int64(4 * len(a))
+		for _, a := range regionArrays(r) {
+			b += int64(binary.Size(a.v))
 		}
+		b += int64(binary.Size(r.Qmu) + binary.Size(r.Qkappa) + binary.Size(r.Mass))
 	}
 	b += int64(len(l.CMB)+len(l.ICB)) * int64(4*(1+2*mesh.NGLL2+4*mesh.NGLL2))
 	b += int64(len(l.Surface.Pts)) * 20
 	return b
 }
 
-// binary helpers (little endian, like the Fortran unformatted files the
-// original code writes on these machines)
-
-func putU32(w *bufio.Writer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.Write(b[:])
+// writer encodes one database file in memory. The first failed write
+// records err and every later write is skipped.
+type writer struct {
+	bytes.Buffer
+	err error
 }
 
-func putU64(w *bufio.Writer, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.Write(b[:])
-}
-
-func putF32s(w *bufio.Writer, a []float32) {
-	putU32(w, uint32(len(a)))
-	for _, v := range a {
-		putU32(w, math.Float32bits(v))
+// put writes each value whole, without a length prefix.
+func (w *writer) put(vs ...any) {
+	for _, v := range vs {
+		if w.err == nil {
+			w.err = binary.Write(&w.Buffer, le, v)
+		}
 	}
 }
 
-func putI32s(w *bufio.Writer, a []int32) {
-	putU32(w, uint32(len(a)))
-	for _, v := range a {
-		putU32(w, uint32(v))
+// slices writes each slice of 4-byte values after its uint32 length.
+func (w *writer) slices(as ...any) {
+	for _, a := range as {
+		w.put(uint32(binary.Size(a)/4), a)
 	}
 }
 
-// reader decodes one database file. The first short or inconsistent
-// read records err and every later read returns zeros, so a decoder
-// checks err once, at the end of the file.
+// reader decodes one database file held in memory. The first short or
+// inconsistent read records err and every later read leaves its value
+// alone, so a decoder checks err once, at the end of the file.
 type reader struct {
-	br   *bufio.Reader
-	left int64 // bytes not yet consumed
-	err  error
+	*bytes.Reader
+	err error
 }
 
-// readFile opens path, runs decode over it and returns the first error
+// readFile reads path, runs decode over it and returns the first error
 // decode met; a file with bytes left over is inconsistent too.
 func readFile(path string, decode func(r *reader)) error {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	r := &reader{br: bufio.NewReader(f), left: info.Size()}
+	r := &reader{Reader: bytes.NewReader(b)}
 	decode(r)
-	if r.err == nil && r.left != 0 {
-		r.fail("%d trailing bytes", r.left)
+	if r.err == nil && r.left() != 0 {
+		r.fail("%d trailing bytes", r.left())
 	}
 	if r.err != nil {
 		return fmt.Errorf("meshio: %s: %w", filepath.Base(path), r.err)
@@ -497,44 +400,31 @@ func (r *reader) fail(format string, args ...any) {
 	}
 }
 
-func (r *reader) read(b []byte) bool {
-	if r.err != nil {
-		return false
+// left is the number of bytes not yet consumed.
+func (r *reader) left() int64 { return int64(r.Len()) }
+
+// get reads v (a pointer to a fixed-size value, or a slice) whole.
+func (r *reader) get(v any) {
+	if n := int64(binary.Size(v)); r.err == nil && n > r.left() {
+		r.fail("short read: %d bytes wanted, %d left", n, r.left())
 	}
-	if int64(len(b)) > r.left {
-		r.fail("short read: %d bytes wanted, %d left", len(b), r.left)
-		return false
+	if r.err == nil {
+		r.err = binary.Read(r, le, v)
 	}
-	if _, err := io.ReadFull(r.br, b); err != nil {
-		r.fail("short read: %v", err)
-		return false
-	}
-	r.left -= int64(len(b))
-	return true
 }
 
 func (r *reader) u32() uint32 {
-	var b [4]byte
-	if !r.read(b[:]) {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b[:])
-}
-
-func (r *reader) u64() uint64 {
-	var b [8]byte
-	if !r.read(b[:]) {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b[:])
+	var v uint32
+	r.get(&v)
+	return v
 }
 
 // count reads a length prefix and checks that the rest of the file can
 // hold that many items of at least itemBytes bytes each.
 func (r *reader) count(itemBytes int) int {
-	n := int64(r.u32())
-	if r.err == nil && n*int64(itemBytes) > r.left {
-		r.fail("%d items of %d bytes, but %d bytes left", n, itemBytes, r.left)
+	n := r.u32()
+	if r.err == nil && int64(n)*int64(itemBytes) > r.left() {
+		r.fail("%d items of %d bytes, but %d bytes left", n, itemBytes, r.left())
 	}
 	if r.err != nil {
 		return 0
@@ -542,34 +432,13 @@ func (r *reader) count(itemBytes int) int {
 	return int(n)
 }
 
-// length reads a length prefix that must equal want.
-func (r *reader) length(want int) bool {
-	if n := r.u32(); r.err == nil && int(n) != want {
-		r.fail("array length %d, want %d", n, want)
-	}
-	return r.err == nil
-}
-
-func (r *reader) f32s(a []float32) {
-	if r.length(len(a)) {
-		for i := range a {
-			a[i] = math.Float32frombits(r.u32())
+// slices reads into each slice of 4-byte values after a length prefix
+// that must equal its length.
+func (r *reader) slices(as ...any) {
+	for _, a := range as {
+		if n, want := r.u32(), binary.Size(a)/4; r.err == nil && int(n) != want {
+			r.fail("array length %d, want %d", n, want)
 		}
+		r.get(a)
 	}
-}
-
-func (r *reader) i32s(a []int32) {
-	if r.length(len(a)) {
-		for i := range a {
-			a[i] = int32(r.u32())
-		}
-	}
-}
-
-func (r *reader) i32sAlloc() []int32 {
-	a := make([]int32, r.count(4))
-	for i := range a {
-		a[i] = int32(r.u32())
-	}
-	return a
 }

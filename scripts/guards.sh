@@ -2,7 +2,7 @@
 # Stay-deleted guards, run by the CI test job and locally via
 #   ./scripts/guards.sh
 # 1. no Go file names anything on the retired list below (the last
-#    nine lines: clustered local time stepping and its level wheel, the
+#    eleven lines: clustered local time stepping and its level wheel, the
 #    coordinate-key point indexer, the pre-gather page-range skip with
 #    the element point ranges it read, the rank's reused pack buffer,
 #    which Isend's copy needed, and the code no caller ran: the 1-D SEM
@@ -11,7 +11,9 @@
 #    tests called, and mpi's blocking Recv and SendRecv; then more
 #    helpers only their own tests called, specfem's -combined-halo flag,
 #    and the per-layer resolution and stable-dt walks that LayerAudits
-#    replaced),
+#    replaced; then the legacy file handoff as a product mode — the
+#    Config knobs, specfem's flag, the iomodes example — and meshio's
+#    per-value byte helpers, which encoding/binary replaced),
 # 2. the root benchmark file and root-level BENCH_PR*.json snapshots
 #    stay gone (the eight snapshots are history in docs/history/),
 # 3. every experiment run goes through the two solver.Run calls of
@@ -60,6 +62,7 @@ packBuf
 \b(SendRecv|chargeVirtualRecv)\b|\.Recv\([^)]
 \b(BoundaryUnion|CouplingOuterFraction|Load4|Splat4|Store4|MulAdd|Transpose|NexPerSlice|ElemRange|SliceOfElem|CentralCubeOwner|PaperPeriodResolution)\b|func \([a-z]+ Vec4\) (Add|Mul)\(
 combined-halo|\b(LayerResolutions|LayerStableDts?|LayerResolution)\b
+\b(LegacyIO|LegacyDir|putU32|putU64|putF32s|putI32s|i32sAlloc|regionArrayNames)\b|legacy-io|iomodes
 EOF
 )
 if grep -rnE "$retired" --include='*.go' .; then
