@@ -52,7 +52,7 @@ func experimentList() []experiment {
 			},
 		},
 		{
-			id: "FIG7", desc: "total runtime vs resolution (fixed steps)",
+			id: "FIG7", desc: "total work vs resolution (fixed steps, fit through flops)",
 			run: func(quick bool) (fmt.Stringer, error) {
 				return experiments.Fig7(pick(quick, []int{4, 6, 8, 12, 16}, []int{4, 8}), pick(quick, 8, 4))
 			},

@@ -22,11 +22,11 @@ type Scenario struct {
 }
 
 // Session is a built mesh ready to run scenarios. Building the mesh is
-// the expensive, event-independent half of a simulation; a Session pays it once and
-// amortizes it over any number of Run/RunBatch calls. Sessions are the
-// natural host of ensemble batching: RunBatch propagates S independent
-// wavefields through ONE time loop over the shared mesh, one per
-// scenario.
+// the expensive, event-independent half of a simulation; a Session pays
+// it once and amortizes it over any number of Run/RunBatch calls.
+// Sessions are the natural host of ensemble batching: RunBatch
+// propagates S independent wavefields through ONE time loop over the
+// shared mesh, one per scenario.
 type Session struct {
 	cfg        Config
 	globe      *meshfem.Globe

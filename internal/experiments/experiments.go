@@ -308,10 +308,10 @@ func (r *Fig6Result) String() string {
 // over the first row's. CoreSec is wall clock: the fastest of Runs runs.
 type Fig7Row struct {
 	Res          int
-	Flops, Bytes int64
-	Normalized   float64
 	CoreSec      float64
 	Runs         int
+	Normalized   float64
+	Flops, Bytes int64
 }
 
 // Fig7Result reproduces figure 7.
@@ -574,8 +574,8 @@ const mesherRuns = 3
 // factor.
 func Mesher(nex int) (*MesherResult, error) {
 	model := earthmodel.NewPREM()
-	out := &MesherResult{}
 	var best [2]time.Duration // single pass, two pass
+	var passes [2]int
 	for range mesherRuns {
 		for mode, twoPass := range []bool{false, true} {
 			t0 := time.Now()
@@ -586,12 +586,11 @@ func Mesher(nex int) (*MesherResult, error) {
 			if d := time.Since(t0); best[mode] == 0 || d < best[mode] {
 				best[mode] = d
 			}
-			out.Passes[mode] = g.BuildPasses
+			passes[mode] = g.BuildPasses
 		}
 	}
-	out.SinglePass, out.TwoPass = best[0], best[1]
-	out.Factor = best[1].Seconds() / best[0].Seconds()
-	return out, nil
+	return &MesherResult{SinglePass: best[0], TwoPass: best[1], Passes: passes,
+		Factor: best[1].Seconds() / best[0].Seconds()}, nil
 }
 
 // String renders the mesher comparison.
