@@ -52,7 +52,7 @@ func experimentList() []experiment {
 			},
 		},
 		{
-			id: "FIG7", desc: "total work vs resolution (fixed steps, fit through flops)",
+			id: "FIG7", desc: "total work vs resolution (fixed steps, fit through element visits)",
 			run: func(quick bool) (fmt.Stringer, error) {
 				return experiments.Fig7(pick(quick, []int{4, 6, 8, 12, 16}, []int{4, 8}), pick(quick, 8, 4))
 			},

@@ -42,7 +42,7 @@ func main() {
 	var (
 		nex      = flag.Int("nex", 8, "NEX_XI: spectral elements per chunk side")
 		nproc    = flag.Int("nproc", 1, "NPROC_XI: mesh slices per chunk side (ranks = 6*nproc^2)")
-		modelStr = flag.String("model", "prem", "earth model: prem, prem_noocean, homogeneous")
+		modelStr = flag.String("model", "prem", "earth model: prem, prem_noocean, earthlike")
 		steps    = flag.Int("steps", 100, "number of time steps")
 		record   = flag.Float64("seconds", 0, "simulated seconds (overrides -steps when > 0)")
 		nstat    = flag.Int("stations", 8, "number of synthetic global stations (0 = reference GSN subset)")
@@ -61,16 +61,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var model earthmodel.Model
-	switch *modelStr {
-	case "prem":
-		model = earthmodel.NewPREM()
-	case "prem_noocean":
-		model = earthmodel.NewPREMNoOcean()
-	case "homogeneous":
-		model = earthmodel.EarthLike()
-	default:
-		log.Fatalf("unknown model %q", *modelStr)
+	model, err := earthmodel.ByName(*modelStr)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	kv, err := solver.ParseKernel(*kernel)

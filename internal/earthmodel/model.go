@@ -169,10 +169,25 @@ func NewHomogeneous(radius float64, mat Material) *Homogeneous {
 		CMBRadius: 0, ICBRadius: 0}
 }
 
+// ByName returns the model a name selects: "prem" (the ocean as a
+// surface load), "prem_noocean" or "earthlike" (EarthLike). It is the
+// one name table behind `specfem -model` and the daemon's JobSpec.Model.
+func ByName(name string) (Model, error) {
+	switch name {
+	case "prem":
+		return NewPREM(), nil
+	case "prem_noocean":
+		return NewPREMNoOcean(), nil
+	case "earthlike":
+		return EarthLike(), nil
+	}
+	return nil, fmt.Errorf("unknown model %q (have prem, prem_noocean, earthlike)", name)
+}
+
 // EarthLike returns the Earth-sized homogeneous model with PREM's core
 // radii (solid mantle, fluid outer core, solid inner core): cheap to
-// mesh, it is the one definition behind `specfem -model homogeneous`,
-// the daemon's "earthlike" model and the timing experiments.
+// mesh, it is the one definition behind the "earthlike" model name and
+// the timing experiments.
 func EarthLike() *Homogeneous {
 	h := NewHomogeneous(6371e3, Material{
 		Rho: 5000, Vp: 10000, Vs: 5500, Qmu: 300, Qkappa: 57823,

@@ -2,6 +2,8 @@ package earthmodel
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -258,5 +260,18 @@ func BenchmarkGravityProfileBuild(b *testing.B) {
 	p := NewPREM()
 	for i := 0; i < b.N; i++ {
 		_ = NewGravityProfile(p, 500)
+	}
+}
+
+// One name table: specfem -model and the daemon resolve the same three
+// names, and any other name is an error that lists them.
+func TestByName(t *testing.T) {
+	for name, want := range map[string]Model{"prem": NewPREM(), "prem_noocean": NewPREMNoOcean(), "earthlike": EarthLike()} {
+		if got, err := ByName(name); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("ByName(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ByName("homogeneous"); err == nil || !strings.Contains(err.Error(), "earthlike") {
+		t.Errorf("ByName(homogeneous): %v, want an error listing earthlike", err)
 	}
 }

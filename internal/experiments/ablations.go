@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
 	"specglobe/internal/earthmodel"
 	"specglobe/internal/gll"
-	"specglobe/internal/meshfem"
 	"specglobe/internal/renumber"
 	"specglobe/internal/simd"
 	"specglobe/internal/solver"
@@ -21,11 +19,11 @@ import (
 // KernelResult reproduces the section 4.3 comparison.
 type KernelResult struct {
 	// Vec4 and Scalar are solver runs under the two force kernels.
-	Vec4, Scalar time.Duration
+	Vec4, Scalar Timing
 	// ScalarBlock and BlasBlock are the time of one three-direction
 	// gradient of a 125-point block with the plain loops and with the
 	// BLAS-with-copies path, which lives in internal/simd only.
-	ScalarBlock, BlasBlock time.Duration
+	ScalarBlock, BlasBlock Timing
 	// Vec4GainPct is the speedup of the vectorized kernels over the
 	// plain loops (paper: 15-20% on SSE/Altivec).
 	Vec4GainPct float64
@@ -38,30 +36,25 @@ type KernelResult struct {
 // Kernels times the two force kernels on identical solver runs, and the
 // BLAS path against the plain loops per block.
 func Kernels(nex, steps int) (*KernelResult, error) {
-	g, err := buildGlobe(earthmodel.EarthLike(), nex, 1, nil)
+	_, p, err := buildGlobe(earthmodel.EarthLike(), nex, 1, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := &KernelResult{}
-	for _, k := range []struct {
-		kernel solver.Kernel
-		dst    *time.Duration
-	}{{solver.KernelVec4, &out.Vec4}, {solver.KernelScalar, &out.Scalar}} {
-		t0 := time.Now()
-		if _, err := solveCentral(g, solver.Options{Steps: steps, Kernel: k.kernel}); err != nil {
-			return nil, err
-		}
-		*k.dst = time.Since(t0)
+	scalar, blas := gradBlockRuns()
+	t, err := bestOf(wallSolve(p, solver.Options{Steps: steps, Kernel: solver.KernelVec4}),
+		wallSolve(p, solver.Options{Steps: steps, Kernel: solver.KernelScalar}), scalar, blas)
+	if err != nil {
+		return nil, err
 	}
-	out.ScalarBlock, out.BlasBlock = gradBlockTimes()
-	out.Vec4GainPct = 100 * (out.Scalar.Seconds() - out.Vec4.Seconds()) / out.Scalar.Seconds()
-	out.BlasPenaltyPct = 100 * (out.BlasBlock.Seconds() - out.ScalarBlock.Seconds()) / out.ScalarBlock.Seconds()
+	out := &KernelResult{Vec4: t[0], Scalar: t[1], ScalarBlock: t[2], BlasBlock: t[3]}
+	out.Vec4GainPct = 100 * (out.Scalar.Best.Seconds() - out.Vec4.Best.Seconds()) / out.Scalar.Best.Seconds()
+	out.BlasPenaltyPct = 100 * (out.BlasBlock.Best.Seconds() - out.ScalarBlock.Best.Seconds()) / out.ScalarBlock.Best.Seconds()
 	return out, nil
 }
 
-// gradBlockTimes returns the best-of-five time per block of
+// gradBlockRuns returns two measurements of the time per block of
 // simd.GradScalar and simd.GradBlas over a strip of distinct blocks.
-func gradBlockTimes() (scalar, blas time.Duration) {
+func gradBlockRuns() (scalar, blas func() (time.Duration, error)) {
 	const blocks = 512
 	m := simd.MatrixFromF64(gll.New(gll.Degree).HPrime)
 	u := make([]float32, blocks*simd.PadLen)
@@ -71,20 +64,18 @@ func gradBlockTimes() (scalar, blas time.Duration) {
 	}
 	d1, d2, d3 := make([]float32, len(u)), make([]float32, len(u)), make([]float32, len(u))
 	scrIn, scrOut := make([]float32, simd.PadLen), make([]float32, simd.PadLen)
-	best := func(grad func(u, d1, d2, d3 []float32)) time.Duration {
-		fastest := time.Duration(math.MaxInt64)
-		for rep := 0; rep < 5; rep++ {
+	perBlock := func(grad func(u, d1, d2, d3 []float32)) func() (time.Duration, error) {
+		return func() (time.Duration, error) {
 			t0 := time.Now()
 			for lo := 0; lo < len(u); lo += simd.PadLen {
 				hi := lo + simd.PadLen
 				grad(u[lo:hi], d1[lo:hi], d2[lo:hi], d3[lo:hi])
 			}
-			fastest = min(fastest, time.Since(t0))
+			return time.Since(t0) / blocks, nil
 		}
-		return fastest / blocks
 	}
-	scalar = best(func(u, d1, d2, d3 []float32) { simd.GradScalar(m, u, d1, d2, d3) })
-	blas = best(func(u, d1, d2, d3 []float32) {
+	scalar = perBlock(func(u, d1, d2, d3 []float32) { simd.GradScalar(m, u, d1, d2, d3) })
+	blas = perBlock(func(u, d1, d2, d3 []float32) {
 		simd.GradBlas(simd.SgemmRef, m, u, d1, d2, d3, scrIn, scrOut)
 	})
 	return scalar, blas
@@ -93,16 +84,16 @@ func gradBlockTimes() (scalar, blas time.Duration) {
 // String renders the kernel comparison.
 func (r *KernelResult) String() string {
 	return fmt.Sprintf(
-		"SSE20: force kernels — solver runs: vec4 %v, scalar %v; per block: scalar %v, blas %v\n"+
+		"SSE20: force kernels — solver runs: vec4 %v, scalar %v\n"+
+			"  per block: scalar %v, blas %v\n"+
 			"  manual vectorization gain over plain loops: %.1f%% (paper: 15-20%%)\n"+
 			"  BLAS-with-copies penalty vs plain loops: %+.1f%% (paper: BLAS significantly slower)\n",
-		r.Vec4.Round(time.Millisecond), r.Scalar.Round(time.Millisecond),
-		r.ScalarBlock, r.BlasBlock, r.Vec4GainPct, r.BlasPenaltyPct)
+		r.Vec4, r.Scalar, r.ScalarBlock, r.BlasBlock, r.Vec4GainPct, r.BlasPenaltyPct)
 }
 
 // RenumberResult reproduces the section 4.2 sorting experiment.
 type RenumberResult struct {
-	Natural, RCM, Multilevel, Random time.Duration
+	Natural, RCM, Multilevel, Random Timing
 	// RCMGainPct is the gain of reverse Cuthill-McKee over the natural
 	// mesher order (paper: at most ~5%).
 	RCMGainPct float64
@@ -114,10 +105,10 @@ type RenumberResult struct {
 // Renumbering times the solver under different element orderings of the
 // same mesh.
 func Renumbering(nex, steps int) (*RenumberResult, error) {
-	build := func(permute string) (*meshfem.Globe, float64, error) {
-		g, err := buildGlobe(earthmodel.EarthLike(), nex, 1, nil)
+	build := func(permute string) (problem, float64, error) {
+		g, _, err := buildGlobe(earthmodel.EarthLike(), nex, 1, nil)
 		if err != nil {
-			return nil, 0, err
+			return problem{}, 0, err
 		}
 		var stride float64
 		for _, l := range g.Locals {
@@ -126,136 +117,118 @@ func Renumbering(nex, steps int) (*RenumberResult, error) {
 					continue
 				}
 				adj := renumber.ElementAdjacency(reg)
-				var perm []int32
+				perm := renumber.Identity(reg.NSpec)
 				switch permute {
-				case "natural":
-					perm = renumber.Identity(reg.NSpec)
 				case "rcm":
 					perm = renumber.CuthillMcKee(adj)
 				case "multilevel":
 					perm = renumber.MultilevelCuthillMcKee(adj, 64)
 				case "random":
-					perm = renumber.Identity(reg.NSpec)
 					// Deterministic scramble: reverse + interleave.
 					for i, j := 0, len(perm)-1; i < j; i, j = i+2, j-2 {
 						perm[i], perm[j] = perm[j], perm[i]
 					}
 				}
 				if err := renumber.PermuteElements(reg, perm); err != nil {
-					return nil, 0, err
+					return problem{}, 0, err
 				}
 				// Re-derive the first-touch point numbering for the
 				// new element order — the point renumbering of
 				// reference [7] that the paper credits as crucial.
 				if err := renumber.RenumberPoints(reg, renumber.FirstTouchPointOrder(reg)); err != nil {
-					return nil, 0, err
+					return problem{}, 0, err
 				}
 				stride += renumber.MeanStride(reg, renumber.Identity(reg.NSpec))
 			}
 		}
-		return g, stride, nil
+		// The source is located in the permuted mesh.
+		p, err := globeProblem(g)
+		return p, stride, err
 	}
-	out := &RenumberResult{}
-	type cfg struct {
-		name string
-		tDst *time.Duration
-		sDst *float64
-	}
-	for _, c := range []cfg{
-		{"natural", &out.Natural, &out.StrideNatural},
-		{"rcm", &out.RCM, &out.StrideRCM},
-		{"multilevel", &out.Multilevel, nil},
-		{"random", &out.Random, &out.StrideRandom},
-	} {
-		g, stride, err := build(c.name)
+	var strides [4]float64
+	runs := make([]func() (time.Duration, error), len(strides))
+	for i, name := range []string{"natural", "rcm", "multilevel", "random"} {
+		p, stride, err := build(name)
 		if err != nil {
 			return nil, err
 		}
-		t0 := time.Now()
-		if _, err := solveCentral(g, solver.Options{Steps: steps}); err != nil {
-			return nil, err
-		}
-		*c.tDst = time.Since(t0)
-		if c.sDst != nil {
-			*c.sDst = stride
-		}
+		strides[i] = stride
+		runs[i] = wallSolve(p, solver.Options{Steps: steps})
 	}
-	out.RCMGainPct = 100 * (out.Natural.Seconds() - out.RCM.Seconds()) / out.Natural.Seconds()
-	return out, nil
+	t, err := bestOf(runs...)
+	if err != nil {
+		return nil, err
+	}
+	return &RenumberResult{Natural: t[0], RCM: t[1], Multilevel: t[2], Random: t[3],
+		RCMGainPct:    100 * (t[0].Best.Seconds() - t[1].Best.Seconds()) / t[0].Best.Seconds(),
+		StrideNatural: strides[0], StrideRCM: strides[1], StrideRandom: strides[3]}, nil
 }
 
 // String renders the renumbering comparison.
 func (r *RenumberResult) String() string {
 	return fmt.Sprintf(
-		"CM5: element orderings — natural %v, RCM %v, multilevel %v, scrambled %v\n"+
+		"CM5: element orderings — natural %v, RCM %v,\n"+
+			"  multilevel %v, scrambled %v\n"+
 			"  RCM gain over natural order: %+.1f%% (paper: at most ~5%%, because point\n"+
 			"  renumbering already removed most L2 misses)\n"+
 			"  mean index stride: natural %.0f, RCM %.0f, scrambled %.0f\n",
-		r.Natural.Round(time.Millisecond), r.RCM.Round(time.Millisecond),
-		r.Multilevel.Round(time.Millisecond), r.Random.Round(time.Millisecond),
+		r.Natural, r.RCM, r.Multilevel, r.Random,
 		r.RCMGainPct, r.StrideNatural, r.StrideRCM, r.StrideRandom)
 }
 
 // StationResult reproduces the section 4.4 station-location experiment.
+// The Examined counts are the elements each locator examined over the
+// whole station set (stations.Located.Examined).
 type StationResult struct {
-	NStations             int
-	NonlinearT, FastT     time.Duration
-	Speedup               float64
-	NonlinearErr, SnapErr float64 // worst residuals (m)
+	NStations               int
+	Nonlinear, Fast         Timing
+	NonlinearExam, FastExam int
+	NonlinearErr, SnapErr   float64 // worst residuals (m)
 }
 
 // StationLocation times the legacy nonlinear location of a station set
-// against the fast nearest-grid-point mode and reports the residuals.
+// against the fast nearest-grid-point mode and reports the elements
+// each examined and the residuals.
 func StationLocation(nex, nStations int) (*StationResult, error) {
-	g, err := buildGlobe(earthmodel.EarthLike(), nex, 1, nil)
+	g, _, err := buildGlobe(earthmodel.EarthLike(), nex, 1, nil)
 	if err != nil {
 		return nil, err
 	}
 	net := stations.GlobalNetwork(nStations)
-	out := &StationResult{NStations: nStations}
-
-	// Each locator's time is the best of five passes over the same
-	// stations: the fast pass takes microseconds, so one preemption
-	// would otherwise decide the ratio.
-	locate := func(loc func(stations.Station) (stations.Located, error)) ([]stations.Located, time.Duration, error) {
-		var best time.Duration
-		var locs []stations.Located
-		for pass := 0; pass < 5; pass++ {
-			locs = locs[:0]
-			t0 := time.Now()
-			for _, st := range net {
-				l, err := loc(st)
-				if err != nil {
-					return nil, 0, err
+	nl, fast := make([]stations.Located, len(net)), make([]stations.Located, len(net))
+	locate := func(locs []stations.Located, loc func(stations.Station) (stations.Located, error)) func() (time.Duration, error) {
+		return wall(func() error {
+			for i, st := range net {
+				var err error
+				if locs[i], err = loc(st); err != nil {
+					return err
 				}
-				locs = append(locs, l)
 			}
-			if d := time.Since(t0); pass == 0 || d < best {
-				best = d
-			}
-		}
-		return locs, best, nil
+			return nil
+		})
 	}
-	nl, tn, err := locate(func(st stations.Station) (stations.Located, error) { return stations.LocateNonlinear(g, st) })
+	t, err := bestOf(
+		locate(nl, func(st stations.Station) (stations.Located, error) { return stations.LocateNonlinear(g, st) }),
+		locate(fast, func(st stations.Station) (stations.Located, error) { return stations.LocateFast(g, st, true) }))
 	if err != nil {
 		return nil, err
 	}
-	fast, tf, err := locate(func(st stations.Station) (stations.Located, error) { return stations.LocateFast(g, st, true) })
-	if err != nil {
-		return nil, err
+	out := &StationResult{NStations: nStations, Nonlinear: t[0], Fast: t[1],
+		NonlinearErr: stations.MaxLocationError(nl), SnapErr: stations.MaxLocationError(fast)}
+	for i := range net {
+		out.NonlinearExam += nl[i].Examined
+		out.FastExam += fast[i].Examined
 	}
-	out.NonlinearT, out.NonlinearErr = tn, stations.MaxLocationError(nl)
-	out.FastT, out.SnapErr = tf, stations.MaxLocationError(fast)
-	out.Speedup = out.NonlinearT.Seconds() / out.FastT.Seconds()
 	return out, nil
 }
 
 // String renders the station-location comparison.
 func (r *StationResult) String() string {
 	return fmt.Sprintf(
-		"STALOC: %d stations — legacy nonlinear %v, nearest-point %v (%.0fx faster)\n"+
+		"STALOC: %d stations — elements examined: legacy nonlinear %d, nearest-point %d (%.0fx fewer)\n"+
+			"  wall: nonlinear %v, nearest-point %v (%.0fx faster)\n"+
 			"  residuals: nonlinear %.2g m, snapped %.4g km (shrinks ~1/NEX; negligible\n"+
 			"  at production resolutions, which is why 4.4 drops the interpolation)\n",
-		r.NStations, r.NonlinearT.Round(time.Millisecond), r.FastT.Round(time.Microsecond),
-		r.Speedup, r.NonlinearErr, r.SnapErr/1e3)
+		r.NStations, r.NonlinearExam, r.FastExam, float64(r.NonlinearExam)/float64(r.FastExam),
+		r.Nonlinear, r.Fast, r.Nonlinear.Best.Seconds()/r.Fast.Best.Seconds(), r.NonlinearErr, r.SnapErr/1e3)
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"specglobe/internal/perfmodel"
 	"specglobe/internal/solver"
@@ -31,9 +32,11 @@ type BatchRow struct {
 	Mesh string
 	// Sources is the ensemble size S.
 	Sources int
-	// StepsPerSec is raw time steps over wall time (falls with S).
+	// Loop is the main loop's wall time.
+	Loop Timing
+	// StepsPerSec is raw time steps over Loop (falls with S).
 	StepsPerSec float64
-	// SourceStepsPerSec is steps * S over wall time, the aggregate
+	// SourceStepsPerSec is steps * S over Loop, the aggregate
 	// ensemble throughput.
 	SourceStepsPerSec float64
 	// Speedup is SourceStepsPerSec over the S=1 row of the same mesh —
@@ -53,15 +56,14 @@ type BatchResult struct {
 }
 
 // BatchAblation sweeps ensemble size on the box and doubled globe
-// meshes under the production vec4 kernel at a fixed worker count,
-// keeping the faster of two batched solver runs per cell (how vec4
-// compares with scalar is SSE20's and KERNROOF's question). All S
+// meshes under the production vec4 kernel at a fixed worker count (how
+// vec4 compares with scalar is SSE20's and KERNROOF's question). All S
 // sources of a cell share the reference source's position and mechanism
 // (fields are independent either way; identical sources make any
 // cross-field leak visible as identical-output violations in the
 // tests).
 func BatchAblation(boxN, globeNex, steps int, sizes []int, workers int) (*BatchResult, error) {
-	meshes, err := kernRoofMeshes(boxN, globeNex)
+	problems, err := kernRoofProblems(boxN, globeNex)
 	if err != nil {
 		return nil, err
 	}
@@ -69,23 +71,30 @@ func BatchAblation(boxN, globeNex, steps int, sizes []int, workers int) (*BatchR
 		workers = 1
 	}
 	out := &BatchResult{Steps: steps, Workers: workers, Machine: perfmodel.MeasureLocalMachine()}
-	for _, m := range meshes {
+	opts := solver.Options{Steps: steps, Kernel: solver.KernelVec4, Workers: workers}
+	for _, p := range problems {
+		var runs []func() (time.Duration, error)
+		res := make([]*solver.Result, len(sizes))
+		for i, s := range sizes {
+			ens := p
+			ens.srcs = make([]solver.Source, s)
+			for f := range ens.srcs {
+				ens.srcs[f] = p.srcs[0]
+				ens.srcs[f].Field = f
+			}
+			runs = append(runs, loopRun(ens, opts, &res[i]))
+		}
+		t, err := bestOf(runs...)
+		if err != nil {
+			return nil, fmt.Errorf("batch %s: %w", p.name, err)
+		}
 		var base float64
-		for _, s := range sizes {
-			srcs := make([]solver.Source, s)
-			for i := range srcs {
-				srcs[i] = m.src
-				srcs[i].Field = i
-			}
-			res, err := fastestRun(m, srcs, solver.Options{Steps: steps, Kernel: solver.KernelVec4, Workers: workers})
-			if err != nil {
-				return nil, fmt.Errorf("batch %s S=%d: %w", m.name, s, err)
-			}
+		for i, s := range sizes {
 			row := BatchRow{
-				Mesh: m.name, Sources: s,
-				StepsPerSec:       float64(steps) / res.Perf.WallTime.Seconds(),
-				SourceStepsPerSec: res.SourceStepsPerSec,
-				ForceStats:        forceStats(res.Perf, out.Machine),
+				Mesh: p.name, Sources: s, Loop: t[i],
+				StepsPerSec:       float64(steps) / t[i].Best.Seconds(),
+				SourceStepsPerSec: float64(steps*s) / t[i].Best.Seconds(),
+				ForceStats:        forceStats(res[i].Perf, out.Machine),
 			}
 			if s == 1 {
 				base = row.SourceStepsPerSec
@@ -104,18 +113,18 @@ func (r *BatchResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "BATCH: multi-source ensemble batching on the vec4 kernel (%d steps, workers=%d) on %s (%s)\n",
 		r.Steps, r.Workers, r.Machine.Name, r.Machine.Ceilings())
-	fmt.Fprintf(&b, "  %-9s %3s %9s %11s %8s %8s %8s %7s %7s\n",
-		"mesh", "S", "steps/s", "src-st/s", "speedup", "solidAI", "fluidAI", "%peak", "bound")
+	fmt.Fprintf(&b, "  %-9s %3s %9s %11s %8s %10s %8s %8s %7s %7s  %s\n",
+		"mesh", "S", "steps/s", "src-st/s", "speedup", "force-flop", "solidAI", "fluidAI", "%peak", "bound", "loop")
 	for _, row := range r.Rows {
 		sp := "-"
 		if row.Speedup > 0 {
 			sp = fmt.Sprintf("%.2fx", row.Speedup)
 		}
-		fmt.Fprintf(&b, "  %-9s %3d %9.2f %11.2f %8s %8.2f %8.2f %6.1f%% %7s\n",
+		fmt.Fprintf(&b, "  %-9s %3d %9.2f %11.2f %8s %10d %8.2f %8.2f %6.1f%% %7s  %v\n",
 			row.Mesh, row.Sources, row.StepsPerSec, row.SourceStepsPerSec,
-			sp, row.SolidAI, row.FluidAI, row.Force.PctOfPeak, row.Force.BoundBy)
+			sp, row.Flops, row.SolidAI, row.FluidAI, row.Force.PctOfPeak, row.Force.BoundBy, row.Loop)
 	}
-	b.WriteString("  src-st/s = steps x S / wall: the aggregate ensemble throughput. speedup is\n")
+	b.WriteString("  src-st/s = steps x S / main-loop wall: the aggregate ensemble throughput. speedup is\n")
 	b.WriteString("  vs S sequential single-source runs (the S=1 row). solidAI rises with S as\n")
 	b.WriteString("  S x Flop / (Static + S x Dynamic) bytes — the element-static metric and\n")
 	b.WriteString("  material loads stream once for all S fields per sweep, and one aggregated\n")

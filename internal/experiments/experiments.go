@@ -5,19 +5,22 @@
 // shapes can be compared side by side (EXPERIMENTS.md records the
 // outcomes). The entry points back cmd/paperfigs.
 //
-// Every globe run goes through one path: buildGlobe meshes it,
-// solveCentral places the equatorial source and runs the solver on the
-// globe's own model, and fastestRun keeps the best of two runs where a
-// sweep ranks wall-clock rates. Readings of the same runs share one
-// sweep: FIG6, COMM% and OVERLAP render the rows of CommSweep.
-// Solver-timing experiments run earthmodel.EarthLike, where PREM
-// layering detail would only slow the runs down.
+// Every solve goes through one path: a problem (a meshed globe with
+// its equatorial source, or the KERNROOF/BATCH box) runs through solve.
+// Every wall clock goes through one rule: bestOf runs the measurements
+// round-robin for rounds rounds and keeps each one's fastest reading
+// with its spread. Readings of the same runs share one sweep: FIG6,
+// COMM% and OVERLAP render the rows of CommSweep. Solver-timing
+// experiments run earthmodel.EarthLike, where PREM layering detail
+// would only slow the runs down.
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -30,38 +33,118 @@ import (
 	"specglobe/internal/solver"
 )
 
-// buildGlobe meshes a globe of nex elements per chunk side on nproc
-// slices per side, with doubling layers at the given radii (nil for a
-// uniform mesh).
-func buildGlobe(model earthmodel.Model, nex, nproc int, doublings []float64) (*meshfem.Globe, error) {
-	return meshfem.Build(meshfem.Config{NexXi: nex, NProcXi: nproc, Model: model, Doublings: doublings})
+// problem is one solver input: the ranks' meshes and halo plans, the
+// model and the sources.
+type problem struct {
+	name   string
+	locals []*mesh.Local
+	plans  []*mesh.HaloPlan
+	model  earthmodel.Model
+	srcs   []solver.Source
 }
 
-// centralSource returns a moment-tensor source near the equator.
-func centralSource(g *meshfem.Globe) (solver.Source, error) {
+// solve runs p under opts: every experiment's solver run.
+func solve(p problem, opts solver.Options) (*solver.Result, error) {
+	return solver.Run(&solver.Simulation{Locals: p.locals, Plans: p.plans, Model: p.model, Sources: p.srcs, Opts: opts})
+}
+
+// buildGlobe meshes a globe of nex elements per chunk side on nproc
+// slices per side, with doubling layers at the given radii (nil for a
+// uniform mesh), and returns it with its problem (globeProblem).
+func buildGlobe(model earthmodel.Model, nex, nproc int, doublings []float64) (*meshfem.Globe, problem, error) {
+	g, err := meshfem.Build(meshfem.Config{NexXi: nex, NProcXi: nproc, Model: model, Doublings: doublings})
+	if err != nil {
+		return nil, problem{}, err
+	}
+	p, err := globeProblem(g)
+	return g, p, err
+}
+
+// globeProblem is g on its own model with a moment-tensor source near
+// the equator.
+func globeProblem(g *meshfem.Globe) (problem, error) {
 	loc, err := g.LocateLatLonDepth(0, 0, 120e3)
 	if err != nil {
-		return solver.Source{}, err
+		return problem{}, err
 	}
 	const m0 = 1e20
-	return solver.Source{
-		Rank: loc.Rank, Kind: loc.Kind, Elem: loc.Elem, Ref: loc.Ref,
-		MomentTensor: [3][3]float64{{m0, 0, 0}, {0, m0, 0}, {0, 0, m0}},
-		STF:          solver.GaussianSTF(10, 25),
+	return problem{
+		name: "globe", locals: g.Locals, plans: g.Plans, model: g.Cfg.Model,
+		srcs: []solver.Source{{
+			Rank: loc.Rank, Kind: loc.Kind, Elem: loc.Elem, Ref: loc.Ref,
+			MomentTensor: [3][3]float64{{m0, 0, 0}, {0, m0, 0}, {0, 0, m0}},
+			STF:          solver.GaussianSTF(10, 25),
+		}},
 	}, nil
 }
 
-// solveCentral runs the globe on its own model with the central source.
-func solveCentral(g *meshfem.Globe, opts solver.Options) (*solver.Result, error) {
-	src, err := centralSource(g)
-	if err != nil {
-		return nil, err
+// rounds is how many times bestOf runs each measurement.
+const rounds = 3
+
+// Timing is a measurement's fastest reading over Runs runs. Spread is
+// the slowest reading over the fastest, minus one.
+type Timing struct {
+	Best   time.Duration
+	Runs   int
+	Spread float64
+}
+
+// String renders the reading with its repetitions and spread.
+func (t Timing) String() string {
+	best := t.Best
+	if best >= time.Millisecond {
+		best = best.Round(10 * time.Microsecond)
 	}
-	return solver.Run(&solver.Simulation{
-		Locals: g.Locals, Plans: g.Plans, Model: g.Cfg.Model,
-		Sources: []solver.Source{src},
-		Opts:    opts,
+	return fmt.Sprintf("%v (best of %d, spread %.0f%%)", best, t.Runs, 100*t.Spread)
+}
+
+// bestOf runs the measurements round-robin, rounds times each, so that
+// a slow stretch of a shared host and the first run's cache and page
+// faults fall on every measurement alike. Each measurement returns its
+// own reading (wall or CPU time of what it ran).
+func bestOf(ms ...func() (time.Duration, error)) ([]Timing, error) {
+	fastest := slices.Repeat([]time.Duration{math.MaxInt64}, len(ms))
+	slowest := make([]time.Duration, len(ms))
+	for range rounds {
+		for i, m := range ms {
+			d, err := m()
+			if err != nil {
+				return nil, err
+			}
+			fastest[i], slowest[i] = min(fastest[i], d), max(slowest[i], d)
+		}
+	}
+	out := make([]Timing, len(ms))
+	for i := range out {
+		out[i] = Timing{Best: fastest[i], Runs: rounds, Spread: float64(slowest[i])/float64(max(fastest[i], 1)) - 1}
+	}
+	return out, nil
+}
+
+// wall measures the wall time of f.
+func wall(f func() error) func() (time.Duration, error) {
+	return func() (time.Duration, error) {
+		t0 := time.Now()
+		err := f()
+		return time.Since(t0), err
+	}
+}
+
+// wallSolve measures the wall time of solving p under opts.
+func wallSolve(p problem, opts solver.Options) func() (time.Duration, error) {
+	return wall(func() error {
+		_, err := solve(p, opts)
+		return err
 	})
+}
+
+// cpu measures the CPU time, user plus system, the process spends in f.
+func cpu(f func() error) func() (time.Duration, error) {
+	return func() (time.Duration, error) {
+		var r0, r1 syscall.Rusage
+		err := cmp.Or(syscall.Getrusage(syscall.RUSAGE_SELF, &r0), f(), syscall.Getrusage(syscall.RUSAGE_SELF, &r1))
+		return time.Duration(r1.Utime.Nano() + r1.Stime.Nano() - r0.Utime.Nano() - r0.Stime.Nano()), err
+	}
 }
 
 // meanOuterFraction is the fraction of elements classified outer (the
@@ -101,7 +184,7 @@ func Fig5(nexList []int) (*Fig5Result, error) {
 	var samples []perfmodel.Sample
 	res := &Fig5Result{}
 	for _, nex := range nexList {
-		g, err := buildGlobe(model, nex, 1, nil)
+		g, _, err := buildGlobe(model, nex, 1, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -195,11 +278,11 @@ func CommSweep(nexList, nprocList []int, steps int) ([]CommRow, error) {
 			if nex%nproc != 0 {
 				continue
 			}
-			g, err := buildGlobe(model, nex, nproc, nil)
+			g, p, err := buildGlobe(model, nex, nproc, nil)
 			if err != nil {
 				return nil, err
 			}
-			res, err := solveCentral(g, solver.Options{Steps: steps})
+			res, err := solve(p, solver.Options{Steps: steps})
 			if err != nil {
 				return nil, err
 			}
@@ -303,21 +386,24 @@ func (r *Fig6Result) String() string {
 
 // --- FIG7: total runtime vs resolution -----------------------------------
 
-// Fig7Row is one resolution. Flops and Bytes are the solve's analytic
-// work (perf.Report), the same on every repeat, and Normalized is Flops
-// over the first row's. CoreSec is wall clock: the fastest of Runs runs.
+// Fig7Row is one resolution. Visits, steps times Elements, counts the
+// element visits performed and skipped (the full-domain work of the
+// paper's runtime law); Normalized is Visits over the first row's.
+// Flops and Bytes count the performed visits alone (perf.Report).
+// CoreSec is the solve's time summed over ranks.
 type Fig7Row struct {
 	Res          int
-	CoreSec      float64
-	Runs         int
+	CoreSec      Timing
 	Normalized   float64
+	Elements     int
+	Visits       int64
 	Flops, Bytes int64
 }
 
 // Fig7Result reproduces figure 7.
 type Fig7Result struct {
 	Rows []Fig7Row
-	// Fit is the power law of Flops against resolution, so it repeats
+	// Fit is the power law of Visits against resolution, so it repeats
 	// exactly from run to run.
 	Fit *perfmodel.RuntimeModel
 	// PaperSeries is the model evaluated at the paper's resolutions
@@ -325,37 +411,31 @@ type Fig7Result struct {
 	PaperSeries []float64
 }
 
-// fig7Budget is the wall time over which Fig7 repeats each
-// resolution's run (at least twice) to keep the fastest: the first run
-// faults pages and warms caches, and a short solve — which passes the
-// points the wave has not reached by — takes a few milliseconds, so one
-// burst of load on a shared host can swamp a single run.
-const fig7Budget = 200 * time.Millisecond
-
 // Fig7 runs a fixed number of solver steps at several resolutions and
-// fits their total work against resolution through the flop counts. The
-// core-seconds it reports beside them are each resolution's fastest
-// repeated run (fig7Budget).
+// fits their total work against resolution through the element visits.
 func Fig7(nexList []int, steps int) (*Fig7Result, error) {
 	model := earthmodel.EarthLike()
 	out := &Fig7Result{}
 	var samples []perfmodel.Sample
 	for _, nex := range nexList {
-		g, err := buildGlobe(model, nex, 1, nil)
+		g, p, err := buildGlobe(model, nex, 1, nil)
 		if err != nil {
 			return nil, err
 		}
-		row := Fig7Row{Res: nex, CoreSec: math.Inf(1)}
-		for spent := time.Duration(0); row.Runs < 2 || spent < fig7Budget; row.Runs++ {
-			res, err := solveCentral(g, solver.Options{Steps: steps})
+		row := Fig7Row{Res: nex, Elements: g.TotalElements(), Visits: int64(steps) * int64(g.TotalElements())}
+		t, err := bestOf(func() (time.Duration, error) {
+			res, err := solve(p, solver.Options{Steps: steps})
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			row.CoreSec = min(row.CoreSec, res.Perf.TotalTime.Seconds())
 			row.Flops, row.Bytes = res.Perf.TotalFlops, res.Perf.TotalBytes
-			spent += res.Perf.WallTime
+			return res.Perf.TotalTime, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		samples = append(samples, perfmodel.Sample{X: float64(nex), Y: float64(row.Flops)})
+		row.CoreSec = t[0]
+		samples = append(samples, perfmodel.Sample{X: float64(nex), Y: float64(row.Visits)})
 		out.Rows = append(out.Rows, row)
 	}
 	fit, err := perfmodel.FitRuntimeModel(samples)
@@ -364,7 +444,7 @@ func Fig7(nexList []int, steps int) (*Fig7Result, error) {
 	}
 	out.Fit = fit
 	for i := range out.Rows {
-		out.Rows[i].Normalized = float64(out.Rows[i].Flops) / float64(out.Rows[0].Flops)
+		out.Rows[i].Normalized = float64(out.Rows[i].Visits) / float64(out.Rows[0].Visits)
 	}
 	out.PaperSeries = fit.NormalizedSeries([]float64{96, 144, 288, 320, 512, 640})
 	return out, nil
@@ -373,21 +453,15 @@ func Fig7(nexList []int, steps int) (*Fig7Result, error) {
 // String renders the figure 7 table.
 func (r *Fig7Result) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "FIG7: total work vs resolution (flops fit exponent %.2f, R2=%.4f)\n",
+	fmt.Fprintf(&b, "FIG7: total work vs resolution (element-visit fit exponent %.2f, R2=%.4f)\n",
 		r.Fit.Fit.B, r.Fit.R2)
-	fmt.Fprintf(&b, "  %6s %14s %12s %12s\n", "res", "flops", "normalized", "core-sec")
+	fmt.Fprintf(&b, "  %6s %9s %10s %12s %12s  %s\n", "res", "elements", "visits", "flops", "normalized", "core time")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %6d %14d %12.2f %12.4f  (wall, best of %d)\n",
-			row.Res, row.Flops, row.Normalized, row.CoreSec, row.Runs)
+		fmt.Fprintf(&b, "  %6d %9d %10d %12d %12.2f  %v\n",
+			row.Res, row.Elements, row.Visits, row.Flops, row.Normalized, row.CoreSec)
 	}
-	fmt.Fprintf(&b, "  model at paper resolutions 96..640 (normalized): ")
-	for i, v := range r.PaperSeries {
-		if i > 0 {
-			fmt.Fprintf(&b, ", ")
-		}
-		fmt.Fprintf(&b, "%.0f", v)
-	}
-	fmt.Fprintf(&b, "\n  paper figure 7 spans ~1..300 over the same resolutions\n")
+	fmt.Fprintf(&b, "  model at paper resolutions 96..640 (normalized): %s\n", joinf("%.0f", r.PaperSeries, 1))
+	fmt.Fprintf(&b, "  paper figure 7 spans ~1..300 over the same resolutions\n")
 	return b.String()
 }
 
@@ -438,7 +512,7 @@ func Memory(nexList []int) (*MemoryResult, error) {
 	model := earthmodel.NewPREM()
 	var samples []perfmodel.Sample
 	for _, nex := range nexList {
-		g, err := buildGlobe(model, nex, 1, nil)
+		g, _, err := buildGlobe(model, nex, 1, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -478,81 +552,49 @@ func (r *MemoryResult) String() string {
 // --- ATT1.8: attenuation cost factor --------------------------------------
 
 // AttenuationResult reproduces the section 6 attenuation experiment.
-// The elapsed times are process CPU time: the paper's factor is wall
-// time on dedicated cores, and on a shared host CPU time is what stays
+// The readings are process CPU time: the paper's factor is wall time on
+// dedicated cores, and on a shared host CPU time is what stays
 // comparable — wall time of a run of tens of milliseconds is stretched
 // at will by whatever else is scheduled.
 type AttenuationResult struct {
-	ElapsedOff, ElapsedOn time.Duration
-	Factor                float64
-	TflopsDropPct         float64
+	Off, On       Timing
+	Factor        float64
+	TflopsDropPct float64
 }
 
-// processCPU returns the user plus system CPU time this process has
-// consumed.
-func processCPU() (time.Duration, error) {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		return 0, fmt.Errorf("getrusage: %w", err)
-	}
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano()), nil
-}
-
-// Attenuation times identical runs with attenuation off and on.
+// Attenuation times identical runs with attenuation off and on. The
+// flop-rate drop divides each side's counted flops by its CPU reading.
 func Attenuation(nex, steps int) (*AttenuationResult, error) {
-	g, err := buildGlobe(earthmodel.EarthLike(), nex, 1, nil)
+	_, p, err := buildGlobe(earthmodel.EarthLike(), nex, 1, nil)
 	if err != nil {
 		return nil, err
 	}
-	run := func(att bool) (time.Duration, float64, error) {
-		c0, err := processCPU()
-		if err != nil {
-			return 0, 0, err
-		}
-		res, err := solveCentral(g, solver.Options{Steps: steps, Attenuation: att,
-			AttenuationBand: [2]float64{0.001, 0.05}})
-		if err != nil {
-			return 0, 0, err
-		}
-		c1, err := processCPU()
-		if err != nil {
-			return 0, 0, err
-		}
-		return c1 - c0, res.Perf.SustainedFlops, nil
+	var flops [2]int64 // off, on
+	run := func(att int) func() (time.Duration, error) {
+		return cpu(func() error {
+			res, err := solve(p, solver.Options{Steps: steps, Attenuation: att == 1,
+				AttenuationBand: [2]float64{0.001, 0.05}})
+			if err == nil {
+				flops[att] = res.Perf.TotalFlops
+			}
+			return err
+		})
 	}
-	// Each side keeps the cheapest of three alternating runs (the
-	// collector's work for one run's garbage can land in the next).
-	out := &AttenuationResult{}
-	var offFlops, onFlops float64
-	for rep := 0; rep < 3; rep++ {
-		off, fOff, err := run(false)
-		if err != nil {
-			return nil, err
-		}
-		on, fOn, err := run(true)
-		if err != nil {
-			return nil, err
-		}
-		if rep == 0 || off < out.ElapsedOff {
-			out.ElapsedOff, offFlops = off, fOff
-		}
-		if rep == 0 || on < out.ElapsedOn {
-			out.ElapsedOn, onFlops = on, fOn
-		}
+	t, err := bestOf(run(0), run(1))
+	if err != nil {
+		return nil, err
 	}
-	out.Factor = out.ElapsedOn.Seconds() / out.ElapsedOff.Seconds()
-	if offFlops > 0 {
-		out.TflopsDropPct = 100 * (offFlops - onFlops) / offFlops
-	}
-	return out, nil
+	factor := t[1].Best.Seconds() / t[0].Best.Seconds()
+	return &AttenuationResult{Off: t[0], On: t[1], Factor: factor,
+		TflopsDropPct: 100 * (1 - float64(flops[1])/float64(flops[0])/factor)}, nil
 }
 
 // String renders the attenuation comparison.
 func (r *AttenuationResult) String() string {
 	return fmt.Sprintf(
-		"ATT1.8: attenuation off %v, on %v -> factor %.2fx (paper: 1.8x, with an almost imperceptible Tflops drop; measured flop-rate drop %.1f%%)\n",
-		r.ElapsedOff.Round(time.Millisecond), r.ElapsedOn.Round(time.Millisecond),
-		r.Factor, r.TflopsDropPct)
+		"ATT1.8: attenuation off %v, on %v (CPU) -> factor %.2fx\n"+
+			"  (paper: 1.8x, with an almost imperceptible Tflops drop; measured flop-rate drop %.1f%%)\n",
+		r.Off, r.On, r.Factor, r.TflopsDropPct)
 }
 
 // --- MESH2X: two-pass vs merged mesher ------------------------------------
@@ -560,100 +602,95 @@ func (r *AttenuationResult) String() string {
 // MesherResult reproduces section 4.4 item 1. Passes holds each mode's
 // geometry passes (Globe.BuildPasses): the count behind the factor.
 type MesherResult struct {
-	SinglePass, TwoPass time.Duration
+	SinglePass, TwoPass Timing
 	Passes              [2]int
 	Factor              float64
 }
 
-// mesherRuns is how many builds per mode Mesher times.
-const mesherRuns = 3
-
-// Mesher times the merged single-pass build against the legacy two-pass
-// behavior: the best of mesherRuns builds per mode, the modes
-// alternating, so one build slowed by a busy host does not decide the
-// factor.
+// Mesher times the merged single-pass build against the legacy
+// two-pass behavior.
 func Mesher(nex int) (*MesherResult, error) {
 	model := earthmodel.NewPREM()
-	var best [2]time.Duration // single pass, two pass
 	var passes [2]int
-	for range mesherRuns {
-		for mode, twoPass := range []bool{false, true} {
-			t0 := time.Now()
-			g, err := meshfem.Build(meshfem.Config{NexXi: nex, NProcXi: 1, Model: model, TwoPassMaterials: twoPass})
-			if err != nil {
-				return nil, err
+	build := func(mode int) func() (time.Duration, error) {
+		return wall(func() error {
+			g, err := meshfem.Build(meshfem.Config{NexXi: nex, NProcXi: 1, Model: model, TwoPassMaterials: mode == 1})
+			if err == nil {
+				passes[mode] = g.BuildPasses
 			}
-			if d := time.Since(t0); best[mode] == 0 || d < best[mode] {
-				best[mode] = d
-			}
-			passes[mode] = g.BuildPasses
-		}
+			return err
+		})
 	}
-	return &MesherResult{SinglePass: best[0], TwoPass: best[1], Passes: passes,
-		Factor: best[1].Seconds() / best[0].Seconds()}, nil
+	t, err := bestOf(build(0), build(1))
+	if err != nil {
+		return nil, err
+	}
+	return &MesherResult{SinglePass: t[0], TwoPass: t[1], Passes: passes,
+		Factor: t[1].Best.Seconds() / t[0].Best.Seconds()}, nil
 }
 
 // String renders the mesher comparison.
 func (r *MesherResult) String() string {
 	return fmt.Sprintf(
-		"MESH2X: merged mesher %v (%d pass), legacy %v (%d passes) -> %.2fx, wall best of %d each (paper: the legacy mesher ran twice, a factor of two)\n",
-		r.SinglePass.Round(time.Millisecond), r.Passes[0], r.TwoPass.Round(time.Millisecond), r.Passes[1],
-		r.Factor, mesherRuns)
+		"MESH2X: merged mesher %v, %d pass; legacy %v, %d passes -> %.2fx\n"+
+			"  (paper: the legacy mesher ran twice, a factor of two)\n",
+		r.SinglePass, r.Passes[0], r.TwoPass, r.Passes[1], r.Factor)
 }
 
 // --- IOMERGE: I/O mode comparison ------------------------------------------
 
-// IOResult reproduces the section 4.1 comparison. The times are wall
-// clock of one run; the files and bytes are the counts behind them.
+// IOResult reproduces the section 4.1 comparison: the legacy database's
+// write and read-back against the merged handoff, with the files and
+// bytes behind the times.
 type IOResult struct {
 	LegacyFiles int
 	LegacyBytes int64
-	LegacyTime  time.Duration
+	Legacy      Timing
 	MergedFiles int
-	MergedTime  time.Duration
+	Merged      Timing
 	FilesAt62K  int64
-	Ranks       int
 }
 
 // IOModes writes/reads the legacy database and compares against the
 // merged handoff; extrapolates the file count to 62K cores.
 func IOModes(nex int) (*IOResult, error) {
-	g, err := buildGlobe(earthmodel.EarthLike(), nex, 1, nil)
+	g, _, err := buildGlobe(earthmodel.EarthLike(), nex, 1, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := &IOResult{Ranks: len(g.Locals)}
+	out := &IOResult{FilesAt62K: int64(meshio.LegacyFilesPerCore) * 62976}
 	dir, err := os.MkdirTemp("", "specglobe-io-")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	t0 := time.Now()
-	st, err := meshio.WriteAllRanks(dir, g.Locals, g.Plans)
+	t, err := bestOf(wall(func() error {
+		st, err := meshio.WriteAllRanks(dir, g.Locals, g.Plans)
+		if err != nil {
+			return err
+		}
+		out.LegacyFiles, out.LegacyBytes = st.Files, st.Bytes
+		_, _, err = meshio.ReadAllRanks(dir, len(g.Locals))
+		return err
+	}), wall(func() error {
+		out.MergedFiles = meshio.MergedHandoff(g.Locals).Files
+		return nil
+	}))
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := meshio.ReadAllRanks(dir, len(g.Locals)); err != nil {
-		return nil, err
-	}
-	out.LegacyTime = time.Since(t0)
-	out.LegacyFiles = st.Files
-	out.LegacyBytes = st.Bytes
-	t1 := time.Now()
-	out.MergedFiles = meshio.MergedHandoff(g.Locals).Files
-	out.MergedTime = time.Since(t1)
-	out.FilesAt62K = int64(meshio.LegacyFilesPerCore) * 62976
+	out.Legacy, out.Merged = t[0], t[1]
 	return out, nil
 }
 
 // String renders the I/O comparison.
 func (r *IOResult) String() string {
 	return fmt.Sprintf(
-		"IOMERGE: legacy database %d files / %s in %v; merged handoff %d files in %v (wall, one run each)\n"+
+		"IOMERGE: legacy database %d files / %s in %v;\n"+
+			"  merged handoff %d files in %v\n"+
 			"  at 62,976 cores the legacy mode means %.2fM files (paper: over 3.2 million)\n",
-		r.LegacyFiles, perfmodel.HumanBytes(float64(r.LegacyBytes)),
-		r.LegacyTime.Round(time.Millisecond), r.MergedFiles, r.MergedTime.Round(time.Microsecond),
-		float64(r.FilesAt62K)/1e6)
+		r.LegacyFiles, perfmodel.HumanBytes(float64(r.LegacyBytes)), r.Legacy,
+		r.MergedFiles, r.Merged, float64(r.FilesAt62K)/1e6)
 }
 
 // --- LOADBAL: mesh load balance --------------------------------------------
@@ -661,7 +698,7 @@ func (r *IOResult) String() string {
 // LoadBalance reports the element-count balance of a decomposition (the
 // "excellent load balancing" of the improved mesh design).
 func LoadBalance(nex, nproc int) (mesh.LoadStats, error) {
-	g, err := buildGlobe(earthmodel.EarthLike(), nex, nproc, nil)
+	g, _, err := buildGlobe(earthmodel.EarthLike(), nex, nproc, nil)
 	if err != nil {
 		return mesh.LoadStats{}, err
 	}

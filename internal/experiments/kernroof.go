@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"specglobe/internal/boxmesh"
 	"specglobe/internal/earthmodel"
-	"specglobe/internal/mesh"
 	"specglobe/internal/perf"
 	"specglobe/internal/perfmodel"
 	"specglobe/internal/solver"
@@ -28,11 +28,10 @@ type KernRoofRow struct {
 	Mesh    string
 	Kernel  solver.Kernel
 	Workers int
-	// StepsPerSec is solver steps over main-loop wall time.
-	StepsPerSec float64
-	// Gflops is the whole-loop achieved rate (all counted flops over
-	// wall time).
-	Gflops float64
+	// Loop is the main loop's wall time; StepsPerSec is the steps and
+	// Gflops all counted flops over it.
+	Loop                Timing
+	StepsPerSec, Gflops float64
 	ForceStats
 }
 
@@ -42,7 +41,9 @@ type ForceStats struct {
 	// SolidAI and FluidAI are the counted per-phase arithmetic
 	// intensities (flop/byte) of the force phases.
 	SolidAI, FluidAI float64
-	// Force is the force-kernel roofline point: solid+fluid flops and
+	// Flops counts the solid+fluid force flops.
+	Flops int64
+	// Force is the force-kernel roofline point: Flops and the force
 	// bytes against the pool's kernel busy time.
 	Force perfmodel.RooflinePoint
 }
@@ -54,68 +55,57 @@ type KernRoofResult struct {
 	Rows    []KernRoofRow
 }
 
-// kernRoofMesh is one prebuilt mesh configuration of the sweep.
-type kernRoofMesh struct {
-	name   string
-	locals []*mesh.Local
-	plans  []*mesh.HaloPlan
-	model  earthmodel.Model
-	src    solver.Source
-}
-
 // KernRoof runs the sweep: every kernel variant at every worker count
-// on each mesh, the faster of two solver runs per cell.
+// on each mesh.
 func KernRoof(boxN, globeNex, steps int, workers []int) (*KernRoofResult, error) {
-	meshes, err := kernRoofMeshes(boxN, globeNex)
+	problems, err := kernRoofProblems(boxN, globeNex)
 	if err != nil {
 		return nil, err
 	}
 	out := &KernRoofResult{Steps: steps, Machine: perfmodel.MeasureLocalMachine()}
-	for _, m := range meshes {
+	for _, p := range problems {
+		var rows []KernRoofRow
+		var runs []func() (time.Duration, error)
+		res := make([]*solver.Result, 2*len(workers))
 		for _, w := range workers {
 			for _, kv := range []solver.Kernel{solver.KernelScalar, solver.KernelVec4} {
-				res, err := fastestRun(m, []solver.Source{m.src}, solver.Options{Steps: steps, Kernel: kv, Workers: w})
-				if err != nil {
-					return nil, fmt.Errorf("kernroof %s %v workers=%d: %w", m.name, kv, w, err)
-				}
-				out.Rows = append(out.Rows, KernRoofRow{
-					Mesh: m.name, Kernel: kv, Workers: w,
-					StepsPerSec: float64(steps) / res.Perf.WallTime.Seconds(),
-					Gflops:      res.Perf.SustainedFlops / 1e9,
-					ForceStats:  forceStats(res.Perf, out.Machine),
-				})
+				runs = append(runs, loopRun(p, solver.Options{Steps: steps, Kernel: kv, Workers: w}, &res[len(rows)]))
+				rows = append(rows, KernRoofRow{Mesh: p.name, Kernel: kv, Workers: w})
 			}
+		}
+		t, err := bestOf(runs...)
+		if err != nil {
+			return nil, fmt.Errorf("kernroof %s: %w", p.name, err)
+		}
+		for i, row := range rows {
+			row.Loop = t[i]
+			row.StepsPerSec = float64(steps) / t[i].Best.Seconds()
+			row.Gflops = float64(res[i].Perf.TotalFlops) / t[i].Best.Seconds() / 1e9
+			row.ForceStats = forceStats(res[i].Perf, out.Machine)
+			out.Rows = append(out.Rows, row)
 		}
 	}
 	return out, nil
 }
 
-// fastestRun runs the mesh twice with srcs under opts and keeps the
-// faster run: the first pass faults pages and warms caches, and single
-// short runs on a shared host are too noisy to rank rates by.
-func fastestRun(m kernRoofMesh, srcs []solver.Source, opts solver.Options) (*solver.Result, error) {
-	var best *solver.Result
-	for rep := 0; rep < 2; rep++ {
-		res, err := solver.Run(&solver.Simulation{
-			Locals: m.locals, Plans: m.plans, Model: m.model,
-			Sources: srcs,
-			Opts:    opts,
-		})
+// loopRun measures p's main loop under opts and keeps in *fastest the
+// run with the fastest loop, which the rows read their busy times from.
+func loopRun(p problem, opts solver.Options, fastest **solver.Result) func() (time.Duration, error) {
+	return func() (time.Duration, error) {
+		res, err := solve(p, opts)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		if best == nil || res.Perf.WallTime < best.Perf.WallTime {
-			best = res
+		if *fastest == nil || res.Perf.WallTime < (*fastest).Perf.WallTime {
+			*fastest = res
 		}
+		return res.Perf.WallTime, nil
 	}
-	return best, nil
 }
 
-// kernRoofMeshes builds the two sweep meshes: a homogeneous box and a
-// doubled globe.
-func kernRoofMeshes(boxN, globeNex int) ([]kernRoofMesh, error) {
-	var meshes []kernRoofMesh
-
+// kernRoofProblems builds the two sweep problems: a homogeneous box and
+// a doubled globe.
+func kernRoofProblems(boxN, globeNex int) ([]problem, error) {
 	box, err := boxmesh.Build(boxmesh.Config{
 		Nx: boxN, Ny: boxN, Nz: boxN,
 		Lx: 40e3, Ly: 40e3, Lz: 40e3,
@@ -130,27 +120,17 @@ func kernRoofMeshes(boxN, globeNex int) ([]kernRoofMesh, error) {
 		return nil, err
 	}
 	const m0 = 1e15
-	meshes = append(meshes, kernRoofMesh{
+	boxP := problem{
 		name: "box", locals: box.Locals, plans: box.Plans,
-		src: solver.Source{
+		srcs: []solver.Source{{
 			Rank: rank, Kind: earthmodel.RegionCrustMantle, Elem: elem, Ref: ref,
 			MomentTensor: [3][3]float64{{m0, 0, 0}, {0, m0, 0}, {0, 0, m0}},
 			STF:          solver.RickerSTF(1.0, 1.2),
-		},
-	})
-
-	g, err := buildGlobe(earthmodel.EarthLike(), globeNex, 1, []float64{5200e3})
-	if err != nil {
-		return nil, err
+		}},
 	}
-	src, err := centralSource(g)
-	if err != nil {
-		return nil, err
-	}
-	meshes = append(meshes, kernRoofMesh{
-		name: "globe-dbl", locals: g.Locals, plans: g.Plans, model: g.Cfg.Model, src: src,
-	})
-	return meshes, nil
+	_, globe, err := buildGlobe(earthmodel.EarthLike(), globeNex, 1, []float64{5200e3})
+	globe.name = "globe-dbl"
+	return []problem{boxP, globe}, err
 }
 
 // forceStats reads a run's force-phase intensities and roofline point.
@@ -160,11 +140,12 @@ func kernRoofMeshes(boxN, globeNex int) ([]kernRoofMesh, error) {
 func forceStats(rep perf.Report, m perfmodel.Machine) ForceStats {
 	solid, fluid := perf.PhaseForceSolid.String(), perf.PhaseForceFluid.String()
 	busy := rep.PhaseTotals[perf.PhaseKernelParallel.String()].Seconds()
+	flops := rep.PhaseFlops[solid] + rep.PhaseFlops[fluid]
 	return ForceStats{
 		SolidAI: rep.ArithmeticIntensity(solid),
 		FluidAI: rep.ArithmeticIntensity(fluid),
-		Force: perfmodel.RooflineFor(m, 1,
-			rep.PhaseFlops[solid]+rep.PhaseFlops[fluid], rep.PhaseBytes[solid]+rep.PhaseBytes[fluid], busy),
+		Flops:   flops,
+		Force:   perfmodel.RooflineFor(m, 1, flops, rep.PhaseBytes[solid]+rep.PhaseBytes[fluid], busy),
 	}
 }
 
@@ -173,16 +154,16 @@ func (r *KernRoofResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "KERNROOF: kernel x workers roofline sweep (%d steps) on %s (%s)\n",
 		r.Steps, r.Machine.Name, r.Machine.Ceilings())
-	fmt.Fprintf(&b, "  %-9s %-6s %3s %9s %8s %8s %8s %8s %7s %7s %7s\n",
-		"mesh", "kernel", "W", "steps/s", "Gflop/s", "solidAI", "fluidAI", "force", "%peak", "%roof", "bound")
+	fmt.Fprintf(&b, "  %-9s %-6s %3s %9s %8s %10s %8s %8s %8s %7s %7s %7s  %s\n",
+		"mesh", "kernel", "W", "steps/s", "Gflop/s", "force-flop", "solidAI", "fluidAI", "force", "%peak", "%roof", "bound", "loop")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-9s %-6s %3d %9.2f %8.2f %8.2f %8.2f %8.2f %6.1f%% %6.1f%% %7s\n",
-			row.Mesh, row.Kernel, row.Workers, row.StepsPerSec, row.Gflops,
+		fmt.Fprintf(&b, "  %-9s %-6s %3d %9.2f %8.2f %10d %8.2f %8.2f %8.2f %6.1f%% %6.1f%% %7s  %v\n",
+			row.Mesh, row.Kernel, row.Workers, row.StepsPerSec, row.Gflops, row.Flops,
 			row.SolidAI, row.FluidAI, row.Force.AchievedGflops,
-			row.Force.PctOfPeak, row.Force.PctOfRoofline, row.Force.BoundBy)
+			row.Force.PctOfPeak, row.Force.PctOfRoofline, row.Force.BoundBy, row.Loop)
 	}
-	b.WriteString("  (force column: solid+fluid kernel flops over pool busy time, per core;\n")
-	b.WriteString("  the AI uses the analytic streamed-byte model, so %roof is the fraction of\n")
-	b.WriteString("  the ceiling that structure allows)\n")
+	b.WriteString("  (steps/s, Gflop/s: main-loop wall; force: force-flop over the fastest loop's pool\n")
+	b.WriteString("  busy time, per core; the AI uses the analytic streamed-byte model, so %roof is\n")
+	b.WriteString("  the fraction of the ceiling that structure allows)\n")
 	return b.String()
 }

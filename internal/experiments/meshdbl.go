@@ -26,9 +26,7 @@ import (
 // seams and the central-cube sectoring — area-like surfaces that shrink
 // quadratically under coarsening — so doubling reduces the ratio
 // outright. Deeper slicing shifts weight to the slices' vertical walls
-// (perimeter-like, shrinking only linearly), the trade-off the
-// FIG6/OVERLAP extrapolations need to model jointly with the PR 2
-// hybrid interaction.
+// (perimeter-like, shrinking only linearly).
 
 // MeshDblRow is one mesh configuration, measured live.
 type MeshDblRow struct {
@@ -49,7 +47,6 @@ type MeshDblRow struct {
 	// (derived, see CommRow).
 	ExposedOn, ExposedOff float64
 	FracOn, FracOff       float64
-	StepsPerSec           float64
 }
 
 // MeshDblResult is the doubling on/off comparison.
@@ -73,11 +70,11 @@ func MeshDoubling(configs [][2]int, doublings []float64, steps int) (*MeshDblRes
 			if doubled {
 				dbl = doublings
 			}
-			g, err := buildGlobe(model, nex, nproc, dbl)
+			g, p, err := buildGlobe(model, nex, nproc, dbl)
 			if err != nil {
 				return nil, fmt.Errorf("meshdbl (nex %d, nproc %d, doubled %v): %w", nex, nproc, doubled, err)
 			}
-			on, err := solveCentral(g, solver.Options{Steps: steps})
+			on, err := solve(p, solver.Options{Steps: steps})
 			if err != nil {
 				return nil, err
 			}
@@ -93,7 +90,6 @@ func MeshDoubling(configs [][2]int, doublings []float64, steps int) (*MeshDblRes
 				ExposedOff:       on.MPI.VirtualCommTime.Seconds(),
 				FracOn:           on.Perf.CommFraction,
 				FracOff:          BlockingCommFraction(on.Perf),
-				StepsPerSec:      float64(steps) / on.Perf.WallTime.Seconds(),
 			})
 		}
 	}

@@ -45,9 +45,8 @@ type MeshResRow struct {
 	HaloPoints       int
 	SurfacePerVolume float64
 	// Resolution accounting at the row's target period.
-	MinPts        float64
-	MeanPts       float64
-	WorstRadiusKM float64
+	MinPts  float64
+	MeanPts float64
 	// Solver measurements under the overlapped schedule.
 	ExposedSec  float64
 	ExposedFrac float64
@@ -55,11 +54,10 @@ type MeshResRow struct {
 
 // MeshResResult is the manual-vs-derived schedule comparison.
 type MeshResResult struct {
-	TargetPeriodS float64 // of the last configuration (reporting)
-	Budget        float64
-	Manual        []float64
-	Steps         int
-	Rows          []MeshResRow
+	Budget float64
+	Manual []float64
+	Steps  int
+	Rows   []MeshResRow
 }
 
 // MeshResolution builds PREM globes under the three schedules at each
@@ -74,24 +72,24 @@ func MeshResolution(configs [][2]int, manual []float64, steps int) (*MeshResResu
 		nex, nproc := pc[0], pc[1]
 		resolved := meshfem.AutoDoubling{}.Resolved(nex)
 		period := resolved.TargetPeriodS
-		out.TargetPeriodS = period
 		out.Budget = resolved.PointsPerWavelength
 		for _, schedule := range []string{"uniform", "manual", "derived"} {
-			var g *meshfem.Globe
-			var err error
+			cfg := meshfem.Config{NexXi: nex, NProcXi: nproc, Model: model}
 			switch schedule {
-			case "uniform":
-				g, err = buildGlobe(model, nex, nproc, nil)
 			case "manual":
-				g, err = buildGlobe(model, nex, nproc, manual)
+				cfg.Doublings = manual
 			case "derived":
-				g, err = meshfem.Build(meshfem.Config{NexXi: nex, NProcXi: nproc, Model: model,
-					AutoDoubling: &meshfem.AutoDoubling{TargetPeriodS: period}})
+				cfg.AutoDoubling = &meshfem.AutoDoubling{TargetPeriodS: period}
 			}
+			g, err := meshfem.Build(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("meshres (nex %d, nproc %d, %s): %w", nex, nproc, schedule, err)
 			}
-			res, err := solveCentral(g, solver.Options{Steps: steps})
+			p, err := globeProblem(g)
+			if err != nil {
+				return nil, err
+			}
+			res, err := solve(p, solver.Options{Steps: steps})
 			if err != nil {
 				return nil, err
 			}
@@ -105,7 +103,6 @@ func MeshResolution(configs [][2]int, manual []float64, steps int) (*MeshResResu
 				SurfacePerVolume: hs.SurfacePerVolume,
 				MinPts:           rs.MinPts,
 				MeanPts:          rs.MeanPts,
-				WorstRadiusKM:    rs.Worst.RadiusM / 1e3,
 				ExposedSec:       res.MPI.Exposed().Seconds(),
 				ExposedFrac:      res.Perf.CommFraction,
 			})
@@ -129,7 +126,7 @@ func (r *MeshResResult) String() string {
 	for i := 0; i+2 < len(r.Rows); i += 3 {
 		u, m, d := r.Rows[i], r.Rows[i+1], r.Rows[i+2]
 		fmt.Fprintf(&b, "  P=%d res=%d: derived %s cuts elements %.2fx (manual %.2fx) and keeps min pts/wavelength %.2f (uniform %.2f)\n",
-			u.P, u.Res, fmtRadiiKM(d.Doublings),
+			u.P, u.Res, "{"+joinf("%.0f km", d.Doublings, 1e3)+"}",
 			float64(u.Elements)/float64(d.Elements), float64(u.Elements)/float64(m.Elements),
 			d.MinPts, u.MinPts)
 	}
@@ -139,19 +136,12 @@ func (r *MeshResResult) String() string {
 	return b.String()
 }
 
-// fmtRadiiKM renders a radii list in km.
-func fmtRadiiKM(radii []float64) string {
-	if len(radii) == 0 {
-		return "{}"
+// joinf formats each value of vs divided by unit and joins them with
+// ", ".
+func joinf(format string, vs []float64, unit float64) string {
+	s := make([]string, len(vs))
+	for i, v := range vs {
+		s[i] = fmt.Sprintf(format, v/unit)
 	}
-	var b strings.Builder
-	b.WriteString("{")
-	for i, d := range radii {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%.0f km", d/1e3)
-	}
-	b.WriteString("}")
-	return b.String()
+	return strings.Join(s, ", ")
 }

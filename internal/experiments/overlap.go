@@ -72,7 +72,6 @@ type OverlapJointRow struct {
 	// comm fraction under the overlapped schedule.
 	Exposed, Hidden float64
 	Frac            float64
-	StepsPerSec     float64
 }
 
 // OverlapJointResult is the joint doubling x interconnect sweep: two
@@ -99,23 +98,22 @@ func OverlapJoint(nex, nproc, steps int, doublings []float64) (*OverlapJointResu
 		if doubled {
 			dbl = doublings
 		}
-		g, err := buildGlobe(model, nex, nproc, dbl)
+		g, p, err := buildGlobe(model, nex, nproc, dbl)
 		if err != nil {
 			return nil, err
 		}
 		out.P = g.Decomp.NumRanks()
 		for _, m := range perfmodel.Catalog() {
-			res, err := solveCentral(g, solver.Options{Steps: steps, Network: m.Net()})
+			res, err := solve(p, solver.Options{Steps: steps, Network: m.Net()})
 			if err != nil {
 				return nil, err
 			}
 			out.Rows = append(out.Rows, OverlapJointRow{
 				Machine: m.Name, LatencyUS: m.LatencyUS, LinkBWGBs: m.LinkBWGBs,
-				Doubled:     doubled,
-				Exposed:     res.MPI.Exposed().Seconds(),
-				Hidden:      res.MPI.HiddenCommTime.Seconds(),
-				Frac:        res.Perf.CommFraction,
-				StepsPerSec: float64(steps) / res.Perf.WallTime.Seconds(),
+				Doubled: doubled,
+				Exposed: res.MPI.Exposed().Seconds(),
+				Hidden:  res.MPI.HiddenCommTime.Seconds(),
+				Frac:    res.Perf.CommFraction,
 			})
 		}
 	}
@@ -127,12 +125,12 @@ func (r *OverlapJointResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "OVERLAP/joint: doubling x interconnect, overlapped schedule (P=%d, res=%d, %d steps)\n",
 		r.P, r.Res, r.Steps)
-	fmt.Fprintf(&b, "  %-9s %7s %8s %8s %12s %12s %9s %9s\n",
-		"machine", "lat", "bw", "doubled", "exposed(s)", "hidden(s)", "frac", "steps/s")
+	fmt.Fprintf(&b, "  %-9s %7s %8s %8s %12s %12s %9s\n",
+		"machine", "lat", "bw", "doubled", "exposed(s)", "hidden(s)", "frac")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-9s %5.1fus %5.2fGB/s %8v %11.6fs %11.6fs %8.2f%% %9.3f\n",
+		fmt.Fprintf(&b, "  %-9s %5.1fus %5.2fGB/s %8v %11.6fs %11.6fs %8.2f%%\n",
 			row.Machine, row.LatencyUS, row.LinkBWGBs, row.Doubled,
-			row.Exposed, row.Hidden, 100*row.Frac, row.StepsPerSec)
+			row.Exposed, row.Hidden, 100*row.Frac)
 	}
 	b.WriteString("  doubling shrinks the halo the inner elements must hide, a slower link\n")
 	b.WriteString("  stretches it\n")

@@ -25,9 +25,6 @@ func TestOverlapJoint(t *testing.T) {
 		if row.Exposed <= 0 && row.Hidden <= 0 {
 			t.Errorf("%s doubled=%v: no virtual comm accounted", row.Machine, row.Doubled)
 		}
-		if row.StepsPerSec <= 0 {
-			t.Errorf("%s doubled=%v: no throughput measured", row.Machine, row.Doubled)
-		}
 		seen[row.Machine] = true
 	}
 	if len(seen) != len(perfmodel.Catalog()) {

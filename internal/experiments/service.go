@@ -30,7 +30,7 @@ type ServiceRow struct {
 	// MaxS is the largest ensemble size S a batch ran at.
 	MaxS int
 	// Wall is the end-to-end time for the whole workload.
-	Wall time.Duration
+	Wall Timing
 	// JobsPerSec is jobs over end-to-end wall.
 	JobsPerSec float64
 	// SourceStepsPerSec is jobs x steps over end-to-end wall, the
@@ -76,93 +76,70 @@ func (discardSink) Chunk(string, core.StreamChunk) error { return nil }
 func (discardSink) Done(service.JobStatus)               {}
 
 // Service runs the SERVICE ablation: J compatible jobs, one-shot vs
-// daemon, best end-to-end wall of reps runs per mode (a fresh daemon
-// per rep, so every rep pays its own session build).
+// daemon (a fresh daemon per run, so every run pays its own session
+// build).
 func Service(nex, steps, jobs, maxBatch, workers int) (*ServiceResult, error) {
 	if workers <= 0 {
 		workers = 1
 	}
 	specs := serviceSpecs(nex, steps, jobs)
-	out := &ServiceResult{Nex: nex, Steps: steps, Jobs: jobs, MaxBatch: maxBatch, Workers: workers}
-	const reps = 2
-
-	oneShot := ServiceRow{Mode: "one-shot", Batches: jobs, MaxS: 1}
-	for r := 0; r < reps; r++ {
-		t0 := time.Now()
+	oneShot := ServiceRow{Mode: "one-shot", Batches: jobs, MaxS: 1, Speedup: 1}
+	daemon := ServiceRow{Mode: "daemon"}
+	t, err := bestOf(wall(func() error {
 		for _, sp := range specs {
 			cfg, err := service.DirectConfig(sp, workers)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if _, err := core.Run(cfg); err != nil {
-				return nil, fmt.Errorf("one-shot %s: %w", sp.Name, err)
+				return fmt.Errorf("one-shot %s: %w", sp.Name, err)
 			}
 		}
-		if wall := time.Since(t0); oneShot.Wall == 0 || wall < oneShot.Wall {
-			oneShot.Wall = wall
-		}
+		return nil
+	}), wall(func() error { return runServiceDaemon(specs, maxBatch, workers, &daemon) }))
+	if err != nil {
+		return nil, err
 	}
-	finishServiceRow(&oneShot, jobs, steps, oneShot.Wall)
-	oneShot.Speedup = 1
-	out.Rows = append(out.Rows, oneShot)
-
-	daemon := ServiceRow{Mode: "daemon"}
-	for r := 0; r < reps; r++ {
-		row, err := runServiceDaemon(specs, maxBatch, workers, steps)
-		if err != nil {
-			return nil, err
-		}
-		if daemon.Wall == 0 || row.Wall < daemon.Wall {
-			daemon = row
-		}
+	for i, row := range []*ServiceRow{&oneShot, &daemon} {
+		row.Wall = t[i]
+		row.JobsPerSec = float64(jobs) / t[i].Best.Seconds()
+		row.SourceStepsPerSec = float64(jobs*steps) / t[i].Best.Seconds()
 	}
 	daemon.Speedup = daemon.SourceStepsPerSec / oneShot.SourceStepsPerSec
-	out.Rows = append(out.Rows, daemon)
-	return out, nil
+	return &ServiceResult{Nex: nex, Steps: steps, Jobs: jobs, MaxBatch: maxBatch, Workers: workers,
+		Rows: []ServiceRow{oneShot, daemon}}, nil
 }
 
-// runServiceDaemon measures one fresh daemon run over the workload:
-// submit everything (submission is validation only, so the queue holds
-// the full workload before the first batch dispatches), flush, wait.
-func runServiceDaemon(specs []service.JobSpec, maxBatch, workers, steps int) (ServiceRow, error) {
+// runServiceDaemon runs the workload through one fresh daemon: submit
+// everything (submission is validation only, so the queue holds the
+// full workload before the first batch dispatches), flush, wait. It
+// fills row's batch and session-cache counts.
+func runServiceDaemon(specs []service.JobSpec, maxBatch, workers int, row *ServiceRow) error {
 	d := service.New(service.Config{
 		MaxBatch: maxBatch,
 		Window:   time.Second, // Flush below dispatches; the window never expires
 		Workers:  workers,
 	})
 	defer d.Close()
-	t0 := time.Now()
 	ids := make([]string, len(specs))
 	for i, sp := range specs {
 		id, err := d.Submit(sp, discardSink{})
 		if err != nil {
-			return ServiceRow{}, fmt.Errorf("daemon submit %s: %w", sp.Name, err)
+			return fmt.Errorf("daemon submit %s: %w", sp.Name, err)
 		}
 		ids[i] = id
 	}
 	d.Flush()
-	row := ServiceRow{Mode: "daemon"}
 	for _, id := range ids {
 		st, ok := d.Wait(id)
 		if !ok || st.State != service.StateDone {
-			return ServiceRow{}, fmt.Errorf("daemon job %s: %+v", id, st)
+			return fmt.Errorf("daemon job %s: %+v", id, st)
 		}
-		if st.BatchSize > row.MaxS {
-			row.MaxS = st.BatchSize
-		}
+		row.MaxS = max(row.MaxS, st.BatchSize)
 	}
-	wall := time.Since(t0)
 	row.Batches = d.Batches()
 	row.CacheBuilds, row.CacheHits, _, _ = d.CacheStats()
-	finishServiceRow(&row, len(specs), steps, wall)
-	return row, nil
-}
-
-// finishServiceRow derives the throughput columns from a wall time.
-func finishServiceRow(row *ServiceRow, jobs, steps int, wall time.Duration) {
-	row.Wall = wall
-	row.JobsPerSec = float64(jobs) / wall.Seconds()
-	row.SourceStepsPerSec = float64(jobs*steps) / wall.Seconds()
+	return nil
 }
 
 // String renders the service table.
@@ -170,16 +147,15 @@ func (r *ServiceResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "SERVICE: daemon vs one-shot runs (%d compatible jobs, earthlike nex%d, %d steps, S<=%d, workers=%d)\n",
 		r.Jobs, r.Nex, r.Steps, r.MaxBatch, r.Workers)
-	fmt.Fprintf(&b, "  %-9s %8s %5s %10s %8s %10s %8s %7s %6s\n",
-		"mode", "batches", "maxS", "wall", "jobs/s", "src-st/s", "speedup", "builds", "hits")
+	fmt.Fprintf(&b, "  %-9s %8s %5s %8s %10s %8s %7s %6s  %s\n",
+		"mode", "batches", "maxS", "jobs/s", "src-st/s", "speedup", "builds", "hits", "wall")
 	for _, row := range r.Rows {
 		builds, hits := "-", "-"
 		if row.Mode == "daemon" {
 			builds, hits = fmt.Sprint(row.CacheBuilds), fmt.Sprint(row.CacheHits)
 		}
-		fmt.Fprintf(&b, "  %-9s %8d %5d %10v %8.2f %10.2f %7.2fx %7s %6s\n",
-			row.Mode, row.Batches, row.MaxS, row.Wall.Round(time.Millisecond),
-			row.JobsPerSec, row.SourceStepsPerSec, row.Speedup, builds, hits)
+		fmt.Fprintf(&b, "  %-9s %8d %5d %8.2f %10.2f %7.2fx %7s %6s  %v\n",
+			row.Mode, row.Batches, row.MaxS, row.JobsPerSec, row.SourceStepsPerSec, row.Speedup, builds, hits, row.Wall)
 	}
 	b.WriteString("  src-st/s = jobs x steps / end-to-end wall, meshing included on both sides.\n")
 	b.WriteString("  the daemon builds the compatibility key's session once (builds/hits) and\n")

@@ -11,7 +11,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -353,33 +352,6 @@ func (r Report) String() string {
 		fmt.Fprintf(&b, "#   %-12s %d point visits skipped (quiescent pages)\n", PhaseUpdate, n)
 	}
 	return b.String()
-}
-
-// Collector gathers per-rank profilers safely from rank goroutines.
-type Collector struct {
-	mu    sync.Mutex
-	profs map[int]*Profiler
-}
-
-// NewCollector returns an empty collector.
-func NewCollector() *Collector { return &Collector{profs: map[int]*Profiler{}} }
-
-// Put stores a rank's profiler.
-func (c *Collector) Put(p *Profiler) {
-	c.mu.Lock()
-	c.profs[p.Rank] = p
-	c.mu.Unlock()
-}
-
-// Report aggregates everything collected.
-func (c *Collector) Report() Report {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	list := make([]*Profiler, 0, len(c.profs))
-	for _, p := range c.profs {
-		list = append(list, p)
-	}
-	return Aggregate(list)
 }
 
 // Skips is one chunk's count of the element visits it skipped because

@@ -2,7 +2,6 @@ package perf
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -93,31 +92,6 @@ func TestReportString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("report missing %q:\n%s", want, s)
 		}
-	}
-}
-
-func TestCollectorConcurrent(t *testing.T) {
-	c := NewCollector()
-	var wg sync.WaitGroup
-	for r := 0; r < 16; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			p := NewProfiler(rank)
-			p.Start()
-			p.Mark()
-			p.Charge(&Beat{Phase: PhaseForceSolid}, Work{Flops: int64(rank)})
-			p.Stop()
-			c.Put(p)
-		}(r)
-	}
-	wg.Wait()
-	rep := c.Report()
-	if rep.Ranks != 16 {
-		t.Errorf("%d ranks collected", rep.Ranks)
-	}
-	if rep.TotalFlops != 120 {
-		t.Errorf("flops %d want 120", rep.TotalFlops)
 	}
 }
 

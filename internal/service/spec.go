@@ -222,19 +222,14 @@ func DirectConfig(spec JobSpec, workers int) (core.Config, error) {
 	return cfg, nil
 }
 
-// modelFor resolves a model name. "earthlike" is the homogeneous
-// Earth-sized model with PREM's core radii — cheap to mesh, used by
-// tests and the SERVICE ablation.
+// modelFor resolves a model name (earthmodel.ByName) as a service
+// error.
 func modelFor(name string) (earthmodel.Model, error) {
-	switch name {
-	case "prem":
-		return earthmodel.NewPREM(), nil
-	case "prem_noocean":
-		return earthmodel.NewPREMNoOcean(), nil
-	case "earthlike":
-		return earthmodel.EarthLike(), nil
+	m, err := earthmodel.ByName(name)
+	if err != nil {
+		return nil, Errf(CodeUnknownModel, "%v", err)
 	}
-	return nil, Errf(CodeUnknownModel, "unknown model %q (have prem, prem_noocean, earthlike)", name)
+	return m, nil
 }
 
 // resolveStations turns StationSpecs into located station definitions:

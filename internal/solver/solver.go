@@ -386,7 +386,7 @@ func Run(sim *Simulation) (*Result, error) {
 	}
 
 	world := mpi.NewWorldWith(len(sim.Locals), opts.Network)
-	collector := perf.NewCollector()
+	profs := make([]*perf.Profiler, len(sim.Locals)) // each rank writes its own
 	kernelPool := newPool(opts.Workers, len(sim.Locals))
 	// One read-only table set for every rank and worker.
 	kern := newKernels(opts.Kernel)
@@ -461,7 +461,7 @@ func Run(sim *Simulation) (*Result, error) {
 		} {
 			rs.prof.Add(ph, d)
 		}
-		collector.Put(rs.prof)
+		profs[c.Rank()] = rs.prof
 		if len(rs.seismos) > 0 {
 			resMu.Lock()
 			for _, sg := range rs.seismos {
@@ -472,7 +472,7 @@ func Run(sim *Simulation) (*Result, error) {
 	})
 
 	kernelPool.close()
-	res.Perf = collector.Report()
+	res.Perf = perf.Aggregate(profs)
 	res.Perf.Workers = opts.Workers
 	res.Perf.WorkerBusy = kernelPool.Busy()
 	res.NumFields = ns

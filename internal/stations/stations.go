@@ -76,6 +76,7 @@ type Located struct {
 	ErrorM   float64 // distance from the true position, meters
 	Snapped  bool    // true when located to the nearest grid point
 	NewtonIt int     // Newton iterations used (nonlinear mode)
+	Examined int     // elements the locator examined
 }
 
 // LocateFast uses the analytic cubed-sphere location (the simple
@@ -86,7 +87,7 @@ func LocateFast(g *meshfem.Globe, st Station, snap bool) (Located, error) {
 	if err != nil {
 		return Located{}, fmt.Errorf("stations: %s: %w", st.Name, err)
 	}
-	out := Located{Station: st, Loc: loc, Snapped: snap}
+	out := Located{Station: st, Loc: loc, Snapped: snap, Examined: 1}
 	want := cubedsphere.LatLon(st.LatDeg, st.LonDeg).Scale(g.Cfg.Model.SurfaceRadius() - st.DepthM)
 	if snap {
 		out.Loc.Ref = snapRef(loc.Ref)
@@ -111,11 +112,13 @@ func LocateNonlinear(g *meshfem.Globe, st Station) (Located, error) {
 	// Global nearest GLL point scan over the crust/mantle regions.
 	bestRank, bestElem, bestP := -1, -1, -1
 	bestD := math.Inf(1)
+	examined := 0
 	for _, l := range g.Locals {
 		reg := l.Regions[earthmodel.RegionCrustMantle]
 		if reg == nil {
 			continue
 		}
+		examined += reg.NSpec
 		for e := 0; e < reg.NSpec; e++ {
 			for p := 0; p < mesh.NGLL3; p++ {
 				pt := reg.Pts[reg.Ibool[e*mesh.NGLL3+p]]
@@ -174,7 +177,7 @@ func LocateNonlinear(g *meshfem.Globe, st Station) (Located, error) {
 	err := math.Sqrt((got[0]-want[0])*(got[0]-want[0]) +
 		(got[1]-want[1])*(got[1]-want[1]) +
 		(got[2]-want[2])*(got[2]-want[2]))
-	return Located{Station: st, Loc: loc, ErrorM: err, NewtonIt: iters}, nil
+	return Located{Station: st, Loc: loc, ErrorM: err, NewtonIt: iters, Examined: examined}, nil
 }
 
 // geometryJacobian returns dX/dref at arbitrary reference coordinates by

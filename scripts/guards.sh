@@ -2,7 +2,7 @@
 # Stay-deleted guards, run by the CI test job and locally via
 #   ./scripts/guards.sh
 # 1. no Go file names anything on the retired list below (the last
-#    eleven lines: clustered local time stepping and its level wheel, the
+#    twelve lines: clustered local time stepping and its level wheel, the
 #    coordinate-key point indexer, the pre-gather page-range skip with
 #    the element point ranges it read, the rank's reused pack buffer,
 #    which Isend's copy needed, and the code no caller ran: the 1-D SEM
@@ -13,11 +13,13 @@
 #    and the per-layer resolution and stable-dt walks that LayerAudits
 #    replaced; then the legacy file handoff as a product mode — the
 #    Config knobs, specfem's flag, the iomodes example — and meshio's
-#    per-value byte helpers, which encoding/binary replaced),
+#    per-value byte helpers, which encoding/binary replaced; then the
+#    experiments' own repetition rules, which bestOf replaced, and the
+#    profiler collector, which a per-rank slice replaced),
 # 2. the root benchmark file and root-level BENCH_PR*.json snapshots
 #    stay gone (the eight snapshots are history in docs/history/),
-# 3. every experiment run goes through the two solver.Run calls of
-#    internal/experiments (solveCentral and fastestRun),
+# 3. every experiment run goes through the one solver.Run call of
+#    internal/experiments (solve),
 # 4. the solver charges its profiler from at most five call sites,
 # 5. coordinate keys (mesh.KeyOf, mesh.PointKey) stay inside
 #    internal/mesh, where only the cross-rank halo match and its tests
@@ -63,6 +65,7 @@ packBuf
 \b(BoundaryUnion|CouplingOuterFraction|Load4|Splat4|Store4|MulAdd|Transpose|NexPerSlice|ElemRange|SliceOfElem|CentralCubeOwner|PaperPeriodResolution)\b|func \([a-z]+ Vec4\) (Add|Mul)\(
 combined-halo|\b(LayerResolutions|LayerStableDts?|LayerResolution)\b
 \b(LegacyIO|LegacyDir|putU32|putU64|putF32s|putI32s|i32sAlloc|regionArrayNames)\b|legacy-io|iomodes
+\b(fastestRun|fig7Budget|mesherRuns|NewCollector)\b
 EOF
 )
 if grep -rnE "$retired" --include='*.go' .; then
@@ -89,8 +92,8 @@ if grep -rnE '\b(KeyOf|PointKey)\b' --include='*.go' . | grep -v '^\./internal/m
 fi
 
 runs=$(grep -h 'solver\.Run(' $(ls internal/experiments/*.go | grep -v '_test\.go$') | wc -l)
-if [ "$runs" -ne 2 ]; then
-    echo "guards: internal/experiments calls solver.Run $runs times, want 2" >&2
+if [ "$runs" -ne 1 ]; then
+    echo "guards: internal/experiments calls solver.Run $runs times, want 1" >&2
     fail=1
 fi
 
