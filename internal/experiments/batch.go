@@ -74,15 +74,16 @@ func BatchAblation(boxN, globeNex, steps int, sizes []int, workers int) (*BatchR
 	opts := solver.Options{Steps: steps, Kernel: solver.KernelVec4, Workers: workers}
 	for _, p := range problems {
 		var runs []func() (time.Duration, error)
-		res := make([]*solver.Result, len(sizes))
+		res := make([]map[time.Duration]*solver.Result, len(sizes))
 		for i, s := range sizes {
+			res[i] = map[time.Duration]*solver.Result{}
 			ens := p
 			ens.srcs = make([]solver.Source, s)
 			for f := range ens.srcs {
 				ens.srcs[f] = p.srcs[0]
 				ens.srcs[f].Field = f
 			}
-			runs = append(runs, loopRun(ens, opts, &res[i]))
+			runs = append(runs, loopRun(ens, opts, res[i]))
 		}
 		t, err := bestOf(runs...)
 		if err != nil {
@@ -94,7 +95,7 @@ func BatchAblation(boxN, globeNex, steps int, sizes []int, workers int) (*BatchR
 				Mesh: p.name, Sources: s, Loop: t[i],
 				StepsPerSec:       float64(steps) / t[i].Best.Seconds(),
 				SourceStepsPerSec: float64(steps*s) / t[i].Best.Seconds(),
-				ForceStats:        forceStats(res[i].Perf, out.Machine),
+				ForceStats:        forceStats(res[i][t[i].Best].Perf, out.Machine),
 			}
 			if s == 1 {
 				base = row.SourceStepsPerSec

@@ -29,6 +29,7 @@ import (
 	"specglobe/internal/mesh"
 	"specglobe/internal/meshfem"
 	"specglobe/internal/meshio"
+	"specglobe/internal/perf"
 	"specglobe/internal/perfmodel"
 	"specglobe/internal/solver"
 )
@@ -213,15 +214,10 @@ func Fig5(nexList []int) (*Fig5Result, error) {
 	for i := range res.Rows {
 		res.Rows[i].Model = fit.BytesAt(float64(res.Rows[i].Res))
 	}
-	res.At2s = fit.BytesAtPeriod(2)
-	res.At1s = fit.BytesAtPeriod(1)
+	res.At2s, res.At1s = fit.BytesAtPeriod(2), fit.BytesAtPeriod(1)
 	for _, anchor := range []float64{2, 1} {
 		r := perfmodel.PeriodToResolution(anchor)
-		res.Rows = append(res.Rows, Fig5Row{
-			Res:       int(r),
-			PeriodSec: anchor,
-			Model:     fit.BytesAt(r),
-		})
+		res.Rows = append(res.Rows, Fig5Row{Res: int(r), PeriodSec: anchor, Model: fit.BytesAt(r)})
 	}
 	return res, nil
 }
@@ -348,8 +344,7 @@ func Fig6(rows []CommRow) (*Fig6Result, error) {
 	for _, row := range rows {
 		out.Rows = append(out.Rows, Fig6Row{CommRow: row, ModelComm: fit.TotalComm(row.P, float64(row.Res))})
 	}
-	out.Pred12K = fit.PerCoreComm(12150, 1440)
-	out.Pred62K = fit.PerCoreComm(62000, 4848)
+	out.Pred12K, out.Pred62K = fit.PerCoreComm(12150, 1440), fit.PerCoreComm(62000, 4848)
 	for _, m := range perfmodel.Catalog() {
 		mf := fit.ForMachine(m)
 		out.PerMachine = append(out.PerMachine, Fig6Machine{
@@ -552,14 +547,14 @@ func (r *MemoryResult) String() string {
 // --- ATT1.8: attenuation cost factor --------------------------------------
 
 // AttenuationResult reproduces the section 6 attenuation experiment.
-// The readings are process CPU time: the paper's factor is wall time on
-// dedicated cores, and on a shared host CPU time is what stays
-// comparable — wall time of a run of tens of milliseconds is stretched
-// at will by whatever else is scheduled.
+// The readings are process CPU time, which a shared host stretches less
+// than the wall time of a run of tens of milliseconds. Flops and Bytes
+// count the solid force phase, off and on: the memory-variable work.
 type AttenuationResult struct {
 	Off, On       Timing
 	Factor        float64
 	TflopsDropPct float64
+	Flops, Bytes  [2]int64
 }
 
 // Attenuation times identical runs with attenuation off and on. The
@@ -569,13 +564,14 @@ func Attenuation(nex, steps int) (*AttenuationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var flops [2]int64 // off, on
+	out, solid := &AttenuationResult{}, perf.PhaseForceSolid.String()
+	var total [2]int64 // off, on
 	run := func(att int) func() (time.Duration, error) {
 		return cpu(func() error {
 			res, err := solve(p, solver.Options{Steps: steps, Attenuation: att == 1,
 				AttenuationBand: [2]float64{0.001, 0.05}})
 			if err == nil {
-				flops[att] = res.Perf.TotalFlops
+				total[att], out.Flops[att], out.Bytes[att] = res.Perf.TotalFlops, res.Perf.PhaseFlops[solid], res.Perf.PhaseBytes[solid]
 			}
 			return err
 		})
@@ -584,17 +580,18 @@ func Attenuation(nex, steps int) (*AttenuationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	factor := t[1].Best.Seconds() / t[0].Best.Seconds()
-	return &AttenuationResult{Off: t[0], On: t[1], Factor: factor,
-		TflopsDropPct: 100 * (1 - float64(flops[1])/float64(flops[0])/factor)}, nil
+	out.Off, out.On, out.Factor = t[0], t[1], t[1].Best.Seconds()/t[0].Best.Seconds()
+	out.TflopsDropPct = 100 * (1 - float64(total[1])/float64(total[0])/out.Factor)
+	return out, nil
 }
 
 // String renders the attenuation comparison.
 func (r *AttenuationResult) String() string {
 	return fmt.Sprintf(
 		"ATT1.8: attenuation off %v, on %v (CPU) -> factor %.2fx\n"+
+			"  solid force flops %d -> %d, bytes %d -> %d\n"+
 			"  (paper: 1.8x, with an almost imperceptible Tflops drop; measured flop-rate drop %.1f%%)\n",
-		r.Off, r.On, r.Factor, r.TflopsDropPct)
+		r.Off, r.On, r.Factor, r.Flops[0], r.Flops[1], r.Bytes[0], r.Bytes[1], r.TflopsDropPct)
 }
 
 // --- MESH2X: two-pass vs merged mesher ------------------------------------

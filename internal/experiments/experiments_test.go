@@ -64,15 +64,18 @@ func TestFig7ScalesSuperlinearly(t *testing.T) {
 		}
 	}
 	// Doubling the resolution multiplies the full-domain work by the
-	// element ratio, at least the cube of the resolution ratio; the
-	// flops and bytes, which count only the visits the wave has reached,
-	// still grow.
+	// element ratio, at least the cube of the resolution ratio. A 4-step
+	// solve performs only the visits the wave has reached: 2.5x the
+	// flops and 3.4x the bytes.
 	a, b := r.Rows[0], r.Rows[1]
 	if v := float64(b.Visits) / float64(a.Visits); v < 8 {
 		t.Errorf("visits grew only %.2fx from NEX4 to NEX8", v)
 	}
-	if b.Flops <= a.Flops || b.Bytes <= a.Bytes {
-		t.Errorf("flops %d -> %d, bytes %d -> %d: want growth", a.Flops, b.Flops, a.Bytes, b.Bytes)
+	if f := float64(b.Flops) / float64(a.Flops); f < 2 {
+		t.Errorf("flops grew only %.2fx from NEX4 to NEX8", f)
+	}
+	if by := float64(b.Bytes) / float64(a.Bytes); by < 2 {
+		t.Errorf("bytes grew only %.2fx from NEX4 to NEX8", by)
 	}
 	if b.Normalized != float64(b.Visits)/float64(a.Visits) {
 		t.Errorf("normalized %.2f, want the visits ratio", b.Normalized)
@@ -83,6 +86,17 @@ func TestFig7ScalesSuperlinearly(t *testing.T) {
 	}
 	if len(r.PaperSeries) != 6 || r.PaperSeries[0] != 1 || r.PaperSeries[5] < 200 {
 		t.Errorf("paper series %v, want 1 .. ~300", r.PaperSeries)
+	}
+	// The span extrapolated from the byte counts must be far beyond
+	// linear too.
+	fit, err := perfmodel.FitRuntimeModel([]perfmodel.Sample{
+		{X: float64(a.Res), Y: float64(a.Bytes)}, {X: float64(b.Res), Y: float64(b.Bytes)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := fit.NormalizedSeries([]float64{96, 144, 288, 320, 512, 640})
+	if last := series[len(series)-1]; last < 20 {
+		t.Errorf("byte-fit span %.0f too small for a superlinear law", last)
 	}
 	if !strings.Contains(r.String(), "FIG7") {
 		t.Error("missing report header")
@@ -144,11 +158,17 @@ func TestAttenuationFactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Attenuation adds memory-variable work: the factor must exceed 1
-	// and stay below ~3 (paper: 1.8).
-	if r.Factor < 1.0 || r.Factor > 3.5 {
-		t.Errorf("attenuation factor %.2f out of band (paper 1.8)", r.Factor)
+	// Attenuation adds memory-variable work to the solid force phase:
+	// its flops grow, and its bytes, the cost of a memory-bound kernel,
+	// by more than 1x and less than ~3x (paper: 1.8x in time). The CPU
+	// factor is printed, not asserted.
+	if r.Flops[1] <= r.Flops[0] {
+		t.Errorf("solid force flops %d off, %d on: want growth", r.Flops[0], r.Flops[1])
 	}
+	if f := float64(r.Bytes[1]) / float64(r.Bytes[0]); f <= 1 || f > 3.5 {
+		t.Errorf("solid force byte factor %.2f out of band (paper 1.8)", f)
+	}
+	t.Logf("CPU factor %.2f (off %v, on %v; paper 1.8x)", r.Factor, r.Off, r.On)
 	if !strings.Contains(r.String(), "ATT1.8") {
 		t.Error("missing header")
 	}

@@ -66,10 +66,11 @@ func KernRoof(boxN, globeNex, steps int, workers []int) (*KernRoofResult, error)
 	for _, p := range problems {
 		var rows []KernRoofRow
 		var runs []func() (time.Duration, error)
-		res := make([]*solver.Result, 2*len(workers))
+		var res []map[time.Duration]*solver.Result
 		for _, w := range workers {
 			for _, kv := range []solver.Kernel{solver.KernelScalar, solver.KernelVec4} {
-				runs = append(runs, loopRun(p, solver.Options{Steps: steps, Kernel: kv, Workers: w}, &res[len(rows)]))
+				res = append(res, map[time.Duration]*solver.Result{})
+				runs = append(runs, loopRun(p, solver.Options{Steps: steps, Kernel: kv, Workers: w}, res[len(rows)]))
 				rows = append(rows, KernRoofRow{Mesh: p.name, Kernel: kv, Workers: w})
 			}
 		}
@@ -78,27 +79,27 @@ func KernRoof(boxN, globeNex, steps int, workers []int) (*KernRoofResult, error)
 			return nil, fmt.Errorf("kernroof %s: %w", p.name, err)
 		}
 		for i, row := range rows {
+			rep := res[i][t[i].Best].Perf
 			row.Loop = t[i]
 			row.StepsPerSec = float64(steps) / t[i].Best.Seconds()
-			row.Gflops = float64(res[i].Perf.TotalFlops) / t[i].Best.Seconds() / 1e9
-			row.ForceStats = forceStats(res[i].Perf, out.Machine)
+			row.Gflops = float64(rep.TotalFlops) / t[i].Best.Seconds() / 1e9
+			row.ForceStats = forceStats(rep, out.Machine)
 			out.Rows = append(out.Rows, row)
 		}
 	}
 	return out, nil
 }
 
-// loopRun measures p's main loop under opts and keeps in *fastest the
-// run with the fastest loop, which the rows read their busy times from.
-func loopRun(p problem, opts solver.Options, fastest **solver.Result) func() (time.Duration, error) {
+// loopRun measures p's main loop under opts and records each run's
+// result under its reading, so a row reads its busy times from the run
+// that bestOf keeps.
+func loopRun(p problem, opts solver.Options, runs map[time.Duration]*solver.Result) func() (time.Duration, error) {
 	return func() (time.Duration, error) {
 		res, err := solve(p, opts)
 		if err != nil {
 			return 0, err
 		}
-		if *fastest == nil || res.Perf.WallTime < (*fastest).Perf.WallTime {
-			*fastest = res
-		}
+		runs[res.Perf.WallTime] = res
 		return res.Perf.WallTime, nil
 	}
 }

@@ -118,8 +118,8 @@ func LocateNonlinear(g *meshfem.Globe, st Station) (Located, error) {
 		if reg == nil {
 			continue
 		}
-		examined += reg.NSpec
 		for e := 0; e < reg.NSpec; e++ {
+			examined++
 			for p := 0; p < mesh.NGLL3; p++ {
 				pt := reg.Pts[reg.Ibool[e*mesh.NGLL3+p]]
 				dx := pt[0] - want[0]
