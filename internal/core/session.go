@@ -23,8 +23,8 @@ type Scenario struct {
 
 // Session is a built mesh ready to run scenarios. Building the mesh is
 // the expensive, event-independent half of a simulation; a Session pays
-// it once and amortizes it over any number of Run/RunBatch calls.
-// Sessions are the natural host of ensemble batching: RunBatch
+// it once and amortizes it over any number of RunBatchStream calls.
+// Sessions are the natural host of ensemble batching: RunBatchStream
 // propagates S independent wavefields through ONE time loop over the
 // shared mesh, one per scenario.
 type Session struct {
@@ -32,11 +32,10 @@ type Session struct {
 	globe      *meshfem.Globe
 	mesherTime time.Duration
 	load       mesh.LoadStats
-	resolution mesh.ResolutionStats
 }
 
 // NewSession builds the mesh described by cfg (ignoring its Event and
-// Stations, which Run/RunBatch scenarios supply). Mesher and solver are
+// Stations, which the scenarios supply). Mesher and solver are
 // one program (section 4.1): the solver runs on the built mesh in
 // memory.
 func NewSession(cfg Config) (*Session, error) {
@@ -60,15 +59,11 @@ func NewSession(cfg Config) (*Session, error) {
 		globe:      globe,
 		mesherTime: time.Since(t0),
 		load:       mesh.ComputeLoadStats(globe.Locals),
-		resolution: mesh.ComputeResolutionStats(globe.Locals, globe.ShortestPeriod),
 	}, nil
 }
 
 // Globe exposes the built mesh (read-only by convention).
 func (s *Session) Globe() *meshfem.Globe { return s.globe }
-
-// Load exposes the element-count load statistics of the partition.
-func (s *Session) Load() mesh.LoadStats { return s.load }
 
 // locateSource turns a valid event into a solver source driving the
 // given ensemble field.
@@ -122,18 +117,43 @@ func (s *Session) steps() (int, error) {
 	return int(math.Ceil(cfg.RecordSeconds / dt)), nil
 }
 
-// solve runs one batched solver invocation over the scenarios: source i
-// drives ensemble field i, and the receiver set is the by-name union of
-// all scenario stations (each receiver records every field). Returns
-// the raw solver result, the located stations, the worst station
-// residual and the solver wall time.
-func (s *Session) solve(scs []Scenario, chunkSamples int, onChunk func(solver.Chunk)) (*solver.Result, []stations.Located, float64, time.Duration, error) {
+// StreamChunk is one streamed increment of a scenario's seismogram —
+// see solver.Chunk. Field identifies the scenario (ensemble wavefield)
+// it belongs to.
+type StreamChunk = solver.Chunk
+
+// RunBatchStream is the session's one run method. It runs all
+// scenarios as ONE ensemble-batched solver run: scenario i's source
+// drives wavefield i, every element sweep advances all wavefields
+// against one traversal of the shared mesh data, every halo message
+// carries all fields, and the receiver set is the by-name union of the
+// scenarios' stations (each receiver records every wavefield). The
+// wavefield state is allocated fresh inside the solver, so sequential
+// calls are independent.
+//
+// Each returned Report is the scenario's view of the shared run:
+// Result.Seismograms holds only that scenario's stations recorded from
+// its own wavefield (bit-identical to a single-scenario run), while
+// Result.BySource and the performance counters describe the whole
+// batched run and are shared by all reports.
+//
+// When onChunk is non-nil, each scenario's stations also stream their
+// samples in append-only chunks of chunkSamples as the integrator
+// advances (the final short chunk carries Last). A chunk is delivered
+// for scenario ch.Field only if its station belongs to that scenario's
+// own station list. Concatenated chunks are bit-identical to the Report
+// seismograms. onChunk is called concurrently from rank goroutines and
+// must be safe for concurrent use.
+func (s *Session) RunBatchStream(scs []Scenario, chunkSamples int, onChunk func(StreamChunk)) ([]*Report, error) {
+	if len(scs) == 0 {
+		return nil, fmt.Errorf("core: RunBatchStream needs at least one scenario")
+	}
 	cfg := &s.cfg
 	srcs := make([]solver.Source, len(scs))
 	for i := range scs {
 		src, err := s.locateSource(scs[i].Event, i)
 		if err != nil {
-			return nil, nil, 0, 0, err
+			return nil, err
 		}
 		srcs[i] = src
 	}
@@ -146,26 +166,42 @@ func (s *Session) solve(scs []Scenario, chunkSamples int, onChunk func(solver.Ch
 		for _, st := range sc.Stations {
 			if prev, ok := seen[st.Name]; ok {
 				if prev != st {
-					return nil, nil, 0, 0, fmt.Errorf("core: station %q appears with different definitions across scenarios", st.Name)
+					return nil, fmt.Errorf("core: station %q appears with different definitions across scenarios", st.Name)
 				}
 				continue
 			}
 			seen[st.Name] = st
 			if err := ValidateStation(st); err != nil {
-				return nil, nil, 0, 0, err
+				return nil, err
 			}
 			l, err := stations.LocateFast(s.globe, st, cfg.SnapStations)
 			if err != nil {
-				return nil, nil, 0, 0, err
+				return nil, err
 			}
 			located = append(located, l)
 		}
 	}
-	stErr := stations.MaxLocationError(located)
 
 	steps, err := s.steps()
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, err
+	}
+
+	cb := onChunk
+	if onChunk != nil {
+		// Per-scenario station-name filters.
+		sets := make([]map[string]bool, len(scs))
+		for i, sc := range scs {
+			sets[i] = make(map[string]bool, len(sc.Stations))
+			for _, st := range sc.Stations {
+				sets[i][st.Name] = true
+			}
+		}
+		cb = func(ch solver.Chunk) {
+			if ch.Field < len(sets) && sets[ch.Field][ch.Name] {
+				onChunk(ch)
+			}
+		}
 	}
 
 	t1 := time.Now()
@@ -189,99 +225,16 @@ func (s *Session) solve(scs []Scenario, chunkSamples int, onChunk func(solver.Ch
 			LTS:         cfg.LTS,
 			LTSMaxRate:  cfg.LTSMaxRate,
 
-			OnChunk:            onChunk,
+			OnChunk:            cb,
 			StreamChunkSamples: chunkSamples,
 		},
 	})
 	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	return res, located, stErr, time.Since(t1), nil
-}
-
-// report assembles a Report around a solver result for one scenario.
-func (s *Session) report(sc Scenario, res *solver.Result, stErr float64, solverTime time.Duration) *Report {
-	cfg := s.cfg
-	cfg.Event = sc.Event
-	cfg.Stations = sc.Stations
-	return &Report{
-		Config:         cfg,
-		Globe:          s.globe,
-		Result:         res,
-		MesherTime:     s.mesherTime,
-		SolverTime:     solverTime,
-		ShortestPeriod: s.globe.ShortestPeriod,
-		Load:           s.load,
-		Resolution:     s.resolution,
-		StationErrors:  stErr,
-	}
-}
-
-// Run executes one scenario on the session's mesh. The wavefield state
-// is allocated fresh inside the solver, so sequential Run calls are
-// independent: each is bit-identical to a full core.Run with the same
-// configuration.
-func (s *Session) Run(sc Scenario) (*Report, error) {
-	res, _, stErr, solverTime, err := s.solve([]Scenario{sc}, 0, nil)
-	if err != nil {
 		return nil, err
 	}
-	return s.report(sc, res, stErr, solverTime), nil
-}
+	solverTime := time.Since(t1)
+	stErr := stations.MaxLocationError(located)
 
-// RunBatch executes all scenarios as ONE ensemble-batched solver run:
-// scenario i's source drives wavefield i, every element sweep advances
-// all wavefields against one traversal of the shared mesh data, and
-// every halo message carries all fields. Each returned Report is the
-// scenario's view of the shared run: Result.Seismograms holds only that
-// scenario's stations recorded from its own wavefield (bit-identical to
-// a single-source run of the same scenario), while Result.BySource and
-// the performance counters describe the whole batched run and are
-// shared by all reports.
-func (s *Session) RunBatch(scs []Scenario) ([]*Report, error) {
-	return s.RunBatchStream(scs, 0, nil)
-}
-
-// StreamChunk is one streamed increment of a scenario's seismogram —
-// see solver.Chunk. Field identifies the scenario (ensemble wavefield)
-// it belongs to.
-type StreamChunk = solver.Chunk
-
-// RunBatchStream is RunBatch with incremental delivery: when onChunk is
-// non-nil, each scenario's stations stream their samples in append-only
-// chunks of chunkSamples as the integrator advances (final short chunk
-// carries Last), instead of only materializing in the Reports at the
-// end. A chunk is delivered for scenario ch.Field only if its station
-// belongs to that scenario's own station list — the receiver union
-// records every wavefield, but a scenario never sees another
-// scenario's stations. Concatenated chunks are bit-identical to the
-// Report seismograms, which are still returned. onChunk is called
-// concurrently from rank goroutines and must be safe for concurrent
-// use.
-func (s *Session) RunBatchStream(scs []Scenario, chunkSamples int, onChunk func(StreamChunk)) ([]*Report, error) {
-	if len(scs) == 0 {
-		return nil, fmt.Errorf("core: RunBatch needs at least one scenario")
-	}
-	cb := onChunk
-	if onChunk != nil {
-		// Per-scenario station-name filters.
-		sets := make([]map[string]bool, len(scs))
-		for i, sc := range scs {
-			sets[i] = make(map[string]bool, len(sc.Stations))
-			for _, st := range sc.Stations {
-				sets[i][st.Name] = true
-			}
-		}
-		cb = func(ch solver.Chunk) {
-			if ch.Field < len(sets) && sets[ch.Field][ch.Name] {
-				onChunk(ch)
-			}
-		}
-	}
-	res, _, stErr, solverTime, err := s.solve(scs, chunkSamples, cb)
-	if err != nil {
-		return nil, err
-	}
 	reps := make([]*Report, len(scs))
 	for i, sc := range scs {
 		view := *res
@@ -291,7 +244,18 @@ func (s *Session) RunBatchStream(scs []Scenario, chunkSamples int, onChunk func(
 				view.Seismograms[st.Name] = sg
 			}
 		}
-		reps[i] = s.report(sc, &view, stErr, solverTime)
+		rcfg := s.cfg
+		rcfg.Event, rcfg.Stations = sc.Event, sc.Stations
+		reps[i] = &Report{
+			Config:         rcfg,
+			Globe:          s.globe,
+			Result:         &view,
+			MesherTime:     s.mesherTime,
+			SolverTime:     solverTime,
+			ShortestPeriod: s.globe.ShortestPeriod,
+			Load:           s.load,
+			StationErrors:  stErr,
+		}
 	}
 	return reps, nil
 }

@@ -27,6 +27,15 @@ func nearStation(name string, ev Event) stations.Station {
 	return stations.Station{Name: name, Network: "XX", LatDeg: ev.LatDeg + 3, LonDeg: ev.LonDeg + 2}
 }
 
+// runOne runs a single scenario on a session.
+func runOne(s *Session, sc Scenario) (*Report, error) {
+	reps, err := s.RunBatchStream([]Scenario{sc}, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	return reps[0], nil
+}
+
 // sameSeismos requires bit-identical (==) seismograms per station, and
 // signal on at least one of them.
 func sameSeismos(t *testing.T, tag string, want, got map[string]*solver.Seismogram) {
@@ -59,7 +68,7 @@ func sameSeismos(t *testing.T, tag string, want, got map[string]*solver.Seismogr
 }
 
 // Session reuse must leak no wavefield state across runs: two
-// sequential Session.Run calls with different sources produce
+// sequential single-scenario runs with different sources produce
 // seismograms bit-identical to two fresh core.Run calls. Both the
 // plain and the doubled globe (whose mesh carries the multi-rate
 // doubling structure) are covered.
@@ -90,11 +99,11 @@ func TestSessionReuseMatchesFreshRuns(t *testing.T) {
 				t.Fatal(err)
 			}
 			sts := cfg.Stations
-			rep1, err := s.Run(Scenario{Name: "a", Event: testEvent, Stations: sts})
+			rep1, err := runOne(s, Scenario{Name: "a", Event: testEvent, Stations: sts})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep2, err := s.Run(Scenario{Name: "b", Event: secondEvent, Stations: sts})
+			rep2, err := runOne(s, Scenario{Name: "b", Event: secondEvent, Stations: sts})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +129,7 @@ func TestSessionReuseMatchesFreshRuns(t *testing.T) {
 	}
 }
 
-// RunBatch propagates each scenario's source through its own ensemble
+// RunBatchStream propagates each scenario's source through its own ensemble
 // field of ONE solver run; each scenario's view must be bit-identical
 // to running it alone, and stations not in a scenario's set must not
 // appear in its view.
@@ -139,7 +148,7 @@ func TestSessionRunBatchMatchesSingleRuns(t *testing.T) {
 		{Name: "a", Event: testEvent, Stations: append(all[:2:2], nearStation("NEARA", testEvent))},
 		{Name: "b", Event: secondEvent, Stations: append(all[1:], nearStation("NEARB", secondEvent))},
 	}
-	reps, err := s.RunBatch(scs)
+	reps, err := s.RunBatchStream(scs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +159,7 @@ func TestSessionRunBatchMatchesSingleRuns(t *testing.T) {
 		t.Errorf("NumFields = %d, want 2", reps[0].Result.NumFields)
 	}
 	for i, sc := range scs {
-		single, err := s.Run(sc)
+		single, err := runOne(s, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +194,7 @@ func TestWriteSeismogramsBatch(t *testing.T) {
 		{Name: "a", Event: testEvent, Stations: sts},
 		{Name: "b", Event: secondEvent, Stations: sts},
 	}
-	reps, err := s.RunBatch(scs)
+	reps, err := s.RunBatchStream(scs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +218,7 @@ func TestWriteSeismogramsBatch(t *testing.T) {
 	}
 	// Each subdirectory matches the flat write of its single-source run.
 	for fi, sc := range scs {
-		single, err := s.Run(sc)
+		single, err := runOne(s, sc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -172,7 +172,7 @@ type Fig5Row struct {
 // Fig5Result reproduces figure 5.
 type Fig5Result struct {
 	Rows []Fig5Row
-	Fit  *perfmodel.DiskModel
+	Fit  *perfmodel.PowerModel
 	// Predictions at the paper's anchor periods.
 	At2s, At1s float64
 }
@@ -206,18 +206,18 @@ func Fig5(nexList []int) (*Fig5Result, error) {
 			Files:     st.Files,
 		})
 	}
-	fit, err := perfmodel.FitDiskModel(samples)
+	fit, err := perfmodel.FitPowerModel(samples)
 	if err != nil {
 		return nil, err
 	}
 	res.Fit = fit
 	for i := range res.Rows {
-		res.Rows[i].Model = fit.BytesAt(float64(res.Rows[i].Res))
+		res.Rows[i].Model = fit.At(float64(res.Rows[i].Res))
 	}
-	res.At2s, res.At1s = fit.BytesAtPeriod(2), fit.BytesAtPeriod(1)
+	res.At2s, res.At1s = fit.AtPeriod(2), fit.AtPeriod(1)
 	for _, anchor := range []float64{2, 1} {
 		r := perfmodel.PeriodToResolution(anchor)
-		res.Rows = append(res.Rows, Fig5Row{Res: int(r), PeriodSec: anchor, Model: fit.BytesAt(r)})
+		res.Rows = append(res.Rows, Fig5Row{Res: int(r), PeriodSec: anchor, Model: fit.At(r)})
 	}
 	return res, nil
 }
@@ -400,7 +400,7 @@ type Fig7Result struct {
 	Rows []Fig7Row
 	// Fit is the power law of Visits against resolution, so it repeats
 	// exactly from run to run.
-	Fit *perfmodel.RuntimeModel
+	Fit *perfmodel.PowerModel
 	// PaperSeries is the model evaluated at the paper's resolutions
 	// {96,144,288,320,512,640}, normalized to the first.
 	PaperSeries []float64
@@ -433,7 +433,7 @@ func Fig7(nexList []int, steps int) (*Fig7Result, error) {
 		samples = append(samples, perfmodel.Sample{X: float64(nex), Y: float64(row.Visits)})
 		out.Rows = append(out.Rows, row)
 	}
-	fit, err := perfmodel.FitRuntimeModel(samples)
+	fit, err := perfmodel.FitPowerModel(samples)
 	if err != nil {
 		return nil, err
 	}
@@ -487,10 +487,10 @@ func (t CommFractionTable) String() string {
 
 // MemoryResult reproduces the section 4 memory arithmetic.
 type MemoryResult struct {
-	Fit *perfmodel.MemoryModel
+	Fit *perfmodel.PowerModel
 	// Calibrated is the same power law rescaled to the paper's 37 TB
 	// anchor (SPECFEM's packed storage); it drives the Table 6 periods.
-	Calibrated *perfmodel.MemoryModel
+	Calibrated *perfmodel.PowerModel
 	// Bytes at the 2 s and 1 s resolutions (measured constant).
 	At2s, At1s float64
 	// Cores needed at 1.85 GB/core for the 2 s mesh, calibrated
@@ -517,13 +517,13 @@ func Memory(nexList []int) (*MemoryResult, error) {
 		}
 		samples = append(samples, perfmodel.Sample{X: float64(nex), Y: float64(bytes)})
 	}
-	fit, err := perfmodel.FitMemoryModel(samples)
+	fit, err := perfmodel.FitPowerModel(samples)
 	if err != nil {
 		return nil, err
 	}
 	out := &MemoryResult{Fit: fit, Calibrated: fit.CalibratedToPaper()}
-	out.At2s = fit.BytesAt(perfmodel.PeriodToResolution(2))
-	out.At1s = fit.BytesAt(perfmodel.PeriodToResolution(1))
+	out.At2s = fit.At(perfmodel.PeriodToResolution(2))
+	out.At1s = fit.At(perfmodel.PeriodToResolution(1))
 	out.CoresAt2s = out.Calibrated.CoresNeeded(perfmodel.PeriodToResolution(2), 1.85)
 	out.Table6 = perfmodel.Table6(out.Calibrated)
 	return out, nil

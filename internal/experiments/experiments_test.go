@@ -89,7 +89,7 @@ func TestFig7ScalesSuperlinearly(t *testing.T) {
 	}
 	// The span extrapolated from the byte counts must be far beyond
 	// linear too.
-	fit, err := perfmodel.FitRuntimeModel([]perfmodel.Sample{
+	fit, err := perfmodel.FitPowerModel([]perfmodel.Sample{
 		{X: float64(a.Res), Y: float64(a.Bytes)}, {X: float64(b.Res), Y: float64(b.Bytes)}})
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestCommFractionSmall(t *testing.T) {
 	}
 }
 
-func TestMemoryModelMatchesPaperShape(t *testing.T) {
+func TestMemoryFitMatchesPaperShape(t *testing.T) {
 	r, err := Memory([]int{4, 8, 12})
 	if err != nil {
 		t.Fatal(err)

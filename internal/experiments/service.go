@@ -14,11 +14,11 @@ import (
 // (a) sequentially through core.Run — each job pays its own mesh build,
 // handoff and solve, the only mode the repo had before specfemd — and
 // (b) through a daemon, which builds the compatibility key's session
-// once, reuses it for every job, and marches the jobs through RunBatch
-// ensembles of S wavefields per time loop. The comparable aggregate is
-// src-steps/sec = jobs x steps / wall over the whole workload (meshing
-// included on both sides — a client asking for J seismogram sets pays
-// end-to-end time, not solver time).
+// once, reuses it for every job, and marches the jobs through
+// RunBatchStream ensembles of S wavefields per time loop. The comparable
+// aggregate is src-steps/sec = jobs x steps / wall over the whole
+// workload (meshing included on both sides — a client asking for J
+// seismogram sets pays end-to-end time, not solver time).
 
 // ServiceRow is one mode's end-to-end measurement.
 type ServiceRow struct {

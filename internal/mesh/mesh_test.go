@@ -138,6 +138,27 @@ func TestWeights3DPartitionOfUnity(t *testing.T) {
 	}
 }
 
+// TestWeights3DOneHotAtNodes pins what a station snapped to a GLL node
+// records: at each of the NGLL3 node refs the weights are exactly 1 at
+// that node and ±0 at every other, so the receiver reads the node's
+// displacement bit for bit. Each factor of the node's own weight is
+// a/a = 1; every other weight has a factor (x - x_k) = 0.
+func TestWeights3DOneHotAtNodes(t *testing.T) {
+	for k := 0; k < NGLL; k++ {
+		for j := 0; j < NGLL; j++ {
+			for i := 0; i < NGLL; i++ {
+				node := i + NGLL*j + NGLL2*k
+				w := Weights3D([3]float64{gllPoints[i], gllPoints[j], gllPoints[k]})
+				for p, v := range w {
+					if (p == node && v != 1) || (p != node && v != 0) {
+						t.Fatalf("node %d: weight %d is %v, want one-hot", node, p, v)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestInterpolateGeometryAtNodes(t *testing.T) {
 	r := makeUnitRegion()
 	// At reference (-1,-1,-1) the interpolant must return node (0,0,0).

@@ -172,7 +172,7 @@ type Table6Row struct {
 // Table6 reproduces the production-run table with the roofline model
 // and, when a memory model is supplied, the reachable shortest period on
 // each run's partition (mem != nil).
-func Table6(mem *MemoryModel) []Table6Row {
+func Table6(mem *PowerModel) []Table6Row {
 	byName := map[string]Machine{}
 	for _, m := range Catalog() {
 		byName[m.Name] = m

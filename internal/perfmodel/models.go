@@ -18,20 +18,25 @@ func PeriodToResolution(period float64) float64 { return resolutionConstant / pe
 // ResolutionToPeriod converts NEX_XI to the shortest period in seconds.
 func ResolutionToPeriod(res float64) float64 { return resolutionConstant / res }
 
-// --- Figure 5: disk space vs resolution ---------------------------------
+// --- Power-law fits: figure 5, figure 7 and the memory model ----------
 
 // Sample is one (x, y) measurement.
 type Sample struct{ X, Y float64 }
 
-// DiskModel is the power-law regression of legacy-database disk usage
-// versus resolution (figure 5's "Model" curve).
-type DiskModel struct {
+// PowerModel is a power-law regression y = A·res^B of a measured
+// quantity against NEX resolution: legacy-database disk usage (figure
+// 5's "Model" curve), total core-seconds at a fixed step count (figure
+// 7: the paper's data spans a factor of ~300 between res 96 and res 640,
+// an exponent of about 3, as the element count grows with res^3) and
+// total in-memory mesh bytes (section 4: 37 TB, 1.85 GB/core, ~62K
+// cores).
+type PowerModel struct {
 	Fit linalg.PowerLaw
 	R2  float64
 }
 
-// FitDiskModel fits total database bytes against NEX resolution.
-func FitDiskModel(samples []Sample) (*DiskModel, error) {
+// FitPowerModel fits the samples' Y against their resolution X.
+func FitPowerModel(samples []Sample) (*PowerModel, error) {
 	xs := make([]float64, len(samples))
 	ys := make([]float64, len(samples))
 	for i, s := range samples {
@@ -39,17 +44,62 @@ func FitDiskModel(samples []Sample) (*DiskModel, error) {
 	}
 	fit, err := linalg.FitPowerLaw(xs, ys)
 	if err != nil {
-		return nil, fmt.Errorf("perfmodel: disk fit: %w", err)
+		return nil, fmt.Errorf("perfmodel: power-law fit: %w", err)
 	}
-	return &DiskModel{Fit: fit, R2: fit.RSquared(xs, ys)}, nil
+	return &PowerModel{Fit: fit, R2: fit.RSquared(xs, ys)}, nil
 }
 
-// BytesAt predicts the database size at a resolution.
-func (d *DiskModel) BytesAt(res float64) float64 { return d.Fit.Eval(res) }
+// At predicts the quantity at a resolution.
+func (m *PowerModel) At(res float64) float64 { return m.Fit.Eval(res) }
 
-// BytesAtPeriod predicts the database size for a shortest period.
-func (d *DiskModel) BytesAtPeriod(period float64) float64 {
-	return d.BytesAt(PeriodToResolution(period))
+// AtPeriod predicts the quantity for a shortest period.
+func (m *PowerModel) AtPeriod(period float64) float64 {
+	return m.At(PeriodToResolution(period))
+}
+
+// NormalizedSeries evaluates the model at the given resolutions and
+// normalizes by the first value — the exact presentation of figure 7.
+func (m *PowerModel) NormalizedSeries(res []float64) []float64 {
+	out := make([]float64, len(res))
+	base := m.At(res[0])
+	for i, r := range res {
+		out[i] = m.At(r) / base
+	}
+	return out
+}
+
+// CoresNeeded returns, for a mesh-memory model, the number of cores
+// needed to hold the mesh at a resolution given the usable memory per
+// core in GB (the paper's arithmetic: 37 TB at 1.85 GB/core requires
+// around 62K cores well within the shortest-period band).
+func (m *PowerModel) CoresNeeded(res float64, gbPerCore float64) float64 {
+	return m.At(res) / (gbPerCore * 1e9)
+}
+
+// CalibratedToPaper returns a copy of a mesh-memory model rescaled so
+// that the 2-second mesh occupies exactly the paper's 37 TB, keeping
+// the fitted exponent. The Go mesh deliberately stores more per point
+// (float64 coordinates, per-point materials) than SPECFEM's packed
+// Fortran arrays, so the measured constant over-predicts absolute
+// sizes; the calibrated model represents the original code's footprint
+// and drives the Table 6 shortest-period column.
+func (m *PowerModel) CalibratedToPaper() *PowerModel {
+	res2s := PeriodToResolution(2)
+	scale := 37e12 / m.Fit.Eval(res2s)
+	out := *m
+	out.Fit.A *= scale
+	return &out
+}
+
+// ShortestPeriodOnPartition inverts a mesh-memory model: the smallest
+// period whose mesh fits in cores * gbPerCore of memory (with the
+// standard rule that the solver can use about half the node memory for
+// the mesh).
+func (m *PowerModel) ShortestPeriodOnPartition(cores int, gbPerCore float64) float64 {
+	budget := float64(cores) * gbPerCore * 1e9 * 0.5
+	// Invert bytes = A * res^B.
+	res := math.Pow(budget/m.Fit.A, 1/m.Fit.B)
+	return ResolutionToPeriod(res)
 }
 
 // --- Figure 6: communication time vs core count -------------------------
@@ -122,115 +172,16 @@ func (c *CommModel) ForMachine(m Machine) *CommModel {
 	return out
 }
 
-// --- Figure 7: total runtime vs resolution ------------------------------
-
-// RuntimeModel is the power-law regression of total core-seconds versus
-// resolution at a fixed number of time steps. The paper's figure 7 data
-// spans a factor of ~300 between res 96 and res 640, i.e. an exponent of
-// about 3 (the element count grows with res^3).
-type RuntimeModel struct {
-	Fit linalg.PowerLaw
-	R2  float64
-}
-
-// FitRuntimeModel fits total core-seconds against resolution.
-func FitRuntimeModel(samples []Sample) (*RuntimeModel, error) {
-	xs := make([]float64, len(samples))
-	ys := make([]float64, len(samples))
-	for i, s := range samples {
-		xs[i], ys[i] = s.X, s.Y
-	}
-	fit, err := linalg.FitPowerLaw(xs, ys)
-	if err != nil {
-		return nil, fmt.Errorf("perfmodel: runtime fit: %w", err)
-	}
-	return &RuntimeModel{Fit: fit, R2: fit.RSquared(xs, ys)}, nil
-}
-
-// TotalAt predicts total core-seconds at a resolution (same step count
-// as the calibration runs).
-func (m *RuntimeModel) TotalAt(res float64) float64 { return m.Fit.Eval(res) }
-
-// NormalizedSeries evaluates the model at the given resolutions and
-// normalizes by the first value — the exact presentation of figure 7.
-func (m *RuntimeModel) NormalizedSeries(res []float64) []float64 {
-	out := make([]float64, len(res))
-	base := m.TotalAt(res[0])
-	for i, r := range res {
-		out[i] = m.TotalAt(r) / base
-	}
-	return out
-}
-
 // CommFraction combines the communication and runtime models into the
 // quantity section 5 reports: communication time as a fraction of total
 // execution time for all cores.
-func CommFraction(cm *CommModel, rm *RuntimeModel, p int, res float64) float64 {
+func CommFraction(cm *CommModel, rm *PowerModel, p int, res float64) float64 {
 	comm := cm.TotalComm(p, res)
-	total := rm.TotalAt(res)
+	total := rm.At(res)
 	if total <= 0 {
 		return 0
 	}
 	return comm / (total + comm)
-}
-
-// --- Memory model (section 4: 37 TB, 1.85 GB/core, ~62K cores) ----------
-
-// MemoryModel is the power-law regression of total mesh bytes versus
-// resolution.
-type MemoryModel struct {
-	Fit linalg.PowerLaw
-	R2  float64
-}
-
-// FitMemoryModel fits total in-memory mesh bytes against resolution.
-func FitMemoryModel(samples []Sample) (*MemoryModel, error) {
-	xs := make([]float64, len(samples))
-	ys := make([]float64, len(samples))
-	for i, s := range samples {
-		xs[i], ys[i] = s.X, s.Y
-	}
-	fit, err := linalg.FitPowerLaw(xs, ys)
-	if err != nil {
-		return nil, fmt.Errorf("perfmodel: memory fit: %w", err)
-	}
-	return &MemoryModel{Fit: fit, R2: fit.RSquared(xs, ys)}, nil
-}
-
-// BytesAt predicts the total mesh memory at a resolution.
-func (m *MemoryModel) BytesAt(res float64) float64 { return m.Fit.Eval(res) }
-
-// CoresNeeded returns the number of cores needed to hold the mesh at a
-// resolution given the usable memory per core in GB (the paper's
-// arithmetic: 37 TB at 1.85 GB/core requires around 62K cores well
-// within the shortest-period band).
-func (m *MemoryModel) CoresNeeded(res float64, gbPerCore float64) float64 {
-	return m.BytesAt(res) / (gbPerCore * 1e9)
-}
-
-// CalibratedToPaper returns a copy of the model rescaled so that the
-// 2-second mesh occupies exactly the paper's 37 TB, keeping the fitted
-// exponent. The Go mesh deliberately stores more per point (float64
-// coordinates, per-point materials) than SPECFEM's packed Fortran
-// arrays, so the measured constant over-predicts absolute sizes; the
-// calibrated model represents the original code's footprint and drives
-// the Table 6 shortest-period column.
-func (m *MemoryModel) CalibratedToPaper() *MemoryModel {
-	res2s := PeriodToResolution(2)
-	scale := 37e12 / m.Fit.Eval(res2s)
-	out := *m
-	out.Fit.A *= scale
-	return &out
-}
-
-// ShortestPeriodOnPartition inverts the model: the smallest period whose
-// mesh fits in cores * gbPerCore of memory (with the standard rule that
-// the solver can use about half the node memory for the mesh).
-func (m *MemoryModel) ShortestPeriodOnPartition(cores int, gbPerCore float64) float64 {
-	budget := float64(cores) * gbPerCore * 1e9 * 0.5
-	// Invert bytes = A * res^B.
-	res := math.Pow(budget/m.Fit.A, 1/m.Fit.B)
-	return ResolutionToPeriod(res)
 }
 
 // --- Report formatting ----------------------------------------------------

@@ -76,13 +76,13 @@ func TestFormatTable6(t *testing.T) {
 	}
 }
 
-func TestDiskModelExtrapolation(t *testing.T) {
+func TestDiskFitExtrapolation(t *testing.T) {
 	// Synthetic cubic data mimicking figure 5 (bytes = 1200 * res^3).
 	var samples []Sample
 	for _, res := range []float64{96, 144, 288, 320, 512, 640} {
 		samples = append(samples, Sample{X: res, Y: 1200 * math.Pow(res, 3)})
 	}
-	dm, err := FitDiskModel(samples)
+	dm, err := FitPowerModel(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestDiskModelExtrapolation(t *testing.T) {
 	// Paper: >14 TB at 2 s, >108 TB at 1 s. With the cubic law and this
 	// constant the 2 s prediction is 1200*2176^3 = 12.4 TB and the 1 s
 	// one 8x that: the ratio must be ~7.7 (the paper's 108/14).
-	r := dm.BytesAtPeriod(1.0) / dm.BytesAtPeriod(2.0)
+	r := dm.AtPeriod(1.0) / dm.AtPeriod(2.0)
 	if math.Abs(r-8) > 0.01 {
 		t.Errorf("1s/2s byte ratio %v, want 8 (paper: 108/14 = 7.7)", r)
 	}
@@ -134,14 +134,14 @@ func TestCommModelErrors(t *testing.T) {
 	}
 }
 
-func TestRuntimeModelNormalizedSeries(t *testing.T) {
+func TestRuntimeFitNormalizedSeries(t *testing.T) {
 	// Cubic runtime data (figure 7's measured factor ~300 over the res
 	// 96..640 span: (640/96)^3 = 296).
 	var samples []Sample
 	for _, res := range []float64{96, 144, 288, 320, 512, 640} {
 		samples = append(samples, Sample{X: res, Y: 5 * math.Pow(res, 3)})
 	}
-	rm, err := FitRuntimeModel(samples)
+	rm, err := FitPowerModel(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestCommFraction(t *testing.T) {
 	for _, res := range []float64{96, 144, 288, 320, 512, 640} {
 		samples = append(samples, Sample{X: res, Y: 2000 * math.Pow(res, 3)})
 	}
-	rm, err := FitRuntimeModel(samples)
+	rm, err := FitPowerModel(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestCommFraction(t *testing.T) {
 	}
 }
 
-func TestMemoryModel(t *testing.T) {
+func TestMemoryFit(t *testing.T) {
 	// Calibrate a cubic memory law that yields the paper's 37 TB at the
 	// 2-second resolution (res 2176).
 	c := 37e12 / math.Pow(2176, 3)
@@ -184,11 +184,11 @@ func TestMemoryModel(t *testing.T) {
 	for _, res := range []float64{16, 32, 64, 128} {
 		samples = append(samples, Sample{X: res, Y: c * math.Pow(res, 3)})
 	}
-	mm, err := FitMemoryModel(samples)
+	mm, err := FitPowerModel(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bytes2s := mm.BytesAt(PeriodToResolution(2))
+	bytes2s := mm.At(PeriodToResolution(2))
 	if math.Abs(bytes2s-37e12)/37e12 > 0.01 {
 		t.Errorf("2 s memory %.3g, want 37e12", bytes2s)
 	}

@@ -336,14 +336,13 @@ func (d *Daemon) nextBatch() ([]*job, time.Duration) {
 
 // runBatch executes one ensemble: acquire (or build) the key's
 // session, pre-validate each job's event against the built mesh so a
-// bad event fails alone, then stream one RunBatch over the survivors.
+// bad event fails alone, then stream one RunBatchStream over the
+// survivors.
 func (d *Daemon) runBatch(batch []*job) {
 	key := batch[0].res.key
 	sess, err := d.cache.acquire(key, func() (*core.Session, error) {
-		cfg, err := configFor(key, batch[0].res.spec, d.cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
+		cfg := batch[0].res.cfg
+		cfg.Workers = d.cfg.Workers
 		s, err := core.NewSession(cfg)
 		if err != nil {
 			return nil, Errf(CodeRunFailed, "building session %s: %v", key, err)
@@ -364,7 +363,7 @@ func (d *Daemon) runBatch(batch []*job) {
 	// fluid core (or outside the globe) fails its own job only.
 	live := batch[:0:0]
 	for _, j := range batch {
-		if evErr := sess.CheckEvent(j.res.event); evErr != nil {
+		if evErr := sess.CheckEvent(j.res.cfg.Event); evErr != nil {
 			d.finishJob(j, Errf(CodeBadEvent, "job %s: %v", j.id, evErr), len(batch), 0)
 			continue
 		}
@@ -375,8 +374,9 @@ func (d *Daemon) runBatch(batch []*job) {
 	}
 
 	// A station name reused across jobs with different coordinates
-	// would poison the whole ensemble (RunBatch rejects the ambiguous
-	// union), so detect it up front and fail only the latecomer.
+	// would poison the whole ensemble (RunBatchStream rejects the
+	// ambiguous union), so detect it up front and fail only the
+	// latecomer.
 	live = d.dropStationConflicts(live)
 	if len(live) == 0 {
 		return
@@ -384,7 +384,7 @@ func (d *Daemon) runBatch(batch []*job) {
 
 	scs := make([]core.Scenario, len(live))
 	for i, j := range live {
-		scs[i] = core.Scenario{Name: j.id, Event: j.res.event, Stations: j.res.stations}
+		scs[i] = core.Scenario{Name: j.id, Event: j.res.cfg.Event, Stations: j.res.cfg.Stations}
 	}
 	reps, err := sess.RunBatchStream(scs, d.cfg.ChunkSamples, func(ch core.StreamChunk) {
 		j := live[ch.Field]
@@ -428,7 +428,7 @@ func (d *Daemon) dropStationConflicts(live []*job) []*job {
 	keep := live[:0:0]
 	for _, j := range live {
 		conflict := ""
-		for _, st := range j.res.stations {
+		for _, st := range j.res.cfg.Stations {
 			if prev, have := byName[st.Name]; have && prev != st {
 				conflict = st.Name
 				break
@@ -439,7 +439,7 @@ func (d *Daemon) dropStationConflicts(live []*job) []*job {
 				"job %s: station %q conflicts with an earlier job in the batch", j.id, conflict), len(live), 0)
 			continue
 		}
-		for _, st := range j.res.stations {
+		for _, st := range j.res.cfg.Stations {
 			byName[st.Name] = st
 		}
 		keep = append(keep, j)

@@ -2,9 +2,9 @@
 // simulation service the paper's operational setting describes
 // (section 5's "routine simulation of globally recorded earthquakes"):
 // a daemon that owns built meshes, queues scenario jobs, groups
-// compatible jobs into multi-source ensemble batches (core.RunBatch,
-// PR 8), and streams seismogram chunks back to each client as the
-// integrator advances.
+// compatible jobs into multi-source ensemble batches
+// (core.Session.RunBatchStream), and streams seismogram chunks back to
+// each client as the integrator advances.
 //
 // The pipeline is queue -> batcher -> session -> stream:
 //

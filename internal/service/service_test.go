@@ -472,11 +472,7 @@ func TestClientGoneMidStream(t *testing.T) {
 // rebuilds on its next job. Nothing else in the queue is disturbed.
 func TestSessionBudget(t *testing.T) {
 	small := baseSpec("small", 0)
-	res, err := resolveSpec(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := configFor(res.key, small, 1)
+	cfg, err := DirectConfig(small, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,18 +117,18 @@ func (k CompatKey) String() string {
 	return b.String()
 }
 
-// job is a validated JobSpec: resolved model-independent pieces plus
-// the compatibility key.
+// resolvedJob is a validated JobSpec: its compatibility key and the
+// one-shot core.Config it runs under (Workers left 0; the daemon sets
+// its own). The Config's Event and Stations are the job's wavefield
+// payload; the rest is the session (mesh) configuration of the key.
 type resolvedJob struct {
-	spec     JobSpec
-	key      CompatKey
-	event    core.Event
-	stations []stations.Station
+	key CompatKey
+	cfg core.Config
 }
 
-// resolveSpec validates a JobSpec and resolves it into a typed job.
-// Every failure is a *Error with the code the fault-injection contract
-// names.
+// resolveSpec validates a JobSpec and resolves it, in one pass, into
+// its key and its Config. Every failure is a *Error with the code the
+// fault-injection contract names.
 func resolveSpec(spec JobSpec) (*resolvedJob, error) {
 	if spec.Steps <= 0 {
 		return nil, Errf(CodeBadRequest, "job %q: steps must be positive (got %d)", spec.Name, spec.Steps)
@@ -153,8 +153,9 @@ func resolveSpec(spec JobSpec) (*resolvedJob, error) {
 	if len(spec.Stations) == 0 {
 		return nil, Errf(CodeBadRequest, "job %q: at least one station is required", spec.Name)
 	}
-	if _, err := modelFor(spec.Model); err != nil {
-		return nil, err
+	model, err := earthmodel.ByName(spec.Model)
+	if err != nil {
+		return nil, Errf(CodeUnknownModel, "%v", err)
 	}
 	kern, err := solver.ParseKernel(spec.Kernel)
 	if err != nil {
@@ -184,7 +185,6 @@ func resolveSpec(spec JobSpec) (*resolvedJob, error) {
 		return nil, Errf(CodeBadRequest, "job %q: %v", spec.Name, err)
 	}
 	return &resolvedJob{
-		spec: spec,
 		key: CompatKey{
 			Model:       spec.Model,
 			NexXi:       spec.NexXi,
@@ -199,37 +199,35 @@ func resolveSpec(spec JobSpec) (*resolvedJob, error) {
 			OceanLoad:   spec.OceanLoad,
 			Kernel:      kern,
 		},
-		event:    event,
-		stations: sts,
+		cfg: core.Config{
+			NexXi:       spec.NexXi,
+			NProcXi:     spec.NProcXi,
+			Model:       model,
+			Steps:       spec.Steps,
+			Dt:          spec.Dt,
+			Doublings:   spec.Doublings,
+			Attenuation: spec.Attenuation,
+			Rotation:    spec.Rotation,
+			Gravity:     spec.Gravity,
+			OceanLoad:   spec.OceanLoad,
+			Kernel:      kern,
+			RecordEvery: spec.RecordEvery,
+			Event:       event,
+			Stations:    sts,
+		},
 	}, nil
 }
 
 // DirectConfig resolves a JobSpec into the exact one-shot core.Config
-// the daemon runs it under — the reference a client (or the specfemd
-// selftest) uses to verify streamed output bit-for-bit against a
-// direct core.Run.
+// the daemon runs it under — the reference a client uses to verify
+// streamed output bit-for-bit against a direct core.Run.
 func DirectConfig(spec JobSpec, workers int) (core.Config, error) {
 	res, err := resolveSpec(spec)
 	if err != nil {
 		return core.Config{}, err
 	}
-	cfg, err := configFor(res.key, res.spec, workers)
-	if err != nil {
-		return core.Config{}, err
-	}
-	cfg.Event = res.event
-	cfg.Stations = res.stations
-	return cfg, nil
-}
-
-// modelFor resolves a model name (earthmodel.ByName) as a service
-// error.
-func modelFor(name string) (earthmodel.Model, error) {
-	m, err := earthmodel.ByName(name)
-	if err != nil {
-		return nil, Errf(CodeUnknownModel, "%v", err)
-	}
-	return m, nil
+	res.cfg.Workers = workers
+	return res.cfg, nil
 }
 
 // resolveStations turns StationSpecs into located station definitions:
@@ -263,29 +261,4 @@ func resolveStations(specs []StationSpec) ([]stations.Station, error) {
 		out = append(out, ref)
 	}
 	return out, nil
-}
-
-// configFor builds the session (mesh) configuration of a key. Workers
-// is daemon-level: it caps the solver's concurrent compute, not the
-// ensemble.
-func configFor(key CompatKey, spec JobSpec, workers int) (core.Config, error) {
-	model, err := modelFor(key.Model)
-	if err != nil {
-		return core.Config{}, err
-	}
-	return core.Config{
-		NexXi:       key.NexXi,
-		NProcXi:     key.NProcXi,
-		Model:       model,
-		Steps:       key.Steps,
-		Dt:          key.Dt,
-		Doublings:   spec.Doublings,
-		Attenuation: key.Attenuation,
-		Rotation:    key.Rotation,
-		Gravity:     key.Gravity,
-		OceanLoad:   key.OceanLoad,
-		Kernel:      key.Kernel,
-		Workers:     workers,
-		RecordEvery: key.RecordEvery,
-	}, nil
 }

@@ -15,9 +15,14 @@ import (
 // protocol on an in-memory connection: a malformed line and an unknown
 // op each produce one typed error response while the connection keeps
 // serving, a valid submit streams chunks that reassemble bit-identical
-// to the direct run, and status answers mid-session.
+// to the direct run, two jobs sharing a key ride one S=2 ensemble (the
+// second streaming as field 1) and each reassembles bit-identical to
+// its own direct run, and status answers mid-session.
 func TestWireProtocol(t *testing.T) {
-	d := New(Config{MaxBatch: 1, Window: time.Millisecond, Workers: 1, ChunkSamples: 4})
+	// The fake clock never expires a window: the lone job goes out on
+	// Flush, the pair on filling MaxBatch.
+	d := New(Config{MaxBatch: 2, Window: time.Second, Workers: 1, ChunkSamples: 4,
+		Clock: NewFakeClock(time.Unix(1_000_000, 0))})
 	defer d.Close()
 
 	client, server := net.Pipe()
@@ -55,52 +60,91 @@ func TestWireProtocol(t *testing.T) {
 		t.Fatalf("unknown op: got %+v, want error/%s", r, CodeBadRequest)
 	}
 
+	// submit sends one job. net.Pipe is synchronous: the next line goes
+	// out only after the server's answer to this one is read.
+	submit := func(spec JobSpec) {
+		t.Helper()
+		if err := enc.Encode(Request{Op: "submit", Job: &spec}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// accepted reads the answer to a submit made while nothing streams.
+	accepted := func() string {
+		t.Helper()
+		r := readResp()
+		if r.Type != "accepted" || r.ID == "" || r.Key == "" {
+			t.Fatalf("submit: got %+v, want accepted with id and key", r)
+		}
+		return r.ID
+	}
+	// drain reads until the n jobs of one batch are done and returns
+	// their ids in submit order (the given ones, then those accepted
+	// meanwhile: a batch may stream before the accepted line of the
+	// job that filled it) and each job's chunks.
+	drain := func(n int, ids ...string) ([]string, map[string][]core.StreamChunk) {
+		t.Helper()
+		chunks := map[string][]core.StreamChunk{}
+		for done := 0; done < n; {
+			r := readResp()
+			switch r.Type {
+			case "accepted":
+				ids = append(ids, r.ID)
+			case "chunk":
+				chunks[r.ID] = append(chunks[r.ID], solver.Chunk{
+					Name: r.Station, Field: r.Field, Start: r.Start,
+					Dt: r.Dt, RecordEvery: r.RecordEvery,
+					X: r.X, Y: r.Y, Z: r.Z, Last: r.Last,
+				})
+			case "done":
+				if r.Status == nil || r.Status.State != StateDone || r.Status.BatchSize != n {
+					t.Fatalf("done: %+v, want done in a batch of %d", r.Status, n)
+				}
+				done++
+			default:
+				t.Fatalf("unexpected response %+v", r)
+			}
+		}
+		if len(ids) != n || len(chunks) != n {
+			t.Fatalf("ids %v and chunks of %d jobs, want %d", ids, len(chunks), n)
+		}
+		return ids, chunks
+	}
+
 	// Unknown model through the wire: typed code travels.
 	bad := baseSpec("bad", 0)
 	bad.Model = "ak135"
-	if err := enc.Encode(Request{Op: "submit", Job: &bad}); err != nil {
-		t.Fatal(err)
-	}
+	submit(bad)
 	if r := readResp(); r.Type != "error" || r.Code != CodeUnknownModel {
 		t.Fatalf("bad model: got %+v, want error/%s", r, CodeUnknownModel)
 	}
 
 	// A good job streams to completion.
 	spec := baseSpec("wired", 0)
-	if err := enc.Encode(Request{Op: "submit", Job: &spec}); err != nil {
-		t.Fatal(err)
-	}
-	acc := readResp()
-	if acc.Type != "accepted" || acc.ID == "" || acc.Key == "" {
-		t.Fatalf("submit: got %+v, want accepted with id and key", acc)
-	}
-	var chunks []core.StreamChunk
-	var done *Response
-	for done == nil {
-		r := readResp()
-		switch r.Type {
-		case "chunk":
-			if r.ID != acc.ID {
-				t.Fatalf("chunk for unknown job %q", r.ID)
+	submit(spec)
+	id := accepted()
+	d.Flush()
+	_, chunks := drain(1, id)
+	sameSeismos(t, "wired", directSeismos(t, spec, 1), assemble(t, chunks[id]))
+
+	// Two jobs with one key fill MaxBatch: one ensemble, the second job
+	// is wavefield 1, and its field index crosses the wire.
+	pair := []JobSpec{baseSpec("pair0", 4), baseSpec("pair1", -3)}
+	submit(pair[0])
+	first := accepted()
+	submit(pair[1])
+	ids, chunks := drain(2, first)
+	for f, pid := range ids {
+		for _, ch := range chunks[pid] {
+			if ch.Field != f {
+				t.Fatalf("%s: chunk of field %d, want %d", pair[f].Name, ch.Field, f)
 			}
-			chunks = append(chunks, solver.Chunk{
-				Name: r.Station, Field: r.Field, Start: r.Start,
-				Dt: r.Dt, RecordEvery: r.RecordEvery,
-				X: r.X, Y: r.Y, Z: r.Z, Last: r.Last,
-			})
-		case "done":
-			done = &r
-		default:
-			t.Fatalf("unexpected response %+v", r)
 		}
+		sameSeismos(t, pair[f].Name, directSeismos(t, pair[f], 1), assemble(t, chunks[pid]))
 	}
-	if done.Status == nil || done.Status.State != StateDone {
-		t.Fatalf("done: %+v", done)
-	}
-	sameSeismos(t, "wired", directSeismos(t, spec, 1), assemble(t, chunks))
 
 	// Status op on the finished job.
-	if err := enc.Encode(Request{Op: "status", ID: acc.ID}); err != nil {
+	if err := enc.Encode(Request{Op: "status", ID: id}); err != nil {
 		t.Fatal(err)
 	}
 	if r := readResp(); r.Type != "status" || r.Status == nil || r.Status.State != StateDone {

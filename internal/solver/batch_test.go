@@ -109,8 +109,8 @@ func TestBatchedBitIdenticalKernels(t *testing.T) {
 		srcs[i].Field = i
 	}
 	recvs := []Receiver{
-		boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2, false),
-		boxReceiver(t, b, "N", L/2-10e3, L/2-2e3, L/2+8e3, true),
+		boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2),
+		boxReceiver(t, b, "N", L/2-10e3, L/2-2e3, L/2+8e3),
 	}
 	for _, kv := range []Kernel{KernelScalar, KernelVec4} {
 		t.Run(kv.String(), func(t *testing.T) {
@@ -154,7 +154,7 @@ func TestBatchedResultSurface(t *testing.T) {
 	srcs[1].Field = 1
 	res, err := Run(&Simulation{
 		Locals: b.Locals, Plans: b.Plans, Sources: srcs,
-		Receivers: []Receiver{boxReceiver(t, b, "R", L/2+8e3, L/2, L/2, false)},
+		Receivers: []Receiver{boxReceiver(t, b, "R", L/2+8e3, L/2, L/2)},
 		Opts:      Options{Steps: 10},
 	})
 	if err != nil {

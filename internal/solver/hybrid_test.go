@@ -43,7 +43,7 @@ func TestWorkersBitIdenticalBox(t *testing.T) {
 		res, err := Run(&Simulation{
 			Locals: b.Locals, Plans: b.Plans,
 			Sources:   []Source{src},
-			Receivers: []Receiver{boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2, false)},
+			Receivers: []Receiver{boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2)},
 			Opts: Options{
 				Steps: 60, Dt: 0.02, Workers: workers,
 				Attenuation: true, AttenuationBand: [2]float64{0.1, 2.0},

@@ -114,7 +114,7 @@ func TestMixedRegionTagAlignment(t *testing.T) {
 		res, err := Run(&Simulation{
 			Locals: b.Locals, Plans: b.Plans,
 			Sources:   []Source{src},
-			Receivers: []Receiver{boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2, false)},
+			Receivers: []Receiver{boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2)},
 			Opts:      Options{Steps: 40, Dt: 0.02},
 		})
 		if err != nil {
@@ -181,7 +181,7 @@ func TestSeismogramDtRecordEvery(t *testing.T) {
 		res, err := Run(&Simulation{
 			Locals: b.Locals, Plans: b.Plans,
 			Sources:   []Source{src},
-			Receivers: []Receiver{boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2, false)},
+			Receivers: []Receiver{boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2)},
 			Opts:      Options{Steps: 30, Dt: 0.02, RecordEvery: every},
 		})
 		if err != nil {

@@ -208,10 +208,6 @@ type Receiver struct {
 	Kind earthmodel.Region
 	Elem int
 	Ref  [3]float64
-	// NearestPoint snaps recording to the closest GLL point instead of
-	// Lagrange interpolation — the fast high-resolution mode of
-	// section 4.4.
-	NearestPoint bool
 }
 
 // Seismogram is a recorded three-component time series. Field

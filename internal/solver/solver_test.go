@@ -7,6 +7,7 @@ import (
 
 	"specglobe/internal/boxmesh"
 	"specglobe/internal/earthmodel"
+	"specglobe/internal/gll"
 	"specglobe/internal/mesh"
 	"specglobe/internal/meshfem"
 )
@@ -43,16 +44,13 @@ func boxSource(t testing.TB, b *boxmesh.Box, x, y, z, m0, f0 float64) Source {
 	}
 }
 
-func boxReceiver(t testing.TB, b *boxmesh.Box, name string, x, y, z float64, nearest bool) Receiver {
+func boxReceiver(t testing.TB, b *boxmesh.Box, name string, x, y, z float64) Receiver {
 	t.Helper()
 	rank, elem, ref, err := b.Locate(x, y, z)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Receiver{
-		Name: name, Rank: rank, Kind: earthmodel.RegionCrustMantle,
-		Elem: elem, Ref: ref, NearestPoint: nearest,
-	}
+	return Receiver{Name: name, Rank: rank, Kind: earthmodel.RegionCrustMantle, Elem: elem, Ref: ref}
 }
 
 func checkFinite(t *testing.T, sg *Seismogram) {
@@ -105,7 +103,7 @@ func TestRunValidation(t *testing.T) {
 	// A negative RecordEvery once reached a negative make() capacity on a
 	// rank goroutine and panicked instead of returning an error.
 	sim = &Simulation{Locals: b.Locals, Plans: b.Plans, Opts: Options{Steps: 4, RecordEvery: -2},
-		Receivers: []Receiver{boxReceiver(t, b, "R", 5e3, 5e3, 5e3, false)}}
+		Receivers: []Receiver{boxReceiver(t, b, "R", 5e3, 5e3, 5e3)}}
 	if _, err := Run(sim); err == nil {
 		t.Error("negative RecordEvery accepted")
 	}
@@ -137,7 +135,7 @@ func TestNoSourceStaysZero(t *testing.T) {
 		b := buildBox(t, 3, 3, 30e3)
 		res, err := Run(&Simulation{
 			Locals: b.Locals, Plans: b.Plans,
-			Receivers: []Receiver{boxReceiver(t, b, "Z", 15e3, 15e3, 15e3, false)},
+			Receivers: []Receiver{boxReceiver(t, b, "Z", 15e3, 15e3, 15e3)},
 			Opts:      Options{Steps: 20},
 		})
 		if err != nil {
@@ -168,8 +166,8 @@ func TestPointForceSymmetry(t *testing.T) {
 		Locals: b.Locals, Plans: b.Plans,
 		Sources: []Source{src},
 		Receivers: []Receiver{
-			boxReceiver(t, b, "E", L/2+10e3, L/2, L/2, false),
-			boxReceiver(t, b, "W", L/2-10e3, L/2, L/2, false),
+			boxReceiver(t, b, "E", L/2+10e3, L/2, L/2),
+			boxReceiver(t, b, "W", L/2-10e3, L/2, L/2),
 		},
 		Opts: Options{Steps: 60},
 	})
@@ -207,7 +205,7 @@ func TestPWaveArrivalTime(t *testing.T) {
 		Locals:    b.Locals,
 		Plans:     b.Plans,
 		Sources:   []Source{src},
-		Receivers: []Receiver{boxReceiver(t, b, "R", L/2+dist, L/2, L/2, false)},
+		Receivers: []Receiver{boxReceiver(t, b, "R", L/2+dist, L/2, L/2)},
 		Opts:      Options{Steps: 110},
 	})
 	if err != nil {
@@ -321,7 +319,7 @@ func TestParallelInvariance(t *testing.T) {
 			res, err := Run(&Simulation{
 				Locals: b.Locals, Plans: b.Plans,
 				Sources:   []Source{src},
-				Receivers: []Receiver{boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2, false)},
+				Receivers: []Receiver{boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2)},
 				Opts:      Options{Steps: 120, Dt: 0.02},
 			})
 			if err != nil {
@@ -424,7 +422,7 @@ func TestKernelVariantsAgree(t *testing.T) {
 		res, err := Run(&Simulation{
 			Locals: b.Locals, Plans: b.Plans,
 			Sources:   []Source{src},
-			Receivers: []Receiver{boxReceiver(t, b, "R", L/2+10e3, L/2, L/2, false)},
+			Receivers: []Receiver{boxReceiver(t, b, "R", L/2+10e3, L/2, L/2)},
 			Opts:      Options{Steps: 100, Dt: 0.02, Kernel: kv},
 		})
 		if err != nil {
@@ -445,7 +443,7 @@ func TestKernelVariantsAgreeAttenuation(t *testing.T) {
 		res, err := Run(&Simulation{
 			Locals: b.Locals, Plans: b.Plans,
 			Sources:   []Source{src},
-			Receivers: []Receiver{boxReceiver(t, b, "R", L/2+10e3, L/2, L/2, false)},
+			Receivers: []Receiver{boxReceiver(t, b, "R", L/2+10e3, L/2, L/2)},
 			Opts: Options{
 				Steps: 100, Dt: 0.02, Kernel: kv,
 				Attenuation: true, AttenuationBand: [2]float64{0.1, 2},
@@ -517,7 +515,7 @@ func TestKernelVariantsWorkerBitIdentity(t *testing.T) {
 				res, err := Run(&Simulation{
 					Locals: b.Locals, Plans: b.Plans,
 					Sources:   []Source{src},
-					Receivers: []Receiver{boxReceiver(t, b, "R", L/2+10e3, L/2, L/2, false)},
+					Receivers: []Receiver{boxReceiver(t, b, "R", L/2+10e3, L/2, L/2)},
 					Opts:      Options{Steps: 60, Dt: 0.02, Kernel: v.kv, Workers: workers},
 				})
 				if err != nil {
@@ -536,34 +534,47 @@ func TestKernelVariantsWorkerBitIdentity(t *testing.T) {
 	}
 }
 
-// Nearest-point recording (the fast section 4.4 mode) must agree with
-// interpolated recording when the receiver sits exactly on a GLL point,
-// and be close elsewhere.
+// Nearest-point recording (the fast section 4.4 mode): a receiver whose
+// Ref is snapped to the nearest GLL node records through the same
+// interpolation weights, one-hot there, and must agree with a receiver
+// located at that node's position.
 func TestNearestVsInterpolated(t *testing.T) {
-	const L = 40e3
+	const L, h = 40e3, 10e3 // 4 elements of 10 km per side
 	b := buildBox(t, 4, 1, L)
 	src := boxSource(t, b, L/2, L/2, L/2, 1e17, 1.0)
-	// L/2+10e3 with 10 km elements lands exactly on an element corner.
+	// Refs (0.6, -0.8, 1) in the element whose low corner is at
+	// (20, 20, 10) km: off the nearest node in x and y.
+	snap := boxReceiver(t, b, "snap", L/2+8e3, L/2+1e3, L/2)
+	pts := gll.Points(gll.Degree)
+	for c, x := range snap.Ref {
+		snap.Ref[c] = pts[0]
+		for _, p := range pts {
+			if math.Abs(p-x) < math.Abs(snap.Ref[c]-x) {
+				snap.Ref[c] = p
+			}
+		}
+	}
+	node := boxReceiver(t, b, "node", L/2+(snap.Ref[0]+1)*h/2, L/2+(snap.Ref[1]+1)*h/2, L/2-h+(snap.Ref[2]+1)*h/2)
+	if node.Elem != snap.Elem || math.Abs(node.Ref[0]-0.6) < 0.01 {
+		t.Fatalf("node receiver at element %d ref %v, snapped %d %v", node.Elem, node.Ref, snap.Elem, snap.Ref)
+	}
 	res, err := Run(&Simulation{
 		Locals: b.Locals, Plans: b.Plans,
-		Sources: []Source{src},
-		Receivers: []Receiver{
-			boxReceiver(t, b, "interp", L/2+10e3, L/2, L/2, false),
-			boxReceiver(t, b, "snap", L/2+10e3, L/2, L/2, true),
-		},
-		Opts: Options{Steps: 100, Dt: 0.02},
+		Sources:   []Source{src},
+		Receivers: []Receiver{node, snap},
+		Opts:      Options{Steps: 100, Dt: 0.02},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, s := res.Seismograms["interp"], res.Seismograms["snap"]
+	a, s := res.Seismograms["node"], res.Seismograms["snap"]
 	scale := maxAbs(a.X)
 	if scale == 0 {
 		t.Fatal("no signal")
 	}
 	for i := range a.X {
 		if math.Abs(float64(a.X[i]-s.X[i])) > 1e-5*scale {
-			t.Fatalf("on-node snap differs at %d", i)
+			t.Fatalf("snapped recording differs from the node's at %d", i)
 		}
 	}
 }
@@ -579,7 +590,7 @@ func TestRotationDeflects(t *testing.T) {
 		res, err := Run(&Simulation{
 			Locals: b.Locals, Plans: b.Plans,
 			Sources:   []Source{src},
-			Receivers: []Receiver{boxReceiver(t, b, "R", L/2+10e3, L/2, L/2, false)},
+			Receivers: []Receiver{boxReceiver(t, b, "R", L/2+10e3, L/2, L/2)},
 			Opts: Options{
 				Steps: 100, Dt: 0.02, Rotation: rotation,
 				// Exaggerate so the effect is visible in a short run.
@@ -693,7 +704,7 @@ func TestOverlapHidesComm(t *testing.T) {
 	res, err := Run(&Simulation{
 		Locals: b.Locals, Plans: b.Plans,
 		Sources:   []Source{src},
-		Receivers: []Receiver{boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2, false)},
+		Receivers: []Receiver{boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2)},
 		Opts:      Options{Steps: 120, Dt: 0.02},
 	})
 	if err != nil {
@@ -823,7 +834,7 @@ func TestReciprocity(t *testing.T) {
 			Locals:    b.Locals,
 			Plans:     b.Plans,
 			Sources:   []Source{src},
-			Receivers: []Receiver{boxReceiver(t, b, "R", rcvPos[0], rcvPos[1], rcvPos[2], false)},
+			Receivers: []Receiver{boxReceiver(t, b, "R", rcvPos[0], rcvPos[1], rcvPos[2])},
 			Opts:      Options{Steps: 150, Dt: 0.02},
 		})
 		if err != nil {

@@ -112,10 +112,11 @@ func (rs *rankState) addSources(step int) (n int64) {
 	return n
 }
 
-// prepareReceiver resolves a receiver into interpolation weights (or a
-// one-hot weight at the nearest GLL point in fast mode) and allocates
-// one seismogram per batched wavefield: every station records every source
-// of the ensemble.
+// prepareReceiver resolves a receiver into its Lagrange interpolation
+// weights and allocates one seismogram per batched wavefield: every
+// station records every source of the ensemble. At a GLL node (a
+// snapped station's Ref) the weights are exactly one-hot, so the
+// recording reads that node's displacement.
 //
 //specfem:noaccount one-time receiver setup: interpolation weights computed before stepping
 func (rs *rankState) prepareReceiver(rcv *Receiver, opts *Options, dt float64) recvLocal {
@@ -132,24 +133,6 @@ func (rs *rankState) prepareReceiver(rcv *Receiver, opts *Options, dt float64) r
 			Y:           make([]float32, 0, nsamp),
 			Z:           make([]float32, 0, nsamp),
 		}
-	}
-	if rcv.NearestPoint {
-		// Snap each reference coordinate to the nearest GLL node (the
-		// mapping is monotone per axis, so this is the nearest point).
-		pts := gll.Points(gll.Degree)
-		var idx [3]int
-		for c := 0; c < 3; c++ {
-			best, bestD := 0, math.Inf(1)
-			for i, x := range pts {
-				if d := math.Abs(x - rcv.Ref[c]); d < bestD {
-					best, bestD = i, d
-				}
-			}
-			idx[c] = best
-		}
-		p := idx[0] + mesh.NGLL*idx[1] + mesh.NGLL2*idx[2]
-		rl.w[p] = 1
-		return rl
 	}
 	rl.w = mesh.Weights3D(rcv.Ref)
 	return rl

@@ -248,19 +248,18 @@ func snapRef(ref [3]float64) [3]float64 {
 	return out
 }
 
-// ToReceivers converts located stations to solver receivers. Snapped
-// locations record at the nearest grid point (cheap); unsnapped ones use
-// Lagrange interpolation (the costly legacy interpolation path).
+// ToReceivers converts located stations to solver receivers. A snapped
+// location's Ref is a GLL node, where the solver's interpolation
+// weights are one-hot: it records that grid point's displacement.
 func ToReceivers(located []Located) []solver.Receiver {
 	out := make([]solver.Receiver, len(located))
 	for i, l := range located {
 		out[i] = solver.Receiver{
-			Name:         l.Station.Name,
-			Rank:         l.Loc.Rank,
-			Kind:         l.Loc.Kind,
-			Elem:         l.Loc.Elem,
-			Ref:          l.Loc.Ref,
-			NearestPoint: l.Snapped,
+			Name: l.Station.Name,
+			Rank: l.Loc.Rank,
+			Kind: l.Loc.Kind,
+			Elem: l.Loc.Elem,
+			Ref:  l.Loc.Ref,
 		}
 	}
 	return out

@@ -163,12 +163,13 @@ func TestToReceivers(t *testing.T) {
 		t.Fatalf("%d receivers", len(recvs))
 	}
 	for i, r := range recvs {
-		if r.Name != sts[i].Name {
-			t.Errorf("receiver %d name %q", i, r.Name)
+		if r.Name != sts[i].Name || r.Ref != located[i].Loc.Ref || r.Elem != located[i].Loc.Elem {
+			t.Errorf("receiver %d: %+v from %+v", i, r, located[i].Loc)
 		}
 	}
-	if !recvs[1].NearestPoint || recvs[0].NearestPoint {
-		t.Error("snap flags not propagated")
+	// The snapped station records at a GLL node: its Ref is one.
+	if recvs[1].Ref != snapRef(recvs[1].Ref) || recvs[0].Ref == snapRef(recvs[0].Ref) {
+		t.Errorf("refs %v (snapped) and %v (interpolated)", recvs[1].Ref, recvs[0].Ref)
 	}
 }
 

@@ -2,7 +2,7 @@
 # Stay-deleted guards, run by the CI test job and locally via
 #   ./scripts/guards.sh
 # 1. no Go file names anything on the retired list below (the last
-#    twelve lines: clustered local time stepping and its level wheel, the
+#    thirteen lines: clustered local time stepping and its level wheel, the
 #    coordinate-key point indexer, the pre-gather page-range skip with
 #    the element point ranges it read, the rank's reused pack buffer,
 #    which Isend's copy needed, and the code no caller ran: the 1-D SEM
@@ -15,7 +15,13 @@
 #    Config knobs, specfem's flag, the iomodes example — and meshio's
 #    per-value byte helpers, which encoding/binary replaced; then the
 #    experiments' own repetition rules, which bestOf replaced, and the
-#    profiler collector, which a per-rank slice replaced),
+#    profiler collector, which a per-rank slice replaced; then the
+#    second copies on a job's way to a seismogram — the receiver's
+#    nearest-point flag, which a snapped Ref and one-hot weights
+#    replaced, the service's second JobSpec resolution, specfemd's
+#    selftest, which the service tests cover, Session's extra run
+#    methods, which RunBatchStream replaced, and perfmodel's three
+#    power-law types, which PowerModel replaced),
 # 2. the root benchmark file and root-level BENCH_PR*.json snapshots
 #    stay gone (the eight snapshots are history in docs/history/),
 # 3. every experiment run goes through the one solver.Run call of
@@ -66,6 +72,7 @@ packBuf
 combined-halo|\b(LayerResolutions|LayerStableDts?|LayerResolution)\b
 \b(LegacyIO|LegacyDir|putU32|putU64|putF32s|putI32s|i32sAlloc|regionArrayNames)\b|legacy-io|iomodes
 \b(fastestRun|fig7Budget|mesherRuns|NewCollector)\b
+NearestPoint|configFor|runSelftest|\bRunBatch\b|DiskModel|RuntimeModel|MemoryModel
 EOF
 )
 if grep -rnE "$retired" --include='*.go' .; then
