@@ -117,6 +117,9 @@ func main() {
 		rep.Result.MaxDisplacement, rep.Result.Subnormals)
 	fmt.Printf("worst station location error: %.1f m\n", rep.StationErrors)
 	fmt.Print(rep.Result.Perf)
+	m := rep.Result.MPI
+	fmt.Printf("#   mpi stats  : %d messages, %d bytes; virtual %v = exposed %v + hidden %v\n",
+		m.Messages, m.BytesSent, m.VirtualCommTime, m.Exposed(), m.HiddenCommTime)
 
 	if *out != "" {
 		if err := core.WriteSeismograms(*out, rep.Result); err != nil {

@@ -96,7 +96,7 @@ func main() {
 			// uniform mesh; doubled rows are shown but not fitted.
 			samples = append(samples, perfmodel.CommSample{
 				P: len(g.Locals), Res: float64(nex),
-				TotalComm: res.Perf.TotalCommTime().Seconds(),
+				TotalComm: res.MPI.VirtualCommTime.Seconds(),
 			})
 		}
 	}

@@ -188,6 +188,37 @@ type Config struct {
 	EnergyEvery  int
 }
 
+// MesherConfig is the mesher's part of the Config.
+func (c Config) MesherConfig() meshfem.Config {
+	return meshfem.Config{
+		NexXi:            c.NexXi,
+		NProcXi:          c.NProcXi,
+		Model:            c.Model,
+		Doublings:        c.Doublings,
+		AutoDoubling:     c.AutoDoubling,
+		TwoPassMaterials: c.TwoPassMesher,
+	}
+}
+
+// SolverOptions is the solver's part of the Config for a run of steps
+// time steps; the caller sets the streaming fields.
+func (c Config) SolverOptions(steps int) solver.Options {
+	return solver.Options{
+		Dt:          c.Dt,
+		Steps:       steps,
+		Attenuation: c.Attenuation,
+		Rotation:    c.Rotation,
+		Gravity:     c.Gravity,
+		OceanLoad:   c.OceanLoad,
+		Kernel:      c.Kernel,
+		Workers:     c.Workers,
+		RecordEvery: c.RecordEvery,
+		EnergyEvery: c.EnergyEvery,
+		LTS:         c.LTS,
+		LTSMaxRate:  c.LTSMaxRate,
+	}
+}
+
 // Report is everything a run produces.
 type Report struct {
 	Config         Config

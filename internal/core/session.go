@@ -43,14 +43,7 @@ func NewSession(cfg Config) (*Session, error) {
 		cfg.Model = earthmodel.NewPREM()
 	}
 	t0 := time.Now()
-	globe, err := meshfem.Build(meshfem.Config{
-		NexXi:            cfg.NexXi,
-		NProcXi:          cfg.NProcXi,
-		Model:            cfg.Model,
-		Doublings:        cfg.Doublings,
-		AutoDoubling:     cfg.AutoDoubling,
-		TwoPassMaterials: cfg.TwoPassMesher,
-	})
+	globe, err := meshfem.Build(cfg.MesherConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -204,6 +197,8 @@ func (s *Session) RunBatchStream(scs []Scenario, chunkSamples int, onChunk func(
 		}
 	}
 
+	opts := cfg.SolverOptions(steps)
+	opts.OnChunk, opts.StreamChunkSamples = cb, chunkSamples
 	t1 := time.Now()
 	res, err := solver.Run(&solver.Simulation{
 		Locals:    s.globe.Locals,
@@ -211,23 +206,7 @@ func (s *Session) RunBatchStream(scs []Scenario, chunkSamples int, onChunk func(
 		Model:     cfg.Model,
 		Sources:   srcs,
 		Receivers: stations.ToReceivers(located),
-		Opts: solver.Options{
-			Dt:          cfg.Dt,
-			Steps:       steps,
-			Attenuation: cfg.Attenuation,
-			Rotation:    cfg.Rotation,
-			Gravity:     cfg.Gravity,
-			OceanLoad:   cfg.OceanLoad,
-			Kernel:      cfg.Kernel,
-			Workers:     cfg.Workers,
-			RecordEvery: cfg.RecordEvery,
-			EnergyEvery: cfg.EnergyEvery,
-			LTS:         cfg.LTS,
-			LTSMaxRate:  cfg.LTSMaxRate,
-
-			OnChunk:            cb,
-			StreamChunkSamples: chunkSamples,
-		},
+		Opts:      opts,
 	})
 	if err != nil {
 		return nil, err

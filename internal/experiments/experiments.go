@@ -284,11 +284,11 @@ func CommSweep(nexList, nprocList []int, steps int) ([]CommRow, error) {
 			}
 			rows = append(rows, CommRow{
 				P: g.Decomp.NumRanks(), Res: nex,
-				TotalComm:    res.Perf.TotalCommTime().Seconds(),
+				TotalComm:    res.MPI.VirtualCommTime.Seconds(),
 				Exposed:      res.MPI.Exposed().Seconds(),
 				Hidden:       res.MPI.HiddenCommTime.Seconds(),
 				Fraction:     res.Perf.CommFraction,
-				BlockingFrac: BlockingCommFraction(res.Perf),
+				BlockingFrac: BlockingCommFraction(res),
 				OuterFrac:    meanOuterFraction(g),
 			})
 		}

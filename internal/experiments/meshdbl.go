@@ -89,7 +89,7 @@ func MeshDoubling(configs [][2]int, doublings []float64, steps int) (*MeshDblRes
 				ExposedOn:        on.MPI.Exposed().Seconds(),
 				ExposedOff:       on.MPI.VirtualCommTime.Seconds(),
 				FracOn:           on.Perf.CommFraction,
-				FracOff:          BlockingCommFraction(on.Perf),
+				FracOff:          BlockingCommFraction(on),
 			})
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"specglobe/internal/earthmodel"
-	"specglobe/internal/perf"
 	"specglobe/internal/perfmodel"
 	"specglobe/internal/solver"
 )
@@ -27,12 +26,12 @@ import (
 // whole virtual comm time.
 
 // BlockingCommFraction is the comm fraction the blocking baseline
-// reports for the run r measured: the hidden time moves from
+// reports for the run res measured: the hidden time moves from
 // busy-as-computation to exposed communication,
-// (exposed + hidden) / (busy + hidden).
-func BlockingCommFraction(r perf.Report) float64 {
-	if d := r.BusyTime + r.HiddenCommTime; d > 0 {
-		return float64(r.TotalCommTime()) / float64(d)
+// virtual / (busy + hidden).
+func BlockingCommFraction(res *solver.Result) float64 {
+	if d := res.Perf.BusyTime + res.MPI.HiddenCommTime; d > 0 {
+		return float64(res.MPI.VirtualCommTime) / float64(d)
 	}
 	return 0
 }

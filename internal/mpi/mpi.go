@@ -3,13 +3,14 @@
 // messages and collectives are implemented over shared queues with
 // condition variables.
 //
-// The substitution (documented in DESIGN.md) preserves the communication
-// structure of SPECFEM3D_GLOBE — non-blocking halo sends, tag-matched
-// receives, barriers and reductions — while running on a single machine.
-// Every communication call is accounted (bytes, message count, blocked
-// time) so the IPM-style measurements of the paper's section 5 can be
-// reproduced: communication time in the main solver loop as a fraction
-// of total execution time.
+// The substitution (documented in DESIGN.md) keeps the calls the solver
+// makes — non-blocking halo sends, tag-matched non-blocking receives and
+// a deterministic sum/max reduction — while running on a single machine.
+// Every call is accounted (bytes, message count, blocked wall time,
+// modeled network time and the share of it hidden behind computation),
+// and these Stats are the run's one record of communication: the
+// IPM-style measurements of the paper's section 5 (communication time in
+// the main solver loop as a fraction of total execution time) read them.
 package mpi
 
 import (
@@ -17,9 +18,6 @@ import (
 	"sync"
 	"time"
 )
-
-// AnySource matches messages from any sending rank in Irecv.
-const AnySource = -1
 
 // Default virtual interconnect parameters, SeaStar2-class (the XT4
 // machines of the paper): per-message latency and sustained link
@@ -73,12 +71,6 @@ type World struct {
 	bandwidth float64
 	comms     []*Comm
 
-	// central barrier state
-	barMu    sync.Mutex
-	barCond  *sync.Cond
-	barCount int
-	barGen   int
-
 	// collective (Allreduce) state
 	colMu    sync.Mutex
 	colCond  *sync.Cond
@@ -101,7 +93,6 @@ func NewWorldWith(n int, opts Options) *World {
 		panic(fmt.Sprintf("mpi: world size must be >= 1, got %d", n))
 	}
 	w := &World{n: n, latency: opts.latencySeconds(), bandwidth: opts.bandwidthBytes()}
-	w.barCond = sync.NewCond(&w.barMu)
 	w.colCond = sync.NewCond(&w.colMu)
 	w.comms = make([]*Comm, n)
 	for i := range w.comms {
@@ -111,9 +102,6 @@ func NewWorldWith(n int, opts Options) *World {
 	}
 	return w
 }
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.n }
 
 // Comm returns the communicator endpoint for a rank.
 func (w *World) Comm(rank int) *Comm { return w.comms[rank] }
@@ -155,9 +143,6 @@ func (w *World) poison() {
 		c.cond.Broadcast()
 		c.mu.Unlock()
 	}
-	w.barMu.Lock()
-	w.barCond.Broadcast()
-	w.barMu.Unlock()
 	w.colMu.Lock()
 	w.colCond.Broadcast()
 	w.colMu.Unlock()
@@ -168,18 +153,18 @@ type Stats struct {
 	BytesSent int64
 	Messages  int64
 	// CommTime is the total wall time all ranks spent inside
-	// communication calls (sends, blocked receives, barriers,
-	// collectives). On an oversubscribed host this mostly measures
-	// scheduling, so performance models use VirtualCommTime instead.
+	// communication calls (sends, blocked Waits, reductions). On an
+	// oversubscribed host this mostly measures scheduling, so
+	// performance models use VirtualCommTime instead.
 	CommTime time.Duration
 	// VirtualCommTime is the modeled network time: per message,
 	// latency plus payload/bandwidth charged at each endpoint — the
 	// quantity IPM reports as "total MPI time by all processors".
 	VirtualCommTime time.Duration
 	// HiddenCommTime is the part of VirtualCommTime that was overlapped
-	// with computation: for each non-blocking receive, the modeled
-	// transfer time that fit inside the window between posting the
-	// Irecv and calling Wait/Test. Blocking receives hide nothing.
+	// with computation: for each receive, the modeled transfer time
+	// that fit inside the window between posting the Irecv and
+	// completing it with Wait or Test.
 	HiddenCommTime time.Duration
 	// MaxRankCommTime is the largest per-rank wall communication time.
 	MaxRankCommTime time.Duration
@@ -230,11 +215,6 @@ type Comm struct {
 	commTime   time.Duration
 	vcommTime  time.Duration
 	hiddenTime time.Duration
-	// commWallMono and hiddenMono mirror commTime and hiddenTime but
-	// are monotonic — never cleared by ResetStats — so outstanding
-	// Irecv overlap windows stay correct across a stats reset.
-	commWallMono time.Duration
-	hiddenMono   time.Duration
 	// spare holds the rank's released requests for Irecv to reuse
 	// (under statMu).
 	spare []*Request
@@ -242,9 +222,6 @@ type Comm struct {
 
 // Rank returns this endpoint's rank id.
 func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the world size.
-func (c *Comm) Size() int { return c.world.n }
 
 // Stats returns this rank's communication accounting.
 func (c *Comm) Stats() Stats {
@@ -255,20 +232,11 @@ func (c *Comm) Stats() Stats {
 		HiddenCommTime: c.hiddenTime}
 }
 
-// ResetStats zeroes the communication counters (used to scope accounting
-// to the solver main loop, as IPM does).
-func (c *Comm) ResetStats() {
-	c.statMu.Lock()
-	c.bytesSent, c.messages, c.commTime, c.vcommTime, c.hiddenTime = 0, 0, 0, 0, 0
-	c.statMu.Unlock()
-}
-
 func (c *Comm) addComm(bytes int64, msgs int64, d time.Duration) {
 	c.statMu.Lock()
 	c.bytesSent += bytes
 	c.messages += msgs
 	c.commTime += d
-	c.commWallMono += d
 	if msgs > 0 || bytes > 0 {
 		w := c.world
 		v := float64(msgs)*w.latency + float64(bytes)/w.bandwidth
@@ -297,7 +265,7 @@ func (c *Comm) Isend(dst, tag int, data []float32) {
 func (c *Comm) matchLocked(src, tag int) ([]float32, bool) {
 	for i := range c.queue {
 		m := c.queue[i]
-		if m.tag == tag && (src == AnySource || m.src == src) {
+		if m.tag == tag && m.src == src {
 			c.queue = append(c.queue[:i], c.queue[i+1:]...)
 			return m.data, true
 		}
@@ -322,26 +290,6 @@ func (c *Comm) recvBlocking(src, tag int) []float32 {
 	}
 }
 
-// Barrier blocks until all ranks reach it.
-func (c *Comm) Barrier() {
-	start := time.Now()
-	w := c.world
-	w.barMu.Lock()
-	gen := w.barGen
-	w.barCount++
-	if w.barCount == w.n {
-		w.barCount = 0
-		w.barGen++
-		w.barCond.Broadcast()
-	} else {
-		for w.barGen == gen && !c.poisonedLocked() {
-			w.barCond.Wait()
-		}
-	}
-	w.barMu.Unlock()
-	c.addComm(0, 0, time.Since(start))
-}
-
 func (c *Comm) poisonedLocked() bool {
 	c.mu.Lock()
 	p := c.poisoned
@@ -355,7 +303,6 @@ type ReduceOp int
 const (
 	OpSum ReduceOp = iota
 	OpMax
-	OpMin
 )
 
 // Allreduce combines buf elementwise across all ranks and returns the
@@ -388,10 +335,6 @@ func (c *Comm) Allreduce(op ReduceOp, buf []float64) []float64 {
 					out[i] += p[i]
 				case OpMax:
 					if p[i] > out[i] {
-						out[i] = p[i]
-					}
-				case OpMin:
-					if p[i] < out[i] {
 						out[i] = p[i]
 					}
 				}

@@ -10,24 +10,23 @@ import "time"
 //
 // Overlap accounting: the modeled network cost of the received message
 // (latency + payload/bandwidth) is charged to the endpoint's virtual
-// communication time as for a blocking Recv, but the share of that cost
-// that fits inside the window between posting the request and asking
-// for completion is also credited as *hidden* time — communication
-// overlapped with whatever the rank computed in between. Stats.Exposed
-// reports what remains on the critical path.
+// communication time, and the share of that cost that fits inside the
+// window between posting the request and asking for completion is also
+// credited as *hidden* time — communication overlapped with whatever
+// the rank computed in between. Stats.Exposed reports what remains on
+// the critical path.
 type Request struct {
 	c        *Comm
 	src, tag int
 	posted   time.Time
-	// commAtPost and hiddenAtPost snapshot the rank's monotonic wall
-	// communication time and cumulative hidden credit when the request
-	// was posted. The overlap window excludes both: time the rank spent
-	// inside *other* communication calls (sibling Waits, sends,
-	// barriers) is not computation, and window time already credited as
-	// hidden to sibling requests cannot hide this one too — the modeled
-	// endpoint transfers messages serially, so k messages need k
-	// transfer times of computation to all disappear. The monotonic
-	// counters survive ResetStats.
+	// commAtPost and hiddenAtPost snapshot the rank's wall communication
+	// time and cumulative hidden credit when the request was posted. The
+	// overlap window excludes both: time the rank spent inside *other*
+	// communication calls (sibling Waits, sends, reductions) is not
+	// computation, and window time already credited as hidden to sibling
+	// requests cannot hide this one too — the modeled endpoint transfers
+	// messages serially, so k messages need k transfer times of
+	// computation to all disappear.
 	commAtPost   time.Duration
 	hiddenAtPost time.Duration
 	data         []float32
@@ -35,9 +34,8 @@ type Request struct {
 }
 
 // Irecv posts a non-blocking receive for a message from rank src with
-// the given tag (src may be AnySource). The returned request must be
-// completed with Wait or Test; the message, whenever it arrives, stays
-// queued until then.
+// the given tag. The returned request must be completed with Wait or
+// Test; the message, whenever it arrives, stays queued until then.
 func (c *Comm) Irecv(src, tag int) *Request {
 	c.statMu.Lock()
 	var r *Request
@@ -47,7 +45,7 @@ func (c *Comm) Irecv(src, tag int) *Request {
 	} else {
 		r = new(Request)
 	}
-	*r = Request{c: c, src: src, tag: tag, commAtPost: c.commWallMono, hiddenAtPost: c.hiddenMono}
+	*r = Request{c: c, src: src, tag: tag, commAtPost: c.commTime, hiddenAtPost: c.hiddenTime}
 	c.statMu.Unlock()
 	r.posted = time.Now()
 	return r
@@ -82,7 +80,7 @@ func (r *Request) complete(data []float32, blocked time.Duration) []float32 {
 	// minus the growth of the rank's wall comm time — which includes
 	// the blocked duration just charged, sibling Waits, and sends),
 	// minus window time sibling requests already consumed as hidden.
-	overlap := elapsed - (c.commWallMono - r.commAtPost) - (c.hiddenMono - r.hiddenAtPost)
+	overlap := elapsed - (c.commTime - r.commAtPost) - (c.hiddenTime - r.hiddenAtPost)
 	hidden := v
 	if overlap < hidden {
 		hidden = overlap
@@ -92,7 +90,6 @@ func (r *Request) complete(data []float32, blocked time.Duration) []float32 {
 	}
 	c.vcommTime += v
 	c.hiddenTime += hidden
-	c.hiddenMono += hidden
 	c.statMu.Unlock()
 	return data
 }
@@ -136,14 +133,4 @@ func (r *Request) Test() ([]float32, bool) {
 		return nil, false
 	}
 	return r.complete(data, 0), true
-}
-
-// Waitall completes every request and returns the payloads in request
-// order (not arrival order).
-func Waitall(reqs []*Request) [][]float32 {
-	out := make([][]float32, len(reqs))
-	for i, r := range reqs {
-		out[i] = r.Wait()
-	}
-	return out
 }

@@ -23,15 +23,10 @@ const (
 	PhaseForceFluid
 	// PhaseComm is the *exposed* communication time: virtual network
 	// time left on the critical path after overlapping with
-	// computation. Plus PhaseCommHidden it is the full virtual
-	// communication time (TotalCommTime), all of which a blocking
-	// schedule would expose.
+	// computation (mpi.Stats.Exposed). The hidden share and the full
+	// virtual time stay in mpi.Stats alone: the hidden wall time is
+	// already counted as computation.
 	PhaseComm
-	// PhaseCommHidden is the virtual transfer time hidden behind
-	// computation by the non-blocking overlap schedule. It is reported
-	// for diagnosis but excluded from busy time and the communication
-	// fraction — the same wall time is already counted as computation.
-	PhaseCommHidden
 	// PhaseKernelParallel is the busy (CPU) time the shared worker pool
 	// spent in force-kernel sweeps dispatched by a rank. It is counted
 	// in busy time in place of the rank-side wall time of those sweeps:
@@ -53,8 +48,6 @@ func (p Phase) String() string {
 		return "force_fluid"
 	case PhaseComm:
 		return "mpi"
-	case PhaseCommHidden:
-		return "mpi_hidden"
 	case PhaseKernelParallel:
 		return "kernel_parallel"
 	case PhaseUpdate:
@@ -171,18 +164,12 @@ type Report struct {
 	PhaseTotals map[string]time.Duration
 	// BusyTime is the sum over ranks of all accounted phases (compute
 	// plus exposed communication). The communication phase is the
-	// virtual network time (see internal/mpi), so fractions are
+	// exposed virtual network time (see internal/mpi), so fractions are
 	// meaningful even when ranks are goroutines sharing one host.
-	// Hidden (overlapped) communication is excluded: that wall time is
-	// already counted as computation.
 	BusyTime time.Duration
 	// CommFraction is exposed communication time over busy time — the
 	// quantity the paper reports as 1.9%-4.2% in section 5.
 	CommFraction float64
-	// HiddenCommTime is the summed virtual transfer time that the
-	// overlap schedule hid behind computation (zero for blocking
-	// receives).
-	HiddenCommTime time.Duration
 	// PhaseFlops and PhaseBytes sum the per-phase operation and
 	// analytic traffic counts over all ranks; their ratio per phase is
 	// the arithmetic intensity the roofline model consumes.
@@ -251,13 +238,6 @@ func SourceStepsPerSec(steps, sources int, wall time.Duration) float64 {
 	return float64(steps) * float64(sources) / wall.Seconds()
 }
 
-// TotalCommTime returns the full virtual network time, exposed plus
-// hidden — what the section 5 communication models describe, since the
-// overlap schedule hides traffic without removing it.
-func (r Report) TotalCommTime() time.Duration {
-	return r.PhaseTotals[PhaseComm.String()] + r.PhaseTotals[PhaseCommHidden.String()]
-}
-
 // ArithmeticIntensity returns flop-per-byte for one phase name, or 0
 // when no traffic was attributed to it.
 func (r Report) ArithmeticIntensity(phase string) float64 {
@@ -305,11 +285,7 @@ func Aggregate(profs []*Profiler) Report {
 		r.MaxRankFlops, r.MaxRankBytes = max(r.MaxRankFlops, f), max(r.MaxRankBytes, b)
 	}
 	r.Unattributed = r.TotalTime - beats
-	r.HiddenCommTime = r.PhaseTotals[PhaseCommHidden.String()]
-	for name, d := range r.PhaseTotals {
-		if name == PhaseCommHidden.String() {
-			continue
-		}
+	for _, d := range r.PhaseTotals {
 		r.BusyTime += d
 	}
 	if r.BusyTime > 0 {

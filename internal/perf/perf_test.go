@@ -95,21 +95,17 @@ func TestReportString(t *testing.T) {
 	}
 }
 
-// Hidden (overlapped) communication must be reported but excluded from
-// busy time and the communication fraction: that wall time is already
-// counted as computation.
+// Only the exposed communication is a phase: busy time is compute plus
+// exposed comm, and the hidden share (mpi.Stats) is already counted as
+// computation.
 func TestHiddenCommExcludedFromBusy(t *testing.T) {
 	p := NewProfiler(0)
 	p.total = 100 * time.Millisecond
 	p.phases[PhaseForceSolid] = 90 * time.Millisecond
 	p.phases[PhaseComm] = 10 * time.Millisecond
-	p.phases[PhaseCommHidden] = 40 * time.Millisecond
 	r := Aggregate([]*Profiler{p})
 	if r.BusyTime != 100*time.Millisecond {
-		t.Errorf("busy %v includes hidden comm", r.BusyTime)
-	}
-	if r.HiddenCommTime != 40*time.Millisecond {
-		t.Errorf("hidden %v", r.HiddenCommTime)
+		t.Errorf("busy %v, want compute plus exposed comm", r.BusyTime)
 	}
 	wantFrac := 0.1
 	if d := r.CommFraction - wantFrac; d > 1e-12 || d < -1e-12 {
@@ -155,7 +151,6 @@ func TestPhaseNames(t *testing.T) {
 		PhaseForceSolid:     "force_solid",
 		PhaseForceFluid:     "force_fluid",
 		PhaseComm:           "mpi",
-		PhaseCommHidden:     "mpi_hidden",
 		PhaseKernelParallel: "kernel_parallel",
 		PhaseUpdate:         "update",
 		PhaseOther:          "other",

@@ -130,12 +130,10 @@ type Options struct {
 	// (0 disables; energy computation is expensive).
 	EnergyEvery int
 	// StabilityCheckEvery checks the global maximum displacement every
-	// N steps and aborts the run if it exceeds MaxDisplacement or
+	// N steps and aborts the run if it exceeds maxStableDisplacement or
 	// becomes NaN — the standard SPECFEM runtime stability check for
 	// runs whose time step turns out too large (0 disables).
 	StabilityCheckEvery int
-	// MaxDisplacement is the abort threshold in meters (default 1e10).
-	MaxDisplacement float64
 	// LTS and LTSMaxRate are retired: clustered local time stepping
 	// was deleted and every element steps at the one global Dt. Run
 	// refuses a true LTS or a non-zero LTSMaxRate.
@@ -163,9 +161,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RotationRate == 0 {
 		o.RotationRate = EarthRotationRate
-	}
-	if o.MaxDisplacement == 0 {
-		o.MaxDisplacement = 1e10
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -291,6 +286,10 @@ type Result struct {
 // step: the tests' window on the per-step state.
 var stepHook func(rs *rankState, step int)
 
+// maxStableDisplacement is the stability check's abort threshold in
+// meters (Options.StabilityCheckEvery).
+const maxStableDisplacement = 1e10
+
 // Run executes the simulation: one goroutine per rank over the simulated
 // MPI world. A run whose end-of-run census finds a NaN displacement
 // returns an error with its result, whether or not the stability check
@@ -411,14 +410,14 @@ func Run(sim *Simulation) (*Result, error) {
 			if opts.StabilityCheckEvery > 0 && (step+1)%opts.StabilityCheckEvery == 0 {
 				local, _ := rs.stateCensus()
 				m := c.AllreduceScalar(mpi.OpMax, local)
-				if m > opts.MaxDisplacement || math.IsNaN(m) {
+				if m > maxStableDisplacement || math.IsNaN(m) {
 					// Every rank sees the same reduced value, so all
 					// ranks exit together and no exchange is orphaned.
 					unstableMu.Lock()
 					if unstable == nil {
 						unstable = fmt.Errorf(
 							"solver: simulation became unstable at step %d: max displacement %g m (limit %g); the time step %g s is too large for this mesh",
-							step+1, m, opts.MaxDisplacement, dt)
+							step+1, m, maxStableDisplacement, dt)
 					}
 					unstableMu.Unlock()
 					break
@@ -453,7 +452,6 @@ func Run(sim *Simulation) (*Result, error) {
 			perf.PhaseKernelParallel: time.Duration(atomic.LoadInt64(&rs.forceBusy)),
 			perf.PhaseUpdate:         time.Duration(atomic.LoadInt64(&rs.updateBusy)),
 			perf.PhaseComm:           st.Exposed(),
-			perf.PhaseCommHidden:     st.HiddenCommTime,
 		} {
 			rs.prof.Add(ph, d)
 		}

@@ -4,12 +4,14 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"specglobe/internal/boxmesh"
 	"specglobe/internal/earthmodel"
 	"specglobe/internal/gll"
 	"specglobe/internal/mesh"
 	"specglobe/internal/meshfem"
+	"specglobe/internal/perf"
 )
 
 // boxMat is a crust-like homogeneous material.
@@ -717,9 +719,49 @@ func TestOverlapHidesComm(t *testing.T) {
 		t.Errorf("overlap did not reduce exposed comm: %v vs %v virtual",
 			res.MPI.Exposed(), res.MPI.VirtualCommTime)
 	}
-	if res.Perf.HiddenCommTime <= 0 {
-		t.Error("report lost the hidden comm time")
+}
+
+// mpi.Stats is the run's one record of communication: the profiler's
+// mpi phase is its exposed share to the nanosecond, and busy time is the
+// plain sum of the phases. The box run counts Allreduce traffic (the
+// stability check and the energy samples); the 24-rank globe runs its
+// halo exchanges through the worker pool.
+func TestCommLedger(t *testing.T) {
+	run := func(sim *Simulation) *Result {
+		t.Helper()
+		res, err := Run(sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.Perf.PhaseTotals[perf.PhaseComm.String()], res.MPI.Exposed(); got != want {
+			t.Errorf("mpi phase %v, want the exposed comm time %v", got, want)
+		}
+		var sum time.Duration
+		for _, d := range res.Perf.PhaseTotals {
+			sum += d
+		}
+		if res.Perf.BusyTime != sum {
+			t.Errorf("busy time %v, want the sum of the phases %v", res.Perf.BusyTime, sum)
+		}
+		return res
 	}
+	const L = 40e3
+	b := buildBox(t, 4, 4, L)
+	box := func(every int) *Simulation {
+		return &Simulation{
+			Locals: b.Locals, Plans: b.Plans,
+			Sources:   []Source{boxSource(t, b, L/2+1e3, L/2, L/2, 1e17, 1.0)},
+			Receivers: []Receiver{boxReceiver(t, b, "R", L/2+12e3, L/2+3e3, L/2)},
+			Opts:      Options{Steps: 40, Dt: 0.02, StabilityCheckEvery: every, EnergyEvery: every},
+		}
+	}
+	checked, quiet := run(box(10)), run(box(0))
+	// Four checks and four energy samples, one reduction each per rank.
+	if d := checked.MPI.Messages - quiet.MPI.Messages; d != 2*4*4 {
+		t.Errorf("the reductions added %d messages, want %d", d, 2*4*4)
+	}
+	g, model := earthlike24(t)
+	run(globeSim(t, g, model, Options{Steps: 10, Workers: 2}))
 }
 
 func BenchmarkSolidForceKernelVec4(b *testing.B) {
