@@ -102,6 +102,17 @@ func (f Face) String() string {
 // xi, eta span [-pi/4, pi/4].
 const XiMax = math.Pi / 4
 
+// triads[f] holds face f's normal n and in-face axes u, v (see Triad).
+// The gnomonic evaluations read them from here, in scalars.
+var triads = [NumFaces][3]Vec3{
+	FacePX: {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}},
+	FaceNX: {{-1, 0, 0}, {0, 0, 1}, {0, 1, 0}},
+	FacePY: {{0, 1, 0}, {0, 0, 1}, {1, 0, 0}},
+	FaceNY: {{0, -1, 0}, {1, 0, 0}, {0, 0, 1}},
+	FacePZ: {{0, 0, 1}, {1, 0, 0}, {0, 1, 0}},
+	FaceNZ: {{0, 0, -1}, {0, 1, 0}, {1, 0, 0}},
+}
+
 // Triad returns the face normal n and the two in-face axes u, v such
 // that a chunk point with tangent coordinates (a, b) lies along
 // n + a*u + b*v. The axes are canonical unit vectors (so grid values
@@ -109,21 +120,16 @@ const XiMax = math.Pi / 4
 // on) and are ordered so that (u, v, n) is right-handed: u x v = n.
 // Right-handedness makes every element's Jacobian determinant positive.
 func (f Face) Triad() (n, u, v Vec3) {
-	switch f {
-	case FacePX:
-		return Vec3{1, 0, 0}, Vec3{0, 1, 0}, Vec3{0, 0, 1}
-	case FaceNX:
-		return Vec3{-1, 0, 0}, Vec3{0, 0, 1}, Vec3{0, 1, 0}
-	case FacePY:
-		return Vec3{0, 1, 0}, Vec3{0, 0, 1}, Vec3{1, 0, 0}
-	case FaceNY:
-		return Vec3{0, -1, 0}, Vec3{1, 0, 0}, Vec3{0, 0, 1}
-	case FacePZ:
-		return Vec3{0, 0, 1}, Vec3{1, 0, 0}, Vec3{0, 1, 0}
-	case FaceNZ:
-		return Vec3{0, 0, -1}, Vec3{0, 1, 0}, Vec3{1, 0, 0}
+	t := f.triad()
+	return t[0], t[1], t[2]
+}
+
+// triad returns f's row of triads.
+func (f Face) triad() *[3]Vec3 {
+	if f < 0 || f >= NumFaces {
+		panic(fmt.Sprintf("cubedsphere: invalid face %d", int(f)))
 	}
-	panic(fmt.Sprintf("cubedsphere: invalid face %d", int(f)))
+	return &triads[f]
 }
 
 // Direction returns the unit direction for angular coordinates (xi, eta)
@@ -133,10 +139,43 @@ func Direction(f Face, xi, eta float64) Vec3 {
 }
 
 // DirectionTan is Direction with tangent-space coordinates a = tan(xi),
-// b = tan(eta) already applied.
+// b = tan(eta) already applied: normalize(n + a*u + b*v), evaluated in
+// scalars in the operation order of that Vec3 chain, so each component
+// carries the chain's bits (TestScalarGnomonicMatchesVec3Chain).
 func DirectionTan(f Face, a, b float64) Vec3 {
-	n, u, v := f.Triad()
-	return n.Add(u.Scale(a)).Add(v.Scale(b)).Normalize()
+	t := f.triad()
+	n, u, v := &t[0], &t[1], &t[2]
+	d0 := n[0] + a*u[0] + b*v[0]
+	d1 := n[1] + a*u[1] + b*v[1]
+	d2 := n[2] + a*u[2] + b*v[2]
+	l := math.Sqrt(d0*d0 + d1*d1 + d2*d2)
+	if l == 0 {
+		return Vec3{d0, d1, d2}
+	}
+	s := 1 / l
+	return Vec3{s * d0, s * d1, s * d2}
+}
+
+// TanDerivs returns the gnomonic direction dir = d/|d|, d = n + a*u +
+// b*v, at tangent coordinates (a, b) on face f, and its partial
+// derivatives d(dir)/da = (u - (dir.u) dir)/|d| and d(dir)/db = (v -
+// (dir.v) dir)/|d|: the Jacobian factors of every shell and doubling
+// element. It is evaluated in scalars, which stay in registers, in the
+// operation order of the Vec3 chain it replaced, so every bit is that
+// chain's (TestScalarGnomonicMatchesVec3Chain); dir is DirectionTan's.
+func TanDerivs(f Face, a, b float64) (dax, day, daz, dbx, dby, dbz, dx, dy, dz float64) {
+	t := f.triad()
+	n, u, v := &t[0], &t[1], &t[2]
+	d0 := n[0] + a*u[0] + b*v[0]
+	d1 := n[1] + a*u[1] + b*v[1]
+	d2 := n[2] + a*u[2] + b*v[2]
+	s := 1 / math.Sqrt(d0*d0+d1*d1+d2*d2)
+	dx, dy, dz = s*d0, s*d1, s*d2
+	du := dx*u[0] + dy*u[1] + dz*u[2]
+	dv := dx*v[0] + dy*v[1] + dz*v[2]
+	dax, day, daz = s*(u[0]-du*dx), s*(u[1]-du*dy), s*(u[2]-du*dz)
+	dbx, dby, dbz = s*(v[0]-dv*dx), s*(v[1]-dv*dy), s*(v[2]-dv*dz)
+	return
 }
 
 // FaceOf returns the chunk containing direction d (dominant-axis rule).
@@ -190,21 +229,36 @@ func TanGrid(nex int) []float64 {
 	return g
 }
 
-// CubePoint maps a central-cube parameter point q (tangent-space cube
-// coordinates, each component in [-1, 1]) to physical coordinates for a
+// CubePoint maps a central-cube parameter point (x, y, z) (tangent-space
+// cube coordinates, each in [-1, 1]) to physical coordinates for a
 // central cube of radius rcc. The mapping is the "spherified cube"
 // blend: pure scaled cube at the center (non-degenerate Jacobian at the
 // origin) and exact sphere of radius rcc on the surface max|q_i| = 1,
-// where it matches the gnomonic chunk bottoms point-for-point.
-func CubePoint(q Vec3, rcc float64) Vec3 {
-	m := q.MaxAbs()
+// where it matches the gnomonic chunk bottoms point-for-point. With
+// q = (x, y, z) and m = max|q_i|, it is rcc*((1-m^2)/sqrt(3) q +
+// m^3 q/|q|), evaluated in scalars in the operation order of that Vec3
+// chain (TestScalarGnomonicMatchesVec3Chain).
+func CubePoint(x, y, z, rcc float64) (px, py, pz float64) {
+	m := math.Abs(x)
+	if v := math.Abs(y); v > m {
+		m = v
+	}
+	if v := math.Abs(z); v > m {
+		m = v
+	}
 	if m == 0 {
-		return Vec3{}
+		return 0, 0, 0
 	}
 	w := m * m
-	cube := q.Scale((1 - w) / math.Sqrt(3))
-	sphere := q.Normalize().Scale(w * m)
-	return cube.Add(sphere).Scale(rcc)
+	c := (1 - w) / math.Sqrt(3)
+	// q/|q|, or q itself when |q|^2 underflows to 0 (Vec3.Normalize).
+	nx, ny, nz := x, y, z
+	if l := math.Sqrt(x*x + y*y + z*z); l != 0 {
+		s := 1 / l
+		nx, ny, nz = s*x, s*y, s*z
+	}
+	s := w * m
+	return rcc * (c*x + s*nx), rcc * (c*y + s*ny), rcc * (c*z + s*nz)
 }
 
 // LatLon converts geographic latitude and longitude in degrees to a unit

@@ -129,7 +129,7 @@ func TestCubeSurfaceMatchesChunkBottom(t *testing.T) {
 	for i := 0; i <= nex; i++ {
 		for j := 0; j <= nex; j++ {
 			q := Vec3{g[i], g[j], 1}
-			pc := CubePoint(q, rcc)
+			pc := cubePointVec(q, rcc)
 			pd := DirectionTan(FacePZ, g[i], g[j]).Scale(rcc)
 			if pc.Sub(pd).Norm() > 1e-9*rcc {
 				t.Fatalf("surface mismatch at (%d,%d): cube %v vs shell %v", i, j, pc, pd)
@@ -142,7 +142,7 @@ func TestCubeSurfaceMatchesChunkBottom(t *testing.T) {
 	for j := 0; j <= nex; j++ {
 		for k := 0; k <= nex; k++ {
 			q := Vec3{-1, g[j], g[k]}
-			pc := CubePoint(q, rcc)
+			pc := cubePointVec(q, rcc)
 			pd := DirectionTan(FaceNX, g[k], g[j]).Scale(rcc)
 			if pc.Sub(pd).Norm() > 1e-9*rcc {
 				t.Fatalf("-X surface mismatch at (%d,%d)", j, k)
@@ -158,8 +158,14 @@ func TestCubeSurfaceMatchesChunkBottom(t *testing.T) {
 	}
 }
 
+// cubePointVec is CubePoint on and into Vec3s.
+func cubePointVec(q Vec3, rcc float64) Vec3 {
+	x, y, z := CubePoint(q[0], q[1], q[2], rcc)
+	return Vec3{x, y, z}
+}
+
 func TestCubePointCenterAndRadius(t *testing.T) {
-	if CubePoint(Vec3{}, 500) != (Vec3{}) {
+	if cubePointVec(Vec3{}, 500) != (Vec3{}) {
 		t.Error("center must map to origin")
 	}
 	// All surface points lie exactly on the sphere of radius rcc.
@@ -168,7 +174,7 @@ func TestCubePointCenterAndRadius(t *testing.T) {
 	for _, a := range g {
 		for _, b := range g {
 			for _, face := range []Vec3{{1, a, b}, {-1, a, b}, {a, 1, b}, {a, b, 1}, {a, b, -1}, {a, -1, b}} {
-				p := CubePoint(face, rcc)
+				p := cubePointVec(face, rcc)
 				if math.Abs(p.Norm()-rcc) > 1e-9*rcc {
 					t.Fatalf("surface point %v has radius %v want %v", face, p.Norm(), rcc)
 				}
@@ -176,7 +182,7 @@ func TestCubePointCenterAndRadius(t *testing.T) {
 		}
 	}
 	// Interior points stay strictly inside.
-	if CubePoint(Vec3{0.5, 0.3, -0.2}, rcc).Norm() >= rcc {
+	if cubePointVec(Vec3{0.5, 0.3, -0.2}, rcc).Norm() >= rcc {
 		t.Error("interior point escaped the sphere")
 	}
 }
@@ -193,8 +199,8 @@ func TestCubePointJacobianPositive(t *testing.T) {
 			qp, qm := q, q
 			qp[c] += h
 			qm[c] -= h
-			pp := CubePoint(qp, 1)
-			pm := CubePoint(qm, 1)
+			pp := cubePointVec(qp, 1)
+			pm := cubePointVec(qm, 1)
 			for r := 0; r < 3; r++ {
 				jac[r][c] = (pp[r] - pm[r]) / (2 * h)
 			}
@@ -385,8 +391,88 @@ func BenchmarkDirection(b *testing.B) {
 }
 
 func BenchmarkCubePoint(b *testing.B) {
-	q := Vec3{0.4, -0.7, 0.2}
-	for i := 0; i < b.N; i++ {
-		_ = CubePoint(q, 1221.5e3)
+	for b.Loop() {
+		CubePoint(0.4, -0.7, 0.2, 1221.5e3)
+	}
+}
+
+// The Vec3 chains the scalar gnomonic evaluations replaced, kept as
+// their oracle.
+func directionTanChain(f Face, a, b float64) Vec3 {
+	n, u, v := f.Triad()
+	return n.Add(u.Scale(a)).Add(v.Scale(b)).Normalize()
+}
+
+func tanDerivsChain(f Face, a, b float64) (dda, ddb, dir Vec3) {
+	n, u, v := f.Triad()
+	d := n.Add(u.Scale(a)).Add(v.Scale(b))
+	L := d.Norm()
+	dir = d.Scale(1 / L)
+	dda = u.Sub(dir.Scale(dir.Dot(u))).Scale(1 / L)
+	ddb = v.Sub(dir.Scale(dir.Dot(v))).Scale(1 / L)
+	return dda, ddb, dir
+}
+
+func cubePointChain(q Vec3, rcc float64) Vec3 {
+	m := q.MaxAbs()
+	if m == 0 {
+		return Vec3{}
+	}
+	w := m * m
+	cube := q.Scale((1 - w) / math.Sqrt(3))
+	sphere := q.Normalize().Scale(w * m)
+	return cube.Add(sphere).Scale(rcc)
+}
+
+// sameBits reports whether two vectors agree bit for bit (so +0 and -0
+// differ, and a NaN equals the same NaN).
+func sameBits(x, y Vec3) bool {
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// DirectionTan, TanDerivs and CubePoint are evaluated in scalars; each
+// must return the bits of the Vec3 chain it replaced, on random inputs
+// and on the special ones: signed zeros, the chunk edges |a| = |b| = 1,
+// the cube centre (m = 0), a point whose |q|^2 underflows, every face.
+func TestScalarGnomonicMatchesVec3Chain(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	special := []float64{0, negZero, 1, -1, 0.5, -0.5, math.Nextafter(1, 0), 1e-300, -1e-300, 1e-160}
+	rng := rand.New(rand.NewSource(50))
+	values := append([]float64(nil), special...)
+	for range 40 {
+		values = append(values, rng.Float64()*2-1)
+	}
+	for f := Face(0); f < NumFaces; f++ {
+		for _, a := range values {
+			for _, b := range values {
+				if got, want := DirectionTan(f, a, b), directionTanChain(f, a, b); !sameBits(got, want) {
+					t.Fatalf("DirectionTan(%v, %g, %g) = %v, chain %v", f, a, b, got, want)
+				}
+				ax, ay, az, bx, by, bz, dx, dy, dz := TanDerivs(f, a, b)
+				dda, ddb, dir := tanDerivsChain(f, a, b)
+				if !sameBits(Vec3{ax, ay, az}, dda) || !sameBits(Vec3{bx, by, bz}, ddb) || !sameBits(Vec3{dx, dy, dz}, dir) {
+					t.Fatalf("TanDerivs(%v, %g, %g) = %v %v %v, chain %v %v %v",
+						f, a, b, Vec3{ax, ay, az}, Vec3{bx, by, bz}, Vec3{dx, dy, dz}, dda, ddb, dir)
+				}
+			}
+		}
+	}
+	for _, rcc := range []float64{1, 1221.5e3 / 2} {
+		for _, x := range values {
+			for _, y := range values {
+				for _, z := range special {
+					for _, q := range []Vec3{{x, y, z}, {z, x, y}, {y, z, x}} {
+						if got, want := cubePointVec(q, rcc), cubePointChain(q, rcc); !sameBits(got, want) {
+							t.Fatalf("CubePoint(%v, %g) = %v, chain %v", q, rcc, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"maps"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -227,6 +228,66 @@ func shardOf(k PointKey, n int) int {
 	return int((h >> 32) * uint64(n) >> 32)
 }
 
+// keyOwner is one candidate in a match shard's chains: the candidates
+// of one key are chained newest first through next.
+type keyOwner struct {
+	key             PointKey
+	rank, idx, next int32
+}
+
+// keyHeads is a match shard's key index: a flat open-addressing table
+// of int32 chain heads (-1: empty) into the shard's owners, probed
+// linearly from a slot picked by keyMix. A probe compares the full key
+// of the chain it meets, so distinct keys that land in one probe
+// sequence never share a chain.
+type keyHeads struct {
+	heads []int32
+	shift uint // 64 - log2(len(heads))
+}
+
+// newKeyHeads returns an empty table for n keys, at most half full.
+func newKeyHeads(n int) keyHeads {
+	b := bits.Len(uint(max(2*n-1, 1)))
+	heads := make([]int32, 1<<b)
+	for i := range heads {
+		heads[i] = -1
+	}
+	return keyHeads{heads: heads, shift: uint(64 - b)}
+}
+
+// slot returns the table entry holding k's chain head, or the empty
+// entry where it goes.
+func (t *keyHeads) slot(k PointKey, owners []keyOwner) *int32 {
+	mask := uint64(len(t.heads) - 1)
+	for i := keyMix(k) >> t.shift; ; i = (i + 1) & mask {
+		h := &t.heads[i]
+		if *h < 0 || owners[*h].key == k {
+			return h
+		}
+	}
+}
+
+// keyMix hashes a key for the head table: a multiply-xor over the three
+// words whose top bits depend on every bit of the key. shardOf's hash
+// would not do: its top bits are what picked the shard, so they are
+// nearly constant across one shard's keys.
+func keyMix(k PointKey) uint64 {
+	h := (k[0]*0x9e3779b97f4a7c15 ^ k[1]) * 0xc2b2ae3d27d4eb4f
+	return (h ^ h>>29 ^ k[2]) * 0x165667b19e3779f9
+}
+
+// compareKeys orders keys lexicographically by word, as
+// slices.Compare does, reading the next word only on a tie.
+func compareKeys(x, y *PointKey) int {
+	switch {
+	case x[0] != y[0]:
+		return cmp.Compare(x[0], y[0])
+	case x[1] != y[1]:
+		return cmp.Compare(x[1], y[1])
+	}
+	return cmp.Compare(x[2], y[2])
+}
+
 // ForEach calls f(i) for every i in [0, n) on min(GOMAXPROCS, n)
 // goroutines and returns when every call has: the one parallel loop of
 // the per-rank mesh builds and the halo match. f must only write state
@@ -304,12 +365,9 @@ func buildRegionHalo(locals []*Local, kind int, plans []*HaloPlan) error {
 			}
 		}
 		// owners chains the candidates that share a key, newest first;
-		// byKey holds the head of each chain (an index into owners).
-		type owner struct {
-			rank, idx, next int32
-		}
-		owners := make([]owner, 0, total)
-		byKey := make(map[PointKey]int32, total)
+		// heads holds the head of each chain.
+		owners := make([]keyOwner, 0, total)
+		heads := newKeyHeads(total)
 		res := &shards[s]
 		res.pairs = map[[2]int32][]sharedPt{}
 		// Ranks arrive in ascending order, so every owner already chained
@@ -319,12 +377,10 @@ func buildRegionHalo(locals []*Local, kind int, plans []*HaloPlan) error {
 				continue
 			}
 			for _, cd := range c[s] {
-				head, seen := byKey[cd.key]
-				if !seen {
-					head = -1
-				}
+				at := heads.slot(cd.key, owners)
+				head := *at
 				for o := head; o >= 0; o = owners[o].next {
-					a := owners[o]
+					a := &owners[o]
 					if int(a.rank) == rank {
 						res.err = fmt.Errorf("mesh: region %d: rank %d indexed point %v twice", kind, rank, cd.key)
 						res.errRank, res.errIdx = int32(rank), cd.idx
@@ -333,8 +389,8 @@ func buildRegionHalo(locals []*Local, kind int, plans []*HaloPlan) error {
 					pk := [2]int32{a.rank, int32(rank)}
 					res.pairs[pk] = append(res.pairs[pk], sharedPt{key: cd.key, ia: a.idx, ib: cd.idx})
 				}
-				byKey[cd.key] = int32(len(owners))
-				owners = append(owners, owner{rank: int32(rank), idx: cd.idx, next: head})
+				*at = int32(len(owners))
+				owners = append(owners, keyOwner{key: cd.key, rank: int32(rank), idx: cd.idx, next: head})
 			}
 		}
 	})
@@ -365,9 +421,7 @@ func buildRegionHalo(locals []*Local, kind int, plans []*HaloPlan) error {
 	ForEach(len(pairs), func(i int) {
 		pk := pairs[i]
 		pts := slices.Concat(byPair[pk]...)
-		slices.SortFunc(pts, func(x, y sharedPt) int {
-			return slices.Compare(x.key[:], y.key[:])
-		})
+		slices.SortFunc(pts, func(x, y sharedPt) int { return compareKeys(&x.key, &y.key) })
 		ea := HaloEdge{Peer: int(pk[1]), Idx: make([]int32, len(pts))}
 		eb := HaloEdge{Peer: int(pk[0]), Idx: make([]int32, len(pts))}
 		for j, p := range pts {

@@ -322,3 +322,78 @@ func TestDoublingShortestPeriod(t *testing.T) {
 			dbl.ShortestPeriod, uni.ShortestPeriod)
 	}
 }
+
+// doublingPerNode is the per-node doubling table the memoised one
+// replaced: one gnomonic evaluation per node and the Jacobian columns
+// as Vec3 chains, the oracle of TestDoublingTablesMatchPerNode.
+func doublingPerNode(face cubedsphere.Face, q *quad2, e0, e1 float64, alongXi bool) *elemNodes {
+	t := new(elemNodes)
+	for ir := 0; ir < mesh.NGLL; ir++ {
+		for il := 0; il < mesh.NGLL; il++ {
+			l, r := q.at(il, ir)
+			ls, lt, rs, rt := q.deriv(gllS[il], gllS[ir])
+			for ie := 0; ie < mesh.NGLL; ie++ {
+				e := symLerp(e0, e1, ie)
+				a, b, n := l, e, il+mesh.NGLL*ie+mesh.NGLL2*ir
+				if !alongXi {
+					a, b, n = e, l, ie+mesh.NGLL*il+mesh.NGLL2*ir
+				}
+				ax, ay, az, bx, by, bz, dx, dy, dz := cubedsphere.TanDerivs(face, a, b)
+				dda, ddb, dir := cubedsphere.Vec3{ax, ay, az}, cubedsphere.Vec3{bx, by, bz}, cubedsphere.Vec3{dx, dy, dz}
+				dl, de := dda, ddb
+				if !alongXi {
+					dl, de = ddb, dda
+				}
+				t.pos[n] = dir.Scale(r)
+				lateral := dl.Scale(ls * r).Add(dir.Scale(rs)).Scale(0.5)
+				extrusion := de.Scale((e1 - e0) * r / 2)
+				t.cols[n] = [3]cubedsphere.Vec3{lateral, extrusion, dl.Scale(lt * r).Add(dir.Scale(rt)).Scale(0.5)}
+				if !alongXi {
+					t.cols[n][0], t.cols[n][1] = extrusion, lateral
+				}
+			}
+		}
+	}
+	return t
+}
+
+// Each doubling hex's table, which evaluates the gnomonic map once per
+// node line on the vertical quads, must equal the per-node evaluation
+// bit for bit: every quad of a template, both doubling directions,
+// every face, on a chunk edge and inside.
+func TestDoublingTablesMatchPerNode(t *testing.T) {
+	g := cubedsphere.TanGrid(8)
+	const r0, r1 = 5000e3, 5200e3
+	for _, fine := range [][5]float64{[5]float64(g[0:5]), [5]float64(g[2:7]), [5]float64(g[4:9])} {
+		quads := dblTemplate(fine, r0, r1)
+		for qi := range quads {
+			q := &quads[qi]
+			if want := qi != 1 && qi != 3; q.vertical() != want {
+				t.Fatalf("template quad %d: vertical() = %v, want %v", qi+1, q.vertical(), want)
+			}
+			for face := cubedsphere.Face(0); face < cubedsphere.NumFaces; face++ {
+				for _, alongXi := range []bool{true, false} {
+					for _, ext := range [][2]float64{{g[0], g[1]}, {g[3], g[4]}} {
+						var got elemNodes
+						got.doubling(face, q, ext[0], ext[1], alongXi)
+						want := doublingPerNode(face, q, ext[0], ext[1], alongXi)
+						for n := range got.pos {
+							same := math.Float64bits(got.pos[n][0]) == math.Float64bits(want.pos[n][0]) &&
+								math.Float64bits(got.pos[n][1]) == math.Float64bits(want.pos[n][1]) &&
+								math.Float64bits(got.pos[n][2]) == math.Float64bits(want.pos[n][2])
+							for c := range got.cols[n] {
+								for i := range got.cols[n][c] {
+									same = same && math.Float64bits(got.cols[n][c][i]) == math.Float64bits(want.cols[n][c][i])
+								}
+							}
+							if !same {
+								t.Fatalf("quad %d face %v alongXi %v extrusion %v node %d: pos %v cols %v, per node %v %v",
+									qi+1, face, alongXi, ext, n, got.pos[n], got.cols[n], want.pos[n], want.cols[n])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

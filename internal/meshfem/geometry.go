@@ -185,8 +185,12 @@ func (t *elemNodes) shell(c *column, r0, r1 float64) {
 		fa, fb, fr := r*c.da/2, r*c.db/2, (r1-r0)/2
 		for q := 0; q < mesh.NGLL2; q++ {
 			n := q + mesh.NGLL2*ir
-			t.pos[n] = c.posDir[q].Scale(rPos)
-			t.cols[n] = [3]cubedsphere.Vec3{c.dda[q].Scale(fa), c.ddb[q].Scale(fb), c.d[q].Scale(fr)}
+			p, d := &t.pos[n], &c.posDir[q]
+			p[0], p[1], p[2] = rPos*d[0], rPos*d[1], rPos*d[2]
+			cl, da, db, dr := &t.cols[n], &c.dda[q], &c.ddb[q], &c.d[q]
+			cl[0][0], cl[0][1], cl[0][2] = fa*da[0], fa*da[1], fa*da[2]
+			cl[1][0], cl[1][1], cl[1][2] = fb*db[0], fb*db[1], fb*db[2]
+			cl[2][0], cl[2][1], cl[2][2] = fr*dr[0], fr*dr[1], fr*dr[2]
 		}
 		t.rad[ir] = lerp(r0, r1, clamp(gllS[ir], 1e-3, 1-1e-3))
 	}
@@ -201,6 +205,8 @@ func (t *elemNodes) shell(c *column, r0, r1 float64) {
 // cube coordinates depend on one index each.
 func (t *elemNodes) cube(a0, a1, b0, b1, c0, c1, rcc float64) {
 	const h = 1e-6
+	// d(lerp factor)/d(reference coord) = 1/2.
+	const scale = 1 / (2 * h * 2)
 	lo, hi := [3]float64{a0, b0, c0}, [3]float64{a1, b1, c1}
 	// at[c][i], plus[c][i], minus[c][i]: axis c's cube coordinate at
 	// GLL index i and at lerp factors gllS[i] +- h.
@@ -217,17 +223,18 @@ func (t *elemNodes) cube(a0, a1, b0, b1, c0, c1, rcc float64) {
 		for ib := 0; ib < mesh.NGLL; ib++ {
 			for ia := 0; ia < mesh.NGLL; ia++ {
 				n := ia + mesh.NGLL*ib + mesh.NGLL2*ic
-				idx := [3]int{ia, ib, ic}
-				t.pos[n] = cubedsphere.CubePoint(cubedsphere.Vec3{sym[0][ia], sym[1][ib], sym[2][ic]}, rcc)
-				q := cubedsphere.Vec3{at[0][ia], at[1][ib], at[2][ic]}
-				for c := 0; c < 3; c++ {
-					qp, qm := q, q
-					qp[c], qm[c] = plus[c][idx[c]], minus[c][idx[c]]
-					pp := cubedsphere.CubePoint(qp, rcc)
-					pm := cubedsphere.CubePoint(qm, rcc)
-					// d(lerp factor)/d(reference coord) = 1/2.
-					t.cols[n][c] = pp.Sub(pm).Scale(1 / (2 * h * 2))
-				}
+				p, cl := &t.pos[n], &t.cols[n]
+				p[0], p[1], p[2] = cubedsphere.CubePoint(sym[0][ia], sym[1][ib], sym[2][ic], rcc)
+				x, y, z := at[0][ia], at[1][ib], at[2][ic]
+				px, py, pz := cubedsphere.CubePoint(plus[0][ia], y, z, rcc)
+				mx, my, mz := cubedsphere.CubePoint(minus[0][ia], y, z, rcc)
+				cl[0][0], cl[0][1], cl[0][2] = scale*(px-mx), scale*(py-my), scale*(pz-mz)
+				px, py, pz = cubedsphere.CubePoint(x, plus[1][ib], z, rcc)
+				mx, my, mz = cubedsphere.CubePoint(x, minus[1][ib], z, rcc)
+				cl[1][0], cl[1][1], cl[1][2] = scale*(px-mx), scale*(py-my), scale*(pz-mz)
+				px, py, pz = cubedsphere.CubePoint(x, y, plus[2][ic], rcc)
+				mx, my, mz = cubedsphere.CubePoint(x, y, minus[2][ic], rcc)
+				cl[2][0], cl[2][1], cl[2][2] = scale*(px-mx), scale*(py-my), scale*(pz-mz)
 			}
 		}
 	}
@@ -332,6 +339,15 @@ func (q *quad2) at(is, it int) (a, r float64) {
 	return a, r
 }
 
+// vertical reports whether the quad's lateral coordinate depends on the
+// lateral index alone: its lateral corners are equal pairwise, so the
+// two inner symLerps of at are equal and the outer one returns the
+// first, whatever it is — the same bits on every radial level. Quads
+// 1, 3, 5 and 6 of the template, whose sides are vertical, are.
+func (q *quad2) vertical() bool {
+	return q.a[0][0] == q.a[0][1] && q.a[1][0] == q.a[1][1]
+}
+
 // deriv returns the partial derivatives of (a, r) with respect to the
 // (s, t) lerp factors at (s, t); used for Jacobians only, so plain
 // bilinear derivatives suffice.
@@ -370,70 +386,70 @@ func dblTemplate(fine [5]float64, r0, r1 float64) [6]quad2 {
 	}
 }
 
-// doubleXi fills the table for one xi-doubling hex: the quad drives
-// (a, r) from the (first, third) reference directions and the element
-// extrudes over the eta interval [b0, b1]. The quad's map and its
-// derivatives depend on (ia, ir) only; position and Jacobian share one
-// gnomonic evaluation (DirectionTan is tanDerivs' direction).
-func (t *elemNodes) doubleXi(face cubedsphere.Face, q *quad2, b0, b1 float64) {
-	var b [mesh.NGLL]float64
-	for ib := range b {
-		b[ib] = symLerp(b0, b1, ib)
-	}
+// doubling fills the table for one hex of a doubling layer: the quad
+// drives (lateral tangent, r) from the (lateral, third) reference
+// directions and the element extrudes over the other tangent interval
+// [e0, e1]. alongXi says the quad's lateral direction is xi (an
+// xi-doubling layer: lateral index ia, extrusion index ib); otherwise
+// it is eta (lateral ib, extrusion ia).
+//
+// Position and Jacobian share one gnomonic evaluation per node, and a
+// vertical quad (quad2.vertical) shares it further: its lateral tangent
+// value has the same bits on all five radial levels of a (lateral,
+// extrusion) node line, so the line evaluates the map once, at ir = 0,
+// and the other four levels reuse it — 25 evaluations per hex instead
+// of 125. Every node's operands and operation order are the per-node
+// formula's (TestDoublingTablesMatchPerNode).
+func (t *elemNodes) doubling(face cubedsphere.Face, q *quad2, e0, e1 float64, alongXi bool) {
+	// The quad's map and derivatives depend on (lateral, ir) only.
+	var lat, r, ls, lt, rs, rt [mesh.NGLL][mesh.NGLL]float64 // [ir][lateral index]
 	for ir := 0; ir < mesh.NGLL; ir++ {
-		for ia := 0; ia < mesh.NGLL; ia++ {
-			a, r := q.at(ia, ir)
-			as, at, rs, rt := q.deriv(gllS[ia], gllS[ir])
-			for ib := 0; ib < mesh.NGLL; ib++ {
-				n := ia + mesh.NGLL*ib + mesh.NGLL2*ir
-				dda, ddb, dir := tanDerivs(face, a, b[ib])
-				t.pos[n] = dir.Scale(r)
-				t.cols[n] = [3]cubedsphere.Vec3{
-					dda.Scale(as * r).Add(dir.Scale(rs)).Scale(0.5),
-					ddb.Scale((b1 - b0) * r / 2),
-					dda.Scale(at * r).Add(dir.Scale(rt)).Scale(0.5),
+		for il := 0; il < mesh.NGLL; il++ {
+			lat[ir][il], r[ir][il] = q.at(il, ir)
+			ls[ir][il], lt[ir][il], rs[ir][il], rt[ir][il] = q.deriv(gllS[il], gllS[ir])
+		}
+	}
+	var ext [mesh.NGLL]float64
+	for ie := range ext {
+		ext[ie] = symLerp(e0, e1, ie)
+	}
+	reuse := q.vertical()
+	for il := 0; il < mesh.NGLL; il++ {
+		for ie := 0; ie < mesh.NGLL; ie++ {
+			n0 := il + mesh.NGLL*ie
+			if !alongXi {
+				n0 = ie + mesh.NGLL*il
+			}
+			// The direction and its partials along the quad's lateral
+			// tangent (l) and the extrusion tangent (e).
+			var dx, dy, dz, lx, ly, lz, ex, ey, ez float64
+			for ir := 0; ir < mesh.NGLL; ir++ {
+				if ir == 0 || !reuse {
+					if alongXi {
+						lx, ly, lz, ex, ey, ez, dx, dy, dz = cubedsphere.TanDerivs(face, lat[ir][il], ext[ie])
+					} else {
+						ex, ey, ez, lx, ly, lz, dx, dy, dz = cubedsphere.TanDerivs(face, ext[ie], lat[ir][il])
+					}
 				}
+				rr := r[ir][il]
+				n := n0 + mesh.NGLL2*ir
+				p, cl := &t.pos[n], &t.cols[n]
+				p[0], p[1], p[2] = rr*dx, rr*dy, rr*dz
+				// The lateral column 0.5*((ls*r)*dl + rs*dir), the
+				// extrusion column ((e1-e0)*r/2)*de, the radial column
+				// 0.5*((lt*r)*dl + rt*dir).
+				sc, ec := &cl[0], &cl[1]
+				if !alongXi {
+					sc, ec = ec, sc
+				}
+				f, g := ls[ir][il]*rr, rs[ir][il]
+				sc[0], sc[1], sc[2] = 0.5*(f*lx+g*dx), 0.5*(f*ly+g*dy), 0.5*(f*lz+g*dz)
+				f = (e1 - e0) * rr / 2
+				ec[0], ec[1], ec[2] = f*ex, f*ey, f*ez
+				f, g = lt[ir][il]*rr, rt[ir][il]
+				cl[2][0], cl[2][1], cl[2][2] = 0.5*(f*lx+g*dx), 0.5*(f*ly+g*dy), 0.5*(f*lz+g*dz)
 			}
 		}
 	}
 	t.radial = false
-}
-
-// doubleEta fills the table for one eta-doubling hex: the quad drives
-// (b, r) from the (second, third) reference directions and the element
-// extrudes over the xi interval [a0, a1].
-func (t *elemNodes) doubleEta(face cubedsphere.Face, q *quad2, a0, a1 float64) {
-	var a [mesh.NGLL]float64
-	for ia := range a {
-		a[ia] = symLerp(a0, a1, ia)
-	}
-	for ir := 0; ir < mesh.NGLL; ir++ {
-		for ib := 0; ib < mesh.NGLL; ib++ {
-			b, r := q.at(ib, ir)
-			bs, bt, rs, rt := q.deriv(gllS[ib], gllS[ir])
-			for ia := 0; ia < mesh.NGLL; ia++ {
-				n := ia + mesh.NGLL*ib + mesh.NGLL2*ir
-				dda, ddb, dir := tanDerivs(face, a[ia], b)
-				t.pos[n] = dir.Scale(r)
-				t.cols[n] = [3]cubedsphere.Vec3{
-					dda.Scale((a1 - a0) * r / 2),
-					ddb.Scale(bs * r).Add(dir.Scale(rs)).Scale(0.5),
-					ddb.Scale(bt * r).Add(dir.Scale(rt)).Scale(0.5),
-				}
-			}
-		}
-	}
-	t.radial = false
-}
-
-// tanDerivs returns the gnomonic-direction partials d(dir)/da, d(dir)/db
-// and the direction itself at tangent coordinates (a, b).
-func tanDerivs(face cubedsphere.Face, a, b float64) (dda, ddb, dir cubedsphere.Vec3) {
-	n, u, v := face.Triad()
-	d := n.Add(u.Scale(a)).Add(v.Scale(b))
-	L := d.Norm()
-	dir = d.Scale(1 / L)
-	dda = u.Sub(dir.Scale(dir.Dot(u))).Scale(1 / L)
-	ddb = v.Sub(dir.Scale(dir.Dot(v))).Scale(1 / L)
-	return dda, ddb, dir
 }

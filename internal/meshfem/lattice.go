@@ -307,7 +307,8 @@ func (f *elemFiller) columns(nexXi, nexEta int) []column {
 				for ia := 0; ia < mesh.NGLL; ia++ {
 					q := ia + mesh.NGLL*ib
 					c.posDir[q] = cubedsphere.DirectionTan(s.Chunk, symLerp(a0, a1, ia), symLerp(b0, b1, ib))
-					c.dda[q], c.ddb[q], c.d[q] = tanDerivs(s.Chunk, lerp(a0, a1, gllS[ia]), lerp(b0, b1, gllS[ib]))
+					da, db, d := &c.dda[q], &c.ddb[q], &c.d[q]
+					da[0], da[1], da[2], db[0], db[1], db[2], d[0], d[1], d[2] = cubedsphere.TanDerivs(s.Chunk, lerp(a0, a1, gllS[ia]), lerp(b0, b1, gllS[ib]))
 				}
 			}
 			cols = append(cols, c)

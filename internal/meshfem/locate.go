@@ -242,7 +242,8 @@ func (g *Globe) locateCube(dir cubedsphere.Vec3, radius float64) (Location, erro
 	q0 := dir.Scale(1 / dir.MaxAbs())
 	target := radius / g.rcc
 	radiusOf := func(t float64) float64 {
-		return cubedsphere.CubePoint(q0.Scale(t), 1).Norm()
+		x, y, z := cubedsphere.CubePoint(t*q0[0], t*q0[1], t*q0[2], 1)
+		return cubedsphere.Vec3{x, y, z}.Norm()
 	}
 	lo, hi := 0.0, 1.0
 	for iter := 0; iter < 80; iter++ {

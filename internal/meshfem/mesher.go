@@ -561,7 +561,7 @@ func (f *elemFiller) doubleXiLayer(si, li int) error {
 					p := planes[tn.plane]
 					f.nodes.slot[n] = p.base + c*p.stride + tn.off + p.w*(dGLL*(j-jlo)+ib)
 				}
-				f.nodes.doubleXi(s.Chunk, &quads[q], gy[j], gy[j+1])
+				f.nodes.doubling(s.Chunk, &quads[q], gy[j], gy[j+1], true)
 				if err := f.emit(); err != nil {
 					return err
 				}
@@ -592,7 +592,7 @@ func (f *elemFiller) doubleEtaLayer(si, li int) error {
 					p := planes[tn.plane]
 					f.nodes.slot[n] = p.base + dGLL*(i-ilo) + ia + p.w*(c*p.stride+tn.off)
 				}
-				f.nodes.doubleEta(s.Chunk, &quads[q], gx[i], gx[i+1])
+				f.nodes.doubling(s.Chunk, &quads[q], gx[i], gx[i+1], false)
 				if err := f.emit(); err != nil {
 					return err
 				}

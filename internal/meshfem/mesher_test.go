@@ -484,30 +484,35 @@ func BenchmarkMesherTwoPass(b *testing.B) {
 	}
 }
 
-// BenchmarkBuild prices a cold mesh build on the three shapes of
-// specbench's mesh_setup workload (earthlike NEX 4 on 6 and on 24
-// ranks, doubled PREM NEX 8): one iteration builds all three, and
-// us/element is the mix's cost per spectral element — specbench's
-// meshfem.us_per_element without the session around it.
+// BenchmarkBuild prices a cold mesh build on each shape of specbench's
+// mesh_setup workload (earthlike NEX 4 on 6 and on 24 ranks, doubled
+// PREM NEX 8), one sub-benchmark per shape so a mesher change is
+// attributed per shape: us/element is the shape's cost per spectral
+// element, specbench's meshfem.us_per_element without the session
+// around it.
 func BenchmarkBuild(b *testing.B) {
-	shapes := []Config{
-		{NexXi: 4, NProcXi: 1, Model: testModel()},
-		{NexXi: 8, NProcXi: 1, Model: earthmodel.NewPREM(), Doublings: []float64{5200e3, 3000e3}},
-		{NexXi: 4, NProcXi: 2, Model: testModel()},
+	shapes := []struct {
+		name string
+		cfg  Config
+	}{
+		{"earthlike_nex4_6ranks", Config{NexXi: 4, NProcXi: 1, Model: testModel()}},
+		{"prem_nex8_doubled", Config{NexXi: 8, NProcXi: 1, Model: earthmodel.NewPREM(), Doublings: []float64{5200e3, 3000e3}}},
+		{"earthlike_nex4_24ranks", Config{NexXi: 4, NProcXi: 2, Model: testModel()}},
 	}
-	b.ReportAllocs()
-	elements := 0
-	for i := 0; i < b.N; i++ {
-		elements = 0
-		for _, cfg := range shapes {
-			g, err := Build(cfg)
-			if err != nil {
-				b.Fatal(err)
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			elements := 0
+			for b.Loop() {
+				g, err := Build(sh.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				elements = g.TotalElements()
 			}
-			elements += g.TotalElements()
-		}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*elements), "us/element")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*elements), "us/element")
 }
 
 // BenchmarkBuildNex prices a cold build of one earthlike globe per

@@ -475,8 +475,17 @@ func Run(sim *Simulation) (*Result, error) {
 	if unstable != nil {
 		return res, unstable
 	}
-	if math.IsNaN(res.MaxDisplacement) {
-		return res, fmt.Errorf("solver: the displacement holds a NaN after %d steps (a non-finite source or material value?)", opts.Steps)
+	if m := res.MaxDisplacement; math.IsNaN(m) || math.IsInf(m, 0) {
+		// core refuses non-finite events and stations before a run
+		// starts; what is left to grow the state without bound is the
+		// step.
+		step := fmt.Sprintf("mesh.Courant's automatic step, Courant number %g", mesh.Courant)
+		if opts.Dt != 0 {
+			auto := mesh.StableDt(sim.Locals, mesh.Courant)
+			step = fmt.Sprintf("set by Options.Dt: %.3g times mesh.Courant's automatic %g s", dt/auto, auto)
+		}
+		return res, fmt.Errorf("solver: the displacement holds %g after %d steps at dt %g s (%s); the likely cause is a time step too large for this mesh",
+			m, opts.Steps, dt, step)
 	}
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -852,6 +853,31 @@ func TestStabilityMonitorAborts(t *testing.T) {
 		Opts:    Options{Steps: 50, StabilityCheckEvery: 10},
 	}); err != nil {
 		t.Fatalf("stable run aborted: %v", err)
+	}
+}
+
+// A run that marches a NaN to its end without the monitor names its
+// time step, whether it is the automatic one, and the step as the
+// likely cause: at 4x the automatic dt a NEX 4 globe overflows within
+// 100 steps.
+func TestNonFiniteRunNamesTheStep(t *testing.T) {
+	g, model := coupledGlobe(t, 4, 1)
+	auto := mesh.StableDt(g.Locals, mesh.Courant)
+	res, err := Run(globeSim(t, g, model, Options{Steps: 100, Dt: 4 * auto, StabilityCheckEvery: 0}))
+	if err == nil {
+		t.Fatalf("a run at 4x the automatic dt ended without error (max displacement %g)", res.MaxDisplacement)
+	}
+	if m := res.MaxDisplacement; !math.IsNaN(m) && !math.IsInf(m, 0) {
+		t.Fatalf("error %q, but the max displacement %g is finite", err, m)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("at dt %g s", 4*auto),
+		"set by Options.Dt: 4 times mesh.Courant's automatic",
+		"likely cause is a time step too large",
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
 	}
 }
 
