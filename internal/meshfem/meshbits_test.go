@@ -120,9 +120,10 @@ func (b *bitHasher) faces(fs []mesh.CoupleFace) {
 	}
 }
 
-// hashRank folds one rank's whole hand-off — every Region array, the
-// CMB/ICB coupling faces, the surface load and every halo edge — into
-// one hash.
+// hashRank folds one rank's whole hand-off into one hash: every array a
+// Region keeps (the solid's Kappa and Mu, the fluid's Rho), every
+// ElemAudit field and the region's StableDt, the CMB/ICB coupling
+// faces, the surface load and every halo edge.
 func hashRank(l *mesh.Local, p *mesh.HaloPlan) string {
 	b := &bitHasher{h: fnv.New64a()}
 	b.u64(uint64(l.Rank))
@@ -141,8 +142,20 @@ func hashRank(l *mesh.Local, p *mesh.HaloPlan) string {
 			b.u64(math.Float64bits(pt[1]))
 			b.u64(math.Float64bits(pt[2]))
 		}
-		b.f32s(r.Xix, r.Xiy, r.Xiz, r.Etax, r.Etay, r.Etaz, r.Gamx, r.Gamy, r.Gamz,
-			r.Jac, r.JacW, r.Rho, r.Kappa, r.Mu, r.Qmu, r.Qkappa, r.Mass)
+		b.f32s(r.Xix, r.Xiy, r.Xiz, r.Etax, r.Etay, r.Etaz, r.Gamx, r.Gamy, r.Gamz, r.Jac)
+		if r.IsFluid() {
+			b.f32s(r.Rho)
+		} else {
+			b.f32s(r.Kappa, r.Mu)
+		}
+		b.f32s(r.Qmu, r.Qkappa, r.Mass)
+		b.u64(uint64(len(r.Audit)))
+		for _, a := range r.Audit {
+			for _, v := range [...]float64{a.MinSpacing, a.MaxVp, a.HMax, a.VMin} {
+				b.u64(math.Float64bits(v))
+			}
+		}
+		b.u64(math.Float64bits(r.StableDt(mesh.Courant)))
 	}
 	b.faces(l.CMB)
 	b.faces(l.ICB)
@@ -166,9 +179,11 @@ func hashRank(l *mesh.Local, p *mesh.HaloPlan) string {
 // TestMeshBits replays the committed mesh hashes. The set-up path's
 // optimisations (hoisted element tables, exterior-face halo plan, ranks
 // built concurrently) were each replayed against it without moving a
-// bit; it was re-recorded once on purpose, when the metric's rounding
-// residue began to be snapped to +0 (snapResidue). GOMAXPROCS 1 and 4
-// cover both sides of the concurrent rank build.
+// bit. It was re-recorded on purpose when the metric's rounding residue
+// began to be snapped to +0 (snapResidue), and when the hash narrowed to
+// the arrays a session keeps and took in the element audit, which sets
+// dt (no mesh moved then). GOMAXPROCS 1 and 4 cover both sides of the
+// concurrent rank build.
 func TestMeshBits(t *testing.T) {
 	configs := meshBitsConfigs()
 	var want meshBitsFixture
@@ -293,6 +308,59 @@ func TestMetricHasNoResidue(t *testing.T) {
 		}
 		if inGap != 0 {
 			t.Errorf("%s: %d inverse-Jacobian entries between 2^-48 and 2^-16 of their point's largest", c.name, inGap)
+		}
+	}
+}
+
+// TestLayerDtRatios characterises which layer sets the time step: on
+// every TestMeshBits shape it pins the governing row of LayerAudits and
+// each row's MinDt over the smallest, the column cmd/meshfem prints
+// against mesh.StableDt, together with StableDt over that smallest (it
+// pairs region-wide extremes, so it sits below it on doubled meshes).
+// The values are exact: a change that moves them reshapes the mesh, as
+// a doubling brick or a per-element dt rule will, on purpose.
+func TestLayerDtRatios(t *testing.T) {
+	nex4 := []float64{6.820487418061583, 2.3940302819431682, 4.607258850002376, 1.1970151409715841, 1.795522711457375, 1}
+	want := map[string]struct {
+		governing int
+		stable    float64
+		ratios    []float64
+	}{
+		"earthlike/nex4/nproc1":  {5, 1, nex4},
+		"earthlike/nex4/nproc2":  {5, 1, nex4},
+		"earthlike/nex4/twopass": {5, 1, nex4},
+		"prem/nex8/doubled": {1, 0.92907493651758, []float64{5.088311970124045, 1, 1.0531293521956513, 3.4040873506549434, 3.3480610063048735,
+			4.485397920104539, 5.789304155933894, 1.5096282050093262, 1.6050310138143948, 5.449398729762441, 2.7150848016705638, 2.7009570294667444}},
+		"earthlike/nex8/nproc2": {11, 1, []float64{6.945206968346649, 8.868443878834217, 10.791680789321772, 2.437807560872251, 3.3392874423671253,
+			4.240767323862006, 5.142247205356889, 6.04372708685177, 1.2189037804361256, 1.6252050405815013, 2.031506300726875, 1}},
+		"earthlike/nex8/auto": {8, 1, []float64{5.7775163699056655, 7.377401410652536, 8.977286451399396, 4.287238201288967, 1.5312587744625599,
+			1.5312587744625494, 1.5491178336310718, 1.0000000000000047, 1, 1.014167085175536, 3.6555303081194372, 3.6555303081194372}},
+		"solidball/nex4/nproc1": {4, 1, []float64{1.1970151409715837, 2.892786590681329, 4.588558040391074, 6.205824772185592, 1}},
+	}
+	for _, c := range meshBitsConfigs() {
+		g, err := Build(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		rows := g.LayerAudits(g.ShortestPeriod, mesh.Courant)
+		gov := 0
+		for i, la := range rows {
+			if la.MinDt < rows[gov].MinDt {
+				gov = i
+			}
+		}
+		w, smallest := want[c.name], rows[gov].MinDt
+		if gov != w.governing || len(rows) != len(w.ratios) {
+			t.Errorf("%s: row %d of %d governs dt, want row %d of %d", c.name, gov, len(rows), w.governing, len(w.ratios))
+			continue
+		}
+		if s := mesh.StableDt(g.Locals, mesh.Courant) / smallest; s != w.stable {
+			t.Errorf("%s: StableDt is %v of the smallest layer dt, want %v", c.name, s, w.stable)
+		}
+		for i, la := range rows {
+			if r := la.MinDt / smallest; r != w.ratios[i] {
+				t.Errorf("%s: row %d (%v, r0 %.0f km) dt/min %v, want %v", c.name, i, la.Region, la.R0/1e3, r, w.ratios[i])
+			}
 		}
 	}
 }
