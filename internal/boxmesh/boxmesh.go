@@ -95,10 +95,14 @@ func Build(cfg Config) (*Box, error) {
 		reg.NGlob = len(nodes.id)
 		reg.Pts = make([][3]float64, reg.NGlob)
 		e := 0
+		var el mesh.Element
 		for k := 0; k < cfg.Nz; k++ {
 			for j := 0; j < cfg.Ny; j++ {
 				for i := rank * perRank; i < (rank+1)*perRank; i++ {
-					b.fillElement(reg, nodes, e, i, j, k, i-rank*perRank)
+					b.fillElement(reg, nodes, &el, e, i, j, k, i-rank*perRank)
+					if err := reg.Fold(e, &el); err != nil {
+						return nil, fmt.Errorf("boxmesh: rank %d: %w", rank, err)
+					}
 					e++
 				}
 			}
@@ -150,8 +154,9 @@ func (g *nodeGrid) point(I, J, K int, pts [][3]float64, p [3]float64) int32 {
 }
 
 // fillElement fills one affine box element, cell (i, j, k) of the box and
-// column il of the rank's slab: the Jacobian is constant.
-func (b *Box) fillElement(reg *mesh.Region, nodes *nodeGrid, e, i, j, k, il int) {
+// column il of the rank's slab, into the region and el, which the region
+// then folds: the Jacobian is constant.
+func (b *Box) fillElement(reg *mesh.Region, nodes *nodeGrid, el *mesh.Element, e, i, j, k, il int) {
 	x0, x1 := b.gx[i], b.gx[i+1]
 	y0, y1 := b.gy[j], b.gy[j+1]
 	z0, z1 := b.gz[k], b.gz[k+1]
@@ -163,18 +168,17 @@ func (b *Box) fillElement(reg *mesh.Region, nodes *nodeGrid, e, i, j, k, il int)
 		for jj := 0; jj < mesh.NGLL; jj++ {
 			for ii := 0; ii < mesh.NGLL; ii++ {
 				ip := mesh.Idx(e, ii, jj, kk)
-				x := lerp(x0, x1, gllS[ii])
-				y := lerp(y0, y1, gllS[jj])
-				z := lerp(z0, z1, gllS[kk])
-				reg.Ibool[ip] = nodes.point(d*il+ii, d*j+jj, d*k+kk, reg.Pts, [3]float64{x, y, z})
+				p := ip - e*mesh.NGLL3
+				el.Pos[p] = [3]float64{lerp(x0, x1, gllS[ii]), lerp(y0, y1, gllS[jj]), lerp(z0, z1, gllS[kk])}
+				reg.Ibool[ip] = nodes.point(d*il+ii, d*j+jj, d*k+kk, reg.Pts, el.Pos[p])
 				reg.Xix[ip] = float32(1 / hx)
 				reg.Etay[ip] = float32(1 / hy)
 				reg.Gamz[ip] = float32(1 / hz)
 				reg.Jac[ip] = float32(det)
-				reg.JacW[ip] = float32(det * gllW[ii] * gllW[jj] * gllW[kk])
-				reg.Rho[ip] = float32(mat.Rho)
-				reg.Kappa[ip] = float32(mat.Kappa())
-				reg.Mu[ip] = float32(mat.Mu())
+				el.MassW[p] = float32(det * gllW[ii] * gllW[jj] * gllW[kk])
+				el.Rho[p] = float32(mat.Rho)
+				el.Kappa[p] = float32(mat.Kappa())
+				el.Mu[p] = float32(mat.Mu())
 			}
 		}
 	}

@@ -37,7 +37,7 @@ func TestBoxStructureAndVolume(t *testing.T) {
 	vol := 0.0
 	for _, l := range b.Locals {
 		r := l.Regions[earthmodel.RegionCrustMantle]
-		if err := r.Validate(); err != nil {
+		if err := r.Finish(); err != nil {
 			t.Fatal(err)
 		}
 		total += r.NSpec

@@ -535,7 +535,7 @@ func (r *MemoryResult) String() string {
 	fmt.Fprintf(&b, "MEM37: mesh memory model (fit %.3g * res^%.2f, R2=%.4f)\n",
 		r.Fit.Fit.A, r.Fit.Fit.B, r.Fit.R2)
 	fmt.Fprintf(&b, "  at 2 s period: %s measured constant (paper: ~37 TB per application;\n", perfmodel.HumanBytes(r.At2s))
-	fmt.Fprintf(&b, "    the Go mesh stores float64 coordinates and per-point materials, hence the larger constant)\n")
+	fmt.Fprintf(&b, "    the Go mesh stores float64 coordinates and |J| beside the nine metric terms, hence the larger constant)\n")
 	fmt.Fprintf(&b, "  at 1 s period: %s measured constant\n", perfmodel.HumanBytes(r.At1s))
 	fmt.Fprintf(&b, "  cores at 1.85 GB/core for the 2 s mesh (paper-calibrated): %.0f per application\n", r.CoresAt2s)
 	fmt.Fprintf(&b, "    (x2 applications plus system overhead is the paper's ~62K-core estimate)\n")

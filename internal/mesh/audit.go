@@ -30,27 +30,78 @@ type ElemAudit struct {
 	VMin float64
 }
 
-// Finish completes a region whose element arrays are filled: it checks
-// the structure (Validate), assembles the local mass matrix and audits
-// every element. Every region builder — the meshers, the legacy-database
-// reader — ends with it.
-func (r *Region) Finish() error {
-	if err := r.Validate(); err != nil {
-		return err
+// Element is one finished element as its region builder hands it to
+// Fold: the mass quadrature weight and the material at each of its
+// points, and its node table.
+type Element struct {
+	// MassW is JacW = |J| w_i w_j w_k at each point, the mass quadrature
+	// weight.
+	MassW [NGLL3]float32
+	// Rho, Kappa and Mu are the material at each point (Mu = 0 in the
+	// fluid).
+	Rho, Kappa, Mu [NGLL3]float32
+	// Pos is each node's position: the bits of Pts at its Ibool entry.
+	Pos [NGLL3][3]float64
+}
+
+// Fold completes element e of r, whose Ibool and metric entries are
+// written, from el, in one pass: it checks el's points, keeps the
+// materials r holds, adds el's mass into Mass and writes Audit[e].
+// Builders fold elements in ascending order after setting NGlob, so
+// each Mass entry sums its terms in (e, p) order. Finish completes the
+// region.
+func (r *Region) Fold(e int, el *Element) error {
+	if r.Audit == nil {
+		r.Mass, r.Audit = make([]float32, r.NGlob), make([]ElemAudit, r.NSpec)
 	}
-	r.AssembleMassLocal()
-	r.AuditElements()
+	base := e * NGLL3
+	fluid := r.IsFluid()
+	for p, g := range r.Ibool[base : base+NGLL3] {
+		switch jw, rho, kappa, mu := el.MassW[p], el.Rho[p], el.Kappa[p], el.Mu[p]; {
+		case g < 0 || int(g) >= r.NGlob:
+			return fmt.Errorf("mesh: region %v: ibool[%d]=%d out of range [0,%d)", r.Kind, base+p, g, r.NGlob)
+		case !(jw > 0):
+			return fmt.Errorf("mesh: region %v: non-positive JacW %g at elem %d point %d", r.Kind, jw, e, p)
+		case !(rho > 0):
+			return fmt.Errorf("mesh: region %v: non-positive density at elem %d point %d", r.Kind, e, p)
+		case !(kappa > 0):
+			return fmt.Errorf("mesh: region %v: non-positive kappa at elem %d point %d", r.Kind, e, p)
+		case !(mu >= 0):
+			return fmt.Errorf("mesh: region %v: negative mu at elem %d point %d", r.Kind, e, p)
+		case fluid && mu != 0:
+			return fmt.Errorf("mesh: fluid region %v has shear modulus at elem %d point %d", r.Kind, e, p)
+		case fluid:
+			r.Mass[g] += jw / kappa
+		default:
+			r.Mass[g] += rho * jw
+		}
+	}
+	if fluid {
+		copy(r.Rho[base:base+NGLL3], el.Rho[:])
+	} else {
+		copy(r.Kappa[base:base+NGLL3], el.Kappa[:])
+		copy(r.Mu[base:base+NGLL3], el.Mu[:])
+	}
+	r.Audit[e] = el.audit()
 	return nil
 }
 
-// AuditElements (re)computes the element audit. A caller that changes
-// a finished region's coordinates or materials calls it again.
-func (r *Region) AuditElements() {
-	r.Audit = make([]ElemAudit, r.NSpec)
+// Finish completes a region whose elements are all folded (or whose
+// Mass and Audit were read back): it checks that every array has its
+// length and every point a positive mass, and takes the audit's
+// region-wide extremes. Every region builder ends with it.
+func (r *Region) Finish() error {
+	if len(r.Ibool) != r.NSpec*NGLL3 || len(r.Audit) != r.NSpec || len(r.Pts) != r.NGlob || len(r.Mass) != r.NGlob {
+		return fmt.Errorf("mesh: region %v of %d elements and %d points holds %d ibool entries, %d audits, %d points and %d masses",
+			r.Kind, r.NSpec, r.NGlob, len(r.Ibool), len(r.Audit), len(r.Pts), len(r.Mass))
+	}
+	for g, m := range r.Mass {
+		if !(m > 0) || math.IsInf(float64(m), 1) {
+			return fmt.Errorf("mesh: region %v: point %d has mass %g", r.Kind, g, m)
+		}
+	}
 	r.minSpacing, r.maxVp = math.Inf(1), 0
-	for e := range r.Audit {
-		a := r.auditElement(e)
-		r.Audit[e] = a
+	for _, a := range r.Audit {
 		if a.MinSpacing < r.minSpacing {
 			r.minSpacing = a.MinSpacing
 		}
@@ -58,14 +109,15 @@ func (r *Region) AuditElements() {
 			r.maxVp = a.MaxVp
 		}
 	}
+	return nil
 }
 
-// auditElement walks element e once: the 3*NGLL^2 grid lines, summing
-// each line's GLL intervals in order, and the NGLL3 material points.
-func (r *Region) auditElement(e int) ElemAudit {
-	ib := r.Ibool[e*NGLL3 : (e+1)*NGLL3]
-	dist := func(a, b int32) float64 {
-		pa, pb := r.Pts[a], r.Pts[b]
+// audit walks the element once: the 3*NGLL^2 grid lines of its node
+// table, summing each line's GLL intervals in order, and the NGLL3
+// material points.
+func (el *Element) audit() ElemAudit {
+	dist := func(a, b int) float64 {
+		pa, pb := &el.Pos[a], &el.Pos[b]
 		dx, dy, dz := pa[0]-pb[0], pa[1]-pb[1], pa[2]-pb[2]
 		return math.Sqrt(dx*dx + dy*dy + dz*dz)
 	}
@@ -75,9 +127,9 @@ func (r *Region) auditElement(e int) ElemAudit {
 		for b := 0; b < NGLL; b++ {
 			var li, lj, lk float64
 			for s := 0; s+1 < NGLL; s++ {
-				di := dist(ib[s+NGLL*a+NGLL2*b], ib[s+1+NGLL*a+NGLL2*b])
-				dj := dist(ib[a+NGLL*s+NGLL2*b], ib[a+NGLL*(s+1)+NGLL2*b])
-				dk := dist(ib[a+NGLL*b+NGLL2*s], ib[a+NGLL*b+NGLL2*(s+1)])
+				di := dist(s+NGLL*a+NGLL2*b, s+1+NGLL*a+NGLL2*b)
+				dj := dist(a+NGLL*s+NGLL2*b, a+NGLL*(s+1)+NGLL2*b)
+				dk := dist(a+NGLL*b+NGLL2*s, a+NGLL*b+NGLL2*(s+1))
 				li += di
 				lj += dj
 				lk += dk
@@ -95,15 +147,15 @@ func (r *Region) auditElement(e int) ElemAudit {
 		}
 	}
 	au.HMax = hMax / float64(gll.Degree)
-	for p := e * NGLL3; p < (e+1)*NGLL3; p++ {
-		if vp := math.Sqrt(float64((r.Kappa[p] + 4.0/3.0*r.Mu[p]) / r.Rho[p])); vp > au.MaxVp {
+	for p := range el.Rho {
+		if vp := math.Sqrt(float64((el.Kappa[p] + 4.0/3.0*el.Mu[p]) / el.Rho[p])); vp > au.MaxVp {
 			au.MaxVp = vp
 		}
 		var v float64
-		if r.Mu[p] > 0 {
-			v = math.Sqrt(float64(r.Mu[p] / r.Rho[p]))
+		if el.Mu[p] > 0 {
+			v = math.Sqrt(float64(el.Mu[p] / el.Rho[p]))
 		} else {
-			v = math.Sqrt(float64(r.Kappa[p] / r.Rho[p]))
+			v = math.Sqrt(float64(el.Kappa[p] / el.Rho[p]))
 		}
 		if v < au.VMin {
 			au.VMin = v
@@ -116,7 +168,7 @@ func (r *Region) auditElement(e int) ElemAudit {
 // the region's elements.
 func (r *Region) audited() []ElemAudit {
 	if len(r.Audit) != r.NSpec {
-		panic(fmt.Sprintf("mesh: region %v holds %d element audits for %d elements (finish it with Finish or AuditElements)",
+		panic(fmt.Sprintf("mesh: region %v holds %d element audits for %d elements (fold its elements with Fold)",
 			r.Kind, len(r.Audit), r.NSpec))
 	}
 	return r.Audit

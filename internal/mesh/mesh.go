@@ -18,7 +18,6 @@
 package mesh
 
 import (
-	"fmt"
 	"math"
 
 	"specglobe/internal/earthmodel"
@@ -56,15 +55,18 @@ type Region struct {
 	Pts [][3]float64 // len NGlob
 
 	// Inverse-mapping partial derivatives at each element point:
-	// Xix = d(xi)/dx etc. Jac is the Jacobian determinant |J| (used by
-	// the stiffness quadrature) and JacW = |J| * w_i w_j w_k (used by
-	// the mass quadrature).
+	// Xix = d(xi)/dx etc. Jac is the Jacobian determinant |J|, the
+	// stiffness quadrature's; the mass quadrature's |J| w_i w_j w_k is
+	// folded into Mass and not kept.
 	Xix, Xiy, Xiz    []float32
 	Etax, Etay, Etaz []float32
 	Gamx, Gamy, Gamz []float32
-	Jac, JacW        []float32
+	Jac              []float32
 
-	// Material at each element point (Mu = 0 in the fluid).
+	// Material at each element point, the moduli the stress stage reads
+	// in a solid region (Rho is nil) and the density the fluid stage
+	// reads in the fluid (Kappa and Mu are nil): what else the builder
+	// knew of the material is in Mass and Audit.
 	Rho, Kappa, Mu []float32
 
 	// Per-element attenuation quality factors.
@@ -72,33 +74,48 @@ type Region struct {
 
 	// Mass is the (locally assembled) diagonal mass matrix: for solid
 	// regions sum of rho*JacW at each global point, for the fluid sum
-	// of JacW/kappa. Cross-rank assembly happens in the solver via one
-	// halo exchange at startup.
+	// of JacW/kappa, JacW = |J| w_i w_j w_k. Cross-rank assembly happens
+	// in the solver via one halo exchange at startup.
 	Mass []float32 // len NGlob
 
 	// Audit holds one ElemAudit per element (len NSpec), filled by
-	// Finish/AuditElements; minSpacing and maxVp are its region-wide
-	// extremes, the inputs of StableDt.
+	// Fold; minSpacing and maxVp are its region-wide extremes, the
+	// inputs of StableDt, taken by Finish.
 	Audit             []ElemAudit
 	minSpacing, maxVp float64
 }
 
-// NewRegion allocates a region's element arrays for nspec elements; the
-// mesher sets NGlob and Pts.
+// NewRegion allocates a region's element arrays for nspec elements, the
+// materials by kind; the mesher sets NGlob and Pts.
 func NewRegion(kind earthmodel.Region, nspec int) *Region {
 	n := nspec * NGLL3
-	return &Region{
+	r := &Region{
 		Kind:  kind,
 		NSpec: nspec,
 		Ibool: make([]int32, n),
 		Xix:   make([]float32, n), Xiy: make([]float32, n), Xiz: make([]float32, n),
 		Etax: make([]float32, n), Etay: make([]float32, n), Etaz: make([]float32, n),
 		Gamx: make([]float32, n), Gamy: make([]float32, n), Gamz: make([]float32, n),
-		Jac: make([]float32, n), JacW: make([]float32, n),
-		Rho: make([]float32, n), Kappa: make([]float32, n), Mu: make([]float32, n),
+		Jac: make([]float32, n),
 		Qmu: make([]float32, nspec), Qkappa: make([]float32, nspec),
 	}
+	if r.IsFluid() {
+		r.Rho = make([]float32, n)
+	} else {
+		r.Kappa, r.Mu = make([]float32, n), make([]float32, n)
+	}
+	return r
 }
+
+// W3 holds the 3-D GLL quadrature weight w_i w_j w_k of each element
+// point: |J| times it is the point's share of the element's volume.
+var W3 = func() (w3 [NGLL3]float64) {
+	w := gll.Weights(gll.Degree, gll.Points(gll.Degree))
+	for p := range w3 {
+		w3[p] = w[p%NGLL] * w[p/NGLL%NGLL] * w[p/NGLL2]
+	}
+	return w3
+}()
 
 // IsFluid reports whether this region carries the scalar potential field
 // instead of displacement.
@@ -108,67 +125,12 @@ func (r *Region) IsFluid() bool { return r.Kind == earthmodel.RegionOuterCore }
 // coordinates (i, j, k).
 func Idx(e, i, j, k int) int { return e*NGLL3 + i + NGLL*j + NGLL2*k }
 
-// AssembleMassLocal computes the region's locally assembled diagonal
-// mass matrix from the material and Jacobian-weight arrays.
-func (r *Region) AssembleMassLocal() {
-	r.Mass = make([]float32, r.NGlob)
-	for e := 0; e < r.NSpec; e++ {
-		for p := 0; p < NGLL3; p++ {
-			ip := e*NGLL3 + p
-			g := r.Ibool[ip]
-			if r.IsFluid() {
-				r.Mass[g] += r.JacW[ip] / r.Kappa[ip]
-			} else {
-				r.Mass[g] += r.Rho[ip] * r.JacW[ip]
-			}
-		}
-	}
-}
-
-// Validate performs structural sanity checks and returns the first
-// problem found. Meshers call it before handing meshes to the solver.
-func (r *Region) Validate() error {
-	if len(r.Ibool) != r.NSpec*NGLL3 {
-		return fmt.Errorf("mesh: region %v: ibool length %d, want %d", r.Kind, len(r.Ibool), r.NSpec*NGLL3)
-	}
-	if len(r.Pts) != r.NGlob {
-		return fmt.Errorf("mesh: region %v: %d points recorded, NGlob=%d", r.Kind, len(r.Pts), r.NGlob)
-	}
-	for i, g := range r.Ibool {
-		if g < 0 || int(g) >= r.NGlob {
-			return fmt.Errorf("mesh: region %v: ibool[%d]=%d out of range [0,%d)", r.Kind, i, g, r.NGlob)
-		}
-	}
-	for e := 0; e < r.NSpec; e++ {
-		for p := 0; p < NGLL3; p++ {
-			if j := r.JacW[e*NGLL3+p]; j <= 0 || math.IsNaN(float64(j)) {
-				return fmt.Errorf("mesh: region %v: non-positive JacW %g at elem %d point %d", r.Kind, j, e, p)
-			}
-		}
-	}
-	for i := range r.Rho {
-		if r.Rho[i] <= 0 {
-			return fmt.Errorf("mesh: region %v: non-positive density at %d", r.Kind, i)
-		}
-		if r.Kappa[i] <= 0 {
-			return fmt.Errorf("mesh: region %v: non-positive kappa at %d", r.Kind, i)
-		}
-		if r.Mu[i] < 0 {
-			return fmt.Errorf("mesh: region %v: negative mu at %d", r.Kind, i)
-		}
-		if r.IsFluid() && r.Mu[i] != 0 {
-			return fmt.Errorf("mesh: fluid region %v has shear modulus at %d", r.Kind, i)
-		}
-	}
-	return nil
-}
-
-// Volume returns the region's discrete volume, the sum of JacW over all
-// element points (the quadrature of the constant 1).
+// Volume returns the region's discrete volume, the quadrature of the
+// constant 1: the sum of Jac * W3 over all element points, in float64.
 func (r *Region) Volume() float64 {
 	v := 0.0
-	for _, j := range r.JacW {
-		v += float64(j)
+	for ip, j := range r.Jac {
+		v += float64(j) * W3[ip%NGLL3]
 	}
 	return v
 }

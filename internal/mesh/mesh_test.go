@@ -39,67 +39,73 @@ func TestIdx(t *testing.T) {
 	}
 }
 
-// makeUnitRegion builds a tiny one-element region with constant unit
-// Jacobian and uniform material, used by validation tests.
-func makeUnitRegion() *Region {
-	r := NewRegion(earthmodel.RegionCrustMantle, 1)
-	r.NGlob, r.Pts = NGLL3, make([][3]float64, NGLL3)
-	for k := 0; k < NGLL; k++ {
-		for j := 0; j < NGLL; j++ {
-			for i := 0; i < NGLL; i++ {
-				ip := Idx(0, i, j, k)
-				r.Ibool[ip] = int32(ip)
-				r.Pts[ip] = [3]float64{float64(i), float64(j), float64(k)}
-				r.Xix[ip], r.Etay[ip], r.Gamz[ip] = 1, 1, 1
-				r.Jac[ip] = 1
-				r.JacW[ip] = 1
-				r.Rho[ip] = 1000
-				r.Kappa[ip] = 1e9
-				r.Mu[ip] = 1e9
-			}
-		}
+// makeUnitRegion builds a tiny one-element region of the given kind
+// with unit Jacobian, its element not yet folded; unitElement is that
+// element, with uniform material (shear in it).
+func makeUnitRegion(kind earthmodel.Region) *Region {
+	r := NewRegion(kind, 1)
+	r.NGlob, r.Pts = NGLL3, unitElement().Pos[:]
+	for ip := range r.Ibool {
+		r.Ibool[ip] = int32(ip)
+		r.Xix[ip], r.Etay[ip], r.Gamz[ip] = 1, 1, 1
+		r.Jac[ip] = 1
 	}
 	r.Qmu[0] = 600
 	r.Qkappa[0] = 57823
 	return r
 }
 
+func unitElement() *Element {
+	el := &Element{}
+	for p := range el.MassW {
+		el.MassW[p], el.Rho[p], el.Kappa[p], el.Mu[p] = 1, 1000, 1e9, 1e9
+		el.Pos[p] = [3]float64{float64(p % NGLL), float64(p / NGLL % NGLL), float64(p / NGLL2)}
+	}
+	return el
+}
+
+// foldUnit folds the unit element, changed by edit, into a unit region
+// of kind and finishes it.
+func foldUnit(kind earthmodel.Region, edit func(r *Region, el *Element)) (*Region, error) {
+	r, el := makeUnitRegion(kind), unitElement()
+	edit(r, el)
+	if err := r.Fold(0, el); err != nil {
+		return r, err
+	}
+	return r, r.Finish()
+}
+
 func TestValidateCatchesProblems(t *testing.T) {
-	good := makeUnitRegion()
-	if err := good.Validate(); err != nil {
+	if _, err := foldUnit(earthmodel.RegionCrustMantle, func(*Region, *Element) {}); err != nil {
 		t.Fatalf("good region rejected: %v", err)
 	}
-	bad := makeUnitRegion()
-	bad.Ibool[7] = int32(bad.NGlob) // out of range
-	if bad.Validate() == nil {
-		t.Error("out-of-range ibool accepted")
+	for name, edit := range map[string]func(r *Region, el *Element){
+		"out-of-range ibool":          func(r *Region, _ *Element) { r.Ibool[7] = int32(r.NGlob) },
+		"a point no element reaches":  func(r *Region, _ *Element) { r.Ibool[7] = 8 },
+		"negative JacW":               func(_ *Region, el *Element) { el.MassW[3] = -1 },
+		"NaN JacW":                    func(_ *Region, el *Element) { el.MassW[3] = float32(math.NaN()) },
+		"zero density":                func(_ *Region, el *Element) { el.Rho[10] = 0 },
+		"zero kappa":                  func(_ *Region, el *Element) { el.Kappa[10] = 0 },
+		"negative mu":                 func(_ *Region, el *Element) { el.Mu[0] = -5 },
+		"a points table one too long": func(r *Region, _ *Element) { r.Pts = append(r.Pts, [3]float64{}) },
+	} {
+		if _, err := foldUnit(earthmodel.RegionCrustMantle, edit); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	bad = makeUnitRegion()
-	bad.JacW[3] = -1
-	if bad.Validate() == nil {
-		t.Error("negative JacW accepted")
-	}
-	bad = makeUnitRegion()
-	bad.Rho[10] = 0
-	if bad.Validate() == nil {
-		t.Error("zero density accepted")
-	}
-	bad = makeUnitRegion()
-	bad.Mu[0] = -5
-	if bad.Validate() == nil {
-		t.Error("negative mu accepted")
-	}
-	fluid := makeUnitRegion()
-	fluid.Kind = earthmodel.RegionOuterCore
-	if fluid.Validate() == nil {
+	if _, err := foldUnit(earthmodel.RegionOuterCore, func(*Region, *Element) {}); err == nil {
 		t.Error("fluid region with shear accepted")
 	}
 }
 
-func TestAssembleMassLocal(t *testing.T) {
-	r := makeUnitRegion()
-	r.AssembleMassLocal()
-	// Total mass must equal sum(rho * JacW) = 1000 * 125.
+// Fold sums the mass weights per point and keeps the materials the
+// region's stages read: rho*JacW and the moduli in a solid region,
+// JacW/kappa and the density in the fluid.
+func TestFoldAssemblesMass(t *testing.T) {
+	r, err := foldUnit(earthmodel.RegionCrustMantle, func(*Region, *Element) {})
+	if err != nil {
+		t.Fatal(err)
+	}
 	total := 0.0
 	for _, m := range r.Mass {
 		total += float64(m)
@@ -107,19 +113,22 @@ func TestAssembleMassLocal(t *testing.T) {
 	if math.Abs(total-1000*float64(NGLL3)) > 1e-3 {
 		t.Errorf("total mass %v", total)
 	}
-	// Fluid mass uses 1/kappa.
-	f := makeUnitRegion()
-	f.Kind = earthmodel.RegionOuterCore
-	for i := range f.Mu {
-		f.Mu[i] = 0
+	if r.Rho != nil || r.Kappa[5] != 1e9 || r.Mu[5] != 1e9 {
+		t.Errorf("solid region keeps density %v, kappa %v, mu %v", r.Rho != nil, r.Kappa[5], r.Mu[5])
 	}
-	f.AssembleMassLocal()
+	f, err := foldUnit(earthmodel.RegionOuterCore, func(_ *Region, el *Element) { el.Mu = [NGLL3]float32{} })
+	if err != nil {
+		t.Fatal(err)
+	}
 	total = 0
 	for _, m := range f.Mass {
 		total += float64(m)
 	}
 	if math.Abs(total-float64(NGLL3)/1e9) > 1e-12 {
 		t.Errorf("fluid mass %v", total)
+	}
+	if f.Kappa != nil || f.Mu != nil || f.Rho[5] != 1000 {
+		t.Errorf("fluid region keeps kappa %v, mu %v, density %v", f.Kappa != nil, f.Mu != nil, f.Rho[5])
 	}
 }
 
@@ -160,7 +169,7 @@ func TestWeights3DOneHotAtNodes(t *testing.T) {
 }
 
 func TestInterpolateGeometryAtNodes(t *testing.T) {
-	r := makeUnitRegion()
+	r := makeUnitRegion(earthmodel.RegionCrustMantle)
 	// At reference (-1,-1,-1) the interpolant must return node (0,0,0).
 	got := InterpolateGeometry(r, 0, [3]float64{-1, -1, -1})
 	if got != [3]float64{0, 0, 0} {
@@ -183,7 +192,7 @@ func TestInterpolateGeometryAtNodes(t *testing.T) {
 // per-global-point float32 fields, the way receivers record
 // displacement: a field linear in position is reproduced exactly.
 func TestInterpolateFields(t *testing.T) {
-	r := makeUnitRegion()
+	r := makeUnitRegion(earthmodel.RegionCrustMantle)
 	interp := func(field []float32, ref [3]float64) float64 {
 		w := Weights3D(ref)
 		out := 0.0
@@ -294,8 +303,8 @@ func TestComputeLoadStats(t *testing.T) {
 // 0..4, so every GLL interval and the mean spacing of every grid line
 // are 1, and the uniform material fixes both wave speeds.
 func TestElementAuditAndStableDt(t *testing.T) {
-	r := makeUnitRegion()
-	if err := r.Finish(); err != nil {
+	r, err := foldUnit(earthmodel.RegionCrustMantle, func(*Region, *Element) {})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Audit) != 1 {
@@ -331,5 +340,5 @@ func TestElementAuditAndStableDt(t *testing.T) {
 			t.Error("an unaudited region answered ElementDt")
 		}
 	}()
-	makeUnitRegion().ElementDt(0, 0.5)
+	makeUnitRegion(earthmodel.RegionCrustMantle).ElementDt(0, 0.5)
 }

@@ -11,9 +11,9 @@ import (
 // quantity the paper's meshing rule (~5 points per wavelength, section
 // 3) budgets, and the one the wavelength-adaptive doubling planner in
 // internal/meshfem promises to preserve while coarsening. Computed from
-// the mesh itself (point coordinates and per-point materials), so it
-// audits the real elements, including the doubling templates, rather
-// than the planner's idealized lateral sizes.
+// the mesh itself (each element's audit of its node positions and
+// materials), so it audits the real elements, including the doubling
+// templates, rather than the planner's idealized lateral sizes.
 
 // PtsPerWavelength returns the points-per-wavelength resolution of
 // element e at period periodS: the slowest wave the element's material

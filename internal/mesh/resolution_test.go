@@ -71,24 +71,22 @@ func TestResolutionStatsWorstDirection(t *testing.T) {
 // In a fluid region (Mu == 0) the P velocity governs.
 func TestResolutionStatsFluidUsesP(t *testing.T) {
 	mat := earthmodel.Material{Rho: 3000, Vp: 6000, Vs: 3500, Qmu: 300, Qkappa: 57823}
-	box, err := boxmesh.Build(boxmesh.Config{
-		Nx: 4, Ny: 4, Nz: 4, Lx: 1000e3, Ly: 1000e3, Lz: 1000e3,
-		NRanks: 1, Mat: mat,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// The second box carries the first one's bulk modulus and no shear:
+	// its elements are acoustically governed and their resolution must
+	// rise to the (faster) P wavelength.
+	acoustic := mat
+	acoustic.Vp, acoustic.Vs = math.Sqrt(mat.Kappa()/mat.Rho), 0
+	pts := func(mat earthmodel.Material) float64 {
+		box, err := boxmesh.Build(boxmesh.Config{
+			Nx: 4, Ny: 4, Nz: 4, Lx: 1000e3, Ly: 1000e3, Lz: 1000e3,
+			NRanks: 1, Mat: mat,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return box.Locals[0].Regions[earthmodel.RegionCrustMantle].PtsPerWavelength(0, 50)
 	}
-	reg := box.Locals[0].Regions[earthmodel.RegionCrustMantle]
-	const T = 50.0
-	solid := reg.PtsPerWavelength(0, T)
-	// Zero out the shear modulus of element 0's points: the element
-	// becomes acoustically governed and its resolution must rise to the
-	// (faster) P wavelength.
-	for p := 0; p < mesh.NGLL3; p++ {
-		reg.Mu[p] = 0
-	}
-	reg.AuditElements()
-	fluid := reg.PtsPerWavelength(0, T)
+	solid, fluid := pts(mat), pts(acoustic)
 	// With the stored bulk modulus unchanged, the acoustic speed is
 	// sqrt(kappa/rho) (= Vp only when the material truly carries no
 	// shear, as in the outer core).

@@ -73,7 +73,7 @@ func TestDoublingVolumeAndElementCount(t *testing.T) {
 	vol := 0.0
 	for _, l := range dbl.Locals {
 		for _, r := range l.Regions {
-			if err := r.Validate(); err != nil {
+			if err := r.Finish(); err != nil {
 				t.Fatal(err)
 			}
 			vol += r.Volume()
@@ -344,7 +344,7 @@ func doublingPerNode(face cubedsphere.Face, q *quad2, e0, e1 float64, alongXi bo
 				if !alongXi {
 					dl, de = ddb, dda
 				}
-				t.pos[n] = dir.Scale(r)
+				t.Pos[n] = dir.Scale(r)
 				lateral := dl.Scale(ls * r).Add(dir.Scale(rs)).Scale(0.5)
 				extrusion := de.Scale((e1 - e0) * r / 2)
 				t.cols[n] = [3]cubedsphere.Vec3{lateral, extrusion, dl.Scale(lt * r).Add(dir.Scale(rt)).Scale(0.5)}
@@ -377,10 +377,10 @@ func TestDoublingTablesMatchPerNode(t *testing.T) {
 						var got elemNodes
 						got.doubling(face, q, ext[0], ext[1], alongXi)
 						want := doublingPerNode(face, q, ext[0], ext[1], alongXi)
-						for n := range got.pos {
-							same := math.Float64bits(got.pos[n][0]) == math.Float64bits(want.pos[n][0]) &&
-								math.Float64bits(got.pos[n][1]) == math.Float64bits(want.pos[n][1]) &&
-								math.Float64bits(got.pos[n][2]) == math.Float64bits(want.pos[n][2])
+						for n := range got.Pos {
+							same := math.Float64bits(got.Pos[n][0]) == math.Float64bits(want.Pos[n][0]) &&
+								math.Float64bits(got.Pos[n][1]) == math.Float64bits(want.Pos[n][1]) &&
+								math.Float64bits(got.Pos[n][2]) == math.Float64bits(want.Pos[n][2])
 							for c := range got.cols[n] {
 								for i := range got.cols[n][c] {
 									same = same && math.Float64bits(got.cols[n][c][i]) == math.Float64bits(want.cols[n][c][i])
@@ -388,7 +388,7 @@ func TestDoublingTablesMatchPerNode(t *testing.T) {
 							}
 							if !same {
 								t.Fatalf("quad %d face %v alongXi %v extrusion %v node %d: pos %v cols %v, per node %v %v",
-									qi+1, face, alongXi, ext, n, got.pos[n], got.cols[n], want.pos[n], want.cols[n])
+									qi+1, face, alongXi, ext, n, got.Pos[n], got.cols[n], want.Pos[n], want.cols[n])
 							}
 						}
 					}

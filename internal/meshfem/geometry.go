@@ -74,9 +74,8 @@ func symLerp(u, v float64, i int) float64 {
 // node's stores then share one bounds check on its index (the arrays'
 // length is the constant NGLL3) instead of carrying one per array.
 type elemViews struct {
-	ibool                                       *[mesh.NGLL3]int32
-	xix, xiy, xiz, etx, ety, etz, gmx, gmy, gmz *[mesh.NGLL3]float32
-	jac, jacW                                   *[mesh.NGLL3]float32
+	ibool                                            *[mesh.NGLL3]int32
+	xix, xiy, xiz, etx, ety, etz, gmx, gmy, gmz, jac *[mesh.NGLL3]float32
 }
 
 // viewElement returns the views of element e of r.
@@ -88,7 +87,7 @@ func viewElement(r *mesh.Region, e int) elemViews {
 		xix:   view(r.Xix), xiy: view(r.Xiy), xiz: view(r.Xiz),
 		etx: view(r.Etax), ety: view(r.Etay), etz: view(r.Etaz),
 		gmx: view(r.Gamx), gmy: view(r.Gamy), gmz: view(r.Gamz),
-		jac: view(r.Jac), jacW: view(r.JacW),
+		jac: view(r.Jac),
 	}
 }
 
@@ -151,7 +150,8 @@ func snapResidue(v, lim float64) float64 {
 // columns of its NGLL3 nodes, indexed i + NGLL*j + NGLL2*k. Each element
 // family fills it through its own method, which computes whatever
 // depends on fewer than three of the indices once per element instead
-// of once per node; fillElement and assignMaterial then consume it.
+// of once per node; fillElement and assignMaterial then consume it,
+// completing the mesh.Element it embeds, which the region folds.
 //
 // The hoists keep every operand and every operation order of the
 // per-node formulas they replace: a factor is moved out of a loop only
@@ -160,7 +160,7 @@ func snapResidue(v, lim float64) float64 {
 // solver reads — is the one the per-node evaluation produced
 // (TestMeshBits).
 type elemNodes struct {
-	pos  [mesh.NGLL3]cubedsphere.Vec3
+	mesh.Element
 	cols [mesh.NGLL3][3]cubedsphere.Vec3
 	// slot[n] is node n's lattice slot, filled by the element loop.
 	slot [mesh.NGLL3]int
@@ -185,7 +185,7 @@ func (t *elemNodes) shell(c *column, r0, r1 float64) {
 		fa, fb, fr := r*c.da/2, r*c.db/2, (r1-r0)/2
 		for q := 0; q < mesh.NGLL2; q++ {
 			n := q + mesh.NGLL2*ir
-			p, d := &t.pos[n], &c.posDir[q]
+			p, d := &t.Pos[n], &c.posDir[q]
 			p[0], p[1], p[2] = rPos*d[0], rPos*d[1], rPos*d[2]
 			cl, da, db, dr := &t.cols[n], &c.dda[q], &c.ddb[q], &c.d[q]
 			cl[0][0], cl[0][1], cl[0][2] = fa*da[0], fa*da[1], fa*da[2]
@@ -223,7 +223,7 @@ func (t *elemNodes) cube(a0, a1, b0, b1, c0, c1, rcc float64) {
 		for ib := 0; ib < mesh.NGLL; ib++ {
 			for ia := 0; ia < mesh.NGLL; ia++ {
 				n := ia + mesh.NGLL*ib + mesh.NGLL2*ic
-				p, cl := &t.pos[n], &t.cols[n]
+				p, cl := &t.Pos[n], &t.cols[n]
 				p[0], p[1], p[2] = cubedsphere.CubePoint(sym[0][ia], sym[1][ib], sym[2][ic], rcc)
 				x, y, z := at[0][ia], at[1][ib], at[2][ic]
 				px, py, pz := cubedsphere.CubePoint(plus[0][ia], y, z, rcc)
@@ -241,20 +241,21 @@ func (t *elemNodes) cube(a0, a1, b0, b1, c0, c1, rcc float64) {
 	t.radial = false
 }
 
-// fillElement writes geometry (positions, inverse mapping, JacW) for
-// element e of region r from its node table, numbering its nodes'
-// lattice slots in node order (first-sight numbering).
+// fillElement writes the geometry of element e of region r from its
+// node table — positions, inverse mapping and |J| into the region, the
+// mass weight JacW into the table — numbering its nodes' lattice slots
+// in node order (first-sight numbering).
 func fillElement(r *mesh.Region, lat *lattice, e int, t *elemNodes) error {
 	v := viewElement(r, e)
 	for n := 0; n < mesh.NGLL3; n++ {
-		v.ibool[n] = lat.point(t.slot[n], t.pos[n])
+		v.ibool[n] = lat.point(t.slot[n], t.Pos[n])
 		det := storeMetric(&v, n, &t.cols[n])
 		if det <= 0 {
 			return fmt.Errorf("meshfem: region %v element %d node %d: non-positive Jacobian determinant %g", r.Kind, e, n, det)
 		}
 		v.jac[n] = float32(det)
 		i, j, k := n%mesh.NGLL, n/mesh.NGLL%mesh.NGLL, n/mesh.NGLL2
-		v.jacW[n] = float32(det * gllW[i] * gllW[j] * gllW[k])
+		t.MassW[n] = float32(det * gllW[i] * gllW[j] * gllW[k])
 	}
 	return nil
 }
@@ -433,7 +434,7 @@ func (t *elemNodes) doubling(face cubedsphere.Face, q *quad2, e0, e1 float64, al
 				}
 				rr := r[ir][il]
 				n := n0 + mesh.NGLL2*ir
-				p, cl := &t.pos[n], &t.cols[n]
+				p, cl := &t.Pos[n], &t.cols[n]
 				p[0], p[1], p[2] = rr*dx, rr*dy, rr*dz
 				// The lateral column 0.5*((ls*r)*dl + rs*dir), the
 				// extrusion column ((e1-e0)*r/2)*de, the radial column

@@ -177,7 +177,7 @@ func (l *lattice) reset(slots int) {
 
 // point returns the number of the point in slot, numbering it (and
 // recording its position) on first sight.
-func (l *lattice) point(slot int, p cubedsphere.Vec3) int32 {
+func (l *lattice) point(slot int, p [3]float64) int32 {
 	id := l.id[slot]
 	if id < 0 {
 		id = l.n

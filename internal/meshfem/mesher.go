@@ -439,6 +439,7 @@ func (f *elemFiller) region(si int) (*mesh.Region, error) {
 		}
 	}
 	f.lat.pts, f.lat.n = make([][3]float64, points), 0
+	f.reg.NGlob, f.reg.Pts = points, f.lat.pts
 	f.e = 0
 	for li, l := range sp.layers {
 		if f.e != g.layerBase[si][li] {
@@ -471,16 +472,14 @@ func (f *elemFiller) region(si int) (*mesh.Region, error) {
 	if int(f.lat.n) != points {
 		return nil, fmt.Errorf("region %v: numbered %d points, lattice holds %d", sp.kind, f.lat.n, points)
 	}
-	reg := f.reg
-	reg.NGlob, reg.Pts = points, f.lat.pts
 	f.lat.pts = nil
-	return reg, reg.Finish()
+	return f.reg, f.reg.Finish()
 }
 
 // emit writes the geometry and material of the element in the node
-// table as element e and advances e. Properties are assigned right
-// after the element is created: the merged single-pass strategy of
-// section 4.4.
+// table as element e, folds it into the region and advances e.
+// Properties are assigned right after the element is created: the
+// merged single-pass strategy of section 4.4.
 func (f *elemFiller) emit() error {
 	if f.trace != nil {
 		f.trace(f.e, &f.nodes)
@@ -489,6 +488,9 @@ func (f *elemFiller) emit() error {
 		return err
 	}
 	assignMaterial(f.g.Cfg.Model, f.reg, f.e, &f.nodes)
+	if err := f.reg.Fold(f.e, &f.nodes.Element); err != nil {
+		return err
+	}
 	f.e++
 	return nil
 }
@@ -602,35 +604,36 @@ func (f *elemFiller) doubleEtaLayer(si, li int) error {
 	return nil
 }
 
-// assignMaterial populates the material arrays of element e from the
-// radial model: one sample per radial level where the element's levels
-// are spherical, one per node otherwise.
+// assignMaterial writes the material of element e into its node table
+// from the radial model, one sample per radial level where the
+// element's levels are spherical, one per node otherwise, and its
+// quality factors into the region.
 func assignMaterial(model earthmodel.Model, reg *mesh.Region, e int, t *elemNodes) {
 	fluid := reg.IsFluid()
-	set := func(ip int, m earthmodel.Material) {
-		reg.Rho[ip] = float32(m.Rho)
-		reg.Kappa[ip] = float32(m.Kappa())
+	set := func(p int, m earthmodel.Material) {
+		t.Rho[p] = float32(m.Rho)
+		t.Kappa[p] = float32(m.Kappa())
 		if fluid {
-			reg.Mu[ip] = 0
+			t.Mu[p] = 0
 		} else {
-			reg.Mu[ip] = float32(m.Mu())
+			t.Mu[p] = float32(m.Mu())
 		}
 	}
 	// rSum accumulates node by node, as the mean radius always has.
 	var rSum float64
 	for k := 0; k < mesh.NGLL; k++ {
-		level := e*mesh.NGLL3 + k*mesh.NGLL2
+		level := k * mesh.NGLL2
 		if t.radial {
 			set(level, model.At(t.rad[k]))
 			rSum += t.rad[k]
 			for q := 1; q < mesh.NGLL2; q++ {
-				reg.Rho[level+q], reg.Kappa[level+q], reg.Mu[level+q] = reg.Rho[level], reg.Kappa[level], reg.Mu[level]
+				t.Rho[level+q], t.Kappa[level+q], t.Mu[level+q] = t.Rho[level], t.Kappa[level], t.Mu[level]
 				rSum += t.rad[k]
 			}
 			continue
 		}
 		for q := 0; q < mesh.NGLL2; q++ {
-			r := t.pos[k*mesh.NGLL2+q].Norm()
+			r := cubedsphere.Vec3(t.Pos[k*mesh.NGLL2+q]).Norm()
 			set(level+q, model.At(r))
 			rSum += r
 		}

@@ -3,6 +3,7 @@ package meshfem
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -66,7 +67,7 @@ func TestGlobeStructure(t *testing.T) {
 			if r.NSpec == 0 {
 				t.Errorf("rank %d: empty region %v on an Earth-like model", rank, earthmodel.Region(kind))
 			}
-			if err := r.Validate(); err != nil {
+			if err := r.Finish(); err != nil {
 				t.Errorf("rank %d: %v", rank, err)
 			}
 		}
@@ -200,30 +201,25 @@ func TestMassPositive(t *testing.T) {
 	}
 }
 
-// The sum of the solid mass matrix over all ranks must equal the mass of
-// the solid regions (quadrature of rho): shared points are counted once
-// per rank, so compare against per-rank element sums instead. This
-// checks mass conservation region by region.
+// The sum of each rank's local solid mass matrix must equal the mass of
+// its solid elements, the quadrature of rho: local assembly sums element
+// contributions into distinct local points, so it counts each element
+// once. testModel's solid density is uniform. This checks mass
+// conservation region by region.
 func TestMassConservation(t *testing.T) {
 	model := testModel()
 	g := buildSmall(t, 8, 1, model)
-	// Sum over ranks of local Mass double counts shared points within
-	// a rank? No: local assembly sums element contributions into
-	// distinct local points, so summing Mass equals summing
-	// rho*JacW over all element points of the rank.
+	rho := model.At(model.SurfaceRadius()).Rho
 	for _, l := range g.Locals {
 		for _, r := range l.Regions {
 			if r.IsFluid() || r.NSpec == 0 {
 				continue
 			}
-			var massSum, elemSum float64
+			var massSum float64
 			for _, m := range r.Mass {
 				massSum += float64(m)
 			}
-			for ip := range r.JacW {
-				elemSum += float64(r.Rho[ip]) * float64(r.JacW[ip])
-			}
-			if relErr := math.Abs(massSum-elemSum) / elemSum; relErr > 1e-5 {
+			if elemSum := rho * r.Volume(); math.Abs(massSum-elemSum)/elemSum > 1e-5 {
 				t.Errorf("rank %d region %v: mass %g vs element sum %g", l.Rank, r.Kind, massSum, elemSum)
 			}
 		}
@@ -323,10 +319,8 @@ func TestTwoPassProducesIdenticalMesh(t *testing.T) {
 		for kind := 0; kind < 3; kind++ {
 			a := g1.Locals[rank].Regions[kind]
 			b := g2.Locals[rank].Regions[kind]
-			for i := range a.Rho {
-				if a.Rho[i] != b.Rho[i] || a.Kappa[i] != b.Kappa[i] || a.Mu[i] != b.Mu[i] {
-					t.Fatalf("rank %d region %d: material differs at %d", rank, kind, i)
-				}
+			if !slices.Equal(a.Rho, b.Rho) || !slices.Equal(a.Kappa, b.Kappa) || !slices.Equal(a.Mu, b.Mu) {
+				t.Fatalf("rank %d region %d: material differs", rank, kind)
 			}
 			for i := range a.Mass {
 				if a.Mass[i] != b.Mass[i] {
@@ -344,13 +338,11 @@ func TestBuildPREM(t *testing.T) {
 	if g.TotalElements() == 0 {
 		t.Fatal("empty mesh")
 	}
-	// The fluid region must carry fluid material everywhere.
+	// The fluid region carries fluid material everywhere (Fold refuses
+	// shear there) and keeps only its density.
 	for _, l := range g.Locals {
-		oc := l.Regions[earthmodel.RegionOuterCore]
-		for i := range oc.Mu {
-			if oc.Mu[i] != 0 {
-				t.Fatal("shear modulus in outer core")
-			}
+		if oc := l.Regions[earthmodel.RegionOuterCore]; oc.Mu != nil || len(oc.Rho) != oc.NSpec*mesh.NGLL3 {
+			t.Fatal("outer core keeps a shear modulus or lacks its density")
 		}
 	}
 	// Shortest period estimate must scale roughly as 1/NEX.

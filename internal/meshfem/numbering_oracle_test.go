@@ -43,7 +43,7 @@ func keyNumbering(t *testing.T, g *Globe, rank int) map[earthmodel.Region]*keyNu
 		byKey := map[bitsKey]int32{}
 		f := &elemFiller{g: g, rank: rank, trace: func(e int, nt *elemNodes) {
 			for n := 0; n < mesh.NGLL3; n++ {
-				p := [3]float64(nt.pos[n])
+				p := nt.Pos[n]
 				k := keyOfPos(p)
 				id, ok := byKey[k]
 				if !ok {

@@ -22,9 +22,9 @@ import (
 )
 
 // LegacyFilesPerCore is the number of database files the legacy mode
-// writes for a rank whose mesh has all three regions: 16 array files per
-// region plus the header, boundary and surface files — the "up to 51
-// files per core" of section 4.1.
+// writes for a rank whose mesh has all three regions: 15 array files and
+// one halo file per region plus the header, boundary and surface files —
+// the "up to 51 files per core" of section 4.1.
 const LegacyFilesPerCore = 3*16 + 3
 
 // Stats accounts for one handoff.
@@ -33,24 +33,30 @@ type Stats struct {
 	Bytes int64
 }
 
-// array is one of a region's array files: its name and its slice.
+// array is one of a region's array files: its name and its slices.
 type array struct {
 	name string
-	v    any
+	vs   []any
 }
 
-// regionArrays lists r's 16 array files in their fixed order; the writer
-// and the reader both walk it. The points are stored without a length
-// prefix (the file size is their count), every other array after its
-// uint32 length.
+// regionArrays lists r's 15 array files in their fixed order, every
+// array the region holds but the per-element Q factors of the header;
+// the writer and the reader both walk it. The material file holds the
+// materials r keeps, the solid's Kappa and Mu or the fluid's Rho. The
+// points are stored without a length prefix (the file size is their
+// count), every other array after its length.
 func regionArrays(r *mesh.Region) []array {
+	one := func(name string, v any) array { return array{name, []any{v}} }
+	material := array{"material", []any{r.Kappa, r.Mu}}
+	if r.IsFluid() {
+		material.vs = []any{r.Rho}
+	}
 	return []array{
-		{"ibool", r.Ibool}, {"pts", r.Pts},
-		{"xix", r.Xix}, {"xiy", r.Xiy}, {"xiz", r.Xiz},
-		{"etax", r.Etax}, {"etay", r.Etay}, {"etaz", r.Etaz},
-		{"gamx", r.Gamx}, {"gamy", r.Gamy}, {"gamz", r.Gamz},
-		{"jac", r.Jac}, {"jacw", r.JacW},
-		{"rho", r.Rho}, {"kappa", r.Kappa}, {"mu", r.Mu},
+		one("ibool", r.Ibool), one("pts", r.Pts),
+		one("xix", r.Xix), one("xiy", r.Xiy), one("xiz", r.Xiz),
+		one("etax", r.Etax), one("etay", r.Etay), one("etaz", r.Etaz),
+		one("gamx", r.Gamx), one("gamy", r.Gamy), one("gamz", r.Gamz),
+		one("jac", r.Jac), material, one("mass", r.Mass), one("audit", r.Audit),
 	}
 }
 
@@ -79,7 +85,7 @@ func WriteRankDatabase(dir string, local *mesh.Local, plan *mesh.HaloPlan) (Stat
 		}
 	}
 
-	// Header: magic, rank, per-region sizes, Q arrays, halo plan.
+	// Header: magic, rank, per-region sizes and Q arrays.
 	write("header", func(w *writer) {
 		w.put(magic, uint32(local.Rank))
 		for kind, r := range local.Regions {
@@ -88,13 +94,6 @@ func WriteRankDatabase(dir string, local *mesh.Local, plan *mesh.HaloPlan) (Stat
 			}
 			w.put(uint32(r.NSpec), uint32(r.NGlob))
 			w.slices(r.Qmu, r.Qkappa)
-		}
-		for _, edges := range plan.Edges {
-			w.put(uint32(len(edges)))
-			for _, e := range edges {
-				w.put(uint32(e.Peer))
-				w.slices(e.Idx)
-			}
 		}
 	})
 
@@ -105,12 +104,20 @@ func WriteRankDatabase(dir string, local *mesh.Local, plan *mesh.HaloPlan) (Stat
 		for _, a := range regionArrays(r) {
 			write(fmt.Sprintf("reg%d_%s", kind, a.name), func(w *writer) {
 				if a.name == "pts" {
-					w.put(a.v)
+					w.put(a.vs...)
 				} else {
-					w.slices(a.v)
+					w.slices(a.vs...)
 				}
 			})
 		}
+		// The region's halo edges, the MPI buffers of the legacy code.
+		write(fmt.Sprintf("reg%d_halo", kind), func(w *writer) {
+			w.put(uint32(len(plan.Edges[kind])))
+			for _, e := range plan.Edges[kind] {
+				w.put(uint32(e.Peer))
+				w.slices(e.Idx)
+			}
+		})
 	}
 
 	// Boundary file: coupling faces.
@@ -137,10 +144,10 @@ func WriteRankDatabase(dir string, local *mesh.Local, plan *mesh.HaloPlan) (Stat
 
 // ReadRankDatabase reads back a rank's database written by
 // WriteRankDatabase. The returned mesh is bit-identical to the written
-// one. A short, oversized or inconsistent file, or a mesh that fails the
-// regions' structural checks, is an error; every read region is
-// finished (validated, mass assembled, elements audited) like a freshly
-// meshed one.
+// one, its mass and element audit read, not derived again. A short,
+// oversized or inconsistent file, or a mesh that fails the regions'
+// structural checks, is an error; every read region is finished like a
+// freshly meshed one.
 func ReadRankDatabase(dir string, rank int) (*mesh.Local, *mesh.HaloPlan, error) {
 	read := func(name string, decode func(r *reader)) error {
 		return readFile(filepath.Join(dir, fmt.Sprintf("proc%06d_%s.bin", rank, name)), decode)
@@ -172,17 +179,11 @@ func ReadRankDatabase(dir string, rank int) (*mesh.Local, *mesh.HaloPlan, error)
 			}
 			reg := mesh.NewRegion(earthmodel.Region(kind), nspec)
 			reg.NGlob = nglob
+			if nspec > 0 {
+				reg.Mass, reg.Audit = make([]float32, nglob), make([]mesh.ElemAudit, nspec)
+			}
 			r.slices(reg.Qmu, reg.Qkappa)
 			local.Regions[kind] = reg
-		}
-		for kind := range plan.Edges {
-			nEdges := r.count(8)
-			for e := 0; e < nEdges && r.err == nil; e++ {
-				edge := mesh.HaloEdge{Peer: int(r.u32())}
-				edge.Idx = make([]int32, r.count(4))
-				r.get(edge.Idx)
-				plan.Edges[kind] = append(plan.Edges[kind], edge)
-			}
 		}
 	})
 	if err != nil {
@@ -196,7 +197,7 @@ func ReadRankDatabase(dir string, rank int) (*mesh.Local, *mesh.HaloPlan, error)
 		for _, a := range regionArrays(reg) {
 			err := read(fmt.Sprintf("reg%d_%s", kind, a.name), func(r *reader) {
 				if a.name != "pts" {
-					r.slices(a.v)
+					r.slices(a.vs...)
 					return
 				}
 				if int64(reg.NGlob)*24 != r.left() {
@@ -209,6 +210,18 @@ func ReadRankDatabase(dir string, rank int) (*mesh.Local, *mesh.HaloPlan, error)
 			if err != nil {
 				return nil, nil, err
 			}
+		}
+		err := read(fmt.Sprintf("reg%d_halo", kind), func(r *reader) {
+			nEdges := r.count(8)
+			for e := 0; e < nEdges && r.err == nil; e++ {
+				edge := mesh.HaloEdge{Peer: int(r.u32())}
+				edge.Idx = make([]int32, r.count(4))
+				r.get(edge.Idx)
+				plan.Edges[kind] = append(plan.Edges[kind], edge)
+			}
+		})
+		if err != nil {
+			return nil, nil, err
 		}
 		if err := reg.Finish(); err != nil {
 			return nil, nil, fmt.Errorf("meshio: rank %d: %w", rank, err)
@@ -250,8 +263,9 @@ func ReadRankDatabase(dir string, rank int) (*mesh.Local, *mesh.HaloPlan, error)
 	return local, plan, nil
 }
 
-// checkIndices verifies that every point index the coupling faces, the
-// surface load and the halo plan hold falls inside its region.
+// checkIndices verifies that every point index the regions' Ibool, the
+// coupling faces, the surface load and the halo plan hold falls inside
+// its region.
 func checkIndices(l *mesh.Local, p *mesh.HaloPlan) error {
 	inRange := func(kind earthmodel.Region, idx []int32, what string) error {
 		n := 0
@@ -276,6 +290,11 @@ func checkIndices(l *mesh.Local, p *mesh.HaloPlan) error {
 	}
 	if err := inRange(earthmodel.RegionCrustMantle, l.Surface.Pts, "surface load"); err != nil {
 		return err
+	}
+	for _, r := range l.Regions {
+		if err := inRange(r.Kind, r.Ibool, "ibool"); err != nil {
+			return err
+		}
 	}
 	for kind, edges := range p.Edges {
 		for _, e := range edges {
@@ -327,8 +346,9 @@ func MergedHandoff(locals []*mesh.Local) Stats {
 }
 
 // MeshBytes returns the in-memory footprint of a rank's mesh arrays,
-// used by the merged-mode accounting and the section 4 memory model
-// (37 TB at the 2-second resolution).
+// exactly what its regions hold, used by the merged-mode accounting, the
+// daemon's session budget and the section 4 memory model (37 TB at the
+// 2-second resolution).
 func MeshBytes(l *mesh.Local) int64 {
 	var b int64
 	for _, r := range l.Regions {
@@ -336,9 +356,11 @@ func MeshBytes(l *mesh.Local) int64 {
 			continue
 		}
 		for _, a := range regionArrays(r) {
-			b += int64(binary.Size(a.v))
+			for _, v := range a.vs {
+				b += int64(binary.Size(v))
+			}
 		}
-		b += int64(binary.Size(r.Qmu) + binary.Size(r.Qkappa) + binary.Size(r.Mass))
+		b += int64(binary.Size(r.Qmu) + binary.Size(r.Qkappa))
 	}
 	b += int64(len(l.CMB)+len(l.ICB)) * int64(4*(1+2*mesh.NGLL2+4*mesh.NGLL2))
 	b += int64(len(l.Surface.Pts)) * 20
@@ -361,7 +383,7 @@ func (w *writer) put(vs ...any) {
 	}
 }
 
-// slices writes each slice of 4-byte values after its uint32 length.
+// slices writes each slice after its uint32 length in 4-byte words.
 func (w *writer) slices(as ...any) {
 	for _, a := range as {
 		w.put(uint32(binary.Size(a)/4), a)
@@ -432,8 +454,8 @@ func (r *reader) count(itemBytes int) int {
 	return int(n)
 }
 
-// slices reads into each slice of 4-byte values after a length prefix
-// that must equal its length.
+// slices reads into each slice after a length prefix that must equal
+// its length in 4-byte words.
 func (r *reader) slices(as ...any) {
 	for _, a := range as {
 		if n, want := r.u32(), binary.Size(a)/4; r.err == nil && int(n) != want {

@@ -79,7 +79,7 @@ func (m *PowerModel) CoresNeeded(res float64, gbPerCore float64) float64 {
 // CalibratedToPaper returns a copy of a mesh-memory model rescaled so
 // that the 2-second mesh occupies exactly the paper's 37 TB, keeping
 // the fitted exponent. The Go mesh deliberately stores more per point
-// (float64 coordinates, per-point materials) than SPECFEM's packed
+// (float64 coordinates, |J| beside the metric terms) than SPECFEM's packed
 // Fortran arrays, so the measured constant over-predicts absolute
 // sizes; the calibrated model represents the original code's footprint
 // and drives the Table 6 shortest-period column.

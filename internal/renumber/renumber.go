@@ -231,7 +231,8 @@ func IsPermutation(perm []int32, n int) bool {
 // element i is old element perm[i]. Mathematically the assembled result
 // is unchanged ("one can loop on the elements in any order and get the
 // same final result", section 4.2); only cache behavior and float32
-// roundoff in the last digits differ.
+// roundoff in the last digits differ. Mass, a sum per point, stays as
+// the elements' first order summed it.
 func PermuteElements(r *mesh.Region, perm []int32) error {
 	if !IsPermutation(perm, r.NSpec) {
 		return fmt.Errorf("renumber: not a permutation of %d elements", r.NSpec)
@@ -251,9 +252,11 @@ func PermuteElements(r *mesh.Region, perm []int32) error {
 	copy(r.Ibool, out)
 	for _, a := range [][]float32{
 		r.Xix, r.Xiy, r.Xiz, r.Etax, r.Etay, r.Etaz,
-		r.Gamx, r.Gamy, r.Gamz, r.Jac, r.JacW, r.Rho, r.Kappa, r.Mu,
+		r.Gamx, r.Gamy, r.Gamz, r.Jac, r.Rho, r.Kappa, r.Mu,
 	} {
-		permF32Blocks(a, mesh.NGLL3)
+		if a != nil { // the materials a region does not keep
+			permF32Blocks(a, mesh.NGLL3)
+		}
 	}
 	permF32Blocks(r.Qmu, 1)
 	permF32Blocks(r.Qkappa, 1)

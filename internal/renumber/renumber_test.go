@@ -184,27 +184,27 @@ func TestCuthillMcKeePermutationProperty(t *testing.T) {
 	}
 }
 
-// Permuting elements must preserve the mesh as a set: same volume, same
-// mass distribution, valid structure.
+// Permuting elements must preserve the mesh as a set: same volume, valid
+// structure, each element's audit and materials moved with it.
 func TestPermuteElementsPreservesMesh(t *testing.T) {
 	r := buildRegion(t, 3)
 	volBefore := r.Volume()
-	massBefore := append([]float32(nil), r.Mass...)
+	auditBefore := append([]mesh.ElemAudit(nil), r.Audit...)
+	muBefore := append([]float32(nil), r.Mu...)
 
-	adj := ElementAdjacency(r)
-	if err := PermuteElements(r, CuthillMcKee(adj)); err != nil {
+	perm := CuthillMcKee(ElementAdjacency(r))
+	if err := PermuteElements(r, perm); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Validate(); err != nil {
+	if err := r.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(r.Volume()-volBefore) > 1e-6*volBefore {
 		t.Errorf("volume changed: %g -> %g", volBefore, r.Volume())
 	}
-	r.AssembleMassLocal()
-	for i := range massBefore {
-		if d := math.Abs(float64(r.Mass[i] - massBefore[i])); d > 1e-3*math.Abs(float64(massBefore[i])) {
-			t.Fatalf("mass at point %d changed: %g -> %g", i, massBefore[i], r.Mass[i])
+	for newE, oldE := range perm {
+		if r.Audit[newE] != auditBefore[oldE] || r.Mu[newE*mesh.NGLL3+7] != muBefore[int(oldE)*mesh.NGLL3+7] {
+			t.Fatalf("element %d did not move to %d whole", oldE, newE)
 		}
 	}
 }
@@ -238,7 +238,7 @@ func TestRenumberPointsRoundTrip(t *testing.T) {
 	if err := RenumberPoints(r, scramble); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Validate(); err != nil {
+	if err := r.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	ft := FirstTouchPointOrder(r)

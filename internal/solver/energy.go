@@ -6,13 +6,13 @@ import (
 )
 
 // localEnergy returns this rank's kinetic and elastic potential energy.
-// Shared boundary points are owned by several ranks; to avoid double
-// counting, kinetic energy is computed from element quadrature (like the
-// potential) rather than from the global mass matrix.
+// The terms with a diagonal mass weight read the region's local mass,
+// which sums only this rank's elements; the others are element
+// quadratures with the weights Jac * W3, in float64.
 //
-// Solid:  Ek = 1/2 int rho |v|^2,  Ep = 1/2 int sigma : eps.
-// Fluid:  Ek = 1/2 int |grad chiDot|^2 / rho,  Ep = 1/2 int chiDdot^2/kappa
-// (pressure p = -chiDdot).
+// Solid:  Ek = 1/2 sum M |v|^2,  Ep = 1/2 int sigma : eps.
+// Fluid:  Ek = 1/2 int |grad chiDot|^2 / rho,  Ep = 1/2 sum M chiDdot^2
+// (pressure p = -chiDdot, M = int 1/kappa).
 //
 //specfem:noaccount diagnostic energy norm, computed every EnergyEvery steps for stability monitoring; excluded from the stepped kernel flop model
 func (rs *rankState) localEnergy() (kinetic, potential float64) {
@@ -31,18 +31,16 @@ func (rs *rankState) localEnergy() (kinetic, potential float64) {
 		}
 		f := fs[0]
 		reg := f.reg
+		for g, m := range reg.Mass {
+			v := &f.v[g]
+			kinetic += 0.5 * float64(m) * (float64(v[0])*float64(v[0]) +
+				float64(v[1])*float64(v[1]) +
+				float64(v[2])*float64(v[2]))
+		}
 		for e := 0; e < reg.NSpec; e++ {
 			base := e * mesh.NGLL3
 			ib := reg.Ibool[base : base+mesh.NGLL3]
-			// Kinetic part by element quadrature.
 			for p, g := range ib {
-				jw := float64(reg.JacW[base+p])
-				rho := float64(reg.Rho[base+p])
-				v := &f.v[g]
-				v2 := float64(v[0])*float64(v[0]) +
-					float64(v[1])*float64(v[1]) +
-					float64(v[2])*float64(v[2])
-				kinetic += 0.5 * rho * jw * v2
 				ux[p], uy[p], uz[p] = f.d[g][0], f.d[g][1], f.d[g][2]
 			}
 			// Strain energy.
@@ -74,7 +72,7 @@ func (rs *rankState) localEnergy() (kinetic, potential float64) {
 				szz := lam*tr + 2*mu*duzdz
 				e2 := sxx*duxdx + syy*duydy + szz*duzdz +
 					2*mu*(2*exy*exy+2*exz*exz+2*eyz*eyz)
-				potential += 0.5 * float64(reg.JacW[ip]) * e2
+				potential += 0.5 * float64(reg.Jac[ip]) * mesh.W3[p] * e2
 			}
 		}
 	}
@@ -84,6 +82,10 @@ func (rs *rankState) localEnergy() (kinetic, potential float64) {
 		reg := fl.reg
 		var chiDot [simd.PadLen]float32
 		var d1, d2, d3 [simd.PadLen]float32
+		for g, m := range reg.Mass {
+			pdd := float64(fl.chiDdot[g])
+			potential += 0.5 * float64(m) * pdd * pdd
+		}
 		for e := 0; e < reg.NSpec; e++ {
 			base := e * mesh.NGLL3
 			ib := reg.Ibool[base : base+mesh.NGLL3]
@@ -91,7 +93,7 @@ func (rs *rankState) localEnergy() (kinetic, potential float64) {
 				chiDot[p] = fl.chiDot[g]
 			}
 			k.grad(chiDot[:], d1[:], d2[:], d3[:])
-			for p, g := range ib {
+			for p := range ib {
 				ip := base + p
 				xix, xiy, xiz := reg.Xix[ip], reg.Xiy[ip], reg.Xiz[ip]
 				etx, ety, etz := reg.Etax[ip], reg.Etay[ip], reg.Etaz[ip]
@@ -99,11 +101,8 @@ func (rs *rankState) localEnergy() (kinetic, potential float64) {
 				gx := float64(xix*d1[p] + etx*d2[p] + gmx*d3[p])
 				gy := float64(xiy*d1[p] + ety*d2[p] + gmy*d3[p])
 				gz := float64(xiz*d1[p] + etz*d2[p] + gmz*d3[p])
-				jw := float64(reg.JacW[ip])
-				rho := float64(reg.Rho[ip])
-				kinetic += 0.5 * jw * (gx*gx + gy*gy + gz*gz) / rho
-				pdd := float64(fl.chiDdot[g])
-				potential += 0.5 * jw * pdd * pdd / float64(reg.Kappa[ip])
+				jw := float64(reg.Jac[ip]) * mesh.W3[p]
+				kinetic += 0.5 * jw * (gx*gx + gy*gy + gz*gz) / float64(reg.Rho[ip])
 			}
 		}
 	}

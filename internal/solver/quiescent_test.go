@@ -27,6 +27,7 @@ type quiescentElement struct {
 func newQuiescentElement(rng *rand.Rand) *quiescentElement {
 	fx := newStressFixture(rng, 1, earthmodel.DefaultNSLS)
 	reg := fx.reg
+	reg.Rho = make([]float32, len(reg.Ibool)) // the fluid field's visit reads it
 	for p := range reg.Ibool {
 		reg.Ibool[p] = int32(p)
 		reg.Rho[p] = 5000 * (1 + rng.Float32())

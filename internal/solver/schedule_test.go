@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"specglobe/internal/boxmesh"
@@ -9,6 +10,7 @@ import (
 	"specglobe/internal/mesh"
 	"specglobe/internal/meshfem"
 	"specglobe/internal/perf"
+	"specglobe/internal/simd"
 )
 
 // schedule is the sub-test name of the one step schedule: the tests
@@ -67,9 +69,9 @@ func attachDecoupledFluid(t *testing.T, locals []*mesh.Local, rank int) {
 	locals[rank].Regions[earthmodel.RegionOuterCore] = donor
 }
 
-// boxBuildFluidDonor builds a tiny single-rank box region and converts
-// it to a fluid (outer-core) region: zero shear modulus, fluid mass
-// matrix JacW/kappa, P-wave element audit.
+// boxBuildFluidDonor builds a tiny single-rank box region and folds its
+// elements again into a fluid (outer-core) region: no shear modulus,
+// fluid mass matrix JacW/kappa, P-wave element audit.
 func boxBuildFluidDonor() (*mesh.Region, error) {
 	b, err := boxmesh.Build(boxmesh.Config{
 		Nx: 2, Ny: 2, Nz: 2,
@@ -80,15 +82,21 @@ func boxBuildFluidDonor() (*mesh.Region, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := b.Locals[0].Regions[earthmodel.RegionCrustMantle]
-	reg.Kind = earthmodel.RegionOuterCore
-	for i := range reg.Mu {
-		reg.Mu[i] = 0
+	reg := *b.Locals[0].Regions[earthmodel.RegionCrustMantle]
+	reg.Kind, reg.Rho, reg.Kappa, reg.Mu, reg.Mass, reg.Audit = earthmodel.RegionOuterCore, make([]float32, len(reg.Jac)), nil, nil, nil, nil
+	var el mesh.Element
+	for e := 0; e < reg.NSpec; e++ {
+		for p := range el.MassW {
+			ip := e*mesh.NGLL3 + p
+			el.MassW[p] = float32(float64(reg.Jac[ip]) * mesh.W3[p])
+			el.Rho[p], el.Kappa[p] = float32(boxMat.Rho), float32(boxMat.Kappa())
+			el.Pos[p] = reg.Pts[reg.Ibool[ip]]
+		}
+		if err := reg.Fold(e, &el); err != nil {
+			return nil, err
+		}
 	}
-	if err := reg.Finish(); err != nil {
-		return nil, err
-	}
-	return reg, nil
+	return &reg, reg.Finish()
 }
 
 // A rank with no fluid region must consume exactly the same tag
@@ -442,4 +450,97 @@ func TestFlopAccountingWorkerInvariant(t *testing.T) {
 				workers, res.Perf.TotalFlops, ref)
 		}
 	}
+}
+
+// The energy diagnostic weighs velocity (solid) and pressure (fluid)
+// with the local mass, where it once summed rho*JacW and JacW/kappa
+// over element points: every sample equals that element quadrature,
+// computed here in float64 with the weights Jac*W3 and the coupled
+// globe's uniform solid density and fluid bulk modulus, to 1e-6.
+func TestEnergyMatchesElementQuadrature(t *testing.T) {
+	g, model := coupledGlobe(t, 4, 1)
+	rho, kappa := float64(float32(model.At(5000e3).Rho)), float64(float32(model.At(2000e3).Kappa()))
+	var mu sync.Mutex
+	want := map[int][2]float64{}
+	stepHook = func(rs *rankState, step int) {
+		if (step+1)%10 == 0 {
+			k, p := quadratureEnergy(rs, rho, kappa)
+			mu.Lock()
+			want[step+1] = [2]float64{want[step+1][0] + k, want[step+1][1] + p}
+			mu.Unlock()
+		}
+	}
+	defer func() { stepHook = nil }()
+	sim := globeSim(t, g, model, Options{Steps: 60, EnergyEvery: 10})
+	sim.Sources[0].STF = GaussianSTF(5, 12)
+	res, err := Run(sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Energy) != 6 {
+		t.Fatalf("%d energy samples, want 6", len(res.Energy))
+	}
+	for _, s := range res.Energy {
+		w := want[s.Step]
+		if math.Abs(s.Kinetic-w[0]) > 1e-6*w[0] || math.Abs(s.Potential-w[1]) > 1e-6*w[1] {
+			t.Errorf("step %d: kinetic %g, potential %g; element quadrature %g, %g", s.Step, s.Kinetic, s.Potential, w[0], w[1])
+		}
+	}
+}
+
+// quadratureEnergy is the element-quadrature energy of the rank's field
+// 0 (see TestEnergyMatchesElementQuadrature).
+func quadratureEnergy(rs *rankState, rho, kappa float64) (kinetic, potential float64) {
+	var u [3][simd.PadLen]float32
+	var du [3][3][simd.PadLen]float32 // du[c][r]: d(u_c)/d(reference axis r)
+	// grad returns d(u_c)/dx at element point ip of reg.
+	grad := func(reg *mesh.Region, ip, p, c int) (out [3]float64) {
+		m := [3][3]float32{{reg.Xix[ip], reg.Xiy[ip], reg.Xiz[ip]}, {reg.Etax[ip], reg.Etay[ip], reg.Etaz[ip]}, {reg.Gamx[ip], reg.Gamy[ip], reg.Gamz[ip]}}
+		for x := range out {
+			out[x] = float64(m[0][x]*du[c][0][p] + m[1][x]*du[c][1][p] + m[2][x]*du[c][2][p])
+		}
+		return out
+	}
+	for _, fs := range rs.solid {
+		for e := 0; fs != nil && e < fs[0].reg.NSpec; e++ {
+			f, reg := fs[0], fs[0].reg
+			for p := 0; p < mesh.NGLL3; p++ {
+				g, jw := reg.Ibool[e*mesh.NGLL3+p], float64(reg.Jac[e*mesh.NGLL3+p])*mesh.W3[p]
+				for c := range u {
+					u[c][p] = f.d[g][c]
+					kinetic += 0.5 * rho * jw * float64(f.v[g][c]) * float64(f.v[g][c])
+				}
+			}
+			for c := range u {
+				rs.kern.grad(u[c][:], du[c][0][:], du[c][1][:], du[c][2][:])
+			}
+			for p := 0; p < mesh.NGLL3; p++ {
+				ip := e*mesh.NGLL3 + p
+				d := [3][3]float64{grad(reg, ip, p, 0), grad(reg, ip, p, 1), grad(reg, ip, p, 2)}
+				mu := float64(reg.Mu[ip])
+				tr := d[0][0] + d[1][1] + d[2][2]
+				e2 := (float64(reg.Kappa[ip]) - 2.0/3.0*mu) * tr * tr // lambda tr^2 + 2 mu eps:eps
+				for a := range d {
+					for b := range d {
+						e2 += 2 * mu * (d[a][b] + d[b][a]) * (d[a][b] + d[b][a]) / 4
+					}
+				}
+				potential += 0.5 * float64(reg.Jac[ip]) * mesh.W3[p] * e2
+			}
+		}
+	}
+	for e := 0; rs.fluid != nil && e < rs.fluid[0].reg.NSpec; e++ {
+		fl, reg := rs.fluid[0], rs.fluid[0].reg
+		for p := 0; p < mesh.NGLL3; p++ {
+			u[0][p] = fl.chiDot[reg.Ibool[e*mesh.NGLL3+p]]
+		}
+		rs.kern.grad(u[0][:], du[0][0][:], du[0][1][:], du[0][2][:])
+		for p := 0; p < mesh.NGLL3; p++ {
+			ip := e*mesh.NGLL3 + p
+			jw, gr, pdd := float64(reg.Jac[ip])*mesh.W3[p], grad(reg, ip, p, 0), float64(fl.chiDdot[reg.Ibool[ip]])
+			kinetic += 0.5 * jw * (gr[0]*gr[0] + gr[1]*gr[1] + gr[2]*gr[2]) / float64(reg.Rho[ip])
+			potential += 0.5 * jw * pdd * pdd / kappa
+		}
+	}
+	return kinetic, potential
 }

@@ -25,8 +25,10 @@
 #    ledger — perf's hidden phase and total, which mpi.Stats holds — and
 #    the mpi calls no solver code made: the wildcard source, the
 #    barrier, the stats reset with the twin counters it forced, and the
-#    min reduction. Waitall is not listed: the haloreq fixture double
-#    defines its own),
+#    min reduction; then the whole-region walks the per-element fold
+#    replaced — the local mass assembly and the audit pass — and the
+#    stored mass weight JacW, which the fold sums into Mass. Waitall is
+#    not listed: the haloreq fixture double defines its own),
 # 2. the root benchmark file and root-level BENCH_PR*.json snapshots
 #    stay gone (the eight snapshots are history in docs/history/),
 # 3. every experiment run goes through the one solver.Run call of
@@ -79,6 +81,7 @@ combined-halo|\b(LayerResolutions|LayerStableDts?|LayerResolution)\b
 \b(fastestRun|fig7Budget|mesherRuns|NewCollector)\b
 NearestPoint|configFor|runSelftest|\bRunBatch\b|DiskModel|RuntimeModel|MemoryModel
 \bAnySource\b|\bOpMin\b|\.Barrier\(|ResetStats|commWallMono|hiddenMono|PhaseCommHidden|mpi_hidden|TotalCommTime
+AssembleMassLocal|AuditElements|\.JacW\b
 EOF
 )
 if grep -rnE "$retired" --include='*.go' .; then
